@@ -25,8 +25,9 @@
 //
 // Closing a cursor early — or cancelling its context — propagates through
 // the runtime's upstream-cancellation machinery and stops the scans feeding
-// the job. Execute, Query and QueryWithOptions are compatibility wrappers
-// that drain a cursor to completion.
+// the job. Every query — FLWOR, aggregate or bare expression — compiles to
+// a Hyracks job; Execute, Query and QueryWithOptions drain the same cursor
+// to completion and return the materialized values.
 //
 // Errors returned by the API are typed: sentinels ErrNotFound and ErrExists
 // match via errors.Is, and *Error carries a stable Code (see errors.go).
@@ -82,21 +83,6 @@ type Config struct {
 	Clock temporal.Clock
 	// OptimizerOptions tune the rule-based optimizer (ablation benchmarks).
 	OptimizerOptions algebra.Options
-	// UseInterpreter routes query execution through the materializing
-	// interpreter (engine.go) instead of the pipelined Hyracks executor. The
-	// interpreter is the reference semantics; differential tests run every
-	// query through both paths.
-	UseInterpreter bool
-	// DisableFusion turns off the job-build-time operator fusion pass that
-	// collapses one-to-one pipelined operator chains into a single fused
-	// operator per partition. Fusion is on by default; differential tests and
-	// the read-path benchmarks use this knob to compare fused and unfused
-	// execution of the same plans.
-	DisableFusion bool
-	// EagerDecode disables the lazy binary record path: scans decode every
-	// record to the full Value tree up front, as before PR 7. Lazy decoding
-	// is the default; differential tests run both to prove parity.
-	EagerDecode bool
 	// OwnsPartition restricts which storage partitions this instance stores
 	// records for. In a cluster, each node controller owns a subset of the
 	// hash space: inserts and loads silently skip records whose primary key
@@ -108,17 +94,18 @@ type Config struct {
 	// cluster. It degrades plan choices that assume the whole dataset is
 	// reachable in-process (index nested-loop joins probe only local
 	// partitions, so they fall back to the shuffled hash join) and turns
-	// whole-dataset reads inside expressions (interpreter fallback,
-	// correlated subqueries over internal datasets) into typed errors
-	// instead of silently returning one node's slice of the data.
+	// whole-dataset reads inside expressions (correlated subqueries over
+	// internal datasets) into typed errors instead of silently returning one
+	// node's slice of the data.
 	DistributedNode bool
 }
 
 // Instance is one AsterixDB node-group: a Cluster Controller front-end plus
 // the storage partitions of its Node Controllers, all within one process.
 type Instance struct {
-	cfg   Config
-	store *storage.Manager
+	cfg     Config
+	unfused bool // see variant
+	store   *storage.Manager
 
 	mu sync.RWMutex
 	// dataverse state
@@ -155,22 +142,34 @@ type Result struct {
 }
 
 // Open creates or reopens an AsterixDB instance rooted at cfg.DataDir.
-func Open(cfg Config) (*Instance, error) {
+func Open(cfg Config) (*Instance, error) { return open(cfg, variant{}) }
+
+// variant selects the reference execution shapes the differential tests and
+// the read-path benchmark compare the default against: jobs without the
+// operator fusion pass, and scans that decode every record up front instead
+// of viewing it lazily. It is deliberately not part of Config — only this
+// package's own tests can reach open, so no embedder or shipped binary can
+// select a second way to run a query.
+type variant struct{ unfused, eagerDecode bool }
+
+func open(cfg Config, v variant) (*Instance, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = storage.DefaultPartitions
 	}
 	if cfg.MemoryBudget == 0 {
 		if env := os.Getenv("ASTERIXDB_MEMORY_BUDGET"); env != "" {
-			if n, err := strconv.ParseInt(env, 10, 64); err == nil && n > 0 {
-				cfg.MemoryBudget = n
+			n, err := strconv.ParseInt(env, 10, 64)
+			if err != nil || n <= 0 {
+				return nil, errf(CodeInvalid, "asterixdb: ASTERIXDB_MEMORY_BUDGET=%q is not a positive byte count", env)
 			}
+			cfg.MemoryBudget = n
 		}
 	}
 	store, err := storage.NewManager(cfg.DataDir, storage.Options{
 		Partitions:  cfg.Partitions,
 		Journaled:   cfg.Journaled,
 		MemBudget:   cfg.MemBudget,
-		EagerDecode: cfg.EagerDecode,
+		EagerDecode: v.eagerDecode,
 		Owns:        cfg.OwnsPartition,
 	})
 	if err != nil {
@@ -178,6 +177,7 @@ func Open(cfg Config) (*Instance, error) {
 	}
 	inst := &Instance{
 		cfg:               cfg,
+		unfused:           v.unfused,
 		store:             store,
 		dataverses:        map[string]bool{"Metadata": true, "Default": true},
 		types:             map[string]*adm.RecordType{},
@@ -226,55 +226,37 @@ func (in *Instance) Dataset(name string) (*storage.Dataset, bool) {
 // through the streaming execution path; cancelling ctx mid-query terminates
 // the running job and returns ctx's error.
 func (in *Instance) ExecuteContext(ctx context.Context, src string) (*Result, error) {
-	return in.executeWith(ctx, src, in.cfg.OptimizerOptions)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	q, res, err := in.ExecuteForQuery(ctx, src)
+	if err != nil || q == nil {
+		return res, err
+	}
+	return in.evaluateQuery(ctx, q, in.cfg.OptimizerOptions)
 }
 
-// Execute is ExecuteContext without cancellation — a compatibility wrapper
-// kept for embedders and tests predating the context-aware API.
+// Execute is ExecuteContext without cancellation.
 func (in *Instance) Execute(src string) (*Result, error) {
 	return in.ExecuteContext(context.Background(), src)
 }
 
-// executeWith runs statements under the given optimizer options. Options are
-// threaded through the compile call (never written back into the shared
-// config), so concurrent queries with different options do not race.
-func (in *Instance) executeWith(ctx context.Context, src string, opts algebra.Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stmts, err := aql.Parse(src)
-	if err != nil {
-		return nil, syntaxError(err)
-	}
-	var last *Result
-	for _, stmt := range stmts {
-		res, err := in.executeStatement(ctx, stmt, opts)
-		if err != nil {
-			return nil, err
-		}
-		last = res
-	}
-	if last == nil {
-		last = &Result{Kind: "ddl"}
-	}
-	return last, nil
-}
-
 // Query executes a single query expression and returns its result values.
 func (in *Instance) Query(src string) ([]adm.Value, error) {
-	res, err := in.Execute(src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Values, nil
+	return in.QueryWithOptions(src, in.cfg.OptimizerOptions)
 }
 
 // QueryWithOptions executes a query with a per-call optimizer-option
 // override; the bench harness uses it to compare indexed and non-indexed
-// access paths on the same instance. It is safe to call concurrently with
-// Query.
+// access paths on the same instance. The override applies to the trailing
+// query only and is never written back into the shared config, so it is safe
+// to call concurrently with Query.
 func (in *Instance) QueryWithOptions(src string, opts algebra.Options) ([]adm.Value, error) {
-	res, err := in.executeWith(context.Background(), src, opts)
+	ctx := context.Background()
+	q, res, err := in.ExecuteForQuery(ctx, src)
+	if err == nil && q != nil {
+		res, err = in.evaluateQuery(ctx, q, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +271,7 @@ func (in *Instance) jobOptions() translator.JobOptions {
 		Partitions:    in.cfg.Partitions,
 		MemoryBudget:  in.cfg.MemoryBudget,
 		SpillDir:      in.SpillDir(),
-		DisableFusion: in.cfg.DisableFusion,
+		DisableFusion: in.unfused,
 		Distributed:   in.cfg.DistributedNode,
 	}
 }
@@ -312,84 +294,87 @@ func (in *Instance) MemoryBudget() int64 {
 }
 
 // Explain compiles a query and returns the optimized algebra plan and the
-// Hyracks job description (Figure 6's shape for Query 10).
+// Hyracks job description (Figure 6's shape for Query 10). It executes
+// nothing: session statements ahead of the query (use dataverse, set) are
+// accepted and skipped — neither changes a plan — and any other leading
+// statement is a CodeInvalid error, so explaining never touches data, the
+// catalog or the session.
 func (in *Instance) Explain(src string) (string, error) {
-	e, err := aql.ParseQuery(src)
+	q, _, err := in.prelude(context.Background(), src, true)
 	if err != nil {
 		return "", err
 	}
-	plan, err := translator.Compile(e, in, in.cfg.OptimizerOptions)
+	if q == nil {
+		return "", errf(CodeInvalid, "asterixdb: explain needs a statement ending in a query")
+	}
+	plan, job, err := in.CompileQuery(q, in.cfg.OptimizerOptions)
 	if err != nil {
 		return "", err
-	}
-	job, err := translator.BuildJob(plan, in, in.jobOptions())
-	if err != nil {
-		return algebra.Explain(plan) + "\n\n(interpreted: " + err.Error() + ")", nil
 	}
 	return algebra.Explain(plan) + "\n\n" + job.Describe(), nil
 }
 
-// ExecuteForQuery executes every statement of src except a trailing query and
-// returns that query's expression (nil when src ends with a non-query
-// statement, in which case everything was executed). The cluster runtime uses
-// it on the coordinator and on every node controller so a multi-statement
-// request applies its leading DDL/DML identically everywhere before the final
-// query compiles against the updated catalog.
-func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (aql.Expr, error) {
+// ExecuteForQuery parses src and executes every statement ahead of a trailing
+// query, returning that query's expression for CompileQuery. When src does
+// not end in a query everything was executed: the expression is nil and the
+// Result is the last statement's. The cluster runtime calls it on the
+// coordinator and on every node controller, so a multi-statement request
+// applies its leading DDL/DML identically everywhere before the final query
+// compiles against the updated catalog.
+func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (aql.Expr, *Result, error) {
+	return in.prelude(ctx, src, false)
+}
+
+// prelude is the one statement prelude behind ExecuteForQuery and Explain.
+// With explainOnly set it executes nothing: leading session statements are
+// skipped and anything else is rejected.
+func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool) (aql.Expr, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	stmts, err := aql.Parse(src)
 	if err != nil {
-		return nil, syntaxError(err)
+		return nil, nil, syntaxError(err)
 	}
-	if len(stmts) == 0 {
-		return nil, nil
-	}
-	q, isQuery := stmts[len(stmts)-1].(*aql.QueryStatement)
-	n := len(stmts)
-	if isQuery {
-		n--
-	}
-	for _, stmt := range stmts[:n] {
-		if _, err := in.executeStatement(ctx, stmt, in.cfg.OptimizerOptions); err != nil {
-			return nil, err
+	var q aql.Expr
+	if n := len(stmts); n > 0 {
+		if last, ok := stmts[n-1].(*aql.QueryStatement); ok {
+			q, stmts = last.Body, stmts[:n-1]
 		}
 	}
-	if isQuery {
-		return q.Body, nil
+	res := &Result{Kind: "ddl"}
+	for _, stmt := range stmts {
+		if explainOnly {
+			switch stmt.(type) {
+			case *aql.DataverseDecl, *aql.SetStatement:
+				continue
+			}
+			return nil, nil, errf(CodeInvalid, "asterixdb: explain does not execute statements; only use dataverse / set may precede the query")
+		}
+		if res, err = in.executeStatement(ctx, stmt); err != nil {
+			return nil, nil, err
+		}
 	}
-	return nil, nil
+	return q, res, nil
 }
 
-// CompileQueryJob compiles a parsed query expression into an executable
-// Hyracks job under the instance's configured options. Every node of a
-// distributed run compiles the same expression against its replicated
-// catalog, which yields an identical job plan — the property the frame wire
-// protocol's edge indexes rely on.
-func (in *Instance) CompileQueryJob(e aql.Expr) (*hyracks.Job, error) {
-	plan, err := translator.Compile(e, in, in.cfg.OptimizerOptions)
-	if err != nil {
-		return nil, err
+// CompileQuery is the one compile entry point: it turns a query expression
+// into its optimized plan and the executable Hyracks job under the given
+// optimizer options. Every node of a distributed run compiles the same
+// expression under the same options against its replicated catalog, which
+// yields an identical job — the property the frame wire protocol's edge
+// indexes rely on. A query the compiler cannot plan is a typed CodeInvalid
+// error; there is no other way to evaluate it.
+func (in *Instance) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
+	var job *hyracks.Job
+	plan, err := translator.Compile(e, in, opts)
+	if err == nil {
+		job, err = translator.BuildJob(plan, in, in.jobOptions())
 	}
-	return translator.BuildJob(plan, in, in.jobOptions())
-}
-
-// CompileJob compiles a query into its executable Hyracks job.
-func (in *Instance) CompileJob(src string) (*hyracks.Job, *algebra.Plan, error) {
-	e, err := aql.ParseQuery(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, errf(CodeInvalid, "asterixdb: unplannable query: %v", err)
 	}
-	plan, err := translator.Compile(e, in, in.cfg.OptimizerOptions)
-	if err != nil {
-		return nil, nil, err
-	}
-	job, err := translator.BuildJob(plan, in, in.jobOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return job, plan, nil
+	return plan, job, nil
 }
 
 // DatasetInfo implements algebra.Catalog.
@@ -431,7 +416,7 @@ func (in *Instance) DatasetInfo(dataverse, name string) algebra.DatasetInfo {
 // Statement execution
 // ----------------------------------------------------------------------------
 
-func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement, opts algebra.Options) (*Result, error) {
+func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -510,15 +495,11 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement, op
 	case *aql.InsertStatement:
 		return in.executeInsert(s)
 	case *aql.DeleteStatement:
-		return in.executeDelete(s)
+		return in.executeDelete(ctx, s)
 	case *aql.LoadStatement:
 		return in.executeLoad(s)
 	case *aql.QueryStatement:
-		values, err := in.evaluateQuery(ctx, s.Body, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Kind: "query", Values: values, Count: len(values)}, nil
+		return in.evaluateQuery(ctx, s.Body, in.cfg.OptimizerOptions)
 	}
 	return nil, errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
 }
@@ -774,34 +755,33 @@ func (in *Instance) executeInsert(s *aql.InsertStatement) (*Result, error) {
 	return &Result{Kind: "insert", Count: stored}, nil
 }
 
-func (in *Instance) executeDelete(s *aql.DeleteStatement) (*Result, error) {
+// executeDelete selects its victims with an ordinary query — `for $v in
+// dataset D where <cond> return [$v.<pk>, ...]` — so the predicate fails, and
+// uses secondary-index access paths, exactly as it would in a query. Only
+// the primary keys are held while the victims are deleted.
+func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (*Result, error) {
 	ds, ok := in.Dataset(s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
-	spec := ds.Spec()
-	// Collect matching primary keys, then delete them.
-	var pks [][]adm.Value
-	err := ds.Scan(func(rec *adm.Record) bool {
-		if s.Where != nil {
-			keep, err := expr.EvalBool(in.evalCtx, expr.Env{s.Var: rec}, s.Where)
-			if err != nil || !keep {
-				return true
-			}
-		}
-		var pk []adm.Value
-		for _, f := range spec.PrimaryKey {
-			pk = append(pk, rec.Get(f))
-		}
-		pks = append(pks, pk)
-		return true
-	})
+	pk := &aql.ListConstructor{Ordered: true}
+	for _, f := range ds.Spec().PrimaryKey {
+		pk.Items = append(pk.Items, &aql.FieldAccess{Base: &aql.VariableRef{Name: s.Var}, Field: f})
+	}
+	victims := &aql.FLWORExpr{
+		Clauses: []aql.FLWORClause{&aql.ForClause{Var: s.Var, Source: &aql.DatasetRef{Name: s.Dataset}}},
+		Return:  pk,
+	}
+	if s.Where != nil {
+		victims.Clauses = append(victims.Clauses, &aql.WhereClause{Cond: s.Where})
+	}
+	res, err := in.evaluateQuery(ctx, victims, in.cfg.OptimizerOptions)
 	if err != nil {
 		return nil, err
 	}
 	deleted := 0
-	for _, pk := range pks {
-		ok, err := ds.Delete(pk...)
+	for _, v := range res.Values {
+		ok, err := ds.Delete(v.(*adm.OrderedList).Items...)
 		if err != nil {
 			return nil, err
 		}
@@ -836,8 +816,9 @@ func (in *Instance) executeLoad(s *aql.LoadStatement) (*Result, error) {
 // Query evaluation
 // ----------------------------------------------------------------------------
 
-// readDataset is the expr.DatasetReader: it resolves dataset references for
-// the interpreter, including the Metadata dataverse and external datasets.
+// readDataset is the expr.DatasetReader: it resolves dataset references
+// inside expressions (correlated subqueries), including the Metadata
+// dataverse and external datasets.
 func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
 	if dataverse == "Metadata" {
 		return in.metadataRecords(name)
@@ -856,7 +837,7 @@ func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
 		// partitions; materializing it inside an expression would silently
 		// return a slice of the data. Compiled dataset access distributes
 		// correctly (per-partition scan instances placed on their owners) —
-		// only this interpreter/subquery path is unsupported.
+		// only this subquery path is unsupported.
 		return nil, errf(CodeInvalid,
 			"asterixdb: dataset %q cannot be read inside an expression in distributed mode", name)
 	}
@@ -980,11 +961,9 @@ func stringList(ss []string) *adm.OrderedList {
 	return &adm.OrderedList{Items: items}
 }
 
-// evaluateQuery materializes a query expression's results by opening a
-// cursor (see queryCursor in stream.go for path selection: compiled
-// streaming job, interpreter oracle, or expression fallback) and draining
-// it. Streaming consumers use Instance.QueryStream instead.
-func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.Options) ([]adm.Value, error) {
+// evaluateQuery materializes a query expression's result by opening its
+// cursor and draining it. Streaming consumers use Instance.QueryStream.
+func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.Options) (*Result, error) {
 	cur, err := in.queryCursor(ctx, e, opts)
 	if err != nil {
 		return nil, err
@@ -992,5 +971,9 @@ func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.
 	// drain finishes the cursor on every path; the deferred Close
 	// (idempotent) keeps the job torn down even if drain panics.
 	defer cur.Close()
-	return cur.drain()
+	values, err := cur.drain()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Kind: "query", Values: values, Count: len(values)}, nil
 }

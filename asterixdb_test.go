@@ -505,7 +505,7 @@ return $m;`)
 // aggregate, n:1 replicating connector, global aggregate.
 func TestFigure6JobShape(t *testing.T) {
 	inst := newTinySocial(t)
-	job, plan, err := inst.CompileJob(`
+	job, plan, err := inst.compileJob(`
 avg(
   for $m in dataset MugshotMessages
   where $m.timestamp >= datetime("2014-01-01T00:00:00")

@@ -36,12 +36,9 @@ type benchEnv struct {
 
 	asterixSchema  *Instance
 	asterixKeyOnly *Instance
-	// asterixInterp executes through the materializing interpreter oracle;
-	// the Executor benchmarks compare it against the Hyracks path.
-	asterixInterp *Instance
-	rowstore      *comparators.RowStore
-	docstore      *comparators.DocStore
-	scanstore     *comparators.ScanStore
+	rowstore       *comparators.RowStore
+	docstore       *comparators.DocStore
+	scanstore      *comparators.ScanStore
 }
 
 var sharedEnv *benchEnv
@@ -56,13 +53,12 @@ func getEnv(b *testing.B) *benchEnv {
 	gen := workload.New(benchScale)
 	env := &benchEnv{gen: gen, params: gen.Params(), users: gen.Users(), messages: gen.Messages()}
 
-	mkInstance := func(enc adm.Encoding, useInterpreter bool) *Instance {
+	mkInstance := func(enc adm.Encoding) *Instance {
 		inst, err := Open(Config{
-			DataDir:        b.TempDir(),
-			Partitions:     4,
-			Encoding:       enc,
-			Clock:          temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)},
-			UseInterpreter: useInterpreter,
+			DataDir:    b.TempDir(),
+			Partitions: 4,
+			Encoding:   enc,
+			Clock:      temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -99,9 +95,8 @@ create index msMessageNgIdx on MugshotMessages(message) type ngram(3);
 		}
 		return inst
 	}
-	env.asterixSchema = mkInstance(adm.SchemaEncoding, false)
-	env.asterixKeyOnly = mkInstance(adm.KeyOnlyEncoding, false)
-	env.asterixInterp = mkInstance(adm.SchemaEncoding, true)
+	env.asterixSchema = mkInstance(adm.SchemaEncoding)
+	env.asterixKeyOnly = mkInstance(adm.KeyOnlyEncoding)
 
 	env.rowstore = comparators.NewRowStore()
 	env.rowstore.LoadUsers(env.users)
@@ -466,7 +461,7 @@ func BenchmarkFigure6JobCompilation(b *testing.B) {
 	query := env.aggQuery(env.params.SmallLo, env.params.SmallHi)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.asterixSchema.CompileJob(query); err != nil {
+		if _, _, err := env.asterixSchema.compileJob(query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -669,7 +664,7 @@ func BenchmarkSpillBudgets(b *testing.B) {
 				// One instrumented run outside the timing loop collects the
 				// job's spill counters for the trajectory file.
 				b.StopTimer()
-				job, _, err := inst.CompileJob(q.Query)
+				job, _, err := inst.compileJob(q.Query)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -721,7 +716,11 @@ func BenchmarkExecutorHyracksVsInterpreter(b *testing.B) {
 			benchAsterixQuery(b, env.asterixSchema, q.query)
 		})
 		b.Run(q.name+"/Interpreter", func(b *testing.B) {
-			benchAsterixQuery(b, env.asterixInterp, q.query)
+			for i := 0; i < b.N; i++ {
+				if _, err := env.asterixSchema.interpret(q.query, algebra.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -433,7 +433,11 @@ func (b *bench) spillTable() {
 				}
 			})
 			// One instrumented run collects the job's spill counters.
-			job, _, err := inst.CompileJob(q.Query)
+			expr, _, err := inst.ExecuteForQuery(context.Background(), q.Query)
+			if err != nil {
+				log.Fatal(err)
+			}
+			_, job, err := inst.CompileQuery(expr, algebra.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -465,7 +469,7 @@ func (b *bench) spillTable() {
 // readpathTable benchmarks the streaming read path: full-scan throughput
 // across dataset sizes (per-record time must stay flat — the resumable LSM
 // iterator removed the per-chunk Range-restart cost), time-to-first-row on a
-// limit-over-scan, and the fused-vs-unfused latency of a pipelined chain.
+// limit-over-scan, and the per-record latency of a pipelined expression chain.
 // Results print as a table and land in BENCH_readpath.json.
 func (b *bench) readpathTable() {
 	os.Unsetenv("ASTERIXDB_MEMORY_BUDGET")
@@ -507,13 +511,13 @@ func (b *bench) readpathTable() {
 		return ds[len(ds)/2]
 	}
 
-	mk := func(n int, disableFusion bool) *asterixdb.Instance {
+	mk := func(n int) *asterixdb.Instance {
 		dir, err := os.MkdirTemp("", "asterixbench-readpath")
 		if err != nil {
 			log.Fatal(err)
 		}
 		b.tmpDirs = append(b.tmpDirs, dir)
-		inst, err := asterixdb.Open(asterixdb.Config{DataDir: dir, Partitions: 4, DisableFusion: disableFusion})
+		inst, err := asterixdb.Open(asterixdb.Config{DataDir: dir, Partitions: 4})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -566,7 +570,7 @@ func (b *bench) readpathTable() {
 		if n > *readpathMax {
 			continue
 		}
-		inst := mk(n, false)
+		inst := mk(n)
 		resultRows := 0
 		d := median(5, func() time.Duration {
 			dd, rr := drain(inst, workload.ReadPathScanQuery)
@@ -590,23 +594,17 @@ func (b *bench) readpathTable() {
 		})
 		report("first-row", n, d, 1, false)
 
-		// Fused vs unfused pipeline at the middle size only: the comparison
-		// is per-tuple overhead, one size suffices.
+		// The expression pipeline at the middle size only: the measure is
+		// per-tuple overhead, one size suffices. (BenchmarkReadPathFusion
+		// compares it against the unfused job shape.)
 		if n == 100_000 {
-			unfused := mk(n, true)
-			for _, m := range []struct {
-				name string
-				inst *asterixdb.Instance
-			}{{"pipeline-fused", inst}, {"pipeline-unfused", unfused}} {
-				resultRows = 0
-				d := median(5, func() time.Duration {
-					dd, rr := drain(m.inst, workload.ReadPathPipelineQuery)
-					resultRows = rr
-					return dd
-				})
-				report(m.name, n, d, resultRows, true)
-			}
-			unfused.Close()
+			resultRows = 0
+			d := median(5, func() time.Duration {
+				dd, rr := drain(inst, workload.ReadPathPipelineQuery)
+				resultRows = rr
+				return dd
+			})
+			report("pipeline-fused", n, d, resultRows, true)
 		}
 		inst.Close()
 	}

@@ -1,7 +1,9 @@
 package asterixdb
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
@@ -186,5 +188,104 @@ return $ix.IndexName;`)
 	}
 	if len(res) != 6 {
 		t.Errorf("found %d secondary indexes in TinySocial, want 6", len(res))
+	}
+}
+
+// TestUnplannableQueryIsTypedError: a plan BuildJob rejects (a non-numeric
+// limit) surfaces as a CodeInvalid error from every entry point — there is no
+// interpreter behind the compiler to produce output for it instead.
+func TestUnplannableQueryIsTypedError(t *testing.T) {
+	inst := newTinySocial(t)
+	const src = `for $u in dataset MugshotUsers limit "three" return $u.name;`
+	_, streamErr := inst.QueryStream(context.Background(), src)
+	_, execErr := inst.ExecuteContext(context.Background(), src)
+	plan, explainErr := inst.Explain(src)
+	for entry, err := range map[string]error{"QueryStream": streamErr, "ExecuteContext": execErr, "Explain": explainErr} {
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Code != CodeInvalid || !strings.Contains(ae.Message, "unplannable") {
+			t.Errorf("%s = %v, want a CodeInvalid unplannable error", entry, err)
+		}
+	}
+	if plan != "" {
+		t.Errorf("Explain returned output for an unplannable query: %q", plan)
+	}
+}
+
+// TestExplainExecutesNothing: Explain skips session statements ahead of the
+// query and rejects every other leading statement before running any of it,
+// so explaining changes neither data, catalog nor session.
+func TestExplainExecutesNothing(t *testing.T) {
+	inst := newTinySocial(t)
+	const q = `for $u in dataset MugshotUsers return $u.id;`
+	for _, prologue := range []string{
+		`delete $u from dataset MugshotUsers;`,
+		`drop dataset MugshotUsers;`,
+		`create dataset Explained(MugshotUserType) primary key id;`,
+		`set simfunction "edit-distance"; drop dataset MugshotUsers;`,
+	} {
+		if out, err := inst.Explain(prologue + q); ErrorCode(err) != CodeInvalid || out != "" {
+			t.Errorf("Explain(%q ...) = %q, %v; want a CodeInvalid error", prologue, out, err)
+		}
+	}
+	if _, ok := inst.Dataset("Explained"); ok {
+		t.Error("Explain created a dataset")
+	}
+	if res, err := inst.Query(q); err != nil || len(res) != 4 {
+		t.Errorf("after the rejected explains: %d users, err %v; want all 4", len(res), err)
+	}
+
+	out, err := inst.Explain(`use dataverse Metadata; set simfunction "edit-distance";` + q)
+	if err != nil || !strings.Contains(out, "datasource-scan MugshotUsers") {
+		t.Errorf("Explain with a session prologue = %q, %v", out, err)
+	}
+	if inst.currentDataverse != "TinySocial" || inst.evalCtx.SimFunction != "jaccard" {
+		t.Errorf("Explain changed the session: dataverse %q, simfunction %q", inst.currentDataverse, inst.evalCtx.SimFunction)
+	}
+}
+
+// TestNilContextDefaults: the exported context-taking entry points treat a
+// nil context as context.Background().
+func TestNilContextDefaults(t *testing.T) {
+	inst := newTinySocial(t)
+	q, _, err := inst.ExecuteForQuery(nil, `use dataverse TinySocial; 1 + 1`)
+	if err != nil || q == nil {
+		t.Fatalf("ExecuteForQuery(nil, ...) = %v, %v", q, err)
+	}
+	cur := NewJobCursor(nil, nil)
+	if cur.Next() || cur.Err() != nil {
+		t.Errorf("NewJobCursor(nil, nil): Next true or Err %v", cur.Err())
+	}
+}
+
+// TestDeleteSurfacesPredicateErrors: a delete whose predicate fails (here an
+// unbound variable) reports the error the same predicate raises in a query,
+// and deletes nothing.
+func TestDeleteSurfacesPredicateErrors(t *testing.T) {
+	inst := newTinySocial(t)
+	if res, err := inst.Execute(`delete $x from dataset MugshotUsers where $y.id = 1;`); err == nil {
+		t.Errorf("delete with an unbound predicate variable succeeded: %+v", res)
+	}
+	if res, err := inst.Query(`for $u in dataset MugshotUsers return $u.id;`); err != nil || len(res) != 4 {
+		t.Errorf("after the failed delete: %d users, err %v; want all 4", len(res), err)
+	}
+	// The victim query carries only primary keys; deleting by them still works.
+	if res, err := inst.Execute(`delete $x from dataset MugshotUsers where $x.id >= 3;`); err != nil || res.Count != 2 {
+		t.Errorf("delete where id >= 3 = %+v, %v; want Count 2", res, err)
+	}
+}
+
+// TestMalformedMemoryBudgetEnv: ASTERIXDB_MEMORY_BUDGET is outside input; a
+// value that is not a positive byte count fails Open instead of silently
+// running unconstrained.
+func TestMalformedMemoryBudgetEnv(t *testing.T) {
+	for _, v := range []string{"64k", "-1"} {
+		t.Setenv("ASTERIXDB_MEMORY_BUDGET", v)
+		inst, err := Open(Config{DataDir: t.TempDir()})
+		if err == nil {
+			inst.Close()
+		}
+		if ErrorCode(err) != CodeInvalid {
+			t.Errorf("ASTERIXDB_MEMORY_BUDGET=%q: Open = %v, want a CodeInvalid error", v, err)
+		}
 	}
 }

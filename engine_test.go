@@ -9,59 +9,102 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
 )
 
-// executePlan runs an optimized physical plan with the materializing
-// interpreter: every operator buffers its complete output as a set of
-// variable bindings. It is no longer the default execution path (executeJob
-// streams tuples through a Hyracks job instead) but is kept, behind
-// Config.UseInterpreter, as the reference oracle the differential tests
-// compare the pipelined executor against. The query's return expression is
-// applied at the distribute-result operator; aggregate-wrapped plans return
-// the single aggregate value.
+// This file is the differential-testing oracle: a materializing interpreter
+// over optimized plans in which every operator buffers its complete output as
+// a set of variable bindings. It was the engine's first executor; it lives in
+// a _test.go file so that no shipped binary contains a second way to evaluate
+// a query, and the tests compare the Hyracks executor against it.
+
+// interpret runs src's leading statements, compiles its trailing query under
+// opts, and evaluates the plan with the interpreter instead of running the
+// job.
+func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, error) {
+	ctx := context.Background()
+	q, _, err := in.ExecuteForQuery(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	plan, _, err := in.CompileQuery(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return in.executePlanContext(ctx, plan)
+}
+
+// compileJob compiles src's trailing query (after running its leading
+// statements) into the job QueryStream would execute.
+func (in *Instance) compileJob(src string) (*hyracks.Job, *algebra.Plan, error) {
+	q, _, err := in.ExecuteForQuery(context.Background(), src)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, job, err := in.CompileQuery(q, in.cfg.OptimizerOptions)
+	return job, plan, err
+}
+
+// runJob executes an already-built job to completion and materializes its
+// result column in the deterministic gather order.
+func (in *Instance) runJob(job *hyracks.Job) ([]adm.Value, error) {
+	fc, err := hyracks.ExecuteStream(context.Background(), job)
+	if err != nil {
+		return nil, err
+	}
+	cur := NewJobCursor(context.Background(), fc)
+	defer cur.Close()
+	return cur.drain()
+}
+
+// executePlan runs an optimized physical plan with the interpreter. The
+// query's return expression is applied at the distribute-result operator;
+// aggregate-wrapped plans return the single aggregate value.
 func (in *Instance) executePlan(plan *algebra.Plan) ([]adm.Value, error) {
 	return in.executePlanContext(context.Background(), plan)
 }
 
 // executePlanContext is executePlan with cancellation checked at operator
 // boundaries: because every interpreter operator materializes its whole
-// output, that is the natural granularity (a long scan still runs to
-// completion before the cancellation is observed — the streaming executor is
-// the path with mid-operator cancellation).
+// output, that is the natural granularity.
 func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) ([]adm.Value, error) {
 	root := plan.Root
 	if root.Kind != algebra.OpDistribute {
 		return nil, fmt.Errorf("asterixdb: plan has no distribute-result root")
 	}
-	child := root.Inputs[0]
 
 	// Aggregate-wrapped plans (Query 10 shape).
-	switch child.Kind {
-	case algebra.OpGlobalAgg:
-		local := child.Inputs[0]
-		envs, err := in.executeNode(ctx, local.Inputs[0], plan.Query)
-		if err != nil {
-			return nil, err
+	if len(root.Inputs) > 0 {
+		child := root.Inputs[0]
+		switch child.Kind {
+		case algebra.OpGlobalAgg:
+			local := child.Inputs[0]
+			envs, err := in.executeNode(ctx, local.Inputs[0], plan.Query)
+			if err != nil {
+				return nil, err
+			}
+			v, err := in.applyAggregate(child.AggFunc, envs, plan.Query)
+			if err != nil {
+				return nil, err
+			}
+			return []adm.Value{v}, nil
+		case algebra.OpAggregate:
+			envs, err := in.executeNode(ctx, child.Inputs[0], plan.Query)
+			if err != nil {
+				return nil, err
+			}
+			v, err := in.applyAggregate(child.AggFunc, envs, plan.Query)
+			if err != nil {
+				return nil, err
+			}
+			return []adm.Value{v}, nil
 		}
-		v, err := in.applyAggregate(child.AggFunc, envs, plan.Query)
-		if err != nil {
-			return nil, err
-		}
-		return []adm.Value{v}, nil
-	case algebra.OpAggregate:
-		envs, err := in.executeNode(ctx, child.Inputs[0], plan.Query)
-		if err != nil {
-			return nil, err
-		}
-		v, err := in.applyAggregate(child.AggFunc, envs, plan.Query)
-		if err != nil {
-			return nil, err
-		}
-		return []adm.Value{v}, nil
 	}
 
-	envs, err := in.executeNode(ctx, child, plan.Query)
+	// childEnvs starts a constant query (input-less root) from one empty
+	// binding.
+	envs, err := in.childEnvs(ctx, root, plan.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +220,8 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 }
 
 // childEnvs evaluates the node's input, or starts from a single empty binding
-// when the node has no input (a query that begins with let clauses).
+// when the node has no input (a query that begins with let clauses, or a
+// constant query).
 func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
 	if len(n.Inputs) == 0 {
 		return []expr.Env{{}}, nil

@@ -2,18 +2,12 @@ package asterixdb
 
 import (
 	"asterixdb/internal/adm"
-	"asterixdb/internal/algebra"
 	"asterixdb/internal/expr"
-	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
-	"asterixdb/internal/translator"
 )
 
-// This file is the Instance side of the compiled execution path: the
-// translator.Runtime hooks that give Hyracks jobs access to storage and the
-// evaluator, and executeJob, which runs an optimized plan as a pipelined
-// parallel dataflow (the default since the interpreter in engine.go became
-// the differential-testing oracle).
+// This file is the Instance side of query execution: the translator.Runtime
+// hooks that give Hyracks jobs access to storage and the evaluator.
 
 // EvalContext implements translator.Runtime.
 func (in *Instance) EvalContext() *expr.Context { return in.evalCtx }
@@ -31,35 +25,4 @@ func (in *Instance) LookupDataset(dataverse, name string) (*storage.Dataset, boo
 // ReadDatasetRecords implements translator.Runtime.
 func (in *Instance) ReadDatasetRecords(dataverse, name string) ([]*adm.Record, error) {
 	return in.readDataset(dataverse, name)
-}
-
-// executeJob lowers an optimized plan to a Hyracks job and executes it:
-// tuples stream through channel-connected per-partition operator instances
-// instead of being materialized between operators. Result tuples carry the
-// query's return value in column 0.
-func (in *Instance) executeJob(plan *algebra.Plan) ([]adm.Value, error) {
-	job, err := translator.BuildJob(plan, in, in.jobOptions())
-	if err != nil {
-		return nil, err
-	}
-	return in.runJob(job)
-}
-
-// runJob executes an already-built Hyracks job to completion and
-// materializes its result column. The default query path no longer goes
-// through it — queryCursor (stream.go) feeds a Cursor straight from
-// hyracks.ExecuteStream — but executeJob and the direct-execution tests use
-// it for a fully materialized run with deterministic per-partition gather.
-func (in *Instance) runJob(job *hyracks.Job) ([]adm.Value, error) {
-	tuples, err := hyracks.Execute(job)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]adm.Value, 0, len(tuples))
-	for _, t := range tuples {
-		if len(t) > 0 {
-			out = append(out, t[0])
-		}
-	}
-	return out, nil
 }

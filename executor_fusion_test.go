@@ -20,7 +20,7 @@ create dataset FuseD(FuseT) primary key id;
 
 func newFusionInstance(t *testing.T, partitions int, disableFusion bool) *Instance {
 	t.Helper()
-	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: partitions, DisableFusion: disableFusion})
+	inst, err := open(Config{DataDir: t.TempDir(), Partitions: partitions}, variant{unfused: disableFusion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func totalInstances(job *hyracks.Job) int {
 func TestSelectAssignLimitFusesToOneOperator(t *testing.T) {
 	inst := newFusionInstance(t, 1, false)
 	query := `for $r in dataset FuseD where $r.k >= 20 let $v := $r.k + 1 limit 3 return $v;`
-	job, _, err := inst.CompileJob(query)
+	job, _, err := inst.compileJob(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestFusionReducesOperatorInstances(t *testing.T) {
 		`for $r in dataset FuseD order by $r.k desc return $r.id;`,
 	}
 	for _, q := range queries {
-		fusedJob, _, err := fusedInst.CompileJob(q)
+		fusedJob, _, err := fusedInst.compileJob(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plainJob, _, err := plainInst.CompileJob(q)
+		plainJob, _, err := plainInst.compileJob(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +135,13 @@ func TestFusionReducesOperatorInstances(t *testing.T) {
 // TestFusionDisabledKnob checks the knob really disables the pass.
 func TestFusionDisabledKnob(t *testing.T) {
 	inst := newFusionInstance(t, 1, true)
-	job, _, err := inst.CompileJob(`for $r in dataset FuseD where $r.k >= 20 limit 3 return $r;`)
+	job, _, err := inst.compileJob(`for $r in dataset FuseD where $r.k >= 20 limit 3 return $r;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range job.Operators {
 		if strings.HasPrefix(op.Name(), "fused[") {
-			t.Fatalf("DisableFusion left a fused operator:\n%s", job.Describe())
+			t.Fatalf("variant{unfused} left a fused operator:\n%s", job.Describe())
 		}
 	}
 }

@@ -70,31 +70,24 @@ func fuzzRecord(rng *rand.Rand, id int) *adm.Record {
 }
 
 // buildFuzzPair creates the Hyracks instance, a fusion-disabled Hyracks
-// instance, an eager-decode Hyracks instance, and the interpreter-oracle
-// instance over identical random data, applying the same interleaved inserts,
-// overwrites, deletes and an LSM flush to all four. A non-zero memoryBudget
-// constrains the Hyracks instances' blocking operators (the oracle stays
-// unconstrained — the interpreter never spills), so the whole template suite
-// doubles as an out-of-core differential test; the no-fusion instance makes
-// it a fused-vs-unfused differential test, and the eager-decode instance a
-// lazy-vs-eager record-format differential test.
-func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance, *Instance, *Instance, *Instance) {
+// instance and an eager-decode Hyracks instance over identical random data,
+// applying the same interleaved inserts, overwrites, deletes and an LSM flush
+// to all three; the interpreter oracle (Instance.interpret) reads the first
+// instance's data. A non-zero memoryBudget constrains the blocking operators
+// of the jobs (the interpreter never spills and ignores it), so the whole
+// template suite doubles as an out-of-core differential test; the no-fusion
+// instance makes it a fused-vs-unfused differential test, and the
+// eager-decode instance a lazy-vs-eager record-format differential test.
+func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance, *Instance, *Instance) {
 	t.Helper()
 	clock := temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)}
-	mk := func(useInterpreter, disableFusion, eagerDecode bool) *Instance {
-		budget := memoryBudget
-		if useInterpreter {
-			budget = 0
-		}
-		inst, err := Open(Config{
-			DataDir:        t.TempDir(),
-			Partitions:     3,
-			Clock:          clock,
-			UseInterpreter: useInterpreter,
-			MemoryBudget:   budget,
-			DisableFusion:  disableFusion,
-			EagerDecode:    eagerDecode,
-		})
+	mk := func(v variant) *Instance {
+		inst, err := open(Config{
+			DataDir:      t.TempDir(),
+			Partitions:   3,
+			Clock:        clock,
+			MemoryBudget: memoryBudget,
+		}, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +97,7 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 		}
 		return inst
 	}
-	hy, hyNoFuse, hyEager, oracle := mk(false, false, false), mk(false, true, false), mk(false, false, true), mk(true, false, false)
+	hy, hyNoFuse, hyEager := mk(variant{}), mk(variant{unfused: true}), mk(variant{eagerDecode: true})
 
 	nA, nB := 40+rng.Intn(60), 20+rng.Intn(40)
 	var batchA, batchB []*adm.Record
@@ -124,7 +117,7 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 	for i := 0; i < 6; i++ {
 		deletes = append(deletes, int32(1+rng.Intn(nA)))
 	}
-	for _, inst := range []*Instance{hy, hyNoFuse, hyEager, oracle} {
+	for _, inst := range []*Instance{hy, hyNoFuse, hyEager} {
 		dsA, _ := inst.Dataset("FuzzA")
 		dsB, _ := inst.Dataset("FuzzB")
 		if _, err := dsA.InsertBatch(batchA); err != nil {
@@ -145,7 +138,7 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 			}
 		}
 	}
-	return hy, hyNoFuse, hyEager, oracle
+	return hy, hyNoFuse, hyEager
 }
 
 // fuzzQueries draws one query per template, parameterized by the rng. Ordered
@@ -211,10 +204,10 @@ func runDifferentialFuzz(t *testing.T, seed int64) {
 // spill mid-template and must still match the unconstrained oracle.
 func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 	rng := rand.New(rand.NewSource(seed))
-	hy, hyNoFuse, hyEager, oracle := buildFuzzPair(t, rng, memoryBudget)
+	hy, hyNoFuse, hyEager := buildFuzzPair(t, rng, memoryBudget)
 	for _, q := range fuzzQueries(rng) {
-		if _, _, err := hy.CompileJob(q.query); err != nil {
-			t.Errorf("seed %d %s: BuildJob failed (would fall back to the interpreter): %v", seed, q.name, err)
+		if _, _, err := hy.compileJob(q.query); err != nil {
+			t.Errorf("seed %d %s: BuildJob failed: %v", seed, q.name, err)
 			continue
 		}
 		perOption := map[string][]adm.Value{}
@@ -223,7 +216,7 @@ func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 			if err != nil {
 				t.Fatalf("seed %d %s/%s (hyracks): %v", seed, q.name, os.name, err)
 			}
-			orRes, err := oracle.QueryWithOptions(q.query, os.opts)
+			orRes, err := hy.interpret(q.query, os.opts)
 			if err != nil {
 				t.Fatalf("seed %d %s/%s (interpreter): %v", seed, q.name, os.name, err)
 			}

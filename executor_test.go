@@ -12,7 +12,6 @@ import (
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
 	"asterixdb/internal/hyracks"
-	"asterixdb/internal/translator"
 )
 
 // encodeValues canonicalizes result values for comparison.
@@ -222,21 +221,6 @@ avg(
 // asserts identical results, across the ablation option set.
 func TestDifferentialHyracksVsInterpreter(t *testing.T) {
 	inst := newTinySocial(t)
-	oracle, err := Open(Config{
-		DataDir:        t.TempDir(),
-		Partitions:     2,
-		Clock:          inst.cfg.Clock,
-		UseInterpreter: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { oracle.Close() })
-	if _, err := oracle.Execute(tinySocialDDL); err != nil {
-		t.Fatal(err)
-	}
-	loadTinySocial(t, oracle)
-
 	optionSets := map[string]algebra.Options{
 		"default":      {},
 		"no-index":     {DisableIndexAccess: true},
@@ -249,7 +233,7 @@ func TestDifferentialHyracksVsInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s (hyracks): %v", q.name, optName, err)
 			}
-			orRes, err := oracle.QueryWithOptions(q.query, opts)
+			orRes, err := inst.interpret(q.query, opts)
 			if err != nil {
 				t.Fatalf("%s/%s (interpreter): %v", q.name, optName, err)
 			}
@@ -289,26 +273,21 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 	}
 }
 
-// TestExecuteJobDirectly asserts the compiled job path really executes plans
-// (rather than silently deferring to the interpreter fallback): it compiles a
-// plan and runs it through executeJob and executePlan explicitly.
+// TestExecuteJobDirectly compiles a query once and runs the same plan through
+// the job (runJob) and the interpreter oracle (executePlan) explicitly.
 func TestExecuteJobDirectly(t *testing.T) {
 	inst := newTinySocial(t)
 	for _, q := range []string{
 		`for $u in dataset MugshotUsers return $u.name`,
 		`avg(for $m in dataset MugshotMessages return string-length($m.message))`,
 	} {
-		e, err := aql.ParseQuery(q)
+		job, plan, err := inst.compileJob(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := translator.Compile(e, inst, algebra.Options{})
+		jobRes, err := inst.runJob(job)
 		if err != nil {
-			t.Fatal(err)
-		}
-		jobRes, err := inst.executeJob(plan)
-		if err != nil {
-			t.Fatalf("executeJob(%s): %v", q, err)
+			t.Fatalf("runJob(%s): %v", q, err)
 		}
 		planRes, err := inst.executePlan(plan)
 		if err != nil {
@@ -380,18 +359,14 @@ return $m.message-id;`
 }
 
 // TestEveryDifferentialQueryCompilesToAJob asserts that BuildJob can express
-// every differential query (the "no interpreter fallback" guarantee): a
-// parseable, optimizable query that fails to compile into a Hyracks job is a
-// bug, not a fallback. Queries with a set-statement prologue are skipped
-// because CompileJob accepts a single query expression.
+// every differential query, set-statement prologues included: a parseable
+// query that fails to compile into a Hyracks job is an error the user sees,
+// so for this corpus it is a bug.
 func TestEveryDifferentialQueryCompilesToAJob(t *testing.T) {
 	inst := newTinySocial(t)
 	for _, q := range differentialQueries {
-		if strings.Contains(q.query, "set sim") {
-			continue
-		}
-		if _, _, err := inst.CompileJob(q.query); err != nil {
-			t.Errorf("%s: BuildJob failed (would fall back to the interpreter): %v", q.name, err)
+		if _, _, err := inst.compileJob(q.query); err != nil {
+			t.Errorf("%s: BuildJob failed: %v", q.name, err)
 		}
 	}
 }
@@ -439,7 +414,7 @@ where (some $w in word-tokens($m.message) satisfies $w = "tonight")
 return $m.message-id;`, "inverted-search(msMessageIdx)"},
 	}
 	for _, c := range cases {
-		job, _, err := inst.CompileJob(c.query)
+		job, _, err := inst.compileJob(c.query)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -455,7 +430,7 @@ return $m.message-id;`, "inverted-search(msMessageIdx)"},
 		}
 	}
 	// The correlated unnest compiles as a partitioned operator over the scan.
-	job, _, err := inst.CompileJob(`
+	job, _, err := inst.compileJob(`
 for $m in dataset MugshotMessages
 for $t in $m.tags
 return { "id": $m.message-id, "tag": $t };`)

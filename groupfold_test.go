@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"asterixdb/internal/algebra"
 	"asterixdb/internal/hyracks"
 )
 
@@ -20,13 +21,12 @@ create type FoldT as closed { id: int32, cat: int32, score: int32, val: int32?, 
 create dataset FoldD(FoldT) primary key id;
 `
 
-func newFoldInstance(t *testing.T, budget int64, rows int, interpreter bool) *Instance {
+func newFoldInstance(t *testing.T, budget int64, rows int) *Instance {
 	t.Helper()
 	inst, err := Open(Config{
-		DataDir:        t.TempDir(),
-		Partitions:     3,
-		MemoryBudget:   budget,
-		UseInterpreter: interpreter,
+		DataDir:      t.TempDir(),
+		Partitions:   3,
+		MemoryBudget: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +73,10 @@ func findHashGroup(job *hyracks.Job) *hyracks.HashGroupOp {
 // materializing path.
 func TestGroupByIncrementalFold(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
-	inst := newFoldInstance(t, 16<<10, 2000, false)
+	inst := newFoldInstance(t, 16<<10, 2000)
 	foldable := `for $r in dataset FoldD group by $c := $r.cat with $r
 return { "c": $c, "n": count($r) };`
-	job, _, err := inst.CompileJob(foldable)
+	job, _, err := inst.compileJob(foldable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ return { "c": $c, "n": count($r) };`
 	// A bag use (iterating $r) must disable folding.
 	bagged := `for $r in dataset FoldD group by $c := $r.cat with $r
 return { "c": $c, "ids": (for $x in $r return $x.id) };`
-	job2, _, err := inst.CompileJob(bagged)
+	job2, _, err := inst.compileJob(bagged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,7 @@ return { "c": $c, "ids": (for $x in $r return $x.id) };`
 // oracle.
 func TestGroupByIncrementalSemantics(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
-	inst := newFoldInstance(t, 0, 500, false)
-	oracle := newFoldInstance(t, 0, 500, true)
+	inst := newFoldInstance(t, 0, 500)
 	queries := []struct {
 		name  string
 		query string
@@ -143,7 +142,7 @@ return { "c": $c, "n": count($r), "t": sum($s), "hi": max($s) };`},
 	}
 	for _, q := range queries {
 		// Every one of these must fold.
-		job, _, err := inst.CompileJob(q.query)
+		job, _, err := inst.compileJob(q.query)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
@@ -154,7 +153,7 @@ return { "c": $c, "n": count($r), "t": sum($s), "hi": max($s) };`},
 		if err != nil {
 			t.Fatalf("%s (compiled): %v", q.name, err)
 		}
-		want, err := oracle.Query(q.query)
+		want, err := inst.interpret(q.query, algebra.Options{})
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q.name, err)
 		}
@@ -169,13 +168,13 @@ return { "c": $c, "n": count($r), "t": sum($s), "hi": max($s) };`},
 func TestGroupByIncrementalSpillManyGroups(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
 	const budget = 8 << 10
-	constrained := newFoldInstance(t, budget, 3000, false)
-	unconstrained := newFoldInstance(t, 0, 3000, false)
+	constrained := newFoldInstance(t, budget, 3000)
+	unconstrained := newFoldInstance(t, 0, 3000)
 	// group by id: 3000 singleton groups; accumulators alone exceed the
 	// budget share, so whole partitions of accumulators spill and merge.
 	query := `for $r in dataset FoldD group by $k := $r.id with $r
 return { "k": $k, "n": count($r) };`
-	job, _, err := constrained.CompileJob(query)
+	job, _, err := constrained.compileJob(query)
 	if err != nil {
 		t.Fatal(err)
 	}

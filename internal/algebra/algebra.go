@@ -108,7 +108,8 @@ type Node struct {
 // absorb (the engine evaluates those with the generic interpreter).
 type Plan struct {
 	Root *Node
-	// Query is the original FLWOR the plan was compiled from.
+	// Query is the original FLWOR the plan was compiled from; for a constant
+	// (non-FLWOR) query it is a clause-less FLWOR returning the expression.
 	Query *aql.FLWORExpr
 }
 

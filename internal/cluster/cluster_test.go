@@ -527,6 +527,39 @@ create dataset D(T) primary key id;`)
 	}
 }
 
+// TestClusterExplainExecutesNothing: Explain runs on the controller's catalog
+// replica only, so a statement it executed would never reach the nodes. It
+// rejects a leading create instead, and the replica and the nodes stay in
+// step: the same create through ExecuteContext then succeeds everywhere.
+func TestClusterExplainExecutesNothing(t *testing.T) {
+	tc := startCluster(t, 2, 4)
+	ctx := context.Background()
+	if _, err := tc.cc.ExecuteContext(ctx, `
+create dataverse Z;
+use dataverse Z;
+create type T as { id: int64 }`); err != nil {
+		t.Fatal(err)
+	}
+	const create = `use dataverse Z; create dataset E(T) primary key id;`
+	const query = `for $e in dataset E return $e.id`
+	if out, err := tc.cc.Explain(create + query); asterixdb.ErrorCode(err) != asterixdb.CodeInvalid || out != "" {
+		t.Fatalf("Explain with a leading create = %q, %v; want a CodeInvalid error", out, err)
+	}
+	if _, err := tc.cc.ExecuteContext(ctx, create+`insert into dataset E ([{ "id": 1 }, { "id": 2 }, { "id": 3 }]);`); err != nil {
+		t.Fatalf("create + insert after the rejected explain: %v", err)
+	}
+	if out, err := tc.cc.Explain(`use dataverse Z; ` + query); err != nil || !strings.Contains(out, "datasource-scan E") {
+		t.Errorf("Explain with a use-dataverse prologue = %q, %v", out, err)
+	}
+	cur, err := tc.cc.QueryStream(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals, err := drainCursor(cur); err != nil || len(vals) != 3 {
+		t.Errorf("query on E = %v, %v; want 3 rows", vals, err)
+	}
+}
+
 // TestClusterStatementErrors checks that a malformed statement is rejected
 // on the controller's catalog before any node sees it, with the same typed
 // error a single process returns.
@@ -550,20 +583,30 @@ func TestClusterStatementErrors(t *testing.T) {
 	}
 }
 
-// TestClusterExpressionFallback: a query with no dataset access evaluates on
-// the controller alone and still streams through the uniform cursor API.
-func TestClusterExpressionFallback(t *testing.T) {
+// TestClusterConstantQueries: queries with no dataset access — a bare
+// expression and a let-first FLWOR — are distributed jobs like any other
+// (their empty-tuple-source is placed on one node), not something the
+// controller evaluates on the side: one row each, and a node-built profile.
+func TestClusterConstantQueries(t *testing.T) {
 	tc := startCluster(t, 2, 4)
-	cur, err := tc.cc.QueryStream(context.Background(), `1 + 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := drainCursor(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 1 || vals[0] != "3" {
-		t.Fatalf("expression fallback = %v, want [3]", vals)
+	for src, want := range map[string]string{
+		`1 + 1`:                     "2",
+		`let $x := 2 return $x * 2`: "4",
+	} {
+		cur, err := tc.cc.QueryStream(asterixdb.WithProfiling(context.Background()), src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		vals, err := drainCursor(cur)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if len(vals) != 1 || vals[0] != want {
+			t.Errorf("%s = %v, want [%s]", src, vals, want)
+		}
+		if prof := cur.Profile(); prof == nil || prof.OutByName()["empty-tuple-source"] != 1 {
+			t.Errorf("%s: profile %+v, want one tuple out of an empty-tuple-source", src, prof)
+		}
 	}
 }
 

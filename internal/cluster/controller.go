@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"asterixdb"
-	"asterixdb/internal/aql"
+	"asterixdb/internal/algebra"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/metrics"
 )
@@ -525,6 +525,12 @@ func (c *Controller) ExecuteContext(ctx context.Context, src string) (*asterixdb
 	if err != nil {
 		return nil, err
 	}
+	return c.broadcastStatements(ctx, peers, src, res)
+}
+
+// broadcastStatements has every node execute src after the catalog replica
+// produced res for it, and folds the nodes' DML counts into res.
+func (c *Controller) broadcastStatements(ctx context.Context, peers []*ncPeer, src string, res *asterixdb.Result) (*asterixdb.Result, error) {
 	acks, err := c.broadcast(ctx, peers, ctrlMsg{Type: msgStmt, ID: c.newID("s"), Src: src})
 	if err != nil {
 		return nil, err
@@ -548,50 +554,31 @@ func (c *Controller) ExecuteContext(ctx context.Context, src string) (*asterixdb
 // ----------------------------------------------------------------------------
 
 // QueryStream plans and runs a query across the cluster, returning a cursor
-// over the gathered result stream. Leading statements execute through the
-// statement path first; the final query compiles on the controller (for
-// validation and typed compile errors), then ships as source to every node,
-// which each execute their slice of the job and stream sink frames back.
-// Queries the planner cannot compile (bare expressions, interpreter-only
-// shapes) fall back to local evaluation on the controller — legal because
-// such queries never read base data (readDataset is rejected on distributed
-// catalogs).
+// over the gathered result stream. The catalog replica executes the leading
+// statements and compiles the final query (for validation and typed compile
+// errors); the request then ships as source to every node, which each repeat
+// both steps — reaching the identical catalog state and job — execute their
+// slice of the job and stream sink frames back. A request with no final query
+// runs through the statement path and yields an exhausted cursor.
 func (c *Controller) QueryStream(ctx context.Context, src string) (*asterixdb.Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	stmts, err := aql.Parse(src)
-	if err != nil {
-		return nil, &asterixdb.Error{Code: asterixdb.CodeSyntax, Message: err.Error()}
-	}
-	if len(stmts) == 0 {
-		return asterixdb.NewValuesCursor(ctx, nil), nil
-	}
-	if _, isQuery := stmts[len(stmts)-1].(*aql.QueryStatement); !isQuery {
-		res, err := c.ExecuteContext(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		return asterixdb.NewValuesCursor(ctx, res.Values), nil
 	}
 	peers, err := c.requireCluster()
 	if err != nil {
 		return nil, err
 	}
-	// Execute the leading statements on the catalog replica and compile the
-	// trailing query for validation; the nodes will repeat both steps against
-	// the same source, reaching the identical catalog state and plan.
-	q, err := c.inst.ExecuteForQuery(ctx, src)
+	q, res, err := c.inst.ExecuteForQuery(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.inst.CompileQueryJob(q); err != nil {
-		if len(stmts) == 1 {
-			// A single uncompilable statement is an expression-only query
-			// (no base data access is possible — the distributed catalog
-			// rejects readDataset) and evaluates locally.
-			return c.inst.QueryStream(ctx, src)
+	if q == nil {
+		if _, err := c.broadcastStatements(ctx, peers, src, res); err != nil {
+			return nil, err
 		}
+		return asterixdb.NewJobCursor(ctx, nil), nil
+	}
+	if _, _, err := c.inst.CompileQuery(q, algebra.Options{}); err != nil {
 		return nil, err
 	}
 	// The nodes replay the full source — leading statements included — inside

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"asterixdb"
+	"asterixdb/internal/algebra"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/metrics"
 )
@@ -244,14 +245,16 @@ func (n *Node) controlLoop() error {
 // final query, and registers the run so peer data connections can attach.
 // profile turns on per-operator instrumentation for this slice.
 func (n *Node) prepareJob(id, src string, profile bool) error {
-	q, err := n.inst.ExecuteForQuery(n.ctx, src)
+	q, _, err := n.inst.ExecuteForQuery(n.ctx, src)
 	if err != nil {
 		return err
 	}
 	if q == nil {
 		return &asterixdb.Error{Code: asterixdb.CodeInvalid, Message: "cluster: job request carries no query"}
 	}
-	job, err := n.inst.CompileQueryJob(q)
+	// Default optimizer options on every node: identical options are part of
+	// what makes the nodes' jobs identical.
+	_, job, err := n.inst.CompileQuery(q, algebra.Options{})
 	if err != nil {
 		return err
 	}

@@ -479,40 +479,18 @@ func (o *outPort) flush() {
 }
 
 // Execute runs the job and returns the tuples emitted by sink operators
-// (operators with no outgoing edge). It drains an ExecuteStream cursor and
-// re-buckets frames per sink instance, so output is concatenated in
-// (operator, partition) order and shuffle-free pipelines produce
-// deterministic results, exactly as before the streaming API existed.
-// Callers that do not need the whole result materialized should use
-// ExecuteStream directly.
+// (operators with no outgoing edge) in Cursor.Gather's deterministic
+// (operator, partition) order. Callers that do not need the whole result
+// materialized should use ExecuteStream directly.
 func Execute(job *Job) ([]Tuple, error) {
 	cur, err := ExecuteStream(context.Background(), job)
 	if err != nil {
 		return nil, err
 	}
-	// Draining to exhaustion shuts the cursor down, but the deferred Close
+	// Gathering to exhaustion shuts the cursor down, but the deferred Close
 	// (idempotent) also covers panics in a sink's tuple handling.
 	defer cur.Close()
-	buckets := make(map[int][][]Tuple) // sink op -> per-partition tuples
-	for {
-		f, ok := cur.NextFrame()
-		if !ok {
-			break
-		}
-		parts := buckets[f.Op]
-		if parts == nil {
-			parts = make([][]Tuple, job.Operators[f.Op].Parallelism())
-			buckets[f.Op] = parts
-		}
-		parts[f.Partition] = append(parts[f.Partition], f.Tuples...)
-	}
-	var results []Tuple
-	for i := range job.Operators {
-		for _, part := range buckets[i] {
-			results = append(results, part...)
-		}
-	}
-	return results, cur.Err()
+	return cur.Gather()
 }
 
 func outgoing(edges []Edge, op int) []Edge {

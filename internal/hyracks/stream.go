@@ -3,6 +3,7 @@ package hyracks
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,9 +11,9 @@ import (
 
 // This file is the streaming face of the runtime: ExecuteStream runs a job
 // and hands its sink output back as a pull-based frame cursor instead of a
-// materialized [][]Tuple slab. Execute (hyracks.go) is now a thin wrapper
-// that drains a cursor and restores the deterministic per-instance gather
-// order the materializing API always had. ExecuteStreamDist (dist.go) runs
+// materialized [][]Tuple slab. Execute (hyracks.go) is a thin wrapper over
+// Cursor.Gather, which restores the deterministic per-instance gather order
+// the materializing API always had. ExecuteStreamDist (dist.go) runs
 // the same machinery with some operator instances placed on other nodes.
 
 // streamBuffer is the capacity, in frames, of the channel connecting the
@@ -112,6 +113,43 @@ func (c *Cursor) Next() (Tuple, bool) {
 	t := c.cur.Tuples[c.idx]
 	c.idx++
 	return t, true
+}
+
+// Gather drains the cursor to exhaustion and returns every sink tuple not yet
+// consumed, concatenated in (sink operator, partition) order with each
+// instance's emit order preserved. That order is independent of scheduling —
+// a shuffle-free scan reproduces storage order exactly — and it is the one
+// materializing gather behind Execute and the engine's Execute/Query.
+func (c *Cursor) Gather() ([]Tuple, error) {
+	buckets := map[int]map[int][]Tuple{} // sink op -> partition -> tuples
+	// The first "frame" is whatever Next left unread of its current one.
+	f, ok := Frame{Op: c.cur.Op, Partition: c.cur.Partition, Tuples: c.cur.Tuples[c.idx:]}, true
+	c.cur, c.idx = Frame{}, 0
+	for ; ok; f, ok = c.NextFrame() {
+		parts := buckets[f.Op]
+		if parts == nil {
+			parts = map[int][]Tuple{}
+			buckets[f.Op] = parts
+		}
+		parts[f.Partition] = append(parts[f.Partition], f.Tuples...)
+	}
+	var out []Tuple
+	for _, op := range sortedKeys(buckets) {
+		parts := buckets[op]
+		for _, p := range sortedKeys(parts) {
+			out = append(out, parts[p]...)
+		}
+	}
+	return out, c.Err()
+}
+
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // Err returns the error that terminated the stream: the context's error if

@@ -238,8 +238,9 @@ func (s *Server) queryContext(ctx context.Context, wantProfile bool) context.Con
 }
 
 // profileTrailer renders the profile as the final NDJSON response line:
-// {"profile":{"operators":[...],...}}. Nil (nothing to write) when the job
-// produced no profile — a fallback path, or profiling off.
+// {"profile":{"operators":[...],...}}. Nil (nothing to write) when there is
+// no profile: profiling off, or a request whose final statement is not a
+// query.
 func profileTrailer(p *hyracks.JobProfile) []byte {
 	if p == nil {
 		return nil

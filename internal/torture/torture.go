@@ -233,7 +233,7 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	if err != nil {
 		return fmt.Errorf("reopen: %w", err)
 	}
-	defer m.Close()
+	defer m.Close() // error paths; the success path checks Close below
 	if err := m.Recover(); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -290,6 +290,12 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 
 	if err := verifyIndexes(ds, got); err != nil {
 		return err
+	}
+	// Close before walking the directory: Recover ends by scheduling
+	// over-budget flushes, and a background flush's component legitimately
+	// exists as *.lsm.tmp until Close has drained the scheduler.
+	if err := m.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
 	}
 	return verifyNoTempFiles(cfg.Dir)
 }

@@ -266,7 +266,7 @@ func scanFoldUses(e aql.Expr, targets, bound map[string]bool, use func(w, fn str
 // rewriteFoldCalls returns e with every foldable aggregate call over a
 // variable in repl replaced by a reference to its synthetic column. Unchanged
 // subtrees are shared; the original expression is never mutated (the same
-// AST backs the interpreter fallback and differential oracles).
+// AST backs the plan the differential oracle interprets).
 func rewriteFoldCalls(e aql.Expr, repl map[string]map[string]string, bound map[string]bool) aql.Expr {
 	switch x := e.(type) {
 	case nil:

@@ -55,7 +55,7 @@ type JobOptions struct {
 // operator, and positional variables (for $v at $i in ...) compile to
 // position-tagging sources (see buildPositionalScan). BuildJob reports an
 // error only for plans that genuinely have no physical operator; the engine
-// falls back to the reference expression interpreter for those.
+// surfaces those as typed "unplannable" errors.
 //
 // When opts.MemoryBudget is set, the job runs out-of-core: the budget is
 // divided among the blocking operators' instances, each of which spills to
@@ -285,7 +285,7 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 
 // buildInput builds the node's primary input, or a constant single-empty-
 // tuple source for input-less operators (queries that begin with let
-// clauses).
+// clauses, and constant queries with no clauses at all).
 func (b *jobBuilder) buildInput(n *algebra.Node) (stream, error) {
 	if len(n.Inputs) == 0 {
 		op := b.job.Add(&hyracks.SourceOp{
@@ -1601,14 +1601,15 @@ func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 
 // buildDistribute caps the job: for ordinary queries it evaluates the FLWOR's
 // return expression over each binding tuple; for aggregate-wrapped plans the
-// aggregate value passes through unchanged.
+// aggregate value passes through unchanged. An input-less distribute is a
+// constant query: its expression is evaluated once over the empty tuple.
 func (b *jobBuilder) buildDistribute(n *algebra.Node) (stream, error) {
-	child := n.Inputs[0]
-	in, err := b.build(child)
+	in, err := b.buildInput(n)
 	if err != nil {
 		return stream{}, err
 	}
-	aggregated := child.Kind == algebra.OpGlobalAgg || child.Kind == algebra.OpAggregate
+	aggregated := len(n.Inputs) > 0 &&
+		(n.Inputs[0].Kind == algebra.OpGlobalAgg || n.Inputs[0].Kind == algebra.OpAggregate)
 	if !aggregated && b.query == nil {
 		return stream{}, fmt.Errorf("translator: plan has no source query for distribute-result")
 	}

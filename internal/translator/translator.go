@@ -3,7 +3,7 @@
 //
 // The pipeline is:
 //
-//	AQL FLWOR  --algebra.Build-->  logical plan
+//	AQL query  --algebra.Build-->  logical plan
 //	           --algebra.Optimize-->  physical plan (access paths, join
 //	                                  methods, aggregation split)
 //	           --BuildJob-->  hyracks.Job of runnable operator instances
@@ -21,8 +21,6 @@
 package translator
 
 import (
-	"fmt"
-
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
@@ -74,9 +72,12 @@ func (s Schema) Tuple(env expr.Env) hyracks.Tuple {
 	return t
 }
 
-// Compile builds and optimizes the algebra plan for a FLWOR query. When the
-// query is a single aggregate call wrapped around a FLWOR (Query 10's shape),
-// the aggregate is split into local and global halves.
+// Compile builds and optimizes the algebra plan for a query expression. When
+// the query is a single aggregate call wrapped around a FLWOR (Query 10's
+// shape), the aggregate is split into local and global halves. Any other
+// non-FLWOR expression is a constant query: distribute-result evaluates it
+// once over BuildJob's empty-tuple-source, so every query runs as a job. An
+// error means a FLWOR has a clause shape algebra.Build rejects.
 func Compile(e aql.Expr, cat algebra.Catalog, opts algebra.Options) (*algebra.Plan, error) {
 	switch q := e.(type) {
 	case *aql.FLWORExpr:
@@ -97,7 +98,7 @@ func Compile(e aql.Expr, cat algebra.Catalog, opts algebra.Options) (*algebra.Pl
 			}
 		}
 	}
-	return nil, fmt.Errorf("translator: expression is not a compilable query: %T", e)
+	return &algebra.Plan{Root: &algebra.Node{Kind: algebra.OpDistribute}, Query: &aql.FLWORExpr{Return: e}}, nil
 }
 
 func isAggregate(name string) bool {

@@ -65,7 +65,7 @@ func ReadPathRegressions(baseline, measured []ReadPathRow, tolerance float64) []
 
 // ReadPathRow is one measurement in BENCH_readpath.json.
 type ReadPathRow struct {
-	// Workload is full-scan, first-row, pipeline-fused or pipeline-unfused.
+	// Workload is full-scan, first-row or pipeline-fused.
 	Workload string `json:"workload"`
 	// Records is the dataset size the measurement ran against.
 	Records int `json:"records"`

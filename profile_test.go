@@ -21,7 +21,7 @@ const profileCardinality = 40
 
 func newProfileInstance(t *testing.T, disableFusion bool) *Instance {
 	t.Helper()
-	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2, DisableFusion: disableFusion})
+	inst, err := open(Config{DataDir: t.TempDir(), Partitions: 2}, variant{unfused: disableFusion})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func BenchmarkReadPathFusion(b *testing.B) {
 	}{{"fused", false}, {"unfused", true}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			inst, err := Open(Config{DataDir: b.TempDir(), Partitions: 4, DisableFusion: mode.disable})
+			inst, err := open(Config{DataDir: b.TempDir(), Partitions: 4}, variant{unfused: mode.disable})
 			if err != nil {
 				b.Fatal(err)
 			}

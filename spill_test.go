@@ -122,7 +122,7 @@ func TestSpillingQueriesMatchUnconstrained(t *testing.T) {
 			// observable: the query must spill, stay within the budget (one
 			// in-flight tuple of slack per budgeted operator instance), and
 			// release every run file.
-			job, _, err := constrained.CompileJob(q.query)
+			job, _, err := constrained.compileJob(q.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ for $a in dataset SpillA for $b in dataset SpillB where $a.cat = $b.cat return $
 // tuples instead of overrunning by a frame.
 func TestLimitPushdownIntoScan(t *testing.T) {
 	inst := newSpillInstance(t, 0, 500)
-	job, _, err := inst.CompileJob(`for $r in dataset SpillA limit 3 return $r;`)
+	job, _, err := inst.compileJob(`for $r in dataset SpillA limit 3 return $r;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLimitPushdownIntoScan(t *testing.T) {
 
 	// A select between limit and scan must block the pushdown: the scan
 	// cannot know how many records survive the filter.
-	job2, _, err := inst.CompileJob(`for $r in dataset SpillA where $r.cat = 5 limit 1 return $r;`)
+	job2, _, err := inst.compileJob(`for $r in dataset SpillA where $r.cat = 5 limit 1 return $r;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func instrumentScans(t *testing.T, job *hyracks.Job) map[int]int {
 // unconstrained jobs keep the default.
 func TestFrameSizeDerivedFromBudget(t *testing.T) {
 	constrained := newSpillInstance(t, spillBudget, 10)
-	job, _, err := constrained.CompileJob(`for $r in dataset SpillA order by $r.id return $r.id;`)
+	job, _, err := constrained.compileJob(`for $r in dataset SpillA order by $r.id return $r.id;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestFrameSizeDerivedFromBudget(t *testing.T) {
 	// test needs a genuinely unconstrained instance.
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
 	unconstrained := newSpillInstance(t, 0, 10)
-	job2, _, err := unconstrained.CompileJob(`for $r in dataset SpillA order by $r.id return $r.id;`)
+	job2, _, err := unconstrained.compileJob(`for $r in dataset SpillA order by $r.id return $r.id;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ for $a in dataset SpillA
 for $b in dataset SpillB
 where $a.cat != $b.cat and $a.id <= 3 and $b.id <= 390
 return { "a": $a.id, "b": $b.id };`
-	job, _, err := constrained.CompileJob(query)
+	job, _, err := constrained.compileJob(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ return { "a": $a.id, "b": $b.id };`
 func TestAggregateStreamsWithoutBuffering(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
 	inst := newSpillInstance(t, 1<<20, 500)
-	job, _, err := inst.CompileJob(`avg(for $r in dataset SpillA return $r.id)`)
+	job, _, err := inst.compileJob(`avg(for $r in dataset SpillA return $r.id)`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,11 @@ package asterixdb
 
 import (
 	"context"
-	"sort"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
-	"asterixdb/internal/expr"
 	"asterixdb/internal/hyracks"
-	"asterixdb/internal/translator"
 )
 
 // Cursor is a pull-based stream of query result values:
@@ -22,20 +19,16 @@ import (
 //	}
 //	if err := cur.Err(); err != nil { ... }
 //
-// For compiled queries the cursor is fed directly by the executing Hyracks
+// Every query runs as a Hyracks job, and the cursor is fed directly by that
 // job through a bounded frame channel, so only O(frame x operators) tuples
 // are in flight at any time regardless of result size; closing the cursor
 // early (or cancelling the context it was opened under) stops the scans
-// feeding the job. Queries that run through the interpreter oracle or the
-// expression fallback are materialized up front into a single-batch cursor,
-// so every query presents the same interface.
+// feeding the job.
 //
 // A Cursor is not safe for concurrent use; Close is idempotent.
 type Cursor struct {
 	ctx    context.Context
-	stream *hyracks.Cursor // streaming compiled job, or nil
-	batch  []adm.Value     // materialized fallback when stream is nil
-	idx    int
+	stream *hyracks.Cursor // the executing job; nil once finished
 
 	val  adm.Value
 	err  error
@@ -46,10 +39,9 @@ type Cursor struct {
 // profileKey marks a context as requesting job profiling.
 type profileKey struct{}
 
-// WithProfiling marks ctx so compiled queries run under it collect a
-// per-operator JobProfile, available from Cursor.Profile after the
-// cursor is exhausted or closed. Fallback paths (interpreter oracle,
-// expression evaluation) have no job and yield a nil profile.
+// WithProfiling marks ctx so queries run under it collect a per-operator
+// JobProfile, available from Cursor.Profile after the cursor is exhausted
+// or closed.
 func WithProfiling(ctx context.Context) context.Context {
 	return context.WithValue(ctx, profileKey{}, true)
 }
@@ -63,7 +55,7 @@ func ProfilingRequested(ctx context.Context) bool {
 
 // Profile returns the per-operator profile of the executed job. It is
 // non-nil only after the cursor has finished (exhausted or closed) for a
-// compiled query run under WithProfiling.
+// query run under WithProfiling.
 func (c *Cursor) Profile() *hyracks.JobProfile { return c.prof }
 
 // Next advances to the next result value, reporting false at end of stream,
@@ -76,15 +68,6 @@ func (c *Cursor) Next() bool {
 	if err := c.ctx.Err(); err != nil {
 		c.finish(err)
 		return false
-	}
-	if c.stream == nil {
-		if c.idx >= len(c.batch) {
-			c.finish(nil)
-			return false
-		}
-		c.val = c.batch[c.idx]
-		c.idx++
-		return true
 	}
 	for {
 		t, ok := c.stream.Next()
@@ -107,13 +90,12 @@ func (c *Cursor) Value() adm.Value { return c.val }
 // reports the context's error.
 func (c *Cursor) Err() error { return c.err }
 
-// Close releases the cursor: a streaming cursor's job goroutines are
-// cancelled and Close blocks until they exit. Safe to call more than once.
+// Close releases the cursor: the job's goroutines are cancelled and Close
+// blocks until they exit. Safe to call more than once.
 func (c *Cursor) Close() error {
-	if c.done {
-		return nil
+	if !c.done {
+		c.finish(nil)
 	}
-	c.finish(nil)
 	return nil
 }
 
@@ -122,113 +104,48 @@ func (c *Cursor) finish(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	if c.stream != nil {
-		closeErr := c.stream.Close()
-		if c.err == nil {
-			c.err = closeErr
-		}
-		c.prof = c.stream.Profile()
-		c.stream = nil
+	closeErr := c.stream.Close()
+	if c.err == nil {
+		c.err = closeErr
 	}
-	c.batch = nil
+	c.prof = c.stream.Profile()
+	c.stream = nil
 }
 
-// drain exhausts the cursor and returns every value, the materializing
-// compatibility path behind Execute/Query. A freshly opened streaming cursor
-// is drained frame-by-frame and re-bucketed in (sink operator, partition)
-// order — the same deterministic gather hyracks.Execute performs — so the
-// compatibility wrappers keep the pre-streaming result order (a shuffle-free
-// scan reproduces storage order exactly). A partially consumed cursor falls
-// back to arrival order for the remainder.
+// drain exhausts the cursor and returns every remaining value in the
+// deterministic order of hyracks.Cursor.Gather — the materializing path
+// behind Execute/Query.
 func (c *Cursor) drain() ([]adm.Value, error) {
-	if c.stream == nil && c.err == nil && !c.done {
-		// Fast path: a single-batch cursor's values are already materialized.
-		if err := c.ctx.Err(); err != nil {
-			c.finish(err)
-			return nil, err
-		}
-		out := c.batch[c.idx:]
-		c.finish(nil)
-		return out, nil
+	if c.done {
+		return nil, c.err
 	}
-	if c.stream != nil && !c.done {
-		buckets := map[int]map[int][]adm.Value{} // sink op -> partition -> values
-		for {
-			if err := c.ctx.Err(); err != nil {
-				c.finish(err)
-				return nil, err
-			}
-			f, ok := c.stream.NextFrame()
-			if !ok {
-				break
-			}
-			parts := buckets[f.Op]
-			if parts == nil {
-				parts = map[int][]adm.Value{}
-				buckets[f.Op] = parts
-			}
-			for _, t := range f.Tuples {
-				if len(t) > 0 {
-					parts[f.Partition] = append(parts[f.Partition], t[0])
-				}
-			}
-		}
-		c.finish(c.stream.Err())
-		if err := c.Err(); err != nil {
-			return nil, err
-		}
-		var out []adm.Value
-		for _, op := range sortedIntKeys(buckets) {
-			parts := buckets[op]
-			for _, p := range sortedIntKeys(parts) {
-				out = append(out, parts[p]...)
-			}
-		}
-		return out, nil
-	}
-	var out []adm.Value
-	for c.Next() {
-		out = append(out, c.Value())
-	}
-	if err := c.Err(); err != nil {
+	if err := c.ctx.Err(); err != nil {
+		c.finish(err)
 		return nil, err
+	}
+	tuples, err := c.stream.Gather()
+	c.finish(err)
+	if c.err != nil {
+		return nil, c.err
+	}
+	out := make([]adm.Value, 0, len(tuples))
+	for _, t := range tuples {
+		if len(t) > 0 {
+			out = append(out, t[0])
+		}
 	}
 	return out, nil
 }
 
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// batchCursor wraps already-materialized values in the uniform Cursor API.
-func batchCursor(ctx context.Context, values []adm.Value) *Cursor {
-	return &Cursor{ctx: ctx, batch: values}
-}
-
-// NewValuesCursor wraps already-materialized values in the Cursor API; the
-// cluster coordinator uses it for statement results and expression fallbacks.
-func NewValuesCursor(ctx context.Context, values []adm.Value) *Cursor {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return batchCursor(ctx, values)
-}
-
-// NewJobCursor wraps a hyracks frame cursor in the public Cursor API. The
+// NewJobCursor wraps a hyracks frame cursor in the public Cursor API; the
 // cluster coordinator uses it to front the gather cursor collecting result
-// frames from node controllers: because frames stay tagged with their (sink
-// operator, partition) origin across the wire, drain re-buckets them into the
-// same deterministic order a single-process run produces.
+// frames from node controllers. A nil stream yields an already-exhausted
+// cursor: the result of a request whose final statement is not a query.
 func NewJobCursor(ctx context.Context, stream *hyracks.Cursor) *Cursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Cursor{ctx: ctx, stream: stream}
+	return &Cursor{ctx: ctx, stream: stream, done: stream == nil}
 }
 
 // QueryStream executes AQL statements and returns a streaming Cursor over
@@ -238,78 +155,32 @@ func NewJobCursor(ctx context.Context, stream *hyracks.Cursor) *Cursor {
 // non-query statement yields an empty cursor. The caller must Close the
 // cursor; cancelling ctx also terminates the stream.
 func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error) {
-	return in.queryStreamWith(ctx, src, in.cfg.OptimizerOptions)
-}
-
-func (in *Instance) queryStreamWith(ctx context.Context, src string, opts algebra.Options) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stmts, err := aql.Parse(src)
-	if err != nil {
-		return nil, syntaxError(err)
-	}
-	if len(stmts) == 0 {
-		return batchCursor(ctx, nil), nil
-	}
-	for _, stmt := range stmts[:len(stmts)-1] {
-		if _, err := in.executeStatement(ctx, stmt, opts); err != nil {
-			return nil, err
-		}
-	}
-	last := stmts[len(stmts)-1]
-	if q, ok := last.(*aql.QueryStatement); ok {
-		return in.queryCursor(ctx, q.Body, opts)
-	}
-	res, err := in.executeStatement(ctx, last, opts)
+	q, _, err := in.ExecuteForQuery(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return batchCursor(ctx, res.Values), nil
+	if q == nil {
+		return NewJobCursor(ctx, nil), nil
+	}
+	return in.queryCursor(ctx, q, in.cfg.OptimizerOptions)
 }
 
-// queryCursor opens a cursor over one query expression. FLWOR queries (and
-// aggregate calls over FLWORs) compile into physical plans so index access
-// paths, hash joins and the aggregation split are used; compiled plans run
-// as pipelined Hyracks jobs feeding the cursor directly. Behind
-// Config.UseInterpreter the materializing interpreter (the
-// differential-testing oracle) produces a single-batch cursor instead.
-//
-// The expression-interpreter fallback is taken only when the query cannot be
-// planned at all (a non-FLWOR expression, or a clause shape algebra.Build
-// rejects) or when BuildJob cannot express the plan — which, now that every
-// access path, correlated unnest and positional variable compiles, is a bug
-// rather than an expected path. Runtime errors from an executing job are
-// real errors and propagate through Cursor.Err.
+// queryCursor compiles one query expression and starts its job, returning
+// the cursor the job streams into. There is no other way to evaluate a query:
+// an expression the compiler cannot plan is CompileQuery's typed error, and
+// runtime errors from the executing job propagate through Cursor.Err.
 func (in *Instance) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Options) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if plan, err := translator.Compile(e, in, opts); err == nil {
-		if in.cfg.UseInterpreter {
-			values, err := in.executePlanContext(ctx, plan)
-			if err != nil {
-				return nil, err
-			}
-			return batchCursor(ctx, values), nil
-		}
-		if job, err := translator.BuildJob(plan, in, in.jobOptions()); err == nil {
-			job.Profile = ProfilingRequested(ctx)
-			fc, err := hyracks.ExecuteStream(ctx, job)
-			if err != nil {
-				return nil, err
-			}
-			return &Cursor{ctx: ctx, stream: fc}, nil
-		}
-	}
-	v, err := expr.Eval(in.evalCtx, expr.Env{}, e)
+	_, job, err := in.CompileQuery(e, opts)
 	if err != nil {
 		return nil, err
 	}
-	if items, ok := v.(*adm.OrderedList); ok {
-		if _, isFLWOR := e.(*aql.FLWORExpr); isFLWOR {
-			return batchCursor(ctx, items.Items), nil
-		}
+	job.Profile = ProfilingRequested(ctx)
+	fc, err := hyracks.ExecuteStream(ctx, job)
+	if err != nil {
+		return nil, err
 	}
-	return batchCursor(ctx, []adm.Value{v}), nil
+	return NewJobCursor(ctx, fc), nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
 )
 
 // newLargeInstance builds an instance with one dataset of n simple records,
@@ -145,50 +146,43 @@ func TestExecuteContextCancelled(t *testing.T) {
 	}
 }
 
-// TestQueryStreamUniformAcrossPaths: the interpreter oracle and the
-// expression fallback present the same cursor API as compiled jobs.
-func TestQueryStreamUniformAcrossPaths(t *testing.T) {
-	// Expression fallback: not a FLWOR, evaluated directly.
+// TestConstantQueriesRunAsJobs: a query with no FLWOR at its root — a bare
+// expression, or a record constructor around a subquery — is still a Hyracks
+// job (distribute-result over the empty-tuple-source), so it yields one row
+// and, under WithProfiling, a profile like any other query.
+func TestConstantQueriesRunAsJobs(t *testing.T) {
 	inst := newTinySocial(t)
-	cur, err := inst.QueryStream(context.Background(), `1 + 1`)
-	if err != nil {
-		t.Fatal(err)
+	for src, want := range map[string]string{
+		`1 + 1`: `2i64`,
+		`{"n": count(for $u in dataset MugshotUsers return $u)}`: `{ "n": 4i64 }`,
+	} {
+		cur, err := inst.QueryStream(WithProfiling(context.Background()), src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		var rows []string
+		for cur.Next() {
+			rows = append(rows, cur.Value().String())
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if len(rows) != 1 || rows[0] != want {
+			t.Errorf("%s = %v, want [%s]", src, rows, want)
+		}
+		prof := cur.Profile()
+		if prof == nil {
+			t.Fatalf("%s: nil profile — the query did not run as a job", src)
+		}
+		if out := prof.OutByName(); out["empty-tuple-source"] != 1 || out["distribute-result"] != 1 {
+			t.Errorf("%s: profile operators %v, want empty-tuple-source and distribute-result with one tuple each", src, out)
+		}
 	}
-	defer cur.Close()
-	if !cur.Next() {
-		t.Fatalf("no value: %v", cur.Err())
-	}
-	if n, _ := adm.NumericAsInt64(cur.Value()); n != 2 {
-		t.Errorf("1+1 = %v", cur.Value())
-	}
-	if cur.Next() {
-		t.Error("expression cursor yielded more than one value")
-	}
+}
 
-	// Interpreter oracle: single-batch cursor over the same results.
-	oracle, err := Open(Config{DataDir: t.TempDir(), Partitions: 2, UseInterpreter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { oracle.Close() })
-	if _, err := oracle.Execute(tinySocialDDL); err != nil {
-		t.Fatal(err)
-	}
-	loadTinySocial(t, oracle)
-	cur2, err := oracle.QueryStream(context.Background(), `for $u in dataset MugshotUsers return $u.name;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur2.Close()
-	n := 0
-	for cur2.Next() {
-		n++
-	}
-	if err := cur2.Err(); err != nil || n != 4 {
-		t.Errorf("interpreter cursor yielded %d values, err %v", n, err)
-	}
-
-	// A final non-query statement yields an empty cursor, not an error.
+// A final non-query statement yields an empty cursor, not an error.
+func TestQueryStreamNonQueryStatement(t *testing.T) {
+	inst := newTinySocial(t)
 	cur3, err := inst.QueryStream(context.Background(), `create dataverse Streamed if not exists;`)
 	if err != nil {
 		t.Fatal(err)
@@ -207,21 +201,6 @@ func TestQueryStreamUniformAcrossPaths(t *testing.T) {
 // with the materializing interpreter oracle.
 func TestDifferentialStreamingVsInterpreter(t *testing.T) {
 	inst := newTinySocial(t)
-	oracle, err := Open(Config{
-		DataDir:        t.TempDir(),
-		Partitions:     2,
-		Clock:          inst.cfg.Clock,
-		UseInterpreter: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { oracle.Close() })
-	if _, err := oracle.Execute(tinySocialDDL); err != nil {
-		t.Fatal(err)
-	}
-	loadTinySocial(t, oracle)
-
 	for _, q := range differentialQueries {
 		cur, err := inst.QueryStream(context.Background(), q.query)
 		if err != nil {
@@ -236,7 +215,7 @@ func TestDifferentialStreamingVsInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (stream drain): %v", q.name, err)
 		}
-		orRes, err := oracle.Query(q.query)
+		orRes, err := inst.interpret(q.query, algebra.Options{})
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q.name, err)
 		}
