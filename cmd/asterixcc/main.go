@@ -73,7 +73,7 @@ func main() {
 		HandleTTL:          *ttlFlag,
 		SlowQueryThreshold: time.Duration(*slowQueryFlag) * time.Millisecond,
 	})
-	httpServer := &http.Server{Addr: *addrFlag, Handler: svc}
+	httpServer := &http.Server{Addr: *addrFlag, Handler: svc, ReadHeaderTimeout: server.ReadHeaderTimeout}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -61,7 +61,7 @@ func main() {
 		HandleTTL:          *ttlFlag,
 		SlowQueryThreshold: time.Duration(*slowQueryFlag) * time.Millisecond,
 	})
-	httpServer := &http.Server{Addr: *addrFlag, Handler: svc}
+	httpServer := &http.Server{Addr: *addrFlag, Handler: svc, ReadHeaderTimeout: server.ReadHeaderTimeout}
 
 	// Graceful shutdown: stop accepting, let in-flight statements finish,
 	// then close the instance (flushing LSM components and the WAL).

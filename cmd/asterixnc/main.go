@@ -22,6 +22,7 @@ import (
 
 	"asterixdb/internal/cluster"
 	"asterixdb/internal/metrics"
+	"asterixdb/internal/server"
 )
 
 var (
@@ -59,7 +60,7 @@ func main() {
 		node.RegisterMetrics(reg)
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", metrics.Handler(reg))
-		metricsServer = &http.Server{Addr: *metricsFlag, Handler: mux}
+		metricsServer = &http.Server{Addr: *metricsFlag, Handler: mux, ReadHeaderTimeout: server.ReadHeaderTimeout}
 		go func() {
 			if err := metricsServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("asterixnc: metrics listener: %v", err)

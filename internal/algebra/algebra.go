@@ -384,9 +384,6 @@ func Optimize(plan *Plan, cat Catalog, opts Options) *Plan {
 	if !opts.DisableIndexAccess {
 		root = rewriteIndexAccess(root, cat, opts)
 	}
-	if !opts.DisableAggSplit {
-		root = rewriteAggSplit(root, plan.Query)
-	}
 	return &Plan{Root: root, Query: plan.Query}
 }
 
@@ -504,17 +501,6 @@ func indexChain(secondary, scan *Node, cond aql.Expr, opts Options) *Node {
 	}
 	primary := &Node{Kind: OpPrimarySearch, Inputs: []*Node{chain}, Dataset: scan.Dataset, Dataverse: scan.Dataverse, Variable: scan.Variable}
 	return &Node{Kind: OpSelect, Inputs: []*Node{primary}, Condition: cond}
-}
-
-// rewriteAggSplit splits a top-level aggregate query (e.g. Query 10's avg)
-// into a local aggregate per partition and a global aggregate combining them.
-func rewriteAggSplit(n *Node, query *aql.FLWORExpr) *Node {
-	if n == nil || query == nil {
-		return n
-	}
-	// The pattern only applies when the whole query is agg(FLWOR ...): the
-	// engine marks that by compiling the FLWOR and wrapping the plan.
-	return n
 }
 
 // WrapAggregate adds the local/global aggregation pair on top of a plan for

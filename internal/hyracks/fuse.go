@@ -27,6 +27,22 @@ type PushStage interface {
 	Stage(partition int, emit func(Tuple) bool) func(Tuple) (more bool, err error)
 }
 
+// drive is the one pull loop behind every pipelined operator: it feeds an
+// input port to a push function until the stream ends, the function wants no
+// more input, or it fails. An unfused operator's Run drives its own Stage;
+// FusedOp.Run drives the composed chain.
+func drive(in *In, push func(Tuple) (more bool, err error)) error {
+	for {
+		t, ok := in.Next()
+		if !ok {
+			return nil
+		}
+		if more, err := push(t); err != nil || !more {
+			return err
+		}
+	}
+}
+
 // Stage implements PushStage.
 func (o *SelectOp) Stage(_ int, emit func(Tuple) bool) func(Tuple) (bool, error) {
 	return func(t Tuple) (bool, error) {
@@ -123,20 +139,37 @@ func (o *FusedOp) Parallelism() int { return o.Ops[0].Parallelism() }
 // Blocking implements Operator (only non-blocking operators fuse).
 func (o *FusedOp) Blocking() bool { return false }
 
-// Run composes the chain's stage functions and drives them from the head:
+// Run implements Operator.
+func (o *FusedOp) Run(partition int, ins []*In, emit func(Tuple) bool) error {
+	return o.run(partition, ins, emit, nil)
+}
+
+// run composes the chain's stage functions and drives them from the head:
 // the source's Produce when the head is a SourceOp, otherwise the instance's
 // input port. A stage error stops the pipeline and is reported exactly like
-// the unfused operator's Run returning it.
-func (o *FusedOp) Run(partition int, ins []*In, emit func(Tuple) bool) error {
-	var stageErr error
-	down := emit
-	start := 0
-	src, isSrc := o.Ops[0].(*SourceOp)
-	if isSrc {
-		start = 1
+// the unfused operator's Run returning it. When profiling, counts[i] receives
+// the number of tuples component i emitted; it is nil otherwise.
+func (o *FusedOp) run(partition int, ins []*In, emit func(Tuple) bool, counts []int64) error {
+	counted := func(i int, down func(Tuple) bool) func(Tuple) bool {
+		if counts == nil {
+			return down
+		}
+		return func(t Tuple) bool {
+			counts[i]++
+			return down(t)
+		}
 	}
-	for i := len(o.Ops) - 1; i >= start; i-- {
-		st := o.Ops[i].(PushStage).Stage(partition, down)
+	src, isSrc := o.Ops[0].(*SourceOp)
+	first := 0
+	if isSrc {
+		first = 1
+	}
+	var stageErr error
+	var head func(Tuple) (bool, error)
+	down := emit
+	for i := len(o.Ops) - 1; i >= first; i-- {
+		st := o.Ops[i].(PushStage).Stage(partition, counted(i, down))
+		head = st
 		down = func(t Tuple) bool {
 			more, err := st(t)
 			if err != nil {
@@ -148,21 +181,18 @@ func (o *FusedOp) Run(partition int, ins []*In, emit func(Tuple) bool) error {
 			return more
 		}
 	}
+	var err error
 	if isSrc {
-		if err := src.Produce(partition, down); err != nil && stageErr == nil {
-			stageErr = err
-		}
+		err = src.Produce(partition, counted(0, down))
+	} else {
+		err = drive(ins[0], head)
+	}
+	// The first failure wins: a stage's error reaches the head only as a
+	// false emit, so whatever the head reports afterwards is secondary.
+	if stageErr != nil {
 		return stageErr
 	}
-	for {
-		t, ok := ins[0].Next()
-		if !ok {
-			return stageErr
-		}
-		if !down(t) {
-			return stageErr
-		}
-	}
+	return err
 }
 
 // FlatOperators returns the job's operators with fused chains expanded: each

@@ -9,64 +9,78 @@ import (
 	"asterixdb/internal/runfile"
 )
 
-// This file implements fold-as-you-go aggregation for HashGroupOp: when the
+// This file holds the one aggregate kernel of compiled jobs (AggAccum) and
+// the fold-as-you-go aggregation HashGroupOp builds on it: when the
 // translator proves every consumer of a group-by's with-variables is an
 // aggregate call (count/sum/avg/min/max, plain or sql-), the operator keeps
 // one small accumulator per (group, aggregate) instead of materializing the
 // group's row bag. Memory per group drops from O(rows) to O(1), and the
 // spill path writes accumulator tuples — merged on reload — rather than raw
 // rows. Row bags are materialized only when a with-variable is genuinely
-// used as a bag.
+// used as a bag. The translator's scalar aggregates (local, global and
+// unsplit AggregateOp folds) run the same kernel.
 
 // GroupAgg describes one incremental aggregate computed by a HashGroupOp
 // running in fold-as-you-go mode.
 type GroupAgg struct {
-	// Func is the aggregate: count, sum, avg, min or max, optionally with
-	// the "sql-" prefix for unknown-skipping semantics. Semantics mirror the
-	// expression evaluator's builtin aggregates exactly (the differential
-	// oracle evaluates those over the materialized bag).
+	// Func is the aggregate's name, as ParseAggFn accepts it.
 	Func string
 	// Col is the input tuple column the aggregate folds.
 	Col int
 }
 
-// aggAccum is the running state of one aggregate in one group. One struct
-// covers all five functions: count uses n; sum/avg use sum, n and bad;
-// min/max use best and bad (best == nil means no comparable item yet).
-type aggAccum struct {
+// AggFn is an aggregate function parsed once, so the per-value fold does not
+// re-scan the name.
+type AggFn struct {
+	base string // count, sum, avg, min, max
+	sql  bool   // sql- prefix: skip unknowns instead of poisoning
+}
+
+// ParseAggFn resolves the name of an aggregate builtin with a one-pass
+// accumulator — count, sum, avg, min or max, optionally with the "sql-" prefix
+// for unknown-skipping semantics. ok is false for any other name.
+func ParseAggFn(name string) (fn AggFn, ok bool) {
+	fn = AggFn{base: strings.TrimPrefix(name, "sql-"), sql: strings.HasPrefix(name, "sql-")}
+	switch fn.base {
+	case "count", "sum", "avg", "min", "max":
+		return fn, true
+	}
+	return AggFn{}, false
+}
+
+func parseAggFns(aggs []GroupAgg) []AggFn {
+	fns := make([]AggFn, len(aggs))
+	for i, ag := range aggs {
+		fns[i], _ = ParseAggFn(ag.Func)
+	}
+	return fns
+}
+
+// AggAccum is the running state of one aggregate: every aggregate a compiled
+// job computes — per group in HashGroupOp, per partition and globally in the
+// translator's AggregateOp folds — is a sequence of Fold and Merge calls
+// closed by Finish. Its semantics mirror the expression evaluator's builtin
+// aggregates exactly (the differential oracle evaluates those over the
+// materialized bag): under AQL semantics an unknown item, or one that fails
+// numeric conversion or comparison, poisons the result to null; under SQL
+// semantics unknowns are skipped. One struct covers all five functions: count
+// uses n; sum/avg use sum, n and bad; min/max use best and bad (best == nil
+// means no comparable item yet). The zero value is the empty aggregate.
+type AggAccum struct {
 	n    int64
 	sum  float64
 	best adm.Value
 	bad  bool
 }
 
-// accumCols is the number of tuple columns one accumulator serializes to in
-// a spilled accumulator run: {n, sum, best (nil when absent), bad}.
+// accumCols is the number of tuple columns one accumulator serializes to:
+// {n, sum, best (nil when absent), bad}.
 const accumCols = 4
 
 // accumMemSize is the budget-accounting estimate for one accumulator's
 // fixed part; a retained min/max value is accounted separately as it is
 // (re)assigned.
 const accumMemSize = 48
-
-// aggFn is a GroupAgg.Func parsed once per operator run, so the per-row
-// fold does not re-scan the function string.
-type aggFn struct {
-	base string // count, sum, avg, min, max
-	sql  bool   // sql- prefix: skip unknowns instead of poisoning
-}
-
-func parseAggFn(fn string) aggFn {
-	return aggFn{base: strings.TrimPrefix(fn, "sql-"), sql: strings.HasPrefix(fn, "sql-")}
-}
-
-func parseAggFns(aggs []GroupAgg) []aggFn {
-	fns := make([]aggFn, len(aggs))
-	for i, ag := range aggs {
-		fns[i] = parseAggFn(ag.Func)
-	}
-	return fns
-}
 
 // bestDelta is the budget-accounting change from replacing an accumulator's
 // retained value.
@@ -81,11 +95,10 @@ func bestDelta(old, new adm.Value) int64 {
 	return d
 }
 
-// fold updates the accumulator with one input value, mirroring the builtin
-// aggregates' one-pass semantics. The returned delta is the change in
-// resident bytes from any value the accumulator newly retains (min/max keep
-// their best value alive).
-func (a *aggAccum) fold(fn aggFn, v adm.Value) int64 {
+// Fold updates the accumulator with one input value. The returned delta is
+// the change in resident bytes from any value the accumulator newly retains
+// (min/max keep their best value alive).
+func (a *AggAccum) Fold(fn AggFn, v adm.Value) int64 {
 	if fn.base == "count" {
 		a.n++ // count counts every item, unknowns included
 		return 0
@@ -99,8 +112,7 @@ func (a *aggAccum) fold(fn aggFn, v adm.Value) int64 {
 		}
 		return 0
 	}
-	switch fn.base {
-	case "sum", "avg":
+	if fn.base == "sum" || fn.base == "avg" {
 		d, ok := adm.NumericAsDouble(v)
 		if !ok {
 			a.bad = true
@@ -108,29 +120,35 @@ func (a *aggAccum) fold(fn aggFn, v adm.Value) int64 {
 		}
 		a.sum += d
 		a.n++
-	case "min", "max":
-		if a.best == nil {
-			a.best = v
-			return bestDelta(nil, v)
-		}
-		c, err := adm.Compare(v, a.best)
-		if err != nil {
-			a.bad = true
-			return 0
-		}
-		if (fn.base == "max" && c > 0) || (fn.base == "min" && c < 0) {
-			old := a.best
-			a.best = v
-			return bestDelta(old, v)
-		}
+		return 0
+	}
+	return a.better(fn, v)
+}
+
+// better makes v the min/max accumulator's retained value if it beats the
+// current one, returning the resident-byte delta.
+func (a *AggAccum) better(fn AggFn, v adm.Value) int64 {
+	if a.best == nil {
+		a.best = v
+		return bestDelta(nil, v)
+	}
+	c, err := adm.Compare(v, a.best)
+	if err != nil {
+		a.bad = true
+		return 0
+	}
+	if (fn.base == "max" && c > 0) || (fn.base == "min" && c < 0) {
+		old := a.best
+		a.best = v
+		return bestDelta(old, v)
 	}
 	return 0
 }
 
-// merge combines another accumulator of the same aggregate into a (used when
-// a spilled partition's accumulator runs reload), returning the resident-
-// byte delta like fold.
-func (a *aggAccum) merge(fn aggFn, b *aggAccum) int64 {
+// Merge combines another accumulator of the same aggregate into a (a
+// partition's partial into the global aggregate, a spilled partition's
+// accumulator run on reload), returning the resident-byte delta like Fold.
+func (a *AggAccum) Merge(fn AggFn, b *AggAccum) int64 {
 	if fn.base == "count" {
 		a.n += b.n
 		return 0
@@ -141,34 +159,19 @@ func (a *aggAccum) merge(fn aggFn, b *aggAccum) int64 {
 	if a.bad {
 		return 0
 	}
-	switch fn.base {
-	case "sum", "avg":
+	if fn.base == "sum" || fn.base == "avg" {
 		a.sum += b.sum
 		a.n += b.n
-	case "min", "max":
-		if b.best == nil {
-			return 0
-		}
-		if a.best == nil {
-			a.best = b.best
-			return bestDelta(nil, b.best)
-		}
-		c, err := adm.Compare(b.best, a.best)
-		if err != nil {
-			a.bad = true
-			return 0
-		}
-		if (fn.base == "max" && c > 0) || (fn.base == "min" && c < 0) {
-			old := a.best
-			a.best = b.best
-			return bestDelta(old, b.best)
-		}
+		return 0
 	}
-	return 0
+	if b.best == nil {
+		return 0
+	}
+	return a.better(fn, b.best)
 }
 
-// finish produces the aggregate's final value.
-func (a *aggAccum) finish(fn aggFn) adm.Value {
+// Finish produces the aggregate's final value.
+func (a *AggAccum) Finish(fn AggFn) adm.Value {
 	switch fn.base {
 	case "count":
 		return adm.Int64(a.n)
@@ -191,29 +194,30 @@ func (a *aggAccum) finish(fn aggFn) adm.Value {
 	return adm.Null{}
 }
 
-// encode appends the accumulator's serialized columns to a tuple.
-func (a *aggAccum) encode(t Tuple) Tuple {
+// Encode appends the accumulator's serialized columns to a tuple: the form
+// a partial aggregate travels in, to a run file or to the global aggregate.
+func (a *AggAccum) Encode(t Tuple) Tuple {
 	return append(t, adm.Int64(a.n), adm.Double(a.sum), a.best, adm.Boolean(a.bad))
 }
 
-// decodeAccum reads one accumulator back from its serialized columns.
-func decodeAccum(cols []adm.Value) (aggAccum, error) {
+// DecodeAccum reads one accumulator back from its serialized columns.
+func DecodeAccum(cols []adm.Value) (AggAccum, error) {
 	if len(cols) < accumCols {
-		return aggAccum{}, fmt.Errorf("hyracks: truncated accumulator tuple")
+		return AggAccum{}, fmt.Errorf("hyracks: truncated accumulator tuple")
 	}
 	n, ok1 := cols[0].(adm.Int64)
 	sum, ok2 := cols[1].(adm.Double)
 	bad, ok3 := cols[3].(adm.Boolean)
 	if !ok1 || !ok2 || !ok3 {
-		return aggAccum{}, fmt.Errorf("hyracks: malformed accumulator tuple")
+		return AggAccum{}, fmt.Errorf("hyracks: malformed accumulator tuple")
 	}
-	return aggAccum{n: int64(n), sum: float64(sum), best: cols[2], bad: bool(bad)}, nil
+	return AggAccum{n: int64(n), sum: float64(sum), best: cols[2], bad: bool(bad)}, nil
 }
 
 // aggGroup is one group's key and accumulators.
 type aggGroup struct {
 	key  Tuple
-	accs []aggAccum
+	accs []AggAccum
 }
 
 // aggPartition is one intra-instance hash partition of the incremental group
@@ -226,33 +230,10 @@ type aggPartition struct {
 	w      *runfile.Writer
 }
 
-// runIncremental is HashGroupOp's fold-as-you-go path, entered when Aggs is
-// set. Input rows fold directly into per-group accumulators; under memory
-// pressure (many distinct groups) the largest partition's accumulators spill
-// as (key, state) tuples and are merged on reload, recursively repartitioned
-// at the next level-salted hash if a partition alone still exceeds the
-// budget. No input row is ever materialized.
-func (o *HashGroupOp) runIncremental(ins []*In, emit func(Tuple) bool) error {
-	var mem *runfile.Instance
-	if o.Spill != nil {
-		mem = o.Spill.NewInstance()
-		defer mem.Close()
-	}
-	next := func() (Tuple, bool, error) {
-		t, more := ins[0].Next()
-		return t, more, nil
-	}
-	err := o.aggStream(mem, 0, next, false, emit)
-	if err == errStopDemand {
-		return nil
-	}
-	return err
-}
-
 // spillContribution routes one stream tuple into an already-spilled
 // partition's run: accumulator tuples pass through unchanged, raw rows fold
 // into a one-row accumulator tuple first (merged with the rest on reload).
-func (o *HashGroupOp) spillContribution(w *runfile.Writer, t Tuple, nk int, fns []aggFn, fromAcc bool) error {
+func (o *HashGroupOp) spillContribution(w *runfile.Writer, t Tuple, nk int, fns []AggFn, fromAcc bool) error {
 	out := make(Tuple, 0, nk+len(o.Aggs)*accumCols)
 	if fromAcc {
 		out = append(out, t...)
@@ -261,18 +242,22 @@ func (o *HashGroupOp) spillContribution(w *runfile.Writer, t Tuple, nk int, fns 
 			out = append(out, t[col])
 		}
 		for i, ag := range o.Aggs {
-			var acc aggAccum
-			acc.fold(fns[i], t[ag.Col])
-			out = acc.encode(out)
+			var acc AggAccum
+			acc.Fold(fns[i], t[ag.Col])
+			out = acc.Encode(out)
 		}
 	}
 	return w.Write(out)
 }
 
-// aggStream consumes a stream of either raw input rows (fromAcc false; keys
-// at o.KeyColumns, aggregates folded from their Col) or reloaded accumulator
-// tuples (fromAcc true; keys at columns [0, nk), accumulators merged from
-// the trailing columns).
+// aggStream is HashGroupOp's fold-as-you-go table. It consumes a stream of
+// either raw input rows (fromAcc false; keys at o.KeyColumns, aggregates
+// folded from their Col) or reloaded accumulator tuples (fromAcc true; keys
+// at columns [0, nk), accumulators merged from the trailing columns). Under
+// memory pressure (many distinct groups) the largest partition's accumulators
+// spill as (key, state) tuples and are merged on reload, recursively
+// repartitioned at the next level-salted hash if a partition alone still
+// exceeds the budget. No input row is ever materialized.
 func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (Tuple, bool, error), fromAcc bool, emit func(Tuple) bool) error {
 	nk := len(o.KeyColumns)
 	fns := parseAggFns(o.Aggs)
@@ -300,7 +285,7 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 			return false, nil
 		}
 		pt := parts[vi]
-		w, err := o.Spill.NewRun()
+		w, err := mem.NewRun()
 		if err != nil {
 			return false, err
 		}
@@ -309,7 +294,7 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 			t := make(Tuple, 0, nk+len(o.Aggs)*accumCols)
 			t = append(t, g.key...)
 			for i := range g.accs {
-				t = g.accs[i].encode(t)
+				t = g.accs[i].Encode(t)
 			}
 			if err := w.Write(t); err != nil {
 				w.Abort()
@@ -356,7 +341,7 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 		g := pt.groups[ks]
 		if g == nil {
 			sz := int64(64+len(ks)) + int64(len(o.Aggs))*accumMemSize
-			if mem != nil && !atCap {
+			if !atCap {
 				for !mem.Fits(sz) && pt.w == nil {
 					ok, err := spillVictim()
 					if err != nil {
@@ -383,12 +368,10 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 					key2[i] = t[col]
 				}
 			}
-			g = &aggGroup{key: key2, accs: make([]aggAccum, len(o.Aggs))}
+			g = &aggGroup{key: key2, accs: make([]AggAccum, len(o.Aggs))}
 			pt.groups[ks] = g
 			pt.order = append(pt.order, ks)
-			if mem != nil {
-				mem.Add(sz)
-			}
+			mem.Add(sz)
 			pt.bytes += sz
 		}
 		// Fold or merge the contribution; retained min/max values change the
@@ -397,22 +380,20 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 		if fromAcc {
 			pos := nk
 			for i := range o.Aggs {
-				acc, err := decodeAccum(t[pos : pos+accumCols])
+				acc, err := DecodeAccum(t[pos : pos+accumCols])
 				if err != nil {
 					return err
 				}
-				delta += g.accs[i].merge(fns[i], &acc)
+				delta += g.accs[i].Merge(fns[i], &acc)
 				pos += accumCols
 			}
 		} else {
 			for i, ag := range o.Aggs {
-				delta += g.accs[i].fold(fns[i], t[ag.Col])
+				delta += g.accs[i].Fold(fns[i], t[ag.Col])
 			}
 		}
 		if delta != 0 {
-			if mem != nil {
-				mem.Add(delta)
-			}
+			mem.Add(delta)
 			pt.bytes += delta
 		}
 	}
@@ -428,15 +409,13 @@ func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (T
 			out := make(Tuple, 0, nk+len(o.Aggs))
 			out = append(out, g.key...)
 			for i := range o.Aggs {
-				out = append(out, g.accs[i].finish(fns[i]))
+				out = append(out, g.accs[i].Finish(fns[i]))
 			}
 			if !emit(out) {
 				return errStopDemand
 			}
 		}
-		if mem != nil {
-			mem.Release(pt.bytes)
-		}
+		mem.Release(pt.bytes)
 		pt.groups, pt.order, pt.bytes = nil, nil, 0
 	}
 	for _, pt := range parts {

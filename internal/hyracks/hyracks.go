@@ -209,9 +209,10 @@ type Job struct {
 	// Zero means the default; the translator derives a smaller frame from the
 	// job's memory budget so tiny-budget runs exercise real frame boundaries.
 	FrameSize int
-	// Spill is the job's run-file manager when a memory budget is configured.
-	// The runtime closes it after the last operator instance exits — on every
-	// termination path — which removes any run files still on disk.
+	// Spill is the job's run-file manager and resident-byte accountant, set
+	// for every job that has blocking operators. The runtime closes it after
+	// the last operator instance exits — on every termination path — which
+	// removes any run files still on disk.
 	Spill *runfile.Manager
 	// Profile enables per-operator instrumentation: the run's JobProfile is
 	// available from Cursor.Profile once the job has finished.
@@ -331,9 +332,9 @@ func (j *Job) topoOrder() ([]int, error) {
 const defaultFrameSize = 64
 
 // FrameSizeForBudget derives a job frame size (in tuples) from a memory
-// budget (in bytes): unconstrained jobs use the default, constrained jobs
-// shrink the frame so in-flight channel buffers scale down with the budget
-// and tiny-budget tests cross real frame boundaries deterministically.
+// budget (in bytes): a zero (unlimited) budget keeps the default, a finite
+// one shrinks the frame so in-flight channel buffers scale down with it and
+// tiny-budget tests cross real frame boundaries deterministically.
 func FrameSizeForBudget(budget int64) int {
 	if budget <= 0 {
 		return defaultFrameSize
@@ -551,16 +552,8 @@ func (o *PassthroughOp) Blocking() bool { return false }
 
 // Run implements Operator (used only when the passthrough is a sink or could
 // not be spliced).
-func (o *PassthroughOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		if !emit(t) {
-			return nil
-		}
-	}
+func (o *PassthroughOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	return drive(ins[0], o.Stage(p, emit))
 }
 
 // spliceEdges returns the job's edge list with every spliceable passthrough
@@ -652,20 +645,8 @@ func (o *SelectOp) Parallelism() int { return o.Partitions }
 func (o *SelectOp) Blocking() bool { return false }
 
 // Run implements Operator.
-func (o *SelectOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		ok, err := o.Pred(t)
-		if err != nil {
-			return err
-		}
-		if ok && !emit(t) {
-			return nil
-		}
-	}
+func (o *SelectOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	return drive(ins[0], o.Stage(p, emit))
 }
 
 // AssignOp maps each input tuple to an output tuple (projection or computed
@@ -686,20 +667,8 @@ func (o *AssignOp) Parallelism() int { return o.Partitions }
 func (o *AssignOp) Blocking() bool { return false }
 
 // Run implements Operator.
-func (o *AssignOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		out, err := o.Fn(t)
-		if err != nil {
-			return err
-		}
-		if out != nil && !emit(out) {
-			return nil
-		}
-	}
+func (o *AssignOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	return drive(ins[0], o.Stage(p, emit))
 }
 
 // FlatMapOp expands each input tuple into zero or more output tuples; the
@@ -721,40 +690,21 @@ func (o *FlatMapOp) Parallelism() int { return o.Partitions }
 func (o *FlatMapOp) Blocking() bool { return false }
 
 // Run implements Operator.
-func (o *FlatMapOp) Run(partition int, ins []*In, emit func(Tuple) bool) error {
-	stop := false
-	wrapped := func(t Tuple) bool {
-		if !emit(t) {
-			stop = true
-			return false
-		}
-		return true
-	}
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		if err := o.Fn(partition, t, wrapped); err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-	}
+func (o *FlatMapOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	return drive(ins[0], o.Stage(p, emit))
 }
 
-// SortOp sorts its input by the given columns (all ascending unless Desc).
-// With a Spill budget it runs as an external merge sort: in-memory sorted
-// runs are spilled to run files at the budget and merged on emit; without
-// one it buffers and sorts the whole partition in memory as before.
+// SortOp sorts its input by the given columns (all ascending unless Desc). It
+// is an external merge sort (Run, in spill.go): sorted runs spill to run
+// files whenever the budget share fills and are merged on emit; an input
+// that never fills it is one in-memory run.
 type SortOp struct {
 	Label      string
 	Partitions int
 	Columns    []int
 	Desc       []bool
-	// Spill is the operator's share of the job memory budget; nil means
-	// unconstrained in-memory sorting.
+	// Spill is the operator's share of the job memory budget; it decides
+	// only when the sort spills. Nil (a hand-built operator) never does.
 	Spill *runfile.Budget
 }
 
@@ -799,30 +749,6 @@ func (o *SortOp) sortRows(rows []Tuple) error {
 	return sortErr
 }
 
-// Run implements Operator.
-func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	if o.Spill != nil {
-		return o.runExternal(ins, emit)
-	}
-	var rows []Tuple
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			break
-		}
-		rows = append(rows, t)
-	}
-	if err := o.sortRows(rows); err != nil {
-		return err
-	}
-	for _, t := range rows {
-		if !emit(t) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // LimitOp skips Offset tuples, forwards at most N, and then returns, which
 // cancels the producers feeding it instead of draining them (per instance;
 // plans constrain it to a single partition for a global limit).
@@ -843,23 +769,8 @@ func (o *LimitOp) Parallelism() int { return o.Partitions }
 func (o *LimitOp) Blocking() bool { return false }
 
 // Run implements Operator.
-func (o *LimitOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	skipped, n := 0, 0
-	for n < o.N {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		if skipped < o.Offset {
-			skipped++
-			continue
-		}
-		if !emit(t) {
-			return nil
-		}
-		n++
-	}
-	return nil
+func (o *LimitOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	return drive(ins[0], o.Stage(p, emit))
 }
 
 // AggregateOp folds its entire input into a single output tuple. Used for
@@ -912,11 +823,10 @@ func (o *AggregateOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 
 // HashGroupOp groups its input by key columns and emits one tuple per group
 // produced by the Reduce function (the HashGroup operator from the paper's
-// aggregation operators). With a Spill budget it pre-aggregates with
-// spillable hash partitions: under memory pressure a victim partition's raw
-// tuples move to a run file and are re-aggregated per spilled partition
-// afterwards (recursively repartitioned if a partition alone exceeds the
-// budget).
+// aggregation operators). It pre-aggregates with spillable hash partitions
+// (Run, in spill.go): under memory pressure a victim partition's raw tuples
+// move to a run file and are re-aggregated per spilled partition afterwards
+// (recursively repartitioned if a partition alone exceeds the budget).
 type HashGroupOp struct {
 	Label      string
 	Partitions int
@@ -929,8 +839,8 @@ type HashGroupOp struct {
 	// translator sets it when every consumer of the group's with-variables
 	// is a foldable aggregate call; Reduce is ignored when Aggs is set.
 	Aggs []GroupAgg
-	// Spill is the operator's share of the job memory budget; nil means
-	// unconstrained in-memory grouping.
+	// Spill is the operator's share of the job memory budget; it decides
+	// only when partitions spill. Nil (a hand-built operator) never does.
 	Spill *runfile.Budget
 }
 
@@ -943,47 +853,6 @@ func (o *HashGroupOp) Parallelism() int { return o.Partitions }
 // Blocking implements Operator.
 func (o *HashGroupOp) Blocking() bool { return true }
 
-// Run implements Operator.
-func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	if o.Aggs != nil {
-		return o.runIncremental(ins, emit)
-	}
-	if o.Spill != nil {
-		return o.runSpilling(ins, emit)
-	}
-	groups := map[string][]Tuple{}
-	keys := map[string]Tuple{}
-	var order []string
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			break
-		}
-		var kb []byte
-		key := make(Tuple, 0, len(o.KeyColumns))
-		for _, col := range o.KeyColumns {
-			kb = adm.EncodeKey(kb, t[col])
-			key = append(key, t[col])
-		}
-		ks := string(kb)
-		if _, ok := groups[ks]; !ok {
-			order = append(order, ks)
-			keys[ks] = key
-		}
-		groups[ks] = append(groups[ks], t)
-	}
-	for _, ks := range order {
-		out, err := o.Reduce(keys[ks], groups[ks])
-		if err != nil {
-			return err
-		}
-		if out != nil && !emit(out) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // HybridHashJoinOp joins two inputs on equality of join keys. The build side
 // streams in on input port 1 and is fully consumed into a hash table first
 // (the blocking Join Build activity); the probe side then streams through
@@ -991,13 +860,14 @@ func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 // Activities described in Section 4.1. Both sides must be partitioned on the
 // join key by their incoming connectors so equal keys meet in one instance.
 //
-// With a Spill budget the operator runs as a robust dynamic hybrid hash
-// join (Jahangiri et al., "Design Trade-offs for a Robust Dynamic Hybrid
-// Hash Join"): the build side splits into intra-instance partitions, victim
-// partitions spill to run files under memory pressure, probe tuples destined
-// for spilled partitions are deferred to their own run files, and spilled
-// pairs are joined recursively with level-salted rehashing — falling back to
-// a budget-chunked block nested-loop join on pathological skew.
+// The operator is a robust dynamic hybrid hash join (Jahangiri et al.,
+// "Design Trade-offs for a Robust Dynamic Hybrid Hash Join"; Run, in
+// spill.go): an in-memory hash join over intra-instance partitions until
+// memory pressure evicts a victim partition to a run file, after which probe
+// tuples destined for spilled partitions are deferred to their own run files
+// and spilled pairs are joined recursively with level-salted rehashing —
+// falling back to a budget-chunked block nested-loop join on pathological
+// skew.
 type HybridHashJoinOp struct {
 	Label      string
 	Partitions int
@@ -1006,8 +876,9 @@ type HybridHashJoinOp struct {
 	ProbeKey func(Tuple) adm.Value
 	// Combine merges a probe tuple with a matching build tuple.
 	Combine func(probe, build Tuple) Tuple
-	// Spill is the operator's share of the job memory budget; nil means the
-	// build side is buffered entirely in memory.
+	// Spill is the operator's share of the job memory budget; it decides
+	// only when build partitions are evicted. Nil (a hand-built operator)
+	// never evicts.
 	Spill *runfile.Budget
 }
 
@@ -1019,39 +890,3 @@ func (o *HybridHashJoinOp) Parallelism() int { return o.Partitions }
 
 // Blocking implements Operator.
 func (o *HybridHashJoinOp) Blocking() bool { return true }
-
-// Run implements Operator.
-func (o *HybridHashJoinOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	if len(ins) < 2 {
-		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.Label)
-	}
-	if o.Spill != nil {
-		return o.runSpilling(ins, emit)
-	}
-	// Join Build activity. The key-encoding buffer is reused across tuples;
-	// only the map-key insertion copies it.
-	table := map[string][]Tuple{}
-	var scratch []byte
-	for {
-		t, more := ins[1].Next()
-		if !more {
-			break
-		}
-		scratch = adm.EncodeKey(scratch[:0], o.BuildKey(t))
-		k := string(scratch) // the only remaining per-tuple copy: the map key
-		table[k] = append(table[k], t)
-	}
-	// Join Probe activity.
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			return nil
-		}
-		scratch = adm.EncodeKey(scratch[:0], o.ProbeKey(t))
-		for _, b := range table[string(scratch)] {
-			if !emit(o.Combine(t, b)) {
-				return nil
-			}
-		}
-	}
-}

@@ -61,9 +61,12 @@ type JobProfile struct {
 	// Operators holds one row per operator instance (per fused-chain
 	// component), ordered by (Op, Stage, Partition, Node).
 	Operators []OperatorStats `json:"operators"`
-	// Spill holds one row per budgeted blocking operator.
+	// Spill holds one row per blocking operator that accounts its memory
+	// against a budget share (all of them, in a translator-built job),
+	// whether or not the budget is finite.
 	Spill []OperatorSpill `json:"operatorSpill,omitempty"`
-	// JobSpill is the job-wide spill/budget accounting.
+	// JobSpill is the job-wide spill/budget accounting (nil for a job
+	// without blocking operators).
 	JobSpill *runfile.Stats `json:"jobSpill,omitempty"`
 }
 
@@ -272,55 +275,4 @@ func (pc *profCollector) finalize(job *Job) *JobProfile {
 		jp.JobSpill = &s
 	}
 	return jp
-}
-
-// runProfiled mirrors FusedOp.Run with each component's output counted
-// into stages. The two must stay in lockstep: same composition order,
-// same error capture, same head-driving loop.
-func (o *FusedOp) runProfiled(partition int, ins []*In, emit func(Tuple) bool, stages []int64) error {
-	var stageErr error
-	down := emit
-	start := 0
-	src, isSrc := o.Ops[0].(*SourceOp)
-	if isSrc {
-		start = 1
-	}
-	for i := len(o.Ops) - 1; i >= start; i-- {
-		count := &stages[i]
-		downstream := down
-		st := o.Ops[i].(PushStage).Stage(partition, func(t Tuple) bool {
-			*count++
-			return downstream(t)
-		})
-		down = func(t Tuple) bool {
-			more, err := st(t)
-			if err != nil {
-				if stageErr == nil {
-					stageErr = err
-				}
-				return false
-			}
-			return more
-		}
-	}
-	if isSrc {
-		feed := down
-		headCount := &stages[0]
-		if err := src.Produce(partition, func(t Tuple) bool {
-			*headCount++
-			return feed(t)
-		}); err != nil && stageErr == nil {
-			stageErr = err
-		}
-		return stageErr
-	}
-	for {
-		t, ok := ins[0].Next()
-		if !ok {
-			return stageErr
-		}
-		if !down(t) {
-			return stageErr
-		}
-	}
 }

@@ -2,18 +2,20 @@ package hyracks
 
 import (
 	"errors"
+	"fmt"
 	"io"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/runfile"
 )
 
-// This file holds the out-of-core implementations of the blocking operators:
-// the external merge sort behind SortOp, the robust dynamic hybrid hash join
-// behind HybridHashJoinOp, and the spillable pre-aggregation behind
-// HashGroupOp. Each is taken only when the operator carries a Spill budget
-// (a share of the job's Config.MemoryBudget assigned by the translator);
-// without one the in-memory paths in hyracks.go run unchanged.
+// This file holds the blocking operators' only implementations: SortOp is an
+// external merge sort, HybridHashJoinOp a robust dynamic hybrid hash join,
+// HashGroupOp a spillable pre-aggregation. Each works in memory for as long
+// as its runfile.Instance says the next tuple fits and spills when it does
+// not; the operator's Spill budget (a share of the job's Config.MemoryBudget
+// assigned by the translator) only moves that line, and an unlimited budget
+// never reaches it.
 //
 // All three share the same discipline: tuples are accounted against the
 // instance's budget share with runfile.TupleMemSize, spilling moves whole
@@ -51,10 +53,9 @@ const mergeReaderBufCap = 16 << 10
 // readers plus the in-memory tail open at once, and each reader's bufio
 // buffer is real resident memory, so it must be accounted like everything
 // else. The returned reserve — one buffer per potential cursor, at most half
-// the share — is charged during accumulation (making the sort spill that
-// much earlier) and exchanged at merge time for the actual per-reader
-// charges, so the operator's accounted peak never exceeds its share in
-// either phase.
+// the share — is held back during accumulation (the sort spills that much
+// earlier) so that the per-reader charges of the merge phase fit, and the
+// operator's accounted peak never exceeds its share in either phase.
 func mergeReaderBudget(per int64) (bufSize int, reserve int64) {
 	b := per / (2 * (mergeFanIn + 1))
 	if b > mergeReaderBufCap {
@@ -100,8 +101,8 @@ func spillHash(level int, key []byte) int {
 
 // writeRun spills tuples, in order, into a fresh run file attributed to
 // the owning operator's budget.
-func writeRun(b *runfile.Budget, rows []Tuple) (*runfile.Run, error) {
-	w, err := b.NewRun()
+func writeRun(mem *runfile.Instance, rows []Tuple) (*runfile.Run, error) {
+	w, err := mem.NewRun()
 	if err != nil {
 		return nil, err
 	}
@@ -118,15 +119,14 @@ func writeRun(b *runfile.Budget, rows []Tuple) (*runfile.Run, error) {
 // External merge sort (SortOp)
 // ----------------------------------------------------------------------------
 
-// runExternal is SortOp's out-of-core path: in-memory runs are sorted and
-// spilled when the budget share fills, and emission k-way-merges the spilled
-// runs with the final in-memory run, stably (ties resolve to the earlier
-// run, preserving the stable-sort contract of the in-memory path).
-func (o *SortOp) runExternal(ins []*In, emit func(Tuple) bool) error {
+// Run implements Operator: in-memory runs are sorted and spilled when the
+// budget share fills, and emission k-way-merges the spilled runs with the
+// final in-memory run, stably (ties resolve to the earlier run, so the whole
+// sort is stable however many runs it took).
+func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 	mem := o.Spill.NewInstance()
 	defer mem.Close()
-	readerBuf, readerReserve := mergeReaderBudget(o.Spill.PerInstance)
-	mem.Add(readerReserve)
+	readerBuf, readerReserve := mergeReaderBudget(mem.Limit())
 	var runs []*runfile.Run
 	defer func() {
 		for _, r := range runs {
@@ -134,29 +134,27 @@ func (o *SortOp) runExternal(ins []*In, emit func(Tuple) bool) error {
 		}
 	}()
 
+	// During accumulation the instance holds exactly the buffered rows.
 	var rows []Tuple
-	var rowBytes int64
 	for {
 		t, more := ins[0].Next()
 		if !more {
 			break
 		}
 		sz := runfile.TupleMemSize(t)
-		if !mem.Fits(sz) && len(rows) > 0 {
+		if !mem.Fits(sz + readerReserve) {
 			if err := o.sortRows(rows); err != nil {
 				return err
 			}
-			run, err := writeRun(o.Spill, rows)
+			run, err := writeRun(mem, rows)
 			if err != nil {
 				return err
 			}
 			runs = append(runs, run)
-			mem.Release(rowBytes)
-			rowBytes = 0
+			mem.Release(mem.Used())
 			rows = rows[:0]
 		}
 		mem.Add(sz)
-		rowBytes += sz
 		rows = append(rows, t)
 	}
 	if err := o.sortRows(rows); err != nil {
@@ -171,15 +169,11 @@ func (o *SortOp) runExternal(ins []*In, emit func(Tuple) bool) error {
 		return nil
 	}
 
-	// The merge phase begins: exchange the up-front reservation for the
-	// actual per-reader charges mergeRuns makes as it opens each run.
-	mem.Release(readerReserve)
-
 	// Multi-pass merge: reduce the run count below the fan-in cap by merging
 	// the oldest runs into one (keeping it at the front preserves run order,
 	// and with it stability).
 	for len(runs) > mergeFanIn {
-		w, err := o.Spill.NewRun()
+		w, err := mem.NewRun()
 		if err != nil {
 			return err
 		}
@@ -307,28 +301,33 @@ func (o *SortOp) mergeRuns(mem *runfile.Instance, bufSize int, runs []*runfile.R
 // Robust dynamic hybrid hash join (HybridHashJoinOp)
 // ----------------------------------------------------------------------------
 
-// joinPartition is one intra-instance slice of the build side: resident rows
-// until the partition is chosen as a spill victim, a run-file writer after.
+// joinPartition is one intra-instance slice of the build side: a resident
+// hash table until the partition is chosen as a spill victim, a run-file
+// writer after.
 type joinPartition struct {
-	rows  []Tuple
+	table map[string][]Tuple
 	bytes int64
 	w     *runfile.Writer
 }
 
-// runSpilling is the dynamic hybrid hash join. Build tuples split across
-// spillFanout partitions; under memory pressure the largest resident
-// partition is evicted to a run file (dynamic victim selection — partitions
-// stay resident as long as the actual data allows, rather than a static
-// hybrid split). Probe tuples against resident partitions stream straight
-// through; those destined for spilled partitions are deferred to probe run
-// files and joined recursively afterwards.
-func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
+// Run implements Operator. Build tuples (port 1, the blocking Join Build
+// activity) hash into spillFanout partitions, each its own hash table; under
+// memory pressure the largest resident partition is evicted to a run file
+// (dynamic victim selection — partitions stay resident as long as the actual
+// data allows, rather than a static hybrid split). Probe tuples (port 0)
+// against resident partitions stream straight through; those destined for
+// spilled partitions are deferred to probe run files and joined recursively
+// afterwards.
+func (o *HybridHashJoinOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
+	if len(ins) < 2 {
+		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.Label)
+	}
 	mem := o.Spill.NewInstance()
 	defer mem.Close()
 
 	parts := make([]*joinPartition, spillFanout)
 	for i := range parts {
-		parts[i] = &joinPartition{}
+		parts[i] = &joinPartition{table: map[string][]Tuple{}}
 	}
 	probeW := make([]*runfile.Writer, spillFanout)
 	var pending []*runfile.Run
@@ -352,7 +351,7 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 	spillVictim := func() (bool, error) {
 		vi := -1
 		for i, pt := range parts {
-			if pt.w == nil && len(pt.rows) > 0 && (vi < 0 || pt.bytes > parts[vi].bytes) {
+			if pt.w == nil && pt.bytes > 0 && (vi < 0 || pt.bytes > parts[vi].bytes) {
 				vi = i
 			}
 		}
@@ -360,23 +359,26 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 			return false, nil
 		}
 		pt := parts[vi]
-		w, err := o.Spill.NewRun()
+		w, err := mem.NewRun()
 		if err != nil {
 			return false, err
 		}
-		for _, t := range pt.rows {
-			if err := w.Write(t); err != nil {
-				w.Abort()
-				return false, err
+		for _, rows := range pt.table {
+			for _, t := range rows {
+				if err := w.Write(t); err != nil {
+					w.Abort()
+					return false, err
+				}
 			}
 		}
 		pt.w = w
 		mem.Release(pt.bytes)
-		pt.rows, pt.bytes = nil, 0
+		pt.table, pt.bytes = nil, 0
 		return true, nil
 	}
 
-	// Join Build activity.
+	// Join Build activity. The key-encoding buffer is reused across tuples;
+	// only the map-key insertion copies it.
 	var scratch []byte
 	for {
 		t, more := ins[1].Next()
@@ -398,23 +400,14 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 			}
 			if pt.w == nil {
 				mem.Add(sz)
-				pt.rows = append(pt.rows, t)
+				k := string(scratch)
+				pt.table[k] = append(pt.table[k], t)
 				pt.bytes += sz
 				continue
 			}
 		}
 		if err := pt.w.Write(t); err != nil {
 			return err
-		}
-	}
-
-	// Hash table over the partitions that stayed resident.
-	table := map[string][]Tuple{}
-	for _, pt := range parts {
-		for _, t := range pt.rows {
-			scratch = adm.EncodeKey(scratch[:0], o.BuildKey(t))
-			k := string(scratch)
-			table[k] = append(table[k], t)
 		}
 	}
 
@@ -428,7 +421,7 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 		scratch = adm.EncodeKey(scratch[:0], o.ProbeKey(t))
 		pi := spillHash(0, scratch)
 		if parts[pi].w == nil {
-			for _, b := range table[string(scratch)] {
+			for _, b := range parts[pi].table[string(scratch)] {
 				if !emit(o.Combine(t, b)) {
 					return nil
 				}
@@ -436,7 +429,7 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 			continue
 		}
 		if probeW[pi] == nil {
-			w, err := o.Spill.NewRun()
+			w, err := mem.NewRun()
 			if err != nil {
 				return err
 			}
@@ -448,11 +441,10 @@ func (o *HybridHashJoinOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
 	}
 
 	// Release the resident build memory before recursing into spilled pairs.
-	table = nil
 	for _, pt := range parts {
-		if pt.w == nil && pt.bytes > 0 {
+		if pt.w == nil {
 			mem.Release(pt.bytes)
-			pt.rows, pt.bytes = nil, 0
+			pt.table, pt.bytes = nil, 0
 		}
 	}
 
@@ -499,18 +491,18 @@ func (o *HybridHashJoinOp) joinRuns(mem *runfile.Instance, build, probe *runfile
 	if build == nil || probe == nil || build.Tuples() == 0 || probe.Tuples() == 0 {
 		return nil
 	}
-	if build.MemBytes() <= o.Spill.PerInstance {
+	if build.MemBytes() <= mem.Limit() {
 		return o.hashJoinRunPair(mem, build, probe, emit)
 	}
 	if level >= spillMaxLevel {
 		return o.blockJoinRunPair(mem, build, probe, emit)
 	}
-	bSubs, err := o.partitionRun(build, level, o.BuildKey)
+	bSubs, err := o.partitionRun(mem, build, level, o.BuildKey)
 	if err != nil {
 		releaseRuns(bSubs)
 		return err
 	}
-	pSubs, err := o.partitionRun(probe, level, o.ProbeKey)
+	pSubs, err := o.partitionRun(mem, probe, level, o.ProbeKey)
 	if err != nil {
 		releaseRuns(bSubs)
 		releaseRuns(pSubs)
@@ -521,7 +513,7 @@ func (o *HybridHashJoinOp) joinRuns(mem *runfile.Instance, build, probe *runfile
 	for i := range bSubs {
 		b, p := bSubs[i], pSubs[i]
 		var err error
-		if b != nil && b.Tuples() == build.Tuples() && b.MemBytes() > o.Spill.PerInstance {
+		if b != nil && b.Tuples() == build.Tuples() && b.MemBytes() > mem.Limit() {
 			// No progress: the whole parent landed in one child and still
 			// does not fit. Rehashing deeper cannot help; go robust.
 			err = o.blockJoinRunPair(mem, b, p, emit)
@@ -551,7 +543,7 @@ func releaseRuns(runs []*runfile.Run) {
 
 // partitionRun splits a run into spillFanout sub-runs by the level-salted
 // hash of each tuple's key; empty sub-partitions return nil.
-func (o *HybridHashJoinOp) partitionRun(run *runfile.Run, level int, key func(Tuple) adm.Value) ([]*runfile.Run, error) {
+func (o *HybridHashJoinOp) partitionRun(mem *runfile.Instance, run *runfile.Run, level int, key func(Tuple) adm.Value) ([]*runfile.Run, error) {
 	writers := make([]*runfile.Writer, spillFanout)
 	abort := func() {
 		for _, w := range writers {
@@ -579,7 +571,7 @@ func (o *HybridHashJoinOp) partitionRun(run *runfile.Run, level int, key func(Tu
 		scratch = adm.EncodeKey(scratch[:0], key(t))
 		pi := spillHash(level, scratch)
 		if writers[pi] == nil {
-			w, err := o.Spill.NewRun()
+			w, err := mem.NewRun()
 			if err != nil {
 				abort()
 				return nil, err
@@ -741,14 +733,22 @@ func (o *HybridHashJoinOp) blockJoinRunPair(mem *runfile.Instance, build, probe 
 // Spillable pre-aggregation (HashGroupOp)
 // ----------------------------------------------------------------------------
 
-// runSpilling is HashGroupOp's out-of-core path.
-func (o *HashGroupOp) runSpilling(ins []*In, emit func(Tuple) bool) error {
+// Run implements Operator: the fold-as-you-go accumulator table when Aggs is
+// set (aggStream, groupagg.go), the row-materializing one for Reduce
+// (groupStream) otherwise.
+func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 	mem := o.Spill.NewInstance()
 	defer mem.Close()
-	err := o.groupStream(mem, 0, func() (Tuple, bool, error) {
+	next := func() (Tuple, bool, error) {
 		t, more := ins[0].Next()
 		return t, more, nil
-	}, emit)
+	}
+	var err error
+	if o.Aggs != nil {
+		err = o.aggStream(mem, 0, next, false, emit)
+	} else {
+		err = o.groupStream(mem, 0, next, emit)
+	}
 	if err == errStopDemand {
 		return nil
 	}
@@ -805,7 +805,7 @@ func (o *HashGroupOp) groupStream(mem *runfile.Instance, level int, next func() 
 			return false, nil
 		}
 		pt := parts[vi]
-		w, err := o.Spill.NewRun()
+		w, err := mem.NewRun()
 		if err != nil {
 			return false, err
 		}

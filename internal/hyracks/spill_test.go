@@ -202,9 +202,10 @@ func TestMergeReadersChargedAgainstBudget(t *testing.T) {
 	spill := &runfile.Budget{M: mgr, PerInstance: budget}
 	o := &SortOp{Label: "sort", Partitions: 1, Columns: []int{0}, Spill: spill}
 
+	mem := spill.NewInstance()
 	var runs []*runfile.Run
 	for i := 0; i < mergeFanIn; i++ {
-		r, err := writeRun(spill, []Tuple{intTuple(i, 0), intTuple(i+mergeFanIn, 1)})
+		r, err := writeRun(mem, []Tuple{intTuple(i, 0), intTuple(i+mergeFanIn, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +219,6 @@ func TestMergeReadersChargedAgainstBudget(t *testing.T) {
 		t.Fatalf("reserve %d exceeds half the %d budget", reserve, budget)
 	}
 
-	mem := spill.NewInstance()
 	var out []Tuple
 	err := o.mergeRuns(mem, bufSize, runs, nil, func(tp Tuple) error {
 		out = append(out, tp)

@@ -478,7 +478,7 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 					}
 					if fused, ok := op.(*FusedOp); ok {
 						ip.stages = make([]int64, len(fused.Ops))
-						runErr = fused.runProfiled(p, ins, pemit, ip.stages)
+						runErr = fused.run(p, ins, pemit, ip.stages)
 					} else {
 						runErr = op.Run(p, ins, pemit)
 					}

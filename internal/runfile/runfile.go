@@ -13,7 +13,9 @@
 // divides Config.MemoryBudget evenly among the instances of the job's
 // spillable blocking operators); each operator instance opens an Instance
 // accountant against it and consults Fits before buffering a tuple, spilling
-// to a run file when the answer is no.
+// to a run file when the answer is no. "No limit" is decided here and nowhere
+// else: an Instance opened on a nil Budget, or on one whose PerInstance is
+// zero, accounts like any other and always fits.
 //
 // Run files hold serialized tuples ([]adm.Value rows, the runtime's Tuple
 // layout) with buffered sequential I/O: a Writer appends length-prefixed
@@ -42,13 +44,16 @@ type Manager struct {
 	baseDir string
 	limit   int64
 
+	// used and peak are the job's resident bytes; atomics, because every
+	// operator instance charges them once per buffered tuple.
+	used atomic.Int64
+	peak atomic.Int64
+
 	mu       sync.Mutex
 	dir      string // lazily created job-private subdirectory of baseDir
 	seq      int
-	writers  map[*Writer]struct{}
+	writers  map[*Writer]struct{} // created with the first run file
 	runs     map[*Run]struct{}
-	used     int64
-	peak     int64
 	runsMade int
 	tuples   int64
 	bytes    int64
@@ -75,17 +80,12 @@ type Stats struct {
 // NewManager creates a spill manager for one job. Run files are created in a
 // job-private subdirectory of baseDir (created lazily on first spill; an
 // empty baseDir falls back to os.TempDir()). limit is the job's total memory
-// budget in bytes.
+// budget in bytes; zero means unconstrained.
 func NewManager(baseDir string, limit int64) *Manager {
 	if baseDir == "" {
 		baseDir = os.TempDir()
 	}
-	return &Manager{
-		baseDir: baseDir,
-		limit:   limit,
-		writers: map[*Writer]struct{}{},
-		runs:    map[*Run]struct{}{},
-	}
+	return &Manager{baseDir: baseDir, limit: limit}
 }
 
 // Limit returns the job's total memory budget in bytes.
@@ -99,7 +99,7 @@ func (m *Manager) Stats() Stats {
 		RunsCreated:   m.runsMade,
 		TuplesSpilled: m.tuples,
 		BytesSpilled:  m.bytes,
-		PeakResident:  m.peak,
+		PeakResident:  m.peak.Load(),
 		LiveRuns:      len(m.runs) + len(m.writers),
 	}
 }
@@ -117,6 +117,8 @@ func (m *Manager) NewRun() (*Writer, error) {
 			return nil, fmt.Errorf("runfile: create job spill dir: %w", err)
 		}
 		m.dir = dir
+		m.writers = map[*Writer]struct{}{}
+		m.runs = map[*Run]struct{}{}
 	}
 	m.seq++
 	path := filepath.Join(m.dir, fmt.Sprintf("run-%06d.tmp", m.seq))
@@ -149,18 +151,17 @@ func (m *Manager) Close() error {
 		}
 	}
 	globalLiveRuns.Add(-int64(len(m.writers) + len(m.runs)))
-	m.writers = map[*Writer]struct{}{}
+	m.writers = nil
 	for r := range m.runs {
 		r.released = true
 		if err := os.Remove(r.path); err != nil && first == nil {
 			first = err
 		}
 	}
-	m.runs = map[*Run]struct{}{}
+	m.runs = nil
 	// Any resident bytes the job's instances never released die with the
 	// job; fold them out of the process-wide gauge too.
-	globalUsed.Add(-m.used)
-	m.used = 0
+	globalUsed.Add(-m.used.Swap(0))
 	if m.dir != "" {
 		if err := os.Remove(m.dir); err != nil && first == nil {
 			first = err
@@ -170,59 +171,39 @@ func (m *Manager) Close() error {
 	return first
 }
 
+// add accounts n resident bytes (negative to release them).
 func (m *Manager) add(n int64) {
-	m.mu.Lock()
-	m.used += n
-	if m.used > m.peak {
-		m.peak = m.used
-	}
-	m.mu.Unlock()
+	atomicMax(&m.peak, m.used.Add(n))
 	atomicMax(&globalPeak, globalUsed.Add(n))
-}
-
-func (m *Manager) release(n int64) {
-	m.mu.Lock()
-	m.used -= n
-	m.mu.Unlock()
-	globalUsed.Add(-n)
 }
 
 // ----------------------------------------------------------------------------
 // Budget accounting
 // ----------------------------------------------------------------------------
 
-// Budget is one blocking operator's share of the job's memory budget. A nil
-// *Budget means the operator is unconstrained (the pre-out-of-core
-// behavior); the translator leaves it nil when no budget is configured.
+// Budget is one blocking operator's share of the job's memory budget. The
+// translator attaches one to every blocking operator of every job; operators
+// reach it only through the Instance that NewInstance opens.
 type Budget struct {
 	// M is the job's spill manager (run-file factory and global accounting).
 	M *Manager
-	// PerInstance is the resident-byte allowance of each operator instance.
+	// PerInstance is the resident-byte allowance of each operator instance;
+	// zero means unlimited.
 	PerInstance int64
 	// Obs, when non-nil, accumulates the owning operator's spill activity
 	// across all of its instances for job profiling.
 	Obs *SpillObserver
 }
 
-// NewInstance opens a per-operator-instance accountant against the budget.
+// NewInstance opens a per-operator-instance accountant against the budget. A
+// nil budget (an operator built by hand, outside the translator) is an
+// unlimited one charged to a manager of its own: its instances never spill,
+// so that manager never creates a file.
 func (b *Budget) NewInstance() *Instance {
+	if b == nil {
+		b = &Budget{M: &Manager{}}
+	}
 	return &Instance{b: b}
-}
-
-// NewRun creates a run file attributed to this budget's operator: the
-// writer's totals roll into both the manager and the budget's observer.
-// Operators must spill through this method (not b.M.NewRun directly) so
-// per-operator profiles see their run files.
-func (b *Budget) NewRun() (*Writer, error) {
-	w, err := b.M.NewRun()
-	if err != nil {
-		return nil, err
-	}
-	if b.Obs != nil {
-		b.Obs.runs.Add(1)
-		w.obs = b.Obs
-	}
-	return w, nil
 }
 
 // SpillObserver accumulates one operator's spill activity across its
@@ -255,23 +236,23 @@ func (o *SpillObserver) Snapshot() SpillStats {
 	}
 }
 
-func (o *SpillObserver) addResident(n int64) {
-	atomicMax(&o.peak, o.cur.Add(n))
-}
-
 // Instance tracks one operator instance's resident bytes against its budget
-// share. It is used by a single goroutine; only the aggregate roll-up into
-// the manager is synchronized.
+// share. It is used by a single goroutine; only the roll-up into the manager
+// and the observer is shared.
 type Instance struct {
 	b    *Budget
 	used int64
 }
 
+// Limit returns the instance's resident-byte allowance, zero for unlimited.
+func (in *Instance) Limit() int64 { return in.b.PerInstance }
+
 // Fits reports whether n more resident bytes would stay within the
-// instance's allowance. An instance holding nothing always fits (operators
-// must be able to buffer at least one tuple to make progress).
+// instance's allowance. An unlimited instance always fits, and so does one
+// holding nothing (operators must be able to buffer at least one tuple to
+// make progress).
 func (in *Instance) Fits(n int64) bool {
-	return in.used == 0 || in.used+n <= in.b.PerInstance
+	return in.b.PerInstance <= 0 || in.used == 0 || in.used+n <= in.b.PerInstance
 }
 
 // Add accounts n resident bytes.
@@ -279,31 +260,33 @@ func (in *Instance) Add(n int64) {
 	in.used += n
 	in.b.M.add(n)
 	if o := in.b.Obs; o != nil {
-		o.addResident(n)
+		atomicMax(&o.peak, o.cur.Add(n))
 	}
 }
 
 // Release returns n resident bytes.
-func (in *Instance) Release(n int64) {
-	in.used -= n
-	in.b.M.release(n)
-	if o := in.b.Obs; o != nil {
-		o.addResident(-n)
-	}
-}
+func (in *Instance) Release(n int64) { in.Add(-n) }
 
 // Used returns the instance's current resident bytes.
 func (in *Instance) Used() int64 { return in.used }
 
 // Close releases whatever the instance still holds.
-func (in *Instance) Close() {
-	if in.used != 0 {
-		in.b.M.release(in.used)
-		if o := in.b.Obs; o != nil {
-			o.addResident(-in.used)
-		}
-		in.used = 0
+func (in *Instance) Close() { in.Release(in.used) }
+
+// NewRun creates a run file attributed to the instance's operator: the
+// writer's totals roll into both the manager and the budget's observer.
+// Operators spill through this method (not the manager's NewRun) so
+// per-operator profiles see their run files.
+func (in *Instance) NewRun() (*Writer, error) {
+	w, err := in.b.M.NewRun()
+	if err != nil {
+		return nil, err
 	}
+	if o := in.b.Obs; o != nil {
+		o.runs.Add(1)
+		w.obs = o
+	}
+	return w, nil
 }
 
 // ----------------------------------------------------------------------------

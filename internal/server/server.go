@@ -113,6 +113,12 @@ type Server struct {
 	metrics *serverMetrics
 }
 
+// ReadHeaderTimeout is the http.Server.ReadHeaderTimeout of every listener
+// the daemons open (asterixd, asterixcc, asterixnc's metrics listener):
+// without one, a client that connects and never finishes its request headers
+// pins a goroutine and a socket forever.
+const ReadHeaderTimeout = 10 * time.Second
+
 // New wraps an engine in a Server. The caller keeps ownership of the
 // engine; Server.Close stops the handle janitor but does not close the
 // engine.

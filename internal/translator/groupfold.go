@@ -3,6 +3,7 @@ package translator
 import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
+	"asterixdb/internal/hyracks"
 )
 
 // This file decides when a group-by can run fold-as-you-go (the ROADMAP's
@@ -17,10 +18,11 @@ import (
 // The rewrite is all-or-nothing per group-by: one bag-like use means rows
 // must be materialized anyway, so folding the rest would not save memory.
 
-// groupFoldFuncs are the aggregate builtins with a one-pass accumulator.
-var groupFoldFuncs = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"sql-count": true, "sql-sum": true, "sql-avg": true, "sql-min": true, "sql-max": true,
+// foldable reports whether a call is an aggregate builtin with a one-pass
+// accumulator applied to a single argument.
+func foldable(x *aql.CallExpr) bool {
+	_, ok := hyracks.ParseAggFn(x.Func)
+	return ok && len(x.Args) == 1
 }
 
 // foldSpec is one (with-variable, aggregate) pair folded by the group-by.
@@ -193,7 +195,7 @@ func scanFoldUses(e aql.Expr, targets, bound map[string]bool, use func(w, fn str
 	case *aql.UnaryExpr:
 		scanFoldUses(x.Operand, targets, bound, use)
 	case *aql.CallExpr:
-		if groupFoldFuncs[x.Func] && len(x.Args) == 1 {
+		if foldable(x) {
 			if vr, ok := x.Args[0].(*aql.VariableRef); ok && targets[vr.Name] && !bound[vr.Name] {
 				use(vr.Name, x.Func, true)
 				return
@@ -298,7 +300,7 @@ func rewriteFoldCalls(e aql.Expr, repl map[string]map[string]string, bound map[s
 		}
 		return e
 	case *aql.CallExpr:
-		if groupFoldFuncs[x.Func] && len(x.Args) == 1 {
+		if foldable(x) {
 			if vr, ok := x.Args[0].(*aql.VariableRef); ok && !bound[vr.Name] {
 				if name, ok := repl[vr.Name][x.Func]; ok {
 					return &aql.VariableRef{Name: name}

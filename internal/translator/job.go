@@ -3,7 +3,6 @@ package translator
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"asterixdb/internal/adm"
@@ -21,9 +20,10 @@ type JobOptions struct {
 	Partitions int
 	// MemoryBudget is the per-job memory budget in bytes for blocking
 	// operators, divided evenly among the instances of the job's spillable
-	// operators (sort, hybrid hash join, hash group-by). Zero means
-	// unconstrained. It also derives the job's frame size, so constrained
-	// jobs ship proportionally smaller frames.
+	// operators (sort, hybrid hash join, hash group-by): it decides when they
+	// spill, not which algorithm they run. Zero means unconstrained — they
+	// never spill. It also derives the job's frame size, so constrained jobs
+	// ship proportionally smaller frames.
 	MemoryBudget int64
 	// SpillDir is the directory run files are created under when operators
 	// spill (a job-private subdirectory is created lazily). Empty falls back
@@ -57,10 +57,10 @@ type JobOptions struct {
 // error only for plans that genuinely have no physical operator; the engine
 // surfaces those as typed "unplannable" errors.
 //
-// When opts.MemoryBudget is set, the job runs out-of-core: the budget is
-// divided among the blocking operators' instances, each of which spills to
-// run files (managed by the job's runfile.Manager, closed by the runtime on
-// every termination path) instead of growing past its share.
+// opts.MemoryBudget is divided among the blocking operators' instances, each
+// of which spills to run files (managed by the job's runfile.Manager, closed
+// by the runtime on every termination path) instead of growing past its
+// share; a zero budget is an unlimited share.
 func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, error) {
 	if opts.Partitions <= 0 {
 		opts.Partitions = 1
@@ -96,13 +96,10 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 
 // assignMemoryBudget divides the job's memory budget evenly among the
 // instances of its spillable blocking operators and attaches the job's spill
-// manager, turning the blocking operators into their out-of-core variants.
-// It also derives the job frame size from the budget so channel buffering
-// scales down with it.
+// manager, which accounts their resident bytes whatever the budget (zero is
+// an unlimited share: runfile never reports it full). It also derives the
+// job frame size from the budget so channel buffering scales down with it.
 func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
-	if opts.MemoryBudget <= 0 {
-		return
-	}
 	job.FrameSize = hyracks.FrameSizeForBudget(opts.MemoryBudget)
 	instances := 0
 	for _, op := range job.Operators {
@@ -123,8 +120,8 @@ func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
 	mgr := runfile.NewManager(opts.SpillDir, opts.MemoryBudget)
 	job.Spill = mgr
 	share := opts.MemoryBudget / int64(instances)
-	if share < 1 {
-		share = 1
+	if share < 1 && opts.MemoryBudget > 0 {
+		share = 1 // a budget smaller than the instance count is still a limit
 	}
 	// Each operator gets its own Budget (same manager and share) so its
 	// SpillObserver attributes run files and resident peaks per operator
@@ -902,9 +899,9 @@ func (b *jobBuilder) buildIndexNLJoin(n *algebra.Node, left stream) (stream, boo
 // tuple from port 0 is combined with every buffered right tuple. A residual
 // select above applies any non-equi predicate.
 //
-// With a spill budget the broadcast buffer is accounted; once it exceeds the
-// instance's share the overflow is written to a run file and the join runs
-// as a block nested loop — left tuples batch into budget-sized chunks and
+// The broadcast buffer is accounted against the operator's budget share; once
+// it exceeds the share the overflow is written to a run file and the join
+// runs as a block nested loop — left tuples batch into budget-sized chunks and
 // the spilled right side re-streams once per chunk, so resident memory stays
 // bounded by the budget at the cost of extra sequential passes.
 type crossJoinOp struct {
@@ -931,11 +928,8 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 	if len(ins) < 2 {
 		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.label)
 	}
-	var mem *runfile.Instance
-	if o.spill != nil {
-		mem = o.spill.NewInstance()
-		defer mem.Close()
-	}
+	mem := o.spill.NewInstance()
+	defer mem.Close()
 	var resident []hyracks.Tuple
 	var w *runfile.Writer
 	for {
@@ -944,8 +938,8 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 			break
 		}
 		sz := runfile.TupleMemSize(t)
-		if w == nil && mem != nil && !mem.Fits(sz) {
-			nw, err := o.spill.NewRun()
+		if w == nil && !mem.Fits(sz) {
+			nw, err := mem.NewRun()
 			if err != nil {
 				return err
 			}
@@ -958,9 +952,7 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 			}
 			continue
 		}
-		if mem != nil {
-			mem.Add(sz)
-		}
+		mem.Add(sz)
 		resident = append(resident, t)
 	}
 	if w == nil {
@@ -993,12 +985,10 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 				break
 			}
 			sz := runfile.TupleMemSize(t)
-			if mem != nil {
-				mem.Add(sz)
-			}
+			mem.Add(sz)
 			chunkBytes += sz
 			chunk = append(chunk, t)
-			if mem != nil && !mem.Fits(1) {
+			if !mem.Fits(1) {
 				break
 			}
 		}
@@ -1020,9 +1010,7 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 		if !stop {
 			rd, err := run.Open()
 			if err != nil {
-				if mem != nil {
-					mem.Release(chunkBytes)
-				}
+				mem.Release(chunkBytes)
 				return err
 			}
 			for !stop {
@@ -1032,9 +1020,7 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 				}
 				if err != nil {
 					rd.Close()
-					if mem != nil {
-						mem.Release(chunkBytes)
-					}
+					mem.Release(chunkBytes)
 					return err
 				}
 				r := hyracks.Tuple(cols)
@@ -1047,9 +1033,7 @@ func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) boo
 			}
 			rd.Close()
 		}
-		if mem != nil {
-			mem.Release(chunkBytes)
-		}
+		mem.Release(chunkBytes)
 		if stop {
 			return nil
 		}
@@ -1341,204 +1325,43 @@ func limitPushdownScan(n *algebra.Node) *algebra.Node {
 // aggSchema is the synthetic single-column schema aggregate results flow in.
 var aggSchema = Schema{"#agg"}
 
-// aggState is the O(1) streaming state behind every aggregate fold: the
-// local half of the split, and the unsplit ablation aggregate. It mirrors
-// the builtin aggregate's null semantics exactly — under AQL semantics an
-// unknown item (or one that fails numeric conversion or comparison) poisons
-// the aggregate to null; under SQL semantics unknowns are skipped.
-type aggState struct {
-	base string // count, sum, avg, min or max
-	sql  bool   // sql- variant: skip unknowns instead of poisoning
-
-	n    int64
-	sum  float64
-	best adm.Value
-	bad  bool
-}
-
-// add folds one evaluated item into the state.
-func (s *aggState) add(v adm.Value) {
-	if s.base == "count" {
-		s.n++ // count counts every item, unknowns included
-		return
-	}
-	if s.bad {
-		return
-	}
-	if adm.IsUnknown(v) {
-		if !s.sql {
-			s.bad = true
-		}
-		return
-	}
-	switch s.base {
-	case "sum", "avg":
-		d, ok := adm.NumericAsDouble(v)
-		if !ok {
-			s.bad = true
-			return
-		}
-		s.sum += d
-		s.n++
-	case "min", "max":
-		if s.best == nil {
-			s.best = v
-			return
-		}
-		c, err := adm.Compare(v, s.best)
-		if err != nil {
-			s.bad = true
-			return
-		}
-		if (s.base == "max" && c > 0) || (s.base == "min" && c < 0) {
-			s.best = v
-		}
-	}
-}
-
-// partial renders the state as the partial tuple the global half merges.
-// Layout: count -> {n}; sum/avg -> {sum, n, bad}; min/max -> {best, present, bad}.
-func (s *aggState) partial() (hyracks.Tuple, error) {
-	switch s.base {
-	case "count":
-		return hyracks.Tuple{adm.Int64(s.n)}, nil
-	case "sum", "avg":
-		return hyracks.Tuple{adm.Double(s.sum), adm.Int64(s.n), adm.Boolean(s.bad)}, nil
-	case "min", "max":
-		best := s.best
-		if best == nil {
-			best = adm.Null{}
-		}
-		return hyracks.Tuple{best, adm.Boolean(s.best != nil), adm.Boolean(s.bad)}, nil
-	}
-	return nil, fmt.Errorf("translator: no partial aggregate for %q", s.base)
-}
-
-// final renders the state as the finished aggregate value — combine applied
-// to a single partial, which is exactly the builtin aggregate's result.
-func (s *aggState) final() (hyracks.Tuple, error) {
-	switch s.base {
-	case "count":
-		return hyracks.Tuple{adm.Int64(s.n)}, nil
-	case "sum", "avg":
-		if s.bad || s.n == 0 {
-			return hyracks.Tuple{adm.Null{}}, nil
-		}
-		if s.base == "avg" {
-			return hyracks.Tuple{adm.Double(s.sum / float64(s.n))}, nil
-		}
-		return hyracks.Tuple{adm.Double(s.sum)}, nil
-	case "min", "max":
-		if s.bad || s.best == nil {
-			return hyracks.Tuple{adm.Null{}}, nil
-		}
-		return hyracks.Tuple{s.best}, nil
-	}
-	return nil, fmt.Errorf("translator: no aggregate for %q", s.base)
-}
-
-// aggFold builds the streaming fold for an aggregate evaluated over the
-// query's return expression. The local half of the split renders its state
-// as a partial tuple for the global combiner; the unsplit ablation aggregate
-// (final) renders the finished value directly. Each instance run gets fresh
+// aggFold builds an AggregateOp's streaming fold on the hyracks aggregate
+// kernel, the same accumulator HashGroupOp folds per group. With a return
+// expression the step evaluates it over each binding tuple and folds the
+// value (the local half of the split, and the unsplit aggregate); without one
+// the input tuples are the partitions' encoded partials and the step merges
+// them (the global half). finish emits the encoded accumulator when the fold
+// is a partial, the finished value otherwise. Each instance run gets fresh
 // state and its own binding environment, so parallel partitions never share.
-func (b *jobBuilder) aggFold(fn string, ret aql.Expr, schema Schema, final bool) func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-	base := strings.TrimPrefix(fn, "sql-")
-	sql := strings.HasPrefix(fn, "sql-")
+func (b *jobBuilder) aggFold(name string, ret aql.Expr, schema Schema, partial bool) func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
+	fn, _ := hyracks.ParseAggFn(name) // Compile wraps only the names it accepts
 	return func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-		env := make(expr.Env, len(schema)+1)
-		st := &aggState{base: base, sql: sql}
+		var acc hyracks.AggAccum
 		step := func(t hyracks.Tuple) error {
-			bindInto(env, schema, t)
-			v, err := expr.Eval(b.ctx, env, ret)
+			part, err := hyracks.DecodeAccum(t)
 			if err != nil {
 				return err
 			}
-			st.add(v)
+			acc.Merge(fn, &part)
 			return nil
 		}
-		if final {
-			return step, st.final
-		}
-		return step, st.partial
-	}
-}
-
-// aggCombine is the global half: it merges the per-partition partials into
-// the final aggregate value, streaming one partial at a time. A poisoned
-// partial (bad flag set) or a merge failure resolves the whole aggregate to
-// null; remaining partials are drained without further folding.
-func aggCombine(fn string) func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-	base := strings.TrimPrefix(fn, "sql-")
-	return func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-		var (
-			sum  float64
-			n    int64
-			best adm.Value
-			bad  bool
-		)
-		step := func(t hyracks.Tuple) error {
-			switch base {
-			case "count":
-				c, _ := adm.NumericAsInt64(t[0])
-				n += c
-			case "sum", "avg":
-				if bad {
-					return nil
-				}
-				if bool(t[2].(adm.Boolean)) {
-					bad = true
-					return nil
-				}
-				d, _ := adm.NumericAsDouble(t[0])
-				c, _ := adm.NumericAsInt64(t[1])
-				sum += d
-				n += c
-			case "min", "max":
-				if bad {
-					return nil
-				}
-				if bool(t[2].(adm.Boolean)) {
-					bad = true
-					return nil
-				}
-				if !bool(t[1].(adm.Boolean)) {
-					return nil
-				}
-				if best == nil {
-					best = t[0]
-					return nil
-				}
-				c, err := adm.Compare(t[0], best)
+		if ret != nil {
+			env := make(expr.Env, len(schema)+1)
+			step = func(t hyracks.Tuple) error {
+				bindInto(env, schema, t)
+				v, err := expr.Eval(b.ctx, env, ret)
 				if err != nil {
-					bad = true
-					return nil
+					return err
 				}
-				if (base == "max" && c > 0) || (base == "min" && c < 0) {
-					best = t[0]
-				}
+				acc.Fold(fn, v)
+				return nil
 			}
-			return nil
 		}
 		finish := func() (hyracks.Tuple, error) {
-			switch base {
-			case "count":
-				return hyracks.Tuple{adm.Int64(n)}, nil
-			case "sum", "avg":
-				if bad || n == 0 {
-					return hyracks.Tuple{adm.Null{}}, nil
-				}
-				if base == "avg" {
-					return hyracks.Tuple{adm.Double(sum / float64(n))}, nil
-				}
-				return hyracks.Tuple{adm.Double(sum)}, nil
-			case "min", "max":
-				if bad || best == nil {
-					return hyracks.Tuple{adm.Null{}}, nil
-				}
-				return hyracks.Tuple{best}, nil
+			if partial {
+				return acc.Encode(nil), nil
 			}
-			return nil, fmt.Errorf("translator: no global aggregate for %q", fn)
+			return hyracks.Tuple{acc.Finish(fn)}, nil
 		}
 		return step, finish
 	}
@@ -1555,7 +1378,7 @@ func (b *jobBuilder) buildLocalAgg(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.AggregateOp{
 		Label:      fmt.Sprintf("aggregate(local-%s)", n.AggFunc),
 		Partitions: in.par,
-		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, false),
+		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, true),
 	})
 	return b.connect(in, op, in.par, aggSchema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
@@ -1568,17 +1391,14 @@ func (b *jobBuilder) buildGlobalAgg(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.AggregateOp{
 		Label:      fmt.Sprintf("aggregate(global-%s)", n.AggFunc),
 		Partitions: 1,
-		NewFold:    aggCombine(n.AggFunc),
+		NewFold:    b.aggFold(n.AggFunc, nil, nil, false),
 	})
 	// The n:1 replicating connector of Figure 6 gathers the partials.
 	return b.connect(in, op, 1, aggSchema, hyracks.Connector{Kind: hyracks.MToNReplicating}), nil
 }
 
 // buildAggregate is the unsplit aggregate (ablation path): gather everything
-// into one instance and fold it there. The streaming aggState reproduces the
-// builtin aggregate's semantics value-for-value (final is combine applied to
-// a single partial), so this path no longer materializes the gathered input
-// into an OrderedList before aggregating.
+// into one instance and fold it there.
 func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
@@ -1590,7 +1410,7 @@ func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.AggregateOp{
 		Label:      fmt.Sprintf("aggregate(%s)", n.AggFunc),
 		Partitions: 1,
-		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, true),
+		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, false),
 	})
 	return b.connect(in, op, 1, aggSchema, gatherConnector(in.par)), nil
 }

@@ -88,7 +88,8 @@ func Compile(e aql.Expr, cat algebra.Catalog, opts algebra.Options) (*algebra.Pl
 		return algebra.Optimize(plan, cat, opts), nil
 	case *aql.CallExpr:
 		if len(q.Args) == 1 {
-			if inner, ok := q.Args[0].(*aql.FLWORExpr); ok && isAggregate(q.Func) {
+			_, isAgg := hyracks.ParseAggFn(q.Func)
+			if inner, ok := q.Args[0].(*aql.FLWORExpr); ok && isAgg {
 				plan, err := algebra.Build(inner)
 				if err != nil {
 					return nil, err
@@ -99,12 +100,4 @@ func Compile(e aql.Expr, cat algebra.Catalog, opts algebra.Options) (*algebra.Pl
 		}
 	}
 	return &algebra.Plan{Root: &algebra.Node{Kind: algebra.OpDistribute}, Query: &aql.FLWORExpr{Return: e}}, nil
-}
-
-func isAggregate(name string) bool {
-	switch name {
-	case "avg", "sum", "count", "min", "max", "sql-avg", "sql-sum", "sql-count", "sql-min", "sql-max":
-		return true
-	}
-	return false
 }

@@ -324,8 +324,8 @@ func TestFrameSizeDerivedFromBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job2.FrameSize != 0 {
-		t.Fatalf("unconstrained job frame size %d, want 0 (runtime default)", job2.FrameSize)
+	if job2.FrameSize != 64 {
+		t.Fatalf("unconstrained job frame size %d, want 64 (the runtime default)", job2.FrameSize)
 	}
 }
 
@@ -399,5 +399,49 @@ func TestAggregateStreamsWithoutBuffering(t *testing.T) {
 	got, ok := adm.NumericAsDouble(res[0])
 	if !ok || got != 250.5 {
 		t.Errorf("avg over ids 1..500 = %v, want 250.5", res[0])
+	}
+}
+
+// TestUnbudgetedOperatorsAccountWithoutSpilling is the other side of the
+// spill line: with MemoryBudget 0 the join, the sort and the bag-materializing
+// group-by run the same bodies as under a budget, account what they hold (so
+// a profile tells an operator what budget its query would need), and never
+// touch the disk — no run file, no spill directory.
+func TestUnbudgetedOperatorsAccountWithoutSpilling(t *testing.T) {
+	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
+	inst := newSpillInstance(t, 0, 400)
+	for _, q := range spillQueries {
+		t.Run(q.name, func(t *testing.T) {
+			cur, err := inst.QueryStream(WithProfiling(context.Background()), q.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			for cur.Next() {
+				rows++
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			cur.Close()
+			prof := cur.Profile()
+			if rows == 0 || prof == nil || prof.JobSpill == nil {
+				t.Fatalf("rows %d, profile %+v: want results and job-wide accounting without a budget", rows, prof)
+			}
+			if st := prof.JobSpill; st.RunsCreated != 0 || st.BytesSpilled != 0 || st.PeakResident <= 0 {
+				t.Errorf("job accounting %+v: want no run files and a non-zero resident peak", *st)
+			}
+			if len(prof.Spill) == 0 {
+				t.Error("no per-operator accounting rows")
+			}
+			for _, s := range prof.Spill {
+				if s.Runs != 0 || s.PeakBytes <= 0 {
+					t.Errorf("operator %s: %+v, want no runs and a non-zero resident peak", s.Name, s.SpillStats)
+				}
+			}
+			if _, err := os.Stat(inst.SpillDir()); !os.IsNotExist(err) {
+				t.Errorf("spill directory %s exists after unbudgeted queries (stat err %v)", inst.SpillDir(), err)
+			}
+		})
 	}
 }
