@@ -289,3 +289,59 @@ func TestMalformedMemoryBudgetEnv(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedCreateIndexLeavesNoIndex: a `create index` whose backfill fails
+// (here: an R-tree over a field holding one non-spatial value) must leave no
+// published index behind. A half-built one would be picked by the optimizer
+// and silently drop the rows the backfill never reached, and a retry would
+// report "already exists" instead of the real error.
+func TestFailedCreateIndexLeavesNoIndex(t *testing.T) {
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { inst.Close() })
+	if _, err := inst.Execute(`
+create dataverse V; use dataverse V;
+create type T as open { id: int64 };
+create dataset D(T) primary key id;
+insert into dataset D ([
+  {"id": 1, "loc": point("1.0,1.0")}, {"id": 2, "loc": point("2.0,2.0")},
+  {"id": 3, "loc": point("3.0,3.0")}, {"id": 4, "loc": "oops"},
+  {"id": 5, "loc": point("5.0,5.0")}, {"id": 6, "loc": point("6.0,6.0")},
+  {"id": 7, "loc": point("7.0,7.0")}, {"id": 8, "loc": point("8.0,8.0")}
+]);`); err != nil {
+		t.Fatal(err)
+	}
+	const ddl = `create index locIdx on D(loc) type rtree;`
+	const query = `for $d in dataset D
+where spatial-intersect($d.loc, create-rectangle(create-point(0.0, 0.0), create-point(9.0, 9.0)))
+return $d.id;`
+
+	_, firstErr := inst.Execute(ddl)
+	if firstErr == nil {
+		t.Fatal("create index over a non-spatial value succeeded")
+	}
+	ds, _ := inst.Dataset("D")
+	if ixs := ds.Indexes(); len(ixs) != 0 {
+		t.Errorf("failed create index left %v published", ixs)
+	}
+	plan, err := inst.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "datasource-scan") || strings.Contains(plan, "rtree-search") {
+		t.Errorf("query plans through the failed index:\n%s", plan)
+	}
+	rows, err := inst.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Errorf("query returned %d rows, want all 7 spatial ones: %v", len(rows), rows)
+	}
+	_, retryErr := inst.Execute(ddl)
+	if retryErr == nil || errors.Is(retryErr, ErrExists) || retryErr.Error() != firstErr.Error() {
+		t.Errorf("retried create index = %v, want the original error %v", retryErr, firstErr)
+	}
+}

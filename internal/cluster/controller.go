@@ -57,7 +57,7 @@ type Controller struct {
 	jobs    map[string]*gatherJob
 	penders map[string]chan ctrlMsg // rpc key -> reply
 
-	nextID     int64
+	nextID     atomic.Int64
 	nodeDeaths atomic.Int64 // nodes declared dead since startup (metrics)
 	closed     chan struct{}
 	once       sync.Once
@@ -440,7 +440,7 @@ func (c *Controller) requireCluster() ([]*ncPeer, error) {
 func rpcKey(id, node string) string { return id + "|" + node }
 
 func (c *Controller) newID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, atomic.AddInt64(&c.nextID, 1))
+	return fmt.Sprintf("%s-%d", prefix, c.nextID.Add(1))
 }
 
 // rpc sends one message to one node and waits for its ack, bounded by the

@@ -1,7 +1,8 @@
-// Package invidx implements an in-memory inverted index mapping text tokens
-// to the primary keys of the records containing them. It backs AsterixDB's
-// "keyword" and "ngram(k)" secondary indexes (Sections 2.2 and 4.3) and the
-// indexed fuzzy joins of Section 3.
+// Package invidx holds what is specific to AsterixDB's "keyword" and
+// "ngram(k)" secondary indexes (Sections 2.2 and 4.3) and the indexed fuzzy
+// joins of Section 3: the tokenizers, the posting key layout, and the
+// posting-list algebra over the LSM tree the storage layer owns (lsm.go).
+// Index is the in-memory reference implementation tests compare that against.
 package invidx
 
 import (

@@ -1,9 +1,10 @@
-// LSM persistence for the inverted secondary index. The durable truth is an
-// lsm.Tree whose keys are (uvarint token length ‖ token ‖ primary key) with
-// nil values: one entry per posting. Lookups are prefix range scans over the
-// token — the length prefix makes each token's postings contiguous and
-// un-confusable with tokens it prefixes — so, unlike the R-tree, no
-// in-memory accelerator is needed and reopening is instant.
+// The inverted secondary index's LSM key layout and posting-list algebra. The
+// storage layer owns the lsm.Tree (one per index partition, with the same
+// flush/antimatter/merge/recovery lifecycle as every other index); its keys
+// are (uvarint token length ‖ token ‖ primary key) with nil values: one entry
+// per posting. Lookups are prefix range scans over the token — the length
+// prefix makes each token's postings contiguous and un-confusable with tokens
+// it prefixes — so, unlike the R-tree, no in-memory accelerator is needed.
 
 package invidx
 
@@ -35,36 +36,10 @@ func DecodeTokenKey(key []byte) (string, []byte, error) {
 	return token, key[n+int(tokenLen):], nil
 }
 
-// LSM is a persistent inverted index partition. Callers must serialize all
-// operations (the storage layer's partition latch), same as lsm.Tree.
-type LSM struct {
-	tree     *lsm.Tree
-	tokenize Tokenizer
-}
-
-// OpenLSM creates or reopens a persistent inverted index rooted at dir.
-func OpenLSM(dir string, opts lsm.Options, tokenize Tokenizer) (*LSM, error) {
-	tree, err := lsm.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &LSM{tree: tree, tokenize: tokenize}, nil
-}
-
-// Tree exposes the underlying LSM tree for flush/merge scheduling and
-// durability watermark queries.
-func (ix *LSM) Tree() *lsm.Tree { return ix.tree }
-
-// EntryKeys returns the posting keys a document contributes: one per
+// PostingKeys returns the posting keys a document contributes: one per
 // distinct token of text. The storage layer logs exactly these keys to the
-// WAL, so recovery applies postings without re-tokenizing.
-func (ix *LSM) EntryKeys(docKey []byte, text string) [][]byte {
-	return PostingKeys(ix.tokenize, docKey, text)
-}
-
-// PostingKeys is EntryKeys for callers that hold a tokenizer but not the
-// index itself (the storage layer derives WAL records without the partition
-// latch). Tokenizers are pure functions, so this is safe concurrently.
+// WAL, so recovery applies postings without re-tokenizing. Tokenizers are
+// pure functions, so this is safe concurrently.
 func PostingKeys(tokenize Tokenizer, docKey []byte, text string) [][]byte {
 	toks := tokenize(text)
 	seen := make(map[string]struct{}, len(toks))
@@ -79,39 +54,10 @@ func PostingKeys(tokenize Tokenizer, docKey []byte, text string) [][]byte {
 	return keys
 }
 
-// Insert indexes text under the given document key.
-func (ix *LSM) Insert(docKey []byte, text string) error {
-	for _, key := range ix.EntryKeys(docKey, text) {
-		if err := ix.tree.Insert(key, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes the document key from every posting list of text's tokens.
-func (ix *LSM) Delete(docKey []byte, text string) error {
-	for _, key := range ix.EntryKeys(docKey, text) {
-		if err := ix.tree.Delete(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyEntry applies one raw posting entry (as logged in the WAL): an upsert
-// or an antimatter delete. Idempotent, for recovery replay.
-func (ix *LSM) ApplyEntry(key []byte, antimatter bool) error {
-	if antimatter {
-		return ix.tree.Delete(key)
-	}
-	return ix.tree.Insert(key, nil)
-}
-
 // scanToken visits the document keys in token's posting range, in key order.
-func (ix *LSM) scanToken(token string, visit func(pk []byte) bool) {
+func scanToken(tree *lsm.Tree, token string, visit func(pk []byte) bool) {
 	prefix := EncodeTokenKey(token, nil)
-	ix.tree.Range(prefix, nil, func(key, _ []byte) bool {
+	tree.Range(prefix, nil, func(key, _ []byte) bool {
 		if !bytes.HasPrefix(key, prefix) {
 			return false
 		}
@@ -119,33 +65,28 @@ func (ix *LSM) scanToken(token string, visit func(pk []byte) bool) {
 	})
 }
 
-// Lookup returns the sorted document keys whose text contained the token.
-func (ix *LSM) Lookup(token string) [][]byte {
-	toks := ix.tokenize(token)
-	if len(toks) == 1 {
+// LookupAll returns the sorted document keys in tree that contain every given
+// token (a multi-token probe, e.g. a phrase run through the keyword
+// tokenizer, is the conjunction of its posting lists). Callers must serialize
+// it with the tree's mutations, same as any lsm.Tree read.
+func LookupAll(tree *lsm.Tree, tokens []string) [][]byte {
+	if len(tokens) == 0 {
+		return nil
+	}
+	if len(tokens) == 1 {
 		var out [][]byte
-		ix.scanToken(toks[0], func(pk []byte) bool {
+		scanToken(tree, tokens[0], func(pk []byte) bool {
 			out = append(out, append([]byte(nil), pk...))
 			return true
 		})
 		return out
 	}
-	// Multi-token probes (e.g. a phrase run through the keyword tokenizer)
-	// return the conjunction of their posting lists.
-	return ix.LookupAll(toks)
-}
-
-// LookupAll returns the sorted document keys that contain every given token.
-func (ix *LSM) LookupAll(tokens []string) [][]byte {
-	if len(tokens) == 0 {
-		return nil
-	}
-	acc := ix.postingSet(tokens[0])
+	acc := postingSet(tree, tokens[0])
 	for _, tok := range tokens[1:] {
 		if len(acc) == 0 {
 			return nil
 		}
-		next := ix.postingSet(tok)
+		next := postingSet(tree, tok)
 		for k := range acc {
 			if _, ok := next[k]; !ok {
 				delete(acc, k)
@@ -155,17 +96,17 @@ func (ix *LSM) LookupAll(tokens []string) [][]byte {
 	return setToKeys(acc)
 }
 
-// LookupAny returns the sorted document keys that contain at least
+// LookupAny returns the sorted document keys in tree that contain at least
 // minMatches of the given tokens. This is the candidate-generation step of
 // T-occurrence style fuzzy search: callers verify candidates against the
 // real similarity predicate afterwards.
-func (ix *LSM) LookupAny(tokens []string, minMatches int) [][]byte {
+func LookupAny(tree *lsm.Tree, tokens []string, minMatches int) [][]byte {
 	if minMatches <= 0 {
 		minMatches = 1
 	}
 	counts := map[string]int{}
 	for _, tok := range tokens {
-		ix.scanToken(tok, func(pk []byte) bool {
+		scanToken(tree, tok, func(pk []byte) bool {
 			counts[string(pk)]++
 			return true
 		})
@@ -179,14 +120,11 @@ func (ix *LSM) LookupAny(tokens []string, minMatches int) [][]byte {
 	return setToKeys(set)
 }
 
-func (ix *LSM) postingSet(token string) map[string]struct{} {
+func postingSet(tree *lsm.Tree, token string) map[string]struct{} {
 	set := map[string]struct{}{}
-	ix.scanToken(token, func(pk []byte) bool {
+	scanToken(tree, token, func(pk []byte) bool {
 		set[string(pk)] = struct{}{}
 		return true
 	})
 	return set
 }
-
-// Len returns the number of live postings (not documents).
-func (ix *LSM) Len() int { return ix.tree.Len() }

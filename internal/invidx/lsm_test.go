@@ -30,63 +30,38 @@ func TestLSMLookupMatchesInMemoryIndex(t *testing.T) {
 		"completely unrelated text",
 	}
 	mem := New(KeywordTokenizer)
-	disk, err := OpenLSM(t.TempDir(), lsm.Options{Background: true}, KeywordTokenizer)
+	disk, err := lsm.Open(t.TempDir(), lsm.Options{Background: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range docs {
 		pk := []byte(fmt.Sprintf("pk%d", i))
 		mem.Insert(pk, d)
-		if err := disk.Insert(pk, d); err != nil {
-			t.Fatal(err)
+		for _, key := range PostingKeys(KeywordTokenizer, pk, d) {
+			if err := disk.Insert(key, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// Delete one doc and flush so lookups span mem + disk components.
 	mem.Delete([]byte("pk1"), docs[1])
-	if err := disk.Delete([]byte("pk1"), docs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := disk.Tree().Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, probe := range []string{"quick", "lazy", "the", "missing"} {
-		want := mem.Lookup(probe)
-		got := disk.Lookup(probe)
-		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Errorf("Lookup(%q): lsm %q, in-memory %q", probe, got, want)
+	for _, key := range PostingKeys(KeywordTokenizer, []byte("pk1"), docs[1]) {
+		if err := disk.Delete(key); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if w, g := mem.LookupAll([]string{"quick", "lazy"}), disk.LookupAll([]string{"quick", "lazy"}); fmt.Sprint(w) != fmt.Sprint(g) {
-		t.Errorf("LookupAll: lsm %q, mem %q", g, w)
+	if err := disk.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if w, g := mem.LookupAny([]string{"quick", "lazy", "dog"}, 2), disk.LookupAny([]string{"quick", "lazy", "dog"}, 2); fmt.Sprint(w) != fmt.Sprint(g) {
+
+	for _, probe := range []string{"quick", "lazy", "the", "missing", "quick lazy"} {
+		want := mem.Lookup(probe)
+		got := LookupAll(disk, KeywordTokenizer(probe))
+		if fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Errorf("LookupAll(%q): lsm %q, in-memory %q", probe, got, want)
+		}
+	}
+	if w, g := mem.LookupAny([]string{"quick", "lazy", "dog"}, 2), LookupAny(disk, []string{"quick", "lazy", "dog"}, 2); fmt.Sprint(w) != fmt.Sprint(g) {
 		t.Errorf("LookupAny: lsm %q, mem %q", g, w)
-	}
-}
-
-func TestLSMPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	ix, err := OpenLSM(dir, lsm.Options{Background: true}, NGramTokenizer(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert([]byte("a"), "durable"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert([]byte("b"), "volatile"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Tree().Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	ix2, err := OpenLSM(dir, lsm.Options{Background: true}, NGramTokenizer(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ix2.LookupAll(NGramTokenizer(3)("durable"))
-	if len(got) != 1 || string(got[0]) != "a" {
-		t.Fatalf("LookupAll after reopen = %q, want [a]", got)
 	}
 }

@@ -52,9 +52,6 @@ type Options struct {
 	// a MergePlan. Direct users of the package leave it false and keep the
 	// self-managing behavior.
 	Background bool
-	// DisableWAL is unused by the lsm package itself; the transaction layer
-	// owns logging. It is carried here so storage can plumb one knob through.
-	DisableWAL bool
 }
 
 // DefaultMemBudget is the default in-memory component budget (256 KiB — small

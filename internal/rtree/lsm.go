@@ -1,10 +1,9 @@
-// LSM persistence for the R-tree secondary index. The durable truth is an
-// lsm.Tree whose keys are a fixed 32-byte rectangle encoding followed by the
-// encoded primary key (making every entry unique per record), with the same
-// flush/antimatter/merge/recovery lifecycle as the primary index. The
-// in-memory R-tree is kept alongside purely as a search accelerator for
-// intersection probes; it is rebuilt on open from the LSM tree's own
-// (memory-resident) components — never by rescanning the primary index.
+// The R-tree secondary index's LSM key layout. The durable truth is an
+// lsm.Tree the storage layer owns, whose keys are a fixed 32-byte rectangle
+// encoding followed by the encoded primary key (making every entry unique per
+// record), with the same flush/antimatter/merge/recovery lifecycle as every
+// other index. Storage keeps a Tree alongside purely as a search accelerator
+// for intersection probes and rebuilds it on open by decoding these keys.
 
 package rtree
 
@@ -12,8 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"asterixdb/internal/lsm"
 )
 
 // entryKeyRectLen is the fixed size of the rectangle prefix in an entry key.
@@ -45,81 +42,3 @@ func DecodeEntryKey(key []byte) (Rect, []byte, error) {
 	}
 	return r, key[entryKeyRectLen:], nil
 }
-
-// LSM is a persistent R-tree index partition. Callers must serialize all
-// operations (the storage layer's partition latch), same as lsm.Tree.
-type LSM struct {
-	tree  *lsm.Tree
-	accel *Tree
-}
-
-// OpenLSM creates or reopens a persistent R-tree rooted at dir and rebuilds
-// the in-memory search accelerator from the live LSM entries.
-func OpenLSM(dir string, opts lsm.Options) (*LSM, error) {
-	tree, err := lsm.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	ix := &LSM{tree: tree, accel: New()}
-	var rebuildErr error
-	tree.Scan(func(key, _ []byte) bool {
-		r, pk, err := DecodeEntryKey(key)
-		if err != nil {
-			rebuildErr = err
-			return false
-		}
-		ix.accel.Insert(r, append([]byte(nil), pk...))
-		return true
-	})
-	if rebuildErr != nil {
-		return nil, fmt.Errorf("rtree: rebuild accelerator from %s: %w", dir, rebuildErr)
-	}
-	return ix, nil
-}
-
-// Tree exposes the underlying LSM tree for flush/merge scheduling and
-// durability watermark queries.
-func (ix *LSM) Tree() *lsm.Tree { return ix.tree }
-
-// Insert adds one (rect, pk) entry.
-func (ix *LSM) Insert(r Rect, pk []byte) error {
-	return ix.ApplyEntry(EncodeEntryKey(r, pk), false)
-}
-
-// Delete removes one (rect, pk) entry.
-func (ix *LSM) Delete(r Rect, pk []byte) error {
-	return ix.ApplyEntry(EncodeEntryKey(r, pk), true)
-}
-
-// ApplyEntry applies one raw LSM entry (an encoded rect+pk key, as logged in
-// the WAL) to the index: an upsert, or an antimatter delete. It keeps the
-// accelerator exactly mirroring the LSM tree's live set, so re-applying an
-// entry during recovery is a no-op.
-func (ix *LSM) ApplyEntry(key []byte, antimatter bool) error {
-	r, pk, err := DecodeEntryKey(key)
-	if err != nil {
-		return err
-	}
-	_, present := ix.tree.Get(key)
-	if antimatter {
-		if present {
-			ix.accel.Delete(r, pk)
-		}
-		return ix.tree.Delete(key)
-	}
-	if !present {
-		ix.accel.Insert(r, append([]byte(nil), pk...))
-	}
-	return ix.tree.Insert(key, nil)
-}
-
-// SearchIntersect visits every entry whose rectangle intersects probe.
-func (ix *LSM) SearchIntersect(probe Rect, visit func(Entry) bool) {
-	ix.accel.SearchIntersect(probe, visit)
-}
-
-// Scan visits every entry.
-func (ix *LSM) Scan(visit func(Entry) bool) { ix.accel.Scan(visit) }
-
-// Len returns the number of live entries.
-func (ix *LSM) Len() int { return ix.accel.Len() }

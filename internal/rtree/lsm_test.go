@@ -2,10 +2,7 @@ package rtree
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
-
-	"asterixdb/internal/lsm"
 )
 
 func TestEntryKeyRoundTrip(t *testing.T) {
@@ -21,79 +18,5 @@ func TestEntryKeyRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeEntryKey(key[:10]); err == nil {
 		t.Fatal("short key decoded without error")
-	}
-}
-
-func TestLSMPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	ix, err := OpenLSM(dir, lsm.Options{Background: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		r := PointRect(float64(i), float64(i))
-		if err := ix.Insert(r, []byte(fmt.Sprintf("pk%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.Delete(PointRect(5, 5), []byte("pk05")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Tree().FlushStamped(42); err != nil {
-		t.Fatal(err)
-	}
-	// More mutations after the flush, left un-flushed: a real reopen only
-	// sees the durable part (recovery replays the rest from the WAL).
-	if err := ix.Insert(PointRect(100, 100), []byte("pk-unflushed")); err != nil {
-		t.Fatal(err)
-	}
-
-	ix2, err := OpenLSM(dir, lsm.Options{Background: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.Tree().DurableLSN() != 42 {
-		t.Errorf("DurableLSN after reopen = %d, want 42", ix2.Tree().DurableLSN())
-	}
-	if ix2.Len() != 19 {
-		t.Errorf("Len after reopen = %d, want 19", ix2.Len())
-	}
-	var hits [][]byte
-	ix2.SearchIntersect(Rect{MinX: 3, MinY: 3, MaxX: 7, MaxY: 7}, func(e Entry) bool {
-		hits = append(hits, e.Value)
-		return true
-	})
-	want := map[string]bool{"pk03": true, "pk04": true, "pk06": true, "pk07": true}
-	if len(hits) != len(want) {
-		t.Fatalf("intersect hits = %q, want keys of %v", hits, want)
-	}
-	for _, h := range hits {
-		if !want[string(h)] {
-			t.Errorf("unexpected hit %q (deleted pk05 resurrected?)", h)
-		}
-	}
-}
-
-func TestLSMApplyEntryIdempotent(t *testing.T) {
-	ix, err := OpenLSM(t.TempDir(), lsm.Options{Background: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := EncodeEntryKey(PointRect(1, 2), []byte("pk"))
-	for i := 0; i < 3; i++ {
-		if err := ix.ApplyEntry(key, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len after re-applied inserts = %d, want 1 (idempotent)", ix.Len())
-	}
-	for i := 0; i < 2; i++ {
-		if err := ix.ApplyEntry(key, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != 0 {
-		t.Fatalf("Len after re-applied deletes = %d, want 0", ix.Len())
 	}
 }

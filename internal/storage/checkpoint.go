@@ -139,10 +139,8 @@ func (m *Manager) Stats() ManagerStats {
 	s.LastCheckpointUnix = m.lastCkptUnix
 	s.Recovery = m.recovery
 	m.statsMu.Unlock()
-	if m.sched != nil {
-		s.BgQueueDepth, s.BgInFlight = m.sched.queueStats()
-		s.BgFlushes = m.sched.flushes.Load()
-		s.BgMerges = m.sched.merges.Load()
-	}
+	s.BgQueueDepth, s.BgInFlight = m.sched.queueStats()
+	s.BgFlushes = m.sched.flushes.Load()
+	s.BgMerges = m.sched.merges.Load()
 	return s
 }

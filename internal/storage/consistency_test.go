@@ -352,7 +352,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchSecondaryRangePartition(part, "tsIdx", lo, hi, visit)
+		return ds.SearchIndexPartition(part, "tsIdx", Probe{Lo: lo, Hi: hi}, visit)
 	})
 	assertSameIDs(t, "btree partitions", got, idsOf(recs))
 
@@ -364,7 +364,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchRTreePartition(part, "locIdx", probe, visit)
+		return ds.SearchIndexPartition(part, "locIdx", Probe{Value: probe}, visit)
 	})
 	assertSameIDs(t, "rtree partitions", got, idsOf(recs))
 
@@ -373,7 +373,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchInvertedPartition(part, "kwIdx", "delta", visit)
+		return ds.SearchIndexPartition(part, "kwIdx", Probe{Value: adm.String("delta")}, visit)
 	})
 	assertSameIDs(t, "keyword partitions", got, idsOf(recs))
 }

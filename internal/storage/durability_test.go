@@ -256,7 +256,7 @@ func TestCheckpointBoundsReplayAndPersistsMeta(t *testing.T) {
 // and leave zero goroutines behind.
 func TestCloseDrainsBackgroundWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m, err := NewManager(t.TempDir(), Options{Partitions: 2, MemBudget: 1 << 10, FlushWorkers: 3})
+	m, err := NewManager(t.TempDir(), Options{Partitions: 2, MemBudget: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

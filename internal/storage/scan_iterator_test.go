@@ -180,7 +180,7 @@ func TestSecondarySearchPausedUnderMutation(t *testing.T) {
 	visited := make(chan []byte)
 	searchErr := make(chan error, 1)
 	go func() {
-		searchErr <- ds.SearchSecondaryRangePartition(0, "authorIdx", nil, nil, func(pk []byte) bool {
+		searchErr <- ds.SearchIndexPartition(0, "authorIdx", Probe{}, func(pk []byte) bool {
 			visited <- pk
 			return true
 		})

@@ -52,17 +52,13 @@ type schedTask struct {
 	tree *lsm.Tree
 }
 
-// defaultFlushWorkers is the background pool size when Options.FlushWorkers
-// is zero.
-const defaultFlushWorkers = 2
+// flushWorkers is the background pool size.
+const flushWorkers = 2
 
-func newScheduler(m *Manager, workers int) *scheduler {
-	if workers <= 0 {
-		workers = defaultFlushWorkers
-	}
+func newScheduler(m *Manager) *scheduler {
 	s := &scheduler{m: m, queued: map[*lsm.Tree]bool{}}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < flushWorkers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,13 +87,6 @@ type Options struct {
 	// node. Every partition's trees still exist on disk (non-owned ones stay
 	// empty), so scans and index searches work unchanged. Nil owns all.
 	Owns func(partition int) bool
-	// DisableBackground turns off the background flush/merge scheduler:
-	// over-budget in-memory components flush inline on the writing goroutine,
-	// as early builds did. Mainly for tests that want deterministic flushes.
-	DisableBackground bool
-	// FlushWorkers sizes the background scheduler's worker pool
-	// (default defaultFlushWorkers).
-	FlushWorkers int
 	// CheckpointWALBytes is the WAL size that triggers a background
 	// checkpoint, bounding both log growth and recovery replay. Zero means
 	// DefaultCheckpointWALBytes; negative disables the trigger.
@@ -155,19 +149,17 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 		datasets: map[string]*Dataset{},
 	}
 	m.loadCheckpointMeta()
-	if !opts.DisableBackground {
-		m.sched = newScheduler(m, opts.FlushWorkers)
-	}
+	m.sched = newScheduler(m)
 	return m, nil
 }
 
-// lsmOptions builds the per-tree LSM options: when the background scheduler
-// is on, trees never flush inline — the scheduler owns that.
+// lsmOptions builds the per-tree LSM options: trees never flush inline — the
+// background scheduler owns that.
 func (m *Manager) lsmOptions() lsm.Options {
 	return lsm.Options{
 		MemBudget:  m.opts.MemBudget,
 		Policy:     m.opts.MergePolicy,
-		Background: m.sched != nil,
+		Background: true,
 	}
 }
 
@@ -220,11 +212,9 @@ func (m *Manager) CreateDataset(spec DatasetSpec) (*Dataset, error) {
 			return nil, err
 		}
 		ds.partitions = append(ds.partitions, &partition{
-			idNum:    p,
-			primary:  primary,
-			btrees:   map[string]*lsm.Tree{},
-			rtrees:   map[string]*rtree.LSM{},
-			inverted: map[string]*invidx.LSM{},
+			idNum:   p,
+			primary: primary,
+			indexes: map[string]*index{},
 		})
 	}
 	m.datasets[spec.Name] = ds
@@ -318,9 +308,6 @@ func (m *Manager) Recover() error {
 // scheduleOverBudget hands any tree that recovery (or a bulk load) left over
 // its in-memory budget to the background scheduler.
 func (m *Manager) scheduleOverBudget() {
-	if m.sched == nil {
-		return
-	}
 	budget := m.memBudget()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -346,9 +333,6 @@ func (m *Manager) scheduleOverBudget() {
 // WAL has outgrown its threshold, and — if a tree is far past budget —
 // stalls the writer briefly (backpressure) so the flush can catch up.
 func (m *Manager) maintain(d *Dataset, part int) {
-	if m.sched == nil {
-		return
-	}
 	p := d.partitions[part]
 	budget := m.memBudget()
 	var over []*lsm.Tree
@@ -378,10 +362,7 @@ func (m *Manager) maintain(d *Dataset, part int) {
 // checkpoints still run) and then closes the WAL. Dataset components need no
 // closing (they are plain files rewritten atomically).
 func (m *Manager) Close() error {
-	var schedErr error
-	if m.sched != nil {
-		schedErr = m.sched.close()
-	}
+	schedErr := m.sched.close()
 	err := m.wal.Close()
 	if schedErr != nil {
 		return schedErr
@@ -412,25 +393,88 @@ type partition struct {
 	idNum int
 	mu    sync.Mutex
 
-	primary  *lsm.Tree
-	btrees   map[string]*lsm.Tree
-	rtrees   map[string]*rtree.LSM
-	inverted map[string]*invidx.LSM
+	primary *lsm.Tree
+	indexes map[string]*index
+}
+
+// index is one partition's portion of a secondary index of any kind: an LSM
+// tree whose keys the kind's codec derives from a record (secondaryEntries)
+// and whose probes the kind's search turns into candidate primary keys
+// (index.search). Flush, antimatter, merge and recovery are the tree's and
+// the same for every kind.
+type index struct {
+	spec IndexSpec
+	tree *lsm.Tree
+	// accel is the R-tree kind's in-memory search accelerator (nil for every
+	// other kind): it mirrors the tree's live entries exactly, because no
+	// LSM-native probe answers rectangle intersection.
+	accel *rtree.Tree
+}
+
+// openIndex opens (or reopens) one partition's LSM tree for spec. An R-tree's
+// accelerator is rebuilt from the tree's own live entries — never by
+// rescanning the primary index.
+func openIndex(dir string, opts lsm.Options, spec IndexSpec) (*index, error) {
+	tree, err := lsm.Open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	ix := &index{spec: spec, tree: tree}
+	switch spec.Kind {
+	case BTreeIndex, KeywordIndex, NGramIndex:
+	case RTreeIndex:
+		ix.accel = rtree.New()
+		var rebuildErr error
+		tree.Scan(func(key, _ []byte) bool {
+			r, pk, err := rtree.DecodeEntryKey(key)
+			if err != nil {
+				rebuildErr = err
+				return false
+			}
+			ix.accel.Insert(r, append([]byte(nil), pk...))
+			return true
+		})
+		if rebuildErr != nil {
+			return nil, fmt.Errorf("storage: rebuild rtree accelerator from %s: %w", dir, rebuildErr)
+		}
+	default:
+		return nil, fmt.Errorf("storage: unknown index kind %q", spec.Kind)
+	}
+	return ix, nil
+}
+
+// apply applies one derived entry — an upsert, or an antimatter delete — to
+// the index. The live path, recovery replay and the CreateIndex backfill all
+// go through it, so the three can never drift, and re-applying an entry (as
+// recovery does) is a no-op. Caller holds the partition latch.
+func (ix *index) apply(key, value []byte, antimatter bool) error {
+	if ix.accel != nil {
+		r, pk, err := rtree.DecodeEntryKey(key)
+		if err != nil {
+			return err
+		}
+		// Touch the accelerator only when the tree's live set changes.
+		if _, present := ix.tree.Get(key); present == antimatter {
+			if antimatter {
+				ix.accel.Delete(r, pk)
+			} else {
+				ix.accel.Insert(r, append([]byte(nil), pk...))
+			}
+		}
+	}
+	if antimatter {
+		return ix.tree.Delete(key)
+	}
+	return ix.tree.Insert(key, value)
 }
 
 // allTrees lists every LSM tree in the partition (primary first). Caller
 // holds p.mu.
 func (p *partition) allTrees() []*lsm.Tree {
-	trees := make([]*lsm.Tree, 0, 1+len(p.btrees)+len(p.rtrees)+len(p.inverted))
+	trees := make([]*lsm.Tree, 0, 1+len(p.indexes))
 	trees = append(trees, p.primary)
-	for _, t := range p.btrees {
-		trees = append(trees, t)
-	}
-	for _, t := range p.rtrees {
-		trees = append(trees, t.Tree())
-	}
-	for _, t := range p.inverted {
-		trees = append(trees, t.Tree())
+	for _, ix := range p.indexes {
+		trees = append(trees, ix.tree)
 	}
 	return trees
 }
@@ -438,18 +482,12 @@ func (p *partition) allTrees() []*lsm.Tree {
 // treeFor resolves a WAL record's target tree: "" is the primary, anything
 // else a secondary index name. Nil means the index was dropped since the
 // record was logged. Caller holds p.mu.
-func (p *partition) treeFor(index string) *lsm.Tree {
-	if index == "" {
+func (p *partition) treeFor(name string) *lsm.Tree {
+	if name == "" {
 		return p.primary
 	}
-	if t := p.btrees[index]; t != nil {
-		return t
-	}
-	if t := p.rtrees[index]; t != nil {
-		return t.Tree()
-	}
-	if t := p.inverted[index]; t != nil {
-		return t.Tree()
+	if ix := p.indexes[name]; ix != nil {
+		return ix.tree
 	}
 	return nil
 }
@@ -550,6 +588,11 @@ func tokenizerFor(ix IndexSpec) invidx.Tokenizer {
 // writer (writers hold d.mu.RLock from deriving their log records through
 // applying them), so by the time the backfill scans a partition, any record
 // whose group carries no entries for this index is already in the primary.
+//
+// A failed backfill drops the index again (spec, trees and directories): a
+// published half-built index would be planned by the optimizer and silently
+// miss rows, and a retry would adopt whatever a background flush had already
+// written instead of reporting the same error.
 func (d *Dataset) CreateIndex(spec IndexSpec) error {
 	d.mu.Lock()
 	for _, ix := range d.indexes {
@@ -561,75 +604,54 @@ func (d *Dataset) CreateIndex(spec IndexSpec) error {
 	if spec.Kind == NGramIndex && spec.GramLength <= 0 {
 		spec.GramLength = 3
 	}
-	for i, p := range d.partitions {
-		if err := d.openIndexPartition(p, spec); err != nil {
+	for _, p := range d.partitions {
+		ix, err := openIndex(d.indexDir(p, spec.Name), d.manager.lsmOptions(), spec)
+		if err != nil {
 			// Unpublish the partial create so a retry starts clean.
-			for _, q := range d.partitions[:i] {
-				q.mu.Lock()
-				delete(q.btrees, spec.Name)
-				delete(q.rtrees, spec.Name)
-				delete(q.inverted, spec.Name)
-				q.mu.Unlock()
-			}
+			d.detachIndex(spec.Name)
 			d.mu.Unlock()
 			return err
 		}
+		p.mu.Lock()
+		p.indexes[spec.Name] = ix
+		p.mu.Unlock()
 	}
 	d.indexes = append(d.indexes, spec)
 	d.mu.Unlock()
 
 	for _, p := range d.partitions {
 		if err := d.backfillIndexPartition(p, spec); err != nil {
+			if dropErr := d.DropIndex(spec.Name); dropErr != nil {
+				return errors.Join(err, dropErr)
+			}
 			return err
 		}
 	}
 	return nil
 }
 
-// openIndexPartition opens (or reopens) one partition's LSM tree for spec
-// and installs it in the partition's index maps.
-func (d *Dataset) openIndexPartition(p *partition, spec IndexSpec) error {
-	dir := d.indexDir(p, spec.Name)
-	opts := d.manager.lsmOptions()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch spec.Kind {
-	case BTreeIndex:
-		t, err := lsm.Open(dir, opts)
-		if err != nil {
-			return err
-		}
-		p.btrees[spec.Name] = t
-	case RTreeIndex:
-		t, err := rtree.OpenLSM(dir, opts)
-		if err != nil {
-			return err
-		}
-		p.rtrees[spec.Name] = t
-	case KeywordIndex, NGramIndex:
-		t, err := invidx.OpenLSM(dir, opts, tokenizerFor(spec))
-		if err != nil {
-			return err
-		}
-		p.inverted[spec.Name] = t
-	default:
-		return fmt.Errorf("storage: unknown index kind %q", spec.Kind)
+// detachIndex removes the named index's tree from every partition. Caller
+// holds d.mu (write).
+func (d *Dataset) detachIndex(name string) {
+	for _, p := range d.partitions {
+		p.mu.Lock()
+		delete(p.indexes, name)
+		p.mu.Unlock()
 	}
-	return nil
 }
 
 func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tree := p.treeFor(spec.Name)
-	if tree == nil {
+	ix := p.indexes[spec.Name]
+	if ix == nil {
 		return fmt.Errorf("storage: index %q on %q: tree missing after create", spec.Name, d.spec.Name)
 	}
 	// Reopening after a restart: the index already has durable components,
 	// and the WAL suffix carries every operation past its watermark, so
 	// recovery completes it. A backfill scan here would read pre-recovery
 	// primary state and is skipped.
-	if tree.Components() > 0 {
+	if ix.tree.Components() > 0 {
 		return nil
 	}
 	// Brand-new index (or one that crashed before its first flush): flush the
@@ -655,9 +677,12 @@ func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec) error {
 			buildErr = err
 			return false
 		}
-		rec := val.(*adm.Record)
-		buildErr = p.indexInsert(d, spec, pk, rec)
-		return buildErr == nil
+		keys, vals, err := secondaryEntries(spec, val.(*adm.Record), pk)
+		for i := 0; err == nil && i < len(keys); i++ {
+			err = ix.apply(keys[i], vals[i], false)
+		}
+		buildErr = err
+		return err == nil
 	})
 	return buildErr
 }
@@ -669,12 +694,8 @@ func (d *Dataset) DropIndex(name string) error {
 	for i, ix := range d.indexes {
 		if ix.Name == name {
 			d.indexes = append(d.indexes[:i], d.indexes[i+1:]...)
+			d.detachIndex(name)
 			for _, p := range d.partitions {
-				p.mu.Lock()
-				delete(p.btrees, name)
-				delete(p.rtrees, name)
-				delete(p.inverted, name)
-				p.mu.Unlock()
 				if err := os.RemoveAll(d.indexDir(p, name)); err != nil {
 					return err
 				}
@@ -702,7 +723,9 @@ func (d *Dataset) PrimaryKeyOf(rec *adm.Record) ([]byte, error) {
 func (d *Dataset) partitionFor(pk []byte) int {
 	h := fnv.New32a()
 	h.Write(pk)
-	return int(h.Sum32()) % len(d.partitions)
+	// Reduce in uint32 space: int(Sum32()) is negative for large hashes on
+	// 32-bit platforms and Go's % would preserve the sign.
+	return int(h.Sum32() % uint32(len(d.partitions)))
 }
 
 // Insert validates and stores a record as one record-level transaction:
@@ -748,7 +771,7 @@ func (d *Dataset) InsertBatch(recs []*adm.Record) (int, error) {
 			// while its group carries no records for the new index.
 			d.mu.RLock()
 			defer d.mu.RUnlock()
-			oldRec, _, err := d.currentRecord(part, pk)
+			oldRec, err := d.fetch(part, pk)
 			if err != nil {
 				return err
 			}
@@ -790,24 +813,27 @@ func (d *Dataset) InsertBatch(recs []*adm.Record) (int, error) {
 	return stored, d.manager.wal.Sync()
 }
 
-// currentRecord reads and decodes the record stored under pk, if any. The
-// caller holds the pk lock, so the read stays valid for the whole operation.
-func (d *Dataset) currentRecord(part int, pk []byte) (*adm.Record, []byte, error) {
+// fetch reads and decodes the record stored under the encoded primary key in
+// one partition (nil if absent): the one primary-index point lookup behind
+// writes (the old record whose index entries a mutation retracts — the caller
+// holds the pk lock, so it stays valid for the whole operation), LookupPK and
+// the primary-search stage of every secondary access path.
+func (d *Dataset) fetch(part int, pk []byte) (*adm.Record, error) {
 	p := d.partitions[part]
 	p.mu.Lock()
 	raw, ok := p.primary.Get(pk)
 	p.mu.Unlock()
 	if !ok {
-		return nil, nil, nil
+		return nil, nil
 	}
 	val, _, err := d.ser.Decode(raw)
 	if err != nil {
 		// A record we stored must decode; anything else is corruption worth
 		// surfacing rather than silently leaving stale index entries behind.
-		return nil, nil, fmt.Errorf("storage: %q: decode stored record: %w", d.spec.Name, err)
+		return nil, fmt.Errorf("storage: %q: decode stored record: %w", d.spec.Name, err)
 	}
 	rec, _ := val.(*adm.Record)
-	return rec, raw, nil
+	return rec, nil
 }
 
 // buildLogRecords produces the WAL records for replacing oldRec (nil if pk
@@ -904,25 +930,16 @@ func (d *Dataset) applyGroup(part int, recs []txn.LogRecord) error {
 // routine runs on the live path and during recovery replay, so the two can
 // never drift. Caller holds p.mu.
 func (p *partition) applyRecordLocked(rec txn.LogRecord) error {
-	if rec.Index == "" {
-		if rec.Kind == txn.OpInsert {
-			return p.primary.Insert(rec.Key, rec.Value)
+	if rec.Index != "" {
+		if ix := p.indexes[rec.Index]; ix != nil {
+			return ix.apply(rec.Key, rec.Value, rec.Kind == txn.OpDelete)
 		}
-		return p.primary.Delete(rec.Key)
+		return nil // index dropped since the record was logged
 	}
-	if t := p.btrees[rec.Index]; t != nil {
-		if rec.Kind == txn.OpInsert {
-			return t.Insert(rec.Key, rec.Value)
-		}
-		return t.Delete(rec.Key)
+	if rec.Kind == txn.OpInsert {
+		return p.primary.Insert(rec.Key, rec.Value)
 	}
-	if t := p.rtrees[rec.Index]; t != nil {
-		return t.ApplyEntry(rec.Key, rec.Kind == txn.OpDelete)
-	}
-	if t := p.inverted[rec.Index]; t != nil {
-		return t.ApplyEntry(rec.Key, rec.Kind == txn.OpDelete)
-	}
-	return nil // index dropped since the record was logged
+	return p.primary.Delete(rec.Key)
 }
 
 // applyLogged applies one WAL record during recovery, gated on the target
@@ -955,11 +972,11 @@ func (d *Dataset) Delete(pkValues ...adm.Value) (bool, error) {
 		// Read lock and commit-before-release ordering: see InsertBatch.
 		d.mu.RLock()
 		defer d.mu.RUnlock()
-		oldRec, oldRaw, err := d.currentRecord(part, pk)
+		oldRec, err := d.fetch(part, pk)
 		if err != nil {
 			return err
 		}
-		if oldRaw == nil {
+		if oldRec == nil {
 			return errNoSuchKey
 		}
 		logRecs, err := d.buildLogRecords(tid, part, pk, oldRec, nil, nil)
@@ -999,25 +1016,6 @@ func (d *Dataset) Delete(pkValues ...adm.Value) (bool, error) {
 // error, just a false result.
 var errNoSuchKey = errors.New("no such key")
 
-// indexInsert adds one record to one secondary index partition (the
-// CreateIndex backfill path; live mutations go through buildLogRecords and
-// applyGroup instead). Caller holds p.mu.
-func (p *partition) indexInsert(d *Dataset, ix IndexSpec, pk []byte, rec *adm.Record) error {
-	keys, vals, err := secondaryEntries(ix, rec, pk)
-	if err != nil {
-		return err
-	}
-	for i, k := range keys {
-		kind := txn.OpInsert
-		if err := p.applyRecordLocked(txn.LogRecord{
-			Kind: kind, Dataset: d.spec.Name, Partition: p.idNum, Index: ix.Name, Key: k, Value: vals[i],
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // secondaryKey builds the composite key (secondary key bytes ++ primary key)
 // stored in secondary B+-trees; the primary key suffix makes entries unique.
 func secondaryKey(ix IndexSpec, rec *adm.Record, pk []byte) []byte {
@@ -1038,36 +1036,8 @@ func (d *Dataset) LookupPK(pkValues ...adm.Value) (*adm.Record, bool, error) {
 	for _, v := range pkValues {
 		pk = adm.EncodeKey(pk, v)
 	}
-	p := d.partitions[d.partitionFor(pk)]
-	p.mu.Lock()
-	raw, ok := p.primary.Get(pk)
-	p.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	val, _, err := d.ser.Decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	rec, ok := val.(*adm.Record)
-	return rec, ok, nil
-}
-
-// lookupPKBytes fetches a record by its encoded primary key.
-func (d *Dataset) lookupPKBytes(pk []byte) (*adm.Record, bool, error) {
-	p := d.partitions[d.partitionFor(pk)]
-	p.mu.Lock()
-	raw, ok := p.primary.Get(pk)
-	p.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	val, _, err := d.ser.Decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	rec, _ := val.(*adm.Record)
-	return rec, rec != nil, nil
+	rec, err := d.fetch(d.partitionFor(pk), pk)
+	return rec, rec != nil, err
 }
 
 // PartitionCount returns the number of storage partitions.
@@ -1082,157 +1052,121 @@ func (d *Dataset) FetchPKPartition(part int, pk []byte) (*adm.Record, bool, erro
 	if part < 0 || part >= len(d.partitions) {
 		return nil, false, fmt.Errorf("storage: partition %d out of range", part)
 	}
-	p := d.partitions[part]
-	p.mu.Lock()
-	raw, ok := p.primary.Get(pk)
-	p.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	val, _, err := d.ser.Decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	rec, _ := val.(*adm.Record)
-	return rec, rec != nil, nil
+	rec, err := d.fetch(part, pk)
+	return rec, rec != nil, err
 }
 
-// SearchSecondaryRangePartition visits the encoded primary keys in one
-// partition's secondary B+-tree whose secondary key lies in [lo, hi] (either
-// bound may be nil for an open range). Keys are collected under the partition
-// latch and visited outside it, so a pipelined consumer may block inside
-// visit without wedging the partition. This is the per-partition secondary-
-// search stage of the compiled access path; callers sort the keys, fetch the
-// records, and post-validate.
-func (d *Dataset) SearchSecondaryRangePartition(part int, indexName string, lo, hi adm.Value, visit func(pk []byte) bool) error {
-	ix, ok := d.IndexByName(indexName)
-	if !ok {
-		return fmt.Errorf("storage: no index %q on %q", indexName, d.spec.Name)
-	}
-	if ix.Kind != BTreeIndex {
-		return fmt.Errorf("storage: index %q is not a btree index", indexName)
-	}
+// Probe is an evaluated secondary-index search argument. A B+-tree index
+// reads the range [Lo, Hi] (either bound nil for an open range); R-tree,
+// keyword and ngram indexes read Value. Storage normalizes it per kind, so
+// every executor hands over the values its probe expressions produced.
+type Probe struct {
+	Lo, Hi adm.Value
+	Value  adm.Value
+	// MinMatches > 0 makes an ngram index return the documents sharing at
+	// least that many of the probe's (padded) grams — T-occurrence candidates
+	// for fuzzy search — instead of those containing every gram of the probe.
+	MinMatches int
+}
+
+// SearchIndexPartition visits the encoded primary keys in one partition's
+// secondary index that conservatively match the probe: B+-tree entries whose
+// secondary key lies in [Lo, Hi]; R-tree entries whose stored MBR intersects
+// the probe's; keyword postings containing every token of the probe; ngram
+// postings containing every (unpadded) gram of it. Each candidate set is a
+// superset of the records satisfying the predicate the index was chosen for,
+// so callers sort the keys, fetch the records, and post-validate. An ngram
+// probe shorter than the gram length produces no grams — the index cannot
+// bound the candidate set — and is reported as an error. Keys are copied out
+// under the partition latch and visited outside it, so a pipelined consumer
+// may block inside visit without wedging the partition.
+func (d *Dataset) SearchIndexPartition(part int, indexName string, probe Probe, visit func(pk []byte) bool) error {
 	if part < 0 || part >= len(d.partitions) {
 		return fmt.Errorf("storage: partition %d out of range", part)
 	}
-	var loKey, hiKey []byte
-	if lo != nil {
-		loKey = adm.EncodeKey(nil, lo)
-	}
-	if hi != nil {
-		hiKey = append(adm.EncodeKey(nil, hi), 0xFF) // include any PK suffix
-	}
 	p := d.partitions[part]
 	p.mu.Lock()
-	var it *lsm.Iterator
-	if tree := p.btrees[indexName]; tree != nil {
-		it = tree.NewIterator(loKey, hiKey)
-	}
-	p.mu.Unlock()
-	if it == nil {
-		return nil
-	}
-	// One iterator spans the whole search: keys are copied out in chunks
-	// under the partition latch and visited outside it (so a pipelined
-	// consumer may block inside visit without wedging the partition), and the
-	// iterator resumes where it left off — re-seeking via its sequence check
-	// if the index was mutated while the latch was released.
-	for {
-		var pks [][]byte
-		done := false
-		p.mu.Lock()
-		for len(pks) < scanChunk {
-			if !it.Next() {
-				done = true
-				break
-			}
-			pks = append(pks, append([]byte(nil), it.Value()...))
-		}
+	ix := p.indexes[indexName]
+	if ix == nil {
 		p.mu.Unlock()
+		return fmt.Errorf("storage: no index %q on %q", indexName, d.spec.Name)
+	}
+	pks, it, err := ix.search(probe)
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for {
 		for _, pk := range pks {
 			if !visit(pk) {
 				return nil
 			}
 		}
-		if done {
+		if it == nil {
 			return nil
 		}
+		// One iterator spans the whole search and resumes where it left off,
+		// re-seeking via its sequence check if the index was mutated while the
+		// latch was released.
+		pks = pks[:0]
+		p.mu.Lock()
+		for len(pks) < scanChunk {
+			if !it.Next() {
+				it = nil
+				break
+			}
+			pks = append(pks, append([]byte(nil), it.Value()...))
+		}
+		p.mu.Unlock()
 	}
 }
 
-// SearchRTreePartition visits the encoded primary keys in one partition's
-// R-tree index whose stored MBR intersects the probe rectangle. Like the
-// B+-tree variant, keys are visited outside the partition latch. The R-tree
-// is an in-memory structure without a resumable cursor, so the candidate set
-// is collected in one latch hold — a single traversal, not the per-chunk
-// restart the LSM searches used to pay.
-func (d *Dataset) SearchRTreePartition(part int, indexName string, probe adm.Rectangle, visit func(pk []byte) bool) error {
-	ix, ok := d.IndexByName(indexName)
-	if !ok || ix.Kind != RTreeIndex {
-		return fmt.Errorf("storage: no rtree index %q on %q", indexName, d.spec.Name)
-	}
-	if part < 0 || part >= len(d.partitions) {
-		return fmt.Errorf("storage: partition %d out of range", part)
-	}
-	probeRect := rectFromADM(probe)
-	p := d.partitions[part]
-	var pks [][]byte
-	p.mu.Lock()
-	if tree := p.rtrees[indexName]; tree != nil {
-		tree.SearchIntersect(probeRect, func(e rtree.Entry) bool {
+// search normalizes the probe for the index's kind and runs it. A kind with
+// a resumable cursor (the B+-tree range) returns the iterator for
+// SearchIndexPartition to drain in scanChunk batches; the others (one R-tree
+// traversal, posting-list algebra) return their whole candidate set. An
+// unknown or wrongly typed probe value matches nothing — the predicate above
+// would be false or null everywhere. Caller holds the partition latch.
+func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
+	switch ix.spec.Kind {
+	case BTreeIndex:
+		var lo, hi []byte
+		if probe.Lo != nil {
+			lo = adm.EncodeKey(nil, probe.Lo)
+		}
+		if probe.Hi != nil {
+			hi = append(adm.EncodeKey(nil, probe.Hi), 0xFF) // include any PK suffix
+		}
+		return nil, ix.tree.NewIterator(lo, hi), nil
+	case RTreeIndex:
+		mbr, ok := SpatialProbeMBR(probe.Value)
+		if !ok {
+			return nil, nil, nil
+		}
+		var pks [][]byte
+		ix.accel.SearchIntersect(rectFromADM(mbr), func(e rtree.Entry) bool {
 			pks = append(pks, append([]byte(nil), e.Value...))
 			return true
 		})
-	}
-	p.mu.Unlock()
-	for _, pk := range pks {
-		if !visit(pk) {
-			return nil
+		return pks, nil, nil
+	case KeywordIndex, NGramIndex:
+		s, ok := StringProbe(probe.Value)
+		if !ok {
+			return nil, nil, nil
 		}
-	}
-	return nil
-}
-
-// SearchInvertedPartition visits the encoded primary keys in one partition's
-// inverted index that conservatively match the probe: for a keyword index,
-// documents containing every token of the probe; for an ngram index,
-// documents containing every (unpadded) gram of the probe. Both candidate
-// sets are supersets of the records satisfying tokenized-equality and
-// substring (contains) predicates respectively, so callers post-validate.
-// A probe shorter than the gram length produces no grams — the index cannot
-// bound the candidate set — and is reported as an error.
-func (d *Dataset) SearchInvertedPartition(part int, indexName, probe string, visit func(pk []byte) bool) error {
-	ix, ok := d.IndexByName(indexName)
-	if !ok || (ix.Kind != KeywordIndex && ix.Kind != NGramIndex) {
-		return fmt.Errorf("storage: no inverted index %q on %q", indexName, d.spec.Name)
-	}
-	if part < 0 || part >= len(d.partitions) {
-		return fmt.Errorf("storage: partition %d out of range", part)
-	}
-	var grams []string
-	if ix.Kind == NGramIndex {
-		grams = substringGrams(probe, ix.GramLength)
+		switch {
+		case ix.spec.Kind == KeywordIndex:
+			return invidx.LookupAll(ix.tree, tokenizerFor(ix.spec)(s)), nil, nil
+		case probe.MinMatches > 0:
+			return invidx.LookupAny(ix.tree, tokenizerFor(ix.spec)(s), probe.MinMatches), nil, nil
+		}
+		grams := substringGrams(s, ix.spec.GramLength)
 		if len(grams) == 0 {
-			return fmt.Errorf("storage: inverted probe %q is shorter than gram length %d", probe, ix.GramLength)
+			return nil, nil, fmt.Errorf("storage: ngram probe %q is shorter than gram length %d", s, ix.spec.GramLength)
 		}
+		return invidx.LookupAll(ix.tree, grams), nil, nil
 	}
-	p := d.partitions[part]
-	var pks [][]byte
-	p.mu.Lock()
-	if t := p.inverted[indexName]; t != nil {
-		if ix.Kind == KeywordIndex {
-			pks = t.Lookup(probe)
-		} else {
-			pks = t.LookupAll(grams)
-		}
-	}
-	p.mu.Unlock()
-	for _, pk := range pks {
-		if !visit(pk) {
-			return nil
-		}
-	}
-	return nil
+	return nil, nil, fmt.Errorf("storage: unknown index kind %q", ix.spec.Kind)
 }
 
 // substringGrams returns the unpadded lower-cased k-grams of s. Unlike
@@ -1257,38 +1191,42 @@ func substringGrams(s string, k int) []string {
 // reference-interpreter counterpart of the per-partition pipeline the
 // compiled jobs run. Callers post-validate the exact predicate.
 func (d *Dataset) SearchSecondaryConjunctive(indexName, probe string) ([]*adm.Record, error) {
-	return d.collectAndFetch(func(part int, visit func(pk []byte) bool) error {
-		return d.SearchInvertedPartition(part, indexName, probe, visit)
-	})
+	_, recs, err := d.collectAndFetch(indexName, Probe{Value: adm.String(probe)}, KeywordIndex, NGramIndex)
+	return recs, err
 }
 
 // collectAndFetch is the materializing half of every secondary access path:
-// it runs a per-partition primary-key producer across all partitions, sorts
-// the keys (the sort operator between the two searches in Figure 6), and
+// it searches the named index (which must be of one of the given kinds) in
+// every partition — the matching data could be in any of them — sorts the
+// primary keys (the sort operator between the two searches in Figure 6), and
 // fetches the records from the primary indexes. Callers post-validate.
-func (d *Dataset) collectAndFetch(producer func(part int, visit func(pk []byte) bool) error) ([]*adm.Record, error) {
+func (d *Dataset) collectAndFetch(indexName string, probe Probe, kinds ...IndexKind) (IndexSpec, []*adm.Record, error) {
+	ix, ok := d.IndexByName(indexName)
+	if !ok || !slices.Contains(kinds, ix.Kind) {
+		return ix, nil, fmt.Errorf("storage: no index %q of kind %v on %q", indexName, kinds, d.spec.Name)
+	}
 	var pks [][]byte
 	for part := range d.partitions {
-		err := producer(part, func(pk []byte) bool {
+		err := d.SearchIndexPartition(part, indexName, probe, func(pk []byte) bool {
 			pks = append(pks, pk)
 			return true
 		})
 		if err != nil {
-			return nil, err
+			return ix, nil, err
 		}
 	}
 	sort.Slice(pks, func(i, j int) bool { return string(pks[i]) < string(pks[j]) })
 	out := make([]*adm.Record, 0, len(pks))
 	for _, pk := range pks {
-		rec, ok, err := d.lookupPKBytes(pk)
+		rec, err := d.fetch(d.partitionFor(pk), pk)
 		if err != nil {
-			return nil, err
+			return ix, nil, err
 		}
-		if ok {
+		if rec != nil {
 			out = append(out, rec)
 		}
 	}
-	return out, nil
+	return ix, out, nil
 }
 
 // SpatialProbeMBR normalizes an evaluated spatial probe for an R-tree search:
@@ -1480,15 +1418,7 @@ func (d *Dataset) flushAll(stamp uint64) error {
 // index, and post-validate each record against the predicate (Section 4.4's
 // consistency check). Either bound may be nil for an open range.
 func (d *Dataset) SearchSecondaryRange(indexName string, lo, hi adm.Value) ([]*adm.Record, error) {
-	ix, ok := d.IndexByName(indexName)
-	if !ok {
-		return nil, fmt.Errorf("storage: no index %q on %q", indexName, d.spec.Name)
-	}
-	// Secondary lookups are routed to all partitions (the matching data could
-	// be in any partition) and produce primary keys.
-	recs, err := d.collectAndFetch(func(part int, visit func(pk []byte) bool) error {
-		return d.SearchSecondaryRangePartition(part, indexName, lo, hi, visit)
-	})
+	ix, recs, err := d.collectAndFetch(indexName, Probe{Lo: lo, Hi: hi}, BTreeIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -1516,13 +1446,7 @@ func (d *Dataset) SearchSecondaryRange(indexName string, lo, hi adm.Value) ([]*a
 // intersects the probe rectangle, using the same secondary→primary access
 // path with post-validation.
 func (d *Dataset) SearchSecondaryRTree(indexName string, probe adm.Rectangle) ([]*adm.Record, error) {
-	ix, ok := d.IndexByName(indexName)
-	if !ok || ix.Kind != RTreeIndex {
-		return nil, fmt.Errorf("storage: no rtree index %q on %q", indexName, d.spec.Name)
-	}
-	recs, err := d.collectAndFetch(func(part int, visit func(pk []byte) bool) error {
-		return d.SearchRTreePartition(part, indexName, probe, visit)
-	})
+	ix, recs, err := d.collectAndFetch(indexName, Probe{Value: probe}, RTreeIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -1538,31 +1462,11 @@ func (d *Dataset) SearchSecondaryRTree(indexName string, probe adm.Rectangle) ([
 	return out, nil
 }
 
-// SearchSecondaryInverted returns the records whose indexed text field
-// contains the given token (keyword index) or shares at least minMatches
-// grams with it (ngram index), post-validated by re-checking the stored text.
+// SearchSecondaryInverted returns the candidate records whose indexed text
+// field contains the given token (keyword index) or shares at least
+// minMatches grams with it (ngram index; at least one). Callers post-validate.
 func (d *Dataset) SearchSecondaryInverted(indexName, probe string, minMatches int) ([]*adm.Record, error) {
-	ix, ok := d.IndexByName(indexName)
-	if !ok || (ix.Kind != KeywordIndex && ix.Kind != NGramIndex) {
-		return nil, fmt.Errorf("storage: no inverted index %q on %q", indexName, d.spec.Name)
-	}
-	return d.collectAndFetch(func(part int, visit func(pk []byte) bool) error {
-		p := d.partitions[part]
-		var pks [][]byte
-		p.mu.Lock()
-		if t := p.inverted[indexName]; t != nil {
-			if ix.Kind == KeywordIndex {
-				pks = t.Lookup(probe)
-			} else {
-				pks = t.LookupAny(invidx.NGramTokenizer(ix.GramLength)(probe), minMatches)
-			}
-		}
-		p.mu.Unlock()
-		for _, pk := range pks {
-			if !visit(pk) {
-				return nil
-			}
-		}
-		return nil
-	})
+	_, recs, err := d.collectAndFetch(indexName,
+		Probe{Value: adm.String(probe), MinMatches: max(minMatches, 1)}, KeywordIndex, NGramIndex)
+	return recs, err
 }

@@ -249,11 +249,11 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 	case algebra.OpUnnest:
 		return b.buildUnnest(n)
 	case algebra.OpIndexSearch:
-		return b.buildIndexSearch(n)
+		return b.buildSecondarySearch(n, "btree-search")
 	case algebra.OpRTreeSearch:
-		return b.buildRTreeSearch(n)
+		return b.buildSecondarySearch(n, "rtree-search")
 	case algebra.OpInvertedSearch:
-		return b.buildInvertedSearch(n)
+		return b.buildSecondarySearch(n, "inverted-search")
 	case algebra.OpSortPK:
 		return b.buildSortPK(n)
 	case algebra.OpPrimarySearch:
@@ -496,122 +496,47 @@ func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
 // flow in between the stages of the secondary-index access path.
 var pkSchema = Schema{"#pk"}
 
-// buildIndexSearch is the first stage of the compiled secondary B+-tree
-// access path: one search instance per storage partition, each searching its
-// partition-local secondary index and emitting the matching encoded primary
-// keys. The PK sort and primary search stages above run per-partition too, so
-// the whole access path executes at full parallelism.
-func (b *jobBuilder) buildIndexSearch(n *algebra.Node) (stream, error) {
+// buildSecondarySearch is the first stage of the compiled secondary-index
+// access path for every index kind: one search instance per storage
+// partition, each searching its partition-local index and emitting the
+// candidate encoded primary keys (for an R-tree or inverted index a
+// conservative superset; the select above post-validates the exact
+// predicate). The PK sort and primary search stages above run per-partition
+// too, so the whole access path executes at full parallelism. How a probe
+// value maps to candidates — and that an unknown or wrongly typed one matches
+// nothing — is the storage layer's knowledge.
+func (b *jobBuilder) buildSecondarySearch(n *algebra.Node, label string) (stream, error) {
 	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
 	if !ok {
-		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for index search", n.Dataset)
+		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for %s", n.Dataset, label)
 	}
-	index, loExpr, hiExpr := n.Index, n.LoExpr, n.HiExpr
-	// The bounds are evaluated once per job (not once per partition instance):
-	// a volatile bound such as current-datetime() must not make the instances
-	// search different ranges.
-	bounds := onceValue(func() ([2]adm.Value, error) {
-		var lohi [2]adm.Value
-		for i, e := range []aql.Expr{loExpr, hiExpr} {
+	index, probeExprs := n.Index, [3]aql.Expr{n.LoExpr, n.HiExpr, n.ProbeExpr}
+	// The probe is evaluated once per job and shared by every partition
+	// instance: a volatile bound such as current-datetime() must not make the
+	// instances search different ranges.
+	probe := sync.OnceValues(func() (storage.Probe, error) {
+		var vals [3]adm.Value
+		for i, e := range probeExprs {
 			if e == nil {
 				continue
 			}
 			v, err := expr.Eval(b.ctx, expr.Env{}, e)
 			if err != nil {
-				return lohi, err
+				return storage.Probe{}, err
 			}
-			lohi[i] = v
+			vals[i] = v
 		}
-		return lohi, nil
+		return storage.Probe{Lo: vals[0], Hi: vals[1], Value: vals[2]}, nil
 	})
 	op := b.job.Add(&hyracks.SourceOp{
-		Label:      fmt.Sprintf("btree-search(%s)", index),
+		Label:      fmt.Sprintf("%s(%s)", label, index),
 		Partitions: b.partitions,
 		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
-			lohi, err := bounds()
+			pr, err := probe()
 			if err != nil {
 				return err
 			}
-			return ds.SearchSecondaryRangePartition(p, index, lohi[0], lohi[1], func(pk []byte) bool {
-				return emit(hyracks.Tuple{adm.Binary(pk)})
-			})
-		},
-	})
-	return stream{op: op, par: b.partitions, schema: pkSchema}, nil
-}
-
-// onceValue wraps a computation so every partition instance of a search
-// operator shares one evaluation (and one result) per job run.
-func onceValue[T any](f func() (T, error)) func() (T, error) {
-	var once sync.Once
-	var v T
-	var err error
-	return func() (T, error) {
-		once.Do(func() { v, err = f() })
-		return v, err
-	}
-}
-
-// buildRTreeSearch is the R-tree analogue of buildIndexSearch: each instance
-// searches its partition-local R-tree with the MBR of the probe value and
-// emits matching primary keys. An unknown or non-spatial probe matches
-// nothing (the predicate above would evaluate to false/null everywhere).
-func (b *jobBuilder) buildRTreeSearch(n *algebra.Node) (stream, error) {
-	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
-	if !ok {
-		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for rtree search", n.Dataset)
-	}
-	index, probeExpr := n.Index, n.ProbeExpr
-	probe := onceValue(func() (adm.Value, error) {
-		return expr.Eval(b.ctx, expr.Env{}, probeExpr)
-	})
-	op := b.job.Add(&hyracks.SourceOp{
-		Label:      fmt.Sprintf("rtree-search(%s)", index),
-		Partitions: b.partitions,
-		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
-			v, err := probe()
-			if err != nil {
-				return err
-			}
-			mbr, ok := storage.SpatialProbeMBR(v)
-			if !ok {
-				return nil // unknown or non-spatial probe matches nothing
-			}
-			return ds.SearchRTreePartition(p, index, mbr, func(pk []byte) bool {
-				return emit(hyracks.Tuple{adm.Binary(pk)})
-			})
-		},
-	})
-	return stream{op: op, par: b.partitions, schema: pkSchema}, nil
-}
-
-// buildInvertedSearch is the inverted-index analogue of buildIndexSearch:
-// each instance probes its partition-local keyword or ngram index for the
-// conservative candidate set (every token / every gram of the probe) and
-// emits matching primary keys; the select above post-validates the exact
-// predicate. An unknown or non-string probe matches nothing.
-func (b *jobBuilder) buildInvertedSearch(n *algebra.Node) (stream, error) {
-	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
-	if !ok {
-		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for inverted search", n.Dataset)
-	}
-	index, probeExpr := n.Index, n.ProbeExpr
-	probe := onceValue(func() (adm.Value, error) {
-		return expr.Eval(b.ctx, expr.Env{}, probeExpr)
-	})
-	op := b.job.Add(&hyracks.SourceOp{
-		Label:      fmt.Sprintf("inverted-search(%s)", index),
-		Partitions: b.partitions,
-		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
-			v, err := probe()
-			if err != nil {
-				return err
-			}
-			s, ok := storage.StringProbe(v)
-			if !ok {
-				return nil // unknown or non-string probe matches nothing
-			}
-			return ds.SearchInvertedPartition(p, index, s, func(pk []byte) bool {
+			return ds.SearchIndexPartition(p, index, pr, func(pk []byte) bool {
 				return emit(hyracks.Tuple{adm.Binary(pk)})
 			})
 		},
