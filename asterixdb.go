@@ -208,7 +208,8 @@ func (in *Instance) Close() error { return in.store.Close() }
 // last acknowledged committed write.
 func (in *Instance) Recover() error { return in.store.Recover() }
 
-// Store exposes the storage manager (used by feed pipelines and tools).
+// Store exposes the storage manager (used by the metrics collectors and
+// tools).
 func (in *Instance) Store() *storage.Manager { return in.store }
 
 // Dataset returns the stored dataset with the given name.
@@ -487,9 +488,9 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		delete(in.functionDataverse, s.Name)
 		return &Result{Kind: "ddl"}, nil
 	case *aql.CreateFeed, *aql.DropFeed, *aql.ConnectFeed, *aql.DisconnectFeed:
-		// Feed lifecycle is managed by the feeds package (see Feeds()); the
-		// DDL statements are accepted so scripts from the paper parse.
-		return &Result{Kind: "ddl"}, nil
+		// The statements parse (scripts from the paper load), but nothing
+		// would ever ingest: say so instead of reporting a connected feed.
+		return nil, errf(CodeInvalid, "asterixdb: feeds are not supported by this build")
 	case *aql.SetStatement:
 		return in.setParameter(s)
 	case *aql.InsertStatement:

@@ -44,6 +44,24 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// TestFeedDDLIsRejected: the feed statements parse, but no feed runtime
+// exists, so executing one is a typed error rather than a silent success
+// that tells a client its feed is connected.
+func TestFeedDDLIsRejected(t *testing.T) {
+	inst := newTinySocial(t)
+	for _, stmt := range []string{
+		`create feed f using socket_adaptor (("sockets"="127.0.0.1:10001"));`,
+		`connect feed f to dataset MugshotMessages;`,
+		`disconnect feed f from dataset MugshotMessages;`,
+		`drop feed f;`,
+	} {
+		res, err := inst.Execute(stmt)
+		if err == nil || ErrorCode(err) != CodeInvalid || !strings.Contains(err.Error(), "feeds are not supported") {
+			t.Errorf("%s = %v, %v; want a CodeInvalid \"feeds are not supported\" error", stmt, res, err)
+		}
+	}
+}
+
 // TestDropFunctionSemantics: dropping a missing function errors without
 // "if exists" and succeeds with it.
 func TestDropFunctionSemantics(t *testing.T) {

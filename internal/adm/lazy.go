@@ -235,15 +235,6 @@ func (r *LazyRecord) Resident() (*Record, int) {
 	return r.full.Load(), len(r.buf)
 }
 
-// MaterializeValue resolves a LazyRecord to its eager Record; every other
-// value passes through. It is the sink-side materialization point.
-func MaterializeValue(v Value) Value {
-	if lr, ok := v.(*LazyRecord); ok {
-		return lr.Materialize()
-	}
-	return v
-}
-
 // AsRecord returns the *Record form of v when v is a record in either
 // representation (materializing a lazy one).
 func AsRecord(v Value) (*Record, bool) {

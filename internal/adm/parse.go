@@ -27,16 +27,6 @@ func Parse(input string) (Value, error) {
 	return v, nil
 }
 
-// MustParse parses a value and panics on error. It is intended for tests and
-// example data literals.
-func MustParse(input string) Value {
-	v, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 type valueParser struct {
 	src string
 	pos int

@@ -113,15 +113,6 @@ func (r *RecordType) FieldIndex(name string) int {
 	return -1
 }
 
-// DeclaredFieldNames returns the names of all declared fields in order.
-func (r *RecordType) DeclaredFieldNames() []string {
-	out := make([]string, len(r.Fields))
-	for i, f := range r.Fields {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // OrderedListType is the type of an ordered list with a given item type.
 type OrderedListType struct {
 	Item Type

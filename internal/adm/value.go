@@ -2,7 +2,6 @@ package adm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -555,15 +554,4 @@ func IsUnknown(v Value) bool {
 func Truthy(v Value) bool {
 	b, ok := v.(Boolean)
 	return ok && bool(b)
-}
-
-// NaNSafeLess orders doubles with NaN sorted last; helper for ORDER BY.
-func NaNSafeLess(a, b float64) bool {
-	if math.IsNaN(a) {
-		return false
-	}
-	if math.IsNaN(b) {
-		return true
-	}
-	return a < b
 }

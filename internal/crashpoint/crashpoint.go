@@ -59,6 +59,3 @@ func Hit(name string) {
 
 // Count reports how many crash opportunities the process has hit so far.
 func Count() int64 { return count.Load() }
-
-// Armed reports whether a fatal hit count is configured.
-func Armed() bool { return target > 0 }

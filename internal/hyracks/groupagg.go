@@ -2,7 +2,6 @@ package hyracks
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"asterixdb/internal/adm"
@@ -10,15 +9,15 @@ import (
 )
 
 // This file holds the one aggregate kernel of compiled jobs (AggAccum) and
-// the fold-as-you-go aggregation HashGroupOp builds on it: when the
+// the spill table's fold client HashGroupOp builds on it: when the
 // translator proves every consumer of a group-by's with-variables is an
 // aggregate call (count/sum/avg/min/max, plain or sql-), the operator keeps
-// one small accumulator per (group, aggregate) instead of materializing the
-// group's row bag. Memory per group drops from O(rows) to O(1), and the
-// spill path writes accumulator tuples — merged on reload — rather than raw
-// rows. Row bags are materialized only when a with-variable is genuinely
-// used as a bag. The translator's scalar aggregates (local, global and
-// unsplit AggregateOp folds) run the same kernel.
+// one small accumulator per (group, aggregate) instead of the group's row
+// bag. Memory per group drops from O(rows) to O(1), and the spill path
+// writes accumulator tuples — merged on reload — rather than raw rows. Row
+// bags are materialized only when a with-variable is genuinely used as a
+// bag. The translator's scalar aggregates (local, global and unsplit
+// AggregateOp folds) run the same kernel.
 
 // GroupAgg describes one incremental aggregate computed by a HashGroupOp
 // running in fold-as-you-go mode.
@@ -214,239 +213,94 @@ func DecodeAccum(cols []adm.Value) (AggAccum, error) {
 	return AggAccum{n: int64(n), sum: float64(sum), best: cols[2], bad: bool(bad)}, nil
 }
 
-// aggGroup is one group's key and accumulators.
-type aggGroup struct {
-	key  Tuple
-	accs []AggAccum
+// foldClient is the spill table's fold client: a group's state is its key
+// and one accumulator per aggregate, a spilled contribution is a (key,
+// accumulator state) tuple, and reloading merges those tuples. Memory per
+// group is O(1) whatever the group's row count, and no input row is ever
+// materialized. reloaded selects the input form: raw operator rows (keys at
+// KeyColumns, aggregates folded from their Col) or the client's own
+// accumulator tuples (keys leading, accumulators merged from the rest).
+type foldClient struct {
+	o        *HashGroupOp
+	fns      []AggFn
+	reloaded bool
 }
 
-// aggPartition is one intra-instance hash partition of the incremental group
-// table: resident groups until chosen as a spill victim, an accumulator run
-// file after.
-type aggPartition struct {
-	groups map[string]*aggGroup
-	order  []string
-	bytes  int64
-	w      *runfile.Writer
+func (c *foldClient) key(dst []byte, t Tuple) []byte {
+	if !c.reloaded {
+		return c.o.encodeKey(dst, t)
+	}
+	for _, v := range t[:len(c.o.KeyColumns)] {
+		dst = adm.EncodeKey(dst, v)
+	}
+	return dst
 }
 
-// spillContribution routes one stream tuple into an already-spilled
-// partition's run: accumulator tuples pass through unchanged, raw rows fold
-// into a one-row accumulator tuple first (merged with the rest on reload).
-func (o *HashGroupOp) spillContribution(w *runfile.Writer, t Tuple, nk int, fns []AggFn, fromAcc bool) error {
-	out := make(Tuple, 0, nk+len(o.Aggs)*accumCols)
-	if fromAcc {
-		out = append(out, t...)
-	} else {
-		for _, col := range o.KeyColumns {
-			out = append(out, t[col])
-		}
-		for i, ag := range o.Aggs {
-			var acc AggAccum
-			acc.Fold(fns[i], t[ag.Col])
-			out = acc.Encode(out)
-		}
+func (c *foldClient) size(_ Tuple, fresh bool) int64 {
+	if !fresh {
+		return 0
 	}
-	return w.Write(out)
+	return int64(len(c.fns)) * accumMemSize
 }
 
-// aggStream is HashGroupOp's fold-as-you-go table. It consumes a stream of
-// either raw input rows (fromAcc false; keys at o.KeyColumns, aggregates
-// folded from their Col) or reloaded accumulator tuples (fromAcc true; keys
-// at columns [0, nk), accumulators merged from the trailing columns). Under
-// memory pressure (many distinct groups) the largest partition's accumulators
-// spill as (key, state) tuples and are merged on reload, recursively
-// repartitioned at the next level-salted hash if a partition alone still
-// exceeds the budget. No input row is ever materialized.
-func (o *HashGroupOp) aggStream(mem *runfile.Instance, level int, next func() (Tuple, bool, error), fromAcc bool, emit func(Tuple) bool) error {
-	nk := len(o.KeyColumns)
-	fns := parseAggFns(o.Aggs)
-	parts := make([]*aggPartition, spillFanout)
-	for i := range parts {
-		parts[i] = &aggPartition{groups: map[string]*aggGroup{}}
+// absorb folds or merges the contribution; retained min/max values change
+// the group's resident footprint, so the deltas feed the accounting.
+func (c *foldClient) absorb(g *spillGroup, t Tuple) (int64, error) {
+	nk := len(c.o.KeyColumns)
+	if c.reloaded && len(t) != nk+len(c.fns)*accumCols {
+		return 0, fmt.Errorf("hyracks: truncated accumulator tuple")
 	}
-	defer func() {
-		for _, pt := range parts {
-			if pt.w != nil {
-				pt.w.Abort()
-			}
-		}
-	}()
-	atCap := level >= spillMaxLevel
-
-	spillVictim := func() (bool, error) {
-		vi := -1
-		for i, pt := range parts {
-			if pt.w == nil && len(pt.order) > 0 && (vi < 0 || pt.bytes > parts[vi].bytes) {
-				vi = i
-			}
-		}
-		if vi < 0 {
-			return false, nil
-		}
-		pt := parts[vi]
-		w, err := mem.NewRun()
-		if err != nil {
-			return false, err
-		}
-		for _, ks := range pt.order {
-			g := pt.groups[ks]
-			t := make(Tuple, 0, nk+len(o.Aggs)*accumCols)
-			t = append(t, g.key...)
-			for i := range g.accs {
-				t = g.accs[i].Encode(t)
-			}
-			if err := w.Write(t); err != nil {
-				w.Abort()
-				return false, err
-			}
-		}
-		pt.w = w
-		mem.Release(pt.bytes)
-		pt.groups, pt.order, pt.bytes = nil, nil, 0
-		return true, nil
-	}
-
-	var scratch []byte
-	for {
-		t, more, err := next()
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-		// Key columns: the operator's KeyColumns for raw rows, the leading
-		// columns for reloaded accumulator tuples.
-		scratch = scratch[:0]
-		var key Tuple
-		if fromAcc {
-			key = t[:nk]
-			for _, v := range key {
-				scratch = adm.EncodeKey(scratch, v)
-			}
+	if g.accs == nil {
+		g.accs = make([]AggAccum, len(c.fns))
+		if c.reloaded {
+			g.key = t[:nk:nk]
 		} else {
-			for _, col := range o.KeyColumns {
-				scratch = adm.EncodeKey(scratch, t[col])
-			}
-		}
-		pt := parts[spillHash(level, scratch)]
-		if pt.w != nil {
-			if err := o.spillContribution(pt.w, t, nk, fns, fromAcc); err != nil {
-				return err
-			}
-			continue
-		}
-		ks := string(scratch)
-		g := pt.groups[ks]
-		if g == nil {
-			sz := int64(64+len(ks)) + int64(len(o.Aggs))*accumMemSize
-			if !atCap {
-				for !mem.Fits(sz) && pt.w == nil {
-					ok, err := spillVictim()
-					if err != nil {
-						return err
-					}
-					if !ok {
-						break
-					}
-				}
-				if pt.w != nil {
-					// This partition just became the victim; re-route the
-					// tuple to its run.
-					if err := o.spillContribution(pt.w, t, nk, fns, fromAcc); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			key2 := make(Tuple, nk)
-			if fromAcc {
-				copy(key2, t[:nk])
-			} else {
-				for i, col := range o.KeyColumns {
-					key2[i] = t[col]
-				}
-			}
-			g = &aggGroup{key: key2, accs: make([]AggAccum, len(o.Aggs))}
-			pt.groups[ks] = g
-			pt.order = append(pt.order, ks)
-			mem.Add(sz)
-			pt.bytes += sz
-		}
-		// Fold or merge the contribution; retained min/max values change the
-		// group's resident footprint, so the deltas feed the accounting.
-		var delta int64
-		if fromAcc {
-			pos := nk
-			for i := range o.Aggs {
-				acc, err := DecodeAccum(t[pos : pos+accumCols])
-				if err != nil {
-					return err
-				}
-				delta += g.accs[i].Merge(fns[i], &acc)
-				pos += accumCols
-			}
-		} else {
-			for i, ag := range o.Aggs {
-				delta += g.accs[i].Fold(fns[i], t[ag.Col])
-			}
-		}
-		if delta != 0 {
-			mem.Add(delta)
-			pt.bytes += delta
+			g.key = c.o.keyOf(t)
 		}
 	}
+	var delta int64
+	for i, ag := range c.o.Aggs {
+		if !c.reloaded {
+			delta += g.accs[i].Fold(c.fns[i], t[ag.Col])
+			continue
+		}
+		acc, err := DecodeAccum(t[nk+i*accumCols:])
+		if err != nil {
+			return delta, err
+		}
+		delta += g.accs[i].Merge(c.fns[i], &acc)
+	}
+	return delta, nil
+}
 
-	// Emit resident partitions first (releasing their memory), then merge
-	// the spilled partitions' accumulator runs with the freed budget.
-	for _, pt := range parts {
-		if pt.w != nil {
-			continue
-		}
-		for _, ks := range pt.order {
-			g := pt.groups[ks]
-			out := make(Tuple, 0, nk+len(o.Aggs))
-			out = append(out, g.key...)
-			for i := range o.Aggs {
-				out = append(out, g.accs[i].Finish(fns[i]))
-			}
-			if !emit(out) {
-				return errStopDemand
-			}
-		}
-		mem.Release(pt.bytes)
-		pt.groups, pt.order, pt.bytes = nil, nil, 0
+// contribution folds a raw row into a one-row accumulator tuple (merged with
+// the rest on reload); accumulator tuples pass through unchanged.
+func (c *foldClient) contribution(t Tuple) Tuple {
+	if c.reloaded {
+		return t
 	}
-	for _, pt := range parts {
-		if pt.w == nil {
-			continue
-		}
-		run, err := pt.w.Finish()
-		pt.w = nil
-		if err != nil {
-			return err
-		}
-		rd, err := run.Open()
-		if err != nil {
-			run.Release()
-			return err
-		}
-		err = o.aggStream(mem, level+1, func() (Tuple, bool, error) {
-			cols, err := rd.Next()
-			if err == io.EOF {
-				return nil, false, nil
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			return Tuple(cols), true, nil
-		}, true, emit)
-		rd.Close()
-		run.Release()
-		if err != nil {
-			return err
-		}
+	var g spillGroup
+	c.absorb(&g, t) // only a reloaded tuple can fail to absorb
+	return g.accTuple()
+}
+
+func (c *foldClient) state(g *spillGroup) []Tuple { return []Tuple{g.accTuple()} }
+
+// accTuple serializes a fold group: key columns, then each accumulator.
+func (g *spillGroup) accTuple() Tuple {
+	t := append(make(Tuple, 0, len(g.key)+len(g.accs)*accumCols), g.key...)
+	for i := range g.accs {
+		t = g.accs[i].Encode(t)
 	}
-	return nil
+	return t
+}
+
+// finish produces a group's output tuple: key columns, then one finished
+// value per aggregate.
+func (c *foldClient) finish(g *spillGroup) (Tuple, error) {
+	out := append(make(Tuple, 0, len(g.key)+len(g.accs)), g.key...)
+	for i := range g.accs {
+		out = append(out, g.accs[i].Finish(c.fns[i]))
+	}
+	return out, nil
 }

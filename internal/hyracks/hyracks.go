@@ -822,11 +822,12 @@ func (o *AggregateOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 }
 
 // HashGroupOp groups its input by key columns and emits one tuple per group
-// produced by the Reduce function (the HashGroup operator from the paper's
-// aggregation operators). It pre-aggregates with spillable hash partitions
-// (Run, in spill.go): under memory pressure a victim partition's raw tuples
-// move to a run file and are re-aggregated per spilled partition afterwards
-// (recursively repartitioned if a partition alone exceeds the budget).
+// (the HashGroup operator from the paper's aggregation operators). It
+// pre-aggregates in the spill table (Run, in spill.go) as one of two clients:
+// the bag — each group's rows, in arrival order, handed to Reduce — or, when
+// Aggs is set, the fold, which keeps one accumulator per aggregate instead
+// of the rows. Under memory pressure a victim partition's rows (or
+// accumulators) move to a run file and are re-aggregated one level down.
 type HashGroupOp struct {
 	Label      string
 	Partitions int
@@ -862,16 +863,18 @@ func (o *HashGroupOp) Blocking() bool { return true }
 //
 // The operator is a robust dynamic hybrid hash join (Jahangiri et al.,
 // "Design Trade-offs for a Robust Dynamic Hybrid Hash Join"; Run, in
-// spill.go): an in-memory hash join over intra-instance partitions until
-// memory pressure evicts a victim partition to a run file, after which probe
-// tuples destined for spilled partitions are deferred to their own run files
-// and spilled pairs are joined recursively with level-salted rehashing —
-// falling back to a budget-chunked block nested-loop join on pathological
-// skew.
+// spill.go): the build table is the spill table's bag of build rows per key,
+// probe tuples of resident partitions stream out at once, those of evicted
+// partitions are deferred to probe runs, and each spilled (build, probe)
+// pair is joined by the same body at the next level-salted hash — falling
+// back to a budget-chunked block nested-loop join on pathological skew.
+//
+// With nil BuildKey and ProbeKey every pair matches: the operator is the
+// nested-loop (cross product) join, its build side typically broadcast.
 type HybridHashJoinOp struct {
 	Label      string
 	Partitions int
-	// BuildKey / ProbeKey extract the join keys.
+	// BuildKey / ProbeKey extract the join keys; both nil for a keyless join.
 	BuildKey func(Tuple) adm.Value
 	ProbeKey func(Tuple) adm.Value
 	// Combine merges a probe tuple with a matching build tuple.

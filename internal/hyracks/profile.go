@@ -160,22 +160,33 @@ func sortOperatorStats(rows []OperatorStats) {
 	})
 }
 
-// SpillBudgeted is implemented by operators that spill through a
-// per-operator runfile.Budget; the profile finalizer uses it to read
-// each operator's SpillObserver without knowing the operator types
-// (translator-private operators implement it too).
+// SpillBudgeted is implemented by the operators that work inside a share of
+// the job's memory budget and spill through it (sort, hybrid hash join, hash
+// group-by). It is the one place that knowledge lives: the translator hands
+// every SpillBudgeted operator its runfile.Budget, and the profile finalizer
+// reads each one's SpillObserver back, neither naming an operator type.
 type SpillBudgeted interface {
 	SpillBudget() *runfile.Budget
+	SetSpillBudget(*runfile.Budget)
 }
 
 // SpillBudget implements SpillBudgeted.
 func (o *SortOp) SpillBudget() *runfile.Budget { return o.Spill }
 
+// SetSpillBudget implements SpillBudgeted.
+func (o *SortOp) SetSpillBudget(b *runfile.Budget) { o.Spill = b }
+
 // SpillBudget implements SpillBudgeted.
 func (o *HybridHashJoinOp) SpillBudget() *runfile.Budget { return o.Spill }
 
+// SetSpillBudget implements SpillBudgeted.
+func (o *HybridHashJoinOp) SetSpillBudget(b *runfile.Budget) { o.Spill = b }
+
 // SpillBudget implements SpillBudgeted.
 func (o *HashGroupOp) SpillBudget() *runfile.Budget { return o.Spill }
+
+// SetSpillBudget implements SpillBudgeted.
+func (o *HashGroupOp) SetSpillBudget(b *runfile.Budget) { o.Spill = b }
 
 // instProf is one operator instance's counter block. It is owned by the
 // instance goroutine — plain fields, no atomics — and published to the

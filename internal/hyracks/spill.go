@@ -10,28 +10,26 @@ import (
 )
 
 // This file holds the blocking operators' only implementations: SortOp is an
-// external merge sort, HybridHashJoinOp a robust dynamic hybrid hash join,
-// HashGroupOp a spillable pre-aggregation. Each works in memory for as long
-// as its runfile.Instance says the next tuple fits and spills when it does
-// not; the operator's Spill budget (a share of the job's Config.MemoryBudget
-// assigned by the translator) only moves that line, and an unlimited budget
-// never reaches it.
+// external merge sort; HashGroupOp (with either reducer) and HybridHashJoinOp
+// (keyed, or keyless as the nested-loop join) all run on the one spillTable.
+// Each works in memory for as long as its runfile.Instance says the next
+// tuple fits and spills when it does not; the operator's Spill budget (a
+// share of the job's Config.MemoryBudget assigned by the translator) only
+// moves that line, and an unlimited budget never reaches it.
 //
-// All three share the same discipline: tuples are accounted against the
-// instance's budget share with runfile.TupleMemSize, spilling moves whole
-// victim partitions (or sorted runs) into runfile run files, and every run
-// is released by the operator on its way out — with the job's
-// runfile.Manager as the backstop that removes anything left behind on any
-// termination path.
+// All share the same discipline: tuples are accounted against the instance's
+// budget share with runfile.TupleMemSize, spilling moves whole victim
+// partitions (or sorted runs) into runfile run files, and every run is
+// released by the operator on its way out — with the job's runfile.Manager
+// as the backstop that removes anything left behind on any termination path.
 
 const (
-	// spillFanout is the number of intra-instance partitions the join build
-	// side and the group-by hash table split into.
+	// spillFanout is the number of partitions a spillTable splits into.
 	spillFanout = 8
-	// spillMaxLevel caps recursive repartitioning. Beyond it the join falls
-	// back to the budget-chunked block nested-loop join and the group-by
-	// groups in memory (a single group's rows must be materialized for
-	// Reduce regardless).
+	// spillMaxLevel caps recursive repartitioning: a table at this level no
+	// longer evicts. The join reaches it only as a pass of the budget-chunked
+	// block nested-loop fallback; the group-by groups in memory there (a
+	// single group's rows must be materialized for Reduce regardless).
 	spillMaxLevel = 5
 	// mergeFanIn caps how many sorted runs one merge pass reads, bounding
 	// the merge's buffered-reader memory; more runs merge in multiple
@@ -298,608 +296,233 @@ func (o *SortOp) mergeRuns(mem *runfile.Instance, bufSize int, runs []*runfile.R
 }
 
 // ----------------------------------------------------------------------------
-// Robust dynamic hybrid hash join (HybridHashJoinOp)
+// The dynamic spill table (hash group-by, both reducers, and the join build)
 // ----------------------------------------------------------------------------
 
-// joinPartition is one intra-instance slice of the build side: a resident
-// hash table until the partition is chosen as a spill victim, a run-file
-// writer after.
-type joinPartition struct {
-	table map[string][]Tuple
-	bytes int64
-	w     *runfile.Writer
-}
+// tupleSource is a pull stream of tuples: an operator input at level 0, a
+// run-file reader at every level below.
+type tupleSource func() (Tuple, bool, error)
 
-// Run implements Operator. Build tuples (port 1, the blocking Join Build
-// activity) hash into spillFanout partitions, each its own hash table; under
-// memory pressure the largest resident partition is evicted to a run file
-// (dynamic victim selection — partitions stay resident as long as the actual
-// data allows, rather than a static hybrid split). Probe tuples (port 0)
-// against resident partitions stream straight through; those destined for
-// spilled partitions are deferred to probe run files and joined recursively
-// afterwards.
-func (o *HybridHashJoinOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	if len(ins) < 2 {
-		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.Label)
-	}
-	mem := o.Spill.NewInstance()
-	defer mem.Close()
-
-	parts := make([]*joinPartition, spillFanout)
-	for i := range parts {
-		parts[i] = &joinPartition{table: map[string][]Tuple{}}
-	}
-	probeW := make([]*runfile.Writer, spillFanout)
-	var pending []*runfile.Run
-	defer func() {
-		// Abandoned writers and runs on error/early-return paths.
-		for _, pt := range parts {
-			if pt.w != nil {
-				pt.w.Abort()
-			}
-		}
-		for _, w := range probeW {
-			if w != nil {
-				w.Abort()
-			}
-		}
-		for _, r := range pending {
-			r.Release()
-		}
-	}()
-
-	spillVictim := func() (bool, error) {
-		vi := -1
-		for i, pt := range parts {
-			if pt.w == nil && pt.bytes > 0 && (vi < 0 || pt.bytes > parts[vi].bytes) {
-				vi = i
-			}
-		}
-		if vi < 0 {
-			return false, nil
-		}
-		pt := parts[vi]
-		w, err := mem.NewRun()
-		if err != nil {
-			return false, err
-		}
-		for _, rows := range pt.table {
-			for _, t := range rows {
-				if err := w.Write(t); err != nil {
-					w.Abort()
-					return false, err
-				}
-			}
-		}
-		pt.w = w
-		mem.Release(pt.bytes)
-		pt.table, pt.bytes = nil, 0
-		return true, nil
-	}
-
-	// Join Build activity. The key-encoding buffer is reused across tuples;
-	// only the map-key insertion copies it.
-	var scratch []byte
-	for {
-		t, more := ins[1].Next()
-		if !more {
-			break
-		}
-		scratch = adm.EncodeKey(scratch[:0], o.BuildKey(t))
-		pt := parts[spillHash(0, scratch)]
-		if pt.w == nil {
-			sz := runfile.TupleMemSize(t)
-			for !mem.Fits(sz) && pt.w == nil {
-				ok, err := spillVictim()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break // nothing evictable; overshoot by this tuple
-				}
-			}
-			if pt.w == nil {
-				mem.Add(sz)
-				k := string(scratch)
-				pt.table[k] = append(pt.table[k], t)
-				pt.bytes += sz
-				continue
-			}
-		}
-		if err := pt.w.Write(t); err != nil {
-			return err
-		}
-	}
-
-	// Join Probe activity: stream against resident partitions, defer the
-	// rest to per-partition probe run files.
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			break
-		}
-		scratch = adm.EncodeKey(scratch[:0], o.ProbeKey(t))
-		pi := spillHash(0, scratch)
-		if parts[pi].w == nil {
-			for _, b := range parts[pi].table[string(scratch)] {
-				if !emit(o.Combine(t, b)) {
-					return nil
-				}
-			}
-			continue
-		}
-		if probeW[pi] == nil {
-			w, err := mem.NewRun()
-			if err != nil {
-				return err
-			}
-			probeW[pi] = w
-		}
-		if err := probeW[pi].Write(t); err != nil {
-			return err
-		}
-	}
-
-	// Release the resident build memory before recursing into spilled pairs.
-	for _, pt := range parts {
-		if pt.w == nil {
-			mem.Release(pt.bytes)
-			pt.table, pt.bytes = nil, 0
-		}
-	}
-
-	// Recursive phase: join each spilled (build, probe) pair.
-	for pi, pt := range parts {
-		if pt.w == nil {
-			continue
-		}
-		bRun, err := pt.w.Finish()
-		pt.w = nil
-		if err != nil {
-			return err
-		}
-		pending = append(pending, bRun)
-		var pRun *runfile.Run
-		if probeW[pi] != nil {
-			pRun, err = probeW[pi].Finish()
-			probeW[pi] = nil
-			if err != nil {
-				return err
-			}
-			pending = append(pending, pRun)
-		}
-		err = o.joinRuns(mem, bRun, pRun, 1, emit)
-		bRun.Release()
-		pRun.Release()
-		if err == errStopDemand {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// joinRuns joins one spilled (build, probe) pair: loading the build side
-// when it fits the budget share, repartitioning both sides at the next hash
-// level when it does not, and falling back to the block nested-loop join at
-// the recursion cap or when repartitioning makes no progress (every build
-// tuple has the same key — the pathological-skew case repartitioning can
-// never subdivide).
-func (o *HybridHashJoinOp) joinRuns(mem *runfile.Instance, build, probe *runfile.Run, level int, emit func(Tuple) bool) error {
-	if build == nil || probe == nil || build.Tuples() == 0 || probe.Tuples() == 0 {
-		return nil
-	}
-	if build.MemBytes() <= mem.Limit() {
-		return o.hashJoinRunPair(mem, build, probe, emit)
-	}
-	if level >= spillMaxLevel {
-		return o.blockJoinRunPair(mem, build, probe, emit)
-	}
-	bSubs, err := o.partitionRun(mem, build, level, o.BuildKey)
-	if err != nil {
-		releaseRuns(bSubs)
-		return err
-	}
-	pSubs, err := o.partitionRun(mem, probe, level, o.ProbeKey)
-	if err != nil {
-		releaseRuns(bSubs)
-		releaseRuns(pSubs)
-		return err
-	}
-	defer releaseRuns(bSubs)
-	defer releaseRuns(pSubs)
-	for i := range bSubs {
-		b, p := bSubs[i], pSubs[i]
-		var err error
-		if b != nil && b.Tuples() == build.Tuples() && b.MemBytes() > mem.Limit() {
-			// No progress: the whole parent landed in one child and still
-			// does not fit. Rehashing deeper cannot help; go robust.
-			err = o.blockJoinRunPair(mem, b, p, emit)
-		} else {
-			err = o.joinRuns(mem, b, p, level+1, emit)
-		}
-		if b != nil {
-			b.Release()
-		}
-		if p != nil {
-			p.Release()
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func releaseRuns(runs []*runfile.Run) {
-	for _, r := range runs {
-		if r != nil {
-			r.Release()
-		}
-	}
-}
-
-// partitionRun splits a run into spillFanout sub-runs by the level-salted
-// hash of each tuple's key; empty sub-partitions return nil.
-func (o *HybridHashJoinOp) partitionRun(mem *runfile.Instance, run *runfile.Run, level int, key func(Tuple) adm.Value) ([]*runfile.Run, error) {
-	writers := make([]*runfile.Writer, spillFanout)
-	abort := func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Abort()
-			}
-		}
-	}
-	rd, err := run.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	var scratch []byte
-	for {
-		cols, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			abort()
-			return nil, err
-		}
-		t := Tuple(cols)
-		scratch = adm.EncodeKey(scratch[:0], key(t))
-		pi := spillHash(level, scratch)
-		if writers[pi] == nil {
-			w, err := mem.NewRun()
-			if err != nil {
-				abort()
-				return nil, err
-			}
-			writers[pi] = w
-		}
-		if err := writers[pi].Write(t); err != nil {
-			abort()
-			return nil, err
-		}
-	}
-	subs := make([]*runfile.Run, spillFanout)
-	for i, w := range writers {
-		if w == nil {
-			continue
-		}
-		r, err := w.Finish()
-		writers[i] = nil
-		if err != nil {
-			abort()
-			releaseRuns(subs)
-			return nil, err
-		}
-		subs[i] = r
-	}
-	return subs, nil
-}
-
-// hashJoinRunPair loads the whole build run into a hash table (it fits the
-// budget share) and streams the probe run through it.
-func (o *HybridHashJoinOp) hashJoinRunPair(mem *runfile.Instance, build, probe *runfile.Run, emit func(Tuple) bool) error {
-	if probe == nil || probe.Tuples() == 0 {
-		return nil
-	}
-	table := map[string][]Tuple{}
-	var loaded int64
-	defer func() { mem.Release(loaded) }()
-	br, err := build.Open()
-	if err != nil {
-		return err
-	}
-	var scratch []byte
-	for {
-		cols, err := br.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			br.Close()
-			return err
-		}
-		t := Tuple(cols)
-		sz := runfile.TupleMemSize(t)
-		mem.Add(sz)
-		loaded += sz
-		scratch = adm.EncodeKey(scratch[:0], o.BuildKey(t))
-		table[string(scratch)] = append(table[string(scratch)], t)
-	}
-	br.Close()
-	pr, err := probe.Open()
-	if err != nil {
-		return err
-	}
-	defer pr.Close()
-	for {
-		cols, err := pr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		t := Tuple(cols)
-		scratch = adm.EncodeKey(scratch[:0], o.ProbeKey(t))
-		for _, b := range table[string(scratch)] {
-			if !emit(o.Combine(t, b)) {
-				return errStopDemand
-			}
-		}
-	}
-}
-
-// blockJoinRunPair is the safe fallback for build runs that can never fit:
-// the build run is read in budget-sized chunks and the probe run is
-// re-streamed once per chunk. Memory stays bounded at one chunk regardless
-// of key skew; the cost is extra probe passes, not failure.
-func (o *HybridHashJoinOp) blockJoinRunPair(mem *runfile.Instance, build, probe *runfile.Run, emit func(Tuple) bool) error {
-	if probe == nil || probe.Tuples() == 0 {
-		return nil
-	}
-	br, err := build.Open()
-	if err != nil {
-		return err
-	}
-	defer br.Close()
-	var scratch []byte
-	buildDone := false
-	for !buildDone {
-		table := map[string][]Tuple{}
-		var chunkBytes int64
-		chunkTuples := 0
-		for {
-			cols, err := br.Next()
-			if err == io.EOF {
-				buildDone = true
-				break
-			}
-			if err != nil {
-				mem.Release(chunkBytes)
-				return err
-			}
-			t := Tuple(cols)
-			sz := runfile.TupleMemSize(t)
-			mem.Add(sz)
-			chunkBytes += sz
-			scratch = adm.EncodeKey(scratch[:0], o.BuildKey(t))
-			table[string(scratch)] = append(table[string(scratch)], t)
-			chunkTuples++
-			if !mem.Fits(1) {
-				break // chunk at capacity; next tuple starts a new chunk
-			}
-		}
-		if chunkTuples == 0 {
-			mem.Release(chunkBytes)
-			break
-		}
-		pr, err := probe.Open()
-		if err != nil {
-			mem.Release(chunkBytes)
-			return err
-		}
-		for {
-			cols, err := pr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				pr.Close()
-				mem.Release(chunkBytes)
-				return err
-			}
-			t := Tuple(cols)
-			scratch = adm.EncodeKey(scratch[:0], o.ProbeKey(t))
-			for _, b := range table[string(scratch)] {
-				if !emit(o.Combine(t, b)) {
-					pr.Close()
-					mem.Release(chunkBytes)
-					return errStopDemand
-				}
-			}
-		}
-		pr.Close()
-		mem.Release(chunkBytes)
-	}
-	return nil
-}
-
-// ----------------------------------------------------------------------------
-// Spillable pre-aggregation (HashGroupOp)
-// ----------------------------------------------------------------------------
-
-// Run implements Operator: the fold-as-you-go accumulator table when Aggs is
-// set (aggStream, groupagg.go), the row-materializing one for Reduce
-// (groupStream) otherwise.
-func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	mem := o.Spill.NewInstance()
-	defer mem.Close()
-	next := func() (Tuple, bool, error) {
-		t, more := ins[0].Next()
+func inSource(in *In) tupleSource {
+	return func() (Tuple, bool, error) {
+		t, more := in.Next()
 		return t, more, nil
 	}
-	var err error
-	if o.Aggs != nil {
-		err = o.aggStream(mem, 0, next, false, emit)
-	} else {
-		err = o.groupStream(mem, 0, next, emit)
-	}
-	if err == errStopDemand {
-		return nil
-	}
-	return err
 }
 
-// spillGroup is one group's materialized state.
+// readRun streams a sealed run into fn, closing the reader on every path.
+func readRun(run *runfile.Run, fn func(tupleSource) error) error {
+	rd, err := run.Open()
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	return fn(func() (Tuple, bool, error) {
+		cols, err := rd.Next()
+		if err == io.EOF {
+			return nil, false, nil
+		}
+		return Tuple(cols), err == nil, err
+	})
+}
+
+// spillGroup is one key's resident state in a spillTable: the rows in
+// arrival order for the bag group-by and the join build, the key columns
+// plus one accumulator per aggregate for the fold.
 type spillGroup struct {
-	key  Tuple
 	rows []Tuple
+	key  Tuple
+	accs []AggAccum
 }
 
-// groupPartition is one intra-instance hash partition of the group table:
-// resident groups until chosen as a spill victim, a raw-tuple run file
-// after.
-type groupPartition struct {
+// spillClient is the kind knowledge a spillTable does not have. There are
+// three: the fold (foldClient, groupagg.go), the bag group-by and the join
+// build (both rowsClient — a hash-join build table is a bag group-by of the
+// build side).
+type spillClient interface {
+	// key appends the tuple's encoded grouping key.
+	key(dst []byte, t Tuple) []byte
+	// size is what absorbing t will charge, known before it is absorbed;
+	// fresh is set when t opens a new group.
+	size(t Tuple, fresh bool) int64
+	// absorb adds t to the group's state, returning any further change in
+	// the state's resident bytes.
+	absorb(g *spillGroup, t Tuple) (int64, error)
+	// contribution is the run tuple that stands for t in the run of an
+	// already-spilled partition; state is a resident group's state as run
+	// tuples of that same form. Reloading a run absorbs those tuples.
+	contribution(t Tuple) Tuple
+	state(g *spillGroup) []Tuple
+}
+
+// rowsClient keeps each group's raw rows in arrival order and spills them
+// as they are, so a reloaded group is identical to one that never left. The
+// value is the key encoder.
+type rowsClient func(dst []byte, t Tuple) []byte
+
+func (k rowsClient) key(dst []byte, t Tuple) []byte { return k(dst, t) }
+func (rowsClient) size(t Tuple, _ bool) int64       { return runfile.TupleMemSize(t) }
+func (rowsClient) contribution(t Tuple) Tuple       { return t }
+func (rowsClient) state(g *spillGroup) []Tuple      { return g.rows }
+
+func (rowsClient) absorb(g *spillGroup, t Tuple) (int64, error) {
+	g.rows = append(g.rows, t)
+	return 0, nil
+}
+
+// groupOverhead is the accounting estimate for a group's map entry and
+// bookkeeping, charged with the key bytes when the group is created.
+const groupOverhead = 64
+
+// spillPartition is one of a table's spillFanout slices: resident groups in
+// first-encounter order until it is evicted, a run writer after.
+type spillPartition struct {
 	groups map[string]*spillGroup
-	order  []string
+	order  []*spillGroup
 	bytes  int64
 	w      *runfile.Writer
 }
 
-// groupStream consumes a tuple stream, grouping into spillFanout hash
-// partitions. Under pressure the largest resident partition's raw tuples
-// spill to a run file (per-group arrival order is preserved, so
-// with-variable bags reload identically); spilled partitions re-aggregate
-// recursively at the next hash level. At the recursion cap the partition
-// groups in memory regardless — Reduce needs a group's full row set, so a
-// single oversized group is materialized either way; the cap just stops
-// futile repartitioning.
-func (o *HashGroupOp) groupStream(mem *runfile.Instance, level int, next func() (Tuple, bool, error), emit func(Tuple) bool) error {
+// spillTable is the one dynamic hybrid hash mechanism (Jahangiri et al.):
+// tuples hash by key into spillFanout partitions at a level-salted hash; a
+// partition stays resident while the instance's budget allows; under
+// pressure the largest resident partition is evicted to a run file and later
+// tuples of it are routed there; the owner consumes the residents (drain)
+// and then re-runs each spilled partition one level down (spilled). A table
+// at spillMaxLevel never evicts — it is what remains when subdividing has
+// stopped helping.
+type spillTable struct {
+	mem     *runfile.Instance
+	client  spillClient
+	level   int
+	parts   [spillFanout]spillPartition
+	seen    int // tuples inserted, resident or routed
+	scratch []byte
+}
 
-	parts := make([]*groupPartition, spillFanout)
-	for i := range parts {
-		parts[i] = &groupPartition{groups: map[string]*spillGroup{}}
-	}
-	defer func() {
-		for _, pt := range parts {
-			if pt.w != nil {
-				pt.w.Abort()
-			}
-		}
-	}()
-	atCap := level >= spillMaxLevel
-
-	spillVictim := func() (bool, error) {
-		vi := -1
-		for i, pt := range parts {
-			if pt.w == nil && len(pt.order) > 0 && (vi < 0 || pt.bytes > parts[vi].bytes) {
-				vi = i
-			}
-		}
-		if vi < 0 {
-			return false, nil
-		}
-		pt := parts[vi]
-		w, err := mem.NewRun()
-		if err != nil {
-			return false, err
-		}
-		for _, ks := range pt.order {
-			for _, t := range pt.groups[ks].rows {
-				if err := w.Write(t); err != nil {
-					w.Abort()
-					return false, err
-				}
-			}
-		}
-		pt.w = w
-		mem.Release(pt.bytes)
-		pt.groups, pt.order, pt.bytes = nil, nil, 0
-		return true, nil
-	}
-
-	var scratch []byte
+// fill inserts every tuple of the stream.
+func (t *spillTable) fill(next tupleSource) error {
 	for {
-		t, more, err := next()
-		if err != nil {
+		tup, more, err := next()
+		if err != nil || !more {
 			return err
 		}
-		if !more {
-			break
+		if err := t.insert(tup); err != nil {
+			return err
 		}
-		scratch = scratch[:0]
-		for _, col := range o.KeyColumns {
-			scratch = adm.EncodeKey(scratch, t[col])
-		}
-		pt := parts[spillHash(level, scratch)]
-		if pt.w != nil {
-			if err := pt.w.Write(t); err != nil {
-				return err
-			}
-			continue
-		}
-		ks := string(scratch)
-		sz := runfile.TupleMemSize(t)
-		if pt.groups[ks] == nil {
-			sz += 64 + int64(len(ks)) // new group: key copy + map entry
-		}
-		if !atCap {
-			for !mem.Fits(sz) && pt.w == nil {
-				ok, err := spillVictim()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-			}
-			if pt.w != nil {
-				if err := pt.w.Write(t); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		g := pt.groups[ks]
+	}
+}
+
+// insert absorbs the tuple into its key's group, evicting victims until it
+// fits; once the tuple's own partition is spilled (before or by that) its
+// contribution goes to the partition's run instead.
+func (t *spillTable) insert(tup Tuple) error {
+	t.seen++
+	t.scratch = t.client.key(t.scratch[:0], tup)
+	pt := &t.parts[spillHash(t.level, t.scratch)]
+	var g *spillGroup
+	var sz int64
+	if pt.w == nil {
+		g = pt.groups[string(t.scratch)]
+		sz = t.client.size(tup, g == nil)
 		if g == nil {
-			key := make(Tuple, 0, len(o.KeyColumns))
-			for _, col := range o.KeyColumns {
-				key = append(key, t[col])
-			}
-			g = &spillGroup{key: key}
-			pt.groups[ks] = g
-			pt.order = append(pt.order, ks)
+			sz += groupOverhead + int64(len(t.scratch))
 		}
-		g.rows = append(g.rows, t)
-		mem.Add(sz)
+		for pt.w == nil && t.level < spillMaxLevel && !t.mem.Fits(sz) {
+			if ok, err := t.evict(); err != nil {
+				return err
+			} else if !ok {
+				break // nothing evictable; overshoot by this tuple
+			}
+		}
+	}
+	if pt.w != nil {
+		return pt.w.Write(t.client.contribution(tup))
+	}
+	if g == nil {
+		if pt.groups == nil {
+			pt.groups = map[string]*spillGroup{}
+		}
+		g = &spillGroup{}
+		pt.groups[string(t.scratch)] = g
+		pt.order = append(pt.order, g)
+	}
+	delta, err := t.client.absorb(g, tup)
+	if sz += delta; sz != 0 { // folding into an existing group usually retains nothing
+		t.mem.Add(sz)
 		pt.bytes += sz
 	}
+	return err
+}
 
-	// Emit every resident partition first (releasing its memory), then
-	// re-aggregate the spilled partitions with the freed budget.
-	for _, pt := range parts {
+// evict is the victim policy: the largest resident partition's groups are
+// written to a fresh run and its bytes released. It reports false when no
+// partition holds anything.
+func (t *spillTable) evict() (bool, error) {
+	vi := -1
+	for i := range t.parts {
+		if pt := &t.parts[i]; pt.w == nil && len(pt.order) > 0 && (vi < 0 || pt.bytes > t.parts[vi].bytes) {
+			vi = i
+		}
+	}
+	if vi < 0 {
+		return false, nil
+	}
+	pt := &t.parts[vi]
+	w, err := t.mem.NewRun()
+	if err != nil {
+		return false, err
+	}
+	for _, g := range pt.order {
+		for _, tup := range t.client.state(g) {
+			if err := w.Write(tup); err != nil {
+				w.Abort()
+				return false, err
+			}
+		}
+	}
+	t.mem.Release(pt.bytes)
+	*pt = spillPartition{w: w}
+	return true, nil
+}
+
+// lookup finds a key without creating anything: its partition, whether that
+// partition is spilled, and otherwise the key's resident group (nil when the
+// key is absent).
+func (t *spillTable) lookup(key []byte) (pi int, g *spillGroup, spilled bool) {
+	pi = spillHash(t.level, key)
+	pt := &t.parts[pi]
+	return pi, pt.groups[string(key)], pt.w != nil
+}
+
+// drain visits every resident group, partition by partition in
+// first-encounter order, and releases each partition's bytes behind it, so
+// the spilled partitions re-run with the whole share. A nil visit only
+// releases.
+func (t *spillTable) drain(visit func(*spillGroup) error) error {
+	for i := range t.parts {
+		pt := &t.parts[i]
 		if pt.w != nil {
 			continue
 		}
-		for _, ks := range pt.order {
-			g := pt.groups[ks]
-			out, err := o.Reduce(g.key, g.rows)
-			if err != nil {
-				return err
-			}
-			if out != nil && !emit(out) {
-				return errStopDemand
+		if visit != nil {
+			for _, g := range pt.order {
+				if err := visit(g); err != nil {
+					return err
+				}
 			}
 		}
-		mem.Release(pt.bytes)
-		pt.groups, pt.order, pt.bytes = nil, nil, 0
+		t.mem.Release(pt.bytes)
+		*pt = spillPartition{}
 	}
-	for _, pt := range parts {
+	return nil
+}
+
+// spilled seals each evicted partition's run, hands it to fn to be re-run
+// one level down, and releases it.
+func (t *spillTable) spilled(fn func(pi int, run *runfile.Run) error) error {
+	for i := range t.parts {
+		pt := &t.parts[i]
 		if pt.w == nil {
 			continue
 		}
@@ -908,26 +531,227 @@ func (o *HashGroupOp) groupStream(mem *runfile.Instance, level int, next func() 
 		if err != nil {
 			return err
 		}
-		rd, err := run.Open()
-		if err != nil {
-			run.Release()
-			return err
-		}
-		err = o.groupStream(mem, level+1, func() (Tuple, bool, error) {
-			cols, err := rd.Next()
-			if err == io.EOF {
-				return nil, false, nil
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			return Tuple(cols), true, nil
-		}, emit)
-		rd.Close()
+		err = fn(i, run)
 		run.Release()
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// abort discards the writers still open when the owner unwinds early.
+func (t *spillTable) abort() {
+	for i := range t.parts {
+		if w := t.parts[i].w; w != nil {
+			w.Abort()
+		}
+	}
+}
+
+// ----------------------------------------------------------------------------
+// Spillable pre-aggregation (HashGroupOp)
+// ----------------------------------------------------------------------------
+
+// Run implements Operator.
+func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
+	mem := o.Spill.NewInstance()
+	defer mem.Close()
+	err := o.group(mem, 0, inSource(ins[0]), emit)
+	if err == errStopDemand {
+		return nil
+	}
+	return err
+}
+
+// group aggregates one stream through a spill table: resident groups are
+// emitted first, then each spilled partition's run is aggregated by the same
+// body one level down. At spillMaxLevel the groups are held in memory
+// regardless — Reduce needs a group's full row set, so a single oversized
+// group is materialized either way.
+func (o *HashGroupOp) group(mem *runfile.Instance, level int, next tupleSource, emit func(Tuple) bool) error {
+	client, finish := o.client(level > 0)
+	tbl := &spillTable{mem: mem, client: client, level: level}
+	defer tbl.abort()
+	if err := tbl.fill(next); err != nil {
+		return err
+	}
+	err := tbl.drain(func(g *spillGroup) error {
+		out, err := finish(g)
+		if err != nil {
+			return err
+		}
+		if out != nil && !emit(out) {
+			return errStopDemand
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return tbl.spilled(func(_ int, run *runfile.Run) error {
+		return readRun(run, func(next tupleSource) error { return o.group(mem, level+1, next, emit) })
+	})
+}
+
+// client picks the operator's table client and the function that turns a
+// finished group into its output tuple: the fold when Aggs is set, the bag
+// handed to Reduce otherwise. reloaded says the stream is a run of the
+// client's own contributions rather than operator input.
+func (o *HashGroupOp) client(reloaded bool) (spillClient, func(*spillGroup) (Tuple, error)) {
+	if o.Aggs != nil {
+		c := &foldClient{o: o, fns: parseAggFns(o.Aggs), reloaded: reloaded}
+		return c, c.finish
+	}
+	return rowsClient(o.encodeKey), func(g *spillGroup) (Tuple, error) {
+		return o.Reduce(o.keyOf(g.rows[0]), g.rows)
+	}
+}
+
+// encodeKey appends the encoded key columns of an input row.
+func (o *HashGroupOp) encodeKey(dst []byte, t Tuple) []byte {
+	for _, col := range o.KeyColumns {
+		dst = adm.EncodeKey(dst, t[col])
+	}
+	return dst
+}
+
+// keyOf projects an input row onto the key columns.
+func (o *HashGroupOp) keyOf(t Tuple) Tuple {
+	key := make(Tuple, len(o.KeyColumns))
+	for i, col := range o.KeyColumns {
+		key[i] = t[col]
+	}
+	return key
+}
+
+// ----------------------------------------------------------------------------
+// Robust dynamic hybrid hash join (HybridHashJoinOp)
+// ----------------------------------------------------------------------------
+
+// Run implements Operator.
+func (o *HybridHashJoinOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
+	if len(ins) < 2 {
+		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.Label)
+	}
+	mem := o.Spill.NewInstance()
+	defer mem.Close()
+	err := o.join(mem, 0, inSource(ins[1]), inSource(ins[0]), emit)
+	if err == errStopDemand {
+		return nil
+	}
+	return err
+}
+
+// join is the operator's one body, run on the two inputs at level 0 and on
+// each spilled (build, probe) run pair below. Join Build fills a spill table
+// with the build side (a bag group-by on the join key). Join Probe looks
+// each probe tuple up: matches in a resident partition stream out at once,
+// tuples of a spilled partition are deferred to that partition's probe run.
+// Each spilled pair is then joined by this same body one level down, or by
+// the block fallback where the table says subdividing has stopped helping.
+func (o *HybridHashJoinOp) join(mem *runfile.Instance, level int, build, probe tupleSource, emit func(Tuple) bool) error {
+	buildKey := func(dst []byte, t Tuple) []byte { return joinKey(dst, o.BuildKey, t) }
+	tbl := &spillTable{mem: mem, client: rowsClient(buildKey), level: level}
+	defer tbl.abort()
+	if err := tbl.fill(build); err != nil {
+		return err
+	}
+
+	var deferred [spillFanout]*runfile.Writer
+	defer func() {
+		for _, w := range deferred {
+			if w != nil {
+				w.Abort()
+			}
+		}
+	}()
+	var scratch []byte
+	for {
+		t, more, err := probe()
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		scratch = joinKey(scratch[:0], o.ProbeKey, t)
+		pi, g, spilled := tbl.lookup(scratch)
+		if !spilled {
+			if g != nil {
+				for _, b := range g.rows {
+					if !emit(o.Combine(t, b)) {
+						return errStopDemand
+					}
+				}
+			}
+			continue
+		}
+		if deferred[pi] == nil {
+			if deferred[pi], err = mem.NewRun(); err != nil {
+				return err
+			}
+		}
+		if err := deferred[pi].Write(t); err != nil {
+			return err
+		}
+	}
+
+	tbl.drain(nil) // the spilled pairs get the whole share
+	return tbl.spilled(func(pi int, bRun *runfile.Run) error {
+		if deferred[pi] == nil {
+			return nil // no probe tuple reached this partition
+		}
+		pRun, err := deferred[pi].Finish()
+		deferred[pi] = nil
+		if err != nil {
+			return err
+		}
+		defer pRun.Release()
+		if level+1 >= spillMaxLevel || bRun.Tuples() == tbl.seen {
+			// The cap, or this level subdivided nothing: every build tuple
+			// landed in the one partition (the single-giant-key case), which
+			// rehashing deeper cannot split either.
+			return o.blockJoinRunPair(mem, bRun, pRun, emit)
+		}
+		return readRun(bRun, func(b tupleSource) error {
+			return readRun(pRun, func(p tupleSource) error { return o.join(mem, level+1, b, p, emit) })
+		})
+	})
+}
+
+// joinKey appends a tuple's encoded join key. A keyless join (nil extractor)
+// has the one empty key, so every pair matches.
+func joinKey(dst []byte, key func(Tuple) adm.Value, t Tuple) []byte {
+	if key == nil {
+		return dst
+	}
+	return adm.EncodeKey(dst, key(t))
+}
+
+// blockJoinRunPair is the robust fallback for a build run that rehashing
+// cannot subdivide: the build run is taken in budget-sized chunks and the
+// probe run re-streamed once per chunk, each pass being the join body over a
+// table that no longer evicts. Memory stays bounded at one chunk regardless
+// of key skew; the cost is extra probe passes, not failure.
+func (o *HybridHashJoinOp) blockJoinRunPair(mem *runfile.Instance, build, probe *runfile.Run, emit func(Tuple) bool) error {
+	left := build.Tuples()
+	return readRun(build, func(next tupleSource) error {
+		chunk := func() (Tuple, bool, error) {
+			if left == 0 || !mem.Fits(1) {
+				return nil, false, nil
+			}
+			left--
+			return next()
+		}
+		for left > 0 {
+			err := readRun(probe, func(p tupleSource) error {
+				return o.join(mem, spillMaxLevel, chunk, p, emit)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

@@ -404,3 +404,339 @@ func TestSpillableGroupByOneGiantGroup(t *testing.T) {
 	mgr.Close()
 	_ = fmt.Sprintf("%v", got)
 }
+
+// ----------------------------------------------------------------------------
+// The one spill table, through every client
+// ----------------------------------------------------------------------------
+
+func foldJob(input []Tuple, spill *runfile.Budget) *Job {
+	job := &Job{}
+	src := job.Add(sourceOf(input))
+	grp := job.Add(&HashGroupOp{
+		Label:      "group",
+		Partitions: 1,
+		KeyColumns: []int{0},
+		Aggs:       []GroupAgg{{Func: "count", Col: 1}, {Func: "sum", Col: 1}, {Func: "min", Col: 1}},
+		Spill:      spill,
+	})
+	job.Connect(src, grp, Connector{Kind: OneToOne})
+	return job
+}
+
+func keylessJoinJob(build, probe []Tuple, spill *runfile.Budget) *Job {
+	job := &Job{}
+	probeSrc := job.Add(sourceOf(probe))
+	buildSrc := job.Add(sourceOf(build))
+	join := job.Add(&HybridHashJoinOp{
+		Label:      "join",
+		Partitions: 1,
+		Combine:    func(p, b Tuple) Tuple { return Tuple{p[0], p[1], b[0], b[1]} },
+		Spill:      spill,
+	})
+	job.Connect(probeSrc, join, Connector{Kind: OneToOne})
+	job.ConnectPort(buildSrc, join, 1, Connector{Kind: OneToOne})
+	return job
+}
+
+// tableClient is one client of the spill table wired into a runnable job
+// (group-bys ignore probe), with the plain-Go-map oracle of its result.
+type tableClient struct {
+	name   string
+	job    func(build, probe []Tuple, spill *runfile.Budget) *Job
+	oracle func(build, probe []Tuple) []Tuple
+}
+
+func tupleInts(t Tuple) (k, v int64) {
+	k, _ = adm.NumericAsInt64(t[0])
+	v, _ = adm.NumericAsInt64(t[1])
+	return k, v
+}
+
+// groupOracle groups the second column by the first with a plain map.
+func groupOracle(rows []Tuple) (keys []int64, groups map[int64][]int64) {
+	groups = map[int64][]int64{}
+	for _, r := range rows {
+		k, v := tupleInts(r)
+		if _, ok := groups[k]; !ok {
+			keys = append(keys, k)
+		}
+		groups[k] = append(groups[k], v)
+	}
+	return keys, groups
+}
+
+var tableClients = []tableClient{
+	{
+		name: "fold",
+		job:  func(b, _ []Tuple, s *runfile.Budget) *Job { return foldJob(b, s) },
+		oracle: func(b, _ []Tuple) []Tuple {
+			var out []Tuple
+			keys, groups := groupOracle(b)
+			for _, k := range keys {
+				sum, min := int64(0), groups[k][0]
+				for _, v := range groups[k] {
+					sum += v
+					if v < min {
+						min = v
+					}
+				}
+				out = append(out, Tuple{adm.Int64(k), adm.Int64(int64(len(groups[k]))), adm.Double(float64(sum)), adm.Int64(min)})
+			}
+			return out
+		},
+	},
+	{
+		name: "bag",
+		job:  func(b, _ []Tuple, s *runfile.Budget) *Job { return groupJob(b, s) },
+		oracle: func(b, _ []Tuple) []Tuple {
+			var out []Tuple
+			keys, groups := groupOracle(b)
+			for _, k := range keys {
+				sum := int64(0)
+				items := make([]adm.Value, len(groups[k]))
+				for i, v := range groups[k] {
+					sum += v
+					items[i] = adm.Int64(v)
+				}
+				out = append(out, Tuple{adm.Int64(k), adm.Int64(sum), &adm.OrderedList{Items: items}})
+			}
+			return out
+		},
+	},
+	{
+		name: "equi-join",
+		job:  joinJob,
+		oracle: func(b, p []Tuple) []Tuple {
+			var out []Tuple
+			_, groups := groupOracle(b)
+			for _, pt := range p {
+				k, _ := tupleInts(pt)
+				for _, v := range groups[k] {
+					out = append(out, Tuple{pt[0], pt[1], adm.Int64(v)})
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "keyless-join",
+		job:  keylessJoinJob,
+		oracle: func(b, p []Tuple) []Tuple {
+			var out []Tuple
+			for _, pt := range p {
+				for _, bt := range b {
+					out = append(out, Tuple{pt[0], pt[1], bt[0], bt[1]})
+				}
+			}
+			return out
+		},
+	},
+}
+
+// runTableClient runs one client under one budget (PerInstance 0 is the
+// unlimited share) and checks everything the table promises whatever the
+// input: the oracle's result (as a multiset; a positive limit instead asks
+// for that many tuples, each from the oracle's result), no run left live or
+// on disk, a budget-0 run that never touches the spill directory, and — when
+// bounded is set — a resident peak within the budget plus one tuple of slack.
+func runTableClient(t *testing.T, c tableClient, build, probe []Tuple, budget int64, limit int, bounded bool) runfile.Stats {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "spill")
+	mgr := runfile.NewManager(dir, budget)
+	job := c.job(build, probe, &runfile.Budget{M: mgr, PerInstance: budget})
+	if limit > 0 {
+		last := len(job.Operators) - 1
+		lim := job.Add(&LimitOp{Label: "limit", Partitions: 1, N: limit})
+		job.Connect(last, lim, Connector{Kind: OneToOne})
+	}
+	got := runToSink(t, job)
+	want := c.oracle(build, probe)
+	if limit > 0 && limit < len(want) {
+		if len(got) != limit {
+			t.Fatalf("limit %d returned %d tuples", limit, len(got))
+		}
+		valid := map[string]int{}
+		for _, e := range encodeTuples(t, want) {
+			valid[e]++
+		}
+		for _, e := range encodeTuples(t, got) {
+			if valid[e]--; valid[e] < 0 {
+				t.Fatalf("tuple behind the limit is not in the full result")
+			}
+		}
+	} else {
+		assertSameTuples(t, c.name, got, want, false)
+	}
+	st := mgr.Stats()
+	if st.LiveRuns != 0 {
+		t.Fatalf("%d run files live after the job", st.LiveRuns)
+	}
+	if budget == 0 && st.RunsCreated != 0 {
+		t.Fatalf("unlimited share created %d runs", st.RunsCreated)
+	}
+	if bounded && budget > 0 && st.PeakResident > budget+1024 {
+		t.Fatalf("peak resident %d bytes exceeds budget %d (+1024 slack)", st.PeakResident, budget)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	filepath.Walk(dir, func(path string, _ os.FileInfo, err error) error {
+		if err == nil && (budget == 0 || path != dir) {
+			t.Fatalf("%s left in the spill directory", path)
+		}
+		return nil
+	})
+	return st
+}
+
+// TestSpillTableClients drives the one spill table through each of its
+// clients — fold group-by, bag group-by, equi-join, keyless join — across
+// budgets (0 is the unlimited share; 8KiB and 64KiB both sit below the
+// inputs) and key shapes. What must hold for every input is in
+// runTableClient; per shape: the bag keeps each group's rows in arrival order
+// across spill and reload (the oracle's lists are in arrival order), every
+// budgeted case except the single-group fold really spills, and a build side
+// that is one key — every level lands in one partition — finishes through
+// the block fallback's repeated probe passes.
+func TestSpillTableClients(t *testing.T) {
+	type shape struct {
+		name  string
+		key   func(rng *rand.Rand, i int) int
+		limit int
+	}
+	shapes := []shape{
+		{name: "uniform", key: func(rng *rand.Rand, _ int) int { return rng.Intn(400) }},
+		{name: "all-distinct", key: func(_ *rand.Rand, i int) int { return i }},
+		{name: "one-giant-key", key: func(*rand.Rand, int) int { return 7 }},
+		{name: "early-stop", key: func(rng *rand.Rand, _ int) int { return rng.Intn(400) }, limit: 5},
+	}
+	for _, c := range tableClients {
+		for _, sh := range shapes {
+			// Sized so every build side is several times 64KiB (~190 bytes a
+			// tuple) while the joins' outputs stay in the tens of thousands.
+			nBuild, nProbe := 3000, 0
+			switch {
+			case c.name == "keyless-join":
+				nBuild, nProbe = 700, 60
+			case c.name == "equi-join" && sh.name == "one-giant-key":
+				nBuild, nProbe = 1500, 30
+			case c.name == "equi-join":
+				nBuild, nProbe = 1500, 400
+			}
+			rng := rand.New(rand.NewSource(29))
+			var build, probe []Tuple
+			for i := 0; i < nBuild; i++ {
+				build = append(build, intTuple(sh.key(rng, i), i))
+			}
+			for i := 0; i < nProbe; i++ {
+				probe = append(probe, intTuple(sh.key(rng, i), 100000+i))
+			}
+			giant := sh.name == "one-giant-key"
+			for _, budget := range []int64{0, 8 << 10, 64 << 10} {
+				t.Run(fmt.Sprintf("%s/%s/%d", c.name, sh.name, budget), func(t *testing.T) {
+					// The giant bag group must be materialized for Reduce.
+					st := runTableClient(t, c, build, probe, budget, sh.limit, !(c.name == "bag" && giant))
+					if budget == 0 {
+						return
+					}
+					if spills := !(c.name == "fold" && giant); spills != (st.RunsCreated > 0) {
+						t.Fatalf("spilling = %v, want %v (stats %+v)", st.RunsCreated > 0, spills, st)
+					}
+					if c.name == "equi-join" && giant && st.RunsOpened <= int64(st.RunsCreated)+1 {
+						t.Fatalf("one-key build did not finish through the block fallback (stats %+v)", st)
+					}
+				})
+			}
+		}
+	}
+	t.Run("victim-is-largest-partition", victimIsLargestPartition)
+}
+
+// victimIsLargestPartition pins the victim policy on the table itself: with
+// a few small groups resident and one key growing past the budget, the
+// partition that spills is that key's and only that.
+func victimIsLargestPartition(t *testing.T) {
+	const budget = 16 << 10
+	mgr := runfile.NewManager(t.TempDir(), budget)
+	defer mgr.Close()
+	mem := (&runfile.Budget{M: mgr, PerInstance: budget}).NewInstance()
+	defer mem.Close()
+	key := func(dst []byte, tup Tuple) []byte { return adm.EncodeKey(dst, tup[0]) }
+	tbl := &spillTable{mem: mem, client: rowsClient(key)}
+	defer tbl.abort()
+	for i := 0; i < 20; i++ {
+		if err := tbl.insert(intTuple(100+i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ { // ~40KB under one key
+		if err := tbl.insert(intTuple(7, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	giant, _, spilled := tbl.lookup(key(nil, intTuple(7, 0)))
+	if !spilled {
+		t.Fatal("the growing key's partition was not evicted")
+	}
+	for i := range tbl.parts {
+		if i != giant && tbl.parts[i].w != nil {
+			t.Fatalf("partition %d (%d bytes of small groups) was evicted besides the largest", i, tbl.parts[i].bytes)
+		}
+	}
+}
+
+// FuzzSpillTable fuzzes the one mechanism directly: the input picks a
+// budget (0 included), a client and a key stream (one byte a key, widened by
+// position when the client byte's bit 2 is set, so both few-large-groups and
+// many-small-groups streams are reachable); runTableClient checks the result
+// against the plain-map oracle, that no run survives, and the resident peak.
+func FuzzSpillTable(f *testing.F) {
+	seed := func(budget, client byte, n int, key func(i int) byte) {
+		data := []byte{budget, client}
+		for i := 0; i < n; i++ {
+			data = append(data, key(i))
+		}
+		f.Add(data)
+	}
+	for client := byte(0); client < 8; client++ {
+		seed(0, client, 300, func(i int) byte { return byte(i * 7) })  // unlimited share
+		seed(1, client, 400, func(i int) byte { return byte(i * 31) }) // uniform
+		seed(2, client, 400, func(i int) byte { return byte(i) })      // distinct when widened
+		seed(1, client, 400, func(int) byte { return 7 })              // one giant key
+		seed(3, client, 500, func(i int) byte { return byte(i % 3) })  // 64KiB, three groups
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		budget := []int64{0, 2 << 10, 8 << 10, 64 << 10}[data[0]%4]
+		c := tableClients[data[1]%4]
+		wide := data[1]&4 != 0
+		keys := data[2:]
+		// Bound the work per input: joins multiply.
+		if max := map[string]int{"fold": 4096, "bag": 4096, "equi-join": 512, "keyless-join": 256}[c.name]; len(keys) > max {
+			keys = keys[:max]
+		}
+		var build, probe []Tuple
+		largest, sizes := int64(0), map[int]int64{}
+		for i, b := range keys {
+			k := int(b)
+			if wide {
+				k |= i << 8
+			}
+			tup := intTuple(k, i)
+			build = append(build, tup)
+			if i%4 == 0 {
+				probe = append(probe, intTuple(k, 100000+i))
+			}
+			if sizes[k] += runfile.TupleMemSize(tup); sizes[k] > largest {
+				largest = sizes[k]
+			}
+		}
+		// A bag group that cannot fit is materialized at the recursion cap,
+		// alone or with a key that shared its partition all the way down;
+		// below half the budget even such a pair stays inside it.
+		bounded := c.name != "bag" || largest <= budget/2
+		runTableClient(t, c, build, probe, budget, 0, bounded)
+	})
+}

@@ -247,9 +247,6 @@ func (t *Tree) Merges() int { return t.merges }
 // MemBytes returns the current in-memory component footprint.
 func (t *Tree) MemBytes() int { return t.mem.Bytes() }
 
-// MemEntries returns the number of entries in the in-memory component.
-func (t *Tree) MemEntries() int { return t.mem.Len() }
-
 // DurableLSN returns the tree's durable watermark: every operation with
 // LSN < DurableLSN() is contained in a valid disk component. WAL replay
 // skips such operations (re-applying the rest is idempotent).

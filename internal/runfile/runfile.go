@@ -48,6 +48,8 @@ type Manager struct {
 	// operator instance charges them once per buffered tuple.
 	used atomic.Int64
 	peak atomic.Int64
+	// opened counts read passes over the job's runs.
+	opened atomic.Int64
 
 	mu       sync.Mutex
 	dir      string // lazily created job-private subdirectory of baseDir
@@ -66,6 +68,10 @@ type Stats struct {
 	// RunsCreated counts every run file the job created (including
 	// intermediate merge and repartition runs).
 	RunsCreated int `json:"runsCreated"`
+	// RunsOpened counts read passes over run files: the price of multi-pass
+	// algorithms (the block nested-loop fallback re-reads its probe run once
+	// per build chunk).
+	RunsOpened int64 `json:"runsOpened"`
 	// TuplesSpilled and BytesSpilled total the tuples and file bytes written
 	// to run files.
 	TuplesSpilled int64 `json:"tuplesSpilled"`
@@ -97,6 +103,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	return Stats{
 		RunsCreated:   m.runsMade,
+		RunsOpened:    m.opened.Load(),
 		TuplesSpilled: m.tuples,
 		BytesSpilled:  m.bytes,
 		PeakResident:  m.peak.Load(),
@@ -422,6 +429,8 @@ func (r *Run) OpenSized(bufSize int) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runfile: open run: %w", err)
 	}
+	r.m.opened.Add(1)
+	globalOpened.Add(1)
 	return &Reader{f: f, br: bufio.NewReaderSize(f, bufSize)}, nil
 }
 
@@ -502,6 +511,7 @@ var (
 	globalPeak     atomic.Int64
 	globalLiveRuns atomic.Int64
 	globalRuns     atomic.Int64
+	globalOpened   atomic.Int64
 	globalTuples   atomic.Int64
 	globalBytes    atomic.Int64
 )
@@ -515,8 +525,10 @@ type GlobalStats struct {
 	PeakBytes int64
 	// LiveRuns is the number of run files currently on disk.
 	LiveRuns int64
-	// RunsCreated, TuplesSpilled, and BytesSpilled are lifetime totals.
+	// RunsCreated, RunsOpened, TuplesSpilled, and BytesSpilled are lifetime
+	// totals.
 	RunsCreated   int64
+	RunsOpened    int64
 	TuplesSpilled int64
 	BytesSpilled  int64
 }
@@ -528,6 +540,7 @@ func Global() GlobalStats {
 		PeakBytes:     globalPeak.Load(),
 		LiveRuns:      globalLiveRuns.Load(),
 		RunsCreated:   globalRuns.Load(),
+		RunsOpened:    globalOpened.Load(),
 		TuplesSpilled: globalTuples.Load(),
 		BytesSpilled:  globalBytes.Load(),
 	}

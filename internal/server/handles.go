@@ -192,19 +192,6 @@ func (t *handleTable) take(id string) (h *handle, ok, taken bool) {
 	return h, true, true
 }
 
-// evict removes a handle (result delivered, or delivery failed for good) and
-// releases its result run.
-func (t *handleTable) evict(id string) {
-	t.mu.Lock()
-	h := t.entries[id]
-	delete(t.entries, id)
-	delete(t.touched, id)
-	t.mu.Unlock()
-	if h != nil {
-		h.discard()
-	}
-}
-
 // sweep drops every expired handle; the janitor calls it periodically so
 // abandoned handles do not pin their result spill files forever.
 func (t *handleTable) sweep() {

@@ -2,7 +2,6 @@ package translator
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"asterixdb/internal/adm"
@@ -95,23 +94,19 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 }
 
 // assignMemoryBudget divides the job's memory budget evenly among the
-// instances of its spillable blocking operators and attaches the job's spill
-// manager, which accounts their resident bytes whatever the budget (zero is
-// an unlimited share: runfile never reports it full). It also derives the
-// job frame size from the budget so channel buffering scales down with it.
+// instances of its spillable blocking operators (whichever implement
+// hyracks.SpillBudgeted) and attaches the job's spill manager, which accounts
+// their resident bytes whatever the budget (zero is an unlimited share:
+// runfile never reports it full). It also derives the job frame size from
+// the budget so channel buffering scales down with it.
 func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
 	job.FrameSize = hyracks.FrameSizeForBudget(opts.MemoryBudget)
+	var budgeted []hyracks.SpillBudgeted
 	instances := 0
 	for _, op := range job.Operators {
-		switch o := op.(type) {
-		case *hyracks.SortOp:
-			instances += o.Partitions
-		case *hyracks.HybridHashJoinOp:
-			instances += o.Partitions
-		case *hyracks.HashGroupOp:
-			instances += o.Partitions
-		case *crossJoinOp:
-			instances += o.par
+		if sb, ok := op.(hyracks.SpillBudgeted); ok {
+			budgeted = append(budgeted, sb)
+			instances += op.Parallelism()
 		}
 	}
 	if instances == 0 {
@@ -126,20 +121,8 @@ func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
 	// Each operator gets its own Budget (same manager and share) so its
 	// SpillObserver attributes run files and resident peaks per operator
 	// in job profiles.
-	opBudget := func() *runfile.Budget {
-		return &runfile.Budget{M: mgr, PerInstance: share, Obs: &runfile.SpillObserver{}}
-	}
-	for _, op := range job.Operators {
-		switch o := op.(type) {
-		case *hyracks.SortOp:
-			o.Spill = opBudget()
-		case *hyracks.HybridHashJoinOp:
-			o.Spill = opBudget()
-		case *hyracks.HashGroupOp:
-			o.Spill = opBudget()
-		case *crossJoinOp:
-			o.spill = opBudget()
-		}
+	for _, sb := range budgeted {
+		sb.SetSpillBudget(&runfile.Budget{M: mgr, PerInstance: share, Obs: &runfile.SpillObserver{}})
 	}
 }
 
@@ -819,161 +802,24 @@ func (b *jobBuilder) buildIndexNLJoin(n *algebra.Node, left stream) (stream, boo
 	return s, true, nil
 }
 
-// crossJoinOp is the nested-loop (cross product) join: the right side is
-// broadcast to every instance over input port 1 and buffered, then each probe
-// tuple from port 0 is combined with every buffered right tuple. A residual
-// select above applies any non-equi predicate.
-//
-// The broadcast buffer is accounted against the operator's budget share; once
-// it exceeds the share the overflow is written to a run file and the join
-// runs as a block nested loop — left tuples batch into budget-sized chunks and
-// the spilled right side re-streams once per chunk, so resident memory stays
-// bounded by the budget at the cost of extra sequential passes.
-type crossJoinOp struct {
-	label string
-	par   int
-	spill *runfile.Budget
-}
-
-func (o *crossJoinOp) Name() string     { return o.label }
-func (o *crossJoinOp) Parallelism() int { return o.par }
-func (o *crossJoinOp) Blocking() bool   { return true }
-
-// SpillBudget implements hyracks.SpillBudgeted for job profiles.
-func (o *crossJoinOp) SpillBudget() *runfile.Budget { return o.spill }
-
-// combine concatenates a left and right tuple.
-func combineCross(l, r hyracks.Tuple) hyracks.Tuple {
-	out := make(hyracks.Tuple, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func (o *crossJoinOp) Run(_ int, ins []*hyracks.In, emit func(hyracks.Tuple) bool) error {
-	if len(ins) < 2 {
-		return fmt.Errorf("hyracks: %s requires a build input on port 1", o.label)
-	}
-	mem := o.spill.NewInstance()
-	defer mem.Close()
-	var resident []hyracks.Tuple
-	var w *runfile.Writer
-	for {
-		t, more := ins[1].Next()
-		if !more {
-			break
-		}
-		sz := runfile.TupleMemSize(t)
-		if w == nil && !mem.Fits(sz) {
-			nw, err := mem.NewRun()
-			if err != nil {
-				return err
-			}
-			w = nw
-		}
-		if w != nil {
-			if err := w.Write(t); err != nil {
-				w.Abort()
-				return err
-			}
-			continue
-		}
-		mem.Add(sz)
-		resident = append(resident, t)
-	}
-	if w == nil {
-		// Everything resident: stream the left side straight through.
-		for {
-			t, more := ins[0].Next()
-			if !more {
-				return nil
-			}
-			for _, r := range resident {
-				if !emit(combineCross(t, r)) {
-					return nil
-				}
-			}
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	defer run.Release()
-	// Block nested loop: batch left tuples within the remaining budget and
-	// re-stream the spilled right rows once per batch.
-	for {
-		var chunk []hyracks.Tuple
-		var chunkBytes int64
-		for {
-			t, more := ins[0].Next()
-			if !more {
-				break
-			}
-			sz := runfile.TupleMemSize(t)
-			mem.Add(sz)
-			chunkBytes += sz
-			chunk = append(chunk, t)
-			if !mem.Fits(1) {
-				break
-			}
-		}
-		if len(chunk) == 0 {
-			return nil
-		}
-		stop := false
-		for _, l := range chunk {
-			for _, r := range resident {
-				if !emit(combineCross(l, r)) {
-					stop = true
-					break
-				}
-			}
-			if stop {
-				break
-			}
-		}
-		if !stop {
-			rd, err := run.Open()
-			if err != nil {
-				mem.Release(chunkBytes)
-				return err
-			}
-			for !stop {
-				cols, err := rd.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					rd.Close()
-					mem.Release(chunkBytes)
-					return err
-				}
-				r := hyracks.Tuple(cols)
-				for _, l := range chunk {
-					if !emit(combineCross(l, r)) {
-						stop = true
-						break
-					}
-				}
-			}
-			rd.Close()
-		}
-		mem.Release(chunkBytes)
-		if stop {
-			return nil
-		}
-	}
-}
-
+// buildNestedLoopJoin wires the nested-loop (cross product) join: the hybrid
+// hash join with no key, so every pair matches. The right side is broadcast
+// to every instance as the build input; a residual select above applies any
+// non-equi predicate.
 func (b *jobBuilder) buildNestedLoopJoin(n *algebra.Node, left stream) (stream, error) {
 	right, err := b.build(n.Inputs[1])
 	if err != nil {
 		return stream{}, err
 	}
 	outSchema := append(append(Schema{}, left.schema...), right.schema...)
-	join := b.job.Add(&crossJoinOp{
-		label: fmt.Sprintf("join(%s)", algebra.NestedLoopJoin),
-		par:   left.par,
+	join := b.job.Add(&hyracks.HybridHashJoinOp{
+		Label:      fmt.Sprintf("join(%s)", algebra.NestedLoopJoin),
+		Partitions: left.par,
+		Combine: func(l, r hyracks.Tuple) hyracks.Tuple {
+			out := make(hyracks.Tuple, 0, len(l)+len(r))
+			out = append(out, l...)
+			return append(out, r...)
+		},
 	})
 	b.job.Connect(left.op, join, hyracks.Connector{Kind: hyracks.OneToOne})
 	b.job.ConnectPort(right.op, join, 1, hyracks.Connector{Kind: hyracks.MToNReplicating})

@@ -37,6 +37,9 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 	r.CounterFunc("asterix_spill_runs_total",
 		"Run files created since process start.",
 		func() float64 { return float64(runfile.Global().RunsCreated) })
+	r.CounterFunc("asterix_spill_run_opens_total",
+		"Read passes over run files since process start.",
+		func() float64 { return float64(runfile.Global().RunsOpened) })
 	r.CounterFunc("asterix_spill_tuples_total",
 		"Tuples written to run files since process start.",
 		func() float64 { return float64(runfile.Global().TuplesSpilled) })

@@ -365,6 +365,14 @@ return { "a": $a.id, "b": $b.id };`
 	if st.LiveRuns != 0 {
 		t.Errorf("%d run files live after success", st.LiveRuns)
 	}
+	// The pass count is set by the build side, not the left cardinality: each
+	// of the 2 instances reads its spilled ~120KB build run once, in chunks of
+	// its 16KB share, and re-reads the probe run once per chunk — about a
+	// dozen passes each. One pass per left tuple (800 of them) is the defect
+	// this guards against.
+	if st.RunsOpened > int64(st.RunsCreated)+2*30 {
+		t.Errorf("runs opened %d times for %d runs; the block nested loop should make about a dozen passes per instance", st.RunsOpened, st.RunsCreated)
+	}
 	want, err := unconstrained.Query(query)
 	if err != nil {
 		t.Fatal(err)
