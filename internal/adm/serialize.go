@@ -438,7 +438,7 @@ func DecodeValue(src []byte) (Value, int, error) {
 		r := math.Float64frombits(binary.BigEndian.Uint64(body[n:]))
 		return Circle{Center: c, Radius: r}, 1 + n + 8, nil
 	case TagPolygon:
-		cnt, n, err := readUvarint(body)
+		cnt, n, err := readCount(body, 16)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -454,7 +454,7 @@ func DecodeValue(src []byte) (Value, int, error) {
 		}
 		return Polygon{Points: pts}, 1 + pos, nil
 	case TagRecord:
-		cnt, n, err := readUvarint(body)
+		cnt, n, err := readCount(body, 2) // a name length and a tag
 		if err != nil {
 			return nil, 0, err
 		}
@@ -585,7 +585,7 @@ func skipValue(src []byte) (int, error) {
 }
 
 func decodeListItems(body []byte) ([]Value, int, error) {
-	cnt, n, err := readUvarint(body)
+	cnt, n, err := readCount(body, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -602,12 +602,79 @@ func decodeListItems(body []byte) ([]Value, int, error) {
 	return items, pos, nil
 }
 
+// AppendTuple appends the encoding of a tuple — a row of values in which nil
+// marks an unset column — to dst: a uvarint column count, then per column a
+// presence byte (0 for nil) followed, when it is 1, by the value's EncodeValue
+// form. Run files and the cluster wire protocol both carry tuples this way.
+func AppendTuple(dst []byte, cols []Value) ([]byte, error) {
+	dst = appendUvarint(dst, uint64(len(cols)))
+	for _, c := range cols {
+		if c == nil {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, 1)
+		var err error
+		if dst, err = EncodeValue(dst, c); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// DecodeTuple decodes one AppendTuple encoding from the front of src and
+// returns the tuple with the number of bytes consumed. The bytes may come
+// from a socket or a file, so corrupt or truncated input is an error, never a
+// panic or an allocation the input chose the size of: every column costs at
+// least its presence byte, which bounds the column count by the bytes present.
+func DecodeTuple(src []byte) ([]Value, int, error) {
+	ncols, pos, err := readCount(src, 1)
+	if err != nil {
+		return nil, 0, fmt.Errorf("adm: decode tuple: column count: %w", err)
+	}
+	cols := make([]Value, ncols)
+	for c := range cols {
+		if pos >= len(src) {
+			return nil, 0, fmt.Errorf("adm: decode tuple: truncated at column %d", c)
+		}
+		presence := src[pos]
+		pos++
+		switch presence {
+		case 0:
+		case 1:
+			v, n, err := DecodeValue(src[pos:])
+			if err != nil {
+				return nil, 0, fmt.Errorf("adm: decode tuple: column %d: %w", c, err)
+			}
+			cols[c] = v
+			pos += n
+		default:
+			return nil, 0, fmt.Errorf("adm: decode tuple: column %d has presence byte %d", c, presence)
+		}
+	}
+	return cols, pos, nil
+}
+
 func errTruncated(tag TypeTag) error {
 	return fmt.Errorf("adm: decode %s: truncated input", tag)
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
+}
+
+// readCount reads an element count that is about to size an allocation. The
+// bytes may come from a socket or a file: every element costs at least min
+// bytes, so a count the remaining input cannot back is corrupt.
+func readCount(src []byte, min int) (uint64, int, error) {
+	cnt, n, err := readUvarint(src)
+	if err != nil {
+		return 0, 0, err
+	}
+	if cnt > uint64(len(src)-n)/uint64(min) {
+		return 0, 0, fmt.Errorf("adm: decode: count %d exceeds the %d bytes present", cnt, len(src)-n)
+	}
+	return cnt, n, nil
 }
 
 func readUvarint(src []byte) (uint64, int, error) {

@@ -70,7 +70,8 @@ type Node struct {
 	// survives any join method above the source.
 	PosVar string
 	Index  string
-	// LoExpr/HiExpr bound an index range search; EqExpr an equality search.
+	// LoExpr/HiExpr bound a B+-tree index range search (an equality search
+	// sets both, inclusive, to the same expression).
 	LoExpr, HiExpr aql.Expr
 	LoInclusive    bool
 	HiInclusive    bool
@@ -104,8 +105,8 @@ type Node struct {
 	AggFunc string
 }
 
-// Plan is a rooted operator tree plus the clauses the physical plan did not
-// absorb (the engine evaluates those with the generic interpreter).
+// Plan is a rooted operator tree plus the query it was built from: the job
+// builder reads the return expression, which no operator node carries, off it.
 type Plan struct {
 	Root *Node
 	// Query is the original FLWOR the plan was compiled from; for a constant
@@ -221,8 +222,8 @@ func buildSource(c *aql.ForClause) *Node {
 	if ds, ok := c.Source.(*aql.DatasetRef); ok {
 		return &Node{Kind: OpScan, Dataset: ds.Name, Dataverse: ds.Dataverse, Variable: c.Var, PosVar: c.PosVar}
 	}
-	// Iteration over a non-dataset expression becomes a subplan source that
-	// the engine evaluates with the interpreter.
+	// Iteration over a non-dataset expression becomes a subplan source: the
+	// job evaluates the expression once and emits its items.
 	return &Node{Kind: OpSubplan, Variable: c.Var, PosVar: c.PosVar, Exprs: []aql.Expr{c.Source}}
 }
 
@@ -239,110 +240,22 @@ func referencesAny(e aql.Expr, vars map[string]bool) bool {
 	return false
 }
 
-// FreeVarsOf collects the variable names referenced by an expression that the
-// expression does not bind itself: nested FLWOR for/let/group-by bindings and
-// quantified variables are in scope only inside the expression. The job
-// builder uses it to decide whether a subplan source can run standalone
-// (evaluated in an empty environment) or needs the enclosing bindings.
-func FreeVarsOf(e aql.Expr) []string { return collectVars(e, true) }
-
-// varsOf collects every variable name referenced by an expression, including
-// ones the expression binds itself — a conservative over-approximation the
-// rewrite rules use to check that a probe or join key does not depend on the
-// scan variable (FreeVarsOf is the scope-aware variant the job builder uses).
-func varsOf(e aql.Expr) []string { return collectVars(e, false) }
-
-// collectVars is the one AST walker behind varsOf and FreeVarsOf: with scoped
-// set, variables bound inside the expression are tracked and excluded;
-// without it every reference is reported.
-func collectVars(e aql.Expr, scoped bool) []string {
-	var out []string
-	reported := map[string]bool{}
-	var walk func(e aql.Expr, bound map[string]bool)
-	bind := func(bound map[string]bool, names ...string) map[string]bool {
-		if !scoped {
-			return bound
+// FreeVarsOf collects, in first-reference order, the variables an expression
+// references but does not bind itself (aql.Rewrite defines the scoping): the
+// expression's value can depend on its environment only through them. Build
+// uses it to tell a correlated for-source (unnest) from a free-standing one
+// (subplan), the rewrite rules to check that a probe or join key does not
+// depend on the scan variable, and the job builder to refuse a subplan source
+// that could not run in an empty environment.
+func FreeVarsOf(e aql.Expr) []string {
+	var free []string
+	aql.Rewrite(e, func(e aql.Expr, sc *aql.Scope) aql.Expr {
+		if v, ok := e.(*aql.VariableRef); ok && !sc.Bound(v.Name) && !contains(free, v.Name) {
+			free = append(free, v.Name)
 		}
-		next := make(map[string]bool, len(bound)+len(names))
-		for k := range bound {
-			next[k] = true
-		}
-		for _, n := range names {
-			if n != "" {
-				next[n] = true
-			}
-		}
-		return next
-	}
-	walk = func(e aql.Expr, bound map[string]bool) {
-		switch x := e.(type) {
-		case *aql.VariableRef:
-			if !bound[x.Name] && !reported[x.Name] {
-				reported[x.Name] = true
-				out = append(out, x.Name)
-			}
-		case *aql.FieldAccess:
-			walk(x.Base, bound)
-		case *aql.IndexAccess:
-			walk(x.Base, bound)
-			walk(x.Index, bound)
-		case *aql.BinaryExpr:
-			walk(x.Left, bound)
-			walk(x.Right, bound)
-		case *aql.UnaryExpr:
-			walk(x.Operand, bound)
-		case *aql.CallExpr:
-			for _, a := range x.Args {
-				walk(a, bound)
-			}
-		case *aql.RecordConstructor:
-			for _, f := range x.Fields {
-				walk(f.Value, bound)
-			}
-		case *aql.ListConstructor:
-			for _, it := range x.Items {
-				walk(it, bound)
-			}
-		case *aql.QuantifiedExpr:
-			walk(x.Source, bound)
-			walk(x.Satisfies, bind(bound, x.Var))
-		case *aql.IfExpr:
-			walk(x.Cond, bound)
-			walk(x.Then, bound)
-			walk(x.Else, bound)
-		case *aql.FLWORExpr:
-			inner := bind(bound)
-			for _, c := range x.Clauses {
-				switch cl := c.(type) {
-				case *aql.ForClause:
-					walk(cl.Source, inner)
-					inner = bind(inner, cl.Var, cl.PosVar)
-				case *aql.LetClause:
-					walk(cl.Expr, inner)
-					inner = bind(inner, cl.Var)
-				case *aql.WhereClause:
-					walk(cl.Cond, inner)
-				case *aql.GroupByClause:
-					var names []string
-					for _, k := range cl.Keys {
-						walk(k.Expr, inner)
-						names = append(names, k.Var)
-					}
-					inner = bind(inner, append(names, cl.With...)...)
-				case *aql.OrderByClause:
-					for _, term := range cl.Terms {
-						walk(term.Expr, inner)
-					}
-				case *aql.LimitClause:
-					walk(cl.Limit, inner)
-					walk(cl.Offset, inner)
-				}
-			}
-			walk(x.Return, inner)
-		}
-	}
-	walk(e, map[string]bool{})
-	return out
+		return e
+	})
+	return free
 }
 
 func firstVar(n *Node) string {
@@ -409,8 +322,8 @@ func rewriteJoins(n *Node, cat Catalog) *Node {
 			rest = append(rest, cond)
 			continue
 		}
-		leftVars := varsOf(be.Left)
-		rightVars := varsOf(be.Right)
+		leftVars := FreeVarsOf(be.Left)
+		rightVars := FreeVarsOf(be.Right)
 		lv, rv := join.LeftVar, join.RightVar
 		switch {
 		case contains(leftVars, lv) && contains(rightVars, rv):
@@ -504,8 +417,9 @@ func indexChain(secondary, scan *Node, cond aql.Expr, opts Options) *Node {
 }
 
 // WrapAggregate adds the local/global aggregation pair on top of a plan for
-// queries of the form agg(for ... return e). The engine calls it when it
-// detects that shape; disabled by the ablation option.
+// queries of the form agg(for ... return e). translator.Compile calls it
+// when it detects that shape; disableSplit (the ablation option) keeps the
+// aggregate in one piece.
 func WrapAggregate(plan *Plan, aggFunc string, disableSplit bool) *Plan {
 	inner := plan.Root
 	// Strip the distribute so the aggregate sits directly on the pipeline.
@@ -559,7 +473,7 @@ func extractRange(cond aql.Expr, scanVar string) (rangeBounds, string, bool) {
 		if !ok || vr.Name != scanVar {
 			continue
 		}
-		if contains(varsOf(valExpr), scanVar) {
+		if contains(FreeVarsOf(valExpr), scanVar) {
 			continue
 		}
 		if field != "" && fa.Field != field {
@@ -598,12 +512,12 @@ func extractSpatialProbe(cond aql.Expr, scanVar string) (aql.Expr, string, bool)
 			continue
 		}
 		for i := 0; i < 2; i++ {
-			field, isField := fieldAccessOf(call.Args[i], scanVar)
+			field, isField := FieldAccessOf(call.Args[i], scanVar)
 			if !isField {
 				continue
 			}
 			probe := call.Args[1-i]
-			if contains(varsOf(probe), scanVar) {
+			if contains(FreeVarsOf(probe), scanVar) {
 				continue
 			}
 			return probe, field, true
@@ -630,7 +544,7 @@ func extractInvertedProbe(cond aql.Expr, scanVar string, info DatasetInfo) (aql.
 			if x.Func != "contains" || len(x.Args) != 2 {
 				continue
 			}
-			field, ok := fieldAccessOf(x.Args[0], scanVar)
+			field, ok := FieldAccessOf(x.Args[0], scanVar)
 			if !ok {
 				continue
 			}
@@ -655,7 +569,7 @@ func extractInvertedProbe(cond aql.Expr, scanVar string, info DatasetInfo) (aql.
 			if !ok || src.Func != "word-tokens" || len(src.Args) != 1 {
 				continue
 			}
-			field, ok := fieldAccessOf(src.Args[0], scanVar)
+			field, ok := FieldAccessOf(src.Args[0], scanVar)
 			if !ok {
 				continue
 			}
@@ -673,7 +587,7 @@ func extractInvertedProbe(cond aql.Expr, scanVar string, info DatasetInfo) (aql.
 					continue
 				}
 				probe := pair[1]
-				vars := varsOf(probe)
+				vars := FreeVarsOf(probe)
 				if contains(vars, scanVar) || contains(vars, x.Var) {
 					continue
 				}
@@ -684,9 +598,9 @@ func extractInvertedProbe(cond aql.Expr, scanVar string, info DatasetInfo) (aql.
 	return nil, "", false
 }
 
-// fieldAccessOf recognizes expressions of the form $var.field and returns the
+// FieldAccessOf recognizes expressions of the form $var.field and returns the
 // field name.
-func fieldAccessOf(e aql.Expr, variable string) (string, bool) {
+func FieldAccessOf(e aql.Expr, variable string) (string, bool) {
 	fa, ok := e.(*aql.FieldAccess)
 	if !ok {
 		return "", false

@@ -44,24 +44,14 @@ func corruptf(format string, args ...any) error {
 	return &asterixdb.Error{Code: asterixdb.CodeInvalid, Message: fmt.Sprintf(format, args...)}
 }
 
-// encodeTuples appends the wire encoding of a frame's tuples to dst:
-// uvarint tuple count, then per tuple a uvarint column count and per column
-// a presence byte (0 = nil column) followed by the adm value encoding.
+// encodeTuples appends the wire encoding of a frame's tuples to dst: a
+// uvarint tuple count, then each tuple in the adm tuple encoding.
 func encodeTuples(dst []byte, tuples []hyracks.Tuple) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	for _, t := range tuples {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		for _, col := range t {
-			if col == nil {
-				dst = append(dst, 0)
-				continue
-			}
-			dst = append(dst, 1)
-			var err error
-			dst, err = adm.EncodeValue(dst, col)
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		if dst, err = adm.AppendTuple(dst, t); err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
@@ -84,37 +74,11 @@ func decodeTuples(payload []byte) ([]hyracks.Tuple, error) {
 	}
 	tuples := make([]hyracks.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		ncols, used := binary.Uvarint(payload)
-		if used <= 0 {
-			return nil, corruptf("cluster: frame tuple %d missing column count", i)
+		t, used, err := adm.DecodeTuple(payload)
+		if err != nil {
+			return nil, corruptf("cluster: frame tuple %d: %v", i, err)
 		}
 		payload = payload[used:]
-		// Each column costs at least its presence byte; bound the allocation
-		// by the bytes actually present.
-		if ncols > uint64(len(payload)) {
-			return nil, corruptf("cluster: frame tuple %d column count %d exceeds payload", i, ncols)
-		}
-		t := make(hyracks.Tuple, ncols)
-		for c := range t {
-			if len(payload) == 0 {
-				return nil, corruptf("cluster: frame tuple %d truncated at column %d", i, c)
-			}
-			presence := payload[0]
-			payload = payload[1:]
-			switch presence {
-			case 0:
-				// nil column
-			case 1:
-				v, used, err := adm.DecodeValue(payload)
-				if err != nil {
-					return nil, corruptf("cluster: frame tuple %d column %d: %v", i, c, err)
-				}
-				t[c] = v
-				payload = payload[used:]
-			default:
-				return nil, corruptf("cluster: frame tuple %d column %d has presence byte %d", i, c, presence)
-			}
-		}
 		tuples = append(tuples, t)
 	}
 	if len(payload) != 0 {

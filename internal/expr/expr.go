@@ -332,11 +332,13 @@ func evalArithmetic(op aql.BinaryOp, left, right adm.Value) (adm.Value, error) {
 		out = l / r
 		bothInt = false
 	case aql.OpMod:
-		if r == 0 {
-			return adm.Null{}, nil
-		}
+		// Modulo is on the integer parts: a fractional divisor below one is
+		// zero too.
 		li, _ := adm.NumericAsInt64(left)
 		ri, _ := adm.NumericAsInt64(right)
+		if ri == 0 {
+			return adm.Null{}, nil
+		}
 		return adm.Int64(li % ri), nil
 	}
 	if bothInt {

@@ -35,6 +35,8 @@ func TestArithmeticAndComparison(t *testing.T) {
 		`1 + 2 * 3`:                "7",
 		`10 / 4`:                   "2.5",
 		`7 % 3`:                    "1",
+		`7 % 0`:                    "null",
+		`7 % 0.1`:                  "null", // modulo is on integer parts: no divide-by-zero panic
 		`2 < 3`:                    "true",
 		`"abc" = "abc"`:            "true",
 		`3 >= 4`:                   "false",

@@ -44,34 +44,6 @@ func drive(in *In, push func(Tuple) (more bool, err error)) error {
 }
 
 // Stage implements PushStage.
-func (o *SelectOp) Stage(_ int, emit func(Tuple) bool) func(Tuple) (bool, error) {
-	return func(t Tuple) (bool, error) {
-		ok, err := o.Pred(t)
-		if err != nil {
-			return false, err
-		}
-		if ok && !emit(t) {
-			return false, nil
-		}
-		return true, nil
-	}
-}
-
-// Stage implements PushStage.
-func (o *AssignOp) Stage(_ int, emit func(Tuple) bool) func(Tuple) (bool, error) {
-	return func(t Tuple) (bool, error) {
-		out, err := o.Fn(t)
-		if err != nil {
-			return false, err
-		}
-		if out != nil && !emit(out) {
-			return false, nil
-		}
-		return true, nil
-	}
-}
-
-// Stage implements PushStage.
 func (o *FlatMapOp) Stage(partition int, emit func(Tuple) bool) func(Tuple) (bool, error) {
 	stop := false
 	wrapped := func(t Tuple) bool {

@@ -31,12 +31,12 @@ func TestFuseJobCollapsesChain(t *testing.T) {
 	build := func() *Job {
 		job := &Job{}
 		src := job.Add(mkSource(1, 100))
-		sel := job.Add(&SelectOp{Label: "select", Partitions: 1, Pred: func(t Tuple) (bool, error) {
+		sel := job.Add(selectOp("select", 1, func(t Tuple) (bool, error) {
 			return int64(t[1].(adm.Int64))%2 == 0, nil
-		}})
-		asn := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) {
+		}))
+		asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) {
 			return append(append(Tuple{}, t...), adm.Int64(int64(t[1].(adm.Int64))*10)), nil
-		}})
+		}))
 		lim := job.Add(&LimitOp{Label: "limit", Partitions: 1, N: 7, Offset: 2})
 		job.Connect(src, sel, Connector{Kind: OneToOne})
 		job.Connect(sel, asn, Connector{Kind: OneToOne})
@@ -79,9 +79,9 @@ func TestFuseJobCollapsesChain(t *testing.T) {
 func TestFuseJobRespectsBoundaries(t *testing.T) {
 	job := &Job{}
 	src := job.Add(mkSource(2, 10))
-	sel := job.Add(&SelectOp{Label: "select", Partitions: 2, Pred: func(Tuple) (bool, error) { return true, nil }})
+	sel := job.Add(selectOp("select", 2, func(Tuple) (bool, error) { return true, nil }))
 	srt := job.Add(&SortOp{Label: "sort", Partitions: 1, Columns: []int{1}})
-	asn := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
+	asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, srt, Connector{Kind: MToNPartitioningMerging}) // merge: not fusable
 	job.Connect(srt, asn, Connector{Kind: OneToOne})                // sort is blocking: not fusable
@@ -107,8 +107,8 @@ func TestFuseJobRespectsBoundaries(t *testing.T) {
 	// Fan-out blocks fusion entirely.
 	job2 := &Job{}
 	s2 := job2.Add(mkSource(1, 5))
-	a := job2.Add(&AssignOp{Label: "a", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
-	b := job2.Add(&AssignOp{Label: "b", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
+	a := job2.Add(assignOp("a", 1, func(t Tuple) (Tuple, error) { return t, nil }))
+	b := job2.Add(assignOp("b", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job2.Connect(s2, a, Connector{Kind: OneToOne})
 	job2.Connect(s2, b, Connector{Kind: OneToOne})
 	if fused2 := FuseJob(job2); len(fused2.Operators) != 3 {
@@ -142,12 +142,12 @@ func TestFuseJobCrossesDegenerateMergingEdge(t *testing.T) {
 	build := func() *Job {
 		job := &Job{}
 		src := job.Add(mkSource(1, 50))
-		sel := job.Add(&SelectOp{Label: "select", Partitions: 1, Pred: func(t Tuple) (bool, error) {
+		sel := job.Add(selectOp("select", 1, func(t Tuple) (bool, error) {
 			return int64(t[1].(adm.Int64))%3 == 0, nil
-		}})
-		asn := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) {
+		}))
+		asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) {
 			return append(append(Tuple{}, t...), adm.Int64(int64(t[1].(adm.Int64))+1)), nil
-		}})
+		}))
 		job.Connect(src, sel, Connector{Kind: MToNPartitioningMerging})
 		job.Connect(sel, asn, Connector{Kind: OneToOne})
 		return job
@@ -183,8 +183,8 @@ func TestFuseJobCrossesDegenerateMergingEdge(t *testing.T) {
 	// connector is then a real merge boundary.
 	job := &Job{}
 	src := job.Add(mkSource(2, 10))
-	sel := job.Add(&SelectOp{Label: "select", Partitions: 2, Pred: func(Tuple) (bool, error) { return true, nil }})
-	asn := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
+	sel := job.Add(selectOp("select", 2, func(Tuple) (bool, error) { return true, nil }))
+	asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, asn, Connector{Kind: MToNPartitioningMerging})
 	if f := FuseJob(job); len(f.Operators) != 2 {
@@ -246,12 +246,12 @@ func TestFusedStageErrorPropagates(t *testing.T) {
 			return nil
 		},
 	})
-	asn := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) {
+	asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) {
 		if int64(t[0].(adm.Int64)) == 3 {
 			return nil, fmt.Errorf("boom at 3")
 		}
 		return t, nil
-	}})
+	}))
 	job.Connect(src, asn, Connector{Kind: OneToOne})
 	fused := FuseJob(job)
 	if len(fused.Operators) != 1 {

@@ -525,10 +525,10 @@ func (o *outPort) hashPartition(t Tuple) int {
 // Operator library
 //
 // Hyracks provides a library of operators (the paper counts 53); the subset
-// below covers what AQL physical plans need: source scans, select, assign
-// (projection / expression evaluation), flat-map (index nested-loop probes),
-// sort, limit, hash group/aggregate, local and global aggregation, and the
-// two-activity hybrid hash join.
+// below covers what AQL physical plans need: source scans, flat-map (the one
+// pipelined operator: select, assign, unnest, index probes), sort, limit,
+// hash group/aggregate, local and global aggregation, and the two-activity
+// hybrid hash join.
 // ----------------------------------------------------------------------------
 
 // PassthroughOp forwards its input unchanged. It exists so structural
@@ -628,52 +628,10 @@ func (o *SourceOp) Run(partition int, _ []*In, emit func(Tuple) bool) error {
 	return o.Produce(partition, emit)
 }
 
-// SelectOp filters tuples by a predicate.
-type SelectOp struct {
-	Label      string
-	Partitions int
-	Pred       func(Tuple) (bool, error)
-}
-
-// Name implements Operator.
-func (o *SelectOp) Name() string { return o.Label }
-
-// Parallelism implements Operator.
-func (o *SelectOp) Parallelism() int { return o.Partitions }
-
-// Blocking implements Operator.
-func (o *SelectOp) Blocking() bool { return false }
-
-// Run implements Operator.
-func (o *SelectOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
-	return drive(ins[0], o.Stage(p, emit))
-}
-
-// AssignOp maps each input tuple to an output tuple (projection or computed
-// columns). Returning a nil tuple from Fn drops the input tuple.
-type AssignOp struct {
-	Label      string
-	Partitions int
-	Fn         func(Tuple) (Tuple, error)
-}
-
-// Name implements Operator.
-func (o *AssignOp) Name() string { return o.Label }
-
-// Parallelism implements Operator.
-func (o *AssignOp) Parallelism() int { return o.Partitions }
-
-// Blocking implements Operator.
-func (o *AssignOp) Blocking() bool { return false }
-
-// Run implements Operator.
-func (o *AssignOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
-	return drive(ins[0], o.Stage(p, emit))
-}
-
-// FlatMapOp expands each input tuple into zero or more output tuples; the
-// compiled index nested-loop join probes a dataset index per input tuple with
-// it.
+// FlatMapOp expands each input tuple into zero or more output tuples. Every
+// pipelined operator of a compiled plan is one: a select emits the tuple or
+// nothing, an assign the widened tuple, an unnest or index nested-loop probe
+// one tuple per item or match.
 type FlatMapOp struct {
 	Label      string
 	Partitions int

@@ -9,6 +9,28 @@ import (
 	"asterixdb/internal/adm"
 )
 
+// selectOp and assignOp build a filter and a one-to-one map as the FlatMapOp
+// job builders emit for both.
+func selectOp(label string, par int, pred func(Tuple) (bool, error)) *FlatMapOp {
+	return &FlatMapOp{Label: label, Partitions: par, Fn: func(_ int, t Tuple, emit func(Tuple) bool) error {
+		keep, err := pred(t)
+		if err == nil && keep {
+			emit(t)
+		}
+		return err
+	}}
+}
+
+func assignOp(label string, par int, fn func(Tuple) (Tuple, error)) *FlatMapOp {
+	return &FlatMapOp{Label: label, Partitions: par, Fn: func(_ int, t Tuple, emit func(Tuple) bool) error {
+		out, err := fn(t)
+		if err == nil && out != nil {
+			emit(out)
+		}
+		return err
+	}}
+}
+
 // buildScanSelectAggJob assembles a small job: a partitioned source emitting
 // integers, a select keeping even values, a per-partition local sum, and a
 // single global sum — the same local/global split shape as Figure 6.
@@ -26,11 +48,7 @@ func buildScanSelectAggJob(partitions, perPartition int) *Job {
 			return nil
 		},
 	})
-	sel := job.Add(&SelectOp{
-		Label:      "select-even",
-		Partitions: partitions,
-		Pred:       func(t Tuple) (bool, error) { n, _ := adm.NumericAsInt64(t[0]); return n%2 == 0, nil },
-	})
+	sel := job.Add(selectOp("select-even", partitions, func(t Tuple) (bool, error) { n, _ := adm.NumericAsInt64(t[0]); return n%2 == 0, nil }))
 	local := job.Add(&AggregateOp{
 		Label:      "local-sum",
 		Partitions: partitions,
@@ -109,7 +127,7 @@ func TestDescribe(t *testing.T) {
 func TestCycleDetection(t *testing.T) {
 	job := &Job{}
 	a := job.Add(&SourceOp{Label: "a", Partitions: 1, Produce: func(int, func(Tuple) bool) error { return nil }})
-	b := job.Add(&SelectOp{Label: "b", Partitions: 1, Pred: func(Tuple) (bool, error) { return true, nil }})
+	b := job.Add(selectOp("b", 1, func(Tuple) (bool, error) { return true, nil }))
 	job.Connect(a, b, Connector{Kind: OneToOne})
 	job.Connect(b, a, Connector{Kind: OneToOne})
 	if _, err := job.Stages(); err == nil {
@@ -209,7 +227,7 @@ func TestOperatorError(t *testing.T) {
 		Label: "source", Partitions: 1,
 		Produce: func(int, func(Tuple) bool) error { return fmt.Errorf("boom") },
 	})
-	sink := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
+	sink := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job.Connect(src, sink, Connector{Kind: OneToOne})
 	if _, err := Execute(job); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("expected operator error, got %v", err)
@@ -235,10 +253,7 @@ func TestLimitCancelsUpstreamScan(t *testing.T) {
 			return nil
 		},
 	})
-	sel := job.Add(&SelectOp{
-		Label: "select", Partitions: partitions,
-		Pred: func(Tuple) (bool, error) { return true, nil },
-	})
+	sel := job.Add(selectOp("select", partitions, func(Tuple) (bool, error) { return true, nil }))
 	limit := job.Add(&LimitOp{Label: "limit", Partitions: 1, N: limitN})
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, limit, Connector{Kind: MToNPartitioningMerging})
@@ -272,16 +287,13 @@ func TestEarlyConsumerReturnDoesNotDeadlock(t *testing.T) {
 		},
 	})
 	n := 0
-	sink := job.Add(&AssignOp{
-		Label: "failing-assign", Partitions: 1,
-		Fn: func(t Tuple) (Tuple, error) {
-			n++
-			if n > 3 {
-				return nil, fmt.Errorf("synthetic failure")
-			}
-			return t, nil
-		},
-	})
+	sink := job.Add(assignOp("failing-assign", 1, func(t Tuple) (Tuple, error) {
+		n++
+		if n > 3 {
+			return nil, fmt.Errorf("synthetic failure")
+		}
+		return t, nil
+	}))
 	job.Connect(src, sink, Connector{Kind: MToNPartitioningMerging})
 	if _, err := Execute(job); err == nil || !strings.Contains(err.Error(), "synthetic failure") {
 		t.Errorf("expected synthetic failure, got %v", err)

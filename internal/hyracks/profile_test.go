@@ -24,11 +24,7 @@ func profileTestJob(n int) *Job {
 			return nil
 		},
 	})
-	sel := job.Add(&SelectOp{
-		Label:      "select",
-		Partitions: 1,
-		Pred:       func(t Tuple) (bool, error) { return int64(t[0].(adm.Int64))%2 == 0, nil },
-	})
+	sel := job.Add(selectOp("select", 1, func(t Tuple) (bool, error) { return int64(t[0].(adm.Int64))%2 == 0, nil }))
 	sink := job.Add(&PassthroughOp{Label: "sink", Partitions: 1})
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, sink, Connector{Kind: OneToOne})

@@ -27,10 +27,7 @@ func intSourceJob(partitions, perPartition int, produced *atomic.Int64) *Job {
 			return nil
 		},
 	})
-	sel := job.Add(&SelectOp{
-		Label: "select", Partitions: partitions,
-		Pred: func(Tuple) (bool, error) { return true, nil },
-	})
+	sel := job.Add(selectOp("select", partitions, func(Tuple) (bool, error) { return true, nil }))
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	return job
 }
@@ -54,10 +51,7 @@ func TestFramePoolRecyclingKeepsResults(t *testing.T) {
 				return nil
 			},
 		})
-		asn := job.Add(&AssignOp{
-			Label: "assign", Partitions: 2,
-			Fn: func(t Tuple) (Tuple, error) { return t, nil },
-		})
+		asn := job.Add(assignOp("assign", 2, func(t Tuple) (Tuple, error) { return t, nil }))
 		agg := job.Add(&AggregateOp{
 			Label: "sum", Partitions: 1,
 			NewFold: func() (func(Tuple) error, func() (Tuple, error)) {
@@ -235,7 +229,7 @@ func TestExecuteStreamOperatorError(t *testing.T) {
 		Label: "source", Partitions: 1,
 		Produce: func(int, func(Tuple) bool) error { return fmt.Errorf("boom") },
 	})
-	sink := job.Add(&AssignOp{Label: "assign", Partitions: 1, Fn: func(t Tuple) (Tuple, error) { return t, nil }})
+	sink := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job.Connect(src, sink, Connector{Kind: OneToOne})
 	cur, err := ExecuteStream(context.Background(), job)
 	if err != nil {

@@ -319,19 +319,9 @@ type Writer struct {
 
 // Write appends one tuple. Columns may be nil (unbound synthetic columns).
 func (w *Writer) Write(cols []adm.Value) error {
-	buf := w.scratch[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
-	var err error
-	for _, c := range cols {
-		if c == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		buf, err = adm.EncodeValue(buf, c)
-		if err != nil {
-			return fmt.Errorf("runfile: encode tuple: %w", err)
-		}
+	buf, err := adm.AppendTuple(w.scratch[:0], cols)
+	if err != nil {
+		return fmt.Errorf("runfile: encode tuple: %w", err)
 	}
 	w.scratch = buf
 	var hdr [binary.MaxVarintLen64]byte
@@ -471,28 +461,12 @@ func (r *Reader) Next() ([]adm.Value, error) {
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return nil, fmt.Errorf("runfile: read frame: %w", err)
 	}
-	ncols, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("runfile: bad tuple header")
+	cols, n, err := adm.DecodeTuple(buf)
+	if err != nil {
+		return nil, fmt.Errorf("runfile: %w", err)
 	}
-	pos := n
-	cols := make([]adm.Value, 0, ncols)
-	for i := uint64(0); i < ncols; i++ {
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("runfile: truncated tuple")
-		}
-		present := buf[pos]
-		pos++
-		if present == 0 {
-			cols = append(cols, nil)
-			continue
-		}
-		v, vn, err := adm.DecodeValue(buf[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("runfile: decode tuple: %w", err)
-		}
-		pos += vn
-		cols = append(cols, v)
+	if n != len(buf) {
+		return nil, fmt.Errorf("runfile: tuple frame has %d trailing bytes", len(buf)-n)
 	}
 	return cols, nil
 }

@@ -1,6 +1,7 @@
 package runfile
 
 import (
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -149,5 +150,50 @@ func assertNoFiles(t *testing.T, dir string) {
 	})
 	if len(leaked) > 0 {
 		t.Fatalf("leaked run files: %v", leaked)
+	}
+}
+
+// TestReaderRejectsCorruptTuples overwrites a finished run with damaged
+// frames: each must read back as an error — never a panic, and never an
+// allocation sized by a column count the frame's bytes cannot back.
+func TestReaderRejectsCorruptTuples(t *testing.T) {
+	good, err := adm.AppendTuple(nil, testTuple(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(tuple []byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(tuple))), tuple...)
+	}
+	cases := map[string][]byte{
+		"truncated tuple":        frame(good[:len(good)-3]),
+		"truncated frame":        frame(good)[:len(good)-3],
+		"oversized column count": frame(binary.AppendUvarint(nil, 1<<40)),
+		"bad presence byte":      frame([]byte{1, 2}),
+		"trailing bytes":         frame(append(append([]byte{}, good...), 0)),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			m := NewManager(t.TempDir(), 0)
+			defer m.Close()
+			w, err := m.NewRun()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(run.path, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			r, err := run.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if cols, err := r.Next(); err == nil || err == io.EOF {
+				t.Fatalf("corrupt run read back as %v, %v", cols, err)
+			}
+		})
 	}
 }

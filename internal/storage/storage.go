@@ -761,56 +761,59 @@ func (d *Dataset) InsertBatch(recs []*adm.Record) (int, error) {
 		if err != nil {
 			return stored, err
 		}
-		tid := d.manager.wal.Begin()
-		d.manager.locks.Lock(tid, pk)
-		err = func() error {
-			// The read lock spans deriving the log records through applying
-			// them: CreateIndex publishes a new index spec under d.mu.Lock,
-			// so it cannot land between our d.indexes snapshot and applyGroup
-			// — a window in which the backfill scan could miss this record
-			// while its group carries no records for the new index.
-			d.mu.RLock()
-			defer d.mu.RUnlock()
-			oldRec, err := d.fetch(part, pk)
-			if err != nil {
-				return err
-			}
-			logRecs, err := d.buildLogRecords(tid, part, pk, oldRec, rec, raw)
-			if err != nil {
-				return err
-			}
-			_, release, err := d.manager.wal.AppendGroup(logRecs)
-			if err != nil {
-				return err
-			}
-			applyErr := d.applyGroup(part, logRecs)
-			// Each record is its own record-level transaction: its commit
-			// record is appended here, but the log is forced only once for
-			// the whole statement (the Table 4 batching effect). The commit
-			// must be appended BEFORE release(): once the group's LSNs leave
-			// the in-flight set, a background flush may stamp a component past
-			// the applied operations, and if their commit record were not in
-			// the log yet, a crash would make recovery treat them as
-			// uncommitted while the flushed tree durably kept their effects
-			// (a no-steal violation diverging primary from secondaries).
-			var commitErr error
-			if applyErr == nil {
-				commitErr = d.manager.wal.CommitNoSync(tid)
-			}
-			release()
-			if applyErr != nil {
-				return applyErr
-			}
-			return commitErr
-		}()
-		d.manager.locks.Unlock(tid, pk)
-		if err != nil {
+		if _, err := d.mutate(part, pk, rec, raw); err != nil {
 			return stored, err
 		}
 		stored++
 		d.manager.maintain(d, part)
 	}
 	return stored, d.manager.wal.Sync()
+}
+
+// mutate is the one record-level transaction: under the primary-key lock it
+// replaces the record stored under pk with newRec (raw is its encoding), or
+// deletes it when newRec is nil, and reports whether a record was there
+// before. Deleting an absent key logs nothing. The commit record is appended
+// but not forced: the caller syncs the log, once per statement.
+func (d *Dataset) mutate(part int, pk []byte, newRec *adm.Record, raw []byte) (existed bool, err error) {
+	tid := d.manager.wal.Begin()
+	d.manager.locks.Lock(tid, pk)
+	defer d.manager.locks.Unlock(tid, pk)
+	// The read lock spans deriving the log records through applying them:
+	// CreateIndex publishes a new index spec under d.mu.Lock, so it cannot
+	// land between our d.indexes snapshot and applyGroup — a window in which
+	// the backfill scan could miss this record while its group carries no
+	// records for the new index.
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	oldRec, err := d.fetch(part, pk)
+	if err != nil {
+		return false, err
+	}
+	existed = oldRec != nil
+	if !existed && newRec == nil {
+		return false, nil
+	}
+	logRecs, err := d.buildLogRecords(tid, part, pk, oldRec, newRec, raw)
+	if err != nil {
+		return existed, err
+	}
+	_, release, err := d.manager.wal.AppendGroup(logRecs)
+	if err != nil {
+		return existed, err
+	}
+	err = d.applyGroup(part, logRecs)
+	// The commit must be appended BEFORE release(): once the group's LSNs
+	// leave the in-flight set, a background flush may stamp a component past
+	// the applied operations, and if their commit record were not in the log
+	// yet, a crash would make recovery treat them as uncommitted while the
+	// flushed tree durably kept their effects (a no-steal violation diverging
+	// primary from secondaries).
+	if err == nil {
+		err = d.manager.wal.CommitNoSync(tid)
+	}
+	release()
+	return existed, err
 }
 
 // fetch reads and decodes the record stored under the encoded primary key in
@@ -966,55 +969,16 @@ func (d *Dataset) Delete(pkValues ...adm.Value) (bool, error) {
 		pk = adm.EncodeKey(pk, v)
 	}
 	part := d.partitionFor(pk)
-	tid := d.manager.wal.Begin()
-	d.manager.locks.Lock(tid, pk)
-	err := func() error {
-		// Read lock and commit-before-release ordering: see InsertBatch.
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		oldRec, err := d.fetch(part, pk)
-		if err != nil {
-			return err
-		}
-		if oldRec == nil {
-			return errNoSuchKey
-		}
-		logRecs, err := d.buildLogRecords(tid, part, pk, oldRec, nil, nil)
-		if err != nil {
-			return err
-		}
-		_, release, err := d.manager.wal.AppendGroup(logRecs)
-		if err != nil {
-			return err
-		}
-		applyErr := d.applyGroup(part, logRecs)
-		var commitErr error
-		if applyErr == nil {
-			commitErr = d.manager.wal.CommitNoSync(tid)
-		}
-		release()
-		if applyErr != nil {
-			return applyErr
-		}
-		if commitErr != nil {
-			return commitErr
-		}
-		return d.manager.wal.Sync()
-	}()
-	d.manager.locks.Unlock(tid, pk)
-	if err == errNoSuchKey {
-		return false, nil
+	existed, err := d.mutate(part, pk, nil, nil)
+	if err != nil || !existed {
+		return false, err
 	}
-	if err != nil {
+	if err := d.manager.wal.Sync(); err != nil {
 		return false, err
 	}
 	d.manager.maintain(d, part)
 	return true, nil
 }
-
-// errNoSuchKey is an internal sentinel: Delete on an absent key is not an
-// error, just a false result.
-var errNoSuchKey = errors.New("no such key")
 
 // secondaryKey builds the composite key (secondary key bytes ++ primary key)
 // stored in secondary B+-trees; the primary key suffix makes entries unique.

@@ -76,8 +76,8 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 		distributed: opts.Distributed,
 	}
 	// Decide whether the plan's group-by can fold its aggregates
-	// incrementally; the consumer build functions read the resulting
-	// expression rewrites through b.rewritten.
+	// incrementally; the consumers' evaluators pick up the resulting
+	// expression rewrites.
 	b.prepareGroupFold(plan)
 	if _, err := b.buildDistribute(plan.Root); err != nil {
 		return nil, err
@@ -170,17 +170,6 @@ func gatherConnector(par int) hyracks.Connector {
 	return hyracks.Connector{Kind: hyracks.MToNPartitioningMerging}
 }
 
-// bindInto overwrites env with the tuple's bindings under the schema.
-func bindInto(env expr.Env, schema Schema, t hyracks.Tuple) {
-	for i, name := range schema {
-		if i < len(t) && t[i] != nil {
-			env[name] = t[i]
-		} else {
-			delete(env, name)
-		}
-	}
-}
-
 // tupleBlock is the number of single-column tuples that share one backing
 // allocation in tupleAllocator and the datasource scan.
 const tupleBlock = 512
@@ -201,25 +190,6 @@ func tupleAllocator(par int) func(p int, v adm.Value) hyracks.Tuple {
 		blks[p] = blk
 		i := len(blk) - 1
 		return hyracks.Tuple(blk[i : i+1 : i+1])
-	}
-}
-
-// envBinder returns a per-partition tuple-to-environment binder that reuses
-// one map per operator instance. The evaluator never retains an environment
-// beyond the Eval call (Env.With copies), so streaming operators can
-// overwrite the same map for every tuple instead of allocating one each —
-// the dominant per-tuple cost otherwise. Operators that materialize
-// environments (group-by, sort) must use Schema.Env instead.
-func envBinder(schema Schema, par int) func(p int, t hyracks.Tuple) expr.Env {
-	envs := make([]expr.Env, par)
-	return func(p int, t hyracks.Tuple) expr.Env {
-		env := envs[p]
-		if env == nil {
-			env = make(expr.Env, len(schema)+4)
-			envs[p] = env
-		}
-		bindInto(env, schema, t)
-		return env
 	}
 }
 
@@ -412,7 +382,7 @@ func (b *jobBuilder) buildSubplan(n *algebra.Node) (stream, error) {
 		Label:      "subplan",
 		Partitions: 1,
 		Produce: func(_ int, emit func(hyracks.Tuple) bool) error {
-			v, err := expr.Eval(b.ctx, expr.Env{}, src)
+			v, err := b.constant(src)
 			if err != nil {
 				return err
 			}
@@ -441,20 +411,19 @@ func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	src, inSchema := b.rewritten(n.Exprs[0]), in.schema
-	outSchema := append(append(Schema{}, inSchema...), n.Variable)
+	outSchema := append(append(Schema{}, in.schema...), n.Variable)
 	if n.PosVar != "" {
 		// `for $y at $i in $x.list`: the position restarts at 1 for every
 		// input tuple, exactly the interpreter's per-binding iteration.
 		outSchema = append(outSchema, n.PosVar)
 	}
 	posVar := n.PosVar
-	bind := envBinder(inSchema, in.par)
+	src := b.evaluator(n.Exprs[0], in.schema, in.par)
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      fmt.Sprintf("unnest($%s)", n.Variable),
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := expr.Eval(b.ctx, bind(p, t), src)
+			v, err := src.eval(p, t)
 			if err != nil {
 				return err
 			}
@@ -503,7 +472,7 @@ func (b *jobBuilder) buildSecondarySearch(n *algebra.Node, label string) (stream
 			if e == nil {
 				continue
 			}
-			v, err := expr.Eval(b.ctx, expr.Env{}, e)
+			v, err := b.constant(e)
 			if err != nil {
 				return storage.Probe{}, err
 			}
@@ -587,23 +556,23 @@ func (b *jobBuilder) buildSelect(n *algebra.Node) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	cond, schema := b.rewritten(n.Condition), in.schema
-	bind := envBinder(schema, in.par)
+	cond := b.evaluator(n.Condition, in.schema, in.par)
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      "select",
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			keep, err := expr.EvalBool(b.ctx, bind(p, t), cond)
+			v, err := cond.eval(p, t)
 			if err != nil {
 				return err
 			}
-			if keep {
+			// NULL, MISSING and non-booleans are false: where-clause semantics.
+			if adm.Truthy(v) {
 				emit(t)
 			}
 			return nil
 		},
 	})
-	return b.connect(in, op, in.par, schema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
+	return b.connect(in, op, in.par, in.schema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
 
 func (b *jobBuilder) buildAssign(n *algebra.Node) (stream, error) {
@@ -611,33 +580,7 @@ func (b *jobBuilder) buildAssign(n *algebra.Node) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	vars, inSchema := n.Vars, in.schema
-	exprs := make([]aql.Expr, len(n.Exprs))
-	for i, e := range n.Exprs {
-		exprs[i] = b.rewritten(e)
-	}
-	outSchema := append(append(Schema{}, inSchema...), vars...)
-	bind := envBinder(inSchema, in.par)
-	op := b.job.Add(&hyracks.FlatMapOp{
-		Label:      "assign",
-		Partitions: in.par,
-		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			env := bind(p, t)
-			out := make(hyracks.Tuple, len(t), len(t)+len(vars))
-			copy(out, t)
-			for i, v := range vars {
-				val, err := expr.Eval(b.ctx, env, exprs[i])
-				if err != nil {
-					return err
-				}
-				env[v] = val // later expressions see earlier assignments
-				out = append(out, val)
-			}
-			emit(out)
-			return nil
-		},
-	})
-	return b.connect(in, op, in.par, outSchema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
+	return b.assign(in, "assign", n.Vars, n.Exprs, false), nil
 }
 
 // ----------------------------------------------------------------------------
@@ -675,33 +618,6 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 	return b.buildNestedLoopJoin(n, left)
 }
 
-// keyAssign appends the evaluated join key as a synthetic trailing column so
-// partitioning connectors can hash on it. Tuples whose key is NULL or MISSING
-// are dropped, matching equijoin semantics.
-func (b *jobBuilder) keyAssign(in stream, key aql.Expr, label string) stream {
-	inSchema := in.schema
-	outSchema := append(append(Schema{}, inSchema...), "#join-key")
-	bind := envBinder(inSchema, in.par)
-	op := b.job.Add(&hyracks.FlatMapOp{
-		Label:      label,
-		Partitions: in.par,
-		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := expr.Eval(b.ctx, bind(p, t), key)
-			if err != nil {
-				return err
-			}
-			if adm.IsUnknown(v) {
-				return nil // drop: unknown keys never join
-			}
-			out := make(hyracks.Tuple, len(t), len(t)+1)
-			copy(out, t)
-			emit(append(out, v))
-			return nil
-		},
-	})
-	return b.connect(in, op, in.par, outSchema, hyracks.Connector{Kind: hyracks.OneToOne})
-}
-
 // buildHashJoin wires the paper's hybrid hash join: both sides are hash-
 // partitioned on the join key (the probe into port 0, the build into port 1)
 // so equal keys meet in the same join instance.
@@ -710,8 +626,10 @@ func (b *jobBuilder) buildHashJoin(n *algebra.Node, left stream) (stream, error)
 	if err != nil {
 		return stream{}, err
 	}
-	probe := b.keyAssign(left, n.LeftKey, "assign(probe-key)")
-	build := b.keyAssign(right, n.RightKey, "assign(build-key)")
+	// The evaluated key rides as a synthetic trailing column the partitioning
+	// connectors hash on; a tuple whose key is unknown never joins.
+	probe := b.assign(left, "assign(probe-key)", []string{"#join-key"}, []aql.Expr{n.LeftKey}, true)
+	build := b.assign(right, "assign(build-key)", []string{"#join-key"}, []aql.Expr{n.RightKey}, true)
 	probeCol, buildCol := len(left.schema), len(right.schema)
 	outSchema := append(append(Schema{}, left.schema...), right.schema...)
 	join := b.job.Add(&hyracks.HybridHashJoinOp{
@@ -745,7 +663,7 @@ func (b *jobBuilder) buildIndexNLJoin(n *algebra.Node, left stream) (stream, boo
 	if !ok {
 		return stream{}, false, nil
 	}
-	field, ok := fieldOfVar(n.RightKey, rightNode.Variable)
+	field, ok := algebra.FieldAccessOf(n.RightKey, rightNode.Variable)
 	if !ok {
 		return stream{}, false, nil
 	}
@@ -759,14 +677,13 @@ func (b *jobBuilder) buildIndexNLJoin(n *algebra.Node, left stream) (stream, boo
 		}
 		indexName = ix.Name
 	}
-	leftKey, leftSchema := n.LeftKey, left.schema
 	outSchema := append(append(Schema{}, left.schema...), rightNode.Variable)
-	bind := envBinder(leftSchema, left.par)
+	leftKey := b.evaluator(n.LeftKey, left.schema, left.par)
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      fmt.Sprintf("join(%s)", algebra.IndexNestedLoop),
 		Partitions: left.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := expr.Eval(b.ctx, bind(p, t), leftKey)
+			v, err := leftKey.eval(p, t)
 			if err != nil {
 				return err
 			}
@@ -838,35 +755,27 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	keys := n.GroupKeys
-	inSchema := in.schema
-	// Synthetic key columns for the shuffle.
-	shuffleSchema := append(Schema{}, inSchema...)
+	keys, inSchema := n.GroupKeys, in.schema
+	// The evaluated keys ride as synthetic trailing columns, so the shuffle
+	// and the grouping agree on them.
 	cols := make([]int, len(keys))
-	for i := range keys {
+	names := make([]string, len(keys))
+	exprs := make([]aql.Expr, len(keys))
+	outSchema := Schema{}
+	for i, k := range keys {
 		cols[i] = len(inSchema) + i
-		shuffleSchema = append(shuffleSchema, fmt.Sprintf("#group-key-%d", i))
+		names[i] = fmt.Sprintf("#group-key-%d", i)
+		exprs[i] = k.Expr
+		outSchema = append(outSchema, k.Var)
 	}
-	bind := envBinder(inSchema, in.par)
-	keyOp := b.job.Add(&hyracks.FlatMapOp{
-		Label:      "assign(group-keys)",
-		Partitions: in.par,
-		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			env := bind(p, t)
-			out := make(hyracks.Tuple, len(t), len(t)+len(keys))
-			copy(out, t)
-			for _, k := range keys {
-				v, err := expr.Eval(b.ctx, env, k.Expr)
-				if err != nil {
-					return err
-				}
-				out = append(out, v)
-			}
-			emit(out)
-			return nil
-		},
-	})
-	keyed := b.connect(in, keyOp, in.par, shuffleSchema, hyracks.Connector{Kind: hyracks.OneToOne})
+	keyed := b.assign(in, "assign(group-keys)", names, exprs, false)
+	withCol := func(w string) (int, error) {
+		col, ok := inSchema.column(w)
+		if !ok {
+			return 0, fmt.Errorf("translator: group-by with-variable $%s is not bound", w)
+		}
+		return col, nil
+	}
 
 	// A single-partition input needs no repartitioning: every group is
 	// already complete in the one instance, so skip the shuffle.
@@ -883,14 +792,10 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 	// aggregate) and never materializes a bag.
 	if b.groupFold != nil && b.groupFold.node == n {
 		aggs := make([]hyracks.GroupAgg, 0, len(b.groupFold.specs))
-		outSchema := Schema{}
-		for _, k := range keys {
-			outSchema = append(outSchema, k.Var)
-		}
 		for _, sp := range b.groupFold.specs {
-			col, ok := columnOfVariable(&aql.VariableRef{Name: sp.With}, inSchema)
-			if !ok {
-				return stream{}, fmt.Errorf("translator: group-by with-variable $%s is not bound", sp.With)
+			col, err := withCol(sp.With)
+			if err != nil {
+				return stream{}, err
 			}
 			aggs = append(aggs, hyracks.GroupAgg{Func: sp.Func, Col: col})
 			outSchema = append(outSchema, sp.Name)
@@ -907,22 +812,14 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 	// The with-variables' tuple columns, resolved against the input schema.
 	withCols := make([]int, len(n.GroupWith))
 	for i, w := range n.GroupWith {
-		col, ok := columnOfVariable(&aql.VariableRef{Name: w}, inSchema)
-		if !ok {
-			return stream{}, fmt.Errorf("translator: group-by with-variable $%s is not bound", w)
+		if withCols[i], err = withCol(w); err != nil {
+			return stream{}, err
 		}
-		withCols[i] = col
-	}
-	outSchema := Schema{}
-	for _, k := range keys {
-		outSchema = append(outSchema, k.Var)
 	}
 	outSchema = append(outSchema, n.GroupWith...)
-	// Group over tuples with the library's HashGroupOp: the key values were
-	// computed by the assign above (so the shuffle and the grouping agree),
-	// and each with-variable becomes the bag of its column's values across
-	// the group, exactly the interpreter's applyGroupBy semantics in
-	// first-encounter order.
+	// Group over tuples with the library's HashGroupOp: each with-variable
+	// becomes the bag of its column's values across the group, exactly the
+	// interpreter's applyGroupBy semantics in first-encounter order.
 	groupOp := b.job.Add(&hyracks.HashGroupOp{
 		Label:      "hash-group-by",
 		Partitions: groupPar,
@@ -955,49 +852,24 @@ func (b *jobBuilder) buildOrder(n *algebra.Node) (stream, error) {
 		return stream{}, err
 	}
 	schema := in.schema
-	orderTerms := make([]aql.OrderTerm, len(n.OrderTerms))
-	for i, term := range n.OrderTerms {
-		orderTerms[i] = aql.OrderTerm{Expr: b.rewritten(term.Expr), Desc: term.Desc}
-	}
 	colSort := true
-	sortCols := make([]int, len(orderTerms))
-	sortDesc := make([]bool, len(orderTerms))
-	for i, term := range orderTerms {
-		col, ok := columnOfVariable(term.Expr, schema)
-		if !ok {
-			colSort = false
-			break
-		}
+	sortCols := make([]int, len(n.OrderTerms))
+	sortDesc := make([]bool, len(n.OrderTerms))
+	for i, term := range n.OrderTerms {
+		col, ok := b.evaluator(term.Expr, schema, in.par).column()
+		colSort = colSort && ok
 		sortCols[i], sortDesc[i] = col, term.Desc
 	}
-	sortIn, outSchema := in, schema
+	sortIn := in
 	if !colSort {
-		terms := orderTerms
-		outSchema = append(Schema{}, schema...)
-		for i, term := range terms {
-			sortCols[i], sortDesc[i] = len(schema)+i, term.Desc
-			outSchema = append(outSchema, fmt.Sprintf("#order-key-%d", i))
+		names := make([]string, len(n.OrderTerms))
+		exprs := make([]aql.Expr, len(n.OrderTerms))
+		for i, term := range n.OrderTerms {
+			sortCols[i] = len(schema) + i
+			names[i] = fmt.Sprintf("#order-key-%d", i)
+			exprs[i] = term.Expr
 		}
-		bind := envBinder(schema, in.par)
-		keyOp := b.job.Add(&hyracks.FlatMapOp{
-			Label:      "assign(order-keys)",
-			Partitions: in.par,
-			Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-				env := bind(p, t)
-				out := make(hyracks.Tuple, len(t), len(t)+len(terms))
-				copy(out, t)
-				for _, term := range terms {
-					v, err := expr.Eval(b.ctx, env, term.Expr)
-					if err != nil {
-						return err
-					}
-					out = append(out, v)
-				}
-				emit(out)
-				return nil
-			},
-		})
-		sortIn = b.connect(in, keyOp, in.par, outSchema, hyracks.Connector{Kind: hyracks.OneToOne})
+		sortIn = b.assign(in, "assign(order-keys)", names, exprs, false)
 	}
 	op := b.job.Add(&hyracks.SortOp{
 		Label:      "sort",
@@ -1008,7 +880,7 @@ func (b *jobBuilder) buildOrder(n *algebra.Node) (stream, error) {
 	// The synthetic key columns ride along in the output schema; downstream
 	// operators resolve variables by name, so the extra trailing columns are
 	// inert.
-	return b.connect(sortIn, op, 1, outSchema, gatherConnector(sortIn.par)), nil
+	return b.connect(sortIn, op, 1, sortIn.schema, gatherConnector(sortIn.par)), nil
 }
 
 // buildLimit compiles the limit clause onto the library's cancelling
@@ -1024,7 +896,7 @@ func (b *jobBuilder) buildOrder(n *algebra.Node) (stream, error) {
 // scan block the pushdown — they change cardinality, so the scan cannot know
 // how many records the limit needs.
 func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
-	limV, err := expr.Eval(b.ctx, expr.Env{}, n.LimitExpr)
+	limV, err := b.constant(n.LimitExpr)
 	if err != nil {
 		return stream{}, err
 	}
@@ -1034,7 +906,7 @@ func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
 	}
 	offset := int64(0)
 	if n.OffsetExpr != nil {
-		offV, err := expr.Eval(b.ctx, expr.Env{}, n.OffsetExpr)
+		offV, err := b.constant(n.OffsetExpr)
 		if err != nil {
 			return stream{}, err
 		}
@@ -1102,8 +974,9 @@ var aggSchema = Schema{"#agg"}
 // value (the local half of the split, and the unsplit aggregate); without one
 // the input tuples are the partitions' encoded partials and the step merges
 // them (the global half). finish emits the encoded accumulator when the fold
-// is a partial, the finished value otherwise. Each instance run gets fresh
-// state and its own binding environment, so parallel partitions never share.
+// is a partial, the finished value otherwise. NewFold carries no instance
+// index, so each instance run builds fresh state and its own single-instance
+// evaluator: parallel partitions never share.
 func (b *jobBuilder) aggFold(name string, ret aql.Expr, schema Schema, partial bool) func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
 	fn, _ := hyracks.ParseAggFn(name) // Compile wraps only the names it accepts
 	return func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
@@ -1117,10 +990,9 @@ func (b *jobBuilder) aggFold(name string, ret aql.Expr, schema Schema, partial b
 			return nil
 		}
 		if ret != nil {
-			env := make(expr.Env, len(schema)+1)
+			ev := b.evaluator(ret, schema, 1)
 			step = func(t hyracks.Tuple) error {
-				bindInto(env, schema, t)
-				v, err := expr.Eval(b.ctx, env, ret)
+				v, err := ev.eval(0, t)
 				if err != nil {
 					return err
 				}
@@ -1149,7 +1021,7 @@ func (b *jobBuilder) buildLocalAgg(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.AggregateOp{
 		Label:      fmt.Sprintf("aggregate(local-%s)", n.AggFunc),
 		Partitions: in.par,
-		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, true),
+		NewFold:    b.aggFold(n.AggFunc, b.query.Return, in.schema, true),
 	})
 	return b.connect(in, op, in.par, aggSchema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
@@ -1181,7 +1053,7 @@ func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.AggregateOp{
 		Label:      fmt.Sprintf("aggregate(%s)", n.AggFunc),
 		Partitions: 1,
-		NewFold:    b.aggFold(n.AggFunc, b.rewritten(b.query.Return), in.schema, false),
+		NewFold:    b.aggFold(n.AggFunc, b.query.Return, in.schema, false),
 	})
 	return b.connect(in, op, 1, aggSchema, gatherConnector(in.par)), nil
 }
@@ -1204,90 +1076,33 @@ func (b *jobBuilder) buildDistribute(n *algebra.Node) (stream, error) {
 	if !aggregated && b.query == nil {
 		return stream{}, fmt.Errorf("translator: plan has no source query for distribute-result")
 	}
-	var fn func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error
-	switch {
-	case aggregated:
-		// The aggregate value already sits alone in column 0.
-	default:
-		ret, schema := b.rewritten(b.query.Return), in.schema
-		if col, ok := columnOfVariable(ret, schema); ok {
-			// "return $m" needs no evaluation: project the column. A width-1
-			// tuple is already in result layout and passes through untouched.
-			if col != 0 || len(schema) != 1 {
-				fn = func(_ int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-					emit(hyracks.Tuple{t[col]})
-					return nil
-				}
-			}
-			break
-		}
-		if fa, ok := ret.(*aql.FieldAccess); ok {
-			if col, ok := columnOfVariable(fa.Base, schema); ok {
-				// "return $x.field" resolves the field straight off the tuple
-				// column — for a lazy record, one slot lookup in the byte slab
-				// — skipping environment binding and expression dispatch.
-				mk := tupleAllocator(in.par)
-				name, field := schema[col], fa.Field
-				fn = func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-					if col >= len(t) || t[col] == nil {
-						return fmt.Errorf("expr: unbound variable $%s", name)
-					}
-					emit(mk(p, expr.FieldOf(t[col], field)))
-					return nil
-				}
-				break
-			}
-		}
-		bind := envBinder(schema, in.par)
-		mk := tupleAllocator(in.par)
-		fn = func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := expr.Eval(b.ctx, bind(p, t), ret)
-			if err != nil {
-				return err
-			}
-			emit(mk(p, v))
-			return nil
-		}
+	// A width-1 tuple that already is the result — the aggregate value, or the
+	// sole column returned as is ("return $m" over a scan) — passes through
+	// untouched.
+	var ret *evaluator
+	passthrough := aggregated
+	if !aggregated {
+		ret = b.evaluator(b.query.Return, in.schema, in.par)
+		_, bare := ret.column()
+		passthrough = bare && len(in.schema) == 1
 	}
 	var op int
-	if fn == nil {
+	if passthrough {
 		op = b.job.Add(&hyracks.PassthroughOp{Label: "distribute-result", Partitions: in.par})
 	} else {
+		mk := tupleAllocator(in.par)
 		op = b.job.Add(&hyracks.FlatMapOp{
 			Label:      "distribute-result",
 			Partitions: in.par,
-			Fn:         fn,
+			Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
+				v, err := ret.eval(p, t)
+				if err != nil {
+					return err
+				}
+				emit(mk(p, v))
+				return nil
+			},
 		})
 	}
 	return b.connect(in, op, in.par, Schema{"#result"}, hyracks.Connector{Kind: hyracks.OneToOne}), nil
-}
-
-// columnOfVariable reports the tuple column a bare variable-reference
-// expression reads from; later schema columns shadow earlier ones, like
-// environment binding order.
-func columnOfVariable(e aql.Expr, schema Schema) (int, bool) {
-	vr, ok := e.(*aql.VariableRef)
-	if !ok {
-		return 0, false
-	}
-	for i := len(schema) - 1; i >= 0; i-- {
-		if schema[i] == vr.Name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// fieldOfVar recognizes expressions of the form $var.field and returns the
-// field name.
-func fieldOfVar(e aql.Expr, variable string) (string, bool) {
-	fa, ok := e.(*aql.FieldAccess)
-	if !ok {
-		return "", false
-	}
-	vr, ok := fa.Base.(*aql.VariableRef)
-	if !ok || vr.Name != variable {
-		return "", false
-	}
-	return fa.Field, true
 }

@@ -50,26 +50,15 @@ type Runtime interface {
 // algebra's named variables and the runtime's positional tuples.
 type Schema []string
 
-// Env converts a tuple into a variable-binding environment for the
-// expression evaluator. Columns holding nil (possible for synthetic columns)
-// are left unbound, matching the interpreter's sparse environments.
-func (s Schema) Env(t hyracks.Tuple) expr.Env {
-	env := make(expr.Env, len(s))
-	for i, name := range s {
-		if i < len(t) && t[i] != nil {
-			env[name] = t[i]
+// column reports the tuple column that carries a variable; later columns
+// shadow earlier ones of the same name.
+func (s Schema) column(name string) (int, bool) {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == name {
+			return i, true
 		}
 	}
-	return env
-}
-
-// Tuple converts an environment back into a tuple laid out by the schema.
-func (s Schema) Tuple(env expr.Env) hyracks.Tuple {
-	t := make(hyracks.Tuple, len(s))
-	for i, name := range s {
-		t[i] = env[name]
-	}
-	return t
+	return 0, false
 }
 
 // Compile builds and optimizes the algebra plan for a query expression. When

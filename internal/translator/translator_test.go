@@ -1,0 +1,337 @@
+package translator
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
+	"asterixdb/internal/aql"
+	"asterixdb/internal/expr"
+	"asterixdb/internal/hyracks"
+	"asterixdb/internal/storage"
+)
+
+// testRuntime is a Runtime and Catalog over a real two-partition storage
+// manager, so compiled jobs get partitioned scans and real shuffles.
+type testRuntime struct {
+	m   *storage.Manager
+	ctx *expr.Context
+}
+
+func (r *testRuntime) EvalContext() *expr.Context { return r.ctx }
+
+func (r *testRuntime) LookupDataset(_, name string) (*storage.Dataset, bool) {
+	return r.m.Dataset(name)
+}
+
+func (r *testRuntime) ReadDatasetRecords(_, name string) ([]*adm.Record, error) {
+	return nil, fmt.Errorf("no dataset %q", name)
+}
+
+func (r *testRuntime) DatasetInfo(_, name string) algebra.DatasetInfo {
+	_, ok := r.m.Dataset(name)
+	return algebra.DatasetInfo{Exists: ok, Partitions: 2}
+}
+
+// newTestRuntime stores Users(id, name) 1..4 and Msgs(mid, uid, len): message
+// i belongs to user i%3 and is i*10 long; uid 0 is stored as null, so those
+// messages have no join partner and an unknown key.
+func newTestRuntime(t *testing.T) *testRuntime {
+	t.Helper()
+	m, err := storage.NewManager(t.TempDir(), storage.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	int32T, open := adm.Prim(adm.TagInt32), true
+	users, err := m.CreateDataset(storage.DatasetSpec{Name: "Users", PrimaryKey: []string{"id"},
+		Type: &adm.RecordType{Name: "UserType", Open: open, Fields: []adm.FieldType{{Name: "id", Type: int32T}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := m.CreateDataset(storage.DatasetSpec{Name: "Msgs", PrimaryKey: []string{"mid"},
+		Type: &adm.RecordType{Name: "MsgType", Open: open, Fields: []adm.FieldType{{Name: "mid", Type: int32T}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		rec := adm.NewRecord(adm.Field{Name: "id", Value: adm.Int32(int32(i))},
+			adm.Field{Name: "name", Value: adm.String(fmt.Sprintf("u%d", i))})
+		if err := users.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 9; i++ {
+		var uid adm.Value = adm.Null{}
+		if i%3 != 0 {
+			uid = adm.Int32(int32(i % 3))
+		}
+		rec := adm.NewRecord(adm.Field{Name: "mid", Value: adm.Int32(int32(i))},
+			adm.Field{Name: "uid", Value: uid}, adm.Field{Name: "len", Value: adm.Int32(int32(i * 10))})
+		if err := msgs.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &testRuntime{m: m, ctx: expr.NewContext()}
+}
+
+// compile builds the unfused job, so every operator is inspectable.
+func compile(t *testing.T, rt *testRuntime, src string) (*algebra.Plan, *hyracks.Job) {
+	t.Helper()
+	e, err := aql.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(e, rt, algebra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := BuildJob(plan, rt, JobOptions{Partitions: 2, DisableFusion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, job
+}
+
+func describe(plan *algebra.Plan, job *hyracks.Job) string {
+	return algebra.Explain(plan) + "\n--\n" + job.Describe()
+}
+
+// results runs the job and returns its values, sorted.
+func results(t *testing.T, job *hyracks.Job) string {
+	t.Helper()
+	tuples, err := hyracks.Execute(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(tuples))
+	for i, tu := range tuples {
+		out[i] = tu[0].String()
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// opNamed returns the job's operator with the given label and its index.
+func opNamed(t *testing.T, job *hyracks.Job, label string) (hyracks.Operator, int) {
+	t.Helper()
+	for i, op := range job.Operators {
+		if op.Name() == label {
+			return op, i
+		}
+	}
+	t.Fatalf("no operator %q in\n%s", label, job.Describe())
+	return nil, 0
+}
+
+// edgeFrom returns the edge leaving operator from.
+func edgeFrom(t *testing.T, job *hyracks.Job, from int) hyracks.Edge {
+	t.Helper()
+	for _, e := range job.Edges {
+		if e.From == from {
+			return e
+		}
+	}
+	t.Fatalf("operator %d has no consumer", from)
+	return hyracks.Edge{}
+}
+
+// apply runs a pipelined operator's function on one tuple.
+func apply(t *testing.T, op hyracks.Operator, in hyracks.Tuple) []hyracks.Tuple {
+	t.Helper()
+	var out []hyracks.Tuple
+	err := op.(*hyracks.FlatMapOp).Fn(0, in, func(tu hyracks.Tuple) bool {
+		out = append(out, tu)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func msg(mid int, uid adm.Value, length int) *adm.Record {
+	return adm.NewRecord(adm.Field{Name: "mid", Value: adm.Int32(int32(mid))},
+		adm.Field{Name: "uid", Value: uid}, adm.Field{Name: "len", Value: adm.Int32(int32(length))})
+}
+
+func wantInts(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s = %v, want %v", what, got, want)
+	}
+}
+
+// TestJoinKeysLandInHashedColumns: both sides of a hybrid hash join get their
+// key as the trailing column the partitioning connector hashes on, and a
+// tuple with an unknown key is dropped before the shuffle.
+func TestJoinKeysLandInHashedColumns(t *testing.T) {
+	rt := newTestRuntime(t)
+	plan, job := compile(t, rt, `for $u in dataset Users for $m in dataset Msgs where $u.id = $m.uid return { "u": $u.name, "m": $m.mid }`)
+	want := `datasource-scan Users -> $u
+datasource-scan Msgs -> $m
+join (hybrid-hash-join)
+distribute-result
+--
+datasource-scan(Users)  --OneToOneConnector-->  assign(probe-key)
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(build-key)
+assign(probe-key)  --MToNPartitioningConnector-->  join(hybrid-hash-join)
+assign(build-key)  --MToNPartitioningConnector-->  join(hybrid-hash-join)
+join(hybrid-hash-join)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	build, idx := opNamed(t, job, "assign(build-key)")
+	edge := edgeFrom(t, job, idx)
+	wantInts(t, "build side hash columns", edge.Connector.HashColumns, []int{1})
+	if edge.Port != 1 {
+		t.Errorf("build side feeds port %d, want 1", edge.Port)
+	}
+	out := apply(t, build, hyracks.Tuple{msg(7, adm.Int32(2), 70)})
+	if len(out) != 1 || len(out[0]) != 2 || out[0][1].String() != adm.Int32(2).String() {
+		t.Errorf("build key assign produced %v", out)
+	}
+	for _, unknown := range []adm.Value{adm.Null{}, adm.Missing{}} {
+		if out := apply(t, build, hyracks.Tuple{msg(7, unknown, 70)}); len(out) != 0 {
+			t.Errorf("%s key was not dropped: %v", unknown, out)
+		}
+	}
+	_, idx = opNamed(t, job, "assign(probe-key)")
+	wantInts(t, "probe side hash columns", edgeFrom(t, job, idx).Connector.HashColumns, []int{1})
+	if got, want := results(t, job), `{ "u": "u1", "m": 1 } { "u": "u1", "m": 4 } { "u": "u1", "m": 7 } { "u": "u2", "m": 2 } { "u": "u2", "m": 5 } { "u": "u2", "m": 8 }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+}
+
+// TestGroupKeysLandInShuffledColumns: the evaluated grouping keys are the
+// trailing columns the shuffle hashes on and the group-by groups on.
+func TestGroupKeysLandInShuffledColumns(t *testing.T) {
+	rt := newTestRuntime(t)
+	plan, job := compile(t, rt, `for $m in dataset Msgs group by $u := $m.uid, $odd := $m.mid % 2 with $m return { "u": $u, "odd": $odd, "n": count($m) }`)
+	want := `datasource-scan Msgs -> $m
+group-by $u, $odd
+distribute-result
+--
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(group-keys)
+assign(group-keys)  --HashPartitioningShuffleConnector-->  hash-group-by(incremental)
+hash-group-by(incremental)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	keys, idx := opNamed(t, job, "assign(group-keys)")
+	wantInts(t, "shuffle hash columns", edgeFrom(t, job, idx).Connector.HashColumns, []int{1, 2})
+	group, _ := opNamed(t, job, "hash-group-by(incremental)")
+	wantInts(t, "group key columns", group.(*hyracks.HashGroupOp).KeyColumns, []int{1, 2})
+	out := apply(t, keys, hyracks.Tuple{msg(7, adm.Null{}, 70)})
+	if len(out) != 1 || len(out[0]) != 3 || out[0][1].String() != "null" || out[0][2].String() != adm.Int64(1).String() {
+		t.Errorf("group key assign produced %v (an unknown grouping key is a group, not a dropped tuple)", out)
+	}
+	if got, want := results(t, job), `{ "u": 1, "odd": 0i64, "n": 1i64 } { "u": 1, "odd": 1i64, "n": 2i64 } { "u": 2, "odd": 0i64, "n": 2i64 } { "u": 2, "odd": 1i64, "n": 1i64 } { "u": null, "odd": 0i64, "n": 1i64 } { "u": null, "odd": 1i64, "n": 2i64 }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+}
+
+// TestOrderKeysLandInSortedColumns: computed order terms are evaluated into
+// trailing columns the sort compares; bare variables sort in place.
+func TestOrderKeysLandInSortedColumns(t *testing.T) {
+	rt := newTestRuntime(t)
+	plan, job := compile(t, rt, `for $m in dataset Msgs order by $m.len % 20 desc, $m.mid return $m.mid`)
+	want := `datasource-scan Msgs -> $m
+order
+distribute-result
+--
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(order-keys)
+assign(order-keys)  --MToNPartitioningMergingConnector-->  sort
+sort  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	srt, _ := opNamed(t, job, "sort")
+	wantInts(t, "sort columns", srt.(*hyracks.SortOp).Columns, []int{1, 2})
+	if desc := srt.(*hyracks.SortOp).Desc; fmt.Sprint(desc) != "[true false]" {
+		t.Errorf("sort directions %v", desc)
+	}
+	keys, _ := opNamed(t, job, "assign(order-keys)")
+	out := apply(t, keys, hyracks.Tuple{msg(7, adm.Null{}, 70)})
+	if len(out) != 1 || len(out[0]) != 3 || out[0][1].String() != adm.Int64(10).String() || out[0][2].String() != adm.Int32(7).String() {
+		t.Errorf("order key assign produced %v", out)
+	}
+	tuples, err := hyracks.Execute(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(tuples); got != "[[1] [3] [5] [7] [9] [2] [4] [6] [8]]" {
+		t.Errorf("sorted mids %s", got)
+	}
+
+	plan, job = compile(t, rt, `for $m in dataset Msgs let $k := $m.len order by $k desc return $k`)
+	want = `datasource-scan Msgs -> $m
+assign $k
+order
+distribute-result
+--
+datasource-scan(Msgs)  --OneToOneConnector-->  assign
+assign  --MToNPartitioningMergingConnector-->  sort
+sort  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	srt, _ = opNamed(t, job, "sort")
+	wantInts(t, "bare-variable sort columns", srt.(*hyracks.SortOp).Columns, []int{1})
+}
+
+// TestGroupFoldSelection: a group-by folds its aggregates as it goes exactly
+// when every free reference to a with-variable above it is the argument of
+// an aggregate call; any other use materializes the bags. Either way the
+// values are the same.
+func TestGroupFoldSelection(t *testing.T) {
+	rt := newTestRuntime(t)
+	const head = `for $m in dataset Msgs group by $u := $m.uid with $m `
+	cases := []struct {
+		name, tail string
+		fold       bool
+		results    string
+	}{
+		{"aggregate calls only", `return { "u": $u, "n": count($m) }`, true,
+			`{ "u": 1, "n": 3i64 } { "u": 2, "n": 3i64 } { "u": null, "n": 3i64 }`},
+		{"aggregates in where, order by and return", `where count($m) > 2 order by count($m), $u return sql-count($m)`, true,
+			`3i64 3i64 3i64`},
+		{"the bag itself is returned", `return { "n": count($m), "all": $m }`, false, ""},
+		{"the bag is iterated", `return count(for $x in $m return $x.len)`, false, `3i64 3i64 3i64`},
+		{"an aggregate of something else", `return count([$m])`, false, `1i64 1i64 1i64`},
+		{"a nested for shadows the with-variable", `return { "n": count($m), "s": (for $m in [1, 2] return $m) }`, true,
+			`{ "n": 3i64, "s": [ 1, 2 ] } { "n": 3i64, "s": [ 1, 2 ] } { "n": 3i64, "s": [ 1, 2 ] }`},
+		{"a quantifier shadows it in its predicate only", `return some $m in $m satisfies $m.len > 80`, false,
+			`false false true`},
+		{"a nested group-by collects it with with", `return { "n": count($m), "g": (for $x in [1] group by $k := $x with $m return count($m)) }`, false,
+			`{ "n": 3i64, "g": [ 1i64 ] } { "n": 3i64, "g": [ 1i64 ] } { "n": 3i64, "g": [ 1i64 ] }`},
+		{"an assign above the group-by rebinds the name", `let $m := 1 return count($m)`, false, `1i64 1i64 1i64`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plan, job := compile(t, rt, head+c.tail)
+			group := "hash-group-by"
+			if c.fold {
+				group = "hash-group-by(incremental)"
+			}
+			desc := describe(plan, job)
+			if !strings.Contains(desc, "-->  "+group+"\n") {
+				t.Errorf("want %s in:\n%s", group, desc)
+			}
+			if got := results(t, job); c.results != "" && got != c.results {
+				t.Errorf("results %s\nwant    %s", got, c.results)
+			}
+		})
+	}
+}
