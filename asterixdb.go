@@ -91,12 +91,10 @@ type Config struct {
 	// owns every partition (the single-process default).
 	OwnsPartition func(partition int) bool
 	// DistributedNode marks the instance as one node of a multi-process
-	// cluster. It degrades plan choices that assume the whole dataset is
-	// reachable in-process (index nested-loop joins probe only local
-	// partitions, so they fall back to the shuffled hash join) and turns
-	// whole-dataset reads inside expressions (correlated subqueries over
-	// internal datasets) into typed errors instead of silently returning one
-	// node's slice of the data.
+	// cluster. It turns whole-dataset reads inside expressions (correlated
+	// subqueries over internal datasets) into typed errors instead of
+	// silently returning one node's slice of the data. Compiled jobs are the
+	// same on every node and in a single process.
 	DistributedNode bool
 }
 
@@ -273,7 +271,6 @@ func (in *Instance) jobOptions() translator.JobOptions {
 		MemoryBudget:  in.cfg.MemoryBudget,
 		SpillDir:      in.SpillDir(),
 		DisableFusion: in.unfused,
-		Distributed:   in.cfg.DistributedNode,
 	}
 }
 
@@ -378,37 +375,19 @@ func (in *Instance) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Pla
 	return plan, job, nil
 }
 
-// DatasetInfo implements algebra.Catalog.
+// DatasetInfo implements algebra.Catalog: the optimizer's view of a dataset
+// is its primary key and its secondary indexes in creation order.
 func (in *Instance) DatasetInfo(dataverse, name string) algebra.DatasetInfo {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	e, ok := in.datasets[name]
 	if !ok || e.internal == nil {
-		return algebra.DatasetInfo{Exists: ok, Partitions: in.cfg.Partitions,
-			BTreeIndexes: map[string]string{}, RTreeIndexes: map[string]string{},
-			KeywordIndexes: map[string]string{}, NGramIndexes: map[string]string{}, NGramLengths: map[string]int{}}
+		return algebra.DatasetInfo{}
 	}
-	info := algebra.DatasetInfo{
-		Exists:         true,
-		Partitions:     in.cfg.Partitions,
-		BTreeIndexes:   map[string]string{},
-		RTreeIndexes:   map[string]string{},
-		KeywordIndexes: map[string]string{},
-		NGramIndexes:   map[string]string{},
-		NGramLengths:   map[string]int{},
-	}
+	info := algebra.DatasetInfo{PrimaryKey: e.internal.Spec().PrimaryKey}
 	for _, ix := range e.internal.Indexes() {
-		switch ix.Kind {
-		case storage.BTreeIndex:
-			info.BTreeIndexes[ix.Fields[0]] = ix.Name
-		case storage.RTreeIndex:
-			info.RTreeIndexes[ix.Fields[0]] = ix.Name
-		case storage.KeywordIndex:
-			info.KeywordIndexes[ix.Fields[0]] = ix.Name
-		case storage.NGramIndex:
-			info.NGramIndexes[ix.Fields[0]] = ix.Name
-			info.NGramLengths[ix.Fields[0]] = ix.GramLength
-		}
+		info.Indexes = append(info.Indexes, algebra.IndexInfo{
+			Name: ix.Name, Kind: algebra.IndexKind(ix.Kind), Field: ix.Fields[0], GramLength: ix.GramLength})
 	}
 	return info
 }

@@ -497,6 +497,18 @@ return $m;`)
 			t.Errorf("explain missing %q:\n%s", want, explain)
 		}
 	}
+	// A range conjunct on an unindexed field ahead of the indexed one must
+	// not hide the index (it used to: the first comparable field won).
+	explain, err = inst.Explain(`
+for $m in dataset MugshotMessages
+where $m.message-id >= 1 and $m.timestamp >= datetime("2014-01-01T00:00:00")
+return $m.message-id;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(explain, "btree-search (secondary msTimestampIdx") {
+		t.Errorf("index on timestamp missed behind the message-id conjunct:\n%s", explain)
+	}
 }
 
 // TestFigure6JobShape asserts that the compiled Hyracks job for Query 10 has

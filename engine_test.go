@@ -3,6 +3,7 @@ package asterixdb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"asterixdb/internal/adm"
@@ -21,10 +22,13 @@ import (
 
 // interpret runs src's leading statements, compiles its trailing query under
 // opts, and evaluates the plan with the interpreter instead of running the
-// job.
+// job. The oracle keeps its own join method: it drops every indexnl hint, so
+// a hinted join the optimizer turns into an index probe chain is checked
+// against an independent hash join, never against the optimizer's own choice
+// of index.
 func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, error) {
 	ctx := context.Background()
-	q, _, err := in.ExecuteForQuery(ctx, src)
+	q, _, err := in.ExecuteForQuery(ctx, strings.ReplaceAll(src, "/*+ indexnl */", ""))
 	if err != nil {
 		return nil, err
 	}
@@ -151,11 +155,10 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		return in.execUnnest(ctx, n, query)
 	case algebra.OpIndexSearch:
 		return in.execIndexSearch(n)
-	case algebra.OpRTreeSearch:
-		return in.execRTreeSearch(n)
-	case algebra.OpInvertedSearch:
-		return in.execInvertedSearch(n)
 	case algebra.OpSortPK, algebra.OpPrimarySearch:
+		if n.LoExpr != nil {
+			return nil, fmt.Errorf("asterixdb: the oracle runs no index-probed join (interpret drops the hint)")
+		}
 		// The storage layer's materializing Search* calls already perform the
 		// PK sort, primary lookup and fetch; these operators are structural.
 		return in.executeNode(ctx, n.Inputs[0], query)
@@ -322,75 +325,46 @@ func (in *Instance) execSubplan(n *algebra.Node) ([]expr.Env, error) {
 	return withPositions(n.PosVar, out), nil
 }
 
-// execIndexSearch runs the compiled secondary-index access path through the
-// storage layer (secondary search, PK sort, primary search, post-validation).
+// execIndexSearch runs the secondary-index access path through the storage
+// layer's materializing whole-dataset calls (secondary search in every
+// partition, PK sort, primary search). A B+-tree search post-validates its
+// range; for the R-tree (the probe's MBR filters) and the inverted indexes
+// (the probe's tokens or grams give a conservative candidate set) the select
+// above re-applies the exact predicate. An unknown or wrongly typed probe
+// matches nothing.
 func (in *Instance) execIndexSearch(n *algebra.Node) ([]expr.Env, error) {
 	ds, ok := in.Dataset(n.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
 	}
-	var lo, hi adm.Value
-	if n.LoExpr != nil {
-		v, err := expr.Eval(in.evalCtx, expr.Env{}, n.LoExpr)
+	if len(n.Inputs) > 0 {
+		return nil, fmt.Errorf("asterixdb: the oracle runs no index-probed join (interpret drops the hint)")
+	}
+	var vals [3]adm.Value // lo, hi, probe
+	for i, e := range []aql.Expr{n.LoExpr, n.HiExpr, n.ProbeExpr} {
+		if e == nil {
+			continue
+		}
+		v, err := expr.Eval(in.evalCtx, expr.Env{}, e)
 		if err != nil {
 			return nil, err
 		}
-		lo = v
+		vals[i] = v
 	}
-	if n.HiExpr != nil {
-		v, err := expr.Eval(in.evalCtx, expr.Env{}, n.HiExpr)
-		if err != nil {
-			return nil, err
+	var recs []*adm.Record
+	var err error
+	switch n.IndexKind {
+	case algebra.BTreeIndex:
+		recs, err = ds.SearchSecondaryRange(n.Index, vals[0], vals[1])
+	case algebra.RTreeIndex:
+		if mbr, ok := storage.SpatialProbeMBR(vals[2]); ok {
+			recs, err = ds.SearchSecondaryRTree(n.Index, mbr)
 		}
-		hi = v
+	default:
+		if s, ok := storage.StringProbe(vals[2]); ok {
+			recs, err = ds.SearchSecondaryConjunctive(n.Index, s)
+		}
 	}
-	recs, err := ds.SearchSecondaryRange(n.Index, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return bindRecords(n.Variable, recs), nil
-}
-
-// execRTreeSearch runs the spatial access path: the probe expression's MBR
-// filters each partition's R-tree, and the post-validation select above
-// re-applies the exact spatial-intersect predicate.
-func (in *Instance) execRTreeSearch(n *algebra.Node) ([]expr.Env, error) {
-	ds, ok := in.Dataset(n.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
-	}
-	v, err := expr.Eval(in.evalCtx, expr.Env{}, n.ProbeExpr)
-	if err != nil {
-		return nil, err
-	}
-	mbr, ok := storage.SpatialProbeMBR(v)
-	if !ok {
-		return nil, nil // unknown or non-spatial probe matches nothing
-	}
-	recs, err := ds.SearchSecondaryRTree(n.Index, mbr)
-	if err != nil {
-		return nil, err
-	}
-	return bindRecords(n.Variable, recs), nil
-}
-
-// execInvertedSearch runs the inverted-index access path: the probe's tokens
-// (keyword index) or grams (ngram index) produce a conservative candidate
-// set, and the post-validation select above re-applies the exact predicate.
-func (in *Instance) execInvertedSearch(n *algebra.Node) ([]expr.Env, error) {
-	ds, ok := in.Dataset(n.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
-	}
-	v, err := expr.Eval(in.evalCtx, expr.Env{}, n.ProbeExpr)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := storage.StringProbe(v)
-	if !ok {
-		return nil, nil // unknown or non-string probe matches nothing
-	}
-	recs, err := ds.SearchSecondaryConjunctive(n.Index, s)
 	if err != nil {
 		return nil, err
 	}
@@ -432,126 +406,56 @@ func bindRecords(variable string, recs []*adm.Record) []expr.Env {
 }
 
 // execJoin executes a binary join. Equijoins use an in-memory hybrid hash
-// join (build on the right input, probe with the left); index nested-loop
-// joins probe the right side's primary or secondary index per left binding;
-// other joins fall back to a nested loop with the residual predicate applied
-// by the select above them.
+// join (build on the right input, probe with the left); other joins fall
+// back to a nested loop with the residual predicate applied by the select
+// above them. (The oracle sees no index nested-loop join: interpret drops
+// the hint, so a hinted equijoin is this hash join.)
 func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
 	left, err := in.executeNode(ctx, n.Inputs[0], query)
 	if err != nil {
 		return nil, err
 	}
-	if n.Method == algebra.IndexNestedLoop || n.Method == algebra.HybridHashJoin {
-		if n.LeftKey == nil || n.RightKey == nil {
-			return in.nestedLoopJoin(ctx, left, n, query)
-		}
-	}
-	switch n.Method {
-	case algebra.HybridHashJoin:
-		right, err := in.executeNode(ctx, n.Inputs[1], query)
-		if err != nil {
-			return nil, err
-		}
-		// Build on the smaller input.
-		build, probe := right, left
-		buildKey, probeKey := n.RightKey, n.LeftKey
-		if len(left) < len(right) {
-			build, probe = left, right
-			buildKey, probeKey = n.LeftKey, n.RightKey
-		}
-		table := map[string][]expr.Env{}
-		for _, env := range build {
-			v, err := expr.Eval(in.evalCtx, env, buildKey)
-			if err != nil {
-				return nil, err
-			}
-			if adm.IsUnknown(v) {
-				continue
-			}
-			k := string(adm.EncodeKey(nil, v))
-			table[k] = append(table[k], env)
-		}
-		var out []expr.Env
-		for _, env := range probe {
-			v, err := expr.Eval(in.evalCtx, env, probeKey)
-			if err != nil {
-				return nil, err
-			}
-			if adm.IsUnknown(v) {
-				continue
-			}
-			k := string(adm.EncodeKey(nil, v))
-			for _, match := range table[k] {
-				out = append(out, mergeEnvs(env, match))
-			}
-		}
-		return out, nil
-	case algebra.IndexNestedLoop:
-		return in.indexNestedLoopJoin(ctx, left, n, query)
-	default:
+	if n.Method != algebra.HybridHashJoin || n.LeftKey == nil || n.RightKey == nil {
 		return in.nestedLoopJoin(ctx, left, n, query)
 	}
-}
-
-// indexNestedLoopJoin probes the right-hand dataset's primary key (or a
-// secondary index) for each left binding — the join method selected by the
-// /*+ indexnl */ hint in Query 14.
-func (in *Instance) indexNestedLoopJoin(ctx context.Context, left []expr.Env, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
-	rightNode := n.Inputs[1]
-	// Index probes emit only matching records and so cannot bind a positional
-	// variable; the optimizer never picks this method for a positional right
-	// side, so the guard is a safety net.
-	if rightNode.Kind != algebra.OpScan || rightNode.PosVar != "" {
-		return in.hashJoinFallback(ctx, left, n, query)
+	right, err := in.executeNode(ctx, n.Inputs[1], query)
+	if err != nil {
+		return nil, err
 	}
-	ds, ok := in.Dataset(rightNode.Dataset)
-	if !ok {
-		return in.hashJoinFallback(ctx, left, n, query)
+	// Build on the smaller input.
+	build, probe := right, left
+	buildKey, probeKey := n.RightKey, n.LeftKey
+	if len(left) < len(right) {
+		build, probe = left, right
+		buildKey, probeKey = n.LeftKey, n.RightKey
 	}
-	spec := ds.Spec()
-	// The probe works when the right key is the right dataset's primary key
-	// or a field with a secondary B+-tree index.
-	rightField, ok := fieldOfVar(n.RightKey, rightNode.Variable)
-	if !ok {
-		return in.hashJoinFallback(ctx, left, n, query)
-	}
-	var out []expr.Env
-	for _, env := range left {
-		v, err := expr.Eval(in.evalCtx, env, n.LeftKey)
+	table := map[string][]expr.Env{}
+	for _, env := range build {
+		v, err := expr.Eval(in.evalCtx, env, buildKey)
 		if err != nil {
 			return nil, err
 		}
 		if adm.IsUnknown(v) {
 			continue
 		}
-		var matches []*adm.Record
-		if len(spec.PrimaryKey) == 1 && spec.PrimaryKey[0] == rightField {
-			rec, found, err := ds.LookupPK(v)
-			if err != nil {
-				return nil, err
-			}
-			if found {
-				matches = []*adm.Record{rec}
-			}
-		} else if ix, found := ds.IndexOnField(rightField, storage.BTreeIndex); found {
-			matches, err = ds.SearchSecondaryRange(ix.Name, v, v)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			return in.hashJoinFallback(ctx, left, n, query)
+		k := string(adm.EncodeKey(nil, v))
+		table[k] = append(table[k], env)
+	}
+	var out []expr.Env
+	for _, env := range probe {
+		v, err := expr.Eval(in.evalCtx, env, probeKey)
+		if err != nil {
+			return nil, err
 		}
-		for _, m := range matches {
-			out = append(out, env.With(rightNode.Variable, m))
+		if adm.IsUnknown(v) {
+			continue
+		}
+		k := string(adm.EncodeKey(nil, v))
+		for _, match := range table[k] {
+			out = append(out, mergeEnvs(env, match))
 		}
 	}
 	return out, nil
-}
-
-func (in *Instance) hashJoinFallback(ctx context.Context, left []expr.Env, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
-	copyNode := *n
-	copyNode.Method = algebra.HybridHashJoin
-	return in.execJoin(ctx, &copyNode, query)
 }
 
 // nestedLoopJoin is the cross product; the residual predicate above filters.
@@ -578,18 +482,4 @@ func mergeEnvs(a, b expr.Env) expr.Env {
 		out[k] = v
 	}
 	return out
-}
-
-// fieldOfVar recognizes expressions of the form $var.field and returns the
-// field name.
-func fieldOfVar(e aql.Expr, variable string) (string, bool) {
-	fa, ok := e.(*aql.FieldAccess)
-	if !ok {
-		return "", false
-	}
-	vr, ok := fa.Base.(*aql.VariableRef)
-	if !ok || vr.Name != variable {
-		return "", false
-	}
-	return fa.Field, true
 }

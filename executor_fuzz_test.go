@@ -17,7 +17,7 @@ import (
 // random datasets (ints, strings, points, nested lists), draws queries from
 // templates covering every compiled access path — scan/filter, B+-tree range,
 // R-tree spatial, inverted-index text search, correlated unnest, hash and
-// index-nested-loop joins, group-by, aggregation, order/limit — and asserts
+// index-probed (indexnl) joins, group-by, aggregation, order/limit — and asserts
 // that the pipelined Hyracks executor and the materializing interpreter
 // oracle agree on every query under every optimizer-option set. It runs both
 // as a seeded deterministic test (TestDifferentialFuzzSeeded) and as a native
@@ -173,6 +173,7 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"hash-join", fmt.Sprintf(
 			`for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat = $b.cat and $a.score >= %d return { "a": $a.id, "b": $b.id };`, lo), false},
 		{"indexnl-join", `for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat /*+ indexnl */ = $b.cat return { "a": $a.id, "b": $b.id };`, false},
+		{"indexnl-join-pk", `for $b in dataset FuzzB for $a in dataset FuzzA where $b.score /*+ indexnl */ = $a.id return { "a": $a.id, "b": $b.id };`, false},
 		{"group-by", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r) };`, false},
 		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true},
 		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true},

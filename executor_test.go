@@ -47,11 +47,12 @@ func sameResults(t *testing.T, name string, hyracks, interp []adm.Value, ordered
 
 // differentialQueries is the paper's example workload plus shapes that
 // exercise each compiled operator: parallel scans, the secondary-index access
-// path, hybrid-hash and index-nested-loop joins, the broadcast nested-loop
-// join behind let-first queries, hash group-by, sort, limit/offset, and the
-// local/global aggregation split. Ordered queries sort on a unique key so
-// both executors must produce the exact sequence; unordered queries are
-// compared as multisets.
+// path, hybrid-hash joins, hinted joins that probe a secondary index or the
+// primary index (or, with no index to probe, stay hash joins), the broadcast
+// nested-loop join behind let-first queries, hash group-by, sort,
+// limit/offset, and the local/global aggregation split. Ordered queries sort
+// on a unique key so both executors must produce the exact sequence;
+// unordered queries are compared as multisets.
 var differentialQueries = []struct {
 	name    string
 	query   string
@@ -63,6 +64,10 @@ for $user in dataset MugshotUsers
 where $user.user-since >= datetime('2010-07-22T00:00:00')
   and $user.user-since <= datetime('2012-07-29T23:59:59')
 return $user;`, false},
+	{"range-index-behind-unindexed-conjunct", `
+for $m in dataset MugshotMessages
+where $m.message-id >= 2 and $m.timestamp >= datetime("2014-01-01T00:00:00")
+return $m.message-id;`, false},
 	{"equijoin", `
 for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
@@ -74,6 +79,17 @@ return { "uname": $user.name, "message": $message.message };`, false},
 for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
 where $message.author-id /*+ indexnl */ = $user.id
+return { "uname": $user.name, "message": $message.message };`, false},
+	{"indexnl-join-primary-key", `
+for $message in dataset MugshotMessages
+for $user in dataset MugshotUsers
+where $message.author-id /*+ indexnl */ = $user.id
+  and $message.message-id > 1
+return { "uname": $user.name, "message": $message.message };`, false},
+	{"indexnl-join-no-index", `
+for $user in dataset MugshotUsers
+for $message in dataset MugshotMessages
+where $message.in-response-to /*+ indexnl */ = $user.id
 return { "uname": $user.name, "message": $message.message };`, false},
 	{"group-by", `
 for $m in dataset MugshotMessages
@@ -367,6 +383,65 @@ func TestEveryDifferentialQueryCompilesToAJob(t *testing.T) {
 	for _, q := range differentialQueries {
 		if _, _, err := inst.compileJob(q.query); err != nil {
 			t.Errorf("%s: BuildJob failed: %v", q.name, err)
+		}
+	}
+}
+
+// TestIndexNLHintPlanNamesTheJob: the optimizer alone decides whether an
+// indexnl hint is honoured, so the plan text names what the job runs — a hash
+// join when the inner dataset has no index on the join field, otherwise the
+// Figure 6 chain fed by the outer side, with no scan of the inner dataset in
+// either the plan or the job.
+func TestIndexNLHintPlanNamesTheJob(t *testing.T) {
+	inst := newTinySocial(t)
+	for _, c := range []struct {
+		name, query string
+		want        []string // lines of the plan and of the job, in order
+		absent      []string
+	}{
+		{"no index on the inner field", `
+for $user in dataset MugshotUsers
+for $message in dataset MugshotMessages
+where $message.in-response-to /*+ indexnl */ = $user.id
+return $message.message-id;`,
+			[]string{"datasource-scan MugshotMessages -> $message", "join (hybrid-hash-join)", "join(hybrid-hash-join)"},
+			[]string{"btree-search"}},
+		{"inner primary key", `
+for $message in dataset MugshotMessages
+for $user in dataset MugshotUsers
+where $message.author-id /*+ indexnl */ = $user.id
+return $user.name;`,
+			[]string{"datasource-scan MugshotMessages -> $message", "btree-search (primary MugshotUsers)",
+				"datasource-scan(MugshotMessages)", "assign(probe-key)", "--MToNPartitioningConnector-->", "btree-search(MugshotUsers)"},
+			[]string{"datasource-scan MugshotUsers", "datasource-scan(MugshotUsers)", "join", "sort", "select"}},
+		{"inner secondary B+-tree field", `
+for $user in dataset MugshotUsers
+for $message in dataset MugshotMessages
+where $message.author-id /*+ indexnl */ = $user.id
+return $message.message-id;`,
+			[]string{"datasource-scan MugshotUsers -> $user", "btree-search (secondary msAuthorIdx on MugshotMessages)",
+				"sort (primary keys)", "btree-search (primary MugshotMessages)", "select",
+				"datasource-scan(MugshotUsers)  --MToNReplicatingConnector-->  btree-search(msAuthorIdx)",
+				"sort(primary-keys)", "btree-search(MugshotMessages)"},
+			[]string{"datasource-scan MugshotMessages", "datasource-scan(MugshotMessages)", "join"}},
+	} {
+		explain, err := inst.Explain(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rest := explain
+		for _, w := range c.want {
+			_, after, found := strings.Cut(rest, w)
+			if !found {
+				t.Errorf("%s: explain is missing %q (in this order):\n%s", c.name, w, explain)
+				break
+			}
+			rest = after
+		}
+		for _, a := range c.absent {
+			if strings.Contains(explain, a) {
+				t.Errorf("%s: explain must not mention %q:\n%s", c.name, a, explain)
+			}
 		}
 	}
 }

@@ -4,9 +4,10 @@
 // optimization, and annotated into a physical plan. The rules implemented are
 // the paper's "safe" rewritings: always use an index-based access path for
 // selections when an index is available, always use hybrid hash joins for
-// equijoins (unless an indexnl hint overrides it), split aggregates into
-// local and global halves, and sort primary keys between a secondary-index
-// search and the primary-index search it feeds.
+// equijoins (unless an indexnl hint asks for index probes and the inner
+// dataset has an index to probe), split aggregates into local and global
+// halves, and sort primary keys between a secondary-index search and the
+// primary-index search it feeds.
 package algebra
 
 import (
@@ -22,24 +23,22 @@ type OpKind string
 
 // Operator kinds.
 const (
-	OpScan           OpKind = "datasource-scan"
-	OpSelect         OpKind = "select"
-	OpAssign         OpKind = "assign"
-	OpJoin           OpKind = "join"
-	OpGroupBy        OpKind = "group-by"
-	OpOrder          OpKind = "order"
-	OpLimit          OpKind = "limit"
-	OpAggregate      OpKind = "aggregate"
-	OpSubplan        OpKind = "subplan"
-	OpUnnest         OpKind = "unnest"
-	OpDistribute     OpKind = "distribute-result"
-	OpIndexSearch    OpKind = "btree-search-secondary"
-	OpRTreeSearch    OpKind = "rtree-search-secondary"
-	OpInvertedSearch OpKind = "inverted-search-secondary"
-	OpPrimarySearch  OpKind = "btree-search-primary"
-	OpSortPK         OpKind = "sort-primary-keys"
-	OpLocalAgg       OpKind = "aggregate-local"
-	OpGlobalAgg      OpKind = "aggregate-global"
+	OpScan          OpKind = "datasource-scan"
+	OpSelect        OpKind = "select"
+	OpAssign        OpKind = "assign"
+	OpJoin          OpKind = "join"
+	OpGroupBy       OpKind = "group-by"
+	OpOrder         OpKind = "order"
+	OpLimit         OpKind = "limit"
+	OpAggregate     OpKind = "aggregate"
+	OpSubplan       OpKind = "subplan"
+	OpUnnest        OpKind = "unnest"
+	OpDistribute    OpKind = "distribute-result"
+	OpIndexSearch   OpKind = "index-search-secondary"
+	OpPrimarySearch OpKind = "btree-search-primary"
+	OpSortPK        OpKind = "sort-primary-keys"
+	OpLocalAgg      OpKind = "aggregate-local"
+	OpGlobalAgg     OpKind = "aggregate-global"
 )
 
 // JoinMethod is the physical join algorithm.
@@ -47,9 +46,8 @@ type JoinMethod string
 
 // Join methods.
 const (
-	HybridHashJoin  JoinMethod = "hybrid-hash-join"
-	IndexNestedLoop JoinMethod = "index-nested-loop-join"
-	NestedLoopJoin  JoinMethod = "nested-loop-join"
+	HybridHashJoin JoinMethod = "hybrid-hash-join"
+	NestedLoopJoin JoinMethod = "nested-loop-join"
 )
 
 // Node is one operator in a plan tree. Inputs[0] is the primary input;
@@ -69,17 +67,20 @@ type Node struct {
 	// own PosVar), so an item's position is a property of the item alone and
 	// survives any join method above the source.
 	PosVar string
-	Index  string
-	// LoExpr/HiExpr bound a B+-tree index range search (an equality search
-	// sets both, inclusive, to the same expression).
+	// Index and IndexKind name the secondary index an index search probes.
+	Index     string
+	IndexKind IndexKind
+	// The probe of an index search. LoExpr/HiExpr bound a B+-tree range (an
+	// equality sets both to the same expression; a primary-index search that
+	// probes by key carries it in LoExpr). ProbeExpr is the probe of an r-tree
+	// or inverted-index search: the spatial value whose MBR filters the r-tree,
+	// or the string whose tokens/grams filter the inverted index. None of them
+	// references the searched dataset's variable. A search with no input is a
+	// source: its probe is evaluated once, in the empty environment. A search
+	// with an input (the index nested-loop join) evaluates its probe against
+	// each input tuple and carries that tuple's variables along.
 	LoExpr, HiExpr aql.Expr
-	LoInclusive    bool
-	HiInclusive    bool
-	// ProbeExpr is the probe argument of an r-tree or inverted-index search:
-	// the spatial value whose MBR filters the r-tree, or the string whose
-	// tokens/grams filter the inverted index. It never references the scan
-	// variable, so it can be evaluated in an empty environment at run time.
-	ProbeExpr aql.Expr
+	ProbeExpr      aql.Expr
 
 	// Select / assign / aggregate fields.
 	Condition aql.Expr
@@ -114,22 +115,35 @@ type Plan struct {
 	Query *aql.FLWORExpr
 }
 
-// DatasetInfo is what the optimizer needs to know about a dataset.
+// IndexKind names a kind of index in the words of the DDL's "type" clause
+// (the storage layer's kinds, spelled the same), plus the primary index.
+type IndexKind string
+
+// Index kinds.
+const (
+	PrimaryIndex IndexKind = "primary"
+	BTreeIndex   IndexKind = "btree"
+	RTreeIndex   IndexKind = "rtree"
+	KeywordIndex IndexKind = "keyword"
+	NGramIndex   IndexKind = "ngram"
+)
+
+// IndexInfo describes one index of a dataset: its name, kind and first key
+// field, and for an ngram index the gram length.
+type IndexInfo struct {
+	Name       string
+	Kind       IndexKind
+	Field      string
+	GramLength int
+}
+
+// DatasetInfo is what the optimizer needs to know about a dataset: its
+// primary key and its secondary indexes in creation order (when two indexes
+// answer a predicate the first created is chosen). A dataset with no stored
+// partitions — external, Metadata, or unknown — has neither.
 type DatasetInfo struct {
-	Exists     bool
-	Partitions int
-	// BTreeIndexes maps indexed field name -> index name.
-	BTreeIndexes map[string]string
-	// RTreeIndexes maps indexed field name -> index name.
-	RTreeIndexes map[string]string
-	// KeywordIndexes maps indexed field name -> keyword inverted index name.
-	KeywordIndexes map[string]string
-	// NGramIndexes maps indexed field name -> ngram inverted index name, with
-	// the gram length in NGramLengths. A contains() predicate can use the
-	// index only when its probe is at least the gram length long (shorter
-	// probes produce no grams and the index could not bound the candidates).
-	NGramIndexes map[string]string
-	NGramLengths map[string]int
+	PrimaryKey []string
+	Indexes    []IndexInfo
 }
 
 // Catalog resolves dataset metadata for the optimizer.
@@ -292,8 +306,7 @@ type Options struct {
 // Optimize rewrites the plan using the rule set. It never uses cost: like the
 // 2014 system it applies "safe" rules plus user hints.
 func Optimize(plan *Plan, cat Catalog, opts Options) *Plan {
-	root := plan.Root
-	root = rewriteJoins(root, cat)
+	root := rewriteJoins(plan.Root, cat, opts)
 	if !opts.DisableIndexAccess {
 		root = rewriteIndexAccess(root, cat, opts)
 	}
@@ -301,14 +314,19 @@ func Optimize(plan *Plan, cat Catalog, opts Options) *Plan {
 }
 
 // rewriteJoins detects equality join predicates sitting directly above a
-// join and picks the physical join method: hybrid hash join by default, or
-// index nested-loop when the predicate carries an /*+ indexnl */ hint.
-func rewriteJoins(n *Node, cat Catalog) *Node {
+// join and picks the physical join method: hybrid hash join by default. When
+// the predicate carries an /*+ indexnl */ hint and the access-path rule finds
+// an index of the inner dataset to probe with it, the join becomes that access
+// path fed by the outer input (the index nested-loop join: the outer tuples
+// are sent to the inner dataset's partitions and each probes its local
+// index). It is the only place that decides whether a hint is honoured, so
+// the plan always names the join the job runs.
+func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 	if n == nil {
 		return nil
 	}
 	for i, in := range n.Inputs {
-		n.Inputs[i] = rewriteJoins(in, cat)
+		n.Inputs[i] = rewriteJoins(in, cat, opts)
 	}
 	if n.Kind != OpSelect || len(n.Inputs) != 1 || n.Inputs[0].Kind != OpJoin {
 		return n
@@ -316,9 +334,10 @@ func rewriteJoins(n *Node, cat Catalog) *Node {
 	join := n.Inputs[0]
 	conds := splitConjuncts(n.Condition)
 	var rest []aql.Expr
+	var key *aql.BinaryExpr
 	for _, cond := range conds {
 		be, ok := cond.(*aql.BinaryExpr)
-		if !ok || be.Op != aql.OpEq || join.LeftKey != nil {
+		if !ok || be.Op != aql.OpEq || key != nil {
 			rest = append(rest, cond)
 			continue
 		}
@@ -334,13 +353,26 @@ func rewriteJoins(n *Node, cat Catalog) *Node {
 			rest = append(rest, cond)
 			continue
 		}
-		// An index nested-loop probe replaces the right-hand scan with index
-		// lookups, which cannot bind that scan's positional variable; a
-		// positional right side keeps the position-preserving hash join.
-		if strings.Contains(be.Hint, "indexnl") && join.Inputs[1].PosVar == "" {
-			join.Method = IndexNestedLoop
-		} else {
-			join.Method = HybridHashJoin
+		key = be
+		join.Method = HybridHashJoin
+	}
+	// Index probes replace the inner scan, so the inner must be a plain scan:
+	// they emit only the matching records and could not bind a positional
+	// variable to its position in the full scan.
+	outer, inner := join.Inputs[0], join.Inputs[1]
+	if key != nil && strings.Contains(key.Hint, "indexnl") && inner.Kind == OpScan && inner.PosVar == "" {
+		info := cat.DatasetInfo(inner.Dataverse, inner.Dataset)
+		switch path := accessPath(inner, key, info.probeIndexes(), outer, opts); {
+		case path == nil:
+		case path.LoExpr != nil:
+			// A primary-key probe answers the join predicate exactly, as the
+			// hash join does: only the other conjuncts are left to select.
+			join = path
+		default:
+			// The select keeps every conjunct, the join predicate included: it
+			// is the access path's post-validation.
+			n.Inputs[0] = path
+			return n
 		}
 	}
 	if len(rest) == 0 {
@@ -350,12 +382,7 @@ func rewriteJoins(n *Node, cat Catalog) *Node {
 }
 
 // rewriteIndexAccess replaces select-over-scan with the Figure 6 access path
-// when the selection has an index-usable predicate: a range or equality
-// predicate on a field with a secondary B+-tree index, a spatial-intersect
-// predicate on a field with an R-tree index, or a contains / tokenized-
-// equality predicate on a field with an inverted (ngram / keyword) index.
-// The rewritten chain is always secondary search -> sort PKs -> primary
-// search -> post-validation select.
+// when the access-path rule finds an index answering the selection.
 func rewriteIndexAccess(n *Node, cat Catalog, opts Options) *Node {
 	if n == nil {
 		return nil
@@ -371,49 +398,59 @@ func rewriteIndexAccess(n *Node, cat Catalog, opts Options) *Node {
 	}
 	scan := n.Inputs[0]
 	info := cat.DatasetInfo(scan.Dataverse, scan.Dataset)
-	if !info.Exists {
-		return n
-	}
-	if rng, field, ok := extractRange(n.Condition, scan.Variable); ok {
-		if indexName, found := info.BTreeIndexes[field]; found {
-			secondary := &Node{
-				Kind: OpIndexSearch, Dataset: scan.Dataset, Dataverse: scan.Dataverse,
-				Index: indexName, Variable: scan.Variable,
-				LoExpr: rng.lo, HiExpr: rng.hi, LoInclusive: rng.loInc, HiInclusive: rng.hiInc,
-			}
-			return indexChain(secondary, scan, n.Condition, opts)
-		}
-	}
-	if probe, field, ok := extractSpatialProbe(n.Condition, scan.Variable); ok {
-		if indexName, found := info.RTreeIndexes[field]; found {
-			secondary := &Node{
-				Kind: OpRTreeSearch, Dataset: scan.Dataset, Dataverse: scan.Dataverse,
-				Index: indexName, Variable: scan.Variable, ProbeExpr: probe,
-			}
-			return indexChain(secondary, scan, n.Condition, opts)
-		}
-	}
-	if probe, indexName, ok := extractInvertedProbe(n.Condition, scan.Variable, info); ok {
-		secondary := &Node{
-			Kind: OpInvertedSearch, Dataset: scan.Dataset, Dataverse: scan.Dataverse,
-			Index: indexName, Variable: scan.Variable, ProbeExpr: probe,
-		}
-		return indexChain(secondary, scan, n.Condition, opts)
+	if path := accessPath(scan, n.Condition, info.Indexes, nil, opts); path != nil {
+		// The select stays as the post-validation re-applying the whole
+		// original predicate.
+		n.Inputs[0] = path
 	}
 	return n
 }
 
-// indexChain wraps a secondary-index search in the rest of the Figure 6
-// access path: the primary-key sort (unless ablated), the primary-index
-// search, and the post-validation select that re-applies the whole original
-// predicate.
-func indexChain(secondary, scan *Node, cond aql.Expr, opts Options) *Node {
-	chain := secondary
-	if !opts.DisablePKSort {
-		chain = &Node{Kind: OpSortPK, Inputs: []*Node{chain}}
+// probeIndexes lists the indexes a per-tuple probe may search: the primary
+// index (when the key is a single field) ahead of the secondary ones.
+func (info DatasetInfo) probeIndexes() []IndexInfo {
+	if len(info.PrimaryKey) != 1 {
+		return info.Indexes
 	}
-	primary := &Node{Kind: OpPrimarySearch, Inputs: []*Node{chain}, Dataset: scan.Dataset, Dataverse: scan.Dataverse, Variable: scan.Variable}
-	return &Node{Kind: OpSelect, Inputs: []*Node{primary}, Condition: cond}
+	return append([]IndexInfo{{Kind: PrimaryIndex, Field: info.PrimaryKey[0]}}, info.Indexes...)
+}
+
+// accessPath is the one access-method rule. It walks the index list in order,
+// asks each index's matcher (by kind) for a probe the predicate supplies, and
+// for the first that has one returns the Figure 6 chain in place of the scan:
+// secondary search -> sort primary keys (unless ablated) -> primary search;
+// for the primary index itself, just the primary search. The caller's select
+// above post-validates the exact predicate, so a matcher only has to be
+// conservative (a probe by primary key is exact, like a hash join's key).
+// outer, when not nil, feeds the chain (see Node.LoExpr). It returns nil when
+// no index answers the predicate.
+func accessPath(scan *Node, cond aql.Expr, indexes []IndexInfo, outer *Node, opts Options) *Node {
+	conjuncts := splitConjuncts(cond)
+	for _, ix := range indexes {
+		match := indexKinds[ix.Kind].match
+		if match == nil {
+			continue // a kind the optimizer has no rule for
+		}
+		pr, ok := match(ix, conjuncts, scan.Variable)
+		if !ok {
+			continue
+		}
+		primary := &Node{Kind: OpPrimarySearch, Inputs: inputsOf(outer), Dataset: scan.Dataset, Dataverse: scan.Dataverse, Variable: scan.Variable}
+		if ix.Kind == PrimaryIndex {
+			primary.LoExpr = pr.lo
+			return primary
+		}
+		chain := &Node{
+			Kind: OpIndexSearch, Inputs: inputsOf(outer), Dataset: scan.Dataset, Dataverse: scan.Dataverse, Variable: scan.Variable,
+			Index: ix.Name, IndexKind: ix.Kind, LoExpr: pr.lo, HiExpr: pr.hi, ProbeExpr: pr.value,
+		}
+		if !opts.DisablePKSort {
+			chain = &Node{Kind: OpSortPK, Inputs: []*Node{chain}}
+		}
+		primary.Inputs = []*Node{chain}
+		return primary
+	}
+	return nil
 }
 
 // WrapAggregate adds the local/global aggregation pair on top of a plan for
@@ -439,163 +476,159 @@ func WrapAggregate(plan *Plan, aggFunc string, disableSplit bool) *Plan {
 // Predicate analysis helpers
 // ----------------------------------------------------------------------------
 
-type rangeBounds struct {
-	lo, hi       aql.Expr
-	loInc, hiInc bool
+// probe is what a matcher extracts from a predicate for its index: the
+// expressions an index search node carries (see Node.LoExpr).
+type probe struct {
+	lo, hi, value aql.Expr
 }
 
-// extractRange looks for conjuncts of the form $var.field >= e / <= e / = e
-// and returns the combined bounds and the field name. Only predicates whose
-// comparison value does not reference the scan variable qualify.
-func extractRange(cond aql.Expr, scanVar string) (rangeBounds, string, bool) {
-	var rb rangeBounds
-	field := ""
-	found := false
-	for _, c := range splitConjuncts(cond) {
+// indexKinds is what the optimizer knows per index kind: the operator name
+// its search runs under (in Explain and in job labels) and its matcher, which
+// looks among a predicate's conjuncts for one the index can answer
+// conservatively — candidates are a superset of the true matches — with a
+// probe that does not reference the scan variable.
+var indexKinds = map[IndexKind]struct {
+	search string
+	match  func(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool)
+}{
+	PrimaryIndex: {"btree-search", matchKey},
+	BTreeIndex:   {"btree-search", matchRange},
+	RTreeIndex:   {"rtree-search", matchSpatial},
+	KeywordIndex: {"inverted-search", matchWordTokens},
+	NGramIndex:   {"inverted-search", matchContains},
+}
+
+// SearchName is the operator name an index of this kind is searched under.
+func (k IndexKind) SearchName() string { return indexKinds[k].search }
+
+// comparisons visits the conjuncts of the form $var.field op e (or
+// e op $var.field, reported with the operator reversed) on the given field
+// whose comparison value e does not reference the scan variable.
+func comparisons(conjuncts []aql.Expr, scanVar, field string, visit func(op aql.BinaryOp, val aql.Expr)) {
+	for _, c := range conjuncts {
 		be, ok := c.(*aql.BinaryExpr)
 		if !ok {
 			continue
 		}
-		fa, faOK := be.Left.(*aql.FieldAccess)
-		valExpr := be.Right
-		op := be.Op
-		if !faOK {
-			// try reversed: const <= $var.field
-			if fa2, ok2 := be.Right.(*aql.FieldAccess); ok2 {
-				fa, faOK, valExpr = fa2, true, be.Left
-				op = reverseOp(be.Op)
+		for _, side := range []struct {
+			access, val aql.Expr
+			op          aql.BinaryOp
+		}{{be.Left, be.Right, be.Op}, {be.Right, be.Left, reverseOp(be.Op)}} {
+			if f, ok := FieldAccessOf(side.access, scanVar); ok && f == field && !contains(FreeVarsOf(side.val), scanVar) {
+				visit(side.op, side.val)
+				break
 			}
 		}
-		if !faOK {
-			continue
-		}
-		vr, ok := fa.Base.(*aql.VariableRef)
-		if !ok || vr.Name != scanVar {
-			continue
-		}
-		if contains(FreeVarsOf(valExpr), scanVar) {
-			continue
-		}
-		if field != "" && fa.Field != field {
-			continue
-		}
-		switch op {
-		case aql.OpGe:
-			rb.lo, rb.loInc = valExpr, true
-		case aql.OpGt:
-			rb.lo, rb.loInc = valExpr, false
-		case aql.OpLe:
-			rb.hi, rb.hiInc = valExpr, true
-		case aql.OpLt:
-			rb.hi, rb.hiInc = valExpr, false
-		case aql.OpEq:
-			rb.lo, rb.hi, rb.loInc, rb.hiInc = valExpr, valExpr, true, true
-		default:
-			continue
-		}
-		field = fa.Field
-		found = true
 	}
-	return rb, field, found
 }
 
-// extractSpatialProbe looks for a conjunct of the form
-// spatial-intersect($var.field, probe) (either argument order) where the
-// probe does not reference the scan variable, and returns the probe
-// expression and field name. The R-tree search filters on the probe's MBR and
-// the post-validation select re-applies the exact predicate, so any spatial
-// probe type is admissible.
-func extractSpatialProbe(cond aql.Expr, scanVar string) (aql.Expr, string, bool) {
-	for _, c := range splitConjuncts(cond) {
+// matchRange combines the >=, >, <=, < and = conjuncts on the indexed field
+// into the bounds of a B+-tree range search. The search reads both bounds
+// inclusively; the post-validation select enforces a strict one.
+func matchRange(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool) {
+	var pr probe
+	comparisons(conjuncts, scanVar, ix.Field, func(op aql.BinaryOp, val aql.Expr) {
+		switch op {
+		case aql.OpGe, aql.OpGt:
+			pr.lo = val
+		case aql.OpLe, aql.OpLt:
+			pr.hi = val
+		case aql.OpEq:
+			pr.lo, pr.hi = val, val
+		}
+	})
+	return pr, pr.lo != nil || pr.hi != nil
+}
+
+// matchKey looks for an equality conjunct on the primary-key field: the
+// primary index is probed by key, not ranged over.
+func matchKey(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool) {
+	var pr probe
+	comparisons(conjuncts, scanVar, ix.Field, func(op aql.BinaryOp, val aql.Expr) {
+		if op == aql.OpEq && pr.lo == nil {
+			pr.lo = val
+		}
+	})
+	return pr, pr.lo != nil
+}
+
+// matchSpatial looks for a conjunct spatial-intersect($var.field, probe)
+// (either argument order) on the r-tree's field. The search filters on the
+// probe's MBR, so any spatial probe type is admissible.
+func matchSpatial(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool) {
+	for _, c := range conjuncts {
 		call, ok := c.(*aql.CallExpr)
 		if !ok || call.Func != "spatial-intersect" || len(call.Args) != 2 {
 			continue
 		}
 		for i := 0; i < 2; i++ {
 			field, isField := FieldAccessOf(call.Args[i], scanVar)
-			if !isField {
+			if !isField || field != ix.Field || contains(FreeVarsOf(call.Args[1-i]), scanVar) {
 				continue
 			}
-			probe := call.Args[1-i]
-			if contains(FreeVarsOf(probe), scanVar) {
-				continue
-			}
-			return probe, field, true
+			return probe{value: call.Args[1-i]}, true
 		}
 	}
-	return nil, "", false
+	return probe{}, false
 }
 
-// extractInvertedProbe looks for a conjunct an inverted index can answer
-// conservatively (candidates are a superset of the true matches; the
-// post-validation select re-applies the exact predicate):
-//
-//   - contains($var.field, "literal") with an ngram index on the field, when
-//     the literal is at least gram-length characters long (shorter probes
-//     produce no grams, so the index could not bound the candidate set);
-//   - some $w in word-tokens($var.field) satisfies $w = probe with a keyword
-//     index on the field, for any probe not referencing the bound variables.
-//
-// It returns the probe expression and the index name to search.
-func extractInvertedProbe(cond aql.Expr, scanVar string, info DatasetInfo) (aql.Expr, string, bool) {
-	for _, c := range splitConjuncts(cond) {
-		switch x := c.(type) {
-		case *aql.CallExpr:
-			if x.Func != "contains" || len(x.Args) != 2 {
-				continue
-			}
-			field, ok := FieldAccessOf(x.Args[0], scanVar)
-			if !ok {
-				continue
-			}
-			indexName, found := info.NGramIndexes[field]
-			if !found {
-				continue
-			}
-			lit, ok := x.Args[1].(*aql.Literal)
-			if !ok {
-				continue
-			}
-			s, ok := lit.Value.(adm.String)
-			if !ok || len([]rune(string(s))) < info.NGramLengths[field] {
-				continue
-			}
-			return x.Args[1], indexName, true
-		case *aql.QuantifiedExpr:
-			if x.Every {
-				continue
-			}
-			src, ok := x.Source.(*aql.CallExpr)
-			if !ok || src.Func != "word-tokens" || len(src.Args) != 1 {
-				continue
-			}
-			field, ok := FieldAccessOf(src.Args[0], scanVar)
-			if !ok {
-				continue
-			}
-			indexName, found := info.KeywordIndexes[field]
-			if !found {
-				continue
-			}
-			be, ok := x.Satisfies.(*aql.BinaryExpr)
-			if !ok || be.Op != aql.OpEq {
-				continue
-			}
-			for _, pair := range [][2]aql.Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
-				vr, ok := pair[0].(*aql.VariableRef)
-				if !ok || vr.Name != x.Var {
-					continue
-				}
-				probe := pair[1]
-				vars := FreeVarsOf(probe)
-				if contains(vars, scanVar) || contains(vars, x.Var) {
-					continue
-				}
-				return probe, indexName, true
-			}
+// matchContains looks for a conjunct contains($var.field, "literal") on the
+// ngram index's field whose literal is at least gram-length characters long
+// (a shorter probe produces no grams, so the index could not bound the
+// candidate set).
+func matchContains(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool) {
+	for _, c := range conjuncts {
+		call, ok := c.(*aql.CallExpr)
+		if !ok || call.Func != "contains" || len(call.Args) != 2 {
+			continue
+		}
+		if field, ok := FieldAccessOf(call.Args[0], scanVar); !ok || field != ix.Field {
+			continue
+		}
+		lit, ok := call.Args[1].(*aql.Literal)
+		if !ok {
+			continue
+		}
+		if s, ok := lit.Value.(adm.String); ok && len([]rune(string(s))) >= ix.GramLength {
+			return probe{value: lit}, true
 		}
 	}
-	return nil, "", false
+	return probe{}, false
+}
+
+// matchWordTokens looks for a conjunct
+// some $w in word-tokens($var.field) satisfies $w = probe on the keyword
+// index's field, for any probe not referencing the bound variables.
+func matchWordTokens(ix IndexInfo, conjuncts []aql.Expr, scanVar string) (probe, bool) {
+	for _, c := range conjuncts {
+		q, ok := c.(*aql.QuantifiedExpr)
+		if !ok || q.Every {
+			continue
+		}
+		src, ok := q.Source.(*aql.CallExpr)
+		if !ok || src.Func != "word-tokens" || len(src.Args) != 1 {
+			continue
+		}
+		if field, ok := FieldAccessOf(src.Args[0], scanVar); !ok || field != ix.Field {
+			continue
+		}
+		be, ok := q.Satisfies.(*aql.BinaryExpr)
+		if !ok || be.Op != aql.OpEq {
+			continue
+		}
+		for _, pair := range [][2]aql.Expr{{be.Left, be.Right}, {be.Right, be.Left}} {
+			vr, ok := pair[0].(*aql.VariableRef)
+			if !ok || vr.Name != q.Var {
+				continue
+			}
+			vars := FreeVarsOf(pair[1])
+			if contains(vars, scanVar) || contains(vars, q.Var) {
+				continue
+			}
+			return probe{value: pair[1]}, true
+		}
+	}
+	return probe{}, false
 }
 
 // FieldAccessOf recognizes expressions of the form $var.field and returns the
@@ -688,11 +721,7 @@ func describeNode(n *Node) string {
 		}
 		return fmt.Sprintf("datasource-scan %s -> $%s", n.Dataset, n.Variable)
 	case OpIndexSearch:
-		return fmt.Sprintf("btree-search (secondary %s on %s)", n.Index, n.Dataset)
-	case OpRTreeSearch:
-		return fmt.Sprintf("rtree-search (secondary %s on %s)", n.Index, n.Dataset)
-	case OpInvertedSearch:
-		return fmt.Sprintf("inverted-search (secondary %s on %s)", n.Index, n.Dataset)
+		return fmt.Sprintf("%s (secondary %s on %s)", n.IndexKind.SearchName(), n.Index, n.Dataset)
 	case OpSortPK:
 		return "sort (primary keys)"
 	case OpPrimarySearch:

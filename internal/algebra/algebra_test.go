@@ -7,28 +7,29 @@ import (
 	"asterixdb/internal/aql"
 )
 
-// fakeCatalog exposes one dataset with timestamp B+-tree, sender-location
-// R-tree, and message keyword/ngram indexes.
-type fakeCatalog struct{}
+// fakeCatalog maps dataset names to what the optimizer sees of them.
+type fakeCatalog map[string]DatasetInfo
 
-func (fakeCatalog) DatasetInfo(_, name string) DatasetInfo {
-	if name != "MugshotMessages" && name != "MugshotUsers" {
-		return DatasetInfo{}
-	}
-	info := DatasetInfo{Exists: true, Partitions: 4,
-		BTreeIndexes: map[string]string{}, RTreeIndexes: map[string]string{},
-		KeywordIndexes: map[string]string{}, NGramIndexes: map[string]string{}, NGramLengths: map[string]int{}}
-	if name == "MugshotMessages" {
-		info.BTreeIndexes["timestamp"] = "msTimestampIdx"
-		info.RTreeIndexes["sender-location"] = "msSenderLocIndex"
-		info.KeywordIndexes["message"] = "msMessageIdx"
-		info.NGramIndexes["message"] = "msMessageNGramIdx"
-		info.NGramLengths["message"] = 3
-	}
-	return info
+func (c fakeCatalog) DatasetInfo(_, name string) DatasetInfo { return c[name] }
+
+// tinySocial has MugshotMessages with timestamp B+-tree, sender-location
+// R-tree and message keyword/ngram indexes, and MugshotUsers with none.
+var tinySocial = fakeCatalog{
+	"MugshotMessages": {PrimaryKey: []string{"message-id"}, Indexes: []IndexInfo{
+		{Name: "msTimestampIdx", Kind: BTreeIndex, Field: "timestamp"},
+		{Name: "msSenderLocIndex", Kind: RTreeIndex, Field: "sender-location"},
+		{Name: "msMessageIdx", Kind: KeywordIndex, Field: "message"},
+		{Name: "msMessageNGramIdx", Kind: NGramIndex, Field: "message", GramLength: 3},
+	}},
+	"MugshotUsers": {PrimaryKey: []string{"id"}},
 }
 
 func compile(t *testing.T, src string, opts Options) *Plan {
+	t.Helper()
+	return compileWith(t, tinySocial, src, opts)
+}
+
+func compileWith(t *testing.T, cat Catalog, src string, opts Options) *Plan {
 	t.Helper()
 	e, err := aql.ParseQuery(src)
 	if err != nil {
@@ -42,7 +43,7 @@ func compile(t *testing.T, src string, opts Options) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Optimize(plan, fakeCatalog{}, opts)
+	return Optimize(plan, cat, opts)
 }
 
 func TestIndexAccessPathRewrite(t *testing.T) {
@@ -164,14 +165,15 @@ return $i;`, Options{})
 		t.Errorf("positional scan must not be rewritten to an index access path:\n%s", Explain(plan))
 	}
 	// Likewise the indexnl hint degrades to a position-preserving hash join
-	// when the probed side carries the positional variable.
+	// when the probed side carries the positional variable, although its
+	// primary key is the join field.
 	plan = compile(t, `
 for $u in dataset MugshotUsers
 for $m at $i in dataset MugshotMessages
-where $m.author-id /*+ indexnl */ = $u.id
+where $u.id /*+ indexnl */ = $m.message-id
 return $i;`, Options{})
-	if strings.Contains(Explain(plan), string(IndexNestedLoop)) {
-		t.Errorf("indexnl over a positional scan must degrade to hash join:\n%s", Explain(plan))
+	if explain := Explain(plan); strings.Contains(explain, "btree-search") || !strings.Contains(explain, "join (hybrid-hash-join)") {
+		t.Errorf("indexnl over a positional scan must degrade to hash join:\n%s", explain)
 	}
 	// Correlated positional sources become unnests that carry the variable.
 	plan = compile(t, `
@@ -205,14 +207,118 @@ return { "u": $u.name };`, Options{})
 	}
 }
 
+// TestIndexNLHint: the plan names the join the job runs. A hint the inner
+// dataset has no index for is a hash join; an honoured one is the access path
+// fed by the outer side, and the inner dataset is never scanned.
 func TestIndexNLHint(t *testing.T) {
-	plan := compile(t, `
-for $u in dataset MugshotUsers
-for $m in dataset MugshotMessages
-where $m.author-id /*+ indexnl */ = $u.id
-return $u;`, Options{})
-	if !strings.Contains(Explain(plan), "join (index-nested-loop-join)") {
-		t.Errorf("indexnl hint ignored:\n%s", Explain(plan))
+	for _, tc := range []struct {
+		name, where string
+		opts        Options
+		want        string
+	}{
+		{"no index on the inner field", `$m.author-id /*+ indexnl */ = $u.id`, Options{}, `
+datasource-scan MugshotUsers -> $u
+datasource-scan MugshotMessages -> $m
+join (hybrid-hash-join)
+distribute-result`},
+		// A primary-key probe is exact: only the other conjuncts are selected.
+		{"inner primary key", `$u.id /*+ indexnl */ = $m.message-id`, Options{}, `
+datasource-scan MugshotUsers -> $u
+btree-search (primary MugshotMessages)
+distribute-result`},
+		{"inner primary key and a residual conjunct", `$u.id /*+ indexnl */ = $m.message-id and $u.id > 1`, Options{}, `
+datasource-scan MugshotUsers -> $u
+btree-search (primary MugshotMessages)
+select ($u.id > 1)
+distribute-result`},
+		{"inner secondary B+-tree field", `$m.timestamp /*+ indexnl */ = $u.user-since and $u.id > 1`, Options{}, `
+datasource-scan MugshotUsers -> $u
+btree-search (secondary msTimestampIdx on MugshotMessages)
+sort (primary keys)
+btree-search (primary MugshotMessages)
+select (($m.timestamp /*+ indexnl */ = $u.user-since) and ($u.id > 1))
+distribute-result`},
+		{"PK sort ablated", `$m.timestamp /*+ indexnl */ = $u.user-since`, Options{DisablePKSort: true}, `
+datasource-scan MugshotUsers -> $u
+btree-search (secondary msTimestampIdx on MugshotMessages)
+btree-search (primary MugshotMessages)
+select ($m.timestamp /*+ indexnl */ = $u.user-since)
+distribute-result`},
+		// DisableIndexAccess ablates the select rule only; a hint is explicit.
+		{"index access ablated", `$u.id /*+ indexnl */ = $m.message-id`, Options{DisableIndexAccess: true}, `
+datasource-scan MugshotUsers -> $u
+btree-search (primary MugshotMessages)
+distribute-result`},
+		{"inner key is not a field", `$u.id /*+ indexnl */ = $m.message-id + 1`, Options{}, `
+datasource-scan MugshotUsers -> $u
+datasource-scan MugshotMessages -> $m
+join (hybrid-hash-join)
+distribute-result`},
+	} {
+		plan := compile(t, "for $u in dataset MugshotUsers for $m in dataset MugshotMessages where "+tc.where+" return $u;", tc.opts)
+		if got := Explain(plan); got != strings.TrimSpace(tc.want) {
+			t.Errorf("%s: plan\n%s\nwant\n%s", tc.name, got, strings.TrimSpace(tc.want))
+		}
+	}
+}
+
+// TestAccessPathRule drives the one access-method rule through the index
+// list: every kind is matched by its own entry, in list (creation) order.
+func TestAccessPathRule(t *testing.T) {
+	ix := func(name string, kind IndexKind, field string) IndexInfo {
+		return IndexInfo{Name: name, Kind: kind, Field: field, GramLength: 3}
+	}
+	all := []IndexInfo{ix("bt", BTreeIndex, "ts"), ix("rt", RTreeIndex, "loc"), ix("kw", KeywordIndex, "msg"), ix("ng", NGramIndex, "msg")}
+	const scan = "datasource-scan D -> $d"
+	for _, tc := range []struct {
+		name    string
+		indexes []IndexInfo
+		source  string // the for clause's source
+		where   string
+		opts    Options
+		want    string // the plan's first line
+	}{
+		{"btree", all, "", `$d.ts >= 1 and $d.ts < 9`, Options{}, "btree-search (secondary bt on D)"},
+		{"btree reversed", all, "", `1 <= $d.ts`, Options{}, "btree-search (secondary bt on D)"},
+		{"rtree", all, "", `spatial-intersect($d.loc, create-point(1.0, 2.0))`, Options{}, "rtree-search (secondary rt on D)"},
+		{"keyword", all, "", `(some $w in word-tokens($d.msg) satisfies $w = "x")`, Options{}, "inverted-search (secondary kw on D)"},
+		{"ngram", all, "", `contains($d.msg, "data")`, Options{}, "inverted-search (secondary ng on D)"},
+		{"ngram probe too short", all, "", `contains($d.msg, "da")`, Options{}, scan},
+		{"no index on the field", all, "", `$d.other = 1`, Options{}, scan},
+		{"value references the scan variable", all, "", `$d.ts = $d.other`, Options{}, scan},
+		// An unindexed range conjunct ahead of the indexed one used to hide it.
+		{"unindexed conjunct first", all, "", `$d.a >= 1 and $d.ts >= 1`, Options{}, "btree-search (secondary bt on D)"},
+		{"indexed conjunct first", all, "", `$d.ts >= 1 and $d.a >= 1`, Options{}, "btree-search (secondary bt on D)"},
+		{"first created of two on one field", []IndexInfo{ix("first", BTreeIndex, "ts"), ix("second", BTreeIndex, "ts")}, "",
+			`$d.ts = 1`, Options{}, "btree-search (secondary first on D)"},
+		{"list order across kinds", []IndexInfo{ix("ng", NGramIndex, "msg"), ix("bt", BTreeIndex, "ts")}, "",
+			`$d.ts = 1 and contains($d.msg, "data")`, Options{}, "inverted-search (secondary ng on D)"},
+		{"unknown kind is skipped", []IndexInfo{ix("odd", "bitmap", "ts"), ix("bt", BTreeIndex, "ts")}, "",
+			`$d.ts = 1`, Options{}, "btree-search (secondary bt on D)"},
+		{"the primary index does not answer a select", all, "", `$d.id = 1`, Options{}, scan},
+		{"positional scan", all, "$d at $i in dataset D", `$d.ts >= 1`, Options{}, "datasource-scan D -> $d at $i"},
+		{"DisableIndexAccess", all, "", `$d.ts >= 1`, Options{DisableIndexAccess: true}, scan},
+	} {
+		source := tc.source
+		if source == "" {
+			source = "$d in dataset D"
+		}
+		cat := fakeCatalog{"D": {PrimaryKey: []string{"id"}, Indexes: tc.indexes}}
+		plan := compileWith(t, cat, "for "+source+" where "+tc.where+" return $d;", tc.opts)
+		explain := Explain(plan)
+		if first, _, _ := strings.Cut(explain, "\n"); first != tc.want {
+			t.Errorf("%s: plan starts %q, want %q:\n%s", tc.name, first, tc.want, explain)
+		}
+		// Whatever the access path, the whole predicate is re-applied above it.
+		if !strings.Contains(explain, "\nselect ") {
+			t.Errorf("%s: post-validating select missing:\n%s", tc.name, explain)
+		}
+	}
+	// DisablePKSort removes exactly the sort from the chain.
+	cat := fakeCatalog{"D": {Indexes: all}}
+	want := "btree-search (secondary bt on D)\nbtree-search (primary D)\nselect ($d.ts >= 1)\ndistribute-result"
+	if got := Explain(compileWith(t, cat, "for $d in dataset D where $d.ts >= 1 return $d;", Options{DisablePKSort: true})); got != want {
+		t.Errorf("DisablePKSort plan\n%s\nwant\n%s", got, want)
 	}
 }
 

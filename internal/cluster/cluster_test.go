@@ -124,6 +124,14 @@ func loadTestCorpus(t *testing.T, exec func(string) error) {
 	}
 }
 
+// indexNLJoin probes MugshotMessages' secondary index on author-id once per
+// user.
+const indexNLJoin = `
+for $user in dataset MugshotUsers
+for $message in dataset MugshotMessages
+where $message.author-id /*+ indexnl */ = $user.id
+return { "uname": $user.name, "message": $message.message };`
+
 // differentialQueries holds every corpus query that compiles into a
 // distributable job. Queries whose plans evaluate a correlated subquery over
 // a dataset through the interpreter are excluded: the distributed catalog
@@ -146,9 +154,13 @@ where $message.author-id = $user.id
   and $user.user-since >= datetime('2010-07-22T00:00:00')
   and $user.user-since <= datetime('2012-07-29T23:59:59')
 return { "uname": $user.name, "message": $message.message };`, false},
-	{"indexnl-join-degrades-to-hash", `
-for $user in dataset MugshotUsers
+	// The index nested-loop join distributes: the outer side is broadcast to
+	// the inner dataset's partitions and every instance probes the index of
+	// the partition its node owns.
+	{"indexnl-join", indexNLJoin, false},
+	{"indexnl-join-primary-key", `
 for $message in dataset MugshotMessages
+for $user in dataset MugshotUsers
 where $message.author-id /*+ indexnl */ = $user.id
 return { "uname": $user.name, "message": $message.message };`, false},
 	{"group-by", `
@@ -430,6 +442,7 @@ for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
 where $message.author-id = $user.id
 return { "uname": $user.name, "message": $message.message };`},
+		{"indexnl-join", indexNLJoin},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			src := "use dataverse TinySocial;\n" + q.query
@@ -463,6 +476,28 @@ return { "uname": $user.name, "message": $message.message };`},
 			}
 			if len(seen) != 2 {
 				t.Errorf("profile rows came from %v, want both nodes", seen)
+			}
+			if q.name == "indexnl-join" {
+				// The index probes run where the partitions live: both nodes
+				// search, sort and fetch, and every user reaches every search
+				// instance (4 partitions).
+				for _, stage := range []string{"btree-search(msAuthorIdx)", "sort(primary-keys)", "btree-search(MugshotMessages)"} {
+					nodes := map[string]bool{}
+					for _, r := range dist.Operators {
+						if r.Name == stage {
+							nodes[r.Node] = true
+						}
+					}
+					if len(nodes) != 2 {
+						t.Errorf("%s ran on %v, want both nodes", stage, nodes)
+					}
+				}
+				if got, want := di["btree-search(msAuthorIdx)"], int64(4*len(testUsers)); got != want {
+					t.Errorf("search instances saw %d outer tuples, want %d (every user broadcast to 4 partitions)", got, want)
+				}
+				if got := do["btree-search(MugshotMessages)"]; got != int64(len(testMessages)) {
+					t.Errorf("primary search fetched %d records, want %d", got, len(testMessages))
+				}
 			}
 			for _, r := range local.Operators {
 				if r.Node != "" {

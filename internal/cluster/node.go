@@ -259,12 +259,10 @@ func (n *Node) prepareJob(id, src string, profile bool) error {
 		return err
 	}
 	job.Profile = profile
-	edges, _ := hyracks.PlanEdges(job)
 	jr := &jobRun{
 		id:      id,
 		node:    n,
 		job:     job,
-		edges:   edges,
 		started: make(chan struct{}),
 		done:    make(chan struct{}),
 		conns:   map[connKey]*dataConn{},
@@ -479,7 +477,7 @@ func (n *Node) waitJob(id string) *jobRun {
 // ----------------------------------------------------------------------------
 
 type connKey struct {
-	edge int // post-splice edge index; -1 for the result stream to the CC
+	edge int // index in job.Edges; -1 for the result stream to the CC
 	node int // target node rank; -1 for the coordinator
 }
 
@@ -487,7 +485,6 @@ type jobRun struct {
 	id      string
 	node    *Node
 	job     *hyracks.Job
-	edges   []hyracks.Edge
 	started chan struct{} // closed once run is available (or startup failed)
 	done    chan struct{} // closed when the executor goroutine exits
 
@@ -604,7 +601,7 @@ func (jr *jobRun) send(edge, toPart int, tuples []hyracks.Tuple) error {
 // connectors reach every consumer-holding node, partition-preserving
 // connectors only the node owning instance fromPart % consumerParallelism.
 func (jr *jobRun) sendEOS(edge, fromPart int) error {
-	e := jr.edges[edge]
+	e := jr.job.Edges[edge]
 	consPar := jr.job.Operators[e.To].Parallelism()
 	targets := make([]int, 0, len(jr.node.nodes))
 	switch e.Connector.Kind {

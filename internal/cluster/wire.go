@@ -156,7 +156,7 @@ func mustJSON(v any) []byte {
 type dataHandshake struct {
 	Job  string `json:"job"`
 	From string `json:"from"`
-	// Edge is the post-splice edge index for NC->NC connections; -1 marks a
+	// Edge is the job.Edges index for NC->NC connections; -1 marks a
 	// result connection to the coordinator.
 	Edge int `json:"edge"`
 }

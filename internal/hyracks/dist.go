@@ -7,22 +7,14 @@ import (
 )
 
 // This file is the runtime's distribution seam. A cluster layer (see
-// internal/cluster) runs the SAME job plan on every node: each node derives
-// the identical post-splice edge list via PlanEdges, spawns goroutines only
-// for the operator instances its placement declares local, serializes frames
-// bound for remote instances through DistSpec.Send, and injects frames
-// arriving off the wire through DistRun.Inject. Same-node edges keep using
-// the bounded channels (and remain eligible for FuseJob fusion); only edges
-// whose endpoints straddle nodes touch the network.
-
-// PlanEdges returns the job's post-splice edge list and the spliced-operator
-// mask, exactly as the execution core computes them. Because splicing is a
-// pure function of the job description, every node that compiles the same
-// job derives the same slice — an edge's index in it is the identity used on
-// the wire (DistSpec.Send / DistRun.Inject agree on it).
-func PlanEdges(job *Job) ([]Edge, []bool) {
-	return spliceEdges(job)
-}
+// internal/cluster) runs the SAME job plan on every node: every node compiles
+// the identical job, so an edge's index in job.Edges is its identity on the
+// wire (DistSpec.Send / DistRun.Inject agree on it). Each node spawns
+// goroutines only for the operator instances its placement declares local,
+// serializes frames bound for remote instances through DistSpec.Send, and
+// injects frames arriving off the wire through DistRun.Inject. Same-node
+// edges keep using the bounded channels (and remain eligible for FuseJob
+// fusion); only edges whose endpoints straddle nodes touch the network.
 
 // DistSpec tells executeStream which operator instances run on this node and
 // how to ship frames to instances elsewhere. All three hooks must be safe
@@ -30,9 +22,9 @@ func PlanEdges(job *Job) ([]Edge, []bool) {
 type DistSpec struct {
 	// Local reports whether instance p of operator op runs on this node.
 	// It must be a pure function, identical on every node (placement is
-	// deterministic), and is consulted only for non-spliced operators.
+	// deterministic).
 	Local func(op, p int) bool
-	// Send ships one frame for post-splice edge idx to remote consumer
+	// Send ships one frame for edge idx to remote consumer
 	// instance toPart. It is called synchronously from the producing
 	// instance's goroutine; the tuples slice is recycled after Send returns,
 	// so implementations must serialize (not retain) it. A returned error
@@ -52,7 +44,6 @@ type DistSpec struct {
 // fails it when a peer dies. All methods are safe for concurrent use.
 type DistRun struct {
 	job          *Job
-	edges        []Edge
 	inputs       [][][]chan []Tuple
 	instDone     [][]chan struct{}
 	producerDone func(to, port int)
@@ -62,7 +53,7 @@ type DistRun struct {
 }
 
 // Inject delivers one frame from a remote producer to local consumer
-// instance toPart of post-splice edge idx. It blocks until the frame is
+// instance toPart of edge idx. It blocks until the frame is
 // accepted, the consumer instance has finished (frame dropped), or the job
 // has failed. Corrupt wire coordinates return an error rather than panic.
 //
@@ -71,10 +62,10 @@ type DistRun struct {
 // connection as its frames — so a frame being injected always precedes its
 // producer's retirement and can never race a channel close.
 func (r *DistRun) Inject(edge, toPart int, tuples []Tuple) error {
-	if edge < 0 || edge >= len(r.edges) {
-		return fmt.Errorf("hyracks: inject on unknown edge %d (job has %d)", edge, len(r.edges))
+	if edge < 0 || edge >= len(r.job.Edges) {
+		return fmt.Errorf("hyracks: inject on unknown edge %d (job has %d)", edge, len(r.job.Edges))
 	}
-	e := r.edges[edge]
+	e := r.job.Edges[edge]
 	chs := r.inputs[e.To][e.Port]
 	if toPart < 0 || toPart >= len(chs) {
 		return fmt.Errorf("hyracks: inject edge %d partition %d out of range [0,%d)", edge, toPart, len(chs))
@@ -92,16 +83,16 @@ func (r *DistRun) Inject(edge, toPart int, tuples []Tuple) error {
 	return nil
 }
 
-// InjectEOS retires one remote producer instance of post-splice edge idx:
+// InjectEOS retires one remote producer instance of edge idx:
 // the wire counterpart of the local producerDone teardown. The cluster layer
 // calls it once per end-of-stream record received; when the port's last
 // producer (local or remote) retires, its input channels close and local
 // consumers see end of stream.
 func (r *DistRun) InjectEOS(edge int) error {
-	if edge < 0 || edge >= len(r.edges) {
-		return fmt.Errorf("hyracks: eos on unknown edge %d (job has %d)", edge, len(r.edges))
+	if edge < 0 || edge >= len(r.job.Edges) {
+		return fmt.Errorf("hyracks: eos on unknown edge %d (job has %d)", edge, len(r.job.Edges))
 	}
-	e := r.edges[edge]
+	e := r.job.Edges[edge]
 	r.producerDone(e.To, e.Port)
 	return nil
 }

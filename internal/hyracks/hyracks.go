@@ -361,7 +361,7 @@ const channelBuffer = 16
 // goroutine, so the remote-liveness fields need no synchronization.
 type outPort struct {
 	edge      Edge
-	edgeIdx   int // index into the job's post-splice edge plan (wire identity)
+	edgeIdx   int // index into job.Edges (wire identity)
 	consumers []chan []Tuple
 	done      []chan struct{}
 	alive     *int32
@@ -531,11 +531,9 @@ func (o *outPort) hashPartition(t Tuple) int {
 // hybrid hash join.
 // ----------------------------------------------------------------------------
 
-// PassthroughOp forwards its input unchanged. It exists so structural
-// operators (the primary-key sort and primary-index search of the Figure 6
-// access path, whose work SearchSecondaryRange already performed) appear in
-// the job description; Execute splices non-sink passthroughs out of the
-// dataflow entirely, so they cost nothing at run time.
+// PassthroughOp forwards its input unchanged. The translator ends a job in
+// one (the distribute-result sink) when the tuples reaching it already are the
+// result.
 type PassthroughOp struct {
 	Label      string
 	Partitions int
@@ -550,59 +548,9 @@ func (o *PassthroughOp) Parallelism() int { return o.Partitions }
 // Blocking implements Operator.
 func (o *PassthroughOp) Blocking() bool { return false }
 
-// Run implements Operator (used only when the passthrough is a sink or could
-// not be spliced).
+// Run implements Operator.
 func (o *PassthroughOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
 	return drive(ins[0], o.Stage(p, emit))
-}
-
-// spliceEdges returns the job's edge list with every spliceable passthrough
-// operator removed: its single port-0 input edge is fused with each of its
-// output edges. An operator is spliceable when it is a *PassthroughOp with
-// exactly one one-to-one input from a producer of equal parallelism and at
-// least one output edge (a passthrough sink still runs).
-func spliceEdges(job *Job) ([]Edge, []bool) {
-	edges := append([]Edge(nil), job.Edges...)
-	spliced := make([]bool, len(job.Operators))
-	for changed := true; changed; {
-		changed = false
-		for i, op := range job.Operators {
-			po, ok := op.(*PassthroughOp)
-			if !ok || spliced[i] {
-				continue
-			}
-			in, out := -1, 0
-			multiIn := false
-			for j := range edges {
-				if edges[j].To == i {
-					if in >= 0 {
-						multiIn = true
-					}
-					in = j
-				}
-				if edges[j].From == i {
-					out++
-				}
-			}
-			if multiIn || in < 0 || out == 0 {
-				continue
-			}
-			e := edges[in]
-			if e.Port != 0 || e.Connector.Kind != OneToOne ||
-				job.Operators[e.From].Parallelism() != po.Partitions {
-				continue
-			}
-			for j := range edges {
-				if edges[j].From == i {
-					edges[j].From = e.From
-				}
-			}
-			edges = append(edges[:in], edges[in+1:]...)
-			spliced[i] = true
-			changed = true
-		}
-	}
-	return edges, spliced
 }
 
 // SourceOp produces tuples from a per-partition source function.

@@ -224,12 +224,9 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 	}
 	nOps := len(job.Operators)
 
-	// Splice structural passthrough operators out of the dataflow; they stay
-	// in the job description but cost nothing at run time. The post-splice
-	// edge slice is the plan every node of a distributed run derives
-	// identically (PlanEdges), so an edge's index doubles as its wire
-	// identity.
-	edges, spliced := spliceEdges(job)
+	// Every node of a distributed run compiles the identical job, so an
+	// edge's index in job.Edges doubles as its wire identity.
+	edges := job.Edges
 
 	isLocal := func(op, p int) bool {
 		if spec == nil {
@@ -260,9 +257,6 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 		par := op.Parallelism()
 		if par <= 0 {
 			return nil, nil, fmt.Errorf("hyracks: operator %s has parallelism %d", op.Name(), par)
-		}
-		if spliced[i] {
-			continue
 		}
 		inputs[i] = make([][]chan []Tuple, ports[i])
 		for q := range inputs[i] {
@@ -341,7 +335,6 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 		failed = make(chan struct{})
 		run = &DistRun{
 			job:          job,
-			edges:        edges,
 			inputs:       inputs,
 			instDone:     instDone,
 			producerDone: producerDone,
@@ -352,7 +345,7 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 
 	isSink := make([]bool, nOps)
 	for i := range job.Operators {
-		if !spliced[i] && len(outgoing(edges, i)) == 0 {
+		if len(outgoing(edges, i)) == 0 {
 			isSink[i] = true
 		}
 	}
@@ -367,9 +360,6 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 
 	var wg sync.WaitGroup
 	for opIdx, op := range job.Operators {
-		if spliced[opIdx] {
-			continue
-		}
 		outEdges, outIdx := outgoingIndexed(edges, opIdx)
 		for p := 0; p < op.Parallelism(); p++ {
 			if !isLocal(opIdx, p) {
@@ -562,7 +552,7 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 }
 
 // outgoingIndexed returns the edges leaving op together with each edge's
-// index in the full post-splice edge slice (its wire identity).
+// index in the job's edge slice (its wire identity).
 func outgoingIndexed(edges []Edge, op int) ([]Edge, []int) {
 	var out []Edge
 	var idx []int

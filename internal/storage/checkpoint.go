@@ -46,16 +46,9 @@ func (m *Manager) Checkpoint() error {
 		if !ok {
 			continue // dropped while checkpointing
 		}
-		// The low-water mark is captured per dataset, before its flush: any
-		// operation not yet fully applied keeps its LSN in the retained
-		// suffix and is replayed on recovery. The WAL is forced before the
-		// flush so the stamped components never outlive (under power
-		// failure) the log records that commit their contents.
-		low := m.wal.LowWater()
-		if err := m.wal.Sync(); err != nil {
-			return fmt.Errorf("storage: checkpoint %q: wal sync: %w", name, err)
-		}
-		if err := ds.flushAll(low); err != nil {
+		// The low-water mark is captured per dataset, before its flush.
+		low, err := m.flushStamped(ds.flushAll)
+		if err != nil {
 			return fmt.Errorf("storage: checkpoint %q: %w", name, err)
 		}
 		meta.Watermarks[name] = low

@@ -156,18 +156,11 @@ func (s *scheduler) worker() {
 // runFlush flushes one tree under its partition latch, then runs any merges
 // the policy asks for, with the merge I/O outside the latch.
 func (s *scheduler) runFlush(task schedTask) error {
-	low := s.m.wal.LowWater()
-	// Force the WAL up to the captured mark before the flush: the stamped
-	// component is fsync'd and renamed into place, so under a power failure
-	// it can survive while page-cache-only log records (operations and their
-	// commits) vanish — recovery would then skip records the component
-	// durably contains, diverging the trees of one transaction.
-	if err := s.m.wal.Sync(); err != nil {
-		return fmt.Errorf("storage: background flush: wal sync: %w", err)
-	}
-	task.p.mu.Lock()
-	err := task.tree.FlushStamped(low)
-	task.p.mu.Unlock()
+	_, err := s.m.flushStamped(func(stamp uint64) error {
+		task.p.mu.Lock()
+		defer task.p.mu.Unlock()
+		return task.tree.FlushStamped(stamp)
+	})
 	if err != nil {
 		return fmt.Errorf("storage: background flush: %w", err)
 	}

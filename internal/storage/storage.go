@@ -550,20 +550,6 @@ func (d *Dataset) IndexByName(name string) (IndexSpec, bool) {
 	return IndexSpec{}, false
 }
 
-// IndexOnField returns a secondary index whose first key field is the given
-// field and whose kind matches, if one exists. The optimizer uses it to pick
-// index access paths.
-func (d *Dataset) IndexOnField(field string, kind IndexKind) (IndexSpec, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, ix := range d.indexes {
-		if ix.Kind == kind && len(ix.Fields) > 0 && ix.Fields[0] == field {
-			return ix, true
-		}
-	}
-	return IndexSpec{}, false
-}
-
 // indexDir is the on-disk root of one secondary index partition.
 func (d *Dataset) indexDir(p *partition, name string) string {
 	return filepath.Join(d.manager.dir, d.spec.Name, fmt.Sprintf("partition-%d", p.idNum), "idx-"+name)
@@ -1343,20 +1329,30 @@ func (d *Dataset) SizeBytes() (int64, error) {
 }
 
 // Flush flushes every partition's in-memory components (primary and all
-// secondary indexes) to disk, stamped with the WAL low-water mark captured
-// up front: every operation fully applied before the capture is inside the
-// flushed components, so recovery replays only LSNs at or past the stamp.
-// The WAL is forced first — a stamped component may become durable the
-// moment it is renamed into place, so every log record below the stamp
-// (including its transaction's commit record) must already be on stable
-// storage, or a power failure could keep the component's effects while
-// losing the records that mark them committed.
+// secondary indexes) to disk.
 func (d *Dataset) Flush() error {
-	low := d.manager.wal.LowWater()
-	if err := d.manager.wal.Sync(); err != nil {
-		return err
+	_, err := d.manager.flushStamped(d.flushAll)
+	return err
+}
+
+// flushStamped is the flush-stamp protocol, written once: capture the WAL
+// low-water mark, force the WAL, then run flush, which flushes trees stamped
+// with the mark; the mark is returned. Every operation fully applied before
+// the capture is inside the flushed components, so recovery replays only
+// LSNs at or past the stamp; an operation not yet fully applied keeps its LSN
+// in the replayed suffix. The WAL is forced first because a stamped
+// component is fsync'd and renamed into place and may become durable that
+// moment: every log record below the stamp (including its transaction's
+// commit record) must already be on stable storage, or a power failure could
+// keep the component's effects while losing the page-cache-only records that
+// mark them committed — recovery would then skip records the component
+// durably contains, diverging the trees of one transaction.
+func (m *Manager) flushStamped(flush func(stamp uint64) error) (uint64, error) {
+	stamp := m.wal.LowWater()
+	if err := m.wal.Sync(); err != nil {
+		return stamp, fmt.Errorf("wal sync: %w", err)
 	}
-	return d.flushAll(low)
+	return stamp, flush(stamp)
 }
 
 func (d *Dataset) flushAll(stamp uint64) error {

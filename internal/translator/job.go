@@ -33,15 +33,6 @@ type JobOptions struct {
 	// pre-fusion execution shape, kept for differential testing and
 	// benchmarking).
 	DisableFusion bool
-	// Distributed marks job generation for a multi-node cluster run, where an
-	// operator instance sees only the storage partitions of the node it is
-	// placed on. Plan shapes that probe the whole dataset from one instance —
-	// the index nested-loop join's per-probe lookups — degrade to their
-	// shuffled equivalents (hybrid hash join), which partition by key and
-	// stay correct across nodes. Per-partition access paths (primary scans,
-	// secondary index searches) are unaffected: their instances are placed on
-	// the node owning the partition.
-	Distributed bool
 }
 
 // BuildJob converts an optimized physical plan into an executable Hyracks
@@ -49,12 +40,14 @@ type JobOptions struct {
 // runtime's storage partitions and the expression evaluator, wired with the
 // connector structure of Figure 6. Every access path compiles to partitioned
 // operators: B+-tree, R-tree, and inverted-index secondary searches each run
-// as per-partition secondary-search -> PK-sort -> primary-search stages,
-// correlated subplan sources (for $y in $x.list) compile to an unnest
-// operator, and positional variables (for $v at $i in ...) compile to
-// position-tagging sources (see buildPositionalScan). BuildJob reports an
-// error only for plans that genuinely have no physical operator; the engine
-// surfaces those as typed "unplannable" errors.
+// as per-partition secondary-search -> PK-sort -> primary-search stages whose
+// instance p touches only storage partition p (see buildProbe), so the same
+// job is correct in one process and on a cluster; correlated subplan sources
+// (for $y in $x.list) compile to an unnest operator, and positional variables
+// (for $v at $i in ...) compile to position-tagging sources (see
+// buildPositionalScan). BuildJob reports an error only for plans that
+// genuinely have no physical operator; the engine surfaces those as typed
+// "unplannable" errors.
 //
 // opts.MemoryBudget is divided among the blocking operators' instances, each
 // of which spills to run files (managed by the job's runfile.Manager, closed
@@ -68,12 +61,11 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 		return nil, fmt.Errorf("translator: plan has no distribute-result root")
 	}
 	b := &jobBuilder{
-		job:         &hyracks.Job{},
-		rt:          rt,
-		partitions:  opts.Partitions,
-		ctx:         rt.EvalContext(),
-		query:       plan.Query,
-		distributed: opts.Distributed,
+		job:        &hyracks.Job{},
+		rt:         rt,
+		partitions: opts.Partitions,
+		ctx:        rt.EvalContext(),
+		query:      plan.Query,
 	}
 	// Decide whether the plan's group-by can fold its aggregates
 	// incrementally; the consumers' evaluators pick up the resulting
@@ -129,12 +121,11 @@ func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
 // jobBuilder accumulates operators and connectors while walking a plan tree
 // bottom-up.
 type jobBuilder struct {
-	job         *hyracks.Job
-	rt          Runtime
-	partitions  int
-	ctx         *expr.Context
-	query       *aql.FLWORExpr
-	distributed bool
+	job        *hyracks.Job
+	rt         Runtime
+	partitions int
+	ctx        *expr.Context
+	query      *aql.FLWORExpr
 	// scanBounds holds per-scan emit bounds pushed down from a limit clause
 	// (offset+limit per partition): buildLimit records them before building
 	// its input, and buildScan caps each partition's scan accordingly.
@@ -202,11 +193,7 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 	case algebra.OpUnnest:
 		return b.buildUnnest(n)
 	case algebra.OpIndexSearch:
-		return b.buildSecondarySearch(n, "btree-search")
-	case algebra.OpRTreeSearch:
-		return b.buildSecondarySearch(n, "rtree-search")
-	case algebra.OpInvertedSearch:
-		return b.buildSecondarySearch(n, "inverted-search")
+		return b.buildIndexSearch(n)
 	case algebra.OpSortPK:
 		return b.buildSortPK(n)
 	case algebra.OpPrimarySearch:
@@ -444,80 +431,157 @@ func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
 	return b.connect(in, op, in.par, outSchema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
 
-// pkSchema is the synthetic single-column schema that encoded primary keys
-// flow in between the stages of the secondary-index access path.
-var pkSchema = Schema{"#pk"}
+// pkColumn is the synthetic column encoded primary keys flow in between the
+// stages of the secondary-index access path.
+const pkColumn = "#pk"
 
-// buildSecondarySearch is the first stage of the compiled secondary-index
-// access path for every index kind: one search instance per storage
-// partition, each searching its partition-local index and emitting the
-// candidate encoded primary keys (for an R-tree or inverted index a
-// conservative superset; the select above post-validates the exact
-// predicate). The PK sort and primary search stages above run per-partition
-// too, so the whole access path executes at full parallelism. How a probe
-// value maps to candidates — and that an unknown or wrongly typed one matches
-// nothing — is the storage layer's knowledge.
-func (b *jobBuilder) buildSecondarySearch(n *algebra.Node, label string) (stream, error) {
+// buildProbe builds the probing stage of an access path: one instance per
+// storage partition, each evaluating the probe expressions and handing the
+// values to search, which probes its own partition p of the dataset and emits
+// what it finds in a trailing column named out. Instance p only ever touches
+// partition p, so the stage is placed with its data on a cluster.
+//
+// A node with no input is a source: the probe is evaluated once per job, in
+// the empty environment, and shared by every instance (a volatile bound such
+// as current-datetime() must not make the instances search different ranges).
+// A node with an input (the index nested-loop join) evaluates the probe
+// against each input tuple and carries the tuple's columns along. The input
+// is replicated to every instance, the paper's broadcast index join, because
+// the matches of one outer tuple may live in any partition — unless the probe
+// is keyed: probes[0] is then the inner primary key, and the tuple is hash-
+// routed on it to the one instance whose partition owns that key. The
+// partitioning connector hashes adm.EncodeKey of the column, which is how
+// storage places a record by its one-field primary key.
+func (b *jobBuilder) buildProbe(n *algebra.Node, label, out string, probes []aql.Expr, keyed bool,
+	search func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error) (stream, error) {
 	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
 	if !ok {
 		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for %s", n.Dataset, label)
 	}
-	index, probeExprs := n.Index, [3]aql.Expr{n.LoExpr, n.HiExpr, n.ProbeExpr}
-	// The probe is evaluated once per job and shared by every partition
-	// instance: a volatile bound such as current-datetime() must not make the
-	// instances search different ranges.
-	probe := sync.OnceValues(func() (storage.Probe, error) {
-		var vals [3]adm.Value
-		for i, e := range probeExprs {
+	// evalProbes evaluates the present probe expressions with eval.
+	evalProbes := func(eval func(i int) (adm.Value, error)) ([]adm.Value, error) {
+		vals := make([]adm.Value, len(probes))
+		for i, e := range probes {
 			if e == nil {
 				continue
 			}
-			v, err := b.constant(e)
-			if err != nil {
-				return storage.Probe{}, err
+			var err error
+			if vals[i], err = eval(i); err != nil {
+				return nil, err
 			}
-			vals[i] = v
 		}
-		return storage.Probe{Lo: vals[0], Hi: vals[1], Value: vals[2]}, nil
-	})
-	op := b.job.Add(&hyracks.SourceOp{
-		Label:      fmt.Sprintf("%s(%s)", label, index),
+		return vals, nil
+	}
+	if len(n.Inputs) == 0 {
+		constants := sync.OnceValues(func() ([]adm.Value, error) {
+			return evalProbes(func(i int) (adm.Value, error) { return b.constant(probes[i]) })
+		})
+		op := b.job.Add(&hyracks.SourceOp{
+			Label:      label,
+			Partitions: b.partitions,
+			Produce: func(p int, emit func(hyracks.Tuple) bool) error {
+				vals, err := constants()
+				if err != nil {
+					return err
+				}
+				return search(ds, p, vals, func(v adm.Value) bool { return emit(hyracks.Tuple{v}) })
+			},
+		})
+		return stream{op: op, par: b.partitions, schema: Schema{out}}, nil
+	}
+	in, err := b.build(n.Inputs[0])
+	if err != nil {
+		return stream{}, err
+	}
+	keep := len(in.schema) // the outer tuple's columns, carried along
+	conn := hyracks.Connector{Kind: hyracks.MToNReplicating}
+	if keyed {
+		// As in the hash join, the evaluated key rides as a synthetic trailing
+		// column the connector hashes on; an unknown key joins nothing.
+		in = b.assign(in, "assign(probe-key)", []string{"#probe-key"}, probes[:1], true)
+		probes = []aql.Expr{&aql.VariableRef{Name: "#probe-key"}}
+		conn = hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{keep}}
+	}
+	evs := make([]*evaluator, len(probes))
+	for i, e := range probes {
+		if e != nil {
+			evs[i] = b.evaluator(e, in.schema, b.partitions)
+		}
+	}
+	op := b.job.Add(&hyracks.FlatMapOp{
+		Label:      label,
 		Partitions: b.partitions,
-		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
-			pr, err := probe()
+		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
+			vals, err := evalProbes(func(i int) (adm.Value, error) { return evs[i].eval(p, t) })
 			if err != nil {
 				return err
 			}
-			return ds.SearchIndexPartition(p, index, pr, func(pk []byte) bool {
-				return emit(hyracks.Tuple{adm.Binary(pk)})
+			return search(ds, p, vals, func(v adm.Value) bool {
+				row := make(hyracks.Tuple, keep, keep+1)
+				copy(row, t)
+				return emit(append(row, v))
 			})
 		},
 	})
-	return stream{op: op, par: b.partitions, schema: pkSchema}, nil
+	schema := append(append(Schema{}, in.schema[:keep]...), out)
+	return b.connect(in, op, b.partitions, schema, conn), nil
+}
+
+// buildIndexSearch is the first stage of the compiled secondary-index access
+// path for every index kind: each instance searches its partition-local index
+// and emits the candidate encoded primary keys (for an R-tree or inverted
+// index a conservative superset; the select above post-validates the exact
+// predicate). The PK sort and primary search stages above run per-partition
+// too, so the whole access path executes at full parallelism. How a probe
+// value maps to candidates — and that an unknown or wrongly typed one matches
+// nothing — is the storage layer's knowledge.
+func (b *jobBuilder) buildIndexSearch(n *algebra.Node) (stream, error) {
+	index := n.Index
+	label := fmt.Sprintf("%s(%s)", n.IndexKind.SearchName(), index)
+	return b.buildProbe(n, label, pkColumn, []aql.Expr{n.LoExpr, n.HiExpr, n.ProbeExpr}, false,
+		func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {
+			probe := storage.Probe{Lo: vals[0], Hi: vals[1], Value: vals[2]}
+			return ds.SearchIndexPartition(p, index, probe, func(pk []byte) bool { return emit(adm.Binary(pk)) })
+		})
 }
 
 // buildSortPK compiles the sort between the secondary and primary index
-// searches: a per-partition blocking sort of the encoded primary keys, which
+// searches: a per-partition blocking sort on the encoded primary keys, which
 // turns the primary-search stage's lookups into a sequential access pattern.
 func (b *jobBuilder) buildSortPK(n *algebra.Node) (stream, error) {
 	in, err := b.build(n.Inputs[0])
 	if err != nil {
 		return stream{}, err
 	}
+	col, _ := in.schema.column(pkColumn) // the search below always emits it
 	op := b.job.Add(&hyracks.SortOp{
 		Label:      "sort(primary-keys)",
 		Partitions: in.par,
-		Columns:    []int{0},
+		Columns:    []int{col},
 	})
 	return b.connect(in, op, in.par, in.schema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
 
-// buildPrimarySearch compiles the primary-index search stage: each instance
-// resolves the encoded primary keys flowing from its partition's secondary
-// search against the same partition's primary B+-tree (secondary indexes are
-// co-located with their records, so instance p only ever touches partition p)
-// and emits the fetched records.
+// buildPrimarySearch compiles the primary-index search stage. Above a
+// secondary search each instance resolves the encoded primary keys flowing
+// from its partition's secondary index against the same partition's primary
+// B+-tree (secondary indexes are co-located with their records, so instance p
+// only ever touches partition p) and replaces the key column by the fetched
+// record. A primary search that carries its own probe (the join on the inner
+// primary key) is a keyed probing stage itself: each outer tuple reaches the
+// partition that owns its key value and costs one fetch there.
 func (b *jobBuilder) buildPrimarySearch(n *algebra.Node) (stream, error) {
+	label := fmt.Sprintf("btree-search(%s)", n.Dataset)
+	if n.LoExpr != nil {
+		return b.buildProbe(n, label, n.Variable, []aql.Expr{n.LoExpr}, true,
+			func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {
+				rec, found, err := ds.FetchPKPartition(p, adm.EncodeKey(nil, vals[0]))
+				if found {
+					emit(rec)
+				}
+				return err
+			})
+	}
 	in, err := b.build(n.Inputs[0])
 	if err != nil {
 		return stream{}, err
@@ -526,25 +590,30 @@ func (b *jobBuilder) buildPrimarySearch(n *algebra.Node) (stream, error) {
 	if !ok {
 		return stream{}, fmt.Errorf("translator: dataset %q has no stored partitions for primary search", n.Dataset)
 	}
+	col, _ := in.schema.column(pkColumn)
 	op := b.job.Add(&hyracks.FlatMapOp{
-		Label:      fmt.Sprintf("btree-search(%s)", n.Dataset),
+		Label:      label,
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			pk, ok := t[0].(adm.Binary)
+			pk, ok := t[col].(adm.Binary)
 			if !ok {
-				return fmt.Errorf("translator: primary search expected an encoded key, got %s", t[0].Tag())
+				return fmt.Errorf("translator: primary search expected an encoded key, got %s", t[col].Tag())
 			}
 			rec, found, err := ds.FetchPKPartition(p, pk)
 			if err != nil {
 				return err
 			}
 			if found {
-				emit(hyracks.Tuple{rec})
+				// The tuple is this operator's alone (the search or the sort
+				// below made it), so the key column is overwritten in place.
+				t[col] = rec
+				emit(t)
 			}
 			return nil
 		},
 	})
-	return b.connect(in, op, in.par, Schema{n.Variable}, hyracks.Connector{Kind: hyracks.OneToOne}), nil
+	schema := append(append(Schema{}, in.schema[:col]...), n.Variable)
+	return b.connect(in, op, in.par, schema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
 
 // ----------------------------------------------------------------------------
@@ -587,160 +656,51 @@ func (b *jobBuilder) buildAssign(n *algebra.Node) (stream, error) {
 // Joins
 // ----------------------------------------------------------------------------
 
+// buildJoin wires the one join operator. An equijoin is the paper's hybrid
+// hash join: both sides are hash-partitioned on the join key (the probe into
+// port 0, the build into port 1) so equal keys meet in the same join
+// instance; the evaluated key rides as a synthetic trailing column the
+// partitioning connectors hash on, and a tuple whose key is unknown never
+// joins. Any other join is the nested-loop (cross product) join, the same
+// operator with no key, so every pair matches: the right side is broadcast
+// to every instance as the build input, and a residual select above applies
+// any non-equi predicate.
 func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 	left, err := b.build(n.Inputs[0])
 	if err != nil {
 		return stream{}, err
 	}
-	method := n.Method
-	if (method == algebra.HybridHashJoin || method == algebra.IndexNestedLoop) &&
-		(n.LeftKey == nil || n.RightKey == nil) {
-		method = algebra.NestedLoopJoin
-	}
-	if method == algebra.IndexNestedLoop && b.distributed {
-		// An index nested-loop probe looks the key up in the locally visible
-		// partitions only; on a cluster node that is a subset of the dataset,
-		// so degrade to the hybrid hash join, which shuffles both sides by
-		// key and stays correct across nodes.
-		method = algebra.HybridHashJoin
-	}
-	if method == algebra.IndexNestedLoop {
-		if s, ok, err := b.buildIndexNLJoin(n, left); err != nil || ok {
-			return s, err
-		}
-		// The right side has no usable primary key or index: degrade to a
-		// hybrid hash join, like the interpreter's fallback.
-		method = algebra.HybridHashJoin
-	}
-	if method == algebra.HybridHashJoin {
-		return b.buildHashJoin(n, left)
-	}
-	return b.buildNestedLoopJoin(n, left)
-}
-
-// buildHashJoin wires the paper's hybrid hash join: both sides are hash-
-// partitioned on the join key (the probe into port 0, the build into port 1)
-// so equal keys meet in the same join instance.
-func (b *jobBuilder) buildHashJoin(n *algebra.Node, left stream) (stream, error) {
 	right, err := b.build(n.Inputs[1])
 	if err != nil {
 		return stream{}, err
 	}
-	// The evaluated key rides as a synthetic trailing column the partitioning
-	// connectors hash on; a tuple whose key is unknown never joins.
-	probe := b.assign(left, "assign(probe-key)", []string{"#join-key"}, []aql.Expr{n.LeftKey}, true)
-	build := b.assign(right, "assign(build-key)", []string{"#join-key"}, []aql.Expr{n.RightKey}, true)
 	probeCol, buildCol := len(left.schema), len(right.schema)
 	outSchema := append(append(Schema{}, left.schema...), right.schema...)
-	join := b.job.Add(&hyracks.HybridHashJoinOp{
-		Label:      fmt.Sprintf("join(%s)", algebra.HybridHashJoin),
-		Partitions: b.partitions,
-		ProbeKey:   func(t hyracks.Tuple) adm.Value { return t[probeCol] },
-		BuildKey:   func(t hyracks.Tuple) adm.Value { return t[buildCol] },
+	join := &hyracks.HybridHashJoinOp{
+		Label:      fmt.Sprintf("join(%s)", algebra.NestedLoopJoin),
+		Partitions: left.par,
 		Combine: func(p, bd hyracks.Tuple) hyracks.Tuple {
 			out := make(hyracks.Tuple, 0, probeCol+buildCol)
 			out = append(out, p[:probeCol]...)
 			return append(out, bd[:buildCol]...)
 		},
-	})
-	b.job.Connect(probe.op, join, hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{probeCol}})
-	b.job.ConnectPort(build.op, join, 1, hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{buildCol}})
-	return stream{op: join, par: b.partitions, schema: outSchema}, nil
-}
-
-// buildIndexNLJoin compiles the /*+ indexnl */ join: for every probe tuple it
-// looks the join key up in the right dataset's primary index or a secondary
-// B+-tree index. It reports ok=false when the right side is not index-
-// probeable, in which case the caller degrades to a hash join.
-func (b *jobBuilder) buildIndexNLJoin(n *algebra.Node, left stream) (stream, bool, error) {
-	rightNode := n.Inputs[1]
-	// A positional right scan cannot be replaced by index probes: they emit
-	// only matching records, losing the full-scan positions.
-	if rightNode.Kind != algebra.OpScan || rightNode.PosVar != "" {
-		return stream{}, false, nil
 	}
-	ds, ok := b.rt.LookupDataset(rightNode.Dataverse, rightNode.Dataset)
-	if !ok {
-		return stream{}, false, nil
+	probeConn := hyracks.Connector{Kind: hyracks.OneToOne}
+	buildConn := hyracks.Connector{Kind: hyracks.MToNReplicating}
+	if n.Method == algebra.HybridHashJoin && n.LeftKey != nil && n.RightKey != nil {
+		left = b.assign(left, "assign(probe-key)", []string{"#join-key"}, []aql.Expr{n.LeftKey}, true)
+		right = b.assign(right, "assign(build-key)", []string{"#join-key"}, []aql.Expr{n.RightKey}, true)
+		join.Label = fmt.Sprintf("join(%s)", algebra.HybridHashJoin)
+		join.Partitions = b.partitions
+		join.ProbeKey = func(t hyracks.Tuple) adm.Value { return t[probeCol] }
+		join.BuildKey = func(t hyracks.Tuple) adm.Value { return t[buildCol] }
+		probeConn = hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{probeCol}}
+		buildConn = hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{buildCol}}
 	}
-	field, ok := algebra.FieldAccessOf(n.RightKey, rightNode.Variable)
-	if !ok {
-		return stream{}, false, nil
-	}
-	spec := ds.Spec()
-	pkProbe := len(spec.PrimaryKey) == 1 && spec.PrimaryKey[0] == field
-	indexName := ""
-	if !pkProbe {
-		ix, found := ds.IndexOnField(field, storage.BTreeIndex)
-		if !found {
-			return stream{}, false, nil
-		}
-		indexName = ix.Name
-	}
-	outSchema := append(append(Schema{}, left.schema...), rightNode.Variable)
-	leftKey := b.evaluator(n.LeftKey, left.schema, left.par)
-	op := b.job.Add(&hyracks.FlatMapOp{
-		Label:      fmt.Sprintf("join(%s)", algebra.IndexNestedLoop),
-		Partitions: left.par,
-		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := leftKey.eval(p, t)
-			if err != nil {
-				return err
-			}
-			if adm.IsUnknown(v) {
-				return nil
-			}
-			var matches []*adm.Record
-			if pkProbe {
-				rec, found, err := ds.LookupPK(v)
-				if err != nil {
-					return err
-				}
-				if found {
-					matches = []*adm.Record{rec}
-				}
-			} else {
-				matches, err = ds.SearchSecondaryRange(indexName, v, v)
-				if err != nil {
-					return err
-				}
-			}
-			for _, m := range matches {
-				out := make(hyracks.Tuple, len(t), len(t)+1)
-				copy(out, t)
-				if !emit(append(out, m)) {
-					return nil
-				}
-			}
-			return nil
-		},
-	})
-	s := b.connect(left, op, left.par, outSchema, hyracks.Connector{Kind: hyracks.OneToOne})
-	return s, true, nil
-}
-
-// buildNestedLoopJoin wires the nested-loop (cross product) join: the hybrid
-// hash join with no key, so every pair matches. The right side is broadcast
-// to every instance as the build input; a residual select above applies any
-// non-equi predicate.
-func (b *jobBuilder) buildNestedLoopJoin(n *algebra.Node, left stream) (stream, error) {
-	right, err := b.build(n.Inputs[1])
-	if err != nil {
-		return stream{}, err
-	}
-	outSchema := append(append(Schema{}, left.schema...), right.schema...)
-	join := b.job.Add(&hyracks.HybridHashJoinOp{
-		Label:      fmt.Sprintf("join(%s)", algebra.NestedLoopJoin),
-		Partitions: left.par,
-		Combine: func(l, r hyracks.Tuple) hyracks.Tuple {
-			out := make(hyracks.Tuple, 0, len(l)+len(r))
-			out = append(out, l...)
-			return append(out, r...)
-		},
-	})
-	b.job.Connect(left.op, join, hyracks.Connector{Kind: hyracks.OneToOne})
-	b.job.ConnectPort(right.op, join, 1, hyracks.Connector{Kind: hyracks.MToNReplicating})
-	return stream{op: join, par: left.par, schema: outSchema}, nil
+	op := b.job.Add(join)
+	b.job.Connect(left.op, op, probeConn)
+	b.job.ConnectPort(right.op, op, 1, buildConn)
+	return stream{op: op, par: join.Partitions, schema: outSchema}, nil
 }
 
 // ----------------------------------------------------------------------------

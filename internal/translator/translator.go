@@ -12,10 +12,12 @@
 // BuildJob maps every physical operator to a concrete Hyracks operator:
 // datasource scans read storage partitions in parallel, selects and assigns
 // evaluate AQL expressions against tuple schemas, joins are hybrid-hash
-// (build side wired to input port 1 through a partitioning connector),
-// index nested-loop or broadcast nested-loop, group-by hash-partitions on its
-// keys, and aggregates split into per-partition local and single global
-// halves exactly as in Figure 6. A Schema tracks which tuple column carries
+// (build side wired to input port 1 through a partitioning connector) or
+// broadcast nested-loop, an index access path is one chain of per-partition
+// stages (buildProbe) whether a constant probe or the outer side of an
+// index nested-loop join feeds it, group-by hash-partitions on its keys, and
+// aggregates split into per-partition local and single global halves exactly
+// as in Figure 6. A Schema tracks which tuple column carries
 // which plan variable so expressions compiled from the query can be evaluated
 // against flowing tuples.
 package translator

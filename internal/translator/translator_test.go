@@ -32,8 +32,15 @@ func (r *testRuntime) ReadDatasetRecords(_, name string) ([]*adm.Record, error) 
 }
 
 func (r *testRuntime) DatasetInfo(_, name string) algebra.DatasetInfo {
-	_, ok := r.m.Dataset(name)
-	return algebra.DatasetInfo{Exists: ok, Partitions: 2}
+	ds, ok := r.m.Dataset(name)
+	if !ok {
+		return algebra.DatasetInfo{}
+	}
+	info := algebra.DatasetInfo{PrimaryKey: ds.Spec().PrimaryKey}
+	for _, ix := range ds.Indexes() {
+		info.Indexes = append(info.Indexes, algebra.IndexInfo{Name: ix.Name, Kind: algebra.IndexKind(ix.Kind), Field: ix.Fields[0]})
+	}
+	return info
 }
 
 // newTestRuntime stores Users(id, name) 1..4 and Msgs(mid, uid, len): message
@@ -205,6 +212,123 @@ distribute-result
 	wantInts(t, "probe side hash columns", edgeFrom(t, job, idx).Connector.HashColumns, []int{1})
 	if got, want := results(t, job), `{ "u": "u1", "m": 1 } { "u": "u1", "m": 4 } { "u": "u1", "m": 7 } { "u": "u2", "m": 2 } { "u": "u2", "m": 5 } { "u": "u2", "m": 8 }`; got != want {
 		t.Errorf("results %s\nwant    %s", got, want)
+	}
+}
+
+// TestIndexProbeChainFedByOuter: an honoured indexnl hint compiles to the
+// Figure 6 chain with the outer side replicated into it. The outer columns
+// survive the search, the sort and the fetch; the PK sort sorts on the key
+// column, wherever the outer columns put it; an unknown outer key joins
+// nothing; and the results are the hash join's.
+func TestIndexProbeChainFedByOuter(t *testing.T) {
+	rt := newTestRuntime(t)
+	msgs, _ := rt.m.Dataset("Msgs")
+	if err := msgs.CreateIndex(storage.IndexSpec{Name: "msgUid", Fields: []string{"uid"}, Kind: storage.BTreeIndex}); err != nil {
+		t.Fatal(err)
+	}
+	const joined = `{ "u": "u1", "m": 1 } { "u": "u1", "m": 4 } { "u": "u1", "m": 7 } { "u": "u2", "m": 2 } { "u": "u2", "m": 5 } { "u": "u2", "m": 8 }`
+
+	// The inner side has a secondary B+-tree index on the join field.
+	plan, job := compile(t, rt, `for $u in dataset Users let $n := $u.name for $m in dataset Msgs where $u.id /*+ indexnl */ = $m.uid return { "u": $n, "m": $m.mid }`)
+	want := `datasource-scan Users -> $u
+assign $n
+btree-search (secondary msgUid on Msgs)
+sort (primary keys)
+btree-search (primary Msgs)
+select ($u.id /*+ indexnl */ = $m.uid)
+distribute-result
+--
+datasource-scan(Users)  --OneToOneConnector-->  assign
+assign  --MToNReplicatingConnector-->  btree-search(msgUid)
+btree-search(msgUid)  --OneToOneConnector-->  sort(primary-keys)
+sort(primary-keys)  --OneToOneConnector-->  btree-search(Msgs)
+btree-search(Msgs)  --OneToOneConnector-->  select
+select  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	user2 := adm.NewRecord(adm.Field{Name: "id", Value: adm.Int32(2)}, adm.Field{Name: "name", Value: adm.String("u2")})
+	search, _ := opNamed(t, job, "btree-search(msgUid)")
+	fetch, _ := opNamed(t, job, "btree-search(Msgs)")
+	if par := search.Parallelism(); par != 2 {
+		t.Errorf("search runs at parallelism %d, want one instance per partition", par)
+	}
+	srt, _ := opNamed(t, job, "sort(primary-keys)")
+	wantInts(t, "PK sort columns", srt.(*hyracks.SortOp).Columns, []int{2})
+	var mids []string
+	for p := 0; p < 2; p++ { // each instance probes its own partition
+		fn := func(op hyracks.Operator, in hyracks.Tuple) (out []hyracks.Tuple) {
+			if err := op.(*hyracks.FlatMapOp).Fn(p, in, func(tu hyracks.Tuple) bool { out = append(out, tu); return true }); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		for _, found := range fn(search, hyracks.Tuple{user2, adm.String("u2")}) {
+			if len(found) != 3 || found[0] != adm.Value(user2) || found[1].String() != `"u2"` || found[2].Tag() != adm.TagBinary {
+				t.Fatalf("search emitted %v, want the outer columns and an encoded key", found)
+			}
+			for _, rec := range fn(fetch, found) {
+				if len(rec) != 3 || rec[0] != adm.Value(user2) || rec[1].String() != `"u2"` {
+					t.Fatalf("primary search emitted %v, want the outer columns and the record", rec)
+				}
+				mids = append(mids, expr.FieldOf(rec[2], "mid").String())
+			}
+		}
+	}
+	sort.Strings(mids)
+	if got := strings.Join(mids, " "); got != "2 5 8" {
+		t.Errorf("user 2 probes found messages %s, want 2 5 8", got)
+	}
+	if got := results(t, job); got != joined {
+		t.Errorf("results %s\nwant    %s", got, joined)
+	}
+
+	// The inner side's primary key is the join field: messages 3, 6 and 9
+	// have a null uid and join nothing.
+	plan, job = compile(t, rt, `for $m in dataset Msgs for $u in dataset Users where $m.uid /*+ indexnl */ = $u.id return { "u": $u.name, "m": $m.mid }`)
+	want = `datasource-scan Msgs -> $m
+btree-search (primary Users)
+distribute-result
+--
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(probe-key)
+assign(probe-key)  --MToNPartitioningConnector-->  btree-search(Users)
+btree-search(Users)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	// The outer tuple is routed on its evaluated key to the one partition
+	// that owns it, and an unknown key is dropped before the connector.
+	key, idx := opNamed(t, job, "assign(probe-key)")
+	wantInts(t, "probe routing hash columns", edgeFrom(t, job, idx).Connector.HashColumns, []int{1})
+	for _, unknown := range []adm.Value{adm.Null{}, adm.Missing{}} {
+		if out := apply(t, key, hyracks.Tuple{msg(3, unknown, 30)}); len(out) != 0 {
+			t.Errorf("%s key reached the probe: %v", unknown, out)
+		}
+	}
+	probe, _ := opNamed(t, job, "btree-search(Users)")
+	owners := 0
+	for p := 0; p < 2; p++ {
+		m5 := msg(5, adm.Int32(2), 50)
+		err := probe.(*hyracks.FlatMapOp).Fn(p, hyracks.Tuple{m5, adm.Int32(2)}, func(tu hyracks.Tuple) bool {
+			if len(tu) != 2 || tu[0] != adm.Value(m5) || expr.FieldOf(tu[1], "name").String() != `"u2"` {
+				t.Errorf("primary probe emitted %v, want the outer column and user 2", tu)
+			}
+			owners++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if owners != 1 {
+		t.Errorf("user 2 found in %d partitions, want exactly its owner", owners)
+	}
+	if got := results(t, job); got != joined {
+		t.Errorf("results %s\nwant    %s", got, joined)
 	}
 }
 
