@@ -45,6 +45,16 @@ create index faTextNgIdx on FuzzA(text) type ngram(3);
 create index fbCatIdx on FuzzB(cat);
 `
 
+// fuzzCoord draws a spatial coordinate from [-50, 100): both signs and every
+// binade edge between them, and, one draw in eight, an exact multiple of 16
+// that records and probe corners then share.
+func fuzzCoord(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return float64(rng.Intn(9)-3) * 16
+	}
+	return rng.Float64()*150 - 50
+}
+
 // fuzzRecord builds one random record. Every field the query templates touch
 // is drawn from a range narrow enough that predicates select non-trivial
 // subsets.
@@ -64,7 +74,7 @@ func fuzzRecord(rng *rand.Rand, id int) *adm.Record {
 		adm.Field{Name: "cat", Value: adm.Int32(int32(rng.Intn(8)))},
 		adm.Field{Name: "score", Value: adm.Int32(int32(rng.Intn(1000)))},
 		adm.Field{Name: "text", Value: adm.String(strings.Join(words, " "))},
-		adm.Field{Name: "loc", Value: adm.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}},
+		adm.Field{Name: "loc", Value: adm.Point{X: fuzzCoord(rng), Y: fuzzCoord(rng)}},
 		adm.Field{Name: "tags", Value: &adm.OrderedList{Items: tags}},
 	)
 }
@@ -152,7 +162,7 @@ func fuzzQueries(rng *rand.Rand) []struct {
 	word := func() string { return fuzzVocab[rng.Intn(len(fuzzVocab))] }
 	lo := rng.Intn(900)
 	hi := lo + rng.Intn(1000-lo)
-	x1, y1 := rng.Float64()*100, rng.Float64()*100
+	x1, y1 := fuzzCoord(rng), fuzzCoord(rng)
 	x2, y2 := x1+rng.Float64()*40, y1+rng.Float64()*40
 	sub := word()
 	sub = sub[:3+rng.Intn(len(sub)-2)] // random prefix, at least gram length

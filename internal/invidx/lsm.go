@@ -4,7 +4,8 @@
 // are (uvarint token length ‖ token ‖ primary key) with nil values: one entry
 // per posting. Lookups are prefix range scans over the token — the length
 // prefix makes each token's postings contiguous and un-confusable with tokens
-// it prefixes — so, unlike the R-tree, no in-memory accelerator is needed.
+// it prefixes — just as the R-tree kind's are range scans over its Z-ordered
+// cells (internal/rtree): the tree is the only structure either kind keeps.
 
 package invidx
 

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -10,6 +13,9 @@ import (
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/invidx"
+	"asterixdb/internal/lsm"
+	"asterixdb/internal/rtree"
+	"asterixdb/internal/spatial"
 	"asterixdb/internal/txn"
 )
 
@@ -90,18 +96,13 @@ func scanPKs(t *testing.T, ds *Dataset, matches func(*adm.Record) bool) []string
 	return pks
 }
 
-// indexLens reports every partition's live entry count for the named index,
-// checking on the way that an R-tree accelerator mirrors its tree exactly.
+// indexLens reports every partition's live entry count for the named index.
 func indexLens(t *testing.T, ds *Dataset, name string) []int {
 	t.Helper()
 	var lens []int
 	for _, p := range ds.partitions {
 		p.mu.Lock()
-		ix := p.indexes[name]
-		n := ix.tree.Len()
-		if ix.accel != nil && ix.accel.Len() != n {
-			t.Errorf("partition %d: accelerator holds %d entries, tree %d", p.idNum, ix.accel.Len(), n)
-		}
+		n := p.indexes[name].tree.Len()
 		p.mu.Unlock()
 		lens = append(lens, n)
 	}
@@ -159,9 +160,9 @@ func TestOneIndexMechanismAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// (a) Reopen: CreateIndex adopts the durable components (for an
-			// R-tree, rebuilding the accelerator from them — indexLens checks
-			// it before the primary is even recovered), Recover completes them.
+			// (a) Reopen: CreateIndex adopts the durable components (indexLens
+			// counts them before the primary is even recovered), Recover
+			// completes them.
 			m2, ds := reopenWithDDL(t, dir, []IndexSpec{tc.spec})
 			adopted := 0
 			for _, n := range indexLens(t, ds, tc.spec.Name) {
@@ -252,5 +253,193 @@ func TestOneIndexMechanismAllKinds(t *testing.T) {
 				t.Errorf("after drop+create: index search %q, want %q", got, want)
 			}
 		})
+	}
+}
+
+// extentShape is the indexed value of record id at a given version: the
+// shape kinds rotate with id+version, so an update moves a record between
+// kinds and cells. Three ids are pinned to the hard cases: an object far
+// larger than any probe, one across the origin, one degenerate to a point.
+func extentShape(id, version int) adm.Value {
+	switch id {
+	case 0:
+		return adm.Rectangle{LowerLeft: adm.Point{X: -500, Y: -500}, UpperRight: adm.Point{X: 500 + float64(version), Y: 500}}
+	case 1:
+		return adm.Circle{Center: adm.Point{}, Radius: 1 + float64(version)}
+	case 2:
+		return adm.Rectangle{LowerLeft: adm.Point{X: 12, Y: 12}, UpperRight: adm.Point{X: 12, Y: 12}}
+	}
+	rng := rand.New(rand.NewSource(int64(id*8 + version)))
+	x, y := rng.Float64()*100-20, rng.Float64()*70-20
+	w, h := rng.Float64()*6, rng.Float64()*6
+	switch (id + version) % 4 {
+	case 0:
+		return adm.Rectangle{LowerLeft: adm.Point{X: x, Y: y}, UpperRight: adm.Point{X: x + w, Y: y + h}}
+	case 1:
+		return adm.Circle{Center: adm.Point{X: x, Y: y}, Radius: w}
+	case 2:
+		return adm.Line{A: adm.Point{X: x, Y: y + h}, B: adm.Point{X: x + w, Y: y}}
+	default:
+		return adm.Polygon{Points: []adm.Point{{X: x, Y: y}, {X: x + w, Y: y}, {X: x + w/2, Y: y + h}}}
+	}
+}
+
+// TestRTreeIndexOverExtents runs the R-tree kind over values that are not
+// points — rectangles, circles, lines, polygons — through every phase of the
+// index's life. After each, the index's candidates for a probe are exactly
+// the records whose MBR intersects it, by brute force over the primary scan.
+func TestRTreeIndexOverExtents(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{Name: "byShape", Fields: []string{"shape"}, Kind: RTreeIndex}
+	open := func() (*Manager, *Dataset) {
+		m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := m.CreateDataset(DatasetSpec{
+			Name: "Shapes", PrimaryKey: []string{"id"}, Encoding: adm.SchemaEncoding,
+			Type: &adm.RecordType{Name: "ShapeType", Open: true, Fields: []adm.FieldType{{Name: "id", Type: adm.Prim(adm.TagInt32)}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.CreateIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+		return m, ds
+	}
+	m, ds := open()
+	put := func(id, version int) {
+		t.Helper()
+		rec := adm.NewRecord(adm.Field{Name: "id", Value: adm.Int32(int32(id))}, adm.Field{Name: "shape", Value: extentShape(id, version)})
+		if err := ds.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// atLeast is how many of the first 150 shapes a probe must find, so that
+	// it can tell a working index from an empty one.
+	probes := []struct {
+		x0, y0, x1, y1 float64
+		atLeast        int
+	}{
+		{10, 10, 20, 18, 3},
+		{-3, -2, 2, 3, 3}, // across the origin
+		{12, 12, 12, 12, 2},
+		{58, 27, 70, 37, 3}, // across binade edges
+		{600, 600, 700, 700, 0},
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, p := range probes {
+			probe := adm.Rectangle{LowerLeft: adm.Point{X: p.x0, Y: p.y0}, UpperRight: adm.Point{X: p.x1, Y: p.y1}}
+			var want []string
+			err := ds.Scan(func(rec *adm.Record) bool {
+				mbr, err := spatial.MBR(rec.Get("shape"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spatial.RectIntersects(mbr, probe) {
+					pk, _ := ds.PrimaryKeyOf(rec)
+					want = append(want, string(pk))
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(want)
+			if got := searchPKs(t, ds, spec.Name, Probe{Value: probe}); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s, probe %v: index search %q, brute force %q", phase, probe, got, want)
+			}
+			if phase == "insert" && len(want) < p.atLeast {
+				t.Fatalf("probe %v matches %d records, want at least %d", probe, len(want), p.atLeast)
+			}
+		}
+	}
+	for id := 0; id < 150; id++ {
+		put(id, 0)
+	}
+	check("insert")
+	for id := 0; id < 150; id += 4 {
+		put(id, 1)
+	}
+	check("update")
+	for id := 5; id < 150; id += 6 {
+		if _, err := ds.Delete(adm.Int32(int32(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("delete")
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flush")
+	for id := 150; id < 180; id++ {
+		put(id, 0)
+	}
+	put(0, 2)
+	for _, p := range ds.partitions {
+		p.mu.Lock()
+		err := p.indexes[spec.Name].tree.Merge()
+		p.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("merge")
+	for id := 180; id < 200; id++ {
+		put(id, 0) // a suffix that lives only in the WAL
+	}
+	put(1, 2)
+	if _, err := ds.Delete(adm.Int32(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, ds = open()
+	defer m.Close()
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	check("reopen+recover")
+}
+
+// TestOldRTreeLayoutRefused: an index directory holding a component written
+// by the layout before the Z-ordered one (four raw float words, then the
+// primary key) makes create index fail with the typed error, not answer
+// probes from keys it cannot read.
+func TestOldRTreeLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{Name: "byLoc", Fields: []string{"sender-location"}, Kind: RTreeIndex}
+	m, err := NewManager(dir, Options{Partitions: 1, Journaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := createMessages(t, m, adm.SchemaEncoding)
+	// Write the component the way storage opens it, with the keys the old
+	// layout derived.
+	tree, err := lsm.Open(ds.indexDir(ds.partitions[0], spec.Name), m.lsmOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		var old []byte
+		for _, f := range [4]float64{float64(i), 47.5, float64(i), 47.5} {
+			old = binary.BigEndian.AppendUint64(old, math.Float64bits(f))
+		}
+		if err := tree.Insert(adm.EncodeKey(old, adm.Int32(int32(i))), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	err = ds.CreateIndex(spec)
+	if !errors.Is(err, rtree.ErrKeyLayout) || !strings.Contains(err.Error(), "drop and recreate") {
+		t.Fatalf("CreateIndex over an old-layout component: err = %v", err)
+	}
+	if len(ds.Indexes()) != 0 {
+		t.Fatalf("the refused index was published: %v", ds.Indexes())
 	}
 }

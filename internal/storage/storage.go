@@ -405,42 +405,28 @@ type partition struct {
 type index struct {
 	spec IndexSpec
 	tree *lsm.Tree
-	// accel is the R-tree kind's in-memory search accelerator (nil for every
-	// other kind): it mirrors the tree's live entries exactly, because no
-	// LSM-native probe answers rectangle intersection.
-	accel *rtree.Tree
 }
 
-// openIndex opens (or reopens) one partition's LSM tree for spec. An R-tree's
-// accelerator is rebuilt from the tree's own live entries — never by
-// rescanning the primary index.
+// openIndex opens (or reopens) one partition's LSM tree for spec.
 func openIndex(dir string, opts lsm.Options, spec IndexSpec) (*index, error) {
 	tree, err := lsm.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	ix := &index{spec: spec, tree: tree}
 	switch spec.Kind {
 	case BTreeIndex, KeywordIndex, NGramIndex:
 	case RTreeIndex:
-		ix.accel = rtree.New()
-		var rebuildErr error
-		tree.Scan(func(key, _ []byte) bool {
-			r, pk, err := rtree.DecodeEntryKey(key)
-			if err != nil {
-				rebuildErr = err
-				return false
+		// Every key of the layout before the Z-ordered one fails to decode,
+		// so the first key tells which layout wrote the tree.
+		if it := tree.NewIterator(nil, nil); it.Next() {
+			if _, _, err := rtree.DecodeEntryKey(it.Key()); err != nil {
+				return nil, fmt.Errorf("storage: rtree index %q in %s was built by an older layout; drop and recreate: %w", spec.Name, dir, err)
 			}
-			ix.accel.Insert(r, append([]byte(nil), pk...))
-			return true
-		})
-		if rebuildErr != nil {
-			return nil, fmt.Errorf("storage: rebuild rtree accelerator from %s: %w", dir, rebuildErr)
 		}
 	default:
 		return nil, fmt.Errorf("storage: unknown index kind %q", spec.Kind)
 	}
-	return ix, nil
+	return &index{spec: spec, tree: tree}, nil
 }
 
 // apply applies one derived entry — an upsert, or an antimatter delete — to
@@ -448,20 +434,6 @@ func openIndex(dir string, opts lsm.Options, spec IndexSpec) (*index, error) {
 // go through it, so the three can never drift, and re-applying an entry (as
 // recovery does) is a no-op. Caller holds the partition latch.
 func (ix *index) apply(key, value []byte, antimatter bool) error {
-	if ix.accel != nil {
-		r, pk, err := rtree.DecodeEntryKey(key)
-		if err != nil {
-			return err
-		}
-		// Touch the accelerator only when the tree's live set changes.
-		if _, present := ix.tree.Get(key); present == antimatter {
-			if antimatter {
-				ix.accel.Delete(r, pk)
-			} else {
-				ix.accel.Insert(r, append([]byte(nil), pk...))
-			}
-		}
-	}
 	if antimatter {
 		return ix.tree.Delete(key)
 	}
@@ -889,7 +861,7 @@ func secondaryEntries(ix IndexSpec, rec *adm.Record, pk []byte) (keys, vals [][]
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: rtree index %q: %w", ix.Name, err)
 		}
-		return [][]byte{rtree.EncodeEntryKey(rectFromADM(mbr), pk)}, [][]byte{nil}, nil
+		return [][]byte{rtree.EncodeEntryKey(mbr, pk)}, [][]byte{nil}, nil
 	case KeywordIndex, NGramIndex:
 		s, ok := v.(adm.String)
 		if !ok {
@@ -974,10 +946,6 @@ func secondaryKey(ix IndexSpec, rec *adm.Record, pk []byte) []byte {
 		key = adm.EncodeKey(key, rec.Get(f))
 	}
 	return append(key, pk...)
-}
-
-func rectFromADM(r adm.Rectangle) rtree.Rect {
-	return rtree.Rect{MinX: r.LowerLeft.X, MinY: r.LowerLeft.Y, MaxX: r.UpperRight.X, MaxY: r.UpperRight.Y}
 }
 
 // LookupPK returns the record with the given primary key value(s).
@@ -1073,10 +1041,11 @@ func (d *Dataset) SearchIndexPartition(part int, indexName string, probe Probe, 
 
 // search normalizes the probe for the index's kind and runs it. A kind with
 // a resumable cursor (the B+-tree range) returns the iterator for
-// SearchIndexPartition to drain in scanChunk batches; the others (one R-tree
-// traversal, posting-list algebra) return their whole candidate set. An
-// unknown or wrongly typed probe value matches nothing — the predicate above
-// would be false or null everywhere. Caller holds the partition latch.
+// SearchIndexPartition to drain in scanChunk batches; the others (Z-range
+// scans with an exact filter, posting-list algebra) return their whole
+// candidate set. An unknown or wrongly typed probe value matches nothing —
+// the predicate above would be false or null everywhere. Caller holds the
+// partition latch.
 func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
 	switch ix.spec.Kind {
 	case BTreeIndex:
@@ -1094,11 +1063,11 @@ func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
 			return nil, nil, nil
 		}
 		var pks [][]byte
-		ix.accel.SearchIntersect(rectFromADM(mbr), func(e rtree.Entry) bool {
-			pks = append(pks, append([]byte(nil), e.Value...))
+		err := rtree.Search(ix.tree.Range, mbr, func(pk []byte) bool {
+			pks = append(pks, append([]byte(nil), pk...))
 			return true
 		})
-		return pks, nil, nil
+		return pks, nil, err
 	case KeywordIndex, NGramIndex:
 		s, ok := StringProbe(probe.Value)
 		if !ok {
