@@ -514,16 +514,18 @@ return $m.message-id;`)
 // TestFigure6JobShape asserts that the compiled Hyracks job for Query 10 has
 // the operator and connector structure of Figure 6: secondary index search,
 // PK sort, primary index search, post-validation select, assign, local
-// aggregate, n:1 replicating connector, global aggregate.
+// aggregate, n:1 replicating connector, global aggregate. With -v it prints
+// the Explain text it checks: the optimized plan and Figure 6's job.
 func TestFigure6JobShape(t *testing.T) {
 	inst := newTinySocial(t)
-	job, plan, err := inst.compileJob(`
+	const query10 = `
 avg(
   for $m in dataset MugshotMessages
   where $m.timestamp >= datetime("2014-01-01T00:00:00")
     and $m.timestamp < datetime("2014-04-01T00:00:00")
   return string-length($m.message)
-)`)
+)`
+	job, plan, err := inst.compileJob(query10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,14 +555,15 @@ avg(
 	if plan.Root.Kind != algebra.OpDistribute {
 		t.Errorf("plan root = %v", plan.Root.Kind)
 	}
-	// The plan result must agree with the unoptimized interpreter.
-	res, err := inst.Query(`
-avg(
-  for $m in dataset MugshotMessages
-  where $m.timestamp >= datetime("2014-01-01T00:00:00")
-    and $m.timestamp < datetime("2014-04-01T00:00:00")
-  return string-length($m.message)
-)`)
+	explain, err := inst.Explain(query10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(explain, desc) {
+		t.Errorf("Explain does not end with the checked job:\n%s", explain)
+	}
+	t.Logf("Figure 6: the job for Query 10\n%s", explain)
+	res, err := inst.Query(query10)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("query 10 execution failed: %v %v", res, err)
 	}

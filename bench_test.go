@@ -1,18 +1,16 @@
 // Benchmarks regenerating the paper's evaluation (Section 5.3): Table 2
 // (dataset sizes under each system's storage format), Table 3 (query response
 // times with and without indexes across the four systems), Table 4 (insert
-// times for batch sizes 1 and 20), the Figure 6 compiled job, plus ablation
-// benchmarks for the design choices called out in DESIGN.md. Run with
+// times for batch sizes 1 and 20) and the compile time of the Figure 6 job
+// (TestFigure6JobShape -v prints the job itself), plus the out-of-core sweep
+// and ablation benchmarks for the optimizer rules and the LSM memory budget.
+// One sub-benchmark per table cell; run a table with
 //
-//	go test -bench=. -benchmem
-//
-// and see cmd/asterixbench for a harness that prints the tables directly.
+//	go test -run '^$' -bench Table3 -benchmem .
 package asterixdb
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -262,23 +260,40 @@ func benchAsterixQueryOpts(b *testing.B, inst *Instance, query string, opts alge
 	}
 }
 
-// benchRangeScan covers the "Range Scan" and "— with IX" rows: the noIndex
-// variant disables the optimizer's index access path so every system scans.
+// indexModes are the two halves of a Table 3 row: the row itself, with the
+// optimizer's index access path disabled so every system scans, and its
+// "-- with IX" row.
+var indexModes = []struct {
+	name      string
+	withIndex bool
+}{{"NoIndex", false}, {"WithIndex", true}}
+
+// benchAsterix measures query as a row's two Asterix columns, the Schema and
+// KeyOnly encodings, under AsterixSchema/<suffix> and AsterixKeyOnly/<suffix>.
+func (e *benchEnv) benchAsterix(b *testing.B, suffix, query string, withIndex bool) {
+	opts := algebra.Options{DisableIndexAccess: !withIndex}
+	b.Run("AsterixSchema/"+suffix, func(b *testing.B) { benchAsterixQueryOpts(b, e.asterixSchema, query, opts) })
+	b.Run("AsterixKeyOnly/"+suffix, func(b *testing.B) { benchAsterixQueryOpts(b, e.asterixKeyOnly, query, opts) })
+}
+
+// benchAsterixRow measures a row only Asterix can answer, with and without
+// its index.
+func benchAsterixRow(b *testing.B, query string) {
+	env := getEnv(b)
+	for _, m := range indexModes {
+		env.benchAsterix(b, m.name, query, m.withIndex)
+	}
+}
+
+// BenchmarkTable3RangeScan covers the "Range Scan" and "-- with IX" rows.
+// Hive has no index, so its one cell serves both rows.
 func BenchmarkTable3RangeScan(b *testing.B) {
 	env := getEnv(b)
 	lo, hi := env.params.SmallLo, env.params.SmallHi
 	query := env.rangeQuery(lo, hi)
-	for _, withIndex := range []bool{false, true} {
-		suffix := "NoIndex"
-		if withIndex {
-			suffix = "WithIndex"
-		}
-		b.Run("AsterixSchema/"+suffix, func(b *testing.B) {
-			benchAsterixQueryOpts(b, env.asterixSchema, query, algebra.Options{DisableIndexAccess: !withIndex})
-		})
-		b.Run("AsterixKeyOnly/"+suffix, func(b *testing.B) {
-			benchAsterixQueryOpts(b, env.asterixKeyOnly, query, algebra.Options{DisableIndexAccess: !withIndex})
-		})
+	for _, m := range indexModes {
+		suffix, withIndex := m.name, m.withIndex
+		env.benchAsterix(b, suffix, query, withIndex)
 		b.Run("SystemX/"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				env.rowstore.RangeScanMessages(lo, hi, withIndex)
@@ -299,6 +314,8 @@ func BenchmarkTable3RangeScan(b *testing.B) {
 	}
 }
 
+// BenchmarkTable3SelectJoin covers the "Sel-Join (Sm)" and "Sel-Join (Lg)"
+// rows and their "-- with IX" rows.
 func BenchmarkTable3SelectJoin(b *testing.B) {
 	env := getEnv(b)
 	userIDs := make([]int32, len(env.users))
@@ -312,15 +329,10 @@ func BenchmarkTable3SelectJoin(b *testing.B) {
 		{"Small", env.params.SmallLo, env.params.SmallHi},
 		{"Large", env.params.LargeLo, env.params.LargeHi},
 	} {
-		for _, withIndex := range []bool{false, true} {
-			suffix := sel.name + "/NoIndex"
-			if withIndex {
-				suffix = sel.name + "/WithIndex"
-			}
-			query := env.joinQuery(sel.lo, sel.hi)
-			b.Run("AsterixSchema/"+suffix, func(b *testing.B) {
-				benchAsterixQueryOpts(b, env.asterixSchema, query, algebra.Options{DisableIndexAccess: !withIndex})
-			})
+		query := env.joinQuery(sel.lo, sel.hi)
+		for _, m := range indexModes {
+			suffix, withIndex := sel.name+"/"+m.name, m.withIndex
+			env.benchAsterix(b, suffix, query, withIndex)
 			b.Run("SystemX/"+suffix, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					env.rowstore.SelectJoin(sel.lo, sel.hi, withIndex)
@@ -342,6 +354,8 @@ func BenchmarkTable3SelectJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkTable3Aggregation covers the "Agg" rows (the paper's is Large)
+// and their "-- with IX" rows.
 func BenchmarkTable3Aggregation(b *testing.B) {
 	env := getEnv(b)
 	for _, sel := range []struct {
@@ -351,15 +365,10 @@ func BenchmarkTable3Aggregation(b *testing.B) {
 		{"Small", env.params.SmallLo, env.params.SmallHi},
 		{"Large", env.params.LargeLo, env.params.LargeHi},
 	} {
-		for _, withIndex := range []bool{false, true} {
-			suffix := sel.name + "/NoIndex"
-			if withIndex {
-				suffix = sel.name + "/WithIndex"
-			}
-			query := env.aggQuery(sel.lo, sel.hi)
-			b.Run("AsterixSchema/"+suffix, func(b *testing.B) {
-				benchAsterixQueryOpts(b, env.asterixSchema, query, algebra.Options{DisableIndexAccess: !withIndex})
-			})
+		query := env.aggQuery(sel.lo, sel.hi)
+		for _, m := range indexModes {
+			suffix, withIndex := sel.name+"/"+m.name, m.withIndex
+			env.benchAsterix(b, suffix, query, withIndex)
 			b.Run("SystemX/"+suffix, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					env.rowstore.Aggregate(sel.lo, sel.hi, withIndex)
@@ -383,17 +392,19 @@ func BenchmarkTable3Aggregation(b *testing.B) {
 
 func BenchmarkTable3GroupedAggregation(b *testing.B) {
 	env := getEnv(b)
-	for _, withIndex := range []bool{false, true} {
-		suffix := "NoIndex"
-		if withIndex {
-			suffix = "WithIndex"
-		}
-		query := env.grpAggQuery(env.params.SmallLo, env.params.SmallHi)
-		b.Run("AsterixSchema/"+suffix, func(b *testing.B) {
-			benchAsterixQueryOpts(b, env.asterixSchema, query, algebra.Options{DisableIndexAccess: !withIndex})
-		})
-	}
+	benchAsterixRow(b, env.grpAggQuery(env.params.SmallLo, env.params.SmallHi))
 }
+
+// BenchmarkTable3Spatial and BenchmarkTable3Similarity are Table 3's
+// Asterix-only rows (the comparator stores have no spatial or text indexes):
+// the R-tree and ngram inverted-index access paths against a full scan.
+func BenchmarkTable3Spatial(b *testing.B) { benchAsterixRow(b, getEnv(b).spatialQuery()) }
+
+func BenchmarkTable3Similarity(b *testing.B) { benchAsterixRow(b, getEnv(b).similarityQuery()) }
+
+// BenchmarkKeywordQuery is the keyword inverted-index access path against a
+// full scan.
+func BenchmarkKeywordQuery(b *testing.B) { benchAsterixRow(b, getEnv(b).keywordQuery()) }
 
 // ----------------------------------------------------------------------------
 // Table 4: insert times (batch sizes 1 and 20)
@@ -468,38 +479,6 @@ func BenchmarkFigure6JobCompilation(b *testing.B) {
 }
 
 // ----------------------------------------------------------------------------
-// Spatial and similarity queries (the access paths newly compiled into
-// per-partition Hyracks jobs): each case runs with the index access path
-// disabled (full scan + predicate) and enabled (R-tree / inverted index).
-// ----------------------------------------------------------------------------
-
-func benchIndexToggle(b *testing.B, query string) {
-	b.Helper()
-	env := getEnv(b)
-	for _, withIndex := range []bool{false, true} {
-		suffix := "NoIndex"
-		if withIndex {
-			suffix = "WithIndex"
-		}
-		b.Run(suffix, func(b *testing.B) {
-			benchAsterixQueryOpts(b, env.asterixSchema, query, algebra.Options{DisableIndexAccess: !withIndex})
-		})
-	}
-}
-
-func BenchmarkSpatialQuery(b *testing.B) {
-	benchIndexToggle(b, getEnv(b).spatialQuery())
-}
-
-func BenchmarkSimilarityQuery(b *testing.B) {
-	benchIndexToggle(b, getEnv(b).similarityQuery())
-}
-
-func BenchmarkKeywordQuery(b *testing.B) {
-	benchIndexToggle(b, getEnv(b).keywordQuery())
-}
-
-// ----------------------------------------------------------------------------
 // Scale-out (Section 4.1's cluster anecdote, simulated via partitions)
 // ----------------------------------------------------------------------------
 
@@ -534,7 +513,7 @@ create dataset Msgs(M) primary key message-id;`); err != nil {
 }
 
 // ----------------------------------------------------------------------------
-// Ablation benches (DESIGN.md section 5)
+// Ablation benches
 // ----------------------------------------------------------------------------
 
 // BenchmarkAblationAggSplit compares Query 10 with and without the
@@ -600,19 +579,45 @@ create dataset Msgs(M) primary key message-id;`); err != nil {
 }
 
 // ----------------------------------------------------------------------------
-// Executor comparison: pipelined Hyracks jobs vs. the materializing
-// interpreter oracle on the scan / join / aggregate / grouped-aggregate
-// workload (the acceptance bar for the compiled path: no slower than the
-// interpreter it replaced).
+// Out-of-core runtime: one query per spillable blocking operator, run
+// unconstrained and at budgets that force it to spill. Each cell reports its
+// latency and the job's spill counters; the acceptance shape is graceful
+// slowdown under pressure, never failure.
 // ----------------------------------------------------------------------------
 
-// ----------------------------------------------------------------------------
-// Out-of-core runtime: scan-join / sort / group-by under memory budgets.
-// The same queries run unconstrained and at budgets that force spilling; the
-// measurements (latency plus the job's spill counters) are written to
-// BENCH_spill.json as a degradation trajectory — the acceptance shape is
-// graceful slowdown under pressure, never failure.
-// ----------------------------------------------------------------------------
+// spillBudgetLevels is the budget sweep: unconstrained, lightly constrained,
+// heavily constrained.
+var spillBudgetLevels = []int64{0, 256 << 10, 32 << 10}
+
+// spillBenchDDL creates the Mugshot datasets the spill queries run over.
+const spillBenchDDL = `
+create type SpillBenchUserType as closed { id: int32, alias: string, name: string, user-since: datetime,
+  address: { street: string, city: string, state: string, zip: string, country: string },
+  friend-ids: {{ int32 }}, employment: [{ organization-name: string, start-date: date, end-date: date? }] }
+create type SpillBenchMsgType as closed { message-id: int32, author-id: int32, timestamp: datetime, in-response-to: int32?,
+  sender-location: point?, tags: {{ string }}, message: string }
+create dataset MugshotUsers(SpillBenchUserType) primary key id;
+create dataset MugshotMessages(SpillBenchMsgType) primary key message-id;`
+
+// spillBenchQueries are one workload per spillable blocking operator.
+var spillBenchQueries = []struct {
+	name  string
+	query string
+}{
+	{"scan-join", `
+for $u in dataset MugshotUsers
+for $m in dataset MugshotMessages
+where $m.author-id = $u.id
+return { "u": $u.id, "m": $m.message-id };`},
+	{"sort", `
+for $m in dataset MugshotMessages
+order by $m.message, $m.message-id
+return $m.message-id;`},
+	{"group-by", `
+for $m in dataset MugshotMessages
+group by $a := $m.author-id with $m
+return { "a": $a, "n": count($m) };`},
+}
 
 func newSpillBenchInstance(b *testing.B, budget int64) *Instance {
 	b.Helper()
@@ -626,7 +631,7 @@ func newSpillBenchInstance(b *testing.B, budget int64) *Instance {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { inst.Close() })
-	if _, err := inst.Execute(workload.SpillBenchDDL); err != nil {
+	if _, err := inst.Execute(spillBenchDDL); err != nil {
 		b.Fatal(err)
 	}
 	gen := workload.New(workload.Config{Users: 300, Messages: 4000, Seed: 9})
@@ -641,63 +646,42 @@ func newSpillBenchInstance(b *testing.B, budget int64) *Instance {
 	return inst
 }
 
-// BenchmarkSpillBudgets measures every workload at every budget level and
-// writes the BENCH_spill.json trajectory when done.
+// BenchmarkSpillBudgets measures every workload at every budget level.
 func BenchmarkSpillBudgets(b *testing.B) {
 	// Neutralize an env-driven budget so the unconstrained level really is.
 	b.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
-	// The framework re-invokes each sub-benchmark with growing b.N; keep one
-	// row per (workload, budget) — the final, longest measurement wins.
-	measured := map[string]workload.SpillTrajectoryRow{}
-	var order []string
-	for _, budget := range workload.SpillBudgetLevels {
+	for _, budget := range spillBudgetLevels {
 		inst := newSpillBenchInstance(b, budget)
-		for _, q := range workload.SpillBenchQueries {
-			q := q
-			label := fmt.Sprintf("%s/budget-%dKiB", q.Name, budget>>10)
-			b.Run(label, func(b *testing.B) {
+		for _, q := range spillBenchQueries {
+			b.Run(fmt.Sprintf("%s/budget-%dKiB", q.name, budget>>10), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := inst.Query(q.Query); err != nil {
+					if _, err := inst.Query(q.query); err != nil {
 						b.Fatal(err)
 					}
 				}
 				// One instrumented run outside the timing loop collects the
-				// job's spill counters for the trajectory file.
+				// job's spill counters.
 				b.StopTimer()
-				job, _, err := inst.compileJob(q.Query)
+				job, _, err := inst.compileJob(q.query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := inst.runJob(job)
-				if err != nil {
+				if _, err := inst.runJob(job); err != nil {
 					b.Fatal(err)
 				}
-				row := workload.NewSpillRow(q.Name, budget, b.Elapsed().Nanoseconds()/int64(b.N),
-					job.FrameSize, len(res), job.Spill)
-				if _, seen := measured[label]; !seen {
-					order = append(order, label)
-				}
-				measured[label] = row
-				b.StartTimer()
+				st := job.Spill.Stats()
+				b.ReportMetric(float64(st.RunsCreated), "runs")
+				b.ReportMetric(float64(st.TuplesSpilled), "tuples-spilled")
+				b.ReportMetric(float64(st.BytesSpilled), "bytes-spilled")
+				b.ReportMetric(float64(st.PeakResident), "peak-resident-bytes")
 			})
 		}
 	}
-	if len(measured) == len(workload.SpillBudgetLevels)*len(workload.SpillBenchQueries) {
-		rows := make([]workload.SpillTrajectoryRow, 0, len(order))
-		for _, label := range order {
-			rows = append(rows, measured[label])
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_spill.json", append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote BENCH_spill.json (%d rows)", len(rows))
-	}
 }
 
+// BenchmarkExecutorHyracksVsInterpreter compares the pipelined Hyracks jobs
+// against the materializing interpreter oracle (the acceptance bar for the
+// compiled path: no slower than the interpreter it replaced).
 func BenchmarkExecutorHyracksVsInterpreter(b *testing.B) {
 	env := getEnv(b)
 	queries := []struct {

@@ -270,9 +270,9 @@ func TestRangeMatchesIterator(t *testing.T) {
 
 // TestReadBlobShortRead is the regression test for the silent-truncation bug:
 // a component whose header claims a longer value than the file holds must
-// fail to load (and be discarded by Open) rather than yield a truncated,
-// zero-padded value. The value is larger than any internal buffer so a
-// partial read is guaranteed.
+// fail to load (and make Open refuse the directory) rather than yield a
+// truncated, zero-padded value. The value is larger than any internal buffer
+// so a partial read is guaranteed.
 func TestReadBlobShortRead(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(dir, Options{})
@@ -313,6 +313,9 @@ func TestReadBlobShortRead(t *testing.T) {
 	}
 	if _, err := loadComponent(names[0]); err == nil {
 		t.Fatal("loadComponent accepted a truncated blob")
+	}
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("Open accepted a component with a truncated blob")
 	}
 }
 

@@ -58,10 +58,6 @@ type Options struct {
 // enough that tests and benchmarks exercise flushes and merges).
 const DefaultMemBudget = 256 << 10
 
-// DefaultMaxComponents is the default disk-component count threshold used by
-// the prefix merge policy.
-const DefaultMaxComponents = 5
-
 // Tree is an LSM-ified B+-tree index over bytewise-ordered keys. It is the
 // structure behind every primary index and secondary index in the storage
 // layer. Callers must serialize mutating operations per Tree (the storage
@@ -106,11 +102,13 @@ type diskComponent struct {
 	entries []Entry // sorted by key, one entry per key
 }
 
-// Open creates or reopens an LSM tree rooted at dir. Disk components without
-// a validity footer (from a crashed flush or merge) are removed, exactly as
-// the paper's shadowing-based recovery prescribes; so are temp files from
-// interrupted atomic writes and components shadowed by a merged component
-// that crashed before cleaning up its inputs.
+// Open creates or reopens an LSM tree rooted at dir. Temp files from
+// interrupted atomic writes are removed — a crashed flush or merge leaves
+// nothing else behind — and so are components shadowed by a merged component
+// that crashed before cleaning up its inputs. A component file that fails to
+// load is damage, not a crash residue: Open fails naming it and leaves it on
+// disk, since deleting it could drop rows a checkpoint already compacted out
+// of the log.
 func Open(dir string, opts Options) (*Tree, error) {
 	if opts.MemBudget <= 0 {
 		opts.MemBudget = DefaultMemBudget
@@ -134,10 +132,7 @@ func Open(dir string, opts Options) (*Tree, error) {
 	for _, name := range names {
 		comp, err := loadComponent(name)
 		if err != nil {
-			// An invalid component is the residue of an unfinished flush or
-			// merge; remove it and continue.
-			os.Remove(name)
-			continue
+			return nil, fmt.Errorf("lsm: open %s: unreadable component %s: %w", dir, name, err)
 		}
 		comps = append(comps, comp)
 	}
@@ -517,10 +512,9 @@ func mergeEntries(comps []*diskComponent) []Entry {
 // Disk component format
 // ----------------------------------------------------------------------------
 
-// validityMagic is the footer written after a component's entries; a file
-// without it is treated as garbage from an interrupted flush/merge. Atomic
-// rename writes make torn files impossible in normal operation, but the
-// footer keeps recovery robust against externally-truncated files too.
+// validityMagic is the footer written after a component's entries. Atomic
+// rename writes make torn files impossible in normal operation, so a file
+// without it has been truncated from outside and Open refuses it.
 var validityMagic = []byte("LSMVALID")
 
 // writeComponent persists entries as component id via an atomic temp-file +
@@ -561,7 +555,7 @@ func loadComponent(path string) (*diskComponent, error) {
 		return nil, err
 	}
 	if len(data) < len(validityMagic) || !bytes.Equal(data[len(data)-len(validityMagic):], validityMagic) {
-		return nil, fmt.Errorf("lsm: component %s has no validity footer", path)
+		return nil, fmt.Errorf("lsm: no validity footer")
 	}
 	data = data[:len(data)-len(validityMagic)]
 	rd := bytes.NewReader(data)
@@ -669,69 +663,11 @@ type MergePolicy interface {
 	PickMerge(sizes []int) []int
 }
 
-// ConstantPolicy merges all disk components whenever their count exceeds K —
-// the "constant" merge policy from the AsterixDB storage paper.
-type ConstantPolicy struct{ K int }
-
-// PickMerge implements MergePolicy.
-func (p ConstantPolicy) PickMerge(sizes []int) []int {
-	k := p.K
-	if k <= 0 {
-		k = DefaultMaxComponents
-	}
-	if len(sizes) <= k {
-		return nil
-	}
-	all := make([]int, len(sizes))
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// PrefixPolicy merges the newest run of "small" components when there are
-// more than MaxComponents of them, approximating AsterixDB's prefix merge
-// policy: older, larger components are left alone.
-type PrefixPolicy struct {
-	// MaxComponents is the number of small components tolerated before a
-	// merge is triggered.
-	MaxComponents int
-	// MaxEntriesPerMerge bounds how large a component this policy will touch;
-	// zero means 4x the smallest component sum heuristic is skipped and all
-	// prefix components are eligible.
-	MaxEntriesPerMerge int
-}
-
-// PickMerge implements MergePolicy.
-func (p PrefixPolicy) PickMerge(sizes []int) []int {
-	maxComp := p.MaxComponents
-	if maxComp <= 0 {
-		maxComp = DefaultMaxComponents
-	}
-	if len(sizes) <= maxComp {
-		return nil
-	}
-	limit := p.MaxEntriesPerMerge
-	var pick []int
-	total := 0
-	for i, sz := range sizes {
-		if limit > 0 && total+sz > limit && len(pick) >= 2 {
-			break
-		}
-		pick = append(pick, i)
-		total += sz
-	}
-	if len(pick) < 2 {
-		return nil
-	}
-	return pick
-}
-
 // TieredPolicy is the default size-tiered merge policy: when a contiguous
 // run of Trigger or more components have similar sizes (max/min within
 // Ratio), the run is merged into one component of the next tier. Write
-// amplification stays logarithmic without the full-merge stalls of the
-// constant policy, which is why it is the default for background merging.
+// amplification stays logarithmic without the stalls of merging every
+// component at once.
 type TieredPolicy struct {
 	// Trigger is the run length that triggers a merge (default 4).
 	Trigger int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,7 +129,10 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestRecoveryDiscardsInvalidComponents(t *testing.T) {
+// TestOpenRefusesUnreadableComponent: a component is only ever written by an
+// atomic rename, so one without a validity footer is damage. Open must fail
+// naming it and leave it on disk rather than silently drop its entries.
+func TestOpenRefusesUnreadableComponent(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(dir, Options{MemBudget: 1 << 20})
 	if err != nil {
@@ -140,25 +144,27 @@ func TestRecoveryDiscardsInvalidComponents(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-flush: a component file without the validity
-	// footer must be discarded on reopen.
 	bad := filepath.Join(dir, "component-00000099.lsm")
 	if err := os.WriteFile(bad, []byte("partial garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Open over an unreadable component = %v, want an error naming %s", err, bad)
+	}
+	if _, err := os.Stat(bad); err != nil {
+		t.Fatalf("unreadable component file was removed: %v", err)
+	}
+	// Once the damaged file is dealt with, the intact components reopen.
+	if err := os.Remove(bad); err != nil {
 		t.Fatal(err)
 	}
 	tr2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.Components() != 1 {
-		t.Errorf("Components after recovery = %d", tr2.Components())
-	}
-	if _, err := os.Stat(bad); !os.IsNotExist(err) {
-		t.Error("invalid component file should have been removed")
-	}
 	for i := 0; i < 50; i++ {
 		if _, ok := tr2.Get(k(i)); !ok {
-			t.Fatalf("key %d lost after recovery", i)
+			t.Fatalf("key %d lost after reopen", i)
 		}
 	}
 }
@@ -180,14 +186,11 @@ func TestReopenPreservesData(t *testing.T) {
 }
 
 func TestMergePolicies(t *testing.T) {
-	if pick := (ConstantPolicy{K: 3}).PickMerge([]int{10, 10}); pick != nil {
-		t.Errorf("ConstantPolicy should not merge below K: %v", pick)
+	if pick := (TieredPolicy{}).PickMerge([]int{10, 10, 10}); pick != nil {
+		t.Errorf("default TieredPolicy should not merge below its trigger: %v", pick)
 	}
-	if pick := (ConstantPolicy{K: 3}).PickMerge([]int{10, 10, 10, 10}); len(pick) != 4 {
-		t.Errorf("ConstantPolicy should merge all: %v", pick)
-	}
-	if pick := (PrefixPolicy{MaxComponents: 2}).PickMerge([]int{5, 5, 5}); len(pick) < 2 {
-		t.Errorf("PrefixPolicy should merge: %v", pick)
+	if pick := (TieredPolicy{}).PickMerge([]int{10, 10, 10, 10}); len(pick) != 4 {
+		t.Errorf("default TieredPolicy should merge a full tier: %v", pick)
 	}
 	if pick := (NoMergePolicy{}).PickMerge([]int{1, 1, 1, 1, 1, 1, 1}); pick != nil {
 		t.Errorf("NoMergePolicy should never merge: %v", pick)
@@ -195,7 +198,8 @@ func TestMergePolicies(t *testing.T) {
 }
 
 func TestMergeReducesComponents(t *testing.T) {
-	tr := openTemp(t, Options{MemBudget: 1 << 20, Policy: ConstantPolicy{K: 3}})
+	// The default policy merges inline after the flush that completes a tier.
+	tr := openTemp(t, Options{MemBudget: 1 << 20})
 	for batch := 0; batch < 5; batch++ {
 		for i := 0; i < 50; i++ {
 			tr.Insert(k(batch*50+i), v(i))
@@ -204,7 +208,7 @@ func TestMergeReducesComponents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Components() > 3+1 {
+	if tr.Components() > 4 {
 		t.Errorf("Components = %d, merges = %d", tr.Components(), tr.Merges())
 	}
 	if tr.Merges() == 0 {
@@ -406,7 +410,7 @@ func TestOpenRemovesShadowedComponents(t *testing.T) {
 }
 
 func TestMergePlanLifecycle(t *testing.T) {
-	tr, err := Open(t.TempDir(), Options{MemBudget: 1 << 20, Background: true, Policy: ConstantPolicy{K: 1}})
+	tr, err := Open(t.TempDir(), Options{MemBudget: 1 << 20, Background: true, Policy: TieredPolicy{Trigger: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

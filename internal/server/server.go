@@ -77,11 +77,6 @@ type Options struct {
 	// HandleTTL is how long an untouched async/deferred result handle
 	// survives before eviction (default 2 minutes).
 	HandleTTL time.Duration
-	// FlushEvery is the number of NDJSON lines written between explicit
-	// flushes of a synchronous stream (default 64, one per frame).
-	FlushEvery int
-	// MaxBodyBytes caps statement bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// SlowQueryThreshold, when positive, logs every query slower than it —
 	// statement, duration and a per-operator profile summary. Queries are
 	// then always run with profiling so the summary is available (the
@@ -119,18 +114,19 @@ type Server struct {
 // pins a goroutine and a socket forever.
 const ReadHeaderTimeout = 10 * time.Second
 
+// maxBodyBytes caps statement bodies.
+const maxBodyBytes = 8 << 20
+
+// flushEvery is the number of NDJSON lines written between explicit flushes
+// of a result stream (one per frame).
+const flushEvery = 64
+
 // New wraps an engine in a Server. The caller keeps ownership of the
 // engine; Server.Close stops the handle janitor but does not close the
 // engine.
 func New(inst Engine, opts Options) *Server {
 	if opts.HandleTTL <= 0 {
 		opts.HandleTTL = 2 * time.Minute
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = 64
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
 	}
 	s := &Server{
 		inst:    inst,
@@ -224,7 +220,17 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 		// its profile.
 		trailer = func() []byte { return profileTrailer(cur.Profile()) }
 	}
-	s.streamCursor(w, cur, hasFirst, trailer)
+	// The request context ending is not a failure: the stream just stops.
+	writeNDJSON(w, func() (adm.Value, bool, error) {
+		if hasFirst || cur.Next() {
+			hasFirst = false
+			return cur.Value(), true, nil
+		}
+		if err := cur.Err(); err != nil && !isContextEnd(err) {
+			return nil, false, err
+		}
+		return nil, false, nil
+	}, trailer)
 	s.finishQuery("synchronous", src, start, cur.Profile(), cur.Err())
 }
 
@@ -373,57 +379,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// The handle is ours now; its result run is released when we're done.
 	defer h.discard()
 	status, run, _, err := h.snapshot()
-	switch status {
-	case statusFailed:
+	if status == statusFailed {
 		writeError(w, err)
-	default:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		bw := bufio.NewWriter(w)
-		failed := false
-		if run != nil {
-			rd, err := run.Open()
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			defer rd.Close()
-			flusher, _ := w.(http.Flusher)
-			var line []byte
-			n := 0
-			for {
-				cols, err := rd.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					// Headers may be out; report as a trailing NDJSON error line.
-					line = line[:0]
-					line = append(line, `{"error":`...)
-					line = appendErrorJSON(line, err)
-					line = append(line, '}', '\n')
-					bw.Write(line)
-					failed = true
-					break
-				}
-				if len(cols) > 0 {
-					line = adm.AppendJSON(line[:0], cols[0])
-					bw.Write(line)
-					bw.WriteByte('\n')
-				}
-				n++
-				if n%s.opts.FlushEvery == 0 {
-					bw.Flush()
-					if flusher != nil {
-						flusher.Flush()
-					}
-				}
-			}
-		}
-		if t := h.trailer(); !failed && t != nil {
-			bw.Write(t)
-		}
-		bw.Flush()
+		return
 	}
+	next := func() (adm.Value, bool, error) { return nil, false, nil }
+	if run != nil {
+		rd, err := run.Open()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		defer rd.Close()
+		// Every tuple in a handle run is the one-column tuple spoolResult wrote.
+		next = func() (adm.Value, bool, error) {
+			cols, err := rd.Next()
+			if err == io.EOF {
+				return nil, false, nil
+			}
+			if err != nil {
+				return nil, false, err
+			}
+			return cols[0], true, nil
+		}
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	writeNDJSON(w, next, h.trailer)
 }
 
 func (s *Server) handleDDL(w http.ResponseWriter, r *http.Request) {
@@ -485,50 +466,50 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) readBody(r *http.Request) (string, error) {
 	defer r.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	b, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return "", &asterixdb.Error{Code: asterixdb.CodeInvalid, Message: "reading request body: " + err.Error()}
 	}
-	if int64(len(b)) > s.opts.MaxBodyBytes {
+	if len(b) > maxBodyBytes {
 		return "", &asterixdb.Error{Code: asterixdb.CodeInvalid,
-			Message: fmt.Sprintf("statement body exceeds %d bytes", s.opts.MaxBodyBytes)}
+			Message: fmt.Sprintf("statement body exceeds %d bytes", maxBodyBytes)}
 	}
 	return string(b), nil
 }
 
-// streamCursor writes the cursor as NDJSON with chunked flushes, so a client
-// reading a long result sees rows while the job is still running. hasFirst
-// reports whether the caller already advanced the cursor to a prefetched
-// first value. trailer, when non-nil, is evaluated after the stream ends
-// cleanly and its bytes (a complete NDJSON line, or nil) are appended.
-func (s *Server) streamCursor(w http.ResponseWriter, cur *asterixdb.Cursor, hasFirst bool, trailer func() []byte) {
+// writeNDJSON is the one result-row writer behind every query mode: it writes
+// each value next yields as an NDJSON line, flushing every flushEvery lines
+// so a client reading a long result sees rows while they are still being
+// produced. Headers are out once the first byte is, so a failure reported by
+// next ends the stream with a trailing {"error":{...}} line; a clean end
+// appends trailer's bytes (a complete NDJSON line, or nil) when trailer is
+// non-nil.
+func writeNDJSON(w http.ResponseWriter, next func() (adm.Value, bool, error), trailer func() []byte) {
 	flusher, _ := w.(http.Flusher)
 	bw := bufio.NewWriter(w)
 	var line []byte
 	n := 0
-	for hasFirst || cur.Next() {
-		hasFirst = false
-		line = adm.AppendJSON(line[:0], cur.Value())
+	for {
+		v, ok, err := next()
+		if err != nil {
+			line = appendErrorJSON(append(line[:0], `{"error":`...), err)
+			bw.Write(append(line, '}', '\n'))
+			break
+		}
+		if !ok {
+			if trailer != nil {
+				bw.Write(trailer())
+			}
+			break
+		}
+		line = append(adm.AppendJSON(line[:0], v), '\n')
 		bw.Write(line)
-		bw.WriteByte('\n')
 		n++
-		if n%s.opts.FlushEvery == 0 {
+		if n%flushEvery == 0 {
 			bw.Flush()
 			if flusher != nil {
 				flusher.Flush()
 			}
-		}
-	}
-	if err := cur.Err(); err != nil && !isContextEnd(err) {
-		// Headers are out; report the failure as a trailing NDJSON error line.
-		line = line[:0]
-		line = append(line, `{"error":`...)
-		line = appendErrorJSON(line, err)
-		line = append(line, '}', '\n')
-		bw.Write(line)
-	} else if trailer != nil {
-		if t := trailer(); t != nil {
-			bw.Write(t)
 		}
 	}
 	bw.Flush()

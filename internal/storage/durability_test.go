@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,6 +250,61 @@ func TestCheckpointBoundsReplayAndPersistsMeta(t *testing.T) {
 	}
 	if count, _ := ds2.Count(); count != 50+suffixOps {
 		t.Errorf("Count = %d, want %d", count, 50+suffixOps)
+	}
+}
+
+// TestUnreadableComponentRefusedOnReopen: every component is written through
+// an atomic rename, so one that fails to load is damage (truncation, bad
+// media, a failed read), never the residue of an unfinished flush. Deleting
+// it would silently drop rows a checkpoint has already compacted out of the
+// log; reopening must instead fail, name the file and leave it on disk.
+func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds1 := createMessages(t, m1, adm.SchemaEncoding)
+	for i := 0; i < 60; i++ {
+		if err := ds1.Insert(message(i, i, int64(i), "checkpointed", 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	comps, err := filepath.Glob(filepath.Join(dir, "MugshotMessages", "partition-0", "component-*.lsm"))
+	if err != nil || len(comps) == 0 {
+		t.Fatalf("no partition-0 component after checkpoint: %v", err)
+	}
+	damaged := comps[0]
+	st, err := os.Stat(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(damaged, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m2.Close() })
+	ds2, err := m2.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}})
+	if err == nil {
+		rerr := m2.Recover()
+		count, _ := ds2.Count()
+		t.Fatalf("reopen over a damaged component succeeded (recover: %v, Count = %d of 60)", rerr, count)
+	}
+	if !strings.Contains(err.Error(), damaged) {
+		t.Errorf("error does not name the damaged component %s: %v", damaged, err)
+	}
+	if _, serr := os.Stat(damaged); serr != nil {
+		t.Errorf("damaged component was removed: %v", serr)
 	}
 }
 

@@ -74,8 +74,6 @@ type Options struct {
 	Journaled bool
 	// MemBudget is the per-partition LSM in-memory component budget.
 	MemBudget int
-	// MergePolicy overrides the default LSM merge policy.
-	MergePolicy lsm.MergePolicy
 	// EagerDecode makes ScanPartition decode every record to the full Value
 	// tree up front instead of emitting lazily-decoded records backed by
 	// pooled arenas. The lazy path is the default; this knob exists for the
@@ -158,7 +156,6 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 func (m *Manager) lsmOptions() lsm.Options {
 	return lsm.Options{
 		MemBudget:  m.opts.MemBudget,
-		Policy:     m.opts.MergePolicy,
 		Background: true,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"asterixdb/internal/adm"
-	"asterixdb/internal/lsm"
 )
 
 func messageType() *adm.RecordType {
@@ -361,24 +360,6 @@ func TestInsertBatchAndPartitioning(t *testing.T) {
 	}
 	if nonEmpty < 2 {
 		t.Errorf("only %d partitions hold data; hash partitioning not effective", nonEmpty)
-	}
-}
-
-func TestMergePolicyPlumbing(t *testing.T) {
-	m, err := NewManager(t.TempDir(), Options{Partitions: 1, MemBudget: 512, MergePolicy: lsm.ConstantPolicy{K: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ds, _ := m.CreateDataset(DatasetSpec{Name: "M", Type: messageType(), PrimaryKey: []string{"message-id"}})
-	for i := 0; i < 500; i++ {
-		if err := ds.Insert(message(i, 1, int64(i), "padding padding padding padding", 0, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	count, _ := ds.Count()
-	if count != 500 {
-		t.Errorf("Count = %d", count)
 	}
 }
 

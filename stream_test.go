@@ -17,7 +17,13 @@ import (
 // big enough that a full scan far exceeds the dataflow's channel buffers.
 func newLargeInstance(t testing.TB, n int) *Instance {
 	t.Helper()
-	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 4})
+	return newLargeVariant(t, n, variant{})
+}
+
+// newLargeVariant is newLargeInstance running the given reference job shape.
+func newLargeVariant(t testing.TB, n int, v variant) *Instance {
+	t.Helper()
+	inst, err := open(Config{DataDir: t.TempDir(), Partitions: 4}, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +34,20 @@ create dataset Big(BigType) primary key id;`); err != nil {
 		t.Fatal(err)
 	}
 	ds, _ := inst.Dataset("Big")
-	recs := make([]*adm.Record, 0, n)
-	for i := 1; i <= n; i++ {
-		recs = append(recs, adm.NewRecord(
-			adm.Field{Name: "id", Value: adm.Int32(int32(i))},
-			adm.Field{Name: "k", Value: adm.Int32(int32(i % 100))},
-		))
-	}
-	if _, err := ds.InsertBatch(recs); err != nil {
-		t.Fatal(err)
+	// Load in batches so a million-record dataset never holds every input
+	// record in memory at once.
+	const batch = 10_000
+	for lo := 1; lo <= n; lo += batch {
+		recs := make([]*adm.Record, 0, batch)
+		for i := lo; i <= n && i < lo+batch; i++ {
+			recs = append(recs, adm.NewRecord(
+				adm.Field{Name: "id", Value: adm.Int32(int32(i))},
+				adm.Field{Name: "k", Value: adm.Int32(int32(i % 100))},
+			))
+		}
+		if _, err := ds.InsertBatch(recs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return inst
 }
