@@ -69,7 +69,9 @@ type Config struct {
 	Encoding adm.Encoding
 	// Journaled forces the WAL on every commit (Table 4 durability).
 	Journaled bool
-	// MemBudget is the per-partition LSM in-memory component budget in bytes.
+	// MemBudget is the in-memory component budget in bytes of each LSM tree:
+	// the primary index and every secondary index of every partition has its
+	// own.
 	MemBudget int
 	// MemoryBudget is the per-query memory budget in bytes for blocking
 	// runtime operators (sort, hybrid hash join, hash group-by). When a

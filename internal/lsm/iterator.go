@@ -6,74 +6,139 @@ import (
 	"asterixdb/internal/btree"
 )
 
-// This file implements the tree's streaming read path: a resumable merge
-// iterator over the in-memory component and the disk components. Before it
-// existed, Tree.Range re-copied the memtable range into a slice and re-binary-
-// searched every disk component on every call, so a chunked partition scan
-// (storage.ScanPartition re-enters Range once per chunk) paid O(N) setup per
-// chunk — O(N²/chunk) overall. An Iterator is positioned once and then
-// streams: Next is O(log #sources) per entry, and a tree-level mutation
-// sequence number lets an iterator that was paused across a lock release
-// detect staleness and re-seek to just after the last key it returned instead
-// of silently missing or double-visiting entries.
+// This file implements the tree's one k-way merge and the streaming read
+// path on top of it. A merger heap-merges sorted runs — the memtable's
+// leaf-chain cursor and disk component windows — yielding each key once from
+// its newest run; Iterator.Next and MergePlan.Execute both pull from it. An
+// Iterator is positioned once and then streams: Next is O(log #sources) per
+// entry, and a tree-level mutation sequence number lets an iterator that was
+// paused across a lock release detect staleness and re-seek to just after
+// the last key it returned instead of silently missing or double-visiting
+// entries.
 
-// mergeSource is one sorted input of the iterator: the memtable cursor or a
-// disk component's entry slice. Sources are ranked by recency (0 = memtable,
-// then disk components newest first); among equal keys the lowest rank wins.
+// cursor walks one sorted run of entries, one per key.
+type cursor interface {
+	// next returns the run's next entry and advances past it; ok is false at
+	// the end of the run.
+	next() (key, value []byte, antimatter, ok bool)
+}
+
+// memCursor walks the in-memory component from a seek position.
+type memCursor struct{ c btree.Cursor }
+
+func (m *memCursor) next() (key, value []byte, antimatter, ok bool) {
+	if !m.c.Valid() {
+		return nil, nil, false, false
+	}
+	key, raw := m.c.Key(), m.c.Value()
+	m.c.Next()
+	value, antimatter = decodeMemValue(raw)
+	return key, value, antimatter, true
+}
+
+// diskCursor walks entries [i, end) of a disk component.
+type diskCursor struct {
+	c      *diskComponent
+	i, end int
+}
+
+func (d *diskCursor) next() (key, value []byte, antimatter, ok bool) {
+	if d.i >= d.end {
+		return nil, nil, false, false
+	}
+	key, value, antimatter = d.c.entry(d.i)
+	d.i++
+	return key, value, antimatter, true
+}
+
+// mergeSource is one run of a merger: its cursor and current entry. rank is
+// the run's recency (0 = newest); among equal keys the lowest rank wins.
 type mergeSource struct {
-	rank int
-
-	// Disk component source: a window into the component's sorted entries.
-	entries []Entry
-	idx     int
-
-	// Memtable source (rank 0): a leaf-chain cursor.
-	mem    btree.Cursor
-	isMem  bool
-	memKey []byte // current decoded position, nil when exhausted
-	memVal []byte
-	memDel bool
+	rank       int
+	cur        cursor
+	key, value []byte
+	antimatter bool
 }
 
-// load refreshes the memtable source's decoded view of the cursor position.
-func (s *mergeSource) load() {
-	if !s.mem.Valid() {
-		s.memKey = nil
-		return
-	}
-	s.memKey = s.mem.Key()
-	s.memVal, s.memDel = decodeMemValue(s.mem.Value())
+func (s *mergeSource) advance() bool {
+	var ok bool
+	s.key, s.value, s.antimatter, ok = s.cur.next()
+	return ok
 }
 
-func (s *mergeSource) valid() bool {
-	if s.isMem {
-		return s.memKey != nil
-	}
-	return s.idx < len(s.entries)
+// merger is a min-heap of runs ordered by (key, rank). It is itself a
+// cursor: next yields every key once, from its newest run, antimatter
+// included — the iterator suppresses tombstones, a merge keeps or drops them.
+type merger struct {
+	heap []*mergeSource
 }
 
-func (s *mergeSource) key() []byte {
-	if s.isMem {
-		return s.memKey
+// reset rebuilds the heap over sources, given newest first.
+func (m *merger) reset(sources []mergeSource) {
+	m.heap = m.heap[:0]
+	for i := range sources {
+		if s := &sources[i]; s.advance() {
+			s.rank = i
+			m.heap = append(m.heap, s)
+		}
 	}
-	return s.entries[s.idx].Key
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
 }
 
-func (s *mergeSource) value() ([]byte, bool) {
-	if s.isMem {
-		return s.memVal, s.memDel
+func (m *merger) next() (key, value []byte, antimatter, ok bool) {
+	if len(m.heap) == 0 {
+		return nil, nil, false, false
 	}
-	e := &s.entries[s.idx]
-	return e.Value, e.Antimatter
+	top := m.heap[0]
+	key, value, antimatter = top.key, top.value, top.antimatter
+	// Advance the winner and every older run holding the same key (entries
+	// it shadows).
+	m.advanceTop()
+	for len(m.heap) > 0 && bytes.Equal(m.heap[0].key, key) {
+		m.advanceTop()
+	}
+	return key, value, antimatter, true
 }
 
-func (s *mergeSource) next() {
-	if s.isMem {
-		s.mem.Next()
-		s.load()
-		return
+// advanceTop moves the heap's top run to its next entry, dropping the run
+// when it is exhausted.
+func (m *merger) advanceTop() {
+	if !m.heap[0].advance() {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
 	}
-	s.idx++
+	m.siftDown(0)
+}
+
+func (m *merger) siftDown(i int) {
+	n := len(m.heap)
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && less(m.heap[l], m.heap[min]) {
+			min = l
+		}
+		if r < n && less(m.heap[r], m.heap[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		m.heap[i], m.heap[min] = m.heap[min], m.heap[i]
+		i = min
+	}
+}
+
+// less orders runs by (key, rank): the smallest key first, and among equal
+// keys the newest run.
+func less(a, b *mergeSource) bool {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c < 0
+	}
+	return a.rank < b.rank
 }
 
 // Iterator is a heap-merged cursor over a tree's components. It visits live
@@ -88,8 +153,10 @@ type Iterator struct {
 	lo  []byte // original lower bound: the re-seek floor before any entry is returned
 	hi  []byte
 
-	sources []*mergeSource
-	heap    []*mergeSource // min-heap by (key, rank)
+	mem     memCursor
+	disk    []diskCursor
+	sources []mergeSource
+	m       merger
 
 	key, value []byte
 	lastKey    []byte // copy of the last returned key, for staleness re-seek
@@ -100,14 +167,9 @@ type Iterator struct {
 // (either bound may be nil to leave that side open), positioned before the
 // first entry. The caller must hold the tree's latch.
 func (t *Tree) NewIterator(lo, hi []byte) *Iterator {
-	it := &Iterator{t: t, seq: t.seq}
+	it := &Iterator{t: t}
 	if hi != nil {
 		it.hi = append([]byte(nil), hi...)
-	}
-	mem := &mergeSource{rank: 0, isMem: true}
-	it.sources = append(it.sources, mem)
-	for i := range t.disk {
-		it.sources = append(it.sources, &mergeSource{rank: i + 1})
 	}
 	if lo != nil {
 		it.lo = append([]byte(nil), lo...)
@@ -121,90 +183,19 @@ func (t *Tree) NewIterator(lo, hi []byte) *Iterator {
 // component list, so a re-seek after a flush or merge sees the new structure.
 func (it *Iterator) position(from []byte) {
 	t := it.t
-	// The component set may have changed since construction (flush, merge);
-	// resize the source list to match, keeping rank order.
-	sources := it.sources[:1]
-	sources[0].isMem = true
-	sources[0].rank = 0
-	for i, c := range t.disk {
-		var s *mergeSource
-		if i+1 < len(it.sources) {
-			s = it.sources[i+1]
-		} else {
-			s = &mergeSource{}
-		}
-		s.rank = i + 1
-		s.isMem = false
-		s.entries = c.slice(from, it.hi)
-		s.idx = 0
-		sources = append(sources, s)
-	}
-	it.sources = sources
-
-	mem := it.sources[0]
-	mem.mem = t.mem.Seek(from)
-	mem.load()
 	// The memtable cursor has no hi bound of its own; the bound is applied
 	// when entries surface in Next.
-
-	it.heap = it.heap[:0]
-	for _, s := range it.sources {
-		if s.valid() {
-			it.heapPush(s)
-		}
+	it.mem.c = t.mem.Seek(from)
+	it.disk = it.disk[:0]
+	for _, c := range t.disk {
+		it.disk = append(it.disk, c.window(from, it.hi))
 	}
+	it.sources = append(it.sources[:0], mergeSource{cur: &it.mem})
+	for i := range it.disk {
+		it.sources = append(it.sources, mergeSource{cur: &it.disk[i]})
+	}
+	it.m.reset(it.sources)
 	it.seq = t.seq
-}
-
-// less orders heap elements by (key, rank): the smallest key first, and among
-// equal keys the newest component.
-func (it *Iterator) less(a, b *mergeSource) bool {
-	c := bytes.Compare(a.key(), b.key())
-	if c != 0 {
-		return c < 0
-	}
-	return a.rank < b.rank
-}
-
-func (it *Iterator) heapPush(s *mergeSource) {
-	it.heap = append(it.heap, s)
-	i := len(it.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !it.less(it.heap[i], it.heap[parent]) {
-			break
-		}
-		it.heap[i], it.heap[parent] = it.heap[parent], it.heap[i]
-		i = parent
-	}
-}
-
-func (it *Iterator) heapPop() *mergeSource {
-	top := it.heap[0]
-	last := len(it.heap) - 1
-	it.heap[0] = it.heap[last]
-	it.heap = it.heap[:last]
-	it.siftDown(0)
-	return top
-}
-
-func (it *Iterator) siftDown(i int) {
-	n := len(it.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && it.less(it.heap[l], it.heap[min]) {
-			min = l
-		}
-		if r < n && it.less(it.heap[r], it.heap[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		it.heap[i], it.heap[min] = it.heap[min], it.heap[i]
-		i = min
-	}
 }
 
 // Next advances to the next live entry, reporting false at the end of the
@@ -225,40 +216,23 @@ func (it *Iterator) Next() bool {
 		}
 		it.position(from)
 	}
-	for len(it.heap) > 0 {
-		winner := it.heapPop()
-		key := winner.key()
-		if it.hi != nil && bytes.Compare(key, it.hi) > 0 {
-			it.heap = it.heap[:0]
+	for {
+		key, value, antimatter, ok := it.m.next()
+		if !ok || (it.hi != nil && bytes.Compare(key, it.hi) > 0) {
+			it.m.heap = it.m.heap[:0]
 			return false
-		}
-		value, antimatter := winner.value()
-		// Skip older entries with the same key (shadowed by the winner) and
-		// re-add every advanced source to the heap.
-		winner.next()
-		if winner.valid() {
-			it.heapPush(winner)
-		}
-		for len(it.heap) > 0 && bytes.Equal(it.heap[0].key(), key) {
-			dup := it.heapPop()
-			dup.next()
-			if dup.valid() {
-				it.heapPush(dup)
-			}
 		}
 		it.lastKey = append(it.lastKey[:0], key...)
 		it.returned = true
-		if antimatter {
-			continue
+		if !antimatter {
+			it.key, it.value = key, value
+			return true
 		}
-		it.key, it.value = key, value
-		return true
 	}
-	return false
 }
 
-// Key returns the key of the current entry. The slice is owned by the tree
-// and must not be modified; it remains readable after the latch is released.
+// Key returns the key of the current entry: a read-only view into the
+// memtable or a component image, readable after the latch is released.
 func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the value of the current entry, under the same ownership

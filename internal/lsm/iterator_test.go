@@ -1,11 +1,7 @@
 package lsm
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -265,70 +261,6 @@ func TestRangeMatchesIterator(t *testing.T) {
 	})
 	if n != 7 {
 		t.Fatalf("early-stopping range visited %d", n)
-	}
-}
-
-// TestReadBlobShortRead is the regression test for the silent-truncation bug:
-// a component whose header claims a longer value than the file holds must
-// fail to load (and make Open refuse the directory) rather than yield a
-// truncated, zero-padded value. The value is larger than any internal buffer
-// so a partial read is guaranteed.
-func TestReadBlobShortRead(t *testing.T) {
-	dir := t.TempDir()
-	tr, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := bytes.Repeat([]byte("x"), 128<<10) // 128 KiB, beyond any buffer size
-	if err := tr.Insert([]byte("big"), big); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Round-trip through a reopen: the value must come back whole.
-	tr2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := tr2.Get([]byte("big"))
-	if !ok || !bytes.Equal(got, big) {
-		t.Fatalf("reloaded value: ok=%v len=%d, want len=%d", ok, len(got), len(big))
-	}
-
-	// Corrupt the component: shrink the value bytes but keep the validity
-	// footer, so only the blob read can notice the truncation.
-	names, err := filepath.Glob(filepath.Join(dir, "component-*.lsm"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no component files: %v", err)
-	}
-	data, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(data) - len(validityMagic) - (64 << 10)
-	corrupt := append(append([]byte(nil), data[:cut]...), validityMagic...)
-	if err := os.WriteFile(names[0], corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadComponent(names[0]); err == nil {
-		t.Fatal("loadComponent accepted a truncated blob")
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a component with a truncated blob")
-	}
-}
-
-// TestReadBlobDirect exercises readBlob against a reader holding fewer bytes
-// than the length prefix promises.
-func TestReadBlobDirect(t *testing.T) {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], 1000)
-	buf.Write(scratch[:n])
-	buf.Write(bytes.Repeat([]byte("y"), 10)) // 990 bytes short
-	if _, err := readBlob(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("readBlob returned a truncated blob without error")
 	}
 }
 

@@ -1,42 +1,45 @@
 // Package lsm implements the Log-Structured Merge tree framework that
 // AsterixDB uses for all of its internal data storage (Section 4.3 of the
 // paper): a mutable in-memory component, immutable disk components produced
-// by flushes, antimatter (tombstone) entries for deletes, merge policies, and
-// component shadowing via a validity footer used during crash recovery.
+// by flushes and merges, antimatter (tombstone) entries for deletes, and
+// merge policies.
 //
-// Durability protocol: every component file is written to a temp file,
-// fsync'd, and renamed into place (fsutil.WriteFileAtomic), so a crash
-// mid-flush or mid-merge can never surface a torn component — recovery sees
-// either the old file set or the new one. Each component carries an LSN
-// stamp ("all operations with LSN < stamp are contained in this or an older
-// component") used by WAL replay to skip already-durable operations, and a
-// covered-id low bound so a merged component shadows exactly its inputs if a
-// crash lands between the merge rename and the input-file cleanup.
+// A disk component is the bytes of its file. A flush or merge builds the
+// image, writes it through a temp file, fsync and rename
+// (fsutil.WriteFileAtomic) — so a crash mid-flush or mid-merge never surfaces
+// a torn component — and then searches, scans and merges that same image in
+// place; Open reads it back whole. Besides the image a component keeps only
+// where each key sits in it. The image is
+//
+//	image:  entry* footer
+//	entry:  uvarint klen ‖ key ‖ flag (1 = antimatter) ‖ uvarint vlen ‖ value
+//	footer: stamp u64 ‖ coveredLow u64 ‖ entry count u64 ‖ CRC-32 u32 ‖ magic [8]byte
+//
+// with little-endian integers, an IEEE CRC over every byte before it, and a
+// magic naming the layout. The stamp is the LSN watermark ("all operations
+// with LSN < stamp are contained in this or an older component") WAL replay
+// uses to skip already-durable operations; coveredLow lets a merged component
+// shadow exactly its inputs if a crash lands between the merge rename and the
+// input-file cleanup.
 package lsm
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"asterixdb/internal/btree"
 	"asterixdb/internal/crashpoint"
 	"asterixdb/internal/fsutil"
 )
-
-// Entry is a key/value pair flowing through the LSM index. Antimatter entries
-// cancel out older entries with the same key (the deferred-update form of a
-// delete).
-type Entry struct {
-	Key        []byte
-	Value      []byte
-	Antimatter bool
-}
 
 // Options configure an LSM tree.
 type Options struct {
@@ -84,9 +87,10 @@ type Tree struct {
 	seq uint64
 }
 
-// diskComponent is an immutable, sorted run of entries persisted to a file.
-// For search it is held in memory; the file exists so recovery and the
-// validity-bit shadowing protocol behave as described in the paper.
+// diskComponent is an immutable, sorted run of entries, one per key: the
+// validated image of its file and, per entry, where its key starts and ends
+// in that image. Keys and values handed out are capped views into the image,
+// so the GC keeps it alive exactly as long as some caller still views them.
 type diskComponent struct {
 	id int
 	// coveredLow is the lowest component id this component supersedes: its
@@ -97,18 +101,19 @@ type diskComponent struct {
 	coveredLow int
 	// stamp is the LSN watermark: all operations with LSN < stamp are
 	// reflected in this component or an older one.
-	stamp   uint64
-	path    string
-	entries []Entry // sorted by key, one entry per key
+	stamp uint64
+	path  string
+	image []byte
+	keys  []span // per entry, where its key sits in image
 }
 
 // Open creates or reopens an LSM tree rooted at dir. Temp files from
 // interrupted atomic writes are removed — a crashed flush or merge leaves
 // nothing else behind — and so are components shadowed by a merged component
 // that crashed before cleaning up its inputs. A component file that fails to
-// load is damage, not a crash residue: Open fails naming it and leaves it on
-// disk, since deleting it could drop rows a checkpoint already compacted out
-// of the log.
+// load — truncated, bit-flipped, or written by an older layout — is damage,
+// not a crash residue: Open fails naming it and leaves it on disk, since
+// deleting it could drop rows a checkpoint already compacted out of the log.
 func Open(dir string, opts Options) (*Tree, error) {
 	if opts.MemBudget <= 0 {
 		opts.MemBudget = DefaultMemBudget
@@ -139,30 +144,15 @@ func Open(dir string, opts Options) (*Tree, error) {
 	// Drop components shadowed by a merged component covering their id: the
 	// merge renamed its output into place but crashed before removing its
 	// inputs. The merged component contains everything they did.
-	live := comps[:0]
 	for _, c := range comps {
-		shadowed := false
-		for _, other := range comps {
-			if other != c && c.id >= other.coveredLow && c.id < other.id {
-				shadowed = true
-				break
-			}
-		}
-		if shadowed {
+		if slices.ContainsFunc(comps, func(o *diskComponent) bool { return c.id >= o.coveredLow && c.id < o.id }) {
 			os.Remove(c.path)
 			continue
 		}
-		live = append(live, c)
-	}
-	for _, comp := range live {
 		// Newest first: higher ids were written later.
-		t.disk = append([]*diskComponent{comp}, t.disk...)
-		if comp.id >= t.nextID {
-			t.nextID = comp.id + 1
-		}
-		if comp.stamp > t.durable {
-			t.durable = comp.stamp
-		}
+		t.disk = append([]*diskComponent{c}, t.disk...)
+		t.nextID = max(t.nextID, c.id+1)
+		t.durable = max(t.durable, c.stamp)
 	}
 	return t, nil
 }
@@ -195,11 +185,8 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 		return val, true
 	}
 	for _, c := range t.disk {
-		if e, ok := c.get(key); ok {
-			if e.Antimatter {
-				return nil, false
-			}
-			return e.Value, true
+		if value, antimatter, ok := c.get(key); ok {
+			return value, !antimatter
 		}
 	}
 	return nil, false
@@ -274,15 +261,12 @@ func (t *Tree) FlushStamped(stamp uint64) error {
 		t.durable = stamp
 		return nil
 	}
-	entries := make([]Entry, 0, t.mem.Len())
-	t.mem.Scan(func(e btree.Entry) bool {
-		val, anti := decodeMemValue(e.Value)
-		entries = append(entries, Entry{Key: e.Key, Value: val, Antimatter: anti})
-		return true
-	})
 	id := t.nextID
 	t.nextID++
-	comp, err := t.writeComponent(id, id, stamp, entries)
+	// Entry bytes are the memtable's keys and flagged values plus two length
+	// varints each, two bytes apiece below 16 KiB.
+	src := &memCursor{t.mem.Seek(nil)}
+	comp, err := t.writeComponent(id, id, stamp, src, false, t.mem.Bytes()+4*t.mem.Len())
 	if err != nil {
 		return err
 	}
@@ -310,7 +294,7 @@ func (t *Tree) maybeMerge() error {
 func (t *Tree) componentSizes() []int {
 	sizes := make([]int, len(t.disk))
 	for i, c := range t.disk {
-		sizes[i] = len(c.entries)
+		sizes[i] = len(c.keys)
 	}
 	return sizes
 }
@@ -405,24 +389,17 @@ func (t *Tree) planMergeIndexes(indexes []int) (*MergePlan, error) {
 // the tree latch: inputs are immutable and the tree's in-memory state is
 // untouched.
 func (p *MergePlan) Execute() error {
-	merged := mergeEntries(p.inputs)
-	if p.dropAntimatter {
-		live := merged[:0]
-		for _, e := range merged {
-			if !e.Antimatter {
-				live = append(live, e)
-			}
-		}
-		merged = live
-	}
 	newest, oldest := p.inputs[0], p.inputs[len(p.inputs)-1]
-	stamp := newest.stamp
-	for _, c := range p.inputs {
-		if c.stamp > stamp {
-			stamp = c.stamp
-		}
+	stamp, size := newest.stamp, 0
+	sources := make([]mergeSource, len(p.inputs))
+	for i, c := range p.inputs {
+		stamp = max(stamp, c.stamp)
+		size += len(c.image)
+		sources[i].cur = &diskCursor{c: c, end: len(c.keys)}
 	}
-	comp, err := p.tree.writeComponent(newest.id, oldest.coveredLow, stamp, merged)
+	var m merger
+	m.reset(sources)
+	comp, err := p.tree.writeComponent(newest.id, oldest.coveredLow, stamp, &m, p.dropAntimatter, size)
 	if err != nil {
 		return err
 	}
@@ -476,159 +453,180 @@ func (t *Tree) AbortMerge(p *MergePlan) {
 	}
 }
 
-// mergeEntries merges sorted runs; for duplicate keys the entry from the
-// newest component (lowest slice index) wins.
-func mergeEntries(comps []*diskComponent) []Entry {
-	var out []Entry
-	pos := make([]int, len(comps))
-	for {
-		var bestKey []byte
-		for i, c := range comps {
-			if pos[i] >= len(c.entries) {
-				continue
-			}
-			k := c.entries[pos[i]].Key
-			if bestKey == nil || bytes.Compare(k, bestKey) < 0 {
-				bestKey = k
-			}
-		}
-		if bestKey == nil {
-			return out
-		}
-		taken := false
-		for i, c := range comps {
-			if pos[i] < len(c.entries) && bytes.Equal(c.entries[pos[i]].Key, bestKey) {
-				if !taken {
-					out = append(out, c.entries[pos[i]])
-					taken = true
-				}
-				pos[i]++
-			}
-		}
-	}
-}
-
 // ----------------------------------------------------------------------------
 // Disk component format
 // ----------------------------------------------------------------------------
 
-// validityMagic is the footer written after a component's entries. Atomic
-// rename writes make torn files impossible in normal operation, so a file
-// without it has been truncated from outside and Open refuses it.
-var validityMagic = []byte("LSMVALID")
+// formatMagic ends every component image and names its layout (see the
+// package comment). Images written by the layout before it end in
+// oldFormatMagic; they are refused rather than converted.
+var (
+	formatMagic    = []byte("LSMKFV02")
+	oldFormatMagic = []byte("LSMVALID")
+)
 
-// writeComponent persists entries as component id via an atomic temp-file +
-// fsync + rename write. The file body is: uvarint stamp, uvarint coveredLow,
-// uvarint count, entries, validity footer.
-func (t *Tree) writeComponent(id, coveredLow int, stamp uint64, entries []Entry) (*diskComponent, error) {
+// footerLen is the fixed footer size: stamp, coveredLow, count, CRC, magic.
+const footerLen = 8 + 8 + 8 + 4 + 8
+
+// writeComponent writes the entries src yields as component id via an atomic
+// temp-file + fsync + rename write, and returns the component searching the
+// image it wrote.
+func (t *Tree) writeComponent(id, coveredLow int, stamp uint64, src cursor, dropAntimatter bool, sizeHint int) (*diskComponent, error) {
+	image := encodeImage(coveredLow, stamp, src, dropAntimatter, sizeHint)
 	path := filepath.Join(t.dir, fmt.Sprintf("component-%08d.lsm", id))
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	writeUvarint(stamp)
-	writeUvarint(uint64(coveredLow))
-	writeUvarint(uint64(len(entries)))
-	for _, e := range entries {
-		flag := byte(0)
-		if e.Antimatter {
-			flag = 1
-		}
-		buf.WriteByte(flag)
-		writeUvarint(uint64(len(e.Key)))
-		buf.Write(e.Key)
-		writeUvarint(uint64(len(e.Value)))
-		buf.Write(e.Value)
-	}
-	buf.Write(validityMagic)
-	if err := fsutil.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
+	if err := fsutil.WriteFileAtomic(path, image, 0o644); err != nil {
 		return nil, fmt.Errorf("lsm: write component: %w", err)
 	}
-	return &diskComponent{id: id, coveredLow: coveredLow, stamp: stamp, path: path, entries: entries}, nil
+	return openImage(id, path, image)
 }
 
+// encodeImage builds the image of the entries src yields in key order,
+// leaving antimatter out when dropAntimatter is set. sizeHint is the
+// expected entry bytes.
+func encodeImage(coveredLow int, stamp uint64, src cursor, dropAntimatter bool, sizeHint int) []byte {
+	image := make([]byte, 0, sizeHint+footerLen)
+	var count uint64
+	for {
+		key, value, antimatter, ok := src.next()
+		if !ok {
+			break
+		}
+		if antimatter && dropAntimatter {
+			continue
+		}
+		flag := byte(0)
+		if antimatter {
+			flag = 1
+		}
+		image = binary.AppendUvarint(image, uint64(len(key)))
+		image = append(append(image, key...), flag)
+		image = binary.AppendUvarint(image, uint64(len(value)))
+		image = append(image, value...)
+		count++
+	}
+	image = binary.LittleEndian.AppendUint64(image, stamp)
+	image = binary.LittleEndian.AppendUint64(image, uint64(coveredLow))
+	image = binary.LittleEndian.AppendUint64(image, count)
+	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
+	image = append(image, formatMagic...)
+	if cap(image)-len(image) > len(image)/8 {
+		// A merge that shadowed duplicates or dropped antimatter overshot
+		// its hint; the image lives as long as the component, so trim it.
+		return bytes.Clone(image)
+	}
+	return image
+}
+
+// loadComponent reads a component file whole and validates it.
 func loadComponent(path string) (*diskComponent, error) {
-	data, err := os.ReadFile(path)
+	id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "component-"), ".lsm"))
+	if err != nil {
+		return nil, fmt.Errorf("lsm: component file name without an id: %w", err)
+	}
+	image, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(validityMagic) || !bytes.Equal(data[len(data)-len(validityMagic):], validityMagic) {
-		return nil, fmt.Errorf("lsm: no validity footer")
+	return openImage(id, path, image)
+}
+
+// openImage checks an image's footer and checksum, then walks its entries
+// once, checking every length against the bytes that remain and recording
+// where each key sits. An image it accepts decodes entirely within itself.
+func openImage(id int, path string, image []byte) (*diskComponent, error) {
+	n := len(image)
+	if n >= len(oldFormatMagic) && bytes.Equal(image[n-len(oldFormatMagic):], oldFormatMagic) {
+		return nil, fmt.Errorf("lsm: written by an older component layout; drop and recreate the dataset or index")
 	}
-	data = data[:len(data)-len(validityMagic)]
-	rd := bytes.NewReader(data)
-	stamp, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
+	if n < footerLen || !bytes.Equal(image[n-len(formatMagic):], formatMagic) {
+		return nil, fmt.Errorf("lsm: no component footer")
 	}
-	coveredLow, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
+	foot := image[n-footerLen:]
+	if sum, want := crc32.ChecksumIEEE(image[:n-12]), binary.LittleEndian.Uint32(foot[24:]); sum != want {
+		return nil, fmt.Errorf("lsm: checksum mismatch (stored %08x, computed %08x)", want, sum)
 	}
-	count, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
+	stamp := binary.LittleEndian.Uint64(foot)
+	coveredLow := binary.LittleEndian.Uint64(foot[8:])
+	count := binary.LittleEndian.Uint64(foot[16:])
+	body := image[:n-footerLen]
+	if id < 0 || coveredLow > uint64(id) {
+		return nil, fmt.Errorf("lsm: covered id %d outside component id %d", coveredLow, id)
 	}
-	entries := make([]Entry, 0, count)
+	// Every entry takes at least three bytes (two lengths and a flag), and
+	// key offsets are 32-bit.
+	if count > uint64(len(body)/3) || uint64(len(body)) > math.MaxUint32 {
+		return nil, fmt.Errorf("lsm: %d entries in %d bytes", count, len(body))
+	}
+	keys := make([]span, 0, count)
+	pos := 0
 	for i := uint64(0); i < count; i++ {
-		flag, err := rd.ReadByte()
-		if err != nil {
-			return nil, err
+		klen, kn := binary.Uvarint(body[pos:])
+		// The key must leave room for its flag byte.
+		if kn <= 0 || klen >= uint64(len(body)-pos-kn) {
+			return nil, fmt.Errorf("lsm: entry %d key overruns the image at byte %d", i, pos)
 		}
-		key, err := readBlob(rd)
-		if err != nil {
-			return nil, err
+		start := pos + kn
+		end := start + int(klen)
+		if body[end] > 1 {
+			return nil, fmt.Errorf("lsm: entry %d has flag %d", i, body[end])
 		}
-		val, err := readBlob(rd)
-		if err != nil {
-			return nil, err
+		vlen, vn := binary.Uvarint(body[end+1:])
+		if vn <= 0 || vlen > uint64(len(body)-end-1-vn) {
+			return nil, fmt.Errorf("lsm: entry %d value overruns the image at byte %d", i, end+1)
 		}
-		entries = append(entries, Entry{Key: key, Value: val, Antimatter: flag == 1})
+		pos = end + 1 + vn + int(vlen)
+		keys = append(keys, span{uint32(start), uint32(end)})
 	}
-	var id int
-	base := filepath.Base(path)
-	fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(base, "component-"), ".lsm"), "%d", &id)
-	return &diskComponent{id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, entries: entries}, nil
+	if pos != len(body) {
+		return nil, fmt.Errorf("lsm: %d bytes after entry %d", len(body)-pos, count)
+	}
+	return &diskComponent{id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image, keys: keys}, nil
 }
 
-func readBlob(rd *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	// io.ReadFull, not rd.Read: a bare Read on a reader with fewer than n
-	// bytes left returns short with a nil error, silently truncating the
-	// blob (and desynchronizing every entry after it).
-	if _, err := io.ReadFull(rd, out); err != nil {
-		return nil, fmt.Errorf("lsm: short read: %w", err)
-	}
-	return out, nil
+// span is one key's [start, end) offsets within its component image.
+type span struct{ start, end uint32 }
+
+// key returns entry i's key.
+func (c *diskComponent) key(i int) []byte {
+	k := c.keys[i]
+	return c.image[k.start:k.end:k.end]
 }
 
-func (c *diskComponent) get(key []byte) (Entry, bool) {
-	i := sort.Search(len(c.entries), func(i int) bool { return bytes.Compare(c.entries[i].Key, key) >= 0 })
-	if i < len(c.entries) && bytes.Equal(c.entries[i].Key, key) {
-		return c.entries[i], true
-	}
-	return Entry{}, false
+// entry decodes entry i; openImage has checked every length.
+func (c *diskComponent) entry(i int) (key, value []byte, antimatter bool) {
+	end := int(c.keys[i].end)
+	vlen, n := binary.Uvarint(c.image[end+1:])
+	start := end + 1 + n
+	return c.key(i), c.image[start : start+int(vlen) : start+int(vlen)], c.image[end] == 1
 }
 
-func (c *diskComponent) slice(lo, hi []byte) []Entry {
-	start := 0
+// search returns the first entry whose key is >= key.
+func (c *diskComponent) search(key []byte) int {
+	return sort.Search(len(c.keys), func(i int) bool { return bytes.Compare(c.key(i), key) >= 0 })
+}
+
+func (c *diskComponent) get(key []byte) (value []byte, antimatter, ok bool) {
+	i := c.search(key)
+	if i == len(c.keys) || !bytes.Equal(c.key(i), key) {
+		return nil, false, false
+	}
+	_, value, antimatter = c.entry(i)
+	return value, antimatter, true
+}
+
+// window returns a cursor over the entries with lo <= key <= hi; a nil bound
+// leaves that side open.
+func (c *diskComponent) window(lo, hi []byte) diskCursor {
+	d := diskCursor{c: c, end: len(c.keys)}
 	if lo != nil {
-		start = sort.Search(len(c.entries), func(i int) bool { return bytes.Compare(c.entries[i].Key, lo) >= 0 })
+		d.i = c.search(lo)
 	}
-	end := len(c.entries)
 	if hi != nil {
-		end = sort.Search(len(c.entries), func(i int) bool { return bytes.Compare(c.entries[i].Key, hi) > 0 })
+		if d.end = c.search(hi); d.end < len(c.keys) && bytes.Equal(c.key(d.end), hi) {
+			d.end++
+		}
 	}
-	if start > end {
-		return nil
-	}
-	return c.entries[start:end]
+	return d
 }
 
 // encodeMemValue packs the antimatter flag with the value inside the
@@ -678,64 +676,31 @@ type TieredPolicy struct {
 
 // PickMerge implements MergePolicy.
 func (p TieredPolicy) PickMerge(sizes []int) []int {
-	trigger := p.Trigger
+	trigger, ratio := p.Trigger, p.Ratio
 	if trigger <= 0 {
 		trigger = 4
 	}
-	ratio := p.Ratio
 	if ratio <= 0 {
 		ratio = 3
 	}
-	if len(sizes) < trigger {
-		return nil
-	}
 	for start := 0; start+trigger <= len(sizes); start++ {
-		minSz, maxSz := 0, 0
-		for end := start; end < len(sizes); end++ {
-			sz := sizes[end]
-			if sz <= 0 {
-				sz = 1
-			}
-			if end == start {
-				minSz, maxSz = sz, sz
-			} else {
-				if sz < minSz {
-					minSz = sz
-				}
-				if sz > maxSz {
-					maxSz = sz
-				}
-			}
-			if maxSz > minSz*ratio {
+		// Extend the run while it stays within ratio: merging the whole tier
+		// at once beats repeated pairwise merges.
+		lo, hi := max(sizes[start], 1), max(sizes[start], 1)
+		end := start + 1
+		for ; end < len(sizes); end++ {
+			sz := max(sizes[end], 1)
+			if max(hi, sz) > min(lo, sz)*ratio {
 				break
 			}
-			if end-start+1 >= trigger {
-				// Extend the run greedily: merging the whole tier at once
-				// beats repeated pairwise merges.
-				run := make([]int, 0, end-start+1)
-				for i := start; i <= end; i++ {
-					run = append(run, i)
-				}
-				for next := end + 1; next < len(sizes); next++ {
-					sz := sizes[next]
-					if sz <= 0 {
-						sz = 1
-					}
-					lo, hi := minSz, maxSz
-					if sz < lo {
-						lo = sz
-					}
-					if sz > hi {
-						hi = sz
-					}
-					if hi > lo*ratio {
-						break
-					}
-					minSz, maxSz = lo, hi
-					run = append(run, next)
-				}
-				return run
+			lo, hi = min(lo, sz), max(hi, sz)
+		}
+		if end-start >= trigger {
+			run := make([]int, 0, end-start)
+			for i := start; i < end; i++ {
+				run = append(run, i)
 			}
+			return run
 		}
 	}
 	return nil

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-func openTemp(t *testing.T, opts Options) *Tree {
+func openTemp(t testing.TB, opts Options) *Tree {
 	t.Helper()
 	tr, err := Open(t.TempDir(), opts)
 	if err != nil {
@@ -130,42 +130,53 @@ func TestRange(t *testing.T) {
 }
 
 // TestOpenRefusesUnreadableComponent: a component is only ever written by an
-// atomic rename, so one without a validity footer is damage. Open must fail
-// naming it and leave it on disk rather than silently drop its entries.
+// atomic rename, so one without this layout's footer is damage or an older
+// layout. Open must fail naming it and leave it on disk rather than silently
+// drop its entries.
 func TestOpenRefusesUnreadableComponent(t *testing.T) {
-	dir := t.TempDir()
-	tr, err := Open(dir, Options{MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		tr.Insert(k(i), v(i))
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "component-00000099.lsm")
-	if err := os.WriteFile(bad, []byte("partial garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), bad) {
-		t.Fatalf("Open over an unreadable component = %v, want an error naming %s", err, bad)
-	}
-	if _, err := os.Stat(bad); err != nil {
-		t.Fatalf("unreadable component file was removed: %v", err)
-	}
-	// Once the damaged file is dealt with, the intact components reopen.
-	if err := os.Remove(bad); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := tr2.Get(k(i)); !ok {
-			t.Fatalf("key %d lost after reopen", i)
-		}
+	for _, row := range []struct {
+		name, want string
+		image      []byte
+	}{
+		{"garbage", "footer", []byte("partial garbage")},
+		{"older layout footer", "drop and recreate", oldLayoutImage()},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr, err := Open(dir, Options{MemBudget: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				tr.Insert(k(i), v(i))
+			}
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			bad := filepath.Join(dir, "component-00000099.lsm")
+			if err := os.WriteFile(bad, row.image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("Open over an unreadable component = %v, want an error naming %s and saying %q", err, bad, row.want)
+			}
+			if _, err := os.Stat(bad); err != nil {
+				t.Fatalf("unreadable component file was removed: %v", err)
+			}
+			// Once the damaged file is dealt with, the intact components reopen.
+			if err := os.Remove(bad); err != nil {
+				t.Fatal(err)
+			}
+			tr2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				if _, ok := tr2.Get(k(i)); !ok {
+					t.Fatalf("key %d lost after reopen", i)
+				}
+			}
+		})
 	}
 }
 

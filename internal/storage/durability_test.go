@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -254,57 +255,75 @@ func TestCheckpointBoundsReplayAndPersistsMeta(t *testing.T) {
 }
 
 // TestUnreadableComponentRefusedOnReopen: every component is written through
-// an atomic rename, so one that fails to load is damage (truncation, bad
-// media, a failed read), never the residue of an unfinished flush. Deleting
-// it would silently drop rows a checkpoint has already compacted out of the
-// log; reopening must instead fail, name the file and leave it on disk.
+// an atomic rename, so one that fails to load is damage (truncation, a
+// flipped bit, bad media, a failed read), never the residue of an unfinished
+// flush. Deleting it would silently drop rows a checkpoint has already
+// compacted out of the log, and serving it would return altered rows;
+// reopening must instead fail, name the file and leave it on disk.
 func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
-	dir := t.TempDir()
-	m1, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds1 := createMessages(t, m1, adm.SchemaEncoding)
-	for i := 0; i < 60; i++ {
-		if err := ds1.Insert(message(i, i, int64(i), "checkpointed", 0, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	comps, err := filepath.Glob(filepath.Join(dir, "MugshotMessages", "partition-0", "component-*.lsm"))
-	if err != nil || len(comps) == 0 {
-		t.Fatalf("no partition-0 component after checkpoint: %v", err)
-	}
-	damaged := comps[0]
-	st, err := os.Stat(damaged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(damaged, st.Size()-1); err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		{"truncated by one byte", func(data []byte) []byte { return data[:len(data)-1] }},
+		{"bit flip in a stored message", func(data []byte) []byte {
+			i := bytes.Index(data, []byte("checkpointed"))
+			if i < 0 {
+				t.Fatal("no stored message text in the component")
+			}
+			data[i] ^= 0x20 // "checkpointed" -> "Checkpointed"
+			return data
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m1, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds1 := createMessages(t, m1, adm.SchemaEncoding)
+			for i := 0; i < 60; i++ {
+				if err := ds1.Insert(message(i, i, int64(i), "checkpointed", 0, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m1.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			comps, err := filepath.Glob(filepath.Join(dir, "MugshotMessages", "partition-0", "component-*.lsm"))
+			if err != nil || len(comps) == 0 {
+				t.Fatalf("no partition-0 component after checkpoint: %v", err)
+			}
+			damaged := comps[0]
+			data, err := os.ReadFile(damaged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(damaged, row.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	m2, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m2.Close() })
-	ds2, err := m2.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}})
-	if err == nil {
-		rerr := m2.Recover()
-		count, _ := ds2.Count()
-		t.Fatalf("reopen over a damaged component succeeded (recover: %v, Count = %d of 60)", rerr, count)
-	}
-	if !strings.Contains(err.Error(), damaged) {
-		t.Errorf("error does not name the damaged component %s: %v", damaged, err)
-	}
-	if _, serr := os.Stat(damaged); serr != nil {
-		t.Errorf("damaged component was removed: %v", serr)
+			m2, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m2.Close() })
+			ds2, err := m2.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}})
+			if err == nil {
+				rerr := m2.Recover()
+				count, _ := ds2.Count()
+				t.Fatalf("reopen over a damaged component succeeded (recover: %v, Count = %d of 60)", rerr, count)
+			}
+			if !strings.Contains(err.Error(), damaged) {
+				t.Errorf("error does not name the damaged component %s: %v", damaged, err)
+			}
+			if _, serr := os.Stat(damaged); serr != nil {
+				t.Errorf("damaged component was removed: %v", serr)
+			}
+		})
 	}
 }
 

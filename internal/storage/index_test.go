@@ -1,20 +1,17 @@
 package storage
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/invidx"
-	"asterixdb/internal/lsm"
-	"asterixdb/internal/rtree"
 	"asterixdb/internal/spatial"
 	"asterixdb/internal/txn"
 )
@@ -406,9 +403,9 @@ func TestRTreeIndexOverExtents(t *testing.T) {
 }
 
 // TestOldRTreeLayoutRefused: an index directory holding a component written
-// by the layout before the Z-ordered one (four raw float words, then the
-// primary key) makes create index fail with the typed error, not answer
-// probes from keys it cannot read.
+// before the checksummed, versioned component footer (every such file ends
+// in LSMVALID; every R-tree directory from before the Z-ordered key layout
+// has one) makes create index fail naming the file, and publishes nothing.
 func TestOldRTreeLayoutRefused(t *testing.T) {
 	dir := t.TempDir()
 	spec := IndexSpec{Name: "byLoc", Fields: []string{"sender-location"}, Kind: RTreeIndex}
@@ -416,27 +413,20 @@ func TestOldRTreeLayoutRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	ds := createMessages(t, m, adm.SchemaEncoding)
-	// Write the component the way storage opens it, with the keys the old
-	// layout derived.
-	tree, err := lsm.Open(ds.indexDir(ds.partitions[0], spec.Name), m.lsmOptions())
-	if err != nil {
+	// An empty component in the old layout: uvarint stamp, coveredLow and
+	// count, then the old footer.
+	indexDir := ds.indexDir(ds.partitions[0], spec.Name)
+	if err := os.MkdirAll(indexDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		var old []byte
-		for _, f := range [4]float64{float64(i), 47.5, float64(i), 47.5} {
-			old = binary.BigEndian.AppendUint64(old, math.Float64bits(f))
-		}
-		if err := tree.Insert(adm.EncodeKey(old, adm.Int32(int32(i))), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Flush(); err != nil {
+	old := filepath.Join(indexDir, "component-00000000.lsm")
+	if err := os.WriteFile(old, []byte("\x00\x00\x00LSMVALID"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = ds.CreateIndex(spec)
-	if !errors.Is(err, rtree.ErrKeyLayout) || !strings.Contains(err.Error(), "drop and recreate") {
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "drop and recreate") {
 		t.Fatalf("CreateIndex over an old-layout component: err = %v", err)
 	}
 	if len(ds.Indexes()) != 0 {

@@ -72,7 +72,8 @@ type Options struct {
 	Partitions int
 	// Journaled syncs the WAL on every commit (Table 4's durability setting).
 	Journaled bool
-	// MemBudget is the per-partition LSM in-memory component budget.
+	// MemBudget is the in-memory component budget of each LSM tree: the
+	// primary index and every secondary index of every partition has its own.
 	MemBudget int
 	// EagerDecode makes ScanPartition decode every record to the full Value
 	// tree up front instead of emitting lazily-decoded records backed by
@@ -411,15 +412,7 @@ func openIndex(dir string, opts lsm.Options, spec IndexSpec) (*index, error) {
 		return nil, err
 	}
 	switch spec.Kind {
-	case BTreeIndex, KeywordIndex, NGramIndex:
-	case RTreeIndex:
-		// Every key of the layout before the Z-ordered one fails to decode,
-		// so the first key tells which layout wrote the tree.
-		if it := tree.NewIterator(nil, nil); it.Next() {
-			if _, _, err := rtree.DecodeEntryKey(it.Key()); err != nil {
-				return nil, fmt.Errorf("storage: rtree index %q in %s was built by an older layout; drop and recreate: %w", spec.Name, dir, err)
-			}
-		}
+	case BTreeIndex, KeywordIndex, NGramIndex, RTreeIndex:
 	default:
 		return nil, fmt.Errorf("storage: unknown index kind %q", spec.Kind)
 	}

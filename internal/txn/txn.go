@@ -615,7 +615,7 @@ func readBytes(rd *bytes.Reader) ([]byte, error) {
 	out := make([]byte, n)
 	// io.ReadFull, not rd.Read: a bare Read on a reader with fewer than n
 	// bytes left returns short with a nil error, silently truncating the
-	// field (the same latent bug fixed in lsm.readBlob).
+	// field.
 	if _, err := io.ReadFull(rd, out); err != nil {
 		return nil, fmt.Errorf("txn: short read: %w", err)
 	}
