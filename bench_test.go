@@ -222,6 +222,16 @@ func BenchmarkTable3RecordLookup(b *testing.B) {
 			ds.LookupPK(key)
 		}
 	})
+	// The same lookup as the statement a client sends: parse, compile, job,
+	// primary search.
+	b.Run("AsterixQuery", func(b *testing.B) {
+		query := fmt.Sprintf(`for $m in dataset MugshotMessages where $m.message-id = %d return $m;`, key)
+		for i := 0; i < b.N; i++ {
+			if res, err := env.asterixSchema.Query(query); err != nil || len(res) != 1 {
+				b.Fatalf("lookup returned %d rows (%v)", len(res), err)
+			}
+		}
+	})
 	b.Run("SystemX", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			env.rowstore.RecordLookup(adm.Int32(1))

@@ -156,8 +156,13 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 	case algebra.OpIndexSearch:
 		return in.execIndexSearch(n)
 	case algebra.OpSortPK, algebra.OpPrimarySearch:
-		if n.LoExpr != nil {
+		if n.LoExpr != nil && len(n.Inputs) > 0 {
 			return nil, fmt.Errorf("asterixdb: the oracle runs no index-probed join (interpret drops the hint)")
+		}
+		if n.LoExpr != nil {
+			// A key-equality source: the oracle scans, so the select above
+			// alone decides which stored key widths `=` matches.
+			return in.execScan(n)
 		}
 		// The storage layer's materializing Search* calls already perform the
 		// PK sort, primary lookup and fetch; these operators are structural.

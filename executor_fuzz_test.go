@@ -15,13 +15,14 @@ import (
 
 // This file is the randomized differential-testing harness: it generates
 // random datasets (ints, strings, points, nested lists), draws queries from
-// templates covering every compiled access path — scan/filter, B+-tree range,
-// R-tree spatial, inverted-index text search, correlated unnest, hash and
-// index-probed (indexnl) joins, group-by, aggregation, order/limit — and asserts
-// that the pipelined Hyracks executor and the materializing interpreter
-// oracle agree on every query under every optimizer-option set. It runs both
-// as a seeded deterministic test (TestDifferentialFuzzSeeded) and as a native
-// fuzz target (go test -fuzz=FuzzDifferential).
+// templates covering every compiled access path — scan/filter, primary-key
+// equality, B+-tree range, R-tree spatial, inverted-index text search,
+// correlated unnest, hash and index-probed (indexnl) joins, group-by,
+// aggregation, order/limit — and asserts that the pipelined Hyracks executor
+// and the materializing interpreter oracle agree on every query under every
+// optimizer-option set. It runs both as a seeded deterministic test
+// (TestDifferentialFuzzSeeded) and as a native fuzz target (go test
+// -fuzz=FuzzDifferential).
 
 // fuzzVocab is the text vocabulary; small enough that keyword, ngram and
 // equality probes regularly hit.
@@ -188,6 +189,10 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true},
 		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true},
 		{"order-limit", fmt.Sprintf(`for $r in dataset FuzzA order by $r.id desc limit %d return $r.id;`, 1+rng.Intn(20)), true},
+		// The int32 key probed at any width: the primary index must fetch the
+		// stored width.
+		{"pk-equality", fmt.Sprintf(`for $r in dataset FuzzA where $r.id = %s("%d") return $r;`,
+			keyWidths[rng.Intn(len(keyWidths))], 1+rng.Intn(100)), false},
 	}
 }
 

@@ -427,6 +427,66 @@ func TestEncodeKeyOrderProperty(t *testing.T) {
 	}
 }
 
+// TestEqualKeys: a stored number is among a probe's EqualKeys exactly when
+// Compare finds it equal to the probe — across integer widths, the two zeros,
+// and the values just below 2^53 — and a probe of magnitude 2^53 or more (where
+// several int64 values round to one float64) or an infinity has no key list.
+func TestEqualKeys(t *testing.T) {
+	var stored []Value
+	add := func(x int64) {
+		for _, v := range []Value{Int8(x), Int16(x), Int32(x), Int64(x)} {
+			if n, _ := NumericAsInt64(v); n == x {
+				stored = append(stored, v)
+			}
+		}
+		stored = append(stored, Float(float32(x)), Double(float64(x)))
+	}
+	for _, base := range []int64{0, 5, 127, 128, 32767, 32768, 1 << 31, 1 << 53, 1<<62 + 512, 1<<62 + 1536, math.MaxInt64 - 512, math.MaxInt64} {
+		for off := int64(-2); off <= 2; off++ {
+			if x := base + off; x >= base-2 { // MaxInt64+1 wraps
+				add(x)
+				add(-x)
+			}
+		}
+	}
+	add(math.MinInt64)
+	stored = append(stored, Double(math.Copysign(0, -1)), Double(6.5), Float(0.1), Double(math.Inf(1)), Double(math.Inf(-1)))
+	for _, probe := range stored {
+		keys, ok := EqualKeys(probe)
+		if d, _ := NumericAsDouble(probe); math.Abs(d) >= 1<<53 {
+			if ok {
+				t.Errorf("probe %s %v: keys %v, want no key list", probe.Tag(), probe, keys)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("%v: no key list", probe)
+		}
+		for _, s := range stored {
+			key := EncodeKey(nil, s)
+			in := false
+			for _, k := range keys {
+				if string(k) == string(key) {
+					in = true
+				}
+			}
+			if equal := MustCompare(s, probe) == 0; equal != in {
+				t.Errorf("probe %s %v, stored %s %v: equal %v, among the keys %v", probe.Tag(), probe, s.Tag(), s, equal, in)
+			}
+		}
+	}
+	for _, v := range []Value{Null{}, Missing{}} {
+		if keys, ok := EqualKeys(v); !ok || len(keys) != 0 {
+			t.Errorf("%v: keys %v, %v; want none", v, keys, ok)
+		}
+	}
+	for _, v := range []Value{Double(math.NaN()), &OrderedList{Items: []Value{Int32(1)}}} {
+		if _, ok := EqualKeys(v); ok {
+			t.Errorf("%v: a key list, want none", v)
+		}
+	}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(id int32, name string, score float64, ok bool) bool {
 		rec := NewRecord(

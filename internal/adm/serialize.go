@@ -786,3 +786,45 @@ func appendOrderedFloat(dst []byte, f float64) []byte {
 	}
 	return binary.BigEndian.AppendUint64(dst, bits)
 }
+
+// EqualKeys lists the keys (EncodeKey of one value) under which a value that
+// Compare finds equal to v can be stored. For numbers that is not one key:
+// Compare matches them by value through float64, while EncodeKey writes each
+// integer width as its own byte string and every float under another tag. A
+// number has one key per integer width that holds it exactly, one for its
+// float64 value and, for a zero, one for the other zero. An unknown v equals
+// nothing and has no keys. It reports false when the values equal to v have
+// no such short list — a number of magnitude 2^53 or more (several int64
+// values round to one float64 there), a NaN (every NaN is equal to every
+// other, whatever its bits), a duration, interval, spatial value, record or
+// list — and the caller must look at every key.
+func EqualKeys(v Value) ([][]byte, bool) {
+	switch v.Tag() {
+	case TagMissing, TagNull:
+		return nil, true
+	case TagBoolean, TagString, TagBinary, TagUUID, TagDate, TagTime, TagDatetime, TagYearMonthDuration, TagDayTimeDuration:
+		return [][]byte{EncodeKey(nil, v)}, true
+	}
+	d, ok := NumericAsDouble(v)
+	if !ok || !(math.Abs(d) < 1<<53) { // NaN fails the second test
+		return nil, false
+	}
+	var keys [][]byte
+	if c := int64(d); float64(c) == d {
+		if c == int64(int8(c)) {
+			keys = append(keys, EncodeKey(nil, Int8(c)))
+		}
+		if c == int64(int16(c)) {
+			keys = append(keys, EncodeKey(nil, Int16(c)))
+		}
+		if c == int64(int32(c)) {
+			keys = append(keys, EncodeKey(nil, Int32(c)))
+		}
+		keys = append(keys, EncodeKey(nil, Int64(c)))
+	}
+	keys = append(keys, EncodeKey(nil, Double(d)))
+	if d == 0 {
+		keys = append(keys, EncodeKey(nil, Double(-d)))
+	}
+	return keys, true
+}

@@ -382,7 +382,8 @@ func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 }
 
 // rewriteIndexAccess replaces select-over-scan with the Figure 6 access path
-// when the access-path rule finds an index answering the selection.
+// when the access-path rule finds an index answering the selection; for an
+// equality on the primary key that is the primary search alone.
 func rewriteIndexAccess(n *Node, cat Catalog, opts Options) *Node {
 	if n == nil {
 		return nil
@@ -398,7 +399,7 @@ func rewriteIndexAccess(n *Node, cat Catalog, opts Options) *Node {
 	}
 	scan := n.Inputs[0]
 	info := cat.DatasetInfo(scan.Dataverse, scan.Dataset)
-	if path := accessPath(scan, n.Condition, info.Indexes, nil, opts); path != nil {
+	if path := accessPath(scan, n.Condition, info.probeIndexes(), nil, opts); path != nil {
 		// The select stays as the post-validation re-applying the whole
 		// original predicate.
 		n.Inputs[0] = path
@@ -406,8 +407,9 @@ func rewriteIndexAccess(n *Node, cat Catalog, opts Options) *Node {
 	return n
 }
 
-// probeIndexes lists the indexes a per-tuple probe may search: the primary
-// index (when the key is a single field) ahead of the secondary ones.
+// probeIndexes lists the indexes an access path may search: the primary index
+// (when the key is a single field) ahead of the secondary ones, so an equality
+// on the key wins over any secondary index.
 func (info DatasetInfo) probeIndexes() []IndexInfo {
 	if len(info.PrimaryKey) != 1 {
 		return info.Indexes

@@ -270,6 +270,7 @@ func TestAccessPathRule(t *testing.T) {
 	}
 	all := []IndexInfo{ix("bt", BTreeIndex, "ts"), ix("rt", RTreeIndex, "loc"), ix("kw", KeywordIndex, "msg"), ix("ng", NGramIndex, "msg")}
 	const scan = "datasource-scan D -> $d"
+	const primary = "btree-search (primary D)"
 	for _, tc := range []struct {
 		name    string
 		indexes []IndexInfo
@@ -295,15 +296,25 @@ func TestAccessPathRule(t *testing.T) {
 			`$d.ts = 1 and contains($d.msg, "data")`, Options{}, "inverted-search (secondary ng on D)"},
 		{"unknown kind is skipped", []IndexInfo{ix("odd", "bitmap", "ts"), ix("bt", BTreeIndex, "ts")}, "",
 			`$d.ts = 1`, Options{}, "btree-search (secondary bt on D)"},
-		{"the primary index does not answer a select", all, "", `$d.id = 1`, Options{}, scan},
 		{"positional scan", all, "$d at $i in dataset D", `$d.ts >= 1`, Options{}, "datasource-scan D -> $d at $i"},
 		{"DisableIndexAccess", all, "", `$d.ts >= 1`, Options{DisableIndexAccess: true}, scan},
+		{"the primary index answers a key equality", all, "", `$d.id = 1`, Options{}, primary},
+		{"key equality reversed", nil, "", `1 + 1 = $d.id`, Options{}, primary},
+		{"key probe references the scan variable", all, "", `$d.id = $d.other`, Options{}, scan},
+		{"composite primary key", all, "$d in dataset C", `$d.id = 1 and $d.sub = 2`, Options{}, "datasource-scan C -> $d"},
+		{"key range", all, "", `$d.id >= 1`, Options{}, scan},
+		{"key equality with DisableIndexAccess", all, "", `$d.id = 1`, Options{DisableIndexAccess: true}, scan},
+		{"key equality beside an indexed conjunct", all, "", `$d.ts = 1 and $d.id = 2`, Options{}, primary},
+		{"key equality on a positional scan", all, "$d at $i in dataset D", `$d.id = 1`, Options{}, "datasource-scan D -> $d at $i"},
 	} {
 		source := tc.source
 		if source == "" {
 			source = "$d in dataset D"
 		}
-		cat := fakeCatalog{"D": {PrimaryKey: []string{"id"}, Indexes: tc.indexes}}
+		cat := fakeCatalog{
+			"D": {PrimaryKey: []string{"id"}, Indexes: tc.indexes},
+			"C": {PrimaryKey: []string{"id", "sub"}, Indexes: tc.indexes},
+		}
 		plan := compileWith(t, cat, "for "+source+" where "+tc.where+" return $d;", tc.opts)
 		explain := Explain(plan)
 		if first, _, _ := strings.Cut(explain, "\n"); first != tc.want {

@@ -142,6 +142,10 @@ var differentialQueries = []struct {
 	ordered bool
 }{
 	{"full-scan", `for $u in dataset MugshotUsers return $u;`, false},
+	// The primary search is a source whose instances each fetch only the
+	// candidate keys their partition owns: the one holding the stored int32
+	// key runs on the node that owns it.
+	{"primary-key-equality", `for $m in dataset MugshotMessages where $m.message-id = int64("3") return $m;`, false},
 	{"range-index-scan", `
 for $user in dataset MugshotUsers
 where $user.user-since >= datetime('2010-07-22T00:00:00')

@@ -567,11 +567,19 @@ func (b *jobBuilder) buildSortPK(n *algebra.Node) (stream, error) {
 // from its partition's secondary index against the same partition's primary
 // B+-tree (secondary indexes are co-located with their records, so instance p
 // only ever touches partition p) and replaces the key column by the fetched
-// record. A primary search that carries its own probe (the join on the inner
-// primary key) is a keyed probing stage itself: each outer tuple reaches the
-// partition that owns its key value and costs one fetch there.
+// record. A primary search that carries its own probe is a probing stage
+// itself. With no input it is a select's key-equality source: each instance
+// fetches the keys `=` can match that its partition owns. Below a join on the
+// inner primary key it is keyed: each outer tuple reaches the partition that
+// owns its key value and costs one fetch there.
 func (b *jobBuilder) buildPrimarySearch(n *algebra.Node) (stream, error) {
 	label := fmt.Sprintf("btree-search(%s)", n.Dataset)
+	if n.LoExpr != nil && len(n.Inputs) == 0 {
+		return b.buildProbe(n, label, n.Variable, []aql.Expr{n.LoExpr}, false,
+			func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {
+				return ds.FetchEqualPartition(p, vals[0], emit)
+			})
+	}
 	if n.LoExpr != nil {
 		return b.buildProbe(n, label, n.Variable, []aql.Expr{n.LoExpr}, true,
 			func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {

@@ -1,0 +1,201 @@
+package asterixdb
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
+)
+
+// keyDatasets are the datasets of TestPrimaryKeyEqualsScan: one per declared
+// key type, plus an open type whose key field is undeclared. Each stores keys
+// written as literals narrower than declared where the type allows (Validate
+// accepts them and storage keeps the width they were written at), so one
+// number is stored under several key byte strings.
+var keyDatasets = []struct {
+	name, typ string // typ "" is the open type
+	keys      []string
+}{
+	{"int8", "int8", []string{`int8("5")`, `int8("6")`, `int8("0")`}},
+	{"int16", "int16", []string{`int8("5")`, `int16("5")`, `int16("300")`}},
+	{"int32", "int32", []string{`int8("5")`, `int16("5")`, `5`, `0`}},
+	{"int64", "int64", []string{`int8("5")`, `5`, `int64("5")`, `0`, `9007199254740993`}},
+	{"float", "float", []string{`int8("5")`, `5`, `float("5")`, `float("6.5")`, `float("0")`, `9007199254740993`}},
+	{"double", "double", []string{`5`, `int64("5")`, `6.5`, `0.0`, `9007199254740993`}},
+	{"string", "string", []string{`"5"`, `"6"`}},
+	{"open", "", []string{`int8("5")`, `5`, `int64("5")`, `5.0`, `"5"`, `0.0`, `6.5`, `9007199254740993`}},
+}
+
+// keyProbes are the right-hand sides of the key equalities: every numeric
+// width, an int64 sum, a string, both unknowns, a fraction, 2^53 (which
+// equals the stored 2^53+1 through float64) and a negative zero (which equals
+// the stored 0.0).
+var keyProbes = []string{`5`, `5.0`, `int64("5")`, `int8("5")`, `float("5")`, `"5"`, `null`, `missing`,
+	`6.5`, `5 + 0`, `9007199254740992`, `-0.0`}
+
+// createKeyDataset creates dataset name keyed on id of the given declared
+// type ("" for an open type without the field) and inserts one record per key
+// literal.
+func createKeyDataset(t testing.TB, inst *Instance, name, typ string, keys []string) {
+	t.Helper()
+	ddl := fmt.Sprintf(`create type %sType as open { n: int32 }`, name)
+	if typ != "" {
+		ddl = fmt.Sprintf(`create type %sType as closed { id: %s, n: int32 }`, name, typ)
+	}
+	recs := make([]string, len(keys))
+	for i, k := range keys {
+		recs[i] = fmt.Sprintf(`{"id": %s, "n": %d}`, k, i)
+	}
+	stmt := fmt.Sprintf("%s\ncreate dataset %s(%sType) primary key id;\ninsert into dataset %s ([%s]);",
+		ddl, name, name, name, strings.Join(recs, ", "))
+	if _, err := inst.Execute(stmt); err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+}
+
+// checkKeyProbe asserts that the key equality query runs as the primary
+// search with the select directly above it and returns what the scan returns,
+// and returns the scan's rows.
+func checkKeyProbe(t *testing.T, inst *Instance, dataset, query string) []adm.Value {
+	t.Helper()
+	plan, err := inst.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.SplitN(plan, "\n", 3); len(lines) < 2 || lines[0] != "btree-search (primary "+dataset+")" ||
+		!strings.HasPrefix(lines[1], "select ") {
+		t.Fatalf("the plan does not start with the primary search:\n%s", plan)
+	}
+	indexed, err := inst.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := inst.QueryWithOptions(query, algebra.Options{DisableIndexAccess: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "indexed vs scanned", indexed, scanned, false)
+	return scanned
+}
+
+// TestPrimaryKeyEqualsScan: a key equality answered by the primary index
+// returns the rows a scan returns, and the rows the interpreter oracle
+// returns, for every declared key type against every probe width. `=` matches
+// numbers by value while each width is its own key, so the probe must fetch
+// every key the value can be stored under.
+func TestPrimaryKeyEqualsScan(t *testing.T) {
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	for _, kd := range keyDatasets {
+		createKeyDataset(t, inst, "K"+kd.name, kd.typ, kd.keys)
+	}
+	// The scan's row counts for the rows the issue-era reproduction names, so
+	// the table cannot pass by returning nothing on both sides.
+	wantRows := map[string]int{
+		"int32/5 + 0": 3, "int64/5": 3, "int64/9007199254740992": 1, "double/-0.0": 1,
+		"float/int64(\"5\")": 3, "open/5": 4, "open/\"5\"": 1, "int16/5.0": 2,
+	}
+	for _, kd := range keyDatasets {
+		for _, probe := range keyProbes {
+			name := kd.name + "/" + probe
+			t.Run(name, func(t *testing.T) {
+				query := fmt.Sprintf(`for $d in dataset K%s where $d.id = %s return $d;`, kd.name, probe)
+				scanned := checkKeyProbe(t, inst, "K"+kd.name, query)
+				oracle, err := inst.interpret(query, algebra.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, "scanned vs oracle", scanned, oracle, false)
+				if want, ok := wantRows[name]; ok && len(scanned) != want {
+					t.Errorf("the scan returns %d rows, want %d", len(scanned), want)
+				}
+			})
+		}
+	}
+	// A delete by key runs the same access path and removes every stored width.
+	res, err := inst.Execute(`delete $d from dataset Kopen where $d.id = int64("5");`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 4 {
+		t.Errorf("delete by key removed %d records, want 4", res.Count)
+	}
+	if left, err := inst.QueryWithOptions(`for $d in dataset Kopen where $d.id = 5 return $d;`,
+		algebra.Options{DisableIndexAccess: true}); err != nil || len(left) != 0 {
+		t.Errorf("after the delete the scan finds %d records (%v)", len(left), err)
+	}
+}
+
+// keyWidths are the constructors a key or probe literal is written with, from
+// narrowest to widest; a declared type accepts its own width and the ones
+// before it.
+var keyWidths = []string{"int8", "int16", "int32", "int64", "float", "double"}
+
+// keyNumbers are the numbers keys and probes are drawn from: both zeros,
+// integer width edges, 2^31, the neighbours of 2^53 (where int64 values start
+// sharing a float64) and fractions.
+var keyNumbers = []string{"0", "-0", "1", "5", "-5", "127", "128", "-129", "40000", "2147483648",
+	"9007199254740991", "9007199254740992", "9007199254740993", "9007199254740994", "6.5", "0.1"}
+
+// randomKeyLiteral writes a random number from keyNumbers at a random width
+// among the first `widths` of keyWidths that can hold it.
+func randomKeyLiteral(rng *rand.Rand, widths int) string {
+	for {
+		w, n := keyWidths[rng.Intn(widths)], keyNumbers[rng.Intn(len(keyNumbers))]
+		if _, err := adm.Construct(w, n); err == nil {
+			return fmt.Sprintf(`%s("%s")`, w, n)
+		}
+	}
+}
+
+// FuzzPrimaryKeyProbe: whatever the declared key type, the widths the keys
+// were written at and the width of the probe, a key equality answered by the
+// primary index returns what the scan returns. Run with
+//
+//	go test -run='^$' -fuzz=FuzzPrimaryKeyProbe -fuzztime=15s -fuzzminimizetime=1s .
+func FuzzPrimaryKeyProbe(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		declared := 1 + rng.Intn(len(keyWidths)+1) // one past the widths: an open type
+		typ := ""
+		if declared <= len(keyWidths) {
+			typ = keyWidths[declared-1]
+		}
+		keys := make([]string, 12)
+		for i := range keys {
+			keys[i] = randomKeyLiteral(rng, min(declared, len(keyWidths)))
+		}
+		createKeyDataset(t, inst, "P", typ, keys[:6])
+		ds, _ := inst.Dataset("P")
+		if err := ds.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys[6:] {
+			if _, err := inst.Execute(fmt.Sprintf(`insert into dataset P ({"id": %s, "n": %d});`, k, 6+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			probe := randomKeyLiteral(rng, len(keyWidths))
+			if rng.Intn(3) == 0 {
+				probe += " + 0"
+			}
+			t.Logf("type %q, keys %v, probe %s", typ, keys, probe)
+			checkKeyProbe(t, inst, "P", fmt.Sprintf(`for $d in dataset P where $d.id = %s return $d;`, probe))
+		}
+	})
+}
