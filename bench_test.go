@@ -609,7 +609,8 @@ create type SpillBenchMsgType as closed { message-id: int32, author-id: int32, t
 create dataset MugshotUsers(SpillBenchUserType) primary key id;
 create dataset MugshotMessages(SpillBenchMsgType) primary key message-id;`
 
-// spillBenchQueries are one workload per spillable blocking operator.
+// spillBenchQueries are one workload per spillable blocking operator, plus
+// the sort with a limit directly above it, which keeps only k rows.
 var spillBenchQueries = []struct {
 	name  string
 	query string
@@ -622,6 +623,11 @@ return { "u": $u.id, "m": $m.message-id };`},
 	{"sort", `
 for $m in dataset MugshotMessages
 order by $m.message, $m.message-id
+return $m.message-id;`},
+	{"topk", `
+for $m in dataset MugshotMessages
+order by $m.message desc, $m.message-id
+limit 10
 return $m.message-id;`},
 	{"group-by", `
 for $m in dataset MugshotMessages

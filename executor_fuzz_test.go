@@ -153,8 +153,8 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 }
 
 // fuzzQueries draws one query per template, parameterized by the rng. Ordered
-// queries sort on a unique key so both executors must produce the exact
-// sequence; the rest are compared as multisets.
+// queries sort on keys that end in a unique one so both executors must
+// produce the exact sequence; the rest are compared as multisets.
 func fuzzQueries(rng *rand.Rand) []struct {
 	name    string
 	query   string
@@ -193,6 +193,15 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		// stored width.
 		{"pk-equality", fmt.Sprintf(`for $r in dataset FuzzA where $r.id = %s("%d") return $r;`,
 			keyWidths[rng.Intn(len(keyWidths))], 1+rng.Intn(100)), false},
+		// A computed key with many ties (cat % 3) broken by the unique id,
+		// above a select, with an offset: the sort keeps offset+limit rows
+		// behind a cut.
+		{"topk-computed-offset", fmt.Sprintf(
+			`for $r in dataset FuzzA where $r.score >= %d order by $r.cat %% 3 desc, $r.id limit %d offset %d return { "id": $r.id, "k": $r.cat %% 3 };`,
+			rng.Intn(500), 1+rng.Intn(20), rng.Intn(10)), true},
+		{"group-topk", fmt.Sprintf(
+			`for $r in dataset FuzzB group by $c := $r.cat with $r order by count($r) desc, $c limit %d return { "c": $c, "n": count($r) };`,
+			1+rng.Intn(5)), true},
 	}
 }
 

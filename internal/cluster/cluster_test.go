@@ -190,6 +190,13 @@ for $m in dataset MugshotMessages
 order by $m.message-id
 limit 2 offset 2
 return $m.message-id;`, true},
+	// A computed key with ties, broken by the key: the one sort behind the
+	// gather keeps offset+limit rows.
+	{"topk-computed-offset", `
+for $m in dataset MugshotMessages
+order by string-length($m.message) desc, $m.message-id
+limit 3 offset 2
+return { "id": $m.message-id, "len": string-length($m.message) };`, true},
 	{"let-first", `
 let $cutoff := datetime("2014-01-01T00:00:00")
 for $m in dataset MugshotMessages

@@ -609,6 +609,9 @@ type SortOp struct {
 	Partitions int
 	Columns    []int
 	Desc       []bool
+	// Limit, when positive, emits only the first Limit rows of the sorted
+	// order, and the sort keeps only the rows that can still be among them.
+	Limit int
 	// Spill is the operator's share of the job memory budget; it decides
 	// only when the sort spills. Nil (a hand-built operator) never does.
 	Spill *runfile.Budget

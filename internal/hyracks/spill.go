@@ -121,6 +121,13 @@ func writeRun(mem *runfile.Instance, rows []Tuple) (*runfile.Run, error) {
 // budget share fills, and emission k-way-merges the spilled runs with the
 // final in-memory run, stably (ties resolve to the earlier run, so the whole
 // sort is stable however many runs it took).
+//
+// With a Limit the sort keeps a cut: the Limit-th row of the rows kept so
+// far. A tuple that does not sort strictly before it cannot be among the
+// first Limit rows (a tie arrived later, so the stable order ranks it after
+// the cut) and is dropped; when the buffer reaches twice Limit it is sorted
+// and truncated to Limit, and its last row is the new cut. Spilled rows are
+// kept rows too, so a cut taken before a spill stays a valid bound after it.
 func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 	mem := o.Spill.NewInstance()
 	defer mem.Close()
@@ -134,10 +141,20 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 
 	// During accumulation the instance holds exactly the buffered rows.
 	var rows []Tuple
+	var cut Tuple
 	for {
 		t, more := ins[0].Next()
 		if !more {
 			break
+		}
+		if cut != nil {
+			c, err := o.compareTuples(t, cut)
+			if err != nil {
+				return err
+			}
+			if c >= 0 {
+				continue
+			}
 		}
 		sz := runfile.TupleMemSize(t)
 		if !mem.Fits(sz + readerReserve) {
@@ -154,9 +171,25 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 		}
 		mem.Add(sz)
 		rows = append(rows, t)
+		if o.Limit > 0 && len(rows)/2 >= o.Limit { // len(rows) >= 2*Limit without overflow
+			if err := o.sortRows(rows); err != nil {
+				return err
+			}
+			var dropped int64
+			for _, r := range rows[o.Limit:] {
+				dropped += runfile.TupleMemSize(r)
+			}
+			mem.Release(dropped)
+			clear(rows[o.Limit:])
+			rows = rows[:o.Limit]
+			cut = rows[o.Limit-1]
+		}
 	}
 	if err := o.sortRows(rows); err != nil {
 		return err
+	}
+	if o.Limit > 0 && len(rows) > o.Limit {
+		rows = rows[:o.Limit]
 	}
 	if len(runs) == 0 {
 		for _, t := range rows {
@@ -189,8 +222,9 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 		runs = append([]*runfile.Run{merged}, runs[mergeFanIn:]...)
 	}
 
+	emitted := 0
 	err := o.mergeRuns(mem, readerBuf, runs, rows, func(t Tuple) error {
-		if !emit(t) {
+		if emitted++; !emit(t) || emitted == o.Limit {
 			return errStopDemand
 		}
 		return nil

@@ -2,10 +2,12 @@ package hyracks
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
@@ -244,6 +246,187 @@ func TestMergeReadersChargedAgainstBudget(t *testing.T) {
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ----------------------------------------------------------------------------
+// The sort with a Limit: a cut row inside the one body
+// ----------------------------------------------------------------------------
+
+// runSortLimit sorts input by column 0 ascending with the given Limit and
+// returns the output and the job's error.
+func runSortLimit(input []Tuple, limit int, spill *runfile.Budget) ([]Tuple, error) {
+	job, ids := sinkJob(sourceOf(input), &SortOp{Label: "sort", Partitions: 1, Columns: []int{0}, Limit: limit, Spill: spill})
+	job.Connect(ids[0], ids[1], Connector{Kind: OneToOne})
+	return Execute(job)
+}
+
+// stableTopK is the oracle: stable-sort everything by column 0, take k.
+func stableTopK(input []Tuple, k int) []Tuple {
+	out := append([]Tuple(nil), input...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, _ := adm.NumericAsInt64(out[i][0])
+		b, _ := adm.NumericAsInt64(out[j][0])
+		return a < b
+	})
+	return out[:min(k, len(out))]
+}
+
+// TestSortLimitIsStableTopK: over keys with many ties, in memory and under a
+// budget that spills, a sort with a Limit returns exactly the first Limit
+// rows of the stable order: equal keys in arrival order, so a later tie with
+// the cut is never kept in place of the cut. Limit 1, Limits at and past
+// the input size, and 2^31-1 — the largest bound the translator builds, an
+// ordinary Limit on 32-bit platforms too: no 2*Limit overflow, nothing
+// preallocated from it — are among the rows.
+func TestSortLimitIsStableTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var input []Tuple
+	for i := 0; i < 2000; i++ {
+		input = append(input, intTuple(rng.Intn(25), i))
+	}
+	for _, budget := range []int64{0, 4 << 10} {
+		for _, limit := range []int{1, 2, 7, 80, 1999, 2000, 5000, math.MaxInt32} {
+			t.Run(fmt.Sprintf("budget-%d/limit-%d", budget, limit), func(t *testing.T) {
+				dir := t.TempDir()
+				mgr := runfile.NewManager(dir, budget)
+				got, err := runSortLimit(input, limit, &runfile.Budget{M: mgr, PerInstance: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameTuples(t, "top-k", got, stableTopK(input, limit), true)
+				if st := mgr.Stats(); st.LiveRuns != 0 || (budget == 0 && st.RunsCreated != 0) {
+					t.Fatalf("budget %d: stats %+v", budget, st)
+				}
+				if err := mgr.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestSortLimitCutAcrossSpills: row sizes vary so the share spills before the
+// first cut (big rows), a cut is taken (small rows), and the share spills
+// again after it (big rows). Keys fall throughout, so every row sorts before
+// the cut and only the budget decides. The result is the stable top-k and
+// the resident peak stays within the share.
+func TestSortLimitCutAcrossSpills(t *testing.T) {
+	const limit, budget = 10, 8 << 10 // ~34 small or 3 big rows fit beside the merge reserve
+	big := adm.String(strings.Repeat("b", 1000))
+	var input []Tuple
+	add := func(n int, pad adm.Value) {
+		for i := 0; i < n; i++ {
+			ord := len(input)
+			input = append(input, Tuple{adm.Int64(int64(1000 - ord/2)), adm.Int64(int64(ord)), pad})
+		}
+	}
+	add(18, big)
+	add(40, adm.String(""))
+	add(18, big)
+
+	run := func(rows []Tuple) runfile.Stats {
+		dir := t.TempDir()
+		mgr := runfile.NewManager(dir, budget)
+		got, err := runSortLimit(rows, limit, &runfile.Budget{M: mgr, PerInstance: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTuples(t, "top-k across spills", got, stableTopK(rows, limit), true)
+		st := mgr.Stats()
+		assertSpilledAndClean(t, mgr, budget, dir)
+		return st
+	}
+	before := run(input[:58]) // the big rows, then the small ones
+	all := run(input)
+	if all.RunsCreated > mergeFanIn {
+		t.Fatalf("%d runs: a multi-pass merge would count rows twice below", all.RunsCreated)
+	}
+	// Without a cut every row is spilled but the final in-memory run, which
+	// holds at most three big rows; a cut drops at least Limit rows unspilled.
+	if all.TuplesSpilled > int64(len(input)-limit) {
+		t.Fatalf("spilled %d of %d rows: no cut dropped rows in memory", all.TuplesSpilled, len(input))
+	}
+	// The last big rows arrive after that cut and spill again.
+	if all.RunsCreated <= before.RunsCreated {
+		t.Fatalf("%d runs with the last big rows, %d without: nothing spilled after the cut", all.RunsCreated, before.RunsCreated)
+	}
+}
+
+// TestSortLimitDropsRowsAtTheCut: once the first Limit rows are cut, big rows
+// that tie with the cut or sort after it are dropped on arrival, never
+// buffered, so however many arrive they cannot fill the share and spill.
+func TestSortLimitDropsRowsAtTheCut(t *testing.T) {
+	const limit, budget = 5, 8 << 10 // three big rows beside the cut fill the share
+	big := adm.String(strings.Repeat("b", 1000))
+	for _, late := range []struct {
+		name string
+		key  int64
+	}{{"ties", limit - 1}, {"after", 2 * limit}} {
+		t.Run(late.name, func(t *testing.T) {
+			var input []Tuple
+			for i := 0; i < 2*limit; i++ { // the cut is taken at the last of these
+				input = append(input, Tuple{adm.Int64(int64(i)), adm.Int64(int64(i)), adm.String("")})
+			}
+			for i := 0; i < 30; i++ {
+				input = append(input, Tuple{adm.Int64(late.key), adm.Int64(int64(len(input))), big})
+			}
+			mgr := runfile.NewManager(t.TempDir(), budget)
+			defer mgr.Close()
+			got, err := runSortLimit(input, limit, &runfile.Budget{M: mgr, PerInstance: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameTuples(t, "top-k", got, input[:limit], true)
+			if st := mgr.Stats(); st.RunsCreated != 0 {
+				t.Fatalf("rows behind the cut were buffered and spilled: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSortLimitCompareErrorReturned: an incomparable key fails the job, both
+// when it meets the cut and when it is sorted with the buffer.
+func TestSortLimitCompareErrorReturned(t *testing.T) {
+	bad := Tuple{adm.String("not a number"), adm.Int64(0), padding}
+	for _, at := range []int{1, 10} { // before and after the first cut (Limit 2 cuts at 4 rows)
+		var input []Tuple
+		for i := 0; i < 20; i++ {
+			if i == at {
+				input = append(input, bad)
+			}
+			input = append(input, intTuple(20-i, i))
+		}
+		if _, err := runSortLimit(input, 2, nil); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+			t.Errorf("incomparable key at row %d: err = %v", at, err)
+		}
+	}
+}
+
+// TestSortLimitHoldsKRows: profiled with no budget, a top-10 over 10 000 rows
+// reports a resident peak of about twice ten rows, not of the input.
+func TestSortLimitHoldsKRows(t *testing.T) {
+	const n, limit = 10000, 10
+	var input []Tuple
+	for i := 0; i < n; i++ {
+		input = append(input, intTuple((i*7919)%n, i))
+	}
+	mgr := runfile.NewManager(t.TempDir(), 0)
+	job := &Job{Profile: true, Spill: mgr}
+	src := job.Add(sourceOf(input))
+	srt := job.Add(&SortOp{Label: "sort (limit 10)", Partitions: 1, Columns: []int{0}, Limit: limit,
+		Spill: &runfile.Budget{M: mgr, Obs: &runfile.SpillObserver{}}})
+	job.Connect(src, srt, Connector{Kind: OneToOne})
+	p, rows := runProfile(t, job)
+	if rows != limit {
+		t.Fatalf("rows = %d, want %d", rows, limit)
+	}
+	if len(p.Spill) != 1 {
+		t.Fatalf("spill rows %+v", p.Spill)
+	}
+	row := runfile.TupleMemSize(input[0])
+	if s := p.Spill[0]; s.Runs != 0 || s.PeakBytes <= 0 || s.PeakBytes > 2*limit*row {
+		t.Fatalf("%s: %+v, want no runs and a peak of at most %d bytes (2×%d rows of %d)", s.Name, s.SpillStats, 2*limit*row, limit, row)
 	}
 }
 

@@ -207,7 +207,7 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 	case algebra.OpGroupBy:
 		return b.buildGroupBy(n)
 	case algebra.OpOrder:
-		return b.buildOrder(n)
+		return b.buildOrder(n, 0)
 	case algebra.OpLimit:
 		return b.buildLimit(n)
 	case algebra.OpLocalAgg:
@@ -813,8 +813,10 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 // under a memory budget. Bare-variable terms sort existing tuple columns
 // directly; other terms are evaluated once per tuple into synthetic trailing
 // columns by an assign below the sort, mirroring the interpreter's
-// applyOrderBy (keys evaluated once, then a stable adm.Compare sort).
-func (b *jobBuilder) buildOrder(n *algebra.Node) (stream, error) {
+// applyOrderBy (keys evaluated once, then a stable adm.Compare sort). A
+// positive limit is the bound of a limit clause directly above: the sort
+// keeps and emits only that many rows.
+func (b *jobBuilder) buildOrder(n *algebra.Node, limit int) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
 		return stream{}, err
@@ -839,11 +841,16 @@ func (b *jobBuilder) buildOrder(n *algebra.Node) (stream, error) {
 		}
 		sortIn = b.assign(in, "assign(order-keys)", names, exprs, false)
 	}
+	label := "sort"
+	if limit > 0 {
+		label = fmt.Sprintf("sort (limit %d)", limit)
+	}
 	op := b.job.Add(&hyracks.SortOp{
-		Label:      "sort",
+		Label:      label,
 		Partitions: 1,
 		Columns:    sortCols,
 		Desc:       sortDesc,
+		Limit:      limit,
 	})
 	// The synthetic key columns ride along in the output schema; downstream
 	// operators resolve variables by name, so the extra trailing columns are
@@ -883,15 +890,22 @@ func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
 	// Push the bound down only when offset+limit is sane: a huge limit used
 	// as an "unbounded" idiom could overflow the sum (or an int on 32-bit
 	// platforms) into a scan-nothing bound, and gains nothing from pushdown.
-	if bound := max(lim, 0) + max(offset, 0); bound >= 0 && bound <= 1<<31-1 {
-		if scan := limitPushdownScan(n); scan != nil {
-			if b.scanBounds == nil {
-				b.scanBounds = map[*algebra.Node]int{}
-			}
-			b.scanBounds[scan] = int(bound)
+	// An order directly below keeps only the bound's rows; the limit above it
+	// still skips the offset.
+	bound := max(lim, 0) + max(offset, 0)
+	sane := bound >= 0 && bound <= 1<<31-1
+	if scan := limitPushdownScan(n); scan != nil && sane {
+		if b.scanBounds == nil {
+			b.scanBounds = map[*algebra.Node]int{}
 		}
+		b.scanBounds[scan] = int(bound)
 	}
-	in, err := b.buildInput(n)
+	var in stream
+	if len(n.Inputs) == 1 && n.Inputs[0].Kind == algebra.OpOrder && sane && bound > 0 {
+		in, err = b.buildOrder(n.Inputs[0], int(bound))
+	} else {
+		in, err = b.buildInput(n)
+	}
 	if err != nil {
 		return stream{}, err
 	}

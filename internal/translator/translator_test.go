@@ -415,6 +415,63 @@ distribute-result
 	wantInts(t, "bare-variable sort columns", srt.(*hyracks.SortOp).Columns, []int{1})
 }
 
+// TestLimitBoundsTheSortBelowIt: a constant limit directly above an order
+// builds the one sort with Limit = offset + limit, labelled with it; the
+// limit above still skips the offset. No limit, limit 0 and a bound past
+// 2^31-1 leave the sort unbounded.
+func TestLimitBoundsTheSortBelowIt(t *testing.T) {
+	rt := newTestRuntime(t)
+	const order = `for $m in dataset Msgs order by $m.len % 20 desc, $m.mid `
+	for _, c := range []struct {
+		name, query string
+		limit       int
+		results     string
+	}{
+		{"limit", order + `limit 10 return $m.mid`, 10, "[[1] [3] [5] [7] [9] [2] [4] [6] [8]]"},
+		{"limit and offset", order + `limit 3 offset 2 return $m.mid`, 5, "[[5] [7] [9]]"},
+		{"no limit", order + `return $m.mid`, 0, "[[1] [3] [5] [7] [9] [2] [4] [6] [8]]"},
+		{"group-by, order, limit", `for $m in dataset Msgs group by $odd := $m.mid % 2 with $m order by count($m) desc, $odd limit 2 return $odd`, 2, "[[1i64] [0i64]]"},
+		{"limit 0", order + `limit 0 return $m.mid`, 0, "[]"},
+		{"bound past 2^31-1", order + `limit 2147483647 offset 1 return $m.mid`, 0, "[[3] [5] [7] [9] [2] [4] [6] [8]]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, job := compile(t, rt, c.query)
+			var sorts []*hyracks.SortOp
+			for _, op := range job.Operators {
+				if s, ok := op.(*hyracks.SortOp); ok {
+					sorts = append(sorts, s)
+				}
+			}
+			if len(sorts) != 1 || sorts[0].Limit != c.limit || sorts[0].Partitions != 1 {
+				t.Fatalf("sorts %+v, want one instance with Limit %d in\n%s", sorts, c.limit, job.Describe())
+			}
+			tuples, err := hyracks.Execute(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(tuples); got != c.results {
+				t.Errorf("results %s, want %s", got, c.results)
+			}
+		})
+	}
+
+	plan, job := compile(t, rt, order+`limit 3 offset 2 return $m.mid`)
+	want := `datasource-scan Msgs -> $m
+order
+limit
+distribute-result
+--
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(order-keys)
+assign(order-keys)  --MToNPartitioningMergingConnector-->  sort (limit 5)
+sort (limit 5)  --OneToOneConnector-->  limit
+limit  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestGroupFoldSelection: a group-by folds its aggregates as it goes exactly
 // when every free reference to a with-variable above it is the argument of
 // an aggregate call; any other use materializes the bags. Either way the
