@@ -161,7 +161,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		}
 		if n.LoExpr != nil {
 			// A key-equality source: the oracle scans, so the select above
-			// alone decides which stored key widths `=` matches.
+			// alone decides what `=` matches.
 			return in.execScan(n)
 		}
 		// The storage layer's materializing Search* calls already perform the
@@ -410,11 +410,12 @@ func bindRecords(variable string, recs []*adm.Record) []expr.Env {
 	return out
 }
 
-// execJoin executes a binary join. Equijoins use an in-memory hybrid hash
-// join (build on the right input, probe with the left); other joins fall
-// back to a nested loop with the residual predicate applied by the select
-// above them. (The oracle sees no index nested-loop join: interpret drops
-// the hint, so a hinted equijoin is this hash join.)
+// execJoin executes a binary join. An equijoin pairs the bindings whose keys
+// adm.Compare finds equal — the language's `=` — checked pair by pair, so the
+// oracle shares no key encoding with the hash joins it checks; other joins
+// fall back to a nested loop with the residual predicate applied by the select
+// above them. (The oracle sees no index nested-loop join: interpret drops the
+// hint, so a hinted equijoin is this join.)
 func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
 	left, err := in.executeNode(ctx, n.Inputs[0], query)
 	if err != nil {
@@ -427,37 +428,25 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 	if err != nil {
 		return nil, err
 	}
-	// Build on the smaller input.
-	build, probe := right, left
-	buildKey, probeKey := n.RightKey, n.LeftKey
-	if len(left) < len(right) {
-		build, probe = left, right
-		buildKey, probeKey = n.LeftKey, n.RightKey
-	}
-	table := map[string][]expr.Env{}
-	for _, env := range build {
-		v, err := expr.Eval(in.evalCtx, env, buildKey)
-		if err != nil {
+	rightKeys := make([]adm.Value, len(right))
+	for i, env := range right {
+		if rightKeys[i], err = expr.Eval(in.evalCtx, env, n.RightKey); err != nil {
 			return nil, err
 		}
-		if adm.IsUnknown(v) {
-			continue
-		}
-		k := string(adm.EncodeKey(nil, v))
-		table[k] = append(table[k], env)
 	}
 	var out []expr.Env
-	for _, env := range probe {
-		v, err := expr.Eval(in.evalCtx, env, probeKey)
+	for _, env := range left {
+		v, err := expr.Eval(in.evalCtx, env, n.LeftKey)
 		if err != nil {
 			return nil, err
 		}
 		if adm.IsUnknown(v) {
 			continue
 		}
-		k := string(adm.EncodeKey(nil, v))
-		for _, match := range table[k] {
-			out = append(out, mergeEnvs(env, match))
+		for i, k := range rightKeys {
+			if !adm.IsUnknown(k) && adm.Equal(v, k) {
+				out = append(out, mergeEnvs(env, right[i]))
+			}
 		}
 	}
 	return out, nil

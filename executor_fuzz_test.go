@@ -14,7 +14,8 @@ import (
 )
 
 // This file is the randomized differential-testing harness: it generates
-// random datasets (ints, strings, points, nested lists), draws queries from
+// random datasets (ints, strings, points, nested lists, and numbers stored at
+// random widths under wider declared types), draws queries from
 // templates covering every compiled access path — scan/filter, primary-key
 // equality, B+-tree range, R-tree spatial, inverted-index text search,
 // correlated unnest, hash and index-probed (indexnl) joins, group-by,
@@ -44,6 +45,11 @@ create index faLocIdx on FuzzA(loc) type rtree;
 create index faTextKwIdx on FuzzA(text) type keyword;
 create index faTextNgIdx on FuzzA(text) type ngram(3);
 create index fbCatIdx on FuzzB(cat);
+create type FuzzWideType as closed { id: int64, v: double }
+create type FuzzNarrowType as closed { id: int16, v: int32 }
+create dataset FuzzWide(FuzzWideType) primary key id;
+create dataset FuzzNarrow(FuzzNarrowType) primary key id;
+create index fwVIdx on FuzzWide(v);
 `
 
 // fuzzCoord draws a spatial coordinate from [-50, 100): both signs and every
@@ -128,7 +134,22 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 	for i := 0; i < 6; i++ {
 		deletes = append(deletes, int32(1+rng.Intn(nA)))
 	}
+	// Numbers written at random widths the declared types accept; equal
+	// numbers written twice as a key are one key, so the later replaces the
+	// earlier.
+	widthRecords := func(n, idWidths, vWidths int) string {
+		recs := make([]string, n)
+		for i := range recs {
+			recs[i] = fmt.Sprintf(`{"id": %s, "v": %s}`, randomKeyLiteral(rng, idWidths), randomKeyLiteral(rng, vWidths))
+		}
+		return strings.Join(recs, ", ")
+	}
+	widthInserts := fmt.Sprintf("insert into dataset FuzzWide ([%s]);\ninsert into dataset FuzzNarrow ([%s]);",
+		widthRecords(10+rng.Intn(10), 4, 6), widthRecords(6+rng.Intn(6), 2, 3))
 	for _, inst := range []*Instance{hy, hyNoFuse, hyEager} {
+		if _, err := inst.Execute(widthInserts); err != nil {
+			t.Fatal(err)
+		}
 		dsA, _ := inst.Dataset("FuzzA")
 		dsB, _ := inst.Dataset("FuzzB")
 		if _, err := dsA.InsertBatch(batchA); err != nil {
@@ -189,8 +210,8 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true},
 		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true},
 		{"order-limit", fmt.Sprintf(`for $r in dataset FuzzA order by $r.id desc limit %d return $r.id;`, 1+rng.Intn(20)), true},
-		// The int32 key probed at any width: the primary index must fetch the
-		// stored width.
+		// The int32 key probed at any width: the primary index must find the
+		// number whatever width it was written at.
 		{"pk-equality", fmt.Sprintf(`for $r in dataset FuzzA where $r.id = %s("%d") return $r;`,
 			keyWidths[rng.Intn(len(keyWidths))], 1+rng.Intn(100)), false},
 		// A computed key with many ties (cat % 3) broken by the unique id,
@@ -202,6 +223,19 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"group-topk", fmt.Sprintf(
 			`for $r in dataset FuzzB group by $c := $r.cat with $r order by count($r) desc, $c limit %d return { "c": $c, "n": count($r) };`,
 			1+rng.Intn(5)), true},
+		// Numbers stored and probed at random widths, joined across declared
+		// widths (int16 and int32 against int64 and double): a key is written
+		// from the number's value, so every access path agrees with `=`. A
+		// group's key keeps the width of whichever member came first, so the
+		// group returns it as a double.
+		{"width-btree-range", fmt.Sprintf(`for $r in dataset FuzzWide where $r.v >= %s and $r.v <= %s return $r.id;`,
+			randomKeyLiteral(rng, 6), randomKeyLiteral(rng, 6)), false},
+		{"width-btree-eq", fmt.Sprintf(`for $r in dataset FuzzWide where $r.v = %s return $r.id;`, randomKeyLiteral(rng, 6)), false},
+		{"width-pk-eq", fmt.Sprintf(`for $r in dataset FuzzNarrow where $r.id = %s return $r;`, randomKeyLiteral(rng, 6)), false},
+		{"width-group-by", `for $r in dataset FuzzWide group by $v := $r.v with $r return { "v": $v + 0.0, "n": count($r) };`, false},
+		{"width-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v = $b.id return { "a": $a.id, "b": $b.id };`, false},
+		{"width-indexnl-join-pk", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v /*+ indexnl */ = $b.id return { "a": $a.id, "b": $b.id };`, false},
+		{"width-indexnl-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.id /*+ indexnl */ = $b.v return { "a": $a.id, "b": $b.id };`, false},
 	}
 }
 

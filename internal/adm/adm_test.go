@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -427,21 +428,21 @@ func TestEncodeKeyOrderProperty(t *testing.T) {
 	}
 }
 
-// TestEqualKeys: a stored number is among a probe's EqualKeys exactly when
-// Compare finds it equal to the probe — across integer widths, the two zeros,
-// and the values just below 2^53 — and a probe of magnitude 2^53 or more (where
-// several int64 values round to one float64) or an infinity has no key list.
-func TestEqualKeys(t *testing.T) {
-	var stored []Value
+// keyMatrix is every number the key tests hold: each integer width, float
+// and double of the values around the width edges, 2^24, 2^53 and MaxInt64
+// and of their negations, MinInt64, both zeros, fractions, the smallest
+// subnormals, ±2^63, magnitudes past 2^64, ±Inf and NaN.
+func keyMatrix() []Value {
+	var vals []Value
 	add := func(x int64) {
 		for _, v := range []Value{Int8(x), Int16(x), Int32(x), Int64(x)} {
 			if n, _ := NumericAsInt64(v); n == x {
-				stored = append(stored, v)
+				vals = append(vals, v)
 			}
 		}
-		stored = append(stored, Float(float32(x)), Double(float64(x)))
+		vals = append(vals, Float(float32(x)), Double(float64(x)))
 	}
-	for _, base := range []int64{0, 5, 127, 128, 32767, 32768, 1 << 31, 1 << 53, 1<<62 + 512, 1<<62 + 1536, math.MaxInt64 - 512, math.MaxInt64} {
+	for _, base := range []int64{0, 5, 127, 128, 255, 256, 32767, 32768, 65536, 1<<24 - 1, 1 << 24, 1 << 31, 1 << 53, 1<<62 + 512, 1<<62 + 1536, math.MaxInt64 - 512, math.MaxInt64} {
 		for off := int64(-2); off <= 2; off++ {
 			if x := base + off; x >= base-2 { // MaxInt64+1 wraps
 				add(x)
@@ -450,41 +451,97 @@ func TestEqualKeys(t *testing.T) {
 		}
 	}
 	add(math.MinInt64)
-	stored = append(stored, Double(math.Copysign(0, -1)), Double(6.5), Float(0.1), Double(math.Inf(1)), Double(math.Inf(-1)))
-	for _, probe := range stored {
-		keys, ok := EqualKeys(probe)
-		if d, _ := NumericAsDouble(probe); math.Abs(d) >= 1<<53 {
-			if ok {
-				t.Errorf("probe %s %v: keys %v, want no key list", probe.Tag(), probe, keys)
-			}
-			continue
+	for _, f := range []float64{math.Copysign(0, -1), 6.5, 0.1, 0.5, 1.0 / 3, 5 + 1.0/1024, 1 << 63, 1 << 64, 1e20, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()} {
+		vals = append(vals, Double(f), Double(-f))
+	}
+	return append(vals, Float(0.1), Float(-6.5), Float(math.SmallestNonzeroFloat32))
+}
+
+// checkKeyPair fails unless the byte order of a's and b's keys is Compare's
+// order of a and b and a's key is not a proper prefix of b's.
+func checkKeyPair(t testing.TB, a, b Value) {
+	t.Helper()
+	ka, kb := EncodeKey(nil, a), EncodeKey(nil, b)
+	if got, want := bytes.Compare(ka, kb), MustCompare(a, b); got != want {
+		t.Errorf("%s %v vs %s %v: keys %x, %x compare %d, Compare says %d", a.Tag(), a, b.Tag(), b, ka, kb, got, want)
+	}
+	if len(ka) < len(kb) && bytes.HasPrefix(kb, ka) {
+		t.Errorf("%s %v's key %x is a prefix of %s %v's %x", a.Tag(), a, ka, b.Tag(), b, kb)
+	}
+}
+
+// TestEncodeKeyMatchesCompare: for any two numbers, whatever their widths,
+// the byte order of their keys is Compare's order — so the numbers `=` finds
+// equal share one key — and no key is a proper prefix of another. Every
+// integer of magnitude below 2^24 keys to five bytes, the length an int32 key
+// had when keys were written by width.
+func TestEncodeKeyMatchesCompare(t *testing.T) {
+	vals := keyMatrix()
+	for _, a := range vals {
+		for _, b := range vals {
+			checkKeyPair(t, a, b)
 		}
-		if !ok {
-			t.Fatalf("%v: no key list", probe)
-		}
-		for _, s := range stored {
-			key := EncodeKey(nil, s)
-			in := false
-			for _, k := range keys {
-				if string(k) == string(key) {
-					in = true
-				}
+	}
+	for _, x := range []int64{0, 1, 5, 127, 128, 255, 256, 65535, 65536, 1<<24 - 1} {
+		for _, v := range []Value{Int8(x), Int16(x), Int32(x), Int64(x), Int64(-x), Float(float32(x)), Double(float64(-x))} {
+			if n, _ := NumericAsInt64(v); n != x && n != -x {
+				continue // the width cannot hold x
 			}
-			if equal := MustCompare(s, probe) == 0; equal != in {
-				t.Errorf("probe %s %v, stored %s %v: equal %v, among the keys %v", probe.Tag(), probe, s.Tag(), s, equal, in)
+			if k := EncodeKey(nil, v); len(k) != 5 {
+				t.Errorf("%s %v keys to %d bytes %x, want 5", v.Tag(), v, len(k), k)
 			}
 		}
 	}
-	for _, v := range []Value{Null{}, Missing{}} {
-		if keys, ok := EqualKeys(v); !ok || len(keys) != 0 {
-			t.Errorf("%v: keys %v, %v; want none", v, keys, ok)
-		}
+	if k := EncodeKey(nil, Int64(1<<24)); len(k) != 6 {
+		t.Errorf("2^24 keys to %d bytes %x, want 6", len(k), k)
 	}
-	for _, v := range []Value{Double(math.NaN()), &OrderedList{Items: []Value{Int32(1)}}} {
-		if _, ok := EqualKeys(v); ok {
-			t.Errorf("%v: a key list, want none", v)
+}
+
+// FuzzEncodeKey: two numbers drawn as (width, bits) — and each against its
+// own float64 and int64 conversions, which land on equal values — keep
+// Compare's order in their keys, and neither key prefixes the other. Run with
+//
+//	go test -run='^$' -fuzz=FuzzEncodeKey -fuzztime=15s ./internal/adm
+func FuzzEncodeKey(f *testing.F) {
+	f.Add(uint8(2), uint64(5), uint8(5), math.Float64bits(5))
+	f.Add(uint8(3), uint64(1<<53+1), uint8(5), math.Float64bits(1<<53))
+	f.Add(uint8(3), uint64(1)<<63, uint8(5), math.Float64bits(-(1 << 63)))
+	f.Add(uint8(0), uint64(0xFB), uint8(4), uint64(math.Float32bits(-5.5)))
+	f.Add(uint8(5), math.Float64bits(math.Copysign(0, -1)), uint8(1), uint64(0))
+	f.Fuzz(func(t *testing.T, wa uint8, a uint64, wb uint8, b uint64) {
+		va, vb := fuzzNumber(wa, a), fuzzNumber(wb, b)
+		vals := []Value{va, vb}
+		for _, v := range []Value{va, vb} {
+			d, _ := NumericAsDouble(v)
+			vals = append(vals, Double(d), Float(float32(d)))
+			if d >= -(1<<63) && d < 1<<63 {
+				vals = append(vals, Int64(int64(d)))
+			}
 		}
+		for _, x := range vals {
+			for _, y := range vals {
+				checkKeyPair(t, x, y)
+			}
+		}
+	})
+}
+
+// fuzzNumber makes a number of width w%6 (int8 … double) from bits.
+func fuzzNumber(w uint8, bits uint64) Value {
+	switch w % 6 {
+	case 0:
+		return Int8(int8(bits))
+	case 1:
+		return Int16(int16(bits))
+	case 2:
+		return Int32(int32(bits))
+	case 3:
+		return Int64(int64(bits))
+	case 4:
+		return Float(math.Float32frombits(uint32(bits)))
 	}
+	return Double(math.Float64frombits(bits))
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
@@ -510,17 +567,6 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHashConsistentWithEqual(t *testing.T) {
-	a := NewRecord(Field{Name: "x", Value: Int32(1)}, Field{Name: "y", Value: String("s")})
-	b := NewRecord(Field{Name: "x", Value: Int32(1)}, Field{Name: "y", Value: String("s")})
-	if Hash(a) != Hash(b) {
-		t.Error("equal records must hash equally")
-	}
-	if Hash(Int32(7)) != Hash(Int32(7)) {
-		t.Error("equal ints must hash equally")
 	}
 }
 

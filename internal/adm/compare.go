@@ -3,13 +3,14 @@ package adm
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 )
 
 // Compare imposes a total order over comparable ADM values. Numerics of
-// different widths compare by value; strings compare lexicographically;
+// different widths compare by value, exactly: two integers as int64, an
+// integer against a float without rounding either, two floats as float64
+// (NaN above every number); strings compare lexicographically;
 // temporal types compare by chronon; booleans order false < true. NULL
 // compares less than every non-null value and MISSING less than NULL, which
 // gives ORDER BY a deterministic placement for unknowns. Comparing values of
@@ -30,9 +31,17 @@ func Compare(a, b Value) (int, error) {
 	}
 
 	if ta.IsNumeric() && tb.IsNumeric() {
-		da, _ := NumericAsDouble(a)
-		db, _ := NumericAsDouble(b)
-		return compareFloat(da, db), nil
+		ia, fa, aFloat := number(a)
+		ib, fb, bFloat := number(b)
+		switch {
+		case !aFloat && !bFloat:
+			return compareInt(ia, ib), nil
+		case !aFloat:
+			return compareIntFloat(ia, fb), nil
+		case !bFloat:
+			return -compareIntFloat(ib, fa), nil
+		}
+		return compareFloat(fa, fb), nil
 	}
 
 	if ta != tb {
@@ -139,6 +148,43 @@ func compareInt(a, b int64) int {
 	return 0
 }
 
+// number returns an integer's value as int64, or a float's as float64 with
+// isFloat set.
+func number(v Value) (i int64, f float64, isFloat bool) {
+	switch n := v.(type) {
+	case Int8:
+		return int64(n), 0, false
+	case Int16:
+		return int64(n), 0, false
+	case Int32:
+		return int64(n), 0, false
+	case Int64:
+		return int64(n), 0, false
+	case Float:
+		return 0, float64(n), true
+	case Double:
+		return 0, float64(n), true
+	}
+	return 0, 0, false
+}
+
+// compareIntFloat compares an integer with a float exactly. Inside the int64
+// range the float's truncation is an exact int64, and the float's fraction
+// decides a tie.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= 1<<63: // NaN sorts above every number
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := int64(f)
+	if c := compareInt(i, t); c != 0 {
+		return c
+	}
+	return compareFloat(float64(t), f)
+}
+
 func compareFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -220,142 +266,4 @@ func sortedCopy(items []Value) []Value {
 		return err == nil && c < 0
 	})
 	return out
-}
-
-// ----------------------------------------------------------------------------
-// Hashing
-// ----------------------------------------------------------------------------
-
-// Hash computes a 64-bit hash of the value, used for hash partitioning and
-// hash-based joins/grouping. Values that compare equal hash equally,
-// including numerics of different widths holding the same number.
-func Hash(v Value) uint64 {
-	h := fnv.New64a()
-	hashInto(h, v)
-	return h.Sum64()
-}
-
-type hasher interface {
-	Write(p []byte) (int, error)
-}
-
-func hashInto(h hasher, v Value) {
-	// Whole-record hashing needs every field: a sink for lazy records.
-	if lr, ok := v.(*LazyRecord); ok {
-		v = lr.Materialize()
-	}
-	writeByte := func(b byte) { h.Write([]byte{b}) }
-	writeInt := func(x int64) {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	writeFloat := func(f float64) { writeInt(int64(math.Float64bits(f))) }
-
-	switch val := v.(type) {
-	case Missing:
-		writeByte(byte(TagMissing))
-	case Null:
-		writeByte(byte(TagNull))
-	case Boolean:
-		writeByte(byte(TagBoolean))
-		if val {
-			writeByte(1)
-		} else {
-			writeByte(0)
-		}
-	case Int8, Int16, Int32, Int64, Float, Double:
-		// All numerics hash via their double representation so that equal
-		// numbers of different widths land in the same hash partition.
-		d, _ := NumericAsDouble(v)
-		if d == math.Trunc(d) && !math.IsInf(d, 0) {
-			writeByte('i')
-			writeInt(int64(d))
-		} else {
-			writeByte('f')
-			writeFloat(d)
-		}
-	case String:
-		writeByte(byte(TagString))
-		h.Write([]byte(val))
-	case Binary:
-		writeByte(byte(TagBinary))
-		h.Write(val)
-	case UUID:
-		writeByte(byte(TagUUID))
-		h.Write(val[:])
-	case Date:
-		writeByte(byte(TagDate))
-		writeInt(int64(val))
-	case Time:
-		writeByte(byte(TagTime))
-		writeInt(int64(val))
-	case Datetime:
-		writeByte(byte(TagDatetime))
-		writeInt(int64(val))
-	case Duration:
-		writeByte(byte(TagDuration))
-		writeInt(int64(val.Months))
-		writeInt(val.Millis)
-	case YearMonthDuration:
-		writeByte(byte(TagYearMonthDuration))
-		writeInt(int64(val))
-	case DayTimeDuration:
-		writeByte(byte(TagDayTimeDuration))
-		writeInt(int64(val))
-	case Interval:
-		writeByte(byte(TagInterval))
-		writeByte(byte(val.PointTag))
-		writeInt(val.Start)
-		writeInt(val.End)
-	case Point:
-		writeByte(byte(TagPoint))
-		writeFloat(val.X)
-		writeFloat(val.Y)
-	case Line:
-		writeByte(byte(TagLine))
-		writeFloat(val.A.X)
-		writeFloat(val.A.Y)
-		writeFloat(val.B.X)
-		writeFloat(val.B.Y)
-	case Rectangle:
-		writeByte(byte(TagRectangle))
-		writeFloat(val.LowerLeft.X)
-		writeFloat(val.LowerLeft.Y)
-		writeFloat(val.UpperRight.X)
-		writeFloat(val.UpperRight.Y)
-	case Circle:
-		writeByte(byte(TagCircle))
-		writeFloat(val.Center.X)
-		writeFloat(val.Center.Y)
-		writeFloat(val.Radius)
-	case Polygon:
-		writeByte(byte(TagPolygon))
-		for _, p := range val.Points {
-			writeFloat(p.X)
-			writeFloat(p.Y)
-		}
-	case *Record:
-		writeByte(byte(TagRecord))
-		for _, f := range val.SortedFields() {
-			h.Write([]byte(f.Name))
-			hashInto(h, f.Value)
-		}
-	case *OrderedList:
-		writeByte(byte(TagOrderedList))
-		for _, it := range val.Items {
-			hashInto(h, it)
-		}
-	case *UnorderedList:
-		writeByte(byte(TagUnorderedList))
-		var agg uint64
-		for _, it := range val.Items {
-			agg += Hash(it) // order-independent combination
-		}
-		writeInt(int64(agg))
-	default:
-		writeByte(0xff)
-	}
 }

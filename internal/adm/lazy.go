@@ -8,7 +8,7 @@ import (
 // LazyRecord is a record value that keeps the stored binary form and decodes
 // on demand: field access resolves a single field's bytes out of the slab,
 // and the full Value tree is built only if the record reaches a point that
-// needs all of it (NDJSON serialization, whole-record comparison or hashing,
+// needs all of it (NDJSON serialization, whole-record comparison or keying,
 // re-encoding into a run file or the handle table). On the scan/select/join
 // hot path most records never materialize at all.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Encoding selects how records are laid out on disk.
@@ -718,7 +719,11 @@ func readPoint(src []byte) (Point, int, error) {
 
 // EncodeKey encodes a value for use as an index key with the property that
 // byte-wise lexicographic comparison of encoded keys matches Compare order for
-// values of the same tag (the only case primary and secondary B+-trees need).
+// values of the same tag, and for any two numbers whatever their widths. A
+// number's key is written from its value (see appendNumberKey), so every value
+// of a numeric `=` class has exactly one key: Int8(5), Int64(5) and Double(5)
+// share it. No number's key is a proper prefix of another's, which composite
+// keys (a secondary key followed by the primary key) rely on.
 func EncodeKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case Missing:
@@ -730,23 +735,8 @@ func EncodeKey(dst []byte, v Value) []byte {
 			return append(dst, 0x02, 1)
 		}
 		return append(dst, 0x02, 0)
-	case Int8:
-		return append(dst, 0x10, byte(uint8(x)^0x80))
-	case Int16:
-		dst = append(dst, 0x10)
-		return binary.BigEndian.AppendUint16(dst, uint16(x)^0x8000)
-	case Int32:
-		dst = append(dst, 0x10)
-		return binary.BigEndian.AppendUint32(dst, uint32(x)^0x80000000)
-	case Int64:
-		dst = append(dst, 0x10)
-		return binary.BigEndian.AppendUint64(dst, uint64(x)^0x8000000000000000)
-	case Float:
-		dst = append(dst, 0x11)
-		return appendOrderedFloat(dst, float64(x))
-	case Double:
-		dst = append(dst, 0x11)
-		return appendOrderedFloat(dst, float64(x))
+	case Int8, Int16, Int32, Int64, Float, Double:
+		return appendNumberKey(dst, v)
 	case String:
 		dst = append(dst, 0x20)
 		dst = append(dst, []byte(x)...)
@@ -775,56 +765,75 @@ func EncodeKey(dst []byte, v Value) []byte {
 	}
 }
 
-// appendOrderedFloat encodes a float64 so that lexicographic byte comparison
-// matches numeric order (standard sign-flip trick).
-func appendOrderedFloat(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	if bits&0x8000000000000000 != 0 {
-		bits = ^bits
-	} else {
-		bits |= 0x8000000000000000
-	}
-	return binary.BigEndian.AppendUint64(dst, bits)
-}
+// Number key tags, in key order. A finite number below 2^64 in magnitude is
+// keyed under the tag of its sign and the byte length n (3 to 8) of its
+// integer part: keyPos+n-3 for a non-negative number, keyNeg-(n-3) for a
+// negative one.
+const (
+	keyNegInf  = 0x08
+	keyNegHuge = 0x09 // x <= -2^64
+	keyNeg     = 0x0F
+	keyPos     = 0x10
+	keyPosHuge = 0x16 // x >= 2^64
+	keyPosInf  = 0x17
+	keyNaN     = 0x18 // every NaN: Compare puts NaN above every number
+)
 
-// EqualKeys lists the keys (EncodeKey of one value) under which a value that
-// Compare finds equal to v can be stored. For numbers that is not one key:
-// Compare matches them by value through float64, while EncodeKey writes each
-// integer width as its own byte string and every float under another tag. A
-// number has one key per integer width that holds it exactly, one for its
-// float64 value and, for a zero, one for the other zero. An unknown v equals
-// nothing and has no keys. It reports false when the values equal to v have
-// no such short list — a number of magnitude 2^53 or more (several int64
-// values round to one float64 there), a NaN (every NaN is equal to every
-// other, whatever its bits), a duration, interval, spatial value, record or
-// list — and the caller must look at every key.
-func EqualKeys(v Value) ([][]byte, bool) {
-	switch v.Tag() {
-	case TagMissing, TagNull:
-		return nil, true
-	case TagBoolean, TagString, TagBinary, TagUUID, TagDate, TagTime, TagDatetime, TagYearMonthDuration, TagDayTimeDuration:
-		return [][]byte{EncodeKey(nil, v)}, true
-	}
-	d, ok := NumericAsDouble(v)
-	if !ok || !(math.Abs(d) < 1<<53) { // NaN fails the second test
-		return nil, false
-	}
-	var keys [][]byte
-	if c := int64(d); float64(c) == d {
-		if c == int64(int8(c)) {
-			keys = append(keys, EncodeKey(nil, Int8(c)))
+// appendNumberKey writes a number's key from its value, never its width.
+// After the tag come the integer part's magnitude as n big-endian bytes (at
+// least three, so every integer below 2^24 keys to five bytes), then either a
+// 0x00 byte for an integral value or the fraction in 7-bit groups, each
+// shifted left one bit with the low bit set on every group but the last. The
+// bytes after the tag are complemented for a negative number. A NaN, an
+// infinity and a magnitude of 2^64 or more (only a float reaches it, and it is
+// integral there) each have their own tag; the last is followed by the
+// magnitude's float64 bits. -0.0 keys as 0.
+func appendNumberKey(dst []byte, v Value) []byte {
+	i, f, isFloat := number(v)
+	neg, mag, frac := i < 0, uint64(i), 0.0
+	if isFloat {
+		a := math.Abs(f)
+		switch {
+		case f != f:
+			return append(dst, keyNaN)
+		case math.IsInf(f, 1):
+			return append(dst, keyPosInf)
+		case math.IsInf(f, -1):
+			return append(dst, keyNegInf)
+		case a >= 1<<64 && f > 0:
+			return binary.BigEndian.AppendUint64(append(dst, keyPosHuge), math.Float64bits(a))
+		case a >= 1<<64:
+			return binary.BigEndian.AppendUint64(append(dst, keyNegHuge), ^math.Float64bits(a))
 		}
-		if c == int64(int16(c)) {
-			keys = append(keys, EncodeKey(nil, Int16(c)))
-		}
-		if c == int64(int32(c)) {
-			keys = append(keys, EncodeKey(nil, Int32(c)))
-		}
-		keys = append(keys, EncodeKey(nil, Int64(c)))
+		whole := math.Trunc(a)
+		neg, mag, frac = f < 0, uint64(whole), a-whole
+	} else if neg {
+		mag = -mag
 	}
-	keys = append(keys, EncodeKey(nil, Double(d)))
-	if d == 0 {
-		keys = append(keys, EncodeKey(nil, Double(-d)))
+	n := max(3, (bits.Len64(mag)+7)/8)
+	tag := byte(keyPos + n - 3)
+	if neg {
+		tag = byte(keyNeg - (n - 3))
 	}
-	return keys, true
+	start := len(dst) + 1
+	dst = binary.BigEndian.AppendUint64(append(dst, tag), mag<<(64-8*n))[:start+n]
+	if frac == 0 {
+		dst = append(dst, 0)
+	}
+	for frac != 0 { // every step is exact: a float's fraction is finite in binary
+		frac *= 128
+		group := math.Trunc(frac)
+		frac -= group
+		b := byte(group) << 1
+		if frac != 0 {
+			b |= 1
+		}
+		dst = append(dst, b)
+	}
+	if neg {
+		for k := start; k < len(dst); k++ {
+			dst[k] = ^dst[k]
+		}
+	}
+	return dst
 }

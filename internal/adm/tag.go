@@ -5,7 +5,7 @@
 //
 // The package provides the value representation used throughout the engine,
 // the Datatype system (open vs. closed record types, optional fields), value
-// validation against Datatypes, total-order comparison and hashing, the ADM
+// validation against Datatypes, total-order comparison and index keys, the ADM
 // text parser and printer, and two binary record encodings:
 //
 //   - Schema encoding: fields declared in the Datatype are stored positionally

@@ -462,8 +462,8 @@ func (r *Record) FieldNames() []string {
 	return names
 }
 
-// SortedFields returns the record's fields sorted by name; used by
-// canonical hashing and the KeyOnly encoder.
+// SortedFields returns the record's fields sorted by name; used by record
+// comparison and the KeyOnly encoder.
 func (r *Record) SortedFields() []Field {
 	out := make([]Field, len(r.Fields))
 	copy(out, r.Fields)

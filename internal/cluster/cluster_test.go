@@ -64,7 +64,15 @@ create index msAuthorIdx on MugshotMessages(author-id) type btree;
 create index msSenderLocIndex on MugshotMessages(sender-location) type rtree;
 create index msMessageIdx on MugshotMessages(message) type keyword;
 create index msMessageNGramIdx on MugshotMessages(message) type ngram(3);
+
+create type AuthorType as closed { id: int64, since: int16 }
+create dataset Authors(AuthorType) primary key id;
 `
+
+// testAuthors are int64 keys, written at three widths, joined against the
+// messages' int32 author-id.
+const testAuthors = `[{ "id": int64("1"), "since": int16("2010") }, { "id": 2, "since": int16("2011") },
+  { "id": int8("3"), "since": int16("2012") }, { "id": int64("9"), "since": int16("2013") }]`
 
 var testUsers = []string{
 	`{ "id": 1, "alias": "Margarita", "name": "MargaritaStoddard",
@@ -122,6 +130,9 @@ func loadTestCorpus(t *testing.T, exec func(string) error) {
 			t.Fatalf("insert message: %v", err)
 		}
 	}
+	if err := exec(`use dataverse TinySocial; insert into dataset Authors (` + testAuthors + `);`); err != nil {
+		t.Fatalf("insert authors: %v", err)
+	}
 }
 
 // indexNLJoin probes MugshotMessages' secondary index on author-id once per
@@ -142,9 +153,9 @@ var differentialQueries = []struct {
 	ordered bool
 }{
 	{"full-scan", `for $u in dataset MugshotUsers return $u;`, false},
-	// The primary search is a source whose instances each fetch only the
-	// candidate keys their partition owns: the one holding the stored int32
-	// key runs on the node that owns it.
+	// The primary search is a source whose instances each fetch the key only
+	// if their partition owns it: the one get runs on the node that owns the
+	// stored int32 key, probed at int64.
 	{"primary-key-equality", `for $m in dataset MugshotMessages where $m.message-id = int64("3") return $m;`, false},
 	{"range-index-scan", `
 for $user in dataset MugshotUsers
@@ -247,6 +258,23 @@ return { "id": $m.message-id, "j": $j, "tag": $t };`, false},
 	{"metadata-scan", `for $ds in dataset Metadata.Dataset return $ds;`, false},
 	{"agg-avg", `avg(for $m in dataset MugshotMessages return string-length($m.message))`, true},
 	{"agg-count", `count(for $m in dataset MugshotMessages return $m.message-id)`, true},
+	// An int32 field joined against an int64 key: a number's key is its value,
+	// so the partitioning connector routes both sides of a pair to one place.
+	{"mixed-width-join", `
+for $a in dataset Authors
+for $m in dataset MugshotMessages
+where $m.author-id = $a.id
+return { "author": $a.id, "message": $m.message-id };`, false},
+	{"mixed-width-indexnl-join-primary-key", `
+for $m in dataset MugshotMessages
+for $a in dataset Authors
+where $m.author-id /*+ indexnl */ = $a.id
+return { "author": $a.id, "message": $m.message-id };`, false},
+	{"mixed-width-indexnl-join", `
+for $a in dataset Authors
+for $m in dataset MugshotMessages
+where $m.author-id /*+ indexnl */ = $a.id
+return { "author": $a.id, "message": $m.message-id };`, false},
 	{"agg-min", `min(for $m in dataset MugshotMessages return $m.message-id)`, true},
 	{"agg-max", `max(for $m in dataset MugshotMessages return $m.timestamp)`, true},
 	{"agg-over-index-path", `
@@ -366,6 +394,9 @@ func TestClusterDifferential(t *testing.T) {
 		return err
 	})
 
+	// Row counts for the mixed-width joins, so they cannot pass by returning
+	// nothing on both sides: authors 1, 2 and 3 wrote messages 1-2, 3 and 4.
+	wantRows := map[string]int{"mixed-width-join": 4, "mixed-width-indexnl-join-primary-key": 4, "mixed-width-indexnl-join": 4}
 	ctx := context.Background()
 	for _, q := range differentialQueries {
 		t.Run(q.name, func(t *testing.T) {
@@ -393,6 +424,9 @@ func TestClusterDifferential(t *testing.T) {
 			if len(dist) != len(want) {
 				t.Fatalf("result count differs: cluster %d, single-process %d\ncluster: %v\nsingle:  %v",
 					len(dist), len(want), dist, want)
+			}
+			if n, ok := wantRows[q.name]; ok && len(want) != n {
+				t.Errorf("single-process returned %d rows, want %d: %v", len(want), n, want)
 			}
 			for i := range want {
 				if dist[i] != want[i] {

@@ -34,7 +34,7 @@ func sealed(body []byte, count uint64) []byte {
 // uvarint stamp, coveredLow and count, then flag ‖ key ‖ value, then
 // "LSMVALID".
 func oldLayoutImage() []byte {
-	return append([]byte{5, 0, 1, 0, 1, 'a', 1, 'v'}, oldFormatMagic...)
+	return append([]byte{5, 0, 1, 0, 1, 'a', 1, 'v'}, "LSMVALID"...)
 }
 
 // flushOne flushes entries key(0..n) with values v(i) into a fresh tree and
@@ -54,7 +54,8 @@ func flushOne(t testing.TB, n int) (*Tree, string) {
 }
 
 // TestLoadComponentRefusesDamage: an image is accepted only if its footer,
-// checksum and every entry length agree with its bytes. Each row damages a
+// checksum and every entry length agree with its bytes, and one ending in an
+// older layout's magic is refused naming that layout. Each row damages a
 // component written by a flush (one 128 KiB value beside small ones) and
 // Open must fail naming the file; the untouched image round-trips whole.
 func TestLoadComponentRefusesDamage(t *testing.T) {
@@ -102,7 +103,8 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 		{"bit flip in a value", flip(len(body) / 2), "checksum"},
 		{"bit flip in the stamp", flip(len(body)), "checksum"},
 		{"bit flip in the magic", flip(len(good) - 1), "footer"},
-		{"older layout footer", oldLayoutImage(), "drop and recreate"},
+		{"older layout footer", oldLayoutImage(), "older component layout (LSMVALID); drop and recreate"},
+		{"keys written by width", append(bytes.Clone(good[:len(good)-8]), "LSMKFV02"...), "older component layout (LSMKFV02); drop and recreate"},
 		{"count past the bytes", sealed(body, uint64(len(body))), "entries in"},
 		{"flag neither data nor antimatter", sealed([]byte{1, 'k', 2, 0}, 1), "flag"},
 		{"bytes after the last entry", sealed(append(bytes.Clone(body), 0), 21), "after entry"},

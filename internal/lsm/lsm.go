@@ -458,11 +458,13 @@ func (t *Tree) AbortMerge(p *MergePlan) {
 // ----------------------------------------------------------------------------
 
 // formatMagic ends every component image and names its layout (see the
-// package comment). Images written by the layout before it end in
-// oldFormatMagic; they are refused rather than converted.
+// package comment). LSMKFV03 frames entries as LSMKFV02 did, but its keys are
+// the ones the storage layer writes since a number is keyed by its value, not
+// its width: an 02 image holds keys no probe would find. Images ending in an
+// older magic are refused by name rather than converted.
 var (
-	formatMagic    = []byte("LSMKFV02")
-	oldFormatMagic = []byte("LSMVALID")
+	formatMagic     = []byte("LSMKFV03")
+	oldFormatMagics = [][]byte{[]byte("LSMKFV02"), []byte("LSMVALID")}
 )
 
 // footerLen is the fixed footer size: stamp, coveredLow, count, CRC, magic.
@@ -535,8 +537,10 @@ func loadComponent(path string) (*diskComponent, error) {
 // where each key sits. An image it accepts decodes entirely within itself.
 func openImage(id int, path string, image []byte) (*diskComponent, error) {
 	n := len(image)
-	if n >= len(oldFormatMagic) && bytes.Equal(image[n-len(oldFormatMagic):], oldFormatMagic) {
-		return nil, fmt.Errorf("lsm: written by an older component layout; drop and recreate the dataset or index")
+	for _, old := range oldFormatMagics {
+		if bytes.HasSuffix(image, old) {
+			return nil, fmt.Errorf("lsm: written by an older component layout (%s); drop and recreate the dataset or index", old)
+		}
 	}
 	if n < footerLen || !bytes.Equal(image[n-len(formatMagic):], formatMagic) {
 		return nil, fmt.Errorf("lsm: no component footer")

@@ -965,31 +965,32 @@ func (d *Dataset) FetchPKPartition(part int, pk []byte) (*adm.Record, bool, erro
 }
 
 // FetchEqualPartition visits the records of partition part whose one-field
-// primary key compares equal to v under adm.Compare — the language's `=`,
-// which matches a number stored at any width (see adm.EqualKeys). It is the
-// source of a select's key-equality access path: each candidate key is fetched
-// only by the partition that owns it, so the partitions together make at most
-// six point gets. A value with no candidate list (a NaN, a number past 2^53, a
-// list, ...) scans the partition instead, and the caller's select re-checks
-// its predicate. An unknown v matches nothing.
+// primary key compares equal to v under adm.Compare — the language's `=`. It
+// is the source of a select's key-equality access path. adm.EncodeKey gives
+// every value `=` matches one key (a number's is written from its value, not
+// its width), so that key is one get, made only by the partition that owns
+// it. A duration, interval, spatial value, record or list has equal values
+// under other keys, so it scans the partition instead, and the caller's select
+// re-checks its predicate. An unknown v matches nothing.
 func (d *Dataset) FetchEqualPartition(part int, v adm.Value, emit func(adm.Value) bool) error {
 	if part < 0 || part >= len(d.partitions) {
 		return fmt.Errorf("storage: partition %d out of range", part)
 	}
-	keys, ok := adm.EqualKeys(v)
-	if !ok {
+	switch t := v.Tag(); {
+	case adm.IsUnknown(v):
+		return nil
+	case t == adm.TagDuration || t == adm.TagInterval || t.IsSpatial() || t == adm.TagRecord || t.IsCollection():
 		return d.ScanPartition(part, emit)
 	}
-	for _, k := range keys {
-		if d.partitionFor(k) != part {
-			continue
-		}
-		rec, err := d.fetch(part, k)
-		if err != nil || (rec != nil && !emit(rec)) {
-			return err
-		}
+	key := adm.EncodeKey(nil, v)
+	if d.partitionFor(key) != part {
+		return nil
 	}
-	return nil
+	rec, err := d.fetch(part, key)
+	if rec != nil {
+		emit(rec)
+	}
+	return err
 }
 
 // Probe is an evaluated secondary-index search argument. A B+-tree index

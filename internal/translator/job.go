@@ -569,9 +569,9 @@ func (b *jobBuilder) buildSortPK(n *algebra.Node) (stream, error) {
 // only ever touches partition p) and replaces the key column by the fetched
 // record. A primary search that carries its own probe is a probing stage
 // itself. With no input it is a select's key-equality source: each instance
-// fetches the keys `=` can match that its partition owns. Below a join on the
-// inner primary key it is keyed: each outer tuple reaches the partition that
-// owns its key value and costs one fetch there.
+// fetches the one key `=` can match if its partition owns it. Below a join on
+// the inner primary key it is keyed: each outer tuple reaches the partition
+// that owns its key value and costs one fetch there.
 func (b *jobBuilder) buildPrimarySearch(n *algebra.Node) (stream, error) {
 	label := fmt.Sprintf("btree-search(%s)", n.Dataset)
 	if n.LoExpr != nil && len(n.Inputs) == 0 {

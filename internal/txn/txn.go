@@ -124,8 +124,15 @@ type LogRecord struct {
 
 // walMagic identifies a WAL file; the 8 bytes after it hold the base LSN of
 // the first record (little-endian). Compaction rewrites the file with a
-// higher base, so LSNs are stable across the file's lifetime.
-var walMagic = []byte("AWALV001")
+// higher base, so LSNs are stable across the file's lifetime. AWALV002 frames
+// records as AWALV001 did, but the keys and partitions they carry are the ones
+// the storage layer derives since a number is keyed by its value, not its
+// width; a log whose header carries oldWALMagic is refused by name, never
+// replayed.
+var (
+	walMagic    = []byte("AWALV002")
+	oldWALMagic = []byte("AWALV001")
+)
 
 const walHeaderLen = 16
 
@@ -187,6 +194,10 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 		if _, err := f.ReadAt(hdr[:], 0); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("txn: read wal header: %w", err)
+		}
+		if bytes.Equal(hdr[:len(oldWALMagic)], oldWALMagic) {
+			f.Close()
+			return nil, fmt.Errorf("txn: %s was written by an older log layout (%s); reload its data into an empty directory", path, oldWALMagic)
 		}
 		if !bytes.Equal(hdr[:len(walMagic)], walMagic) {
 			f.Close()

@@ -1,6 +1,10 @@
 package txn
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -359,5 +363,41 @@ func TestWALCompactKeepsSuffixAndBase(t *testing.T) {
 	}
 	if w2.End() != w.End() {
 		t.Errorf("End after reopen = %d, want %d", w2.End(), w.End())
+	}
+}
+
+// TestWALRefusesOldLayout: a log whose header carries the layout before
+// AWALV002 (its keys were written by number width) is refused naming that
+// layout and left as it was; a header with any other magic is not a WAL.
+func TestWALRefusesOldLayout(t *testing.T) {
+	rows := []struct{ magic, want string }{
+		{"AWALV001", "older log layout (AWALV001)"},
+		{"NOTAWAL!", "not a WAL file"},
+	}
+	for _, row := range rows {
+		dir := t.TempDir()
+		w, err := OpenWAL(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tid := w.Begin()
+		w.Append(LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k"), Value: []byte("v")})
+		w.Commit(tid)
+		w.Close()
+		path := filepath.Join(dir, "wal.log")
+		log, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(log, row.magic)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenWAL(dir, false); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("OpenWAL over a %s header = %v, want an error naming %s and saying %q", row.magic, err, path, row.want)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+			t.Errorf("the refused %s log changed (%v)", row.magic, err)
+		}
 	}
 }

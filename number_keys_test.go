@@ -1,0 +1,115 @@
+package asterixdb
+
+import (
+	"sort"
+	"strings"
+	"testing"
+
+	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
+)
+
+// numberKeysDDL stores numbers at widths other than the ones declared: an
+// int64 and a double field under B+-tree indexes, an int32 key inserted three
+// times at three widths, and an int32 key joined against an int64 key and an
+// int64 indexed field.
+const numberKeysDDL = `
+create type AT as closed { id: int32, f: int64, g: double }
+create dataset A(AT) primary key id;
+create index aF on A(f) type btree;
+create index aG on A(g) type btree;
+insert into dataset A ([{"id": 1, "f": 1, "g": 1.0}, {"id": 2, "f": int64("5"), "g": int8("2")},
+  {"id": 3, "f": int64("6"), "g": 7.5}, {"id": 4, "f": 7, "g": float("8")}]);
+create type CT as closed { id: int32, n: int32 }
+create dataset C(CT) primary key id;
+insert into dataset C ([{"id": 5, "n": 1}, {"id": int8("5"), "n": 2}, {"id": int16("5"), "n": 3}, {"id": 6, "n": 4}]);
+create type XT as closed { id: int32 }
+create type YT as closed { id: int64, ref: int64 }
+create dataset X(XT) primary key id;
+create dataset Y(YT) primary key id;
+create index yRef on Y(ref) type btree;
+insert into dataset X ([{"id": 5}, {"id": 6}]);
+insert into dataset Y ([{"id": int64("5"), "ref": int64("6")}, {"id": int64("7"), "ref": int64("5")}]);
+`
+
+// TestNumberKeysAgreeWithEquals: wherever a number's key decides a result —
+// a secondary B+-tree range or equality, the one record a primary key holds, a
+// hash or indexnl join, a group — the numbers `=` finds equal share a key
+// whatever their widths, and numbers it tells apart do not (2^53 and 2^53+1
+// round to one float64 but compare unequal). Each row runs the plan it names
+// and returns the pinned rows, as does the scan (DisableIndexAccess) and the
+// interpreter oracle, on 3 partitions.
+func TestNumberKeysAgreeWithEquals(t *testing.T) {
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if _, err := inst.Execute(numberKeysDDL); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name, query, plan, want string
+	}{
+		{"int64 index range", `for $d in dataset A where $d.f >= 4 return $d.id;`, "btree-search (secondary aF on A)", "2 3 4"},
+		{"int64 index equality", `for $d in dataset A where $d.f = int64("7") return $d.id;`, "btree-search (secondary aF on A)", "4"},
+		{"int64 index equality by a double", `for $d in dataset A where $d.f = 5.0 return $d.id;`, "btree-search (secondary aF on A)", "2"},
+		{"double index range", `for $d in dataset A where $d.g < 5 return $d.id;`, "btree-search (secondary aG on A)", "1 2"},
+		{"double index equality by an int8", `for $d in dataset A where $d.g = int8("8") return $d.id;`, "btree-search (secondary aG on A)", "4"},
+		{"int32 key holds one record", `for $d in dataset C where $d.id = 5 return $d.n;`, "btree-search (primary C)", "3"},
+		{"int32 key record count", `count(for $d in dataset C return $d)`, "", "2i64"},
+		{"int32 vs int64 hash join", `for $x in dataset X for $y in dataset Y where $x.id = $y.id return $y.ref;`,
+			"join (hybrid-hash-join)", "6i64"},
+		{"int32 vs int64 indexnl primary key", `for $x in dataset X for $y in dataset Y where $x.id /*+ indexnl */ = $y.id return $y.ref;`,
+			"btree-search (primary Y)", "6i64"},
+		{"int32 vs int64 indexnl secondary", `for $x in dataset X for $y in dataset Y where $x.id /*+ indexnl */ = $y.ref return $y.id;`,
+			"btree-search (secondary yRef on Y)", "5i64 7i64"},
+		{"group by across widths", `for $x in [5, int64("5"), int8("5"), 6.0, int16("6")] group by $k := $x with $x return count($x);`,
+			"", "2i64 3i64"},
+		{"2^53+1 = 2^53", `int64("9007199254740993") = int64("9007199254740992")`, "", "false"},
+		{"2^53+1 > 2^53 as a double", `int64("9007199254740993") > 9007199254740992.0`, "", "true"},
+		{"2^53+1 selected by 2^53", `for $x in [int64("9007199254740993")] where $x = int64("9007199254740992") return $x;`, "", ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.plan != "" {
+				plan, err := inst.Explain(row.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(plan, row.plan) {
+					t.Fatalf("the plan does not run %q:\n%s", row.plan, plan)
+				}
+			}
+			indexed, err := inst.Query(row.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned, err := inst.QueryWithOptions(row.query, algebra.Options{DisableIndexAccess: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := inst.interpret(row.query, algebra.Options{DisableIndexAccess: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, side := range []struct {
+				name string
+				rows []adm.Value
+			}{{"indexed", indexed}, {"scanned", scanned}, {"oracle", oracle}} {
+				if got := printedRows(side.rows); got != row.want {
+					t.Errorf("%s rows %q, want %q", side.name, got, row.want)
+				}
+			}
+		})
+	}
+}
+
+// printedRows prints values in sorted order, space-separated.
+func printedRows(vals []adm.Value) string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = v.String()
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
