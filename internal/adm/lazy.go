@@ -8,9 +8,10 @@ import (
 // LazyRecord is a record value that keeps the stored binary form and decodes
 // on demand: field access resolves a single field's bytes out of the slab,
 // and the full Value tree is built only if the record reaches a point that
-// needs all of it (NDJSON serialization, whole-record comparison or keying,
-// re-encoding into a run file or the handle table). On the scan/select/join
-// hot path most records never materialize at all.
+// needs all of it (whole-record comparison or keying, re-encoding into a run
+// file or the handle table). NDJSON serialization writes straight from the
+// slab (AppendJSON). On the scan/select/join hot path and in result writing
+// most records never materialize at all.
 //
 // The slot directory (field offsets into the slab) is parsed once at
 // construction, which also validates the layout — a corrupt stored record
@@ -226,6 +227,51 @@ func (r *LazyRecord) Materialize() *Record {
 		return full
 	}
 	return r.full.Load()
+}
+
+// appendJSON writes the record as AppendJSON writes its materialized form,
+// but from the slot directory: names come from the type or the slab, and
+// each value's stored bytes are rendered in place, so nothing is decoded into
+// a Value and nothing is cached.
+func (r *LazyRecord) appendJSON(dst []byte) []byte {
+	if full := r.full.Load(); full != nil {
+		return AppendJSON(dst, full)
+	}
+	brace := len(dst)
+	dst = append(dst, '{')
+	for i, s := range r.decl {
+		if s.presence == fieldMissing {
+			continue
+		}
+		if len(dst) > brace+1 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendJSONString(dst, r.typ.Fields[i].Name), ':')
+		if s.presence == fieldNull {
+			dst = append(dst, "null"...)
+		} else {
+			dst = r.appendValueJSON(dst, s.off, s.end)
+		}
+	}
+	for _, o := range r.open {
+		if len(dst) > brace+1 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendJSONString(dst, r.buf[o.nameOff:o.nameEnd]), ':')
+		dst = r.appendValueJSON(dst, o.off, o.end)
+	}
+	return append(dst, '}')
+}
+
+// appendValueJSON writes the value stored at buf[off:end]. Should those
+// bytes not decode (the slot walk validated them, so this is unreachable) the
+// field is written as null, as value's MISSING would be.
+func (r *LazyRecord) appendValueJSON(dst []byte, off, end int32) []byte {
+	out, _, ok := appendJSONEncoded(dst, r.buf[off:end])
+	if !ok {
+		return append(out[:len(dst)], "null"...)
+	}
+	return out
 }
 
 // Resident reports the record's current representation for memory

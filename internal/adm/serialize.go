@@ -500,33 +500,13 @@ func skipValue(src []byte) (int, error) {
 	}
 	tag := TypeTag(src[0])
 	body := src[1:]
-	fixed := func(n int) (int, error) {
-		if len(body) < n {
+	if w := fixedWidth(tag); w >= 0 {
+		if len(body) < w {
 			return 0, errTruncated(tag)
 		}
-		return 1 + n, nil
+		return 1 + w, nil
 	}
 	switch tag {
-	case TagMissing, TagNull:
-		return 1, nil
-	case TagBoolean, TagInt8:
-		return fixed(1)
-	case TagInt16:
-		return fixed(2)
-	case TagInt32, TagFloat, TagDate, TagTime, TagYearMonthDuration:
-		return fixed(4)
-	case TagInt64, TagDouble, TagDatetime, TagDayTimeDuration:
-		return fixed(8)
-	case TagDuration:
-		return fixed(12)
-	case TagUUID, TagPoint:
-		return fixed(16)
-	case TagInterval:
-		return fixed(17)
-	case TagLine, TagRectangle:
-		return fixed(32)
-	case TagCircle:
-		return fixed(24)
 	case TagString, TagBinary:
 		ln, n, err := readUvarint(body)
 		if err != nil {
@@ -583,6 +563,35 @@ func skipValue(src []byte) (int, error) {
 		return 1 + pos, nil
 	}
 	return 0, fmt.Errorf("adm: decode: unknown tag %d", tag)
+}
+
+// fixedWidth is the body length, after the tag byte, of a kind whose
+// encoding has a fixed size, and -1 for the variable-length kinds and unknown
+// tags.
+func fixedWidth(tag TypeTag) int {
+	switch tag {
+	case TagMissing, TagNull:
+		return 0
+	case TagBoolean, TagInt8:
+		return 1
+	case TagInt16:
+		return 2
+	case TagInt32, TagFloat, TagDate, TagTime, TagYearMonthDuration:
+		return 4
+	case TagInt64, TagDouble, TagDatetime, TagDayTimeDuration:
+		return 8
+	case TagDuration:
+		return 12
+	case TagUUID, TagPoint:
+		return 16
+	case TagInterval:
+		return 17
+	case TagCircle:
+		return 24
+	case TagLine, TagRectangle:
+		return 32
+	}
+	return -1
 }
 
 func decodeListItems(body []byte) ([]Value, int, error) {
@@ -711,10 +720,16 @@ func readPoint(src []byte) (Point, int, error) {
 	if len(src) < 16 {
 		return Point{}, 0, fmt.Errorf("adm: decode point: truncated input")
 	}
+	return pointAt(src), 16, nil
+}
+
+// pointAt decodes the point in the first 16 bytes of src, which must hold
+// them.
+func pointAt(src []byte) Point {
 	return Point{
 		X: math.Float64frombits(binary.BigEndian.Uint64(src)),
 		Y: math.Float64frombits(binary.BigEndian.Uint64(src[8:])),
-	}, 16, nil
+	}
 }
 
 // EncodeKey encodes a value for use as an index key with the property that

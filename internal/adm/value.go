@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Value is an ADM data instance. Implementations are immutable after
@@ -209,116 +208,72 @@ func (v Double) String() string {
 
 func (v String) String() string { return strconv.Quote(string(v)) }
 
-func (v Binary) String() string {
-	const hexdigits = "0123456789abcdef"
-	var sb strings.Builder
-	sb.WriteString(`hex("`)
-	for _, b := range v {
-		sb.WriteByte(hexdigits[b>>4])
-		sb.WriteByte(hexdigits[b&0xf])
-	}
-	sb.WriteString(`")`)
-	return sb.String()
-}
+// A binary, UUID, temporal or duration value's ADM text is its constructor
+// applied to the string literal AppendJSON writes for it.
 
-func (v UUID) String() string {
-	return fmt.Sprintf(`uuid("%x-%x-%x-%x-%x")`, v[0:4], v[4:6], v[6:8], v[8:10], v[10:16])
-}
+func (v Binary) String() string { return "hex(" + string(appendJSONHex(nil, v)) + ")" }
 
-// epochDate is the zero point for Date values.
-var epochDate = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
+func (v UUID) String() string { return "uuid(" + string(appendJSONUUID(nil, v[:])) + ")" }
 
-func (v Date) String() string {
-	t := epochDate.AddDate(0, 0, int(v))
-	return fmt.Sprintf(`date("%04d-%02d-%02d")`, t.Year(), t.Month(), t.Day())
-}
+func (v Date) String() string { return "date(" + string(appendJSONDate(nil, int64(v))) + ")" }
 
-func (v Time) String() string {
-	ms := int64(v)
-	h := ms / 3600000
-	ms -= h * 3600000
-	m := ms / 60000
-	ms -= m * 60000
-	s := ms / 1000
-	ms -= s * 1000
-	return fmt.Sprintf(`time("%02d:%02d:%02d.%03d")`, h, m, s, ms)
-}
+func (v Time) String() string { return "time(" + string(appendJSONTime(nil, int64(v))) + ")" }
 
 func (v Datetime) String() string {
-	t := time.UnixMilli(int64(v)).UTC()
-	return fmt.Sprintf(`datetime("%04d-%02d-%02dT%02d:%02d:%02d.%03d")`,
-		t.Year(), t.Month(), t.Day(), t.Hour(), t.Minute(), t.Second(), t.Nanosecond()/1e6)
+	return "datetime(" + string(appendJSONDatetime(nil, int64(v))) + ")"
 }
 
 func (v Duration) String() string {
-	return fmt.Sprintf(`duration("%s")`, formatDuration(v.Months, v.Millis))
+	return "duration(" + string(appendJSONDuration(nil, v.Months, v.Millis)) + ")"
 }
 
 func (v YearMonthDuration) String() string {
-	return fmt.Sprintf(`year-month-duration("%s")`, formatDuration(int32(v), 0))
+	return "year-month-duration(" + string(appendJSONDuration(nil, int32(v), 0)) + ")"
 }
 
 func (v DayTimeDuration) String() string {
-	return fmt.Sprintf(`day-time-duration("%s")`, formatDuration(0, int64(v)))
+	return "day-time-duration(" + string(appendJSONDuration(nil, 0, int64(v))) + ")"
 }
 
-// formatDuration renders an ISO-8601 style duration literal such as
+// appendDuration appends an ISO-8601 style duration literal such as
 // "P1Y2M3DT4H5M6.007S".
-func formatDuration(months int32, millis int64) string {
-	var sb strings.Builder
-	neg := false
-	if months < 0 || millis < 0 {
-		neg = true
-		if months < 0 {
-			months = -months
-		}
-		if millis < 0 {
-			millis = -millis
-		}
-	}
+func appendDuration(dst []byte, months int32, millis int64) []byte {
+	start := len(dst)
+	neg := months < 0 || millis < 0
 	if neg {
-		sb.WriteByte('-')
+		dst = append(dst, '-')
 	}
-	sb.WriteByte('P')
-	years := months / 12
-	months %= 12
-	if years > 0 {
-		fmt.Fprintf(&sb, "%dY", years)
+	if months < 0 {
+		months = -months
 	}
-	if months > 0 {
-		fmt.Fprintf(&sb, "%dM", months)
+	if millis < 0 {
+		millis = -millis
 	}
-	days := millis / 86400000
-	millis %= 86400000
-	if days > 0 {
-		fmt.Fprintf(&sb, "%dD", days)
-	}
-	if millis > 0 {
-		sb.WriteByte('T')
-		h := millis / 3600000
-		millis %= 3600000
-		m := millis / 60000
-		millis %= 60000
-		s := millis / 1000
-		ms := millis % 1000
-		if h > 0 {
-			fmt.Fprintf(&sb, "%dH", h)
+	dst = append(dst, 'P')
+	unit := func(dst []byte, n int64, u byte) []byte {
+		if n > 0 {
+			dst = append(strconv.AppendInt(dst, n, 10), u)
 		}
-		if m > 0 {
-			fmt.Fprintf(&sb, "%dM", m)
-		}
-		if s > 0 || ms > 0 {
-			if ms > 0 {
-				fmt.Fprintf(&sb, "%d.%03dS", s, ms)
-			} else {
-				fmt.Fprintf(&sb, "%dS", s)
-			}
+		return dst
+	}
+	dst = unit(dst, int64(months/12), 'Y')
+	dst = unit(dst, int64(months%12), 'M')
+	dst = unit(dst, millis/86400000, 'D')
+	if millis %= 86400000; millis > 0 {
+		dst = append(dst, 'T')
+		dst = unit(dst, millis/3600000, 'H')
+		dst = unit(dst, millis%3600000/60000, 'M')
+		if s, ms := millis%60000/1000, millis%1000; ms > 0 {
+			dst = appendPadded(append(strconv.AppendInt(dst, s, 10), '.'), ms, 3)
+			dst = append(dst, 'S')
+		} else {
+			dst = unit(dst, s, 'S')
 		}
 	}
-	if sb.Len() == 1 || (neg && sb.Len() == 2) {
-		sb.WriteString("T0S")
+	if n := len(dst) - start; n == 1 || (neg && n == 2) {
+		dst = append(dst, "T0S"...)
 	}
-	return sb.String()
+	return dst
 }
 
 func (v Interval) String() string {

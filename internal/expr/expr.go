@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/aql"
@@ -740,7 +741,7 @@ func init() {
 			if err != nil {
 				return adm.Null{}, nil
 			}
-			return adm.Int64(len(s)), nil
+			return adm.Int64(utf8.RuneCountInString(s)), nil
 		},
 		"lowercase": func(c *Context, a []adm.Value) (adm.Value, error) {
 			s, err := argString(a, 0, "lowercase")

@@ -79,8 +79,12 @@ func TestFieldAccessAndConstructors(t *testing.T) {
 
 func TestBuiltinsAndUDF(t *testing.T) {
 	ctx := fixedCtx()
-	if got := evalString(t, ctx, Env{}, `string-length("hello")`); mustInt(got) != 5 {
-		t.Errorf("string-length = %v", got)
+	// string-length counts characters, as like's `_` and edit-distance do,
+	// not UTF-8 bytes.
+	for s, want := range map[string]int64{"hello": 5, "": 0, "héllo": 5, "日本": 2, "\U0001F600!": 2} {
+		if got := evalString(t, ctx, Env{}, `string-length("`+s+`")`); mustInt(got) != want {
+			t.Errorf("string-length(%q) = %v, want %d", s, got, want)
+		}
 	}
 	if got := evalString(t, ctx, Env{}, `count([1, 2, 3])`); mustInt(got) != 3 {
 		t.Errorf("count = %v", got)

@@ -332,9 +332,13 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		got := map[int32]bool{}
 		for part := 0; part < ds.PartitionCount(); part++ {
 			err := search(part, func(pk []byte) bool {
-				rec, ok, err := ds.FetchPKPartition(part, pk)
+				v, ok, err := ds.FetchPKPartition(part, pk)
 				if err != nil || !ok {
 					t.Fatalf("partition %d: primary fetch failed for secondary key: %v %v", part, ok, err)
+				}
+				rec, ok := v.(*adm.LazyRecord)
+				if !ok {
+					t.Fatalf("partition %d: primary fetch returned %T, want the lazy view", part, v)
 				}
 				got[int32(rec.Get("message-id").(adm.Int32))] = true
 				return true

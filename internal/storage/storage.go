@@ -75,10 +75,11 @@ type Options struct {
 	// MemBudget is the in-memory component budget of each LSM tree: the
 	// primary index and every secondary index of every partition has its own.
 	MemBudget int
-	// EagerDecode makes ScanPartition decode every record to the full Value
-	// tree up front instead of emitting lazily-decoded records backed by
-	// pooled arenas. The lazy path is the default; this knob exists for the
-	// lazy-vs-eager differential tests and as an escape hatch.
+	// EagerDecode makes ScanPartition, FetchPKPartition and
+	// FetchEqualPartition decode every record to the full Value tree up front
+	// instead of emitting lazily-decoded records viewing the stored bytes.
+	// The lazy path is the default; this knob exists for the lazy-vs-eager
+	// differential tests and as an escape hatch.
 	EagerDecode bool
 	// Owns restricts which partitions this manager stores records for: a
 	// cluster node controller owns a subset of the hash space, and inserts
@@ -765,26 +766,50 @@ func (d *Dataset) mutate(part int, pk []byte, newRec *adm.Record, raw []byte) (e
 }
 
 // fetch reads and decodes the record stored under the encoded primary key in
-// one partition (nil if absent): the one primary-index point lookup behind
-// writes (the old record whose index entries a mutation retracts — the caller
-// holds the pk lock, so it stays valid for the whole operation), LookupPK and
-// the primary-search stage of every secondary access path.
+// one partition (nil if absent): the primary-index point lookup behind writes
+// (the old record whose index entries a mutation retracts — the caller holds
+// the pk lock, so it stays valid for the whole operation), LookupPK and the
+// materializing secondary searches. Query jobs read through FetchPKPartition.
 func (d *Dataset) fetch(part int, pk []byte) (*adm.Record, error) {
-	p := d.partitions[part]
-	p.mu.Lock()
-	raw, ok := p.primary.Get(pk)
-	p.mu.Unlock()
+	raw, ok := d.stored(part, pk)
 	if !ok {
 		return nil, nil
 	}
 	val, _, err := d.ser.Decode(raw)
 	if err != nil {
-		// A record we stored must decode; anything else is corruption worth
-		// surfacing rather than silently leaving stale index entries behind.
-		return nil, fmt.Errorf("storage: %q: decode stored record: %w", d.spec.Name, err)
+		return nil, d.corrupt(err)
 	}
 	rec, _ := val.(*adm.Record)
 	return rec, nil
+}
+
+// stored returns the value bytes stored under the encoded primary key in one
+// partition. They are an LSM value slice, never mutated in place, so they
+// stay readable after the partition latch is released.
+func (d *Dataset) stored(part int, pk []byte) ([]byte, bool) {
+	p := d.partitions[part]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.primary.Get(pk)
+}
+
+// corrupt wraps the error of a stored record that failed to decode. A record
+// we stored must decode; anything else is corruption worth surfacing rather
+// than silently leaving stale index entries behind or dropping a row.
+func (d *Dataset) corrupt(err error) error {
+	return fmt.Errorf("storage: %q: decode stored record: %w", d.spec.Name, err)
+}
+
+// view decodes stored record bytes for a query: a zero-copy *adm.LazyRecord
+// over raw (whose header comes from arena, which may be nil), or the whole
+// *adm.Record under Options.EagerDecode.
+func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
+	if d.manager.opts.EagerDecode {
+		v, _, err := d.ser.Decode(raw)
+		return v, err
+	}
+	v, _, err := d.ser.DecodeLazy(raw, arena)
+	return v, err
 }
 
 // buildLogRecords produces the WAL records for replacing oldRec (nil if pk
@@ -951,17 +976,26 @@ func (d *Dataset) LookupPK(pkValues ...adm.Value) (*adm.Record, bool, error) {
 // PartitionCount returns the number of storage partitions.
 func (d *Dataset) PartitionCount() int { return len(d.partitions) }
 
-// FetchPKPartition fetches and decodes the record stored under the encoded
-// primary key in one partition. Secondary indexes are partition-local and
-// co-located with their records, so an encoded key obtained from partition
-// p's secondary index always resolves in partition p's primary index: this is
-// the primary-search stage of the compiled per-partition access path.
-func (d *Dataset) FetchPKPartition(part int, pk []byte) (*adm.Record, bool, error) {
+// FetchPKPartition fetches the record stored under the encoded primary key in
+// one partition. Secondary indexes are partition-local and co-located with
+// their records, so an encoded key obtained from partition p's secondary
+// index always resolves in partition p's primary index: this is the
+// primary-search stage of the compiled per-partition access path. Like
+// ScanPartition, it returns a zero-copy *adm.LazyRecord view of the stored
+// bytes, or an *adm.Record under Options.EagerDecode.
+func (d *Dataset) FetchPKPartition(part int, pk []byte) (adm.Value, bool, error) {
 	if part < 0 || part >= len(d.partitions) {
 		return nil, false, fmt.Errorf("storage: partition %d out of range", part)
 	}
-	rec, err := d.fetch(part, pk)
-	return rec, rec != nil, err
+	raw, ok := d.stored(part, pk)
+	if !ok {
+		return nil, false, nil
+	}
+	rec, err := d.view(raw, nil)
+	if err != nil {
+		return nil, false, d.corrupt(err)
+	}
+	return rec, true, nil
 }
 
 // FetchEqualPartition visits the records of partition part whose one-field
@@ -986,8 +1020,8 @@ func (d *Dataset) FetchEqualPartition(part int, v adm.Value, emit func(adm.Value
 	if d.partitionFor(key) != part {
 		return nil
 	}
-	rec, err := d.fetch(part, key)
-	if rec != nil {
+	rec, found, err := d.FetchPKPartition(part, key)
+	if found {
 		emit(rec)
 	}
 	return err
@@ -1217,9 +1251,8 @@ func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 	p.mu.Lock()
 	it := p.primary.NewIterator(nil, nil)
 	p.mu.Unlock()
-	lazy := !d.manager.opts.EagerDecode
 	var arena *adm.Arena
-	if lazy {
+	if !d.manager.opts.EagerDecode {
 		// The arena only block-allocates LazyRecord headers here; emitted
 		// records hold no reference to it. Release is nil-safe, so the eager
 		// path threads through.
@@ -1237,13 +1270,7 @@ func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 				done = true
 				break
 			}
-			var val adm.Value
-			var err error
-			if lazy {
-				val, _, err = d.ser.DecodeLazy(it.Value(), arena)
-			} else {
-				val, _, err = d.ser.Decode(it.Value())
-			}
+			val, err := d.view(it.Value(), arena)
 			if err != nil {
 				decodeErr = err
 				break

@@ -3,6 +3,7 @@ package asterixdb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -132,6 +133,72 @@ func TestPrimaryKeyEqualsScan(t *testing.T) {
 	if left, err := inst.QueryWithOptions(`for $d in dataset Kopen where $d.id = 5 return $d;`,
 		algebra.Options{DisableIndexAccess: true}); err != nil || len(left) != 0 {
 		t.Errorf("after the delete the scan finds %d records (%v)", len(left), err)
+	}
+}
+
+// TestIndexServedRecordsAreViews: a record a primary-key equality or a
+// secondary range fetches is the zero-copy view a scan yields, and a whole
+// *adm.Record when records decode eagerly; both write the same NDJSON bytes.
+func TestIndexServedRecordsAreViews(t *testing.T) {
+	const ddl = `create type MT as closed { id: int32, k: int32, at: datetime, text: string, tags: {{ string }} }
+create dataset M(MT) primary key id;
+create index mK on M(k) type btree;
+insert into dataset M ([
+  {"id": 1, "k": 10, "at": datetime("1969-12-31T23:59:59.999"), "text": "<a> & \"b\"\n", "tags": {{ "x" }}},
+  {"id": 2, "k": 20, "at": datetime("2014-02-20T08:00:00.000"), "text": "` + "h\u00e9llo \u2028" + `", "tags": {{ }}},
+  {"id": 3, "k": 30, "at": datetime("0001-01-01T00:00:00.000"), "text": "", "tags": {{ "y", "z" }}}]);`
+	ndjson := func(t *testing.T, eager bool, plan, query string) string {
+		t.Helper()
+		inst, err := open(Config{DataDir: t.TempDir(), Partitions: 3}, variant{eagerDecode: eager})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		if _, err := inst.Execute(ddl); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := inst.Explain(query); err != nil || !strings.Contains(got, plan) {
+			t.Fatalf("the plan does not run %q (%v):\n%s", plan, err, got)
+		}
+		rows, err := inst.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, len(rows))
+		for i, v := range rows {
+			switch v.(type) {
+			case *adm.LazyRecord:
+				if eager {
+					t.Errorf("row %d is a lazy view under eager decode", i)
+				}
+			case *adm.Record:
+				if !eager {
+					t.Errorf("row %d is a decoded *adm.Record, want the lazy view", i)
+				}
+			default:
+				t.Errorf("row %d is %T", i, v)
+			}
+			lines[i] = string(adm.AppendJSON(nil, v))
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	for _, q := range []struct {
+		name, plan, query string
+		rows              int
+	}{
+		{"pk", "btree-search (primary M)", `for $m in dataset M where $m.id = 2 return $m;`, 1},
+		{"range", "btree-search (secondary mK on M)", `for $m in dataset M where $m.k >= 10 return $m;`, 3},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			lazy, eager := ndjson(t, false, q.plan, q.query), ndjson(t, true, q.plan, q.query)
+			if lazy != eager {
+				t.Errorf("NDJSON differs:\nlazy:\n%s\neager:\n%s", lazy, eager)
+			}
+			if got := strings.Count(lazy, "\n") + 1; got != q.rows {
+				t.Errorf("%d rows, want %d:\n%s", got, q.rows, lazy)
+			}
+		})
 	}
 }
 
