@@ -55,7 +55,6 @@ import (
 	"asterixdb/internal/external"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
-	"asterixdb/internal/temporal"
 	"asterixdb/internal/translator"
 )
 
@@ -65,8 +64,6 @@ type Config struct {
 	DataDir string
 	// Partitions is the number of storage partitions (default 4).
 	Partitions int
-	// Encoding selects Schema (default) or KeyOnly record layouts.
-	Encoding adm.Encoding
 	// Journaled forces the WAL on every commit (Table 4 durability).
 	Journaled bool
 	// MemBudget is the in-memory component budget in bytes of each LSM tree:
@@ -80,24 +77,16 @@ type Config struct {
 	// Zero means unconstrained; when zero, the ASTERIXDB_MEMORY_BUDGET
 	// environment variable (bytes) applies if set.
 	MemoryBudget int64
-	// Clock overrides the clock behind current-datetime(); tests and
-	// benchmarks use a fixed clock for determinism.
-	Clock temporal.Clock
-	// OptimizerOptions tune the rule-based optimizer (ablation benchmarks).
-	OptimizerOptions algebra.Options
 	// OwnsPartition restricts which storage partitions this instance stores
 	// records for. In a cluster, each node controller owns a subset of the
 	// hash space: inserts and loads silently skip records whose primary key
 	// hashes to a partition owned elsewhere (another node stores them), and
-	// scans of non-owned partitions see empty trees. Nil means the instance
-	// owns every partition (the single-process default).
+	// scans of non-owned partitions see empty trees. Such an instance holds
+	// a slice of every internal dataset, so reading one inside an expression
+	// (a correlated subquery) is a typed error instead of a partial answer;
+	// compiled dataset scans are unaffected. Nil means the instance owns
+	// every partition (the single-process default).
 	OwnsPartition func(partition int) bool
-	// DistributedNode marks the instance as one node of a multi-process
-	// cluster. It turns whole-dataset reads inside expressions (correlated
-	// subqueries over internal datasets) into typed errors instead of
-	// silently returning one node's slice of the data. Compiled jobs are the
-	// same on every node and in a single process.
-	DistributedNode bool
 }
 
 // Instance is one AsterixDB node-group: a Cluster Controller front-end plus
@@ -188,9 +177,6 @@ func open(cfg Config, v variant) (*Instance, error) {
 	}
 	inst.currentDataverse = "Default"
 	ctx := expr.NewContext()
-	if cfg.Clock != nil {
-		ctx.Clock = cfg.Clock
-	}
 	ctx.Datasets = inst.readDataset
 	ctx.Functions = inst.functions
 	inst.evalCtx = ctx
@@ -234,7 +220,7 @@ func (in *Instance) ExecuteContext(ctx context.Context, src string) (*Result, er
 	if err != nil || q == nil {
 		return res, err
 	}
-	return in.evaluateQuery(ctx, q, in.cfg.OptimizerOptions)
+	return in.evaluateQuery(ctx, q, algebra.Options{})
 }
 
 // Execute is ExecuteContext without cancellation.
@@ -244,14 +230,13 @@ func (in *Instance) Execute(src string) (*Result, error) {
 
 // Query executes a single query expression and returns its result values.
 func (in *Instance) Query(src string) ([]adm.Value, error) {
-	return in.QueryWithOptions(src, in.cfg.OptimizerOptions)
+	return in.QueryWithOptions(src, algebra.Options{})
 }
 
-// QueryWithOptions executes a query with a per-call optimizer-option
-// override; the bench harness uses it to compare indexed and non-indexed
-// access paths on the same instance. The override applies to the trailing
-// query only and is never written back into the shared config, so it is safe
-// to call concurrently with Query.
+// QueryWithOptions executes a query under per-call optimizer options (Query
+// uses the defaults); the benchmarks use it to compare indexed and
+// non-indexed access paths on the same instance. The options apply to the
+// trailing query only, so it is safe to call concurrently with Query.
 func (in *Instance) QueryWithOptions(src string, opts algebra.Options) ([]adm.Value, error) {
 	ctx := context.Background()
 	q, res, err := in.ExecuteForQuery(ctx, src)
@@ -307,7 +292,7 @@ func (in *Instance) Explain(src string) (string, error) {
 	if q == nil {
 		return "", errf(CodeInvalid, "asterixdb: explain needs a statement ending in a query")
 	}
-	plan, job, err := in.CompileQuery(q, in.cfg.OptimizerOptions)
+	plan, job, err := in.CompileQuery(q, algebra.Options{})
 	if err != nil {
 		return "", err
 	}
@@ -481,7 +466,7 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 	case *aql.LoadStatement:
 		return in.executeLoad(s)
 	case *aql.QueryStatement:
-		return in.evaluateQuery(ctx, s.Body, in.cfg.OptimizerOptions)
+		return in.evaluateQuery(ctx, s.Body, algebra.Options{})
 	}
 	return nil, errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
 }
@@ -629,7 +614,6 @@ func (in *Instance) createDataset(s *aql.CreateDataset) (*Result, error) {
 			Name:       s.Name,
 			Type:       rt,
 			PrimaryKey: s.PrimaryKey,
-			Encoding:   in.cfg.Encoding,
 		})
 		if err != nil {
 			return nil, err
@@ -757,7 +741,7 @@ func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (
 	if s.Where != nil {
 		victims.Clauses = append(victims.Clauses, &aql.WhereClause{Cond: s.Where})
 	}
-	res, err := in.evaluateQuery(ctx, victims, in.cfg.OptimizerOptions)
+	res, err := in.evaluateQuery(ctx, victims, algebra.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -814,14 +798,14 @@ func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
 	if e.external != nil {
 		return e.external.ReadAll()
 	}
-	if in.cfg.DistributedNode {
-		// One node's scan of an internal dataset sees only its owned
-		// partitions; materializing it inside an expression would silently
-		// return a slice of the data. Compiled dataset access distributes
-		// correctly (per-partition scan instances placed on their owners) —
-		// only this subquery path is unsupported.
+	if in.cfg.OwnsPartition != nil {
+		// This instance stores only its owned partitions; materializing the
+		// dataset inside an expression would silently return a slice of the
+		// data. Compiled dataset access distributes correctly (per-partition
+		// scan instances placed on their owners) — only this subquery path is
+		// unsupported.
 		return nil, errf(CodeInvalid,
-			"asterixdb: dataset %q cannot be read inside an expression in distributed mode", name)
+			"asterixdb: dataset %q cannot be read inside an expression on an instance that owns a subset of its partitions", name)
 	}
 	var out []*adm.Record
 	err := e.internal.Scan(func(r *adm.Record) bool {

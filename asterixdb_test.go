@@ -1,9 +1,12 @@
 package asterixdb
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +53,20 @@ create type MugshotMessageType as closed {
   tags: {{ string }},
   message: string
 }
+` + tinySocialDatasets
 
+// tinySocialKeyOnlyDDL declares the same datasets and indexes over open types
+// that declare only the primary key: the paper's "Asterix (KeyOnly)"
+// configuration.
+const tinySocialKeyOnlyDDL = `
+drop dataverse TinySocial if exists;
+create dataverse TinySocial;
+use dataverse TinySocial;
+create type MugshotUserType as open { id: int32 }
+create type MugshotMessageType as open { message-id: int32 }
+` + tinySocialDatasets
+
+const tinySocialDatasets = `
 create dataset MugshotUsers(MugshotUserType) primary key id;
 create dataset MugshotMessages(MugshotMessageType) primary key message-id;
 
@@ -64,15 +80,12 @@ create index msMessageNGramIdx on MugshotMessages(message) type ngram(3);
 
 func newTinySocial(t testing.TB) *Instance {
 	t.Helper()
-	inst, err := Open(Config{
-		DataDir:    t.TempDir(),
-		Partitions: 2,
-		Clock:      temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)},
-	})
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inst.Close() })
+	inst.EvalContext().Clock = temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)}
 	if _, err := inst.Execute(tinySocialDDL); err != nil {
 		t.Fatalf("DDL: %v", err)
 	}
@@ -589,21 +602,102 @@ func TestRTreeAndKeywordIndexQueries(t *testing.T) {
 	}
 }
 
+// TestSchemaAndKeyOnlyInstances: the paper's KeyOnly configuration is a
+// Datatype that declares only the primary key. The same data stored under it
+// takes more bytes (every other field carries its name) and answers every
+// differential query with the same rows as the fully declared Schema
+// instance, with index access on and off.
 func TestSchemaAndKeyOnlyInstances(t *testing.T) {
-	for _, enc := range []adm.Encoding{adm.SchemaEncoding, adm.KeyOnlyEncoding} {
-		inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2, Encoding: enc})
+	open := func(ddl string) *Instance {
+		inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.Execute(tinySocialDDL); err != nil {
-			t.Fatalf("%v DDL: %v", enc, err)
+		t.Cleanup(func() { inst.Close() })
+		if _, err := inst.Execute(ddl); err != nil {
+			t.Fatalf("DDL: %v", err)
 		}
 		loadTinySocial(t, inst)
-		res, err := inst.Query(`for $u in dataset MugshotUsers return $u;`)
-		if err != nil || len(res) != 4 {
-			t.Errorf("%v: scan returned %d users, %v", enc, len(res), err)
+		return inst
+	}
+	schema, keyOnly := open(tinySocialDDL), open(tinySocialKeyOnlyDDL)
+	size := func(inst *Instance) int64 {
+		ds, _ := inst.Dataset("MugshotMessages")
+		n, err := ds.SizeBytes()
+		if err != nil {
+			t.Fatal(err)
 		}
-		inst.Close()
+		return n
+	}
+	if s, k := size(schema), size(keyOnly); s >= k {
+		t.Errorf("Schema messages take %d bytes, KeyOnly %d; want Schema smaller", s, k)
+	}
+	// Field order and integer widths follow the Datatype, so rows compare as
+	// JSON objects.
+	rows := func(inst *Instance, q string, opts algebra.Options, ordered bool) []string {
+		vals, err := inst.QueryWithOptions(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			var x any
+			if err := json.Unmarshal(adm.AppendJSON(nil, v), &x); err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(x)
+			out[i] = string(b)
+		}
+		if !ordered {
+			sort.Strings(out)
+		}
+		return out
+	}
+	for _, q := range differentialQueries {
+		for _, opts := range []algebra.Options{{}, {DisableIndexAccess: true}} {
+			want, got := rows(schema, q.query, opts, q.ordered), rows(keyOnly, q.query, opts, q.ordered)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s (%+v): KeyOnly rows\n  %v\nSchema rows\n  %v", q.name, opts, got, want)
+			}
+		}
+	}
+}
+
+// TestPartialOwnerRefusesExpressionDatasetReads: an instance that owns some
+// partitions stores a slice of every dataset. A compiled scan reads that
+// slice (its share of a distributed job), but a dataset read inside an
+// expression would present the slice as the whole dataset, so it is a typed
+// error naming the dataset.
+func TestPartialOwnerRefusesExpressionDatasetReads(t *testing.T) {
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 4, OwnsPartition: func(p int) bool { return p == 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if _, err := inst.Execute(`create type T as { id: int64 } create dataset D(T) primary key id;`); err != nil {
+		t.Fatal(err)
+	}
+	var recs []string
+	for i := 0; i < 40; i++ {
+		recs = append(recs, fmt.Sprintf(`{ "id": %d }`, i))
+	}
+	res, err := inst.Execute(`insert into dataset D ([` + strings.Join(recs, ",") + `]);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 10 {
+		t.Fatalf("stored %d of 40 records in partition 0 of 4, want 10", res.Count)
+	}
+	vals, err := inst.Query(`count(for $d in dataset D return $d)`)
+	if err != nil || len(vals) != 1 {
+		t.Fatalf("top-level count = %v, %v", vals, err)
+	}
+	if n, _ := adm.NumericAsInt64(vals[0]); n != 10 {
+		t.Fatalf("top-level count = %v, want the owned slice 10", vals[0])
+	}
+	vals, err = inst.Query(`for $x in [1] return count(for $d in dataset D return $d)`)
+	if ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), `"D"`) {
+		t.Fatalf("count inside an expression = %v, %v; want a CodeInvalid error naming D", vals, err)
 	}
 }
 

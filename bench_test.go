@@ -51,27 +51,15 @@ func getEnv(b *testing.B) *benchEnv {
 	gen := workload.New(benchScale)
 	env := &benchEnv{gen: gen, params: gen.Params(), users: gen.Users(), messages: gen.Messages()}
 
-	mkInstance := func(enc adm.Encoding) *Instance {
-		inst, err := Open(Config{
-			DataDir:    b.TempDir(),
-			Partitions: 4,
-			Encoding:   enc,
-			Clock:      temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)},
-		})
+	// mkInstance loads the generated data under the given Datatypes; the
+	// Schema and KeyOnly systems differ only in them.
+	mkInstance := func(types string) *Instance {
+		inst, err := Open(Config{DataDir: b.TempDir(), Partitions: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ddl := `
-create type EmploymentType as open { organization-name: string, start-date: date, end-date: date? }
-create type MugshotUserType as {
-  id: int32, alias: string, name: string, user-since: datetime,
-  address: { street: string, city: string, state: string, zip: string, country: string },
-  friend-ids: {{ int32 }}, employment: [EmploymentType]
-}
-create type MugshotMessageType as closed {
-  message-id: int32, author-id: int32, timestamp: datetime, in-response-to: int32?,
-  sender-location: point?, tags: {{ string }}, message: string
-}
+		inst.EvalContext().Clock = temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)}
+		ddl := types + `
 create dataset MugshotUsers(MugshotUserType) primary key id;
 create dataset MugshotMessages(MugshotMessageType) primary key message-id;
 create index msTimestampIdx on MugshotMessages(timestamp);
@@ -93,8 +81,22 @@ create index msMessageNgIdx on MugshotMessages(message) type ngram(3);
 		}
 		return inst
 	}
-	env.asterixSchema = mkInstance(adm.SchemaEncoding)
-	env.asterixKeyOnly = mkInstance(adm.KeyOnlyEncoding)
+	env.asterixSchema = mkInstance(`
+create type EmploymentType as open { organization-name: string, start-date: date, end-date: date? }
+create type MugshotUserType as {
+  id: int32, alias: string, name: string, user-since: datetime,
+  address: { street: string, city: string, state: string, zip: string, country: string },
+  friend-ids: {{ int32 }}, employment: [EmploymentType]
+}
+create type MugshotMessageType as closed {
+  message-id: int32, author-id: int32, timestamp: datetime, in-response-to: int32?,
+  sender-location: point?, tags: {{ string }}, message: string
+}`)
+	// KeyOnly declares only the primary key (workload.KeyOnlyUserType and
+	// KeyOnlyMessageType): every other field is stored with its name.
+	env.asterixKeyOnly = mkInstance(`
+create type MugshotUserType as open { id: int32 }
+create type MugshotMessageType as open { message-id: int32 }`)
 
 	env.rowstore = comparators.NewRowStore()
 	env.rowstore.LoadUsers(env.users)
@@ -258,9 +260,7 @@ func benchAsterixQuery(b *testing.B, inst *Instance, query string) {
 	}
 }
 
-// benchAsterixQueryOpts benchmarks a query under a per-call optimizer-option
-// override (QueryWithOptions threads the options through the compile call, so
-// the shared config is never mutated).
+// benchAsterixQueryOpts benchmarks a query under per-call optimizer options.
 func benchAsterixQueryOpts(b *testing.B, inst *Instance, query string, opts algebra.Options) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -279,7 +279,7 @@ var indexModes = []struct {
 }{{"NoIndex", false}, {"WithIndex", true}}
 
 // benchAsterix measures query as a row's two Asterix columns, the Schema and
-// KeyOnly encodings, under AsterixSchema/<suffix> and AsterixKeyOnly/<suffix>.
+// KeyOnly Datatypes, under AsterixSchema/<suffix> and AsterixKeyOnly/<suffix>.
 func (e *benchEnv) benchAsterix(b *testing.B, suffix, query string, withIndex bool) {
 	opts := algebra.Options{DisableIndexAccess: !withIndex}
 	b.Run("AsterixSchema/"+suffix, func(b *testing.B) { benchAsterixQueryOpts(b, e.asterixSchema, query, opts) })
@@ -637,16 +637,12 @@ return { "a": $a, "n": count($m) };`},
 
 func newSpillBenchInstance(b *testing.B, budget int64) *Instance {
 	b.Helper()
-	inst, err := Open(Config{
-		DataDir:      b.TempDir(),
-		Partitions:   4,
-		MemoryBudget: budget,
-		Clock:        temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)},
-	})
+	inst, err := Open(Config{DataDir: b.TempDir(), Partitions: 4, MemoryBudget: budget})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { inst.Close() })
+	inst.EvalContext().Clock = temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)}
 	if _, err := inst.Execute(spillBenchDDL); err != nil {
 		b.Fatal(err)
 	}

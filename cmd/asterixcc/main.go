@@ -52,11 +52,10 @@ func main() {
 	// it owns no storage partitions, so DML applied to it updates metadata
 	// and counts but stores no base records.
 	inst, err := asterixdb.Open(asterixdb.Config{
-		DataDir:         *dataFlag,
-		Partitions:      *partitionsFlag,
-		MemoryBudget:    *memBudgetFlag,
-		OwnsPartition:   func(int) bool { return false },
-		DistributedNode: true,
+		DataDir:       *dataFlag,
+		Partitions:    *partitionsFlag,
+		MemoryBudget:  *memBudgetFlag,
+		OwnsPartition: func(int) bool { return false },
 	})
 	if err != nil {
 		log.Fatalf("asterixcc: open catalog instance: %v", err)

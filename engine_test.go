@@ -46,7 +46,7 @@ func (in *Instance) compileJob(src string) (*hyracks.Job, *algebra.Plan, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, job, err := in.CompileQuery(q, in.cfg.OptimizerOptions)
+	plan, job, err := in.CompileQuery(q, algebra.Options{})
 	return job, plan, err
 }
 

@@ -1,7 +1,6 @@
 package asterixdb
 
 import (
-	"asterixdb/internal/adm"
 	"asterixdb/internal/expr"
 	"asterixdb/internal/storage"
 )
@@ -14,15 +13,10 @@ func (in *Instance) EvalContext() *expr.Context { return in.evalCtx }
 
 // LookupDataset implements translator.Runtime: it resolves internal (stored,
 // partitioned) datasets. Metadata and external datasets report false and are
-// materialized through ReadDatasetRecords instead.
+// read through the evaluation context's dataset reader instead.
 func (in *Instance) LookupDataset(dataverse, name string) (*storage.Dataset, bool) {
 	if dataverse == "Metadata" {
 		return nil, false
 	}
 	return in.Dataset(name)
-}
-
-// ReadDatasetRecords implements translator.Runtime.
-func (in *Instance) ReadDatasetRecords(dataverse, name string) ([]*adm.Record, error) {
-	return in.readDataset(dataverse, name)
 }

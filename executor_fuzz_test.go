@@ -99,16 +99,12 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 	t.Helper()
 	clock := temporal.FixedClock{T: time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)}
 	mk := func(v variant) *Instance {
-		inst, err := open(Config{
-			DataDir:      t.TempDir(),
-			Partitions:   3,
-			Clock:        clock,
-			MemoryBudget: memoryBudget,
-		}, v)
+		inst, err := open(Config{DataDir: t.TempDir(), Partitions: 3, MemoryBudget: memoryBudget}, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { inst.Close() })
+		inst.EvalContext().Clock = clock
 		if _, err := inst.Execute(fuzzDDL); err != nil {
 			t.Fatal(err)
 		}

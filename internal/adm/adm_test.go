@@ -2,6 +2,7 @@ package adm
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -321,7 +322,7 @@ func sampleUser() *Record {
 
 func TestSchemaEncodingRoundTrip(t *testing.T) {
 	rt := mugshotUserType()
-	for _, enc := range []Encoding{SchemaEncoding, KeyOnlyEncoding} {
+	for _, enc := range []Encoding{SchemaEncoding, SelfDescribingEncoding} {
 		s := NewSerializer(rt, enc)
 		rec := sampleUser()
 		buf, err := s.Encode(nil, rec)
@@ -347,18 +348,16 @@ func TestSchemaEncodingRoundTrip(t *testing.T) {
 func TestSchemaEncodingSmallerThanKeyOnly(t *testing.T) {
 	rt := mugshotUserType()
 	rec := sampleUser()
-	schema := NewSerializer(rt, SchemaEncoding)
-	keyonly := NewSerializer(rt, KeyOnlyEncoding)
-	sSize, err := schema.EncodedSize(rec)
+	schema, err := NewSerializer(rt, SchemaEncoding).Encode(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kSize, err := keyonly.EncodedSize(rec)
+	selfDescribing, err := NewSerializer(rt, SelfDescribingEncoding).Encode(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sSize >= kSize {
-		t.Errorf("schema encoding (%d bytes) should be smaller than keyonly (%d bytes)", sSize, kSize)
+	if len(schema) >= len(selfDescribing) {
+		t.Errorf("schema encoding (%d bytes) should be smaller than self-describing (%d bytes)", len(schema), len(selfDescribing))
 	}
 }
 
@@ -368,6 +367,33 @@ func TestSchemaEncodingRequiredFieldMissing(t *testing.T) {
 	rec := NewRecord(Field{Name: "id", Value: Int32(1)}) // missing required fields
 	if _, err := s.Encode(nil, rec); err == nil {
 		t.Error("encoding a record missing required fields must fail")
+	}
+}
+
+// TestKeyPartitionIsFNV1a pins KeyPartition to hash/fnv's 32-bit FNV-1a mod n:
+// partition numbers are on disk (partition-N directories) and in WAL records,
+// so the placement of a key must never move.
+func TestKeyPartitionIsFNV1a(t *testing.T) {
+	keys := [][]byte{nil, {0}, {0xff, 0xff, 0xff, 0xff}}
+	for _, vals := range [][]Value{
+		{Int32(0)}, {Int32(1)}, {Int64(-7)}, {Double(2.5)}, {Int64(1 << 40)},
+		{String("")}, {String("MugshotMessages")}, {Datetime(1393286400000)},
+		{Int32(3), String("a")}, {String("a"), Int32(3)}, {Null{}, Missing{}},
+	} {
+		var key []byte
+		for _, v := range vals {
+			key = EncodeKey(key, v)
+		}
+		keys = append(keys, key)
+	}
+	for _, key := range keys {
+		h := fnv.New32a()
+		h.Write(key)
+		for _, n := range []int{1, 2, 3, 4, 7, 8, 30, 1 << 20} {
+			if got, want := KeyPartition(key, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Errorf("KeyPartition(%x, %d) = %d, want FNV-1a's %d", key, n, got, want)
+			}
+		}
 	}
 }
 
@@ -580,42 +606,11 @@ func TestNumericHelpers(t *testing.T) {
 	if n, ok := NumericAsInt64(Double(3.9)); !ok || n != 3 {
 		t.Error("NumericAsInt64 should truncate")
 	}
-	v, err := PromoteNumeric(Int32(5), TagDouble)
-	if err != nil || v.Tag() != TagDouble {
-		t.Error("PromoteNumeric to double failed")
-	}
-	if _, err := PromoteNumeric(String("x"), TagDouble); err == nil {
-		t.Error("PromoteNumeric should fail on non-numeric")
-	}
 	if !IsUnknown(Null{}) || !IsUnknown(Missing{}) || IsUnknown(Int32(0)) {
 		t.Error("IsUnknown misclassifies")
 	}
 	if !Truthy(Boolean(true)) || Truthy(Boolean(false)) || Truthy(Int32(1)) {
 		t.Error("Truthy misclassifies")
-	}
-}
-
-func TestTypeRegistry(t *testing.T) {
-	reg := NewTypeRegistry()
-	rt := mugshotUserType()
-	if err := reg.Register("MugshotUserType", rt); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("MugshotUserType", rt); err == nil {
-		t.Error("duplicate registration should fail")
-	}
-	got, ok := reg.Lookup("MugshotUserType")
-	if !ok || got.(*RecordType).Name != "MugshotUserType" {
-		t.Error("Lookup failed")
-	}
-	if err := reg.Drop("MugshotUserType"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reg.Lookup("MugshotUserType"); ok {
-		t.Error("type still present after Drop")
-	}
-	if err := reg.Drop("nope"); err == nil {
-		t.Error("dropping unknown type should fail")
 	}
 }
 

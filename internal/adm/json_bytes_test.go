@@ -16,7 +16,7 @@ func TestAppendJSONFromBytes(t *testing.T) {
 	gen := workload.New(workload.DefaultConfig)
 	for _, ser := range []*adm.Serializer{
 		adm.NewSerializer(workload.MessageType(), adm.SchemaEncoding),
-		adm.NewSerializer(workload.KeyOnlyMessageType(), adm.KeyOnlyEncoding),
+		adm.NewSerializer(workload.KeyOnlyMessageType(), adm.SelfDescribingEncoding),
 	} {
 		for id := 1; id <= 20; id++ {
 			raw, err := ser.Encode(nil, gen.Message(id))

@@ -117,7 +117,7 @@ func FuzzAppendJSON(f *testing.F) {
 		if want, ok := referenceText(v); ok && v.String() != want {
 			t.Fatalf("%s text:\n got %s\nwant %s", v.Tag(), v.String(), want)
 		}
-		for _, enc := range []Encoding{SchemaEncoding, KeyOnlyEncoding} {
+		for _, enc := range []Encoding{SchemaEncoding, SelfDescribingEncoding} {
 			ser := NewSerializer(typ, enc)
 			raw, err := ser.Encode(nil, rec)
 			if err != nil {

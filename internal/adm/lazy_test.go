@@ -69,7 +69,7 @@ func decodeBoth(t *testing.T, enc Encoding) (*LazyRecord, *Record) {
 // resolution (present, null, missing, open), same total-order comparison,
 // same hash key, same JSON, same re-encoded bytes.
 func TestLazyDecodeParity(t *testing.T) {
-	for _, enc := range []Encoding{SchemaEncoding, KeyOnlyEncoding} {
+	for _, enc := range []Encoding{SchemaEncoding, SelfDescribingEncoding} {
 		t.Run(fmt.Sprintf("encoding-%d", enc), func(t *testing.T) {
 			lr, er := decodeBoth(t, enc)
 			for _, name := range []string{"id", "name", "score", "note", "tags", "loc", "absent"} {
@@ -102,7 +102,7 @@ func TestLazyDecodeParity(t *testing.T) {
 // TestLazyMaterializeMatchesEager asserts materialization yields a record
 // with the same fields in the same order as the eager decoder.
 func TestLazyMaterializeMatchesEager(t *testing.T) {
-	for _, enc := range []Encoding{SchemaEncoding, KeyOnlyEncoding} {
+	for _, enc := range []Encoding{SchemaEncoding, SelfDescribingEncoding} {
 		lr, er := decodeBoth(t, enc)
 		full := lr.Materialize()
 		if len(full.Fields) != len(er.Fields) {

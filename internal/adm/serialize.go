@@ -3,6 +3,7 @@ package adm
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/bits"
 )
@@ -11,27 +12,29 @@ import (
 //
 // SchemaEncoding stores declared fields positionally: the field names and
 // types live in the Datatype (metadata), so each instance stores only the
-// values of declared fields plus any undeclared "open" fields. This is the
-// "Asterix (Schema)" configuration from the paper's Table 2/3.
-//
-// KeyOnlyEncoding stores every field self-describing (name + tagged value),
-// as if only the primary key had been declared up front. This is the
+// values of declared fields plus any undeclared "open" fields, which are
+// self-describing. Storage always uses it. Under a type that declares every
+// field it is the "Asterix (Schema)" configuration from the paper's Table
+// 2/3; under an open type that declares only the primary key it is the
 // "Asterix (KeyOnly)" configuration.
+//
+// SelfDescribingEncoding stores every field with its name and tagged value;
+// it is the layout of open fields and nested values.
 type Encoding uint8
 
 const (
 	// SchemaEncoding lays out declared fields positionally using the Datatype.
 	SchemaEncoding Encoding = iota
-	// KeyOnlyEncoding stores every field with its name in each instance.
-	KeyOnlyEncoding
+	// SelfDescribingEncoding stores every field with its name in each instance.
+	SelfDescribingEncoding
 )
 
-// String returns "schema" or "keyonly".
+// String returns "schema" or "self-describing".
 func (e Encoding) String() string {
 	if e == SchemaEncoding {
 		return "schema"
 	}
-	return "keyonly"
+	return "self-describing"
 }
 
 // Serializer encodes and decodes ADM values to the binary on-disk format.
@@ -43,10 +46,10 @@ type Serializer struct {
 }
 
 // NewSerializer returns a Serializer for the given record type and encoding.
-// A nil record type forces KeyOnly (fully self-describing) encoding.
+// A nil record type forces the self-describing encoding.
 func NewSerializer(rt *RecordType, enc Encoding) *Serializer {
 	if rt == nil {
-		enc = KeyOnlyEncoding
+		enc = SelfDescribingEncoding
 	}
 	return &Serializer{Type: rt, Encoding: enc}
 }
@@ -74,15 +77,6 @@ func (s *Serializer) Decode(src []byte) (Value, int, error) {
 		return s.decodeSchemaRecord(src)
 	}
 	return DecodeValue(src)
-}
-
-// EncodedSize returns the number of bytes Encode would produce for v.
-func (s *Serializer) EncodedSize(v Value) (int, error) {
-	b, err := s.Encode(nil, v)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
 }
 
 // tagSchemaRecord marks a record encoded positionally against a Datatype.
@@ -185,8 +179,8 @@ func (s *Serializer) decodeSchemaRecord(src []byte) (Value, int, error) {
 }
 
 // ----------------------------------------------------------------------------
-// Self-describing value encoding (used by KeyOnly, open fields, and all
-// non-record values).
+// Self-describing value encoding (used by open fields, records without a
+// type, and all non-record values).
 // ----------------------------------------------------------------------------
 
 // EncodeValue appends the self-describing binary form of v to dst.
@@ -778,6 +772,20 @@ func EncodeKey(dst []byte, v Value) []byte {
 		dst = append(dst, 0xFF)
 		return append(dst, b...)
 	}
+}
+
+// KeyPartition maps key — EncodeKey's bytes for one or more values, appended —
+// to one of n partitions: the FNV-1a 32-bit hash of the bytes, mod n. Storage
+// places a record by its primary key with it and hash-partitioning connectors
+// route tuples with it, so a keyed index nested-loop join finds each key on
+// the partition that stores it. Partition numbers are persistent (partition
+// directories, WAL records): the function must never change.
+func KeyPartition(key []byte, n int) int {
+	h := fnv.New32a()
+	h.Write(key)
+	// Reduce in uint32 space: int(Sum32()) is negative for large hashes on
+	// 32-bit platforms and Go's % would preserve the sign.
+	return int(h.Sum32() % uint32(n))
 }
 
 // Number key tags, in key order. A finite number below 2^64 in magnitude is

@@ -9,13 +9,15 @@
 // text parser and printer, and two binary record encodings:
 //
 //   - Schema encoding: fields declared in the Datatype are stored positionally
-//     (field names live in type metadata, not in each instance).
-//   - KeyOnly encoding: every field is stored self-describing with its name,
-//     as if only the primary key had been declared a priori.
+//     (field names live in type metadata, not in each instance); undeclared
+//     fields follow self-describing.
+//   - Self-describing encoding: every field is stored with its name and a
+//     tagged value; open fields and nested values use it.
 //
-// These two encodings correspond to the "Asterix (Schema)" and
-// "Asterix (KeyOnly)" configurations measured in Table 2 and Table 3 of the
-// paper.
+// Storage uses the schema encoding. The "Asterix (Schema)" and "Asterix
+// (KeyOnly)" configurations measured in Table 2 and Table 3 of the paper
+// differ in their Datatype: KeyOnly is an open type that declares only the
+// primary key, so every other field is stored self-describing.
 package adm
 
 import "fmt"

@@ -2,9 +2,7 @@ package adm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Type describes an ADM Datatype: the a-priori information AsterixDB keeps
@@ -146,82 +144,6 @@ func Prim(tag TypeTag) *PrimitiveType { return &PrimitiveType{Tag: tag} }
 
 // Any returns the shared AnyType.
 func Any() *AnyType { return &AnyType{} }
-
-// ----------------------------------------------------------------------------
-// Type registry
-// ----------------------------------------------------------------------------
-
-// TypeRegistry resolves Datatype names within a Dataverse. It is safe for
-// concurrent use.
-type TypeRegistry struct {
-	mu    sync.RWMutex
-	types map[string]Type
-}
-
-// NewTypeRegistry returns a registry pre-populated with all primitive type
-// names.
-func NewTypeRegistry() *TypeRegistry {
-	reg := &TypeRegistry{types: make(map[string]Type)}
-	for tag, name := range tagNames {
-		switch tag {
-		case TagRecord, TagOrderedList, TagUnorderedList, TagMissing:
-			continue
-		case TagAny:
-			reg.types[name] = Any()
-		default:
-			reg.types[name] = Prim(tag)
-		}
-	}
-	// Common aliases accepted by the DDL.
-	reg.types["int"] = Prim(TagInt64)
-	reg.types["integer"] = Prim(TagInt64)
-	reg.types["bigint"] = Prim(TagInt64)
-	reg.types["smallint"] = Prim(TagInt16)
-	reg.types["tinyint"] = Prim(TagInt8)
-	return reg
-}
-
-// Register adds a named type; it fails if the name is already taken.
-func (reg *TypeRegistry) Register(name string, t Type) error {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, exists := reg.types[name]; exists {
-		return fmt.Errorf("adm: type %q already exists", name)
-	}
-	reg.types[name] = t
-	return nil
-}
-
-// Drop removes a named type.
-func (reg *TypeRegistry) Drop(name string) error {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, exists := reg.types[name]; !exists {
-		return fmt.Errorf("adm: type %q does not exist", name)
-	}
-	delete(reg.types, name)
-	return nil
-}
-
-// Lookup resolves a type name.
-func (reg *TypeRegistry) Lookup(name string) (Type, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	t, ok := reg.types[name]
-	return t, ok
-}
-
-// Names returns all registered type names, sorted.
-func (reg *TypeRegistry) Names() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.types))
-	for n := range reg.types {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // ----------------------------------------------------------------------------
 // Validation (open vs. closed semantics)

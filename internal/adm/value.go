@@ -418,7 +418,7 @@ func (r *Record) FieldNames() []string {
 }
 
 // SortedFields returns the record's fields sorted by name; used by record
-// comparison and the KeyOnly encoder.
+// comparison.
 func (r *Record) SortedFields() []Field {
 	out := make([]Field, len(r.Fields))
 	copy(out, r.Fields)
@@ -471,31 +471,6 @@ func NumericAsInt64(v Value) (int64, bool) {
 		return int64(n), true
 	}
 	return 0, false
-}
-
-// PromoteNumeric returns a value of the wider of the two numeric tags carrying
-// the same number as v. It is used when comparing or combining numerics of
-// different widths.
-func PromoteNumeric(v Value, to TypeTag) (Value, error) {
-	d, ok := NumericAsDouble(v)
-	if !ok {
-		return nil, fmt.Errorf("adm: cannot promote non-numeric %s", v.Tag())
-	}
-	switch to {
-	case TagInt8:
-		return Int8(int8(d)), nil
-	case TagInt16:
-		return Int16(int16(d)), nil
-	case TagInt32:
-		return Int32(int32(d)), nil
-	case TagInt64:
-		return Int64(int64(d)), nil
-	case TagFloat:
-		return Float(float32(d)), nil
-	case TagDouble:
-		return Double(d), nil
-	}
-	return nil, fmt.Errorf("adm: cannot promote to %s", to)
 }
 
 // IsUnknown reports whether the value is NULL or MISSING.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"asterixdb"
 	"asterixdb/internal/adm"
 	"asterixdb/internal/hyracks"
+	"asterixdb/internal/server"
 )
 
 // testDDL is the paper's TinySocial schema (Data definition 1 + 2), the same
@@ -299,10 +302,9 @@ type testCluster struct {
 func startCluster(t *testing.T, nNodes, partitions int) *testCluster {
 	t.Helper()
 	inst, err := asterixdb.Open(asterixdb.Config{
-		DataDir:         t.TempDir(),
-		Partitions:      partitions,
-		OwnsPartition:   func(int) bool { return false },
-		DistributedNode: true,
+		DataDir:       t.TempDir(),
+		Partitions:    partitions,
+		OwnsPartition: func(int) bool { return false },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -607,6 +609,48 @@ create dataset D(T) primary key id;`)
 	}
 }
 
+// TestClusterRefusesExpressionDatasetReads: a dataset read inside an
+// expression would see one node's slice of the data, so the cluster refuses
+// it with a typed error (HTTP 400 through the server) rather than answer with
+// a partial count. The binaries set no flag for this: owning a subset of the
+// partitions is what turns the guard on.
+func TestClusterRefusesExpressionDatasetReads(t *testing.T) {
+	tc := startCluster(t, 2, 4)
+	ctx := context.Background()
+	var recs []string
+	for i := 0; i < 40; i++ {
+		recs = append(recs, fmt.Sprintf(`{ "id": %d }`, i))
+	}
+	if _, err := tc.cc.ExecuteContext(ctx, `
+create dataverse Sub;
+use dataverse Sub;
+create type T as { id: int64 }
+create dataset D(T) primary key id;
+insert into dataset D ([`+strings.Join(recs, ",")+`]);`); err != nil {
+		t.Fatal(err)
+	}
+	const query = `use dataverse Sub; for $x in [1] return count(for $d in dataset D return $d);`
+	cur, err := tc.cc.QueryStream(ctx, query)
+	if err == nil {
+		var vals []string
+		vals, err = drainCursor(cur)
+		if err == nil {
+			t.Fatalf("cluster answered %v", vals)
+		}
+	}
+	if asterixdb.ErrorCode(err) != asterixdb.CodeInvalid || !strings.Contains(err.Error(), `"D"`) {
+		t.Fatalf("QueryStream error = %v, want a CodeInvalid error naming D", err)
+	}
+
+	svc := server.New(tc.cc, server.Options{})
+	defer svc.Close()
+	w := httptest.NewRecorder()
+	svc.ServeHTTP(w, httptest.NewRequest("POST", "/query", strings.NewReader(query)))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"code":"invalid"`) {
+		t.Fatalf("POST /query = %d %s, want 400 with code invalid", w.Code, w.Body)
+	}
+}
+
 // TestClusterExplainExecutesNothing: Explain runs on the controller's catalog
 // replica only, so a statement it executed would never reach the nodes. It
 // rejects a leading create instead, and the replica and the nodes stay in
@@ -694,10 +738,9 @@ func TestClusterConstantQueries(t *testing.T) {
 // fail fast with the typed unavailable error (HTTP 503 through the server).
 func TestClusterNotFormed(t *testing.T) {
 	inst, err := asterixdb.Open(asterixdb.Config{
-		DataDir:         t.TempDir(),
-		Partitions:      4,
-		OwnsPartition:   func(int) bool { return false },
-		DistributedNode: true,
+		DataDir:       t.TempDir(),
+		Partitions:    4,
+		OwnsPartition: func(int) bool { return false },
 	})
 	if err != nil {
 		t.Fatal(err)

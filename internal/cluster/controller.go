@@ -83,9 +83,9 @@ func (p *ncPeer) alive() bool {
 }
 
 // NewController opens the catalog instance's listeners and starts serving
-// registrations. inst must have been opened with DistributedNode set and an
-// OwnsPartition that owns nothing — the controller's instance is the catalog
-// replica and compile authority, never a data host.
+// registrations. inst must have been opened with an OwnsPartition that owns
+// nothing — the controller's instance is the catalog replica and compile
+// authority, never a data host.
 func NewController(inst *asterixdb.Instance, cfg ControllerConfig) (*Controller, error) {
 	if cfg.ExpectNodes <= 0 {
 		return nil, &asterixdb.Error{Code: asterixdb.CodeInvalid, Message: "cluster: controller needs ExpectNodes > 0"}

@@ -85,10 +85,9 @@ func TestClusterKillNodeMidQuery(t *testing.T) {
 	}
 	const partitions = 4
 	inst, err := asterixdb.Open(asterixdb.Config{
-		DataDir:         t.TempDir(),
-		Partitions:      partitions,
-		OwnsPartition:   func(int) bool { return false },
-		DistributedNode: true,
+		DataDir:       t.TempDir(),
+		Partitions:    partitions,
+		OwnsPartition: func(int) bool { return false },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -170,11 +170,10 @@ func (n *Node) Run(ctx context.Context) error {
 	self := n.self
 	N := len(n.nodes)
 	inst, err := asterixdb.Open(asterixdb.Config{
-		DataDir:         n.cfg.DataDir,
-		Partitions:      n.cfg.Partitions,
-		MemoryBudget:    n.cfg.MemoryBudget,
-		OwnsPartition:   func(p int) bool { return p%N == self },
-		DistributedNode: true,
+		DataDir:       n.cfg.DataDir,
+		Partitions:    n.cfg.Partitions,
+		MemoryBudget:  n.cfg.MemoryBudget,
+		OwnsPartition: func(p int) bool { return p%N == self },
 	})
 	if err != nil {
 		return err

@@ -159,13 +159,6 @@ func Jaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardCheck reports whether the Jaccard similarity of a and b is at least
-// threshold, returning the similarity when it is.
-func JaccardCheck(a, b []string, threshold float64) (bool, float64) {
-	sim := Jaccard(a, b)
-	return sim >= threshold, sim
-}
-
 // SimilarityJaccard computes Jaccard similarity over two ADM list values
 // (ordered or unordered), comparing elements by their canonical string form.
 func SimilarityJaccard(a, b adm.Value) (float64, error) {

@@ -54,7 +54,6 @@ package hyracks
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -505,20 +504,18 @@ func outgoing(edges []Edge, op int) []Edge {
 }
 
 // hashPartition selects the consumer instance for a tuple by hashing the
-// connector's hash columns. It must be a pure function of the column values
-// so equal keys always land in the same instance; the port's scratch buffer
-// is reused across tuples to keep the key encoding allocation-free.
+// connector's hash columns' keys with adm.KeyPartition, storage's placement
+// function. It must be a pure function of the column values so equal keys
+// always land in the same instance; the port's scratch buffer is reused
+// across tuples to keep the key encoding allocation-free.
 func (o *outPort) hashPartition(t Tuple) int {
-	h := fnv.New32a()
+	o.scratch = o.scratch[:0]
 	for _, col := range o.edge.Connector.HashColumns {
 		if col < len(t) {
-			o.scratch = adm.EncodeKey(o.scratch[:0], t[col])
-			h.Write(o.scratch)
+			o.scratch = adm.EncodeKey(o.scratch, t[col])
 		}
 	}
-	// Reduce in uint32 space: int(Sum32()) is negative for large hashes on
-	// 32-bit platforms and Go's % would preserve the sign.
-	return int(h.Sum32() % uint32(len(o.consumers)))
+	return adm.KeyPartition(o.scratch, len(o.consumers))
 }
 
 // ----------------------------------------------------------------------------

@@ -112,9 +112,6 @@ func (t *handleTable) size() int {
 func (t *handleTable) expirations() int64 { return t.expired.Load() }
 
 func newHandleTable(ttl time.Duration, now func() time.Time) *handleTable {
-	if now == nil {
-		now = time.Now
-	}
 	t := &handleTable{
 		ttl:     ttl,
 		now:     now,

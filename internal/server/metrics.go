@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,11 +76,7 @@ func (s *Server) finishQuery(mode, src string, start time.Time, prof *hyracks.Jo
 	dur := time.Since(start)
 	s.metrics.record(mode, dur, err)
 	if s.opts.SlowQueryThreshold > 0 && dur >= s.opts.SlowQueryThreshold {
-		lg := s.opts.Logger
-		if lg == nil {
-			lg = log.Default()
-		}
-		lg.Printf("slow query (%s, %v): %s%s", mode, dur.Round(time.Millisecond),
+		s.logger.Printf("slow query (%s, %v): %s%s", mode, dur.Round(time.Millisecond),
 			truncateStatement(src), profileSummary(prof))
 	}
 }

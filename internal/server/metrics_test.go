@@ -178,7 +178,8 @@ func TestSlowQueryLogging(t *testing.T) {
 	}
 	t.Cleanup(func() { inst.Close() })
 	lg := &recordingLogger{}
-	s := New(inst, Options{HandleTTL: time.Minute, SlowQueryThreshold: time.Nanosecond, Logger: lg})
+	s := New(inst, Options{HandleTTL: time.Minute, SlowQueryThreshold: time.Nanosecond})
+	s.logger = lg
 	t.Cleanup(func() { s.Close() })
 	loadItems(t, s, 20)
 	if w := do(t, s, "POST", "/query", `for $i in dataset Items return $i.id;`); w.Code != http.StatusOK {

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -82,12 +83,6 @@ type Options struct {
 	// then always run with profiling so the summary is available (the
 	// instrumentation is cheap: a handful of counters per frame).
 	SlowQueryThreshold time.Duration
-	// Logger receives slow-query lines (default log.Default()).
-	Logger interface {
-		Printf(format string, args ...any)
-	}
-	// Now overrides the handle table's clock (tests).
-	Now func() time.Time
 }
 
 // Server is the HTTP face of one AsterixDB engine.
@@ -96,6 +91,10 @@ type Server struct {
 	opts    Options
 	mux     *http.ServeMux
 	handles *handleTable
+	// logger receives slow-query lines.
+	logger interface {
+		Printf(format string, args ...any)
+	}
 	// spill holds the run files that store async/deferred results between
 	// query completion and result fetch, registered against the instance's
 	// memory budget so handle results never materialize in memory.
@@ -124,7 +123,10 @@ const flushEvery = 64
 // New wraps an engine in a Server. The caller keeps ownership of the
 // engine; Server.Close stops the handle janitor but does not close the
 // engine.
-func New(inst Engine, opts Options) *Server {
+func New(inst Engine, opts Options) *Server { return newServer(inst, opts, time.Now) }
+
+// newServer is New with the handle table's clock.
+func newServer(inst Engine, opts Options, now func() time.Time) *Server {
 	if opts.HandleTTL <= 0 {
 		opts.HandleTTL = 2 * time.Minute
 	}
@@ -132,7 +134,8 @@ func New(inst Engine, opts Options) *Server {
 		inst:    inst,
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		handles: newHandleTable(opts.HandleTTL, opts.Now),
+		handles: newHandleTable(opts.HandleTTL, now),
+		logger:  log.Default(),
 		spill:   runfile.NewManager(filepath.Join(inst.SpillDir(), "handles"), inst.MemoryBudget()),
 	}
 	s.metrics = newServerMetrics(s)

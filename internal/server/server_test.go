@@ -299,7 +299,7 @@ func TestHandleEvictionReleasesSpillRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inst.Close() })
-	s := New(inst, Options{HandleTTL: time.Minute, Now: clock})
+	s := newServer(inst, Options{HandleTTL: time.Minute}, clock)
 	t.Cleanup(func() { s.Close() })
 	loadItems(t, s, 10)
 
@@ -347,7 +347,7 @@ func TestHandleTTLEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { inst.Close() })
-	s := New(inst, Options{HandleTTL: time.Minute, Now: clock})
+	s := newServer(inst, Options{HandleTTL: time.Minute}, clock)
 	t.Cleanup(func() { s.Close() })
 
 	w := do(t, s, "POST", "/query?mode=deferred", `1 + 1`)

@@ -72,7 +72,7 @@ func assertSameIDs(t *testing.T, label string, got, want map[int32]bool) {
 // gram of the probe").
 func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	for _, spec := range []IndexSpec{
 		{Name: "tsIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex},
 		{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},
@@ -218,7 +218,7 @@ func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 // up as records missing from the index until the next restart's WAL replay.
 func TestCreateIndexConcurrentWithWriters(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	rng := rand.New(rand.NewSource(23))
 	for i := 1; i <= 100; i++ {
 		if err := ds.Insert(randomMessage(rng, i)); err != nil {
@@ -308,7 +308,7 @@ func TestCreateIndexConcurrentWithWriters(t *testing.T) {
 // records the materializing access path returns.
 func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	for _, spec := range []IndexSpec{
 		{Name: "tsIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex},
 		{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},

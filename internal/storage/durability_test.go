@@ -21,7 +21,7 @@ func reopenWithDDL(t *testing.T, dir string, specs []IndexSpec) (*Manager, *Data
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	for _, spec := range specs {
 		if err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func TestSecondaryIndexesSurviveReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds1 := createMessages(t, m1, adm.SchemaEncoding)
+	ds1 := createMessages(t, m1)
 	for _, spec := range specs {
 		if err := ds1.CreateIndex(spec); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestRecoverySkipsFullyDurableHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds1 := createMessages(t, m1, adm.SchemaEncoding)
+	ds1 := createMessages(t, m1)
 	for i := 0; i < 40; i++ {
 		if err := ds1.Insert(message(i, i, int64(i), "x", 0, 0)); err != nil {
 			t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCheckpointBoundsReplayAndPersistsMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds1 := createMessages(t, m1, adm.SchemaEncoding)
+	ds1 := createMessages(t, m1)
 	for i := 0; i < 50; i++ {
 		if err := ds1.Insert(message(i, i, int64(i), "pre-checkpoint", 0, 0)); err != nil {
 			t.Fatal(err)
@@ -281,7 +281,7 @@ func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds1 := createMessages(t, m1, adm.SchemaEncoding)
+			ds1 := createMessages(t, m1)
 			for i := 0; i < 60; i++ {
 				if err := ds1.Insert(message(i, i, int64(i), "checkpointed", 0, 0)); err != nil {
 					t.Fatal(err)
@@ -335,7 +335,7 @@ func TestCloseDrainsBackgroundWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	for i := 0; i < 300; i++ {
 		if err := ds.Insert(message(i, i, int64(i), "fill the memtable to force background flushes", float64(i), 0)); err != nil {
 			t.Fatal(err)
@@ -366,7 +366,7 @@ func TestBackgroundFlushKeepsQueriesCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestDropIndexRemovesComponentFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}

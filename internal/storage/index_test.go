@@ -119,7 +119,7 @@ func TestOneIndexMechanismAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds1 := createMessages(t, m1, adm.SchemaEncoding)
+			ds1 := createMessages(t, m1)
 			if err := ds1.CreateIndex(tc.spec); err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestRTreeIndexOverExtents(t *testing.T) {
 			t.Fatal(err)
 		}
 		ds, err := m.CreateDataset(DatasetSpec{
-			Name: "Shapes", PrimaryKey: []string{"id"}, Encoding: adm.SchemaEncoding,
+			Name: "Shapes", PrimaryKey: []string{"id"},
 			Type: &adm.RecordType{Name: "ShapeType", Open: true, Fields: []adm.FieldType{{Name: "id", Type: adm.Prim(adm.TagInt32)}}},
 		})
 		if err != nil {
@@ -414,7 +414,7 @@ func TestOldRTreeLayoutRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	// An empty component in the old layout: uvarint stamp, coveredLow and
 	// count, then the old footer.
 	indexDir := ds.indexDir(ds.partitions[0], spec.Name)

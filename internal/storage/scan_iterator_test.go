@@ -21,7 +21,7 @@ import (
 // overwrites, deletes and flushes into the same partition.
 func TestScanPausedUnderMutation(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 
 	// All records land in one partition so the scan and the mutations
 	// genuinely contend on one latch: find ids mapping to partition 0.
@@ -155,7 +155,7 @@ func TestScanPausedUnderMutation(t *testing.T) {
 // in-order contract over the surviving entries.
 func TestSecondarySearchPausedUnderMutation(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "authorIdx", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -56,13 +55,14 @@ type IndexSpec struct {
 	GramLength int // ngram indexes only
 }
 
-// DatasetSpec describes a dataset to create.
+// DatasetSpec describes a dataset to create. Records are stored in the
+// schema layout: declared fields by position, undeclared (open) fields
+// self-describing, so a type that declares only the key is the paper's
+// KeyOnly configuration (Table 2).
 type DatasetSpec struct {
 	Name       string
 	Type       *adm.RecordType
 	PrimaryKey []string
-	// Encoding selects the Schema or KeyOnly record layout (Table 2).
-	Encoding adm.Encoding
 }
 
 // Options configure a storage Manager.
@@ -202,7 +202,7 @@ func (m *Manager) CreateDataset(spec DatasetSpec) (*Dataset, error) {
 	ds := &Dataset{
 		spec:    spec,
 		manager: m,
-		ser:     adm.NewSerializer(spec.Type, spec.Encoding),
+		ser:     adm.NewSerializer(spec.Type, adm.SchemaEncoding),
 	}
 	for p := 0; p < m.opts.Partitions; p++ {
 		dir := filepath.Join(m.dir, spec.Name, fmt.Sprintf("partition-%d", p))
@@ -669,13 +669,7 @@ func (d *Dataset) PrimaryKeyOf(rec *adm.Record) ([]byte, error) {
 }
 
 // partitionFor hash-partitions a primary key across the dataset's partitions.
-func (d *Dataset) partitionFor(pk []byte) int {
-	h := fnv.New32a()
-	h.Write(pk)
-	// Reduce in uint32 space: int(Sum32()) is negative for large hashes on
-	// 32-bit platforms and Go's % would preserve the sign.
-	return int(h.Sum32() % uint32(len(d.partitions)))
-}
+func (d *Dataset) partitionFor(pk []byte) int { return adm.KeyPartition(pk, len(d.partitions)) }
 
 // Insert validates and stores a record as one record-level transaction:
 // WAL append, primary-key lock, primary and secondary index updates, commit.

@@ -41,13 +41,12 @@ func newTestManager(t *testing.T) *Manager {
 	return m
 }
 
-func createMessages(t *testing.T, m *Manager, enc adm.Encoding) *Dataset {
+func createMessages(t *testing.T, m *Manager) *Dataset {
 	t.Helper()
 	ds, err := m.CreateDataset(DatasetSpec{
 		Name:       "MugshotMessages",
 		Type:       messageType(),
 		PrimaryKey: []string{"message-id"},
-		Encoding:   enc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func createMessages(t *testing.T, m *Manager, enc adm.Encoding) *Dataset {
 
 func TestInsertLookupDelete(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := ds.Insert(message(i, i%10, int64(1000*i), fmt.Sprintf("message %d", i), float64(i%50), float64(i%30))); err != nil {
@@ -96,7 +95,7 @@ func TestInsertLookupDelete(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	// Closed type rejects extra fields.
 	bad := message(1, 1, 0, "x", 0, 0).Set("extra", adm.Boolean(true))
 	if err := ds.Insert(bad); err == nil {
@@ -111,7 +110,7 @@ func TestInsertValidation(t *testing.T) {
 
 func TestUpsertReplacesSecondaryEntries(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestUpsertReplacesSecondaryEntries(t *testing.T) {
 
 func TestSecondaryBTreeRange(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	const n = 300
 	for i := 0; i < n; i++ {
 		if err := ds.Insert(message(i, i%10, int64(i)*1000, "hello", 0, 0)); err != nil {
@@ -169,7 +168,7 @@ func TestSecondaryBTreeRange(t *testing.T) {
 
 func TestSecondaryRTree(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "msSenderLocIndex", Fields: []string{"sender-location"}, Kind: RTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestSecondaryRTree(t *testing.T) {
 
 func TestSecondaryInverted(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "msMessageIdx", Fields: []string{"message"}, Kind: KeywordIndex}); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestSecondaryInverted(t *testing.T) {
 
 func TestDropIndexAndDataset(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +240,18 @@ func TestDropIndexAndDataset(t *testing.T) {
 	}
 }
 
+// TestSchemaVsKeyOnlySizes: the KeyOnly configuration is an open type that
+// declares only the primary key, so every other field is stored with its
+// name and the same records take more bytes than under the full type.
 func TestSchemaVsKeyOnlySizes(t *testing.T) {
 	m := newTestManager(t)
-	schema := createMessages(t, m, adm.SchemaEncoding)
+	schema := createMessages(t, m)
 	keyonly, err := m.CreateDataset(DatasetSpec{
-		Name:       "MugshotMessagesKeyOnly",
-		Type:       messageType(),
+		Name: "MugshotMessagesKeyOnly",
+		Type: &adm.RecordType{Name: "MugshotMessageType", Open: true, Fields: []adm.FieldType{
+			{Name: "message-id", Type: adm.Prim(adm.TagInt32)},
+		}},
 		PrimaryKey: []string{"message-id"},
-		Encoding:   adm.KeyOnlyEncoding,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +340,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 
 func TestInsertBatchAndPartitioning(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	batch := make([]*adm.Record, 100)
 	for i := range batch {
 		batch[i] = message(i, 1, 0, "batched", 0, 0)
@@ -369,7 +372,7 @@ func TestInsertBatchAndPartitioning(t *testing.T) {
 // operators over one dataset do when one blocks on the other's progress).
 func TestScanPartitionVisitorOutsideLock(t *testing.T) {
 	m := newTestManager(t)
-	ds := createMessages(t, m, adm.SchemaEncoding)
+	ds := createMessages(t, m)
 	var recs []*adm.Record
 	for i := 1; i <= 300; i++ {
 		recs = append(recs, message(i, i%7, 1000, "body", 41, 80))

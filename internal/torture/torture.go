@@ -164,7 +164,6 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 		Name:       "Torture",
 		Type:       tortureType(),
 		PrimaryKey: []string{"id"},
-		Encoding:   adm.SchemaEncoding,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -243,66 +243,40 @@ func (b *jobBuilder) buildInput(n *algebra.Node) (stream, error) {
 // ----------------------------------------------------------------------------
 
 func (b *jobBuilder) buildScan(n *algebra.Node) (stream, error) {
-	schema := Schema{n.Variable}
+	label := fmt.Sprintf("datasource-scan(%s)", n.Dataset)
+	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
+	if !ok {
+		// Metadata and external datasets have no storage partitions: the
+		// dataset reference is a subplan source, evaluated once when the job
+		// runs. Unknown datasets surface their error then, like the
+		// interpreter.
+		ref := &aql.DatasetRef{Dataverse: n.Dataverse, Name: n.Dataset}
+		return b.subplanSource(label, ref, n.Variable, n.PosVar), nil
+	}
 	bound, bounded := b.scanBounds[n]
-	if ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset); ok {
-		if n.PosVar != "" {
-			return b.buildPositionalScan(n, bound, bounded, ds)
-		}
-		// Internal dataset: one scan instance per storage partition. A
-		// pushed-down limit bound stops each partition's scan at exactly
-		// offset+limit emitted records, instead of overrunning by a frame
-		// until the limit's upstream cancellation arrives.
-		mk := tupleAllocator(b.partitions)
-		op := b.job.Add(&hyracks.SourceOp{
-			Label:      fmt.Sprintf("datasource-scan(%s)", n.Dataset),
-			Partitions: b.partitions,
-			Produce: func(p int, emit func(hyracks.Tuple) bool) error {
-				emitted := 0
-				return ds.ScanPartition(p, func(rec adm.Value) bool {
-					if bounded && emitted >= bound {
-						return false
-					}
-					emitted++
-					return emit(mk(p, rec))
-				})
-			},
-		})
-		return stream{op: op, par: b.partitions, schema: schema}, nil
-	}
-	// Metadata and external datasets have no storage partitions; the runtime
-	// materializes them into a single-instance source. Unknown datasets
-	// surface their error when the job runs, like the interpreter. The
-	// materialized order IS the iteration order, so a positional variable is
-	// a plain counter here.
 	if n.PosVar != "" {
-		schema = Schema{n.Variable, n.PosVar}
+		return b.buildPositionalScan(n, bound, bounded, ds)
 	}
-	posVar, dataverse, dataset := n.PosVar, n.Dataverse, n.Dataset
+	// Internal dataset: one scan instance per storage partition. A pushed-down
+	// limit bound stops each partition's scan at exactly offset+limit emitted
+	// records, instead of overrunning by a frame until the limit's upstream
+	// cancellation arrives.
+	mk := tupleAllocator(b.partitions)
 	op := b.job.Add(&hyracks.SourceOp{
-		Label:      fmt.Sprintf("datasource-scan(%s)", n.Dataset),
-		Partitions: 1,
-		Produce: func(_ int, emit func(hyracks.Tuple) bool) error {
-			recs, err := b.rt.ReadDatasetRecords(dataverse, dataset)
-			if err != nil {
-				return err
-			}
-			if bounded && bound < len(recs) {
-				recs = recs[:bound]
-			}
-			for i, rec := range recs {
-				t := hyracks.Tuple{rec}
-				if posVar != "" {
-					t = append(t, adm.Int64(i+1))
+		Label:      label,
+		Partitions: b.partitions,
+		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
+			emitted := 0
+			return ds.ScanPartition(p, func(rec adm.Value) bool {
+				if bounded && emitted >= bound {
+					return false
 				}
-				if !emit(t) {
-					return nil
-				}
-			}
-			return nil
+				emitted++
+				return emit(mk(p, rec))
+			})
 		},
 	})
-	return stream{op: op, par: 1, schema: schema}, nil
+	return stream{op: op, par: b.partitions, schema: Schema{n.Variable}}, nil
 }
 
 // buildPositionalScan compiles `for $v at $i in dataset D`: the interpreter
@@ -360,13 +334,19 @@ func (b *jobBuilder) buildSubplan(n *algebra.Node) (stream, error) {
 		// compiles those as unnest operators, so this is only a safety net.
 		return stream{}, fmt.Errorf("translator: correlated subplan source references $%s", vars[0])
 	}
-	schema := Schema{n.Variable}
-	if n.PosVar != "" {
-		schema = Schema{n.Variable, n.PosVar}
+	return b.subplanSource("subplan", src, n.Variable, n.PosVar), nil
+}
+
+// subplanSource is a single-instance source that evaluates src once, with no
+// tuple bindings, and emits one tuple per item. The evaluated order IS the
+// iteration order, so a positional variable is a plain counter here.
+func (b *jobBuilder) subplanSource(label string, src aql.Expr, variable, posVar string) stream {
+	schema := Schema{variable}
+	if posVar != "" {
+		schema = Schema{variable, posVar}
 	}
-	posVar := n.PosVar
 	op := b.job.Add(&hyracks.SourceOp{
-		Label:      "subplan",
+		Label:      label,
 		Partitions: 1,
 		Produce: func(_ int, emit func(hyracks.Tuple) bool) error {
 			v, err := b.constant(src)
@@ -385,7 +365,7 @@ func (b *jobBuilder) buildSubplan(n *algebra.Node) (stream, error) {
 			return nil
 		},
 	})
-	return stream{op: op, par: 1, schema: schema}, nil
+	return stream{op: op, par: 1, schema: schema}
 }
 
 // buildUnnest compiles a correlated subplan source (for $y in $x.list): for

@@ -23,7 +23,6 @@
 package translator
 
 import (
-	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
@@ -33,18 +32,16 @@ import (
 
 // Runtime is what a compiled job needs from the hosting instance when it
 // runs: dataset access for scans and index probes, plus the expression
-// evaluation context (clock, similarity settings, user functions, dataset
-// reader for correlated subqueries).
+// evaluation context (clock, similarity settings, user functions, and the
+// dataset reader behind correlated subqueries and the datasets with no
+// storage partitions).
 type Runtime interface {
 	// EvalContext returns the instance's expression evaluation context.
 	EvalContext() *expr.Context
 	// LookupDataset resolves an internal (stored, partitioned) dataset.
-	// It reports false for external datasets and the Metadata dataverse.
+	// It reports false for external datasets and the Metadata dataverse,
+	// which the job reads through EvalContext's dataset reader.
 	LookupDataset(dataverse, name string) (*storage.Dataset, bool)
-	// ReadDatasetRecords materializes a dataset that has no storage
-	// partitions: external datasets and the Metadata datasets. It reports an
-	// error for datasets that do not exist.
-	ReadDatasetRecords(dataverse, name string) ([]*adm.Record, error)
 }
 
 // Schema maps plan variables to tuple columns: column i of a tuple carries

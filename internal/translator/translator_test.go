@@ -27,10 +27,6 @@ func (r *testRuntime) LookupDataset(_, name string) (*storage.Dataset, bool) {
 	return r.m.Dataset(name)
 }
 
-func (r *testRuntime) ReadDatasetRecords(_, name string) ([]*adm.Record, error) {
-	return nil, fmt.Errorf("no dataset %q", name)
-}
-
 func (r *testRuntime) DatasetInfo(_, name string) algebra.DatasetInfo {
 	ds, ok := r.m.Dataset(name)
 	if !ok {
@@ -82,7 +78,9 @@ func newTestRuntime(t *testing.T) *testRuntime {
 			t.Fatal(err)
 		}
 	}
-	return &testRuntime{m: m, ctx: expr.NewContext()}
+	ctx := expr.NewContext()
+	ctx.Datasets = func(_, name string) ([]*adm.Record, error) { return nil, fmt.Errorf("no dataset %q", name) }
+	return &testRuntime{m: m, ctx: ctx}
 }
 
 // compile builds the unfused job, so every operator is inspectable.

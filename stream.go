@@ -165,7 +165,7 @@ func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error
 	if q == nil {
 		return NewJobCursor(ctx, nil), nil
 	}
-	return in.queryCursor(ctx, q, in.cfg.OptimizerOptions)
+	return in.queryCursor(ctx, q, algebra.Options{})
 }
 
 // queryCursor compiles one query expression and starts its job, returning
