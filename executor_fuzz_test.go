@@ -45,8 +45,8 @@ create index faLocIdx on FuzzA(loc) type rtree;
 create index faTextKwIdx on FuzzA(text) type keyword;
 create index faTextNgIdx on FuzzA(text) type ngram(3);
 create index fbCatIdx on FuzzB(cat);
-create type FuzzWideType as closed { id: int64, v: double }
-create type FuzzNarrowType as closed { id: int16, v: int32 }
+create type FuzzWideType as closed { id: int64, v: double, l: [double] }
+create type FuzzNarrowType as closed { id: int16, v: int32, l: [int32] }
 create dataset FuzzWide(FuzzWideType) primary key id;
 create dataset FuzzNarrow(FuzzNarrowType) primary key id;
 create index fwVIdx on FuzzWide(v);
@@ -132,11 +132,16 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 	}
 	// Numbers written at random widths the declared types accept; equal
 	// numbers written twice as a key are one key, so the later replaces the
-	// earlier.
+	// earlier. A list holds up to two of 1 and 2, each at a random width, so
+	// equal lists are often written at different widths.
 	widthRecords := func(n, idWidths, vWidths int) string {
 		recs := make([]string, n)
 		for i := range recs {
-			recs[i] = fmt.Sprintf(`{"id": %s, "v": %s}`, randomKeyLiteral(rng, idWidths), randomKeyLiteral(rng, vWidths))
+			items := make([]string, rng.Intn(3))
+			for j := range items {
+				items[j] = fmt.Sprintf(`%s("%d")`, keyWidths[rng.Intn(vWidths)], 1+rng.Intn(2))
+			}
+			recs[i] = fmt.Sprintf(`{"id": %s, "v": %s, "l": [%s]}`, randomKeyLiteral(rng, idWidths), randomKeyLiteral(rng, vWidths), strings.Join(items, ", "))
 		}
 		return strings.Join(recs, ", ")
 	}
@@ -232,6 +237,9 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"width-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v = $b.id return { "a": $a.id, "b": $b.id };`, false},
 		{"width-indexnl-join-pk", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v /*+ indexnl */ = $b.id return { "a": $a.id, "b": $b.id };`, false},
 		{"width-indexnl-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.id /*+ indexnl */ = $b.v return { "a": $a.id, "b": $b.id };`, false},
+		// Lists whose items were written at mixed widths, hash-joined and
+		// grouped by value: the key of a list is its items' keys.
+		{"width-list-join-group", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.l = $b.l group by $l := $b.l with $a return { "len": count($l), "n": count($a) };`, false},
 	}
 }
 

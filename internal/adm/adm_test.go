@@ -397,6 +397,10 @@ func TestKeyPartitionIsFNV1a(t *testing.T) {
 	}
 }
 
+// TestEncodeKeyOrderMatchesCompare: each pair's first value orders first, by
+// Compare and by its key. Compare orders composites by their keys, so those
+// rows pin the key's order: records by field name, then value; lists item by
+// item, a shorter one first; inside either, values of different kinds by kind.
 func TestEncodeKeyOrderMatchesCompare(t *testing.T) {
 	pairs := [][2]Value{
 		{Int32(-5), Int32(3)},
@@ -404,14 +408,50 @@ func TestEncodeKeyOrderMatchesCompare(t *testing.T) {
 		{Double(-1.5), Double(2.5)},
 		{String("abc"), String("abd")},
 		{String("ab"), String("abc")},
+		{String("a"), String("a\x00")},
+		{String("a\x00"), String("a\x01")},
+		{String("a\x01"), String("a\x02")},
 		{Datetime(1000), Datetime(2000)},
 		{Date(-10), Date(10)},
+		{DayTimeDuration(-5), DayTimeDuration(3)},
+		{Duration{Millis: 29 * 86400000}, Duration{Months: 1}},
+		{Interval{PointTag: TagDate, Start: 1, End: 5}, Interval{PointTag: TagDate, Start: 1, End: 6}},
+		{Point{X: -1, Y: 5}, Point{X: math.Copysign(0, -1), Y: -1}},
+		{&OrderedList{Items: []Value{Int32(1)}}, &OrderedList{Items: []Value{Int8(1), Int8(0)}}},
+		{&OrderedList{Items: []Value{Int64(1), Int64(2)}}, &OrderedList{Items: []Value{Int64(2)}}},
+		{&OrderedList{Items: []Value{Int64(1)}}, &OrderedList{Items: []Value{String("a")}}},
+		{&OrderedList{Items: []Value{String(""), String("")}}, &OrderedList{Items: []Value{String("\x00\x01 ")}}},
+		{&UnorderedList{Items: []Value{Int64(3), Int64(1)}}, &UnorderedList{Items: []Value{Int64(2)}}},
+		{NewRecord(Field{"a", Int64(1)}), NewRecord(Field{"b", Int64(0)}, Field{"a", Int64(1)})},
+		{NewRecord(Field{"a", Int64(2)}), NewRecord(Field{"b", Int64(0)})},
 	}
 	for _, p := range pairs {
 		a := EncodeKey(nil, p[0])
 		b := EncodeKey(nil, p[1])
 		if strings.Compare(string(a), string(b)) >= 0 {
 			t.Errorf("EncodeKey order violated for %v < %v", p[0], p[1])
+		}
+		if c, err := Compare(p[0], p[1]); err != nil || c >= 0 {
+			t.Errorf("Compare(%v, %v) = %d, %v; want < 0", p[0], p[1], c, err)
+		}
+	}
+}
+
+// TestEncodeKeyEqualClasses: values `=` finds equal share one key whatever
+// their widths, field order, item order or zero sign.
+func TestEncodeKeyEqualClasses(t *testing.T) {
+	for _, p := range [][2]Value{
+		{Duration{Months: 1}, Duration{Millis: 30 * 86400000}},
+		{Point{X: 0, Y: 1}, Point{X: math.Copysign(0, -1), Y: 1}},
+		{Point{X: math.NaN(), Y: 1}, Point{X: -math.NaN(), Y: 1}},
+		{Interval{PointTag: TagDate, Start: 1, End: 5}, Interval{PointTag: TagDatetime, Start: 1, End: 5}},
+		{&OrderedList{Items: []Value{Int32(1), Double(2)}}, &OrderedList{Items: []Value{Int64(1), Int8(2)}}},
+		{&UnorderedList{Items: []Value{Int64(1), Int64(2)}}, &UnorderedList{Items: []Value{Int16(2), Int64(1)}}},
+		{NewRecord(Field{"a", Int64(1)}, Field{"b", Int64(2)}), NewRecord(Field{"b", Int8(2)}, Field{"a", Int64(1)})},
+	} {
+		ka, kb := EncodeKey(nil, p[0]), EncodeKey(nil, p[1])
+		if !bytes.Equal(ka, kb) || !Equal(p[0], p[1]) {
+			t.Errorf("%v and %v: keys %x and %x, Equal %v; want one key", p[0], p[1], ka, kb, Equal(p[0], p[1]))
 		}
 	}
 }
@@ -526,16 +566,26 @@ func TestEncodeKeyMatchesCompare(t *testing.T) {
 
 // FuzzEncodeKey: two numbers drawn as (width, bits) — and each against its
 // own float64 and int64 conversions, which land on equal values — keep
-// Compare's order in their keys, and neither key prefixes the other. Run with
+// Compare's order in their keys, and neither key prefixes the other. The
+// shape bytes then build nested values over those numbers: lists, bags and
+// records of numbers at mixed widths, short strings, durations and points
+// with ±0 and NaN coordinates. Their keys are equal exactly when a structural
+// equality that matches bag items and record fields by name says so, they
+// order as Compare does wherever Compare defines an order, permuting a bag's
+// items or a record's fields leaves them unchanged, and no key is a proper
+// prefix of another. Run with
 //
 //	go test -run='^$' -fuzz=FuzzEncodeKey -fuzztime=15s ./internal/adm
 func FuzzEncodeKey(f *testing.F) {
-	f.Add(uint8(2), uint64(5), uint8(5), math.Float64bits(5))
-	f.Add(uint8(3), uint64(1<<53+1), uint8(5), math.Float64bits(1<<53))
-	f.Add(uint8(3), uint64(1)<<63, uint8(5), math.Float64bits(-(1 << 63)))
-	f.Add(uint8(0), uint64(0xFB), uint8(4), uint64(math.Float32bits(-5.5)))
-	f.Add(uint8(5), math.Float64bits(math.Copysign(0, -1)), uint8(1), uint64(0))
-	f.Fuzz(func(t *testing.T, wa uint8, a uint64, wb uint8, b uint64) {
+	f.Add(uint8(2), uint64(5), uint8(5), math.Float64bits(5), []byte(nil))
+	f.Add(uint8(3), uint64(1<<53+1), uint8(5), math.Float64bits(1<<53), []byte(nil))
+	f.Add(uint8(3), uint64(1)<<63, uint8(5), math.Float64bits(-(1 << 63)), []byte(nil))
+	f.Add(uint8(0), uint64(0xFB), uint8(4), uint64(math.Float32bits(-5.5)), []byte(nil))
+	f.Add(uint8(5), math.Float64bits(math.Copysign(0, -1)), uint8(1), uint64(0), []byte(nil))
+	f.Add(uint8(2), uint64(1), uint8(0), uint64(1), []byte{5, 2, 0, 0, 1, 0, 1, 5, 2, 0, 8, 1, 0, 9, 1})
+	f.Add(uint8(3), uint64(2), uint8(5), math.Float64bits(math.NaN()), []byte{6, 3, 3, 2, 4, 3, 3, 6, 2, 3, 4, 2, 7, 2, 2, 1, 1, 0, 1})
+	f.Add(uint8(1), uint64(3), uint8(4), uint64(math.Float32bits(3)), []byte{7, 3, 0, 1, 1, 0, 2, 2, 1, 30, 0, 2, 0, 7, 2, 2, 1, 0, 30, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, wa uint8, a uint64, wb uint8, b uint64, shape []byte) {
 		va, vb := fuzzNumber(wa, a), fuzzNumber(wb, b)
 		vals := []Value{va, vb}
 		for _, v := range []Value{va, vb} {
@@ -550,7 +600,174 @@ func FuzzEncodeKey(f *testing.F) {
 				checkKeyPair(t, x, y)
 			}
 		}
+		if len(shape) > 64 {
+			shape = shape[:64]
+		}
+		g := &keyGen{shape: shape, nums: vals}
+		nested := append([]Value(nil), vals...)
+		for len(g.shape) > 0 {
+			nested = append(nested, g.value(0))
+		}
+		for _, x := range nested {
+			if k, kp := EncodeKey(nil, x), EncodeKey(nil, permuted(x)); !bytes.Equal(k, kp) {
+				t.Errorf("%v keys to %x, its permutation %v to %x", x, k, permuted(x), kp)
+			}
+			for _, y := range nested {
+				checkNestedKeyPair(t, x, y)
+			}
+		}
 	})
+}
+
+// checkNestedKeyPair fails unless a's and b's keys are equal exactly when
+// sameValue says a and b are, order as Compare does wherever it defines an
+// order, and a's key is not a proper prefix of b's.
+func checkNestedKeyPair(t *testing.T, a, b Value) {
+	t.Helper()
+	ka, kb := EncodeKey(nil, a), EncodeKey(nil, b)
+	if bytes.Equal(ka, kb) != sameValue(a, b) {
+		t.Errorf("%v vs %v: keys %x, %x; equal keys %v, equal values %v", a, b, ka, kb, bytes.Equal(ka, kb), sameValue(a, b))
+	}
+	if c, err := Compare(a, b); err == nil && c != bytes.Compare(ka, kb) {
+		t.Errorf("%v vs %v: keys %x, %x compare %d, Compare says %d", a, b, ka, kb, bytes.Compare(ka, kb), c)
+	}
+	if len(ka) < len(kb) && bytes.HasPrefix(kb, ka) {
+		t.Errorf("%v's key %x is a prefix of %v's %x", a, ka, b, kb)
+	}
+}
+
+// sameValue is `=` spelled out without keys: lists item by item, bags by a
+// matching of their items, records field by field by name, and every other
+// pair by Compare.
+func sameValue(a, b Value) bool {
+	switch x := a.(type) {
+	case *OrderedList:
+		y, ok := b.(*OrderedList)
+		if !ok || len(x.Items) != len(y.Items) {
+			return false
+		}
+		for i := range x.Items {
+			if !sameValue(x.Items[i], y.Items[i]) {
+				return false
+			}
+		}
+		return true
+	case *UnorderedList:
+		y, ok := b.(*UnorderedList)
+		if !ok || len(x.Items) != len(y.Items) {
+			return false
+		}
+		used := make([]bool, len(y.Items))
+	items:
+		for _, xi := range x.Items {
+			for j, yj := range y.Items {
+				if !used[j] && sameValue(xi, yj) {
+					used[j] = true
+					continue items
+				}
+			}
+			return false
+		}
+		return true
+	case *Record:
+		y, ok := b.(*Record)
+		if !ok || len(x.Fields) != len(y.Fields) {
+			return false
+		}
+		for _, f := range x.Fields {
+			if !sameValue(f.Value, y.Get(f.Name)) {
+				return false
+			}
+		}
+		return true
+	}
+	c, err := Compare(a, b)
+	return err == nil && c == 0
+}
+
+// permuted returns v with every bag's items and every record's fields in
+// reverse order, at every depth.
+func permuted(v Value) Value {
+	switch x := v.(type) {
+	case *OrderedList:
+		out := &OrderedList{}
+		for _, item := range x.Items {
+			out.Items = append(out.Items, permuted(item))
+		}
+		return out
+	case *UnorderedList:
+		out := &UnorderedList{}
+		for i := len(x.Items) - 1; i >= 0; i-- {
+			out.Items = append(out.Items, permuted(x.Items[i]))
+		}
+		return out
+	case *Record:
+		out := &Record{}
+		for i := len(x.Fields) - 1; i >= 0; i-- {
+			out.Fields = append(out.Fields, Field{Name: x.Fields[i].Name, Value: permuted(x.Fields[i].Value)})
+		}
+		return out
+	}
+	return v
+}
+
+// keyGen builds values from fuzz bytes, one byte per choice (zero once the
+// bytes run out): numbers — the fuzzed ones and their conversions, or a small
+// integer at a drawn width — strings of up to three of 0x00, 0x01, space
+// (the string key tag) and "a", durations whose month and
+// day parts can meet (P1M = P30D), points on ±0, ±1 and NaN, and lists, bags
+// and records of up to three of these, three deep.
+type keyGen struct {
+	shape []byte
+	nums  []Value
+}
+
+func (g *keyGen) next() byte {
+	if len(g.shape) == 0 {
+		return 0
+	}
+	b := g.shape[0]
+	g.shape = g.shape[1:]
+	return b
+}
+
+func (g *keyGen) value(depth int) Value {
+	kind := g.next() % 8
+	if depth >= 3 {
+		kind %= 5
+	}
+	switch kind {
+	case 0:
+		return g.nums[int(g.next())%len(g.nums)]
+	case 1:
+		return fuzzNumber(g.next()%4, uint64(g.next()%4))
+	case 2:
+		s := make([]byte, g.next()%4)
+		for i := range s {
+			s[i] = "\x00\x01 a"[g.next()%4]
+		}
+		return String(s)
+	case 3:
+		return Duration{Months: int32(g.next() % 3), Millis: int64(g.next()%3) * 15 * 86400000}
+	case 4:
+		coords := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN()}
+		return Point{X: coords[int(g.next())%len(coords)], Y: coords[int(g.next())%len(coords)]}
+	}
+	items := make([]Value, g.next()%4)
+	for i := range items {
+		items[i] = g.value(depth + 1)
+	}
+	switch kind {
+	case 5:
+		return &OrderedList{Items: items}
+	case 6:
+		return &UnorderedList{Items: items}
+	}
+	rec := &Record{}
+	for i, item := range items {
+		rec.Fields = append(rec.Fields, Field{Name: "abc"[i : i+1], Value: item})
+	}
+	return rec
 }
 
 // fuzzNumber makes a number of width w%6 (int8 … double) from bits.

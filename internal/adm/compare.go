@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Compare imposes a total order over comparable ADM values. Numerics of
@@ -13,16 +12,11 @@ import (
 // (NaN above every number); strings compare lexicographically;
 // temporal types compare by chronon; booleans order false < true. NULL
 // compares less than every non-null value and MISSING less than NULL, which
-// gives ORDER BY a deterministic placement for unknowns. Comparing values of
-// incomparable tags (e.g. a string and a point) returns an error.
+// gives ORDER BY a deterministic placement for unknowns. Two records, lists or
+// bags compare by their EncodeKey bytes, so inside them values of different
+// kinds order by kind. Comparing values of incomparable tags (e.g. a string
+// and a point) returns an error.
 func Compare(a, b Value) (int, error) {
-	// Whole-record comparison needs every field: a sink for lazy records.
-	if lr, ok := a.(*LazyRecord); ok {
-		a = lr.Materialize()
-	}
-	if lr, ok := b.(*LazyRecord); ok {
-		b = lr.Materialize()
-	}
 	ta, tb := a.Tag(), b.Tag()
 
 	// Unknowns order below everything.
@@ -76,11 +70,7 @@ func Compare(a, b Value) (int, error) {
 	case DayTimeDuration:
 		return compareInt(int64(av), int64(b.(DayTimeDuration))), nil
 	case Duration:
-		bv := b.(Duration)
-		// Approximate total order: months count as 30 days.
-		am := int64(av.Months)*30*86400000 + av.Millis
-		bm := int64(bv.Months)*30*86400000 + bv.Millis
-		return compareInt(am, bm), nil
+		return compareInt(av.totalMillis(), b.(Duration).totalMillis()), nil
 	case Interval:
 		bv := b.(Interval)
 		if c := compareInt(av.Start, bv.Start); c != 0 {
@@ -93,18 +83,16 @@ func Compare(a, b Value) (int, error) {
 			return c, nil
 		}
 		return compareFloat(av.Y, bv.Y), nil
-	case *Record:
-		return compareRecords(av, b.(*Record))
-	case *OrderedList:
-		return compareLists(av.Items, b.(*OrderedList).Items)
-	case *UnorderedList:
-		// Bags compare by sorted item order so equal bags compare equal
-		// regardless of construction order.
-		as := sortedCopy(av.Items)
-		bs := sortedCopy(b.(*UnorderedList).Items)
-		return compareLists(as, bs)
+	case *Record, *LazyRecord, *OrderedList, *UnorderedList:
+		return bytes.Compare(EncodeKey(nil, a), EncodeKey(nil, b)), nil
 	}
 	return 0, fmt.Errorf("adm: values of type %s are not comparable", ta)
+}
+
+// totalMillis is the duration's length in milliseconds with a month counted
+// as 30 days: Compare's approximate total order over durations.
+func (d Duration) totalMillis() int64 {
+	return int64(d.Months)*30*86400000 + d.Millis
 }
 
 // Equal reports deep value equality. Values of incomparable types are simply
@@ -214,56 +202,4 @@ func compareBool(a, b bool) int {
 		return -1
 	}
 	return 1
-}
-
-func compareRecords(a, b *Record) (int, error) {
-	as := a.SortedFields()
-	bs := b.SortedFields()
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
-	for i := 0; i < n; i++ {
-		if as[i].Name != bs[i].Name {
-			if as[i].Name < bs[i].Name {
-				return -1, nil
-			}
-			return 1, nil
-		}
-		c, err := Compare(as[i].Value, bs[i].Value)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return compareInt(int64(len(as)), int64(len(bs))), nil
-}
-
-func compareLists(a, b []Value) (int, error) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		c, err := Compare(a[i], b[i])
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return compareInt(int64(len(a)), int64(len(b))), nil
-}
-
-func sortedCopy(items []Value) []Value {
-	out := make([]Value, len(items))
-	copy(out, items)
-	sort.SliceStable(out, func(i, j int) bool {
-		c, err := Compare(out[i], out[j])
-		return err == nil && c < 0
-	})
-	return out
 }

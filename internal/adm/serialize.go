@@ -1,11 +1,14 @@
 package adm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"slices"
+	"strings"
 )
 
 // Encoding selects how records are laid out on disk.
@@ -726,13 +729,17 @@ func pointAt(src []byte) Point {
 	}
 }
 
-// EncodeKey encodes a value for use as an index key with the property that
-// byte-wise lexicographic comparison of encoded keys matches Compare order for
-// values of the same tag, and for any two numbers whatever their widths. A
-// number's key is written from its value (see appendNumberKey), so every value
-// of a numeric `=` class has exactly one key: Int8(5), Int64(5) and Double(5)
-// share it. No number's key is a proper prefix of another's, which composite
-// keys (a secondary key followed by the primary key) rely on.
+// EncodeKey encodes a value for use as an index key. Two values get the same
+// key exactly when Compare finds them equal, and the byte-wise order of keys
+// is Compare's order wherever Compare defines one. A number's key is written
+// from its value (see appendNumberKey), so Int8(5), Int64(5) and Double(5)
+// share it; a duration's is Compare's millisecond count, so P1M and P30D share
+// it. A record, list or bag is keyed by its items' keys — a record's fields in
+// name order, a bag's items in key order — each behind a 0x01 byte, then a
+// 0x00, and Compare orders composites by these keys: inside one, values of
+// different kinds order by the kind's tag. No key is a proper prefix of
+// another, which composite keys (a secondary key followed by the primary key)
+// rely on. Binary keys are equality-only: a length, then the bytes.
 func EncodeKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case Missing:
@@ -747,8 +754,18 @@ func EncodeKey(dst []byte, v Value) []byte {
 	case Int8, Int16, Int32, Int64, Float, Double:
 		return appendNumberKey(dst, v)
 	case String:
+		// The 0x00 terminator must not occur inside: a 0x00 or 0x01 byte is
+		// written as 0x01 and the byte plus one, which keeps byte order.
 		dst = append(dst, 0x20)
-		dst = append(dst, []byte(x)...)
+		for {
+			i := strings.IndexAny(string(x), "\x00\x01")
+			if i < 0 {
+				break
+			}
+			dst = append(append(dst, x[:i]...), 0x01, x[i]+1)
+			x = x[i+1:]
+		}
+		dst = append(dst, x...)
 		return append(dst, 0x00)
 	case Date:
 		dst = append(dst, 0x30)
@@ -757,21 +774,74 @@ func EncodeKey(dst []byte, v Value) []byte {
 		dst = append(dst, 0x31)
 		return binary.BigEndian.AppendUint32(dst, uint32(x)^0x80000000)
 	case Datetime:
-		dst = append(dst, 0x32)
-		return binary.BigEndian.AppendUint64(dst, uint64(x)^0x8000000000000000)
+		return appendInt64Key(append(dst, 0x32), int64(x))
+	case YearMonthDuration:
+		return appendInt64Key(append(dst, 0x33), int64(x))
+	case DayTimeDuration:
+		return appendInt64Key(append(dst, 0x34), int64(x))
+	case Duration:
+		return appendInt64Key(append(dst, 0x35), x.totalMillis())
+	case Interval:
+		return appendInt64Key(appendInt64Key(append(dst, 0x36), x.Start), x.End)
 	case UUID:
 		dst = append(dst, 0x40)
 		return append(dst, x[:]...)
-	default:
-		// Fall back to the self-describing encoding; ordering is not
-		// guaranteed across these, but equality is preserved.
-		b, err := EncodeValue(nil, v)
-		if err != nil {
-			return append(dst, 0xFF)
+	case Binary:
+		dst = appendUvarint(append(dst, 0x41), uint64(len(x)))
+		return append(dst, x...)
+	case Point:
+		return appendPointKey(append(dst, 0x50), x)
+	case Line:
+		return appendPointKey(appendPointKey(append(dst, 0x51), x.A), x.B)
+	case Rectangle:
+		return appendPointKey(appendPointKey(append(dst, 0x52), x.LowerLeft), x.UpperRight)
+	case Circle:
+		return appendNumberKey(appendPointKey(append(dst, 0x53), x.Center), Double(x.Radius))
+	case Polygon:
+		dst = appendUvarint(append(dst, 0x54), uint64(len(x.Points)))
+		for _, p := range x.Points {
+			dst = appendPointKey(dst, p)
 		}
-		dst = append(dst, 0xFF)
-		return append(dst, b...)
+		return dst
+	case *LazyRecord:
+		return EncodeKey(dst, x.Materialize())
+	case *Record:
+		dst = append(dst, 0x60)
+		for _, f := range x.SortedFields() {
+			dst = EncodeKey(EncodeKey(append(dst, 0x01), String(f.Name)), f.Value)
+		}
+		return append(dst, 0x00)
+	case *OrderedList:
+		dst = append(dst, 0x61)
+		for _, item := range x.Items {
+			dst = EncodeKey(append(dst, 0x01), item)
+		}
+		return append(dst, 0x00)
+	case *UnorderedList:
+		keys := make([][]byte, len(x.Items))
+		for i, item := range x.Items {
+			keys[i] = EncodeKey(nil, item)
+		}
+		slices.SortFunc(keys, bytes.Compare)
+		dst = append(dst, 0x62)
+		for _, k := range keys {
+			dst = append(append(dst, 0x01), k...)
+		}
+		return append(dst, 0x00)
 	}
+	panic(fmt.Sprintf("adm: no key for %T", v))
+}
+
+// appendInt64Key writes x sign-flipped and big-endian, so byte order is
+// numeric order.
+func appendInt64Key(dst []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(x)^0x8000000000000000)
+}
+
+// appendPointKey writes a point's coordinates as two number keys, so -0.0
+// keys as 0.0 and every NaN as one NaN, as compareFloat has them.
+func appendPointKey(dst []byte, p Point) []byte {
+	return appendNumberKey(appendNumberKey(dst, Double(p.X)), Double(p.Y))
 }
 
 // KeyPartition maps key — EncodeKey's bytes for one or more values, appended —

@@ -885,6 +885,13 @@ func (p *parser) parseFLWOR() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
+				// After the clause $v would name both the key and the group's
+				// bag of $v: refuse the clash rather than pick one.
+				for _, k := range gb.Keys {
+					if k.Var == v {
+						return nil, p.errf("$%s is both a group key and a with variable", v)
+					}
+				}
 				gb.With = append(gb.With, v)
 				if p.atSymbol(",") {
 					p.advance()

@@ -533,6 +533,12 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", src)
 		}
 	}
+	// A group key that is also a with variable would name two values after
+	// the clause.
+	src := `for $x in [1, 2, 1] group by $x := $x with $x return $x`
+	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "$x is both a group key and a with variable") {
+		t.Errorf("Parse(%q) = %v, want the clash on $x refused", src, err)
+	}
 }
 
 func TestStatementStrings(t *testing.T) {

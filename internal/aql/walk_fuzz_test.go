@@ -40,6 +40,7 @@ func FuzzRewriteScope(f *testing.F) {
 		`for $x in [1, 2] limit $x return $x`,
 		`if ($a[0] = -$b.f) then [ $c ] else {{ string-length($e) }}`,
 		`count(for $t in word-tokens($s) where $t = $w return $t)`,
+		`for $x in [1, 2, 1] group by $x := $x with $x return $x`,
 	} {
 		f.Add(seed)
 	}

@@ -63,8 +63,8 @@ func TestRewriteScope(t *testing.T) {
 			`for $x in [1] group by $k := $x with $v return count($v)`, []string{"v"},
 			`for $x in [1] group by $k := $x with $z return count($z)`},
 		{"group-by keys are evaluated before it and bound after it",
-			`for $x in [1] group by $x := $x + $v with $x return $x`, []string{"v"},
-			`for $x in [1] group by $x := ($x + $z) with $x return $x`},
+			`for $x in [1] let $w := $x group by $x := $x + $v with $w return $x`, []string{"v"},
+			`for $x in [1] let $w := $x group by $x := ($x + $z) with $w return $x`},
 		{"group-by leaves only its keys and with-variables bound",
 			`for $x in [1] let $v := 2 group by $k := $x with $x return $v`, []string{"v"},
 			`for $x in [1] let $v := 2 group by $k := $x with $x return $z`},

@@ -1,9 +1,9 @@
 // Package hyracks implements a data-parallel dataflow runtime modelled on the
 // Hyracks layer of the Asterix software stack (Section 4.1 of the paper).
-// Jobs are DAGs of Operators and Connectors; Operators expand into Activities
-// whose blocking edges partition the job into Stages; each Stage runs its
-// operator instances (one per partition) in parallel and Connectors
-// redistribute tuples between them.
+// Jobs are DAGs of Operators and Connectors; every operator instance (one per
+// partition) starts at once and Connectors redistribute tuples between them.
+// Nothing runs the job stage by stage: a blocking operator holds back its
+// consumers only because it emits nothing until its input has ended.
 //
 // # Execution model
 //
@@ -164,7 +164,7 @@ const (
 
 // Operator is one node of a Hyracks job DAG. Implementations consume their
 // input partitions and produce output partitions; blocking operators consume
-// all input before emitting (which introduces a Stage boundary).
+// all input before emitting.
 type Operator interface {
 	// Name identifies the operator in EXPLAIN output and the Figure 6 test.
 	Name() string
@@ -251,76 +251,37 @@ func (j *Job) Describe() string {
 	return sb.String()
 }
 
-// Stages partitions the job's operators into stages separated by blocking
-// operators: a stage can start only after the stages producing its blocked
-// inputs have completed. The returned slices contain operator indexes in
-// topological order.
-func (j *Job) Stages() ([][]int, error) {
-	order, err := j.topoOrder()
-	if err != nil {
-		return nil, err
-	}
-	stageOf := make([]int, len(j.Operators))
-	for _, idx := range order {
-		stage := 0
-		for _, e := range j.Edges {
-			if e.To != idx {
-				continue
-			}
-			s := stageOf[e.From]
-			// A blocking consumer starts a new stage after its producers.
-			if j.Operators[idx].Blocking() {
-				s++
-			}
-			if s > stage {
-				stage = s
-			}
-		}
-		stageOf[idx] = stage
-	}
-	maxStage := 0
-	for _, s := range stageOf {
-		if s > maxStage {
-			maxStage = s
-		}
-	}
-	stages := make([][]int, maxStage+1)
-	for _, idx := range order {
-		stages[stageOf[idx]] = append(stages[stageOf[idx]], idx)
-	}
-	return stages, nil
-}
-
-func (j *Job) topoOrder() ([]int, error) {
+// checkAcyclic returns an error if the job graph has a cycle: Kahn's
+// algorithm must reach every operator.
+func (j *Job) checkAcyclic() error {
 	indeg := make([]int, len(j.Operators))
 	for _, e := range j.Edges {
 		indeg[e.To]++
 	}
-	var queue []int
+	var ready []int
 	for i, d := range indeg {
 		if d == 0 {
-			queue = append(queue, i)
+			ready = append(ready, i)
 		}
 	}
-	sort.Ints(queue)
-	var order []int
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
+	reached := 0
+	for len(ready) > 0 {
+		n := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		reached++
 		for _, e := range j.Edges {
 			if e.From == n {
 				indeg[e.To]--
 				if indeg[e.To] == 0 {
-					queue = append(queue, e.To)
+					ready = append(ready, e.To)
 				}
 			}
 		}
 	}
-	if len(order) != len(j.Operators) {
-		return nil, fmt.Errorf("hyracks: job graph has a cycle")
+	if reached != len(j.Operators) {
+		return fmt.Errorf("hyracks: job graph has a cycle")
 	}
-	return order, nil
+	return nil
 }
 
 // defaultFrameSize is the number of tuples shipped per channel send when the

@@ -99,21 +99,6 @@ func TestExecuteScanSelectAggregate(t *testing.T) {
 	}
 }
 
-func TestStages(t *testing.T) {
-	job := buildScanSelectAggJob(2, 10)
-	stages, err := job.Stages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// source+select in stage 0, local agg blocks (stage 1), global agg (stage 2).
-	if len(stages) != 3 {
-		t.Fatalf("stages = %v", stages)
-	}
-	if len(stages[0]) != 2 {
-		t.Errorf("stage 0 = %v", stages[0])
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	job := buildScanSelectAggJob(2, 10)
 	desc := job.Describe()
@@ -130,9 +115,6 @@ func TestCycleDetection(t *testing.T) {
 	b := job.Add(selectOp("b", 1, func(Tuple) (bool, error) { return true, nil }))
 	job.Connect(a, b, Connector{Kind: OneToOne})
 	job.Connect(b, a, Connector{Kind: OneToOne})
-	if _, err := job.Stages(); err == nil {
-		t.Error("cycle should be detected")
-	}
 	if _, err := Execute(job); err == nil {
 		t.Error("executing a cyclic job should fail")
 	}

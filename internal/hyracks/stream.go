@@ -215,7 +215,7 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, err := job.Stages(); err != nil {
+	if err := job.checkAcyclic(); err != nil {
 		return nil, nil, err
 	}
 	frameSize := job.FrameSize

@@ -105,6 +105,7 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 		{"bit flip in the magic", flip(len(good) - 1), "footer"},
 		{"older layout footer", oldLayoutImage(), "older component layout (LSMVALID); drop and recreate"},
 		{"keys written by width", append(bytes.Clone(good[:len(good)-8]), "LSMKFV02"...), "older component layout (LSMKFV02); drop and recreate"},
+		{"composites keyed by their encoding", append(bytes.Clone(good[:len(good)-8]), "LSMKFV03"...), "older component layout (LSMKFV03); drop and recreate"},
 		{"count past the bytes", sealed(body, uint64(len(body))), "entries in"},
 		{"flag neither data nor antimatter", sealed([]byte{1, 'k', 2, 0}, 1), "flag"},
 		{"bytes after the last entry", sealed(append(bytes.Clone(body), 0), 21), "after entry"},

@@ -458,13 +458,15 @@ func (t *Tree) AbortMerge(p *MergePlan) {
 // ----------------------------------------------------------------------------
 
 // formatMagic ends every component image and names its layout (see the
-// package comment). LSMKFV03 frames entries as LSMKFV02 did, but its keys are
-// the ones the storage layer writes since a number is keyed by its value, not
-// its width: an 02 image holds keys no probe would find. Images ending in an
-// older magic are refused by name rather than converted.
+// package comment). LSMKFV04 frames entries as LSMKFV02 did, but its keys are
+// the ones the storage layer writes since every value is keyed by its place in
+// Compare's order: an 02 image holds numbers keyed by width and an 03 image
+// durations, intervals, spatial values, records and lists keyed by their
+// self-describing bytes, keys no probe would find. Images ending in an older
+// magic are refused by name rather than converted.
 var (
-	formatMagic     = []byte("LSMKFV03")
-	oldFormatMagics = [][]byte{[]byte("LSMKFV02"), []byte("LSMVALID")}
+	formatMagic     = []byte("LSMKFV04")
+	oldFormatMagics = [][]byte{[]byte("LSMKFV03"), []byte("LSMKFV02"), []byte("LSMVALID")}
 )
 
 // footerLen is the fixed footer size: stamp, coveredLow, count, CRC, magic.

@@ -995,20 +995,14 @@ func (d *Dataset) FetchPKPartition(part int, pk []byte) (adm.Value, bool, error)
 // FetchEqualPartition visits the records of partition part whose one-field
 // primary key compares equal to v under adm.Compare — the language's `=`. It
 // is the source of a select's key-equality access path. adm.EncodeKey gives
-// every value `=` matches one key (a number's is written from its value, not
-// its width), so that key is one get, made only by the partition that owns
-// it. A duration, interval, spatial value, record or list has equal values
-// under other keys, so it scans the partition instead, and the caller's select
-// re-checks its predicate. An unknown v matches nothing.
+// every value `=` matches one key, so that key is one get, made only by the
+// partition that owns it. An unknown v matches nothing.
 func (d *Dataset) FetchEqualPartition(part int, v adm.Value, emit func(adm.Value) bool) error {
 	if part < 0 || part >= len(d.partitions) {
 		return fmt.Errorf("storage: partition %d out of range", part)
 	}
-	switch t := v.Tag(); {
-	case adm.IsUnknown(v):
+	if adm.IsUnknown(v) {
 		return nil
-	case t == adm.TagDuration || t == adm.TagInterval || t.IsSpatial() || t == adm.TagRecord || t.IsCollection():
-		return d.ScanPartition(part, emit)
 	}
 	key := adm.EncodeKey(nil, v)
 	if d.partitionFor(key) != part {

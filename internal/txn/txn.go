@@ -124,14 +124,15 @@ type LogRecord struct {
 
 // walMagic identifies a WAL file; the 8 bytes after it hold the base LSN of
 // the first record (little-endian). Compaction rewrites the file with a
-// higher base, so LSNs are stable across the file's lifetime. AWALV002 frames
+// higher base, so LSNs are stable across the file's lifetime. AWALV003 frames
 // records as AWALV001 did, but the keys and partitions they carry are the ones
-// the storage layer derives since a number is keyed by its value, not its
-// width; a log whose header carries oldWALMagic is refused by name, never
-// replayed.
+// the storage layer derives since every value is keyed by its place in
+// Compare's order (AWALV001 keyed numbers by width, AWALV002 composites and
+// the other non-scalar kinds by their self-describing bytes); a log whose
+// header carries an old magic is refused by name, never replayed.
 var (
-	walMagic    = []byte("AWALV002")
-	oldWALMagic = []byte("AWALV001")
+	walMagic     = []byte("AWALV003")
+	oldWALMagics = [][]byte{[]byte("AWALV002"), []byte("AWALV001")}
 )
 
 const walHeaderLen = 16
@@ -195,9 +196,11 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 			f.Close()
 			return nil, fmt.Errorf("txn: read wal header: %w", err)
 		}
-		if bytes.Equal(hdr[:len(oldWALMagic)], oldWALMagic) {
-			f.Close()
-			return nil, fmt.Errorf("txn: %s was written by an older log layout (%s); reload its data into an empty directory", path, oldWALMagic)
+		for _, old := range oldWALMagics {
+			if bytes.Equal(hdr[:len(old)], old) {
+				f.Close()
+				return nil, fmt.Errorf("txn: %s was written by an older log layout (%s); reload its data into an empty directory", path, old)
+			}
 		}
 		if !bytes.Equal(hdr[:len(walMagic)], walMagic) {
 			f.Close()

@@ -366,12 +366,14 @@ func TestWALCompactKeepsSuffixAndBase(t *testing.T) {
 	}
 }
 
-// TestWALRefusesOldLayout: a log whose header carries the layout before
-// AWALV002 (its keys were written by number width) is refused naming that
-// layout and left as it was; a header with any other magic is not a WAL.
+// TestWALRefusesOldLayout: a log whose header carries a layout before
+// AWALV003 (AWALV001 keyed numbers by width, AWALV002 composites by their
+// self-describing bytes) is refused naming that layout and left as it was; a
+// header with any other magic is not a WAL.
 func TestWALRefusesOldLayout(t *testing.T) {
 	rows := []struct{ magic, want string }{
 		{"AWALV001", "older log layout (AWALV001)"},
+		{"AWALV002", "older log layout (AWALV002)"},
 		{"NOTAWAL!", "not a WAL file"},
 	}
 	for _, row := range rows {
