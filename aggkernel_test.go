@@ -6,12 +6,13 @@ import (
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
+	"asterixdb/internal/hyracks"
 )
 
 // This file pins the two places aggregate semantics live to each other: the
-// hyracks.AggAccum kernel every compiled job folds with (scalar aggregates,
-// split and unsplit, and the fold-as-you-go group-by) and the expr builtins
-// the interpreter oracle evaluates over materialized bags. If either drifts —
+// hyracks fold kernel every compiled job aggregates with (scalar aggregates,
+// split and unsplit, and every group-by, folded or listify) and the expr
+// builtins the interpreter oracle evaluates over materialized bags. If either drifts —
 // what poisons, what is skipped, what the empty input yields — a cell of
 // this table fails.
 
@@ -74,14 +75,14 @@ func TestAggregateKernelMatchesBuiltins(t *testing.T) {
 			for _, fn := range []string{base, "sql-" + base} {
 				name := fmt.Sprintf("budget=%d/%s", budget, fn)
 
-				// Grouped form: one fold-as-you-go group per input class.
+				// Grouped form: one folded group per input class.
 				grouped := fmt.Sprintf(`for $r in dataset AggD let $v := $r.v group by $g := $r.g with $v return { "g": $g, "a": %s($v) };`, fn)
 				job, _, err := inst.compileJob(grouped)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if g := findHashGroup(job); g == nil || g.Aggs == nil {
-					t.Fatalf("%s: group-by did not fold:\n%s", name, job.Describe())
+				if g := findHashGroup(job); g == nil || len(g.Aggs) != 1 || g.Aggs[0].Func != fn {
+					t.Fatalf("%s: group-by did not fold %s alone:\n%s", name, fn, job.Describe())
 				}
 				got, err := inst.runJob(job)
 				if err != nil {
@@ -92,6 +93,26 @@ func TestAggregateKernelMatchesBuiltins(t *testing.T) {
 					t.Fatalf("%s grouped (interpreter): %v", name, err)
 				}
 				sameResults(t, name+"/grouped", got, want, false)
+
+				// The variable used both ways: folded for the call, and as
+				// its listify for the iteration.
+				both := fmt.Sprintf(`for $r in dataset AggD let $v := $r.v group by $g := $r.g with $v return { "g": $g, "a": %s($v), "n": count(for $x in $v return $x) };`, fn)
+				job, _, err = inst.compileJob(both)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if g := findHashGroup(job); g == nil || len(g.Aggs) != 2 || g.Aggs[0].Func != fn || g.Aggs[1].Func != hyracks.Listify {
+					t.Fatalf("%s: group-by does not fold %s and listify:\n%s", name, fn, job.Describe())
+				}
+				gotBoth, err := inst.runJob(job)
+				if err != nil {
+					t.Fatalf("%s grouped bag: %v", name, err)
+				}
+				wantBoth, err := inst.interpret(both, split)
+				if err != nil {
+					t.Fatalf("%s grouped bag (interpreter): %v", name, err)
+				}
+				sameResults(t, name+"/grouped-bag", gotBoth, wantBoth, false)
 				byClass := map[string]adm.Value{}
 				for _, v := range got {
 					rec := v.(*adm.Record)

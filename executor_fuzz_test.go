@@ -208,6 +208,8 @@ func fuzzQueries(rng *rand.Rand) []struct {
 		{"indexnl-join", `for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat /*+ indexnl */ = $b.cat return { "a": $a.id, "b": $b.id };`, false},
 		{"indexnl-join-pk", `for $b in dataset FuzzB for $a in dataset FuzzA where $b.score /*+ indexnl */ = $a.id return { "a": $a.id, "b": $b.id };`, false},
 		{"group-by", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r) };`, false},
+		// The with-variable folded for count and iterated as its listify.
+		{"group-bag-and-count", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r), "m": count(for $x in $r where $x.id > 0 return $x) };`, false},
 		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true},
 		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true},
 		{"order-limit", fmt.Sprintf(`for $r in dataset FuzzA order by $r.id desc limit %d return $r.id;`, 1+rng.Intn(20)), true},

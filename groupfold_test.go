@@ -2,6 +2,7 @@ package asterixdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,12 +10,12 @@ import (
 	"asterixdb/internal/hyracks"
 )
 
-// This file covers the fold-as-you-go group-by aggregates: a group-by whose
-// with-variables are consumed only by count/sum/avg/min/max calls compiles
-// to an incremental HashGroupOp (no bag materialization, no spilling under a
-// budget), semantics match the interpreter oracle exactly — including the
-// null-poisoning AQL variants and the unknown-skipping sql- variants — and a
-// cardinality-of-groups overload spills accumulators, not rows.
+// This file covers the group-by fold: a with-variable consumed only by
+// count/sum/avg/min/max calls is folded to O(1) accumulators (no bag, no
+// spilling under a budget), one used as a bag is its listify, semantics match
+// the interpreter oracle exactly — including the null-poisoning AQL variants
+// and the unknown-skipping sql- variants — and a cardinality-of-groups
+// overload spills accumulators, not rows.
 
 const foldDDL = `
 create type FoldT as closed { id: int32, cat: int32, score: int32, val: int32?, name: string };
@@ -68,9 +69,8 @@ func findHashGroup(job *hyracks.Job) *hyracks.HashGroupOp {
 }
 
 // TestGroupByIncrementalFold checks the plumbing: an aggregate-only group-by
-// compiles to the incremental operator and completes a tight budget without
-// creating a single run file, while a bag-using group-by keeps the
-// materializing path.
+// folds only its aggregates and completes a tight budget without creating a
+// single run file, while a bag-using group-by folds the bag as listify.
 func TestGroupByIncrementalFold(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
 	inst := newFoldInstance(t, 16<<10, 2000)
@@ -84,8 +84,8 @@ return { "c": $c, "n": count($r) };`
 	if g == nil {
 		t.Fatalf("no hash group operator:\n%s", job.Describe())
 	}
-	if g.Aggs == nil {
-		t.Fatalf("aggregate-only group-by did not fold (Aggs nil)")
+	if len(g.Aggs) != 1 || g.Aggs[0].Func != "count" {
+		t.Fatalf("aggregate-only group-by folds %+v, want count alone", g.Aggs)
 	}
 	got, err := inst.runJob(job)
 	if err != nil {
@@ -98,7 +98,7 @@ return { "c": $c, "n": count($r) };`
 		t.Errorf("folded group-by spilled: %+v (2000 rows in 5 groups must fit a 16KiB budget as accumulators)", st)
 	}
 
-	// A bag use (iterating $r) must disable folding.
+	// A bag use (iterating $r) is the variable's listify.
 	bagged := `for $r in dataset FoldD group by $c := $r.cat with $r
 return { "c": $c, "ids": (for $x in $r return $x.id) };`
 	job2, _, err := inst.compileJob(bagged)
@@ -109,8 +109,8 @@ return { "c": $c, "ids": (for $x in $r return $x.id) };`
 	if g2 == nil {
 		t.Fatalf("no hash group operator:\n%s", job2.Describe())
 	}
-	if g2.Aggs != nil {
-		t.Fatal("bag-using group-by folded; its bag would be missing")
+	if len(g2.Aggs) != 1 || g2.Aggs[0].Func != hyracks.Listify {
+		t.Fatalf("bag-using group-by folds %+v, want its listify", g2.Aggs)
 	}
 }
 
@@ -146,8 +146,8 @@ return { "c": $c, "n": count($r), "t": sum($s), "hi": max($s) };`},
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
-		if g := findHashGroup(job); g == nil || g.Aggs == nil {
-			t.Errorf("%s: query did not fold:\n%s", q.name, job.Describe())
+		if g := findHashGroup(job); g == nil || slices.ContainsFunc(g.Aggs, func(a hyracks.GroupAgg) bool { return a.Func == hyracks.Listify }) {
+			t.Errorf("%s: query kept a bag:\n%s", q.name, job.Describe())
 		}
 		got, err := inst.Query(q.query)
 		if err != nil {
@@ -178,8 +178,8 @@ return { "k": $k, "n": count($r) };`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := findHashGroup(job); g == nil || g.Aggs == nil {
-		t.Fatalf("query did not fold:\n%s", job.Describe())
+	if g := findHashGroup(job); g == nil || len(g.Aggs) != 1 || g.Aggs[0].Func != "count" {
+		t.Fatalf("query did not fold count alone:\n%s", job.Describe())
 	}
 	got, err := constrained.runJob(job)
 	if err != nil {

@@ -603,18 +603,14 @@ func (jr *jobRun) sendEOS(edge, fromPart int) error {
 	e := jr.job.Edges[edge]
 	consPar := jr.job.Operators[e.To].Parallelism()
 	targets := make([]int, 0, len(jr.node.nodes))
-	switch e.Connector.Kind {
-	case hyracks.MToNPartitioning, hyracks.HashPartitioningShuffle,
-		hyracks.MToNReplicating, hyracks.MToNPartitioningMerging:
+	if e.Connector.Kind.ReachesAll() {
 		for t := range jr.node.nodes {
 			if t != jr.node.self && jr.node.pl.hasInstance(t, consPar) {
 				targets = append(targets, t)
 			}
 		}
-	default: // OneToOne, LocalityAwareMToNPartition
-		if t := jr.node.pl.nodeOf(fromPart % consPar); t != jr.node.self {
-			targets = append(targets, t)
-		}
+	} else if t := jr.node.pl.nodeOf(fromPart % consPar); t != jr.node.self {
+		targets = append(targets, t)
 	}
 	var firstErr error
 	for _, t := range targets {

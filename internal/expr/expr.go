@@ -3,8 +3,11 @@
 // functions from Table 1), the semantics of the fuzzy ~= operator driven by
 // the simfunction/simthreshold prologue parameters, quantified expressions,
 // and full FLWOR evaluation for nested subqueries (AsterixDB's subplan
-// operator). The query runtime's physical operators call into this package to
-// evaluate their predicates, projections, and aggregates.
+// operator). Compiled jobs call into this package to evaluate their
+// predicates and projections; their group-bys, sorts, limits and aggregates
+// are hyracks operators, so this package's group/order/limit clauses and
+// aggregate builtins over whole bags serve nested subqueries and the
+// differential oracle.
 package expr
 
 import (
@@ -503,9 +506,9 @@ func evalFLWORList(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error
 	return out, nil
 }
 
-// ApplyClause applies one FLWOR clause to a set of bindings. The query
-// engine's physical group-by, order and limit operators reuse it so their
-// semantics are exactly the interpreter's.
+// ApplyClause applies one FLWOR clause to a set of bindings. Only the
+// differential oracle calls it: compiled jobs run group-by, order and limit
+// as hyracks operators, which the oracle checks against these semantics.
 func ApplyClause(ctx *Context, envs []Env, clause aql.FLWORClause) ([]Env, error) {
 	return applyClause(ctx, envs, clause)
 }

@@ -17,7 +17,7 @@
 //
 // Tuples are never materialized between pipelined operators: a select feeding
 // an assign hands tuples over as they are produced, and only genuinely
-// blocking operators (sort, group, aggregate, the join build) buffer their
+// blocking operators (sort, group-by, the join build) buffer their
 // input. Tuples travel between instances in fixed-size frames (batches), as
 // in Hyracks proper, so the per-tuple channel cost is amortized across a
 // frame.
@@ -152,15 +152,19 @@ func putFrame(f []Tuple) {
 // ConnectorKind enumerates the connector types Hyracks provides.
 type ConnectorKind string
 
-// The six connector kinds listed in Section 4.1.
+// The connector kinds of Section 4.1 that compiled jobs use.
 const (
-	OneToOne                   ConnectorKind = "OneToOneConnector"
-	MToNPartitioning           ConnectorKind = "MToNPartitioningConnector"
-	MToNReplicating            ConnectorKind = "MToNReplicatingConnector"
-	MToNPartitioningMerging    ConnectorKind = "MToNPartitioningMergingConnector"
-	LocalityAwareMToNPartition ConnectorKind = "LocalityAwareMToNPartitioningConnector"
-	HashPartitioningShuffle    ConnectorKind = "HashPartitioningShuffleConnector"
+	OneToOne                ConnectorKind = "OneToOneConnector"
+	MToNPartitioning        ConnectorKind = "MToNPartitioningConnector"
+	MToNReplicating         ConnectorKind = "MToNReplicatingConnector"
+	MToNPartitioningMerging ConnectorKind = "MToNPartitioningMergingConnector"
 )
+
+// ReachesAll reports whether producer instance p can send tuples to every
+// consumer instance (the M:N kinds) rather than to instance p % consumers
+// alone (one-to-one). Routing, end-of-stream fan-out and the remote-producer
+// accounting of a distributed run all follow this one rule.
+func (k ConnectorKind) ReachesAll() bool { return k != OneToOne }
 
 // Operator is one node of a Hyracks job DAG. Implementations consume their
 // input partitions and produce output partitions; blocking operators consume
@@ -392,8 +396,9 @@ func (o *outPort) send(p int) {
 // they fill.
 func (o *outPort) push(producerPartition int, t Tuple) {
 	var p int
-	switch o.edge.Connector.Kind {
-	case MToNReplicating:
+	c := o.edge.Connector
+	switch {
+	case c.Kind == MToNReplicating:
 		for p := range o.consumers {
 			if o.bufs[p] == nil {
 				o.bufs[p] = getFrame(o.frameSize)
@@ -404,16 +409,12 @@ func (o *outPort) push(producerPartition int, t Tuple) {
 			}
 		}
 		return
-	case MToNPartitioning, HashPartitioningShuffle:
-		p = o.hashPartition(t)
-	case MToNPartitioningMerging:
-		if len(o.edge.Connector.HashColumns) > 0 {
-			p = o.hashPartition(t)
-		} else {
-			p = 0 // pure N:1 merge into instance 0
-		}
-	default: // OneToOne, LocalityAwareMToNPartition
+	case !c.Kind.ReachesAll():
 		p = producerPartition % len(o.consumers)
+	case c.Kind == MToNPartitioningMerging && len(c.HashColumns) == 0:
+		p = 0 // pure N:1 merge into instance 0
+	default:
+		p = o.hashPartition(t)
 	}
 	if o.bufs[p] == nil {
 		o.bufs[p] = getFrame(o.frameSize)
@@ -485,8 +486,8 @@ func (o *outPort) hashPartition(t Tuple) int {
 // Hyracks provides a library of operators (the paper counts 53); the subset
 // below covers what AQL physical plans need: source scans, flat-map (the one
 // pipelined operator: select, assign, unnest, index probes), sort, limit,
-// hash group/aggregate, local and global aggregation, and the two-activity
-// hybrid hash join.
+// hash group-by (every aggregation: keyed, scalar, whole or split into local
+// and global halves), and the two-activity hybrid hash join.
 // ----------------------------------------------------------------------------
 
 // PassthroughOp forwards its input unchanged. The translator ends a job in
@@ -640,77 +641,48 @@ func (o *LimitOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
 	return drive(ins[0], o.Stage(p, emit))
 }
 
-// AggregateOp folds its entire input into a single output tuple. Used for
-// both the Local and Global halves of the aggregation split in Figure 6.
-//
-// The fold is streaming: each instance consumes its input one tuple at a
-// time in O(1) state, so the operator holds no materialized buffer and needs
-// no memory budget (it used to buffer the whole partition for a batch Fold,
-// charged against the job budget; the streaming rewrite deleted that buffer
-// and its accounting).
-type AggregateOp struct {
-	Label      string
-	Partitions int
-	// NewFold returns a fresh streaming fold for one instance run: step is
-	// called once per input tuple in arrival order, then finish once at end
-	// of input, returning the aggregate tuple to emit (nil emits nothing).
-	NewFold func() (step func(Tuple) error, finish func() (Tuple, error))
-}
-
-// Name implements Operator.
-func (o *AggregateOp) Name() string { return o.Label }
-
-// Parallelism implements Operator.
-func (o *AggregateOp) Parallelism() int { return o.Partitions }
-
-// Blocking implements Operator.
-func (o *AggregateOp) Blocking() bool { return true }
-
-// Run implements Operator.
-func (o *AggregateOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	step, finish := o.NewFold()
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			break
-		}
-		if err := step(t); err != nil {
-			return err
-		}
-	}
-	out, err := finish()
-	if err != nil {
-		return err
-	}
-	if out != nil {
-		emit(out)
-	}
-	return nil
-}
-
-// HashGroupOp groups its input by key columns and emits one tuple per group
-// (the HashGroup operator from the paper's aggregation operators). It
-// pre-aggregates in the spill table (Run, in spill.go) as one of two clients:
-// the bag — each group's rows, in arrival order, handed to Reduce — or, when
-// Aggs is set, the fold, which keeps one accumulator per aggregate instead
-// of the rows. Under memory pressure a victim partition's rows (or
-// accumulators) move to a run file and are re-aggregated one level down.
+// HashGroupOp groups its input by key columns and emits one tuple per group:
+// the key columns, then one value per aggregate in Aggs. It is every
+// aggregation a compiled job runs — a group-by, whose with-variables are
+// folded aggregates or listify bags, and a scalar aggregate, which has no key
+// columns and so one group. It folds in the spill table (Run, in spill.go):
+// each group keeps one accumulator per aggregate, and under memory pressure a
+// victim partition's accumulators move to a run file and are merged one
+// level down. A keyless operator emits its one group even on empty input,
+// except in the Local stage: an aggregate over nothing is one value, a keyed
+// group-by over nothing is no rows.
 type HashGroupOp struct {
 	Label      string
 	Partitions int
+	// KeyColumns are the grouping columns of an input row. A Global
+	// operator's input leads with the keys, so there only their number
+	// counts.
 	KeyColumns []int
-	Reduce     func(key Tuple, rows []Tuple) (Tuple, error)
-	// Aggs switches the operator to fold-as-you-go mode: instead of
-	// materializing each group's rows for Reduce, one accumulator per
-	// (group, aggregate) is folded incrementally and the output tuple is the
-	// key columns followed by one finished value per aggregate. The
-	// translator sets it when every consumer of the group's with-variables
-	// is a foldable aggregate call; Reduce is ignored when Aggs is set.
+	// Aggs are the aggregates each group folds, in output order.
 	Aggs []GroupAgg
+	// Split is the operator's stage of a split aggregation.
+	Split AggSplit
 	// Spill is the operator's share of the job memory budget; it decides
-	// only when partitions spill. Nil (a hand-built operator) never does.
+	// only when partitions spill. Nil (a hand-built operator, a scalar
+	// aggregate) never does.
 	Spill *runfile.Budget
 }
+
+// AggSplit is a HashGroupOp's stage of an aggregation split into a
+// per-partition local half and a global half (Figure 6).
+type AggSplit int
+
+const (
+	// Whole folds input rows and emits finished values: an unsplit
+	// aggregation (the zero value).
+	Whole AggSplit = iota
+	// Local folds input rows and emits each group's accumulator tuple — the
+	// form a spill writes — for a Global operator to merge.
+	Local
+	// Global merges accumulator tuples, as a reloaded run is merged, and
+	// emits finished values.
+	Global
+)
 
 // Name implements Operator.
 func (o *HashGroupOp) Name() string { return o.Label }

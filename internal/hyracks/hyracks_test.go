@@ -49,32 +49,22 @@ func buildScanSelectAggJob(partitions, perPartition int) *Job {
 		},
 	})
 	sel := job.Add(selectOp("select-even", partitions, func(t Tuple) (bool, error) { n, _ := adm.NumericAsInt64(t[0]); return n%2 == 0, nil }))
-	local := job.Add(&AggregateOp{
+	local := job.Add(&HashGroupOp{
 		Label:      "local-sum",
 		Partitions: partitions,
-		NewFold:    sumFold,
+		Aggs:       []GroupAgg{{Func: "sum"}},
+		Split:      Local,
 	})
-	global := job.Add(&AggregateOp{
+	global := job.Add(&HashGroupOp{
 		Label:      "global-sum",
 		Partitions: 1,
-		NewFold:    sumFold,
+		Aggs:       []GroupAgg{{Func: "sum"}},
+		Split:      Global,
 	})
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, local, Connector{Kind: OneToOne})
 	job.Connect(local, global, Connector{Kind: MToNReplicating})
 	return job
-}
-
-// sumFold is a streaming integer-sum fold for AggregateOp.
-func sumFold() (func(Tuple) error, func() (Tuple, error)) {
-	sum := int64(0)
-	step := func(t Tuple) error {
-		n, _ := adm.NumericAsInt64(t[0])
-		sum += n
-		return nil
-	}
-	finish := func() (Tuple, error) { return Tuple{adm.Int64(sum)}, nil }
-	return step, finish
 }
 
 func TestExecuteScanSelectAggregate(t *testing.T) {
@@ -96,6 +86,55 @@ func TestExecuteScanSelectAggregate(t *testing.T) {
 	got, _ := adm.NumericAsInt64(results[0][0])
 	if got != want {
 		t.Errorf("sum = %d, want %d", got, want)
+	}
+}
+
+// TestKeylessFoldSplit: a scalar aggregate is a keyless HashGroupOp. Local
+// partials merged by a Global operator equal one Whole fold for every
+// function, a null poisoning the AQL forms across partials; over empty input
+// both emit exactly one tuple, count 0 and null otherwise.
+func TestKeylessFoldSplit(t *testing.T) {
+	aggs := []GroupAgg{{Func: "count"}, {Func: "sum"}, {Func: "avg"}, {Func: "min"}, {Func: "max"}, {Func: "sql-sum"}, {Func: "sql-min"}}
+	run := func(perPartition int, withNull, split bool) []Tuple {
+		job := &Job{}
+		src := job.Add(&SourceOp{Label: "source", Partitions: 3, Produce: func(p int, emit func(Tuple) bool) error {
+			for i := 0; i < perPartition; i++ {
+				var v adm.Value = adm.Int64(int64(p*perPartition + i))
+				if withNull && p == 1 && i == 2 {
+					v = adm.Null{}
+				}
+				if !emit(Tuple{v}) {
+					return nil
+				}
+			}
+			return nil
+		}})
+		if !split {
+			whole := job.Add(&HashGroupOp{Label: "whole", Partitions: 1, Aggs: aggs})
+			job.Connect(src, whole, Connector{Kind: MToNPartitioningMerging})
+		} else {
+			local := job.Add(&HashGroupOp{Label: "local", Partitions: 3, Aggs: aggs, Split: Local})
+			global := job.Add(&HashGroupOp{Label: "global", Partitions: 1, Aggs: aggs, Split: Global})
+			job.Connect(src, local, Connector{Kind: OneToOne})
+			job.Connect(local, global, Connector{Kind: MToNReplicating})
+		}
+		out, err := Execute(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, withNull := range []bool{false, true} {
+		whole, split := run(50, withNull, false), run(50, withNull, true)
+		if len(whole) != 1 || len(split) != 1 || fmt.Sprint(whole) != fmt.Sprint(split) {
+			t.Errorf("null=%v: whole fold %v, local+global %v", withNull, whole, split)
+		}
+	}
+	want := fmt.Sprint([]Tuple{{adm.Int64(0), adm.Null{}, adm.Null{}, adm.Null{}, adm.Null{}, adm.Null{}, adm.Null{}}})
+	for _, split := range []bool{false, true} {
+		if got := fmt.Sprint(run(0, false, split)); got != want {
+			t.Errorf("split=%v over empty input: %s, want %s", split, got, want)
+		}
 	}
 }
 
@@ -135,9 +174,7 @@ func TestSortLimitAndHashGroup(t *testing.T) {
 	})
 	group := job.Add(&HashGroupOp{
 		Label: "group", Partitions: 2, KeyColumns: []int{0},
-		Reduce: func(key Tuple, rows []Tuple) (Tuple, error) {
-			return Tuple{key[0], adm.Int64(int64(len(rows)))}, nil
-		},
+		Aggs: []GroupAgg{{Func: "count", Col: 1}},
 	})
 	sorted := job.Add(&SortOp{Label: "sort", Partitions: 1, Columns: []int{0}})
 	limit := job.Add(&LimitOp{Label: "limit", Partitions: 1, N: 3})

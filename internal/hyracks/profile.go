@@ -162,12 +162,24 @@ func sortOperatorStats(rows []OperatorStats) {
 
 // SpillBudgeted is implemented by the operators that work inside a share of
 // the job's memory budget and spill through it (sort, hybrid hash join, hash
-// group-by). It is the one place that knowledge lives: the translator hands
-// every SpillBudgeted operator its runfile.Budget, and the profile finalizer
-// reads each one's SpillObserver back, neither naming an operator type.
+// group-by). It and NeedsShare are the one place that knowledge lives: the
+// translator hands every operator NeedsShare names its runfile.Budget, and
+// the profile finalizer reads each one's SpillObserver back, neither naming
+// an operator type.
 type SpillBudgeted interface {
 	SpillBudget() *runfile.Budget
 	SetSpillBudget(*runfile.Budget)
+}
+
+// NeedsShare reports whether op should get a share of the job's memory
+// budget: every SpillBudgeted operator but a scalar aggregate (a keyless
+// HashGroupOp), whose one group is O(1) state.
+func NeedsShare(op Operator) (SpillBudgeted, bool) {
+	if g, ok := op.(*HashGroupOp); ok && len(g.KeyColumns) == 0 {
+		return nil, false
+	}
+	sb, ok := op.(SpillBudgeted)
+	return sb, ok
 }
 
 // SpillBudget implements SpillBudgeted.

@@ -10,8 +10,9 @@ import (
 )
 
 // This file holds the blocking operators' only implementations: SortOp is an
-// external merge sort; HashGroupOp (with either reducer) and HybridHashJoinOp
-// (keyed, or keyless as the nested-loop join) all run on the one spillTable.
+// external merge sort; HashGroupOp (every aggregation, keyed or scalar) and
+// HybridHashJoinOp (keyed, or keyless as the nested-loop join) both run on
+// the one spillTable.
 // Each works in memory for as long as its runfile.Instance says the next
 // tuple fits and spills when it does not; the operator's Spill budget (a
 // share of the job's Config.MemoryBudget assigned by the translator) only
@@ -29,7 +30,7 @@ const (
 	// spillMaxLevel caps recursive repartitioning: a table at this level no
 	// longer evicts. The join reaches it only as a pass of the budget-chunked
 	// block nested-loop fallback; the group-by groups in memory there (a
-	// single group's rows must be materialized for Reduce regardless).
+	// single group's listify holds all its items regardless).
 	spillMaxLevel = 5
 	// mergeFanIn caps how many sorted runs one merge pass reads, bounding
 	// the merge's buffered-reader memory; more runs merge in multiple
@@ -330,7 +331,7 @@ func (o *SortOp) mergeRuns(mem *runfile.Instance, bufSize int, runs []*runfile.R
 }
 
 // ----------------------------------------------------------------------------
-// The dynamic spill table (hash group-by, both reducers, and the join build)
+// The dynamic spill table (hash group-by and the join build)
 // ----------------------------------------------------------------------------
 
 // tupleSource is a pull stream of tuples: an operator input at level 0, a
@@ -361,18 +362,18 @@ func readRun(run *runfile.Run, fn func(tupleSource) error) error {
 }
 
 // spillGroup is one key's resident state in a spillTable: the rows in
-// arrival order for the bag group-by and the join build, the key columns
-// plus one accumulator per aggregate for the fold.
+// arrival order for the join build, the key columns plus one accumulator per
+// aggregate for the fold.
 type spillGroup struct {
 	rows []Tuple
 	key  Tuple
-	accs []AggAccum
+	accs []aggAccum
 }
 
 // spillClient is the kind knowledge a spillTable does not have. There are
-// three: the fold (foldClient, groupagg.go), the bag group-by and the join
-// build (both rowsClient — a hash-join build table is a bag group-by of the
-// build side).
+// two: the fold (foldClient, groupagg.go), which is every group-by, and the
+// join build (rowsClient: a hash-join build table is the build rows per
+// key).
 type spillClient interface {
 	// key appends the tuple's encoded grouping key.
 	key(dst []byte, t Tuple) []byte
@@ -389,8 +390,8 @@ type spillClient interface {
 	state(g *spillGroup) []Tuple
 }
 
-// rowsClient keeps each group's raw rows in arrival order and spills them
-// as they are, so a reloaded group is identical to one that never left. The
+// rowsClient keeps each key's raw rows in arrival order and spills them as
+// they are, so a reloaded group is identical to one that never left. The
 // value is the key encoder.
 type rowsClient func(dst []byte, t Tuple) []byte
 
@@ -587,11 +588,21 @@ func (t *spillTable) abort() {
 // Spillable pre-aggregation (HashGroupOp)
 // ----------------------------------------------------------------------------
 
-// Run implements Operator.
+// Run implements Operator. A keyless operator that emits nothing saw no
+// input: outside the Local stage it still emits the one empty group, since
+// an aggregate over nothing is one value.
 func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 	mem := o.Spill.NewInstance()
 	defer mem.Close()
-	err := o.group(mem, 0, inSource(ins[0]), emit)
+	fns := parseAggFns(o.Aggs)
+	emitted := false
+	err := o.group(mem, fns, 0, inSource(ins[0]), func(t Tuple) bool {
+		emitted = true
+		return emit(t)
+	})
+	if err == nil && !emitted && len(o.KeyColumns) == 0 && o.Split != Local {
+		emit((&foldClient{o: o, fns: fns}).finish(&spillGroup{accs: make([]aggAccum, len(fns))}))
+	}
 	if err == errStopDemand {
 		return nil
 	}
@@ -600,22 +611,23 @@ func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 
 // group aggregates one stream through a spill table: resident groups are
 // emitted first, then each spilled partition's run is aggregated by the same
-// body one level down. At spillMaxLevel the groups are held in memory
-// regardless — Reduce needs a group's full row set, so a single oversized
-// group is materialized either way.
-func (o *HashGroupOp) group(mem *runfile.Instance, level int, next tupleSource, emit func(Tuple) bool) error {
-	client, finish := o.client(level > 0)
-	tbl := &spillTable{mem: mem, client: client, level: level}
+// body one level down, where the stream is accumulator tuples. At
+// spillMaxLevel the groups are held in memory regardless — a group's listify
+// holds its items whatever the budget. A Local operator emits each group in
+// that accumulator form.
+func (o *HashGroupOp) group(mem *runfile.Instance, fns []AggFn, level int, next tupleSource, emit func(Tuple) bool) error {
+	c := &foldClient{o: o, fns: fns, reloaded: level > 0 || o.Split == Global}
+	tbl := &spillTable{mem: mem, client: c, level: level}
 	defer tbl.abort()
 	if err := tbl.fill(next); err != nil {
 		return err
 	}
 	err := tbl.drain(func(g *spillGroup) error {
-		out, err := finish(g)
-		if err != nil {
-			return err
+		out := c.finish
+		if o.Split == Local {
+			out = (*spillGroup).accTuple
 		}
-		if out != nil && !emit(out) {
+		if !emit(out(g)) {
 			return errStopDemand
 		}
 		return nil
@@ -624,22 +636,8 @@ func (o *HashGroupOp) group(mem *runfile.Instance, level int, next tupleSource, 
 		return err
 	}
 	return tbl.spilled(func(_ int, run *runfile.Run) error {
-		return readRun(run, func(next tupleSource) error { return o.group(mem, level+1, next, emit) })
+		return readRun(run, func(next tupleSource) error { return o.group(mem, fns, level+1, next, emit) })
 	})
-}
-
-// client picks the operator's table client and the function that turns a
-// finished group into its output tuple: the fold when Aggs is set, the bag
-// handed to Reduce otherwise. reloaded says the stream is a run of the
-// client's own contributions rather than operator input.
-func (o *HashGroupOp) client(reloaded bool) (spillClient, func(*spillGroup) (Tuple, error)) {
-	if o.Aggs != nil {
-		c := &foldClient{o: o, fns: parseAggFns(o.Aggs), reloaded: reloaded}
-		return c, c.finish
-	}
-	return rowsClient(o.encodeKey), func(g *spillGroup) (Tuple, error) {
-		return o.Reduce(o.keyOf(g.rows[0]), g.rows)
-	}
 }
 
 // encodeKey appends the encoded key columns of an input row.

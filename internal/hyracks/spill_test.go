@@ -516,6 +516,8 @@ func TestDynamicHashJoinEarlyStop(t *testing.T) {
 	assertSpilledAndClean(t, mgr, budget, dir)
 }
 
+// groupJob folds each group's sum and its listify of the same column, so
+// within-group arrival order is part of the asserted result.
 func groupJob(input []Tuple, spill *runfile.Budget) *Job {
 	job := &Job{}
 	src := job.Add(sourceOf(input))
@@ -523,21 +525,8 @@ func groupJob(input []Tuple, spill *runfile.Budget) *Job {
 		Label:      "group",
 		Partitions: 1,
 		KeyColumns: []int{0},
-		Reduce: func(key Tuple, rows []Tuple) (Tuple, error) {
-			sum := int64(0)
-			for _, r := range rows {
-				v, _ := adm.NumericAsInt64(r[1])
-				sum += v
-			}
-			// Also keep the bag of ordinals so within-group arrival order is
-			// part of the asserted result.
-			items := make([]adm.Value, len(rows))
-			for i, r := range rows {
-				items[i] = r[1]
-			}
-			return Tuple{key[0], adm.Int64(sum), &adm.OrderedList{Items: items}}, nil
-		},
-		Spill: spill,
+		Aggs:       []GroupAgg{{Func: "sum", Col: 1}, {Func: Listify, Col: 1}},
+		Spill:      spill,
 	})
 	job.Connect(src, grp, Connector{Kind: OneToOne})
 	return job
@@ -563,9 +552,9 @@ func TestSpillableGroupBySpills(t *testing.T) {
 }
 
 // TestSpillableGroupByOneGiantGroup is the group-by skew case: a single
-// group larger than the budget must still aggregate correctly (its rows have
-// to be materialized for Reduce), with repartitioning giving up at the
-// recursion cap instead of looping.
+// group larger than the budget must still aggregate correctly (its listify
+// holds every item), with repartitioning giving up at the recursion cap
+// instead of looping.
 func TestSpillableGroupByOneGiantGroup(t *testing.T) {
 	var input []Tuple
 	for i := 0; i < 2000; i++ {
@@ -669,7 +658,7 @@ var tableClients = []tableClient{
 		},
 	},
 	{
-		name: "bag",
+		name: "bag", // the listify fold
 		job:  func(b, _ []Tuple, s *runfile.Budget) *Job { return groupJob(b, s) },
 		oracle: func(b, _ []Tuple) []Tuple {
 			var out []Tuple
@@ -681,7 +670,7 @@ var tableClients = []tableClient{
 					sum += v
 					items[i] = adm.Int64(v)
 				}
-				out = append(out, Tuple{adm.Int64(k), adm.Int64(sum), &adm.OrderedList{Items: items}})
+				out = append(out, Tuple{adm.Int64(k), adm.Double(float64(sum)), &adm.OrderedList{Items: items}})
 			}
 			return out
 		},
@@ -773,14 +762,14 @@ func runTableClient(t *testing.T, c tableClient, build, probe []Tuple, budget in
 }
 
 // TestSpillTableClients drives the one spill table through each of its
-// clients — fold group-by, bag group-by, equi-join, keyless join — across
-// budgets (0 is the unlimited share; 8KiB and 64KiB both sit below the
-// inputs) and key shapes. What must hold for every input is in
-// runTableClient; per shape: the bag keeps each group's rows in arrival order
-// across spill and reload (the oracle's lists are in arrival order), every
-// budgeted case except the single-group fold really spills, and a build side
-// that is one key — every level lands in one partition — finishes through
-// the block fallback's repeated probe passes.
+// clients — the fold group-by without ("fold") and with a listify ("bag"),
+// equi-join, keyless join — across budgets (0 is the unlimited share; 8KiB and 64KiB both sit
+// below the inputs) and key shapes. What must hold for every input is in
+// runTableClient; per shape: listify keeps each group's items in arrival
+// order across spill and reload (the oracle's lists are in arrival order),
+// every budgeted case except the single-group count/sum/min fold really
+// spills, and a build side that is one key — every level lands in one
+// partition — finishes through the block fallback's repeated probe passes.
 func TestSpillTableClients(t *testing.T) {
 	type shape struct {
 		name  string
@@ -817,7 +806,7 @@ func TestSpillTableClients(t *testing.T) {
 			giant := sh.name == "one-giant-key"
 			for _, budget := range []int64{0, 8 << 10, 64 << 10} {
 				t.Run(fmt.Sprintf("%s/%s/%d", c.name, sh.name, budget), func(t *testing.T) {
-					// The giant bag group must be materialized for Reduce.
+					// The giant group's listify holds all its items.
 					st := runTableClient(t, c, build, probe, budget, sh.limit, !(c.name == "bag" && giant))
 					if budget == 0 {
 						return
@@ -916,9 +905,10 @@ func FuzzSpillTable(f *testing.F) {
 				largest = sizes[k]
 			}
 		}
-		// A bag group that cannot fit is materialized at the recursion cap,
+		// A listify group that cannot fit is held whole at the recursion cap,
 		// alone or with a key that shared its partition all the way down;
-		// below half the budget even such a pair stays inside it.
+		// below half the budget (its rows' sizes bound its items') even such
+		// a pair stays inside it.
 		bounded := c.name != "bag" || largest <= budget/2
 		runTableClient(t, c, build, probe, budget, 0, bounded)
 	})

@@ -566,20 +566,17 @@ func outgoingIndexed(edges []Edge, op int) ([]Edge, []int) {
 }
 
 // remoteProducerTargetsLocal reports whether remote producer instance p of
-// edge e can route tuples to a consumer instance on this node. Partition-
-// preserving connectors pin each producer instance to one consumer instance;
-// the M:N kinds can reach every consumer instance.
+// edge e can route tuples to a consumer instance on this node
+// (ConnectorKind.ReachesAll decides which instances it can reach).
 func remoteProducerTargetsLocal(e Edge, p int, job *Job, isLocal func(op, p int) bool) bool {
 	consPar := job.Operators[e.To].Parallelism()
-	switch e.Connector.Kind {
-	case MToNPartitioning, HashPartitioningShuffle, MToNReplicating, MToNPartitioningMerging:
-		for c := 0; c < consPar; c++ {
-			if isLocal(e.To, c) {
-				return true
-			}
-		}
-		return false
-	default: // OneToOne, LocalityAwareMToNPartition: p -> p % consPar
+	if !e.Connector.Kind.ReachesAll() {
 		return isLocal(e.To, p%consPar)
 	}
+	for c := 0; c < consPar; c++ {
+		if isLocal(e.To, c) {
+			return true
+		}
+	}
+	return false
 }

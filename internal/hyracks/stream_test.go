@@ -52,27 +52,16 @@ func TestFramePoolRecyclingKeepsResults(t *testing.T) {
 			},
 		})
 		asn := job.Add(assignOp("assign", 2, func(t Tuple) (Tuple, error) { return t, nil }))
-		agg := job.Add(&AggregateOp{
-			Label: "sum", Partitions: 1,
-			NewFold: func() (func(Tuple) error, func() (Tuple, error)) {
-				sum := int64(0)
-				step := func(t Tuple) error {
-					sum += int64(t[0].(adm.Int64))
-					return nil
-				}
-				finish := func() (Tuple, error) { return Tuple{adm.Int64(sum)}, nil }
-				return step, finish
-			},
-		})
+		agg := job.Add(&HashGroupOp{Label: "sum", Partitions: 1, Aggs: []GroupAgg{{Func: "sum"}}})
 		job.Connect(src, asn, Connector{Kind: MToNPartitioning, HashColumns: []int{0}})
 		job.Connect(asn, agg, Connector{Kind: MToNPartitioningMerging})
 		out, err := Execute(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := int64(599 * 600 / 2) // 0..599
-		if len(out) != 1 || int64(out[0][0].(adm.Int64)) != want {
-			t.Fatalf("iter %d: sum = %v, want %d (frame recycling corrupted tuples?)", iter, out, want)
+		want := adm.Double(599 * 600 / 2) // 0..599
+		if len(out) != 1 || out[0][0] != adm.Value(want) {
+			t.Fatalf("iter %d: sum = %v, want %v (frame recycling corrupted tuples?)", iter, out, want)
 		}
 	}
 }

@@ -183,8 +183,15 @@ func Intersect(a, b adm.Value) (bool, error) {
 	return RectIntersects(ma, mb), nil
 }
 
-// pointInPolygon uses the even-odd ray casting rule.
+// pointInPolygon uses the even-odd ray casting rule. A polygon with a NaN
+// vertex contains no point, as an R-tree never offers its NaN MBR as a
+// candidate: casting over the finite edges alone would toggle on some.
 func pointInPolygon(p adm.Point, poly []adm.Point) bool {
+	for _, v := range poly {
+		if math.IsNaN(v.X) || math.IsNaN(v.Y) {
+			return false
+		}
+	}
 	inside := false
 	n := len(poly)
 	for i, j := 0, n-1; i < n; j, i = i, i+1 {

@@ -132,6 +132,9 @@ func TestIntersect(t *testing.T) {
 		{adm.Point{X: 1, Y: 1}, adm.Rectangle{LowerLeft: adm.Point{X: 0, Y: 0}, UpperRight: adm.Point{X: 2, Y: 2}}, true},
 		{adm.Point{X: 0.5, Y: 0.5}, adm.Polygon{Points: []adm.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}}, true},
 		{adm.Point{X: 5, Y: 5}, adm.Polygon{Points: []adm.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}}, false},
+		// A NaN vertex: no point is inside, though ray casting over the
+		// finite edges alone would say (1, 1) is.
+		{adm.Polygon{Points: []adm.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 50, Y: 50}, {X: math.NaN(), Y: 50}}}, adm.Point{X: 1, Y: 1}, false},
 		{
 			adm.Circle{Center: adm.Point{X: 0, Y: 0}, Radius: 2},
 			adm.Circle{Center: adm.Point{X: 3, Y: 0}, Radius: 2},

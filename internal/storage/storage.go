@@ -132,8 +132,8 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	// A crash can leave a half-written checkpoint.meta.tmp behind; the
-	// durable one (if any) was renamed into place atomically.
+	// A crash mid-compaction can leave the WAL's half-written temp file
+	// behind; the durable log was renamed into place atomically.
 	if err := fsutil.RemoveTempFiles(dir); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -148,7 +148,6 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 		wal:      wal,
 		datasets: map[string]*Dataset{},
 	}
-	m.loadCheckpointMeta()
 	m.sched = newScheduler(m)
 	return m, nil
 }

@@ -8,17 +8,16 @@ import (
 	"asterixdb/internal/hyracks"
 )
 
-// This file decides when a group-by can run fold-as-you-go (the ROADMAP's
-// incremental-aggregate follow-up) and rewrites the plan's consumer
-// expressions accordingly. A with-variable whose every use above the group-by
-// is an aggregate call — count($w), sum($w), avg($w), min($w), max($w), or
-// their sql- variants — never needs its bag materialized: the group-by
-// operator folds a constant-size accumulator per group instead, and the
-// aggregate calls are rewritten to references to synthetic output columns
-// carrying the folded results. A with-variable used any other way (iterated,
-// returned whole, passed to another function) keeps the materializing path.
-// The rewrite is all-or-nothing per group-by: one bag-like use means rows
-// must be materialized anyway, so folding the rest would not save memory.
+// This file decides, per with-variable of a group-by, what the group-by
+// folds for it, and rewrites the plan's consumer expressions accordingly.
+// Every aggregate call over a with-variable above the group-by — count($w),
+// sum($w), avg($w), min($w), max($w), or their sql- variants — becomes a
+// reference to a synthetic output column carrying that aggregate, folded per
+// group in O(1) state. A with-variable with any other free reference left
+// (iterated, returned whole, passed to another function) also gets its own
+// column: its listify, the group's bag of it. Where the analysis cannot see
+// every consumer, every with-variable is its listify and nothing is
+// rewritten.
 
 // foldable reports whether a call is an aggregate builtin with a one-pass
 // accumulator applied to a single argument.
@@ -27,18 +26,30 @@ func foldable(x *aql.CallExpr) bool {
 	return ok && len(x.Args) == 1
 }
 
-// foldSpec is one (with-variable, aggregate) pair folded by the group-by.
+// foldSpec is one aggregate a group-by folds for a with-variable.
 type foldSpec struct {
 	With string // the with-variable folded
-	Func string // the aggregate function
-	Name string // the synthetic output column carrying the result
+	Func string // the aggregate function, or hyracks.Listify
+	Name string // the output column carrying the result
 }
 
-// groupFold is the fold plan attached to a jobBuilder when its plan's
-// group-by qualifies.
+// groupFold is the fold plan prepareGroupFold made for one group-by.
 type groupFold struct {
 	node  *algebra.Node
 	specs []foldSpec
+}
+
+// foldSpecs is what the group-by n folds: the analysed plan when there is
+// one, otherwise every with-variable's listify under its own name.
+func (b *jobBuilder) foldSpecs(n *algebra.Node) []foldSpec {
+	if b.groupFold != nil && b.groupFold.node == n {
+		return b.groupFold.specs
+	}
+	specs := make([]foldSpec, len(n.GroupWith))
+	for i, w := range n.GroupWith {
+		specs[i] = foldSpec{With: w, Func: hyracks.Listify, Name: w}
+	}
+	return specs
 }
 
 // spineFoldKinds are the operator kinds allowed between the plan root and
@@ -50,10 +61,12 @@ var spineFoldKinds = map[algebra.OpKind]bool{
 	algebra.OpLocalAgg: true, algebra.OpGlobalAgg: true, algebra.OpAggregate: true,
 }
 
-// prepareGroupFold inspects the plan for a group-by whose with-variables are
-// consumed only by foldable aggregate calls. On success it records the fold
-// plan (read by buildGroupBy) and the expression rewrites (every evaluator
-// compiles the rewritten form of its expression).
+// prepareGroupFold inspects the plan for the group-by nearest its root and
+// records its fold plan (read by buildGroupBy through foldSpecs) and the
+// expression rewrites (every evaluator compiles the rewritten form of its
+// expression). It records nothing when an operator between the root and the
+// group-by is not one whose expressions it can read, or rebinds a
+// with-variable's name.
 func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 	var spine []*algebra.Node
 	n := plan.Root
@@ -84,13 +97,10 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 		case algebra.OpAssign, algebra.OpUnnest:
 			consumers = append(consumers, sn.Exprs...)
 			// An assign or unnest rebinding a with-variable's name above the
-			// group-by makes use-site scoping order-dependent; bail to the
-			// materializing path.
+			// group-by makes use-site scoping order-dependent.
 			for _, v := range append(append([]string{}, sn.Vars...), sn.Variable) {
-				for _, w := range gb.GroupWith {
-					if v == w {
-						return
-					}
+				if slices.Contains(gb.GroupWith, v) {
+					return
 				}
 			}
 		case algebra.OpOrder:
@@ -104,12 +114,12 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 	}
 
 	// One walk per consumer both decides and rewrites: a free reference to a
-	// with-variable is foldable only as the sole argument of an aggregate call,
-	// which becomes a reference to the synthetic column carrying that fold.
-	// Any other reference — bare, iterated, collected by a nested group-by's
-	// own with — needs the bag, and the rewrites are dropped.
+	// with-variable as the sole argument of an aggregate call becomes a
+	// reference to the synthetic column carrying that fold. Any other
+	// reference — bare, iterated, collected by a nested group-by's own with —
+	// needs the bag.
 	funcsByVar := map[string][]string{}
-	needsBag := false
+	bags := map[string]bool{}
 	target := func(e aql.Expr, sc *aql.Scope) (string, bool) {
 		v, ok := e.(*aql.VariableRef)
 		if !ok || sc.Bound(v.Name) || !slices.Contains(gb.GroupWith, v.Name) {
@@ -126,8 +136,8 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 				return &aql.VariableRef{Name: foldColumn(call.Func, w)}
 			}
 		}
-		if _, ok := target(e, sc); ok {
-			needsBag = true
+		if w, ok := target(e, sc); ok {
+			bags[w] = true
 		}
 		return e
 	}
@@ -137,13 +147,13 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 			rewrites[e] = r
 		}
 	}
-	if needsBag {
-		return
-	}
 	var specs []foldSpec
 	for _, w := range gb.GroupWith {
 		for _, fn := range funcsByVar[w] {
 			specs = append(specs, foldSpec{With: w, Func: fn, Name: foldColumn(fn, w)})
+		}
+		if bags[w] {
+			specs = append(specs, foldSpec{With: w, Func: hyracks.Listify, Name: w})
 		}
 	}
 	b.exprRewrites = rewrites

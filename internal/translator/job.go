@@ -67,9 +67,9 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 		ctx:        rt.EvalContext(),
 		query:      plan.Query,
 	}
-	// Decide whether the plan's group-by can fold its aggregates
-	// incrementally; the consumers' evaluators pick up the resulting
-	// expression rewrites.
+	// Decide which of the plan's group-by with-variables fold to aggregates
+	// and which are listify bags; the consumers' evaluators pick up the
+	// resulting expression rewrites.
 	b.prepareGroupFold(plan)
 	if _, err := b.buildDistribute(plan.Root); err != nil {
 		return nil, err
@@ -86,17 +86,17 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 }
 
 // assignMemoryBudget divides the job's memory budget evenly among the
-// instances of its spillable blocking operators (whichever implement
-// hyracks.SpillBudgeted) and attaches the job's spill manager, which accounts
-// their resident bytes whatever the budget (zero is an unlimited share:
-// runfile never reports it full). It also derives the job frame size from
-// the budget so channel buffering scales down with it.
+// instances of its spillable blocking operators (whichever hyracks.NeedsShare
+// names) and attaches the job's spill manager, which accounts their resident
+// bytes whatever the budget (zero is an unlimited share: runfile never
+// reports it full). It also derives the job frame size from the budget so
+// channel buffering scales down with it.
 func assignMemoryBudget(job *hyracks.Job, opts JobOptions) {
 	job.FrameSize = hyracks.FrameSizeForBudget(opts.MemoryBudget)
 	var budgeted []hyracks.SpillBudgeted
 	instances := 0
 	for _, op := range job.Operators {
-		if sb, ok := op.(hyracks.SpillBudgeted); ok {
+		if sb, ok := hyracks.NeedsShare(op); ok {
 			budgeted = append(budgeted, sb)
 			instances += op.Parallelism()
 		}
@@ -130,10 +130,11 @@ type jobBuilder struct {
 	// (offset+limit per partition): buildLimit records them before building
 	// its input, and buildScan caps each partition's scan accordingly.
 	scanBounds map[*algebra.Node]int
-	// groupFold is the incremental-aggregate plan for the job's group-by (nil
-	// when the group-by materializes bags), and exprRewrites maps consumer
-	// expressions to their fold-rewritten forms (agg calls over with-variables
-	// replaced by synthetic column references). See groupfold.go.
+	// groupFold is the aggregate plan for the group-by nearest the plan's
+	// root (nil when no such group-by was analysed), and exprRewrites maps
+	// consumer expressions to their fold-rewritten forms (agg calls over
+	// with-variables replaced by synthetic column references). See
+	// groupfold.go.
 	groupFold    *groupFold
 	exprRewrites map[aql.Expr]aql.Expr
 }
@@ -210,11 +211,7 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 		return b.buildOrder(n, 0)
 	case algebra.OpLimit:
 		return b.buildLimit(n)
-	case algebra.OpLocalAgg:
-		return b.buildLocalAgg(n)
-	case algebra.OpGlobalAgg:
-		return b.buildGlobalAgg(n)
-	case algebra.OpAggregate:
+	case algebra.OpLocalAgg, algebra.OpGlobalAgg, algebra.OpAggregate:
 		return b.buildAggregate(n)
 	}
 	return stream{}, fmt.Errorf("translator: no executable operator for %s", n.Kind)
@@ -695,9 +692,12 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 // Group, order, limit
 // ----------------------------------------------------------------------------
 
-// buildGroupBy hash-partitions the input on its grouping keys and applies the
-// interpreter's group-by semantics within each partition; co-partitioning
-// guarantees each group is complete in exactly one instance.
+// buildGroupBy hash-partitions the input on its grouping keys and folds each
+// group: co-partitioning guarantees each group is complete in exactly one
+// instance. Each output column after the keys is one of the group's
+// aggregates — an aggregate call over a with-variable that prepareGroupFold
+// rewrote to read it, or the with-variable itself as its listify bag, in
+// first-encounter order as the interpreter's applyGroupBy builds it.
 func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
@@ -717,73 +717,29 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 		outSchema = append(outSchema, k.Var)
 	}
 	keyed := b.assign(in, "assign(group-keys)", names, exprs, false)
-	withCol := func(w string) (int, error) {
-		col, ok := inSchema.column(w)
+	var aggs []hyracks.GroupAgg
+	for _, sp := range b.foldSpecs(n) {
+		col, ok := inSchema.column(sp.With)
 		if !ok {
-			return 0, fmt.Errorf("translator: group-by with-variable $%s is not bound", w)
+			return stream{}, fmt.Errorf("translator: group-by with-variable $%s is not bound", sp.With)
 		}
-		return col, nil
+		aggs = append(aggs, hyracks.GroupAgg{Func: sp.Func, Col: col})
+		outSchema = append(outSchema, sp.Name)
 	}
 
 	// A single-partition input needs no repartitioning: every group is
 	// already complete in the one instance, so skip the shuffle.
 	groupPar := b.partitions
-	groupConn := hyracks.Connector{Kind: hyracks.HashPartitioningShuffle, HashColumns: cols}
+	groupConn := hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: cols}
 	if in.par == 1 {
 		groupPar = 1
 		groupConn = hyracks.Connector{Kind: hyracks.OneToOne}
 	}
-
-	// Fold-as-you-go path: every with-variable consumer is an aggregate call
-	// (prepareGroupFold proved it and rewrote the consumers to read the
-	// synthetic columns), so the group-by keeps one accumulator per (group,
-	// aggregate) and never materializes a bag.
-	if b.groupFold != nil && b.groupFold.node == n {
-		aggs := make([]hyracks.GroupAgg, 0, len(b.groupFold.specs))
-		for _, sp := range b.groupFold.specs {
-			col, err := withCol(sp.With)
-			if err != nil {
-				return stream{}, err
-			}
-			aggs = append(aggs, hyracks.GroupAgg{Func: sp.Func, Col: col})
-			outSchema = append(outSchema, sp.Name)
-		}
-		groupOp := b.job.Add(&hyracks.HashGroupOp{
-			Label:      "hash-group-by(incremental)",
-			Partitions: groupPar,
-			KeyColumns: cols,
-			Aggs:       aggs,
-		})
-		return b.connect(keyed, groupOp, groupPar, outSchema, groupConn), nil
-	}
-
-	// The with-variables' tuple columns, resolved against the input schema.
-	withCols := make([]int, len(n.GroupWith))
-	for i, w := range n.GroupWith {
-		if withCols[i], err = withCol(w); err != nil {
-			return stream{}, err
-		}
-	}
-	outSchema = append(outSchema, n.GroupWith...)
-	// Group over tuples with the library's HashGroupOp: each with-variable
-	// becomes the bag of its column's values across the group, exactly the
-	// interpreter's applyGroupBy semantics in first-encounter order.
 	groupOp := b.job.Add(&hyracks.HashGroupOp{
 		Label:      "hash-group-by",
 		Partitions: groupPar,
 		KeyColumns: cols,
-		Reduce: func(key hyracks.Tuple, rows []hyracks.Tuple) (hyracks.Tuple, error) {
-			out := make(hyracks.Tuple, 0, len(keys)+len(withCols))
-			out = append(out, key...)
-			for _, c := range withCols {
-				items := make([]adm.Value, len(rows))
-				for i, r := range rows {
-					items[i] = r[c]
-				}
-				out = append(out, &adm.OrderedList{Items: items})
-			}
-			return out, nil
-		},
+		Aggs:       aggs,
 	})
 	return b.connect(keyed, groupOp, groupPar, outSchema, groupConn), nil
 }
@@ -927,97 +883,48 @@ func limitPushdownScan(n *algebra.Node) *algebra.Node {
 // Aggregation
 // ----------------------------------------------------------------------------
 
-// aggSchema is the synthetic single-column schema aggregate results flow in.
+// aggSchema is the synthetic single-column schema aggregate results flow in
+// (a local stage's accumulator tuples are read by position, not by name).
 var aggSchema = Schema{"#agg"}
 
-// aggFold builds an AggregateOp's streaming fold on the hyracks aggregate
-// kernel, the same accumulator HashGroupOp folds per group. With a return
-// expression the step evaluates it over each binding tuple and folds the
-// value (the local half of the split, and the unsplit aggregate); without one
-// the input tuples are the partitions' encoded partials and the step merges
-// them (the global half). finish emits the encoded accumulator when the fold
-// is a partial, the finished value otherwise. NewFold carries no instance
-// index, so each instance run builds fresh state and its own single-instance
-// evaluator: parallel partitions never share.
-func (b *jobBuilder) aggFold(name string, ret aql.Expr, schema Schema, partial bool) func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-	fn, _ := hyracks.ParseAggFn(name) // Compile wraps only the names it accepts
-	return func() (func(hyracks.Tuple) error, func() (hyracks.Tuple, error)) {
-		var acc hyracks.AggAccum
-		step := func(t hyracks.Tuple) error {
-			part, err := hyracks.DecodeAccum(t)
-			if err != nil {
-				return err
-			}
-			acc.Merge(fn, &part)
-			return nil
-		}
-		if ret != nil {
-			ev := b.evaluator(ret, schema, 1)
-			step = func(t hyracks.Tuple) error {
-				v, err := ev.eval(0, t)
-				if err != nil {
-					return err
-				}
-				acc.Fold(fn, v)
-				return nil
-			}
-		}
-		finish := func() (hyracks.Tuple, error) {
-			if partial {
-				return acc.Encode(nil), nil
-			}
-			return hyracks.Tuple{acc.Finish(fn)}, nil
-		}
-		return step, finish
-	}
-}
-
-func (b *jobBuilder) buildLocalAgg(n *algebra.Node) (stream, error) {
-	in, err := b.buildInput(n)
-	if err != nil {
-		return stream{}, err
-	}
-	if b.query == nil {
-		return stream{}, fmt.Errorf("translator: aggregate plan has no source query")
-	}
-	op := b.job.Add(&hyracks.AggregateOp{
-		Label:      fmt.Sprintf("aggregate(local-%s)", n.AggFunc),
-		Partitions: in.par,
-		NewFold:    b.aggFold(n.AggFunc, b.query.Return, in.schema, true),
-	})
-	return b.connect(in, op, in.par, aggSchema, hyracks.Connector{Kind: hyracks.OneToOne}), nil
-}
-
-func (b *jobBuilder) buildGlobalAgg(n *algebra.Node) (stream, error) {
-	in, err := b.buildInput(n)
-	if err != nil {
-		return stream{}, err
-	}
-	op := b.job.Add(&hyracks.AggregateOp{
-		Label:      fmt.Sprintf("aggregate(global-%s)", n.AggFunc),
-		Partitions: 1,
-		NewFold:    b.aggFold(n.AggFunc, nil, nil, false),
-	})
-	// The n:1 replicating connector of Figure 6 gathers the partials.
-	return b.connect(in, op, 1, aggSchema, hyracks.Connector{Kind: hyracks.MToNReplicating}), nil
-}
-
-// buildAggregate is the unsplit aggregate (ablation path): gather everything
-// into one instance and fold it there.
+// buildAggregate compiles a scalar aggregate as a keyless fold, in the node's
+// stage of Figure 6's split: the return expression's value is assigned to a
+// column (unless it already is one) and a keyless HashGroupOp folds it. The
+// local stage runs per partition and emits its accumulator; the n:1
+// replicating connector gathers the partials into the one global instance,
+// which merges them. The unsplit aggregate gathers every value into one
+// whole fold.
 func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
 		return stream{}, err
 	}
-	if b.query == nil {
-		return stream{}, fmt.Errorf("translator: aggregate plan has no source query")
-	}
-	op := b.job.Add(&hyracks.AggregateOp{
+	op := &hyracks.HashGroupOp{
 		Label:      fmt.Sprintf("aggregate(%s)", n.AggFunc),
 		Partitions: 1,
-		NewFold:    b.aggFold(n.AggFunc, b.query.Return, in.schema, false),
-	})
-	return b.connect(in, op, 1, aggSchema, gatherConnector(in.par)), nil
+		Aggs:       []hyracks.GroupAgg{{Func: n.AggFunc}},
+	}
+	conn := gatherConnector(in.par)
+	switch n.Kind {
+	case algebra.OpLocalAgg:
+		op.Label, op.Split, op.Partitions = fmt.Sprintf("aggregate(local-%s)", n.AggFunc), hyracks.Local, in.par
+		conn = hyracks.Connector{Kind: hyracks.OneToOne}
+	case algebra.OpGlobalAgg:
+		op.Label, op.Split = fmt.Sprintf("aggregate(global-%s)", n.AggFunc), hyracks.Global
+		conn = hyracks.Connector{Kind: hyracks.MToNReplicating}
+	}
+	if op.Split != hyracks.Global {
+		if b.query == nil {
+			return stream{}, fmt.Errorf("translator: aggregate plan has no source query")
+		}
+		col, ok := b.evaluator(b.query.Return, in.schema, in.par).column()
+		if !ok {
+			in = b.assign(in, "assign", []string{"#agg-input"}, []aql.Expr{b.query.Return}, false)
+			col = len(in.schema) - 1
+		}
+		op.Aggs[0].Col = col
+	}
+	return b.connect(in, b.job.Add(op), op.Partitions, aggSchema, conn), nil
 }
 
 // ----------------------------------------------------------------------------

@@ -340,8 +340,8 @@ group-by $u, $odd
 distribute-result
 --
 datasource-scan(Msgs)  --OneToOneConnector-->  assign(group-keys)
-assign(group-keys)  --HashPartitioningShuffleConnector-->  hash-group-by(incremental)
-hash-group-by(incremental)  --OneToOneConnector-->  distribute-result
+assign(group-keys)  --MToNPartitioningConnector-->  hash-group-by
+hash-group-by  --OneToOneConnector-->  distribute-result
 distribute-result
 `
 	if got := describe(plan, job); got != want {
@@ -349,7 +349,7 @@ distribute-result
 	}
 	keys, idx := opNamed(t, job, "assign(group-keys)")
 	wantInts(t, "shuffle hash columns", edgeFrom(t, job, idx).Connector.HashColumns, []int{1, 2})
-	group, _ := opNamed(t, job, "hash-group-by(incremental)")
+	group, _ := opNamed(t, job, "hash-group-by")
 	wantInts(t, "group key columns", group.(*hyracks.HashGroupOp).KeyColumns, []int{1, 2})
 	out := apply(t, keys, hyracks.Tuple{msg(7, adm.Null{}, 70)})
 	if len(out) != 1 || len(out[0]) != 3 || out[0][1].String() != "null" || out[0][2].String() != adm.Int64(1).String() {
@@ -470,43 +470,46 @@ distribute-result
 	}
 }
 
-// TestGroupFoldSelection: a group-by folds its aggregates as it goes exactly
-// when every free reference to a with-variable above it is the argument of
-// an aggregate call; any other use materializes the bags. Either way the
-// values are the same.
+// TestGroupFoldSelection: a group-by folds one accumulator per aggregate
+// call over a with-variable above it, and adds the variable's listify when
+// any other free reference to it remains (or when an operator above rebinds
+// its name, which stops the analysis). Either way the values are the
+// interpreter's.
 func TestGroupFoldSelection(t *testing.T) {
 	rt := newTestRuntime(t)
 	const head = `for $m in dataset Msgs group by $u := $m.uid with $m `
 	cases := []struct {
 		name, tail string
-		fold       bool
+		aggs       string
 		results    string
 	}{
-		{"aggregate calls only", `return { "u": $u, "n": count($m) }`, true,
+		{"aggregate calls only", `return { "u": $u, "n": count($m) }`, "count",
 			`{ "u": 1, "n": 3i64 } { "u": 2, "n": 3i64 } { "u": null, "n": 3i64 }`},
-		{"aggregates in where, order by and return", `where count($m) > 2 order by count($m), $u return sql-count($m)`, true,
+		{"aggregates in where, order by and return", `where count($m) > 2 order by count($m), $u return sql-count($m)`, "count sql-count",
 			`3i64 3i64 3i64`},
-		{"the bag itself is returned", `return { "n": count($m), "all": $m }`, false, ""},
-		{"the bag is iterated", `return count(for $x in $m return $x.len)`, false, `3i64 3i64 3i64`},
-		{"an aggregate of something else", `return count([$m])`, false, `1i64 1i64 1i64`},
-		{"a nested for shadows the with-variable", `return { "n": count($m), "s": (for $m in [1, 2] return $m) }`, true,
+		{"the bag itself is returned", `return { "n": count($m), "all": $m }`, "count listify", ""},
+		{"the bag is iterated", `return count(for $x in $m return $x.len)`, "listify", `3i64 3i64 3i64`},
+		{"an aggregate of something else", `return count([$m])`, "listify", `1i64 1i64 1i64`},
+		{"a nested for shadows the with-variable", `return { "n": count($m), "s": (for $m in [1, 2] return $m) }`, "count",
 			`{ "n": 3i64, "s": [ 1, 2 ] } { "n": 3i64, "s": [ 1, 2 ] } { "n": 3i64, "s": [ 1, 2 ] }`},
-		{"a quantifier shadows it in its predicate only", `return some $m in $m satisfies $m.len > 80`, false,
+		{"a quantifier shadows it in its predicate only", `return some $m in $m satisfies $m.len > 80`, "listify",
 			`false false true`},
-		{"a nested group-by collects it with with", `return { "n": count($m), "g": (for $x in [1] group by $k := $x with $m return count($m)) }`, false,
+		{"a nested group-by collects it with with", `return { "n": count($m), "g": (for $x in [1] group by $k := $x with $m return count($m)) }`, "count listify",
 			`{ "n": 3i64, "g": [ 1i64 ] } { "n": 3i64, "g": [ 1i64 ] } { "n": 3i64, "g": [ 1i64 ] }`},
-		{"an assign above the group-by rebinds the name", `let $m := 1 return count($m)`, false, `1i64 1i64 1i64`},
+		{"an assign above the group-by rebinds the name", `let $m := 1 return count($m)`, "listify", `1i64 1i64 1i64`},
+		{"the bag holds the group's items", `return { "u": $u, "mids": (for $x in $m order by $x.mid return $x.mid), "n": count($m) }`, "count listify",
+			`{ "u": 1, "mids": [ 1, 4, 7 ], "n": 3i64 } { "u": 2, "mids": [ 2, 5, 8 ], "n": 3i64 } { "u": null, "mids": [ 3, 6, 9 ], "n": 3i64 }`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plan, job := compile(t, rt, head+c.tail)
-			group := "hash-group-by"
-			if c.fold {
-				group = "hash-group-by(incremental)"
+			_, job := compile(t, rt, head+c.tail)
+			group, _ := opNamed(t, job, "hash-group-by")
+			var fns []string
+			for _, ag := range group.(*hyracks.HashGroupOp).Aggs {
+				fns = append(fns, ag.Func)
 			}
-			desc := describe(plan, job)
-			if !strings.Contains(desc, "-->  "+group+"\n") {
-				t.Errorf("want %s in:\n%s", group, desc)
+			if got := strings.Join(fns, " "); got != c.aggs {
+				t.Errorf("group-by folds %q, want %q", got, c.aggs)
 			}
 			if got := results(t, job); c.results != "" && got != c.results {
 				t.Errorf("results %s\nwant    %s", got, c.results)

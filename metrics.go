@@ -106,10 +106,10 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 		"Current write-ahead log size on disk.",
 		func() float64 { return float64(managerStats().WALBytes) })
 	r.CounterFunc("asterix_checkpoints_total",
-		"Lifetime checkpoints (persisted across restarts).",
+		"Checkpoints taken since the process started.",
 		func() float64 { return float64(managerStats().Checkpoints) })
 	r.GaugeFunc("asterix_checkpoint_last_unixtime",
-		"Completion time of the newest checkpoint (0 = never).",
+		"Completion time of the newest checkpoint since the process started (0 = none).",
 		func() float64 { return float64(managerStats().LastCheckpointUnix) })
 	r.GaugeFunc("asterix_recovery_duration_seconds",
 		"Wall-clock duration of the last WAL recovery in this process.",

@@ -59,6 +59,7 @@ create index placeLoc on Places(loc) type rtree;`)
 		{"zero area", `create-rectangle(create-point(40.5, 30.25), create-point(40.5, 30.25))`, 2},
 		{"a point", `create-point(40.5, 30.25)`, 2},
 		{"a NaN corner", `create-rectangle(create-point(0.0, 0.0), point("NaN,100.0"))`, 0},
+		{"a NaN polygon vertex", `polygon("0.0,0.0 50.0,0.0 50.0,50.0 NaN,50.0")`, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			query := `for $p in dataset Places where spatial-intersect($p.loc, ` + tc.probe + `) return $p.id;`

@@ -381,12 +381,10 @@ return { "a": $a.id, "b": $b.id };`
 	assertNoSpillFiles(t, constrained)
 }
 
-// TestAggregateStreamsWithoutBuffering covers the streaming AggregateOp
-// fold: a plain aggregate query materializes nothing, so the job allocates
-// no spill manager at all (no spillable operators remain in the plan) and
-// still computes the right answer under a tight budget. Before the rewrite
-// the local aggregate buffered its whole partition input and had to charge
-// it against the job budget.
+// TestAggregateStreamsWithoutBuffering covers the scalar aggregate, a
+// keyless fold: it materializes nothing, so it gets no share of the budget
+// and the job allocates no spill manager at all, and it still computes the
+// right answer under a tight budget.
 func TestAggregateStreamsWithoutBuffering(t *testing.T) {
 	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
 	inst := newSpillInstance(t, 1<<20, 500)
