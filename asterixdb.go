@@ -81,11 +81,8 @@ type Config struct {
 	// records for. In a cluster, each node controller owns a subset of the
 	// hash space: inserts and loads silently skip records whose primary key
 	// hashes to a partition owned elsewhere (another node stores them), and
-	// scans of non-owned partitions see empty trees. Such an instance holds
-	// a slice of every internal dataset, so reading one inside an expression
-	// (a correlated subquery) is a typed error instead of a partial answer;
-	// compiled dataset scans are unaffected. Nil means the instance owns
-	// every partition (the single-process default).
+	// scans of non-owned partitions see empty trees. Nil means the instance
+	// owns every partition (the single-process default).
 	OwnsPartition func(partition int) bool
 }
 
@@ -460,7 +457,7 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 	case *aql.SetStatement:
 		return in.setParameter(s)
 	case *aql.InsertStatement:
-		return in.executeInsert(s)
+		return in.executeInsert(ctx, s)
 	case *aql.DeleteStatement:
 		return in.executeDelete(ctx, s)
 	case *aql.LoadStatement:
@@ -686,31 +683,39 @@ func (in *Instance) setParameter(s *aql.SetStatement) (*Result, error) {
 	return &Result{Kind: "ddl"}, nil
 }
 
-func (in *Instance) executeInsert(s *aql.InsertStatement) (*Result, error) {
+// executeInsert evaluates its body as a query, as delete selects its victims,
+// and stores the records it produces: each value that is a record, and the
+// records of each value that is a list. An instance that owns a subset of
+// the partitions refuses a body that reads a stored dataset: it would see
+// only its own slice, and every node would insert what its slice produced.
+func (in *Instance) executeInsert(ctx context.Context, s *aql.InsertStatement) (*Result, error) {
 	ds, ok := in.Dataset(s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
-	v, err := expr.Eval(in.evalCtx, expr.Env{}, s.Body)
+	plan, job, err := in.CompileQuery(s.Body, algebra.Options{})
 	if err != nil {
 		return nil, err
+	}
+	if err := in.refusePartialRead(s, plan, ""); err != nil {
+		return nil, err
+	}
+	res, err := in.materialize(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	var v adm.Value = &adm.OrderedList{Items: res.Values}
+	if _, isFLWOR := s.Body.(*aql.FLWORExpr); !isFLWOR && len(res.Values) == 1 {
+		v = res.Values[0]
 	}
 	var recs []*adm.Record
 	switch x := v.(type) {
 	case *adm.Record:
 		recs = []*adm.Record{x}
 	case *adm.OrderedList:
-		for _, it := range x.Items {
-			if r, ok := it.(*adm.Record); ok {
-				recs = append(recs, r)
-			}
-		}
+		recs = appendRecords(recs, x.Items)
 	case *adm.UnorderedList:
-		for _, it := range x.Items {
-			if r, ok := it.(*adm.Record); ok {
-				recs = append(recs, r)
-			}
-		}
+		recs = appendRecords(recs, x.Items)
 	default:
 		return nil, errf(CodeInvalid, "asterixdb: insert body must produce a record, got %s", v.Tag())
 	}
@@ -719,6 +724,47 @@ func (in *Instance) executeInsert(s *aql.InsertStatement) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Kind: "insert", Count: stored}, nil
+}
+
+// appendRecords appends the items that are records, decoded.
+func appendRecords(recs []*adm.Record, items []adm.Value) []*adm.Record {
+	for _, it := range items {
+		if r, ok := adm.AsRecord(it); ok {
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
+// refusePartialRead is the one place a partial owner refuses a statement: on
+// an instance that owns a subset of the partitions, every node runs an
+// update statement on its own slice, so an insert body or a delete condition
+// that reads a stored dataset would see only that slice. own is the
+// variable of the delete's own scan of its target, which its slice is
+// exactly right for.
+func (in *Instance) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, own string) error {
+	if in.cfg.OwnsPartition == nil {
+		return nil
+	}
+	var read func(n *algebra.Node) string
+	read = func(n *algebra.Node) string {
+		if n == nil {
+			return ""
+		}
+		if _, stored := in.LookupDataset(n.Dataverse, n.Dataset); stored && n.Variable != own {
+			return n.Dataset
+		}
+		for _, c := range n.Inputs {
+			if name := read(c); name != "" {
+				return name
+			}
+		}
+		return ""
+	}
+	if name := read(plan.Root); name != "" {
+		return errf(CodeInvalid, "asterixdb: %s reads dataset %q, of which this instance owns only some partitions", stmt, name)
+	}
+	return nil
 }
 
 // executeDelete selects its victims with an ordinary query — `for $v in
@@ -741,7 +787,14 @@ func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (
 	if s.Where != nil {
 		victims.Clauses = append(victims.Clauses, &aql.WhereClause{Cond: s.Where})
 	}
-	res, err := in.evaluateQuery(ctx, victims, algebra.Options{})
+	plan, job, err := in.CompileQuery(victims, algebra.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := in.refusePartialRead(s, plan, s.Var); err != nil {
+		return nil, err
+	}
+	res, err := in.materialize(ctx, job)
 	if err != nil {
 		return nil, err
 	}
@@ -782,9 +835,11 @@ func (in *Instance) executeLoad(s *aql.LoadStatement) (*Result, error) {
 // Query evaluation
 // ----------------------------------------------------------------------------
 
-// readDataset is the expr.DatasetReader: it resolves dataset references
-// inside expressions (correlated subqueries), including the Metadata
-// dataverse and external datasets.
+// readDataset is the expr.DatasetReader: it reads the datasets with no
+// stored partitions, the Metadata dataverse and external datasets, which a
+// job reads as subplan sources. A stored dataset is read only by its job's
+// scans — a reference inside an expression is a nest join's list — so one
+// reaching here is an internal error.
 func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
 	if dataverse == "Metadata" {
 		return in.metadataRecords(name)
@@ -795,24 +850,10 @@ func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", name)
 	}
-	if e.external != nil {
-		return e.external.ReadAll()
+	if e.external == nil {
+		return nil, errf(CodeInternal, "asterixdb: dataset %q read outside its job", name)
 	}
-	if in.cfg.OwnsPartition != nil {
-		// This instance stores only its owned partitions; materializing the
-		// dataset inside an expression would silently return a slice of the
-		// data. Compiled dataset access distributes correctly (per-partition
-		// scan instances placed on their owners) — only this subquery path is
-		// unsupported.
-		return nil, errf(CodeInvalid,
-			"asterixdb: dataset %q cannot be read inside an expression on an instance that owns a subset of its partitions", name)
-	}
-	var out []*adm.Record
-	err := e.internal.Scan(func(r *adm.Record) bool {
-		out = append(out, r)
-		return true
-	})
-	return out, err
+	return e.external.ReadAll()
 }
 
 // metadataRecords implements the "AsterixDB metadata is AsterixDB data"
@@ -930,7 +971,16 @@ func stringList(ss []string) *adm.OrderedList {
 // evaluateQuery materializes a query expression's result by opening its
 // cursor and draining it. Streaming consumers use Instance.QueryStream.
 func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.Options) (*Result, error) {
-	cur, err := in.queryCursor(ctx, e, opts)
+	_, job, err := in.CompileQuery(e, opts)
+	if err != nil {
+		return nil, err
+	}
+	return in.materialize(ctx, job)
+}
+
+// materialize runs a compiled job to completion and collects its result.
+func (in *Instance) materialize(ctx context.Context, job *hyracks.Job) (*Result, error) {
+	cur, err := in.startJob(ctx, job)
 	if err != nil {
 		return nil, err
 	}

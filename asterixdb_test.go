@@ -634,10 +634,13 @@ func TestSchemaAndKeyOnlyInstances(t *testing.T) {
 	}
 	// Field order and integer widths follow the Datatype, so rows compare as
 	// JSON objects.
-	rows := func(inst *Instance, q string, opts algebra.Options, ordered bool) []string {
-		vals, err := inst.QueryWithOptions(q, opts)
+	rows := func(inst *Instance, q diffQuery, opts algebra.Options) []string {
+		vals, err := inst.QueryWithOptions(q.query, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if q.bags {
+			vals = canonicalBags(t, vals)
 		}
 		out := make([]string, len(vals))
 		for i, v := range vals {
@@ -648,14 +651,14 @@ func TestSchemaAndKeyOnlyInstances(t *testing.T) {
 			b, _ := json.Marshal(x)
 			out[i] = string(b)
 		}
-		if !ordered {
+		if !q.ordered {
 			sort.Strings(out)
 		}
 		return out
 	}
 	for _, q := range differentialQueries {
 		for _, opts := range []algebra.Options{{}, {DisableIndexAccess: true}} {
-			want, got := rows(schema, q.query, opts, q.ordered), rows(keyOnly, q.query, opts, q.ordered)
+			want, got := rows(schema, q, opts), rows(keyOnly, q, opts)
 			if !slices.Equal(got, want) {
 				t.Errorf("%s (%+v): KeyOnly rows\n  %v\nSchema rows\n  %v", q.name, opts, got, want)
 			}
@@ -663,18 +666,19 @@ func TestSchemaAndKeyOnlyInstances(t *testing.T) {
 	}
 }
 
-// TestPartialOwnerRefusesExpressionDatasetReads: an instance that owns some
-// partitions stores a slice of every dataset. A compiled scan reads that
-// slice (its share of a distributed job), but a dataset read inside an
-// expression would present the slice as the whole dataset, so it is a typed
-// error naming the dataset.
-func TestPartialOwnerRefusesExpressionDatasetReads(t *testing.T) {
+// TestPartialOwnerRefusesUpdatesThatReadDatasets: an instance that owns some
+// partitions stores a slice of every dataset, and a compiled scan reads that
+// slice (its share of a distributed job) — a dataset inside an expression
+// too, through its nest join. Every node runs an update statement on its own
+// slice, so an insert body or a delete condition that reads a stored dataset
+// is a typed error naming the dataset, and stores or deletes nothing.
+func TestPartialOwnerRefusesUpdatesThatReadDatasets(t *testing.T) {
 	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 4, OwnsPartition: func(p int) bool { return p == 0 }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if _, err := inst.Execute(`create type T as { id: int64 } create dataset D(T) primary key id;`); err != nil {
+	if _, err := inst.Execute(`create type T as { id: int64 } create dataset D(T) primary key id; create dataset D2(T) primary key id;`); err != nil {
 		t.Fatal(err)
 	}
 	var recs []string
@@ -688,16 +692,70 @@ func TestPartialOwnerRefusesExpressionDatasetReads(t *testing.T) {
 	if res.Count != 10 {
 		t.Fatalf("stored %d of 40 records in partition 0 of 4, want 10", res.Count)
 	}
-	vals, err := inst.Query(`count(for $d in dataset D return $d)`)
-	if err != nil || len(vals) != 1 {
-		t.Fatalf("top-level count = %v, %v", vals, err)
+	for _, q := range []string{`count(for $d in dataset D return $d)`, `for $x in [1] return count(for $d in dataset D return $d)`} {
+		vals, err := inst.Query(q)
+		if err != nil || len(vals) != 1 {
+			t.Fatalf("%s = %v, %v", q, vals, err)
+		}
+		if n, _ := adm.NumericAsInt64(vals[0]); n != 10 {
+			t.Fatalf("%s = %v, want the owned slice 10", q, vals[0])
+		}
 	}
-	if n, _ := adm.NumericAsInt64(vals[0]); n != 10 {
-		t.Fatalf("top-level count = %v, want the owned slice 10", vals[0])
+	for _, stmt := range []string{
+		`insert into dataset D2 (for $d in dataset D return { "id": $d.id + 100 });`,
+		`delete $x from dataset D where $x.id < count(for $d in dataset D return $d);`,
+	} {
+		if _, err := inst.Execute(stmt); ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), `"D"`) {
+			t.Fatalf("%s: %v; want a CodeInvalid error naming D", stmt, err)
+		}
 	}
-	vals, err = inst.Query(`for $x in [1] return count(for $d in dataset D return $d)`)
-	if ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), `"D"`) {
-		t.Fatalf("count inside an expression = %v, %v; want a CodeInvalid error naming D", vals, err)
+	for name, want := range map[string]int64{"D": 10, "D2": 0} {
+		vals, err := inst.Query(`count(for $d in dataset ` + name + ` return $d)`)
+		if n, _ := adm.NumericAsInt64(vals[0]); err != nil || n != want {
+			t.Fatalf("%s holds %v (%v) after the refusals, want %d", name, vals, err, want)
+		}
+	}
+	// A delete whose condition reads only its own dataset is its slice's.
+	if res, err := inst.Execute(`delete $x from dataset D where $x.id >= 0;`); err != nil || res.Count != 10 {
+		t.Fatalf("own-slice delete = %+v, %v; want 10 deleted", res, err)
+	}
+}
+
+// TestInsertBodyReadsDatasets: an insert body is a query like any other, so
+// one that reads a dataset runs as a job and stores what it returns.
+func TestInsertBodyReadsDatasets(t *testing.T) {
+	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	var recs []string
+	for i := 0; i < 40; i++ {
+		recs = append(recs, fmt.Sprintf(`{ "id": %d }`, i))
+	}
+	if _, err := inst.Execute(`create type T as { id: int64 } create dataset D1(T) primary key id; create dataset D2(T) primary key id;
+insert into dataset D1 ([` + strings.Join(recs, ",") + `]);`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := inst.Execute(`insert into dataset D2 (for $x in dataset D1 where $x.id < 5 return {"id": $x.id + 100});`)
+	if err != nil || res.Count != 5 {
+		t.Fatalf("insert from D1 = %+v, %v; want 5 stored", res, err)
+	}
+	// Stored records, returned whole, are stored whole.
+	if res, err = inst.Execute(`insert into dataset D2 (for $x in dataset D1 where $x.id >= 35 return $x);`); err != nil || res.Count != 5 {
+		t.Fatalf("insert of D1's records = %+v, %v; want 5 stored", res, err)
+	}
+	vals, err := inst.Query(`for $x in dataset D2 order by $x.id return $x.id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for _, v := range vals {
+		n, _ := adm.NumericAsInt64(v)
+		ids = append(ids, n)
+	}
+	if want := []int64{35, 36, 37, 38, 39, 100, 101, 102, 103, 104}; !slices.Equal(ids, want) {
+		t.Fatalf("D2 ids = %v, want %v", ids, want)
 	}
 }
 

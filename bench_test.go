@@ -720,3 +720,56 @@ func BenchmarkExecutorHyracksVsInterpreter(b *testing.B) {
 		})
 	}
 }
+
+// nestedUsers and nestedMessages size BenchmarkNestedQuery4: k outer users
+// of 500 whose messages, 40 each, lie among 20 000.
+const nestedUsers, nestedMessages = 500, 20000
+
+// BenchmarkNestedQuery4 times the paper's Query 4, a nested left outer-join,
+// over a window of k users by id: each user comes back with the list of its
+// messages, read by one nest join per statement.
+func BenchmarkNestedQuery4(b *testing.B) {
+	inst, err := Open(Config{DataDir: b.TempDir(), Partitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer inst.Close()
+	if _, err := inst.Execute(`create type U as closed { id: int64, name: string }
+create type M as closed { id: int64, a: int64, msg: string }
+create dataset NestU(U) primary key id;
+create dataset NestM(M) primary key id;`); err != nil {
+		b.Fatal(err)
+	}
+	users, _ := inst.Dataset("NestU")
+	msgs, _ := inst.Dataset("NestM")
+	var us, ms []*adm.Record
+	for i := 0; i < nestedUsers; i++ {
+		us = append(us, adm.NewRecord(adm.Field{Name: "id", Value: adm.Int64(int64(i))},
+			adm.Field{Name: "name", Value: adm.String(fmt.Sprintf("user%d", i))}))
+	}
+	for i := 0; i < nestedMessages; i++ {
+		ms = append(ms, adm.NewRecord(adm.Field{Name: "id", Value: adm.Int64(int64(i))},
+			adm.Field{Name: "a", Value: adm.Int64(int64(i % nestedUsers))},
+			adm.Field{Name: "msg", Value: adm.String(fmt.Sprintf("message %d", i))}))
+	}
+	if _, err := users.InsertBatch(us); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := msgs.InsertBatch(ms); err != nil {
+		b.Fatal(err)
+	}
+	const k = 25
+	query := fmt.Sprintf(`for $u in dataset NestU where $u.id < %d
+return { "u": $u.name, "ms": for $m in dataset NestM where $m.a = $u.id return $m.msg }`, k)
+	b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			vals, err := inst.Query(query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(vals) != k {
+				b.Fatalf("%d users, want %d", len(vals), k)
+			}
+		}
+	})
+}

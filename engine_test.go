@@ -18,7 +18,11 @@ import (
 // over optimized plans in which every operator buffers its complete output as
 // a set of variable bindings. It was the engine's first executor; it lives in
 // a _test.go file so that no shipped binary contains a second way to evaluate
-// a query, and the tests compare the Hyracks executor against it.
+// a query, and the tests compare the Hyracks executor against it. It plans
+// without algebra.NestDatasets: a dataset inside an expression stays there,
+// and its context reads the whole dataset when the expression is evaluated,
+// so each nest join a job runs is checked against that second
+// implementation.
 
 // interpret runs src's leading statements, compiles its trailing query under
 // opts, and evaluates the plan with the interpreter instead of running the
@@ -32,11 +36,54 @@ func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, er
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := in.CompileQuery(q, opts)
+	plan, err := in.oraclePlan(q, opts)
 	if err != nil {
 		return nil, err
 	}
 	return in.executePlanContext(ctx, plan)
+}
+
+// oraclePlan compiles as translator.Compile does, without inlining user
+// functions and without algebra.NestDatasets.
+func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan, error) {
+	agg, inner := "", e
+	if call, ok := e.(*aql.CallExpr); ok && len(call.Args) == 1 {
+		if _, isAgg := hyracks.ParseAggFn(call.Func); isAgg {
+			agg, inner = call.Func, call.Args[0]
+		}
+	}
+	fl, ok := inner.(*aql.FLWORExpr)
+	if !ok {
+		return &algebra.Plan{Root: &algebra.Node{Kind: algebra.OpDistribute}, Query: &aql.FLWORExpr{Return: e}}, nil
+	}
+	plan, err := algebra.Build(fl)
+	if err != nil {
+		return nil, err
+	}
+	plan = algebra.Optimize(plan, in, opts)
+	if agg != "" {
+		plan = algebra.WrapAggregate(plan, agg, opts.DisableAggSplit)
+	}
+	return plan, nil
+}
+
+// oracleContext is the instance's evaluation context with a dataset reader
+// that also reads stored datasets, whole, in partition-concatenation order.
+func (in *Instance) oracleContext() *expr.Context {
+	c := *in.evalCtx
+	c.Datasets = func(dataverse, name string) ([]*adm.Record, error) {
+		ds, ok := in.LookupDataset(dataverse, name)
+		if !ok {
+			return in.readDataset(dataverse, name)
+		}
+		var out []*adm.Record
+		err := ds.Scan(func(r *adm.Record) bool {
+			out = append(out, r)
+			return true
+		})
+		return out, err
+	}
+	return &c
 }
 
 // compileJob compiles src's trailing query (after running its leading
@@ -50,16 +97,14 @@ func (in *Instance) compileJob(src string) (*hyracks.Job, *algebra.Plan, error) 
 	return job, plan, err
 }
 
-// runJob executes an already-built job to completion and materializes its
-// result column in the deterministic gather order.
+// runJob executes an already-built job to completion and returns its result
+// column in the deterministic gather order.
 func (in *Instance) runJob(job *hyracks.Job) ([]adm.Value, error) {
-	fc, err := hyracks.ExecuteStream(context.Background(), job)
+	res, err := in.materialize(context.Background(), job)
 	if err != nil {
 		return nil, err
 	}
-	cur := NewJobCursor(context.Background(), fc)
-	defer cur.Close()
-	return cur.drain()
+	return res.Values, nil
 }
 
 // executePlan runs an optimized physical plan with the interpreter. The
@@ -114,7 +159,7 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 	}
 	out := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := expr.Eval(in.evalCtx, env, plan.Query.Return)
+		v, err := expr.Eval(in.oracleContext(), env, plan.Query.Return)
 		if err != nil {
 			return nil, err
 		}
@@ -130,14 +175,14 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 func (in *Instance) applyAggregate(fn string, envs []expr.Env, query *aql.FLWORExpr) (adm.Value, error) {
 	items := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := expr.Eval(in.evalCtx, env, query.Return)
+		v, err := expr.Eval(in.oracleContext(), env, query.Return)
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, v)
 	}
 	call := &aql.CallExpr{Func: fn, Args: []aql.Expr{&aql.Literal{Value: &adm.OrderedList{Items: items}}}}
-	return expr.Eval(in.evalCtx, expr.Env{}, call)
+	return expr.Eval(in.oracleContext(), expr.Env{}, call)
 }
 
 // executeNode evaluates one plan operator and returns the variable bindings
@@ -174,7 +219,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		}
 		var out []expr.Env
 		for _, env := range envs {
-			keep, err := expr.EvalBool(in.evalCtx, env, n.Condition)
+			keep, err := expr.EvalBool(in.oracleContext(), env, n.Condition)
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +237,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		for _, env := range envs {
 			e := env
 			for i, v := range n.Vars {
-				val, err := expr.Eval(in.evalCtx, e, n.Exprs[i])
+				val, err := expr.Eval(in.oracleContext(), e, n.Exprs[i])
 				if err != nil {
 					return nil, err
 				}
@@ -240,7 +285,7 @@ func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.F
 // execClause reuses the interpreter's clause semantics for group-by, order-by
 // and limit over already-materialized bindings.
 func (in *Instance) execClause(envs []expr.Env, clause aql.FLWORClause) ([]expr.Env, error) {
-	return expr.ApplyClause(in.evalCtx, envs, clause)
+	return expr.ApplyClause(in.oracleContext(), envs, clause)
 }
 
 // execScan scans every partition of a dataset in parallel (one goroutine per
@@ -318,7 +363,7 @@ func withPositions(posVar string, envs []expr.Env) []expr.Env {
 // execSubplan evaluates a non-dataset for-clause source with the interpreter
 // and binds each resulting item.
 func (in *Instance) execSubplan(n *algebra.Node) ([]expr.Env, error) {
-	v, err := expr.Eval(in.evalCtx, expr.Env{}, n.Exprs[0])
+	v, err := expr.Eval(in.oracleContext(), expr.Env{}, n.Exprs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +395,7 @@ func (in *Instance) execIndexSearch(n *algebra.Node) ([]expr.Env, error) {
 		if e == nil {
 			continue
 		}
-		v, err := expr.Eval(in.evalCtx, expr.Env{}, e)
+		v, err := expr.Eval(in.oracleContext(), expr.Env{}, e)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +431,7 @@ func (in *Instance) execUnnest(ctx context.Context, n *algebra.Node, query *aql.
 	}
 	var out []expr.Env
 	for _, env := range envs {
-		v, err := expr.Eval(in.evalCtx, env, n.Exprs[0])
+		v, err := expr.Eval(in.oracleContext(), env, n.Exprs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -417,6 +462,9 @@ func bindRecords(variable string, recs []*adm.Record) []expr.Env {
 // above them. (The oracle sees no index nested-loop join: interpret drops the
 // hint, so a hinted equijoin is this join.)
 func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+	if n.Nest != "" {
+		return nil, fmt.Errorf("asterixdb: the oracle runs no nest join (oraclePlan leaves datasets in expressions)")
+	}
 	left, err := in.executeNode(ctx, n.Inputs[0], query)
 	if err != nil {
 		return nil, err
@@ -430,13 +478,13 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 	}
 	rightKeys := make([]adm.Value, len(right))
 	for i, env := range right {
-		if rightKeys[i], err = expr.Eval(in.evalCtx, env, n.RightKey); err != nil {
+		if rightKeys[i], err = expr.Eval(in.oracleContext(), env, n.RightKey); err != nil {
 			return nil, err
 		}
 	}
 	var out []expr.Env
 	for _, env := range left {
-		v, err := expr.Eval(in.evalCtx, env, n.LeftKey)
+		v, err := expr.Eval(in.oracleContext(), env, n.LeftKey)
 		if err != nil {
 			return nil, err
 		}

@@ -177,11 +177,7 @@ func buildFuzzPair(t testing.TB, rng *rand.Rand, memoryBudget int64) (*Instance,
 // fuzzQueries draws one query per template, parameterized by the rng. Ordered
 // queries sort on keys that end in a unique one so both executors must
 // produce the exact sequence; the rest are compared as multisets.
-func fuzzQueries(rng *rand.Rand) []struct {
-	name    string
-	query   string
-	ordered bool
-} {
+func fuzzQueries(rng *rand.Rand) []diffQuery {
 	word := func() string { return fuzzVocab[rng.Intn(len(fuzzVocab))] }
 	lo := rng.Intn(900)
 	hi := lo + rng.Intn(1000-lo)
@@ -189,59 +185,69 @@ func fuzzQueries(rng *rand.Rand) []struct {
 	x2, y2 := x1+rng.Float64()*40, y1+rng.Float64()*40
 	sub := word()
 	sub = sub[:3+rng.Intn(len(sub)-2)] // random prefix, at least gram length
-	return []struct {
-		name    string
-		query   string
-		ordered bool
-	}{
-		{"scan-filter", fmt.Sprintf(`for $r in dataset FuzzA where $r.cat = %d return $r;`, rng.Intn(8)), false},
-		{"btree-range", fmt.Sprintf(`for $r in dataset FuzzA where $r.score >= %d and $r.score <= %d return $r.id;`, lo, hi), false},
+	return []diffQuery{
+		{"scan-filter", fmt.Sprintf(`for $r in dataset FuzzA where $r.cat = %d return $r;`, rng.Intn(8)), false, false},
+		{"btree-range", fmt.Sprintf(`for $r in dataset FuzzA where $r.score >= %d and $r.score <= %d return $r.id;`, lo, hi), false, false},
 		{"rtree-spatial", fmt.Sprintf(
 			`for $r in dataset FuzzA where spatial-intersect($r.loc, create-rectangle(create-point(%.4f, %.4f), create-point(%.4f, %.4f))) return $r.id;`,
-			x1, y1, x2, y2), false},
-		{"contains-ngram", fmt.Sprintf(`for $r in dataset FuzzA where contains($r.text, "%s") return $r.id;`, sub), false},
-		{"keyword-some", fmt.Sprintf(`for $r in dataset FuzzA where (some $w in word-tokens($r.text) satisfies $w = "%s") return $r.id;`, word()), false},
-		{"unnest", `for $r in dataset FuzzA for $t in $r.tags return { "id": $r.id, "t": $t };`, false},
-		{"unnest-filter", fmt.Sprintf(`for $r in dataset FuzzA for $t in $r.tags where $t = "%s" return $r.id;`, word()), false},
+			x1, y1, x2, y2), false, false},
+		{"contains-ngram", fmt.Sprintf(`for $r in dataset FuzzA where contains($r.text, "%s") return $r.id;`, sub), false, false},
+		{"keyword-some", fmt.Sprintf(`for $r in dataset FuzzA where (some $w in word-tokens($r.text) satisfies $w = "%s") return $r.id;`, word()), false, false},
+		{"unnest", `for $r in dataset FuzzA for $t in $r.tags return { "id": $r.id, "t": $t };`, false, false},
+		{"unnest-filter", fmt.Sprintf(`for $r in dataset FuzzA for $t in $r.tags where $t = "%s" return $r.id;`, word()), false, false},
 		{"hash-join", fmt.Sprintf(
-			`for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat = $b.cat and $a.score >= %d return { "a": $a.id, "b": $b.id };`, lo), false},
-		{"indexnl-join", `for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat /*+ indexnl */ = $b.cat return { "a": $a.id, "b": $b.id };`, false},
-		{"indexnl-join-pk", `for $b in dataset FuzzB for $a in dataset FuzzA where $b.score /*+ indexnl */ = $a.id return { "a": $a.id, "b": $b.id };`, false},
-		{"group-by", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r) };`, false},
+			`for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat = $b.cat and $a.score >= %d return { "a": $a.id, "b": $b.id };`, lo), false, false},
+		{"indexnl-join", `for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat /*+ indexnl */ = $b.cat return { "a": $a.id, "b": $b.id };`, false, false},
+		{"indexnl-join-pk", `for $b in dataset FuzzB for $a in dataset FuzzA where $b.score /*+ indexnl */ = $a.id return { "a": $a.id, "b": $b.id };`, false, false},
+		{"group-by", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r) };`, false, false},
 		// The with-variable folded for count and iterated as its listify.
-		{"group-bag-and-count", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r), "m": count(for $x in $r where $x.id > 0 return $x) };`, false},
-		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true},
-		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true},
-		{"order-limit", fmt.Sprintf(`for $r in dataset FuzzA order by $r.id desc limit %d return $r.id;`, 1+rng.Intn(20)), true},
+		{"group-bag-and-count", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r), "m": count(for $x in $r where $x.id > 0 return $x) };`, false, false},
+		{"agg-sum", fmt.Sprintf(`sum(for $r in dataset FuzzA where $r.score <= %d return $r.score)`, hi), true, false},
+		{"agg-avg", `avg(for $r in dataset FuzzB return $r.score)`, true, false},
+		{"order-limit", fmt.Sprintf(`for $r in dataset FuzzA order by $r.id desc limit %d return $r.id;`, 1+rng.Intn(20)), true, false},
 		// The int32 key probed at any width: the primary index must find the
 		// number whatever width it was written at.
 		{"pk-equality", fmt.Sprintf(`for $r in dataset FuzzA where $r.id = %s("%d") return $r;`,
-			keyWidths[rng.Intn(len(keyWidths))], 1+rng.Intn(100)), false},
+			keyWidths[rng.Intn(len(keyWidths))], 1+rng.Intn(100)), false, false},
 		// A computed key with many ties (cat % 3) broken by the unique id,
 		// above a select, with an offset: the sort keeps offset+limit rows
 		// behind a cut.
 		{"topk-computed-offset", fmt.Sprintf(
 			`for $r in dataset FuzzA where $r.score >= %d order by $r.cat %% 3 desc, $r.id limit %d offset %d return { "id": $r.id, "k": $r.cat %% 3 };`,
-			rng.Intn(500), 1+rng.Intn(20), rng.Intn(10)), true},
+			rng.Intn(500), 1+rng.Intn(20), rng.Intn(10)), true, false},
 		{"group-topk", fmt.Sprintf(
 			`for $r in dataset FuzzB group by $c := $r.cat with $r order by count($r) desc, $c limit %d return { "c": $c, "n": count($r) };`,
-			1+rng.Intn(5)), true},
+			1+rng.Intn(5)), true, false},
 		// Numbers stored and probed at random widths, joined across declared
 		// widths (int16 and int32 against int64 and double): a key is written
 		// from the number's value, so every access path agrees with `=`. A
 		// group's key keeps the width of whichever member came first, so the
 		// group returns it as a double.
 		{"width-btree-range", fmt.Sprintf(`for $r in dataset FuzzWide where $r.v >= %s and $r.v <= %s return $r.id;`,
-			randomKeyLiteral(rng, 6), randomKeyLiteral(rng, 6)), false},
-		{"width-btree-eq", fmt.Sprintf(`for $r in dataset FuzzWide where $r.v = %s return $r.id;`, randomKeyLiteral(rng, 6)), false},
-		{"width-pk-eq", fmt.Sprintf(`for $r in dataset FuzzNarrow where $r.id = %s return $r;`, randomKeyLiteral(rng, 6)), false},
-		{"width-group-by", `for $r in dataset FuzzWide group by $v := $r.v with $r return { "v": $v + 0.0, "n": count($r) };`, false},
-		{"width-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v = $b.id return { "a": $a.id, "b": $b.id };`, false},
-		{"width-indexnl-join-pk", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v /*+ indexnl */ = $b.id return { "a": $a.id, "b": $b.id };`, false},
-		{"width-indexnl-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.id /*+ indexnl */ = $b.v return { "a": $a.id, "b": $b.id };`, false},
+			randomKeyLiteral(rng, 6), randomKeyLiteral(rng, 6)), false, false},
+		{"width-btree-eq", fmt.Sprintf(`for $r in dataset FuzzWide where $r.v = %s return $r.id;`, randomKeyLiteral(rng, 6)), false, false},
+		{"width-pk-eq", fmt.Sprintf(`for $r in dataset FuzzNarrow where $r.id = %s return $r;`, randomKeyLiteral(rng, 6)), false, false},
+		{"width-group-by", `for $r in dataset FuzzWide group by $v := $r.v with $r return { "v": $v + 0.0, "n": count($r) };`, false, false},
+		{"width-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v = $b.id return { "a": $a.id, "b": $b.id };`, false, false},
+		{"width-indexnl-join-pk", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.v /*+ indexnl */ = $b.id return { "a": $a.id, "b": $b.id };`, false, false},
+		{"width-indexnl-join", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.id /*+ indexnl */ = $b.v return { "a": $a.id, "b": $b.id };`, false, false},
 		// Lists whose items were written at mixed widths, hash-joined and
 		// grouped by value: the key of a list is its items' keys.
-		{"width-list-join-group", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.l = $b.l group by $l := $b.l with $a return { "len": count($l), "n": count($a) };`, false},
+		{"width-list-join-group", `for $a in dataset FuzzNarrow for $b in dataset FuzzWide where $a.l = $b.l group by $l := $b.l with $a return { "len": count($l), "n": count($a) };`, false, false},
+		// Datasets inside the return expression, each a nest join: keyed on an
+		// equality, with an inner-only conjunct, keyless on `<`, folded by
+		// count, with outer rows whose key is missing or matches nothing, and
+		// under an inner order by and limit. Lists without an inner order by
+		// compare as bags.
+		{"nest-equi", `for $a in dataset FuzzA return { "a": $a.id, "bs": for $b in dataset FuzzB where $b.cat = $a.cat return $b.id };`, false, true},
+		{"nest-equi-inner-conjunct", fmt.Sprintf(
+			`for $a in dataset FuzzA return { "a": $a.id, "bs": for $b in dataset FuzzB where $a.cat = $b.cat and $b.score >= %d return { "b": $b.id, "s": $b.score } };`, lo), false, true},
+		{"nest-non-equi", fmt.Sprintf(
+			`for $a in dataset FuzzA where $a.score < %d return { "a": $a.id, "bs": for $b in dataset FuzzB where $b.score < $a.score return $b.id };`, hi), false, true},
+		{"nest-count", `for $a in dataset FuzzA return { "a": $a.id, "n": count(for $b in dataset FuzzB where $b.cat = $a.cat return $b) };`, false, false},
+		{"nest-unmatched", fmt.Sprintf(
+			`for $a in dataset FuzzA return { "a": $a.id, "bs": for $b in dataset FuzzB where $b.tags[0] = $a.tags[0] and $b.cat < %d return $b.id };`, rng.Intn(8)), false, true},
+		{"nest-inner-order-limit", `for $a in dataset FuzzA return { "a": $a.id, "top": for $b in dataset FuzzB where $b.cat = $a.cat order by $b.score desc, $b.id limit 2 return $b.id };`, false, false},
 	}
 }
 
@@ -285,7 +291,7 @@ func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 			if err != nil {
 				t.Fatalf("seed %d %s/%s (interpreter): %v", seed, q.name, os.name, err)
 			}
-			sameResults(t, fmt.Sprintf("seed %d %s/%s", seed, q.name, os.name), hyRes, orRes, q.ordered)
+			sameDiffResults(t, fmt.Sprintf("seed %d %s/%s", seed, q.name, os.name), hyRes, orRes, q)
 			perOption[os.name] = hyRes
 		}
 		// Fused-vs-unfused parity: the fusion pass must be purely structural.
@@ -293,7 +299,7 @@ func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 		if err != nil {
 			t.Fatalf("seed %d %s (fusion disabled): %v", seed, q.name, err)
 		}
-		sameResults(t, fmt.Sprintf("seed %d %s fused-vs-unfused", seed, q.name), perOption["default"], noFuseRes, q.ordered)
+		sameDiffResults(t, fmt.Sprintf("seed %d %s fused-vs-unfused", seed, q.name), perOption["default"], noFuseRes, q)
 		// Lazy-vs-eager parity: the zero-copy lazy record path must be
 		// semantically invisible — every field access, comparison, hash key
 		// and serialized result identical to decoding records up front.
@@ -301,13 +307,13 @@ func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 		if err != nil {
 			t.Fatalf("seed %d %s (eager decode): %v", seed, q.name, err)
 		}
-		sameResults(t, fmt.Sprintf("seed %d %s lazy-vs-eager", seed, q.name), perOption["default"], eagerRes, q.ordered)
+		sameDiffResults(t, fmt.Sprintf("seed %d %s lazy-vs-eager", seed, q.name), perOption["default"], eagerRes, q)
 		// Index-vs-scan cross-check: the access-path rewrite must not change
 		// results. This catches an unsound rewrite (candidate set not a
 		// superset) that compiled-vs-interpreter parity alone would miss,
 		// since both executors share the same plan.
-		sameResults(t, fmt.Sprintf("seed %d %s index-vs-scan", seed, q.name),
-			perOption["default"], perOption["no-index"], q.ordered)
+		sameDiffResults(t, fmt.Sprintf("seed %d %s index-vs-scan", seed, q.name),
+			perOption["default"], perOption["no-index"], q)
 		// Profile invariant: a profiled run of the default plan delivers the
 		// same rows, and the profile's sink operator accounts for exactly
 		// those rows — the counters are observers, never participants.

@@ -45,6 +45,77 @@ func sameResults(t *testing.T, name string, hyracks, interp []adm.Value, ordered
 	}
 }
 
+// diffQuery is one differential row. Ordered rows sort on a unique key so
+// both executors must produce the exact sequence; the others compare as
+// multisets. bags marks a row whose results hold a nested list with no inner
+// order by: its order is unspecified (the nest join repartitions the
+// dataset), so such rows compare their nested lists as bags too.
+type diffQuery struct {
+	name, query   string
+	ordered, bags bool
+}
+
+// canonicalBags sorts every list inside each value, for rows whose nested
+// lists are bags.
+func canonicalBags(t *testing.T, vals []adm.Value) []adm.Value {
+	t.Helper()
+	var bag func(v adm.Value) adm.Value
+	sorted := func(items []adm.Value) []adm.Value {
+		out := make([]adm.Value, len(items))
+		for i, it := range items {
+			out[i] = bag(it)
+		}
+		keys := encodeValues(t, out)
+		sort.Sort(byKey{keys, out})
+		return out
+	}
+	bag = func(v adm.Value) adm.Value {
+		if r, ok := v.(*adm.LazyRecord); ok {
+			v, _ = adm.AsRecord(r)
+		}
+		switch x := v.(type) {
+		case *adm.OrderedList:
+			return &adm.OrderedList{Items: sorted(x.Items)}
+		case *adm.UnorderedList:
+			return &adm.UnorderedList{Items: sorted(x.Items)}
+		case *adm.Record:
+			out := &adm.Record{Fields: make([]adm.Field, len(x.Fields))}
+			for i, f := range x.Fields {
+				out.Fields[i] = adm.Field{Name: f.Name, Value: bag(f.Value)}
+			}
+			return out
+		}
+		return v
+	}
+	out := make([]adm.Value, len(vals))
+	for i, v := range vals {
+		out[i] = bag(v)
+	}
+	return out
+}
+
+// byKey sorts values by their encodings.
+type byKey struct {
+	keys []string
+	vals []adm.Value
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
+}
+
+// sameDiffResults is sameResults for a differential row.
+func sameDiffResults(t *testing.T, name string, hyracks, interp []adm.Value, q diffQuery) {
+	t.Helper()
+	if q.bags {
+		hyracks, interp = canonicalBags(t, hyracks), canonicalBags(t, interp)
+	}
+	sameResults(t, name, hyracks, interp, q.ordered)
+}
+
 // differentialQueries is the paper's example workload plus shapes that
 // exercise each compiled operator: parallel scans, the secondary-index access
 // path, hybrid-hash joins, hinted joins that probe a secondary index or the
@@ -53,48 +124,44 @@ func sameResults(t *testing.T, name string, hyracks, interp []adm.Value, ordered
 // limit/offset, and the local/global aggregation split. Ordered queries sort
 // on a unique key so both executors must produce the exact sequence;
 // unordered queries are compared as multisets.
-var differentialQueries = []struct {
-	name    string
-	query   string
-	ordered bool
-}{
-	{"full-scan", `for $u in dataset MugshotUsers return $u;`, false},
+var differentialQueries = []diffQuery{
+	{"full-scan", `for $u in dataset MugshotUsers return $u;`, false, false},
 	{"range-index-scan", `
 for $user in dataset MugshotUsers
 where $user.user-since >= datetime('2010-07-22T00:00:00')
   and $user.user-since <= datetime('2012-07-29T23:59:59')
-return $user;`, false},
+return $user;`, false, false},
 	{"range-index-behind-unindexed-conjunct", `
 for $m in dataset MugshotMessages
 where $m.message-id >= 2 and $m.timestamp >= datetime("2014-01-01T00:00:00")
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"equijoin", `
 for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
 where $message.author-id = $user.id
   and $user.user-since >= datetime('2010-07-22T00:00:00')
   and $user.user-since <= datetime('2012-07-29T23:59:59')
-return { "uname": $user.name, "message": $message.message };`, false},
+return { "uname": $user.name, "message": $message.message };`, false, false},
 	{"indexnl-join", `
 for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
 where $message.author-id /*+ indexnl */ = $user.id
-return { "uname": $user.name, "message": $message.message };`, false},
+return { "uname": $user.name, "message": $message.message };`, false, false},
 	{"indexnl-join-primary-key", `
 for $message in dataset MugshotMessages
 for $user in dataset MugshotUsers
 where $message.author-id /*+ indexnl */ = $user.id
   and $message.message-id > 1
-return { "uname": $user.name, "message": $message.message };`, false},
+return { "uname": $user.name, "message": $message.message };`, false, false},
 	{"indexnl-join-no-index", `
 for $user in dataset MugshotUsers
 for $message in dataset MugshotMessages
 where $message.in-response-to /*+ indexnl */ = $user.id
-return { "uname": $user.name, "message": $message.message };`, false},
+return { "uname": $user.name, "message": $message.message };`, false, false},
 	{"group-by", `
 for $m in dataset MugshotMessages
 group by $aid := $m.author-id with $m
-return { "author": $aid, "cnt": count($m) };`, false},
+return { "author": $aid, "cnt": count($m) };`, false, false},
 	{"group-order-limit", `
 for $msg in dataset MugshotMessages
 where $msg.timestamp >= datetime("2014-02-20T00:00:00")
@@ -103,22 +170,22 @@ group by $aid := $msg.author-id with $msg
 let $cnt := count($msg)
 order by $cnt desc, $aid
 limit 3
-return { "author": $aid, "no messages": $cnt };`, true},
+return { "author": $aid, "no messages": $cnt };`, true, false},
 	{"order-limit", `
 for $m in dataset MugshotMessages
 order by $m.message-id desc
 limit 3
-return $m.message-id;`, true},
+return $m.message-id;`, true, false},
 	{"order-limit-offset", `
 for $m in dataset MugshotMessages
 order by $m.message-id
 limit 2 offset 2
-return $m.message-id;`, true},
+return $m.message-id;`, true, false},
 	{"let-first-nested-loop", `
 let $cutoff := datetime("2014-01-01T00:00:00")
 for $m in dataset MugshotMessages
 where $m.timestamp >= $cutoff
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"nested-outer-join", `
 for $user in dataset MugshotUsers
 where $user.user-since >= datetime('2010-07-22T00:00:00')
@@ -128,7 +195,62 @@ return {
     for $message in dataset MugshotMessages
     where $message.author-id = $user.id
     return $message.message
-};`, false},
+};`, false, true},
+	// Datasets inside expressions, each a nest join: the paper's Query 5
+	// (keyless), a count in a let, a where, a group key and a constant
+	// query, a quantifier source, a positional nested for (positions in
+	// the interpreter's order), an inner order by and limit, a let after an
+	// order by (the join keeps the order), a nest inside a nest, a dataset
+	// read after a nested group-by, and a Metadata dataset.
+	{"query5-spatial-nest-join", `
+for $t in dataset MugshotMessages
+return {
+  "message": $t.message,
+  "nearby-messages":
+    for $t2 in dataset MugshotMessages
+    where spatial-distance($t.sender-location, $t2.sender-location) <= 1
+    return { "msgtxt": $t2.message }
+};`, false, true},
+	{"nested-count-let", `
+for $u in dataset MugshotUsers
+let $n := count(for $m in dataset MugshotMessages where $m.author-id = $u.id return $m)
+return { "u": $u.id, "n": $n };`, false, false},
+	{"nested-count-where", `
+for $u in dataset MugshotUsers
+where count(for $m in dataset MugshotMessages where $m.author-id = $u.id return $m) >= 1 and $u.id > 1
+return $u.id;`, false, false},
+	{"nested-group-key", `
+for $m in dataset MugshotMessages
+group by $k := count(for $x in dataset MugshotMessages where $x.author-id = $m.author-id return $x) with $m
+return { "k": $k, "n": count($m) };`, false, false},
+	{"nested-constant", `{ "users": count(for $u in dataset MugshotUsers return $u), "max": max(for $m in dataset MugshotMessages return $m.message-id) }`, true, false},
+	{"nested-quantifier", `
+for $u in dataset MugshotUsers
+where some $m in dataset MugshotMessages satisfies $m.author-id = $u.id
+return $u.id;`, false, false},
+	{"nested-positional", `
+for $u in dataset MugshotUsers
+return { "u": $u.id, "at": for $m at $i in dataset MugshotMessages where $m.author-id = $u.id return $i };`, false, false},
+	{"nested-order-limit", `
+for $u in dataset MugshotUsers
+return { "u": $u.id, "last": for $m in dataset MugshotMessages where $m.author-id = $u.id order by $m.message-id desc limit 1 return $m.message-id };`, false, false},
+	{"nested-after-order", `
+for $u in dataset MugshotUsers
+order by $u.id desc
+let $n := count(for $m in dataset MugshotMessages where $m.author-id = $u.id return $m)
+return { "u": $u.id, "n": $n };`, true, false},
+	{"nested-in-nested", `
+for $u in dataset MugshotUsers
+return { "u": $u.id, "replies": for $m in dataset MugshotMessages where $m.author-id = $u.id
+  return count(for $r in dataset MugshotMessages where $r.in-response-to = $m.message-id return $r) };`, false, true},
+	{"nested-after-nested-group", `
+for $u in dataset MugshotUsers
+return { "u": $u.id, "g": for $m in dataset MugshotMessages where $m.author-id = $u.id
+  group by $a := $m.author-id with $m
+  return { "a": $a, "n": count($m), "same": count(for $x in dataset MugshotUsers where $x.id = $a and $x.id = $u.id return $x) } };`, false, true},
+	{"nested-metadata", `
+for $ds in dataset Metadata.Dataset
+return { "ds": $ds.DatasetName, "indexes": for $ix in dataset Metadata.Index where $ix.DatasetName = $ds.DatasetName return $ix.IndexName };`, false, true},
 	{"fuzzy-join", `
 set simfunction "edit-distance";
 set simthreshold "3";
@@ -136,51 +258,51 @@ for $msu in dataset MugshotUsers
 for $msm in dataset MugshotMessages
 where $msu.id = $msm.author-id
   and (some $word in word-tokens($msm.message) satisfies $word ~= "tonight")
-return { "name": $msu.name, "message": $msm.message };`, false},
+return { "name": $msu.name, "message": $msm.message };`, false, false},
 	{"self-join", `
 for $a in dataset MugshotMessages
 for $b in dataset MugshotMessages
 where $a.author-id = $b.author-id
-return { "a": $a.message-id, "b": $b.message-id };`, false},
+return { "a": $a.message-id, "b": $b.message-id };`, false, false},
 	{"rtree-spatial", `
 for $m in dataset MugshotMessages
 where spatial-intersect($m.sender-location, create-rectangle(create-point(41.0, 80.0), create-point(42.0, 81.0)))
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"rtree-spatial-circle", `
 for $m in dataset MugshotMessages
 where spatial-intersect($m.sender-location, create-circle(create-point(41.66, 80.88), 0.5))
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"contains-ngram", `
 for $m in dataset MugshotMessages
 where contains($m.message, "data")
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"keyword-some", `
 for $m in dataset MugshotMessages
 where (some $w in word-tokens($m.message) satisfies $w = "tonight")
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"unnest-tags", `
 for $m in dataset MugshotMessages
 for $t in $m.tags
-return { "id": $m.message-id, "tag": $t };`, false},
+return { "id": $m.message-id, "tag": $t };`, false, false},
 	{"unnest-filter", `
 for $m in dataset MugshotMessages
 for $t in $m.tags
 where $t = "big-data"
-return $m.message-id;`, false},
+return $m.message-id;`, false, false},
 	{"unnest-group", `
 for $m in dataset MugshotMessages
 for $t in $m.tags
 group by $tag := $t with $m
-return { "tag": $tag, "cnt": count($m) };`, false},
+return { "tag": $tag, "cnt": count($m) };`, false, false},
 	{"unnest-employment", `
 for $u in dataset MugshotUsers
 for $e in $u.employment
-return { "u": $u.id, "org": $e.organization-name };`, false},
+return { "u": $u.id, "org": $e.organization-name };`, false, false},
 	// An uncorrelated nested-FLWOR source must compile as a standalone
 	// subplan source: its own bound variables are not free references.
 	{"subplan-nested-flwor", `
 for $c in (for $x in dataset MugshotMessages return $x.message-id)
-return $c;`, false},
+return $c;`, false, false},
 	// The nested FLWOR is correlated only through its group-by key: the
 	// FreeVarsOf walk behind Build's correlation check must cover group-by/
 	// order-by/limit clauses of nested FLWORs or this source is misclassified
@@ -188,48 +310,48 @@ return $c;`, false},
 	{"unnest-nested-flwor", `
 for $u in dataset MugshotUsers
 for $c in (for $x in dataset MugshotMessages group by $same := ($x.author-id = $u.id) with $x return count($x))
-return { "u": $u.id, "c": $c };`, false},
+return { "u": $u.id, "c": $c };`, false, false},
 	// Positional variables: the source operator binds $i to the item's
 	// 1-based position in the interpreter's iteration order (partition
 	// concatenation for dataset scans, per-binding restart for unnests).
 	{"positional-scan", `
 for $u at $i in dataset MugshotUsers
-return { "i": $i, "id": $u.id };`, false},
+return { "i": $i, "id": $u.id };`, false, false},
 	// The where-predicate is index-eligible, but a positional scan must keep
 	// its full scan: positions reflect the pre-select enumeration.
 	{"positional-filter", `
 for $u at $i in dataset MugshotUsers
 where $u.user-since >= datetime('2010-07-22T00:00:00')
-return { "i": $i, "id": $u.id };`, false},
+return { "i": $i, "id": $u.id };`, false, false},
 	{"positional-join", `
 for $u in dataset MugshotUsers
 for $m at $i in dataset MugshotMessages
 where $m.author-id = $u.id
-return { "i": $i, "id": $m.message-id };`, false},
+return { "i": $i, "id": $m.message-id };`, false, false},
 	{"positional-unnest", `
 for $m in dataset MugshotMessages
 for $t at $j in $m.tags
-return { "id": $m.message-id, "j": $j, "tag": $t };`, false},
-	{"positional-subplan", `for $x at $i in [10, 20, 30] return $i * $x;`, false},
+return { "id": $m.message-id, "j": $j, "tag": $t };`, false, false},
+	{"positional-subplan", `for $x at $i in [10, 20, 30] return $i * $x;`, false, false},
 	{"positional-order-limit", `
 for $m at $i in dataset MugshotMessages
 order by $i
 limit 4 offset 1
-return { "i": $i, "id": $m.message-id };`, true},
-	{"metadata-scan", `for $ds in dataset Metadata.Dataset return $ds;`, false},
-	{"agg-avg", `avg(for $m in dataset MugshotMessages return string-length($m.message))`, true},
-	{"agg-sum", `sum(for $m in dataset MugshotMessages return string-length($m.message))`, true},
-	{"agg-count", `count(for $m in dataset MugshotMessages return $m.message-id)`, true},
-	{"agg-min", `min(for $m in dataset MugshotMessages return $m.message-id)`, true},
-	{"agg-max", `max(for $m in dataset MugshotMessages return $m.timestamp)`, true},
-	{"agg-sql-count", `sql-count(for $m in dataset MugshotMessages return $m.in-response-to)`, true},
+return { "i": $i, "id": $m.message-id };`, true, false},
+	{"metadata-scan", `for $ds in dataset Metadata.Dataset return $ds;`, false, false},
+	{"agg-avg", `avg(for $m in dataset MugshotMessages return string-length($m.message))`, true, false},
+	{"agg-sum", `sum(for $m in dataset MugshotMessages return string-length($m.message))`, true, false},
+	{"agg-count", `count(for $m in dataset MugshotMessages return $m.message-id)`, true, false},
+	{"agg-min", `min(for $m in dataset MugshotMessages return $m.message-id)`, true, false},
+	{"agg-max", `max(for $m in dataset MugshotMessages return $m.timestamp)`, true, false},
+	{"agg-sql-count", `sql-count(for $m in dataset MugshotMessages return $m.in-response-to)`, true, false},
 	{"agg-over-index-path", `
 avg(
   for $m in dataset MugshotMessages
   where $m.timestamp >= datetime("2014-01-01T00:00:00")
     and $m.timestamp < datetime("2014-04-01T00:00:00")
   return string-length($m.message)
-)`, true},
+)`, true, false},
 }
 
 // TestDifferentialHyracksVsInterpreter runs every query through the pipelined
@@ -253,7 +375,7 @@ func TestDifferentialHyracksVsInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s (interpreter): %v", q.name, optName, err)
 			}
-			sameResults(t, q.name+"/"+optName, hyRes, orRes, q.ordered)
+			sameDiffResults(t, q.name+"/"+optName, hyRes, orRes, q)
 		}
 	}
 }
@@ -277,7 +399,7 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := expr.Eval(inst.evalCtx, expr.Env{}, e)
+		want, err := expr.Eval(inst.oracleContext(), expr.Env{}, e)
 		if err != nil {
 			t.Fatalf("interpreter(%s): %v", q, err)
 		}

@@ -91,6 +91,11 @@ type Node struct {
 	Method            JoinMethod
 	LeftKey, RightKey aql.Expr
 	LeftVar, RightVar string
+	// Nest makes a join a nest join (see NestDatasets): each tuple of the
+	// probe input Inputs[0] — nil for the one empty tuple — is emitted once,
+	// with Nest bound to the list of the RightVar values of its matching
+	// build rows.
+	Nest string
 
 	// Group by.
 	GroupKeys []aql.GroupKey
@@ -110,8 +115,9 @@ type Node struct {
 // builder reads the return expression, which no operator node carries, off it.
 type Plan struct {
 	Root *Node
-	// Query is the original FLWOR the plan was compiled from; for a constant
+	// Query is the FLWOR the plan was compiled from; for a constant
 	// (non-FLWOR) query it is a clause-less FLWOR returning the expression.
+	// After NestDatasets its return reads nest variables, not datasets.
 	Query *aql.FLWORExpr
 }
 
@@ -279,6 +285,9 @@ func firstVar(n *Node) string {
 	if n.Variable != "" {
 		return n.Variable
 	}
+	if n.Nest != "" {
+		return firstVar(n.Inputs[0]) // the build side binds nothing above
+	}
 	for _, in := range n.Inputs {
 		if v := firstVar(in); v != "" {
 			return v
@@ -328,32 +337,24 @@ func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 	for i, in := range n.Inputs {
 		n.Inputs[i] = rewriteJoins(in, cat, opts)
 	}
-	if n.Kind != OpSelect || len(n.Inputs) != 1 || n.Inputs[0].Kind != OpJoin {
+	if n.Kind != OpSelect || len(n.Inputs) != 1 || n.Inputs[0].Kind != OpJoin || n.Inputs[0].Nest != "" {
 		return n
 	}
 	join := n.Inputs[0]
 	conds := splitConjuncts(n.Condition)
 	var rest []aql.Expr
 	var key *aql.BinaryExpr
+	uses := func(v string) func(aql.Expr) bool {
+		return func(e aql.Expr) bool { return contains(FreeVarsOf(e), v) }
+	}
 	for _, cond := range conds {
-		be, ok := cond.(*aql.BinaryExpr)
-		if !ok || be.Op != aql.OpEq || key != nil {
+		l, r, ok := equiSides(cond, uses(join.LeftVar), uses(join.RightVar))
+		if !ok || key != nil {
 			rest = append(rest, cond)
 			continue
 		}
-		leftVars := FreeVarsOf(be.Left)
-		rightVars := FreeVarsOf(be.Right)
-		lv, rv := join.LeftVar, join.RightVar
-		switch {
-		case contains(leftVars, lv) && contains(rightVars, rv):
-			join.LeftKey, join.RightKey = be.Left, be.Right
-		case contains(leftVars, rv) && contains(rightVars, lv):
-			join.LeftKey, join.RightKey = be.Right, be.Left
-		default:
-			rest = append(rest, cond)
-			continue
-		}
-		key = be
+		join.LeftKey, join.RightKey = l, r
+		key = cond.(*aql.BinaryExpr)
 		join.Method = HybridHashJoin
 	}
 	// Index probes replace the inner scan, so the inner must be a plain scan:
@@ -733,6 +734,9 @@ func describeNode(n *Node) string {
 	case OpAssign:
 		return fmt.Sprintf("assign $%s", strings.Join(n.Vars, ", $"))
 	case OpJoin:
+		if n.Nest != "" {
+			return fmt.Sprintf("join (%s) nest $%s", n.Method, n.Nest)
+		}
 		return fmt.Sprintf("join (%s)", n.Method)
 	case OpGroupBy:
 		keys := make([]string, len(n.GroupKeys))

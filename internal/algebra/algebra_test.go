@@ -367,3 +367,72 @@ return { "a": $a };`, Options{})
 		}
 	}
 }
+
+// TestNestDatasetsKeys pins when a dataset inside an expression is a keyed
+// (hybrid hash) nest join and when it must stay keyless (nested loop): only
+// a where equality between the for variable alone and the node's input,
+// before anything that sees every row, narrows the list.
+func TestNestDatasetsKeys(t *testing.T) {
+	for _, c := range []struct {
+		name, query, want string
+	}{
+		{"keyed", `for $u in dataset U return for $m in dataset M where $m.a = $u.id return $m`, "join (hybrid-hash-join) nest $#nest-0"},
+		{"keyed either way round, after an inner-only conjunct", `for $u in dataset U return for $m in dataset M where $m.b > 1 and $u.id = $m.a return $m`, "join (hybrid-hash-join) nest $#nest-0"},
+		{"non-equi", `for $u in dataset U return for $m in dataset M where $m.a < $u.id return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"positional", `for $u in dataset U return for $m at $i in dataset M where $m.a = $u.id return $i`, "join (nested-loop-join) nest $#nest-0"},
+		{"limit before the where", `for $u in dataset U return for $m in dataset M limit 1 where $m.a = $u.id return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"group-by before the where", `for $u in dataset U return for $m in dataset M group by $g := $m.a with $m where $g = $u.id return $g`, "join (nested-loop-join) nest $#nest-0"},
+		{"probe side rebound inside", `for $u in dataset U return for $m in dataset M let $u := 1 where $m.a = $u return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"for variable rebound", `for $u in dataset U return for $m in dataset M let $m := $u where $m.a = $u.id return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"build side reads more than the for variable", `for $u in dataset U return for $m in dataset M for $x in [1] where $m.a + $x = $u.id return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"unbound probe variable", `for $u in dataset U return for $m in dataset M where $m.a = $v return $m`, "join (nested-loop-join) nest $#nest-0"},
+		{"over an order by", `for $u in dataset U order by $u.id let $n := count(for $m in dataset M where $m.a = $u.id return $m) return $n`, "join (nested-loop-join) nest $#nest-0"},
+	} {
+		e, err := aql.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Build(e.(*aql.FLWORExpr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = NestDatasets(plan); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if explain := Explain(plan); !strings.Contains(explain, c.want) {
+			t.Errorf("%s: want %q in\n%s", c.name, c.want, explain)
+		}
+		if strings.Contains(plan.Query.Return.String(), "dataset ") {
+			t.Errorf("%s: the return still reads a dataset: %s", c.name, plan.Query.Return)
+		}
+	}
+}
+
+// TestNestDatasetsSplitsSelects: a select keeps its dataset-free conjuncts
+// below the nest join, where the access-path rule still finds them.
+func TestNestDatasetsSplitsSelects(t *testing.T) {
+	e, err := aql.ParseQuery(`for $m in dataset MugshotMessages
+where $m.timestamp >= datetime("2014-01-01T00:00:00") and count(for $u in dataset MugshotUsers where $u.id = $m.author-id return $u) > 0
+return $m`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Build(e.(*aql.FLWORExpr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = NestDatasets(plan); err != nil {
+		t.Fatal(err)
+	}
+	want := `btree-search (secondary msTimestampIdx on MugshotMessages)
+sort (primary keys)
+btree-search (primary MugshotMessages)
+select ($m.timestamp >= datetime("2014-01-01T00:00:00.000"))
+datasource-scan MugshotUsers -> $#nest-0
+join (hybrid-hash-join) nest $#nest-0
+select (count(for $u in $#nest-0 where ($u.id = $m.author-id) return $u) > 0)
+distribute-result`
+	if got := Explain(Optimize(plan, tinySocial, Options{})); got != want {
+		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
+	}
+}

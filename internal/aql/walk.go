@@ -35,8 +35,10 @@ func (s *Scope) bind(names ...string) *Scope { return &Scope{parent: s, names: n
 // Scoping is the evaluator's (internal/expr): a quantified variable is bound
 // in the satisfies predicate only; for, at and let variables are bound in the
 // clauses after their own; a group-by evaluates its key expressions and reads
-// its with-variables in the scope before it and leaves exactly its key and
-// with variables bound; limit and offset are evaluated outside every binding.
+// its with-variables in the scope before it and leaves, of its FLWOR's own
+// bindings, exactly its key and with variables bound (what was bound around
+// the FLWOR stays bound); limit and offset are evaluated outside every
+// binding.
 // A with-variable has no expression node of its own, so fn sees it as a
 // *VariableRef; returning a *VariableRef of another name renames it, in the
 // clause and in the scope of the clauses after it.
@@ -120,9 +122,10 @@ func (r *rewriter) expr(e Expr, sc *Scope) Expr {
 			return &IfExpr{Cond: c, Then: th, Else: el}
 		}
 	case *FLWORExpr:
+		entry := sc
 		clauses, changed := mapSlice(x.Clauses, func(c FLWORClause) (FLWORClause, bool) {
 			var n FLWORClause
-			n, sc = r.clause(c, sc)
+			n, sc = r.clause(c, sc, entry)
 			return n, n != c
 		})
 		ret := r.expr(x.Return, sc)
@@ -134,8 +137,9 @@ func (r *rewriter) expr(e Expr, sc *Scope) Expr {
 }
 
 // clause rewrites one FLWOR clause and returns it (the same pointer when
-// nothing changed) with the scope the clauses after it see.
-func (r *rewriter) clause(c FLWORClause, sc *Scope) (FLWORClause, *Scope) {
+// nothing changed) with the scope the clauses after it see; entry is the
+// scope around the FLWOR.
+func (r *rewriter) clause(c FLWORClause, sc, entry *Scope) (FLWORClause, *Scope) {
 	switch cl := c.(type) {
 	case *ForClause:
 		after := sc.bind(cl.Var, cl.PosVar)
@@ -164,7 +168,7 @@ func (r *rewriter) clause(c FLWORClause, sc *Scope) (FLWORClause, *Scope) {
 			}
 			panic("aql: a group-by with-variable can only be rewritten to a variable")
 		})
-		after := &Scope{names: append([]string(nil), with...)}
+		after := &Scope{parent: entry, names: append([]string(nil), with...)}
 		for _, k := range keys {
 			after.names = append(after.names, k.Var)
 		}

@@ -7,11 +7,14 @@
 // predicates and projections; their group-bys, sorts, limits and aggregates
 // are hyracks operators, so this package's group/order/limit clauses and
 // aggregate builtins over whole bags serve nested subqueries and the
-// differential oracle.
+// differential oracle. A nested subquery over a stored dataset iterates a
+// list its job's nest join bound to a variable: this package reads no stored
+// data itself.
 package expr
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,8 +27,10 @@ import (
 	"asterixdb/internal/temporal"
 )
 
-// DatasetReader resolves a dataset reference to its records; the engine wires
-// it to the storage layer (and to external datasets).
+// DatasetReader resolves a dataset reference to its records. The engine
+// wires it to the datasets with no stored partitions — the Metadata
+// dataverse and external datasets — which a job reads as subplan sources;
+// a stored dataset is read only by its job's scans.
 type DatasetReader func(dataverse, name string) ([]*adm.Record, error)
 
 // UserFunction is a user-defined function (Query 8): parameter names plus a
@@ -36,8 +41,9 @@ type UserFunction struct {
 }
 
 // Context carries everything expression evaluation needs beyond the variable
-// bindings: the dataset reader for nested FLWORs, registered UDFs, the clock
-// behind current-datetime(), and the fuzzy-matching prologue settings.
+// bindings: the dataset reader for the Metadata and external datasets,
+// registered UDFs, the clock behind current-datetime(), and the
+// fuzzy-matching prologue settings.
 type Context struct {
 	Datasets  DatasetReader
 	Functions map[string]UserFunction
@@ -479,9 +485,8 @@ func evalFuzzyEq(ctx *Context, left, right adm.Value) (adm.Value, error) {
 // ----------------------------------------------------------------------------
 
 // EvalFLWOR evaluates a FLWOR expression and returns the sequence of returned
-// values. The engine uses it for correlated subqueries appearing inside
-// return clauses (the paper's nested left outer-join, Query 4) and as the
-// reference implementation the optimized physical plans must agree with.
+// values, as Eval does for a FLWOR nested in an expression — the rest of the
+// paper's nested left outer-join (Query 4) over the list its nest join binds.
 func EvalFLWOR(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error) {
 	return evalFLWORList(ctx, env, fl)
 }
@@ -493,6 +498,17 @@ func evalFLWORList(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error
 		envs, err = applyClause(ctx, envs, clause)
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := clause.(*aql.GroupByClause); ok && len(env) > 0 {
+			// A group-by leaves only its keys and with-variables of the
+			// FLWOR's own bindings; the bindings the FLWOR was entered with
+			// stay visible, as aql.Rewrite scopes them.
+			for i, g := range envs {
+				merged := make(Env, len(env)+len(g))
+				maps.Copy(merged, env)
+				maps.Copy(merged, g)
+				envs[i] = merged
+			}
 		}
 	}
 	out := make([]adm.Value, 0, len(envs))
@@ -706,7 +722,7 @@ func evalCall(ctx *Context, env Env, call *aql.CallExpr) (adm.Value, error) {
 	if fn, ok := builtins[name]; ok {
 		return fn(ctx, args)
 	}
-	if udf, ok := ctx.Functions[call.Func]; ok {
+	if udf, ok := ctx.UserFunction(call.Func); ok {
 		if len(args) != len(udf.Params) {
 			return nil, fmt.Errorf("expr: function %s expects %d arguments, got %d", call.Func, len(udf.Params), len(args))
 		}
@@ -717,6 +733,16 @@ func evalCall(ctx *Context, env Env, call *aql.CallExpr) (adm.Value, error) {
 		return Eval(ctx, fnEnv, udf.Body)
 	}
 	return nil, fmt.Errorf("expr: unknown function %q", call.Func)
+}
+
+// UserFunction returns the user-defined function a call of name invokes:
+// none when a built-in of that name shadows it.
+func (ctx *Context) UserFunction(name string) (UserFunction, bool) {
+	if _, ok := builtins[strings.ToLower(name)]; ok {
+		return UserFunction{}, false
+	}
+	fn, ok := ctx.Functions[name]
+	return fn, ok
 }
 
 type builtinFunc func(ctx *Context, args []adm.Value) (adm.Value, error)

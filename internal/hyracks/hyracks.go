@@ -710,6 +710,12 @@ func (o *HashGroupOp) Blocking() bool { return true }
 //
 // With nil BuildKey and ProbeKey every pair matches: the operator is the
 // nested-loop (cross product) join, its build side typically broadcast.
+//
+// With Nest set it is a nest join (a hash group-join): each probe tuple is
+// emitted exactly once, with the list of its matching build tuples, so a
+// probe tuple with no match survives with an empty list. All build tuples of
+// a key share one partition at every level, so a probe tuple meets all its
+// matches in one place even after a spill.
 type HybridHashJoinOp struct {
 	Label      string
 	Partitions int
@@ -718,6 +724,10 @@ type HybridHashJoinOp struct {
 	ProbeKey func(Tuple) adm.Value
 	// Combine merges a probe tuple with a matching build tuple.
 	Combine func(probe, build Tuple) Tuple
+	// Nest, when set, replaces Combine: it makes the one output tuple of a
+	// probe tuple from all its matches in build arrival order (nil when
+	// nothing matched).
+	Nest func(probe Tuple, matches []Tuple) Tuple
 	// Spill is the operator's share of the job memory budget; it decides
 	// only when build partitions are evicted. Nil (a hand-built operator)
 	// never evicts.

@@ -710,12 +710,12 @@ func (o *HybridHashJoinOp) join(mem *runfile.Instance, level int, build, probe t
 		scratch = joinKey(scratch[:0], o.ProbeKey, t)
 		pi, g, spilled := tbl.lookup(scratch)
 		if !spilled {
+			var matches []Tuple
 			if g != nil {
-				for _, b := range g.rows {
-					if !emit(o.Combine(t, b)) {
-						return errStopDemand
-					}
-				}
+				matches = g.rows
+			}
+			if !o.emitMatches(t, matches, emit) {
+				return errStopDemand
 			}
 			continue
 		}
@@ -752,6 +752,20 @@ func (o *HybridHashJoinOp) join(mem *runfile.Instance, level int, build, probe t
 	})
 }
 
+// emitMatches emits what a probe tuple yields: its one nest tuple, or one
+// combined tuple per match. It reports false once demand is gone.
+func (o *HybridHashJoinOp) emitMatches(t Tuple, matches []Tuple, emit func(Tuple) bool) bool {
+	if o.Nest != nil {
+		return emit(o.Nest(t, matches))
+	}
+	for _, b := range matches {
+		if !emit(o.Combine(t, b)) {
+			return false
+		}
+	}
+	return true
+}
+
 // joinKey appends a tuple's encoded join key. A keyless join (nil extractor)
 // has the one empty key, so every pair matches.
 func joinKey(dst []byte, key func(Tuple) adm.Value, t Tuple) []byte {
@@ -765,10 +779,17 @@ func joinKey(dst []byte, key func(Tuple) adm.Value, t Tuple) []byte {
 // cannot subdivide: the build run is taken in budget-sized chunks and the
 // probe run re-streamed once per chunk, each pass being the join body over a
 // table that no longer evicts. Memory stays bounded at one chunk regardless
-// of key skew; the cost is extra probe passes, not failure.
+// of key skew; the cost is extra probe passes, not failure. A nest join
+// cannot chunk — a probe tuple would be emitted once per chunk — so it loads
+// the build run whole: the lists it emits hold those rows anyway.
 func (o *HybridHashJoinOp) blockJoinRunPair(mem *runfile.Instance, build, probe *runfile.Run, emit func(Tuple) bool) error {
 	left := build.Tuples()
 	return readRun(build, func(next tupleSource) error {
+		if o.Nest != nil {
+			return readRun(probe, func(p tupleSource) error {
+				return o.join(mem, spillMaxLevel, next, p, emit)
+			})
+		}
 		chunk := func() (Tuple, bool, error) {
 			if left == 0 || !mem.Fits(1) {
 				return nil, false, nil

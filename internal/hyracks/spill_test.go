@@ -610,6 +610,31 @@ func keylessJoinJob(build, probe []Tuple, spill *runfile.Budget) *Job {
 	return job
 }
 
+// nestJoinJob is the keyed nest join: each probe tuple once, with the second
+// columns of its matches in build arrival order.
+func nestJoinJob(build, probe []Tuple, spill *runfile.Budget) *Job {
+	job := &Job{}
+	probeSrc := job.Add(sourceOf(probe))
+	buildSrc := job.Add(sourceOf(build))
+	join := job.Add(&HybridHashJoinOp{
+		Label:      "nest-join",
+		Partitions: 1,
+		BuildKey:   func(t Tuple) adm.Value { return t[0] },
+		ProbeKey:   func(t Tuple) adm.Value { return t[0] },
+		Nest: func(p Tuple, matches []Tuple) Tuple {
+			items := make([]adm.Value, len(matches))
+			for i, b := range matches {
+				items[i] = b[1]
+			}
+			return Tuple{p[0], p[1], &adm.OrderedList{Items: items}}
+		},
+		Spill: spill,
+	})
+	job.Connect(probeSrc, join, Connector{Kind: OneToOne})
+	job.ConnectPort(buildSrc, join, 1, Connector{Kind: OneToOne})
+	return job
+}
+
 // tableClient is one client of the spill table wired into a runnable job
 // (group-bys ignore probe), with the plain-Go-map oracle of its result.
 type tableClient struct {
@@ -691,6 +716,23 @@ var tableClients = []tableClient{
 		},
 	},
 	{
+		name: "nest-join",
+		job:  nestJoinJob,
+		oracle: func(b, p []Tuple) []Tuple {
+			var out []Tuple
+			_, groups := groupOracle(b)
+			for _, pt := range p {
+				k, _ := tupleInts(pt)
+				items := make([]adm.Value, len(groups[k]))
+				for i, v := range groups[k] {
+					items[i] = adm.Int64(v)
+				}
+				out = append(out, Tuple{pt[0], pt[1], &adm.OrderedList{Items: items}})
+			}
+			return out
+		},
+	},
+	{
 		name: "keyless-join",
 		job:  keylessJoinJob,
 		oracle: func(b, p []Tuple) []Tuple {
@@ -763,7 +805,7 @@ func runTableClient(t *testing.T, c tableClient, build, probe []Tuple, budget in
 
 // TestSpillTableClients drives the one spill table through each of its
 // clients — the fold group-by without ("fold") and with a listify ("bag"),
-// equi-join, keyless join — across budgets (0 is the unlimited share; 8KiB and 64KiB both sit
+// equi-join, nest join, keyless join — across budgets (0 is the unlimited share; 8KiB and 64KiB both sit
 // below the inputs) and key shapes. What must hold for every input is in
 // runTableClient; per shape: listify keeps each group's items in arrival
 // order across spill and reload (the oracle's lists are in arrival order),
@@ -792,7 +834,7 @@ func TestSpillTableClients(t *testing.T) {
 				nBuild, nProbe = 700, 60
 			case c.name == "equi-join" && sh.name == "one-giant-key":
 				nBuild, nProbe = 1500, 30
-			case c.name == "equi-join":
+			case c.name == "equi-join", c.name == "nest-join":
 				nBuild, nProbe = 1500, 400
 			}
 			rng := rand.New(rand.NewSource(29))
@@ -806,8 +848,9 @@ func TestSpillTableClients(t *testing.T) {
 			giant := sh.name == "one-giant-key"
 			for _, budget := range []int64{0, 8 << 10, 64 << 10} {
 				t.Run(fmt.Sprintf("%s/%s/%d", c.name, sh.name, budget), func(t *testing.T) {
-					// The giant group's listify holds all its items.
-					st := runTableClient(t, c, build, probe, budget, sh.limit, !(c.name == "bag" && giant))
+					// The giant group's listify holds all its items, and a
+					// nest join's lists hold all a key's matches.
+					st := runTableClient(t, c, build, probe, budget, sh.limit, !(c.name == "bag" || c.name == "nest-join") || !giant)
 					if budget == 0 {
 						return
 					}
@@ -882,11 +925,11 @@ func FuzzSpillTable(f *testing.F) {
 			return
 		}
 		budget := []int64{0, 2 << 10, 8 << 10, 64 << 10}[data[0]%4]
-		c := tableClients[data[1]%4]
+		c := tableClients[int(data[1])%len(tableClients)]
 		wide := data[1]&4 != 0
 		keys := data[2:]
 		// Bound the work per input: joins multiply.
-		if max := map[string]int{"fold": 4096, "bag": 4096, "equi-join": 512, "keyless-join": 256}[c.name]; len(keys) > max {
+		if max := map[string]int{"fold": 4096, "bag": 4096, "equi-join": 512, "nest-join": 512, "keyless-join": 256}[c.name]; len(keys) > max {
 			keys = keys[:max]
 		}
 		var build, probe []Tuple
@@ -909,7 +952,7 @@ func FuzzSpillTable(f *testing.F) {
 		// alone or with a key that shared its partition all the way down;
 		// below half the budget (its rows' sizes bound its items') even such
 		// a pair stays inside it.
-		bounded := c.name != "bag" || largest <= budget/2
+		bounded := (c.name != "bag" && c.name != "nest-join") || largest <= budget/2
 		runTableClient(t, c, build, probe, budget, 0, bounded)
 	})
 }

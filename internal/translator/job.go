@@ -221,7 +221,7 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 // tuple source for input-less operators (queries that begin with let
 // clauses, and constant queries with no clauses at all).
 func (b *jobBuilder) buildInput(n *algebra.Node) (stream, error) {
-	if len(n.Inputs) == 0 {
+	if len(n.Inputs) == 0 || n.Inputs[0] == nil {
 		op := b.job.Add(&hyracks.SourceOp{
 			Label:      "empty-tuple-source",
 			Partitions: 1,
@@ -645,13 +645,19 @@ func (b *jobBuilder) buildAssign(n *algebra.Node) (stream, error) {
 // hash join: both sides are hash-partitioned on the join key (the probe into
 // port 0, the build into port 1) so equal keys meet in the same join
 // instance; the evaluated key rides as a synthetic trailing column the
-// partitioning connectors hash on, and a tuple whose key is unknown never
-// joins. Any other join is the nested-loop (cross product) join, the same
-// operator with no key, so every pair matches: the right side is broadcast
-// to every instance as the build input, and a residual select above applies
-// any non-equi predicate.
+// partitioning connectors hash on, and a build tuple whose key is unknown
+// never joins. Any other join is the nested-loop (cross product) join, the
+// same operator with no key, so every pair matches: the right side is
+// broadcast to every instance as the build input, and a residual select
+// above applies any non-equi predicate.
+//
+// A nest join (n.Nest) is the same operator in its nest mode: each probe
+// tuple leaves once, extended by the Nest column, an ordered list of its
+// matches' RightVar values. Its probe tuples keep an unknown key, which
+// matches nothing and so gets the empty list; a nil probe input is the one
+// empty tuple.
 func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
-	left, err := b.build(n.Inputs[0])
+	left, err := b.buildInput(n)
 	if err != nil {
 		return stream{}, err
 	}
@@ -661,8 +667,8 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 	}
 	probeCol, buildCol := len(left.schema), len(right.schema)
 	outSchema := append(append(Schema{}, left.schema...), right.schema...)
+	kind := "join"
 	join := &hyracks.HybridHashJoinOp{
-		Label:      fmt.Sprintf("join(%s)", algebra.NestedLoopJoin),
 		Partitions: left.par,
 		Combine: func(p, bd hyracks.Tuple) hyracks.Tuple {
 			out := make(hyracks.Tuple, 0, probeCol+buildCol)
@@ -670,18 +676,34 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 			return append(out, bd[:buildCol]...)
 		},
 	}
+	if n.Nest != "" {
+		kind, join.Combine = "nest-join", nil
+		outSchema = append(append(Schema{}, left.schema...), n.Nest)
+		col, _ := right.schema.column(n.RightVar)
+		join.Nest = func(p hyracks.Tuple, matches []hyracks.Tuple) hyracks.Tuple {
+			items := make([]adm.Value, len(matches))
+			for i, m := range matches {
+				items[i] = m[col]
+			}
+			out := make(hyracks.Tuple, 0, probeCol+1)
+			out = append(out, p[:probeCol]...)
+			return append(out, &adm.OrderedList{Items: items})
+		}
+	}
+	method := algebra.NestedLoopJoin
 	probeConn := hyracks.Connector{Kind: hyracks.OneToOne}
 	buildConn := hyracks.Connector{Kind: hyracks.MToNReplicating}
 	if n.Method == algebra.HybridHashJoin && n.LeftKey != nil && n.RightKey != nil {
-		left = b.assign(left, "assign(probe-key)", []string{"#join-key"}, []aql.Expr{n.LeftKey}, true)
+		method = algebra.HybridHashJoin
+		left = b.assign(left, "assign(probe-key)", []string{"#join-key"}, []aql.Expr{n.LeftKey}, n.Nest == "")
 		right = b.assign(right, "assign(build-key)", []string{"#join-key"}, []aql.Expr{n.RightKey}, true)
-		join.Label = fmt.Sprintf("join(%s)", algebra.HybridHashJoin)
 		join.Partitions = b.partitions
 		join.ProbeKey = func(t hyracks.Tuple) adm.Value { return t[probeCol] }
 		join.BuildKey = func(t hyracks.Tuple) adm.Value { return t[buildCol] }
 		probeConn = hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{probeCol}}
 		buildConn = hyracks.Connector{Kind: hyracks.MToNPartitioning, HashColumns: []int{buildCol}}
 	}
+	join.Label = fmt.Sprintf("%s(%s)", kind, method)
 	op := b.job.Add(join)
 	b.job.Connect(left.op, op, probeConn)
 	b.job.ConnectPort(right.op, op, 1, buildConn)

@@ -23,6 +23,10 @@
 package translator
 
 import (
+	"fmt"
+	"slices"
+
+	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
@@ -33,15 +37,24 @@ import (
 // Runtime is what a compiled job needs from the hosting instance when it
 // runs: dataset access for scans and index probes, plus the expression
 // evaluation context (clock, similarity settings, user functions, and the
-// dataset reader behind correlated subqueries and the datasets with no
-// storage partitions).
+// reader of the datasets with no storage partitions). Every stored dataset a
+// query reads — one inside an expression too, through its nest join — is a
+// scan or probe in the job.
 type Runtime interface {
 	// EvalContext returns the instance's expression evaluation context.
 	EvalContext() *expr.Context
 	// LookupDataset resolves an internal (stored, partitioned) dataset.
 	// It reports false for external datasets and the Metadata dataverse,
-	// which the job reads through EvalContext's dataset reader.
+	// which the job reads through EvalContext's dataset reader as subplan
+	// sources.
 	LookupDataset(dataverse, name string) (*storage.Dataset, bool)
+}
+
+// Catalog is what Compile reads from the hosting instance: the optimizer's
+// dataset metadata, and the user functions it inlines.
+type Catalog interface {
+	algebra.Catalog
+	EvalContext() *expr.Context
 }
 
 // Schema maps plan variables to tuple columns: column i of a tuple carries
@@ -60,32 +73,124 @@ func (s Schema) column(name string) (int, bool) {
 	return 0, false
 }
 
-// Compile builds and optimizes the algebra plan for a query expression. When
-// the query is a single aggregate call wrapped around a FLWOR (Query 10's
-// shape), the aggregate is split into local and global halves. Any other
-// non-FLWOR expression is a constant query: distribute-result evaluates it
-// once over BuildJob's empty-tuple-source, so every query runs as a job. An
-// error means a FLWOR has a clause shape algebra.Build rejects.
-func Compile(e aql.Expr, cat algebra.Catalog, opts algebra.Options) (*algebra.Plan, error) {
-	switch q := e.(type) {
-	case *aql.FLWORExpr:
-		plan, err := algebra.Build(q)
-		if err != nil {
+// Compile builds and optimizes the algebra plan for a query expression. User
+// functions whose bodies read datasets are inlined first, and
+// algebra.NestDatasets then plans every dataset reference left inside an
+// expression as a nest join, before Optimize chooses access paths and join
+// methods. When the query is a single aggregate call wrapped around a FLWOR
+// (Query 10's shape), the aggregate is split into local and global halves.
+// Any other non-FLWOR expression is a constant query: distribute-result
+// evaluates it once over BuildJob's empty-tuple-source, so every query runs
+// as a job. An error means a FLWOR has a clause shape algebra.Build rejects,
+// or a dataset sits where no job can read it.
+func Compile(e aql.Expr, cat Catalog, opts algebra.Options) (*algebra.Plan, error) {
+	e, err := inline(e, cat.EvalContext(), nil)
+	if err != nil {
+		return nil, err
+	}
+	plan := &algebra.Plan{Root: &algebra.Node{Kind: algebra.OpDistribute}, Query: &aql.FLWORExpr{Return: e}}
+	fl, agg := flworOf(e)
+	if fl != nil {
+		if plan, err = algebra.Build(fl); err != nil {
 			return nil, err
 		}
-		return algebra.Optimize(plan, cat, opts), nil
+	}
+	if plan, err = algebra.NestDatasets(plan); err != nil {
+		return nil, err
+	}
+	plan = algebra.Optimize(plan, cat, opts)
+	if agg != "" {
+		plan = algebra.WrapAggregate(plan, agg, opts.DisableAggSplit)
+	}
+	return plan, nil
+}
+
+// flworOf returns the FLWOR a query's plan is built from — the query itself,
+// or the argument of an aggregate call around one FLWOR (Query 10's shape),
+// with that aggregate — or nil for a constant query.
+func flworOf(e aql.Expr) (*aql.FLWORExpr, string) {
+	switch q := e.(type) {
+	case *aql.FLWORExpr:
+		return q, ""
 	case *aql.CallExpr:
-		if len(q.Args) == 1 {
-			_, isAgg := hyracks.ParseAggFn(q.Func)
-			if inner, ok := q.Args[0].(*aql.FLWORExpr); ok && isAgg {
-				plan, err := algebra.Build(inner)
-				if err != nil {
-					return nil, err
-				}
-				plan = algebra.Optimize(plan, cat, opts)
-				return algebra.WrapAggregate(plan, q.Func, opts.DisableAggSplit), nil
+		if _, isAgg := hyracks.ParseAggFn(q.Func); isAgg && len(q.Args) == 1 {
+			if fl, ok := q.Args[0].(*aql.FLWORExpr); ok {
+				return fl, q.Func
 			}
 		}
 	}
-	return &algebra.Plan{Root: &algebra.Node{Kind: algebra.OpDistribute}, Query: &aql.FLWORExpr{Return: e}}, nil
+	return nil, ""
+}
+
+// inline replaces each call of a user function whose body reads a dataset
+// by the body, as AsterixDB's AQL rewriter does, so the datasets it reads
+// become operators of the job. The arguments are bound by let clauses to
+// fresh names the body refers to: f(a, b) becomes
+// (let $#f-0-0 := a let $#f-0-1 := b return body)[0], which evaluates the
+// body once, in the caller's scope plus the parameters. stack holds the
+// functions being inlined; a recursive function that reads a dataset has no
+// finite plan.
+func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
+	var err error
+	out := aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
+		call, ok := x.(*aql.CallExpr)
+		if !ok || err != nil {
+			return x
+		}
+		fn, ok := ctx.UserFunction(call.Func)
+		if !ok || !readsDataset(fn.Body, ctx, nil) {
+			return x
+		}
+		if slices.Contains(stack, call.Func) {
+			err = fmt.Errorf("translator: recursive function %s reads a dataset", call.Func)
+			return x
+		}
+		if len(call.Args) != len(fn.Params) {
+			err = fmt.Errorf("translator: function %s expects %d arguments, got %d", call.Func, len(fn.Params), len(call.Args))
+			return x
+		}
+		var body aql.Expr
+		if body, err = inline(fn.Body, ctx, append(stack, call.Func)); err != nil {
+			return x
+		}
+		args := make([]aql.Expr, len(call.Args))
+		for i, a := range call.Args {
+			if args[i], err = inline(a, ctx, stack); err != nil {
+				return x
+			}
+		}
+		fl := &aql.FLWORExpr{}
+		params := map[string]string{}
+		for i, p := range fn.Params {
+			name := fmt.Sprintf("#%s-%d-%d", call.Func, len(stack), i)
+			params[p] = name
+			fl.Clauses = append(fl.Clauses, &aql.LetClause{Var: name, Expr: args[i]})
+		}
+		fl.Return = aql.Rewrite(body, func(y aql.Expr, sc *aql.Scope) aql.Expr {
+			if v, ok := y.(*aql.VariableRef); ok && params[v.Name] != "" && !sc.Bound(v.Name) {
+				return &aql.VariableRef{Name: params[v.Name]}
+			}
+			return y
+		})
+		return &aql.IndexAccess{Base: fl, Index: &aql.Literal{Value: adm.Int64(0)}}
+	})
+	return out, err
+}
+
+// readsDataset reports whether e, or a user function it calls, references a
+// dataset. seen cuts the walk through recursive functions.
+func readsDataset(e aql.Expr, ctx *expr.Context, seen []string) bool {
+	found := false
+	aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
+		switch x := x.(type) {
+		case *aql.DatasetRef:
+			found = true
+		case *aql.CallExpr:
+			if fn, ok := ctx.UserFunction(x.Func); ok && !found && !slices.Contains(seen, x.Func) {
+				found = readsDataset(fn.Body, ctx, append(seen, x.Func))
+			}
+		}
+		return x
+	})
+	return found
 }

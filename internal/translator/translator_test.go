@@ -517,3 +517,93 @@ func TestGroupFoldSelection(t *testing.T) {
 		})
 	}
 }
+
+// TestNestJoinKeepsEveryProbeTuple: a dataset inside the return expression
+// is a nest join below distribute-result, keyed on the nested where's
+// equality. Both scans are in the plan and the job; every outer tuple leaves
+// once, with its matches — none for a user without messages, and none for a
+// message whose unknown key the probe side keeps.
+func TestNestJoinKeepsEveryProbeTuple(t *testing.T) {
+	rt := newTestRuntime(t)
+	plan, job := compile(t, rt, `for $u in dataset Users return { "u": $u.name, "ms": for $m in dataset Msgs where $m.uid = $u.id order by $m.mid return $m.mid }`)
+	want := `datasource-scan Users -> $u
+datasource-scan Msgs -> $#nest-0
+join (hybrid-hash-join) nest $#nest-0
+distribute-result
+--
+datasource-scan(Users)  --OneToOneConnector-->  assign(probe-key)
+datasource-scan(Msgs)  --OneToOneConnector-->  assign(build-key)
+assign(probe-key)  --MToNPartitioningConnector-->  nest-join(hybrid-hash-join)
+assign(build-key)  --MToNPartitioningConnector-->  nest-join(hybrid-hash-join)
+nest-join(hybrid-hash-join)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := results(t, job), `{ "u": "u1", "ms": [ 1, 4, 7 ] } { "u": "u2", "ms": [ 2, 5, 8 ] } { "u": "u3", "ms": [  ] } { "u": "u4", "ms": [  ] }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+	_, job = compile(t, rt, `for $m in dataset Msgs return { "m": $m.mid, "u": for $u in dataset Users where $u.id = $m.uid return $u.name }`)
+	if got, want := results(t, job), `{ "m": 1, "u": [ "u1" ] } { "m": 2, "u": [ "u2" ] } { "m": 3, "u": [  ] } { "m": 4, "u": [ "u1" ] } { "m": 5, "u": [ "u2" ] } { "m": 6, "u": [  ] } { "m": 7, "u": [ "u1" ] } { "m": 8, "u": [ "u2" ] } { "m": 9, "u": [  ] }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+}
+
+// TestNestJoinWithoutKeyBroadcasts: a nested FLWOR with no equality to key
+// on, and a dataset in a constant query, join the whole dataset through the
+// broadcast nested-loop nest join.
+func TestNestJoinWithoutKeyBroadcasts(t *testing.T) {
+	rt := newTestRuntime(t)
+	plan, job := compile(t, rt, `for $u in dataset Users return { "u": $u.id, "n": count(for $m in dataset Msgs where $m.len > $u.id * 20 return $m) }`)
+	want := `datasource-scan Users -> $u
+datasource-scan Msgs -> $#nest-0
+join (nested-loop-join) nest $#nest-0
+distribute-result
+--
+datasource-scan(Users)  --OneToOneConnector-->  nest-join(nested-loop-join)
+datasource-scan(Msgs)  --MToNReplicatingConnector-->  nest-join(nested-loop-join)
+nest-join(nested-loop-join)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := results(t, job), `{ "u": 1, "n": 7i64 } { "u": 2, "n": 5i64 } { "u": 3, "n": 3i64 } { "u": 4, "n": 1i64 }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+	plan, job = compile(t, rt, `{ "n": count(for $u in dataset Users return $u) }`)
+	want = `datasource-scan Users -> $#nest-0
+join (nested-loop-join) nest $#nest-0
+distribute-result
+--
+empty-tuple-source  --OneToOneConnector-->  nest-join(nested-loop-join)
+datasource-scan(Users)  --MToNReplicatingConnector-->  nest-join(nested-loop-join)
+nest-join(nested-loop-join)  --OneToOneConnector-->  distribute-result
+distribute-result
+`
+	if got := describe(plan, job); got != want {
+		t.Errorf("plan and job:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := results(t, job), `{ "n": 4i64 }`; got != want {
+		t.Errorf("results %s\nwant    %s", got, want)
+	}
+}
+
+// TestNestDatasetsRefusesLimitReads: limit and offset are folded before any
+// tuple exists, so a dataset there has no job to read it.
+func TestNestDatasetsRefusesLimitReads(t *testing.T) {
+	rt := newTestRuntime(t)
+	for _, q := range []string{
+		`for $u in dataset Users limit count(for $m in dataset Msgs return $m) return $u`,
+		`for $u in dataset Users return (for $x in [1, 2] limit 1 offset count(dataset Msgs) return $x)`,
+	} {
+		e, err := aql.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(e, rt, algebra.Options{}); err == nil || !strings.Contains(err.Error(), "dataset Msgs") {
+			t.Errorf("%s: Compile error = %v, want one naming dataset Msgs", q, err)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"asterixdb/internal/adm"
 )
 
 // This file asserts the query-visible profiling contract: a cursor opened
@@ -141,5 +143,37 @@ func TestProfileNilWithoutOption(t *testing.T) {
 	cur.Close()
 	if cur.Profile() != nil {
 		t.Fatal("Profile() non-nil without WithProfiling")
+	}
+}
+
+// TestProfileQuery4ScansInnerOnce: the paper's Query 4 reads its inner
+// dataset once per job, through its nest join, not once per outer row: the
+// messages' scan emits |MugshotMessages| tuples in all, and the nest join
+// emits each qualifying user once.
+func TestProfileQuery4ScansInnerOnce(t *testing.T) {
+	inst := newTinySocial(t)
+	vals, err := inst.Query(`count(for $m in dataset MugshotMessages return $m)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	messages, _ := adm.NumericAsInt64(vals[0])
+	out, _, rows := profiledQuery(t, inst, `
+for $user in dataset MugshotUsers
+where $user.user-since >= datetime('2010-07-22T00:00:00')
+return {
+  "uname": $user.name,
+  "messages":
+    for $message in dataset MugshotMessages
+    where $message.author-id = $user.id
+    return $message.message
+};`)
+	if rows != 4 {
+		t.Fatalf("rows = %d, want 4", rows)
+	}
+	if got := out["datasource-scan(MugshotMessages)"]; got != messages {
+		t.Errorf("inner scan out = %d, want |MugshotMessages| = %d (out=%v)", got, messages, out)
+	}
+	if got, ok := out["nest-join(hybrid-hash-join)"]; !ok || got != int64(rows) {
+		t.Errorf("nest-join(hybrid-hash-join) out = %d (present %v), want %d (out=%v)", got, ok, rows, out)
 	}
 }

@@ -177,6 +177,11 @@ func (in *Instance) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Op
 	if err != nil {
 		return nil, err
 	}
+	return in.startJob(ctx, job)
+}
+
+// startJob starts a compiled job and returns the cursor it streams into.
+func (in *Instance) startJob(ctx context.Context, job *hyracks.Job) (*Cursor, error) {
 	job.Profile = ProfilingRequested(ctx)
 	fc, err := hyracks.ExecuteStream(ctx, job)
 	if err != nil {

@@ -230,7 +230,7 @@ func TestDifferentialStreamingVsInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q.name, err)
 		}
-		sameResults(t, q.name+"/streamed", streamed, orRes, q.ordered)
+		sameDiffResults(t, q.name+"/streamed", streamed, orRes, q)
 	}
 }
 
