@@ -37,6 +37,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"asterix_memory_budget_bytes",
 		"asterix_spill_runs_total",
 		`asterix_lsm_components{dataset="Items"}`,
+		// The ten-record insert is one statement: ten commit records, one
+		// write of the log's tail, and no fsync on an unjournaled log.
+		"asterix_wal_commits_total 10\n",
+		"asterix_wal_writes_total 1\n",
+		"asterix_wal_fsyncs_total 0\n",
+		"asterix_wal_fsync_seconds_total 0\n",
+		"# TYPE asterix_wal_writes_total counter",
 		"# TYPE asterix_queries_total counter",
 		"# HELP asterix_queries_total",
 	} {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asterixdb/internal/crashpoint"
+	"asterixdb/internal/txn"
 )
 
 // Checkpoint bounds recovery work: for each dataset it captures the WAL
@@ -58,8 +59,10 @@ func (m *Manager) Checkpoint() error {
 // ManagerStats is a point-in-time aggregate of the manager's durability
 // machinery, for the /metrics endpoints.
 type ManagerStats struct {
-	// WALBytes is the current log size on disk.
+	// WALBytes is the log bytes appended, including the unwritten tail.
 	WALBytes int64
+	// WAL counts the log's writes, fsyncs, commits and fsync time.
+	WAL txn.WALStats
 	// Checkpoints counts the checkpoints taken since the process started;
 	// LastCheckpointUnix is when the newest of them completed (0 = none).
 	Checkpoints        uint64
@@ -78,6 +81,7 @@ type ManagerStats struct {
 func (m *Manager) Stats() ManagerStats {
 	var s ManagerStats
 	s.WALBytes = m.wal.SizeBytes()
+	s.WAL = m.wal.Stats()
 	m.statsMu.Lock()
 	s.Checkpoints = m.ckptCount
 	s.LastCheckpointUnix = m.lastCkptUnix

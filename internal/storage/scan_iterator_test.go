@@ -185,7 +185,12 @@ func TestSecondarySearchPausedUnderMutation(t *testing.T) {
 			return true
 		})
 	}()
+	// The writer may outlive the search; wait for it before the manager
+	// closes and the directory is removed under its flush.
+	writerDone := make(chan struct{})
+	defer func() { <-writerDone }()
 	go func() {
+		defer close(writerDone)
 		for _, id := range incoming {
 			if err := ds.Insert(message(id, id, int64(id), "m", 1, 1)); err != nil {
 				searchErr <- err

@@ -684,9 +684,15 @@ func (d *Dataset) Insert(rec *adm.Record) error {
 // WAL is synced once at the end, which is what makes batched inserts cheaper
 // in Table 4. Records hashing to a partition this manager does not own
 // (Options.Owns) are validated but not stored — another cluster node owns
-// them — and do not count toward the returned total.
-func (d *Dataset) InsertBatch(recs []*adm.Record) (int, error) {
-	stored := 0
+// them — and do not count toward the returned total. The log is synced on
+// an error too: the records committed before it are visible, so they are as
+// durable as an acknowledged statement's.
+func (d *Dataset) InsertBatch(recs []*adm.Record) (stored int, err error) {
+	defer func() {
+		if serr := d.manager.wal.Sync(); err == nil {
+			err = serr
+		}
+	}()
 	for _, rec := range recs {
 		if err := adm.Validate(rec, d.spec.Type); err != nil {
 			return stored, fmt.Errorf("storage: %q: %w", d.spec.Name, err)
@@ -709,7 +715,7 @@ func (d *Dataset) InsertBatch(recs []*adm.Record) (int, error) {
 		stored++
 		d.manager.maintain(d, part)
 	}
-	return stored, d.manager.wal.Sync()
+	return stored, nil
 }
 
 // mutate is the one record-level transaction: under the primary-key lock it

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"asterixdb/internal/crashpoint"
 	"asterixdb/internal/fsutil"
@@ -137,25 +138,54 @@ var (
 
 const walHeaderLen = 16
 
+// walTailMax is the tail size at which appends write the tail to the file
+// before the statement syncs, so a statement of any size buffers at most this
+// much of the log in memory.
+const walTailMax = 64 << 10
+
 // WAL is an append-only write-ahead log. Writes follow the WAL protocol: the
 // storage layer appends the logical record (and the commit record) before the
-// in-memory component is modified and before the statement returns.
+// in-memory component is modified, and syncs the log before the statement
+// returns.
+//
+// Appends encode records into an in-memory tail; Sync is where bytes reach
+// the file: it writes the whole tail with one WriteAt, so a statement costs one
+// write however many records it logs (a tail past walTailMax is written
+// early). A journaled Sync then fsyncs as a leader without holding the latch:
+// appends go on meanwhile, and a committer whose records the running fsync
+// does not cover waits for it and leads the next one. A failed write or fsync
+// poisons the log — its size already counts bytes the file may not hold — and
+// every later append or sync returns that error.
 //
 // Every record is assigned a log sequence number (LSN): a byte position in
 // the log's address space that survives compaction. LSNs order log records
 // against LSM component flushes — a component stamped with LSN s contains
 // the effects of every operation with LSN < s.
 type WAL struct {
-	mu      sync.Mutex
-	path    string
-	file    *os.File
-	base    uint64 // LSN of the first byte after the header
-	size    int64  // current file size including header
+	mu sync.Mutex
+	// cond is broadcast when an fsync finishes; committers waiting for the
+	// running fsync, Compact and Close wait on it.
+	cond *sync.Cond
+	path string
+	file *os.File
+	base uint64 // LSN of the first byte after the header
+	// size is the log's logical size including the header and the unwritten
+	// tail, which holds the records from size-len(tail) on.
+	size    int64
+	tail    []byte
 	nextTxn ID
 	// journaled controls whether every commit is fsync'd. It mirrors the
 	// "write concern: journaled" durability setting used for the insert
 	// comparison in Table 4.
 	journaled bool
+	// synced is the LSN up to which the file is on stable storage; syncing is
+	// set while a leader fsyncs without the latch.
+	synced  uint64
+	syncing bool
+	// err is the first failed tail write or fsync; once set the log takes no
+	// more records.
+	err   error
+	stats WALStats
 	// inflight holds LSNs of records appended but not yet applied to their
 	// in-memory components. LowWater uses it to bound flush stamps: a flush
 	// that starts between a record's append and its apply must not claim to
@@ -164,6 +194,15 @@ type WAL struct {
 	// Warnf receives corruption warnings during Replay. Nil means log.Printf.
 	// Set it before the WAL is shared across goroutines.
 	Warnf func(format string, args ...any)
+}
+
+// WALStats counts a log's I/O since it was opened. Commits per fsync and
+// writes per statement follow from them.
+type WALStats struct {
+	Writes    uint64        // tail writes to the file
+	Fsyncs    uint64        // fsyncs of the file
+	Commits   uint64        // commit records appended
+	FsyncTime time.Duration // time spent in fsync
 }
 
 // OpenWAL opens (or creates) the log file in dir.
@@ -177,6 +216,7 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 		return nil, fmt.Errorf("txn: open wal: %w", err)
 	}
 	w := &WAL{path: path, file: f, nextTxn: 1, journaled: journaled, inflight: map[uint64]int{}}
+	w.cond = sync.NewCond(&w.mu)
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -209,6 +249,7 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 		w.base = binary.LittleEndian.Uint64(hdr[len(walMagic):])
 		w.size = st.Size()
 	}
+	w.synced = w.endLocked()
 	return w, nil
 }
 
@@ -267,8 +308,9 @@ func (w *WAL) LowWater() uint64 {
 	return low
 }
 
-// SizeBytes returns the number of record bytes in the log (excluding the
-// header) — the quantity a WAL-size checkpoint trigger watches.
+// SizeBytes returns the number of record bytes appended to the log
+// (excluding the header), the unwritten tail included — the quantity a
+// WAL-size checkpoint trigger watches.
 func (w *WAL) SizeBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -283,14 +325,62 @@ func (w *WAL) Append(rec LogRecord) (uint64, error) {
 }
 
 func (w *WAL) appendLocked(rec LogRecord) (uint64, error) {
-	lsn := w.endLocked()
-	buf := encodeLogRecord(rec)
-	if _, err := w.file.WriteAt(buf, w.size); err != nil {
-		return 0, fmt.Errorf("txn: wal append: %w", err)
+	if w.err != nil {
+		return 0, w.err
 	}
-	w.size += int64(len(buf))
+	lsn := w.endLocked()
+	n := len(w.tail)
+	w.tail = appendLogRecord(w.tail, rec)
+	w.size += int64(len(w.tail) - n)
+	if rec.Kind == OpCommit {
+		w.stats.Commits++
+	}
 	crashpoint.Hit("wal-append")
+	if len(w.tail) >= walTailMax {
+		if err := w.writeTailLocked(); err != nil {
+			return 0, err
+		}
+	}
 	return lsn, nil
+}
+
+// writeTailLocked writes the tail to the file with one WriteAt. A failure
+// poisons the log.
+func (w *WAL) writeTailLocked() error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(w.tail) == 0 {
+		return nil
+	}
+	if _, err := w.file.WriteAt(w.tail, w.size-int64(len(w.tail))); err != nil {
+		return w.poisonLocked(fmt.Errorf("txn: wal write: %w", err))
+	}
+	w.stats.Writes++
+	if cap(w.tail) > 2*walTailMax {
+		w.tail = nil // one huge record: do not keep its buffer
+	} else {
+		w.tail = w.tail[:0]
+	}
+	crashpoint.Hit("wal-write")
+	return nil
+}
+
+// poisonLocked records the log's first I/O failure and returns it.
+func (w *WAL) poisonLocked(err error) error {
+	if w.err == nil {
+		w.err = err
+	}
+	return w.err
+}
+
+// quiesceLocked waits out a running fsync and writes the tail, so the file
+// holds every appended record and no one else is using it.
+func (w *WAL) quiesceLocked() error {
+	for w.syncing {
+		w.cond.Wait()
+	}
+	return w.writeTailLocked()
 }
 
 // AppendGroup appends the records of one record-level transaction and marks
@@ -353,25 +443,77 @@ func (w *WAL) CommitNoSync(txn ID) error {
 	return err
 }
 
-// Sync forces the log to stable storage when the WAL is journaled.
+// Sync writes every appended record to the file and, when the WAL is
+// journaled, forces it to stable storage before returning. The tail goes out
+// in one write, so both modes leave an acknowledged statement's records at
+// least in the page cache, where a kill -9 cannot lose them. A journaled sync
+// leads an fsync without holding the latch, or waits for the running one and
+// leads the next if that one started before its records were written: one
+// fsync covers every commit written before it started.
 func (w *WAL) Sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.writeTailLocked(); err != nil {
+		return err
+	}
 	if !w.journaled {
 		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.file.Sync(); err != nil {
-		return err
+	target := w.endLocked()
+	for w.synced < target {
+		if w.syncing {
+			w.cond.Wait()
+			continue
+		}
+		if w.err != nil {
+			return w.err // the fsync this committer waited on failed
+		}
+		if err := w.fsyncLocked(); err != nil {
+			return err
+		}
 	}
-	crashpoint.Hit("wal-sync")
 	return nil
 }
 
-// Close closes the log file.
+// fsyncLocked fsyncs everything already in the file with the latch released;
+// syncing keeps Compact and Close from swapping or closing the file
+// underneath it.
+func (w *WAL) fsyncLocked() error {
+	upto, f := w.endLocked()-uint64(len(w.tail)), w.file
+	w.syncing = true
+	w.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
+	elapsed := time.Since(start)
+	w.mu.Lock()
+	w.syncing = false
+	w.cond.Broadcast()
+	w.stats.Fsyncs++
+	w.stats.FsyncTime += elapsed
+	if err != nil {
+		return w.poisonLocked(fmt.Errorf("txn: wal fsync: %w", err))
+	}
+	crashpoint.Hit("wal-sync")
+	w.synced = max(w.synced, upto)
+	return nil
+}
+
+// Stats reports the log's I/O counters.
+func (w *WAL) Stats() WALStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
+}
+
+// Close writes the tail and closes the log file.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.file.Close()
+	err := w.quiesceLocked()
+	if cerr := w.file.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Truncate empties the log, preserving the LSN address space (the new base
@@ -391,6 +533,9 @@ func (w *WAL) Truncate() error {
 func (w *WAL) Compact(keep uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.quiesceLocked(); err != nil {
+		return err
+	}
 	if end := w.endLocked(); keep > end {
 		keep = end
 	}
@@ -420,6 +565,7 @@ func (w *WAL) Compact(keep uint64) error {
 	w.file = f
 	w.base = keep
 	w.size = int64(len(buf))
+	w.synced = w.endLocked() // WriteFileAtomic fsynced the new file
 	return nil
 }
 
@@ -450,6 +596,10 @@ type ReplayStats struct {
 func (w *WAL) Replay(apply func(lsn uint64, rec LogRecord) error) (ReplayStats, error) {
 	var stats ReplayStats
 	w.mu.Lock()
+	if err := w.quiesceLocked(); err != nil {
+		w.mu.Unlock()
+		return stats, err
+	}
 	data, err := os.ReadFile(w.path)
 	if err != nil {
 		w.mu.Unlock()
@@ -476,6 +626,7 @@ func (w *WAL) Replay(apply func(lsn uint64, rec LogRecord) error) (ReplayStats, 
 			return stats, fmt.Errorf("txn: wal sync after corruption truncate: %w", err)
 		}
 		w.size = walHeaderLen + goodLen
+		w.synced = w.endLocked()
 	}
 	maxTxn := w.nextTxn
 	for _, rec := range records {
@@ -511,35 +662,39 @@ func (w *WAL) warnf(format string, args ...any) {
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// encodeLogRecord frames a record as uvarint(len) ‖ payload ‖ crc32(payload).
-// The length bounds a torn tail; the CRC catches bit corruption inside an
-// intact-looking frame.
-func encodeLogRecord(rec LogRecord) []byte {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
+// appendLogRecord appends a record framed as uvarint(len) ‖ payload ‖
+// crc32(payload). The length bounds a torn tail; the CRC catches bit
+// corruption inside an intact-looking frame.
+func appendLogRecord(dst []byte, rec LogRecord) []byte {
+	payload := uvarintLen(uint64(rec.Txn)) + 1 +
+		fieldLen(len(rec.Dataset)) + fieldLen(len(rec.Index)) +
+		uvarintLen(uint64(rec.Partition)) +
+		fieldLen(len(rec.Key)) + fieldLen(len(rec.Value))
+	dst = binary.AppendUvarint(dst, uint64(payload))
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(rec.Txn))
+	dst = append(dst, byte(rec.Kind))
+	dst = appendField(dst, rec.Dataset)
+	dst = appendField(dst, rec.Index)
+	dst = binary.AppendUvarint(dst, uint64(rec.Partition))
+	dst = appendField(dst, rec.Key)
+	dst = appendField(dst, rec.Value)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+func appendField[T string | []byte](dst []byte, b T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+func fieldLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
 	}
-	writeUvarint(uint64(rec.Txn))
-	buf.WriteByte(byte(rec.Kind))
-	writeUvarint(uint64(len(rec.Dataset)))
-	buf.WriteString(rec.Dataset)
-	writeUvarint(uint64(len(rec.Index)))
-	buf.WriteString(rec.Index)
-	writeUvarint(uint64(rec.Partition))
-	writeUvarint(uint64(len(rec.Key)))
-	buf.Write(rec.Key)
-	writeUvarint(uint64(len(rec.Value)))
-	buf.Write(rec.Value)
-	var framed bytes.Buffer
-	n := binary.PutUvarint(scratch[:], uint64(buf.Len()))
-	framed.Write(scratch[:n])
-	framed.Write(buf.Bytes())
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf.Bytes(), crcTable))
-	framed.Write(crc[:])
-	return framed.Bytes()
+	return n
 }
 
 // decodeLog decodes records sequentially, computing each record's LSN from

@@ -2,12 +2,15 @@ package txn
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestLockManagerExclusion(t *testing.T) {
@@ -180,7 +183,7 @@ func TestWALTornTail(t *testing.T) {
 
 func TestLogRecordRoundTrip(t *testing.T) {
 	rec := LogRecord{Txn: 42, Kind: OpInsert, Dataset: "MugshotUsers", Index: "sk_idx", Partition: 3, Key: []byte{1, 2, 3}, Value: []byte("payload")}
-	buf := encodeLogRecord(rec)
+	buf := appendLogRecord(nil, rec)
 	records, lsns, committed, goodLen := decodeLog(buf, 7)
 	if len(records) != 1 {
 		t.Fatalf("decoded %d records", len(records))
@@ -401,5 +404,237 @@ func TestWALRefusesOldLayout(t *testing.T) {
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
 			t.Errorf("the refused %s log changed (%v)", row.magic, err)
 		}
+	}
+}
+
+// TestWALSyncWritesTailWhenNotJournaled: a non-journaled Sync still writes
+// the tail, so a statement's records are in the file (the page cache) when
+// it returns — a second process opening the log without Close replays them,
+// as recovery after a kill -9 would.
+func TestWALSyncWritesTailWhenNotJournaled(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	tid := w.Begin()
+	_, release, err := w.AppendGroup([]LogRecord{{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k"), Value: []byte("v")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := w.CommitNoSync(tid); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	var keys []string
+	if _, err := w2.Replay(func(_ uint64, rec LogRecord) error {
+		keys = append(keys, string(rec.Key))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 1 || keys[0] != "k" {
+		t.Errorf("second open replayed %q, want [k]", keys)
+	}
+	if st := w.Stats(); st.Writes != 1 || st.Fsyncs != 0 || st.Commits != 1 {
+		t.Errorf("stats = %+v, want one write, no fsync, one commit", st)
+	}
+}
+
+// TestWALGroupCommit: concurrent journaled committers. When Commit returns,
+// the file holds the commit record; no commit costs more than one fsync, and
+// replay finds every commit.
+func TestWALGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tid := w.Begin()
+				key := []byte(fmt.Sprintf("%d-%d", g, i))
+				_, release, err := w.AppendGroup([]LogRecord{
+					{Txn: tid, Kind: OpInsert, Dataset: "D", Key: key, Value: []byte("v")},
+					{Txn: tid, Kind: OpInsert, Dataset: "D", Index: "ix", Key: key},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = w.Commit(tid)
+				release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				data, err := os.ReadFile(w.path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, committed, _ := decodeLog(data[walHeaderLen:], 0); !committed[tid] {
+					t.Errorf("commit of txn %d returned before its record was in the file", tid)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := w.Stats()
+	if st.Commits != writers*perWriter {
+		t.Errorf("stats counted %d commits, want %d", st.Commits, writers*perWriter)
+	}
+	if st.Fsyncs == 0 || st.Fsyncs > st.Commits {
+		t.Errorf("%d fsyncs for %d commits, want between 1 and one per commit", st.Fsyncs, st.Commits)
+	}
+	t.Logf("%d commits, %d fsyncs, %d writes", st.Commits, st.Fsyncs, st.Writes)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	stats, err := w2.Replay(func(uint64, LogRecord) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * writers * perWriter; stats.Applied != want || stats.Records != want {
+		t.Errorf("replay = %+v, want all %d records of %d commits applied", stats, want, writers*perWriter)
+	}
+}
+
+// TestWALPoisonedAfterFailedWrite: once a tail write fails, the log's size
+// counts bytes the file does not hold, so it refuses every later record and
+// sync with the same error.
+func TestWALPoisonedAfterFailedWrite(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := w.Begin()
+	if _, err := w.Append(LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k")}); err != nil {
+		t.Fatal(err)
+	}
+	w.file.Close()
+	first := w.Sync()
+	if first == nil {
+		t.Fatal("Sync over a closed file succeeded")
+	}
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, first) {
+			t.Errorf("%s after a failed write = %v, want %v", op, err, first)
+		}
+	}
+	_, err = w.Append(LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k2")})
+	check("Append", err)
+	_, _, err = w.AppendGroup([]LogRecord{{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k3")}})
+	check("AppendGroup", err)
+	check("CommitNoSync", w.CommitNoSync(tid))
+	check("Sync", w.Sync())
+	check("Commit", w.Commit(tid))
+}
+
+// TestWALCompactDuringSync: committers fsync without the latch while a
+// checkpoint compacts the log underneath them; nothing is lost or torn.
+func TestWALCompactDuringSync(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Warnf = func(format string, args ...any) { t.Errorf("unexpected warning: "+format, args...) }
+	const writers, perWriter = 4, 50
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	compactions := make(chan int)
+	go func() {
+		n := 0
+		for !done.Load() {
+			if err := w.Compact(w.LowWater()); err != nil {
+				t.Error(err)
+				break
+			}
+			n++
+		}
+		compactions <- n
+	}()
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tid := w.Begin()
+				_, release, err := w.AppendGroup([]LogRecord{{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte(fmt.Sprint(g, i))}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = w.Commit(tid)
+				release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	t.Logf("%d compactions", <-compactions)
+	// Deterministically: a compaction waits out an fsync in flight, which
+	// still holds the file it would close.
+	w.mu.Lock()
+	w.syncing = true
+	w.mu.Unlock()
+	compacted := make(chan error)
+	go func() { compacted <- w.Compact(w.End()) }()
+	select {
+	case err := <-compacted:
+		t.Fatalf("Compact returned (%v) while an fsync was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	w.mu.Lock()
+	w.syncing = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	end := w.End()
+	if _, err := w.Replay(func(uint64, LogRecord) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	w2.Warnf = w.Warnf
+	if _, err := w2.Replay(func(uint64, LogRecord) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if w2.End() != end {
+		t.Errorf("End after reopen = %d, want %d", w2.End(), end)
 	}
 }

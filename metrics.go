@@ -103,8 +103,20 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 		return storage.ManagerStats{}
 	}
 	r.GaugeFunc("asterix_wal_bytes",
-		"Current write-ahead log size on disk.",
+		"Write-ahead log bytes appended, including the unwritten tail.",
 		func() float64 { return float64(managerStats().WALBytes) })
+	r.CounterFunc("asterix_wal_writes_total",
+		"Write-ahead log tail writes to the file since the log was opened.",
+		func() float64 { return float64(managerStats().WAL.Writes) })
+	r.CounterFunc("asterix_wal_fsyncs_total",
+		"Write-ahead log fsyncs since the log was opened.",
+		func() float64 { return float64(managerStats().WAL.Fsyncs) })
+	r.CounterFunc("asterix_wal_commits_total",
+		"Commit records appended to the write-ahead log since it was opened.",
+		func() float64 { return float64(managerStats().WAL.Commits) })
+	r.CounterFunc("asterix_wal_fsync_seconds_total",
+		"Time spent in write-ahead log fsyncs since the log was opened.",
+		func() float64 { return managerStats().WAL.FsyncTime.Seconds() })
 	r.CounterFunc("asterix_checkpoints_total",
 		"Checkpoints taken since the process started.",
 		func() float64 { return float64(managerStats().Checkpoints) })
