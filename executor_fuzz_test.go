@@ -197,6 +197,17 @@ func fuzzQueries(rng *rand.Rand) []diffQuery {
 		{"unnest-filter", fmt.Sprintf(`for $r in dataset FuzzA for $t in $r.tags where $t = "%s" return $r.id;`, word()), false, false},
 		{"hash-join", fmt.Sprintf(
 			`for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat = $b.cat and $a.score >= %d return { "a": $a.id, "b": $b.id };`, lo), false, false},
+		// Single-side conjuncts are selects below the join: FuzzA's score
+		// range reaches faScoreIdx there, FuzzB's conjunct filters its scan.
+		{"join-filter-both-sides", fmt.Sprintf(
+			`for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat = $b.cat and $a.score >= %d and $a.score <= %d and $b.cat != %d return { "a": $a.id, "b": $b.id };`,
+			lo, hi, rng.Intn(8)), false, false},
+		// The key of the top join is between its two inner inputs, and the
+		// first join gets its key from the conjunct pushed onto it.
+		{"join-3way", fmt.Sprintf(
+			`for $a in dataset FuzzA for $b in dataset FuzzB for $c in dataset FuzzB where $b.cat = $a.cat and $c.id = $b.id and $a.score < %d return { "a": $a.id, "b": $b.id, "c": $c.score };`, hi), false, false},
+		{"join-let-key", fmt.Sprintf(
+			`for $a in dataset FuzzA let $k := $a.cat for $b in dataset FuzzB where $b.cat = $k and $b.score > %d return { "a": $a.id, "b": $b.id };`, lo), false, false},
 		{"indexnl-join", `for $a in dataset FuzzA for $b in dataset FuzzB where $a.cat /*+ indexnl */ = $b.cat return { "a": $a.id, "b": $b.id };`, false, false},
 		{"indexnl-join-pk", `for $b in dataset FuzzB for $a in dataset FuzzA where $b.score /*+ indexnl */ = $a.id return { "a": $a.id, "b": $b.id };`, false, false},
 		{"group-by", `for $r in dataset FuzzA group by $c := $r.cat with $r return { "c": $c, "n": count($r) };`, false, false},

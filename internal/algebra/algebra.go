@@ -90,11 +90,10 @@ type Node struct {
 	// Join fields.
 	Method            JoinMethod
 	LeftKey, RightKey aql.Expr
-	LeftVar, RightVar string
 	// Nest makes a join a nest join (see NestDatasets): each tuple of the
 	// probe input Inputs[0] — nil for the one empty tuple — is emitted once,
-	// with Nest bound to the list of the RightVar values of its matching
-	// build rows.
+	// with Nest bound to the list of its matching build rows, the values
+	// the build scan binds to the same name.
 	Nest string
 
 	// Group by.
@@ -188,8 +187,7 @@ func Build(fl *aql.FLWORExpr) (*Plan, error) {
 			if root == nil {
 				root = scan
 			} else {
-				root = &Node{Kind: OpJoin, Method: NestedLoopJoin, Inputs: []*Node{root, scan},
-					LeftVar: firstVar(root), RightVar: c.Var}
+				root = &Node{Kind: OpJoin, Method: NestedLoopJoin, Inputs: []*Node{root, scan}}
 			}
 			bound[c.Var] = true
 			if c.PosVar != "" {
@@ -278,24 +276,6 @@ func FreeVarsOf(e aql.Expr) []string {
 	return free
 }
 
-func firstVar(n *Node) string {
-	if n == nil {
-		return ""
-	}
-	if n.Variable != "" {
-		return n.Variable
-	}
-	if n.Nest != "" {
-		return firstVar(n.Inputs[0]) // the build side binds nothing above
-	}
-	for _, in := range n.Inputs {
-		if v := firstVar(in); v != "" {
-			return v
-		}
-	}
-	return ""
-}
-
 // ----------------------------------------------------------------------------
 // Optimization
 // ----------------------------------------------------------------------------
@@ -322,14 +302,8 @@ func Optimize(plan *Plan, cat Catalog, opts Options) *Plan {
 	return &Plan{Root: root, Query: plan.Query}
 }
 
-// rewriteJoins detects equality join predicates sitting directly above a
-// join and picks the physical join method: hybrid hash join by default. When
-// the predicate carries an /*+ indexnl */ hint and the access-path rule finds
-// an index of the inner dataset to probe with it, the join becomes that access
-// path fed by the outer input (the index nested-loop join: the outer tuples
-// are sent to the inner dataset's partitions and each probes its local
-// index). It is the only place that decides whether a hint is honoured, so
-// the plan always names the join the job runs.
+// rewriteJoins applies filterJoin to every select directly above a join,
+// bottom-up.
 func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 	if n == nil {
 		return nil
@@ -337,25 +311,56 @@ func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 	for i, in := range n.Inputs {
 		n.Inputs[i] = rewriteJoins(in, cat, opts)
 	}
+	return filterJoin(n, cat, opts)
+}
+
+// filterJoin is the join rule, for a select directly above a hash or
+// nested-loop join (not a nest join). Sides are told apart by the variables
+// each input binds (boundVars), so a key may reach a variable through a let
+// or sit between two inner inputs of a multi-way join.
+//
+//   - The first conjunct a = b with a over the left input's variables and b
+//     over the right's becomes the join key: a hybrid hash join. A join that
+//     already has a key keeps it.
+//   - When the key carries an /*+ indexnl */ hint and the access-path rule
+//     finds an index of the inner dataset to probe with it, the join becomes
+//     that access path fed by the outer input (the index nested-loop join:
+//     the outer tuples are sent to the inner dataset's partitions and each
+//     probes its local index), and every other conjunct stays above it. This
+//     is the only place that decides whether a hint is honoured, so the plan
+//     always names the join the job runs.
+//   - Otherwise each remaining conjunct over one input's variables becomes a
+//     select over that input, in its original order, so the join builds and
+//     probes only the rows that can survive. A select pushed onto a join
+//     goes through this rule again, and one pushed onto a scan is an
+//     access-path candidate for rewriteIndexAccess.
+//   - A conjunct stays above the join when it has no free variables, spans
+//     both inputs, or can raise an error (cannotRaise): the join used to
+//     discard an unmatched row before such a conjunct saw it, and still does.
+func filterJoin(n *Node, cat Catalog, opts Options) *Node {
 	if n.Kind != OpSelect || len(n.Inputs) != 1 || n.Inputs[0].Kind != OpJoin || n.Inputs[0].Nest != "" {
 		return n
 	}
 	join := n.Inputs[0]
-	conds := splitConjuncts(n.Condition)
+	rightVars := boundVars(join.Inputs[1])
+	// A name both inputs bind is the right input's in the joined tuple.
+	var leftVars []string
+	for _, v := range boundVars(join.Inputs[0]) {
+		if !contains(rightVars, v) {
+			leftVars = append(leftVars, v)
+		}
+	}
 	var rest []aql.Expr
 	var key *aql.BinaryExpr
-	uses := func(v string) func(aql.Expr) bool {
-		return func(e aql.Expr) bool { return contains(FreeVarsOf(e), v) }
-	}
-	for _, cond := range conds {
-		l, r, ok := equiSides(cond, uses(join.LeftVar), uses(join.RightVar))
-		if !ok || key != nil {
-			rest = append(rest, cond)
-			continue
+	for _, cond := range splitConjuncts(n.Condition) {
+		if key == nil && join.LeftKey == nil {
+			if l, r, ok := equiSides(cond, over(leftVars), over(rightVars)); ok {
+				join.LeftKey, join.RightKey, join.Method = l, r, HybridHashJoin
+				key = cond.(*aql.BinaryExpr)
+				continue
+			}
 		}
-		join.LeftKey, join.RightKey = l, r
-		key = cond.(*aql.BinaryExpr)
-		join.Method = HybridHashJoin
+		rest = append(rest, cond)
 	}
 	// Index probes replace the inner scan, so the inner must be a plain scan:
 	// they emit only the matching records and could not bind a positional
@@ -368,7 +373,7 @@ func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 		case path.LoExpr != nil:
 			// A primary-key probe answers the join predicate exactly, as the
 			// hash join does: only the other conjuncts are left to select.
-			join = path
+			return selectOver(path, rest)
 		default:
 			// The select keeps every conjunct, the join predicate included: it
 			// is the access path's post-validation.
@@ -376,10 +381,81 @@ func rewriteJoins(n *Node, cat Catalog, opts Options) *Node {
 			return n
 		}
 	}
-	if len(rest) == 0 {
-		return join
+	var above, left, right []aql.Expr
+	for _, cond := range rest {
+		switch {
+		case !cannotRaise(cond):
+			above = append(above, cond)
+		case over(leftVars)(cond):
+			left = append(left, cond)
+		case over(rightVars)(cond):
+			right = append(right, cond)
+		default:
+			above = append(above, cond)
+		}
 	}
-	return &Node{Kind: OpSelect, Inputs: []*Node{join}, Condition: joinConjuncts(rest)}
+	if len(left) > 0 {
+		join.Inputs[0] = pushSelect(join.Inputs[0], left, cat, opts)
+	}
+	if len(right) > 0 {
+		join.Inputs[1] = pushSelect(join.Inputs[1], right, cat, opts)
+	}
+	return selectOver(join, above)
+}
+
+// over returns the test "e has free variables, all of them in vars".
+func over(vars []string) func(aql.Expr) bool {
+	return func(e aql.Expr) bool {
+		free := FreeVarsOf(e)
+		for _, v := range free {
+			if !contains(vars, v) {
+				return false
+			}
+		}
+		return len(free) > 0
+	}
+}
+
+// pushSelect puts the conjuncts in a select over in, merged after those of a
+// select already there, and applies the join rule to it.
+func pushSelect(in *Node, conds []aql.Expr, cat Catalog, opts Options) *Node {
+	if in.Kind == OpSelect {
+		conds = append(splitConjuncts(in.Condition), conds...)
+		in = in.Inputs[0]
+	}
+	return filterJoin(selectOver(in, conds), cat, opts)
+}
+
+// selectOver is a select of the conjuncts over in, or in when there are none.
+func selectOver(in *Node, conds []aql.Expr) *Node {
+	if len(conds) == 0 {
+		return in
+	}
+	return &Node{Kind: OpSelect, Inputs: []*Node{in}, Condition: joinConjuncts(conds)}
+}
+
+// cannotRaise reports whether evaluating e never returns an error: e is built
+// only from literals, variable references, field and index access, the six
+// comparisons, and and/or/not. Comparing or reaching into values of the
+// wrong type yields NULL or MISSING, never an error; arithmetic, function
+// calls and everything else may raise.
+func cannotRaise(e aql.Expr) bool {
+	switch x := e.(type) {
+	case *aql.Literal, *aql.VariableRef:
+		return true
+	case *aql.FieldAccess:
+		return cannotRaise(x.Base)
+	case *aql.IndexAccess:
+		return cannotRaise(x.Base) && cannotRaise(x.Index)
+	case *aql.UnaryExpr:
+		return x.Op == "not" && cannotRaise(x.Operand)
+	case *aql.BinaryExpr:
+		switch x.Op {
+		case aql.OpEq, aql.OpNeq, aql.OpLt, aql.OpLe, aql.OpGt, aql.OpGe, aql.OpAnd, aql.OpOr:
+			return cannotRaise(x.Left) && cannotRaise(x.Right)
+		}
+	}
+	return false
 }
 
 // rewriteIndexAccess replaces select-over-scan with the Figure 6 access path

@@ -436,3 +436,75 @@ distribute-result`
 		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestJoinFiltering pins where each where-conjunct over a join runs: the key
+// is found through each input's bound variables, a conjunct over one input
+// is a select below the join (an access-path candidate when it lands on a
+// scan), and a conjunct that spans both inputs, has no free variables or can
+// raise an error stays above.
+func TestJoinFiltering(t *testing.T) {
+	for _, tc := range []struct {
+		name, query, want string
+	}{
+		{"single-side conjuncts on both inputs", `for $u in dataset MugshotUsers for $m in dataset MugshotMessages
+where $m.author-id = $u.id and $u.name = "x" and $m.author-id >= 10 and $m.author-id < 20 return $m;`, `
+datasource-scan MugshotUsers -> $u
+select ($u.name = "x")
+datasource-scan MugshotMessages -> $m
+select (($m.author-id >= 10) and ($m.author-id < 20))
+join (hybrid-hash-join)
+distribute-result`},
+		{"a pushed range becomes an index path", `for $u in dataset MugshotUsers for $m in dataset MugshotMessages
+where $m.author-id = $u.id and $m.timestamp >= datetime("2014-01-01T00:00:00") return $m;`, `
+datasource-scan MugshotUsers -> $u
+btree-search (secondary msTimestampIdx on MugshotMessages)
+sort (primary keys)
+btree-search (primary MugshotMessages)
+select ($m.timestamp >= datetime("2014-01-01T00:00:00.000"))
+join (hybrid-hash-join)
+distribute-result`},
+		{"a key through a let variable", `for $u in dataset MugshotUsers let $k := $u.id for $m in dataset MugshotMessages
+where $m.author-id = $k return $m;`, `
+datasource-scan MugshotUsers -> $u
+assign $k
+datasource-scan MugshotMessages -> $m
+join (hybrid-hash-join)
+distribute-result`},
+		{"a key between the two inner inputs of a 3-way join", `for $a in dataset MugshotUsers for $b in dataset MugshotMessages for $c in dataset MugshotMessages
+where $b.author-id = $a.id and $c.in-response-to = $b.message-id and $a.id > 3 and $c.message-id != $a.id return $c;`, `
+datasource-scan MugshotUsers -> $a
+select ($a.id > 3)
+datasource-scan MugshotMessages -> $b
+join (hybrid-hash-join)
+datasource-scan MugshotMessages -> $c
+join (hybrid-hash-join)
+select ($c.message-id != $a.id)
+distribute-result`},
+		{"a conjunct that can raise stays above", `for $u in dataset MugshotUsers for $m in dataset MugshotMessages
+where $m.author-id = $u.id and $m.x + 1 > 0 and string-length($u.name) > 2 return $m;`, `
+datasource-scan MugshotUsers -> $u
+datasource-scan MugshotMessages -> $m
+join (hybrid-hash-join)
+select ((($m.x + 1) > 0) and (string-length($u.name) > 2))
+distribute-result`},
+		{"constant and spanning non-equi conjuncts stay above", `for $u in dataset MugshotUsers for $m in dataset MugshotMessages
+where 1 = 1 and $m.author-id < $u.id and not($m.author-id = 3) return $m;`, `
+datasource-scan MugshotUsers -> $u
+datasource-scan MugshotMessages -> $m
+select not(($m.author-id = 3))
+join (nested-loop-join)
+select ((1 = 1) and ($m.author-id < $u.id))
+distribute-result`},
+		{"a rebound name is the right input's", `for $x in dataset MugshotUsers for $x in dataset MugshotMessages
+where $x.author-id = 2 return $x;`, `
+datasource-scan MugshotUsers -> $x
+datasource-scan MugshotMessages -> $x
+select ($x.author-id = 2)
+join (nested-loop-join)
+distribute-result`},
+	} {
+		if got, want := Explain(compile(t, tc.query, Options{})), strings.TrimSpace(tc.want); got != want {
+			t.Errorf("%s: plan\n%s\nwant\n%s", tc.name, got, want)
+		}
+	}
+}

@@ -185,7 +185,7 @@ func (r *nester) rewrite(e aql.Expr, in *Node) (aql.Expr, *Node, error) {
 			if positional[x] {
 				scan.PosVar = name + "-at"
 			}
-			join := &Node{Kind: OpJoin, Method: NestedLoopJoin, Inputs: []*Node{in, scan}, RightVar: name, Nest: name}
+			join := &Node{Kind: OpJoin, Method: NestedLoopJoin, Inputs: []*Node{in, scan}, Nest: name}
 			if k, ok := keys[x]; ok {
 				join.Method = HybridHashJoin
 				join.LeftKey = k.probe
@@ -326,6 +326,8 @@ func boundVars(n *Node) []string {
 		return append(in, n.Variable, n.PosVar)
 	case OpAssign:
 		return append(in, n.Vars...)
+	case OpIndexSearch, OpPrimarySearch:
+		return append(in, n.Variable)
 	case OpJoin:
 		if n.Nest != "" {
 			return append(in, n.Nest)

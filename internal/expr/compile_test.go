@@ -1,0 +1,179 @@
+package expr_test
+
+import (
+	"testing"
+	"time"
+
+	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
+	"asterixdb/internal/aql"
+	"asterixdb/internal/expr"
+	"asterixdb/internal/temporal"
+	"asterixdb/internal/workload"
+)
+
+// palette is what FuzzCompile binds free variables to: one value of each
+// shape the evaluators treat differently.
+var palette = []adm.Value{
+	adm.Int64(3),
+	adm.Double(-1.5),
+	adm.String("ab cd"),
+	adm.Null{},
+	adm.Missing{},
+	adm.NewRecord(adm.Field{Name: "a", Value: adm.Int32(1)}, adm.Field{Name: "b", Value: adm.String("x")}),
+	&adm.OrderedList{Items: []adm.Value{adm.Int64(1), adm.String("ab"), adm.Null{}}},
+}
+
+// FuzzCompile checks Compile against Eval, the other implementation of the
+// same semantics. For any expression that parses, its free variables are
+// bound from the palette (pick chooses which value each gets) to columns of
+// a row; the first one also has an earlier, shadowed column of its name, and
+// when pick is odd the last one's column is nil (unbound). Compile over the
+// row and Eval over the matching environment must give an equal value or the
+// same error text.
+func FuzzCompile(f *testing.F) {
+	for _, seed := range []string{
+		`$x + $y`,
+		`$x.a = 1 and $y.b != "x" or not($z < 2)`,
+		`$x[1] >= $y[0]`,
+		`{ "a": $x, "l": [$y, {{ $z }}], "n": -$x }`,
+		`if ($x = 3) then $y.a else string-length($z)`,
+		`some $w in word-tokens($x) satisfies $w = $y`,
+		`some $v in [1, 2] satisfies $v = $x`,
+		`every $v in [$x, 4] satisfies $v > 2`,
+		`every $x in $l satisfies (some $x in [$x] satisfies $x > $y)`,
+		`$x ~= $y`,
+		`count(for $t in $l where $t = $x return $t) + sum([$x, 1])`,
+		`$x * 2 - $y / 0 % 3`,
+		`contains($x, "ab") and like($y, "a%")`,
+		`undefined-function($x)`,
+		`$x $y`,
+		`datetime("2014-01-01T00:00:00") + duration("P1D") > current-datetime()`,
+	} {
+		f.Add(seed, uint8(0))
+		f.Add(seed, uint8(5))
+	}
+	ctx := expr.NewContext()
+	ctx.Clock = temporal.FixedClock{T: time.Unix(1400000000, 0).UTC()}
+	f.Fuzz(func(t *testing.T, src string, pick uint8) {
+		if len(src) > 256 {
+			t.Skip() // keeps nested iteration over list literals small
+		}
+		e, err := aql.ParseQuery(src)
+		if err != nil {
+			t.Skip()
+		}
+		free := algebra.FreeVarsOf(e)
+		var slots []string
+		var row []adm.Value
+		if len(free) > 0 {
+			slots, row = append(slots, free[0]), append(row, adm.String("shadowed"))
+		}
+		for i, v := range free {
+			slots = append(slots, v)
+			row = append(row, palette[(int(pick)+i)%len(palette)])
+		}
+		if pick%2 == 1 && len(free) > 0 {
+			row[len(row)-1] = nil
+		}
+		env := expr.Env{}
+		for i, name := range slots {
+			if row[i] != nil {
+				env[name] = row[i]
+			} else {
+				delete(env, name)
+			}
+		}
+		want, wantErr := expr.Eval(ctx, env, e)
+		got, gotErr := expr.Compile(ctx, e, slots)(row)
+		switch {
+		case wantErr != nil || gotErr != nil:
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s over %v = %v\nEval error: %v\nCompile error: %v", e, slots, row, wantErr, gotErr)
+			}
+		case got.String() != want.String():
+			t.Fatalf("%s over %v = %v\nEval: %s\nCompile: %s", e, slots, row, want, got)
+		}
+	})
+}
+
+// TestInterpreted: only a nested FLWOR, a dataset reference or a call of a
+// non-builtin is left to Eval, outermost first.
+func TestInterpreted(t *testing.T) {
+	for src, want := range map[string]int{
+		`{ "id": $m.message-id, "len": string-length($m.message) }`: 0,
+		`some $w in word-tokens($m.text) satisfies $w = "x"`:        0,
+		`COUNT($l) + 1`: 0,
+		`count(for $x in $l return $x) + my-udf($y)`:         2,
+		`[ dataset D, (for $x in dataset D return $x) ]`:     2,
+		`if (1 = 1) then (for $x in $l return f($x)) else 0`: 1,
+	} {
+		e, err := aql.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := expr.Interpreted(e); len(got) != want {
+			t.Errorf("%s: interpreted %v, want %d subtrees", src, got, want)
+		}
+	}
+}
+
+// BenchmarkAnalyticsFilterTuple times the analytics filter class's predicate
+// and projection on one lazily decoded message, as a job's select and
+// distribute-result run them: Eval over an environment binding $m, against
+// the closure Compile builds over the one-column row.
+func BenchmarkAnalyticsFilterTuple(b *testing.B) {
+	const n = 2000
+	gen := workload.New(workload.Config{Users: 200, Messages: n, Seed: 1})
+	ser := adm.NewSerializer(workload.MessageType(), adm.SchemaEncoding)
+	arena := adm.AcquireArena()
+	defer arena.Release()
+	rows := make([][]adm.Value, n)
+	for i := range rows {
+		enc, err := ser.Encode(nil, gen.Message(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		v, _, err := ser.DecodeLazy(enc, arena)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows[i] = []adm.Value{v}
+	}
+	pred, err := aql.ParseQuery(`$m.author-id = 17`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proj, err := aql.ParseQuery(`{ "id": $m.message-id, "len": string-length($m.message) }`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := expr.NewContext()
+	run := func(b *testing.B, pred, proj func(row []adm.Value) (adm.Value, error)) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			row := rows[i%n]
+			if _, err := pred(row); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := proj(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	}
+	b.Run("eval", func(b *testing.B) {
+		env := expr.Env{}
+		eval := func(e aql.Expr) func(row []adm.Value) (adm.Value, error) {
+			return func(row []adm.Value) (adm.Value, error) {
+				env["m"] = row[0]
+				return expr.Eval(ctx, env, e)
+			}
+		}
+		run(b, eval(pred), eval(proj))
+	})
+	b.Run("compile", func(b *testing.B) {
+		slots := []string{"m"}
+		run(b, expr.Compile(ctx, pred, slots), expr.Compile(ctx, proj, slots))
+	})
+}

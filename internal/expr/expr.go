@@ -3,13 +3,19 @@
 // functions from Table 1), the semantics of the fuzzy ~= operator driven by
 // the simfunction/simthreshold prologue parameters, quantified expressions,
 // and full FLWOR evaluation for nested subqueries (AsterixDB's subplan
-// operator). Compiled jobs call into this package to evaluate their
-// predicates and projections; their group-bys, sorts, limits and aggregates
-// are hyracks operators, so this package's group/order/limit clauses and
-// aggregate builtins over whole bags serve nested subqueries and the
-// differential oracle. A nested subquery over a stored dataset iterates a
-// list its job's nest join bound to a variable: this package reads no stored
-// data itself.
+// operator).
+//
+// It has two evaluators of one semantics. Eval walks the tree over a
+// name-keyed Env; Compile resolves variables to row columns and dispatch
+// once, into a closure (compile.go). Compiled jobs run only Compile's
+// closures, which hand a nested FLWOR, a dataset reference or a user-function
+// call back to Eval; Eval serves constants, the differential oracle and
+// FuzzCompile, which checks one against the other. A job's group-bys, sorts,
+// limits and aggregates are hyracks operators, so this package's
+// group/order/limit clauses and aggregate builtins over whole bags serve
+// nested subqueries and the oracle. A nested subquery over a stored dataset
+// iterates a list its job's nest join bound to a variable: this package
+// reads no stored data itself.
 package expr
 
 import (
@@ -182,21 +188,23 @@ func evalIndexAccess(ctx *Context, env Env, x *aql.IndexAccess) (adm.Value, erro
 	if err != nil {
 		return nil, err
 	}
+	return indexOf(base, idx), nil
+}
+
+func indexOf(base, idx adm.Value) adm.Value {
 	n, ok := adm.NumericAsInt64(idx)
 	if !ok {
-		return adm.Null{}, nil
+		return adm.Null{}
 	}
 	items, ok := listItems(base)
 	if !ok || n < 0 || int(n) >= len(items) {
-		return adm.Missing{}, nil
+		return adm.Missing{}
 	}
-	return items[n], nil
+	return items[n]
 }
 
 // FieldOf resolves a field access on a value with the evaluator's exact
-// semantics (records resolve the field, everything else is MISSING). The
-// translator's direct-projection fast path uses it to skip environment
-// binding and expression dispatch for `$x.field` return clauses.
+// semantics: records resolve the field, everything else is MISSING.
 func FieldOf(v adm.Value, field string) adm.Value { return fieldOf(v, field) }
 
 func fieldOf(v adm.Value, field string) adm.Value {
@@ -407,7 +415,11 @@ func evalUnary(ctx *Context, env Env, x *aql.UnaryExpr) (adm.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch x.Op {
+	return unary(x.Op, v)
+}
+
+func unary(op string, v adm.Value) (adm.Value, error) {
+	switch op {
 	case "not":
 		if adm.IsUnknown(v) {
 			return adm.Null{}, nil
@@ -424,7 +436,7 @@ func evalUnary(ctx *Context, env Env, x *aql.UnaryExpr) (adm.Value, error) {
 		}
 		return adm.Double(-d), nil
 	}
-	return nil, fmt.Errorf("expr: unknown unary operator %q", x.Op)
+	return nil, fmt.Errorf("expr: unknown unary operator %q", op)
 }
 
 func evalQuantified(ctx *Context, env Env, x *aql.QuantifiedExpr) (adm.Value, error) {
@@ -432,15 +444,7 @@ func evalQuantified(ctx *Context, env Env, x *aql.QuantifiedExpr) (adm.Value, er
 	if err != nil {
 		return nil, err
 	}
-	items, ok := listItems(src)
-	if !ok {
-		if adm.IsUnknown(src) {
-			items = nil
-		} else {
-			items = []adm.Value{src}
-		}
-	}
-	for _, item := range items {
+	for _, item := range IterationItems(src) {
 		sat, err := EvalBool(ctx, env.With(x.Var, item), x.Satisfies)
 		if err != nil {
 			return nil, err

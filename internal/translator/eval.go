@@ -1,8 +1,6 @@
 package translator
 
 import (
-	"fmt"
-
 	"asterixdb/internal/adm"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
@@ -11,77 +9,38 @@ import (
 
 // evaluator runs one expression against an operator's input tuples. It is
 // the one place that knows how a tuple's columns become the expression's
-// variables: a bare variable is a column projection, $x.field is one field
-// lookup on the column (for a lazy record, one slot lookup in the byte slab)
-// and anything else is the tree-walking interpreter over an environment the
-// tuple is bound into. An operator builds it once from its input schema and
-// parallelism; each instance reuses one environment (the interpreter never
-// retains it beyond the call, Env.With copies), so streaming operators do not
-// allocate a map per tuple.
+// variables: the operator builds it once from its input schema, and
+// expr.Compile resolves every variable to its column then, so a tuple is
+// evaluated without binding it into a name-keyed environment. Only a nested
+// FLWOR, a dataset reference or a user-function call left in the expression
+// is interpreted (expr.Interpreted). The compiled closure keeps no state, so
+// every instance of the operator shares it.
 type evaluator struct {
-	ctx    *expr.Context
-	schema Schema
-	expr   aql.Expr
-	// col >= 0 marks the two direct forms: the expression reads that column,
-	// or, when field is set, that field of it.
-	col   int
-	field string
-	envs  []expr.Env // per instance, made on first use
+	eval expr.Compiled
+	// col is the column a bare variable of the schema already sits in, or -1.
+	col int
 }
 
 // evaluator compiles e (in its fold-rewritten form) for tuples laid out by
-// schema, evaluated by par operator instances.
-func (b *jobBuilder) evaluator(e aql.Expr, schema Schema, par int) *evaluator {
+// schema.
+func (b *jobBuilder) evaluator(e aql.Expr, schema Schema) *evaluator {
 	if r, ok := b.exprRewrites[e]; ok {
 		e = r
 	}
-	ev := &evaluator{ctx: b.ctx, schema: schema, expr: e, col: -1}
-	base, field := e, ""
-	if fa, ok := e.(*aql.FieldAccess); ok {
-		base, field = fa.Base, fa.Field
-	}
-	if v, ok := base.(*aql.VariableRef); ok {
+	ev := &evaluator{eval: expr.Compile(b.ctx, e, schema), col: -1}
+	if v, ok := e.(*aql.VariableRef); ok {
 		if col, ok := schema.column(v.Name); ok {
-			ev.col, ev.field = col, field
-			return ev
+			ev.col = col
 		}
 	}
-	ev.envs = make([]expr.Env, par)
 	return ev
 }
 
 // column reports the tuple column the expression's value already sits in,
-// when the expression is a bare variable of the schema.
+// when the expression is a bare variable of the schema: an operator that
+// needs the value as a column then uses that one instead of appending it.
 func (ev *evaluator) column() (int, bool) {
-	return ev.col, ev.col >= 0 && ev.field == ""
-}
-
-// eval evaluates the expression against tuple t in operator instance p.
-// Columns holding nil (synthetic columns a join or group-by left unset) are
-// unbound, like a variable the schema does not have.
-func (ev *evaluator) eval(p int, t hyracks.Tuple) (adm.Value, error) {
-	if ev.col >= 0 {
-		if ev.col >= len(t) || t[ev.col] == nil {
-			return nil, fmt.Errorf("expr: unbound variable $%s", ev.schema[ev.col])
-		}
-		if ev.field == "" {
-			return t[ev.col], nil
-		}
-		return expr.FieldOf(t[ev.col], ev.field), nil
-	}
-	env := ev.envs[p]
-	if env == nil {
-		env = make(expr.Env, len(ev.schema)+4)
-		ev.envs[p] = env
-	}
-	for i, name := range ev.schema {
-		if i < len(t) && t[i] != nil {
-			env[name] = t[i]
-		} else {
-			delete(env, name)
-		}
-	}
-	return expr.Eval(ev.ctx, env, ev.expr)
+	return ev.col, ev.col >= 0
 }
 
 // constant evaluates an expression that sees no tuple — limit and offset,
@@ -100,16 +59,16 @@ func (b *jobBuilder) assign(in stream, label string, names []string, exprs []aql
 	outSchema := append(append(Schema{}, in.schema...), names...)
 	evs := make([]*evaluator, len(exprs))
 	for i, e := range exprs {
-		evs[i] = b.evaluator(e, outSchema[:len(in.schema)+i], in.par)
+		evs[i] = b.evaluator(e, outSchema[:len(in.schema)+i])
 	}
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      label,
 		Partitions: in.par,
-		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
+		Fn: func(_ int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
 			out := make(hyracks.Tuple, len(t), len(t)+len(evs))
 			copy(out, t)
 			for _, ev := range evs {
-				v, err := ev.eval(p, out)
+				v, err := ev.eval(out)
 				if err != nil {
 					return err
 				}

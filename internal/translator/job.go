@@ -382,12 +382,12 @@ func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
 		outSchema = append(outSchema, n.PosVar)
 	}
 	posVar := n.PosVar
-	src := b.evaluator(n.Exprs[0], in.schema, in.par)
+	src := b.evaluator(n.Exprs[0], in.schema)
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      fmt.Sprintf("unnest($%s)", n.Variable),
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := src.eval(p, t)
+			v, err := src.eval(t)
 			if err != nil {
 				return err
 			}
@@ -482,14 +482,14 @@ func (b *jobBuilder) buildProbe(n *algebra.Node, label, out string, probes []aql
 	evs := make([]*evaluator, len(probes))
 	for i, e := range probes {
 		if e != nil {
-			evs[i] = b.evaluator(e, in.schema, b.partitions)
+			evs[i] = b.evaluator(e, in.schema)
 		}
 	}
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      label,
 		Partitions: b.partitions,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			vals, err := evalProbes(func(i int) (adm.Value, error) { return evs[i].eval(p, t) })
+			vals, err := evalProbes(func(i int) (adm.Value, error) { return evs[i].eval(t) })
 			if err != nil {
 				return err
 			}
@@ -610,12 +610,12 @@ func (b *jobBuilder) buildSelect(n *algebra.Node) (stream, error) {
 	if err != nil {
 		return stream{}, err
 	}
-	cond := b.evaluator(n.Condition, in.schema, in.par)
+	cond := b.evaluator(n.Condition, in.schema)
 	op := b.job.Add(&hyracks.FlatMapOp{
 		Label:      "select",
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-			v, err := cond.eval(p, t)
+			v, err := cond.eval(t)
 			if err != nil {
 				return err
 			}
@@ -653,9 +653,9 @@ func (b *jobBuilder) buildAssign(n *algebra.Node) (stream, error) {
 //
 // A nest join (n.Nest) is the same operator in its nest mode: each probe
 // tuple leaves once, extended by the Nest column, an ordered list of its
-// matches' RightVar values. Its probe tuples keep an unknown key, which
-// matches nothing and so gets the empty list; a nil probe input is the one
-// empty tuple.
+// matches' values of the build column of that name. Its probe tuples keep an
+// unknown key, which matches nothing and so gets the empty list; a nil probe
+// input is the one empty tuple.
 func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 	left, err := b.buildInput(n)
 	if err != nil {
@@ -679,7 +679,7 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 	if n.Nest != "" {
 		kind, join.Combine = "nest-join", nil
 		outSchema = append(append(Schema{}, left.schema...), n.Nest)
-		col, _ := right.schema.column(n.RightVar)
+		col, _ := right.schema.column(n.Nest)
 		join.Nest = func(p hyracks.Tuple, matches []hyracks.Tuple) hyracks.Tuple {
 			items := make([]adm.Value, len(matches))
 			for i, m := range matches {
@@ -784,7 +784,7 @@ func (b *jobBuilder) buildOrder(n *algebra.Node, limit int) (stream, error) {
 	sortCols := make([]int, len(n.OrderTerms))
 	sortDesc := make([]bool, len(n.OrderTerms))
 	for i, term := range n.OrderTerms {
-		col, ok := b.evaluator(term.Expr, schema, in.par).column()
+		col, ok := b.evaluator(term.Expr, schema).column()
 		colSort = colSort && ok
 		sortCols[i], sortDesc[i] = col, term.Desc
 	}
@@ -939,7 +939,7 @@ func (b *jobBuilder) buildAggregate(n *algebra.Node) (stream, error) {
 		if b.query == nil {
 			return stream{}, fmt.Errorf("translator: aggregate plan has no source query")
 		}
-		col, ok := b.evaluator(b.query.Return, in.schema, in.par).column()
+		col, ok := b.evaluator(b.query.Return, in.schema).column()
 		if !ok {
 			in = b.assign(in, "assign", []string{"#agg-input"}, []aql.Expr{b.query.Return}, false)
 			col = len(in.schema) - 1
@@ -973,7 +973,7 @@ func (b *jobBuilder) buildDistribute(n *algebra.Node) (stream, error) {
 	var ret *evaluator
 	passthrough := aggregated
 	if !aggregated {
-		ret = b.evaluator(b.query.Return, in.schema, in.par)
+		ret = b.evaluator(b.query.Return, in.schema)
 		_, bare := ret.column()
 		passthrough = bare && len(in.schema) == 1
 	}
@@ -986,7 +986,7 @@ func (b *jobBuilder) buildDistribute(n *algebra.Node) (stream, error) {
 			Label:      "distribute-result",
 			Partitions: in.par,
 			Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
-				v, err := ret.eval(p, t)
+				v, err := ret.eval(t)
 				if err != nil {
 					return err
 				}
