@@ -8,7 +8,8 @@ import (
 // Arena is a pooled block allocator for LazyRecord headers. A scan acquires
 // one, draws zeroed headers from it via newRecord (one allocation per
 // lazyRecBlock records instead of one per record), and releases it when the
-// scan ends. Records hold no reference back to the arena: header slots are
+// scan ends. A header is all a lazy record allocates: it keeps no slot
+// directory. Records hold no reference back to the arena: header slots are
 // handed out monotonically and never reused, so the unconsumed tail of the
 // current block survives pooling and keeps serving the next scan, while
 // consumed slots stay alive with whichever tuples still hold them.
@@ -18,18 +19,12 @@ import (
 // the same arena to two concurrent scans (racing on the block cursor), so it
 // panics loudly instead.
 type Arena struct {
-	refs  atomic.Int32
-	recs  []LazyRecord
-	slots []lazySlot
+	refs atomic.Int32
+	recs []LazyRecord
 }
 
-// lazyRecBlock is how many LazyRecord headers one block allocation covers;
-// lazySlotBlock is the granularity of decl slot-directory slabs (pointer-free
-// memory, so blocks cost the GC nothing to scan).
-const (
-	lazyRecBlock  = 64
-	lazySlotBlock = 256
-)
+// lazyRecBlock is how many LazyRecord headers one block allocation covers.
+const lazyRecBlock = 64
 
 // newRecord returns a zeroed LazyRecord header from the arena's current
 // block. May only be called by the arena's owning goroutine. Nil-safe:
@@ -44,21 +39,6 @@ func (a *Arena) newRecord() *LazyRecord {
 	r := &a.recs[0]
 	a.recs = a.recs[1:]
 	return r
-}
-
-// newSlots returns a zeroed n-element lazySlot slice carved from the arena's
-// current slot slab. Same ownership rules as newRecord; nil-safe, and
-// outsized requests fall back to a plain allocation.
-func (a *Arena) newSlots(n int) []lazySlot {
-	if a == nil || n > lazySlotBlock {
-		return make([]lazySlot, n)
-	}
-	if len(a.slots) < n {
-		a.slots = make([]lazySlot, lazySlotBlock)
-	}
-	s := a.slots[:n:n]
-	a.slots = a.slots[n:]
-	return s
 }
 
 var arenaPool = sync.Pool{

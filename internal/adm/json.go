@@ -22,10 +22,10 @@ import (
 //   - binary renders as lowercase hex and UUIDs in canonical form;
 //   - strings are escaped exactly as encoding/json escapes them.
 //
-// A *LazyRecord is written from its slot directory, straight from the stored
-// bytes, and is never materialized: its declared fields in type order (a
-// missing one omitted, a null one as null), then its open fields, which is
-// the order Materialize gives. One already materialized is written from its
+// A *LazyRecord is written in one walk over its stored bytes, and is never
+// materialized: its declared fields in type order (a missing one omitted, a
+// null one as null), then its open fields, which is the order Materialize
+// gives. One already materialized is written from its
 // cached *Record.
 func AppendJSON(dst []byte, v Value) []byte {
 	switch x := v.(type) {

@@ -1,32 +1,38 @@
 package adm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
 
 // LazyRecord is a record value that keeps the stored binary form and decodes
-// on demand: field access resolves a single field's bytes out of the slab,
+// on demand: field access decodes a single field's bytes out of the slab,
 // and the full Value tree is built only if the record reaches a point that
 // needs all of it (whole-record comparison or keying, re-encoding into a run
 // file or the handle table). NDJSON serialization writes straight from the
 // slab (AppendJSON). On the scan/select/join hot path and in result writing
 // most records never materialize at all.
 //
-// The slot directory (field offsets into the slab) is parsed once at
-// construction, which also validates the layout — a corrupt stored record
-// still fails at scan time, exactly like the eager decoder.
+// The record keeps no slot directory. Construction walks every byte once to
+// validate the layout — a corrupt stored record still fails at scan time,
+// exactly like the eager decoder — and records nothing; a field read walks
+// the validated bytes to its field (declared fields by position, open ones
+// by name), which on a record of a few dozen bytes per field costs less than
+// writing and keeping a directory for every scanned record. A closed type's
+// records carry no open fields (construction refuses them), so an undeclared
+// name there is MISSING without a walk. FieldBytes hands out a field's
+// stored encoding, so a caller can compare or measure it without decoding.
 //
 // Tuples are shared across operator goroutines (replicating connectors), but
-// the record needs no lock: buf, decl and open are immutable after
-// construction (published to other goroutines via channel sends), field
-// access decodes from the slab each time (values are small; re-decoding
-// beats paying cache storage on the scan path, where most fields are read at
-// most once), and the one post-construction mutation — caching the
-// materialized record — goes through an atomic pointer.
+// the record needs no lock: typ and buf are immutable after construction
+// (published to other goroutines via channel sends), field access decodes
+// from the slab each time (values are small; re-decoding beats paying cache
+// storage on the scan path, where most fields are read at most once), and the
+// one post-construction mutation — caching the materialized record — goes
+// through an atomic pointer.
 //
-// Headers are block-allocated from the arena (Arena.newRecord) and decl
-// slots from the arena's pointer-free slot slab (Arena.newSlots), so
+// Headers are block-allocated from the arena (Arena.newRecord), so
 // constructing a lazy record on the scan path performs no per-record
 // allocation at all. The record holds no arena reference — buf views
 // caller-owned immutable bytes, and the GC keeps them alive exactly as long
@@ -34,21 +40,7 @@ import (
 type LazyRecord struct {
 	typ  *RecordType // nil for the self-describing layout
 	buf  []byte
-	decl []lazySlot // schema layout: one slot per declared field
-	open []openSlot // undeclared fields (all fields, in the generic layout)
 	full atomic.Pointer[Record]
-}
-
-// lazySlot locates one declared field's value bytes within the slab.
-type lazySlot struct {
-	presence byte
-	off, end int32
-}
-
-// openSlot locates one self-described field's name and value bytes.
-type openSlot struct {
-	nameOff, nameEnd int32
-	off, end         int32
 }
 
 // DecodeLazy decodes like Decode but defers record field decoding: a stored
@@ -72,10 +64,11 @@ func (s *Serializer) DecodeLazy(src []byte, arena *Arena) (Value, int, error) {
 	return s.Decode(src)
 }
 
+// newLazySchema validates a schema-layout record — each declared field's
+// presence byte and value, then the open part — and returns its header.
 func newLazySchema(typ *RecordType, src []byte, arena *Arena) (Value, int, error) {
 	pos := 1 // skip tagSchemaRecord
-	decl := arena.newSlots(len(typ.Fields))
-	for i, ft := range typ.Fields {
+	for _, ft := range typ.Fields {
 		if pos >= len(src) {
 			return nil, 0, fmt.Errorf("adm: decode %q: truncated record", typ.Name)
 		}
@@ -83,75 +76,211 @@ func newLazySchema(typ *RecordType, src []byte, arena *Arena) (Value, int, error
 		pos++
 		switch presence {
 		case fieldMissing, fieldNull:
-			decl[i] = lazySlot{presence: presence}
 		case fieldPresent:
 			n, err := skipValue(src[pos:])
 			if err != nil {
 				return nil, 0, fmt.Errorf("adm: decode %q field %q: %w", typ.Name, ft.Name, err)
 			}
-			decl[i] = lazySlot{presence: presence, off: int32(pos), end: int32(pos + n)}
 			pos += n
 		default:
 			return nil, 0, fmt.Errorf("adm: decode %q: bad presence byte %d", typ.Name, presence)
 		}
 	}
-	open, pos, err := parseOpenSlots(src, pos, -1)
+	cnt, n, err := readUvarint(src[pos:])
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := checkClosed(typ, cnt); err != nil {
+		return nil, 0, err
+	}
+	if pos, err = skipFields(src, pos+n, cnt); err != nil {
+		return nil, 0, err
+	}
 	lr := arena.newRecord()
-	lr.typ, lr.buf, lr.decl, lr.open = typ, src[:pos], decl, open
+	lr.typ, lr.buf = typ, src[:pos]
 	return lr, pos, nil
 }
 
+// newLazyGeneric validates a self-describing record's name/value pairs and
+// returns its header.
 func newLazyGeneric(src []byte, arena *Arena) (Value, int, error) {
 	cnt, n, err := readUvarint(src[1:])
 	if err != nil {
 		return nil, 0, err
 	}
-	open, pos, err := parseOpenSlots(src, 1+n, int(cnt))
+	pos, err := skipFields(src, 1+n, cnt)
 	if err != nil {
 		return nil, 0, err
 	}
 	lr := arena.newRecord()
-	lr.buf, lr.open = src[:pos], open
+	lr.buf = src[:pos]
 	return lr, pos, nil
 }
 
-// parseOpenSlots walks count name/value pairs starting at pos (count < 0
-// means read the uvarint count at pos first) and returns their slots.
-func parseOpenSlots(src []byte, pos, count int) ([]openSlot, int, error) {
-	if count < 0 {
-		cnt, n, err := readUvarint(src[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += n
-		count = int(cnt)
+// checkClosed refuses open fields under a closed type: Validate never lets
+// one be stored, and a lazy read of such a record does not look for them.
+func checkClosed(typ *RecordType, open uint64) error {
+	if open != 0 && !typ.Open {
+		return fmt.Errorf("adm: decode %q: closed type with %d open fields", typ.Name, open)
 	}
-	var open []openSlot
-	for i := 0; i < count; i++ {
+	return nil
+}
+
+// skipFields validates count name/value pairs starting at pos and returns
+// the position after them.
+func skipFields(src []byte, pos int, count uint64) (int, error) {
+	for i := uint64(0); i < count; i++ {
 		ln, n, err := readUvarint(src[pos:])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		nameOff := pos + n
-		nameEnd := nameOff + int(ln)
-		if nameEnd > len(src) {
-			return nil, 0, fmt.Errorf("adm: decode string: truncated input")
+		pos += n
+		if uint64(len(src)-pos) < ln {
+			return 0, fmt.Errorf("adm: decode string: truncated input")
 		}
-		pos = nameEnd
+		pos += int(ln)
 		vn, err := skipValue(src[pos:])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		open = append(open, openSlot{
-			nameOff: int32(nameOff), nameEnd: int32(nameEnd),
-			off: int32(pos), end: int32(pos + vn),
-		})
 		pos += vn
 	}
-	return open, pos, nil
+	return pos, nil
+}
+
+// valueLen is the encoded length of the self-describing value at the front
+// of b, which the construction walk has validated (skipValue without the
+// checks).
+func valueLen(b []byte) int {
+	if w := fixedWidths[b[0]]; w >= 0 {
+		return 1 + int(w)
+	}
+	switch TypeTag(b[0]) {
+	case TagString, TagBinary:
+		ln, n := uvarint(b[1:])
+		return 1 + n + int(ln)
+	case TagPolygon:
+		cnt, n := uvarint(b[1:])
+		return 1 + n + 16*int(cnt)
+	case TagRecord:
+		cnt, n := uvarint(b[1:])
+		pos := 1 + n
+		for ; cnt > 0; cnt-- {
+			ln, sn := uvarint(b[pos:])
+			pos += sn + int(ln)
+			pos += valueLen(b[pos:])
+		}
+		return pos
+	default: // TagOrderedList, TagUnorderedList
+		cnt, n := uvarint(b[1:])
+		pos := 1 + n
+		for ; cnt > 0; cnt-- {
+			switch t := b[pos]; {
+			case fixedWidths[t] >= 0:
+				pos += 1 + int(fixedWidths[t])
+			case TypeTag(t) == TagString && b[pos+1] < 0x80:
+				pos += 2 + int(b[pos+1])
+			default:
+				pos += valueLen(b[pos:])
+			}
+		}
+		return pos
+	}
+}
+
+// fixedWidths is fixedWidth by tag byte.
+var fixedWidths = func() (w [256]int8) {
+	for t := range w {
+		w[t] = int8(fixedWidth(TypeTag(t)))
+	}
+	return w
+}()
+
+// uvarint is binary.Uvarint over validated bytes, with the one-byte case
+// (every field-name and short-string length) inline.
+func uvarint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return longUvarint(b)
+}
+
+//go:noinline
+func longUvarint(b []byte) (uint64, int) { return binary.Uvarint(b) }
+
+// declAt is the offset of declared field i's presence byte: the walk over
+// the fields before it. declAt(len(typ.Fields)) is where the open part
+// starts.
+func (r *LazyRecord) declAt(i int) int {
+	buf, pos := r.buf, 1
+	for ; i > 0; i-- {
+		if buf[pos] != fieldPresent {
+			pos++
+			continue
+		}
+		pos++
+		switch t := buf[pos]; {
+		case fixedWidths[t] >= 0:
+			pos += 1 + int(fixedWidths[t])
+		case TypeTag(t) == TagString && buf[pos+1] < 0x80:
+			pos += 2 + int(buf[pos+1])
+		default:
+			pos += valueLen(buf[pos:])
+		}
+	}
+	return pos
+}
+
+// declField locates declared field i: its presence byte and, when present,
+// its value's bytes.
+func (r *LazyRecord) declField(i int) ([]byte, byte) {
+	buf, pos := r.buf, r.declAt(i)
+	if presence := buf[pos]; presence != fieldPresent {
+		return nil, presence
+	}
+	pos++
+	return buf[pos : pos+valueLen(buf[pos:])], fieldPresent
+}
+
+// openField locates the open field called name and returns its value's
+// bytes, or nil. The open part starts past the declared fields in the
+// schema layout, right after the tag in the generic one.
+func (r *LazyRecord) openField(name string) []byte {
+	buf, pos := r.buf, 1
+	if r.typ != nil {
+		pos = r.declAt(len(r.typ.Fields))
+	}
+	cnt, n := uvarint(buf[pos:])
+	pos += n
+	for ; cnt > 0; cnt-- {
+		ln, sn := uvarint(buf[pos:])
+		pos += sn
+		key := buf[pos : pos+int(ln)]
+		pos += int(ln)
+		vn := valueLen(buf[pos:])
+		if string(key) == name {
+			return buf[pos : pos+vn]
+		}
+		pos += vn
+	}
+	return nil
+}
+
+// field locates the named field: its value's bytes and its presence
+// (fieldPresent, fieldNull or fieldMissing).
+func (r *LazyRecord) field(name string) ([]byte, byte) {
+	if r.typ != nil {
+		if i := r.typ.FieldIndex(name); i >= 0 {
+			return r.declField(i)
+		}
+		if !r.typ.Open {
+			return nil, fieldMissing
+		}
+	}
+	if b := r.openField(name); b != nil {
+		return b, fieldPresent
+	}
+	return nil, fieldMissing
 }
 
 // Tag reports TagRecord: a LazyRecord is a record in every semantic sense.
@@ -166,61 +295,102 @@ func (r *LazyRecord) Get(name string) Value {
 	if full := r.full.Load(); full != nil {
 		return full.Get(name)
 	}
-	if r.typ != nil {
-		if i := r.typ.FieldIndex(name); i >= 0 {
-			return r.declValue(i)
-		}
-	}
-	for j := range r.open {
-		o := &r.open[j]
-		if string(r.buf[o.nameOff:o.nameEnd]) == name {
-			return r.value(o.off, o.end)
-		}
+	switch b, presence := r.field(name); presence {
+	case fieldPresent:
+		v, _ := decodeValidated(b)
+		return v
+	case fieldNull:
+		return Null{}
 	}
 	return Missing{}
 }
 
-func (r *LazyRecord) declValue(i int) Value {
-	switch s := r.decl[i]; s.presence {
-	case fieldMissing:
-		return Missing{}
-	case fieldNull:
-		return Null{}
-	default:
-		return r.value(s.off, s.end)
-	}
+// FieldBytes returns the stored self-describing encoding (tag first) of the
+// named field, and false when the field is missing or a declared field is
+// null. The bytes view the record's slab and must not be modified.
+func (r *LazyRecord) FieldBytes(name string) ([]byte, bool) {
+	b, presence := r.field(name)
+	return b, presence == fieldPresent
 }
 
-func (r *LazyRecord) value(off, end int32) Value {
-	v, _, err := DecodeValue(r.buf[off:end])
-	if err != nil {
-		// Unreachable: the slot walk validated these bytes at construction.
-		return Missing{}
+// EncodedInt64 reads the integer of any width encoded at the front of b,
+// and false for any other kind (or too few bytes).
+func EncodedInt64(b []byte) (int64, bool) {
+	if len(b) == 0 || len(b) <= fixedWidth(TypeTag(b[0])) {
+		return 0, false
 	}
-	return v
+	switch TypeTag(b[0]) {
+	case TagInt8:
+		return int64(int8(b[1])), true
+	case TagInt16:
+		return int64(int16(binary.BigEndian.Uint16(b[1:]))), true
+	case TagInt32:
+		return int64(int32(binary.BigEndian.Uint32(b[1:]))), true
+	case TagInt64:
+		return int64(binary.BigEndian.Uint64(b[1:])), true
+	}
+	return 0, false
+}
+
+// EncodedString returns the bytes of the string encoded at the front of b,
+// and false for any other kind (or a truncated string).
+func EncodedString(b []byte) ([]byte, bool) {
+	if len(b) == 0 || TypeTag(b[0]) != TagString {
+		return nil, false
+	}
+	ln, n := binary.Uvarint(b[1:])
+	if n <= 0 || uint64(len(b)-1-n) < ln {
+		return nil, false
+	}
+	return b[1+n : 1+n+int(ln)], true
+}
+
+// decodeValidated decodes the value at the front of bytes the construction
+// walk validated, and returns it with its length.
+func decodeValidated(b []byte) (Value, int) {
+	v, n, err := DecodeValue(b)
+	if err != nil {
+		// Unreachable: skipValue accepts exactly what DecodeValue does.
+		return Missing{}, valueLen(b)
+	}
+	return v, n
 }
 
 // Materialize decodes the whole record (field order identical to the eager
-// decoder: declared fields first, then open fields) and caches it. Safe to
-// call repeatedly and concurrently: racing callers each build from the
-// immutable slot directory and the first store wins.
+// decoder: declared fields first, then open fields) in one walk and caches
+// it. Safe to call repeatedly and concurrently: racing callers each build
+// from the immutable slab and the first store wins.
 func (r *LazyRecord) Materialize() *Record {
 	if full := r.full.Load(); full != nil {
 		return full
 	}
-	fields := make([]Field, 0, len(r.decl)+len(r.open))
-	for i := range r.decl {
-		if r.decl[i].presence == fieldMissing {
-			continue
+	var fields []Field
+	buf, pos := r.buf, 1
+	if r.typ != nil {
+		fields = make([]Field, 0, len(r.typ.Fields))
+		for _, ft := range r.typ.Fields {
+			presence := buf[pos]
+			pos++
+			switch presence {
+			case fieldNull:
+				fields = append(fields, Field{Name: ft.Name, Value: Null{}})
+			case fieldPresent:
+				v, n := decodeValidated(buf[pos:])
+				fields = append(fields, Field{Name: ft.Name, Value: v})
+				pos += n
+			}
 		}
-		fields = append(fields, Field{Name: r.typ.Fields[i].Name, Value: r.declValue(i)})
 	}
-	for j := range r.open {
-		o := &r.open[j]
-		fields = append(fields, Field{
-			Name:  string(r.buf[o.nameOff:o.nameEnd]),
-			Value: r.value(o.off, o.end),
-		})
+	cnt, n := uvarint(buf[pos:])
+	pos += n
+	for ; cnt > 0; cnt-- {
+		ln, sn := uvarint(buf[pos:])
+		pos += sn
+		name := string(buf[pos : pos+int(ln)])
+		pos += int(ln)
+		v, vn := decodeValidated(buf[pos:])
+		fields = append(fields, Field{Name: name, Value: v})
+		pos += vn
 	}
 	full := &Record{Fields: fields}
 	if r.full.CompareAndSwap(nil, full) {
@@ -230,7 +400,7 @@ func (r *LazyRecord) Materialize() *Record {
 }
 
 // appendJSON writes the record as AppendJSON writes its materialized form,
-// but from the slot directory: names come from the type or the slab, and
+// but in one walk over the slab: names come from the type or the slab, and
 // each value's stored bytes are rendered in place, so nothing is decoded into
 // a Value and nothing is cached.
 func (r *LazyRecord) appendJSON(dst []byte) []byte {
@@ -239,39 +409,54 @@ func (r *LazyRecord) appendJSON(dst []byte) []byte {
 	}
 	brace := len(dst)
 	dst = append(dst, '{')
-	for i, s := range r.decl {
-		if s.presence == fieldMissing {
-			continue
-		}
-		if len(dst) > brace+1 {
-			dst = append(dst, ',')
-		}
-		dst = append(appendJSONString(dst, r.typ.Fields[i].Name), ':')
-		if s.presence == fieldNull {
-			dst = append(dst, "null"...)
-		} else {
-			dst = r.appendValueJSON(dst, s.off, s.end)
+	buf, pos := r.buf, 1
+	if r.typ != nil {
+		for _, ft := range r.typ.Fields {
+			presence := buf[pos]
+			pos++
+			if presence == fieldMissing {
+				continue
+			}
+			if len(dst) > brace+1 {
+				dst = append(dst, ',')
+			}
+			dst = append(appendJSONString(dst, ft.Name), ':')
+			if presence == fieldNull {
+				dst = append(dst, "null"...)
+				continue
+			}
+			var n int
+			dst, n = appendValueJSON(dst, buf[pos:])
+			pos += n
 		}
 	}
-	for _, o := range r.open {
+	cnt, n := uvarint(buf[pos:])
+	pos += n
+	for ; cnt > 0; cnt-- {
 		if len(dst) > brace+1 {
 			dst = append(dst, ',')
 		}
-		dst = append(appendJSONString(dst, r.buf[o.nameOff:o.nameEnd]), ':')
-		dst = r.appendValueJSON(dst, o.off, o.end)
+		ln, sn := uvarint(buf[pos:])
+		pos += sn
+		dst = append(appendJSONString(dst, buf[pos:pos+int(ln)]), ':')
+		pos += int(ln)
+		var vn int
+		dst, vn = appendValueJSON(dst, buf[pos:])
+		pos += vn
 	}
 	return append(dst, '}')
 }
 
-// appendValueJSON writes the value stored at buf[off:end]. Should those
-// bytes not decode (the slot walk validated them, so this is unreachable) the
-// field is written as null, as value's MISSING would be.
-func (r *LazyRecord) appendValueJSON(dst []byte, off, end int32) []byte {
-	out, _, ok := appendJSONEncoded(dst, r.buf[off:end])
+// appendValueJSON writes the validated value at the front of src and returns
+// its length. Should those bytes not render (the construction walk validated
+// them, so this is unreachable) the field is written as null, as Get's
+// MISSING would be.
+func appendValueJSON(dst, src []byte) ([]byte, int) {
+	out, n, ok := appendJSONEncoded(dst, src)
 	if !ok {
-		return append(out[:len(dst)], "null"...)
+		return append(out[:len(dst)], "null"...), valueLen(src)
 	}
-	return out
+	return out, n
 }
 
 // Resident reports the record's current representation for memory

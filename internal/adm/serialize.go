@@ -164,6 +164,9 @@ func (s *Serializer) decodeSchemaRecord(src []byte) (Value, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := checkClosed(s.Type, nOpen); err != nil {
+		return nil, 0, err
+	}
 	pos += n
 	for i := uint64(0); i < nOpen; i++ {
 		name, n, err := readString(src[pos:])
@@ -490,7 +493,8 @@ func DecodeValue(src []byte) (Value, int, error) {
 
 // skipValue returns the encoded length of the self-describing value at the
 // start of src without building it, validating tags and bounds exactly like
-// DecodeValue. It is the LazyRecord slot-directory walker.
+// DecodeValue: it accepts exactly the bytes DecodeValue decodes. It is the
+// walk that validates a LazyRecord at construction.
 func skipValue(src []byte) (int, error) {
 	if len(src) == 0 {
 		return 0, fmt.Errorf("adm: decode: empty input")
@@ -518,7 +522,7 @@ func skipValue(src []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if uint64(len(body[n:])) < 16*cnt {
+		if uint64(len(body[n:]))/16 < cnt {
 			return 0, errTruncated(tag)
 		}
 		return 1 + n + 16*int(cnt), nil

@@ -1,8 +1,11 @@
 package expr
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/aql"
@@ -145,13 +148,17 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 			return c.interpret(x, slots)
 		}
 		args, ctx := c.all(x.Args, slots), c.ctx
-		return func(row []adm.Value) (adm.Value, error) {
+		call := func(row []adm.Value) (adm.Value, error) {
 			vals, err := evalAll(args, row)
 			if err != nil {
 				return nil, err
 			}
 			return fn(ctx, vals)
 		}
+		if strings.EqualFold(x.Func, "string-length") && len(x.Args) == 1 {
+			return storedLength(x.Args[0], slots, call)
+		}
+		return call
 	case *aql.DatasetRef, *aql.FLWORExpr:
 		return c.interpret(x, slots)
 	}
@@ -201,9 +208,11 @@ func (c *compiler) binary(x *aql.BinaryExpr, slots []string) Compiled {
 		}
 	}
 	var apply func(l, r adm.Value) (adm.Value, error)
+	comparison := false
 	switch op {
 	case aql.OpEq, aql.OpNeq, aql.OpLt, aql.OpLe, aql.OpGt, aql.OpGe:
 		apply = func(l, r adm.Value) (adm.Value, error) { return evalComparison(op, l, r) }
+		comparison = true
 	case aql.OpAdd, aql.OpSub, aql.OpMul, aql.OpDiv, aql.OpMod:
 		apply = func(l, r adm.Value) (adm.Value, error) { return evalArithmetic(op, l, r) }
 	case aql.OpFuzzyEq:
@@ -213,7 +222,7 @@ func (c *compiler) binary(x *aql.BinaryExpr, slots []string) Compiled {
 		err := fmt.Errorf("expr: unsupported operator %q", op)
 		apply = func(adm.Value, adm.Value) (adm.Value, error) { return nil, err }
 	}
-	return func(row []adm.Value) (adm.Value, error) {
+	eval := func(row []adm.Value) (adm.Value, error) {
 		l, err := left(row)
 		if err != nil {
 			return nil, err
@@ -224,6 +233,119 @@ func (c *compiler) binary(x *aql.BinaryExpr, slots []string) Compiled {
 		}
 		return apply(l, r)
 	}
+	if comparison {
+		return storedComparison(x, slots, eval)
+	}
+	return eval
+}
+
+// storedComparison is $v.f op L, or L op $v.f, with L an integer or a string
+// literal, evaluated on the field's stored bytes: when $v holds a lazy record
+// whose field f is stored as an integer of any width (L an integer) or as a
+// string (L a string), the answer is adm.Compare's without decoding the
+// field, so it allocates nothing. Every other case — another shape, a base
+// that is not a lazy record, a null, missing or absent field, another stored
+// kind — runs slow, the generic evaluation.
+func storedComparison(x *aql.BinaryExpr, slots []string, slow Compiled) Compiled {
+	fa, lit, flip := fieldAndLiteral(x.Left, x.Right)
+	if fa == nil {
+		return slow
+	}
+	col, field, op := column(slots, fa.Base.(*aql.VariableRef).Name), fa.Field, x.Op
+	sign := 1
+	if flip {
+		sign = -1 // L op F: Compare(L, F) is -Compare(F, L)
+	}
+	var compare func(b []byte) (int, bool)
+	if s, ok := lit.(adm.String); ok {
+		sb := []byte(s)
+		compare = func(b []byte) (int, bool) {
+			body, ok := adm.EncodedString(b)
+			return bytes.Compare(body, sb), ok
+		}
+	} else if k, ok := intLiteral(lit); ok {
+		compare = func(b []byte) (int, bool) {
+			i, ok := adm.EncodedInt64(b)
+			return cmp.Compare(i, k), ok
+		}
+	} else {
+		return slow
+	}
+	return func(row []adm.Value) (adm.Value, error) {
+		if b, ok := storedField(row, col, field); ok {
+			if c, ok := compare(b); ok {
+				return comparisonResult(op, sign*c), nil
+			}
+		}
+		return slow(row)
+	}
+}
+
+// storedLength is string-length($v.f) on the field's stored bytes: the rune
+// count of a string field of a lazy record, without copying the string out.
+// Anything else runs slow, the builtin call.
+func storedLength(arg aql.Expr, slots []string, slow Compiled) Compiled {
+	fa := varField(arg)
+	if fa == nil {
+		return slow
+	}
+	col, field := column(slots, fa.Base.(*aql.VariableRef).Name), fa.Field
+	return func(row []adm.Value) (adm.Value, error) {
+		if b, ok := storedField(row, col, field); ok {
+			if s, ok := adm.EncodedString(b); ok {
+				return adm.Int64(utf8.RuneCount(s)), nil
+			}
+		}
+		return slow(row)
+	}
+}
+
+// varField is e when it is $v.f, a field of a variable, and nil otherwise.
+func varField(e aql.Expr) *aql.FieldAccess {
+	if fa, ok := e.(*aql.FieldAccess); ok {
+		if _, ok := fa.Base.(*aql.VariableRef); ok {
+			return fa
+		}
+	}
+	return nil
+}
+
+// fieldAndLiteral matches a comparison's operands as $v.f and a literal, in
+// either order; flip is set when the literal is on the left.
+func fieldAndLiteral(l, r aql.Expr) (fa *aql.FieldAccess, lit adm.Value, flip bool) {
+	if lv, ok := r.(*aql.Literal); ok {
+		if fa := varField(l); fa != nil {
+			return fa, lv.Value, false
+		}
+	}
+	if lv, ok := l.(*aql.Literal); ok {
+		if fa := varField(r); fa != nil {
+			return fa, lv.Value, true
+		}
+	}
+	return nil, nil, false
+}
+
+// intLiteral is an integer literal's value.
+func intLiteral(v adm.Value) (int64, bool) {
+	if !isIntTag(v.Tag()) {
+		return 0, false
+	}
+	return adm.NumericAsInt64(v)
+}
+
+// storedField is the stored encoding of field of the lazy record in column
+// col of row, and false when the column holds anything else or the field
+// has no stored value.
+func storedField(row []adm.Value, col int, field string) ([]byte, bool) {
+	if col < 0 || col >= len(row) {
+		return nil, false
+	}
+	rec, ok := row[col].(*adm.LazyRecord)
+	if !ok {
+		return nil, false
+	}
+	return rec.FieldBytes(field)
 }
 
 // quantified evaluates the satisfies clause over a frame one slot wider than

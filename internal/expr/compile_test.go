@@ -1,6 +1,7 @@
 package expr_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 )
 
 // palette is what FuzzCompile binds free variables to: one value of each
-// shape the evaluators treat differently.
+// shape the evaluators treat differently, and a stored record's lazy view
+// beside its materialized twin, so that the byte-level comparisons and
+// string-length are checked against Eval.
 var palette = []adm.Value{
 	adm.Int64(3),
 	adm.Double(-1.5),
@@ -22,6 +25,47 @@ var palette = []adm.Value{
 	adm.Missing{},
 	adm.NewRecord(adm.Field{Name: "a", Value: adm.Int32(1)}, adm.Field{Name: "b", Value: adm.String("x")}),
 	&adm.OrderedList{Items: []adm.Value{adm.Int64(1), adm.String("ab"), adm.Null{}}},
+	storedRecord(),
+	storedRecord().Materialize(),
+}
+
+// storedRecord is a lazy view of a record stored under a small declared
+// open type: integer fields of every width at their boundaries, strings
+// (one of them not ASCII), a null and a missing optional field, and an
+// open field.
+func storedRecord() *adm.LazyRecord {
+	typ := &adm.RecordType{Name: "S", Open: true, Fields: []adm.FieldType{
+		{Name: "a", Type: adm.Prim(adm.TagInt32)},
+		{Name: "b", Type: adm.Prim(adm.TagString)},
+		{Name: "i8", Type: adm.Prim(adm.TagInt8)},
+		{Name: "i16", Type: adm.Prim(adm.TagInt16)},
+		{Name: "i64", Type: adm.Prim(adm.TagInt64)},
+		{Name: "max", Type: adm.Prim(adm.TagInt64)},
+		{Name: "u", Type: adm.Prim(adm.TagString)},
+		{Name: "nul", Type: adm.Prim(adm.TagInt32), Optional: true},
+		{Name: "gone", Type: adm.Prim(adm.TagInt32), Optional: true},
+	}}
+	rec := adm.NewRecord(
+		adm.Field{Name: "a", Value: adm.Int32(1)},
+		adm.Field{Name: "b", Value: adm.String("x")},
+		adm.Field{Name: "i8", Value: adm.Int8(math.MinInt8)},
+		adm.Field{Name: "i16", Value: adm.Int16(math.MinInt16)},
+		adm.Field{Name: "i64", Value: adm.Int64(math.MinInt64)},
+		adm.Field{Name: "max", Value: adm.Int64(math.MaxInt64)},
+		adm.Field{Name: "u", Value: adm.String("h\u00e9llo w\u00f6rld")},
+		adm.Field{Name: "nul", Value: adm.Null{}},
+		adm.Field{Name: "o", Value: adm.Int16(-7)},
+	)
+	ser := adm.NewSerializer(typ, adm.SchemaEncoding)
+	raw, err := ser.Encode(nil, rec)
+	if err != nil {
+		panic(err)
+	}
+	v, _, err := ser.DecodeLazy(raw, nil)
+	if err != nil {
+		panic(err)
+	}
+	return v.(*adm.LazyRecord)
 }
 
 // FuzzCompile checks Compile against Eval, the other implementation of the
@@ -49,6 +93,8 @@ func FuzzCompile(f *testing.F) {
 		`undefined-function($x)`,
 		`$x $y`,
 		`datetime("2014-01-01T00:00:00") + duration("P1D") > current-datetime()`,
+		`$x.i8 < 0 and 0 > $x.i16 and $x.max >= 9223372036854775807`,
+		`$x.u > "hz" or string-length($x.u) = 11 or $x.b = 1`,
 	} {
 		f.Add(seed, uint8(0))
 		f.Add(seed, uint8(5))
@@ -95,6 +141,91 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("%s over %v = %v\nEval: %s\nCompile: %s", e, slots, row, want, got)
 		}
 	})
+}
+
+// TestCompileStoredFields: a comparison of a field with an integer or string
+// literal, and string-length of a field, on a lazy record read the field's
+// stored bytes; each row's answer must be Eval's, over the lazy view and over
+// its materialized twin, including the cases that fall back.
+func TestCompileStoredFields(t *testing.T) {
+	ctx := expr.NewContext()
+	lazy := storedRecord()
+	for _, row := range []struct{ src, want string }{
+		{`$r.gone = 1`, "null"},   // missing field
+		{`$r.nul = 1`, "null"},    // null field
+		{`$r.absent < 1`, "null"}, // undeclared, absent
+		{`$r.a = 1.0`, "true"},    // int field, double literal: falls back
+		{`$r.a < 1.5`, "true"},
+		{`$r.i8 < 0`, "true"}, // int8 at its minimum
+		{`$r.i8 = -128`, "true"},
+		{`$r.i8 >= 0`, "false"},
+		{`$r.i16 < 0`, "true"}, // int16 at its minimum
+		{`$r.i16 != 32768`, "true"},
+		{`$r.i64 <= 0`, "true"}, // int64 at its minimum
+		{`$r.i64 > 9223372036854775807`, "false"},
+		{`$r.max = 9223372036854775807`, "true"}, // int64 at its maximum
+		{`$r.max > 2147483647`, "true"},
+		{`$r.o = -7`, "true"}, // an open int16 field
+		{`$r.o < 0`, "true"},
+		{`0 > $r.i8`, "true"}, // the literal on the left
+		{`1 = $r.a`, "true"},
+		{`2 <= $r.a`, "false"},
+		{`"x" >= $r.b`, "true"},
+		{`$r.b = "x"`, "true"}, // a string against a string literal
+		{`$r.b < "xa"`, "true"},
+		{`$r.b > ""`, "true"},
+		{`$r.u > "hz"`, "true"}, // byte order: 'é' is above 'z'
+		{`$r.u < "hém"`, "true"},
+		{`$r.b = 1`, "null"}, // a string where an int is compared
+		{`$r.a = "1"`, "null"},
+		{`string-length($r.u)`, "11i64"}, // runes, not bytes
+		{`string-length($r.b)`, "1i64"},
+		{`string-length($r.a)`, "null"},
+		{`string-length($r.gone)`, "null"},
+	} {
+		e, err := aql.ParseQuery(row.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []adm.Value{lazy, storedRecord().Materialize()} {
+			slots, vals := []string{"r"}, []adm.Value{rec}
+			want, err := expr.Eval(ctx, expr.Env{"r": rec}, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := expr.Compile(ctx, e, slots)(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != row.want || want.String() != row.want {
+				t.Errorf("%s over %T: Compile %s, Eval %s, want %s", row.src, rec, got, want, row.want)
+			}
+		}
+	}
+	if full, _ := lazy.Resident(); full != nil {
+		t.Error("a stored-field comparison materialized the record")
+	}
+}
+
+// TestCompileStoredFieldsAllocateNothing: a byte-level comparison allocates
+// nothing per tuple, and string-length allocates no string.
+func TestCompileStoredFieldsAllocateNothing(t *testing.T) {
+	ctx := expr.NewContext()
+	row := []adm.Value{storedRecord()}
+	for _, src := range []string{`$r.a = 1`, `$r.i64 < 0`, `"w" < $r.u`, `string-length($r.u)`} {
+		e, err := aql.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := expr.Compile(ctx, e, []string{"r"})
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := f(row); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocations per tuple", src, n)
+		}
+	}
 }
 
 // TestInterpreted: only a nested FLWOR, a dataset reference or a call of a

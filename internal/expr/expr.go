@@ -304,21 +304,27 @@ func evalComparison(op aql.BinaryOp, left, right adm.Value) (adm.Value, error) {
 	if err != nil {
 		return adm.Null{}, nil
 	}
+	return comparisonResult(op, c), nil
+}
+
+// comparisonResult is comparison op's answer for c, the sign of
+// Compare(left, right).
+func comparisonResult(op aql.BinaryOp, c int) adm.Value {
 	switch op {
 	case aql.OpEq:
-		return adm.Boolean(c == 0), nil
+		return adm.Boolean(c == 0)
 	case aql.OpNeq:
-		return adm.Boolean(c != 0), nil
+		return adm.Boolean(c != 0)
 	case aql.OpLt:
-		return adm.Boolean(c < 0), nil
+		return adm.Boolean(c < 0)
 	case aql.OpLe:
-		return adm.Boolean(c <= 0), nil
+		return adm.Boolean(c <= 0)
 	case aql.OpGt:
-		return adm.Boolean(c > 0), nil
+		return adm.Boolean(c > 0)
 	case aql.OpGe:
-		return adm.Boolean(c >= 0), nil
+		return adm.Boolean(c >= 0)
 	}
-	return adm.Null{}, nil
+	return adm.Null{}
 }
 
 func evalArithmetic(op aql.BinaryOp, left, right adm.Value) (adm.Value, error) {

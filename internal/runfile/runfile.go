@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"asterixdb/internal/adm"
 )
@@ -547,6 +548,9 @@ func TupleMemSize(cols []adm.Value) int64 {
 	return sz
 }
 
+// lazyHeaderSize is the size of a lazy record's header.
+const lazyHeaderSize = int64(unsafe.Sizeof(adm.LazyRecord{}))
+
 // ValueMemSize estimates the resident in-memory bytes of one ADM value.
 func ValueMemSize(v adm.Value) int64 {
 	switch x := v.(type) {
@@ -564,12 +568,12 @@ func ValueMemSize(v adm.Value) int64 {
 		}
 		return sz
 	case *adm.LazyRecord:
-		// Undecoded lazy records hold their byte slab plus the slot
-		// directory; once materialized they cost what the record costs.
+		// An undecoded lazy record is its header and the byte slab it
+		// views; once materialized it costs its header and the record.
 		if rec, slab := x.Resident(); rec == nil {
-			return 96 + int64(slab)
+			return lazyHeaderSize + int64(slab)
 		} else {
-			return 48 + ValueMemSize(rec)
+			return lazyHeaderSize + ValueMemSize(rec)
 		}
 	case *adm.OrderedList:
 		return listMemSize(x.Items)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"asterixdb/internal/adm"
 )
@@ -195,5 +196,33 @@ func TestReaderRejectsCorruptTuples(t *testing.T) {
 				t.Fatalf("corrupt run read back as %v, %v", cols, err)
 			}
 		})
+	}
+}
+
+// TestValueMemSizeLazyRecord: an undecoded lazy record is charged at least
+// its header and the slab it views, and a materialized one at least its
+// header and the record.
+func TestValueMemSizeLazyRecord(t *testing.T) {
+	typ := &adm.RecordType{Name: "T", Open: true, Fields: []adm.FieldType{{Name: "id", Type: adm.Prim(adm.TagInt32)}}}
+	ser := adm.NewSerializer(typ, adm.SchemaEncoding)
+	raw, err := ser.Encode(nil, adm.NewRecord(
+		adm.Field{Name: "id", Value: adm.Int32(1)},
+		adm.Field{Name: "text", Value: adm.String("some words stored in the slab")},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := ser.DecodeLazy(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := v.(*adm.LazyRecord)
+	header := int64(unsafe.Sizeof(adm.LazyRecord{}))
+	if got, min := ValueMemSize(lr), header+int64(len(raw)); got < min {
+		t.Errorf("undecoded: ValueMemSize = %d, want at least %d (header %d + slab %d)", got, min, header, len(raw))
+	}
+	rec := lr.Materialize()
+	if got, min := ValueMemSize(lr), header+ValueMemSize(rec); got < min {
+		t.Errorf("materialized: ValueMemSize = %d, want at least %d", got, min)
 	}
 }

@@ -800,8 +800,9 @@ func (d *Dataset) corrupt(err error) error {
 }
 
 // view decodes stored record bytes for a query: a zero-copy *adm.LazyRecord
-// over raw (whose header comes from arena, which may be nil), or the whole
-// *adm.Record under Options.EagerDecode.
+// over raw (its header, all it allocates, comes from arena, which may be
+// nil; its bytes are validated here, so a corrupt record fails now), or the
+// whole *adm.Record under Options.EagerDecode.
 func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
 	if d.manager.opts.EagerDecode {
 		v, _, err := d.ser.Decode(raw)
@@ -1233,9 +1234,9 @@ const scanChunk = 64
 // Records arrive as lazily-decoded *adm.LazyRecord values (unless
 // Options.EagerDecode) viewing the LSM tree's own value bytes zero-copy:
 // the iterator contract guarantees value slices stay readable and are never
-// mutated in place, so no per-record copy is made. The slot directory is
-// parsed — and the stored bytes validated — under the latch, but field
-// decoding is deferred until an operator actually touches a field.
+// mutated in place, so no per-record copy is made. The stored bytes are
+// validated under the latch, but field decoding is deferred until an
+// operator actually touches a field.
 func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 	if part < 0 || part >= len(d.partitions) {
 		return fmt.Errorf("storage: partition %d out of range", part)
