@@ -137,7 +137,7 @@ func Open(dir string, opts Options) (*Tree, error) {
 	for _, name := range names {
 		comp, err := loadComponent(name)
 		if err != nil {
-			return nil, fmt.Errorf("lsm: open %s: unreadable component %s: %w", dir, name, err)
+			return nil, &ComponentError{Dir: dir, Path: name, Err: err}
 		}
 		comps = append(comps, comp)
 	}
@@ -156,6 +156,20 @@ func Open(dir string, opts Options) (*Tree, error) {
 	}
 	return t, nil
 }
+
+// ComponentError is Open's error for a component file that fails to load:
+// damage, not crash residue, so the file is left on disk for an operator.
+type ComponentError struct {
+	Dir  string // the tree's directory
+	Path string // the component file
+	Err  error  // why it did not load
+}
+
+func (e *ComponentError) Error() string {
+	return fmt.Sprintf("lsm: open %s: unreadable component %s: %v", e.Dir, e.Path, e.Err)
+}
+
+func (e *ComponentError) Unwrap() error { return e.Err }
 
 // Dir returns the directory holding this tree's disk components.
 func (t *Tree) Dir() string { return t.dir }
@@ -532,6 +546,18 @@ func loadComponent(path string) (*diskComponent, error) {
 		return nil, err
 	}
 	return openImage(id, path, image)
+}
+
+// Reseal recomputes the checksum of a component image in place, over its
+// bytes as they are now. Fault-injection harnesses use it to plant damage
+// the checksum cannot see.
+func Reseal(image []byte) error {
+	n := len(image)
+	if n < footerLen || !bytes.Equal(image[n-len(formatMagic):], formatMagic) {
+		return fmt.Errorf("lsm: no component footer")
+	}
+	binary.LittleEndian.PutUint32(image[n-12:], crc32.ChecksumIEEE(image[:n-12]))
+	return nil
 }
 
 // openImage checks an image's footer and checksum, then walks its entries

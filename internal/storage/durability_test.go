@@ -2,14 +2,18 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/lsm"
+	"asterixdb/internal/txn"
 )
 
 // reopenWithDDL reopens a manager on dir and re-runs the messages DDL (DDL
@@ -317,6 +321,152 @@ func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
 				t.Errorf("damaged component was removed: %v", serr)
 			}
 		})
+	}
+}
+
+// damageStoredRecord checkpoints 60 messages into components, closes the
+// manager, rewrites the stored encoding of message 5 inside the component
+// that holds it with edit, reseals that image so its checksum holds, and
+// returns the component's path.
+func damageStoredRecord(t *testing.T, dir string, edit func(image []byte, at, n int) []byte) string {
+	t.Helper()
+	m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := createMessages(t, m)
+	for i := 0; i < 60; i++ {
+		if err := ds.Insert(message(i, i, int64(i), "checkpointed", 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ds.ser.Encode(nil, message(5, 5, 5, "checkpointed", 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps, err := filepath.Glob(filepath.Join(dir, "MugshotMessages", "partition-*", "component-*.lsm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range comps {
+		image, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(image, enc)
+		if at < 0 {
+			continue
+		}
+		image = edit(image, at, len(enc))
+		if err := lsm.Reseal(image); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	t.Fatal("message 5 is in no component")
+	return ""
+}
+
+// TestUndecodableRecordRefusedOnOpen: a component whose checksum holds but
+// one of whose records does not decode as the dataset's type is load
+// damage, like a flipped bit. Reopening fails with the typed error naming
+// the file and leaves it on disk, rather than opening and failing later
+// scans. A stored value with bytes after its record is refused the same
+// way: a view of a record covers the whole stored value.
+func TestUndecodableRecordRefusedOnOpen(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		edit func(image []byte, at, n int) []byte
+	}{
+		{"bad presence byte", func(image []byte, at, _ int) []byte {
+			image[at+1] = 7 // the first declared field's presence byte
+			return image
+		}},
+		{"trailing bytes", func(image []byte, at, n int) []byte {
+			if image[at-1] != byte(n) {
+				t.Fatalf("value length byte %d, want %d", image[at-1], n)
+			}
+			image[at-1]++
+			return slices.Insert(image, at+n, 0)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			damaged := damageStoredRecord(t, dir, row.edit)
+			m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			ds, err := m.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}})
+			if err == nil {
+				rerr := m.Recover()
+				_, serr := ds.Count()
+				t.Fatalf("reopen over an undecodable record succeeded (recover: %v, scan: %v)", rerr, serr)
+			}
+			var ce *lsm.ComponentError
+			if !errors.As(err, &ce) || ce.Path != damaged {
+				t.Errorf("error is not a component error naming %s: %v", damaged, err)
+			}
+			if _, serr := os.Stat(damaged); serr != nil {
+				t.Errorf("damaged component was removed: %v", serr)
+			}
+		})
+	}
+}
+
+// TestUndecodableLoggedRecordFailsRecovery: a primary insert whose log frame
+// checks out but whose value does not decode as the dataset's type fails
+// Recover with the dataset's corrupt error, rather than reaching the tree
+// and failing later scans.
+func TestUndecodableLoggedRecordFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Partitions: 2, Journaled: true, MemBudget: 1 << 20}
+	m, err := NewManager(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := createMessages(t, m)
+	for i := 0; i < 10; i++ {
+		if err := ds.Insert(message(i, i, int64(i), "logged", 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pk := adm.EncodeKey(nil, adm.Int32(99))
+	tid := m.wal.Begin()
+	_, release, err := m.wal.AppendGroup([]txn.LogRecord{{
+		Txn: tid, Kind: txn.OpInsert, Dataset: "MugshotMessages", Partition: ds.partitionFor(pk), Key: pk,
+		Value: []byte{0xF0, 7}, // the schema layout's tag, then a bad presence byte
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := m.wal.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m2.Close() })
+	ds2 := createMessages(t, m2)
+	if err := m2.Recover(); !errors.Is(err, ErrCorrupt) {
+		_, serr := ds2.Count()
+		t.Fatalf("Recover = %v, want the corrupt-record error (scan: %v)", err, serr)
 	}
 }
 

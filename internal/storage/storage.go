@@ -27,13 +27,15 @@ import (
 	"asterixdb/internal/txn"
 )
 
-// Sentinel errors for catalog lookups. Callers match them with errors.Is;
-// the messages read as suffixes of the wrapped "storage: <object> ..." text.
+// Sentinel errors. Callers match them with errors.Is; the messages read as
+// parts of the wrapped "storage: <object> ..." text.
 var (
 	// ErrExists reports that a dataset or index with the given name exists.
 	ErrExists = errors.New("already exists")
 	// ErrNotFound reports that a dataset or index does not exist.
 	ErrNotFound = errors.New("does not exist")
+	// ErrCorrupt reports stored record bytes that do not decode.
+	ErrCorrupt = errors.New("decode stored record")
 )
 
 // IndexKind enumerates secondary index kinds.
@@ -796,7 +798,7 @@ func (d *Dataset) stored(part int, pk []byte) ([]byte, bool) {
 // we stored must decode; anything else is corruption worth surfacing rather
 // than silently leaving stale index entries behind or dropping a row.
 func (d *Dataset) corrupt(err error) error {
-	return fmt.Errorf("storage: %q: decode stored record: %w", d.spec.Name, err)
+	return fmt.Errorf("storage: %q: %w: %w", d.spec.Name, ErrCorrupt, err)
 }
 
 // view decodes stored record bytes for a query: a zero-copy *adm.LazyRecord
