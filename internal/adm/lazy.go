@@ -14,13 +14,15 @@ import (
 // slab (AppendJSON). On the scan/select/join hot path and in result writing
 // most records never materialize at all.
 //
-// The record keeps no slot directory. Construction walks every byte once to
-// validate the layout — a corrupt stored record still fails at scan time,
-// exactly like the eager decoder — and records nothing; a field read walks
-// the validated bytes to its field (declared fields by position, open ones
-// by name), which on a record of a few dozen bytes per field costs less than
+// The record keeps no slot directory and its bytes must already be checked:
+// DecodeLazy walks every byte once to validate the layout before handing
+// out a header, and Serializer.View wraps bytes Serializer.CheckStored
+// accepted with no walk at all — storage checks a record once, where its
+// bytes enter the process, and a scan only wraps it. A field read walks the
+// checked bytes to its field (declared fields by position, open ones by
+// name), which on a record of a few dozen bytes per field costs less than
 // writing and keeping a directory for every scanned record. A closed type's
-// records carry no open fields (construction refuses them), so an undeclared
+// records carry no open fields (the check refuses them), so an undeclared
 // name there is MISSING without a walk. FieldBytes hands out a field's
 // stored encoding, so a caller can compare or measure it without decoding.
 //
@@ -44,33 +46,106 @@ type LazyRecord struct {
 }
 
 // DecodeLazy decodes like Decode but defers record field decoding: a stored
-// record layout comes back as a *LazyRecord viewing src — zero-copy. src must
-// stay immutable (never mutated in place) for the record's lifetime; LSM
-// component entries and memtable values satisfy this, since updates replace
-// value slices rather than overwrite them. arena serves as the pooled
-// header-block allocator (nil falls back to per-record heap allocation); the
-// record does not reference the arena afterwards. Non-record values fall back
-// to eager decoding.
+// record layout is validated by one walk over every byte and comes back as
+// a *LazyRecord viewing src — zero-copy. src must stay immutable (never
+// mutated in place) for the record's lifetime; LSM component entries and
+// memtable values satisfy this, since updates replace value slices rather
+// than overwrite them. arena serves as the pooled header-block allocator
+// (nil falls back to per-record heap allocation); the record does not
+// reference the arena afterwards. Non-record values fall back to eager
+// decoding. The walk is the one record validator: CheckStored runs it too.
 func (s *Serializer) DecodeLazy(src []byte, arena *Arena) (Value, int, error) {
 	if len(src) == 0 {
 		return nil, 0, fmt.Errorf("adm: decode: empty input")
 	}
-	if s.Encoding == SchemaEncoding && s.Type != nil && TypeTag(src[0]) == tagSchemaRecord {
-		return newLazySchema(s.Type, src, arena)
+	typ, ok := s.recordLayout(src[0])
+	if !ok {
+		return s.Decode(src)
 	}
-	if TypeTag(src[0]) == TagRecord {
-		return newLazyGeneric(src, arena)
+	n, err := walkRecord(typ, src)
+	if err != nil {
+		return nil, 0, err
 	}
-	return s.Decode(src)
+	return arena.view(typ, src[:n]), n, nil
 }
 
-// newLazySchema validates a schema-layout record — each declared field's
-// presence byte and value, then the open part — and returns its header.
-func newLazySchema(typ *RecordType, src []byte, arena *Arena) (Value, int, error) {
+// CheckStored is the entry check of a stored record: it accepts src only
+// if it is exactly one record in the serializer's own record layout — the
+// schema layout of its type, or the self-describing one without a type —
+// that DecodeLazy's walk validates, with no bytes after it. Storage runs it
+// where record bytes enter the process from outside (component load, log
+// replay); bytes it accepts may be wrapped by View.
+func (s *Serializer) CheckStored(src []byte) error {
+	if len(src) == 0 {
+		return fmt.Errorf("adm: decode: empty input")
+	}
+	if TypeTag(src[0]) != s.recordTag() {
+		return fmt.Errorf("adm: stored value with tag %#x is not a record in the %s layout", src[0], s.Encoding)
+	}
+	typ, _ := s.recordLayout(src[0])
+	n, err := walkRecord(typ, src)
+	if err != nil {
+		return err
+	}
+	if n != len(src) {
+		return fmt.Errorf("adm: %d bytes after the stored record", len(src)-n)
+	}
+	return nil
+}
+
+// View wraps bytes CheckStored accepted in a lazy record header without
+// walking them: the read path of stored records. Like DecodeLazy's result
+// it views src zero-copy and draws its header from arena (nil allowed).
+// Bytes the check did not accept must not reach it: the record's reads
+// trust the layout.
+func (s *Serializer) View(src []byte, arena *Arena) *LazyRecord {
+	typ, _ := s.recordLayout(src[0])
+	return arena.view(typ, src)
+}
+
+// recordLayout reports whether tag starts a record layout the serializer
+// reads, and the type its declared fields follow (nil for the
+// self-describing layout).
+func (s *Serializer) recordLayout(tag byte) (*RecordType, bool) {
+	switch {
+	case s.Encoding == SchemaEncoding && s.Type != nil && TypeTag(tag) == tagSchemaRecord:
+		return s.Type, true
+	case TypeTag(tag) == TagRecord:
+		return nil, true
+	}
+	return nil, false
+}
+
+// recordTag is the tag Encode writes for a record.
+func (s *Serializer) recordTag() TypeTag {
+	if s.Encoding == SchemaEncoding && s.Type != nil {
+		return tagSchemaRecord
+	}
+	return TagRecord
+}
+
+// view returns a header over buf from the arena.
+func (a *Arena) view(typ *RecordType, buf []byte) *LazyRecord {
+	lr := a.newRecord()
+	lr.typ, lr.buf = typ, buf
+	return lr
+}
+
+// walkRecord validates the record at the front of src — in the schema
+// layout of typ, or the self-describing one when typ is nil — and returns
+// its length.
+func walkRecord(typ *RecordType, src []byte) (int, error) {
+	if typ == nil {
+		cnt, n, err := readUvarint(src[1:])
+		if err != nil {
+			return 0, err
+		}
+		return skipFields(src, 1+n, cnt)
+	}
 	pos := 1 // skip tagSchemaRecord
 	for _, ft := range typ.Fields {
 		if pos >= len(src) {
-			return nil, 0, fmt.Errorf("adm: decode %q: truncated record", typ.Name)
+			return 0, fmt.Errorf("adm: decode %q: truncated record", typ.Name)
 		}
 		presence := src[pos]
 		pos++
@@ -79,42 +154,21 @@ func newLazySchema(typ *RecordType, src []byte, arena *Arena) (Value, int, error
 		case fieldPresent:
 			n, err := skipValue(src[pos:])
 			if err != nil {
-				return nil, 0, fmt.Errorf("adm: decode %q field %q: %w", typ.Name, ft.Name, err)
+				return 0, fmt.Errorf("adm: decode %q field %q: %w", typ.Name, ft.Name, err)
 			}
 			pos += n
 		default:
-			return nil, 0, fmt.Errorf("adm: decode %q: bad presence byte %d", typ.Name, presence)
+			return 0, fmt.Errorf("adm: decode %q: bad presence byte %d", typ.Name, presence)
 		}
 	}
 	cnt, n, err := readUvarint(src[pos:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if err := checkClosed(typ, cnt); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if pos, err = skipFields(src, pos+n, cnt); err != nil {
-		return nil, 0, err
-	}
-	lr := arena.newRecord()
-	lr.typ, lr.buf = typ, src[:pos]
-	return lr, pos, nil
-}
-
-// newLazyGeneric validates a self-describing record's name/value pairs and
-// returns its header.
-func newLazyGeneric(src []byte, arena *Arena) (Value, int, error) {
-	cnt, n, err := readUvarint(src[1:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pos, err := skipFields(src, 1+n, cnt)
-	if err != nil {
-		return nil, 0, err
-	}
-	lr := arena.newRecord()
-	lr.buf = src[:pos]
-	return lr, pos, nil
+	return skipFields(src, pos+n, cnt)
 }
 
 // checkClosed refuses open fields under a closed type: Validate never lets
@@ -149,7 +203,7 @@ func skipFields(src []byte, pos int, count uint64) (int, error) {
 }
 
 // valueLen is the encoded length of the self-describing value at the front
-// of b, which the construction walk has validated (skipValue without the
+// of b, which the record walk has validated (skipValue without the
 // checks).
 func valueLen(b []byte) int {
 	if w := fixedWidths[b[0]]; w >= 0 {
@@ -345,8 +399,8 @@ func EncodedString(b []byte) ([]byte, bool) {
 	return b[1+n : 1+n+int(ln)], true
 }
 
-// decodeValidated decodes the value at the front of bytes the construction
-// walk validated, and returns it with its length.
+// decodeValidated decodes the value at the front of bytes the record walk
+// validated, and returns it with its length.
 func decodeValidated(b []byte) (Value, int) {
 	v, n, err := DecodeValue(b)
 	if err != nil {
@@ -448,7 +502,7 @@ func (r *LazyRecord) appendJSON(dst []byte) []byte {
 }
 
 // appendValueJSON writes the validated value at the front of src and returns
-// its length. Should those bytes not render (the construction walk validated
+// its length. Should those bytes not render (the record walk validated
 // them, so this is unreachable) the field is written as null, as Get's
 // MISSING would be.
 func appendValueJSON(dst, src []byte) ([]byte, int) {

@@ -26,29 +26,47 @@ func lazyBenchMessages(b *testing.B, n int) (*adm.Serializer, [][]byte) {
 
 // BenchmarkDecodeLazy times a scan's construction of lazy views over stored
 // Mugshot messages: one arena per 5 000 records, as a partition scan uses one.
+// walk is DecodeLazy, which validates every byte; view is View, the header a
+// scan wraps around bytes the entry check accepted when they were loaded.
 // B/op is per record; allocs/5000rec counts heap allocations per arena's
 // worth of records, which allocs/op would round to zero.
 func BenchmarkDecodeLazy(b *testing.B) {
 	const n = 5000
 	ser, raw := lazyBenchMessages(b, n)
-	var arena *adm.Arena
-	var before, after runtime.MemStats
-	b.ReportAllocs()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%n == 0 {
+	for _, row := range []struct {
+		name string
+		make func(src []byte, arena *adm.Arena) error
+	}{
+		{"walk", func(src []byte, arena *adm.Arena) error {
+			_, _, err := ser.DecodeLazy(src, arena)
+			return err
+		}},
+		{"view", func(src []byte, arena *adm.Arena) error {
+			ser.View(src, arena)
+			return nil
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var arena *adm.Arena
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					arena.Release()
+					arena = adm.AcquireArena()
+				}
+				if err := row.make(raw[i%n], arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
 			arena.Release()
-			arena = adm.AcquireArena()
-		}
-		if _, _, err := ser.DecodeLazy(raw[i%n], arena); err != nil {
-			b.Fatal(err)
-		}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)*n/float64(b.N), "allocs/5000rec")
+		})
 	}
-	b.StopTimer()
-	arena.Release()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)*n/float64(b.N), "allocs/5000rec")
 }
 
 // BenchmarkLazyGet times one field read on a lazy Mugshot message, by the

@@ -214,9 +214,9 @@ func TestArenaLifecycle(t *testing.T) {
 }
 
 // TestLazyDecodeRejectsCorruptBytes asserts the construction walk keeps
-// scan-time error discipline in both stored layouts: truncated or garbage
-// record bytes fail at decode, not at first field access, and the eager
-// decoder refuses the same bytes.
+// error discipline in both stored layouts: truncated or garbage record bytes
+// fail at decode, not at first field access, and the eager decoder and the
+// entry check refuse the same bytes.
 func TestLazyDecodeRejectsCorruptBytes(t *testing.T) {
 	rec := lazyTestRecord()
 	rec.Fields = append(rec.Fields, Field{Name: "bag", Value: &UnorderedList{Items: []Value{String("x"), Int8(1)}}})
@@ -270,8 +270,51 @@ func TestLazyDecodeRejectsCorruptBytes(t *testing.T) {
 			if _, _, err := ser.Decode(bad); err == nil {
 				t.Errorf("encoding-%d: %s: eager decode succeeded", enc, name)
 			}
+			if err := ser.CheckStored(bad); err == nil {
+				t.Errorf("encoding-%d: %s: entry check accepted it", enc, name)
+			}
 		}
 		arena.Release()
+	}
+}
+
+// TestCheckStoredAcceptsOneRecordOfItsLayout: the entry check accepts a
+// record as the serializer encodes it and refuses anything a header-only
+// view could misread: bytes after the record, a value that is not a record,
+// and a record in the other layout.
+func TestCheckStoredAcceptsOneRecordOfItsLayout(t *testing.T) {
+	schema := NewSerializer(lazyTestType(), SchemaEncoding)
+	generic := NewSerializer(lazyTestType(), SelfDescribingEncoding)
+	encode := func(ser *Serializer, v Value) []byte {
+		raw, err := ser.Encode(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, ser := range []*Serializer{schema, generic} {
+		raw := encode(ser, lazyTestRecord())
+		if err := ser.CheckStored(raw); err != nil {
+			t.Fatalf("%s: entry check refused an encoded record: %v", ser.Encoding, err)
+		}
+		if got := AppendJSON(nil, ser.View(raw, nil)); !bytes.Equal(got, AppendJSON(nil, lazyTestRecord())) {
+			t.Errorf("%s: view reads %s", ser.Encoding, got)
+		}
+		for name, bad := range map[string][]byte{
+			"a trailing byte": append(bytes.Clone(raw), 0),
+			"an integer":      encode(ser, Int32(5)),
+			"nothing":         nil,
+		} {
+			if err := ser.CheckStored(bad); err == nil {
+				t.Errorf("%s: entry check accepted %s", ser.Encoding, name)
+			}
+		}
+	}
+	if err := schema.CheckStored(encode(generic, lazyTestRecord())); err == nil {
+		t.Error("a schema serializer's entry check accepted the self-describing layout")
+	}
+	if err := generic.CheckStored(encode(schema, lazyTestRecord())); err == nil {
+		t.Error("a self-describing serializer's entry check accepted the schema layout")
 	}
 }
 
@@ -324,10 +367,12 @@ func lazyFuzzType(open bool) *RecordType {
 // missing, null or any value, then open fields) is encoded in both layouts;
 // on its lazy view Get of every declared, open and absent name, FieldBytes,
 // AppendJSON, EncodeValue and Materialize must agree with the eager record.
-// The same bytes with one byte changed or cut short, and the fuzz bytes
-// themselves behind each layout's tag, go to DecodeLazy too: it either
-// fails or gives a record that passes the same checks, without a panic.
-// Run with
+// The same bytes with one byte changed, cut short or followed by one more,
+// and the fuzz bytes themselves behind each layout's tag, go to DecodeLazy
+// too: it either fails or gives a record that passes the same checks,
+// without a panic. Every byte string the entry check (CheckStored) accepts
+// is one whole record in the serializer's layout that DecodeLazy accepts,
+// and its header-only View passes the same checks. Run with
 //
 //	go test -run='^$' -fuzz=FuzzLazyRecord -fuzztime=15s ./internal/adm
 func FuzzLazyRecord(f *testing.F) {
@@ -360,6 +405,9 @@ func FuzzLazyRecord(f *testing.F) {
 			if err != nil {
 				continue // a required field drawn missing
 			}
+			if err := ser.CheckStored(raw); err != nil {
+				t.Fatalf("encoding-%d: %v: entry check refused it: %v", enc, rec, err)
+			}
 			if !checkLazyView(t, ser, raw) {
 				t.Fatalf("encoding-%d: %v: lazy decode failed", enc, rec)
 			}
@@ -367,6 +415,7 @@ func FuzzLazyRecord(f *testing.F) {
 			bad[pos%len(bad)] ^= flip | 1
 			checkLazyView(t, ser, bad)
 			checkLazyView(t, ser, raw[:int(cut)%len(raw)])
+			checkLazyView(t, ser, append(bytes.Clone(raw), flip))
 		}
 		for _, typ := range types {
 			ser := NewSerializer(typ, SchemaEncoding)
@@ -377,12 +426,17 @@ func FuzzLazyRecord(f *testing.F) {
 }
 
 // checkLazyView decodes raw lazily and, when that succeeds, checks every
-// read of the view against the eager decode; it reports whether the lazy
-// decode succeeded.
+// read of the view against the eager decode — and, when the entry check
+// accepts raw, every read of its header-only View too; it reports whether
+// the lazy decode succeeded.
 func checkLazyView(t *testing.T, ser *Serializer, raw []byte) bool {
 	t.Helper()
 	lv, n, err := ser.DecodeLazy(raw, nil)
+	checked := ser.CheckStored(raw) == nil
 	if err != nil {
+		if checked {
+			t.Fatalf("% x: entry check accepted bytes DecodeLazy refuses: %v", raw, err)
+		}
 		return false
 	}
 	ev, en, err := ser.Decode(raw)
@@ -393,6 +447,9 @@ func checkLazyView(t *testing.T, ser *Serializer, raw []byte) bool {
 		t.Fatalf("% x: lazy decode read %d bytes, eager %d", raw, n, en)
 	}
 	lr, ok := lv.(*LazyRecord)
+	if checked && (!ok || n != len(raw) || TypeTag(raw[0]) != ser.recordTag()) {
+		t.Fatalf("% x: entry check accepted %T of %d bytes in the layout of tag %#x", raw, lv, n, raw[0])
+	}
 	if !ok {
 		return true // not a record layout: decoded eagerly
 	}
@@ -404,6 +461,18 @@ func checkLazyView(t *testing.T, ser *Serializer, raw []byte) bool {
 	for _, f := range er.Fields {
 		names = append(names, f.Name)
 	}
+	checkReads(t, raw, lr, er, names)
+	if checked {
+		checkReads(t, raw, ser.View(raw, nil), er, names)
+	}
+	return true
+}
+
+// checkReads checks every read of the lazy record lr of raw against er, its
+// eager decode: Get and FieldBytes of each name, AppendJSON, EncodeValue and
+// Materialize, then Get and FieldBytes again on the materialized record.
+func checkReads(t *testing.T, raw []byte, lr *LazyRecord, er *Record, names []string) {
+	t.Helper()
 	encode := func(v Value) []byte {
 		b, err := EncodeValue(nil, v)
 		if err != nil {
@@ -440,5 +509,4 @@ func checkLazyView(t *testing.T, ser *Serializer, raw []byte) bool {
 		t.Fatalf("% x: Materialize\n lazy  % x\n eager % x", raw, got, want)
 	}
 	checkGets("materialized")
-	return true
 }

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"strings"
@@ -123,13 +124,51 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 	}
 }
 
-// TestLoadComponentAllocsConstant: loading reads the file and indexes it in
-// place, so its allocations do not grow with the entry count.
+// TestOpenChecksLoadedValues: Open runs Options.CheckValue on every live
+// value of every component it loads, and a refused value makes the file an
+// unreadable component, named and left on disk. Antimatter is not checked,
+// and neither is a component the tree writes itself.
+func TestOpenChecksLoadedValues(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Background: true, CheckValue: refuseFF}
+	tr, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Insert([]byte("a"), []byte("fine"))
+	tr.Delete([]byte("b"))
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, opts); err != nil {
+		t.Fatalf("reopen with only live values the check accepts: %v", err)
+	}
+	tr.Insert([]byte("c"), []byte{0xFF})
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("flush of a value the check refuses: %v", err)
+	}
+	path := tr.disk[0].path
+	_, err = Open(dir, opts)
+	var ce *ComponentError
+	if !errors.As(err, &ce) || ce.Path != path || !errors.Is(err, errRefused) {
+		t.Fatalf("Open = %v, want a component error naming %s that wraps the check's", err, path)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("refused component was removed: %v", err)
+	}
+	if _, err := Open(dir, Options{}); err != nil {
+		t.Fatalf("reopen without a check: %v", err)
+	}
+}
+
+// TestLoadComponentAllocsConstant: loading reads the file, indexes it in
+// place and checks its values, so its allocations do not grow with the
+// entry count.
 func TestLoadComponentAllocsConstant(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, path := flushOne(t, n)
 		return testing.AllocsPerRun(5, func() {
-			if _, err := loadComponent(path); err != nil {
+			if _, err := loadComponent(path, func([]byte) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -195,9 +234,22 @@ func TestMergeKeepsAntimatterUnlessOldest(t *testing.T) {
 	}
 }
 
+// refuseFF is the value check FuzzComponentLoad loads with: it refuses a
+// value whose first byte is 0xFF.
+func refuseFF(value []byte) error {
+	if len(value) > 0 && value[0] == 0xFF {
+		return errRefused
+	}
+	return nil
+}
+
+var errRefused = errors.New("value refused")
+
 // FuzzComponentLoad: openImage never panics, an image it accepts decodes
 // entirely within itself, and any sorted entries written by encodeImage load
-// back unchanged.
+// back unchanged. Both load with a value check: an image whose checksum
+// holds is still refused, with the check's error, exactly when one of its
+// live values fails the check — antimatter carries no value to check.
 func FuzzComponentLoad(f *testing.F) {
 	_, path := flushOne(f, 5)
 	good, err := os.ReadFile(path)
@@ -215,6 +267,18 @@ func FuzzComponentLoad(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// checked runs the value check on an image openImage accepted and
+		// checks that it refuses exactly the images with a refused live value.
+		checked := func(c *diskComponent) {
+			refused := false
+			for i := 0; i < len(c.keys); i++ {
+				_, value, anti := c.entry(i)
+				refused = refused || (!anti && refuseFF(value) != nil)
+			}
+			if err := c.checkValues(refuseFF); (err != nil) != refused || (refused && !errors.Is(err, errRefused)) {
+				t.Fatalf("value check = %v on an image with a refused live value: %v", err, refused)
+			}
+		}
 		if c, err := openImage(1, "fuzz", data); err == nil {
 			for i := 0; i < len(c.keys); i++ {
 				key, value, _ := c.entry(i)
@@ -222,6 +286,7 @@ func FuzzComponentLoad(f *testing.F) {
 					t.Fatalf("entry %d decodes outside the image", i)
 				}
 			}
+			checked(c)
 		}
 		// Entries from data: a control byte (key length, antimatter bit), the
 		// key, a value length byte, the value.
@@ -253,5 +318,6 @@ func FuzzComponentLoad(f *testing.F) {
 		if len(c.keys) != mem.Len() || c.stamp != 9 || c.coveredLow != 1 {
 			t.Fatalf("loaded %d entries stamp %d covered %d, want %d, 9, 1", len(c.keys), c.stamp, c.coveredLow, mem.Len())
 		}
+		checked(c)
 	})
 }

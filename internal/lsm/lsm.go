@@ -55,6 +55,11 @@ type Options struct {
 	// a MergePlan. Direct users of the package leave it false and keep the
 	// self-managing behavior.
 	Background bool
+	// CheckValue, when set, is run by Open on every non-antimatter value of
+	// every component it loads from disk; a value it refuses makes the
+	// component unreadable. Components a flush or merge writes are not
+	// checked: their values came from the tree itself.
+	CheckValue func(value []byte) error
 }
 
 // DefaultMemBudget is the default in-memory component budget (256 KiB — small
@@ -135,7 +140,7 @@ func Open(dir string, opts Options) (*Tree, error) {
 	sort.Strings(names)
 	var comps []*diskComponent
 	for _, name := range names {
-		comp, err := loadComponent(name)
+		comp, err := loadComponent(name, opts.CheckValue)
 		if err != nil {
 			return nil, &ComponentError{Dir: dir, Path: name, Err: err}
 		}
@@ -535,8 +540,9 @@ func encodeImage(coveredLow int, stamp uint64, src cursor, dropAntimatter bool, 
 	return image
 }
 
-// loadComponent reads a component file whole and validates it.
-func loadComponent(path string) (*diskComponent, error) {
+// loadComponent reads a component file whole, validates it and, when check
+// is set, runs check on each of its non-antimatter values.
+func loadComponent(path string, check func([]byte) error) (*diskComponent, error) {
 	id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "component-"), ".lsm"))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: component file name without an id: %w", err)
@@ -545,7 +551,26 @@ func loadComponent(path string) (*diskComponent, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openImage(id, path, image)
+	c, err := openImage(id, path, image)
+	if err == nil && check != nil {
+		err = c.checkValues(check)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// checkValues runs check on every non-antimatter value.
+func (c *diskComponent) checkValues(check func([]byte) error) error {
+	for i := range c.keys {
+		if _, value, antimatter := c.entry(i); !antimatter {
+			if err := check(value); err != nil {
+				return fmt.Errorf("lsm: entry %d value: %w", i, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Reseal recomputes the checksum of a component image in place, over its

@@ -205,9 +205,13 @@ func (m *Manager) CreateDataset(spec DatasetSpec) (*Dataset, error) {
 		manager: m,
 		ser:     adm.NewSerializer(spec.Type, adm.SchemaEncoding),
 	}
+	// A primary component read from disk is where stored record bytes enter
+	// the process: each record is checked there, once, so reads only wrap it.
+	opts := m.lsmOptions()
+	opts.CheckValue = ds.ser.CheckStored
 	for p := 0; p < m.opts.Partitions; p++ {
 		dir := filepath.Join(m.dir, spec.Name, fmt.Sprintf("partition-%d", p))
-		primary, err := lsm.Open(dir, m.lsmOptions())
+		primary, err := lsm.Open(dir, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -801,17 +805,19 @@ func (d *Dataset) corrupt(err error) error {
 	return fmt.Errorf("storage: %q: %w: %w", d.spec.Name, ErrCorrupt, err)
 }
 
-// view decodes stored record bytes for a query: a zero-copy *adm.LazyRecord
+// view hands stored record bytes to a query: a zero-copy *adm.LazyRecord
 // over raw (its header, all it allocates, comes from arena, which may be
-// nil; its bytes are validated here, so a corrupt record fails now), or the
-// whole *adm.Record under Options.EagerDecode.
+// nil), or the whole *adm.Record under Options.EagerDecode. The lazy view
+// walks nothing: every value in a primary tree is a record checked where
+// its bytes entered the process — encoded from a validated record by
+// InsertBatch, checked by CheckStored at component load and log replay, or
+// copied by a flush or merge from those.
 func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
 	if d.manager.opts.EagerDecode {
 		v, _, err := d.ser.Decode(raw)
 		return v, err
 	}
-	v, _, err := d.ser.DecodeLazy(raw, arena)
-	return v, err
+	return d.ser.View(raw, arena), nil
 }
 
 // buildLogRecords produces the WAL records for replacing oldRec (nil if pk
@@ -922,7 +928,9 @@ func (p *partition) applyRecordLocked(rec txn.LogRecord) error {
 
 // applyLogged applies one WAL record during recovery, gated on the target
 // tree's durable watermark: records already inside a durable component are
-// skipped, everything past it is re-applied (idempotently).
+// skipped, everything past it is re-applied (idempotently). A replayed
+// primary insert is record bytes entering the process, so its value gets
+// the entry check before it reaches the tree.
 func (d *Dataset) applyLogged(lsn uint64, rec txn.LogRecord) (bool, error) {
 	if rec.Partition < 0 || rec.Partition >= len(d.partitions) {
 		return false, nil
@@ -933,6 +941,11 @@ func (d *Dataset) applyLogged(lsn uint64, rec txn.LogRecord) (bool, error) {
 	tree := p.treeFor(rec.Index)
 	if tree == nil || lsn < tree.DurableLSN() {
 		return false, nil
+	}
+	if rec.Index == "" && rec.Kind == txn.OpInsert {
+		if err := d.ser.CheckStored(rec.Value); err != nil {
+			return true, d.corrupt(err)
+		}
 	}
 	return true, p.applyRecordLocked(rec)
 }
@@ -984,7 +997,8 @@ func (d *Dataset) PartitionCount() int { return len(d.partitions) }
 // index always resolves in partition p's primary index: this is the
 // primary-search stage of the compiled per-partition access path. Like
 // ScanPartition, it returns a zero-copy *adm.LazyRecord view of the stored
-// bytes, or an *adm.Record under Options.EagerDecode.
+// bytes, which were checked when they entered the process and are not
+// walked again, or an *adm.Record under Options.EagerDecode.
 func (d *Dataset) FetchPKPartition(part int, pk []byte) (adm.Value, bool, error) {
 	if part < 0 || part >= len(d.partitions) {
 		return nil, false, fmt.Errorf("storage: partition %d out of range", part)
@@ -1236,9 +1250,10 @@ const scanChunk = 64
 // Records arrive as lazily-decoded *adm.LazyRecord values (unless
 // Options.EagerDecode) viewing the LSM tree's own value bytes zero-copy:
 // the iterator contract guarantees value slices stay readable and are never
-// mutated in place, so no per-record copy is made. The stored bytes are
-// validated under the latch, but field decoding is deferred until an
-// operator actually touches a field.
+// mutated in place, so no per-record copy is made. Only a header is made
+// under the latch: the stored bytes were checked when they entered the
+// process (see view), and field decoding is deferred until an operator
+// actually touches a field.
 func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 	if part < 0 || part >= len(d.partitions) {
 		return fmt.Errorf("storage: partition %d out of range", part)
@@ -1268,12 +1283,10 @@ func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 			}
 			val, err := d.view(it.Value(), arena)
 			if err != nil {
-				decodeErr = err
+				decodeErr = d.corrupt(err)
 				break
 			}
-			if val.Tag() == adm.TagRecord {
-				chunk = append(chunk, val)
-			}
+			chunk = append(chunk, val)
 		}
 		p.mu.Unlock()
 		if decodeErr != nil {
@@ -1297,10 +1310,7 @@ func (d *Dataset) Scan(visit func(*adm.Record) bool) error {
 	for part := range d.partitions {
 		stop := false
 		err := d.ScanPartition(part, func(v adm.Value) bool {
-			r, ok := adm.AsRecord(v)
-			if !ok {
-				return true
-			}
+			r, _ := adm.AsRecord(v) // every stored value is a record
 			if !visit(r) {
 				stop = true
 				return false

@@ -26,6 +26,7 @@ import (
 	"asterixdb/internal/adm"
 	"asterixdb/internal/crashpoint"
 	"asterixdb/internal/invidx"
+	"asterixdb/internal/lsm"
 	"asterixdb/internal/storage"
 )
 
@@ -124,6 +125,9 @@ func Model(seed int64, n, upto int) map[int64]Op {
 	return state
 }
 
+// dataset is the torture dataset's name, and its directory under Config.Dir.
+const dataset = "Torture"
+
 func tortureType() *adm.RecordType {
 	return &adm.RecordType{
 		Name: "TortureType",
@@ -149,7 +153,8 @@ func record(op Op) *adm.Record {
 
 // open creates/reopens the torture manager with every index kind declared —
 // the same DDL the child ran, which is the recovery contract (DDL is not
-// journaled). A tiny memory budget keeps flushes and merges constant.
+// journaled). A tiny memory budget keeps flushes and merges constant. On an
+// error the manager is closed again.
 func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 	m, err := storage.NewManager(cfg.Dir, storage.Options{
 		Partitions:         2,
@@ -160,13 +165,23 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	ds, err := declare(m)
+	if err != nil {
+		m.Close()
+		return nil, nil, err
+	}
+	return m, ds, nil
+}
+
+// declare runs the torture DDL on m.
+func declare(m *storage.Manager) (*storage.Dataset, error) {
 	ds, err := m.CreateDataset(storage.DatasetSpec{
-		Name:       "Torture",
+		Name:       dataset,
 		Type:       tortureType(),
 		PrimaryKey: []string{"id"},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, spec := range []storage.IndexSpec{
 		{Name: "by_val", Fields: []string{"val"}, Kind: storage.BTreeIndex},
@@ -175,10 +190,10 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 		{Name: "by_name", Fields: []string{"name"}, Kind: storage.NGramIndex, GramLength: 3},
 	} {
 		if err := ds.CreateIndex(spec); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return m, ds, nil
+	return ds, nil
 }
 
 // RunChild executes the workload, printing "ACK <i>" after each committed
@@ -418,6 +433,81 @@ func verifyIndexes(ds *storage.Dataset, state map[int64]Op) error {
 	return check("by_name", ids(recs), gramMatch)
 }
 
+// VerifyDamageRefused plants an undecodable record in a primary component
+// of a verified torture directory: it rewrites one stored record in place and
+// recomputes the component's checksum, so only the check of every record at
+// load can notice. Reopening must fail with the typed error naming that
+// component and leave it on disk; once the original bytes are restored the
+// directory must reopen, recover and pass Verify again. It reports false,
+// and checks nothing, when no primary component holds a record the workload
+// wrote (the child died before its first flush).
+func VerifyDamageRefused(cfg Config, lastAck int, completed bool) (bool, error) {
+	path, image, at, err := findStoredRecord(cfg)
+	if err != nil || path == "" {
+		return false, err
+	}
+	damaged := bytes.Clone(image)
+	damaged[at+1] = 7 // the first declared field's presence byte
+	if err := lsm.Reseal(damaged); err != nil {
+		return false, err
+	}
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		return false, err
+	}
+	m, _, err := open(cfg)
+	if err == nil {
+		m.Close()
+		return true, fmt.Errorf("reopen over an undecodable record in %s succeeded", path)
+	}
+	var ce *lsm.ComponentError
+	if !errors.As(err, &ce) || ce.Path != path {
+		return true, fmt.Errorf("reopen over an undecodable record in %s: error is not a component error naming it: %w", path, err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		return true, fmt.Errorf("damaged component %s was removed: %w", path, err)
+	}
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		return true, err
+	}
+	if err := Verify(cfg, lastAck, completed); err != nil {
+		return true, fmt.Errorf("after restoring %s: %w", path, err)
+	}
+	return true, nil
+}
+
+// findStoredRecord returns the first primary component file holding the
+// stored encoding of a record the workload wrote, its image, and the
+// record's offset in it; path is "" when there is none.
+func findStoredRecord(cfg Config) (path string, image []byte, at int, err error) {
+	paths, err := filepath.Glob(filepath.Join(cfg.Dir, dataset, "partition-*", "component-*.lsm"))
+	if err != nil {
+		return "", nil, 0, err
+	}
+	ser := adm.NewSerializer(tortureType(), adm.SchemaEncoding)
+	var stored [][]byte
+	for _, op := range Ops(cfg.Seed, cfg.Ops) {
+		if !op.Delete {
+			enc, err := ser.Encode(nil, record(op))
+			if err != nil {
+				return "", nil, 0, err
+			}
+			stored = append(stored, enc)
+		}
+	}
+	for _, path := range paths {
+		image, err := os.ReadFile(path)
+		if err != nil {
+			return "", nil, 0, err
+		}
+		for _, enc := range stored {
+			if at := bytes.Index(image, enc); at >= 0 {
+				return path, image, at, nil
+			}
+		}
+	}
+	return "", nil, 0, nil
+}
+
 // verifyNoTempFiles asserts the crash left no *.tmp files anywhere under the
 // data directory: every component and meta file either renamed into place
 // atomically or was cleaned up on reopen.
@@ -468,6 +558,10 @@ func (d *Driver) Calibrate() (int, error) {
 	if err := Verify(cfg, d.Ops-1, true); err != nil {
 		return 0, fmt.Errorf("calibration verify: %w", err)
 	}
+	// The uncrashed child checkpointed, so a primary component holds records.
+	if planted, err := VerifyDamageRefused(cfg, d.Ops-1, true); err != nil || !planted {
+		return 0, fmt.Errorf("calibration damaged-record check (planted=%v): %w", planted, err)
+	}
 	return events, nil
 }
 
@@ -496,10 +590,14 @@ func (d *Driver) RunCycles(n int) error {
 			// bug, not a crash under test.
 			return fmt.Errorf("cycle %d (seed=%d target=%d): child error: %w\n%s", cycle, cfg.Seed, target, runErr, out)
 		}
-		d.logf("torture: cycle=%d seed=%d target=%d acked=%d killed=%v", cycle, cfg.Seed, target, lastAck, !completed)
 		if err := Verify(cfg, lastAck, completed); err != nil {
 			return fmt.Errorf("cycle %d (seed=%d target=%d acked=%d): %w", cycle, cfg.Seed, target, lastAck, err)
 		}
+		planted, err := VerifyDamageRefused(cfg, lastAck, completed)
+		if err != nil {
+			return fmt.Errorf("cycle %d (seed=%d target=%d acked=%d): damaged record: %w", cycle, cfg.Seed, target, lastAck, err)
+		}
+		d.logf("torture: cycle=%d seed=%d target=%d acked=%d killed=%v damaged-record=%v", cycle, cfg.Seed, target, lastAck, !completed, planted)
 		os.RemoveAll(cfg.Dir)
 	}
 	return nil
