@@ -24,6 +24,9 @@ func lazyBenchMessages(b *testing.B, n int) (*adm.Serializer, [][]byte) {
 	return ser, raw
 }
 
+// lazySink keeps the compiler from dropping a benchmarked construction.
+var lazySink adm.Value
+
 // BenchmarkDecodeLazy times a scan's construction of lazy views over stored
 // Mugshot messages: one arena per 5 000 records, as a partition scan uses one.
 // walk is DecodeLazy, which validates every byte; view is View, the header a
@@ -35,15 +38,14 @@ func BenchmarkDecodeLazy(b *testing.B) {
 	ser, raw := lazyBenchMessages(b, n)
 	for _, row := range []struct {
 		name string
-		make func(src []byte, arena *adm.Arena) error
+		make func(src []byte, arena *adm.Arena) (adm.Value, error)
 	}{
-		{"walk", func(src []byte, arena *adm.Arena) error {
-			_, _, err := ser.DecodeLazy(src, arena)
-			return err
+		{"walk", func(src []byte, arena *adm.Arena) (adm.Value, error) {
+			v, _, err := ser.DecodeLazy(src, arena)
+			return v, err
 		}},
-		{"view", func(src []byte, arena *adm.Arena) error {
-			ser.View(src, arena)
-			return nil
+		{"view", func(src []byte, arena *adm.Arena) (adm.Value, error) {
+			return ser.View(src, arena), nil
 		}},
 	} {
 		b.Run(row.name, func(b *testing.B) {
@@ -57,9 +59,11 @@ func BenchmarkDecodeLazy(b *testing.B) {
 					arena.Release()
 					arena = adm.AcquireArena()
 				}
-				if err := row.make(raw[i%n], arena); err != nil {
+				v, err := row.make(raw[i%n], arena)
+				if err != nil {
 					b.Fatal(err)
 				}
+				lazySink = v
 			}
 			b.StopTimer()
 			arena.Release()

@@ -1283,7 +1283,7 @@ func (d *Dataset) ScanPartition(part int, visit func(adm.Value) bool) error {
 			}
 			val, err := d.view(it.Value(), arena)
 			if err != nil {
-				decodeErr = d.corrupt(err)
+				decodeErr = err
 				break
 			}
 			chunk = append(chunk, val)

@@ -165,23 +165,14 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := declare(m)
-	if err != nil {
-		m.Close()
-		return nil, nil, err
-	}
-	return m, ds, nil
-}
-
-// declare runs the torture DDL on m.
-func declare(m *storage.Manager) (*storage.Dataset, error) {
 	ds, err := m.CreateDataset(storage.DatasetSpec{
 		Name:       dataset,
 		Type:       tortureType(),
 		PrimaryKey: []string{"id"},
 	})
 	if err != nil {
-		return nil, err
+		m.Close()
+		return nil, nil, err
 	}
 	for _, spec := range []storage.IndexSpec{
 		{Name: "by_val", Fields: []string{"val"}, Kind: storage.BTreeIndex},
@@ -190,10 +181,11 @@ func declare(m *storage.Manager) (*storage.Dataset, error) {
 		{Name: "by_name", Fields: []string{"name"}, Kind: storage.NGramIndex, GramLength: 3},
 	} {
 		if err := ds.CreateIndex(spec); err != nil {
-			return nil, err
+			m.Close()
+			return nil, nil, err
 		}
 	}
-	return ds, nil
+	return m, ds, nil
 }
 
 // RunChild executes the workload, printing "ACK <i>" after each committed
@@ -433,7 +425,7 @@ func verifyIndexes(ds *storage.Dataset, state map[int64]Op) error {
 	return check("by_name", ids(recs), gramMatch)
 }
 
-// VerifyDamageRefused plants an undecodable record in a primary component
+// verifyDamageRefused plants an undecodable record in a primary component
 // of a verified torture directory: it rewrites one stored record in place and
 // recomputes the component's checksum, so only the check of every record at
 // load can notice. Reopening must fail with the typed error naming that
@@ -441,7 +433,7 @@ func verifyIndexes(ds *storage.Dataset, state map[int64]Op) error {
 // directory must reopen, recover and pass Verify again. It reports false,
 // and checks nothing, when no primary component holds a record the workload
 // wrote (the child died before its first flush).
-func VerifyDamageRefused(cfg Config, lastAck int, completed bool) (bool, error) {
+func verifyDamageRefused(cfg Config, lastAck int, completed bool) (bool, error) {
 	path, image, at, err := findStoredRecord(cfg)
 	if err != nil || path == "" {
 		return false, err
@@ -559,7 +551,7 @@ func (d *Driver) Calibrate() (int, error) {
 		return 0, fmt.Errorf("calibration verify: %w", err)
 	}
 	// The uncrashed child checkpointed, so a primary component holds records.
-	if planted, err := VerifyDamageRefused(cfg, d.Ops-1, true); err != nil || !planted {
+	if planted, err := verifyDamageRefused(cfg, d.Ops-1, true); err != nil || !planted {
 		return 0, fmt.Errorf("calibration damaged-record check (planted=%v): %w", planted, err)
 	}
 	return events, nil
@@ -593,7 +585,7 @@ func (d *Driver) RunCycles(n int) error {
 		if err := Verify(cfg, lastAck, completed); err != nil {
 			return fmt.Errorf("cycle %d (seed=%d target=%d acked=%d): %w", cycle, cfg.Seed, target, lastAck, err)
 		}
-		planted, err := VerifyDamageRefused(cfg, lastAck, completed)
+		planted, err := verifyDamageRefused(cfg, lastAck, completed)
 		if err != nil {
 			return fmt.Errorf("cycle %d (seed=%d target=%d acked=%d): damaged record: %w", cycle, cfg.Seed, target, lastAck, err)
 		}
