@@ -328,7 +328,7 @@ func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
 // manager, rewrites the stored encoding of message 5 inside the component
 // that holds it with edit, reseals that image so its checksum holds, and
 // returns the component's path.
-func damageStoredRecord(t *testing.T, dir string, edit func(image []byte, at, n int) []byte) string {
+func damageStoredRecord(t *testing.T, dir string, edit func(t *testing.T, image []byte, at, n int) []byte) string {
 	t.Helper()
 	m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
 	if err != nil {
@@ -363,7 +363,7 @@ func damageStoredRecord(t *testing.T, dir string, edit func(image []byte, at, n 
 		if at < 0 {
 			continue
 		}
-		image = edit(image, at, len(enc))
+		image = edit(t, image, at, len(enc))
 		if err := lsm.Reseal(image); err != nil {
 			t.Fatal(err)
 		}
@@ -385,13 +385,13 @@ func damageStoredRecord(t *testing.T, dir string, edit func(image []byte, at, n 
 func TestUndecodableRecordRefusedOnOpen(t *testing.T) {
 	for _, row := range []struct {
 		name string
-		edit func(image []byte, at, n int) []byte
+		edit func(t *testing.T, image []byte, at, n int) []byte
 	}{
-		{"bad presence byte", func(image []byte, at, _ int) []byte {
+		{"bad presence byte", func(_ *testing.T, image []byte, at, _ int) []byte {
 			image[at+1] = 7 // the first declared field's presence byte
 			return image
 		}},
-		{"trailing bytes", func(image []byte, at, n int) []byte {
+		{"trailing bytes", func(t *testing.T, image []byte, at, n int) []byte {
 			if image[at-1] != byte(n) {
 				t.Fatalf("value length byte %d, want %d", image[at-1], n)
 			}
@@ -407,11 +407,9 @@ func TestUndecodableRecordRefusedOnOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { m.Close() })
-			ds, err := m.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}})
-			if err == nil {
-				rerr := m.Recover()
-				_, serr := ds.Count()
-				t.Fatalf("reopen over an undecodable record succeeded (recover: %v, scan: %v)", rerr, serr)
+			// A failure does not scan: reads trust the bytes the check let in.
+			if _, err = m.CreateDataset(DatasetSpec{Name: "MugshotMessages", Type: messageType(), PrimaryKey: []string{"message-id"}}); err == nil {
+				t.Fatal("reopen over an undecodable record succeeded")
 			}
 			var ce *lsm.ComponentError
 			if !errors.As(err, &ce) || ce.Path != damaged {
@@ -463,10 +461,9 @@ func TestUndecodableLoggedRecordFailsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m2.Close() })
-	ds2 := createMessages(t, m2)
+	createMessages(t, m2)
 	if err := m2.Recover(); !errors.Is(err, ErrCorrupt) {
-		_, serr := ds2.Count()
-		t.Fatalf("Recover = %v, want the corrupt-record error (scan: %v)", err, serr)
+		t.Fatalf("Recover = %v, want the corrupt-record error", err)
 	}
 }
 

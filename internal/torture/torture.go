@@ -551,8 +551,12 @@ func (d *Driver) Calibrate() (int, error) {
 		return 0, fmt.Errorf("calibration verify: %w", err)
 	}
 	// The uncrashed child checkpointed, so a primary component holds records.
-	if planted, err := verifyDamageRefused(cfg, d.Ops-1, true); err != nil || !planted {
-		return 0, fmt.Errorf("calibration damaged-record check (planted=%v): %w", planted, err)
+	planted, err := verifyDamageRefused(cfg, d.Ops-1, true)
+	if err != nil {
+		return 0, fmt.Errorf("calibration damaged-record check: %w", err)
+	}
+	if !planted {
+		return 0, fmt.Errorf("calibration: no primary component holds a record to damage")
 	}
 	return events, nil
 }
