@@ -47,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
@@ -282,7 +283,7 @@ func (in *Instance) MemoryBudget() int64 {
 // statement is a CodeInvalid error, so explaining never touches data, the
 // catalog or the session.
 func (in *Instance) Explain(src string) (string, error) {
-	q, _, err := in.prelude(context.Background(), src, true)
+	q, _, err := in.prelude(context.Background(), src, true, nil)
 	if err != nil {
 		return "", err
 	}
@@ -304,17 +305,22 @@ func (in *Instance) Explain(src string) (string, error) {
 // applies its leading DDL/DML identically everywhere before the final query
 // compiles against the updated catalog.
 func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (aql.Expr, *Result, error) {
-	return in.prelude(ctx, src, false)
+	return in.prelude(ctx, src, false, nil)
 }
 
 // prelude is the one statement prelude behind ExecuteForQuery and Explain.
 // With explainOnly set it executes nothing: leading session statements are
-// skipped and anything else is rejected.
-func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool) (aql.Expr, *Result, error) {
+// skipped and anything else is rejected. A non-nil ph receives the parse
+// time.
+func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, ph *Phases) (aql.Expr, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	start := time.Now()
 	stmts, err := aql.Parse(src)
+	if ph != nil {
+		ph.ParseNanos = int64(time.Since(start))
+	}
 	if err != nil {
 		return nil, nil, syntaxError(err)
 	}
@@ -348,10 +354,21 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool) (
 // indexes rely on. A query the compiler cannot plan is a typed CodeInvalid
 // error; there is no other way to evaluate it.
 func (in *Instance) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
+	return in.compile(e, opts, nil)
+}
+
+// compile is CompileQuery timing its two steps into a non-nil ph.
+func (in *Instance) compile(e aql.Expr, opts algebra.Options, ph *Phases) (*algebra.Plan, *hyracks.Job, error) {
 	var job *hyracks.Job
+	start := time.Now()
 	plan, err := translator.Compile(e, in, opts)
+	built := time.Now()
 	if err == nil {
 		job, err = translator.BuildJob(plan, in, in.jobOptions())
+	}
+	if ph != nil {
+		ph.CompileNanos = int64(built.Sub(start))
+		ph.JobBuildNanos = int64(time.Since(built))
 	}
 	if err != nil {
 		return nil, nil, errf(CodeInvalid, "asterixdb: unplannable query: %v", err)
@@ -980,7 +997,7 @@ func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.
 
 // materialize runs a compiled job to completion and collects its result.
 func (in *Instance) materialize(ctx context.Context, job *hyracks.Job) (*Result, error) {
-	cur, err := in.startJob(ctx, job)
+	cur, err := in.startJob(ctx, job, Phases{})
 	if err != nil {
 		return nil, err
 	}

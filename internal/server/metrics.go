@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"asterixdb"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/metrics"
 )
@@ -24,7 +25,14 @@ type serverMetrics struct {
 	active   *metrics.Gauge
 	duration *metrics.Histogram
 	queries  map[string]*metrics.Counter // "mode|status"
+	// phases sums each statement phase over every finished query, in the
+	// order of phaseNames.
+	phases [len(phaseNames)]*metrics.Counter
 }
+
+// phaseNames label asterix_statement_phase_seconds_total, one per field of
+// asterixdb.Phases in its order.
+var phaseNames = [...]string{"parse", "compile", "job_build", "first_row", "last_row"}
 
 const (
 	outcomeSuccess  = "success"
@@ -44,6 +52,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.duration = reg.Histogram("asterix_query_duration_seconds",
 		"Query latency from request to last result row.", metrics.DurationBuckets)
+	for i, name := range phaseNames {
+		m.phases[i] = reg.Counter("asterix_statement_phase_seconds_total",
+			"Time finished queries spent in each statement phase: parse, compile, job build, job start to first row, first row to last row.",
+			metrics.L("phase", name))
+	}
 	m.active = reg.Gauge("asterix_queries_active",
 		"Queries currently executing (all delivery modes).")
 	reg.GaugeFunc("asterix_result_handles",
@@ -55,9 +68,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// record counts one finished query. A request ended by its own context
-// (client went away, deadline) is canceled, not an engine error.
-func (m *serverMetrics) record(mode string, dur time.Duration, err error) {
+// record counts one finished query and adds its phase times. A request ended
+// by its own context (client went away, deadline) is canceled, not an engine
+// error.
+func (m *serverMetrics) record(mode string, dur time.Duration, ph asterixdb.Phases, err error) {
 	st := outcomeSuccess
 	switch {
 	case err == nil:
@@ -68,16 +82,19 @@ func (m *serverMetrics) record(mode string, dur time.Duration, err error) {
 	}
 	m.queries[mode+"|"+st].Inc()
 	m.duration.Observe(dur.Seconds())
+	for i, ns := range [...]int64{ph.ParseNanos, ph.CompileNanos, ph.JobBuildNanos, ph.FirstRowNanos, ph.LastRowNanos} {
+		m.phases[i].Add(time.Duration(ns).Seconds())
+	}
 }
 
 // finishQuery records a query's metrics and, past the slow-query
 // threshold, logs it with a profile summary.
-func (s *Server) finishQuery(mode, src string, start time.Time, prof *hyracks.JobProfile, err error) {
+func (s *Server) finishQuery(mode, src string, start time.Time, st queryStats, err error) {
 	dur := time.Since(start)
-	s.metrics.record(mode, dur, err)
+	s.metrics.record(mode, dur, st.phases, err)
 	if s.opts.SlowQueryThreshold > 0 && dur >= s.opts.SlowQueryThreshold {
 		s.logger.Printf("slow query (%s, %v): %s%s", mode, dur.Round(time.Millisecond),
-			truncateStatement(src), profileSummary(prof))
+			truncateStatement(src), profileSummary(st.prof))
 	}
 }
 

@@ -213,3 +213,47 @@ func TestSlowQueryLogging(t *testing.T) {
 		t.Errorf("slow-query line should report the 20 scanned tuples as a plain count: %q", got)
 	}
 }
+
+// TestStatementPhases: the profile trailer names the statement's phases, the
+// phases fit inside the request, and /metrics sums each phase over the
+// finished queries.
+func TestStatementPhases(t *testing.T) {
+	s, _ := newTestServer(t)
+	loadItems(t, s, 12)
+	start := time.Now()
+	w := do(t, s, "POST", "/query?profile=true", `for $i in dataset Items where $i.id >= 3 return $i.id;`)
+	wall := time.Since(start)
+	if w.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", w.Code, w.Body)
+	}
+	phases, ok := profileLine(t, w.Body.String())["phases"].(map[string]any)
+	if !ok {
+		t.Fatalf("trailer has no phases:\n%s", w.Body)
+	}
+	var sum float64
+	for _, name := range []string{"parseNanos", "compileNanos", "jobBuildNanos", "firstRowNanos", "lastRowNanos"} {
+		ns, ok := phases[name].(float64)
+		if !ok || ns < 0 {
+			t.Fatalf("phase %s = %v in %v", name, phases[name], phases)
+		}
+		if ns == 0 && name != "lastRowNanos" {
+			t.Errorf("phase %s is zero: %v", name, phases)
+		}
+		sum += ns
+	}
+	if sum > float64(wall) {
+		t.Errorf("phases sum to %v, more than the request's %v: %v", time.Duration(sum), wall, phases)
+	}
+	body := do(t, s, "GET", "/metrics", "").Body.String()
+	for _, name := range phaseNames {
+		series := `asterix_statement_phase_seconds_total{phase="` + name + `"} `
+		i := strings.Index(body, series)
+		if i < 0 {
+			t.Fatalf("/metrics has no %s series:\n%s", name, body)
+		}
+		var v float64
+		if _, err := fmt.Sscan(body[i+len(series):], &v); err != nil || (v <= 0 && name != "last_row") {
+			t.Errorf("%s = %v (%v), want a positive sum", series, v, err)
+		}
+	}
+}

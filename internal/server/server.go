@@ -203,7 +203,7 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 	defer s.metrics.active.Dec()
 	cur, err := s.inst.QueryStream(s.queryContext(r.Context(), wantProfile), src)
 	if err != nil {
-		s.finishQuery("synchronous", src, start, nil, err)
+		s.finishQuery("synchronous", src, start, queryStats{}, err)
 		writeError(w, err)
 		return
 	}
@@ -211,7 +211,7 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 	hasFirst := cur.Next()
 	if !hasFirst {
 		if err := cur.Err(); err != nil && !isContextEnd(err) {
-			s.finishQuery("synchronous", src, start, cur.Profile(), err)
+			s.finishQuery("synchronous", src, start, statsOf(cur), err)
 			writeError(w, err)
 			return
 		}
@@ -221,7 +221,7 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 	if wantProfile {
 		// Evaluated after the stream drains, when the finished cursor has
 		// its profile.
-		trailer = func() []byte { return profileTrailer(cur.Profile()) }
+		trailer = func() []byte { return profileTrailer(statsOf(cur)) }
 	}
 	// The request context ending is not a failure: the stream just stops.
 	writeNDJSON(w, func() (adm.Value, bool, error) {
@@ -234,7 +234,7 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 		}
 		return nil, false, nil
 	}, trailer)
-	s.finishQuery("synchronous", src, start, cur.Profile(), cur.Err())
+	s.finishQuery("synchronous", src, start, statsOf(cur), cur.Err())
 }
 
 // profileRequested reports whether the request asked for a per-operator
@@ -252,17 +252,32 @@ func (s *Server) queryContext(ctx context.Context, wantProfile bool) context.Con
 	return ctx
 }
 
+// queryStats is what a finished cursor reports about its statement: the job
+// profile (nil unless profiling was on) and the phase times.
+type queryStats struct {
+	prof   *hyracks.JobProfile
+	phases asterixdb.Phases
+}
+
+func statsOf(cur *asterixdb.Cursor) queryStats {
+	return queryStats{prof: cur.Profile(), phases: cur.Phases()}
+}
+
 // profileTrailer renders the profile as the final NDJSON response line:
-// {"profile":{"operators":[...],...}}. Nil (nothing to write) when there is
-// no profile: profiling off, or a request whose final statement is not a
-// query.
-func profileTrailer(p *hyracks.JobProfile) []byte {
-	if p == nil {
+// {"profile":{"operators":[...],...,"phases":{...}}}. Nil (nothing to write)
+// when there is no profile: profiling off, or a request whose final
+// statement is not a query.
+func profileTrailer(st queryStats) []byte {
+	if st.prof == nil {
 		return nil
 	}
+	type profile struct {
+		*hyracks.JobProfile
+		Phases asterixdb.Phases `json:"phases"`
+	}
 	b, err := json.Marshal(struct {
-		Profile *hyracks.JobProfile `json:"profile"`
-	}{p})
+		Profile profile `json:"profile"`
+	}{profile{st.prof, st.phases}})
 	if err != nil {
 		return nil
 	}
@@ -282,13 +297,13 @@ func (s *Server) queryAsynchronous(w http.ResponseWriter, r *http.Request, src s
 	go func() {
 		defer s.async.Done()
 		defer s.metrics.active.Dec()
-		run, count, prof, err := s.spoolResult(context.Background(), src, wantProfile)
+		run, count, st, err := s.spoolResult(context.Background(), src, wantProfile)
 		var trailer []byte
 		if wantProfile {
-			trailer = profileTrailer(prof)
+			trailer = profileTrailer(st)
 		}
 		h.finish(run, count, trailer, err)
-		s.finishQuery("asynchronous", src, start, prof, err)
+		s.finishQuery("asynchronous", src, start, st, err)
 	}()
 	writeJSONStatus(w, http.StatusAccepted, map[string]any{"handle": h.id, "status": statusRunning})
 }
@@ -300,8 +315,8 @@ func (s *Server) queryDeferred(w http.ResponseWriter, r *http.Request, src strin
 	start := time.Now()
 	s.metrics.active.Inc()
 	defer s.metrics.active.Dec()
-	run, count, prof, err := s.spoolResult(r.Context(), src, wantProfile)
-	s.finishQuery("deferred", src, start, prof, err)
+	run, count, st, err := s.spoolResult(r.Context(), src, wantProfile)
+	s.finishQuery("deferred", src, start, st, err)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -309,7 +324,7 @@ func (s *Server) queryDeferred(w http.ResponseWriter, r *http.Request, src strin
 	h := s.handles.create("deferred")
 	var trailer []byte
 	if wantProfile {
-		trailer = profileTrailer(prof)
+		trailer = profileTrailer(st)
 	}
 	h.finish(run, count, trailer, nil)
 	writeJSON(w, map[string]any{"handle": h.id, "status": statusSuccess})
@@ -320,35 +335,36 @@ func (s *Server) queryDeferred(w http.ResponseWriter, r *http.Request, src strin
 // result size costs one run-writer buffer of memory rather than the whole
 // materialized value slice. A failure anywhere (including mid-stream, after
 // rows were already spooled) aborts the run and reports the error. The
-// returned profile is non-nil when profiling was on and the query compiled
-// to a job.
-func (s *Server) spoolResult(ctx context.Context, src string, wantProfile bool) (*runfile.Run, int, *hyracks.JobProfile, error) {
+// returned stats carry a profile when profiling was on and the query
+// compiled to a job.
+func (s *Server) spoolResult(ctx context.Context, src string, wantProfile bool) (*runfile.Run, int, queryStats, error) {
 	cur, err := s.inst.QueryStream(s.queryContext(ctx, wantProfile), src)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, queryStats{}, err
 	}
 	defer cur.Close()
 	w, err := s.spill.NewRun()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, queryStats{}, err
 	}
 	count := 0
 	for cur.Next() {
 		if err := w.Write([]adm.Value{cur.Value()}); err != nil {
 			w.Abort()
-			return nil, 0, cur.Profile(), err
+			cur.Close()
+			return nil, 0, statsOf(cur), err
 		}
 		count++
 	}
 	if err := cur.Err(); err != nil {
 		w.Abort()
-		return nil, 0, cur.Profile(), err
+		return nil, 0, statsOf(cur), err
 	}
 	run, err := w.Finish()
 	if err != nil {
-		return nil, 0, cur.Profile(), err
+		return nil, 0, statsOf(cur), err
 	}
-	return run, count, cur.Profile(), nil
+	return run, count, statsOf(cur), nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"asterixdb/internal/adm"
 )
@@ -175,5 +176,38 @@ return {
 	}
 	if got, ok := out["nest-join(hybrid-hash-join)"]; !ok || got != int64(rows) {
 		t.Errorf("nest-join(hybrid-hash-join) out = %d (present %v), want %d (out=%v)", got, ok, rows, out)
+	}
+}
+
+// TestStatementPhasesFitWallTime: a statement's phases are disjoint, so they
+// sum to no more than its wall time, and each phase it passed through is
+// non-zero.
+func TestStatementPhasesFitWallTime(t *testing.T) {
+	inst := newProfileInstance(t, false)
+	start := time.Now()
+	cur, err := inst.QueryStream(context.Background(), `for $r in dataset ProfD where $r.k >= 100 order by $r.k return $r.k;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for cur.Next() {
+		rows++
+	}
+	cur.Close()
+	wall := time.Since(start)
+	if err := cur.Err(); err != nil || rows == 0 {
+		t.Fatalf("rows %d, err %v", rows, err)
+	}
+	ph := cur.Phases()
+	parts := []int64{ph.ParseNanos, ph.CompileNanos, ph.JobBuildNanos, ph.FirstRowNanos, ph.LastRowNanos}
+	var sum int64
+	for i, ns := range parts {
+		if ns <= 0 {
+			t.Errorf("phase %d is %d ns: %+v", i, ns, ph)
+		}
+		sum += ns
+	}
+	if time.Duration(sum) > wall {
+		t.Errorf("phases sum to %v, more than the statement's wall time %v: %+v", time.Duration(sum), wall, ph)
 	}
 }

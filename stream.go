@@ -2,6 +2,7 @@ package asterixdb
 
 import (
 	"context"
+	"time"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
@@ -34,7 +35,31 @@ type Cursor struct {
 	err  error
 	done bool
 	prof *hyracks.JobProfile
+
+	phases  Phases
+	start   time.Time // when the job started
+	firstAt time.Time // when Next returned the first row; zero before it
 }
+
+// Phases is where one statement's time went, in nanoseconds, phase after
+// phase: parsing its source, compiling its query into a plan, building the
+// plan's job, the job's start to its first row, and its first row to its
+// end. The phases never overlap, so they sum to at most the statement's wall
+// time; what is left is the leading statements, the caller's own work between
+// rows, and whatever preceded the parse. A phase the statement did not pass
+// through on this process is zero: a cluster coordinator's cursor measures
+// only the two row phases.
+type Phases struct {
+	ParseNanos    int64 `json:"parseNanos"`
+	CompileNanos  int64 `json:"compileNanos"`
+	JobBuildNanos int64 `json:"jobBuildNanos"`
+	FirstRowNanos int64 `json:"firstRowNanos"`
+	LastRowNanos  int64 `json:"lastRowNanos"`
+}
+
+// Phases returns the statement's phase times. The row phases are final once
+// the cursor has finished (exhausted or closed).
+func (c *Cursor) Phases() Phases { return c.phases }
 
 // profileKey marks a context as requesting job profiling.
 type profileKey struct{}
@@ -76,6 +101,10 @@ func (c *Cursor) Next() bool {
 			return false
 		}
 		if len(t) > 0 {
+			if c.firstAt.IsZero() {
+				c.firstAt = time.Now()
+				c.phases.FirstRowNanos = int64(c.firstAt.Sub(c.start))
+			}
 			c.val = t[0]
 			return true
 		}
@@ -101,6 +130,11 @@ func (c *Cursor) Close() error {
 
 func (c *Cursor) finish(err error) {
 	c.done = true
+	if c.firstAt.IsZero() {
+		c.phases.FirstRowNanos = int64(time.Since(c.start))
+	} else {
+		c.phases.LastRowNanos = int64(time.Since(c.firstAt))
+	}
 	if c.err == nil {
 		c.err = err
 	}
@@ -145,7 +179,7 @@ func NewJobCursor(ctx context.Context, stream *hyracks.Cursor) *Cursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Cursor{ctx: ctx, stream: stream, done: stream == nil}
+	return &Cursor{ctx: ctx, stream: stream, done: stream == nil, start: time.Now()}
 }
 
 // QueryStream executes AQL statements and returns a streaming Cursor over
@@ -158,34 +192,40 @@ func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q, _, err := in.ExecuteForQuery(ctx, src)
+	var ph Phases
+	q, _, err := in.prelude(ctx, src, false, &ph)
 	if err != nil {
 		return nil, err
 	}
 	if q == nil {
 		return NewJobCursor(ctx, nil), nil
 	}
-	return in.queryCursor(ctx, q, algebra.Options{})
+	return in.queryCursor(ctx, q, algebra.Options{}, ph)
 }
 
 // queryCursor compiles one query expression and starts its job, returning
 // the cursor the job streams into. There is no other way to evaluate a query:
 // an expression the compiler cannot plan is CompileQuery's typed error, and
-// runtime errors from the executing job propagate through Cursor.Err.
-func (in *Instance) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Options) (*Cursor, error) {
-	_, job, err := in.CompileQuery(e, opts)
+// runtime errors from the executing job propagate through Cursor.Err. ph
+// carries the phases timed before the compile.
+func (in *Instance) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Options, ph Phases) (*Cursor, error) {
+	_, job, err := in.compile(e, opts, &ph)
 	if err != nil {
 		return nil, err
 	}
-	return in.startJob(ctx, job)
+	return in.startJob(ctx, job, ph)
 }
 
-// startJob starts a compiled job and returns the cursor it streams into.
-func (in *Instance) startJob(ctx context.Context, job *hyracks.Job) (*Cursor, error) {
+// startJob starts a compiled job and returns the cursor it streams into,
+// carrying the phases timed before the start.
+func (in *Instance) startJob(ctx context.Context, job *hyracks.Job, ph Phases) (*Cursor, error) {
 	job.Profile = ProfilingRequested(ctx)
+	start := time.Now()
 	fc, err := hyracks.ExecuteStream(ctx, job)
 	if err != nil {
 		return nil, err
 	}
-	return NewJobCursor(ctx, fc), nil
+	cur := NewJobCursor(ctx, fc)
+	cur.phases, cur.start = ph, start
+	return cur, nil
 }
