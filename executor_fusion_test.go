@@ -16,6 +16,8 @@ import (
 const fusionDDL = `
 create type FuseT as closed { id: int32, k: int32 };
 create dataset FuseD(FuseT) primary key id;
+create dataset FuseS(FuseT) primary key id;
+create index FuseSK on FuseS(k);
 `
 
 func newFusionInstance(t *testing.T, partitions int, disableFusion bool) *Instance {
@@ -28,11 +30,13 @@ func newFusionInstance(t *testing.T, partitions int, disableFusion bool) *Instan
 	if _, err := inst.Execute(fusionDDL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Execute(`insert into dataset FuseD ([
+	for _, ds := range []string{"FuseD", "FuseS"} {
+		if _, err := inst.Execute(`insert into dataset ` + ds + ` ([
 		{"id": 1, "k": 10}, {"id": 2, "k": 20}, {"id": 3, "k": 30},
 		{"id": 4, "k": 40}, {"id": 5, "k": 50}, {"id": 6, "k": 60}
 	]);`); err != nil {
-		t.Fatal(err)
+			t.Fatal(err)
+		}
 	}
 	return inst
 }
@@ -89,11 +93,21 @@ func TestSelectAssignLimitFusesToOneOperator(t *testing.T) {
 // TestFusionReducesOperatorInstances is the live-instance regression test:
 // the fused job must plan strictly fewer operator instances (= goroutines)
 // than the same query compiled with fusion disabled, and both must agree on
-// the result.
+// the result. A secondary-index access path and a primary-key equality each
+// plan exactly one instance per partition: the whole statement is one fused
+// chain, the secondary path's primary-key sort included.
 func TestFusionReducesOperatorInstances(t *testing.T) {
-	fusedInst := newFusionInstance(t, 4, false)
-	plainInst := newFusionInstance(t, 4, true)
+	const partitions = 4
+	fusedInst := newFusionInstance(t, partitions, false)
+	plainInst := newFusionInstance(t, partitions, true)
+	// query -> the one fused chain its job is
+	onePerPartition := map[string]string{
+		`for $r in dataset FuseS where $r.k >= 20 and $r.k < 50 return $r.id;`: "fused[btree-search(FuseSK) -> sort(primary-keys) -> btree-search(FuseS) -> ",
+		`for $r in dataset FuseS where $r.id = 4 return $r.k;`:                 "fused[btree-search(FuseS) -> ",
+	}
 	queries := []string{
+		`for $r in dataset FuseS where $r.k >= 20 and $r.k < 50 return $r.id;`,
+		`for $r in dataset FuseS where $r.id = 4 return $r.k;`,
 		// The limit exceeds the matching-row count: which rows a selective
 		// limit keeps over a multi-partition merge is arrival-order
 		// nondeterministic, fused or not, so only a non-selective limit can
@@ -118,6 +132,9 @@ func TestFusionReducesOperatorInstances(t *testing.T) {
 		}
 		if len(fusedJob.Operators) >= len(plainJob.Operators) {
 			t.Errorf("query %q: fused job has %d operators, unfused %d", q, len(fusedJob.Operators), len(plainJob.Operators))
+		}
+		if chain, ok := onePerPartition[q]; ok && (fi != partitions || !strings.HasPrefix(fusedJob.Describe(), chain)) {
+			t.Errorf("query %q: fused job plans %d instances, want one chain %q per partition (%d):\n%s", q, fi, chain, partitions, fusedJob.Describe())
 		}
 
 		fres, err := fusedInst.Query(q)

@@ -513,7 +513,8 @@ func TestEveryDifferentialQueryCompilesToAJob(t *testing.T) {
 // indexnl hint is honoured, so the plan text names what the job runs — a hash
 // join when the inner dataset has no index on the join field, otherwise the
 // Figure 6 chain fed by the outer side, with no scan of the inner dataset in
-// either the plan or the job.
+// either the plan or the job. The chain runs as one fused operator per
+// partition, its primary-key sort included.
 func TestIndexNLHintPlanNamesTheJob(t *testing.T) {
 	inst := newTinySocial(t)
 	for _, c := range []struct {
@@ -543,8 +544,7 @@ where $message.author-id /*+ indexnl */ = $user.id
 return $message.message-id;`,
 			[]string{"datasource-scan MugshotUsers -> $user", "btree-search (secondary msAuthorIdx on MugshotMessages)",
 				"sort (primary keys)", "btree-search (primary MugshotMessages)", "select",
-				"datasource-scan(MugshotUsers)  --MToNReplicatingConnector-->  btree-search(msAuthorIdx)",
-				"sort(primary-keys)", "btree-search(MugshotMessages)"},
+				"datasource-scan(MugshotUsers)  --MToNReplicatingConnector-->  fused[btree-search(msAuthorIdx) -> sort(primary-keys) -> btree-search(MugshotMessages) -> select"},
 			[]string{"datasource-scan MugshotMessages", "datasource-scan(MugshotMessages)", "join"}},
 	} {
 		explain, err := inst.Explain(c.query)

@@ -13,6 +13,7 @@ import (
 
 	"asterixdb"
 	"asterixdb/internal/adm"
+	"asterixdb/internal/algebra"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/server"
 )
@@ -793,6 +794,41 @@ func TestClusterConstantQueries(t *testing.T) {
 		}
 		if prof := cur.Profile(); prof == nil || prof.OutByName()["empty-tuple-source"] != 1 {
 			t.Errorf("%s: profile %+v, want one tuple out of an empty-tuple-source", src, prof)
+		}
+	}
+}
+
+// TestClusterNodeWithoutInstanceCompletes: a job whose operators all run on
+// node 0 still starts a slice on node 1, with no instance in it; that slice
+// completes at once, so the query does, again and again.
+func TestClusterNodeWithoutInstanceCompletes(t *testing.T) {
+	tc := startCluster(t, 2, 4)
+	const src = `count(for $x in [1, 2, 3] return $x)`
+	q, _, err := tc.inst.ExecuteForQuery(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job, err := tc.inst.CompileQuery(q, algebra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := placement{nodes: 2}
+	for _, op := range job.Operators {
+		if pl.hasInstance(1, op.Parallelism()) {
+			t.Fatalf("operator %s has an instance on node 1:\n%s", op.Name(), job.Describe())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cur, err := tc.cc.QueryStream(ctx, src)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		vals, err := drainCursor(cur)
+		cancel()
+		if err != nil || len(vals) != 1 || vals[0] != "3" {
+			t.Fatalf("run %d: %v, %v; want [3]", i, vals, err)
 		}
 	}
 }

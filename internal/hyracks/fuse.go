@@ -3,15 +3,17 @@ package hyracks
 import "strings"
 
 // This file implements one-to-one operator fusion: a job-build-time pass
-// that collapses maximal chains of non-blocking, same-parallelism operators
-// linked by port-0 OneToOne edges (datasource-scan -> select -> assign ->
+// that collapses maximal chains of same-parallelism operators linked by
+// port-0 OneToOne edges (datasource-scan -> select -> assign ->
 // distribute-result is the canonical shape) into a single FusedOp whose Run
-// composes the stage functions. Every fused edge saves one goroutine and one
-// frame-channel handoff per partition; a typical scan pipeline at
-// parallelism P collapses from 4P goroutines and 3P channel hops to P
-// goroutines and none. The pass runs in translator.BuildJob (unless fusion
-// is disabled), so the fused shape is visible in EXPLAIN output and tests
-// can assert exactly what fused.
+// composes the stage functions. A chain may pass through a sort that holds
+// its input until the input ends (the secondary-index access path's
+// btree-search -> sort(primary-keys) -> btree-search is the canonical one).
+// Every fused edge saves one goroutine and one frame-channel handoff per
+// partition; a typical scan pipeline at parallelism P collapses from 4P
+// goroutines and 3P channel hops to P goroutines and none. The pass runs in
+// translator.BuildJob (unless fusion is disabled), so the fused shape is
+// visible in EXPLAIN output and tests can assert exactly what fused.
 
 // PushStage is implemented by non-blocking operators that can run as one
 // stage of a fused pipeline: instead of pulling from an input channel, the
@@ -27,10 +29,10 @@ type PushStage interface {
 	Stage(partition int, emit func(Tuple) bool) func(Tuple) (more bool, err error)
 }
 
-// drive is the one pull loop behind every pipelined operator: it feeds an
-// input port to a push function until the stream ends, the function wants no
-// more input, or it fails. An unfused operator's Run drives its own Stage;
-// FusedOp.Run drives the composed chain.
+// drive is the one pull loop behind every pipelined operator and the sort: it
+// feeds an input port to a push function until the stream ends, the function
+// wants no more input, or it fails. An unfused operator's Run drives its own
+// Stage (a sort its Held.Push); FusedOp.Run drives the composed chain.
 func drive(in *In, push func(Tuple) (more bool, err error)) error {
 	for {
 		t, ok := in.Next()
@@ -87,11 +89,35 @@ func (o *PassthroughOp) Stage(_ int, emit func(Tuple) bool) func(Tuple) (bool, e
 	}
 }
 
+// HoldStage is implemented by a blocking operator that can run as one stage
+// of a fused pipeline: it holds its input until the input ends and only then
+// emits. The sort is the one such operator.
+type HoldStage interface {
+	Operator
+	// Hold starts one instance.
+	Hold(partition int) Held
+}
+
+// Held is one instance of a HoldStage: the accumulate half (Push), the emit
+// half (Finish), and the release of whatever the instance holds. An
+// unfused operator's Run is "drive the input into Push, then Finish"; a
+// FusedOp calls Finish once its head has returned, or skips it on an error
+// or an early stop. Release runs on every path, after Finish or instead of
+// it.
+type Held interface {
+	// Push accumulates one input tuple; more is false only with an error.
+	Push(t Tuple) (more bool, err error)
+	// Finish emits what was accumulated, stopping once emit returns false.
+	Finish(emit func(Tuple) bool) error
+	// Release frees the instance's memory and run files. It is idempotent.
+	Release()
+}
+
 // FusedOp is a maximal chain of one-to-one operators running as a single
 // operator: one goroutine per partition executes every stage back to back,
 // with no frames, channels or handoffs between them. Ops[0] may be a
 // SourceOp (the chain then has no input port); every other element
-// implements PushStage.
+// implements PushStage or HoldStage, and a HoldStage never heads the chain.
 type FusedOp struct {
 	Ops []Operator
 }
@@ -108,19 +134,38 @@ func (o *FusedOp) Name() string {
 // Parallelism implements Operator.
 func (o *FusedOp) Parallelism() int { return o.Ops[0].Parallelism() }
 
-// Blocking implements Operator (only non-blocking operators fuse).
-func (o *FusedOp) Blocking() bool { return false }
+// Blocking implements Operator: a chain is blocking when one of its stages
+// holds its input.
+func (o *FusedOp) Blocking() bool {
+	for _, op := range o.Ops {
+		if op.Blocking() {
+			return true
+		}
+	}
+	return false
+}
 
 // Run implements Operator.
 func (o *FusedOp) Run(partition int, ins []*In, emit func(Tuple) bool) error {
 	return o.run(partition, ins, emit, nil)
 }
 
+// held is one HoldStage instance of a running chain with the emit of the
+// stages below it.
+type held struct {
+	h    Held
+	emit func(Tuple) bool
+}
+
 // run composes the chain's stage functions and drives them from the head:
 // the source's Produce when the head is a SourceOp, otherwise the instance's
-// input port. A stage error stops the pipeline and is reported exactly like
-// the unfused operator's Run returning it. When profiling, counts[i] receives
-// the number of tuples component i emitted; it is nil otherwise.
+// input port. Once the head returns, the holding stages emit in
+// upstream-to-downstream order, each into the stages below it (a stage below
+// may hold in turn). A stage error stops the pipeline and is reported
+// exactly like the unfused operator's Run returning it; on an error, or once
+// the chain's consumer wants nothing more, the holding stages are released
+// without emitting. When profiling, counts[i] receives the number of tuples
+// component i emitted; it is nil otherwise.
 func (o *FusedOp) run(partition int, ins []*In, emit func(Tuple) bool, counts []int64) error {
 	counted := func(i int, down func(Tuple) bool) func(Tuple) bool {
 		if counts == nil {
@@ -136,11 +181,34 @@ func (o *FusedOp) run(partition int, ins []*In, emit func(Tuple) bool, counts []
 	if isSrc {
 		first = 1
 	}
+	var holds []held // downstream first while composing
+	stopped := false
+	down := emit
+	if o.Blocking() {
+		down = func(t Tuple) bool {
+			if !emit(t) {
+				stopped = true
+				return false
+			}
+			return true
+		}
+	}
+	defer func() {
+		for _, h := range holds {
+			h.h.Release()
+		}
+	}()
 	var stageErr error
 	var head func(Tuple) (bool, error)
-	down := emit
 	for i := len(o.Ops) - 1; i >= first; i-- {
-		st := o.Ops[i].(PushStage).Stage(partition, counted(i, down))
+		var st func(Tuple) (bool, error)
+		if hs, ok := o.Ops[i].(HoldStage); ok {
+			h := hs.Hold(partition)
+			holds = append(holds, held{h, counted(i, down)})
+			st = h.Push
+		} else {
+			st = o.Ops[i].(PushStage).Stage(partition, counted(i, down))
+		}
 		head = st
 		down = func(t Tuple) bool {
 			more, err := st(t)
@@ -164,7 +232,19 @@ func (o *FusedOp) run(partition int, ins []*In, emit func(Tuple) bool, counts []
 	if stageErr != nil {
 		return stageErr
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	for i := len(holds) - 1; i >= 0 && !stopped; i-- {
+		if err := holds[i].h.Finish(holds[i].emit); err != nil {
+			return err
+		}
+		if stageErr != nil {
+			return stageErr
+		}
+		holds[i].h.Release()
+	}
+	return nil
 }
 
 // FlatOperators returns the job's operators with fused chains expanded: each
@@ -187,10 +267,13 @@ func (j *Job) FlatOperators() []Operator {
 // An edge From -> To fuses when it is the producer's only output and the
 // consumer's only input (any port), it is a port-0 OneToOne connector (or an
 // MToNPartitioningMerging connector whose producer has a single instance —
-// nothing to merge, so it degenerates to one-to-one), both operators are
-// non-blocking with equal parallelism, the consumer is a PushStage, and the
-// producer is a PushStage or a SourceOp. The input job is not modified; if
-// nothing fuses it is returned unchanged.
+// nothing to merge, so it degenerates to one-to-one), both operators have
+// equal parallelism, the consumer is a PushStage or a HoldStage, and the
+// producer is a PushStage, a HoldStage or a SourceOp. A HoldStage joins a
+// chain only through its input edge: one behind a real merge (an order-by
+// sort gathering P > 1 instances) stays unfused, and so does every blocking
+// operator that is not a HoldStage (the hash group-by, the hash join). The
+// input job is not modified; if nothing fuses it is returned unchanged.
 func FuseJob(job *Job) *Job {
 	n := len(job.Operators)
 	inCount := make([]int, n)
@@ -204,7 +287,6 @@ func FuseJob(job *Job) *Job {
 	for i := range next {
 		next[i], prev[i] = -1, -1
 	}
-	fused := 0
 	for _, e := range job.Edges {
 		if e.Port != 0 {
 			continue
@@ -226,19 +308,30 @@ func FuseJob(job *Job) *Job {
 			continue
 		}
 		from, to := job.Operators[e.From], job.Operators[e.To]
-		if from.Blocking() || to.Blocking() || from.Parallelism() != to.Parallelism() {
+		if from.Parallelism() != to.Parallelism() || !isStage(to) {
 			continue
 		}
-		if _, ok := to.(PushStage); !ok {
-			continue
-		}
-		switch from.(type) {
-		case *SourceOp, PushStage:
-		default:
+		if _, ok := from.(*SourceOp); !ok && !isStage(from) {
 			continue
 		}
 		next[e.From], prev[e.To] = e.To, e.From
-		fused++
+	}
+	// A holding stage with no fused input would head its chain: cut it off,
+	// until no cut leaves another holding stage at a chain's head.
+	for cut := true; cut; {
+		cut = false
+		for i, op := range job.Operators {
+			if _, ok := op.(HoldStage); ok && prev[i] == -1 && next[i] != -1 {
+				prev[next[i]], next[i] = -1, -1
+				cut = true
+			}
+		}
+	}
+	fused := 0
+	for _, to := range next {
+		if to != -1 {
+			fused++
+		}
 	}
 	if fused == 0 {
 		return job
@@ -273,4 +366,13 @@ func FuseJob(job *Job) *Job {
 		out.ConnectPort(mapped[e.From], mapped[e.To], e.Port, e.Connector)
 	}
 	return out
+}
+
+// isStage reports whether op can run as a non-head stage of a fused chain.
+func isStage(op Operator) bool {
+	switch op.(type) {
+	case PushStage, HoldStage:
+		return true
+	}
+	return false
 }

@@ -1,11 +1,13 @@
 package hyracks
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/runfile"
 )
 
 // mkSource produces ints [0, n) per partition, tagged with the partition.
@@ -74,19 +76,40 @@ func TestFuseJobCollapsesChain(t *testing.T) {
 	}
 }
 
-// TestFuseJobRespectsBoundaries checks that blocking operators, partitioning
-// connectors, fan-out and parallelism changes all stop a chain.
+// TestFuseJobRespectsBoundaries checks what stops a chain: a real merge, a
+// holding stage that would head a chain, a blocking operator that is not a
+// holding stage, partitioning connectors, fan-out and join ports. A sort
+// behind a one-to-one edge of equal parallelism fuses through.
 func TestFuseJobRespectsBoundaries(t *testing.T) {
+	// The secondary-index shape: source -> select -> sort -> assign, all
+	// one-to-one at parallelism 2, is one fused chain, the sort inside it.
 	job := &Job{}
 	src := job.Add(mkSource(2, 10))
 	sel := job.Add(selectOp("select", 2, func(Tuple) (bool, error) { return true, nil }))
-	srt := job.Add(&SortOp{Label: "sort", Partitions: 1, Columns: []int{1}})
-	asn := job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
+	srt := job.Add(&SortOp{Label: "sort", Partitions: 2, Columns: []int{1}})
+	asn := job.Add(assignOp("assign", 2, func(t Tuple) (Tuple, error) { return t, nil }))
+	job.Connect(src, sel, Connector{Kind: OneToOne})
+	job.Connect(sel, srt, Connector{Kind: OneToOne})
+	job.Connect(srt, asn, Connector{Kind: OneToOne})
+	fused := FuseJob(job)
+	if len(fused.Operators) != 1 {
+		t.Fatalf("one-to-one sort chain: got %d operators, want 1:\n%s", len(fused.Operators), fused.Describe())
+	}
+	if f, ok := fused.Operators[0].(*FusedOp); !ok || len(f.Ops) != 4 || f.Parallelism() != 2 || !f.Blocking() {
+		t.Fatalf("unexpected chain %s", fused.Operators[0].Name())
+	}
+
+	// A sort behind a 2 -> 1 merge stays unfused, and so does what follows
+	// it: a holding stage never heads a chain.
+	job = &Job{}
+	src = job.Add(mkSource(2, 10))
+	sel = job.Add(selectOp("select", 2, func(Tuple) (bool, error) { return true, nil }))
+	srt = job.Add(&SortOp{Label: "sort", Partitions: 1, Columns: []int{1}})
+	asn = job.Add(assignOp("assign", 1, func(t Tuple) (Tuple, error) { return t, nil }))
 	job.Connect(src, sel, Connector{Kind: OneToOne})
 	job.Connect(sel, srt, Connector{Kind: MToNPartitioningMerging}) // merge: not fusable
-	job.Connect(srt, asn, Connector{Kind: OneToOne})                // sort is blocking: not fusable
-
-	fused := FuseJob(job)
+	job.Connect(srt, asn, Connector{Kind: OneToOne})                // sort would head a chain
+	fused = FuseJob(job)
 	if len(fused.Operators) != len(job.Operators)-1 {
 		t.Fatalf("got %d operators, want %d:\n%s", len(fused.Operators), len(job.Operators)-1, fused.Describe())
 	}
@@ -95,13 +118,25 @@ func TestFuseJobRespectsBoundaries(t *testing.T) {
 	for _, op := range fused.Operators {
 		if f, ok := op.(*FusedOp); ok {
 			found = true
-			if len(f.Ops) != 2 || f.Parallelism() != 2 {
+			if len(f.Ops) != 2 || f.Parallelism() != 2 || f.Blocking() {
 				t.Errorf("unexpected fused chain %s (par %d)", f.Name(), f.Parallelism())
 			}
 		}
 	}
 	if !found {
 		t.Fatalf("no fused operator in:\n%s", fused.Describe())
+	}
+
+	// The hash group-by holds its input too, but it is no holding stage: a
+	// one-to-one edge into it or out of it does not fuse.
+	job = &Job{}
+	src = job.Add(mkSource(2, 10))
+	grp := job.Add(&HashGroupOp{Label: "group", Partitions: 2, KeyColumns: []int{1}})
+	asn = job.Add(assignOp("assign", 2, func(t Tuple) (Tuple, error) { return t, nil }))
+	job.Connect(src, grp, Connector{Kind: OneToOne})
+	job.Connect(grp, asn, Connector{Kind: OneToOne})
+	if fused = FuseJob(job); fused != job {
+		t.Fatalf("group-by fused:\n%s", fused.Describe())
 	}
 
 	// Fan-out blocks fusion entirely.
@@ -263,5 +298,123 @@ func TestFusedStageErrorPropagates(t *testing.T) {
 	}
 	if produced > 5 {
 		t.Fatalf("source produced %d tuples after the stage error", produced)
+	}
+}
+
+// fusedSortJob is source(par) -> sort(par) -> limit(par) -> assign(par): a
+// one-to-one chain FuseJob collapses whole. fail, when set, makes the
+// assign fail at that value. The job has no Spill manager of its own, so
+// nothing but the sort itself removes its run files.
+func fusedSortJob(par, perPartition, limit int, spill *runfile.Budget, fail int) *Job {
+	job := &Job{}
+	src := job.Add(&SourceOp{
+		Label: "source", Partitions: par,
+		Produce: func(p int, emit func(Tuple) bool) error {
+			for i := 0; i < perPartition; i++ {
+				if !emit(intTuple((i*7919+p)%(perPartition/3+1), i)) {
+					return nil
+				}
+			}
+			return nil
+		},
+	})
+	srt := job.Add(&SortOp{Label: "sort", Partitions: par, Columns: []int{0}, Spill: spill})
+	lim := job.Add(&LimitOp{Label: "limit", Partitions: par, N: limit})
+	asn := job.Add(assignOp("assign", par, func(t Tuple) (Tuple, error) {
+		if fail >= 0 && int(t[1].(adm.Int64)) == fail {
+			return nil, fmt.Errorf("assign failed at %d", fail)
+		}
+		return t, nil
+	}))
+	job.Connect(src, srt, Connector{Kind: OneToOne})
+	job.Connect(srt, lim, Connector{Kind: OneToOne})
+	job.Connect(lim, asn, Connector{Kind: OneToOne})
+	return job
+}
+
+// TestFusedSortMatchesUnfused runs a spilling sort inside a fused chain: the
+// chain is one operator, its output is the unfused job's stably sorted
+// output, the sort spills within its budget, and every path — success, a
+// stage error below the sort, and an early Close — leaves no run file.
+func TestFusedSortMatchesUnfused(t *testing.T) {
+	const par, per, limit, budget = 2, 1500, 1200, 8 << 10
+	newBudget := func() (*runfile.Budget, string) {
+		dir := t.TempDir()
+		return &runfile.Budget{M: runfile.NewManager(dir, budget), PerInstance: budget / par}, dir
+	}
+	want := runToSink(t, fusedSortJob(par, per, limit, nil, -1))
+	if len(want) != par*limit {
+		t.Fatalf("unfused run returned %d rows, want %d", len(want), par*limit)
+	}
+
+	b, dir := newBudget()
+	fused := FuseJob(fusedSortJob(par, per, limit, b, -1))
+	if len(fused.Operators) != 1 {
+		t.Fatalf("chain did not fuse:\n%s", fused.Describe())
+	}
+	assertSameTuples(t, "fused-sort", runToSink(t, fused), want, true)
+	assertSpilledAndClean(t, b.M, budget, dir)
+
+	// The assign below the sort fails part-way through the sort's output.
+	b, dir = newBudget()
+	if _, err := Execute(FuseJob(fusedSortJob(par, per, limit, b, int(want[10][1].(adm.Int64))))); err == nil || !strings.Contains(err.Error(), "assign failed") {
+		t.Fatalf("stage error below a fused sort = %v", err)
+	}
+	assertSpilledAndClean(t, b.M, budget, dir)
+
+	// The consumer closes after the first row.
+	b, dir = newBudget()
+	cur, err := ExecuteStream(context.Background(), FuseJob(fusedSortJob(par, per, limit, b, -1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cur.Next(); !ok {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSpilledAndClean(t, b.M, budget, dir)
+}
+
+// TestFusedSortStageCounts: a profiled fused sort reports the same per-stage
+// tuple counts as the unfused operators, and its spill row. The limit cuts
+// nothing: how far an unfused producer overruns a satisfied limit depends
+// on channel buffering, so only an uncut run has comparable counts.
+func TestFusedSortStageCounts(t *testing.T) {
+	run := func(job *Job) *JobProfile {
+		job.Profile = true
+		cur, err := ExecuteStream(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cur.Profile()
+	}
+	budget := func() *runfile.Budget {
+		return &runfile.Budget{M: runfile.NewManager(t.TempDir(), 0), Obs: &runfile.SpillObserver{}}
+	}
+	unfused := run(fusedSortJob(2, 300, 1000, budget(), -1))
+	fused := run(FuseJob(fusedSortJob(2, 300, 1000, budget(), -1)))
+	for _, name := range []string{"source", "sort", "limit", "assign"} {
+		if f, u := fused.OutByName()[name], unfused.OutByName()[name]; f != u {
+			t.Errorf("%s: fused out %d, unfused %d", name, f, u)
+		}
+		if f, u := fused.InByName()[name], unfused.InByName()[name]; f != u {
+			t.Errorf("%s: fused in %d, unfused %d", name, f, u)
+		}
+	}
+	if got := fused.InByName()["sort"]; got != 600 {
+		t.Errorf("sort in = %d, want 600", got)
+	}
+	if len(fused.Spill) != 1 || fused.Spill[0].Name != "sort" || fused.Spill[0].PeakBytes <= 0 {
+		t.Errorf("fused sort spill rows = %+v, want one resident sort row", fused.Spill)
 	}
 }

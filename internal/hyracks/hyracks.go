@@ -8,7 +8,10 @@
 // # Execution model
 //
 // Execute spawns one goroutine per operator instance (an operator with
-// parallelism N has N instances). Tuples stream between instances through
+// parallelism N has N instances) and no other: cancellation is registered
+// with context.AfterFunc, and the last instance to exit completes the job.
+// FuseJob makes a one-to-one chain one operator, so one goroutine per
+// partition runs the whole chain. Tuples stream between instances through
 // bounded channels; a Connector decides which consumer instance receives each
 // tuple (hash partitioning, replication, or partition-preserving one-to-one).
 // Operators with more than one input (the hybrid hash join) read from
@@ -560,9 +563,10 @@ func (o *FlatMapOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
 }
 
 // SortOp sorts its input by the given columns (all ascending unless Desc). It
-// is an external merge sort (Run, in spill.go): sorted runs spill to run
-// files whenever the budget share fills and are merged on emit; an input
-// that never fills it is one in-memory run.
+// is an external merge sort (Hold and Run, in spill.go): sorted runs spill to
+// run files whenever the budget share fills and are merged on emit; an input
+// that never fills it is one in-memory run. It is a HoldStage, so it runs
+// inside a fused chain as well as on its own.
 type SortOp struct {
 	Label      string
 	Partitions int

@@ -283,15 +283,21 @@ func (pc *profCollector) finalize(job *Job) *JobProfile {
 	sortOperatorStats(rows)
 	jp := &JobProfile{Operators: rows}
 	for i, op := range job.Operators {
-		sb, ok := op.(SpillBudgeted)
-		if !ok {
-			continue
+		stages := []Operator{op}
+		if fused, ok := op.(*FusedOp); ok {
+			stages = fused.Ops // a fused sort keeps its row under the chain's index
 		}
-		b := sb.SpillBudget()
-		if b == nil || b.Obs == nil {
-			continue
+		for _, st := range stages {
+			sb, ok := st.(SpillBudgeted)
+			if !ok {
+				continue
+			}
+			b := sb.SpillBudget()
+			if b == nil || b.Obs == nil {
+				continue
+			}
+			jp.Spill = append(jp.Spill, OperatorSpill{Op: i, Name: st.Name(), SpillStats: b.Obs.Snapshot()})
 		}
-		jp.Spill = append(jp.Spill, OperatorSpill{Op: i, Name: op.Name(), SpillStats: b.Obs.Snapshot()})
 	}
 	if job.Spill != nil {
 		s := job.Spill.Stats()

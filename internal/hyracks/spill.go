@@ -118,10 +118,30 @@ func writeRun(mem *runfile.Instance, rows []Tuple) (*runfile.Run, error) {
 // External merge sort (SortOp)
 // ----------------------------------------------------------------------------
 
-// Run implements Operator: in-memory runs are sorted and spilled when the
-// budget share fills, and emission k-way-merges the spilled runs with the
-// final in-memory run, stably (ties resolve to the earlier run, so the whole
-// sort is stable however many runs it took).
+// Run implements Operator: it drives the input into the sort's accumulate
+// half, then emits. A fused chain runs the same two halves through Hold.
+func (o *SortOp) Run(p int, ins []*In, emit func(Tuple) bool) error {
+	h := o.Hold(p)
+	defer h.Release()
+	if err := drive(ins[0], h.Push); err != nil {
+		return err
+	}
+	return h.Finish(emit)
+}
+
+// Hold implements HoldStage.
+func (o *SortOp) Hold(int) Held {
+	mem := o.Spill.NewInstance()
+	s := &sortHold{o: o, mem: mem}
+	s.readerBuf, s.readerReserve = mergeReaderBudget(mem.Limit())
+	return s
+}
+
+// sortHold is one sort instance. Accumulation (Push) sorts in-memory runs
+// and spills them when the budget share fills; emission (Finish)
+// k-way-merges the spilled runs with the final in-memory run, stably (ties
+// resolve to the earlier run, so the whole sort is stable however many runs
+// it took).
 //
 // With a Limit the sort keeps a cut: the Limit-th row of the rows kept so
 // far. A tuple that does not sort strictly before it cannot be among the
@@ -129,70 +149,71 @@ func writeRun(mem *runfile.Instance, rows []Tuple) (*runfile.Run, error) {
 // the cut) and is dropped; when the buffer reaches twice Limit it is sorted
 // and truncated to Limit, and its last row is the new cut. Spilled rows are
 // kept rows too, so a cut taken before a spill stays a valid bound after it.
-func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
-	mem := o.Spill.NewInstance()
-	defer mem.Close()
-	readerBuf, readerReserve := mergeReaderBudget(mem.Limit())
-	var runs []*runfile.Run
-	defer func() {
-		for _, r := range runs {
-			r.Release()
-		}
-	}()
-
+type sortHold struct {
+	o             *SortOp
+	mem           *runfile.Instance
+	readerBuf     int
+	readerReserve int64
+	runs          []*runfile.Run
 	// During accumulation the instance holds exactly the buffered rows.
-	var rows []Tuple
-	var cut Tuple
-	for {
-		t, more := ins[0].Next()
-		if !more {
-			break
+	rows []Tuple
+	cut  Tuple
+}
+
+// Push accumulates one input tuple.
+func (s *sortHold) Push(t Tuple) (bool, error) {
+	o, mem := s.o, s.mem
+	if s.cut != nil {
+		c, err := o.compareTuples(t, s.cut)
+		if err != nil {
+			return false, err
 		}
-		if cut != nil {
-			c, err := o.compareTuples(t, cut)
-			if err != nil {
-				return err
-			}
-			if c >= 0 {
-				continue
-			}
-		}
-		sz := runfile.TupleMemSize(t)
-		if !mem.Fits(sz + readerReserve) {
-			if err := o.sortRows(rows); err != nil {
-				return err
-			}
-			run, err := writeRun(mem, rows)
-			if err != nil {
-				return err
-			}
-			runs = append(runs, run)
-			mem.Release(mem.Used())
-			rows = rows[:0]
-		}
-		mem.Add(sz)
-		rows = append(rows, t)
-		if o.Limit > 0 && len(rows)/2 >= o.Limit { // len(rows) >= 2*Limit without overflow
-			if err := o.sortRows(rows); err != nil {
-				return err
-			}
-			var dropped int64
-			for _, r := range rows[o.Limit:] {
-				dropped += runfile.TupleMemSize(r)
-			}
-			mem.Release(dropped)
-			clear(rows[o.Limit:])
-			rows = rows[:o.Limit]
-			cut = rows[o.Limit-1]
+		if c >= 0 {
+			return true, nil
 		}
 	}
+	sz := runfile.TupleMemSize(t)
+	if !mem.Fits(sz + s.readerReserve) {
+		if err := o.sortRows(s.rows); err != nil {
+			return false, err
+		}
+		run, err := writeRun(mem, s.rows)
+		if err != nil {
+			return false, err
+		}
+		s.runs = append(s.runs, run)
+		mem.Release(mem.Used())
+		s.rows = s.rows[:0]
+	}
+	mem.Add(sz)
+	s.rows = append(s.rows, t)
+	if o.Limit > 0 && len(s.rows)/2 >= o.Limit { // len(rows) >= 2*Limit without overflow
+		if err := o.sortRows(s.rows); err != nil {
+			return false, err
+		}
+		var dropped int64
+		for _, r := range s.rows[o.Limit:] {
+			dropped += runfile.TupleMemSize(r)
+		}
+		mem.Release(dropped)
+		clear(s.rows[o.Limit:])
+		s.rows = s.rows[:o.Limit]
+		s.cut = s.rows[o.Limit-1]
+	}
+	return true, nil
+}
+
+// Finish emits the accumulated input in sorted order, stopping early when
+// emit reports that demand is gone.
+func (s *sortHold) Finish(emit func(Tuple) bool) error {
+	o, mem, rows := s.o, s.mem, s.rows
 	if err := o.sortRows(rows); err != nil {
 		return err
 	}
 	if o.Limit > 0 && len(rows) > o.Limit {
 		rows = rows[:o.Limit]
 	}
-	if len(runs) == 0 {
+	if len(s.runs) == 0 {
 		for _, t := range rows {
 			if !emit(t) {
 				return nil
@@ -204,12 +225,12 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 	// Multi-pass merge: reduce the run count below the fan-in cap by merging
 	// the oldest runs into one (keeping it at the front preserves run order,
 	// and with it stability).
-	for len(runs) > mergeFanIn {
+	for len(s.runs) > mergeFanIn {
 		w, err := mem.NewRun()
 		if err != nil {
 			return err
 		}
-		if err := o.mergeRuns(mem, readerBuf, runs[:mergeFanIn], nil, func(t Tuple) error { return w.Write(t) }); err != nil {
+		if err := o.mergeRuns(mem, s.readerBuf, s.runs[:mergeFanIn], nil, func(t Tuple) error { return w.Write(t) }); err != nil {
 			w.Abort()
 			return err
 		}
@@ -217,14 +238,14 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 		if err != nil {
 			return err
 		}
-		for _, r := range runs[:mergeFanIn] {
+		for _, r := range s.runs[:mergeFanIn] {
 			r.Release()
 		}
-		runs = append([]*runfile.Run{merged}, runs[mergeFanIn:]...)
+		s.runs = append([]*runfile.Run{merged}, s.runs[mergeFanIn:]...)
 	}
 
 	emitted := 0
-	err := o.mergeRuns(mem, readerBuf, runs, rows, func(t Tuple) error {
+	err := o.mergeRuns(mem, s.readerBuf, s.runs, rows, func(t Tuple) error {
 		if emitted++; !emit(t) || emitted == o.Limit {
 			return errStopDemand
 		}
@@ -234,6 +255,16 @@ func (o *SortOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 		return nil
 	}
 	return err
+}
+
+// Release removes the instance's runs and returns its accounted memory. It
+// is idempotent.
+func (s *sortHold) Release() {
+	for _, r := range s.runs {
+		r.Release()
+	}
+	s.runs, s.rows, s.cut = nil, nil, nil
+	s.mem.Close()
 }
 
 // sortCursor iterates one sorted source during a merge: either a run file or

@@ -194,8 +194,9 @@ func (c *Cursor) recordJobErr(err error) {
 }
 
 // ExecuteStream starts the job and returns a Cursor over its sink output.
-// Execution is identical to Execute — one goroutine per operator instance,
-// frame-batched bounded channels, upstream cancellation — except that sink
+// Execution is identical to Execute — one goroutine per operator instance
+// and none besides, frame-batched bounded channels, upstream cancellation —
+// except that sink
 // instances feed the cursor's bounded channel instead of buffering their
 // output, so a pure streaming pipeline holds only O(frame x operators)
 // tuples in flight regardless of result size. Cancelling ctx or closing the
@@ -210,7 +211,10 @@ func ExecuteStream(ctx context.Context, job *Job) (*Cursor, error) {
 // ExecuteStream. With a spec, only instances the spec declares local get
 // goroutines and channels; frames routed to remote instances are serialized
 // through spec.Send, and frames arriving from remote producers are injected
-// through the returned DistRun.
+// through the returned DistRun. The job's goroutines are its local
+// instances: the context's end is a context.AfterFunc, the last instance to
+// exit runs the completion, and a slice with no local instance completes
+// before executeStream returns.
 func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *DistRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -358,16 +362,65 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 		prof = &profCollector{}
 	}
 
-	var wg sync.WaitGroup
+	// Cancellation: the context ending closes the cursor, which stops the
+	// sinks and cascades upstream exactly like an explicit Close. AfterFunc
+	// starts no goroutine for a standard-library context; the function runs
+	// on one of its own only if the context ends.
+	afterDone := make(chan struct{})
+	stopAfter := context.AfterFunc(ctx, func() {
+		defer close(afterDone)
+		cur.mu.Lock()
+		cur.ctxErr = ctx.Err()
+		cur.mu.Unlock()
+		cur.closeOnce.Do(func() { close(cur.closed) })
+		if run != nil {
+			// Unblock consumers waiting on frames a remote producer will
+			// never deliver; local end-of-stream accounting still runs.
+			run.failOnce.Do(func() { close(failed) })
+		}
+	})
+
+	// Completion runs once every local instance has exited, on the goroutine
+	// of the last one, so the stream is final. The job's spill manager (if
+	// any) is closed first, removing any run files an operator left behind —
+	// this runs on every termination path, so a caller that has observed
+	// Close/done can rely on zero leaked files.
+	complete := func() {
+		if job.Spill != nil {
+			if err := job.Spill.Close(); err != nil {
+				cur.recordJobErr(err)
+			}
+		}
+		if prof != nil {
+			// After Spill.Close so the job-wide spill counters are final.
+			p := prof.finalize(job)
+			cur.mu.Lock()
+			cur.profile = p
+			cur.mu.Unlock()
+		}
+		close(cur.done)
+		if !stopAfter() {
+			<-afterDone // the context ended: its error is recorded first
+		}
+		close(cur.frames)
+	}
+	var live atomic.Int32
+	for _, n := range alive {
+		live.Add(n)
+	}
+	if live.Load() == 0 {
+		// A slice of a distributed job may place no instance on this node.
+		complete()
+		return cur, run, nil
+	}
+
 	for opIdx, op := range job.Operators {
 		outEdges, outIdx := outgoingIndexed(edges, opIdx)
 		for p := 0; p < op.Parallelism(); p++ {
 			if !isLocal(opIdx, p) {
 				continue
 			}
-			wg.Add(1)
 			go func(opIdx, p int, op Operator, outEdges []Edge, outIdx []int) {
-				defer wg.Done()
 				outs := make([]*outPort, len(outEdges))
 				for i, e := range outEdges {
 					o := &outPort{
@@ -502,52 +555,12 @@ func executeStream(ctx context.Context, job *Job, spec *DistSpec) (*Cursor, *Dis
 						}
 					}
 				}
+				if live.Add(-1) == 0 {
+					complete()
+				}
 			}(opIdx, p, op, outEdges, outIdx)
 		}
 	}
-
-	// Context watcher: cancellation closes the cursor, which stops the sinks
-	// and cascades upstream exactly like an explicit Close.
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			cur.mu.Lock()
-			cur.ctxErr = ctx.Err()
-			cur.mu.Unlock()
-			cur.closeOnce.Do(func() { close(cur.closed) })
-			if run != nil {
-				// Unblock consumers waiting on frames a remote producer will
-				// never deliver; local end-of-stream accounting still runs.
-				run.failOnce.Do(func() { close(failed) })
-			}
-		case <-cur.done:
-		}
-	}()
-
-	// Completion: once every instance has exited the stream is final. The
-	// job's spill manager (if any) is closed first, removing any run files
-	// an operator left behind — this runs on every termination path, so a
-	// caller that has observed Close/done can rely on zero leaked files.
-	go func() {
-		wg.Wait()
-		if job.Spill != nil {
-			if err := job.Spill.Close(); err != nil {
-				cur.recordJobErr(err)
-			}
-		}
-		if prof != nil {
-			// After Spill.Close so the job-wide spill counters are final.
-			p := prof.finalize(job)
-			cur.mu.Lock()
-			cur.profile = p
-			cur.mu.Unlock()
-		}
-		close(cur.done)
-		<-watcherDone
-		close(cur.frames)
-	}()
 	return cur, run, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -275,5 +277,177 @@ func TestExecuteStreamSingleSinkOrderDeterministic(t *testing.T) {
 	}
 	if n != 300 {
 		t.Errorf("streamed %d tuples, want 300", n)
+	}
+}
+
+// settle polls until the goroutine count is back to baseline, failing the
+// test with a stack dump if it never gets there.
+func settle(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines: baseline %d, now %d\n%s", baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// quiescentGoroutines returns the goroutine count once it has held still for
+// a few polls, so goroutines of an earlier test that are still on their way
+// out do not count.
+func quiescentGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestJobGoroutinesAreItsInstances: a running job has one goroutine per
+// local operator instance and no other — no context watcher and no
+// completion goroutine, whatever the context.
+func TestJobGoroutinesAreItsInstances(t *testing.T) {
+	const partitions = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, fuse := range []bool{true, false} {
+		release := make(chan struct{})
+		var started sync.WaitGroup
+		started.Add(partitions)
+		job := &Job{}
+		src := job.Add(&SourceOp{
+			Label: "source", Partitions: partitions,
+			Produce: func(p int, emit func(Tuple) bool) error {
+				started.Done()
+				<-release
+				emit(Tuple{adm.Int64(int64(p))})
+				return nil
+			},
+		})
+		sel := job.Add(selectOp("select", partitions, func(Tuple) (bool, error) { return true, nil }))
+		job.Connect(src, sel, Connector{Kind: OneToOne})
+		want := 2 * partitions
+		if fuse {
+			job, want = FuseJob(job), partitions
+		}
+		baseline := quiescentGoroutines()
+		cur, err := ExecuteStream(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started.Wait()
+		if got := runtime.NumGoroutine() - baseline; got != want {
+			t.Errorf("fused=%v: the running job has %d goroutines, want %d (one per instance)", fuse, got, want)
+		}
+		close(release)
+		out, err := cur.Gather()
+		if err != nil || len(out) != partitions {
+			t.Fatalf("fused=%v: %d rows, err %v", fuse, len(out), err)
+		}
+		settle(t, baseline)
+	}
+}
+
+// TestJobCancelledAfterFinishReportsNoError: cancelling the context of a job
+// that has already finished changes nothing.
+func TestJobCancelledAfterFinishReportsNoError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var produced atomic.Int64
+	cur, err := ExecuteStream(ctx, FuseJob(intSourceJob(2, 100, &produced)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		if _, ok := cur.Next(); !ok {
+			break
+		}
+		n++
+	}
+	cancel()
+	if err := cur.Err(); err != nil || n != 200 {
+		t.Fatalf("rows %d, Err() = %v after a cancel that followed the end; want 200 and nil", n, err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatalf("Err() = %v after Close", err)
+	}
+}
+
+// TestJobCancelledMidStreamLeaksNothing: a job cancelled while its sources
+// are still producing ends with the context's error, and every goroutine it
+// started exits.
+func TestJobCancelledMidStreamLeaksNothing(t *testing.T) {
+	for _, fuse := range []bool{true, false} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var produced atomic.Int64
+		job := intSourceJob(4, 1_000_000, &produced)
+		if fuse {
+			job = FuseJob(job)
+		}
+		cur, err := ExecuteStream(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, ok := cur.Next(); !ok {
+				t.Fatalf("stream ended early: %v", cur.Err())
+			}
+		}
+		cancel()
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+		}
+		if err := cur.Err(); !errors.Is(err, context.Canceled) {
+			t.Errorf("fused=%v: Err() = %v, want context.Canceled", fuse, err)
+		}
+		cur.Close()
+		settle(t, baseline)
+	}
+}
+
+// TestDistSliceWithoutLocalInstancesCompletes: a node holding no instance of
+// a distributed job's slice finishes its cursor at once.
+func TestDistSliceWithoutLocalInstancesCompletes(t *testing.T) {
+	var produced atomic.Int64
+	job := intSourceJob(2, 10, &produced)
+	job.Profile = true
+	cur, _, err := ExecuteStreamDist(context.Background(), job, &DistSpec{
+		Local:   func(int, int) bool { return false },
+		Send:    func(int, int, []Tuple) error { return errors.New("no frame may leave this node") },
+		SendEOS: func(int, int) error { return errors.New("no instance may retire on this node") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, ok := cur.NextFrame(); ok {
+			t.Error("a slice with no instances produced a frame")
+		}
+		if err := cur.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a slice with no local instances never completed")
+	}
+	if cur.Profile() == nil || len(cur.Profile().Operators) != 0 || produced.Load() != 0 {
+		t.Fatalf("profile %+v, produced %d: want an empty profile and nothing produced", cur.Profile(), produced.Load())
 	}
 }

@@ -29,9 +29,9 @@ type JobOptions struct {
 	// to the system temp directory.
 	SpillDir string
 	// DisableFusion skips the one-to-one operator fusion pass, leaving each
-	// pipelined operator as its own goroutine-per-partition instance (the
-	// pre-fusion execution shape, kept for differential testing and
-	// benchmarking).
+	// operator, the secondary-index path's primary-key sort included, as its
+	// own goroutine-per-partition instance (the pre-fusion execution shape,
+	// kept for differential testing and benchmarking).
 	DisableFusion bool
 }
 
@@ -77,9 +77,10 @@ func BuildJob(plan *algebra.Plan, rt Runtime, opts JobOptions) (*hyracks.Job, er
 	assignMemoryBudget(b.job, opts)
 	job := b.job
 	if !opts.DisableFusion {
-		// Collapse one-to-one pipelined chains (scan -> select -> assign ->
-		// distribute, and limit tails at parallelism 1) into single fused
-		// operators: one goroutine and zero frame handoffs per chain instance.
+		// Collapse one-to-one chains (scan -> select -> assign -> distribute,
+		// limit tails at parallelism 1, and the secondary-index path through
+		// its primary-key sort) into single fused operators: one goroutine
+		// and zero frame handoffs per chain instance.
 		job = hyracks.FuseJob(job)
 	}
 	return job, nil
@@ -525,6 +526,9 @@ func (b *jobBuilder) buildIndexSearch(n *algebra.Node) (stream, error) {
 // buildSortPK compiles the sort between the secondary and primary index
 // searches: a per-partition blocking sort on the encoded primary keys, which
 // turns the primary-search stage's lookups into a sequential access pattern.
+// Its one-to-one edges let FuseJob run it inside the access path's chain:
+// the secondary search, the sort and the primary search share one
+// goroutine per partition.
 func (b *jobBuilder) buildSortPK(n *algebra.Node) (stream, error) {
 	in, err := b.build(n.Inputs[0])
 	if err != nil {

@@ -106,30 +106,47 @@ func TestProfileScanOutEqualsCardinality(t *testing.T) {
 	}
 }
 
+// TestProfileFusedMatchesUnfusedCounts: fused and unfused runs of one plan
+// report the same per-operator counts — for a scan pipeline, and for a
+// secondary-index access path whose primary-key sort runs inside the fused
+// chain.
 func TestProfileFusedMatchesUnfusedCounts(t *testing.T) {
-	const query = `for $r in dataset ProfD where $r.k >= 100 return $r.k;`
 	fusedInst := newProfileInstance(t, false)
 	unfusedInst := newProfileInstance(t, true)
-	fo, fi, frows := profiledQuery(t, fusedInst, query)
-	uo, ui, urows := profiledQuery(t, unfusedInst, query)
-	if frows != urows {
-		t.Fatalf("fused rows %d != unfused rows %d", frows, urows)
-	}
-	if len(fo) != len(uo) {
-		t.Fatalf("operator sets differ: fused %v unfused %v", fo, uo)
-	}
-	for name, n := range uo {
-		if fo[name] != n {
-			t.Errorf("%s: fused out %d != unfused out %d", name, fo[name], n)
+	for _, c := range []struct {
+		ddl, query, op string // op: an operator the query's rows pass through
+	}{
+		{"", `for $r in dataset ProfD where $r.k >= 100 return $r.k;`, "datasource-scan(ProfD)"},
+		{`create index ProfK on ProfD(k);`, `for $r in dataset ProfD where $r.k >= 100 and $r.k < 300 return $r.k;`, "sort(primary-keys)"},
+	} {
+		if c.ddl != "" {
+			for _, inst := range []*Instance{fusedInst, unfusedInst} {
+				if _, err := inst.Execute(c.ddl); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	for name, n := range ui {
-		if fi[name] != n {
-			t.Errorf("%s: fused in %d != unfused in %d", name, fi[name], n)
+		fo, fi, frows := profiledQuery(t, fusedInst, c.query)
+		uo, ui, urows := profiledQuery(t, unfusedInst, c.query)
+		if frows != urows {
+			t.Fatalf("%s: fused rows %d != unfused rows %d", c.query, frows, urows)
 		}
-	}
-	if fo["datasource-scan(ProfD)"] != profileCardinality {
-		t.Fatalf("scan out = %d, want %d", fo["datasource-scan(ProfD)"], profileCardinality)
+		if len(fo) != len(uo) {
+			t.Fatalf("%s: operator sets differ: fused %v unfused %v", c.query, fo, uo)
+		}
+		for name, n := range uo {
+			if fo[name] != n {
+				t.Errorf("%s: %s: fused out %d != unfused out %d", c.query, name, fo[name], n)
+			}
+		}
+		for name, n := range ui {
+			if fi[name] != n {
+				t.Errorf("%s: %s: fused in %d != unfused in %d", c.query, name, fi[name], n)
+			}
+		}
+		if fo[c.op] == 0 {
+			t.Fatalf("%s: no rows out of %s: %v", c.query, c.op, fo)
+		}
 	}
 }
 

@@ -29,7 +29,13 @@ const spillBudget = 32 << 10
 // two datasets (SpillA self-joinable against SpillB on cat).
 func newSpillInstance(t testing.TB, budget int64, records int) *Instance {
 	t.Helper()
-	inst, err := Open(Config{DataDir: t.TempDir(), Partitions: 2, MemoryBudget: budget})
+	return newSpillVariant(t, budget, records, variant{})
+}
+
+// newSpillVariant is newSpillInstance running the given reference job shape.
+func newSpillVariant(t testing.TB, budget int64, records int, v variant) *Instance {
+	t.Helper()
+	inst, err := open(Config{DataDir: t.TempDir(), Partitions: 2, MemoryBudget: budget}, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +233,65 @@ for $a in dataset SpillA for $b in dataset SpillB where $a.cat = $b.cat return $
 		t.Logf("cursor ended with %v", err)
 	}
 	assertNoSpillFiles(t, inst)
+}
+
+// TestSecondaryIndexSortSpillsInsideFusedChain: the secondary-index access
+// path runs as one fused chain per partition, its primary-key sort included.
+// Under a 4 KiB budget that sort spills inside the chain, the result is the
+// unfused job's, and no run file survives completion, an operator error
+// below the sort, or an early Close.
+func TestSecondaryIndexSortSpillsInsideFusedChain(t *testing.T) {
+	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
+	const budget = 4 << 10
+	fused := newSpillVariant(t, budget, 2000, variant{})
+	unfused := newSpillVariant(t, budget, 2000, variant{unfused: true})
+	for _, inst := range []*Instance{fused, unfused} {
+		if _, err := inst.Execute(`create index SpillACat on SpillA(cat);`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const query = `for $r in dataset SpillA where $r.cat >= 10 and $r.cat < 60 return $r.id;`
+	job, _, err := fused.compileJob(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain := "fused[btree-search(SpillACat) -> sort(primary-keys) -> btree-search(SpillA) -> "; !strings.HasPrefix(job.Describe(), chain) {
+		t.Fatalf("job is not the one chain %q:\n%s", chain, job.Describe())
+	}
+	got, err := fused.runJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Spill.Stats(); st.RunsCreated == 0 || st.LiveRuns != 0 {
+		t.Fatalf("fused sort spill stats %+v: want runs created and none live", st)
+	}
+	want, err := unfused.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the query matched nothing")
+	}
+	sameResults(t, "fused-vs-unfused secondary index under 4 KiB", got, want, false)
+	assertNoSpillFiles(t, fused)
+
+	// Every row fails in the return, after the sort has spilled everything.
+	if _, err := fused.Query(`for $r in dataset SpillA where $r.cat >= 10 and $r.cat < 60 return $r.id + $r.pad;`); err == nil {
+		t.Fatal("want an arithmetic error from the return")
+	}
+	assertNoSpillFiles(t, fused)
+
+	cur, err := fused.QueryStream(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Next() {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoSpillFiles(t, fused)
 }
 
 // TestLimitPushdownIntoScan asserts the ROADMAP follow-up: with a limit
