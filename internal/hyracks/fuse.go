@@ -316,24 +316,19 @@ func FuseJob(job *Job) *Job {
 		}
 		next[e.From], prev[e.To] = e.To, e.From
 	}
-	// A holding stage with no fused input would head its chain: cut it off,
-	// until no cut leaves another holding stage at a chain's head.
-	for cut := true; cut; {
-		cut = false
-		for i, op := range job.Operators {
-			if _, ok := op.(HoldStage); ok && prev[i] == -1 && next[i] != -1 {
-				prev[next[i]], next[i] = -1, -1
-				cut = true
-			}
+	// A holding stage whose input did not fuse would head its chain: cut it
+	// off. (A holding stage left heading a chain by a cut would still run
+	// correctly; no compiled plan chains two.)
+	fused := false
+	for i, op := range job.Operators {
+		if _, ok := op.(HoldStage); ok && prev[i] == -1 && next[i] != -1 {
+			prev[next[i]], next[i] = -1, -1
 		}
 	}
-	fused := 0
 	for _, to := range next {
-		if to != -1 {
-			fused++
-		}
+		fused = fused || to != -1
 	}
-	if fused == 0 {
+	if !fused {
 		return job
 	}
 

@@ -196,11 +196,10 @@ func (c *Cursor) recordJobErr(err error) {
 // ExecuteStream starts the job and returns a Cursor over its sink output.
 // Execution is identical to Execute — one goroutine per operator instance
 // and none besides, frame-batched bounded channels, upstream cancellation —
-// except that sink
-// instances feed the cursor's bounded channel instead of buffering their
-// output, so a pure streaming pipeline holds only O(frame x operators)
-// tuples in flight regardless of result size. Cancelling ctx or closing the
-// cursor terminates the job's goroutines.
+// except that sink instances feed the cursor's bounded channel instead of
+// buffering their output, so a pure streaming pipeline holds only
+// O(frame x operators) tuples in flight regardless of result size.
+// Cancelling ctx or closing the cursor terminates the job's goroutines.
 func ExecuteStream(ctx context.Context, job *Job) (*Cursor, error) {
 	cur, _, err := executeStream(ctx, job, nil)
 	return cur, err

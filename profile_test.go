@@ -115,9 +115,10 @@ func TestProfileFusedMatchesUnfusedCounts(t *testing.T) {
 	unfusedInst := newProfileInstance(t, true)
 	for _, c := range []struct {
 		ddl, query, op string // op: an operator the query's rows pass through
+		opOut          int64  // its fused out count; 0 asks only for some rows
 	}{
-		{"", `for $r in dataset ProfD where $r.k >= 100 return $r.k;`, "datasource-scan(ProfD)"},
-		{`create index ProfK on ProfD(k);`, `for $r in dataset ProfD where $r.k >= 100 and $r.k < 300 return $r.k;`, "sort(primary-keys)"},
+		{"", `for $r in dataset ProfD where $r.k >= 100 return $r.k;`, "datasource-scan(ProfD)", profileCardinality},
+		{`create index ProfK on ProfD(k);`, `for $r in dataset ProfD where $r.k >= 100 and $r.k < 300 return $r.k;`, "sort(primary-keys)", 0},
 	} {
 		if c.ddl != "" {
 			for _, inst := range []*Instance{fusedInst, unfusedInst} {
@@ -144,8 +145,8 @@ func TestProfileFusedMatchesUnfusedCounts(t *testing.T) {
 				t.Errorf("%s: %s: fused in %d != unfused in %d", c.query, name, fi[name], n)
 			}
 		}
-		if fo[c.op] == 0 {
-			t.Fatalf("%s: no rows out of %s: %v", c.query, c.op, fo)
+		if fo[c.op] == 0 || c.opOut != 0 && fo[c.op] != c.opOut {
+			t.Fatalf("%s: %s out = %d, want %d (0: any rows): %v", c.query, c.op, fo[c.op], c.opOut, fo)
 		}
 	}
 }
