@@ -815,15 +815,13 @@ func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (
 	if err != nil {
 		return nil, err
 	}
-	deleted := 0
-	for _, v := range res.Values {
-		ok, err := ds.Delete(v.(*adm.OrderedList).Items...)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			deleted++
-		}
+	keys := make([][]adm.Value, len(res.Values))
+	for i, v := range res.Values {
+		keys[i] = v.(*adm.OrderedList).Items
+	}
+	deleted, err := ds.DeleteBatch(keys)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Kind: "delete", Count: deleted}, nil
 }

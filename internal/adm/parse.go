@@ -1,18 +1,26 @@
 package adm
 
 import (
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
-// Parse parses a single ADM value from its textual form. The textual form is
-// a superset of JSON: in addition to JSON literals it accepts bags
-// ("{{ ... }}"), unquoted field names, and typed constructors such as
-// datetime("2014-01-01T00:00:00"), date("2014-01-01"), point("1.0,2.0"),
-// int8/int16/int64 suffixes, and so on.
+// Parse parses a single ADM value from its textual form, which is what
+// Value.String writes and what external and load files hold. The textual
+// form is a superset of JSON: in addition to JSON literals it accepts bags
+// ("{{ ... }}"), unquoted field names, typed constructors such as
+// datetime("2014-01-01T00:00:00"), date("2014-01-01"), point("1.0,2.0") and
+// interval(date(...), date(...)), and the numeric suffixes of ParseNumber.
+// Strings and numbers are read by ParseString and ParseNumber, the literal
+// codec the AQL lexer shares, so a value's text means the same in a data
+// file and in a statement.
 func Parse(input string) (Value, error) {
 	p := &valueParser{src: input}
 	p.skipSpace()
@@ -69,250 +77,237 @@ func (p *valueParser) parseValue() (Value, error) {
 	}
 	c := p.src[p.pos]
 	switch {
-	case c == '{':
-		if strings.HasPrefix(p.src[p.pos:], "{{") {
-			return p.parseBag()
-		}
-		return p.parseRecord()
-	case c == '[':
-		return p.parseOrderedList()
+	case p.consume("{{"):
+		items, err := p.parseValues("}}")
+		return &UnorderedList{Items: items}, err
+	case p.consume("["):
+		items, err := p.parseValues("]")
+		return &OrderedList{Items: items}, err
+	case p.consume("{"):
+		rec := &Record{}
+		return rec, p.parseItems("}", func() error {
+			var name string
+			var err error
+			if p.peek() == '"' {
+				name, err = p.parseString()
+			} else if name = p.parseIdent(); name == "" {
+				err = p.errf("expected field name")
+			}
+			if err != nil {
+				return err
+			}
+			p.skipSpace()
+			if !p.consume(":") {
+				return p.errf("expected ':' after field name %q", name)
+			}
+			v, err := p.parseValue()
+			rec.Fields = append(rec.Fields, Field{Name: name, Value: v})
+			return err
+		})
 	case c == '"':
-		s, err := p.parseStringLit()
+		s, err := p.parseString()
 		if err != nil {
 			return nil, err
 		}
 		return String(s), nil
-	case c == '-' || c == '+' || (c >= '0' && c <= '9'):
-		return p.parseNumber()
+	case c == '-' || c == '+' || isDigit(c):
+		v, n, err := ParseNumber(p.src[p.pos:])
+		if err != nil {
+			return nil, p.errf("%v", err)
+		}
+		p.pos += n
+		return v, nil
 	default:
 		return p.parseWord()
 	}
 }
 
-func (p *valueParser) parseRecord() (Value, error) {
-	if !p.consume("{") {
-		return nil, p.errf("expected '{'")
-	}
-	rec := &Record{}
+// parseItems parses the comma-separated items of a record, list, bag or
+// interval up to close, the opening bracket already consumed, with item.
+func (p *valueParser) parseItems(close string, item func() error) error {
 	p.skipSpace()
-	if p.consume("}") {
-		return rec, nil
+	if p.consume(close) {
+		return nil
 	}
 	for {
 		p.skipSpace()
-		var name string
-		var err error
-		if p.peek() == '"' {
-			name, err = p.parseStringLit()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			name = p.parseIdent()
-			if name == "" {
-				return nil, p.errf("expected field name")
-			}
+		if err := item(); err != nil {
+			return err
 		}
 		p.skipSpace()
-		if !p.consume(":") {
-			return nil, p.errf("expected ':' after field name %q", name)
+		if p.consume(close) {
+			return nil
 		}
+		if !p.consume(",") {
+			return p.errf("expected ',' or %q", close)
+		}
+	}
+}
+
+func (p *valueParser) parseValues(close string) ([]Value, error) {
+	var items []Value
+	err := p.parseItems(close, func() error {
 		v, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		rec.Fields = append(rec.Fields, Field{Name: name, Value: v})
-		p.skipSpace()
-		if p.consume(",") {
-			continue
-		}
-		if p.consume("}") {
-			return rec, nil
-		}
-		return nil, p.errf("expected ',' or '}' in record")
-	}
+		items = append(items, v)
+		return err
+	})
+	return items, err
 }
 
-func (p *valueParser) parseBag() (Value, error) {
-	if !p.consume("{{") {
-		return nil, p.errf("expected '{{'")
-	}
-	bag := &UnorderedList{}
-	p.skipSpace()
-	if p.consume("}}") {
-		return bag, nil
-	}
-	for {
-		v, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		bag.Items = append(bag.Items, v)
-		p.skipSpace()
-		if p.consume(",") {
-			continue
-		}
-		if p.consume("}}") {
-			return bag, nil
-		}
-		return nil, p.errf("expected ',' or '}}' in bag")
-	}
-}
-
-func (p *valueParser) parseOrderedList() (Value, error) {
-	if !p.consume("[") {
-		return nil, p.errf("expected '['")
-	}
-	list := &OrderedList{}
-	p.skipSpace()
-	if p.consume("]") {
-		return list, nil
-	}
-	for {
-		v, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		list.Items = append(list.Items, v)
-		p.skipSpace()
-		if p.consume(",") {
-			continue
-		}
-		if p.consume("]") {
-			return list, nil
-		}
-		return nil, p.errf("expected ',' or ']' in list")
-	}
-}
-
-func (p *valueParser) parseStringLit() (string, error) {
-	start := p.pos
-	if p.src[p.pos] != '"' {
-		return "", p.errf("expected string")
-	}
-	p.pos++
-	var sb strings.Builder
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c == '"' {
-			p.pos++
-			return sb.String(), nil
-		}
-		if c == '\\' {
-			if p.pos+1 >= len(p.src) {
-				break
-			}
-			p.pos++
-			esc := p.src[p.pos]
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '"', '\\', '/':
-				sb.WriteByte(esc)
-			case 'u':
-				if p.pos+4 >= len(p.src) {
-					return "", p.errf("bad unicode escape")
-				}
-				n, err := strconv.ParseUint(p.src[p.pos+1:p.pos+5], 16, 32)
-				if err != nil {
-					return "", p.errf("bad unicode escape: %v", err)
-				}
-				sb.WriteRune(rune(n))
-				p.pos += 4
-			default:
-				return "", p.errf("bad escape \\%c", esc)
-			}
-			p.pos++
-			continue
-		}
-		sb.WriteByte(c)
-		p.pos++
-	}
-	p.pos = start
-	return "", p.errf("unterminated string")
-}
-
-func (p *valueParser) parseNumber() (Value, error) {
-	start := p.pos
-	if p.peek() == '-' || p.peek() == '+' {
-		p.pos++
-	}
-	isFloat := false
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c >= '0' && c <= '9' {
-			p.pos++
-			continue
-		}
-		if c == '.' || c == 'e' || c == 'E' {
-			isFloat = true
-			p.pos++
-			if p.pos < len(p.src) && (p.src[p.pos] == '-' || p.src[p.pos] == '+') {
-				p.pos++
-			}
-			continue
-		}
-		break
-	}
-	text := p.src[start:p.pos]
-	// Optional type suffix: i8, i16, i32, i64, f, d.
-	switch {
-	case p.consume("i8"):
-		n, err := strconv.ParseInt(text, 10, 8)
-		if err != nil {
-			return nil, p.errf("bad int8 %q: %v", text, err)
-		}
-		return Int8(n), nil
-	case p.consume("i16"):
-		n, err := strconv.ParseInt(text, 10, 16)
-		if err != nil {
-			return nil, p.errf("bad int16 %q: %v", text, err)
-		}
-		return Int16(n), nil
-	case p.consume("i64"):
-		n, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad int64 %q: %v", text, err)
-		}
-		return Int64(n), nil
-	case p.consume("i32"):
-		n, err := strconv.ParseInt(text, 10, 32)
-		if err != nil {
-			return nil, p.errf("bad int32 %q: %v", text, err)
-		}
-		return Int32(n), nil
-	case p.consume("f"):
-		f, err := strconv.ParseFloat(text, 32)
-		if err != nil {
-			return nil, p.errf("bad float %q: %v", text, err)
-		}
-		return Float(f), nil
-	case p.consume("d"):
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, p.errf("bad double %q: %v", text, err)
-		}
-		return Double(f), nil
-	}
-	if isFloat {
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q: %v", text, err)
-		}
-		return Double(f), nil
-	}
-	n, err := strconv.ParseInt(text, 10, 64)
+func (p *valueParser) parseString() (string, error) {
+	s, n, err := ParseString(p.src[p.pos:])
 	if err != nil {
-		return nil, p.errf("bad integer %q: %v", text, err)
+		return "", p.errf("%v", err)
 	}
-	if n >= -2147483648 && n <= 2147483647 {
-		return Int32(n), nil
+	p.pos += n
+	return s, nil
+}
+
+// ParseString decodes the quoted string literal at the front of src and
+// returns it with the number of bytes the literal spans, quotes included.
+// The quote is src[0]: a double quote, or a single one as AQL also allows.
+// The escapes are JSON's — \" \\ \/ \b \f \n \r \t and \uXXXX, where a
+// surrogate pair is one rune and a lone surrogate U+FFFD, as in
+// encoding/json — and \'; any other escape is an error. Every other byte
+// stands for itself. A literal without escapes is returned as a substring of
+// src, with no copy.
+func ParseString(src string) (string, int, error) {
+	if src == "" || (src[0] != '"' && src[0] != '\'') {
+		return "", 0, errors.New("expected a quoted string")
 	}
-	return Int64(n), nil
+	quote := src[0]
+	i := 1
+	for i < len(src) && src[i] != quote && src[i] != '\\' {
+		i++
+	}
+	if i < len(src) && src[i] == quote {
+		return src[1:i], i + 1, nil
+	}
+	buf := []byte(src[1:i])
+	for i < len(src) {
+		c := src[i]
+		if c == quote {
+			return string(buf), i + 1, nil
+		}
+		if c != '\\' {
+			buf = append(buf, c)
+			i++
+			continue
+		}
+		if i+1 >= len(src) {
+			break
+		}
+		esc := src[i+1]
+		i += 2
+		switch esc {
+		case '"', '\\', '/', '\'':
+			buf = append(buf, esc)
+		case 'b':
+			buf = append(buf, '\b')
+		case 'f':
+			buf = append(buf, '\f')
+		case 'n':
+			buf = append(buf, '\n')
+		case 'r':
+			buf = append(buf, '\r')
+		case 't':
+			buf = append(buf, '\t')
+		case 'u':
+			r, ok := hex4(src[i:])
+			if !ok {
+				return "", 0, fmt.Errorf("bad \\u escape %q", src[i-2:min(i+4, len(src))])
+			}
+			i += 4
+			if utf16.IsSurrogate(r) && strings.HasPrefix(src[i:], `\u`) {
+				if r2, ok := hex4(src[i+2:]); ok {
+					if pair := utf16.DecodeRune(r, r2); pair != utf8.RuneError {
+						r = pair
+						i += 6
+					}
+				}
+			}
+			// A lone surrogate is not a rune: AppendRune writes U+FFFD.
+			buf = utf8.AppendRune(buf, r)
+		default:
+			return "", 0, fmt.Errorf("bad escape \\%c in string literal", esc)
+		}
+	}
+	return "", 0, errors.New("unterminated string literal")
+}
+
+// hex4 decodes the four hex digits at the front of s.
+func hex4(s string) (rune, bool) {
+	n, err := strconv.ParseUint(s[:min(4, len(s))], 16, 16)
+	return rune(n), err == nil && len(s) >= 4
+}
+
+// ParseNumber decodes the numeric literal at the front of src and returns
+// its value with the number of bytes the literal spans. The literal is an
+// optional sign, then JSON number syntax (leading zeros allowed; a '.' or an
+// exponent belongs to the number only with a digit after it), then an
+// optional suffix i8, i16, i32, i64, f or d, which counts only when no
+// identifier character follows it. A suffix names the type. Without one an
+// integer is an int32 when it fits and an int64 otherwise, and a fraction or
+// exponent makes a double. The range check runs on the signed value, so
+// -128i8 is an int8. A literal that is well formed but out of its type's
+// range is an error whose n still spans it.
+func ParseNumber(src string) (Value, int, error) {
+	digits := func(i int) int {
+		for i < len(src) && isDigit(src[i]) {
+			i++
+		}
+		return i
+	}
+	start := 0
+	if src != "" && (src[0] == '-' || src[0] == '+') {
+		start = 1
+	}
+	end := digits(start)
+	if end == start {
+		return nil, 0, errors.New("expected a number")
+	}
+	typeName := ""
+	if end+1 < len(src) && src[end] == '.' && isDigit(src[end+1]) {
+		end, typeName = digits(end+1), "double"
+	}
+	if end < len(src) && (src[end] == 'e' || src[end] == 'E') {
+		i := end + 1
+		if i < len(src) && (src[i] == '-' || src[i] == '+') {
+			i++
+		}
+		if i < len(src) && isDigit(src[i]) {
+			end, typeName = digits(i), "double"
+		}
+	}
+	n := end
+	for _, s := range &numberSuffixes {
+		if rest := src[end:]; strings.HasPrefix(rest, s[0]) && (len(rest) == len(s[0]) || !isIdentByte(rest[len(s[0])])) {
+			typeName, n = s[1], end+len(s[0])
+			break
+		}
+	}
+	if typeName == "" {
+		if i, err := strconv.ParseInt(src[:end], 10, 64); err == nil && int64(int32(i)) == i {
+			return Int32(i), n, nil
+		}
+		typeName = "int64"
+	}
+	v, err := Construct(typeName, src[:end])
+	if err != nil {
+		return nil, n, fmt.Errorf("bad number literal %q: %w", src[:n], errors.Unwrap(err))
+	}
+	return v, n, nil
+}
+
+// numberSuffixes maps each numeric suffix to the type it names.
+var numberSuffixes = [...][2]string{{"i8", "int8"}, {"i16", "int16"}, {"i32", "int32"}, {"i64", "int64"}, {"f", "float"}, {"d", "double"}}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isIdentByte reports whether c may continue an identifier: a letter, a
+// digit, '_' or a byte of a non-ASCII rune.
+func isIdentByte(c byte) bool {
+	return isDigit(c) || c == '_' || c >= utf8.RuneSelf || ('a' <= c|0x20 && c|0x20 <= 'z')
 }
 
 // parseIdent consumes an identifier (letters, digits, '-', '_').
@@ -353,25 +348,16 @@ func (p *valueParser) parseWord() (Value, error) {
 	p.skipSpace()
 	// interval(start, end) takes two constructor arguments.
 	if word == "interval" {
-		a, err := p.parseValue()
+		bounds, err := p.parseValues(")")
 		if err != nil {
 			return nil, err
 		}
-		p.skipSpace()
-		if !p.consume(",") {
-			return nil, p.errf("expected ',' in interval")
+		if len(bounds) != 2 {
+			return nil, p.errf("interval takes two bounds, got %d", len(bounds))
 		}
-		b, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if !p.consume(")") {
-			return nil, p.errf("expected ')' in interval")
-		}
-		return NewInterval(a, b)
+		return NewInterval(bounds[0], bounds[1])
 	}
-	arg, err := p.parseStringLit()
+	arg, err := p.parseString()
 	if err != nil {
 		return nil, err
 	}
@@ -550,47 +536,69 @@ func ParseDuration(s string) (Value, error) {
 	return Duration{Months: months, Millis: millis}, nil
 }
 
+// parseDurationPart reads the number-designator pairs of a duration's date
+// or time part. It counts in integers, so a duration's text reads back to
+// the millisecond; a fraction counts in days, hours, minutes and seconds,
+// truncated to the millisecond, and not in years, months or weeks.
 func parseDurationPart(s string, isTime bool) (int32, int64, error) {
 	var months int32
 	var millis int64
-	num := ""
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' {
-			num += string(c)
-			continue
+	for s != "" {
+		i := 0
+		for i < len(s) && (isDigit(s[i]) || s[i] == '.') {
+			i++
 		}
-		if num == "" {
-			return 0, 0, fmt.Errorf("missing number before %q", string(c))
+		if i == 0 {
+			return 0, 0, fmt.Errorf("missing number before %q", s[:1])
 		}
-		f, err := strconv.ParseFloat(num, 64)
+		if i == len(s) {
+			return 0, 0, fmt.Errorf("trailing number %q", s)
+		}
+		whole, frac, _ := strings.Cut(s[:i], ".")
+		n, err := parseDigits(whole)
 		if err != nil {
 			return 0, 0, err
 		}
-		switch {
+		frac = frac[:min(len(frac), 9)]
+		f, err := parseDigits(frac)
+		if err != nil {
+			return 0, 0, err
+		}
+		var unit int64
+		switch c := s[i]; {
 		case c == 'Y' && !isTime:
-			months += int32(f) * 12
+			months += int32(n) * 12
 		case c == 'M' && !isTime:
-			months += int32(f)
+			months += int32(n)
 		case c == 'W' && !isTime:
-			millis += int64(f) * 7 * 86400000
+			millis += n * 7 * 86400000
 		case c == 'D' && !isTime:
-			millis += int64(f * 86400000)
+			unit = 86400000
 		case c == 'H' && isTime:
-			millis += int64(f * 3600000)
+			unit = 3600000
 		case c == 'M' && isTime:
-			millis += int64(f * 60000)
+			unit = 60000
 		case c == 'S' && isTime:
-			millis += int64(f * 1000)
+			unit = 1000
 		default:
 			return 0, 0, fmt.Errorf("unexpected designator %q", string(c))
 		}
-		num = ""
-	}
-	if num != "" {
-		return 0, 0, fmt.Errorf("trailing number %q", num)
+		scale := int64(1)
+		for range frac {
+			scale *= 10
+		}
+		millis += n*unit + f*unit/scale
+		s = s[i+1:]
 	}
 	return months, millis, nil
+}
+
+// parseDigits reads a run of decimal digits, the empty run as zero.
+func parseDigits(s string) (int64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	return strconv.ParseInt(s, 10, 64)
 }
 
 // ParsePoint parses "x,y" into a Point.
@@ -621,19 +629,21 @@ func parsePointList(s string) ([]Point, error) {
 }
 
 func parseLine(s string) (Value, error) {
-	pts, err := parsePointList(s)
-	if err != nil || len(pts) != 2 {
-		return nil, fmt.Errorf("adm: bad line %q", s)
-	}
-	return Line{A: pts[0], B: pts[1]}, nil
+	a, b, err := parsePointPair(s, "line")
+	return Line{A: a, B: b}, err
 }
 
 func parseRectangle(s string) (Value, error) {
+	a, b, err := parsePointPair(s, "rectangle")
+	return Rectangle{LowerLeft: a, UpperRight: b}, err
+}
+
+func parsePointPair(s, kind string) (Point, Point, error) {
 	pts, err := parsePointList(s)
 	if err != nil || len(pts) != 2 {
-		return nil, fmt.Errorf("adm: bad rectangle %q", s)
+		return Point{}, Point{}, fmt.Errorf("adm: bad %s %q", kind, s)
 	}
-	return Rectangle{LowerLeft: pts[0], UpperRight: pts[1]}, nil
+	return pts[0], pts[1], nil
 }
 
 func parseCircle(s string) (Value, error) {
@@ -661,32 +671,19 @@ func parsePolygon(s string) (Value, error) {
 }
 
 func parseUUID(s string) (Value, error) {
-	hex := strings.ReplaceAll(s, "-", "")
-	if len(hex) != 32 {
+	var u UUID
+	b, err := hex.DecodeString(strings.ReplaceAll(s, "-", ""))
+	if err != nil || len(b) != len(u) {
 		return nil, fmt.Errorf("adm: bad uuid %q", s)
 	}
-	var u UUID
-	for i := 0; i < 16; i++ {
-		b, err := strconv.ParseUint(hex[i*2:i*2+2], 16, 8)
-		if err != nil {
-			return nil, fmt.Errorf("adm: bad uuid %q", s)
-		}
-		u[i] = byte(b)
-	}
+	copy(u[:], b)
 	return u, nil
 }
 
 func parseHexBinary(s string) (Value, error) {
-	if len(s)%2 != 0 {
+	b, err := hex.DecodeString(s)
+	if err != nil {
 		return nil, fmt.Errorf("adm: bad hex binary %q", s)
 	}
-	out := make([]byte, len(s)/2)
-	for i := range out {
-		b, err := strconv.ParseUint(s[i*2:i*2+2], 16, 8)
-		if err != nil {
-			return nil, fmt.Errorf("adm: bad hex binary %q", s)
-		}
-		out[i] = byte(b)
-	}
-	return Binary(out), nil
+	return Binary(b), nil
 }

@@ -2,6 +2,7 @@ package adm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +14,9 @@ import (
 type Value interface {
 	// Tag returns the dynamic type of the value.
 	Tag() TypeTag
-	// String renders the value in ADM textual syntax (a superset of JSON).
+	// String renders the value in ADM textual syntax (a superset of JSON),
+	// which Parse and the AQL parser both read back as an equal value of
+	// the same type.
 	String() string
 }
 
@@ -195,18 +198,28 @@ func (v Int32) String() string { return strconv.FormatInt(int64(v), 10) }
 func (v Int64) String() string { return strconv.FormatInt(int64(v), 10) + "i64" }
 
 func (v Float) String() string {
+	if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+		return `float("` + strconv.FormatFloat(f, 'g', -1, 32) + `")`
+	}
 	return strconv.FormatFloat(float64(v), 'g', -1, 32) + "f"
 }
 
+// A Double's text has a '.' or an exponent, so it reads back as a double;
+// NaN and the infinities, which have no literal, are constructor calls.
 func (v Double) String() string {
-	s := strconv.FormatFloat(float64(v), 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-		s += ".0"
+	f := float64(v)
+	s := strconv.FormatFloat(f, 'g', -1, 64)
+	switch {
+	case math.IsNaN(f) || math.IsInf(f, 0):
+		return `double("` + s + `")`
+	case !strings.ContainsAny(s, ".e"):
+		return s + ".0"
 	}
 	return s
 }
 
-func (v String) String() string { return strconv.Quote(string(v)) }
+// A string's text is its NDJSON rendering, which ParseString reads back.
+func (v String) String() string { return string(appendJSONString(nil, string(v))) }
 
 // A binary, UUID, temporal or duration value's ADM text is its constructor
 // applied to the string literal AppendJSON writes for it.
@@ -277,20 +290,16 @@ func appendDuration(dst []byte, months int32, millis int64) []byte {
 }
 
 func (v Interval) String() string {
-	start := intervalBoundString(v.PointTag, v.Start)
-	end := intervalBoundString(v.PointTag, v.End)
-	return fmt.Sprintf("interval(%s, %s)", start, end)
-}
-
-func intervalBoundString(tag TypeTag, chronon int64) string {
-	switch tag {
-	case TagDate:
-		return Date(chronon).String()
-	case TagTime:
-		return Time(chronon).String()
-	default:
-		return Datetime(chronon).String()
+	bound := func(chronon int64) Value {
+		switch v.PointTag {
+		case TagDate:
+			return Date(chronon)
+		case TagTime:
+			return Time(chronon)
+		}
+		return Datetime(chronon)
 	}
+	return "interval(" + bound(v.Start).String() + ", " + bound(v.End).String() + ")"
 }
 
 func fmtCoord(f float64) string {
@@ -329,7 +338,7 @@ func (r *Record) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(strconv.Quote(f.Name))
+		sb.Write(appendJSONString(nil, f.Name))
 		sb.WriteString(": ")
 		sb.WriteString(f.Value.String())
 	}
@@ -337,29 +346,20 @@ func (r *Record) String() string {
 	return sb.String()
 }
 
-func (l *OrderedList) String() string {
-	var sb strings.Builder
-	sb.WriteString("[ ")
-	for i, it := range l.Items {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(it.String())
-	}
-	sb.WriteString(" ]")
-	return sb.String()
-}
+func (l *OrderedList) String() string { return itemsString("[ ", l.Items, " ]") }
 
-func (l *UnorderedList) String() string {
+func (l *UnorderedList) String() string { return itemsString("{{ ", l.Items, " }}") }
+
+func itemsString(open string, items []Value, close string) string {
 	var sb strings.Builder
-	sb.WriteString("{{ ")
-	for i, it := range l.Items {
+	sb.WriteString(open)
+	for i, it := range items {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
 		sb.WriteString(it.String())
 	}
-	sb.WriteString(" }}")
+	sb.WriteString(close)
 	return sb.String()
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"asterixdb/internal/adm"
 )
 
 // tokenKind classifies lexical tokens.
@@ -13,17 +15,17 @@ const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokVariable // $name
-	tokString   // "..."
-	tokInt
-	tokFloat
-	tokSymbol // punctuation and operators
-	tokHint   // /*+ ... */
+	tokString   // "..." or '...', text holding the decoded string
+	tokNumber   // val holds the number, nil when it is out of its type's range
+	tokSymbol   // punctuation and operators
+	tokHint     // /*+ ... */
 )
 
 // token is one lexical token with its source position (byte offset).
 type token struct {
 	kind tokenKind
 	text string
+	val  adm.Value
 	pos  int
 }
 
@@ -41,31 +43,38 @@ func (t token) String() string {
 }
 
 // lexer turns AQL source text into tokens. Ordinary comments are skipped;
-// optimizer hint comments (/*+ ... */) are preserved as hint tokens.
+// optimizer hint comments (/*+ ... */) are preserved as hint tokens. String
+// and number literals are ADM's, read by adm.ParseString and
+// adm.ParseNumber, so a value's text (Value.String, or a line of NDJSON
+// output) means the same here as in a data file.
 type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+	src string
+	pos int
 }
 
 // lex tokenizes the whole input up front; AQL statements are short enough
-// that a streaming lexer buys nothing.
+// that a streaming lexer buys nothing. The slice is sized for a token per
+// four bytes (record literals average five to eight), so that a long insert
+// statement's tokens are not copied as the slice grows.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
+	tokens := make([]token, 0, len(src)/4+1)
 	for {
 		tok, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.tokens = append(l.tokens, tok)
+		tokens = append(tokens, tok)
 		if tok.kind == tokEOF {
-			return l.tokens, nil
+			return tokens, nil
 		}
 	}
 }
 
-// multi-character symbols, longest first.
-var multiSymbols = []string{":=", "<=", ">=", "!=", "~=", "}}", "{{"}
+// multi-character symbols, longest first. A bag's closing "}}" is two '}'
+// tokens (see parser.atBagClose), so that the "}}" ending JSON's
+// {"a":{"b":1}} can close two records.
+var multiSymbols = []string{":=", "<=", ">=", "!=", "~=", "{{"}
 
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
@@ -98,16 +107,20 @@ func (l *lexer) next() (token, error) {
 
 	// Strings (double or single quoted).
 	if c == '"' || c == '\'' {
-		s, err := l.readString(c)
+		s, n, err := adm.ParseString(l.src[l.pos:])
 		if err != nil {
-			return token{}, err
+			return token{}, fmt.Errorf("aql: %w at offset %d", err, start)
 		}
+		l.pos += n
 		return token{kind: tokString, text: s, pos: start}, nil
 	}
 
-	// Numbers.
+	// Numbers. One out of its type's range is an error only if no '-' just
+	// before it brings it into range (-128i8), which the parser decides.
 	if c >= '0' && c <= '9' {
-		return l.readNumber(), nil
+		v, n, _ := adm.ParseNumber(l.src[l.pos:])
+		l.pos += n
+		return token{kind: tokNumber, text: l.src[start:l.pos], val: v, pos: start}, nil
 	}
 
 	// Identifiers and keywords.
@@ -184,63 +197,4 @@ func (l *lexer) readIdent() string {
 		break
 	}
 	return l.src[start:l.pos]
-}
-
-func (l *lexer) readString(quote byte) (string, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == quote {
-			l.pos++
-			return sb.String(), nil
-		}
-		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			esc := l.src[l.pos]
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			default:
-				sb.WriteByte(esc)
-			}
-			l.pos++
-			continue
-		}
-		sb.WriteByte(c)
-		l.pos++
-	}
-	return "", fmt.Errorf("aql: unterminated string at offset %d", start)
-}
-
-func (l *lexer) readNumber() token {
-	start := l.pos
-	isFloat := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
-			l.pos++
-			continue
-		}
-		if c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			isFloat = true
-			l.pos++
-			continue
-		}
-		if (c == 'e' || c == 'E') && l.pos+1 < len(l.src) &&
-			(l.src[l.pos+1] == '-' || l.src[l.pos+1] == '+' || (l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9')) {
-			isFloat = true
-			l.pos += 2
-			continue
-		}
-		break
-	}
-	kind := tokInt
-	if isFloat {
-		kind = tokFloat
-	}
-	return token{kind: kind, text: l.src[start:l.pos], pos: start}
 }

@@ -2,7 +2,6 @@ package aql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"asterixdb/internal/adm"
@@ -14,7 +13,7 @@ func Parse(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{tokens: tokens}
+	p := &parser{src: src, tokens: tokens}
 	var stmts []Statement
 	for !p.at(tokEOF) {
 		if p.atSymbol(";") {
@@ -51,6 +50,7 @@ func ParseQuery(src string) (Expr, error) {
 }
 
 type parser struct {
+	src    string
 	tokens []token
 	pos    int
 }
@@ -65,6 +65,14 @@ func (p *parser) atSymbol(s string) bool {
 }
 func (p *parser) atKeyword(kw string) bool {
 	return p.cur().kind == tokIdent && strings.EqualFold(p.cur().text, kw)
+}
+
+// atBagClose reports whether the next two tokens are the adjacent '}' '}'
+// that close a bag; the lexer leaves them apart so that they can also close
+// two records.
+func (p *parser) atBagClose() bool {
+	next := p.tokens[min(p.pos+1, len(p.tokens)-1)]
+	return p.atSymbol("}") && next.kind == tokSymbol && next.text == "}" && next.pos == p.cur().pos+1
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -103,6 +111,14 @@ func (p *parser) expectVariable() (string, error) {
 	name := p.cur().text
 	p.advance()
 	return name, nil
+}
+
+// expectFieldName reads a field name: an identifier or a string literal.
+func (p *parser) expectFieldName() (string, error) {
+	if p.at(tokString) {
+		return p.expectString()
+	}
+	return p.expectIdent()
 }
 
 func (p *parser) expectString() (string, error) {
@@ -258,13 +274,7 @@ func (p *parser) parseRecordTypeBody(open bool) (*RecordTypeExpr, error) {
 			p.advance()
 			return body, nil
 		}
-		var fieldName string
-		var err error
-		if p.at(tokString) {
-			fieldName, err = p.expectString()
-		} else {
-			fieldName, err = p.expectIdent()
-		}
+		fieldName, err := p.expectFieldName()
 		if err != nil {
 			return nil, err
 		}
@@ -301,9 +311,10 @@ func (p *parser) parseTypeExpr() (*TypeExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectSymbol("}}"); err != nil {
-			return nil, err
+		if !p.atBagClose() {
+			return nil, p.errf("expected %q", "}}")
 		}
+		p.pos += 2
 		return &TypeExpr{UnorderedItem: item}, nil
 	case p.atSymbol("["):
 		p.advance()
@@ -482,11 +493,11 @@ func (p *parser) parseCreateIndex() (Statement, error) {
 			idx.GramLength = 3
 			if p.atSymbol("(") {
 				p.advance()
-				if !p.at(tokInt) {
+				n, ok := p.cur().val.(adm.Int32)
+				if !ok {
 					return nil, p.errf("expected gram length")
 				}
-				n, _ := strconv.Atoi(p.cur().text)
-				idx.GramLength = n
+				idx.GramLength = int(n)
 				p.advance()
 				if err := p.expectSymbol(")"); err != nil {
 					return nil, err
@@ -1146,7 +1157,18 @@ func (p *parser) parseUnary() (Expr, error) {
 		return &UnaryExpr{Op: "not", Operand: operand}, nil
 	}
 	if p.atSymbol("-") {
+		minus := p.cur()
 		p.advance()
+		// A '-' just before a number is the number's sign: -5 is an int32
+		// literal and -128i8 an int8 one, not negations of 5 and 128i8.
+		if num := p.cur(); num.kind == tokNumber && num.pos == minus.pos+1 {
+			v, _, err := adm.ParseNumber(p.src[minus.pos : num.pos+len(num.text)])
+			if err != nil {
+				return nil, p.errf("%v", err)
+			}
+			p.advance()
+			return &Literal{Value: v}, nil
+		}
 		operand, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1165,12 +1187,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		switch {
 		case p.atSymbol("."):
 			p.advance()
-			var name string
-			if p.at(tokString) {
-				name, err = p.expectString()
-			} else {
-				name, err = p.expectIdent()
-			}
+			name, err := p.expectFieldName()
 			if err != nil {
 				return nil, err
 			}
@@ -1197,23 +1214,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokVariable:
 		p.advance()
 		return &VariableRef{Name: tok.text}, nil
-	case tokInt:
+	case tokNumber:
+		if tok.val == nil {
+			_, _, err := adm.ParseNumber(tok.text)
+			return nil, p.errf("%v", err)
+		}
 		p.advance()
-		n, err := strconv.ParseInt(tok.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad integer literal: %v", err)
-		}
-		if n >= -2147483648 && n <= 2147483647 {
-			return &Literal{Value: adm.Int32(n)}, nil
-		}
-		return &Literal{Value: adm.Int64(n)}, nil
-	case tokFloat:
-		p.advance()
-		f, err := strconv.ParseFloat(tok.text, 64)
-		if err != nil {
-			return nil, p.errf("bad float literal: %v", err)
-		}
-		return &Literal{Value: adm.Double(f)}, nil
+		return &Literal{Value: tok.val}, nil
 	case tokString:
 		p.advance()
 		return &Literal{Value: adm.String(tok.text)}, nil
@@ -1231,34 +1238,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return e, nil
 		case "{{":
 			p.advance()
-			lc := &ListConstructor{Ordered: false}
-			for !p.atSymbol("}}") {
-				item, err := p.parseExprOperand()
-				if err != nil {
-					return nil, err
-				}
-				lc.Items = append(lc.Items, item)
-				if p.atSymbol(",") {
-					p.advance()
-				}
-			}
-			p.advance()
-			return lc, nil
+			items, err := p.parseOperands("}}")
+			return &ListConstructor{Items: items}, err
 		case "[":
 			p.advance()
-			lc := &ListConstructor{Ordered: true}
-			for !p.atSymbol("]") {
-				item, err := p.parseExprOperand()
-				if err != nil {
-					return nil, err
-				}
-				lc.Items = append(lc.Items, item)
-				if p.atSymbol(",") {
-					p.advance()
-				}
-			}
-			p.advance()
-			return lc, nil
+			items, err := p.parseOperands("]")
+			return &ListConstructor{Ordered: true, Items: items}, err
 		case "{":
 			return p.parseRecordConstructor()
 		}
@@ -1304,20 +1289,26 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Function call?
 		if p.atSymbol("(") {
 			p.advance()
-			call := &CallExpr{Func: word}
-			for !p.atSymbol(")") {
-				arg, err := p.parseExprOperand()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, arg)
-				if p.atSymbol(",") {
-					p.advance()
+			args, err := p.parseOperands(")")
+			if err != nil {
+				return nil, err
+			}
+			call := &CallExpr{Func: word, Args: args}
+			// Constructor calls with a single string literal argument fold
+			// into ADM literals right here (datetime("..."), point("...")),
+			// and so does an interval of two literal bounds, as in the
+			// text Interval.String writes.
+			if word == "interval" && len(call.Args) == 2 {
+				start, sok := call.Args[0].(*Literal)
+				end, eok := call.Args[1].(*Literal)
+				if sok && eok {
+					v, err := adm.NewInterval(start.Value, end.Value)
+					if err != nil {
+						return nil, p.errf("%v", err)
+					}
+					return &Literal{Value: v}, nil
 				}
 			}
-			p.advance()
-			// Constructor calls with a single string literal argument fold
-			// into ADM literals right here (datetime("..."), point("...")).
 			if len(call.Args) == 1 {
 				if lit, ok := call.Args[0].(*Literal); ok {
 					if s, ok := lit.Value.(adm.String); ok {
@@ -1334,6 +1325,28 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, p.errf("unexpected token")
 }
 
+// parseOperands parses comma-separated operands up to close, which it
+// consumes: ")", "]" or a bag's "}}", which is two tokens.
+func (p *parser) parseOperands(close string) ([]Expr, error) {
+	atClose := func() bool { return p.atSymbol(close) }
+	if close == "}}" {
+		atClose = p.atBagClose
+	}
+	var items []Expr
+	for !atClose() {
+		item, err := p.parseExprOperand()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item)
+		if p.atSymbol(",") {
+			p.advance()
+		}
+	}
+	p.pos += len(close)
+	return items, nil
+}
+
 func (p *parser) parseRecordConstructor() (Expr, error) {
 	p.advance() // '{'
 	rc := &RecordConstructor{}
@@ -1342,13 +1355,7 @@ func (p *parser) parseRecordConstructor() (Expr, error) {
 			p.advance()
 			return rc, nil
 		}
-		var name string
-		var err error
-		if p.at(tokString) {
-			name, err = p.expectString()
-		} else {
-			name, err = p.expectIdent()
-		}
+		name, err := p.expectFieldName()
 		if err != nil {
 			return nil, err
 		}

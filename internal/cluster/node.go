@@ -167,13 +167,11 @@ func (n *Node) Run(ctx context.Context) error {
 		return unavailablef("cluster: node %s missing from formation broadcast", n.cfg.Name)
 	}
 	n.pl = placement{nodes: len(n.nodes)}
-	self := n.self
-	N := len(n.nodes)
 	inst, err := asterixdb.Open(asterixdb.Config{
 		DataDir:       n.cfg.DataDir,
 		Partitions:    n.cfg.Partitions,
 		MemoryBudget:  n.cfg.MemoryBudget,
-		OwnsPartition: func(p int) bool { return p%N == self },
+		OwnsPartition: func(p int) bool { return n.pl.nodeOf(p) == n.self },
 	})
 	if err != nil {
 		return err

@@ -6,10 +6,10 @@ package cluster
 // consequences:
 //
 //   - Storage alignment. A node with sorted-rank k owns exactly the storage
-//     partitions p with p % N == k (Node.ownsPartition), and a scan or
-//     secondary-index operator's instance p reads storage partition p — so
-//     every data-access instance lands on the node that physically holds its
-//     partition, and no base data ever crosses the wire unshuffled.
+//     partitions p with nodeOf(p) == k (its instance's OwnsPartition), and a
+//     scan or secondary-index operator's instance p reads storage partition
+//     p — so every data-access instance lands on the node that physically
+//     holds its partition, and no base data ever crosses the wire unshuffled.
 //
 //   - Fusion stays legal. Operators joined by a OneToOne connector have
 //     equal parallelism, so instance p of both sides maps to the same node;

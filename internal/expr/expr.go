@@ -21,6 +21,7 @@ package expr
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -432,15 +433,33 @@ func unary(op string, v adm.Value) (adm.Value, error) {
 		}
 		return adm.Boolean(!adm.Truthy(v)), nil
 	case "-":
-		d, ok := adm.NumericAsDouble(v)
-		if !ok {
-			return nil, fmt.Errorf("expr: cannot negate %s", v.Tag())
+		// Negation keeps its operand's width; only a width's minimum, whose
+		// negation does not fit it, widens to the next one (int64's, with no
+		// wider integer, negates to itself).
+		switch n := v.(type) {
+		case adm.Int8:
+			if n == math.MinInt8 {
+				return adm.Int16(-int16(n)), nil
+			}
+			return -n, nil
+		case adm.Int16:
+			if n == math.MinInt16 {
+				return adm.Int32(-int32(n)), nil
+			}
+			return -n, nil
+		case adm.Int32:
+			if n == math.MinInt32 {
+				return adm.Int64(-int64(n)), nil
+			}
+			return -n, nil
+		case adm.Int64:
+			return -n, nil
+		case adm.Float:
+			return -n, nil
+		case adm.Double:
+			return -n, nil
 		}
-		if isIntTag(v.Tag()) {
-			n, _ := adm.NumericAsInt64(v)
-			return adm.Int64(-n), nil
-		}
-		return adm.Double(-d), nil
+		return nil, fmt.Errorf("expr: cannot negate %s", v.Tag())
 	}
 	return nil, fmt.Errorf("expr: unknown unary operator %q", op)
 }

@@ -216,3 +216,26 @@ func mustInt(v adm.Value) int64 {
 	n, _ := adm.NumericAsInt64(v)
 	return n
 }
+
+// Negation keeps its operand's width; only the minimum of a width, whose
+// negation does not fit it, widens to the next one.
+func TestNegationKeepsWidth(t *testing.T) {
+	ctx := fixedCtx()
+	cases := []struct{ x, want adm.Value }{
+		{adm.Int8(5), adm.Int8(-5)},
+		{adm.Int8(-128), adm.Int16(128)},
+		{adm.Int16(-7), adm.Int16(7)},
+		{adm.Int16(-32768), adm.Int32(32768)},
+		{adm.Int32(5), adm.Int32(-5)},
+		{adm.Int32(-2147483648), adm.Int64(2147483648)},
+		{adm.Int64(5), adm.Int64(-5)},
+		{adm.Float(1.5), adm.Float(-1.5)},
+		{adm.Double(2), adm.Double(-2)},
+	}
+	for _, c := range cases {
+		got := evalString(t, ctx, Env{"x": c.x}, `-$x`)
+		if got.Tag() != c.want.Tag() || !adm.Equal(got, c.want) {
+			t.Errorf("-(%s) = %s (%s), want %s (%s)", c.x, got, got.Tag(), c.want, c.want.Tag())
+		}
+	}
+}

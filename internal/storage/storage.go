@@ -950,22 +950,39 @@ func (d *Dataset) applyLogged(lsn uint64, rec txn.LogRecord) (bool, error) {
 	return true, p.applyRecordLocked(rec)
 }
 
-// Delete removes the record with the given primary key value(s).
+// Delete removes the record with the given primary key value(s) and reports
+// whether there was one.
 func (d *Dataset) Delete(pkValues ...adm.Value) (bool, error) {
-	var pk []byte
-	for _, v := range pkValues {
-		pk = adm.EncodeKey(pk, v)
+	deleted, err := d.DeleteBatch([][]adm.Value{pkValues})
+	return deleted == 1, err
+}
+
+// DeleteBatch removes the records with the given primary key values under a
+// single statement and returns how many there were. As in InsertBatch, each
+// key is its own record-level transaction and the WAL is synced once at the
+// end, on an error too.
+func (d *Dataset) DeleteBatch(keys [][]adm.Value) (deleted int, err error) {
+	defer func() {
+		if serr := d.manager.wal.Sync(); err == nil {
+			err = serr
+		}
+	}()
+	for _, key := range keys {
+		var pk []byte
+		for _, v := range key {
+			pk = adm.EncodeKey(pk, v)
+		}
+		part := d.partitionFor(pk)
+		existed, err := d.mutate(part, pk, nil, nil)
+		if err != nil {
+			return deleted, err
+		}
+		if existed {
+			deleted++
+			d.manager.maintain(d, part)
+		}
 	}
-	part := d.partitionFor(pk)
-	existed, err := d.mutate(part, pk, nil, nil)
-	if err != nil || !existed {
-		return false, err
-	}
-	if err := d.manager.wal.Sync(); err != nil {
-		return false, err
-	}
-	d.manager.maintain(d, part)
-	return true, nil
+	return deleted, nil
 }
 
 // secondaryKey builds the composite key (secondary key bytes ++ primary key)
