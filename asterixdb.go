@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -450,6 +451,13 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		}
 		return &Result{Kind: "ddl"}, nil
 	case *aql.CreateFunction:
+		// A call is inlined into its caller, so a free variable that is not a
+		// parameter would be bound by whatever the caller has in scope.
+		for _, v := range algebra.FreeVarsOf(s.Body) {
+			if !slices.Contains(s.Params, v) {
+				return nil, errf(CodeInvalid, "asterixdb: function %s: $%s is not a parameter; a function body sees only its parameters", s.Name, v)
+			}
+		}
 		in.mu.Lock()
 		defer in.mu.Unlock()
 		in.functions[s.Name] = expr.UserFunction{Params: s.Params, Body: s.Body}

@@ -3,6 +3,10 @@ package asterixdb
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -80,6 +84,74 @@ func TestDropFunctionSemantics(t *testing.T) {
 	}
 	if _, err := inst.Execute(`drop function f;`); !errors.Is(err, ErrNotFound) {
 		t.Errorf("second drop = %v, want ErrNotFound", err)
+	}
+}
+
+// TestFunctionBodySeesOnlyItsParameters: a function body whose free
+// variables are not all parameters is refused at create, so no call can bind
+// them from its caller's scope. A body's own for, let and quantified
+// variables are not free.
+func TestFunctionBodySeesOnlyItsParameters(t *testing.T) {
+	inst := newTinySocial(t)
+	for _, stmt := range []string{
+		`create function leaky($a) { for $m in dataset MugshotUsers where $m.id = $x return $m.id };`,
+		`create function leaky($a) { $a + $x };`,
+	} {
+		if _, err := inst.Execute(stmt); ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), "$x") {
+			t.Errorf("%s: %v; want a CodeInvalid error naming $x", stmt, err)
+		}
+	}
+	if res, err := inst.Query(`for $x in [1, 2] return leaky(0);`); err == nil {
+		t.Errorf("a call of the refused function returned %v", res)
+	}
+	if _, err := inst.Execute(`create function owned($a) {
+  for $m in dataset MugshotUsers let $k := $a where (some $i in [$k] satisfies $m.id = $i) return $m.id
+};`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := inst.Query(`for $x in [1, 2] return owned($x);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res); got != "[[ 1 ] [ 2 ]]" {
+		t.Errorf("owned($x) for $x in [1, 2] = %s, want [[ 1 ] [ 2 ]]", got)
+	}
+}
+
+// TestRecursiveFunctionIsAnError: direct and mutual recursion, and a
+// recursion that would terminate, are CodeInvalid errors naming the call
+// cycle, not a crash. The statements run in a child process with a 32 MB
+// stack cap, so a stack overflow fails this test instead of ending go test.
+func TestRecursiveFunctionIsAnError(t *testing.T) {
+	if os.Getenv("ASTERIX_RECURSION_CHILD") != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRecursiveFunctionIsAnError$", "-test.v")
+		cmd.Env = append(os.Environ(), "ASTERIX_RECURSION_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestRecursiveFunctionIsAnError") {
+			if len(out) > 2048 {
+				out = out[:2048]
+			}
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		return
+	}
+	debug.SetMaxStack(32 << 20)
+	inst := newTinySocial(t)
+	if _, err := inst.Execute(`
+create function loop($n) { loop($n + 1) };
+create function ping($n) { pong($n) };
+create function pong($n) { ping($n - 1) };
+create function fact($n) { if ($n <= 1) then 1 else $n * fact($n - 1) };`); err != nil {
+		t.Fatal(err)
+	}
+	for q, cycle := range map[string]string{
+		`loop(0);`: "loop -> loop",
+		`for $u in dataset MugshotUsers return ping($u.id);`: "ping -> pong -> ping",
+		`fact(5);`: "fact -> fact",
+	} {
+		if res, err := inst.Query(q); ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), cycle) {
+			t.Errorf("%s = %v, %v; want a CodeInvalid error naming %s", q, res, err, cycle)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/expr/oracle"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
 )
@@ -159,7 +160,7 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 	}
 	out := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := expr.Eval(in.oracleContext(), env, plan.Query.Return)
+		v, err := oracle.Eval(in.oracleContext(), env, plan.Query.Return)
 		if err != nil {
 			return nil, err
 		}
@@ -172,22 +173,22 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 // binding and folds the values with the aggregate function (the local
 // aggregation happens per partition inside executeNode's parallel scan; this
 // is the global combine).
-func (in *Instance) applyAggregate(fn string, envs []expr.Env, query *aql.FLWORExpr) (adm.Value, error) {
+func (in *Instance) applyAggregate(fn string, envs []oracle.Env, query *aql.FLWORExpr) (adm.Value, error) {
 	items := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := expr.Eval(in.oracleContext(), env, query.Return)
+		v, err := oracle.Eval(in.oracleContext(), env, query.Return)
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, v)
 	}
 	call := &aql.CallExpr{Func: fn, Args: []aql.Expr{&aql.Literal{Value: &adm.OrderedList{Items: items}}}}
-	return expr.Eval(in.oracleContext(), expr.Env{}, call)
+	return oracle.Eval(in.oracleContext(), oracle.Env{}, call)
 }
 
 // executeNode evaluates one plan operator and returns the variable bindings
 // it produces.
-func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -217,9 +218,9 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		if err != nil {
 			return nil, err
 		}
-		var out []expr.Env
+		var out []oracle.Env
 		for _, env := range envs {
-			keep, err := expr.EvalBool(in.oracleContext(), env, n.Condition)
+			keep, err := oracle.EvalBool(in.oracleContext(), env, n.Condition)
 			if err != nil {
 				return nil, err
 			}
@@ -233,11 +234,11 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		if err != nil {
 			return nil, err
 		}
-		out := make([]expr.Env, 0, len(envs))
+		out := make([]oracle.Env, 0, len(envs))
 		for _, env := range envs {
 			e := env
 			for i, v := range n.Vars {
-				val, err := expr.Eval(in.oracleContext(), e, n.Exprs[i])
+				val, err := oracle.Eval(in.oracleContext(), e, n.Exprs[i])
 				if err != nil {
 					return nil, err
 				}
@@ -275,23 +276,23 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 // childEnvs evaluates the node's input, or starts from a single empty binding
 // when the node has no input (a query that begins with let clauses, or a
 // constant query).
-func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if len(n.Inputs) == 0 {
-		return []expr.Env{{}}, nil
+		return []oracle.Env{{}}, nil
 	}
 	return in.executeNode(ctx, n.Inputs[0], query)
 }
 
 // execClause reuses the interpreter's clause semantics for group-by, order-by
 // and limit over already-materialized bindings.
-func (in *Instance) execClause(envs []expr.Env, clause aql.FLWORClause) ([]expr.Env, error) {
-	return expr.ApplyClause(in.oracleContext(), envs, clause)
+func (in *Instance) execClause(envs []oracle.Env, clause aql.FLWORClause) ([]oracle.Env, error) {
+	return oracle.ApplyClause(in.oracleContext(), envs, clause)
 }
 
 // execScan scans every partition of a dataset in parallel (one goroutine per
 // partition — the per-partition operator instances of the runtime) and binds
 // each record to the scan variable.
-func (in *Instance) execScan(n *algebra.Node) ([]expr.Env, error) {
+func (in *Instance) execScan(n *algebra.Node) ([]oracle.Env, error) {
 	if n.Dataverse == "Metadata" {
 		recs, err := in.metadataRecords(n.Dataset)
 		if err != nil {
@@ -314,7 +315,7 @@ func (in *Instance) execScan(n *algebra.Node) ([]expr.Env, error) {
 	}
 	ds := e.internal
 	parts := in.cfg.Partitions
-	perPart := make([][]expr.Env, parts)
+	perPart := make([][]oracle.Env, parts)
 	errs := make([]error, parts)
 	var wg sync.WaitGroup
 	for p := 0; p < parts; p++ {
@@ -328,13 +329,13 @@ func (in *Instance) execScan(n *algebra.Node) ([]expr.Env, error) {
 				if !ok {
 					return true
 				}
-				perPart[p] = append(perPart[p], expr.Env{n.Variable: rec})
+				perPart[p] = append(perPart[p], oracle.Env{n.Variable: rec})
 				return true
 			})
 		}(p)
 	}
 	wg.Wait()
-	var out []expr.Env
+	var out []oracle.Env
 	for p := 0; p < parts; p++ {
 		if errs[p] != nil {
 			return nil, errs[p]
@@ -350,7 +351,7 @@ func (in *Instance) execScan(n *algebra.Node) ([]expr.Env, error) {
 // source to each binding's 1-based index; the bindings must already be in the
 // source's iteration order. A query without a positional variable passes
 // through untouched.
-func withPositions(posVar string, envs []expr.Env) []expr.Env {
+func withPositions(posVar string, envs []oracle.Env) []oracle.Env {
 	if posVar == "" {
 		return envs
 	}
@@ -362,15 +363,15 @@ func withPositions(posVar string, envs []expr.Env) []expr.Env {
 
 // execSubplan evaluates a non-dataset for-clause source with the interpreter
 // and binds each resulting item.
-func (in *Instance) execSubplan(n *algebra.Node) ([]expr.Env, error) {
-	v, err := expr.Eval(in.oracleContext(), expr.Env{}, n.Exprs[0])
+func (in *Instance) execSubplan(n *algebra.Node) ([]oracle.Env, error) {
+	v, err := oracle.Eval(in.oracleContext(), oracle.Env{}, n.Exprs[0])
 	if err != nil {
 		return nil, err
 	}
 	items := expr.IterationItems(v)
-	out := make([]expr.Env, 0, len(items))
+	out := make([]oracle.Env, 0, len(items))
 	for _, it := range items {
-		out = append(out, expr.Env{n.Variable: it})
+		out = append(out, oracle.Env{n.Variable: it})
 	}
 	return withPositions(n.PosVar, out), nil
 }
@@ -382,7 +383,7 @@ func (in *Instance) execSubplan(n *algebra.Node) ([]expr.Env, error) {
 // (the probe's tokens or grams give a conservative candidate set) the select
 // above re-applies the exact predicate. An unknown or wrongly typed probe
 // matches nothing.
-func (in *Instance) execIndexSearch(n *algebra.Node) ([]expr.Env, error) {
+func (in *Instance) execIndexSearch(n *algebra.Node) ([]oracle.Env, error) {
 	ds, ok := in.Dataset(n.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
@@ -395,7 +396,7 @@ func (in *Instance) execIndexSearch(n *algebra.Node) ([]expr.Env, error) {
 		if e == nil {
 			continue
 		}
-		v, err := expr.Eval(in.oracleContext(), expr.Env{}, e)
+		v, err := oracle.Eval(in.oracleContext(), oracle.Env{}, e)
 		if err != nil {
 			return nil, err
 		}
@@ -424,14 +425,14 @@ func (in *Instance) execIndexSearch(n *algebra.Node) ([]expr.Env, error) {
 // execUnnest evaluates a correlated subplan source (for $y in $x.list) under
 // each input binding, mirroring the interpreter's for-clause semantics: an
 // unknown source contributes nothing, a non-list source contributes itself.
-func (in *Instance) execUnnest(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+func (in *Instance) execUnnest(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	envs, err := in.childEnvs(ctx, n, query)
 	if err != nil {
 		return nil, err
 	}
-	var out []expr.Env
+	var out []oracle.Env
 	for _, env := range envs {
-		v, err := expr.Eval(in.oracleContext(), env, n.Exprs[0])
+		v, err := oracle.Eval(in.oracleContext(), env, n.Exprs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -447,10 +448,10 @@ func (in *Instance) execUnnest(ctx context.Context, n *algebra.Node, query *aql.
 	return out, nil
 }
 
-func bindRecords(variable string, recs []*adm.Record) []expr.Env {
-	out := make([]expr.Env, len(recs))
+func bindRecords(variable string, recs []*adm.Record) []oracle.Env {
+	out := make([]oracle.Env, len(recs))
 	for i, r := range recs {
-		out[i] = expr.Env{variable: r}
+		out[i] = oracle.Env{variable: r}
 	}
 	return out
 }
@@ -461,7 +462,7 @@ func bindRecords(variable string, recs []*adm.Record) []expr.Env {
 // fall back to a nested loop with the residual predicate applied by the select
 // above them. (The oracle sees no index nested-loop join: interpret drops the
 // hint, so a hinted equijoin is this join.)
-func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if n.Nest != "" {
 		return nil, fmt.Errorf("asterixdb: the oracle runs no nest join (oraclePlan leaves datasets in expressions)")
 	}
@@ -478,13 +479,13 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 	}
 	rightKeys := make([]adm.Value, len(right))
 	for i, env := range right {
-		if rightKeys[i], err = expr.Eval(in.oracleContext(), env, n.RightKey); err != nil {
+		if rightKeys[i], err = oracle.Eval(in.oracleContext(), env, n.RightKey); err != nil {
 			return nil, err
 		}
 	}
-	var out []expr.Env
+	var out []oracle.Env
 	for _, env := range left {
-		v, err := expr.Eval(in.oracleContext(), env, n.LeftKey)
+		v, err := oracle.Eval(in.oracleContext(), env, n.LeftKey)
 		if err != nil {
 			return nil, err
 		}
@@ -501,12 +502,12 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 }
 
 // nestedLoopJoin is the cross product; the residual predicate above filters.
-func (in *Instance) nestedLoopJoin(ctx context.Context, left []expr.Env, n *algebra.Node, query *aql.FLWORExpr) ([]expr.Env, error) {
+func (in *Instance) nestedLoopJoin(ctx context.Context, left []oracle.Env, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	right, err := in.executeNode(ctx, n.Inputs[1], query)
 	if err != nil {
 		return nil, err
 	}
-	var out []expr.Env
+	var out []oracle.Env
 	for _, l := range left {
 		for _, r := range right {
 			out = append(out, mergeEnvs(l, r))
@@ -515,8 +516,8 @@ func (in *Instance) nestedLoopJoin(ctx context.Context, left []expr.Env, n *alge
 	return out, nil
 }
 
-func mergeEnvs(a, b expr.Env) expr.Env {
-	out := make(expr.Env, len(a)+len(b))
+func mergeEnvs(a, b oracle.Env) oracle.Env {
+	out := make(oracle.Env, len(a)+len(b))
 	for k, v := range a {
 		out[k] = v
 	}

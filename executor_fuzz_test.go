@@ -50,6 +50,9 @@ create type FuzzNarrowType as closed { id: int16, v: int32, l: [int32] }
 create dataset FuzzWide(FuzzWideType) primary key id;
 create dataset FuzzNarrow(FuzzNarrowType) primary key id;
 create index fwVIdx on FuzzWide(v);
+create function fzShift($r, $k) { $r.score + $k };
+create function fzBand($r) { fzShift($r, 0) - fzShift($r, 0) % 100 };
+create function fzSameCat($c) { for $b in dataset FuzzB where $b.cat = $c return $b.id };
 `
 
 // fuzzCoord draws a spatial coordinate from [-50, 100): both signs and every
@@ -259,6 +262,17 @@ func fuzzQueries(rng *rand.Rand) []diffQuery {
 		{"nest-unmatched", fmt.Sprintf(
 			`for $a in dataset FuzzA return { "a": $a.id, "bs": for $b in dataset FuzzB where $b.tags[0] = $a.tags[0] and $b.cat < %d return $b.id };`, rng.Intn(8)), false, true},
 		{"nest-inner-order-limit", `for $a in dataset FuzzA return { "a": $a.id, "top": for $b in dataset FuzzB where $b.cat = $a.cat order by $b.score desc, $b.id limit 2 return $b.id };`, false, false},
+		// User functions, which the job inlines and the oracle calls with
+		// its parameters bound: over a field, calling another, and reading
+		// a dataset keyed by the parameter.
+		{"udf-field", fmt.Sprintf(
+			`for $r in dataset FuzzA where fzShift($r, %d) >= 600 return { "id": $r.id, "s": fzShift($r, 1) };`, rng.Intn(400)), false, false},
+		{"udf-calls-udf", `for $r in dataset FuzzA return { "id": $r.id, "band": fzBand($r) };`, false, false},
+		{"udf-reads-dataset", `for $a in dataset FuzzA return { "a": $a.id, "bs": fzSameCat($a.cat) };`, false, true},
+		// FLWORs over a record's own list: a group-by that still sees the
+		// outer record, and a positional variable.
+		{"nested-group-by", `for $r in dataset FuzzA return { "id": $r.id, "g": for $t in $r.tags group by $k := $t with $t order by $k return { "k": $k, "n": count($t), "cat": $r.cat } };`, false, false},
+		{"nested-at", `for $r in dataset FuzzA return { "id": $r.id, "p": for $t at $i in $r.tags where $i > 1 return { "i": $i, "t": $t } };`, false, false},
 	}
 }
 

@@ -1,6 +1,7 @@
 package asterixdb
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/expr/oracle"
 	"asterixdb/internal/hyracks"
 )
 
@@ -399,7 +401,7 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := expr.Eval(inst.oracleContext(), expr.Env{}, e)
+		want, err := oracle.Eval(inst.oracleContext(), oracle.Env{}, e)
 		if err != nil {
 			t.Fatalf("interpreter(%s): %v", q, err)
 		}
@@ -408,6 +410,26 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 			t.Fatalf("compiled(%s): %v", q, err)
 		}
 		sameResults(t, q, res, expr.IterationItems(want), true)
+	}
+}
+
+// TestNestedLimitMatchesJobLimit: a nested FLWOR's limit and offset keep
+// what the job's limit operator keeps for the same clause, a negative one
+// counting as zero.
+func TestNestedLimitMatchesJobLimit(t *testing.T) {
+	inst := newTinySocial(t)
+	for _, clause := range []string{`limit -1`, `limit 2 offset -1`, `limit 1 offset 1`, `limit 5 offset 2`, `limit 0`, `limit 2 offset 9`} {
+		top, err := inst.Query(`for $y in [1, 2, 3] ` + clause + ` return $y;`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nested, err := inst.Query(`for $x in [0] return (for $y in [1, 2, 3] ` + clause + ` return $y);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(nested), fmt.Sprint([]adm.Value{&adm.OrderedList{Items: top}}); got != want {
+			t.Errorf("%s: nested %s, job %s", clause, got, want)
+		}
 	}
 }
 

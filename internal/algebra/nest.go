@@ -31,7 +31,7 @@ import (
 // in the nested FLWOR, so keying only narrows the list. Any other reference
 // is keyless: the build side is broadcast and the list is the whole dataset,
 // in the positional scan's order when the reference is a positional
-// for-source, so positions are the interpreter's. A node over an order-by
+// for-source, so positions are the oracle's. A node over an order-by
 // keeps its join keyless, since only the broadcast join keeps the order.
 //
 // Variables are named #nest-0, #nest-1, ... in walk order, so every node of

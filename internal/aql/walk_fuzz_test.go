@@ -11,13 +11,15 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/expr/oracle"
 	"asterixdb/internal/temporal"
 )
 
 var unboundRE = regexp.MustCompile(`^expr: unbound variable \$(.*)$`)
 
-// FuzzRewriteScope checks the walker's idea of scope against the only other
-// code that knows AQL scoping, the evaluator. For any expression that parses:
+// FuzzRewriteScope checks the walker's idea of scope against the other code
+// that knows AQL scoping by name, the oracle evaluator. For any expression
+// that parses:
 //
 //   - evaluated in an environment binding exactly the free variables the
 //     walker reports, the evaluator never misses a variable the walker called
@@ -55,11 +57,11 @@ func FuzzRewriteScope(f *testing.F) {
 			t.Skip()
 		}
 		free := algebra.FreeVarsOf(e)
-		env := expr.Env{}
+		env := oracle.Env{}
 		for i, v := range free {
 			env[v] = &adm.OrderedList{Items: []adm.Value{adm.Int64(i), adm.String(v)}}
 		}
-		want, wantErr := expr.Eval(ctx, env, e)
+		want, wantErr := oracle.Eval(ctx, env, e)
 		if wantErr != nil {
 			if m := unboundRE.FindStringSubmatch(wantErr.Error()); m != nil && !slices.Contains(free, m[1]) {
 				t.Fatalf("%s\nfree variables %v bound, yet: %v", e, free, wantErr)
@@ -69,13 +71,13 @@ func FuzzRewriteScope(f *testing.F) {
 			// No query text can spell this name, so it captures nothing.
 			const fresh = "#renamed"
 			renamed := aql.Rewrite(e, rename(v, fresh))
-			env2 := expr.Env{fresh: env[v]}
+			env2 := oracle.Env{fresh: env[v]}
 			for name, val := range env {
 				if name != v {
 					env2[name] = val
 				}
 			}
-			got, gotErr := expr.Eval(ctx, env2, renamed)
+			got, gotErr := oracle.Eval(ctx, env2, renamed)
 			switch {
 			case wantErr != nil && gotErr != nil:
 				if msg := strings.ReplaceAll(gotErr.Error(), "$"+fresh, "$"+v); msg != wantErr.Error() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"sort"
 	"strings"
 	"unicode/utf8"
 
@@ -17,33 +18,21 @@ import (
 type Compiled func(row []adm.Value) (adm.Value, error)
 
 // Compile turns e into a closure over the columns of rows laid out by slots,
-// where row[i] carries the value of variable slots[i]. It is Eval with the
-// dispatch done once: each variable reference is resolved to a column (the
-// last one of its name; a nil column, or a name slots lacks, is an unbound
-// variable when evaluated, as in Eval), each builtin is looked up once, and
-// every node reuses Eval's per-operator helpers, so the two evaluators differ
-// only in how they find a variable and dispatch on a node. A quantified
-// variable is one more slot past the row.
-//
-// A nested FLWOR, a dataset reference and a call of a function that is not a
-// builtin (a user function) are not compiled: that subtree alone binds the
-// row into an Env and runs Eval (see Interpreted).
+// where row[i] carries the value of variable slots[i]. Each variable
+// reference is resolved to a column once (the last one of its name; a nil
+// column, or a name slots lacks, is an unbound variable when evaluated) and
+// each builtin is looked up once. A quantified variable is one more slot past
+// the row, and a nested FLWOR runs over frames that extend the row (flwor).
+// Every node compiles: a dataset reference reads ctx.Datasets, and a call of
+// a name that is not a builtin is an unknown function, since the translator
+// inlines every user function before compiling.
 func Compile(ctx *Context, e aql.Expr, slots []string) Compiled {
 	c := &compiler{ctx: ctx}
 	return c.compile(e, slots)
 }
 
-// Interpreted lists, outermost first, the subtrees of e that Compile leaves
-// to Eval.
-func Interpreted(e aql.Expr) []aql.Expr {
-	c := &compiler{}
-	c.compile(e, nil)
-	return c.interpreted
-}
-
 type compiler struct {
-	ctx         *Context
-	interpreted []aql.Expr
+	ctx *Context
 }
 
 func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
@@ -143,11 +132,13 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 			return els(row)
 		}
 	case *aql.CallExpr:
+		args, ctx := c.all(x.Args, slots), c.ctx
 		fn, ok := builtins[strings.ToLower(x.Func)]
 		if !ok {
-			return c.interpret(x, slots)
+			// The arguments still run first, as a builtin's would.
+			err := fmt.Errorf("expr: unknown function %q", x.Func)
+			fn = func(*Context, []adm.Value) (adm.Value, error) { return nil, err }
 		}
-		args, ctx := c.all(x.Args, slots), c.ctx
 		call := func(row []adm.Value) (adm.Value, error) {
 			vals, err := evalAll(args, row)
 			if err != nil {
@@ -159,8 +150,11 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 			return storedLength(x.Args[0], slots, call)
 		}
 		return call
-	case *aql.DatasetRef, *aql.FLWORExpr:
-		return c.interpret(x, slots)
+	case *aql.DatasetRef:
+		ctx := c.ctx
+		return func([]adm.Value) (adm.Value, error) { return evalDatasetRef(ctx, x) }
+	case *aql.FLWORExpr:
+		return c.flwor(x, slots)
 	}
 	err := fmt.Errorf("expr: cannot evaluate %T", e)
 	return func([]adm.Value) (adm.Value, error) { return nil, err }
@@ -380,22 +374,242 @@ func (c *compiler) quantified(x *aql.QuantifiedExpr, slots []string) Compiled {
 	}
 }
 
-// interpret is the fallback for a subtree Compile leaves to Eval: the row's
-// columns become an Env, a later column shadowing an earlier one of the same
-// name and a nil column leaving its name unbound.
-func (c *compiler) interpret(e aql.Expr, slots []string) Compiled {
-	c.interpreted = append(c.interpreted, e)
-	ctx := c.ctx
+// clauseFn maps the frames one FLWOR clause receives to those it passes on.
+type clauseFn func(frames [][]adm.Value) ([][]adm.Value, error)
+
+// flwor compiles a nested FLWOR. A frame is the row's columns followed by the
+// variables the clauses so far bind; each clause maps every frame of one
+// evaluation before the next clause runs, so an error is the first one a
+// clause-at-a-time evaluation meets. A group-by's frames keep the row's
+// columns, then its keys and with-bags, so the variables the FLWOR was
+// entered with stay visible after it, as aql.Rewrite scopes them. limit and
+// offset see no variables.
+func (c *compiler) flwor(x *aql.FLWORExpr, slots []string) Compiled {
+	outer := len(slots)
+	scope := slots[:outer:outer]
+	clauses := make([]clauseFn, len(x.Clauses))
+	for i, cl := range x.Clauses {
+		clauses[i], scope = c.clause(cl, scope, outer)
+	}
+	ret := c.compile(x.Return, scope)
 	return func(row []adm.Value) (adm.Value, error) {
-		env := make(Env, len(slots))
-		for i, name := range slots {
-			if i < len(row) && row[i] != nil {
-				env[name] = row[i]
-			} else {
-				delete(env, name)
+		frame := make([]adm.Value, outer)
+		copy(frame, row)
+		frames := [][]adm.Value{frame}
+		for _, cl := range clauses {
+			var err error
+			if frames, err = cl(frames); err != nil {
+				return nil, err
 			}
 		}
-		return Eval(ctx, env, e)
+		items := make([]adm.Value, len(frames))
+		for i, f := range frames {
+			v, err := ret(f)
+			if err != nil {
+				return nil, err
+			}
+			items[i] = v
+		}
+		return &adm.OrderedList{Items: items}, nil
+	}
+}
+
+// clause compiles one FLWOR clause over frames laid out by scope and returns
+// it with the layout of the frames it passes on.
+func (c *compiler) clause(cl aql.FLWORClause, scope []string, outer int) (clauseFn, []string) {
+	switch x := cl.(type) {
+	case *aql.ForClause:
+		return c.bind(x.Source, IterationItems, x.Var, x.PosVar, scope)
+	case *aql.LetClause:
+		return c.bind(x.Expr, func(v adm.Value) []adm.Value { return []adm.Value{v} }, x.Var, "", scope)
+	case *aql.WhereClause:
+		cond := c.compile(x.Cond, scope)
+		return func(frames [][]adm.Value) ([][]adm.Value, error) {
+			var out [][]adm.Value
+			for _, f := range frames {
+				v, err := cond(f)
+				if err != nil {
+					return nil, err
+				}
+				if adm.Truthy(v) {
+					out = append(out, f)
+				}
+			}
+			return out, nil
+		}, scope
+	case *aql.GroupByClause:
+		return c.groupBy(x, scope, outer)
+	case *aql.OrderByClause:
+		return c.orderBy(x, scope), scope
+	case *aql.LimitClause:
+		return c.limit(x), scope
+	}
+	err := fmt.Errorf("expr: unsupported FLWOR clause %T", cl)
+	return func([][]adm.Value) ([][]adm.Value, error) { return nil, err }, scope
+}
+
+// bind extends each frame by every item items gives for e's value there, and
+// by the item's 1-based position when posVar is set: a for-clause iterates
+// its source's items, a let binds its value as the one item.
+func (c *compiler) bind(e aql.Expr, items func(adm.Value) []adm.Value, v, posVar string, scope []string) (clauseFn, []string) {
+	n, src := len(scope), c.compile(e, scope)
+	next := append(scope[:n:n], v)
+	if posVar != "" {
+		next = append(next, posVar)
+	}
+	return func(frames [][]adm.Value) ([][]adm.Value, error) {
+		var out [][]adm.Value
+		for _, f := range frames {
+			s, err := src(f)
+			if err != nil {
+				return nil, err
+			}
+			for i, item := range items(s) {
+				g := append(f[:n:n], item)
+				if posVar != "" {
+					g = append(g, adm.Int64(i+1))
+				}
+				out = append(out, g)
+			}
+		}
+		return out, nil
+	}, next
+}
+
+// groupBy groups frames by their keys' encoded values, in first-encounter
+// order. A group's frame is the row's columns, its keys, then one bag per
+// with-variable of that variable's bound values across the group's frames.
+func (c *compiler) groupBy(x *aql.GroupByClause, scope []string, outer int) (clauseFn, []string) {
+	next := scope[:outer:outer]
+	keys := make([]Compiled, len(x.Keys))
+	for i, k := range x.Keys {
+		keys[i], next = c.compile(k.Expr, scope), append(next, k.Var)
+	}
+	with := make([]int, len(x.With))
+	for i, w := range x.With {
+		with[i], next = column(scope, w), append(next, w)
+	}
+	return func(frames [][]adm.Value) ([][]adm.Value, error) {
+		groups := map[string]int{}
+		var out [][]adm.Value
+		var members [][][]adm.Value
+		var enc []byte
+		for _, f := range frames {
+			vals, err := evalAll(keys, f)
+			if err != nil {
+				return nil, err
+			}
+			enc = enc[:0]
+			for _, v := range vals {
+				enc = adm.EncodeKey(enc, v)
+			}
+			g, ok := groups[string(enc)]
+			if !ok {
+				g = len(out)
+				groups[string(enc)] = g
+				out = append(out, append(f[:outer:outer], vals...))
+				members = append(members, nil)
+			}
+			members[g] = append(members[g], f)
+		}
+		for g := range out {
+			for _, col := range with {
+				items := make([]adm.Value, 0, len(members[g]))
+				for _, m := range members[g] {
+					if col >= 0 && m[col] != nil {
+						items = append(items, m[col])
+					}
+				}
+				out[g] = append(out[g], &adm.OrderedList{Items: items})
+			}
+		}
+		return out, nil
+	}, next
+}
+
+// orderBy sorts frames stably by their terms' values under adm.Compare.
+func (c *compiler) orderBy(x *aql.OrderByClause, scope []string) clauseFn {
+	terms := make([]Compiled, len(x.Terms))
+	for i, t := range x.Terms {
+		terms[i] = c.compile(t.Expr, scope)
+	}
+	type keyed struct{ frame, keys []adm.Value }
+	return func(frames [][]adm.Value) ([][]adm.Value, error) {
+		rows := make([]keyed, len(frames))
+		for i, f := range frames {
+			keys, err := evalAll(terms, f)
+			if err != nil {
+				return nil, err
+			}
+			rows[i] = keyed{f, keys}
+		}
+		var sortErr error
+		sort.SliceStable(rows, func(a, b int) bool {
+			for j, t := range x.Terms {
+				d, err := adm.Compare(rows[a].keys[j], rows[b].keys[j])
+				if err != nil {
+					sortErr = err
+					return false
+				}
+				if d != 0 {
+					return (d < 0) != t.Desc
+				}
+			}
+			return false
+		})
+		for i, r := range rows {
+			frames[i] = r.frame
+		}
+		return frames, sortErr
+	}
+}
+
+// limit keeps at most limit frames after skipping offset.
+func (c *compiler) limit(x *aql.LimitClause) clauseFn {
+	bounds := c.limitBounds(x.Limit, x.Offset)
+	return func(frames [][]adm.Value) ([][]adm.Value, error) {
+		n, skip, err := bounds()
+		if err != nil {
+			return nil, err
+		}
+		frames = frames[min(skip, int64(len(frames))):]
+		return frames[:min(n, int64(len(frames)))], nil
+	}
+}
+
+// LimitBounds evaluates a limit clause's limit and offset, which see no
+// variables, into the number of items to keep and the number to skip; a
+// negative one is zero and a missing offset is zero. The job's limit
+// operator and a nested FLWOR's limit clause both take their bounds from it.
+func LimitBounds(ctx *Context, limit, offset aql.Expr) (n, skip int64, err error) {
+	c := &compiler{ctx: ctx}
+	return c.limitBounds(limit, offset)()
+}
+
+// limitBounds is LimitBounds compiled once, for a clause that runs on every
+// evaluation of its FLWOR.
+func (c *compiler) limitBounds(limit, offset aql.Expr) func() (int64, int64, error) {
+	lim, off := c.compile(limit, nil), Compiled(nil)
+	if offset != nil {
+		off = c.compile(offset, nil)
+	}
+	return func() (int64, int64, error) {
+		v, err := lim(nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		n, ok := adm.NumericAsInt64(v)
+		if !ok {
+			return 0, 0, fmt.Errorf("expr: limit must be numeric")
+		}
+		skip := int64(0)
+		if off != nil {
+			if v, err = off(nil); err != nil {
+				return 0, 0, err
+			}
+			skip, _ = adm.NumericAsInt64(v)
+		}
+		return max(n, 0), max(skip, 0), nil
 	}
 }
 

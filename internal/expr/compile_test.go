@@ -9,6 +9,7 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/expr/oracle"
 	"asterixdb/internal/temporal"
 	"asterixdb/internal/workload"
 )
@@ -16,7 +17,7 @@ import (
 // palette is what FuzzCompile binds free variables to: one value of each
 // shape the evaluators treat differently, and a stored record's lazy view
 // beside its materialized twin, so that the byte-level comparisons and
-// string-length are checked against Eval.
+// string-length are checked against the oracle.
 var palette = []adm.Value{
 	adm.Int64(3),
 	adm.Double(-1.5),
@@ -68,13 +69,13 @@ func storedRecord() *adm.LazyRecord {
 	return v.(*adm.LazyRecord)
 }
 
-// FuzzCompile checks Compile against Eval, the other implementation of the
-// same semantics. For any expression that parses, its free variables are
-// bound from the palette (pick chooses which value each gets) to columns of
-// a row; the first one also has an earlier, shadowed column of its name, and
-// when pick is odd the last one's column is nil (unbound). Compile over the
-// row and Eval over the matching environment must give an equal value or the
-// same error text.
+// FuzzCompile checks Compile against the tree-walking oracle, the other
+// implementation of the same semantics. For any expression that parses, its
+// free variables are bound from the palette (pick chooses which value each
+// gets) to columns of a row; the first one also has an earlier, shadowed
+// column of its name, and when pick is odd the last one's column is nil
+// (unbound). Compile over the row and oracle.Eval over the matching
+// environment must give an equal value or the same error text.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{
 		`$x + $y`,
@@ -95,6 +96,15 @@ func FuzzCompile(f *testing.F) {
 		`datetime("2014-01-01T00:00:00") + duration("P1D") > current-datetime()`,
 		`$x.i8 < 0 and 0 > $x.i16 and $x.max >= 9223372036854775807`,
 		`$x.u > "hz" or string-length($x.u) = 11 or $x.b = 1`,
+		// Nested FLWORs: a group-by whose key shadows an outer variable
+		// while another outer one stays visible, order by with limit and
+		// offset, a positional for, let, and limits that see no variables.
+		`for $t in $l group by $x := $t with $t return { "x": $x, "n": count($t), "y": $y }`,
+		`for $t in $l order by $t desc limit 2 offset 1 return $t`,
+		`for $t at $i in $l let $u := $i * 2 where $u > 2 return [$t, $i, $x]`,
+		`let $z := $x return (for $t in [$z, $y] group by $k := $t with $z return count($z))`,
+		`for $t in [3, 1, 2] order by $t limit -1 offset -2 return $t`,
+		`for $t in $l limit $x return $t`,
 	} {
 		f.Add(seed, uint8(0))
 		f.Add(seed, uint8(5))
@@ -122,7 +132,7 @@ func FuzzCompile(f *testing.F) {
 		if pick%2 == 1 && len(free) > 0 {
 			row[len(row)-1] = nil
 		}
-		env := expr.Env{}
+		env := oracle.Env{}
 		for i, name := range slots {
 			if row[i] != nil {
 				env[name] = row[i]
@@ -130,23 +140,23 @@ func FuzzCompile(f *testing.F) {
 				delete(env, name)
 			}
 		}
-		want, wantErr := expr.Eval(ctx, env, e)
+		want, wantErr := oracle.Eval(ctx, env, e)
 		got, gotErr := expr.Compile(ctx, e, slots)(row)
 		switch {
 		case wantErr != nil || gotErr != nil:
 			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-				t.Fatalf("%s over %v = %v\nEval error: %v\nCompile error: %v", e, slots, row, wantErr, gotErr)
+				t.Fatalf("%s over %v = %v\noracle error: %v\nCompile error: %v", e, slots, row, wantErr, gotErr)
 			}
 		case got.String() != want.String():
-			t.Fatalf("%s over %v = %v\nEval: %s\nCompile: %s", e, slots, row, want, got)
+			t.Fatalf("%s over %v = %v\noracle: %s\nCompile: %s", e, slots, row, want, got)
 		}
 	})
 }
 
 // TestCompileStoredFields: a comparison of a field with an integer or string
 // literal, and string-length of a field, on a lazy record read the field's
-// stored bytes; each row's answer must be Eval's, over the lazy view and over
-// its materialized twin, including the cases that fall back.
+// stored bytes; each row's answer must be the oracle's, over the lazy view
+// and over its materialized twin, including the cases that fall back.
 func TestCompileStoredFields(t *testing.T) {
 	ctx := expr.NewContext()
 	lazy := storedRecord()
@@ -189,7 +199,7 @@ func TestCompileStoredFields(t *testing.T) {
 		}
 		for _, rec := range []adm.Value{lazy, storedRecord().Materialize()} {
 			slots, vals := []string{"r"}, []adm.Value{rec}
-			want, err := expr.Eval(ctx, expr.Env{"r": rec}, e)
+			want, err := oracle.Eval(ctx, oracle.Env{"r": rec}, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +208,7 @@ func TestCompileStoredFields(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.String() != row.want || want.String() != row.want {
-				t.Errorf("%s over %T: Compile %s, Eval %s, want %s", row.src, rec, got, want, row.want)
+				t.Errorf("%s over %T: Compile %s, oracle %s, want %s", row.src, rec, got, want, row.want)
 			}
 		}
 	}
@@ -228,31 +238,10 @@ func TestCompileStoredFieldsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestInterpreted: only a nested FLWOR, a dataset reference or a call of a
-// non-builtin is left to Eval, outermost first.
-func TestInterpreted(t *testing.T) {
-	for src, want := range map[string]int{
-		`{ "id": $m.message-id, "len": string-length($m.message) }`: 0,
-		`some $w in word-tokens($m.text) satisfies $w = "x"`:        0,
-		`COUNT($l) + 1`: 0,
-		`count(for $x in $l return $x) + my-udf($y)`:         2,
-		`[ dataset D, (for $x in dataset D return $x) ]`:     2,
-		`if (1 = 1) then (for $x in $l return f($x)) else 0`: 1,
-	} {
-		e, err := aql.ParseQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := expr.Interpreted(e); len(got) != want {
-			t.Errorf("%s: interpreted %v, want %d subtrees", src, got, want)
-		}
-	}
-}
-
 // BenchmarkAnalyticsFilterTuple times the analytics filter class's predicate
 // and projection on one lazily decoded message, as a job's select and
-// distribute-result run them: Eval over an environment binding $m, against
-// the closure Compile builds over the one-column row.
+// distribute-result run them: the oracle over an environment binding $m,
+// against the closure Compile builds over the one-column row.
 func BenchmarkAnalyticsFilterTuple(b *testing.B) {
 	const n = 2000
 	gen := workload.New(workload.Config{Users: 200, Messages: n, Seed: 1})
@@ -294,11 +283,11 @@ func BenchmarkAnalyticsFilterTuple(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
 	}
 	b.Run("eval", func(b *testing.B) {
-		env := expr.Env{}
+		env := oracle.Env{}
 		eval := func(e aql.Expr) func(row []adm.Value) (adm.Value, error) {
 			return func(row []adm.Value) (adm.Value, error) {
 				env["m"] = row[0]
-				return expr.Eval(ctx, env, e)
+				return oracle.Eval(ctx, env, e)
 			}
 		}
 		run(b, eval(pred), eval(proj))

@@ -5,24 +5,22 @@
 // and full FLWOR evaluation for nested subqueries (AsterixDB's subplan
 // operator).
 //
-// It has two evaluators of one semantics. Eval walks the tree over a
-// name-keyed Env; Compile resolves variables to row columns and dispatch
-// once, into a closure (compile.go). Compiled jobs run only Compile's
-// closures, which hand a nested FLWOR, a dataset reference or a user-function
-// call back to Eval; Eval serves constants, the differential oracle and
-// FuzzCompile, which checks one against the other. A job's group-bys, sorts,
-// limits and aggregates are hyracks operators, so this package's
-// group/order/limit clauses and aggregate builtins over whole bags serve
-// nested subqueries and the oracle. A nested subquery over a stored dataset
-// iterates a list its job's nest join bound to a variable: this package
-// reads no stored data itself.
+// It has one evaluator: Compile resolves every variable to a column of a row
+// and every dispatch once, into a closure (compile.go). A compiled job runs
+// only these closures, and so do a job's constants: limits and index probe
+// bounds. A user function never reaches this package: the translator inlines
+// every call before compiling, so a call of a name that is not a builtin is
+// an unknown function. A job's group-bys, sorts, limits and aggregates are
+// hyracks operators; this package's FLWOR clauses and aggregate builtins over
+// whole bags serve nested subqueries. A nested subquery over a stored dataset
+// iterates a list its job's nest join bound to a variable: this package reads
+// no stored data itself. Eval is Compile run once over a name-keyed Env; the
+// tree-walking reference the tests check Compile against is package oracle.
 package expr
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -41,7 +39,7 @@ import (
 type DatasetReader func(dataverse, name string) ([]*adm.Record, error)
 
 // UserFunction is a user-defined function (Query 8): parameter names plus a
-// body expression.
+// body expression whose free variables are all parameters.
 type UserFunction struct {
 	Params []string
 	Body   aql.Expr
@@ -71,92 +69,23 @@ func NewContext() *Context {
 	}
 }
 
-// Env is a set of variable bindings.
+// Env names the values of the variables an expression is run over by Eval.
 type Env map[string]adm.Value
 
-// With returns a copy of the environment with one extra binding.
-func (e Env) With(name string, v adm.Value) Env {
-	out := make(Env, len(e)+1)
-	for k, val := range e {
-		out[k] = val
-	}
-	out[name] = v
-	return out
-}
-
-// Eval evaluates an AQL expression under the given bindings.
+// Eval compiles e over env's names and runs the closure once. No daemon code
+// calls it: it serves the bench module's per-layer rungs and tests that
+// evaluate an expression once.
 func Eval(ctx *Context, env Env, e aql.Expr) (adm.Value, error) {
-	switch x := e.(type) {
-	case *aql.Literal:
-		return x.Value, nil
-	case *aql.VariableRef:
-		v, ok := env[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("expr: unbound variable $%s", x.Name)
-		}
-		return v, nil
-	case *aql.FieldAccess:
-		base, err := Eval(ctx, env, x.Base)
-		if err != nil {
-			return nil, err
-		}
-		return fieldOf(base, x.Field), nil
-	case *aql.IndexAccess:
-		return evalIndexAccess(ctx, env, x)
-	case *aql.RecordConstructor:
-		rec := &adm.Record{}
-		for _, f := range x.Fields {
-			v, err := Eval(ctx, env, f.Value)
-			if err != nil {
-				return nil, err
-			}
-			rec.Fields = append(rec.Fields, adm.Field{Name: f.Name, Value: v})
-		}
-		return rec, nil
-	case *aql.ListConstructor:
-		items := make([]adm.Value, 0, len(x.Items))
-		for _, it := range x.Items {
-			v, err := Eval(ctx, env, it)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, v)
-		}
-		if x.Ordered {
-			return &adm.OrderedList{Items: items}, nil
-		}
-		return &adm.UnorderedList{Items: items}, nil
-	case *aql.BinaryExpr:
-		return evalBinary(ctx, env, x)
-	case *aql.UnaryExpr:
-		return evalUnary(ctx, env, x)
-	case *aql.QuantifiedExpr:
-		return evalQuantified(ctx, env, x)
-	case *aql.IfExpr:
-		cond, err := Eval(ctx, env, x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		if adm.Truthy(cond) {
-			return Eval(ctx, env, x.Then)
-		}
-		return Eval(ctx, env, x.Else)
-	case *aql.CallExpr:
-		return evalCall(ctx, env, x)
-	case *aql.DatasetRef:
-		return evalDatasetRef(ctx, x)
-	case *aql.FLWORExpr:
-		items, err := evalFLWORList(ctx, env, x)
-		if err != nil {
-			return nil, err
-		}
-		return &adm.OrderedList{Items: items}, nil
+	slots := make([]string, 0, len(env))
+	row := make([]adm.Value, 0, len(env))
+	for name, v := range env {
+		slots, row = append(slots, name), append(row, v)
 	}
-	return nil, fmt.Errorf("expr: cannot evaluate %T", e)
+	return Compile(ctx, e, slots)(row)
 }
 
-// EvalBool evaluates a predicate expression; NULL/MISSING and non-booleans
-// evaluate to false, matching AQL's where-clause semantics.
+// EvalBool is Eval of a predicate: NULL/MISSING and non-booleans are false,
+// matching AQL's where-clause semantics.
 func EvalBool(ctx *Context, env Env, e aql.Expr) (bool, error) {
 	v, err := Eval(ctx, env, e)
 	if err != nil {
@@ -180,18 +109,6 @@ func evalDatasetRef(ctx *Context, ref *aql.DatasetRef) (adm.Value, error) {
 	return &adm.OrderedList{Items: items}, nil
 }
 
-func evalIndexAccess(ctx *Context, env Env, x *aql.IndexAccess) (adm.Value, error) {
-	base, err := Eval(ctx, env, x.Base)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := Eval(ctx, env, x.Index)
-	if err != nil {
-		return nil, err
-	}
-	return indexOf(base, idx), nil
-}
-
 func indexOf(base, idx adm.Value) adm.Value {
 	n, ok := adm.NumericAsInt64(idx)
 	if !ok {
@@ -203,10 +120,6 @@ func indexOf(base, idx adm.Value) adm.Value {
 	}
 	return items[n]
 }
-
-// FieldOf resolves a field access on a value with the evaluator's exact
-// semantics: records resolve the field, everything else is MISSING.
-func FieldOf(v adm.Value, field string) adm.Value { return fieldOf(v, field) }
 
 func fieldOf(v adm.Value, field string) adm.Value {
 	switch rec := v.(type) {
@@ -232,8 +145,8 @@ func listItems(v adm.Value) ([]adm.Value, bool) {
 
 // IterationItems returns the items a for-clause iterates for a source value:
 // the elements of a list, nothing for NULL/MISSING, or the value itself as a
-// singleton. The compiled unnest and subplan operators share it so their
-// semantics cannot drift from the interpreter's for-clause.
+// singleton. A compiled for-clause, the job's unnest operator and the oracle
+// share it so their semantics cannot drift.
 func IterationItems(v adm.Value) []adm.Value {
 	if items, ok := listItems(v); ok {
 		return items
@@ -247,55 +160,6 @@ func IterationItems(v adm.Value) []adm.Value {
 // ----------------------------------------------------------------------------
 // Operators
 // ----------------------------------------------------------------------------
-
-func evalBinary(ctx *Context, env Env, x *aql.BinaryExpr) (adm.Value, error) {
-	// and/or short-circuit.
-	switch x.Op {
-	case aql.OpAnd:
-		l, err := EvalBool(ctx, env, x.Left)
-		if err != nil {
-			return nil, err
-		}
-		if !l {
-			return adm.Boolean(false), nil
-		}
-		r, err := EvalBool(ctx, env, x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return adm.Boolean(r), nil
-	case aql.OpOr:
-		l, err := EvalBool(ctx, env, x.Left)
-		if err != nil {
-			return nil, err
-		}
-		if l {
-			return adm.Boolean(true), nil
-		}
-		r, err := EvalBool(ctx, env, x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return adm.Boolean(r), nil
-	}
-	left, err := Eval(ctx, env, x.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Eval(ctx, env, x.Right)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case aql.OpEq, aql.OpNeq, aql.OpLt, aql.OpLe, aql.OpGt, aql.OpGe:
-		return evalComparison(x.Op, left, right)
-	case aql.OpAdd, aql.OpSub, aql.OpMul, aql.OpDiv, aql.OpMod:
-		return evalArithmetic(x.Op, left, right)
-	case aql.OpFuzzyEq:
-		return evalFuzzyEq(ctx, left, right)
-	}
-	return nil, fmt.Errorf("expr: unsupported operator %q", x.Op)
-}
 
 func evalComparison(op aql.BinaryOp, left, right adm.Value) (adm.Value, error) {
 	if adm.IsUnknown(left) || adm.IsUnknown(right) {
@@ -417,14 +281,6 @@ func asDuration(v adm.Value) (adm.Duration, bool) {
 	return adm.Duration{}, false
 }
 
-func evalUnary(ctx *Context, env Env, x *aql.UnaryExpr) (adm.Value, error) {
-	v, err := Eval(ctx, env, x.Operand)
-	if err != nil {
-		return nil, err
-	}
-	return unary(x.Op, v)
-}
-
 func unary(op string, v adm.Value) (adm.Value, error) {
 	switch op {
 	case "not":
@@ -464,26 +320,6 @@ func unary(op string, v adm.Value) (adm.Value, error) {
 	return nil, fmt.Errorf("expr: unknown unary operator %q", op)
 }
 
-func evalQuantified(ctx *Context, env Env, x *aql.QuantifiedExpr) (adm.Value, error) {
-	src, err := Eval(ctx, env, x.Source)
-	if err != nil {
-		return nil, err
-	}
-	for _, item := range IterationItems(src) {
-		sat, err := EvalBool(ctx, env.With(x.Var, item), x.Satisfies)
-		if err != nil {
-			return nil, err
-		}
-		if x.Every && !sat {
-			return adm.Boolean(false), nil
-		}
-		if !x.Every && sat {
-			return adm.Boolean(true), nil
-		}
-	}
-	return adm.Boolean(x.Every), nil
-}
-
 // evalFuzzyEq implements ~= with the context's simfunction/simthreshold.
 func evalFuzzyEq(ctx *Context, left, right adm.Value) (adm.Value, error) {
 	if adm.IsUnknown(left) || adm.IsUnknown(right) {
@@ -510,259 +346,8 @@ func evalFuzzyEq(ctx *Context, left, right adm.Value) (adm.Value, error) {
 }
 
 // ----------------------------------------------------------------------------
-// FLWOR evaluation (nested subqueries / subplans)
-// ----------------------------------------------------------------------------
-
-// EvalFLWOR evaluates a FLWOR expression and returns the sequence of returned
-// values, as Eval does for a FLWOR nested in an expression — the rest of the
-// paper's nested left outer-join (Query 4) over the list its nest join binds.
-func EvalFLWOR(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error) {
-	return evalFLWORList(ctx, env, fl)
-}
-
-func evalFLWORList(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error) {
-	envs := []Env{env}
-	for _, clause := range fl.Clauses {
-		var err error
-		envs, err = applyClause(ctx, envs, clause)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := clause.(*aql.GroupByClause); ok && len(env) > 0 {
-			// A group-by leaves only its keys and with-variables of the
-			// FLWOR's own bindings; the bindings the FLWOR was entered with
-			// stay visible, as aql.Rewrite scopes them.
-			for i, g := range envs {
-				merged := make(Env, len(env)+len(g))
-				maps.Copy(merged, env)
-				maps.Copy(merged, g)
-				envs[i] = merged
-			}
-		}
-	}
-	out := make([]adm.Value, 0, len(envs))
-	for _, e := range envs {
-		v, err := Eval(ctx, e, fl.Return)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// ApplyClause applies one FLWOR clause to a set of bindings. Only the
-// differential oracle calls it: compiled jobs run group-by, order and limit
-// as hyracks operators, which the oracle checks against these semantics.
-func ApplyClause(ctx *Context, envs []Env, clause aql.FLWORClause) ([]Env, error) {
-	return applyClause(ctx, envs, clause)
-}
-
-func applyClause(ctx *Context, envs []Env, clause aql.FLWORClause) ([]Env, error) {
-	switch c := clause.(type) {
-	case *aql.ForClause:
-		var out []Env
-		for _, env := range envs {
-			src, err := Eval(ctx, env, c.Source)
-			if err != nil {
-				return nil, err
-			}
-			for i, item := range IterationItems(src) {
-				e := env.With(c.Var, item)
-				if c.PosVar != "" {
-					e = e.With(c.PosVar, adm.Int64(i+1))
-				}
-				out = append(out, e)
-			}
-		}
-		return out, nil
-	case *aql.LetClause:
-		out := make([]Env, 0, len(envs))
-		for _, env := range envs {
-			v, err := Eval(ctx, env, c.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, env.With(c.Var, v))
-		}
-		return out, nil
-	case *aql.WhereClause:
-		var out []Env
-		for _, env := range envs {
-			keep, err := EvalBool(ctx, env, c.Cond)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				out = append(out, env)
-			}
-		}
-		return out, nil
-	case *aql.GroupByClause:
-		return applyGroupBy(ctx, envs, c)
-	case *aql.OrderByClause:
-		return applyOrderBy(ctx, envs, c)
-	case *aql.LimitClause:
-		return applyLimit(ctx, envs, c)
-	}
-	return nil, fmt.Errorf("expr: unsupported FLWOR clause %T", clause)
-}
-
-func applyGroupBy(ctx *Context, envs []Env, c *aql.GroupByClause) ([]Env, error) {
-	type group struct {
-		keyVals []adm.Value
-		members []Env
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, env := range envs {
-		keyVals := make([]adm.Value, len(c.Keys))
-		var keyBytes []byte
-		for i, k := range c.Keys {
-			v, err := Eval(ctx, env, k.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			keyBytes = adm.EncodeKey(keyBytes, v)
-		}
-		ks := string(keyBytes)
-		g, ok := groups[ks]
-		if !ok {
-			g = &group{keyVals: keyVals}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		g.members = append(g.members, env)
-	}
-	out := make([]Env, 0, len(order))
-	for _, ks := range order {
-		g := groups[ks]
-		env := Env{}
-		for i, k := range c.Keys {
-			env[k.Var] = g.keyVals[i]
-		}
-		// Each "with" variable becomes the bag of its values across the group.
-		for _, with := range c.With {
-			items := make([]adm.Value, 0, len(g.members))
-			for _, m := range g.members {
-				if v, ok := m[with]; ok {
-					items = append(items, v)
-				}
-			}
-			env[with] = &adm.OrderedList{Items: items}
-		}
-		out = append(out, env)
-	}
-	return out, nil
-}
-
-func applyOrderBy(ctx *Context, envs []Env, c *aql.OrderByClause) ([]Env, error) {
-	type keyed struct {
-		env  Env
-		keys []adm.Value
-	}
-	rows := make([]keyed, len(envs))
-	for i, env := range envs {
-		keys := make([]adm.Value, len(c.Terms))
-		for j, term := range c.Terms {
-			v, err := Eval(ctx, env, term.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys[j] = v
-		}
-		rows[i] = keyed{env: env, keys: keys}
-	}
-	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for t, term := range c.Terms {
-			cmp, err := adm.Compare(rows[i].keys[t], rows[j].keys[t])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if cmp == 0 {
-				continue
-			}
-			if term.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	out := make([]Env, len(rows))
-	for i, r := range rows {
-		out[i] = r.env
-	}
-	return out, nil
-}
-
-func applyLimit(ctx *Context, envs []Env, c *aql.LimitClause) ([]Env, error) {
-	limV, err := Eval(ctx, Env{}, c.Limit)
-	if err != nil {
-		return nil, err
-	}
-	lim, ok := adm.NumericAsInt64(limV)
-	if !ok {
-		return nil, fmt.Errorf("expr: limit must be numeric")
-	}
-	offset := int64(0)
-	if c.Offset != nil {
-		offV, err := Eval(ctx, Env{}, c.Offset)
-		if err != nil {
-			return nil, err
-		}
-		offset, _ = adm.NumericAsInt64(offV)
-	}
-	if offset > int64(len(envs)) {
-		return nil, nil
-	}
-	envs = envs[offset:]
-	if lim < int64(len(envs)) {
-		envs = envs[:lim]
-	}
-	return envs, nil
-}
-
-// ----------------------------------------------------------------------------
 // Function calls
 // ----------------------------------------------------------------------------
-
-func evalCall(ctx *Context, env Env, call *aql.CallExpr) (adm.Value, error) {
-	name := strings.ToLower(call.Func)
-	// User-defined functions shadow nothing built-in (AQL resolves built-ins
-	// first), so check built-ins before UDFs, except that unknown built-ins
-	// fall through to UDF lookup.
-	args := make([]adm.Value, len(call.Args))
-	// Aggregates evaluate their argument specially (it is usually a FLWOR),
-	// but the argument still produces a list value, so normal evaluation works.
-	for i, a := range call.Args {
-		v, err := Eval(ctx, env, a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	if fn, ok := builtins[name]; ok {
-		return fn(ctx, args)
-	}
-	if udf, ok := ctx.UserFunction(call.Func); ok {
-		if len(args) != len(udf.Params) {
-			return nil, fmt.Errorf("expr: function %s expects %d arguments, got %d", call.Func, len(udf.Params), len(args))
-		}
-		fnEnv := Env{}
-		for i, p := range udf.Params {
-			fnEnv[p] = args[i]
-		}
-		return Eval(ctx, fnEnv, udf.Body)
-	}
-	return nil, fmt.Errorf("expr: unknown function %q", call.Func)
-}
 
 // UserFunction returns the user-defined function a call of name invokes:
 // none when a built-in of that name shadows it.

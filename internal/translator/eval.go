@@ -11,10 +11,8 @@ import (
 // the one place that knows how a tuple's columns become the expression's
 // variables: the operator builds it once from its input schema, and
 // expr.Compile resolves every variable to its column then, so a tuple is
-// evaluated without binding it into a name-keyed environment. Only a nested
-// FLWOR, a dataset reference or a user-function call left in the expression
-// is interpreted (expr.Interpreted). The compiled closure keeps no state, so
-// every instance of the operator shares it.
+// evaluated without binding it into a name-keyed environment. The compiled
+// closure keeps no state, so every instance of the operator shares it.
 type evaluator struct {
 	eval expr.Compiled
 	// col is the column a bare variable of the schema already sits in, or -1.
@@ -43,11 +41,10 @@ func (ev *evaluator) column() (int, bool) {
 	return ev.col, ev.col >= 0
 }
 
-// constant evaluates an expression that sees no tuple — limit and offset,
-// index probe bounds, a free-standing subplan source — in the empty
-// environment.
+// constant evaluates an expression that sees no tuple, an index probe
+// bound, by compiling it against the empty schema and running it once.
 func (b *jobBuilder) constant(e aql.Expr) (adm.Value, error) {
-	return expr.Eval(b.ctx, expr.Env{}, e)
+	return expr.Compile(b.ctx, e, nil)(nil)
 }
 
 // assign is the one computed-column operator: it appends the value of each

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"asterixdb/internal/adm"
-	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
 	"asterixdb/internal/hyracks"
@@ -83,48 +82,5 @@ func TestAssignDropsUnknown(t *testing.T) {
 	job, _ = assignOver(t, 1, 4, []string{"a", "b"}, srcs, false)
 	if tuples, err = hyracks.Execute(job); err != nil || len(tuples) != 4 {
 		t.Errorf("without dropUnknown kept %v, %v", tuples, err)
-	}
-}
-
-// TestAnalyticsStatementsCompileWithoutFallback: every expression a job of
-// the bench's four analytics shapes evaluates — the plan's conditions,
-// assigns, keys, terms and the return — compiles whole, with no subtree left
-// to the interpreter.
-func TestAnalyticsStatementsCompileWithoutFallback(t *testing.T) {
-	rt := newTestRuntime(t)
-	for _, src := range []string{
-		`for $m in dataset Msgs where $m.uid = 2 return { "id": $m.mid, "len": string-length($m.text) };`,
-		`for $m in dataset Msgs where $m.mid >= 2 group by $a := $m.uid with $m return { "a": $a, "n": count($m) };`,
-		`for $u in dataset Users for $m in dataset Msgs where $m.uid = $u.id and $m.uid >= 1 and $m.uid < 3 return { "u": $u.name, "m": $m.mid };`,
-		`for $m in dataset Msgs where $m.mid >= 2 order by string-length($m.text) desc, $m.mid limit 10 return $m.mid;`,
-	} {
-		plan, _ := compile(t, rt, src)
-		exprs := []aql.Expr{plan.Query.Return}
-		var walk func(n *algebra.Node)
-		walk = func(n *algebra.Node) {
-			if n == nil {
-				return
-			}
-			exprs = append(exprs, n.Condition, n.LeftKey, n.RightKey, n.LoExpr, n.HiExpr, n.ProbeExpr)
-			exprs = append(exprs, n.Exprs...)
-			for _, k := range n.GroupKeys {
-				exprs = append(exprs, k.Expr)
-			}
-			for _, o := range n.OrderTerms {
-				exprs = append(exprs, o.Expr)
-			}
-			for _, in := range n.Inputs {
-				walk(in)
-			}
-		}
-		walk(plan.Root)
-		for _, e := range exprs {
-			if e == nil {
-				continue
-			}
-			if sub := expr.Interpreted(e); len(sub) > 0 {
-				t.Errorf("%s\n%s leaves %v to the interpreter", src, e, sub)
-			}
-		}
 	}
 }

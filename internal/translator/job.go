@@ -190,10 +190,8 @@ func (b *jobBuilder) build(n *algebra.Node) (stream, error) {
 	switch n.Kind {
 	case algebra.OpScan:
 		return b.buildScan(n)
-	case algebra.OpSubplan:
-		return b.buildSubplan(n)
-	case algebra.OpUnnest:
-		return b.buildUnnest(n)
+	case algebra.OpSubplan, algebra.OpUnnest:
+		return b.buildUnnest(n, fmt.Sprintf("unnest($%s)", n.Variable))
 	case algebra.OpIndexSearch:
 		return b.buildIndexSearch(n)
 	case algebra.OpSortPK:
@@ -245,11 +243,11 @@ func (b *jobBuilder) buildScan(n *algebra.Node) (stream, error) {
 	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
 	if !ok {
 		// Metadata and external datasets have no storage partitions: the
-		// dataset reference is a subplan source, evaluated once when the job
-		// runs. Unknown datasets surface their error then, like the
-		// interpreter.
+		// scan unnests the dataset reference, read once when the job runs.
+		// Unknown datasets surface their error then, as in the oracle
+		// evaluator (internal/expr/oracle).
 		ref := &aql.DatasetRef{Dataverse: n.Dataverse, Name: n.Dataset}
-		return b.subplanSource(label, ref, n.Variable, n.PosVar), nil
+		return b.buildUnnest(&algebra.Node{Variable: n.Variable, PosVar: n.PosVar, Exprs: []aql.Expr{ref}}, label)
 	}
 	bound, bounded := b.scanBounds[n]
 	if n.PosVar != "" {
@@ -277,7 +275,7 @@ func (b *jobBuilder) buildScan(n *algebra.Node) (stream, error) {
 	return stream{op: op, par: b.partitions, schema: Schema{n.Variable}}, nil
 }
 
-// buildPositionalScan compiles `for $v at $i in dataset D`: the interpreter
+// buildPositionalScan compiles `for $v at $i in dataset D`: the oracle
 // defines $i as the record's 1-based position in the concatenation of the
 // partition scans (partition 0 first, each in scan order). The per-partition
 // scan instances are kept — they stay aligned with storage ownership, which a
@@ -324,54 +322,14 @@ func (b *jobBuilder) buildPositionalScan(n *algebra.Node, bound int, bounded boo
 	return b.connect(sorted, asg, 1, Schema{n.Variable, posVar}, hyracks.Connector{Kind: hyracks.OneToOne}), nil
 }
 
-func (b *jobBuilder) buildSubplan(n *algebra.Node) (stream, error) {
-	src := n.Exprs[0]
-	if vars := algebra.FreeVarsOf(src); len(vars) > 0 {
-		// A source with free variable references (e.g. iterating a field of an
-		// outer binding) cannot run as a standalone datasource; algebra.Build
-		// compiles those as unnest operators, so this is only a safety net.
-		return stream{}, fmt.Errorf("translator: correlated subplan source references $%s", vars[0])
-	}
-	return b.subplanSource("subplan", src, n.Variable, n.PosVar), nil
-}
-
-// subplanSource is a single-instance source that evaluates src once, with no
-// tuple bindings, and emits one tuple per item. The evaluated order IS the
-// iteration order, so a positional variable is a plain counter here.
-func (b *jobBuilder) subplanSource(label string, src aql.Expr, variable, posVar string) stream {
-	schema := Schema{variable}
-	if posVar != "" {
-		schema = Schema{variable, posVar}
-	}
-	op := b.job.Add(&hyracks.SourceOp{
-		Label:      label,
-		Partitions: 1,
-		Produce: func(_ int, emit func(hyracks.Tuple) bool) error {
-			v, err := b.constant(src)
-			if err != nil {
-				return err
-			}
-			for i, it := range expr.IterationItems(v) {
-				t := hyracks.Tuple{it}
-				if posVar != "" {
-					t = append(t, adm.Int64(i+1))
-				}
-				if !emit(t) {
-					return nil
-				}
-			}
-			return nil
-		},
-	})
-	return stream{op: op, par: 1, schema: schema}
-}
-
-// buildUnnest compiles a correlated subplan source (for $y in $x.list): for
-// every input tuple it evaluates the source expression under the tuple's
-// bindings and emits one widened tuple per item, mirroring the interpreter's
-// for-clause semantics (an unknown source contributes nothing; a non-list
-// source contributes itself).
-func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
+// buildUnnest compiles a subplan source (for $y in $x.list): for every
+// input tuple it evaluates the source expression under the tuple's bindings
+// and emits one widened tuple per item, mirroring the oracle's for-clause
+// semantics (an unknown source contributes nothing; a non-list source
+// contributes itself). A source with no input — a free-standing one, or a
+// dataset with no storage partitions — unnests the one empty tuple, so it is
+// evaluated once and a positional variable counts its items.
+func (b *jobBuilder) buildUnnest(n *algebra.Node, label string) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
 		return stream{}, err
@@ -379,13 +337,13 @@ func (b *jobBuilder) buildUnnest(n *algebra.Node) (stream, error) {
 	outSchema := append(append(Schema{}, in.schema...), n.Variable)
 	if n.PosVar != "" {
 		// `for $y at $i in $x.list`: the position restarts at 1 for every
-		// input tuple, exactly the interpreter's per-binding iteration.
+		// input tuple, exactly the oracle's per-binding iteration.
 		outSchema = append(outSchema, n.PosVar)
 	}
 	posVar := n.PosVar
 	src := b.evaluator(n.Exprs[0], in.schema)
 	op := b.job.Add(&hyracks.FlatMapOp{
-		Label:      fmt.Sprintf("unnest($%s)", n.Variable),
+		Label:      label,
 		Partitions: in.par,
 		Fn: func(p int, t hyracks.Tuple, emit func(hyracks.Tuple) bool) error {
 			v, err := src.eval(t)
@@ -723,7 +681,7 @@ func (b *jobBuilder) buildJoin(n *algebra.Node) (stream, error) {
 // instance. Each output column after the keys is one of the group's
 // aggregates — an aggregate call over a with-variable that prepareGroupFold
 // rewrote to read it, or the with-variable itself as its listify bag, in
-// first-encounter order as the interpreter's applyGroupBy builds it.
+// first-encounter order as the oracle's group-by clause builds it.
 func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {
@@ -774,8 +732,8 @@ func (b *jobBuilder) buildGroupBy(n *algebra.Node) (stream, error) {
 // bare-variable and computed terms alike — gets the external merge sort
 // under a memory budget. Bare-variable terms sort existing tuple columns
 // directly; other terms are evaluated once per tuple into synthetic trailing
-// columns by an assign below the sort, mirroring the interpreter's
-// applyOrderBy (keys evaluated once, then a stable adm.Compare sort). A
+// columns by an assign below the sort, mirroring the oracle's order-by
+// clause (keys evaluated once, then a stable adm.Compare sort). A
 // positive limit is the bound of a limit clause directly above: the sort
 // keeps and emits only that many rows.
 func (b *jobBuilder) buildOrder(n *algebra.Node, limit int) (stream, error) {
@@ -821,9 +779,9 @@ func (b *jobBuilder) buildOrder(n *algebra.Node, limit int) (stream, error) {
 }
 
 // buildLimit compiles the limit clause onto the library's cancelling
-// LimitOp. Limit and offset expressions never see tuple bindings (the
-// interpreter's applyLimit evaluates them in an empty environment too), so
-// they are folded to constants here at build time.
+// LimitOp. Limit and offset expressions never see tuple bindings, so
+// expr.LimitBounds folds them to constants here at build time, as a nested
+// FLWOR's limit clause folds its own.
 //
 // When the limit sits directly above a scan (possibly through assign
 // operators, which are exactly one-to-one), the bound offset+limit is pushed
@@ -833,28 +791,16 @@ func (b *jobBuilder) buildOrder(n *algebra.Node, limit int) (stream, error) {
 // scan block the pushdown — they change cardinality, so the scan cannot know
 // how many records the limit needs.
 func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
-	limV, err := b.constant(n.LimitExpr)
+	lim, offset, err := expr.LimitBounds(b.ctx, n.LimitExpr, n.OffsetExpr)
 	if err != nil {
 		return stream{}, err
-	}
-	lim, ok := adm.NumericAsInt64(limV)
-	if !ok {
-		return stream{}, fmt.Errorf("translator: limit must be numeric")
-	}
-	offset := int64(0)
-	if n.OffsetExpr != nil {
-		offV, err := b.constant(n.OffsetExpr)
-		if err != nil {
-			return stream{}, err
-		}
-		offset, _ = adm.NumericAsInt64(offV)
 	}
 	// Push the bound down only when offset+limit is sane: a huge limit used
 	// as an "unbounded" idiom could overflow the sum (or an int on 32-bit
 	// platforms) into a scan-nothing bound, and gains nothing from pushdown.
 	// An order directly below keeps only the bound's rows; the limit above it
 	// still skips the offset.
-	bound := max(lim, 0) + max(offset, 0)
+	bound := lim + offset
 	sane := bound >= 0 && bound <= 1<<31-1
 	if scan := limitPushdownScan(n); scan != nil && sane {
 		if b.scanBounds == nil {
@@ -874,8 +820,8 @@ func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.LimitOp{
 		Label:      "limit",
 		Partitions: 1,
-		N:          int(max(lim, 0)),
-		Offset:     int(max(offset, 0)),
+		N:          int(lim),
+		Offset:     int(offset),
 	})
 	return b.connect(in, op, 1, in.schema, gatherConnector(in.par)), nil
 }

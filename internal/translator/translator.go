@@ -25,6 +25,7 @@ package translator
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/algebra"
@@ -73,16 +74,17 @@ func (s Schema) column(name string) (int, bool) {
 	return 0, false
 }
 
-// Compile builds and optimizes the algebra plan for a query expression. User
-// functions whose bodies read datasets are inlined first, and
-// algebra.NestDatasets then plans every dataset reference left inside an
-// expression as a nest join, before Optimize chooses access paths and join
-// methods. When the query is a single aggregate call wrapped around a FLWOR
-// (Query 10's shape), the aggregate is split into local and global halves.
+// Compile builds and optimizes the algebra plan for a query expression. Every
+// user function call is inlined first, and algebra.NestDatasets then plans
+// every dataset reference left inside an expression as a nest join, before
+// Optimize chooses access paths and join methods. When the query is a single
+// aggregate call wrapped around a FLWOR (Query 10's shape), the aggregate is
+// split into local and global halves.
 // Any other non-FLWOR expression is a constant query: distribute-result
 // evaluates it once over BuildJob's empty-tuple-source, so every query runs
-// as a job. An error means a FLWOR has a clause shape algebra.Build rejects,
-// or a dataset sits where no job can read it.
+// as a job. An error means a user function calls itself, directly or
+// through others, a FLWOR has a clause shape algebra.Build rejects, or a
+// dataset sits where no job can read it.
 func Compile(e aql.Expr, cat Catalog, opts algebra.Options) (*algebra.Plan, error) {
 	e, err := inline(e, cat.EvalContext(), nil)
 	if err != nil {
@@ -122,14 +124,15 @@ func flworOf(e aql.Expr) (*aql.FLWORExpr, string) {
 	return nil, ""
 }
 
-// inline replaces each call of a user function whose body reads a dataset
-// by the body, as AsterixDB's AQL rewriter does, so the datasets it reads
-// become operators of the job. The arguments are bound by let clauses to
-// fresh names the body refers to: f(a, b) becomes
+// inline replaces each call of a user function by its body, as AsterixDB's
+// AQL rewriter does, so the job compiles every expression whole and the
+// datasets a body reads become operators of the job. The arguments are
+// bound by let clauses to fresh names the body refers to: f(a, b) becomes
 // (let $#f-0-0 := a let $#f-0-1 := b return body)[0], which evaluates the
-// body once, in the caller's scope plus the parameters. stack holds the
-// functions being inlined; a recursive function that reads a dataset has no
-// finite plan.
+// body once. A body's free variables are all parameters (create function
+// refuses any other), so it sees only its arguments. stack holds the
+// functions being inlined; a call of one of them is a cycle, which no
+// inlining ends, and an error naming it.
 func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
 	var err error
 	out := aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
@@ -138,11 +141,12 @@ func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
 			return x
 		}
 		fn, ok := ctx.UserFunction(call.Func)
-		if !ok || !readsDataset(fn.Body, ctx, nil) {
+		if !ok {
 			return x
 		}
-		if slices.Contains(stack, call.Func) {
-			err = fmt.Errorf("translator: recursive function %s reads a dataset", call.Func)
+		if i := slices.Index(stack, call.Func); i >= 0 {
+			cycle := append(slices.Clone(stack[i:]), call.Func)
+			err = fmt.Errorf("translator: recursive function call %s", strings.Join(cycle, " -> "))
 			return x
 		}
 		if len(call.Args) != len(fn.Params) {
@@ -175,22 +179,4 @@ func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
 		return &aql.IndexAccess{Base: fl, Index: &aql.Literal{Value: adm.Int64(0)}}
 	})
 	return out, err
-}
-
-// readsDataset reports whether e, or a user function it calls, references a
-// dataset. seen cuts the walk through recursive functions.
-func readsDataset(e aql.Expr, ctx *expr.Context, seen []string) bool {
-	found := false
-	aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
-		switch x := x.(type) {
-		case *aql.DatasetRef:
-			found = true
-		case *aql.CallExpr:
-			if fn, ok := ctx.UserFunction(x.Func); ok && !found && !slices.Contains(seen, x.Func) {
-				found = readsDataset(fn.Body, ctx, append(seen, x.Func))
-			}
-		}
-		return x
-	})
-	return found
 }

@@ -10,6 +10,7 @@ import (
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
+	"asterixdb/internal/expr/oracle"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
 )
@@ -271,7 +272,7 @@ distribute-result
 				if len(rec) != 3 || rec[0] != adm.Value(user2) || rec[1].String() != `"u2"` {
 					t.Fatalf("primary search emitted %v, want the outer columns and the record", rec)
 				}
-				mids = append(mids, expr.FieldOf(rec[2], "mid").String())
+				mids = append(mids, field(rec[2], "mid"))
 			}
 		}
 	}
@@ -312,7 +313,7 @@ distribute-result
 	for p := 0; p < 2; p++ {
 		m5 := msg(5, adm.Int32(2), 50)
 		err := probe.(*hyracks.FlatMapOp).Fn(p, hyracks.Tuple{m5, adm.Int32(2)}, func(tu hyracks.Tuple) bool {
-			if len(tu) != 2 || tu[0] != adm.Value(m5) || expr.FieldOf(tu[1], "name").String() != `"u2"` {
+			if len(tu) != 2 || tu[0] != adm.Value(m5) || field(tu[1], "name") != `"u2"` {
 				t.Errorf("primary probe emitted %v, want the outer column and user 2", tu)
 			}
 			owners++
@@ -606,4 +607,103 @@ func TestNestDatasetsRefusesLimitReads(t *testing.T) {
 			t.Errorf("%s: Compile error = %v, want one naming dataset Msgs", q, err)
 		}
 	}
+}
+
+// TestInlineMatchesCallTime: a query compiled after inline gives the
+// oracle's value, or its error text, where the oracle binds each user
+// function's parameters at call time: parameters over fields, a function
+// calling another, a call nested in its own argument, a caller variable
+// named like a parameter or passed to the other one, a body that rebinds its
+// parameter, nested FLWORs
+// with group by, at, order by and limit, and a quantifier. A call with the
+// wrong arity and a cycle are errors of inline itself.
+func TestInlineMatchesCallTime(t *testing.T) {
+	ctx := expr.NewContext()
+	for name, def := range map[string]string{
+		"incr($x)":     `$x + 1`,
+		"twice($x)":    `incr(incr($x))`,
+		"pick($r, $f)": `if ($f) then $r.a else $r.b`,
+		"shadow($x)":   `for $x in [$x, $x + 1] let $y := $x * 2 return $y`,
+		"grp($l)":      `for $t at $i in $l group by $k := $t % 2 with $i order by $k return { "k": $k, "n": count($i), "i": $i }`,
+		"top($l, $n)":  `for $t in $l order by $t desc limit 2 offset 1 return $t + $n`,
+		"pair()":       `[1, 2]`,
+		"has($l, $v)":  `some $t in $l satisfies $t = $v`,
+		"sub($a, $b)":  `$a - $b`,
+		"selfish($a)":  `selfish2($a)`,
+		"selfish2($a)": `selfish($a)`,
+	} {
+		call, err := aql.ParseQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := aql.ParseQuery(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var params []string
+		for _, a := range call.(*aql.CallExpr).Args {
+			params = append(params, a.(*aql.VariableRef).Name)
+		}
+		ctx.Functions[call.(*aql.CallExpr).Func] = expr.UserFunction{Params: params, Body: body}
+	}
+	slots := []string{"x", "l", "r"}
+	row := []adm.Value{
+		adm.Int64(3),
+		&adm.OrderedList{Items: []adm.Value{adm.Int64(4), adm.Int64(1), adm.Int64(3), adm.Int64(2)}},
+		adm.NewRecord(adm.Field{Name: "a", Value: adm.Int32(1)}, adm.Field{Name: "b", Value: adm.String("b")}),
+	}
+	env := oracle.Env{"x": row[0], "l": row[1], "r": row[2]}
+	for _, src := range []string{
+		`incr($x)`,
+		`twice($x) + incr(1)`,
+		`incr(incr($x))`,
+		`for $x in [1, 2] return incr($x)`,
+		`for $y in [1, 2] let $x := $y * 10 return twice($x)`,
+		`shadow($x)`,
+		`[pick($r, true), pick($r, $x = 4), pick($l, false)]`,
+		`[grp($l), grp([1, 2, 3, 4, 5])]`,
+		`top($l, $x)`,
+		`[pair(), count(pair()), pair()[1]]`,
+		`has($l, 2) and has(pair(), $x)`,
+		`for $a in [10] let $b := 3 return [sub($b, $a), sub($a, $b)]`,
+		`incr("a")`,
+	} {
+		e, err := aql.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := oracle.Eval(ctx, env, e)
+		inlined, err := inline(e, ctx, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got, gotErr := expr.Compile(ctx, inlined, slots)(row)
+		switch {
+		case wantErr != nil || gotErr != nil:
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Errorf("%s\noracle error: %v\ninlined %s error: %v", src, wantErr, inlined, gotErr)
+			}
+		case got.String() != want.String():
+			t.Errorf("%s\noracle: %s\ninlined %s: %s", src, want, inlined, got)
+		}
+	}
+	for src, msg := range map[string]string{
+		`incr(1, 2)`:             "function incr expects 1 arguments, got 2",
+		`selfish(1)`:             "recursive function call selfish -> selfish2 -> selfish",
+		`[1, incr(selfish2(0))]`: "recursive function call selfish2 -> selfish -> selfish2",
+	} {
+		e, err := aql.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inline(e, ctx, nil); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("inline(%s) = %v, want an error containing %q", src, err, msg)
+		}
+	}
+}
+
+// field is the text of a record's field.
+func field(v adm.Value, name string) string {
+	rec, _ := adm.AsRecord(v)
+	return rec.Get(name).String()
 }
