@@ -415,10 +415,12 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 
 // TestNestedLimitMatchesJobLimit: a nested FLWOR's limit and offset keep
 // what the job's limit operator keeps for the same clause, a negative one
-// counting as zero.
+// counting as zero and one past the platform's int keeping or skipping
+// everything (the 32-bit leg checks the second).
 func TestNestedLimitMatchesJobLimit(t *testing.T) {
 	inst := newTinySocial(t)
-	for _, clause := range []string{`limit -1`, `limit 2 offset -1`, `limit 1 offset 1`, `limit 5 offset 2`, `limit 0`, `limit 2 offset 9`} {
+	for _, clause := range []string{`limit -1`, `limit 2 offset -1`, `limit 1 offset 1`, `limit 5 offset 2`, `limit 0`, `limit 2 offset 9`,
+		`limit 3000000000`, `limit 4294967297 offset 1`, `limit 2 offset 4294967297`} {
 		top, err := inst.Query(`for $y in [1, 2, 3] ` + clause + ` return $y;`)
 		if err != nil {
 			t.Fatal(err)

@@ -132,13 +132,7 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 			return els(row)
 		}
 	case *aql.CallExpr:
-		args, ctx := c.all(x.Args, slots), c.ctx
-		fn, ok := builtins[strings.ToLower(x.Func)]
-		if !ok {
-			// The arguments still run first, as a builtin's would.
-			err := fmt.Errorf("expr: unknown function %q", x.Func)
-			fn = func(*Context, []adm.Value) (adm.Value, error) { return nil, err }
-		}
+		args, ctx, fn := c.all(x.Args, slots), c.ctx, builtin(x.Func)
 		call := func(row []adm.Value) (adm.Value, error) {
 			vals, err := evalAll(args, row)
 			if err != nil {
@@ -158,6 +152,17 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 	}
 	err := fmt.Errorf("expr: cannot evaluate %T", e)
 	return func([]adm.Value) (adm.Value, error) { return nil, err }
+}
+
+// builtin is the builtin a call of name runs. Any other name is an unknown
+// function, since the translator inlines every user function before
+// compiling; the call's arguments still run first, as a builtin's would.
+func builtin(name string) builtinFunc {
+	if fn, ok := builtins[strings.ToLower(name)]; ok {
+		return fn
+	}
+	err := fmt.Errorf("expr: unknown function %q", name)
+	return func(*Context, []adm.Value) (adm.Value, error) { return nil, err }
 }
 
 func (c *compiler) all(es []aql.Expr, slots []string) []Compiled {

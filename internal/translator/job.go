@@ -2,6 +2,7 @@ package translator
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"asterixdb/internal/adm"
@@ -820,8 +821,8 @@ func (b *jobBuilder) buildLimit(n *algebra.Node) (stream, error) {
 	op := b.job.Add(&hyracks.LimitOp{
 		Label:      "limit",
 		Partitions: 1,
-		N:          int(lim),
-		Offset:     int(offset),
+		N:          int(min(lim, math.MaxInt)),
+		Offset:     int(min(offset, math.MaxInt)),
 	})
 	return b.connect(in, op, 1, in.schema, gatherConnector(in.par)), nil
 }
