@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/algebra"
-	"asterixdb/internal/hyracks"
 )
 
-// This file pins the two places aggregate semantics live to each other: the
-// hyracks fold kernel every compiled job aggregates with (scalar aggregates,
-// split and unsplit, and every group-by, folded or listify) and the expr
-// builtins the interpreter oracle evaluates over materialized bags. If either drifts —
-// what poisons, what is skipped, what the empty input yields — a cell of
+// This file checks the one aggregate kernel (package agg) end to end against
+// its reference. Every compiled job aggregates with the kernel — scalar
+// aggregates, split and unsplit, and every group-by, folded or listify —
+// and so do the expr builtins a call over a list runs. The interpreter
+// oracle evaluates each aggregate over its materialized bag with the
+// list-at-a-time code in internal/expr/oracle. If the kernel strays from it
+// — what poisons, what is skipped, what the empty input yields — a cell of
 // this table fails.
 
 // aggKernelInputs are the input classes, one group each; v is an open field,
@@ -101,7 +103,7 @@ func TestAggregateKernelMatchesBuiltins(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if g := findHashGroup(job); g == nil || len(g.Aggs) != 2 || g.Aggs[0].Func != fn || g.Aggs[1].Func != hyracks.Listify {
+				if g := findHashGroup(job); g == nil || len(g.Aggs) != 2 || g.Aggs[0].Func != fn || g.Aggs[1].Func != agg.Listify {
 					t.Fatalf("%s: group-by does not fold %s and listify:\n%s", name, fn, job.Describe())
 				}
 				gotBoth, err := inst.runJob(job)

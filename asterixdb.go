@@ -458,6 +458,11 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 				return nil, errf(CodeInvalid, "asterixdb: function %s: $%s is not a parameter; a function body sees only its parameters", s.Name, v)
 			}
 		}
+		// A limit is evaluated outside every binding, so it could not see
+		// the argument a parameter is inlined as either.
+		if v := limitVar(s.Body); v != "" {
+			return nil, errf(CodeInvalid, "asterixdb: function %s: a limit or offset reads $%s; it is evaluated outside every binding, parameters included", s.Name, v)
+		}
 		in.mu.Lock()
 		defer in.mu.Unlock()
 		in.functions[s.Name] = expr.UserFunction{Params: s.Params, Body: s.Body}
@@ -491,6 +496,26 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		return in.evaluateQuery(ctx, s.Body, algebra.Options{})
 	}
 	return nil, errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
+}
+
+// limitVar returns a variable some limit or offset in e reads, or "".
+func limitVar(e aql.Expr) string {
+	var v string
+	aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
+		if fl, ok := x.(*aql.FLWORExpr); ok {
+			for _, c := range fl.Clauses {
+				if lc, ok := c.(*aql.LimitClause); ok {
+					for _, bound := range []aql.Expr{lc.Limit, lc.Offset} {
+						if free := algebra.FreeVarsOf(bound); len(free) > 0 && v == "" {
+							v = free[0]
+						}
+					}
+				}
+			}
+		}
+		return x
+	})
+	return v
 }
 
 // dropDataverse removes a dataverse and everything scoped to it: its

@@ -118,6 +118,36 @@ func TestFunctionBodySeesOnlyItsParameters(t *testing.T) {
 	}
 }
 
+// TestFunctionLimitReadsNoParameter: a limit or offset is evaluated outside
+// every binding, so one that reads a parameter could never see the argument
+// the call inlines; create function refuses such a body, naming the
+// variable. A constant limit is accepted.
+func TestFunctionLimitReadsNoParameter(t *testing.T) {
+	inst := newTinySocial(t)
+	for _, stmt := range []string{
+		`create function firstn($n) { for $x in [1, 2, 3] limit $n return $x };`,
+		`create function firstn($n) { for $x in [1, 2, 3] limit 1 offset $n return $x };`,
+		`create function firstn($n) { [$n, (for $x in [1, 2, 3] limit $n + 1 return $x)] };`,
+	} {
+		if _, err := inst.Execute(stmt); ErrorCode(err) != CodeInvalid || !strings.Contains(fmt.Sprint(err), "$n") {
+			t.Errorf("%s: %v; want a CodeInvalid error naming $n", stmt, err)
+		}
+	}
+	if res, err := inst.Query(`firstn(2);`); err == nil {
+		t.Errorf("a call of the refused function returned %v", res)
+	}
+	if _, err := inst.Execute(`create function first2($n) { for $x in [1, 2, 3] where $x != $n limit 2 return $x };`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := inst.Query(`first2(1);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res); got != "[[ 2, 3 ]]" {
+		t.Errorf("first2(1) = %s, want [[ 2, 3 ]]", got)
+	}
+}
+
 // TestRecursiveFunctionIsAnError: direct and mutual recursion, and a
 // recursion that would terminate, are CodeInvalid errors naming the call
 // cycle, not a crash. The statements run in a child process with a 32 MB

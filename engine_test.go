@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
@@ -47,10 +48,10 @@ func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, er
 // oraclePlan compiles as translator.Compile does, without inlining user
 // functions and without algebra.NestDatasets.
 func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan, error) {
-	agg, inner := "", e
+	aggFn, inner := "", e
 	if call, ok := e.(*aql.CallExpr); ok && len(call.Args) == 1 {
-		if _, isAgg := hyracks.ParseAggFn(call.Func); isAgg {
-			agg, inner = call.Func, call.Args[0]
+		if _, isAgg := agg.Parse(call.Func); isAgg {
+			aggFn, inner = call.Func, call.Args[0]
 		}
 	}
 	fl, ok := inner.(*aql.FLWORExpr)
@@ -62,8 +63,8 @@ func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan,
 		return nil, err
 	}
 	plan = algebra.Optimize(plan, in, opts)
-	if agg != "" {
-		plan = algebra.WrapAggregate(plan, agg, opts.DisableAggSplit)
+	if aggFn != "" {
+		plan = algebra.WrapAggregate(plan, aggFn, opts.DisableAggSplit)
 	}
 	return plan, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"asterixdb/internal/agg"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/hyracks"
 )
@@ -109,7 +110,7 @@ return { "c": $c, "ids": (for $x in $r return $x.id) };`
 	if g2 == nil {
 		t.Fatalf("no hash group operator:\n%s", job2.Describe())
 	}
-	if len(g2.Aggs) != 1 || g2.Aggs[0].Func != hyracks.Listify {
+	if len(g2.Aggs) != 1 || g2.Aggs[0].Func != agg.Listify {
 		t.Fatalf("bag-using group-by folds %+v, want its listify", g2.Aggs)
 	}
 }
@@ -146,7 +147,7 @@ return { "c": $c, "n": count($r), "t": sum($s), "hi": max($s) };`},
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
-		if g := findHashGroup(job); g == nil || slices.ContainsFunc(g.Aggs, func(a hyracks.GroupAgg) bool { return a.Func == hyracks.Listify }) {
+		if g := findHashGroup(job); g == nil || slices.ContainsFunc(g.Aggs, func(a hyracks.GroupAgg) bool { return a.Func == agg.Listify }) {
 			t.Errorf("%s: query kept a bag:\n%s", q.name, job.Describe())
 		}
 		got, err := inst.Query(q.query)

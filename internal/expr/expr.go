@@ -11,8 +11,9 @@
 // bounds. A user function never reaches this package: the translator inlines
 // every call before compiling, so a call of a name that is not a builtin is
 // an unknown function. A job's group-bys, sorts, limits and aggregates are
-// hyracks operators; this package's FLWOR clauses and aggregate builtins over
-// whole bags serve nested subqueries. A nested subquery over a stored dataset
+// hyracks operators; this package's FLWOR clauses serve nested subqueries,
+// and its aggregate builtins fold a list's items through the kernel those
+// operators run (package agg). A nested subquery over a stored dataset
 // iterates a list its job's nest join bound to a variable: this package reads
 // no stored data itself. Eval is Compile run once over a name-keyed Env; the
 // tree-walking reference the tests check Compile against is package oracle.
@@ -26,6 +27,7 @@ import (
 	"unicode/utf8"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/fuzzy"
 	"asterixdb/internal/spatial"
@@ -365,19 +367,6 @@ var builtins map[string]builtinFunc
 
 func init() {
 	builtins = map[string]builtinFunc{
-		// Aggregates with AQL null semantics (any null -> null) and their
-		// SQL-92 "best guess" variants.
-		"count":     aggCount,
-		"sql-count": aggCount,
-		"sum":       func(c *Context, a []adm.Value) (adm.Value, error) { return aggSum(a, false) },
-		"sql-sum":   func(c *Context, a []adm.Value) (adm.Value, error) { return aggSum(a, true) },
-		"avg":       func(c *Context, a []adm.Value) (adm.Value, error) { return aggAvg(a, false) },
-		"sql-avg":   func(c *Context, a []adm.Value) (adm.Value, error) { return aggAvg(a, true) },
-		"min":       func(c *Context, a []adm.Value) (adm.Value, error) { return aggMinMax(a, false, false) },
-		"sql-min":   func(c *Context, a []adm.Value) (adm.Value, error) { return aggMinMax(a, false, true) },
-		"max":       func(c *Context, a []adm.Value) (adm.Value, error) { return aggMinMax(a, true, false) },
-		"sql-max":   func(c *Context, a []adm.Value) (adm.Value, error) { return aggMinMax(a, true, true) },
-
 		// String functions.
 		"string-length": func(c *Context, a []adm.Value) (adm.Value, error) {
 			s, err := argString(a, 0, "string-length")
@@ -719,6 +708,14 @@ func init() {
 			return adm.Int32(int32(n)), nil
 		},
 	}
+	// Aggregates with AQL null semantics (any null -> null) and their
+	// SQL-92 "best guess" variants.
+	for _, base := range []string{"count", "sum", "avg", "min", "max"} {
+		for _, name := range []string{base, "sql-" + base} {
+			fn, _ := agg.Parse(name)
+			builtins[name] = aggregate(fn)
+		}
+	}
 }
 
 func constructorFunc(typeName string) builtinFunc {
@@ -769,93 +766,22 @@ func argString(args []adm.Value, i int, fn string) (string, error) {
 // Aggregates
 // ----------------------------------------------------------------------------
 
-func aggItems(args []adm.Value) []adm.Value {
-	if len(args) == 0 {
-		return nil
-	}
-	if items, ok := listItems(args[0]); ok {
-		return items
-	}
-	return args
-}
-
-func aggCount(_ *Context, args []adm.Value) (adm.Value, error) {
-	return adm.Int64(len(aggItems(args))), nil
-}
-
-func aggSum(args []adm.Value, sqlSemantics bool) (adm.Value, error) {
-	items := aggItems(args)
-	sum := 0.0
-	n := 0
-	for _, it := range items {
-		if adm.IsUnknown(it) {
-			if sqlSemantics {
-				continue
+// aggregate is the builtin of an aggregate with a one-pass accumulator, AQL
+// semantics or its sql- variant: it folds its items — a list argument's,
+// otherwise the arguments themselves — through the aggregate kernel, the
+// one a job's group-bys and local/global aggregates run, and finishes.
+func aggregate(fn agg.Fn) builtinFunc {
+	return func(_ *Context, args []adm.Value) (adm.Value, error) {
+		items := args
+		if len(args) > 0 {
+			if l, ok := listItems(args[0]); ok {
+				items = l
 			}
-			return adm.Null{}, nil
 		}
-		d, ok := adm.NumericAsDouble(it)
-		if !ok {
-			return adm.Null{}, nil
+		var a agg.Accum
+		for _, it := range items {
+			a.Fold(fn, it)
 		}
-		sum += d
-		n++
+		return a.Finish(fn), nil
 	}
-	if n == 0 {
-		return adm.Null{}, nil
-	}
-	return adm.Double(sum), nil
-}
-
-func aggAvg(args []adm.Value, sqlSemantics bool) (adm.Value, error) {
-	items := aggItems(args)
-	sum := 0.0
-	n := 0
-	for _, it := range items {
-		if adm.IsUnknown(it) {
-			if sqlSemantics {
-				continue
-			}
-			// AQL semantics: the average of a set containing null is null.
-			return adm.Null{}, nil
-		}
-		d, ok := adm.NumericAsDouble(it)
-		if !ok {
-			return adm.Null{}, nil
-		}
-		sum += d
-		n++
-	}
-	if n == 0 {
-		return adm.Null{}, nil
-	}
-	return adm.Double(sum / float64(n)), nil
-}
-
-func aggMinMax(args []adm.Value, max, sqlSemantics bool) (adm.Value, error) {
-	items := aggItems(args)
-	var best adm.Value
-	for _, it := range items {
-		if adm.IsUnknown(it) {
-			if sqlSemantics {
-				continue
-			}
-			return adm.Null{}, nil
-		}
-		if best == nil {
-			best = it
-			continue
-		}
-		c, err := adm.Compare(it, best)
-		if err != nil {
-			return adm.Null{}, nil
-		}
-		if (max && c > 0) || (!max && c < 0) {
-			best = it
-		}
-	}
-	if best == nil {
-		return adm.Null{}, nil
-	}
-	return best, nil
 }

@@ -1,9 +1,11 @@
 // Package oracle is the reference evaluator the tests check expr.Compile, the
-// translator's inlining and the compiled jobs against. It walks the AST over
-// a name-keyed Env: it looks variables up by name, short-circuits and and
-// or, iterates quantifiers, applies FLWOR clauses to sets of environments and
-// calls a user function by binding its parameters at call time. Each node's
-// own operator — arithmetic, a comparison, a field or index access, a
+// translator's inlining, the compiled jobs and the aggregate kernel against.
+// It walks the AST over a name-keyed Env: it looks variables up by name,
+// short-circuits and and or, iterates quantifiers, applies FLWOR clauses to
+// sets of environments, calls a user function by binding its parameters at
+// call time and computes an aggregate over its whole list at once
+// (aggregate.go), where the daemon folds it through package agg. Each other
+// node's own operator — arithmetic, a comparison, a field or index access, a
 // constructor, a builtin call, a dataset reference — runs through
 // expr.Compile over the node with its children already evaluated to
 // literals, so the two evaluators differ in exactly what the oracle is there
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strings"
 
 	"asterixdb/internal/adm"
 	"asterixdb/internal/aql"
@@ -117,6 +120,9 @@ func Eval(ctx *expr.Context, env Env, e aql.Expr) (adm.Value, error) {
 		args, err := values(ctx, env, x.Args...)
 		if err != nil {
 			return nil, err
+		}
+		if ref, ok := aggregates[strings.ToLower(x.Func)]; ok {
+			return ref(args), nil
 		}
 		if fn, ok := ctx.UserFunction(x.Func); ok {
 			return call(ctx, x.Func, fn, args)

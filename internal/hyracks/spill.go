@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/runfile"
 )
 
@@ -398,7 +399,7 @@ func readRun(run *runfile.Run, fn func(tupleSource) error) error {
 type spillGroup struct {
 	rows []Tuple
 	key  Tuple
-	accs []aggAccum
+	accs []agg.Accum
 }
 
 // spillClient is the kind knowledge a spillTable does not have. There are
@@ -632,7 +633,7 @@ func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 		return emit(t)
 	})
 	if err == nil && !emitted && len(o.KeyColumns) == 0 && o.Split != Local {
-		emit((&foldClient{o: o, fns: fns}).finish(&spillGroup{accs: make([]aggAccum, len(fns))}))
+		emit((&foldClient{o: o, fns: fns}).finish(&spillGroup{accs: make([]agg.Accum, len(fns))}))
 	}
 	if err == errStopDemand {
 		return nil
@@ -646,7 +647,7 @@ func (o *HashGroupOp) Run(_ int, ins []*In, emit func(Tuple) bool) error {
 // spillMaxLevel the groups are held in memory regardless — a group's listify
 // holds its items whatever the budget. A Local operator emits each group in
 // that accumulator form.
-func (o *HashGroupOp) group(mem *runfile.Instance, fns []AggFn, level int, next tupleSource, emit func(Tuple) bool) error {
+func (o *HashGroupOp) group(mem *runfile.Instance, fns []agg.Fn, level int, next tupleSource, emit func(Tuple) bool) error {
 	c := &foldClient{o: o, fns: fns, reloaded: level > 0 || o.Split == Global}
 	tbl := &spillTable{mem: mem, client: c, level: level}
 	defer tbl.abort()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/runfile"
 )
 
@@ -525,7 +526,7 @@ func groupJob(input []Tuple, spill *runfile.Budget) *Job {
 		Label:      "group",
 		Partitions: 1,
 		KeyColumns: []int{0},
-		Aggs:       []GroupAgg{{Func: "sum", Col: 1}, {Func: Listify, Col: 1}},
+		Aggs:       []GroupAgg{{Func: "sum", Col: 1}, {Func: agg.Listify, Col: 1}},
 		Spill:      spill,
 	})
 	job.Connect(src, grp, Connector{Kind: OneToOne})

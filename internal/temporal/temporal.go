@@ -112,19 +112,6 @@ func AdjustDatetimeForTimezone(dt adm.Datetime, tz string) (adm.Datetime, error)
 	return adm.Datetime(int64(dt) + off), nil
 }
 
-// AdjustTimeForTimezone shifts a time-of-day by a timezone offset string.
-func AdjustTimeForTimezone(t adm.Time, tz string) (adm.Time, error) {
-	off, err := parseTZOffset(tz)
-	if err != nil {
-		return 0, err
-	}
-	ms := (int64(t) + off) % 86400000
-	if ms < 0 {
-		ms += 86400000
-	}
-	return adm.Time(int32(ms)), nil
-}
-
 func parseTZOffset(tz string) (int64, error) {
 	if tz == "Z" || tz == "z" {
 		return 0, nil
@@ -154,29 +141,6 @@ func parseTZOffset(tz string) (int64, error) {
 		return 0, fmt.Errorf("temporal: bad timezone %q", tz)
 	}
 	return sign * (int64(h)*3600000 + int64(m)*60000), nil
-}
-
-// IntervalFromDatetimes builds an interval between two datetimes.
-func IntervalFromDatetimes(start, end adm.Datetime) (adm.Interval, error) {
-	v, err := adm.NewInterval(start, end)
-	if err != nil {
-		return adm.Interval{}, err
-	}
-	return v.(adm.Interval), nil
-}
-
-// IntervalStartFromDate builds an interval starting at a date for the given
-// duration (the interval-start-from-date function family in Table 1).
-func IntervalStartFromDate(start adm.Date, d adm.Duration) (adm.Interval, error) {
-	end, err := AddDuration(start, d)
-	if err != nil {
-		return adm.Interval{}, err
-	}
-	v, err := adm.NewInterval(start, end)
-	if err != nil {
-		return adm.Interval{}, err
-	}
-	return v.(adm.Interval), nil
 }
 
 // IntervalStartFromDatetime builds an interval starting at a datetime for the
@@ -274,17 +238,11 @@ func After(a, b adm.Interval) bool { return Before(b, a) }
 // Meets reports whether interval a ends exactly where b starts.
 func Meets(a, b adm.Interval) bool { return a.End == b.Start }
 
-// MetBy reports whether interval a starts exactly where b ends.
-func MetBy(a, b adm.Interval) bool { return Meets(b, a) }
-
 // Overlaps reports whether a starts before b, they intersect, and a ends
 // before b ends (the strict Allen "overlaps").
 func Overlaps(a, b adm.Interval) bool {
 	return a.Start < b.Start && a.End > b.Start && a.End < b.End
 }
-
-// OverlappedBy is the converse of Overlaps.
-func OverlappedBy(a, b adm.Interval) bool { return Overlaps(b, a) }
 
 // Overlapping reports whether the two intervals share any instant (the
 // non-Allen convenience predicate AQL exposes as interval-overlapping).
@@ -293,20 +251,11 @@ func Overlapping(a, b adm.Interval) bool { return a.Start < b.End && b.Start < a
 // Starts reports whether a and b start together and a ends first.
 func Starts(a, b adm.Interval) bool { return a.Start == b.Start && a.End < b.End }
 
-// StartedBy is the converse of Starts.
-func StartedBy(a, b adm.Interval) bool { return Starts(b, a) }
-
 // Finishes reports whether a and b end together and a starts later.
 func Finishes(a, b adm.Interval) bool { return a.End == b.End && a.Start > b.Start }
-
-// FinishedBy is the converse of Finishes.
-func FinishedBy(a, b adm.Interval) bool { return Finishes(b, a) }
 
 // During reports whether a lies strictly inside b.
 func During(a, b adm.Interval) bool { return a.Start > b.Start && a.End < b.End }
 
 // Covers reports whether a contains b (the Allen "contains").
 func Covers(a, b adm.Interval) bool { return During(b, a) }
-
-// Equals reports whether the two intervals are identical.
-func Equals(a, b adm.Interval) bool { return a.Start == b.Start && a.End == b.End }

@@ -3,9 +3,9 @@ package translator
 import (
 	"slices"
 
+	"asterixdb/internal/agg"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
-	"asterixdb/internal/hyracks"
 )
 
 // This file decides, per with-variable of a group-by, what the group-by
@@ -22,14 +22,14 @@ import (
 // foldable reports whether a call is an aggregate builtin with a one-pass
 // accumulator applied to a single argument.
 func foldable(x *aql.CallExpr) bool {
-	_, ok := hyracks.ParseAggFn(x.Func)
+	_, ok := agg.Parse(x.Func)
 	return ok && len(x.Args) == 1
 }
 
 // foldSpec is one aggregate a group-by folds for a with-variable.
 type foldSpec struct {
 	With string // the with-variable folded
-	Func string // the aggregate function, or hyracks.Listify
+	Func string // the aggregate function, or agg.Listify
 	Name string // the output column carrying the result
 }
 
@@ -47,7 +47,7 @@ func (b *jobBuilder) foldSpecs(n *algebra.Node) []foldSpec {
 	}
 	specs := make([]foldSpec, len(n.GroupWith))
 	for i, w := range n.GroupWith {
-		specs[i] = foldSpec{With: w, Func: hyracks.Listify, Name: w}
+		specs[i] = foldSpec{With: w, Func: agg.Listify, Name: w}
 	}
 	return specs
 }
@@ -153,7 +153,7 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 			specs = append(specs, foldSpec{With: w, Func: fn, Name: foldColumn(fn, w)})
 		}
 		if bags[w] {
-			specs = append(specs, foldSpec{With: w, Func: hyracks.Listify, Name: w})
+			specs = append(specs, foldSpec{With: w, Func: agg.Listify, Name: w})
 		}
 	}
 	b.exprRewrites = rewrites

@@ -28,10 +28,10 @@ import (
 	"strings"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/agg"
 	"asterixdb/internal/algebra"
 	"asterixdb/internal/aql"
 	"asterixdb/internal/expr"
-	"asterixdb/internal/hyracks"
 	"asterixdb/internal/storage"
 )
 
@@ -115,7 +115,7 @@ func flworOf(e aql.Expr) (*aql.FLWORExpr, string) {
 	case *aql.FLWORExpr:
 		return q, ""
 	case *aql.CallExpr:
-		if _, isAgg := hyracks.ParseAggFn(q.Func); isAgg && len(q.Args) == 1 {
+		if _, isAgg := agg.Parse(q.Func); isAgg && len(q.Args) == 1 {
 			if fl, ok := q.Args[0].(*aql.FLWORExpr); ok {
 				return fl, q.Func
 			}
