@@ -50,8 +50,8 @@ func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, er
 func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan, error) {
 	aggFn, inner := "", e
 	if call, ok := e.(*aql.CallExpr); ok && len(call.Args) == 1 {
-		if _, isAgg := agg.Parse(call.Func); isAgg {
-			aggFn, inner = call.Func, call.Args[0]
+		if fn, isAgg := agg.Parse(call.Func); isAgg {
+			aggFn, inner = fn.Name(), call.Args[0]
 		}
 	}
 	fl, ok := inner.(*aql.FLWORExpr)

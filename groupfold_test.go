@@ -202,3 +202,41 @@ return { "k": $k, "n": count($r) };`
 	}
 	sameResults(t, "incremental-spill", got, want, false)
 }
+
+// TestAggregateNamesFoldCase: builtins are looked up case-insensitively, so
+// an upper-case aggregate is the same aggregate: COUNT over a FLWOR plans
+// Figure 6's local/global pair exactly as count does, SUM of a
+// with-variable folds a sum, not a listify bag, and each returns what its
+// lower-case spelling returns.
+func TestAggregateNamesFoldCase(t *testing.T) {
+	t.Setenv("ASTERIXDB_MEMORY_BUDGET", "")
+	inst := newFoldInstance(t, 0, 300)
+	pairs := []struct{ upper, lower string }{
+		{`COUNT(for $r in dataset FoldD return $r)`, `count(for $r in dataset FoldD return $r)`},
+		{`Sql-Avg(for $r in dataset FoldD return $r.val)`, `sql-avg(for $r in dataset FoldD return $r.val)`},
+		{`for $r in dataset FoldD let $s := $r.score group by $c := $r.cat with $s return { "c": $c, "t": SUM($s), "m": Max($s) };`,
+			`for $r in dataset FoldD let $s := $r.score group by $c := $r.cat with $s return { "c": $c, "t": sum($s), "m": max($s) };`},
+	}
+	for _, p := range pairs {
+		upper, err := inst.Explain(p.upper)
+		if err != nil {
+			t.Fatalf("%s: %v", p.upper, err)
+		}
+		lower, err := inst.Explain(p.lower)
+		if err != nil {
+			t.Fatalf("%s: %v", p.lower, err)
+		}
+		if upper != lower {
+			t.Errorf("%s plans\n%s\nbut %s plans\n%s", p.upper, upper, p.lower, lower)
+		}
+		got, err := inst.Query(p.upper)
+		if err != nil {
+			t.Fatalf("%s: %v", p.upper, err)
+		}
+		want, err := inst.Query(p.lower)
+		if err != nil {
+			t.Fatalf("%s: %v", p.lower, err)
+		}
+		sameResults(t, p.upper, got, want, false)
+	}
+}

@@ -35,14 +35,25 @@ type Fn struct {
 
 // Parse resolves the name of an aggregate builtin with a one-pass
 // accumulator — count, sum, avg, min or max, optionally with the "sql-"
-// prefix for unknown-skipping semantics. ok is false for any other name.
+// prefix for unknown-skipping semantics — in any letter case, as every
+// builtin is looked up. ok is false for any other name.
 func Parse(name string) (fn Fn, ok bool) {
+	name = strings.ToLower(name)
 	fn = Fn{base: strings.TrimPrefix(name, "sql-"), sql: strings.HasPrefix(name, "sql-")}
 	switch fn.base {
 	case "count", "sum", "avg", "min", "max":
 		return fn, true
 	}
 	return Fn{}, false
+}
+
+// Name is the aggregate's canonical, lower-case name: the one plans and
+// jobs carry.
+func (fn Fn) Name() string {
+	if fn.sql {
+		return "sql-" + fn.base
+	}
+	return fn.base
 }
 
 // Resolve returns the aggregate a job folds under name: Listify, or a name

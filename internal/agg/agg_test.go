@@ -2,6 +2,7 @@ package agg_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
@@ -137,15 +138,17 @@ func FuzzAggKernel(f *testing.F) {
 	})
 }
 
-// TestParse: the ten aggregate builtins parse, listify and other names do
-// not.
+// TestParse: the ten aggregate builtins parse in any letter case to their
+// lower-case name, listify and other names do not.
 func TestParse(t *testing.T) {
 	for _, name := range []string{"count", "sql-count", "sum", "sql-sum", "avg", "sql-avg", "min", "sql-min", "max", "sql-max"} {
-		if _, ok := agg.Parse(name); !ok {
-			t.Errorf("Parse(%q) refused", name)
+		for _, spelled := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if fn, ok := agg.Parse(spelled); !ok || fn.Name() != name {
+				t.Errorf("Parse(%q) = %q, %v; want %q", spelled, fn.Name(), ok, name)
+			}
 		}
 	}
-	for _, name := range []string{agg.Listify, "sql-listify", "sql-", "median", "COUNT", ""} {
+	for _, name := range []string{agg.Listify, "sql-listify", "sql-", "median", "COUNTS", ""} {
 		if _, ok := agg.Parse(name); ok {
 			t.Errorf("Parse(%q) accepted", name)
 		}

@@ -1,0 +1,58 @@
+package lsm
+
+import "hash/maphash"
+
+// filterSeed keys every key hash. Filters live only in memory — openImage
+// rebuilds each one from its image — so one seed per process suffices.
+var filterSeed = maphash.MakeSeed()
+
+// keyHash is the one hash of a key that every filter probes with.
+func keyHash(key []byte) uint64 { return maphash.Bytes(filterSeed, key) }
+
+const (
+	// filterBitsPerKey sizes a filter: 10 bits, 1.25 bytes, per entry.
+	filterBitsPerKey = 10
+	// filterProbes is the bits a key sets and tests, ln 2 × bits per key
+	// rounded: about 0.8 % of absent keys pass a filter.
+	filterProbes = 7
+	// filterMaxWords caps a filter at 2^32 bits, so a probe maps a 32-bit
+	// hash onto the filter with one multiply.
+	filterMaxWords = 1 << 26
+)
+
+// filter is a bloom filter over a component's keys, antimatter included, so
+// a tombstone is found like any other entry. mayContain is true for every
+// key of the component and for about 0.8 % of other keys.
+type filter []uint64
+
+// newFilter returns an empty filter sized for n keys.
+func newFilter(n uint64) filter {
+	words := min((n*filterBitsPerKey+63)/64, filterMaxWords)
+	return make(filter, max(words, 1))
+}
+
+// add sets the bits of a key whose hash is h.
+func (f filter) add(h uint64) {
+	bits := uint64(len(f)) * 64
+	a, b := uint32(h), uint32(h>>32)
+	for range filterProbes {
+		bit := uint64(a) * bits >> 32
+		f[bit/64] |= 1 << (bit % 64)
+		a += b
+	}
+}
+
+// mayContain reports whether a key whose hash is h may be in the
+// component: false only if it is certainly not.
+func (f filter) mayContain(h uint64) bool {
+	bits := uint64(len(f)) * 64
+	a, b := uint32(h), uint32(h>>32)
+	for range filterProbes {
+		bit := uint64(a) * bits >> 32
+		if f[bit/64]&(1<<(bit%64)) == 0 {
+			return false
+		}
+		a += b
+	}
+	return true
+}

@@ -8,8 +8,10 @@
 // image, writes it through a temp file, fsync and rename
 // (fsutil.WriteFileAtomic) — so a crash mid-flush or mid-merge never surfaces
 // a torn component — and then searches, scans and merges that same image in
-// place; Open reads it back whole. Besides the image a component keeps only
-// where each key sits in it. The image is
+// place; Open reads it back whole. Besides the image a component keeps where
+// each key sits in it and a bloom filter over its keys, both built in memory
+// by the one walk that validates the image, so a point read binary-searches
+// only the components that may hold its key. The image is
 //
 //	image:  entry* footer
 //	entry:  uvarint klen ‖ key ‖ flag (1 = antimatter) ‖ uvarint vlen ‖ value
@@ -90,12 +92,28 @@ type Tree struct {
 	// every component change (flush, merge). A paused Iterator compares it to
 	// detect staleness and re-seek instead of walking invalidated cursors.
 	seq uint64
+	// reads counts Get calls and what the component filters did for them;
+	// Get updates it under the caller's latch.
+	reads ReadStats
+}
+
+// ReadStats counts a tree's point reads and its component filters' verdicts.
+type ReadStats struct {
+	// PointReads counts Get calls.
+	PointReads uint64
+	// FilterSkips counts components a Get passed over without a search
+	// because their filter ruled the key out.
+	FilterSkips uint64
+	// FilterFalsePositives counts components a Get searched because their
+	// filter let the key pass, and did not find it in.
+	FilterFalsePositives uint64
 }
 
 // diskComponent is an immutable, sorted run of entries, one per key: the
-// validated image of its file and, per entry, where its key starts and ends
-// in that image. Keys and values handed out are capped views into the image,
-// so the GC keeps it alive exactly as long as some caller still views them.
+// validated image of its file, per entry where its key starts and ends in
+// that image, and a bloom filter over its keys that is never written to the
+// file. Keys and values handed out are capped views into the image, so the
+// GC keeps it alive exactly as long as some caller still views them.
 type diskComponent struct {
 	id int
 	// coveredLow is the lowest component id this component supersedes: its
@@ -106,10 +124,11 @@ type diskComponent struct {
 	coveredLow int
 	// stamp is the LSN watermark: all operations with LSN < stamp are
 	// reflected in this component or an older one.
-	stamp uint64
-	path  string
-	image []byte
-	keys  []span // per entry, where its key sits in image
+	stamp  uint64
+	path   string
+	image  []byte
+	keys   []span // per entry, where its key sits in image
+	filter filter // every key of keys, antimatter included
 }
 
 // Open creates or reopens an LSM tree rooted at dir. Temp files from
@@ -194,8 +213,11 @@ func (t *Tree) Delete(key []byte) error {
 }
 
 // Get returns the newest value for key, reporting false when the key is
-// absent or deleted.
+// absent or deleted. It hashes the key once and searches only the disk
+// components whose filter says the key may be there; a tombstone is in its
+// component's filter, so it still shadows older values.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
+	t.reads.PointReads++
 	if raw, ok := t.mem.Get(key); ok {
 		val, anti := decodeMemValue(raw)
 		if anti {
@@ -203,10 +225,16 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 		}
 		return val, true
 	}
+	h := keyHash(key)
 	for _, c := range t.disk {
+		if !c.filter.mayContain(h) {
+			t.reads.FilterSkips++
+			continue
+		}
 		if value, antimatter, ok := c.get(key); ok {
 			return value, !antimatter
 		}
+		t.reads.FilterFalsePositives++
 	}
 	return nil, false
 }
@@ -244,6 +272,10 @@ func (t *Tree) Flushes() int { return t.flushes }
 
 // Merges reports how many merge operations the tree has performed.
 func (t *Tree) Merges() int { return t.merges }
+
+// Reads reports the tree's point-read counters. Caller must hold the tree's
+// latch.
+func (t *Tree) Reads() ReadStats { return t.reads }
 
 // MemBytes returns the current in-memory component footprint.
 func (t *Tree) MemBytes() int { return t.mem.Bytes() }
@@ -586,8 +618,9 @@ func Reseal(image []byte) error {
 }
 
 // openImage checks an image's footer and checksum, then walks its entries
-// once, checking every length against the bytes that remain and recording
-// where each key sits. An image it accepts decodes entirely within itself.
+// once, checking every length against the bytes that remain, recording where
+// each key sits and adding each key to the component's filter. An image it
+// accepts decodes entirely within itself.
 func openImage(id int, path string, image []byte) (*diskComponent, error) {
 	n := len(image)
 	for _, old := range oldFormatMagics {
@@ -615,6 +648,7 @@ func openImage(id int, path string, image []byte) (*diskComponent, error) {
 		return nil, fmt.Errorf("lsm: %d entries in %d bytes", count, len(body))
 	}
 	keys := make([]span, 0, count)
+	f := newFilter(count)
 	pos := 0
 	for i := uint64(0); i < count; i++ {
 		klen, kn := binary.Uvarint(body[pos:])
@@ -633,11 +667,12 @@ func openImage(id int, path string, image []byte) (*diskComponent, error) {
 		}
 		pos = end + 1 + vn + int(vlen)
 		keys = append(keys, span{uint32(start), uint32(end)})
+		f.add(keyHash(body[start:end]))
 	}
 	if pos != len(body) {
 		return nil, fmt.Errorf("lsm: %d bytes after entry %d", len(body)-pos, count)
 	}
-	return &diskComponent{id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image, keys: keys}, nil
+	return &diskComponent{id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image, keys: keys, filter: f}, nil
 }
 
 // span is one key's [start, end) offsets within its component image.

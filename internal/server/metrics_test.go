@@ -53,6 +53,77 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// metricValue reads the value of one series from a /metrics body.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	i := strings.Index(body, series+" ")
+	if i < 0 {
+		t.Fatalf("/metrics has no %s series:\n%s", series, body)
+	}
+	var v float64
+	if _, err := fmt.Sscan(body[i+len(series)+1:], &v); err != nil {
+		t.Fatalf("%s: %v", series, err)
+	}
+	return v
+}
+
+// TestMetricsFilterSkips: an insert reads its new primary key first, and
+// with four disk components in each partition's primary index the component
+// filters spare nearly every binary search of those reads: /metrics shows
+// skips of at least 0.95 per read per component.
+func TestMetricsFilterSkips(t *testing.T) {
+	s, inst := newTestServer(t)
+	if w := do(t, s, "POST", "/ddl", testDDL); w.Code != http.StatusOK {
+		t.Fatalf("ddl: %d %s", w.Code, w.Body)
+	}
+	insert := func(from, n int) {
+		t.Helper()
+		var sb strings.Builder
+		for i := from; i < from+n; i++ {
+			if sb.Len() > 0 {
+				sb.WriteString(",")
+			}
+			sb.WriteString(`{ "id": ` + itoa(i) + `, "k": ` + itoa(i%10) + `, "label": "item" }`)
+		}
+		if w := do(t, s, "POST", "/update", "insert into dataset Items (["+sb.String()+"]);"); w.Code != http.StatusOK {
+			t.Fatalf("update: %d %s", w.Code, w.Body)
+		}
+	}
+	ds, ok := inst.Dataset("Items")
+	if !ok {
+		t.Fatal("no dataset Items")
+	}
+	const components, partitions = 4, 2
+	for c := 0; c < components; c++ {
+		insert(c*100, 100)
+		if err := ds.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		reads  = `asterix_lsm_point_reads_total{dataset="Items"}`
+		skips  = `asterix_lsm_filter_skips_total{dataset="Items"}`
+		falses = `asterix_lsm_filter_false_positives_total{dataset="Items"}`
+		comps  = `asterix_lsm_components{dataset="Items"}`
+	)
+	before := do(t, s, "GET", "/metrics", "").Body.String()
+	insert(components*100, 400)
+	after := do(t, s, "GET", "/metrics", "").Body.String()
+	for _, body := range []string{before, after} {
+		if got := metricValue(t, body, comps); got != components*partitions {
+			t.Fatalf("%s = %v, want %d", comps, got, components*partitions)
+		}
+	}
+	dReads := metricValue(t, after, reads) - metricValue(t, before, reads)
+	dSkips := metricValue(t, after, skips) - metricValue(t, before, skips)
+	dFalse := metricValue(t, after, falses) - metricValue(t, before, falses)
+	t.Logf("%v reads, %v skips, %v false positives over %d components", dReads, dSkips, dFalse, components)
+	if dReads < 400 || dSkips < 0.95*dReads*components || dSkips+dFalse != dReads*components {
+		t.Fatalf("400 inserts of new keys over %d components: %v reads, %v skips, %v false positives; want skips >= 0.95 x reads x components and skips + false positives = reads x components",
+			components, dReads, dSkips, dFalse)
+	}
+}
+
 func TestMetricsCountsErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	if w := do(t, s, "POST", "/query", `for $x in dataset NoSuch return $x;`); w.Code != http.StatusNotFound {

@@ -476,6 +476,10 @@ type DatasetStats struct {
 	// SecondaryComponents counts disk components across every LSM-backed
 	// secondary index (B+-tree, R-tree and inverted alike).
 	SecondaryComponents int
+	// Reads sums the point-read counters of every tree: the point reads,
+	// the disk components their filters skipped, and the filter false
+	// positives (a search that missed).
+	Reads lsm.ReadStats
 }
 
 // Stats aggregates the dataset's LSM counters under each partition latch.
@@ -489,8 +493,14 @@ func (d *Dataset) Stats() DatasetStats {
 		s.Components += p.primary.Components()
 		s.Flushes += p.primary.Flushes()
 		s.Merges += p.primary.Merges()
-		for _, t := range p.allTrees()[1:] {
-			s.SecondaryComponents += t.Components()
+		for i, t := range p.allTrees() {
+			if i > 0 {
+				s.SecondaryComponents += t.Components()
+			}
+			r := t.Reads()
+			s.Reads.PointReads += r.PointReads
+			s.Reads.FilterSkips += r.FilterSkips
+			s.Reads.FilterFalsePositives += r.FilterFalsePositives
 		}
 		p.mu.Unlock()
 	}

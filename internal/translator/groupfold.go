@@ -19,11 +19,12 @@ import (
 // every consumer, every with-variable is its listify and nothing is
 // rewritten.
 
-// foldable reports whether a call is an aggregate builtin with a one-pass
-// accumulator applied to a single argument.
-func foldable(x *aql.CallExpr) bool {
-	_, ok := agg.Parse(x.Func)
-	return ok && len(x.Args) == 1
+// foldable returns the canonical name of a call's aggregate when the call is
+// an aggregate builtin with a one-pass accumulator applied to a single
+// argument.
+func foldable(x *aql.CallExpr) (string, bool) {
+	fn, ok := agg.Parse(x.Func)
+	return fn.Name(), ok && len(x.Args) == 1
 }
 
 // foldSpec is one aggregate a group-by folds for a with-variable.
@@ -128,12 +129,14 @@ func (b *jobBuilder) prepareGroupFold(plan *algebra.Plan) {
 		return v.Name, true
 	}
 	fold := func(e aql.Expr, sc *aql.Scope) aql.Expr {
-		if call, ok := e.(*aql.CallExpr); ok && foldable(call) {
-			if w, ok := target(call.Args[0], sc); ok {
-				if !slices.Contains(funcsByVar[w], call.Func) {
-					funcsByVar[w] = append(funcsByVar[w], call.Func)
+		if call, ok := e.(*aql.CallExpr); ok {
+			if fn, ok := foldable(call); ok {
+				if w, ok := target(call.Args[0], sc); ok {
+					if !slices.Contains(funcsByVar[w], fn) {
+						funcsByVar[w] = append(funcsByVar[w], fn)
+					}
+					return &aql.VariableRef{Name: foldColumn(fn, w)}
 				}
-				return &aql.VariableRef{Name: foldColumn(call.Func, w)}
 			}
 		}
 		if w, ok := target(e, sc); ok {

@@ -115,9 +115,9 @@ func flworOf(e aql.Expr) (*aql.FLWORExpr, string) {
 	case *aql.FLWORExpr:
 		return q, ""
 	case *aql.CallExpr:
-		if _, isAgg := agg.Parse(q.Func); isAgg && len(q.Args) == 1 {
+		if fn, isAgg := agg.Parse(q.Func); isAgg && len(q.Args) == 1 {
 			if fl, ok := q.Args[0].(*aql.FLWORExpr); ok {
-				return fl, q.Func
+				return fl, fn.Name()
 			}
 		}
 	}

@@ -94,6 +94,27 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 				emit(float64(s.Merges), metrics.L("dataset", name))
 			})
 		})
+	r.Collect("asterix_lsm_point_reads_total", "counter",
+		"Point reads (one key) of the dataset's LSM trees since they were opened.",
+		func(emit func(float64, ...metrics.Label)) {
+			eachDataset(func(name string, s storage.DatasetStats) {
+				emit(float64(s.Reads.PointReads), metrics.L("dataset", name))
+			})
+		})
+	r.Collect("asterix_lsm_filter_skips_total", "counter",
+		"Disk components a point read passed over because their filter ruled the key out.",
+		func(emit func(float64, ...metrics.Label)) {
+			eachDataset(func(name string, s storage.DatasetStats) {
+				emit(float64(s.Reads.FilterSkips), metrics.L("dataset", name))
+			})
+		})
+	r.Collect("asterix_lsm_filter_false_positives_total", "counter",
+		"Disk components a point read searched on its filter's word and did not find the key in.",
+		func(emit func(float64, ...metrics.Label)) {
+			eachDataset(func(name string, s storage.DatasetStats) {
+				emit(float64(s.Reads.FilterFalsePositives), metrics.L("dataset", name))
+			})
+		})
 
 	// Durability & recovery gauges from the storage manager.
 	managerStats := func() storage.ManagerStats {
