@@ -41,10 +41,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,17 +96,17 @@ type Instance struct {
 	store   *storage.Manager
 
 	mu sync.RWMutex
-	// dataverse state
-	currentDataverse string
-	dataverses       map[string]bool
-	types            map[string]*adm.RecordType
-	datasets         map[string]*datasetEntry
-	functions        map[string]expr.UserFunction
+	// the catalog
+	dataverses map[string]bool
+	types      map[string]*adm.RecordType
+	datasets   map[string]*datasetEntry
+	functions  map[string]*aql.CreateFunction
 	// typeDataverse / functionDataverse record which dataverse each type and
 	// function was created in, so drop dataverse can clean them up.
 	typeDataverse     map[string]string
 	functionDataverse map[string]string
-	evalCtx           *expr.Context
+	// evalCtx is the default context every request copies (see Request).
+	evalCtx *expr.Context
 }
 
 // datasetEntry tracks one dataset: either an internal (stored) dataset or an
@@ -170,15 +170,11 @@ func open(cfg Config, v variant) (*Instance, error) {
 		dataverses:        map[string]bool{"Metadata": true, "Default": true},
 		types:             map[string]*adm.RecordType{},
 		datasets:          map[string]*datasetEntry{},
-		functions:         map[string]expr.UserFunction{},
+		functions:         map[string]*aql.CreateFunction{},
 		typeDataverse:     map[string]string{},
 		functionDataverse: map[string]string{},
+		evalCtx:           expr.NewContext(),
 	}
-	inst.currentDataverse = "Default"
-	ctx := expr.NewContext()
-	ctx.Datasets = inst.readDataset
-	ctx.Functions = inst.functions
-	inst.evalCtx = ctx
 	return inst, nil
 }
 
@@ -215,11 +211,11 @@ func (in *Instance) ExecuteContext(ctx context.Context, src string) (*Result, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q, res, err := in.ExecuteForQuery(ctx, src)
+	r, q, res, err := in.ExecuteForQuery(ctx, src)
 	if err != nil || q == nil {
 		return res, err
 	}
-	return in.evaluateQuery(ctx, q, algebra.Options{})
+	return r.evaluateQuery(ctx, q, algebra.Options{})
 }
 
 // Execute is ExecuteContext without cancellation.
@@ -238,9 +234,9 @@ func (in *Instance) Query(src string) ([]adm.Value, error) {
 // trailing query only, so it is safe to call concurrently with Query.
 func (in *Instance) QueryWithOptions(src string, opts algebra.Options) ([]adm.Value, error) {
 	ctx := context.Background()
-	q, res, err := in.ExecuteForQuery(ctx, src)
+	r, q, res, err := in.ExecuteForQuery(ctx, src)
 	if err == nil && q != nil {
-		res, err = in.evaluateQuery(ctx, q, opts)
+		res, err = r.evaluateQuery(ctx, q, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -278,20 +274,19 @@ func (in *Instance) MemoryBudget() int64 {
 }
 
 // Explain compiles a query and returns the optimized algebra plan and the
-// Hyracks job description (Figure 6's shape for Query 10). It executes
-// nothing: session statements ahead of the query (use dataverse, set) are
-// accepted and skipped — neither changes a plan — and any other leading
-// statement is a CodeInvalid error, so explaining never touches data, the
-// catalog or the session.
+// Hyracks job description (Figure 6's shape for Query 10). Session statements
+// ahead of the query (use dataverse, set) apply to the explain's own request,
+// as to any request's; any other leading statement is a CodeInvalid error,
+// so explaining never touches data or the catalog.
 func (in *Instance) Explain(src string) (string, error) {
-	q, _, err := in.prelude(context.Background(), src, true, nil)
+	r, q, _, err := in.prelude(context.Background(), src, true, nil)
 	if err != nil {
 		return "", err
 	}
 	if q == nil {
 		return "", errf(CodeInvalid, "asterixdb: explain needs a statement ending in a query")
 	}
-	plan, job, err := in.CompileQuery(q, algebra.Options{})
+	plan, job, err := r.CompileQuery(q, algebra.Options{})
 	if err != nil {
 		return "", err
 	}
@@ -299,21 +294,22 @@ func (in *Instance) Explain(src string) (string, error) {
 }
 
 // ExecuteForQuery parses src and executes every statement ahead of a trailing
-// query, returning that query's expression for CompileQuery. When src does
-// not end in a query everything was executed: the expression is nil and the
-// Result is the last statement's. The cluster runtime calls it on the
-// coordinator and on every node controller, so a multi-statement request
-// applies its leading DDL/DML identically everywhere before the final query
-// compiles against the updated catalog.
-func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (aql.Expr, *Result, error) {
+// query under a new Request, returning the request and that query's
+// expression for the request's CompileQuery. When src does not end in a
+// query everything was executed: the expression is nil and the Result is the
+// last statement's. The cluster runtime calls it on the coordinator and on
+// every node controller, so a multi-statement request applies its leading
+// DDL/DML identically everywhere before the final query compiles against the
+// updated catalog under the request's own use dataverse and set.
+func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (*Request, aql.Expr, *Result, error) {
 	return in.prelude(ctx, src, false, nil)
 }
 
-// prelude is the one statement prelude behind ExecuteForQuery and Explain.
-// With explainOnly set it executes nothing: leading session statements are
-// skipped and anything else is rejected. A non-nil ph receives the parse
-// time.
-func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, ph *Phases) (aql.Expr, *Result, error) {
+// prelude is the one statement prelude behind ExecuteForQuery and Explain:
+// it starts the request its statements run under. With explainOnly set it
+// runs only session statements, which write nothing but the request, and
+// rejects anything else. A non-nil ph receives the parse time.
+func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, ph *Phases) (*Request, aql.Expr, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -323,7 +319,7 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, p
 		ph.ParseNanos = int64(time.Since(start))
 	}
 	if err != nil {
-		return nil, nil, syntaxError(err)
+		return nil, nil, nil, syntaxError(err)
 	}
 	var q aql.Expr
 	if n := len(stmts); n > 0 {
@@ -331,41 +327,43 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, p
 			q, stmts = last.Body, stmts[:n-1]
 		}
 	}
-	res := &Result{Kind: "ddl"}
+	r, res := in.newRequest(), &Result{Kind: "ddl"}
 	for _, stmt := range stmts {
-		if explainOnly {
-			switch stmt.(type) {
-			case *aql.DataverseDecl, *aql.SetStatement:
-				continue
+		switch stmt.(type) {
+		case *aql.DataverseDecl, *aql.SetStatement:
+			// They write only the request.
+		default:
+			if explainOnly {
+				return nil, nil, nil, errf(CodeInvalid, "asterixdb: explain does not execute statements; only use dataverse / set may precede the query")
 			}
-			return nil, nil, errf(CodeInvalid, "asterixdb: explain does not execute statements; only use dataverse / set may precede the query")
 		}
-		if res, err = in.executeStatement(ctx, stmt); err != nil {
-			return nil, nil, err
+		if res, err = r.executeStatement(ctx, stmt); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	return q, res, nil
+	return r, q, res, nil
 }
 
 // CompileQuery is the one compile entry point: it turns a query expression
 // into its optimized plan and the executable Hyracks job under the given
-// optimizer options. Every node of a distributed run compiles the same
-// expression under the same options against its replicated catalog, which
-// yields an identical job — the property the frame wire protocol's edge
-// indexes rely on. A query the compiler cannot plan is a typed CodeInvalid
-// error; there is no other way to evaluate it.
-func (in *Instance) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
-	return in.compile(e, opts, nil)
+// optimizer options and the request's session. Every node of a distributed
+// run compiles the same expression under the same options and the same
+// request prologue against its replicated catalog, which yields an identical
+// job — the property the frame wire protocol's edge indexes rely on. A query
+// the compiler cannot plan is a typed CodeInvalid error; there is no other
+// way to evaluate it.
+func (r *Request) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
+	return r.compile(e, opts, nil)
 }
 
 // compile is CompileQuery timing its two steps into a non-nil ph.
-func (in *Instance) compile(e aql.Expr, opts algebra.Options, ph *Phases) (*algebra.Plan, *hyracks.Job, error) {
+func (r *Request) compile(e aql.Expr, opts algebra.Options, ph *Phases) (*algebra.Plan, *hyracks.Job, error) {
 	var job *hyracks.Job
 	start := time.Now()
-	plan, err := translator.Compile(e, in, opts)
+	plan, err := translator.Compile(e, r, opts)
 	built := time.Now()
 	if err == nil {
-		job, err = translator.BuildJob(plan, in, in.jobOptions())
+		job, err = translator.BuildJob(plan, r, r.jobOptions())
 	}
 	if ph != nil {
 		ph.CompileNanos = int64(built.Sub(start))
@@ -398,18 +396,19 @@ func (in *Instance) DatasetInfo(dataverse, name string) algebra.DatasetInfo {
 // Statement execution
 // ----------------------------------------------------------------------------
 
-func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*Result, error) {
+func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Result, error) {
+	in := r.Instance
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch s := stmt.(type) {
 	case *aql.DataverseDecl:
-		in.mu.Lock()
-		defer in.mu.Unlock()
+		in.mu.RLock()
+		defer in.mu.RUnlock()
 		if !in.dataverses[s.Name] {
 			return nil, errf(CodeNotFound, "asterixdb: dataverse %q does not exist", s.Name)
 		}
-		in.currentDataverse = s.Name
+		r.dataverse = s.Name
 		return &Result{Kind: "ddl"}, nil
 	case *aql.CreateDataverse:
 		in.mu.Lock()
@@ -420,9 +419,9 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		in.dataverses[s.Name] = true
 		return &Result{Kind: "ddl"}, nil
 	case *aql.DropDataverse:
-		return in.dropDataverse(s)
+		return r.dropDataverse(s)
 	case *aql.CreateType:
-		return in.createType(s)
+		return r.createType(s)
 	case *aql.DropType:
 		in.mu.Lock()
 		defer in.mu.Unlock()
@@ -436,7 +435,7 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		delete(in.typeDataverse, s.Name)
 		return &Result{Kind: "ddl"}, nil
 	case *aql.CreateDataset:
-		return in.createDataset(s)
+		return r.createDataset(s)
 	case *aql.DropDataset:
 		return in.dropDataset(s)
 	case *aql.CreateIndex:
@@ -465,8 +464,8 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		}
 		in.mu.Lock()
 		defer in.mu.Unlock()
-		in.functions[s.Name] = expr.UserFunction{Params: s.Params, Body: s.Body}
-		in.functionDataverse[s.Name] = in.currentDataverse
+		in.functions[s.Name] = s
+		in.functionDataverse[s.Name] = r.dataverse
 		return &Result{Kind: "ddl"}, nil
 	case *aql.DropFunction:
 		in.mu.Lock()
@@ -485,15 +484,15 @@ func (in *Instance) executeStatement(ctx context.Context, stmt aql.Statement) (*
 		// would ever ingest: say so instead of reporting a connected feed.
 		return nil, errf(CodeInvalid, "asterixdb: feeds are not supported by this build")
 	case *aql.SetStatement:
-		return in.setParameter(s)
+		return r.setParameter(s)
 	case *aql.InsertStatement:
-		return in.executeInsert(ctx, s)
+		return r.executeInsert(ctx, s)
 	case *aql.DeleteStatement:
-		return in.executeDelete(ctx, s)
+		return r.executeDelete(ctx, s)
 	case *aql.LoadStatement:
 		return in.executeLoad(s)
 	case *aql.QueryStatement:
-		return in.evaluateQuery(ctx, s.Body, algebra.Options{})
+		return r.evaluateQuery(ctx, s.Body, algebra.Options{})
 	}
 	return nil, errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
 }
@@ -521,8 +520,10 @@ func limitVar(e aql.Expr) string {
 // dropDataverse removes a dataverse and everything scoped to it: its
 // datasets (and their storage), its types and its functions. Dropping a
 // dataverse another object's dataverse merely referenced does not touch
-// objects created elsewhere.
-func (in *Instance) dropDataverse(s *aql.DropDataverse) (*Result, error) {
+// objects created elsewhere. A request that was using it goes back to
+// Default.
+func (r *Request) dropDataverse(s *aql.DropDataverse) (*Result, error) {
+	in := r.Instance
 	in.mu.Lock()
 	exists := in.dataverses[s.Name]
 	if !exists && !s.IfExists {
@@ -553,8 +554,8 @@ func (in *Instance) dropDataverse(s *aql.DropDataverse) (*Result, error) {
 	if s.Name != "Default" && s.Name != "Metadata" {
 		delete(in.dataverses, s.Name)
 	}
-	if in.currentDataverse == s.Name {
-		in.currentDataverse = "Default"
+	if r.dataverse == s.Name {
+		r.dataverse = "Default"
 	}
 	in.mu.Unlock()
 	for _, name := range toDrop {
@@ -567,7 +568,8 @@ func (in *Instance) dropDataverse(s *aql.DropDataverse) (*Result, error) {
 	return &Result{Kind: "ddl"}, nil
 }
 
-func (in *Instance) createType(s *aql.CreateType) (*Result, error) {
+func (r *Request) createType(s *aql.CreateType) (*Result, error) {
+	in := r.Instance
 	rt, err := in.resolveRecordType(s.Name, &s.Definition)
 	if err != nil {
 		return nil, err
@@ -583,7 +585,7 @@ func (in *Instance) createType(s *aql.CreateType) (*Result, error) {
 		return nil, errf(CodeExists, "asterixdb: type %q already exists", s.Name)
 	}
 	in.types[s.Name] = rt
-	in.typeDataverse[s.Name] = in.currentDataverse
+	in.typeDataverse[s.Name] = r.dataverse
 	return &Result{Kind: "ddl"}, nil
 }
 
@@ -634,11 +636,11 @@ func (in *Instance) resolveTypeExpr(te *aql.TypeExpr) (adm.Type, error) {
 	}
 }
 
-func (in *Instance) createDataset(s *aql.CreateDataset) (*Result, error) {
+func (r *Request) createDataset(s *aql.CreateDataset) (*Result, error) {
+	in := r.Instance
 	in.mu.RLock()
 	rt, typeOK := in.types[s.TypeName]
 	_, exists := in.datasets[s.Name]
-	dataverse := in.currentDataverse
 	in.mu.RUnlock()
 	if exists {
 		if s.IfNotExists {
@@ -649,7 +651,7 @@ func (in *Instance) createDataset(s *aql.CreateDataset) (*Result, error) {
 	if !typeOK {
 		return nil, errf(CodeNotFound, "asterixdb: unknown type %q", s.TypeName)
 	}
-	entry := &datasetEntry{name: s.Name, typeName: s.TypeName, dataverse: dataverse}
+	entry := &datasetEntry{name: s.Name, typeName: s.TypeName, dataverse: r.dataverse}
 	if s.External {
 		ext, err := external.NewDataset(rt, s.Adaptor, s.Properties)
 		if err != nil {
@@ -717,16 +719,21 @@ func (in *Instance) createIndex(s *aql.CreateIndex) (*Result, error) {
 	return &Result{Kind: "ddl"}, nil
 }
 
-func (in *Instance) setParameter(s *aql.SetStatement) (*Result, error) {
+// setParameter writes the request's own context: a set lasts for its
+// request.
+func (r *Request) setParameter(s *aql.SetStatement) (*Result, error) {
 	switch s.Name {
 	case "simfunction":
-		in.evalCtx.SimFunction = s.Value
+		if !slices.Contains(expr.SimFunctions, s.Value) {
+			return nil, errf(CodeInvalid, "asterixdb: unknown simfunction %q; use one of %q", s.Value, expr.SimFunctions)
+		}
+		r.eval.SimFunction = s.Value
 	case "simthreshold":
 		f, err := strconv.ParseFloat(s.Value, 64)
 		if err != nil {
 			return nil, errf(CodeInvalid, "asterixdb: bad simthreshold %q", s.Value)
 		}
-		in.evalCtx.SimThreshold = f
+		r.eval.SimThreshold = f
 	default:
 		// Unknown parameters are accepted and ignored, as in the real system.
 	}
@@ -738,19 +745,19 @@ func (in *Instance) setParameter(s *aql.SetStatement) (*Result, error) {
 // records of each value that is a list. An instance that owns a subset of
 // the partitions refuses a body that reads a stored dataset: it would see
 // only its own slice, and every node would insert what its slice produced.
-func (in *Instance) executeInsert(ctx context.Context, s *aql.InsertStatement) (*Result, error) {
-	ds, ok := in.Dataset(s.Dataset)
+func (r *Request) executeInsert(ctx context.Context, s *aql.InsertStatement) (*Result, error) {
+	ds, ok := r.Dataset(s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
-	plan, job, err := in.CompileQuery(s.Body, algebra.Options{})
+	plan, job, err := r.CompileQuery(s.Body, algebra.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := in.refusePartialRead(s, plan, ""); err != nil {
+	if err := r.refusePartialRead(s, plan, ""); err != nil {
 		return nil, err
 	}
-	res, err := in.materialize(ctx, job)
+	res, err := r.materialize(ctx, job)
 	if err != nil {
 		return nil, err
 	}
@@ -821,8 +828,8 @@ func (in *Instance) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, ow
 // dataset D where <cond> return [$v.<pk>, ...]` — so the predicate fails, and
 // uses secondary-index access paths, exactly as it would in a query. Only
 // the primary keys are held while the victims are deleted.
-func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (*Result, error) {
-	ds, ok := in.Dataset(s.Dataset)
+func (r *Request) executeDelete(ctx context.Context, s *aql.DeleteStatement) (*Result, error) {
+	ds, ok := r.Dataset(s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
@@ -837,14 +844,14 @@ func (in *Instance) executeDelete(ctx context.Context, s *aql.DeleteStatement) (
 	if s.Where != nil {
 		victims.Clauses = append(victims.Clauses, &aql.WhereClause{Cond: s.Where})
 	}
-	plan, job, err := in.CompileQuery(victims, algebra.Options{})
+	plan, job, err := r.CompileQuery(victims, algebra.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := in.refusePartialRead(s, plan, s.Var); err != nil {
+	if err := r.refusePartialRead(s, plan, s.Var); err != nil {
 		return nil, err
 	}
-	res, err := in.materialize(ctx, job)
+	res, err := r.materialize(ctx, job)
 	if err != nil {
 		return nil, err
 	}
@@ -883,27 +890,6 @@ func (in *Instance) executeLoad(s *aql.LoadStatement) (*Result, error) {
 // Query evaluation
 // ----------------------------------------------------------------------------
 
-// readDataset is the expr.DatasetReader: it reads the datasets with no
-// stored partitions, the Metadata dataverse and external datasets, which a
-// job reads as subplan sources. A stored dataset is read only by its job's
-// scans — a reference inside an expression is a nest join's list — so one
-// reaching here is an internal error.
-func (in *Instance) readDataset(dataverse, name string) ([]*adm.Record, error) {
-	if dataverse == "Metadata" {
-		return in.metadataRecords(name)
-	}
-	in.mu.RLock()
-	e, ok := in.datasets[name]
-	in.mu.RUnlock()
-	if !ok {
-		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", name)
-	}
-	if e.external == nil {
-		return nil, errf(CodeInternal, "asterixdb: dataset %q read outside its job", name)
-	}
-	return e.external.ReadAll()
-}
-
 // metadataRecords implements the "AsterixDB metadata is AsterixDB data"
 // property (Query 1): Metadata.Dataset, Metadata.Index, Metadata.Datatype,
 // Metadata.Dataverse and Metadata.Function are queryable datasets.
@@ -913,21 +899,11 @@ func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
 	var out []*adm.Record
 	switch name {
 	case "Dataverse":
-		var names []string
-		for dv := range in.dataverses {
-			names = append(names, dv)
-		}
-		sort.Strings(names)
-		for _, dv := range names {
+		for _, dv := range slices.Sorted(maps.Keys(in.dataverses)) {
 			out = append(out, adm.NewRecord(adm.Field{Name: "DataverseName", Value: adm.String(dv)}))
 		}
 	case "Dataset":
-		var names []string
-		for n := range in.datasets {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(in.datasets)) {
 			e := in.datasets[n]
 			kind := "INTERNAL"
 			if e.external != nil {
@@ -941,12 +917,7 @@ func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
 			))
 		}
 	case "Index":
-		var names []string
-		for n := range in.datasets {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(in.datasets)) {
 			e := in.datasets[n]
 			if e.internal == nil {
 				continue
@@ -976,12 +947,7 @@ func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
 			}
 		}
 	case "Datatype":
-		var names []string
-		for n := range in.types {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(in.types)) {
 			out = append(out, adm.NewRecord(
 				adm.Field{Name: "DataverseName", Value: adm.String(in.typeDataverse[n])},
 				adm.Field{Name: "DatatypeName", Value: adm.String(n)},
@@ -989,12 +955,7 @@ func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
 			))
 		}
 	case "Function":
-		var names []string
-		for n := range in.functions {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(in.functions)) {
 			fn := in.functions[n]
 			out = append(out, adm.NewRecord(
 				adm.Field{Name: "DataverseName", Value: adm.String(in.functionDataverse[n])},
@@ -1018,12 +979,12 @@ func stringList(ss []string) *adm.OrderedList {
 
 // evaluateQuery materializes a query expression's result by opening its
 // cursor and draining it. Streaming consumers use Instance.QueryStream.
-func (in *Instance) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.Options) (*Result, error) {
-	_, job, err := in.CompileQuery(e, opts)
+func (r *Request) evaluateQuery(ctx context.Context, e aql.Expr, opts algebra.Options) (*Result, error) {
+	_, job, err := r.CompileQuery(e, opts)
 	if err != nil {
 		return nil, err
 	}
-	return in.materialize(ctx, job)
+	return r.materialize(ctx, job)
 }
 
 // materialize runs a compiled job to completion and collects its result.

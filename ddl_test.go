@@ -331,9 +331,10 @@ func TestUnplannableQueryIsTypedError(t *testing.T) {
 	}
 }
 
-// TestExplainExecutesNothing: Explain skips session statements ahead of the
-// query and rejects every other leading statement before running any of it,
-// so explaining changes neither data, catalog nor session.
+// TestExplainExecutesNothing: Explain applies session statements ahead of
+// the query to its own request and rejects every other leading statement
+// before running any of it, so explaining changes neither data, catalog nor
+// the next request's session.
 func TestExplainExecutesNothing(t *testing.T) {
 	inst := newTinySocial(t)
 	const q = `for $u in dataset MugshotUsers return $u.id;`
@@ -354,12 +355,16 @@ func TestExplainExecutesNothing(t *testing.T) {
 		t.Errorf("after the rejected explains: %d users, err %v; want all 4", len(res), err)
 	}
 
-	out, err := inst.Explain(`use dataverse Metadata; set simfunction "edit-distance";` + q)
+	out, err := inst.Explain(`use dataverse Metadata; set simfunction "edit-distance"; set simthreshold "9";` + q)
 	if err != nil || !strings.Contains(out, "datasource-scan MugshotUsers") {
 		t.Errorf("Explain with a session prologue = %q, %v", out, err)
 	}
-	if inst.currentDataverse != "TinySocial" || inst.evalCtx.SimFunction != "jaccard" {
-		t.Errorf("Explain changed the session: dataverse %q, simfunction %q", inst.currentDataverse, inst.evalCtx.SimFunction)
+	if _, err := inst.Execute(`create type Explained as open { id: int32 };`); err != nil {
+		t.Fatal(err)
+	}
+	got, err := inst.Query(`[("hello world" ~= "hello there"), (for $t in dataset Metadata.Datatype where $t.DatatypeName = "Explained" return $t.DataverseName)]`)
+	if err != nil || len(got) != 1 || got[0].String() != `[ false, [ "Default" ] ]` {
+		t.Errorf("the request after Explain: %v, %v; want jaccard 0.5 and dataverse Default", got, err)
 	}
 }
 
@@ -367,7 +372,7 @@ func TestExplainExecutesNothing(t *testing.T) {
 // nil context as context.Background().
 func TestNilContextDefaults(t *testing.T) {
 	inst := newTinySocial(t)
-	q, _, err := inst.ExecuteForQuery(nil, `use dataverse TinySocial; 1 + 1`)
+	_, q, _, err := inst.ExecuteForQuery(nil, `use dataverse TinySocial; 1 + 1`)
 	if err != nil || q == nil {
 		t.Fatalf("ExecuteForQuery(nil, ...) = %v, %v", q, err)
 	}

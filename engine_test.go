@@ -3,6 +3,7 @@ package asterixdb
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -34,7 +35,7 @@ import (
 // of index.
 func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, error) {
 	ctx := context.Background()
-	q, _, err := in.ExecuteForQuery(ctx, strings.ReplaceAll(src, "/*+ indexnl */", ""))
+	r, q, _, err := in.ExecuteForQuery(ctx, strings.ReplaceAll(src, "/*+ indexnl */", ""))
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +43,7 @@ func (in *Instance) interpret(src string, opts algebra.Options) ([]adm.Value, er
 	if err != nil {
 		return nil, err
 	}
-	return in.executePlanContext(ctx, plan)
+	return r.interpreter().executePlanContext(ctx, plan)
 }
 
 // oraclePlan compiles as translator.Compile does, without inlining user
@@ -69,33 +70,48 @@ func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan,
 	return plan, nil
 }
 
-// oracleContext is the instance's evaluation context with a dataset reader
-// that also reads stored datasets, whole, in partition-concatenation order.
-func (in *Instance) oracleContext() *expr.Context {
-	c := *in.evalCtx
-	c.Datasets = func(dataverse, name string) ([]*adm.Record, error) {
-		ds, ok := in.LookupDataset(dataverse, name)
-		if !ok {
-			return in.readDataset(dataverse, name)
-		}
+// interpreter runs plans with the oracle's context of one request.
+type interpreter struct {
+	*Instance
+	octx *oracle.Context
+}
+
+func (r *Request) interpreter() *interpreter {
+	return &interpreter{Instance: r.Instance, octx: r.oracleContext()}
+}
+
+// oracleContext is the request's evaluation context with the catalog's user
+// functions, as they stand now, and a dataset reader that reads any dataset
+// whole, a stored one in partition-concatenation order.
+func (r *Request) oracleContext() *oracle.Context {
+	r.mu.RLock()
+	fns := maps.Clone(r.functions)
+	r.mu.RUnlock()
+	read := func(dataverse, name string) ([]*adm.Record, error) {
 		var out []*adm.Record
-		err := ds.Scan(func(r *adm.Record) bool {
-			out = append(out, r)
+		visit := func(rec *adm.Record) bool {
+			out = append(out, rec)
 			return true
-		})
+		}
+		var err error
+		if ds, ok := r.LookupDataset(dataverse, name); ok {
+			err = ds.Scan(visit)
+		} else {
+			err = r.ScanDataset(dataverse, name, visit)
+		}
 		return out, err
 	}
-	return &c
+	return &oracle.Context{Context: r.EvalContext(), Datasets: read, Functions: fns}
 }
 
 // compileJob compiles src's trailing query (after running its leading
 // statements) into the job QueryStream would execute.
 func (in *Instance) compileJob(src string) (*hyracks.Job, *algebra.Plan, error) {
-	q, _, err := in.ExecuteForQuery(context.Background(), src)
+	r, q, _, err := in.ExecuteForQuery(context.Background(), src)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, job, err := in.CompileQuery(q, algebra.Options{})
+	plan, job, err := r.CompileQuery(q, algebra.Options{})
 	return job, plan, err
 }
 
@@ -113,13 +129,13 @@ func (in *Instance) runJob(job *hyracks.Job) ([]adm.Value, error) {
 // query's return expression is applied at the distribute-result operator;
 // aggregate-wrapped plans return the single aggregate value.
 func (in *Instance) executePlan(plan *algebra.Plan) ([]adm.Value, error) {
-	return in.executePlanContext(context.Background(), plan)
+	return in.newRequest().interpreter().executePlanContext(context.Background(), plan)
 }
 
 // executePlanContext is executePlan with cancellation checked at operator
 // boundaries: because every interpreter operator materializes its whole
 // output, that is the natural granularity.
-func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) ([]adm.Value, error) {
+func (in *interpreter) executePlanContext(ctx context.Context, plan *algebra.Plan) ([]adm.Value, error) {
 	root := plan.Root
 	if root.Kind != algebra.OpDistribute {
 		return nil, fmt.Errorf("asterixdb: plan has no distribute-result root")
@@ -161,7 +177,7 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 	}
 	out := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := oracle.Eval(in.oracleContext(), env, plan.Query.Return)
+		v, err := oracle.Eval(in.octx, env, plan.Query.Return)
 		if err != nil {
 			return nil, err
 		}
@@ -174,22 +190,22 @@ func (in *Instance) executePlanContext(ctx context.Context, plan *algebra.Plan) 
 // binding and folds the values with the aggregate function (the local
 // aggregation happens per partition inside executeNode's parallel scan; this
 // is the global combine).
-func (in *Instance) applyAggregate(fn string, envs []oracle.Env, query *aql.FLWORExpr) (adm.Value, error) {
+func (in *interpreter) applyAggregate(fn string, envs []oracle.Env, query *aql.FLWORExpr) (adm.Value, error) {
 	items := make([]adm.Value, 0, len(envs))
 	for _, env := range envs {
-		v, err := oracle.Eval(in.oracleContext(), env, query.Return)
+		v, err := oracle.Eval(in.octx, env, query.Return)
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, v)
 	}
 	call := &aql.CallExpr{Func: fn, Args: []aql.Expr{&aql.Literal{Value: &adm.OrderedList{Items: items}}}}
-	return oracle.Eval(in.oracleContext(), oracle.Env{}, call)
+	return oracle.Eval(in.octx, oracle.Env{}, call)
 }
 
 // executeNode evaluates one plan operator and returns the variable bindings
 // it produces.
-func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
+func (in *interpreter) executeNode(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -221,7 +237,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		}
 		var out []oracle.Env
 		for _, env := range envs {
-			keep, err := oracle.EvalBool(in.oracleContext(), env, n.Condition)
+			keep, err := oracle.EvalBool(in.octx, env, n.Condition)
 			if err != nil {
 				return nil, err
 			}
@@ -239,7 +255,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 		for _, env := range envs {
 			e := env
 			for i, v := range n.Vars {
-				val, err := oracle.Eval(in.oracleContext(), e, n.Exprs[i])
+				val, err := oracle.Eval(in.octx, e, n.Exprs[i])
 				if err != nil {
 					return nil, err
 				}
@@ -277,7 +293,7 @@ func (in *Instance) executeNode(ctx context.Context, n *algebra.Node, query *aql
 // childEnvs evaluates the node's input, or starts from a single empty binding
 // when the node has no input (a query that begins with let clauses, or a
 // constant query).
-func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
+func (in *interpreter) childEnvs(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if len(n.Inputs) == 0 {
 		return []oracle.Env{{}}, nil
 	}
@@ -286,14 +302,14 @@ func (in *Instance) childEnvs(ctx context.Context, n *algebra.Node, query *aql.F
 
 // execClause reuses the interpreter's clause semantics for group-by, order-by
 // and limit over already-materialized bindings.
-func (in *Instance) execClause(envs []oracle.Env, clause aql.FLWORClause) ([]oracle.Env, error) {
-	return oracle.ApplyClause(in.oracleContext(), envs, clause)
+func (in *interpreter) execClause(envs []oracle.Env, clause aql.FLWORClause) ([]oracle.Env, error) {
+	return oracle.ApplyClause(in.octx, envs, clause)
 }
 
 // execScan scans every partition of a dataset in parallel (one goroutine per
 // partition — the per-partition operator instances of the runtime) and binds
 // each record to the scan variable.
-func (in *Instance) execScan(n *algebra.Node) ([]oracle.Env, error) {
+func (in *interpreter) execScan(n *algebra.Node) ([]oracle.Env, error) {
 	if n.Dataverse == "Metadata" {
 		recs, err := in.metadataRecords(n.Dataset)
 		if err != nil {
@@ -364,8 +380,8 @@ func withPositions(posVar string, envs []oracle.Env) []oracle.Env {
 
 // execSubplan evaluates a non-dataset for-clause source with the interpreter
 // and binds each resulting item.
-func (in *Instance) execSubplan(n *algebra.Node) ([]oracle.Env, error) {
-	v, err := oracle.Eval(in.oracleContext(), oracle.Env{}, n.Exprs[0])
+func (in *interpreter) execSubplan(n *algebra.Node) ([]oracle.Env, error) {
+	v, err := oracle.Eval(in.octx, oracle.Env{}, n.Exprs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +400,7 @@ func (in *Instance) execSubplan(n *algebra.Node) ([]oracle.Env, error) {
 // (the probe's tokens or grams give a conservative candidate set) the select
 // above re-applies the exact predicate. An unknown or wrongly typed probe
 // matches nothing.
-func (in *Instance) execIndexSearch(n *algebra.Node) ([]oracle.Env, error) {
+func (in *interpreter) execIndexSearch(n *algebra.Node) ([]oracle.Env, error) {
 	ds, ok := in.Dataset(n.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
@@ -397,7 +413,7 @@ func (in *Instance) execIndexSearch(n *algebra.Node) ([]oracle.Env, error) {
 		if e == nil {
 			continue
 		}
-		v, err := oracle.Eval(in.oracleContext(), oracle.Env{}, e)
+		v, err := oracle.Eval(in.octx, oracle.Env{}, e)
 		if err != nil {
 			return nil, err
 		}
@@ -426,14 +442,14 @@ func (in *Instance) execIndexSearch(n *algebra.Node) ([]oracle.Env, error) {
 // execUnnest evaluates a correlated subplan source (for $y in $x.list) under
 // each input binding, mirroring the interpreter's for-clause semantics: an
 // unknown source contributes nothing, a non-list source contributes itself.
-func (in *Instance) execUnnest(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
+func (in *interpreter) execUnnest(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	envs, err := in.childEnvs(ctx, n, query)
 	if err != nil {
 		return nil, err
 	}
 	var out []oracle.Env
 	for _, env := range envs {
-		v, err := oracle.Eval(in.oracleContext(), env, n.Exprs[0])
+		v, err := oracle.Eval(in.octx, env, n.Exprs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -463,7 +479,7 @@ func bindRecords(variable string, recs []*adm.Record) []oracle.Env {
 // fall back to a nested loop with the residual predicate applied by the select
 // above them. (The oracle sees no index nested-loop join: interpret drops the
 // hint, so a hinted equijoin is this join.)
-func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
+func (in *interpreter) execJoin(ctx context.Context, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	if n.Nest != "" {
 		return nil, fmt.Errorf("asterixdb: the oracle runs no nest join (oraclePlan leaves datasets in expressions)")
 	}
@@ -480,13 +496,13 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 	}
 	rightKeys := make([]adm.Value, len(right))
 	for i, env := range right {
-		if rightKeys[i], err = oracle.Eval(in.oracleContext(), env, n.RightKey); err != nil {
+		if rightKeys[i], err = oracle.Eval(in.octx, env, n.RightKey); err != nil {
 			return nil, err
 		}
 	}
 	var out []oracle.Env
 	for _, env := range left {
-		v, err := oracle.Eval(in.oracleContext(), env, n.LeftKey)
+		v, err := oracle.Eval(in.octx, env, n.LeftKey)
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +519,7 @@ func (in *Instance) execJoin(ctx context.Context, n *algebra.Node, query *aql.FL
 }
 
 // nestedLoopJoin is the cross product; the residual predicate above filters.
-func (in *Instance) nestedLoopJoin(ctx context.Context, left []oracle.Env, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
+func (in *interpreter) nestedLoopJoin(ctx context.Context, left []oracle.Env, n *algebra.Node, query *aql.FLWORExpr) ([]oracle.Env, error) {
 	right, err := in.executeNode(ctx, n.Inputs[1], query)
 	if err != nil {
 		return nil, err

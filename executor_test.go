@@ -401,7 +401,7 @@ func TestPositionalVariableGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Eval(inst.oracleContext(), oracle.Env{}, e)
+		want, err := oracle.Eval(inst.newRequest().oracleContext(), oracle.Env{}, e)
 		if err != nil {
 			t.Fatalf("interpreter(%s): %v", q, err)
 		}

@@ -101,7 +101,7 @@ func FuzzAggKernel(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	ctx := expr.NewContext()
+	ctx := &oracle.Context{Context: expr.NewContext()}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, partials := fuzzItems(data)
 		list := &adm.OrderedList{Items: items}

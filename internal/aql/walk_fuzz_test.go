@@ -46,7 +46,7 @@ func FuzzRewriteScope(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	ctx := expr.NewContext()
+	ctx := &oracle.Context{Context: expr.NewContext()}
 	ctx.Clock = temporal.FixedClock{T: time.Unix(1400000000, 0).UTC()}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 256 {

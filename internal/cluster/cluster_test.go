@@ -804,11 +804,11 @@ func TestClusterConstantQueries(t *testing.T) {
 func TestClusterNodeWithoutInstanceCompletes(t *testing.T) {
 	tc := startCluster(t, 2, 4)
 	const src = `count(for $x in [1, 2, 3] return $x)`
-	q, _, err := tc.inst.ExecuteForQuery(context.Background(), src)
+	req, q, _, err := tc.inst.ExecuteForQuery(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, job, err := tc.inst.CompileQuery(q, algebra.Options{})
+	_, job, err := req.CompileQuery(q, algebra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -568,7 +568,7 @@ func (c *Controller) QueryStream(ctx context.Context, src string) (*asterixdb.Cu
 	if err != nil {
 		return nil, err
 	}
-	q, res, err := c.inst.ExecuteForQuery(ctx, src)
+	req, q, res, err := c.inst.ExecuteForQuery(ctx, src)
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +578,7 @@ func (c *Controller) QueryStream(ctx context.Context, src string) (*asterixdb.Cu
 		}
 		return asterixdb.NewJobCursor(ctx, nil), nil
 	}
-	if _, _, err := c.inst.CompileQuery(q, algebra.Options{}); err != nil {
+	if _, _, err := req.CompileQuery(q, algebra.Options{}); err != nil {
 		return nil, err
 	}
 	// The nodes replay the full source — leading statements included — inside

@@ -242,7 +242,7 @@ func (n *Node) controlLoop() error {
 // final query, and registers the run so peer data connections can attach.
 // profile turns on per-operator instrumentation for this slice.
 func (n *Node) prepareJob(id, src string, profile bool) error {
-	q, _, err := n.inst.ExecuteForQuery(n.ctx, src)
+	req, q, _, err := n.inst.ExecuteForQuery(n.ctx, src)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func (n *Node) prepareJob(id, src string, profile bool) error {
 	}
 	// Default optimizer options on every node: identical options are part of
 	// what makes the nodes' jobs identical.
-	_, job, err := n.inst.CompileQuery(q, algebra.Options{})
+	_, job, err := req.CompileQuery(q, algebra.Options{})
 	if err != nil {
 		return err
 	}

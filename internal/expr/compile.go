@@ -23,9 +23,10 @@ type Compiled func(row []adm.Value) (adm.Value, error)
 // column, or a name slots lacks, is an unbound variable when evaluated) and
 // each builtin is looked up once. A quantified variable is one more slot past
 // the row, and a nested FLWOR runs over frames that extend the row (flwor).
-// Every node compiles: a dataset reference reads ctx.Datasets, and a call of
-// a name that is not a builtin is an unknown function, since the translator
-// inlines every user function before compiling.
+// A call of a name that is not a builtin is an unknown function, since the
+// translator inlines every user function before compiling, and a dataset
+// reference is an error when evaluated: the job reads every dataset with an
+// operator.
 func Compile(ctx *Context, e aql.Expr, slots []string) Compiled {
 	c := &compiler{ctx: ctx}
 	return c.compile(e, slots)
@@ -144,9 +145,6 @@ func (c *compiler) compile(e aql.Expr, slots []string) Compiled {
 			return storedLength(x.Args[0], slots, call)
 		}
 		return call
-	case *aql.DatasetRef:
-		ctx := c.ctx
-		return func([]adm.Value) (adm.Value, error) { return evalDatasetRef(ctx, x) }
 	case *aql.FLWORExpr:
 		return c.flwor(x, slots)
 	}

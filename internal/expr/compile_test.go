@@ -124,6 +124,7 @@ func FuzzCompile(f *testing.F) {
 	}
 	ctx := expr.NewContext()
 	ctx.Clock = temporal.FixedClock{T: time.Unix(1400000000, 0).UTC()}
+	octx := &oracle.Context{Context: ctx}
 	f.Fuzz(func(t *testing.T, src string, pick uint8) {
 		if len(src) > 256 {
 			t.Skip() // keeps nested iteration over list literals small
@@ -153,7 +154,7 @@ func FuzzCompile(f *testing.F) {
 				delete(env, name)
 			}
 		}
-		want, wantErr := oracle.Eval(ctx, env, e)
+		want, wantErr := oracle.Eval(octx, env, e)
 		got, gotErr := expr.Compile(ctx, e, slots)(row)
 		switch {
 		case wantErr != nil || gotErr != nil:
@@ -214,7 +215,7 @@ func TestCompileStoredFields(t *testing.T) {
 		}
 		for _, rec := range []adm.Value{lazy, storedRecord().Materialize()} {
 			slots, vals := []string{"r"}, []adm.Value{rec}
-			want, err := oracle.Eval(ctx, oracle.Env{"r": rec}, e)
+			want, err := oracle.Eval(&oracle.Context{Context: ctx}, oracle.Env{"r": rec}, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,11 +299,11 @@ func BenchmarkAnalyticsFilterTuple(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
 	}
 	b.Run("eval", func(b *testing.B) {
-		env := oracle.Env{}
+		env, octx := oracle.Env{}, &oracle.Context{Context: ctx}
 		eval := func(e aql.Expr) func(row []adm.Value) (adm.Value, error) {
 			return func(row []adm.Value) (adm.Value, error) {
 				env["m"] = row[0]
-				return oracle.Eval(ctx, env, e)
+				return oracle.Eval(octx, env, e)
 			}
 		}
 		run(b, eval(pred), eval(proj))

@@ -13,10 +13,11 @@
 // an unknown function. A job's group-bys, sorts, limits and aggregates are
 // hyracks operators; this package's FLWOR clauses serve nested subqueries,
 // and its aggregate builtins fold a list's items through the kernel those
-// operators run (package agg). A nested subquery over a stored dataset
-// iterates a list its job's nest join bound to a variable: this package reads
-// no stored data itself. Eval is Compile run once over a name-keyed Env; the
-// tree-walking reference the tests check Compile against is package oracle.
+// operators run (package agg). A nested subquery over a dataset, stored,
+// external or Metadata, iterates a list its job's nest join bound to a
+// variable: this package reads no dataset itself. Eval is Compile run once
+// over a name-keyed Env; the tree-walking reference the tests check Compile
+// against is package oracle.
 package expr
 
 import (
@@ -34,37 +35,24 @@ import (
 	"asterixdb/internal/temporal"
 )
 
-// DatasetReader resolves a dataset reference to its records. The engine
-// wires it to the datasets with no stored partitions — the Metadata
-// dataverse and external datasets — which a job reads as subplan sources;
-// a stored dataset is read only by its job's scans.
-type DatasetReader func(dataverse, name string) ([]*adm.Record, error)
-
-// UserFunction is a user-defined function (Query 8): parameter names plus a
-// body expression whose free variables are all parameters.
-type UserFunction struct {
-	Params []string
-	Body   aql.Expr
-}
-
-// Context carries everything expression evaluation needs beyond the variable
-// bindings: the dataset reader for the Metadata and external datasets,
-// registered UDFs, the clock behind current-datetime(), and the
-// fuzzy-matching prologue settings.
+// Context carries what expression evaluation needs beyond the variable
+// bindings: the clock behind current-datetime() and the fuzzy-matching
+// prologue settings. A request evaluates under its own copy, which its set
+// statements write.
 type Context struct {
-	Datasets  DatasetReader
-	Functions map[string]UserFunction
-	Clock     temporal.Clock
-	// SimFunction is "edit-distance" or "jaccard"; SimThreshold its threshold.
+	Clock temporal.Clock
+	// SimFunction is one of SimFunctions; SimThreshold its threshold.
 	SimFunction  string
 	SimThreshold float64
 }
+
+// SimFunctions are the similarity functions ~= implements.
+var SimFunctions = []string{"jaccard", "edit-distance"}
 
 // NewContext returns a context with the system clock and Jaccard 0.5 fuzzy
 // defaults (matching AsterixDB's defaults).
 func NewContext() *Context {
 	return &Context{
-		Functions:    map[string]UserFunction{},
 		Clock:        temporal.SystemClock{},
 		SimFunction:  "jaccard",
 		SimThreshold: 0.5,
@@ -94,21 +82,6 @@ func EvalBool(ctx *Context, env Env, e aql.Expr) (bool, error) {
 		return false, err
 	}
 	return adm.Truthy(v), nil
-}
-
-func evalDatasetRef(ctx *Context, ref *aql.DatasetRef) (adm.Value, error) {
-	if ctx.Datasets == nil {
-		return nil, fmt.Errorf("expr: no dataset reader configured for dataset %s", ref.Name)
-	}
-	recs, err := ctx.Datasets(ref.Dataverse, ref.Name)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]adm.Value, len(recs))
-	for i, r := range recs {
-		items[i] = r
-	}
-	return &adm.OrderedList{Items: items}, nil
 }
 
 func indexOf(base, idx adm.Value) adm.Value {
@@ -351,14 +324,11 @@ func evalFuzzyEq(ctx *Context, left, right adm.Value) (adm.Value, error) {
 // Function calls
 // ----------------------------------------------------------------------------
 
-// UserFunction returns the user-defined function a call of name invokes:
-// none when a built-in of that name shadows it.
-func (ctx *Context) UserFunction(name string) (UserFunction, bool) {
-	if _, ok := builtins[strings.ToLower(name)]; ok {
-		return UserFunction{}, false
-	}
-	fn, ok := ctx.Functions[name]
-	return fn, ok
+// IsBuiltin reports whether name calls a builtin. A builtin shadows a user
+// function of the same name.
+func IsBuiltin(name string) bool {
+	_, ok := builtins[strings.ToLower(name)]
+	return ok
 }
 
 type builtinFunc func(ctx *Context, args []adm.Value) (adm.Value, error)

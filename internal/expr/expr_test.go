@@ -116,11 +116,6 @@ func TestBuiltinsAndUDF(t *testing.T) {
 	// A user function is inlined before compiling (package translator), so
 	// the compiled evaluator resolves no call of one; the oracle's
 	// call-time binding is checked in package oracle.
-	body, err := aql.ParseQuery(`$x + 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.Functions["incr"] = UserFunction{Params: []string{"x"}, Body: body}
 	for _, call := range []*aql.CallExpr{{Func: "incr", Args: []aql.Expr{&aql.Literal{Value: adm.Int64(41)}}}, {Func: "no-such-function"}} {
 		if _, err := Eval(ctx, Env{}, call); err == nil || !strings.Contains(err.Error(), "unknown function") {
 			t.Errorf("%s: %v, want an unknown function error", call.Func, err)
@@ -153,18 +148,15 @@ func TestQuantifiersAndFuzzy(t *testing.T) {
 
 func TestFLWOREvaluation(t *testing.T) {
 	ctx := fixedCtx()
-	ctx.Datasets = func(_, name string) ([]*adm.Record, error) {
-		var out []*adm.Record
-		for i := 1; i <= 10; i++ {
-			out = append(out, adm.NewRecord(
-				adm.Field{Name: "id", Value: adm.Int32(int32(i))},
-				adm.Field{Name: "grp", Value: adm.Int32(int32(i % 2))},
-			))
-		}
-		return out, nil
+	nums := &adm.OrderedList{}
+	for i := 1; i <= 10; i++ {
+		nums.Items = append(nums.Items, adm.NewRecord(
+			adm.Field{Name: "id", Value: adm.Int32(int32(i))},
+			adm.Field{Name: "grp", Value: adm.Int32(int32(i % 2))},
+		))
 	}
 	e, err := aql.ParseQuery(`
-for $x in dataset Nums
+for $x in $nums
 where $x.id > 4
 group by $g := $x.grp with $x
 let $cnt := count($x)
@@ -173,7 +165,7 @@ return { "grp": $g, "cnt": $cnt };`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := evalList(ctx, e)
+	vals, err := evalList(ctx, Env{"nums": nums}, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,21 +178,21 @@ return { "grp": $g, "cnt": $cnt };`)
 	}
 	// Positional variables.
 	e2, _ := aql.ParseQuery(`for $x at $i in [ "a", "b", "c" ] where $i >= 2 return $i;`)
-	vals, err = evalList(ctx, e2)
+	vals, err = evalList(ctx, Env{}, e2)
 	if err != nil || len(vals) != 2 {
 		t.Fatalf("positional FLWOR = %v, %v", vals, err)
 	}
 	// Limit with offset.
 	e3, _ := aql.ParseQuery(`for $x in [1, 2, 3, 4, 5] limit 2 offset 1 return $x;`)
-	vals, err = evalList(ctx, e3)
+	vals, err = evalList(ctx, Env{}, e3)
 	if err != nil || len(vals) != 2 || mustInt(vals[0]) != 2 {
 		t.Fatalf("limit/offset FLWOR = %v, %v", vals, err)
 	}
 }
 
-// evalList evaluates a FLWOR, with no variables bound, to its items.
-func evalList(ctx *Context, e aql.Expr) ([]adm.Value, error) {
-	v, err := Eval(ctx, Env{}, e)
+// evalList evaluates a FLWOR under env to its items.
+func evalList(ctx *Context, env Env, e aql.Expr) ([]adm.Value, error) {
+	v, err := Eval(ctx, env, e)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,10 @@
 // It walks the AST over a name-keyed Env: it looks variables up by name,
 // short-circuits and and or, iterates quantifiers, applies FLWOR clauses to
 // sets of environments, calls a user function by binding its parameters at
-// call time and computes an aggregate over its whole list at once
-// (aggregate.go), where the daemon folds it through package agg. Each other
-// node's own operator — arithmetic, a comparison, a field or index access, a
-// constructor, a builtin call, a dataset reference — runs through
+// call time, reads a dataset reference whole, and computes an aggregate over
+// its whole list at once (aggregate.go), where the daemon folds it through
+// package agg. Each other node's own operator — arithmetic, a comparison, a
+// field or index access, a constructor, a builtin call — runs through
 // expr.Compile over the node with its children already evaluated to
 // literals, so the two evaluators differ in exactly what the oracle is there
 // to check. No daemon links it: it is for tests.
@@ -23,6 +23,20 @@ import (
 	"asterixdb/internal/expr"
 )
 
+// Context is what the reference reads beyond the bindings: the expression
+// context the compiled evaluator runs under, plus its own dataset reader and
+// function table. The daemon has neither: its jobs read datasets with
+// operators, and its translator inlines functions from the catalog.
+type Context struct {
+	*expr.Context
+	// Datasets reads a whole dataset; without it a dataset reference is the
+	// compiled evaluator's error.
+	Datasets func(dataverse, name string) ([]*adm.Record, error)
+	// Functions are the user functions a call binds at call time; a
+	// builtin of the same name shadows one.
+	Functions map[string]*aql.CreateFunction
+}
+
 // Env is a set of variable bindings.
 type Env map[string]adm.Value
 
@@ -35,7 +49,7 @@ func (e Env) With(name string, v adm.Value) Env {
 }
 
 // Eval evaluates an AQL expression under the given bindings.
-func Eval(ctx *expr.Context, env Env, e aql.Expr) (adm.Value, error) {
+func Eval(ctx *Context, env Env, e aql.Expr) (adm.Value, error) {
 	switch x := e.(type) {
 	case *aql.Literal:
 		return x.Value, nil
@@ -124,10 +138,23 @@ func Eval(ctx *expr.Context, env Env, e aql.Expr) (adm.Value, error) {
 		if ref, ok := aggregates[strings.ToLower(x.Func)]; ok {
 			return ref(args), nil
 		}
-		if fn, ok := ctx.UserFunction(x.Func); ok {
-			return call(ctx, x.Func, fn, args)
+		if fn, ok := ctx.Functions[x.Func]; ok && !expr.IsBuiltin(x.Func) {
+			return call(ctx, fn, args)
 		}
 		return apply(ctx, &aql.CallExpr{Func: x.Func, Args: lits(args)})
+	case *aql.DatasetRef:
+		if ctx.Datasets == nil {
+			break
+		}
+		recs, err := ctx.Datasets(x.Dataverse, x.Name)
+		if err != nil {
+			return nil, err
+		}
+		items := make([]adm.Value, len(recs))
+		for i, r := range recs {
+			items[i] = r
+		}
+		return &adm.OrderedList{Items: items}, nil
 	case *aql.FLWORExpr:
 		items, err := evalFLWOR(ctx, env, x)
 		if err != nil {
@@ -140,7 +167,7 @@ func Eval(ctx *expr.Context, env Env, e aql.Expr) (adm.Value, error) {
 
 // EvalBool evaluates a predicate expression; NULL/MISSING and non-booleans
 // evaluate to false, matching AQL's where-clause semantics.
-func EvalBool(ctx *expr.Context, env Env, e aql.Expr) (bool, error) {
+func EvalBool(ctx *Context, env Env, e aql.Expr) (bool, error) {
 	v, err := Eval(ctx, env, e)
 	if err != nil {
 		return false, err
@@ -149,7 +176,7 @@ func EvalBool(ctx *expr.Context, env Env, e aql.Expr) (bool, error) {
 }
 
 // values evaluates es in order.
-func values(ctx *expr.Context, env Env, es ...aql.Expr) ([]adm.Value, error) {
+func values(ctx *Context, env Env, es ...aql.Expr) ([]adm.Value, error) {
 	out := make([]adm.Value, len(es))
 	for i, e := range es {
 		v, err := Eval(ctx, env, e)
@@ -172,15 +199,15 @@ func lits(vs []adm.Value) []aql.Expr {
 }
 
 // apply runs one node whose children are literals through expr.Compile.
-func apply(ctx *expr.Context, e aql.Expr) (adm.Value, error) {
-	return expr.Compile(ctx, e, nil)(nil)
+func apply(ctx *Context, e aql.Expr) (adm.Value, error) {
+	return expr.Compile(ctx.Context, e, nil)(nil)
 }
 
 // call binds a user function's parameters to the evaluated arguments and
 // evaluates its body in that environment alone.
-func call(ctx *expr.Context, name string, fn expr.UserFunction, args []adm.Value) (adm.Value, error) {
+func call(ctx *Context, fn *aql.CreateFunction, args []adm.Value) (adm.Value, error) {
 	if len(args) != len(fn.Params) {
-		return nil, fmt.Errorf("expr: function %s expects %d arguments, got %d", name, len(fn.Params), len(args))
+		return nil, fmt.Errorf("expr: function %s expects %d arguments, got %d", fn.Name, len(fn.Params), len(args))
 	}
 	env := Env{}
 	for i, p := range fn.Params {
@@ -190,7 +217,7 @@ func call(ctx *expr.Context, name string, fn expr.UserFunction, args []adm.Value
 }
 
 // evalFLWOR returns the sequence of values a FLWOR returns under env.
-func evalFLWOR(ctx *expr.Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error) {
+func evalFLWOR(ctx *Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, error) {
 	envs := []Env{env}
 	for _, clause := range fl.Clauses {
 		var err error
@@ -223,7 +250,7 @@ func evalFLWOR(ctx *expr.Context, env Env, fl *aql.FLWORExpr) ([]adm.Value, erro
 // ApplyClause applies one FLWOR clause to a set of bindings. The root
 // package's plan interpreter also runs its group-by, order and limit
 // operators through it.
-func ApplyClause(ctx *expr.Context, envs []Env, clause aql.FLWORClause) ([]Env, error) {
+func ApplyClause(ctx *Context, envs []Env, clause aql.FLWORClause) ([]Env, error) {
 	switch c := clause.(type) {
 	case *aql.ForClause:
 		var out []Env
@@ -273,7 +300,7 @@ func ApplyClause(ctx *expr.Context, envs []Env, clause aql.FLWORClause) ([]Env, 
 	return nil, fmt.Errorf("expr: unsupported FLWOR clause %T", clause)
 }
 
-func groupBy(ctx *expr.Context, envs []Env, c *aql.GroupByClause) ([]Env, error) {
+func groupBy(ctx *Context, envs []Env, c *aql.GroupByClause) ([]Env, error) {
 	type group struct {
 		keyVals []adm.Value
 		members []Env
@@ -322,7 +349,7 @@ func groupBy(ctx *expr.Context, envs []Env, c *aql.GroupByClause) ([]Env, error)
 	return out, nil
 }
 
-func orderBy(ctx *expr.Context, envs []Env, c *aql.OrderByClause) ([]Env, error) {
+func orderBy(ctx *Context, envs []Env, c *aql.OrderByClause) ([]Env, error) {
 	type keyed struct {
 		env  Env
 		keys []adm.Value
@@ -369,7 +396,7 @@ func orderBy(ctx *expr.Context, envs []Env, c *aql.OrderByClause) ([]Env, error)
 
 // limit evaluates limit and offset with no variables bound; a negative one
 // is zero, as in the job's limit operator.
-func limit(ctx *expr.Context, envs []Env, c *aql.LimitClause) ([]Env, error) {
+func limit(ctx *Context, envs []Env, c *aql.LimitClause) ([]Env, error) {
 	limV, err := Eval(ctx, Env{}, c.Limit)
 	if err != nil {
 		return nil, err

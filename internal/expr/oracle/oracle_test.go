@@ -12,13 +12,13 @@ import (
 // evaluated arguments and evaluates the body in that environment alone, so
 // the body sees none of its caller's variables; a wrong arity is an error.
 func TestUserFunctionCallTimeBinding(t *testing.T) {
-	ctx := expr.NewContext()
+	ctx := &oracle.Context{Context: expr.NewContext(), Functions: map[string]*aql.CreateFunction{}}
 	for name, src := range map[string]string{"incr": `$x + 1`, "leak": `$y`} {
 		body, err := aql.ParseQuery(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.Functions[name] = expr.UserFunction{Params: []string{"x"}, Body: body}
+		ctx.Functions[name] = &aql.CreateFunction{Name: name, Params: []string{"x"}, Body: body}
 	}
 	for src, want := range map[string]string{
 		`incr(41)`:                              "42i64",

@@ -43,12 +43,12 @@ type JobOptions struct {
 // operators: B+-tree, R-tree, and inverted-index secondary searches each run
 // as per-partition secondary-search -> PK-sort -> primary-search stages whose
 // instance p touches only storage partition p (see buildProbe), so the same
-// job is correct in one process and on a cluster; correlated subplan sources
-// (for $y in $x.list) compile to an unnest operator, and positional variables
-// (for $v at $i in ...) compile to position-tagging sources (see
-// buildPositionalScan). BuildJob reports an error only for plans that
-// genuinely have no physical operator; the engine surfaces those as typed
-// "unplannable" errors.
+// job is correct in one process and on a cluster; a Metadata or external
+// dataset is one source instance, correlated subplan sources (for $y in
+// $x.list) compile to an unnest operator, and positional variables (for $v at
+// $i in ...) compile to position-tagging sources (see buildScan). BuildJob
+// reports an error only for plans that genuinely have no physical operator;
+// the engine surfaces those as typed "unplannable" errors.
 //
 // opts.MemoryBudget is divided among the blocking operators' instances, each
 // of which spills to run files (managed by the job's runfile.Manager, closed
@@ -239,41 +239,51 @@ func (b *jobBuilder) buildInput(n *algebra.Node) (stream, error) {
 // Sources
 // ----------------------------------------------------------------------------
 
+// buildScan compiles a dataset source. A stored dataset is one scan instance
+// per storage partition. A Metadata or external dataset has no storage
+// partitions: one source instance streams its records when the job runs,
+// numbering them for a positional variable, and an unknown one surfaces its
+// error then, as in the oracle evaluator (internal/expr/oracle). A
+// pushed-down limit bound stops each instance at exactly offset+limit emitted
+// records, instead of overrunning by a frame until the limit's upstream
+// cancellation arrives.
 func (b *jobBuilder) buildScan(n *algebra.Node) (stream, error) {
-	label := fmt.Sprintf("datasource-scan(%s)", n.Dataset)
-	ds, ok := b.rt.LookupDataset(n.Dataverse, n.Dataset)
-	if !ok {
-		// Metadata and external datasets have no storage partitions: the
-		// scan unnests the dataset reference, read once when the job runs.
-		// Unknown datasets surface their error then, as in the oracle
-		// evaluator (internal/expr/oracle).
-		ref := &aql.DatasetRef{Dataverse: n.Dataverse, Name: n.Dataset}
-		return b.buildUnnest(&algebra.Node{Variable: n.Variable, PosVar: n.PosVar, Exprs: []aql.Expr{ref}}, label)
-	}
 	bound, bounded := b.scanBounds[n]
-	if n.PosVar != "" {
+	ds, stored := b.rt.LookupDataset(n.Dataverse, n.Dataset)
+	if stored && n.PosVar != "" {
 		return b.buildPositionalScan(n, bound, bounded, ds)
 	}
-	// Internal dataset: one scan instance per storage partition. A pushed-down
-	// limit bound stops each partition's scan at exactly offset+limit emitted
-	// records, instead of overrunning by a frame until the limit's upstream
-	// cancellation arrives.
-	mk := tupleAllocator(b.partitions)
+	par, schema := b.partitions, Schema{n.Variable}
+	scan := func(p int, visit func(adm.Value) bool) error { return ds.ScanPartition(p, visit) }
+	if !stored {
+		rt, dataverse, name := b.rt, n.Dataverse, n.Dataset
+		scan = func(_ int, visit func(adm.Value) bool) error {
+			return rt.ScanDataset(dataverse, name, func(rec *adm.Record) bool { return visit(rec) })
+		}
+		par = 1
+		if n.PosVar != "" {
+			schema = append(schema, n.PosVar)
+		}
+	}
+	mk := tupleAllocator(par)
 	op := b.job.Add(&hyracks.SourceOp{
-		Label:      label,
-		Partitions: b.partitions,
+		Label:      fmt.Sprintf("datasource-scan(%s)", n.Dataset),
+		Partitions: par,
 		Produce: func(p int, emit func(hyracks.Tuple) bool) error {
 			emitted := 0
-			return ds.ScanPartition(p, func(rec adm.Value) bool {
+			return scan(p, func(rec adm.Value) bool {
 				if bounded && emitted >= bound {
 					return false
 				}
 				emitted++
+				if len(schema) > 1 {
+					return emit(hyracks.Tuple{rec, adm.Int64(emitted)})
+				}
 				return emit(mk(p, rec))
 			})
 		},
 	})
-	return stream{op: op, par: b.partitions, schema: Schema{n.Variable}}, nil
+	return stream{op: op, par: par, schema: schema}, nil
 }
 
 // buildPositionalScan compiles `for $v at $i in dataset D`: the oracle
@@ -327,9 +337,8 @@ func (b *jobBuilder) buildPositionalScan(n *algebra.Node, bound int, bounded boo
 // input tuple it evaluates the source expression under the tuple's bindings
 // and emits one widened tuple per item, mirroring the oracle's for-clause
 // semantics (an unknown source contributes nothing; a non-list source
-// contributes itself). A source with no input — a free-standing one, or a
-// dataset with no storage partitions — unnests the one empty tuple, so it is
-// evaluated once and a positional variable counts its items.
+// contributes itself). A source with no input unnests the one empty tuple, so
+// it is evaluated once and a positional variable counts its items.
 func (b *jobBuilder) buildUnnest(n *algebra.Node, label string) (stream, error) {
 	in, err := b.buildInput(n)
 	if err != nil {

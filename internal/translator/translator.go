@@ -35,27 +35,29 @@ import (
 	"asterixdb/internal/storage"
 )
 
-// Runtime is what a compiled job needs from the hosting instance when it
-// runs: dataset access for scans and index probes, plus the expression
-// evaluation context (clock, similarity settings, user functions, and the
-// reader of the datasets with no storage partitions). Every stored dataset a
-// query reads — one inside an expression too, through its nest join — is a
-// scan or probe in the job.
+// Runtime is what a compiled job needs from the hosting instance or request
+// when it runs: dataset access for its sources and index probes, and the
+// expression evaluation context (clock and similarity settings). Every
+// dataset a query reads — one inside an expression too, through its nest
+// join — is a source or probe in the job.
 type Runtime interface {
-	// EvalContext returns the instance's expression evaluation context.
+	// EvalContext returns the context the job's expressions run under.
 	EvalContext() *expr.Context
 	// LookupDataset resolves an internal (stored, partitioned) dataset.
 	// It reports false for external datasets and the Metadata dataverse,
-	// which the job reads through EvalContext's dataset reader as subplan
-	// sources.
+	// which the job reads with ScanDataset.
 	LookupDataset(dataverse, name string) (*storage.Dataset, bool)
+	// ScanDataset streams the records of a dataset LookupDataset does not
+	// resolve until visit returns false; an unknown dataset is an error.
+	ScanDataset(dataverse, name string, visit func(*adm.Record) bool) error
 }
 
 // Catalog is what Compile reads from the hosting instance: the optimizer's
 // dataset metadata, and the user functions it inlines.
 type Catalog interface {
 	algebra.Catalog
-	EvalContext() *expr.Context
+	// Function returns the user function created under name.
+	Function(name string) (*aql.CreateFunction, bool)
 }
 
 // Schema maps plan variables to tuple columns: column i of a tuple carries
@@ -86,7 +88,7 @@ func (s Schema) column(name string) (int, bool) {
 // through others, a FLWOR has a clause shape algebra.Build rejects, or a
 // dataset sits where no job can read it.
 func Compile(e aql.Expr, cat Catalog, opts algebra.Options) (*algebra.Plan, error) {
-	e, err := inline(e, cat.EvalContext(), nil)
+	e, err := inline(e, cat, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -129,18 +131,19 @@ func flworOf(e aql.Expr) (*aql.FLWORExpr, string) {
 // datasets a body reads become operators of the job. The arguments are
 // bound by let clauses to fresh names the body refers to: f(a, b) becomes
 // (let $#f-0-0 := a let $#f-0-1 := b return body)[0], which evaluates the
-// body once. A body's free variables are all parameters (create function
-// refuses any other), so it sees only its arguments. stack holds the
+// body once. A builtin shadows a user function of its name. A body's free
+// variables are all parameters (create function refuses any other), so it
+// sees only its arguments. stack holds the
 // functions being inlined; a call of one of them is a cycle, which no
 // inlining ends, and an error naming it.
-func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
+func inline(e aql.Expr, cat Catalog, stack []string) (aql.Expr, error) {
 	var err error
 	out := aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
 		call, ok := x.(*aql.CallExpr)
-		if !ok || err != nil {
+		if !ok || err != nil || expr.IsBuiltin(call.Func) {
 			return x
 		}
-		fn, ok := ctx.UserFunction(call.Func)
+		fn, ok := cat.Function(call.Func)
 		if !ok {
 			return x
 		}
@@ -154,12 +157,12 @@ func inline(e aql.Expr, ctx *expr.Context, stack []string) (aql.Expr, error) {
 			return x
 		}
 		var body aql.Expr
-		if body, err = inline(fn.Body, ctx, append(stack, call.Func)); err != nil {
+		if body, err = inline(fn.Body, cat, append(stack, call.Func)); err != nil {
 			return x
 		}
 		args := make([]aql.Expr, len(call.Args))
 		for i, a := range call.Args {
-			if args[i], err = inline(a, ctx, stack); err != nil {
+			if args[i], err = inline(a, cat, stack); err != nil {
 				return x
 			}
 		}

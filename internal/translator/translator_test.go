@@ -28,6 +28,12 @@ func (r *testRuntime) LookupDataset(_, name string) (*storage.Dataset, bool) {
 	return r.m.Dataset(name)
 }
 
+func (r *testRuntime) ScanDataset(_, name string, _ func(*adm.Record) bool) error {
+	return fmt.Errorf("no dataset %q", name)
+}
+
+func (r *testRuntime) Function(string) (*aql.CreateFunction, bool) { return nil, false }
+
 func (r *testRuntime) DatasetInfo(_, name string) algebra.DatasetInfo {
 	ds, ok := r.m.Dataset(name)
 	if !ok {
@@ -79,9 +85,7 @@ func newTestRuntime(t *testing.T) *testRuntime {
 			t.Fatal(err)
 		}
 	}
-	ctx := expr.NewContext()
-	ctx.Datasets = func(_, name string) ([]*adm.Record, error) { return nil, fmt.Errorf("no dataset %q", name) }
-	return &testRuntime{m: m, ctx: ctx}
+	return &testRuntime{m: m, ctx: expr.NewContext()}
 }
 
 // compile builds the unfused job, so every operator is inspectable.
@@ -615,10 +619,12 @@ func TestNestDatasetsRefusesLimitReads(t *testing.T) {
 // calling another, a call nested in its own argument, a caller variable
 // named like a parameter or passed to the other one, a body that rebinds its
 // parameter, nested FLWORs
-// with group by, at, order by and limit, and a quantifier. A call with the
-// wrong arity and a cycle are errors of inline itself.
+// with group by, at, order by and limit, a quantifier, and a function a
+// builtin of its name shadows. A call with the wrong arity and a cycle are
+// errors of inline itself.
 func TestInlineMatchesCallTime(t *testing.T) {
-	ctx := expr.NewContext()
+	fns := funcs{}
+	ctx := &oracle.Context{Context: expr.NewContext(), Functions: fns}
 	for name, def := range map[string]string{
 		"incr($x)":     `$x + 1`,
 		"twice($x)":    `incr(incr($x))`,
@@ -631,6 +637,7 @@ func TestInlineMatchesCallTime(t *testing.T) {
 		"sub($a, $b)":  `$a - $b`,
 		"selfish($a)":  `selfish2($a)`,
 		"selfish2($a)": `selfish($a)`,
+		"len($l)":      `99`, // shadowed by the builtin
 	} {
 		call, err := aql.ParseQuery(name)
 		if err != nil {
@@ -644,7 +651,8 @@ func TestInlineMatchesCallTime(t *testing.T) {
 		for _, a := range call.(*aql.CallExpr).Args {
 			params = append(params, a.(*aql.VariableRef).Name)
 		}
-		ctx.Functions[call.(*aql.CallExpr).Func] = expr.UserFunction{Params: params, Body: body}
+		name := call.(*aql.CallExpr).Func
+		fns[name] = &aql.CreateFunction{Name: name, Params: params, Body: body}
 	}
 	slots := []string{"x", "l", "r"}
 	row := []adm.Value{
@@ -667,17 +675,18 @@ func TestInlineMatchesCallTime(t *testing.T) {
 		`has($l, 2) and has(pair(), $x)`,
 		`for $a in [10] let $b := 3 return [sub($b, $a), sub($a, $b)]`,
 		`incr("a")`,
+		`len($l)`,
 	} {
 		e, err := aql.ParseQuery(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, wantErr := oracle.Eval(ctx, env, e)
-		inlined, err := inline(e, ctx, nil)
+		inlined, err := inline(e, fns, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		got, gotErr := expr.Compile(ctx, inlined, slots)(row)
+		got, gotErr := expr.Compile(ctx.Context, inlined, slots)(row)
 		switch {
 		case wantErr != nil || gotErr != nil:
 			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
@@ -696,7 +705,7 @@ func TestInlineMatchesCallTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inline(e, ctx, nil); err == nil || !strings.Contains(err.Error(), msg) {
+		if _, err := inline(e, fns, nil); err == nil || !strings.Contains(err.Error(), msg) {
 			t.Errorf("inline(%s) = %v, want an error containing %q", src, err, msg)
 		}
 	}
@@ -706,4 +715,14 @@ func TestInlineMatchesCallTime(t *testing.T) {
 func field(v adm.Value, name string) string {
 	rec, _ := adm.AsRecord(v)
 	return rec.Get(name).String()
+}
+
+// funcs is a Catalog of user functions and no datasets.
+type funcs map[string]*aql.CreateFunction
+
+func (funcs) DatasetInfo(_, _ string) algebra.DatasetInfo { return algebra.DatasetInfo{} }
+
+func (f funcs) Function(name string) (*aql.CreateFunction, bool) {
+	fn, ok := f[name]
+	return fn, ok
 }

@@ -193,14 +193,14 @@ func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error
 		ctx = context.Background()
 	}
 	var ph Phases
-	q, _, err := in.prelude(ctx, src, false, &ph)
+	r, q, _, err := in.prelude(ctx, src, false, &ph)
 	if err != nil {
 		return nil, err
 	}
 	if q == nil {
 		return NewJobCursor(ctx, nil), nil
 	}
-	return in.queryCursor(ctx, q, algebra.Options{}, ph)
+	return r.queryCursor(ctx, q, algebra.Options{}, ph)
 }
 
 // queryCursor compiles one query expression and starts its job, returning
@@ -208,12 +208,12 @@ func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error
 // an expression the compiler cannot plan is CompileQuery's typed error, and
 // runtime errors from the executing job propagate through Cursor.Err. ph
 // carries the phases timed before the compile.
-func (in *Instance) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Options, ph Phases) (*Cursor, error) {
-	_, job, err := in.compile(e, opts, &ph)
+func (r *Request) queryCursor(ctx context.Context, e aql.Expr, opts algebra.Options, ph Phases) (*Cursor, error) {
+	_, job, err := r.compile(e, opts, &ph)
 	if err != nil {
 		return nil, err
 	}
-	return in.startJob(ctx, job, ph)
+	return r.startJob(ctx, job, ph)
 }
 
 // startJob starts a compiled job and returns the cursor it streams into,
