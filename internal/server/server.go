@@ -5,8 +5,9 @@
 // result-delivery modes are supported on /query, as in the paper:
 //
 //   - synchronous (default): the response body streams results as the
-//     executing job produces them, chunk-flushed so the first rows arrive
-//     before the scan finishes;
+//     executing job produces them, in 64 KiB writes; an answer smaller than
+//     that is one response with a Content-Length, and an error before the
+//     first write is a status code;
 //   - asynchronous: the response returns a handle immediately; the client
 //     polls /query/status and fetches /query/result when done;
 //   - deferred: the query runs to completion, then a handle to the stored
@@ -35,7 +36,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,6 +44,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -116,9 +117,9 @@ const ReadHeaderTimeout = 10 * time.Second
 // maxBodyBytes caps statement bodies.
 const maxBodyBytes = 8 << 20
 
-// flushEvery is the number of NDJSON lines written between explicit flushes
-// of a result stream (one per frame).
-const flushEvery = 64
+// writeChunk is the size of the buffer a result stream fills before it
+// hands the bytes to the connection.
+const writeChunk = 64 << 10
 
 // New wraps an engine in a Server. The caller keeps ownership of the
 // engine; Server.Close stops the handle janitor but does not close the
@@ -189,13 +190,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// querySynchronous streams results as the job produces them. The first row
-// is prefetched before the status line goes out, so an error that strikes
-// before any output (unknown dataset, failed compile, a runtime error on the
-// first tuple) still maps onto a real status code. Once streaming has begun
-// the status can no longer change; a mid-stream failure is reported as a
-// final NDJSON error line ({"error":{...}}), which clients detect by its
-// shape.
+// querySynchronous streams results as the job produces them. Nothing goes
+// out before writeNDJSON's first write, so an error that strikes before it
+// (unknown dataset, failed compile, a runtime error in the first 64 KiB of
+// rows) still maps onto a real status code. After that write the status can
+// no longer change; a later failure is reported as a final NDJSON error line
+// ({"error":{...}}), which clients detect by its shape.
 func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src string) {
 	wantProfile := profileRequested(r)
 	start := time.Now()
@@ -208,15 +208,6 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 		return
 	}
 	defer cur.Close()
-	hasFirst := cur.Next()
-	if !hasFirst {
-		if err := cur.Err(); err != nil && !isContextEnd(err) {
-			s.finishQuery("synchronous", src, start, statsOf(cur), err)
-			writeError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	var trailer func() []byte
 	if wantProfile {
 		// Evaluated after the stream drains, when the finished cursor has
@@ -225,8 +216,7 @@ func (s *Server) querySynchronous(w http.ResponseWriter, r *http.Request, src st
 	}
 	// The request context ending is not a failure: the stream just stops.
 	writeNDJSON(w, func() (adm.Value, bool, error) {
-		if hasFirst || cur.Next() {
-			hasFirst = false
+		if cur.Next() {
 			return cur.Value(), true, nil
 		}
 		if err := cur.Err(); err != nil && !isContextEnd(err) {
@@ -422,7 +412,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return cols[0], true, nil
 		}
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	writeNDJSON(w, next, h.trailer)
 }
 
@@ -496,45 +485,55 @@ func (s *Server) readBody(r *http.Request) (string, error) {
 	return string(b), nil
 }
 
-// writeNDJSON is the one result-row writer behind every query mode: it writes
-// each value next yields as an NDJSON line, flushing every flushEvery lines
-// so a client reading a long result sees rows while they are still being
-// produced. Headers are out once the first byte is, so a failure reported by
-// next ends the stream with a trailing {"error":{...}} line; a clean end
-// appends trailer's bytes (a complete NDJSON line, or nil) when trailer is
-// non-nil.
+// resultBufs holds writeNDJSON's buffers between requests.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeNDJSON is the one result-row writer behind every query mode. It
+// renders each value next yields as an NDJSON line into one buffer and hands
+// the buffer to w each time it passes writeChunk bytes, so a long result
+// streams in 64 KiB writes and a shorter one goes out as one response with a
+// Content-Length. Nothing is committed before the first write: a failure
+// reported by next before it is the error's status code and JSON body, and
+// one after it ends the stream with a trailing {"error":{...}} line. A clean
+// end appends trailer's bytes (a complete NDJSON line, or nil) when trailer
+// is non-nil.
 func writeNDJSON(w http.ResponseWriter, next func() (adm.Value, bool, error), trailer func() []byte) {
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriter(w)
-	var line []byte
-	n := 0
+	bp := resultBufs.Get().(*[]byte)
+	buf, wrote := (*bp)[:0], false
+	defer func() {
+		if cap(buf) <= 2*writeChunk { // a buffer one huge row grew is dropped
+			*bp = buf[:0]
+			resultBufs.Put(bp)
+		}
+	}()
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	for {
 		v, ok, err := next()
+		if err != nil && !wrote {
+			writeError(w, err)
+			return
+		}
 		if err != nil {
-			line = appendErrorJSON(append(line[:0], `{"error":`...), err)
-			bw.Write(append(line, '}', '\n'))
+			buf = append(appendErrorJSON(append(buf, `{"error":`...), err), '}', '\n')
 			break
 		}
 		if !ok {
 			if trailer != nil {
-				bw.Write(trailer())
+				buf = append(buf, trailer()...)
 			}
 			break
 		}
-		line = append(adm.AppendJSON(line[:0], v), '\n')
-		bw.Write(line)
-		n++
-		if n%flushEvery == 0 {
-			bw.Flush()
-			if flusher != nil {
-				flusher.Flush()
+		if buf = append(adm.AppendJSON(buf, v), '\n'); len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return
 			}
+			buf, wrote = buf[:0], true
 		}
 	}
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
+	if !wrote {
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	}
+	w.Write(buf)
 }
 
 // isContextEnd reports whether the error is the request context ending —

@@ -391,35 +391,63 @@ func TestUpdateEndpointReportsCount(t *testing.T) {
 	}
 }
 
-func TestSynchronousStreamErrorLine(t *testing.T) {
-	s, _ := newTestServer(t)
-	// An open dataset whose records mostly carry a numeric v but one (late in
-	// id order) carries a string: `$x.v + 1` streams good rows, then fails at
-	// run time after headers are out. The failure must surface as a trailing
-	// NDJSON error line.
+// loadMixed creates the open dataset Mixed holding n records {id, v: id, pad}
+// whose pad is padBytes long and, when bad, one more record, last in id
+// order, whose v is a string, so mixedQuery fails on it at run time.
+func loadMixed(t *testing.T, s *Server, n, padBytes int, bad bool) {
+	t.Helper()
 	if w := do(t, s, "POST", "/ddl", `
 create type OpenType as open { id: int32 };
 create dataset Mixed(OpenType) primary key id;`); w.Code != http.StatusOK {
 		t.Fatalf("ddl: %d %s", w.Code, w.Body)
 	}
+	pad := strings.Repeat("x", padBytes)
 	var sb strings.Builder
 	sb.WriteString("insert into dataset Mixed ([")
-	for i := 1; i <= 100; i++ {
+	for i := 1; i <= n; i++ {
 		if i > 1 {
 			sb.WriteString(",")
 		}
-		sb.WriteString(`{ "id": ` + itoa(i) + `, "v": ` + itoa(i) + ` }`)
+		sb.WriteString(`{ "id": ` + itoa(i) + `, "v": ` + itoa(i) + `, "pad": "` + pad + `" }`)
 	}
-	sb.WriteString(`,{ "id": 101, "v": "boom" }]);`)
+	if bad {
+		sb.WriteString(`,{ "id": ` + itoa(n+1) + `, "v": "boom", "pad": "" }`)
+	}
+	sb.WriteString(`]);`)
 	if w := do(t, s, "POST", "/update", sb.String()); w.Code != http.StatusOK {
 		t.Fatalf("insert: %d %s", w.Code, w.Body)
 	}
-	w := do(t, s, "POST", "/query", `for $x in dataset Mixed order by $x.id return $x.v + 1;`)
+}
+
+// mixedQuery returns Mixed's records in id order with v + 1, which fails on
+// the string v loadMixed plants last.
+const mixedQuery = `for $x in dataset Mixed order by $x.id return { "id": $x.id, "v": $x.v + 1, "pad": $x.pad };`
+
+// TestSynchronousStreamErrorLine: a run-time failure after more than one
+// write buffer of rows has gone out cannot change the status any more, so it
+// ends the 200 stream as a trailing NDJSON error line.
+func TestSynchronousStreamErrorLine(t *testing.T) {
+	s, _ := newTestServer(t)
+	loadMixed(t, s, 200, 500, true)
+	w := do(t, s, "POST", "/query", mixedQuery)
 	if w.Code != http.StatusOK {
-		// Acceptable alternative: the error won the race before the first row.
-		return
+		t.Fatalf("status %d, want 200 with rows before the error: %s", w.Code, w.Body)
 	}
-	if !strings.Contains(w.Body.String(), `"error"`) {
-		t.Errorf("mid-stream failure not reported: %q", w.Body.String())
+	body := w.Body.String()
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	if len(lines) != 201 {
+		t.Fatalf("got %d lines, want 200 rows and an error line", len(lines))
+	}
+	if rows := len(body) - len(lines[200]) - 1; rows <= writeChunk {
+		t.Fatalf("rows before the error are %d bytes, not past one %d-byte write", rows, writeChunk)
+	}
+	for _, ln := range lines[:200] {
+		if _, ok := decodeJSON(t, ln)["error"]; ok {
+			t.Fatalf("error before the last line: %s", ln)
+		}
+	}
+	errObj, _ := decodeJSON(t, lines[200])["error"].(map[string]any)
+	if errObj["code"] == nil || errObj["message"] == nil {
+		t.Errorf("last line %q is not an {\"error\":{code,message}} line", lines[200])
 	}
 }

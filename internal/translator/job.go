@@ -168,8 +168,13 @@ func gatherConnector(par int) hyracks.Connector {
 // allocation in tupleAllocator and the datasource scan.
 const tupleBlock = 512
 
+// tupleBlockMin is the size of a partition's first tupleAllocator block; each
+// later block doubles it up to tupleBlock, so a partition that emits one row
+// pays for a few slots, not 512.
+const tupleBlockMin = 8
+
 // tupleAllocator returns a per-instance maker of one-column tuples packed
-// into shared blocks: one backing allocation per tupleBlock tuples instead of
+// into shared blocks: one backing allocation per block of tuples instead of
 // one per tuple. Each slot is written exactly once and the three-index cap
 // keeps a downstream append from aliasing the next tuple. Instances must call
 // it only from their own partition p, which is the operator contract anyway.
@@ -178,7 +183,7 @@ func tupleAllocator(par int) func(p int, v adm.Value) hyracks.Tuple {
 	return func(p int, v adm.Value) hyracks.Tuple {
 		blk := blks[p]
 		if len(blk) == cap(blk) {
-			blk = make([]adm.Value, 0, tupleBlock)
+			blk = make([]adm.Value, 0, max(tupleBlockMin, min(2*cap(blk), tupleBlock)))
 		}
 		blk = append(blk, v)
 		blks[p] = blk

@@ -180,6 +180,35 @@ create dataset D(S) primary key id;`
 	}
 }
 
+// TestLoadDelimitedRefusesEmptyAndLooseBooleans: loading a delimited-text
+// file whose int32 column is empty or whose boolean column reads "TRUE"
+// fails naming the line and the field, and stores nothing.
+func TestLoadDelimitedRefusesEmptyAndLooseBooleans(t *testing.T) {
+	inst := openEmpty(t)
+	if _, err := inst.Execute(`create type B as closed { id: int32, n: int32, b: boolean };
+create dataset D(B) primary key id;`); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	load := `load dataset D using localfs (("path"="localhost://%s"),("format"="delimited-text"),("delimiter"="|"));`
+	for i, c := range []struct{ content, field string }{
+		{"1|5|true\n2||yes\n", `field "n"`},
+		{"1|5|false\n2|7|TRUE\n", `field "b"`},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("b%d.csv", i))
+		if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := inst.Execute(fmt.Sprintf(load, path))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("loading %q: %v, want an error naming line 2 and %s", c.content, err, c.field)
+		}
+	}
+	if got := queryText(t, inst, `count(for $d in dataset D return $d)`); got != "0i64" {
+		t.Errorf("count after the failed loads = %s, want 0", got)
+	}
+}
+
 // TestMetadataPositionalSource: a positional variable over a Metadata dataset
 // numbers its records 1..n in the order the catalog lists them.
 func TestMetadataPositionalSource(t *testing.T) {
