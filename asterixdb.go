@@ -48,6 +48,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asterixdb/internal/adm"
@@ -72,12 +73,12 @@ type Config struct {
 	// the primary index and every secondary index of every partition has its
 	// own.
 	MemBudget int
-	// MemoryBudget is the per-query memory budget in bytes for blocking
-	// runtime operators (sort, hybrid hash join, hash group-by). When a
-	// query's working set exceeds it the operators spill to run files under
-	// DataDir and complete out-of-core instead of growing without bound.
-	// Zero means unconstrained; when zero, the ASTERIXDB_MEMORY_BUDGET
-	// environment variable (bytes) applies if set.
+	// MemoryBudget is the memory budget in bytes of each job's blocking
+	// operators (sort, hybrid hash join, hash group-by), past which they spill
+	// to run files under DataDir. It is not shared: every job and the HTTP
+	// server's handle table each get all of it, so N concurrent queries may
+	// hold N times it. Zero means unconstrained; when zero, the
+	// ASTERIXDB_MEMORY_BUDGET environment variable (bytes) applies if set.
 	MemoryBudget int64
 	// OwnsPartition restricts which storage partitions this instance stores
 	// records for. In a cluster, each node controller owns a subset of the
@@ -95,28 +96,12 @@ type Instance struct {
 	unfused bool // see variant
 	store   *storage.Manager
 
-	mu sync.RWMutex
-	// the catalog
-	dataverses map[string]bool
-	types      map[string]*adm.RecordType
-	datasets   map[string]*datasetEntry
-	functions  map[string]*aql.CreateFunction
-	// typeDataverse / functionDataverse record which dataverse each type and
-	// function was created in, so drop dataverse can clean them up.
-	typeDataverse     map[string]string
-	functionDataverse map[string]string
+	// current is the catalog's current version; ddlMu serializes the DDL
+	// statements that build the next one (see catalog).
+	current atomic.Pointer[catalog]
+	ddlMu   sync.Mutex
 	// evalCtx is the default context every request copies (see Request).
 	evalCtx *expr.Context
-}
-
-// datasetEntry tracks one dataset: either an internal (stored) dataset or an
-// external one backed by the localfs adaptor.
-type datasetEntry struct {
-	name      string
-	typeName  string
-	dataverse string
-	internal  *storage.Dataset
-	external  *external.Dataset
 }
 
 // Result is the outcome of executing one AQL statement.
@@ -163,18 +148,13 @@ func open(cfg Config, v variant) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{
-		cfg:               cfg,
-		unfused:           v.unfused,
-		store:             store,
-		dataverses:        map[string]bool{"Metadata": true, "Default": true},
-		types:             map[string]*adm.RecordType{},
-		datasets:          map[string]*datasetEntry{},
-		functions:         map[string]*aql.CreateFunction{},
-		typeDataverse:     map[string]string{},
-		functionDataverse: map[string]string{},
-		evalCtx:           expr.NewContext(),
-	}
+	inst := &Instance{cfg: cfg, unfused: v.unfused, store: store, evalCtx: expr.NewContext()}
+	inst.current.Store(&catalog{
+		dataverses: map[string]bool{"Metadata": true, "Default": true},
+		types:      map[string]scoped[*adm.RecordType]{},
+		datasets:   map[string]*datasetEntry{},
+		functions:  map[string]scoped[*aql.CreateFunction]{},
+	})
 	return inst, nil
 }
 
@@ -192,16 +172,6 @@ func (in *Instance) Recover() error { return in.store.Recover() }
 // Store exposes the storage manager (used by the metrics collectors and
 // tools).
 func (in *Instance) Store() *storage.Manager { return in.store }
-
-// Dataset returns the stored dataset with the given name.
-func (in *Instance) Dataset(name string) (*storage.Dataset, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if e, ok := in.datasets[name]; ok && e.internal != nil {
-		return e.internal, true
-	}
-	return nil, false
-}
 
 // ExecuteContext parses and executes one or more AQL statements under ctx
 // and returns the materialized result of the last one. Query results drain
@@ -245,7 +215,7 @@ func (in *Instance) QueryWithOptions(src string, opts algebra.Options) ([]adm.Va
 }
 
 // jobOptions assembles the job-generation options from the instance config:
-// parallelism, the per-query memory budget, and the spill directory (under
+// parallelism, the job's memory budget, and the spill directory (under
 // DataDir, so run files live next to the data they spill).
 func (in *Instance) jobOptions() translator.JobOptions {
 	return translator.JobOptions{
@@ -266,9 +236,9 @@ func (in *Instance) SpillDir() string {
 	return filepath.Join(in.cfg.DataDir, ".spill")
 }
 
-// MemoryBudget returns the per-query memory budget the instance resolved at
-// Open (zero when unconstrained). The HTTP server registers its handle-result
-// spill manager against it.
+// MemoryBudget returns the memory budget the instance resolved at Open (zero
+// when unconstrained), which each job gets whole. The HTTP server registers
+// its handle-result spill manager against all of it too.
 func (in *Instance) MemoryBudget() int64 {
 	return in.cfg.MemoryBudget
 }
@@ -348,10 +318,10 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, p
 // into its optimized plan and the executable Hyracks job under the given
 // optimizer options and the request's session. Every node of a distributed
 // run compiles the same expression under the same options and the same
-// request prologue against its replicated catalog, which yields an identical
-// job — the property the frame wire protocol's edge indexes rely on. A query
-// the compiler cannot plan is a typed CodeInvalid error; there is no other
-// way to evaluate it.
+// request prologue against its replicated catalog, expecting an identical
+// job — the property the frame wire protocol's edge indexes rely on, which
+// nothing checks yet. A query the compiler cannot plan is a typed
+// CodeInvalid error; there is no other way to evaluate it.
 func (r *Request) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
 	return r.compile(e, opts, nil)
 }
@@ -375,109 +345,20 @@ func (r *Request) compile(e aql.Expr, opts algebra.Options, ph *Phases) (*algebr
 	return plan, job, nil
 }
 
-// DatasetInfo implements algebra.Catalog: the optimizer's view of a dataset
-// is its primary key and its secondary indexes in creation order.
-func (in *Instance) DatasetInfo(dataverse, name string) algebra.DatasetInfo {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	e, ok := in.datasets[name]
-	if !ok || e.internal == nil {
-		return algebra.DatasetInfo{}
-	}
-	info := algebra.DatasetInfo{PrimaryKey: e.internal.Spec().PrimaryKey}
-	for _, ix := range e.internal.Indexes() {
-		info.Indexes = append(info.Indexes, algebra.IndexInfo{
-			Name: ix.Name, Kind: algebra.IndexKind(ix.Kind), Field: ix.Fields[0], GramLength: ix.GramLength})
-	}
-	return info
-}
-
 // ----------------------------------------------------------------------------
 // Statement execution
 // ----------------------------------------------------------------------------
 
 func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Result, error) {
-	in := r.Instance
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch s := stmt.(type) {
 	case *aql.DataverseDecl:
-		in.mu.RLock()
-		defer in.mu.RUnlock()
-		if !in.dataverses[s.Name] {
+		if !r.cat.dataverses[s.Name] {
 			return nil, errf(CodeNotFound, "asterixdb: dataverse %q does not exist", s.Name)
 		}
 		r.dataverse = s.Name
-		return &Result{Kind: "ddl"}, nil
-	case *aql.CreateDataverse:
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if in.dataverses[s.Name] && !s.IfNotExists {
-			return nil, errf(CodeExists, "asterixdb: dataverse %q already exists", s.Name)
-		}
-		in.dataverses[s.Name] = true
-		return &Result{Kind: "ddl"}, nil
-	case *aql.DropDataverse:
-		return r.dropDataverse(s)
-	case *aql.CreateType:
-		return r.createType(s)
-	case *aql.DropType:
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if _, ok := in.types[s.Name]; !ok {
-			if s.IfExists {
-				return &Result{Kind: "ddl"}, nil
-			}
-			return nil, errf(CodeNotFound, "asterixdb: type %q does not exist", s.Name)
-		}
-		delete(in.types, s.Name)
-		delete(in.typeDataverse, s.Name)
-		return &Result{Kind: "ddl"}, nil
-	case *aql.CreateDataset:
-		return r.createDataset(s)
-	case *aql.DropDataset:
-		return in.dropDataset(s)
-	case *aql.CreateIndex:
-		return in.createIndex(s)
-	case *aql.DropIndex:
-		ds, ok := in.Dataset(s.Dataset)
-		if !ok {
-			return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
-		}
-		if err := ds.DropIndex(s.Name); err != nil && !(s.IfExists && errors.Is(err, storage.ErrNotFound)) {
-			return nil, err
-		}
-		return &Result{Kind: "ddl"}, nil
-	case *aql.CreateFunction:
-		// A call is inlined into its caller, so a free variable that is not a
-		// parameter would be bound by whatever the caller has in scope.
-		for _, v := range algebra.FreeVarsOf(s.Body) {
-			if !slices.Contains(s.Params, v) {
-				return nil, errf(CodeInvalid, "asterixdb: function %s: $%s is not a parameter; a function body sees only its parameters", s.Name, v)
-			}
-		}
-		// A limit is evaluated outside every binding, so it could not see
-		// the argument a parameter is inlined as either.
-		if v := limitVar(s.Body); v != "" {
-			return nil, errf(CodeInvalid, "asterixdb: function %s: a limit or offset reads $%s; it is evaluated outside every binding, parameters included", s.Name, v)
-		}
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		in.functions[s.Name] = s
-		in.functionDataverse[s.Name] = r.dataverse
-		return &Result{Kind: "ddl"}, nil
-	case *aql.DropFunction:
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if _, ok := in.functions[s.Name]; !ok {
-			if s.IfExists {
-				return &Result{Kind: "ddl"}, nil
-			}
-			return nil, errf(CodeNotFound, "asterixdb: function %q does not exist", s.Name)
-		}
-		delete(in.functions, s.Name)
-		delete(in.functionDataverse, s.Name)
 		return &Result{Kind: "ddl"}, nil
 	case *aql.CreateFeed, *aql.DropFeed, *aql.ConnectFeed, *aql.DisconnectFeed:
 		// The statements parse (scripts from the paper load), but nothing
@@ -490,11 +371,97 @@ func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Re
 	case *aql.DeleteStatement:
 		return r.executeDelete(ctx, s)
 	case *aql.LoadStatement:
-		return in.executeLoad(s)
+		return r.executeLoad(s)
 	case *aql.QueryStatement:
 		return r.evaluateQuery(ctx, s.Body, algebra.Options{})
 	}
-	return nil, errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
+	return r.ddl(stmt)
+}
+
+// ddl runs one DDL statement under the instance's DDL mutex: the statement
+// edits a copy of the current catalog, which unless it fails is published
+// with one swap. The request then reads the catalog as of its own DDL.
+func (r *Request) ddl(stmt aql.Statement) (*Result, error) {
+	r.ddlMu.Lock()
+	defer r.ddlMu.Unlock()
+	defer func() { r.cat = r.current.Load() }()
+	next := r.current.Load().clone()
+	if err := r.edit(next, stmt); err != nil {
+		return nil, err
+	}
+	r.current.Store(next)
+	return &Result{Kind: "ddl"}, nil
+}
+
+// edit applies one DDL statement to next. A drop publishes next itself
+// before it deletes storage, so the object leaves the catalog first; no
+// statement can create its name again until the files are gone, because the
+// DDL mutex is held throughout.
+func (r *Request) edit(next *catalog, stmt aql.Statement) error {
+	switch s := stmt.(type) {
+	case *aql.CreateDataverse:
+		if next.dataverses[s.Name] && !s.IfNotExists {
+			return errf(CodeExists, "asterixdb: dataverse %q already exists", s.Name)
+		}
+		next.dataverses[s.Name] = true
+	case *aql.DropDataverse:
+		return r.dropDataverse(next, s)
+	case *aql.CreateType:
+		rt, err := next.resolveRecordType(s.Name, &s.Definition)
+		if err != nil {
+			return err
+		}
+		if _, exists := next.types[s.Name]; exists {
+			if s.IfNotExists {
+				return nil // the existing definition and its dataverse stay
+			}
+			return errf(CodeExists, "asterixdb: type %q already exists", s.Name)
+		}
+		next.types[s.Name] = scoped[*adm.RecordType]{r.dataverse, rt}
+	case *aql.DropType:
+		if _, ok := next.types[s.Name]; !ok && !s.IfExists {
+			return errf(CodeNotFound, "asterixdb: type %q does not exist", s.Name)
+		}
+		delete(next.types, s.Name)
+	case *aql.CreateDataset:
+		return r.createDataset(next, s)
+	case *aql.DropDataset:
+		e, ok := next.datasets[s.Name]
+		if !ok && !s.IfExists {
+			return errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Name)
+		}
+		delete(next.datasets, s.Name)
+		if ok && e.internal != nil {
+			r.current.Store(next)
+			return r.store.DropDataset(s.Name)
+		}
+	case *aql.CreateIndex:
+		return r.createIndex(next, s)
+	case *aql.DropIndex:
+		return r.dropIndex(next, s)
+	case *aql.CreateFunction:
+		// A call is inlined into its caller, so a free variable that is not a
+		// parameter would be bound by whatever the caller has in scope.
+		for _, v := range algebra.FreeVarsOf(s.Body) {
+			if !slices.Contains(s.Params, v) {
+				return errf(CodeInvalid, "asterixdb: function %s: $%s is not a parameter; a function body sees only its parameters", s.Name, v)
+			}
+		}
+		// A limit is evaluated outside every binding, so it could not see
+		// the argument a parameter is inlined as either.
+		if v := limitVar(s.Body); v != "" {
+			return errf(CodeInvalid, "asterixdb: function %s: a limit or offset reads $%s; it is evaluated outside every binding, parameters included", s.Name, v)
+		}
+		next.functions[s.Name] = scoped[*aql.CreateFunction]{r.dataverse, s}
+	case *aql.DropFunction:
+		if _, ok := next.functions[s.Name]; !ok && !s.IfExists {
+			return errf(CodeNotFound, "asterixdb: function %q does not exist", s.Name)
+		}
+		delete(next.functions, s.Name)
+	default:
+		return errf(CodeInvalid, "asterixdb: unsupported statement %T", stmt)
+	}
+	return nil
 }
 
 // limitVar returns a variable some limit or offset in e reads, or "".
@@ -522,79 +489,42 @@ func limitVar(e aql.Expr) string {
 // dataverse another object's dataverse merely referenced does not touch
 // objects created elsewhere. A request that was using it goes back to
 // Default.
-func (r *Request) dropDataverse(s *aql.DropDataverse) (*Result, error) {
-	in := r.Instance
-	in.mu.Lock()
-	exists := in.dataverses[s.Name]
-	if !exists && !s.IfExists {
-		in.mu.Unlock()
-		return nil, errf(CodeNotFound, "asterixdb: dataverse %q does not exist", s.Name)
+func (r *Request) dropDataverse(next *catalog, s *aql.DropDataverse) error {
+	if !next.dataverses[s.Name] && !s.IfExists {
+		return errf(CodeNotFound, "asterixdb: dataverse %q does not exist", s.Name)
 	}
-	var toDrop []string
-	for name, e := range in.datasets {
+	var stored []string
+	for name, e := range next.datasets {
 		if e.dataverse == s.Name {
-			toDrop = append(toDrop, name)
+			delete(next.datasets, name)
+			if e.internal != nil {
+				stored = append(stored, name)
+			}
 		}
 	}
-	for _, name := range toDrop {
-		delete(in.datasets, name)
-	}
-	for name, dv := range in.typeDataverse {
-		if dv == s.Name {
-			delete(in.types, name)
-			delete(in.typeDataverse, name)
-		}
-	}
-	for name, dv := range in.functionDataverse {
-		if dv == s.Name {
-			delete(in.functions, name)
-			delete(in.functionDataverse, name)
-		}
-	}
+	maps.DeleteFunc(next.types, func(_ string, t scoped[*adm.RecordType]) bool { return t.dataverse == s.Name })
+	maps.DeleteFunc(next.functions, func(_ string, f scoped[*aql.CreateFunction]) bool { return f.dataverse == s.Name })
 	if s.Name != "Default" && s.Name != "Metadata" {
-		delete(in.dataverses, s.Name)
+		delete(next.dataverses, s.Name)
 	}
 	if r.dataverse == s.Name {
 		r.dataverse = "Default"
 	}
-	in.mu.Unlock()
-	for _, name := range toDrop {
-		if _, ok := in.store.Dataset(name); ok {
-			if err := in.store.DropDataset(name); err != nil {
-				return nil, err
-			}
+	r.current.Store(next)
+	for _, name := range stored {
+		if err := r.store.DropDataset(name); err != nil {
+			return err
 		}
 	}
-	return &Result{Kind: "ddl"}, nil
-}
-
-func (r *Request) createType(s *aql.CreateType) (*Result, error) {
-	in := r.Instance
-	rt, err := in.resolveRecordType(s.Name, &s.Definition)
-	if err != nil {
-		return nil, err
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if _, exists := in.types[s.Name]; exists {
-		if s.IfNotExists {
-			// A genuine no-op: the existing definition and its dataverse
-			// scoping are untouched.
-			return &Result{Kind: "ddl"}, nil
-		}
-		return nil, errf(CodeExists, "asterixdb: type %q already exists", s.Name)
-	}
-	in.types[s.Name] = rt
-	in.typeDataverse[s.Name] = r.dataverse
-	return &Result{Kind: "ddl"}, nil
+	return nil
 }
 
 // resolveRecordType converts a DDL type expression into an adm.RecordType,
 // resolving named types against the catalog.
-func (in *Instance) resolveRecordType(name string, def *aql.RecordTypeExpr) (*adm.RecordType, error) {
+func (c *catalog) resolveRecordType(name string, def *aql.RecordTypeExpr) (*adm.RecordType, error) {
 	rt := &adm.RecordType{Name: name, Open: def.Open}
 	for _, f := range def.Fields {
-		ft, err := in.resolveTypeExpr(&f.Type)
+		ft, err := c.resolveTypeExpr(&f.Type)
 		if err != nil {
 			return nil, fmt.Errorf("asterixdb: type %q field %q: %w", name, f.Name, err)
 		}
@@ -603,18 +533,18 @@ func (in *Instance) resolveRecordType(name string, def *aql.RecordTypeExpr) (*ad
 	return rt, nil
 }
 
-func (in *Instance) resolveTypeExpr(te *aql.TypeExpr) (adm.Type, error) {
+func (c *catalog) resolveTypeExpr(te *aql.TypeExpr) (adm.Type, error) {
 	switch {
 	case te.Record != nil:
-		return in.resolveRecordType("", te.Record)
+		return c.resolveRecordType("", te.Record)
 	case te.OrderedItem != nil:
-		item, err := in.resolveTypeExpr(te.OrderedItem)
+		item, err := c.resolveTypeExpr(te.OrderedItem)
 		if err != nil {
 			return nil, err
 		}
 		return &adm.OrderedListType{Item: item}, nil
 	case te.UnorderedItem != nil:
-		item, err := in.resolveTypeExpr(te.UnorderedItem)
+		item, err := c.resolveTypeExpr(te.UnorderedItem)
 		if err != nil {
 			return nil, err
 		}
@@ -626,97 +556,78 @@ func (in *Instance) resolveTypeExpr(te *aql.TypeExpr) (adm.Type, error) {
 			}
 			return adm.Prim(tag), nil
 		}
-		in.mu.RLock()
-		named, ok := in.types[te.Name]
-		in.mu.RUnlock()
+		named, ok := c.types[te.Name]
 		if !ok {
 			return nil, fmt.Errorf("unknown type %q", te.Name)
 		}
-		return named, nil
+		return named.def, nil
 	}
 }
 
-func (r *Request) createDataset(s *aql.CreateDataset) (*Result, error) {
-	in := r.Instance
-	in.mu.RLock()
-	rt, typeOK := in.types[s.TypeName]
-	_, exists := in.datasets[s.Name]
-	in.mu.RUnlock()
-	if exists {
+func (r *Request) createDataset(next *catalog, s *aql.CreateDataset) error {
+	if _, exists := next.datasets[s.Name]; exists {
 		if s.IfNotExists {
-			return &Result{Kind: "ddl"}, nil
+			return nil
 		}
-		return nil, errf(CodeExists, "asterixdb: dataset %q already exists", s.Name)
+		return errf(CodeExists, "asterixdb: dataset %q already exists", s.Name)
 	}
-	if !typeOK {
-		return nil, errf(CodeNotFound, "asterixdb: unknown type %q", s.TypeName)
+	t, ok := next.types[s.TypeName]
+	if !ok {
+		return errf(CodeNotFound, "asterixdb: unknown type %q", s.TypeName)
 	}
-	entry := &datasetEntry{name: s.Name, typeName: s.TypeName, dataverse: r.dataverse}
+	e := &datasetEntry{typeName: s.TypeName, dataverse: r.dataverse}
+	var err error
 	if s.External {
-		ext, err := external.NewDataset(rt, s.Adaptor, s.Properties)
-		if err != nil {
-			return nil, err
-		}
-		entry.external = ext
+		e.external, err = external.NewDataset(t.def, s.Adaptor, s.Properties)
 	} else {
-		ds, err := in.store.CreateDataset(storage.DatasetSpec{
-			Name:       s.Name,
-			Type:       rt,
-			PrimaryKey: s.PrimaryKey,
-		})
-		if err != nil {
-			return nil, err
-		}
-		entry.internal = ds
+		e.internal, err = r.store.CreateDataset(storage.DatasetSpec{Name: s.Name, Type: t.def, PrimaryKey: s.PrimaryKey})
 	}
-	in.mu.Lock()
-	in.datasets[s.Name] = entry
-	in.mu.Unlock()
-	return &Result{Kind: "ddl"}, nil
+	next.datasets[s.Name] = e
+	return err
 }
 
-func (in *Instance) dropDataset(s *aql.DropDataset) (*Result, error) {
-	in.mu.Lock()
-	e, ok := in.datasets[s.Name]
-	if !ok {
-		in.mu.Unlock()
-		if s.IfExists {
-			return &Result{Kind: "ddl"}, nil
-		}
-		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Name)
+// createIndex builds the index in storage, which maintains it from then on,
+// and only then lists it in the catalog, where queries can plan on it.
+func (r *Request) createIndex(next *catalog, s *aql.CreateIndex) error {
+	e, ok := next.datasets[s.Dataset]
+	if !ok || e.internal == nil {
+		return errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
-	delete(in.datasets, s.Name)
-	in.mu.Unlock()
-	if e.internal != nil {
-		if err := in.store.DropDataset(s.Name); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Kind: "ddl"}, nil
-}
-
-func (in *Instance) createIndex(s *aql.CreateIndex) (*Result, error) {
-	ds, ok := in.Dataset(s.Dataset)
-	if !ok {
-		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
-	}
-	kind := storage.BTreeIndex
-	switch s.Kind {
-	case aql.IndexRTree:
-		kind = storage.RTreeIndex
-	case aql.IndexKeyword:
-		kind = storage.KeywordIndex
-	case aql.IndexNGram:
-		kind = storage.NGramIndex
-	}
-	err := ds.CreateIndex(storage.IndexSpec{Name: s.Name, Fields: s.Fields, Kind: kind, GramLength: s.GramLength})
-	if err != nil && s.IfNotExists && errors.Is(err, storage.ErrExists) {
-		return &Result{Kind: "ddl"}, nil
-	}
+	// The DDL's index kinds are storage's, spelled the same.
+	spec := storage.IndexSpec{Name: s.Name, Fields: s.Fields, Kind: storage.IndexKind(s.Kind), GramLength: s.GramLength}
+	x, err := e.internal.CreateIndex(spec)
 	if err != nil {
-		return nil, err
+		if s.IfNotExists && errors.Is(err, storage.ErrExists) {
+			return nil
+		}
+		return err
 	}
-	return &Result{Kind: "ddl"}, nil
+	with := *e
+	with.indexes = append(slices.Clip(e.indexes), x)
+	next.datasets[s.Dataset] = &with
+	return nil
+}
+
+// dropIndex takes the index out of the catalog first, so no query compiled
+// from then on plans on it, and then detaches it from storage. A job built
+// before keeps the handle it resolved (storage.Index).
+func (r *Request) dropIndex(next *catalog, s *aql.DropIndex) error {
+	e, ok := next.datasets[s.Dataset]
+	if !ok || e.internal == nil {
+		return errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
+	}
+	i := slices.IndexFunc(e.indexes, func(x *storage.Index) bool { return x.Spec().Name == s.Name })
+	if i < 0 {
+		if s.IfExists {
+			return nil
+		}
+		return errf(CodeNotFound, "asterixdb: index %q on %q does not exist", s.Name, s.Dataset)
+	}
+	without := *e
+	without.indexes = slices.Delete(slices.Clone(e.indexes), i, i+1)
+	next.datasets[s.Dataset] = &without
+	r.current.Store(next)
+	return e.internal.DropIndex(s.Name)
 }
 
 // setParameter writes the request's own context: a set lasts for its
@@ -746,7 +657,7 @@ func (r *Request) setParameter(s *aql.SetStatement) (*Result, error) {
 // the partitions refuses a body that reads a stored dataset: it would see
 // only its own slice, and every node would insert what its slice produced.
 func (r *Request) executeInsert(ctx context.Context, s *aql.InsertStatement) (*Result, error) {
-	ds, ok := r.Dataset(s.Dataset)
+	ds, ok := r.LookupDataset(r.dataverse, s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
@@ -799,8 +710,8 @@ func appendRecords(recs []*adm.Record, items []adm.Value) []*adm.Record {
 // that reads a stored dataset would see only that slice. own is the
 // variable of the delete's own scan of its target, which its slice is
 // exactly right for.
-func (in *Instance) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, own string) error {
-	if in.cfg.OwnsPartition == nil {
+func (r *Request) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, own string) error {
+	if r.cfg.OwnsPartition == nil {
 		return nil
 	}
 	var read func(n *algebra.Node) string
@@ -808,7 +719,7 @@ func (in *Instance) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, ow
 		if n == nil {
 			return ""
 		}
-		if _, stored := in.LookupDataset(n.Dataverse, n.Dataset); stored && n.Variable != own {
+		if _, stored := r.LookupDataset(n.Dataverse, n.Dataset); stored && n.Variable != own {
 			return n.Dataset
 		}
 		for _, c := range n.Inputs {
@@ -829,7 +740,7 @@ func (in *Instance) refusePartialRead(stmt aql.Statement, plan *algebra.Plan, ow
 // uses secondary-index access paths, exactly as it would in a query. Only
 // the primary keys are held while the victims are deleted.
 func (r *Request) executeDelete(ctx context.Context, s *aql.DeleteStatement) (*Result, error) {
-	ds, ok := r.Dataset(s.Dataset)
+	ds, ok := r.LookupDataset(r.dataverse, s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
@@ -866,8 +777,8 @@ func (r *Request) executeDelete(ctx context.Context, s *aql.DeleteStatement) (*R
 	return &Result{Kind: "delete", Count: deleted}, nil
 }
 
-func (in *Instance) executeLoad(s *aql.LoadStatement) (*Result, error) {
-	ds, ok := in.Dataset(s.Dataset)
+func (r *Request) executeLoad(s *aql.LoadStatement) (*Result, error) {
+	ds, ok := r.LookupDataset(r.dataverse, s.Dataset)
 	if !ok {
 		return nil, errf(CodeNotFound, "asterixdb: dataset %q does not exist", s.Dataset)
 	}
@@ -893,18 +804,16 @@ func (in *Instance) executeLoad(s *aql.LoadStatement) (*Result, error) {
 // metadataRecords implements the "AsterixDB metadata is AsterixDB data"
 // property (Query 1): Metadata.Dataset, Metadata.Index, Metadata.Datatype,
 // Metadata.Dataverse and Metadata.Function are queryable datasets.
-func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
+func (c *catalog) metadataRecords(name string) ([]*adm.Record, error) {
 	var out []*adm.Record
 	switch name {
 	case "Dataverse":
-		for _, dv := range slices.Sorted(maps.Keys(in.dataverses)) {
+		for _, dv := range slices.Sorted(maps.Keys(c.dataverses)) {
 			out = append(out, adm.NewRecord(adm.Field{Name: "DataverseName", Value: adm.String(dv)}))
 		}
 	case "Dataset":
-		for _, n := range slices.Sorted(maps.Keys(in.datasets)) {
-			e := in.datasets[n]
+		for _, n := range slices.Sorted(maps.Keys(c.datasets)) {
+			e := c.datasets[n]
 			kind := "INTERNAL"
 			if e.external != nil {
 				kind = "EXTERNAL"
@@ -917,50 +826,47 @@ func (in *Instance) metadataRecords(name string) ([]*adm.Record, error) {
 			))
 		}
 	case "Index":
-		for _, n := range slices.Sorted(maps.Keys(in.datasets)) {
-			e := in.datasets[n]
+		for _, n := range slices.Sorted(maps.Keys(c.datasets)) {
+			e := c.datasets[n]
 			if e.internal == nil {
 				continue
 			}
-			spec := e.internal.Spec()
-			out = append(out, adm.NewRecord(
-				adm.Field{Name: "DataverseName", Value: adm.String(e.dataverse)},
-				adm.Field{Name: "DatasetName", Value: adm.String(n)},
-				adm.Field{Name: "IndexName", Value: adm.String(n)},
-				adm.Field{Name: "IndexStructure", Value: adm.String("BTREE")},
-				adm.Field{Name: "IsPrimary", Value: adm.Boolean(true)},
-				adm.Field{Name: "SearchKey", Value: stringList(spec.PrimaryKey)},
-			))
-			for _, ix := range e.internal.Indexes() {
-				fields := []adm.Field{
+			index := func(name, structure string, primary bool, key []string, more ...adm.Field) {
+				out = append(out, adm.NewRecord(append([]adm.Field{
 					{Name: "DataverseName", Value: adm.String(e.dataverse)},
 					{Name: "DatasetName", Value: adm.String(n)},
-					{Name: "IndexName", Value: adm.String(ix.Name)},
-					{Name: "IndexStructure", Value: adm.String(strings.ToUpper(string(ix.Kind)))},
-					{Name: "IsPrimary", Value: adm.Boolean(false)},
-					{Name: "SearchKey", Value: stringList(ix.Fields)},
-				}
+					{Name: "IndexName", Value: adm.String(name)},
+					{Name: "IndexStructure", Value: adm.String(structure)},
+					{Name: "IsPrimary", Value: adm.Boolean(primary)},
+					{Name: "SearchKey", Value: stringList(key)},
+				}, more...)...))
+			}
+			index(n, "BTREE", true, e.internal.Spec().PrimaryKey)
+			for _, x := range e.indexes {
+				ix := x.Spec()
+				var gram []adm.Field
 				if ix.Kind == storage.NGramIndex {
-					fields = append(fields, adm.Field{Name: "GramLength", Value: adm.Int32(int32(ix.GramLength))})
+					gram = []adm.Field{{Name: "GramLength", Value: adm.Int32(int32(ix.GramLength))}}
 				}
-				out = append(out, adm.NewRecord(fields...))
+				index(ix.Name, strings.ToUpper(string(ix.Kind)), false, ix.Fields, gram...)
 			}
 		}
 	case "Datatype":
-		for _, n := range slices.Sorted(maps.Keys(in.types)) {
+		for _, n := range slices.Sorted(maps.Keys(c.types)) {
+			t := c.types[n]
 			out = append(out, adm.NewRecord(
-				adm.Field{Name: "DataverseName", Value: adm.String(in.typeDataverse[n])},
+				adm.Field{Name: "DataverseName", Value: adm.String(t.dataverse)},
 				adm.Field{Name: "DatatypeName", Value: adm.String(n)},
-				adm.Field{Name: "Derived", Value: adm.String(in.types[n].Describe())},
+				adm.Field{Name: "Derived", Value: adm.String(t.def.Describe())},
 			))
 		}
 	case "Function":
-		for _, n := range slices.Sorted(maps.Keys(in.functions)) {
-			fn := in.functions[n]
+		for _, n := range slices.Sorted(maps.Keys(c.functions)) {
+			f := c.functions[n]
 			out = append(out, adm.NewRecord(
-				adm.Field{Name: "DataverseName", Value: adm.String(in.functionDataverse[n])},
+				adm.Field{Name: "DataverseName", Value: adm.String(f.dataverse)},
 				adm.Field{Name: "Name", Value: adm.String(n)},
-				adm.Field{Name: "Arity", Value: adm.Int32(int32(len(fn.Params)))},
+				adm.Field{Name: "Arity", Value: adm.Int32(int32(len(f.def.Params)))},
 			))
 		}
 	default:

@@ -447,8 +447,7 @@ return $d.id;`
 	if firstErr == nil {
 		t.Fatal("create index over a non-spatial value succeeded")
 	}
-	ds, _ := inst.Dataset("D")
-	if ixs := ds.Indexes(); len(ixs) != 0 {
+	if ixs := inst.DatasetInfo("V", "D").Indexes; len(ixs) != 0 {
 		t.Errorf("failed create index left %v published", ixs)
 	}
 	plan, err := inst.Explain(query)

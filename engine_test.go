@@ -3,7 +3,6 @@ package asterixdb
 import (
 	"context"
 	"fmt"
-	"maps"
 	"strings"
 	"sync"
 
@@ -72,21 +71,22 @@ func (in *Instance) oraclePlan(e aql.Expr, opts algebra.Options) (*algebra.Plan,
 
 // interpreter runs plans with the oracle's context of one request.
 type interpreter struct {
-	*Instance
+	*Request
 	octx *oracle.Context
 }
 
 func (r *Request) interpreter() *interpreter {
-	return &interpreter{Instance: r.Instance, octx: r.oracleContext()}
+	return &interpreter{Request: r, octx: r.oracleContext()}
 }
 
 // oracleContext is the request's evaluation context with the catalog's user
-// functions, as they stand now, and a dataset reader that reads any dataset
+// functions, as its catalog version lists them, and a dataset reader that reads any dataset
 // whole, a stored one in partition-concatenation order.
 func (r *Request) oracleContext() *oracle.Context {
-	r.mu.RLock()
-	fns := maps.Clone(r.functions)
-	r.mu.RUnlock()
+	fns := map[string]*aql.CreateFunction{}
+	for name, f := range r.cat.functions {
+		fns[name] = f.def
+	}
 	read := func(dataverse, name string) ([]*adm.Record, error) {
 		var out []*adm.Record
 		visit := func(rec *adm.Record) bool {
@@ -311,15 +311,13 @@ func (in *interpreter) execClause(envs []oracle.Env, clause aql.FLWORClause) ([]
 // each record to the scan variable.
 func (in *interpreter) execScan(n *algebra.Node) ([]oracle.Env, error) {
 	if n.Dataverse == "Metadata" {
-		recs, err := in.metadataRecords(n.Dataset)
+		recs, err := in.cat.metadataRecords(n.Dataset)
 		if err != nil {
 			return nil, err
 		}
 		return withPositions(n.PosVar, bindRecords(n.Variable, recs)), nil
 	}
-	in.mu.RLock()
-	e, ok := in.datasets[n.Dataset]
-	in.mu.RUnlock()
+	e, ok := in.cat.datasets[n.Dataset]
 	if !ok {
 		return nil, fmt.Errorf("asterixdb: dataset %q does not exist", n.Dataset)
 	}

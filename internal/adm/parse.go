@@ -476,24 +476,26 @@ func ParseTime(s string) (Value, error) {
 	return nil, fmt.Errorf("adm: bad time %q", s)
 }
 
-// ParseDatetime parses an ISO-8601 datetime ("2014-01-01T00:00:00",
-// optionally with fractional seconds and a timezone offset) into a Datetime.
+// ParseDatetime parses an ISO-8601 datetime ("2014-01-01T00:00:00", with
+// optional fractional seconds and a "Z", "+07:00" or "+0700" offset) into a
+// Datetime. The literal's shape picks one layout, as a layout tried in vain
+// allocates its error; time reads a fraction after any layout's seconds.
 func ParseDatetime(s string) (Value, error) {
-	layouts := []string{
-		"2006-01-02T15:04:05.000Z07:00",
-		"2006-01-02T15:04:05Z07:00",
-		"2006-01-02T15:04:05.000-0700",
-		"2006-01-02T15:04:05-0700",
-		"2006-01-02T15:04:05.000",
-		"2006-01-02T15:04:05",
-		"2006-01-02T15:04",
+	clock := s[strings.IndexByte(s, 'T')+1:]
+	layout := "2006-01-02T15:04:05"
+	switch zone := strings.IndexAny(clock, "+-"); {
+	case strings.HasSuffix(clock, "Z") || zone >= 0 && len(clock)-zone == len("+07:00"):
+		layout += "Z07:00"
+	case zone >= 0:
+		layout += "-0700"
+	case strings.Count(clock, ":") < 2:
+		layout = "2006-01-02T15:04"
 	}
-	for _, layout := range layouts {
-		if t, err := time.ParseInLocation(layout, s, time.UTC); err == nil {
-			return Datetime(t.UnixMilli()), nil
-		}
+	t, err := time.ParseInLocation(layout, s, time.UTC)
+	if err != nil {
+		return nil, fmt.Errorf("adm: bad datetime %q", s)
 	}
-	return nil, fmt.Errorf("adm: bad datetime %q", s)
+	return Datetime(t.UnixMilli()), nil
 }
 
 // ParseDuration parses an ISO-8601 duration such as "P30D", "P1Y2M",

@@ -79,7 +79,7 @@ func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 		{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex},
 		{Name: "ngIdx", Fields: []string{"message"}, Kind: NGramIndex, GramLength: 3},
 	} {
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestCreateIndexConcurrentWithWriters(t *testing.T) {
 		{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},
 		{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex},
 	} {
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},
 		{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex},
 	} {
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +356,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchIndexPartition(part, "tsIdx", Probe{Lo: lo, Hi: hi}, visit)
+		return searchIndexPartition(ds, part, "tsIdx", Probe{Lo: lo, Hi: hi}, visit)
 	})
 	assertSameIDs(t, "btree partitions", got, idsOf(recs))
 
@@ -368,7 +368,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchIndexPartition(part, "locIdx", Probe{Value: probe}, visit)
+		return searchIndexPartition(ds, part, "locIdx", Probe{Value: probe}, visit)
 	})
 	assertSameIDs(t, "rtree partitions", got, idsOf(recs))
 
@@ -377,7 +377,7 @@ func TestPartitionSearchPrimitivesAgreeWithMaterializedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = collect(func(part int, visit func([]byte) bool) error {
-		return ds.SearchIndexPartition(part, "kwIdx", Probe{Value: adm.String("delta")}, visit)
+		return searchIndexPartition(ds, part, "kwIdx", Probe{Value: adm.String("delta")}, visit)
 	})
 	assertSameIDs(t, "keyword partitions", got, idsOf(recs))
 }

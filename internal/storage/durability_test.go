@@ -27,7 +27,7 @@ func reopenWithDDL(t *testing.T, dir string, specs []IndexSpec) (*Manager, *Data
 	t.Cleanup(func() { m.Close() })
 	ds := createMessages(t, m)
 	for _, spec := range specs {
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestSecondaryIndexesSurviveReopen(t *testing.T) {
 	}
 	ds1 := createMessages(t, m1)
 	for _, spec := range specs {
-		if err := ds1.CreateIndex(spec); err != nil {
+		if _, err := ds1.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func TestBackgroundFlushKeepsQueriesCorrect(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
@@ -536,7 +536,7 @@ func TestDropIndexRemovesComponentFiles(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

@@ -16,6 +16,16 @@ import (
 	"asterixdb/internal/txn"
 )
 
+// searchIndexPartition searches one partition of the named index of the
+// maintained set.
+func searchIndexPartition(d *Dataset, part int, name string, probe Probe, visit func(pk []byte) bool) error {
+	x := d.maintained(name)
+	if x == nil {
+		return fmt.Errorf("no index %q on %q", name, d.spec.Name)
+	}
+	return x.SearchPartition(part, probe, visit)
+}
+
 // indexKindCases drives the one secondary-index mechanism once per kind: the
 // spec, a probe, and the brute-force predicate the probe's candidate set must
 // equal on the test data (chosen so that candidates and exact matches
@@ -63,7 +73,7 @@ func searchPKs(t *testing.T, ds *Dataset, name string, probe Probe) []string {
 	t.Helper()
 	var pks []string
 	for part := 0; part < ds.PartitionCount(); part++ {
-		err := ds.SearchIndexPartition(part, name, probe, func(pk []byte) bool {
+		err := searchIndexPartition(ds, part, name, probe, func(pk []byte) bool {
 			pks = append(pks, string(pk))
 			return true
 		})
@@ -99,7 +109,7 @@ func indexLens(t *testing.T, ds *Dataset, name string) []int {
 	var lens []int
 	for _, p := range ds.partitions {
 		p.mu.Lock()
-		n := p.indexes[name].tree.Len()
+		n := p.indexes[name].Len()
 		p.mu.Unlock()
 		lens = append(lens, n)
 	}
@@ -120,7 +130,7 @@ func TestOneIndexMechanismAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds1 := createMessages(t, m1)
-			if err := ds1.CreateIndex(tc.spec); err != nil {
+			if _, err := ds1.CreateIndex(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 			insert := func(ds *Dataset, id, variant int) {
@@ -243,7 +253,7 @@ func TestOneIndexMechanismAllKinds(t *testing.T) {
 					t.Errorf("partition %d: index directory survives DropIndex: %v", p.idNum, err)
 				}
 			}
-			if err := ds.CreateIndex(tc.spec); err != nil {
+			if _, err := ds.CreateIndex(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 			if got := searchPKs(t, ds, tc.spec.Name, tc.probe); fmt.Sprint(got) != fmt.Sprint(want) {
@@ -300,7 +310,7 @@ func TestRTreeIndexOverExtents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
 		return m, ds
@@ -377,7 +387,7 @@ func TestRTreeIndexOverExtents(t *testing.T) {
 	put(0, 2)
 	for _, p := range ds.partitions {
 		p.mu.Lock()
-		err := p.indexes[spec.Name].tree.Merge()
+		err := p.indexes[spec.Name].Merge()
 		p.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -425,11 +435,11 @@ func TestOldRTreeLayoutRefused(t *testing.T) {
 	if err := os.WriteFile(old, []byte("\x00\x00\x00LSMVALID"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ds.CreateIndex(spec)
+	_, err = ds.CreateIndex(spec)
 	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "drop and recreate") {
 		t.Fatalf("CreateIndex over an old-layout component: err = %v", err)
 	}
-	if len(ds.Indexes()) != 0 {
-		t.Fatalf("the refused index was published: %v", ds.Indexes())
+	if len(ds.indexes) != 0 {
+		t.Fatalf("the refused index was published: %v", ds.indexes)
 	}
 }

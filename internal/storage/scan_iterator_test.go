@@ -156,7 +156,7 @@ func TestScanPausedUnderMutation(t *testing.T) {
 func TestSecondarySearchPausedUnderMutation(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "authorIdx", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "authorIdx", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	var part0 []int
@@ -180,7 +180,7 @@ func TestSecondarySearchPausedUnderMutation(t *testing.T) {
 	visited := make(chan []byte)
 	searchErr := make(chan error, 1)
 	go func() {
-		searchErr <- ds.SearchIndexPartition(0, "authorIdx", Probe{}, func(pk []byte) bool {
+		searchErr <- searchIndexPartition(ds, 0, "authorIdx", Probe{}, func(pk []byte) bool {
 			visited <- pk
 			return true
 		})

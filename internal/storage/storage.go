@@ -10,6 +10,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -218,7 +219,7 @@ func (m *Manager) CreateDataset(spec DatasetSpec) (*Dataset, error) {
 		ds.partitions = append(ds.partitions, &partition{
 			idNum:   p,
 			primary: primary,
-			indexes: map[string]*index{},
+			indexes: map[string]*lsm.Tree{},
 		})
 	}
 	m.datasets[spec.Name] = ds
@@ -384,67 +385,43 @@ type Dataset struct {
 	manager *Manager
 	ser     *adm.Serializer
 
+	// indexes is the maintained set, which writers, WAL replay and flushes
+	// keep up to date; a query plans on the catalog's list (see Index).
 	mu         sync.RWMutex
-	indexes    []IndexSpec
+	indexes    []*Index
 	partitions []*partition
 }
 
 // partition is one storage partition: a primary LSM B+-tree plus the local
-// portion of every secondary index, each an LSM tree with its own durable
-// watermark. The mutex is the node-local latch that makes individual index
-// operations atomic (Section 4.4).
+// portion of every maintained secondary index, by name, each an LSM tree
+// with its own durable watermark. The mutex is the node-local latch that
+// makes individual index operations atomic (Section 4.4).
 type partition struct {
 	idNum int
 	mu    sync.Mutex
 
 	primary *lsm.Tree
-	indexes map[string]*index
+	indexes map[string]*lsm.Tree
 }
 
-// index is one partition's portion of a secondary index of any kind: an LSM
-// tree whose keys the kind's codec derives from a record (secondaryEntries)
-// and whose probes the kind's search turns into candidate primary keys
-// (index.search). Flush, antimatter, merge and recovery are the tree's and
-// the same for every kind.
-type index struct {
-	spec IndexSpec
-	tree *lsm.Tree
+// Index is a secondary index of any kind: one LSM tree per partition, whose
+// keys the kind's codec derives from a record (secondaryEntries) and whose
+// probes its search turns into candidate primary keys. A query job searches
+// the handle its catalog version resolved, so it never looks an index up by
+// name, and an index dropped under it stays readable (see DropIndex).
+type Index struct {
+	spec  IndexSpec
+	d     *Dataset
+	trees []*lsm.Tree // by partition
 }
 
-// openIndex opens (or reopens) one partition's LSM tree for spec.
-func openIndex(dir string, opts lsm.Options, spec IndexSpec) (*index, error) {
-	tree, err := lsm.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	switch spec.Kind {
-	case BTreeIndex, KeywordIndex, NGramIndex, RTreeIndex:
-	default:
-		return nil, fmt.Errorf("storage: unknown index kind %q", spec.Kind)
-	}
-	return &index{spec: spec, tree: tree}, nil
-}
-
-// apply applies one derived entry — an upsert, or an antimatter delete — to
-// the index. The live path, recovery replay and the CreateIndex backfill all
-// go through it, so the three can never drift, and re-applying an entry (as
-// recovery does) is a no-op. Caller holds the partition latch.
-func (ix *index) apply(key, value []byte, antimatter bool) error {
-	if antimatter {
-		return ix.tree.Delete(key)
-	}
-	return ix.tree.Insert(key, value)
-}
+// Spec returns the index's specification.
+func (x *Index) Spec() IndexSpec { return x.spec }
 
 // allTrees lists every LSM tree in the partition (primary first). Caller
 // holds p.mu.
 func (p *partition) allTrees() []*lsm.Tree {
-	trees := make([]*lsm.Tree, 0, 1+len(p.indexes))
-	trees = append(trees, p.primary)
-	for _, ix := range p.indexes {
-		trees = append(trees, ix.tree)
-	}
-	return trees
+	return slices.AppendSeq([]*lsm.Tree{p.primary}, maps.Values(p.indexes))
 }
 
 // treeFor resolves a WAL record's target tree: "" is the primary, anything
@@ -454,10 +431,7 @@ func (p *partition) treeFor(name string) *lsm.Tree {
 	if name == "" {
 		return p.primary
 	}
-	if ix := p.indexes[name]; ix != nil {
-		return ix.tree
-	}
-	return nil
+	return p.indexes[name]
 }
 
 // Spec returns the dataset's specification.
@@ -507,25 +481,15 @@ func (d *Dataset) Stats() DatasetStats {
 	return s
 }
 
-// Indexes returns the dataset's secondary index specifications.
-func (d *Dataset) Indexes() []IndexSpec {
+// maintained returns the named index of the maintained set, or nil. Query
+// jobs never look an index up by name; only the searches below do.
+func (d *Dataset) maintained(name string) *Index {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]IndexSpec, len(d.indexes))
-	copy(out, d.indexes)
-	return out
-}
-
-// IndexByName returns the named secondary index spec.
-func (d *Dataset) IndexByName(name string) (IndexSpec, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, ix := range d.indexes {
-		if ix.Name == name {
-			return ix, true
-		}
+	if i := slices.IndexFunc(d.indexes, func(x *Index) bool { return x.spec.Name == name }); i >= 0 {
+		return d.indexes[i]
 	}
-	return IndexSpec{}, false
+	return nil
 }
 
 // indexDir is the on-disk root of one secondary index partition.
@@ -542,7 +506,8 @@ func tokenizerFor(ix IndexSpec) invidx.Tokenizer {
 }
 
 // CreateIndex adds a secondary index, opening (or reopening) its LSM trees
-// and bulk-building it from existing data when it is brand new.
+// and bulk-building it from existing data when it is brand new, and returns
+// its handle once the backfill is done.
 //
 // Ordering matters for concurrent writers. Every partition's trees are
 // opened BEFORE the spec is published in d.indexes: a writer that sees the
@@ -553,45 +518,50 @@ func tokenizerFor(ix IndexSpec) invidx.Tokenizer {
 // applying them), so by the time the backfill scans a partition, any record
 // whose group carries no entries for this index is already in the primary.
 //
-// A failed backfill drops the index again (spec, trees and directories): a
-// published half-built index would be planned by the optimizer and silently
-// miss rows, and a retry would adopt whatever a background flush had already
-// written instead of reporting the same error.
-func (d *Dataset) CreateIndex(spec IndexSpec) error {
-	d.mu.Lock()
-	for _, ix := range d.indexes {
-		if ix.Name == spec.Name {
-			d.mu.Unlock()
-			return fmt.Errorf("storage: index %q on %q: %w", spec.Name, d.spec.Name, ErrExists)
-		}
+// A half-built index is in the maintained set only: the caller publishes the
+// handle to queries after this returns. A failed backfill drops the index
+// again (spec, trees and directories), so a retry does not adopt whatever a
+// background flush had already written instead of reporting the same error.
+func (d *Dataset) CreateIndex(spec IndexSpec) (*Index, error) {
+	if !slices.Contains([]IndexKind{BTreeIndex, RTreeIndex, KeywordIndex, NGramIndex}, spec.Kind) {
+		return nil, fmt.Errorf("storage: unknown index kind %q", spec.Kind)
 	}
 	if spec.Kind == NGramIndex && spec.GramLength <= 0 {
 		spec.GramLength = 3
 	}
+	d.mu.Lock()
+	for _, ix := range d.indexes {
+		if ix.spec.Name == spec.Name {
+			d.mu.Unlock()
+			return nil, fmt.Errorf("storage: index %q on %q: %w", spec.Name, d.spec.Name, ErrExists)
+		}
+	}
+	x := &Index{spec: spec, d: d}
 	for _, p := range d.partitions {
-		ix, err := openIndex(d.indexDir(p, spec.Name), d.manager.lsmOptions(), spec)
+		tree, err := lsm.Open(d.indexDir(p, spec.Name), d.manager.lsmOptions())
 		if err != nil {
 			// Unpublish the partial create so a retry starts clean.
 			d.detachIndex(spec.Name)
 			d.mu.Unlock()
-			return err
+			return nil, err
 		}
 		p.mu.Lock()
-		p.indexes[spec.Name] = ix
+		p.indexes[spec.Name] = tree
 		p.mu.Unlock()
+		x.trees = append(x.trees, tree)
 	}
-	d.indexes = append(d.indexes, spec)
+	d.indexes = append(d.indexes, x)
 	d.mu.Unlock()
 
-	for _, p := range d.partitions {
-		if err := d.backfillIndexPartition(p, spec); err != nil {
+	for i, p := range d.partitions {
+		if err := d.backfillIndexPartition(p, spec, x.trees[i]); err != nil {
 			if dropErr := d.DropIndex(spec.Name); dropErr != nil {
-				return errors.Join(err, dropErr)
+				return nil, errors.Join(err, dropErr)
 			}
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return x, nil
 }
 
 // detachIndex removes the named index's tree from every partition. Caller
@@ -604,18 +574,14 @@ func (d *Dataset) detachIndex(name string) {
 	}
 }
 
-func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec) error {
+func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec, tree *lsm.Tree) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ix := p.indexes[spec.Name]
-	if ix == nil {
-		return fmt.Errorf("storage: index %q on %q: tree missing after create", spec.Name, d.spec.Name)
-	}
 	// Reopening after a restart: the index already has durable components,
 	// and the WAL suffix carries every operation past its watermark, so
 	// recovery completes it. A backfill scan here would read pre-recovery
 	// primary state and is skipped.
-	if ix.tree.Components() > 0 {
+	if tree.Components() > 0 {
 		return nil
 	}
 	// Brand-new index (or one that crashed before its first flush): flush the
@@ -643,7 +609,7 @@ func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec) error {
 		}
 		keys, vals, err := secondaryEntries(spec, val.(*adm.Record), pk)
 		for i := 0; err == nil && i < len(keys); i++ {
-			err = ix.apply(keys[i], vals[i], false)
+			err = tree.Insert(keys[i], vals[i])
 		}
 		buildErr = err
 		return err == nil
@@ -651,14 +617,22 @@ func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec) error {
 	return buildErr
 }
 
-// DropIndex removes a secondary index and its on-disk component files.
+// DropIndex removes a secondary index from the maintained set and deletes
+// its on-disk component files.
 func (d *Dataset) DropIndex(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, ix := range d.indexes {
-		if ix.Name == name {
+		if ix.spec.Name == name {
 			d.indexes = append(d.indexes[:i], d.indexes[i+1:]...)
 			d.detachIndex(name)
+			// A job compiled before the drop may still be searching this
+			// index through its handle. That is safe without counting
+			// readers only because a tree holds every component as an
+			// in-memory image read whole at open, flush and merge: deleting
+			// the files leaves the detached trees readable. A tree that
+			// reads its component files lazily must keep them until the
+			// last such job ends.
 			for _, p := range d.partitions {
 				if err := os.RemoveAll(d.indexDir(p, name)); err != nil {
 					return err
@@ -843,7 +817,8 @@ func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
 // recursive read locks past a pending writer).
 func (d *Dataset) buildLogRecords(tid txn.ID, part int, pk []byte, oldRec, newRec *adm.Record, raw []byte) ([]txn.LogRecord, error) {
 	var recs []txn.LogRecord
-	for _, ix := range d.indexes {
+	for _, x := range d.indexes {
+		ix := x.spec
 		if oldRec != nil {
 			keys, _, err := secondaryEntries(ix, oldRec, pk)
 			if err == nil { // old entries that failed to derive were never indexed
@@ -920,20 +895,19 @@ func (d *Dataset) applyGroup(part int, recs []txn.LogRecord) error {
 	return nil
 }
 
-// applyRecordLocked applies one log record to its target tree. The same
-// routine runs on the live path and during recovery replay, so the two can
-// never drift. Caller holds p.mu.
+// applyRecordLocked applies one log record — an upsert, or an antimatter
+// delete — to its target tree. The same routine runs on the live path and
+// during recovery replay, so the two can never drift, and re-applying a
+// record (as recovery does) is a no-op. Caller holds p.mu.
 func (p *partition) applyRecordLocked(rec txn.LogRecord) error {
-	if rec.Index != "" {
-		if ix := p.indexes[rec.Index]; ix != nil {
-			return ix.apply(rec.Key, rec.Value, rec.Kind == txn.OpDelete)
-		}
+	tree := p.treeFor(rec.Index)
+	switch {
+	case tree == nil:
 		return nil // index dropped since the record was logged
+	case rec.Kind == txn.OpInsert:
+		return tree.Insert(rec.Key, rec.Value)
 	}
-	if rec.Kind == txn.OpInsert {
-		return p.primary.Insert(rec.Key, rec.Value)
-	}
-	return p.primary.Delete(rec.Key)
+	return tree.Delete(rec.Key)
 }
 
 // applyLogged applies one WAL record during recovery, gated on the target
@@ -1077,8 +1051,8 @@ type Probe struct {
 	MinMatches int
 }
 
-// SearchIndexPartition visits the encoded primary keys in one partition's
-// secondary index that conservatively match the probe: B+-tree entries whose
+// SearchPartition visits the encoded primary keys in one partition of the
+// index that conservatively match the probe: B+-tree entries whose
 // secondary key lies in [Lo, Hi]; R-tree entries whose stored MBR intersects
 // the probe's; keyword postings containing every token of the probe; ngram
 // postings containing every (unpadded) gram of it. Each candidate set is a
@@ -1088,18 +1062,13 @@ type Probe struct {
 // bound the candidate set — and is reported as an error. Keys are copied out
 // under the partition latch and visited outside it, so a pipelined consumer
 // may block inside visit without wedging the partition.
-func (d *Dataset) SearchIndexPartition(part int, indexName string, probe Probe, visit func(pk []byte) bool) error {
-	if part < 0 || part >= len(d.partitions) {
+func (x *Index) SearchPartition(part int, probe Probe, visit func(pk []byte) bool) error {
+	if part < 0 || part >= len(x.trees) {
 		return fmt.Errorf("storage: partition %d out of range", part)
 	}
-	p := d.partitions[part]
+	p := x.d.partitions[part]
 	p.mu.Lock()
-	ix := p.indexes[indexName]
-	if ix == nil {
-		p.mu.Unlock()
-		return fmt.Errorf("storage: no index %q on %q", indexName, d.spec.Name)
-	}
-	pks, it, err := ix.search(probe)
+	pks, it, err := x.search(x.trees[part], probe)
 	p.mu.Unlock()
 	if err != nil {
 		return err
@@ -1131,13 +1100,13 @@ func (d *Dataset) SearchIndexPartition(part int, indexName string, probe Probe, 
 
 // search normalizes the probe for the index's kind and runs it. A kind with
 // a resumable cursor (the B+-tree range) returns the iterator for
-// SearchIndexPartition to drain in scanChunk batches; the others (Z-range
+// SearchPartition to drain in scanChunk batches; the others (Z-range
 // scans with an exact filter, posting-list algebra) return their whole
 // candidate set. An unknown or wrongly typed probe value matches nothing —
 // the predicate above would be false or null everywhere. Caller holds the
 // partition latch.
-func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
-	switch ix.spec.Kind {
+func (x *Index) search(tree *lsm.Tree, probe Probe) ([][]byte, *lsm.Iterator, error) {
+	switch x.spec.Kind {
 	case BTreeIndex:
 		var lo, hi []byte
 		if probe.Lo != nil {
@@ -1146,14 +1115,14 @@ func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
 		if probe.Hi != nil {
 			hi = append(adm.EncodeKey(nil, probe.Hi), 0xFF) // include any PK suffix
 		}
-		return nil, ix.tree.NewIterator(lo, hi), nil
+		return nil, tree.NewIterator(lo, hi), nil
 	case RTreeIndex:
 		mbr, ok := SpatialProbeMBR(probe.Value)
 		if !ok {
 			return nil, nil, nil
 		}
 		var pks [][]byte
-		err := rtree.Search(ix.tree.Range, mbr, func(pk []byte) bool {
+		err := rtree.Search(tree.Range, mbr, func(pk []byte) bool {
 			pks = append(pks, append([]byte(nil), pk...))
 			return true
 		})
@@ -1164,18 +1133,18 @@ func (ix *index) search(probe Probe) ([][]byte, *lsm.Iterator, error) {
 			return nil, nil, nil
 		}
 		switch {
-		case ix.spec.Kind == KeywordIndex:
-			return invidx.LookupAll(ix.tree, tokenizerFor(ix.spec)(s)), nil, nil
+		case x.spec.Kind == KeywordIndex:
+			return invidx.LookupAll(tree, tokenizerFor(x.spec)(s)), nil, nil
 		case probe.MinMatches > 0:
-			return invidx.LookupAny(ix.tree, tokenizerFor(ix.spec)(s), probe.MinMatches), nil, nil
+			return invidx.LookupAny(tree, tokenizerFor(x.spec)(s), probe.MinMatches), nil, nil
 		}
-		grams := substringGrams(s, ix.spec.GramLength)
+		grams := substringGrams(s, x.spec.GramLength)
 		if len(grams) == 0 {
-			return nil, nil, fmt.Errorf("storage: ngram probe %q is shorter than gram length %d", s, ix.spec.GramLength)
+			return nil, nil, fmt.Errorf("storage: ngram probe %q is shorter than gram length %d", s, x.spec.GramLength)
 		}
-		return invidx.LookupAll(ix.tree, grams), nil, nil
+		return invidx.LookupAll(tree, grams), nil, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown index kind %q", ix.spec.Kind)
+	return nil, nil, fmt.Errorf("storage: unknown index kind %q", x.spec.Kind)
 }
 
 // substringGrams returns the unpadded lower-cased k-grams of s. Unlike
@@ -1210,13 +1179,14 @@ func (d *Dataset) SearchSecondaryConjunctive(indexName, probe string) ([]*adm.Re
 // primary keys (the sort operator between the two searches in Figure 6), and
 // fetches the records from the primary indexes. Callers post-validate.
 func (d *Dataset) collectAndFetch(indexName string, probe Probe, kinds ...IndexKind) (IndexSpec, []*adm.Record, error) {
-	ix, ok := d.IndexByName(indexName)
-	if !ok || !slices.Contains(kinds, ix.Kind) {
-		return ix, nil, fmt.Errorf("storage: no index %q of kind %v on %q", indexName, kinds, d.spec.Name)
+	x := d.maintained(indexName)
+	if x == nil || !slices.Contains(kinds, x.spec.Kind) {
+		return IndexSpec{}, nil, fmt.Errorf("storage: no index %q of kind %v on %q", indexName, kinds, d.spec.Name)
 	}
+	ix := x.spec
 	var pks [][]byte
 	for part := range d.partitions {
-		err := d.SearchIndexPartition(part, indexName, probe, func(pk []byte) bool {
+		err := x.SearchPartition(part, probe, func(pk []byte) bool {
 			pks = append(pks, pk)
 			return true
 		})

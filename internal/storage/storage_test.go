@@ -111,7 +111,7 @@ func TestInsertValidation(t *testing.T) {
 func TestUpsertReplacesSecondaryEntries(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	ds.Insert(message(1, 100, 0, "original", 0, 0))
@@ -139,7 +139,7 @@ func TestSecondaryBTreeRange(t *testing.T) {
 		}
 	}
 	// Index created after data exists must backfill.
-	if err := ds.CreateIndex(IndexSpec{Name: "msTimestampIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "msTimestampIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ds.SearchSecondaryRange("msTimestampIdx", adm.Datetime(100000), adm.Datetime(150000))
@@ -169,7 +169,7 @@ func TestSecondaryBTreeRange(t *testing.T) {
 func TestSecondaryRTree(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "msSenderLocIndex", Fields: []string{"sender-location"}, Kind: RTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "msSenderLocIndex", Fields: []string{"sender-location"}, Kind: RTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -188,7 +188,7 @@ func TestSecondaryRTree(t *testing.T) {
 func TestSecondaryInverted(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "msMessageIdx", Fields: []string{"message"}, Kind: KeywordIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "msMessageIdx", Fields: []string{"message"}, Kind: KeywordIndex}); err != nil {
 		t.Fatal(err)
 	}
 	ds.Insert(message(1, 1, 0, "going out tonight", 0, 0))
@@ -202,7 +202,7 @@ func TestSecondaryInverted(t *testing.T) {
 		t.Errorf("keyword search returned %d records", len(recs))
 	}
 	// An ngram index supports fuzzy candidate generation.
-	if err := ds.CreateIndex(IndexSpec{Name: "msMessageNGram", Fields: []string{"message"}, Kind: NGramIndex, GramLength: 3}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "msMessageNGram", Fields: []string{"message"}, Kind: NGramIndex, GramLength: 3}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err = ds.SearchSecondaryInverted("msMessageNGram", "tonite", 3)
@@ -217,10 +217,10 @@ func TestSecondaryInverted(t *testing.T) {
 func TestDropIndexAndDataset(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err == nil {
+	if _, err := ds.CreateIndex(IndexSpec{Name: "byAuthor", Fields: []string{"author-id"}, Kind: BTreeIndex}); err == nil {
 		t.Error("duplicate index should fail")
 	}
 	if err := ds.DropIndex("byAuthor"); err != nil {

@@ -180,7 +180,7 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 		{Name: "by_text", Fields: []string{"text"}, Kind: storage.KeywordIndex},
 		{Name: "by_name", Fields: []string{"name"}, Kind: storage.NGramIndex, GramLength: 3},
 	} {
-		if err := ds.CreateIndex(spec); err != nil {
+		if _, err := ds.CreateIndex(spec); err != nil {
 			m.Close()
 			return nil, nil, err
 		}

@@ -487,12 +487,15 @@ func (b *jobBuilder) buildProbe(n *algebra.Node, label, out string, probes []aql
 // value maps to candidates — and that an unknown or wrongly typed one matches
 // nothing — is the storage layer's knowledge.
 func (b *jobBuilder) buildIndexSearch(n *algebra.Node) (stream, error) {
-	index := n.Index
-	label := fmt.Sprintf("%s(%s)", n.IndexKind.SearchName(), index)
+	index, ok := b.rt.LookupIndex(n.Dataverse, n.Dataset, n.Index)
+	if !ok {
+		return stream{}, fmt.Errorf("translator: no index %q on %q", n.Index, n.Dataset)
+	}
+	label := fmt.Sprintf("%s(%s)", n.IndexKind.SearchName(), n.Index)
 	return b.buildProbe(n, label, pkColumn, []aql.Expr{n.LoExpr, n.HiExpr, n.ProbeExpr}, false,
-		func(ds *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {
+		func(_ *storage.Dataset, p int, vals []adm.Value, emit func(adm.Value) bool) error {
 			probe := storage.Probe{Lo: vals[0], Hi: vals[1], Value: vals[2]}
-			return ds.SearchIndexPartition(p, index, probe, func(pk []byte) bool { return emit(adm.Binary(pk)) })
+			return index.SearchPartition(p, probe, func(pk []byte) bool { return emit(adm.Binary(pk)) })
 		})
 }
 

@@ -47,6 +47,9 @@ type Runtime interface {
 	// It reports false for external datasets and the Metadata dataverse,
 	// which the job reads with ScanDataset.
 	LookupDataset(dataverse, name string) (*storage.Dataset, bool)
+	// LookupIndex resolves a secondary index the catalog lists. The job
+	// keeps the handle, so the index stays readable to it after a drop.
+	LookupIndex(dataverse, dataset, index string) (*storage.Index, bool)
 	// ScanDataset streams the records of a dataset LookupDataset does not
 	// resolve until visit returns false; an unknown dataset is an error.
 	ScanDataset(dataverse, name string, visit func(*adm.Record) bool) error

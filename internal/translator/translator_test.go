@@ -16,10 +16,31 @@ import (
 )
 
 // testRuntime is a Runtime and Catalog over a real two-partition storage
-// manager, so compiled jobs get partitioned scans and real shuffles.
+// manager, so compiled jobs get partitioned scans and real shuffles. Its
+// catalog lists the indexes createIndex built, by dataset.
 type testRuntime struct {
-	m   *storage.Manager
-	ctx *expr.Context
+	m       *storage.Manager
+	ctx     *expr.Context
+	indexes map[string][]*storage.Index
+}
+
+func (r *testRuntime) createIndex(t *testing.T, dataset string, spec storage.IndexSpec) {
+	t.Helper()
+	ds, _ := r.m.Dataset(dataset)
+	x, err := ds.CreateIndex(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.indexes[dataset] = append(r.indexes[dataset], x)
+}
+
+func (r *testRuntime) LookupIndex(_, dataset, index string) (*storage.Index, bool) {
+	for _, x := range r.indexes[dataset] {
+		if x.Spec().Name == index {
+			return x, true
+		}
+	}
+	return nil, false
 }
 
 func (r *testRuntime) EvalContext() *expr.Context { return r.ctx }
@@ -40,7 +61,8 @@ func (r *testRuntime) DatasetInfo(_, name string) algebra.DatasetInfo {
 		return algebra.DatasetInfo{}
 	}
 	info := algebra.DatasetInfo{PrimaryKey: ds.Spec().PrimaryKey}
-	for _, ix := range ds.Indexes() {
+	for _, x := range r.indexes[name] {
+		ix := x.Spec()
 		info.Indexes = append(info.Indexes, algebra.IndexInfo{Name: ix.Name, Kind: algebra.IndexKind(ix.Kind), Field: ix.Fields[0]})
 	}
 	return info
@@ -85,7 +107,7 @@ func newTestRuntime(t *testing.T) *testRuntime {
 			t.Fatal(err)
 		}
 	}
-	return &testRuntime{m: m, ctx: expr.NewContext()}
+	return &testRuntime{m: m, ctx: expr.NewContext(), indexes: map[string][]*storage.Index{}}
 }
 
 // compile builds the unfused job, so every operator is inspectable.
@@ -225,10 +247,7 @@ distribute-result
 // nothing; and the results are the hash join's.
 func TestIndexProbeChainFedByOuter(t *testing.T) {
 	rt := newTestRuntime(t)
-	msgs, _ := rt.m.Dataset("Msgs")
-	if err := msgs.CreateIndex(storage.IndexSpec{Name: "msgUid", Fields: []string{"uid"}, Kind: storage.BTreeIndex}); err != nil {
-		t.Fatal(err)
-	}
+	rt.createIndex(t, "Msgs", storage.IndexSpec{Name: "msgUid", Fields: []string{"uid"}, Kind: storage.BTreeIndex})
 	const joined = `{ "u": "u1", "m": 1 } { "u": "u1", "m": 4 } { "u": "u1", "m": 7 } { "u": "u2", "m": 2 } { "u": "u2", "m": 5 } { "u": "u2", "m": 8 }`
 
 	// The inner side has a secondary B+-tree index on the join field.

@@ -225,8 +225,13 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 	switch {
 	case st.Size() < walHeaderLen:
 		// Fresh log, or a crash mid-header-write: no record was ever
-		// appended (appends require a complete header), so start over.
-		if err := w.writeHeader(0); err != nil {
+		// appended (appends require a complete header), so start over. A
+		// created log's directory entry is made durable before any commit.
+		err := w.writeHeader(0)
+		if err == nil {
+			err = fsutil.SyncDir(dir)
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}

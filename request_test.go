@@ -39,8 +39,8 @@ func queryText(t *testing.T, inst *Instance, src string) string {
 
 // TestFunctionDDLBesideQueries: functions are created and dropped while other
 // requests inline calls. The catalog owns the function table and inlining
-// reads it under the catalog's lock, so neither side sees a torn table (run
-// under -race, a CI step repeats it).
+// reads the request's immutable catalog version, so neither side sees a torn
+// table (run under -race, a CI step repeats it).
 func TestFunctionDDLBesideQueries(t *testing.T) {
 	inst := openEmpty(t)
 	if _, err := inst.Execute(`create function g($x) { $x + 1 };`); err != nil {
