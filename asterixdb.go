@@ -267,10 +267,11 @@ func (in *Instance) Explain(src string) (string, error) {
 // query under a new Request, returning the request and that query's
 // expression for the request's CompileQuery. When src does not end in a
 // query everything was executed: the expression is nil and the Result is the
-// last statement's. The cluster runtime calls it on the coordinator and on
-// every node controller, so a multi-statement request applies its leading
-// DDL/DML identically everywhere before the final query compiles against the
-// updated catalog under the request's own use dataverse and set.
+// last statement's. The cluster runtime calls it once on the coordinator and
+// once per job message on every node controller, so a multi-statement
+// request applies its leading DDL/DML everywhere before the final query
+// compiles against the updated catalog under the request's own use
+// dataverse and set.
 func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (*Request, aql.Expr, *Result, error) {
 	return in.prelude(ctx, src, false, nil)
 }
@@ -320,8 +321,9 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, p
 // run compiles the same expression under the same options and the same
 // request prologue against its replicated catalog, expecting an identical
 // job — the property the frame wire protocol's edge indexes rely on, which
-// nothing checks yet. A query the compiler cannot plan is a typed
-// CodeInvalid error; there is no other way to evaluate it.
+// the cluster controller checks against a hash of its own job's shape. A
+// query the compiler cannot plan is a typed CodeInvalid error; there is no
+// other way to evaluate it.
 func (r *Request) CompileQuery(e aql.Expr, opts algebra.Options) (*algebra.Plan, *hyracks.Job, error) {
 	return r.compile(e, opts, nil)
 }
@@ -902,7 +904,7 @@ func (in *Instance) materialize(ctx context.Context, job *hyracks.Job) (*Result,
 	// drain finishes the cursor on every path; the deferred Close
 	// (idempotent) keeps the job torn down even if drain panics.
 	defer cur.Close()
-	values, err := cur.drain()
+	values, err := cur.Drain()
 	if err != nil {
 		return nil, err
 	}

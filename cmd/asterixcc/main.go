@@ -36,7 +36,7 @@ var (
 	nodesFlag      = flag.Int("nodes", 0, "number of node controllers to expect (required)")
 	partitionsFlag = flag.Int("partitions", 0, "cluster-wide storage partitions (default 4; must match the nodes)")
 	ttlFlag        = flag.Duration("handle-ttl", 2*time.Minute, "async/deferred result handle TTL")
-	memBudgetFlag  = flag.Int64("memory-budget", 0, "per-query memory budget in bytes (0 = unconstrained)")
+	memBudgetFlag  = flag.Int64("memory-budget", 0, "memory budget in bytes each job and the result handle table get whole (0 = unconstrained)")
 	slowQueryFlag  = flag.Int64("slow-query-ms", 0,
 		"log every query slower than this many milliseconds with its per-operator profile summary (0 = off)")
 )

@@ -35,8 +35,8 @@ var (
 	journaledFlag  = flag.Bool("journaled", false, "sync the WAL on every commit")
 	ttlFlag        = flag.Duration("handle-ttl", 2*time.Minute, "async/deferred result handle TTL")
 	memBudgetFlag  = flag.Int64("memory-budget", 0,
-		"per-query memory budget in bytes for blocking operators (sort, join build, group-by); "+
-			"queries exceeding it spill to run files under <data>/.spill; 0 = unconstrained")
+		"memory budget in bytes for blocking operators (sort, join build, group-by), which each job "+
+			"and the result handle table get whole; a job exceeding it spills to run files under <data>/.spill; 0 = unconstrained")
 	slowQueryFlag = flag.Int64("slow-query-ms", 0,
 		"log every query slower than this many milliseconds with its per-operator profile summary (0 = off)")
 )

@@ -31,7 +31,7 @@ var (
 	dataAddrFlag   = flag.String("data-addr", "127.0.0.1:0", "data-plane listen address for peer frame exchange")
 	dataFlag       = flag.String("data", "", "local data directory (required)")
 	partitionsFlag = flag.Int("partitions", 0, "cluster-wide storage partitions (default 4; must match the controller)")
-	memBudgetFlag  = flag.Int64("memory-budget", 0, "per-query memory budget in bytes (0 = unconstrained)")
+	memBudgetFlag  = flag.Int64("memory-budget", 0, "memory budget in bytes each job slice gets whole (0 = unconstrained)")
 	metricsFlag    = flag.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 )
 

@@ -296,7 +296,7 @@ func runDifferentialFuzz(t *testing.T, seed int64) {
 }
 
 // runDifferentialFuzzBudget is runDifferentialFuzz with the Hyracks side
-// running under a per-query memory budget, so joins, sorts and group-bys
+// running under a job memory budget, so joins, sorts and group-bys
 // spill mid-template and must still match the unconstrained oracle.
 func runDifferentialFuzzBudget(t *testing.T, seed, memoryBudget int64) {
 	rng := rand.New(rand.NewSource(seed))

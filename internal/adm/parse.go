@@ -464,16 +464,21 @@ func ParseDate(s string) (Value, error) {
 	return Date(int32(t.Unix() / 86400)), nil
 }
 
-// ParseTime parses "HH:MM:SS[.mmm][Z|±HH:MM]" into a Time.
+// ParseTime parses "HH:MM[:SS[.fff]][Z]" into a Time; a numeric offset is
+// refused. The literal's shape picks one layout, as a layout tried in vain
+// allocates its error; time reads a fraction of any width after the seconds.
 func ParseTime(s string) (Value, error) {
 	base := strings.TrimSuffix(s, "Z")
-	for _, layout := range []string{"15:04:05.000", "15:04:05", "15:04"} {
-		if t, err := time.ParseInLocation(layout, base, time.UTC); err == nil {
-			ms := t.Hour()*3600000 + t.Minute()*60000 + t.Second()*1000 + t.Nanosecond()/1e6
-			return Time(int32(ms)), nil
-		}
+	layout := "15:04:05"
+	if strings.Count(base, ":") < 2 {
+		layout = "15:04"
 	}
-	return nil, fmt.Errorf("adm: bad time %q", s)
+	t, err := time.ParseInLocation(layout, base, time.UTC)
+	if err != nil {
+		return nil, fmt.Errorf("adm: bad time %q", s)
+	}
+	ms := t.Hour()*3600000 + t.Minute()*60000 + t.Second()*1000 + t.Nanosecond()/1e6
+	return Time(int32(ms)), nil
 }
 
 // ParseDatetime parses an ISO-8601 datetime ("2014-01-01T00:00:00", with

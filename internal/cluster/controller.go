@@ -12,6 +12,7 @@ import (
 
 	"asterixdb"
 	"asterixdb/internal/algebra"
+	"asterixdb/internal/aql"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/metrics"
 )
@@ -30,18 +31,19 @@ type ControllerConfig struct {
 	// HeartbeatTimeout bounds silence on a node's control connection before
 	// the node is declared dead (default 15s).
 	HeartbeatTimeout time.Duration
-	// RPCTimeout bounds every statement/job round trip to a node and the
-	// post-cancel drain of a failed job's result streams (default 30s).
+	// RPCTimeout bounds every job round trip to a node and the post-cancel
+	// drain of a failed job's result streams (default 30s).
 	RPCTimeout time.Duration
 	// WriteTimeout bounds every control-plane write (default 10s).
 	WriteTimeout time.Duration
 }
 
 // Controller is the cluster controller: it owns the catalog (a local
-// instance that never stores base data), compiles and validates every
-// request, fans statements and jobs out to the node controllers, and gathers
-// result frames into cursors. It implements the server.Engine surface, so
-// the HTTP API fronts a cluster exactly as it fronts a single process.
+// instance that never stores base data), runs and compiles every request on
+// it first, sends each request to the node controllers as one job message,
+// and gathers result frames into cursors. It implements the server.Engine
+// surface, so the HTTP API fronts a cluster exactly as it fronts a single
+// process.
 type Controller struct {
 	inst *asterixdb.Instance
 	cfg  ControllerConfig
@@ -50,6 +52,9 @@ type Controller struct {
 	dataLn net.Listener
 
 	formed chan struct{} // closed once ExpectNodes nodes registered
+
+	// ddlMu orders the requests holding DDL (see prepare).
+	ddlMu sync.Mutex
 
 	mu      sync.Mutex
 	nodes   map[string]*ncPeer
@@ -280,7 +285,7 @@ func (c *Controller) handleCtrl(conn net.Conn) {
 		switch m.Type {
 		case msgPong:
 			// The read deadline reset is the liveness signal.
-		case msgStmtAck, msgJobAck:
+		case msgJobAck:
 			c.mu.Lock()
 			ch := c.penders[rpcKey(m.ID, peer.name)]
 			c.mu.Unlock()
@@ -439,10 +444,6 @@ func (c *Controller) requireCluster() ([]*ncPeer, error) {
 
 func rpcKey(id, node string) string { return id + "|" + node }
 
-func (c *Controller) newID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, c.nextID.Add(1))
-}
-
 // rpc sends one message to one node and waits for its ack, bounded by the
 // node's liveness and the RPC deadline.
 func (c *Controller) rpc(ctx context.Context, p *ncPeer, m ctrlMsg) (ctrlMsg, error) {
@@ -505,122 +506,151 @@ func (c *Controller) broadcast(ctx context.Context, peers []*ncPeer, m ctrlMsg) 
 }
 
 // ----------------------------------------------------------------------------
-// server.Engine: statements
+// server.Engine: the one request path
 // ----------------------------------------------------------------------------
 
-// ExecuteContext runs AQL statements cluster-wide: the controller's catalog
-// replica applies them first (so malformed requests are rejected before any
-// node sees them), then every node executes the same source against its
-// partition slice. DML counts sum across nodes; everything else (DDL,
-// queries through the statement path) reports the controller's local result.
+// ExecuteContext runs a request cluster-wide and returns its last statement's
+// result; a trailing query's rows are drained from the gathered stream, so
+// the result is the one Instance.ExecuteContext returns.
 func (c *Controller) ExecuteContext(ctx context.Context, src string) (*asterixdb.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	cur, res, err := c.submit(ctx, src)
+	if err != nil || cur == nil {
+		return res, err
 	}
-	peers, err := c.requireCluster()
+	defer cur.Close()
+	values, err := cur.Drain()
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.inst.ExecuteContext(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	return c.broadcastStatements(ctx, peers, src, res)
+	return &asterixdb.Result{Kind: "query", Values: values, Count: len(values)}, nil
 }
 
-// broadcastStatements has every node execute src after the catalog replica
-// produced res for it, and folds the nodes' DML counts into res.
-func (c *Controller) broadcastStatements(ctx context.Context, peers []*ncPeer, src string, res *asterixdb.Result) (*asterixdb.Result, error) {
-	acks, err := c.broadcast(ctx, peers, ctrlMsg{Type: msgStmt, ID: c.newID("s"), Src: src})
-	if err != nil {
-		return nil, err
-	}
-	switch res.Kind {
-	case "insert", "delete", "load":
-		// Each node stored only the records of the partitions it owns (and
-		// the controller's catalog replica stored none), so the cluster-wide
-		// count is the sum of the node counts.
-		total := 0
-		for _, ack := range acks {
-			total += ack.Count
-		}
-		res.Count = total
-	}
-	return res, nil
-}
-
-// ----------------------------------------------------------------------------
-// server.Engine: streaming queries
-// ----------------------------------------------------------------------------
-
-// QueryStream plans and runs a query across the cluster, returning a cursor
-// over the gathered result stream. The catalog replica executes the leading
-// statements and compiles the final query (for validation and typed compile
-// errors); the request then ships as source to every node, which each repeat
-// both steps — reaching the identical catalog state and job — execute their
-// slice of the job and stream sink frames back. A request with no final query
-// runs through the statement path and yields an exhausted cursor.
+// QueryStream runs a request cluster-wide and returns a cursor over its
+// trailing query's gathered result stream; a request with no trailing query
+// yields an exhausted cursor.
 func (c *Controller) QueryStream(ctx context.Context, src string) (*asterixdb.Cursor, error) {
+	cur, _, err := c.submit(ctx, src)
+	if err != nil || cur != nil {
+		return cur, err
+	}
+	return asterixdb.NewJobCursor(ctx, nil), nil
+}
+
+// submit is the one path of a cluster request. The catalog replica runs the
+// request's prelude (the statements ahead of a trailing query) and compiles
+// the query, so a malformed request fails before any node sees it. Every node
+// then gets one job message: it runs the same prelude on its own slice and,
+// for a query, compiles and registers its run before it acks. A request
+// ending in a statement returns its result with the nodes' DML counts summed;
+// one ending in a query starts the job and returns the gather cursor.
+//
+// The order makes every lookup of a job by id exact, with no retry: the
+// gather job is in c.jobs before the job message goes out, every node
+// registers its run before it acks, and go goes out only after every ack.
+// So a node's result connection and a peer's edge connection, both dialed
+// after go, find the job unless it has already ended.
+func (c *Controller) submit(ctx context.Context, src string) (*asterixdb.Cursor, *asterixdb.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	peers, err := c.requireCluster()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	req, q, res, err := c.inst.ExecuteForQuery(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	if q == nil {
-		if _, err := c.broadcastStatements(ctx, peers, src, res); err != nil {
-			return nil, err
-		}
-		return asterixdb.NewJobCursor(ctx, nil), nil
-	}
-	if _, _, err := req.CompileQuery(q, algebra.Options{}); err != nil {
-		return nil, err
-	}
-	// The nodes replay the full source — leading statements included — inside
-	// the job message, which keeps statement + query requests atomic per node.
-	return c.runDistributedQuery(ctx, peers, src)
-}
-
-// runDistributedQuery drives one job through its prepare / launch / gather
-// phases. When the caller's context requests profiling, the flag rides the
-// job message and each node ships its slice's profile back with the result
-// stream; the gather merges them into one cluster-wide profile.
-func (c *Controller) runDistributedQuery(ctx context.Context, peers []*ncPeer, src string) (*asterixdb.Cursor, error) {
-	id := c.newID("j")
-	profile := asterixdb.ProfilingRequested(ctx)
-	cur, push, finish := hyracks.NewGatherCursor()
-	g := newGatherJob(id, peers, cur, push, finish)
-	c.mu.Lock()
-	c.jobs[id] = g
-	c.mu.Unlock()
-	cleanup := func() {
-		c.mu.Lock()
-		delete(c.jobs, id)
-		c.mu.Unlock()
-	}
-	go func() {
-		<-g.finished
-		cleanup()
-	}()
-
-	// Prepare: every node executes the leading statements, compiles the
-	// query, and registers the run so peer data connections can attach.
-	if _, err := c.broadcast(ctx, peers, ctrlMsg{Type: msgJob, ID: id, Src: src, Profile: profile}); err != nil {
-		c.abortJob(g, err)
-		return nil, err
+	g, res, err := c.prepare(ctx, peers, src)
+	if err != nil || g == nil {
+		return nil, res, err
 	}
 	// Launch. A write failure marks the node dead, which fails the job.
 	for _, p := range peers {
-		if err := p.conn.write(ctrlMsg{Type: msgGo, ID: id}); err != nil {
+		if err := p.conn.write(ctrlMsg{Type: msgGo, ID: g.id}); err != nil {
 			c.nodeDied(p)
 		}
 	}
-	return asterixdb.NewJobCursor(ctx, cur), nil
+	return asterixdb.NewJobCursor(ctx, g.cur), nil, nil
+}
+
+// prepare runs the request's prelude on the replica and has every node run
+// it too, returning the prepared gather job of a trailing query (nil for a
+// statement) or the statement's result. A request holding DDL keeps ddlMu
+// from the replica's apply until every node has acked, so the nodes apply
+// catalog changes in the replica's order; a concurrent create and drop of
+// one index would otherwise reach a node in the other order.
+func (c *Controller) prepare(ctx context.Context, peers []*ncPeer, src string) (*gatherJob, *asterixdb.Result, error) {
+	if hasDDL(src) {
+		c.ddlMu.Lock()
+		defer c.ddlMu.Unlock()
+	}
+	req, q, res, err := c.inst.ExecuteForQuery(ctx, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := ctrlMsg{Type: msgJob, ID: fmt.Sprintf("j-%d", c.nextID.Add(1)), Src: src, Profile: asterixdb.ProfilingRequested(ctx)}
+	if q == nil {
+		acks, err := c.broadcast(ctx, peers, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		switch res.Kind {
+		case "insert", "delete", "load":
+			// Each node stored only the records of the partitions it owns (and
+			// the replica none), so the cluster-wide count is the nodes' sum.
+			res.Count = 0
+			for _, ack := range acks {
+				res.Count += ack.Count
+			}
+		}
+		return nil, res, nil
+	}
+	_, job, err := req.CompileQuery(q, algebra.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	shape := jobShape(job)
+	cur, push, finish := hyracks.NewGatherCursor()
+	g := newGatherJob(m.ID, peers, cur, push, finish)
+	c.mu.Lock()
+	c.jobs[g.id] = g
+	c.mu.Unlock()
+	go func() {
+		<-g.finished
+		c.mu.Lock()
+		delete(c.jobs, g.id)
+		c.mu.Unlock()
+	}()
+	acks, err := c.broadcast(ctx, peers, m)
+	for i := 0; err == nil && i < len(acks); i++ {
+		if acks[i].Shape != shape {
+			err = &asterixdb.Error{Code: asterixdb.CodeInternal, Message: fmt.Sprintf(
+				"cluster: node %s built a different job than the controller (its catalog is out of step)", peers[i].name)}
+		}
+	}
+	if err != nil {
+		// No node has started, so none will report: cancel the prepared runs
+		// and end the gather now.
+		c.abortJob(g, err)
+		g.finish(err)
+		return nil, nil, err
+	}
+	return g, nil, nil
+}
+
+// hasDDL reports whether src holds a statement that edits the catalog. A
+// source that does not parse holds none; the replica reports its error.
+func hasDDL(src string) bool {
+	stmts, err := aql.Parse(src)
+	if err != nil {
+		return false
+	}
+	for _, s := range stmts {
+		switch s.(type) {
+		case *aql.QueryStatement, *aql.DataverseDecl, *aql.SetStatement,
+			*aql.InsertStatement, *aql.DeleteStatement, *aql.LoadStatement:
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // abortJob fails a job exactly once: cancel fan-out to the live nodes, then
@@ -631,7 +661,7 @@ func (c *Controller) abortJob(g *gatherJob, err error) {
 		g.setErr(err)
 		msg := ctrlMsg{Type: msgCancel, ID: g.id, Err: toWireError(err)}
 		for _, p := range c.alivePeers() {
-			if g.participant(p.name) {
+			if g.names[p.name] {
 				_ = p.conn.write(msg)
 			}
 		}
@@ -660,7 +690,6 @@ func (c *Controller) abortJob(g *gatherJob, err error) {
 // connections (closed at finish so their handler goroutines always exit).
 type gatherJob struct {
 	id       string
-	expect   int
 	names    map[string]bool // participants
 	cur      *hyracks.Cursor
 	push     func(hyracks.Frame) bool
@@ -684,7 +713,6 @@ func newGatherJob(id string, peers []*ncPeer, cur *hyracks.Cursor, push func(hyr
 	}
 	return &gatherJob{
 		id:       id,
-		expect:   len(peers),
 		names:    names,
 		cur:      cur,
 		push:     push,
@@ -700,8 +728,6 @@ func (g *gatherJob) addProfile(p *hyracks.JobProfile) {
 	g.profiles = append(g.profiles, p)
 	g.mu.Unlock()
 }
-
-func (g *gatherJob) participant(name string) bool { return g.names[name] }
 
 func (g *gatherJob) nodeFinished(name string) bool {
 	g.mu.Lock()
@@ -767,7 +793,7 @@ func (c *Controller) nodeDone(g *gatherJob, name string, err error) {
 	if err != nil && g.firstErr == nil {
 		g.firstErr = err
 	}
-	complete := len(g.done) >= g.expect
+	complete := len(g.done) == len(g.names)
 	g.mu.Unlock()
 	if err != nil && !complete {
 		c.abortJob(g, err)
@@ -791,27 +817,11 @@ func (c *Controller) acceptData() {
 	}
 }
 
-// lookupJob retries briefly: a node's result connection can arrive while the
-// job registration (same goroutine as the broadcast) is still in flight.
+// lookupJob finds a running job; it needs no retry (see submit).
 func (c *Controller) lookupJob(id string) *gatherJob {
-	deadline := time.Now().Add(c.cfg.RPCTimeout)
-	for {
-		c.mu.Lock()
-		g := c.jobs[id]
-		c.mu.Unlock()
-		if g != nil {
-			return g
-		}
-		select {
-		case <-c.closed:
-			return nil
-		default:
-		}
-		if time.Now().After(deadline) {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jobs[id]
 }
 
 // handleResult drains one node's result stream: frames push into the gather

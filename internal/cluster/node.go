@@ -29,7 +29,8 @@ type NodeConfig struct {
 	// Partitions is the cluster-wide storage partition count; it must match
 	// the coordinator's.
 	Partitions int
-	// MemoryBudget is the per-query memory budget (see asterixdb.Config).
+	// MemoryBudget is the memory budget each job and the handle table get
+	// whole (see asterixdb.Config).
 	MemoryBudget int64
 	// HeartbeatTimeout bounds silence on the control connection before the
 	// coordinator is considered dead (default 15s).
@@ -200,26 +201,15 @@ func (n *Node) controlLoop() error {
 			if err := n.ctrl.write(ctrlMsg{Type: msgPong, Node: n.cfg.Name}); err != nil {
 				return err
 			}
-		case msgStmt:
-			n.wg.Add(1)
-			go func(m ctrlMsg) {
-				defer n.wg.Done()
-				res, err := n.inst.ExecuteContext(n.ctx, m.Src)
-				ack := ctrlMsg{Type: msgStmtAck, ID: m.ID, Node: n.cfg.Name, Err: toWireError(err)}
-				if err == nil {
-					ack.Kind, ack.Count = res.Kind, res.Count
-				}
-				_ = n.ctrl.write(ack)
-			}(m)
 		case msgJob:
 			n.wg.Add(1)
 			go func(m ctrlMsg) {
 				defer n.wg.Done()
-				err := n.prepareJob(m.ID, m.Src, m.Profile)
-				_ = n.ctrl.write(ctrlMsg{Type: msgJobAck, ID: m.ID, Node: n.cfg.Name, Err: toWireError(err)})
+				_ = n.ctrl.write(n.prepare(m))
 			}(m)
 		case msgGo:
 			if jr := n.lookupJob(m.ID); jr != nil {
+				jr.launched = true
 				n.wg.Add(1)
 				go func() {
 					defer n.wg.Done()
@@ -233,41 +223,47 @@ func (n *Node) controlLoop() error {
 					err = context.Canceled
 				}
 				jr.fail(err)
+				if !jr.launched {
+					// Cancelled before go: no executor will ever drop it.
+					n.dropJob(m.ID)
+				}
 			}
 		}
 	}
 }
 
-// prepareJob executes the request's leading statements locally, compiles its
-// final query, and registers the run so peer data connections can attach.
-// profile turns on per-operator instrumentation for this slice.
-func (n *Node) prepareJob(id, src string, profile bool) error {
-	req, q, _, err := n.inst.ExecuteForQuery(n.ctx, src)
-	if err != nil {
-		return err
+// prepare runs one job message: the request's prelude on this node's slice,
+// then, if the request ends in a query, its compile and the registration of
+// the run that go and peer data connections look up. The ack carries the
+// prelude's DML count, or the job's shape for the controller to compare with
+// its own. Profile turns on per-operator instrumentation for this slice.
+func (n *Node) prepare(m ctrlMsg) ctrlMsg {
+	ack := ctrlMsg{Type: msgJobAck, ID: m.ID, Node: n.cfg.Name}
+	req, q, res, err := n.inst.ExecuteForQuery(n.ctx, m.Src)
+	if err == nil && q == nil {
+		ack.Count = res.Count
+	} else if err == nil {
+		// Default optimizer options on every node, as on the controller:
+		// identical options are part of what makes the jobs identical.
+		var job *hyracks.Job
+		if _, job, err = req.CompileQuery(q, algebra.Options{}); err == nil {
+			job.Profile = m.Profile
+			ack.Shape = jobShape(job)
+			jr := &jobRun{
+				id:      m.ID,
+				node:    n,
+				job:     job,
+				started: make(chan struct{}),
+				done:    make(chan struct{}),
+				conns:   map[connKey]*dataConn{},
+			}
+			n.mu.Lock()
+			n.jobs[m.ID] = jr
+			n.mu.Unlock()
+		}
 	}
-	if q == nil {
-		return &asterixdb.Error{Code: asterixdb.CodeInvalid, Message: "cluster: job request carries no query"}
-	}
-	// Default optimizer options on every node: identical options are part of
-	// what makes the nodes' jobs identical.
-	_, job, err := req.CompileQuery(q, algebra.Options{})
-	if err != nil {
-		return err
-	}
-	job.Profile = profile
-	jr := &jobRun{
-		id:      id,
-		node:    n,
-		job:     job,
-		started: make(chan struct{}),
-		done:    make(chan struct{}),
-		conns:   map[connKey]*dataConn{},
-	}
-	n.mu.Lock()
-	n.jobs[id] = jr
-	n.mu.Unlock()
-	return nil
+	ack.Err = toWireError(err)
+	return ack
 }
 
 func (n *Node) lookupJob(id string) *jobRun {
@@ -363,7 +359,7 @@ func (jr *jobRun) shipProfile(p *hyracks.JobProfile) {
 	if err != nil {
 		return
 	}
-	_ = rc.writeProfile(mustJSON(p), jr.node.cfg.WriteTimeout)
+	_ = rc.write(recProfile, mustJSON(p), jr.node.cfg.WriteTimeout)
 }
 
 // acceptData serves the node's data-plane listener: peer nodes dial one
@@ -395,7 +391,9 @@ func (n *Node) handleData(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	jr := n.waitJob(h.Job)
+	// The run was registered before go reached the peer (see
+	// Controller.submit); nil means the job has ended.
+	jr := n.lookupJob(h.Job)
 	if jr == nil {
 		return
 	}
@@ -454,21 +452,6 @@ func (n *Node) handleData(conn net.Conn) {
 	}
 }
 
-// waitJob looks the job up, briefly retrying: a peer that received its go
-// message a beat before us may dial while our registration is in flight.
-func (n *Node) waitJob(id string) *jobRun {
-	deadline := time.Now().Add(n.cfg.HeartbeatTimeout)
-	for {
-		if jr := n.lookupJob(id); jr != nil {
-			return jr
-		}
-		if time.Now().After(deadline) || n.ctx.Err() != nil {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // ----------------------------------------------------------------------------
 // jobRun: one job's per-node execution state
 // ----------------------------------------------------------------------------
@@ -484,6 +467,8 @@ type jobRun struct {
 	job     *hyracks.Job
 	started chan struct{} // closed once run is available (or startup failed)
 	done    chan struct{} // closed when the executor goroutine exits
+	// launched is set when go arrives; only the control loop touches it.
+	launched bool
 
 	mu        sync.Mutex
 	run       *hyracks.DistRun
@@ -589,7 +574,7 @@ func (jr *jobRun) send(edge, toPart int, tuples []hyracks.Tuple) error {
 	if err != nil {
 		return err
 	}
-	return dc.writeTuples(uint64(toPart), tuples, jr.node.cfg.WriteTimeout)
+	return dc.writeFrame(uint64(toPart), 0, tuples, jr.node.cfg.WriteTimeout)
 }
 
 // sendEOS implements DistSpec.SendEOS: announce a finished producer instance
@@ -614,7 +599,7 @@ func (jr *jobRun) sendEOS(edge, fromPart int) error {
 	for _, t := range targets {
 		dc, err := jr.conn(connKey{edge: edge, node: t})
 		if err == nil {
-			err = dc.writeEOS(jr.node.cfg.WriteTimeout)
+			err = dc.write(recEOS, nil, jr.node.cfg.WriteTimeout)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -637,7 +622,11 @@ func (jr *jobRun) reportDone(err error) {
 	if cerr != nil {
 		return // the coordinator's failure detection covers us
 	}
-	_ = rc.writeDone(err, jr.node.cfg.WriteTimeout)
+	var payload []byte
+	if w := toWireError(err); w != nil {
+		payload = mustJSON(w)
+	}
+	_ = rc.write(recDone, payload, jr.node.cfg.WriteTimeout)
 }
 
 // dataConn is one outbound data-plane connection: whole records are written
@@ -658,10 +647,6 @@ func (dc *dataConn) writeHandshake(h dataHandshake, timeout time.Duration) error
 	return writeHandshake(dc.conn, h)
 }
 
-func (dc *dataConn) writeTuples(toPart uint64, tuples []hyracks.Tuple, timeout time.Duration) error {
-	return dc.writeFrame(toPart, 0, tuples, timeout)
-}
-
 func (dc *dataConn) writeFrame(a, b uint64, tuples []hyracks.Tuple, timeout time.Duration) error {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
@@ -670,39 +655,19 @@ func (dc *dataConn) writeFrame(a, b uint64, tuples []hyracks.Tuple, timeout time
 		return err
 	}
 	dc.buf = payload[:0]
-	if err := dc.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	return writeRecord(dc.conn, recFrame, a, b, payload)
+	return dc.writeLocked(recFrame, a, b, payload, timeout)
 }
 
-func (dc *dataConn) writeProfile(payload []byte, timeout time.Duration) error {
+// write sends one EOS, profile or done record.
+func (dc *dataConn) write(kind byte, payload []byte, timeout time.Duration) error {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	if err := dc.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	return writeRecord(dc.conn, recProfile, 0, 0, payload)
+	return dc.writeLocked(kind, 0, 0, payload, timeout)
 }
 
-func (dc *dataConn) writeEOS(timeout time.Duration) error {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
+func (dc *dataConn) writeLocked(kind byte, a, b uint64, payload []byte, timeout time.Duration) error {
 	if err := dc.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	return writeRecord(dc.conn, recEOS, 0, 0, nil)
-}
-
-func (dc *dataConn) writeDone(jobErr error, timeout time.Duration) error {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	var payload []byte
-	if w := toWireError(jobErr); w != nil {
-		payload = mustJSON(w)
-	}
-	if err := dc.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	return writeRecord(dc.conn, recDone, 0, 0, payload)
+	return writeRecord(dc.conn, kind, a, b, payload)
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sync"
 	"time"
 
 	"asterixdb"
+	"asterixdb/internal/hyracks"
 )
 
 // Control-plane message types. The control plane is newline-delimited JSON
@@ -16,10 +18,8 @@ import (
 const (
 	msgRegister = "register" // NC -> CC: node name + data-plane address
 	msgReady    = "ready"    // CC -> NC: cluster formed; sorted node list
-	msgStmt     = "stmt"     // CC -> NC: execute statements (DDL/DML)
-	msgStmtAck  = "stmt_ack" // NC -> CC: statement result
-	msgJob      = "job"      // CC -> NC: prepare a job (leading stmts + compile)
-	msgJobAck   = "job_ack"  // NC -> CC: job registered (or compile error)
+	msgJob      = "job"      // CC -> NC: run a request's prelude, prepare its query
+	msgJobAck   = "job_ack"  // NC -> CC: DML count or job shape (or the error)
 	msgGo       = "go"       // CC -> NC: start the prepared job
 	msgCancel   = "cancel"   // CC -> NC: abort a job
 	msgPing     = "ping"     // CC -> NC heartbeat
@@ -62,8 +62,9 @@ type ctrlMsg struct {
 	Nodes      []nodeInfo `json:"nodes,omitempty"`
 	ID         string     `json:"id,omitempty"`
 	Src        string     `json:"src,omitempty"`
-	Kind       string     `json:"kind,omitempty"`
 	Count      int        `json:"count,omitempty"`
+	// Shape, on a job ack, is jobShape of the node's compiled job.
+	Shape uint64 `json:"shape,omitempty"`
 	// Profile, on a job message, asks the node to run its slice with
 	// per-operator instrumentation and ship the profile back with the
 	// result stream.
@@ -129,4 +130,19 @@ func (c *ctrlConn) Close() error { return c.conn.Close() }
 // a whole cannot serve a request.
 func unavailablef(format string, args ...any) error {
 	return &asterixdb.Error{Code: asterixdb.CodeUnavailable, Message: fmt.Sprintf(format, args...)}
+}
+
+// jobShape hashes what every node's job must share with the controller's for
+// an edge's index in job.Edges to name the same edge cluster-wide: each
+// operator's name and parallelism, and each edge's endpoints, port and
+// connector kind, in order.
+func jobShape(job *hyracks.Job) uint64 {
+	h := fnv.New64a()
+	for _, op := range job.Operators {
+		fmt.Fprintf(h, "%q %d\n", op.Name(), op.Parallelism())
+	}
+	for _, e := range job.Edges {
+		fmt.Fprintf(h, "%d %d %d %s\n", e.From, e.To, e.Port, e.Connector.Kind)
+	}
+	return h.Sum64()
 }

@@ -18,7 +18,7 @@ import (
 // emit nothing and the scalar gauges read zero.
 func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 	r.GaugeFunc("asterix_memory_budget_bytes",
-		"Configured per-query memory budget in bytes (0 = unlimited).",
+		"Configured memory budget in bytes, which each job and the handle table get whole (0 = unlimited).",
 		func() float64 {
 			if in := get(); in != nil {
 				return float64(in.MemoryBudget())

@@ -146,10 +146,10 @@ func (c *Cursor) finish(err error) {
 	c.stream = nil
 }
 
-// drain exhausts the cursor and returns every remaining value in the
+// Drain exhausts the cursor and returns every remaining value in the
 // deterministic order of hyracks.Cursor.Gather — the materializing path
-// behind Execute/Query.
-func (c *Cursor) drain() ([]adm.Value, error) {
+// behind Execute/Query, and the cluster controller's Execute.
+func (c *Cursor) Drain() ([]adm.Value, error) {
 	if c.done {
 		return nil, c.err
 	}
