@@ -249,7 +249,11 @@ func (in *Instance) MemoryBudget() int64 {
 // as to any request's; any other leading statement is a CodeInvalid error,
 // so explaining never touches data or the catalog.
 func (in *Instance) Explain(src string) (string, error) {
-	r, q, _, err := in.prelude(context.Background(), src, true, nil)
+	stmts, err := Parse(src)
+	if err != nil {
+		return "", err
+	}
+	r, q, _, err := in.prelude(context.Background(), stmts, true)
 	if err != nil {
 		return "", err
 	}
@@ -267,30 +271,41 @@ func (in *Instance) Explain(src string) (string, error) {
 // query under a new Request, returning the request and that query's
 // expression for the request's CompileQuery. When src does not end in a
 // query everything was executed: the expression is nil and the Result is the
-// last statement's. The cluster runtime calls it once on the coordinator and
-// once per job message on every node controller, so a multi-statement
+// last statement's. The cluster runtime runs it once on the coordinator
+// (as ExecuteStatements) and once per job message on every node controller,
+// so a multi-statement
 // request applies its leading DDL/DML everywhere before the final query
 // compiles against the updated catalog under the request's own use
 // dataverse and set.
 func (in *Instance) ExecuteForQuery(ctx context.Context, src string) (*Request, aql.Expr, *Result, error) {
-	return in.prelude(ctx, src, false, nil)
+	stmts, err := Parse(src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return in.ExecuteStatements(ctx, stmts)
 }
 
-// prelude is the one statement prelude behind ExecuteForQuery and Explain:
+// ExecuteStatements is ExecuteForQuery of a request already parsed: the
+// cluster controller parses a request once, to learn whether it holds DDL
+// (IsDDL), and runs the statements it parsed.
+func (in *Instance) ExecuteStatements(ctx context.Context, stmts []aql.Statement) (*Request, aql.Expr, *Result, error) {
+	return in.prelude(ctx, stmts, false)
+}
+
+// Parse parses a request's source into its statements; a syntax error is
+// CodeSyntax.
+func Parse(src string) ([]aql.Statement, error) {
+	stmts, err := aql.Parse(src)
+	return stmts, syntaxError(err)
+}
+
+// prelude is the one statement prelude behind ExecuteStatements and Explain:
 // it starts the request its statements run under. With explainOnly set it
 // runs only session statements, which write nothing but the request, and
-// rejects anything else. A non-nil ph receives the parse time.
-func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, ph *Phases) (*Request, aql.Expr, *Result, error) {
+// rejects anything else.
+func (in *Instance) prelude(ctx context.Context, stmts []aql.Statement, explainOnly bool) (*Request, aql.Expr, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	start := time.Now()
-	stmts, err := aql.Parse(src)
-	if ph != nil {
-		ph.ParseNanos = int64(time.Since(start))
-	}
-	if err != nil {
-		return nil, nil, nil, syntaxError(err)
 	}
 	var q aql.Expr
 	if n := len(stmts); n > 0 {
@@ -308,6 +323,7 @@ func (in *Instance) prelude(ctx context.Context, src string, explainOnly bool, p
 				return nil, nil, nil, errf(CodeInvalid, "asterixdb: explain does not execute statements; only use dataverse / set may precede the query")
 			}
 		}
+		var err error
 		if res, err = r.executeStatement(ctx, stmt); err != nil {
 			return nil, nil, nil, err
 		}
@@ -355,6 +371,9 @@ func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if IsDDL(stmt) {
+		return r.ddl(stmt)
+	}
 	switch s := stmt.(type) {
 	case *aql.DataverseDecl:
 		if !r.cat.dataverses[s.Name] {
@@ -362,10 +381,6 @@ func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Re
 		}
 		r.dataverse = s.Name
 		return &Result{Kind: "ddl"}, nil
-	case *aql.CreateFeed, *aql.DropFeed, *aql.ConnectFeed, *aql.DisconnectFeed:
-		// The statements parse (scripts from the paper load), but nothing
-		// would ever ingest: say so instead of reporting a connected feed.
-		return nil, errf(CodeInvalid, "asterixdb: feeds are not supported by this build")
 	case *aql.SetStatement:
 		return r.setParameter(s)
 	case *aql.InsertStatement:
@@ -377,7 +392,23 @@ func (r *Request) executeStatement(ctx context.Context, stmt aql.Statement) (*Re
 	case *aql.QueryStatement:
 		return r.evaluateQuery(ctx, s.Body, algebra.Options{})
 	}
-	return r.ddl(stmt)
+	// The feed statements parse (scripts from the paper load), but nothing
+	// would ever ingest: say so instead of reporting a connected feed.
+	return nil, errf(CodeInvalid, "asterixdb: feeds are not supported by this build")
+}
+
+// IsDDL reports whether stmt edits the catalog, and so runs under the DDL
+// mutex (Request.ddl): every statement but a query, use dataverse, set,
+// insert, delete, load and the feed statements. executeStatement dispatches
+// on it, and the cluster controller orders the requests that hold one.
+func IsDDL(stmt aql.Statement) bool {
+	switch stmt.(type) {
+	case *aql.QueryStatement, *aql.DataverseDecl, *aql.SetStatement,
+		*aql.InsertStatement, *aql.DeleteStatement, *aql.LoadStatement,
+		*aql.CreateFeed, *aql.DropFeed, *aql.ConnectFeed, *aql.DisconnectFeed:
+		return false
+	}
+	return true
 }
 
 // ddl runs one DDL statement under the instance's DDL mutex: the statement

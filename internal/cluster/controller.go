@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 
 	"asterixdb"
 	"asterixdb/internal/algebra"
-	"asterixdb/internal/aql"
 	"asterixdb/internal/hyracks"
 	"asterixdb/internal/metrics"
 )
@@ -53,8 +53,9 @@ type Controller struct {
 
 	formed chan struct{} // closed once ExpectNodes nodes registered
 
-	// ddlMu orders the requests holding DDL (see prepare).
-	ddlMu sync.Mutex
+	// ddlMu orders each request holding DDL against every other request
+	// (see prepare).
+	ddlMu sync.RWMutex
 
 	mu      sync.Mutex
 	nodes   map[string]*ncPeer
@@ -445,8 +446,10 @@ func (c *Controller) requireCluster() ([]*ncPeer, error) {
 func rpcKey(id, node string) string { return id + "|" + node }
 
 // rpc sends one message to one node and waits for its ack, bounded by the
-// node's liveness and the RPC deadline.
-func (c *Controller) rpc(ctx context.Context, p *ncPeer, m ctrlMsg) (ctrlMsg, error) {
+// node's liveness and the RPC deadline but not by the caller: the node runs
+// the message whatever becomes of the caller, so the wait is over only when
+// the node is done with it.
+func (c *Controller) rpc(p *ncPeer, m ctrlMsg) (ctrlMsg, error) {
 	key := rpcKey(m.ID, p.name)
 	ch := make(chan ctrlMsg, 1)
 	c.mu.Lock()
@@ -471,8 +474,6 @@ func (c *Controller) rpc(ctx context.Context, p *ncPeer, m ctrlMsg) (ctrlMsg, er
 	case <-timer.C:
 		c.nodeDied(p)
 		return ctrlMsg{}, unavailablef("cluster: node %s did not answer within %v", p.name, c.cfg.RPCTimeout)
-	case <-ctx.Done():
-		return ctrlMsg{}, ctx.Err()
 	case <-c.closed:
 		return ctrlMsg{}, unavailablef("cluster: controller shutting down")
 	}
@@ -480,7 +481,7 @@ func (c *Controller) rpc(ctx context.Context, p *ncPeer, m ctrlMsg) (ctrlMsg, er
 
 // broadcast runs the same RPC against every peer concurrently and returns
 // the acks (indexed like peers) and the first error.
-func (c *Controller) broadcast(ctx context.Context, peers []*ncPeer, m ctrlMsg) ([]ctrlMsg, error) {
+func (c *Controller) broadcast(peers []*ncPeer, m ctrlMsg) ([]ctrlMsg, error) {
 	acks := make([]ctrlMsg, len(peers))
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
@@ -488,7 +489,7 @@ func (c *Controller) broadcast(ctx context.Context, peers []*ncPeer, m ctrlMsg) 
 		wg.Add(1)
 		go func(i int, p *ncPeer) {
 			defer wg.Done()
-			acks[i], errs[i] = c.rpc(ctx, p, m)
+			acks[i], errs[i] = c.rpc(p, m)
 		}(i, p)
 	}
 	wg.Wait()
@@ -572,22 +573,36 @@ func (c *Controller) submit(ctx context.Context, src string) (*asterixdb.Cursor,
 
 // prepare runs the request's prelude on the replica and has every node run
 // it too, returning the prepared gather job of a trailing query (nil for a
-// statement) or the statement's result. A request holding DDL keeps ddlMu
-// from the replica's apply until every node has acked, so the nodes apply
-// catalog changes in the replica's order; a concurrent create and drop of
-// one index would otherwise reach a node in the other order.
+// statement) or the statement's result.
+//
+// A request holding DDL holds ddlMu from the replica's apply until every node
+// has acked, and every other request holds its shared side over the same
+// span. So the nodes apply catalog changes in the replica's order (a
+// concurrent create and drop of one index would otherwise reach a node in
+// the other order), and the replica and every node compile a query against
+// the same catalog, so a job-shape mismatch means a node really is out of
+// step. The acks are awaited even when ctx ends, so the lock is not released
+// while a node still applies DDL, and a cancel sent after them finds every
+// prepared run.
 func (c *Controller) prepare(ctx context.Context, peers []*ncPeer, src string) (*gatherJob, *asterixdb.Result, error) {
-	if hasDDL(src) {
+	stmts, err := asterixdb.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if slices.ContainsFunc(stmts, asterixdb.IsDDL) {
 		c.ddlMu.Lock()
 		defer c.ddlMu.Unlock()
+	} else {
+		c.ddlMu.RLock()
+		defer c.ddlMu.RUnlock()
 	}
-	req, q, res, err := c.inst.ExecuteForQuery(ctx, src)
+	req, q, res, err := c.inst.ExecuteStatements(ctx, stmts)
 	if err != nil {
 		return nil, nil, err
 	}
 	m := ctrlMsg{Type: msgJob, ID: fmt.Sprintf("j-%d", c.nextID.Add(1)), Src: src, Profile: asterixdb.ProfilingRequested(ctx)}
 	if q == nil {
-		acks, err := c.broadcast(ctx, peers, m)
+		acks, err := c.broadcast(peers, m)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -618,7 +633,10 @@ func (c *Controller) prepare(ctx context.Context, peers []*ncPeer, src string) (
 		delete(c.jobs, g.id)
 		c.mu.Unlock()
 	}()
-	acks, err := c.broadcast(ctx, peers, m)
+	acks, err := c.broadcast(peers, m)
+	if err == nil {
+		err = ctx.Err()
+	}
 	for i := 0; err == nil && i < len(acks); i++ {
 		if acks[i].Shape != shape {
 			err = &asterixdb.Error{Code: asterixdb.CodeInternal, Message: fmt.Sprintf(
@@ -633,24 +651,6 @@ func (c *Controller) prepare(ctx context.Context, peers []*ncPeer, src string) (
 		return nil, nil, err
 	}
 	return g, nil, nil
-}
-
-// hasDDL reports whether src holds a statement that edits the catalog. A
-// source that does not parse holds none; the replica reports its error.
-func hasDDL(src string) bool {
-	stmts, err := aql.Parse(src)
-	if err != nil {
-		return false
-	}
-	for _, s := range stmts {
-		switch s.(type) {
-		case *aql.QueryStatement, *aql.DataverseDecl, *aql.SetStatement,
-			*aql.InsertStatement, *aql.DeleteStatement, *aql.LoadStatement:
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // abortJob fails a job exactly once: cancel fan-out to the live nodes, then

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,20 @@ func TestClusterJobShapeMismatch(t *testing.T) {
 	if asterixdb.ErrorCode(err) != asterixdb.CodeInternal || !strings.Contains(err.Error(), "nc2") || strings.Contains(err.Error(), "nc1") {
 		t.Fatalf("error = %v (code %q), want an internal error naming nc2 only", err, asterixdb.ErrorCode(err))
 	}
+	tc.waitNoJobs(t)
+	// Back in step, the same query runs.
+	if _, err := tc.nodes[1].Instance().ExecuteContext(ctx, `drop index D.vx;`); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := run(); err != nil || len(rows) != 4 {
+		t.Fatalf("query after the catalogs agree: %v, %v; want 4 rows", rows, err)
+	}
+}
+
+// waitNoJobs fails the test unless every node drops its runs within a few
+// seconds.
+func (tc *testCluster) waitNoJobs(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for _, n := range tc.nodes {
 		for {
@@ -159,11 +174,111 @@ func TestClusterJobShapeMismatch(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	// Back in step, the same query runs.
-	if _, err := tc.nodes[1].Instance().ExecuteContext(ctx, `drop index D.vx;`); err != nil {
-		t.Fatal(err)
+}
+
+// TestClusterQueriesBesideDDL runs a query that an index serves while the
+// index is created and dropped over and over. The controller and every node
+// compile each query against the same catalog, so none is refused as a
+// job-shape mismatch and each returns the same rows.
+func TestClusterQueriesBesideDDL(t *testing.T) {
+	tc := startCluster(t, 2, 4)
+	ctx := context.Background()
+	fortyRows(t, func(src string) error {
+		_, err := tc.cc.ExecuteContext(ctx, src)
+		return err
+	})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	runs, refused := 0, []error{}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := tc.cc.ExecuteContext(ctx, `for $d in dataset D where $d.v = 3 return $d.id`)
+				if err == nil && res.Count != 4 {
+					err = fmt.Errorf("%d rows, want 4", res.Count)
+				}
+				mu.Lock()
+				runs++
+				if err != nil {
+					refused = append(refused, err)
+				}
+				mu.Unlock()
+			}
+		}()
 	}
-	if rows, err := run(); err != nil || len(rows) != 4 {
-		t.Fatalf("query after the catalogs agree: %v, %v; want 4 rows", rows, err)
+	for round := 0; round < 50; round++ {
+		for _, src := range []string{`create index vx on D(v);`, `drop index D.vx;`} {
+			if _, err := tc.cc.ExecuteContext(ctx, src); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if len(refused) > 0 {
+		t.Fatalf("%d of %d queries failed beside DDL; first: %v", len(refused), runs, refused[0])
+	}
+}
+
+// TestClusterCancelMidBroadcast cancels requests after the controller's
+// replica has run them, while the nodes still prepare. A DDL request returns
+// only once every node has applied it, so the node catalogs match the
+// controller's when it returns; a query's cancel goes out only after every
+// node has registered its run, so no node keeps one.
+func TestClusterCancelMidBroadcast(t *testing.T) {
+	tc := startCluster(t, 2, 4)
+	fortyRows(t, func(src string) error {
+		_, err := tc.cc.ExecuteContext(context.Background(), src)
+		return err
+	})
+	// cancelWhen runs src under a context cancelled as soon as ready holds.
+	cancelWhen := func(src string, ready func() bool) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			for ctx.Err() == nil && !ready() {
+				runtime.Gosched()
+			}
+			cancel()
+		}()
+		cur, err := tc.cc.QueryStream(ctx, src)
+		if err == nil {
+			_, err = drainCursor(cur)
+		}
+		return err
+	}
+	sameCatalog := func(round int) {
+		_, want := tc.inst.LookupIndex("Default", "D", "vx")
+		for _, n := range tc.nodes {
+			if _, got := n.Instance().LookupIndex("Default", "D", "vx"); got != want {
+				t.Fatalf("round %d: node %s has vx = %v, the controller %v", round, n.cfg.Name, got, want)
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		_ = cancelWhen(`create index vx on D(v);`, func() bool {
+			_, ok := tc.inst.LookupIndex("Default", "D", "vx")
+			return ok
+		})
+		sameCatalog(round)
+		_ = cancelWhen(`drop index D.vx;`, func() bool {
+			_, ok := tc.inst.LookupIndex("Default", "D", "vx")
+			return !ok
+		})
+		sameCatalog(round)
+		_ = cancelWhen(`for $d in dataset D where $d.v = 3 return $d.id`, func() bool {
+			tc.cc.mu.Lock()
+			defer tc.cc.mu.Unlock()
+			return len(tc.cc.jobs) > 0
+		})
+		tc.waitNoJobs(t)
 	}
 }

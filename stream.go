@@ -192,8 +192,13 @@ func (in *Instance) QueryStream(ctx context.Context, src string) (*Cursor, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var ph Phases
-	r, q, _, err := in.prelude(ctx, src, false, &ph)
+	start := time.Now()
+	stmts, err := Parse(src)
+	ph := Phases{ParseNanos: int64(time.Since(start))}
+	if err != nil {
+		return nil, err
+	}
+	r, q, _, err := in.prelude(ctx, stmts, false)
 	if err != nil {
 		return nil, err
 	}
