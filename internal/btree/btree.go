@@ -4,16 +4,39 @@
 //
 // Keys and values are opaque byte slices; keys compare bytewise, which matches
 // the order-preserving key encoding produced by adm.EncodeKey.
+//
+// The tree owns its entries. Put copies each one, once, into an append-only
+// arena of 64 KiB chunks:
+//
+//	entry: [klen u32, only when klen >= 65 535] ‖ key ‖ uvarint vlen ‖ value
+//
+// and a node holds 8-byte, pointer-free references to entries (chunk index,
+// offset in the chunk, key length), so an entry costs the GC no object of its
+// own and a key is compared where it lies. Bytes written to the arena are
+// never moved or overwritten: a replaced or deleted entry leaves its bytes
+// behind (Bytes counts them), and the keys and values the tree hands out are
+// capped views into a chunk that stay readable after later mutations, pinning
+// that chunk while a caller holds them.
 package btree
 
 import (
 	"bytes"
-	"sort"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 )
 
 // degree is the maximum number of keys per node. 64 keeps nodes around a
 // cache line multiple without making the tree too deep for test-sized data.
 const degree = 64
+
+// chunkSize is the size of an arena chunk. An entry larger than a chunk gets
+// a chunk of its own size.
+const chunkSize = 64 << 10
+
+// longKey in a reference's key-length field marks a key of 65 535 bytes or
+// more, whose length is a little-endian uint32 in front of it in the arena.
+const longKey = 1<<16 - 1
 
 // Entry is a key/value pair stored in the tree.
 type Entry struct {
@@ -21,21 +44,26 @@ type Entry struct {
 	Value []byte
 }
 
+// ref locates one entry in the arena: the chunk index in the high 32 bits,
+// the entry's offset in that chunk in the next 16 (an entry starts inside the
+// first 64 KiB of its chunk) and its key length, or longKey, in the low 16.
+type ref uint64
+
 // Tree is an in-memory B+-tree. It is not safe for concurrent mutation; the
 // storage layer serializes writers per partition (the paper's node-local
 // latches) and the LSM layer makes flushed components immutable.
 type Tree struct {
-	root  *node
-	size  int
-	bytes int
+	root   *node
+	size   int
+	chunks [][]byte // the arena; only the last chunk has room left
+	bytes  int
 }
 
 type node struct {
 	leaf     bool
-	keys     [][]byte
-	values   [][]byte // leaf only, parallel to keys
-	children []*node  // interior only, len(children) == len(keys)+1
-	next     *node    // leaf chain for range scans
+	refs     []ref   // a leaf's entries, or an interior node's separator keys
+	children []*node // interior only, len(children) == len(refs)+1
+	next     *node   // leaf chain for range scans
 }
 
 // New returns an empty tree.
@@ -46,37 +74,27 @@ func New() *Tree {
 // Len returns the number of entries in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// Bytes returns the approximate memory footprint of keys and values, used by
-// the LSM in-memory component budget.
+// Bytes returns the bytes written to the tree's arena: the keys, values and
+// length varints of every entry put, including entries since replaced or
+// deleted. The LSM in-memory component budget is measured in it.
 func (t *Tree) Bytes() int { return t.bytes }
 
 // Get returns the value stored under key, or (nil, false).
 func (t *Tree) Get(key []byte) ([]byte, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-		return n.values[i], true
+	n, i := t.find(key)
+	if i < len(n.refs) && bytes.Equal(t.key(n.refs[i]), key) {
+		return t.value(n.refs[i]), true
 	}
 	return nil, false
 }
 
 // Put inserts or replaces the value under key and reports whether the key was
-// already present.
-func (t *Tree) Put(key, value []byte) bool {
-	replaced, split, sepKey, right := t.insert(t.root, key, value)
-	if split != nil {
-		newRoot := &node{
-			keys:     [][]byte{sepKey},
-			children: []*node{t.root, right},
-		}
-		t.root = newRoot
-	}
-	if !replaced {
-		t.size++
-		t.bytes += len(key) + len(value)
+// already present. The stored value is the concatenation of value's parts, so
+// a caller can prefix a tag without building the joined slice.
+func (t *Tree) Put(key []byte, value ...[]byte) bool {
+	replaced, sep, right := t.insert(t.root, key, t.write(key, value))
+	if right != nil {
+		t.root = &node{refs: []ref{sep}, children: []*node{t.root, right}}
 	}
 	return replaced
 }
@@ -86,89 +104,139 @@ func (t *Tree) Put(key, value []byte) bool {
 // in-memory component is discarded after each flush, so transient slack is
 // bounded and harmless.
 func (t *Tree) Delete(key []byte) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-		t.bytes -= len(n.keys[i]) + len(n.values[i])
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.values = append(n.values[:i], n.values[i+1:]...)
+	n, i := t.find(key)
+	if i < len(n.refs) && bytes.Equal(t.key(n.refs[i]), key) {
+		n.refs = slices.Delete(n.refs, i, i+1)
 		t.size--
 		return true
 	}
 	return false
 }
 
-// insert descends into n; it returns whether an existing key was replaced and,
-// when n split, the separator key and new right sibling.
-func (t *Tree) insert(n *node, key, value []byte) (replaced bool, splitLeft *node, sepKey []byte, right *node) {
+// write appends an entry to the arena and returns its reference.
+func (t *Tree) write(key []byte, value [][]byte) ref {
+	vlen := 0
+	for _, part := range value {
+		vlen += len(part)
+	}
+	size := len(key) + uvarintLen(vlen) + vlen
+	if len(key) >= longKey {
+		size += 4
+	}
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last])+size > cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]byte, 0, max(chunkSize, size)))
+		last++
+	}
+	c := t.chunks[last]
+	r := ref(uint64(last)<<32 | uint64(len(c))<<16 | uint64(min(len(key), longKey)))
+	if len(key) >= longKey {
+		c = binary.LittleEndian.AppendUint32(c, uint32(len(key)))
+	}
+	c = binary.AppendUvarint(append(c, key...), uint64(vlen))
+	for _, part := range value {
+		c = append(c, part...)
+	}
+	t.chunks[last] = c
+	t.bytes += size
+	return r
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// locate returns the chunk holding r's entry and where its key sits there.
+// It inlines, so a search compares keys without a call per probe.
+func (t *Tree) locate(r ref) (c []byte, start, end int) {
+	c, start, n := t.chunks[r>>32], int(r>>16&0xFFFF), int(r&0xFFFF)
+	if n == longKey {
+		n = int(binary.LittleEndian.Uint32(c[start:]))
+		start += 4
+	}
+	return c, start, start + n
+}
+
+func (t *Tree) key(r ref) []byte {
+	c, start, end := t.locate(r)
+	return c[start:end:end]
+}
+
+func (t *Tree) value(r ref) []byte {
+	c, _, end := t.locate(r)
+	l, w := binary.Uvarint(c[end:])
+	return c[end+w : end+w+int(l) : end+w+int(l)]
+}
+
+// search returns the index of the first of refs whose key is >= key, or
+// > key when after is set (the child to descend into).
+func (t *Tree) search(refs []ref, key []byte, after bool) int {
+	lo, hi := 0, len(refs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(t.key(refs[m]), key); c < 0 || after && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find descends to the leaf for key and returns it with the index of its
+// first entry >= key. A nil key finds the leftmost leaf: no separator is
+// empty, since a separator is the first key of a right sibling.
+func (t *Tree) find(key []byte) (*node, int) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[t.search(n.refs, key, true)]
+	}
+	return n, t.search(n.refs, key, false)
+}
+
+// insert descends into n to place the entry r holds under key; it returns
+// whether an existing key was replaced and, when n split, the separator key
+// and new right sibling.
+func (t *Tree) insert(n *node, key []byte, r ref) (replaced bool, sep ref, right *node) {
 	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-			t.bytes += len(value) - len(n.values[i])
-			n.values[i] = value
-			return true, nil, nil, nil
+		i := t.search(n.refs, key, false)
+		if i < len(n.refs) && bytes.Equal(t.key(n.refs[i]), key) {
+			n.refs[i] = r
+			return true, 0, nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.values = append(n.values, nil)
-		copy(n.values[i+1:], n.values[i:])
-		n.values[i] = value
-		if len(n.keys) > degree {
-			sep, r := n.splitLeaf()
-			return false, n, sep, r
+		n.refs = slices.Insert(n.refs, i, r)
+		t.size++
+	} else {
+		ci := t.search(n.refs, key, true)
+		replaced, sep, right = t.insert(n.children[ci], key, r)
+		if right == nil {
+			return replaced, 0, nil
 		}
-		return false, nil, nil, nil
+		n.refs = slices.Insert(n.refs, ci, sep)
+		n.children = slices.Insert(n.children, ci+1, right)
 	}
-	ci := childIndex(n.keys, key)
-	replaced, childSplit, childSep, childRight := t.insert(n.children[ci], key, value)
-	if childSplit != nil {
-		n.keys = append(n.keys, nil)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = childSep
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = childRight
-		if len(n.keys) > degree {
-			sep, r := n.splitInterior()
-			return replaced, n, sep, r
-		}
+	if len(n.refs) <= degree {
+		return replaced, 0, nil
 	}
-	return replaced, nil, nil, nil
+	sep, right = n.split()
+	return replaced, sep, right
 }
 
-// childIndex returns the index of the child to descend into for key.
-func childIndex(keys [][]byte, key []byte) int {
-	return sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], key) > 0 })
-}
-
-func (n *node) splitLeaf() (sepKey []byte, right *node) {
-	mid := len(n.keys) / 2
-	right = &node{
-		leaf:   true,
-		keys:   append([][]byte(nil), n.keys[mid:]...),
-		values: append([][]byte(nil), n.values[mid:]...),
-		next:   n.next,
+// split moves the upper half of an overfull node into a new right sibling
+// and returns the separator key between them. Both halves keep room for a
+// full node, so inserts into them do not grow their slices.
+func (n *node) split() (sep ref, right *node) {
+	mid := len(n.refs) / 2
+	sep = n.refs[mid]
+	right = &node{leaf: n.leaf, next: n.next}
+	if n.leaf {
+		right.refs = append(make([]ref, 0, degree+1), n.refs[mid:]...)
+		n.next = right
+	} else {
+		right.refs = append(make([]ref, 0, degree+1), n.refs[mid+1:]...)
+		right.children = append(make([]*node, 0, degree+2), n.children[mid+1:]...)
+		n.children = n.children[:mid+1]
 	}
-	n.keys = n.keys[:mid]
-	n.values = n.values[:mid]
-	n.next = right
-	return right.keys[0], right
-}
-
-func (n *node) splitInterior() (sepKey []byte, right *node) {
-	mid := len(n.keys) / 2
-	sepKey = n.keys[mid]
-	right = &node{
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	return sepKey, right
+	n.refs = n.refs[:mid]
+	return sep, right
 }
 
 // Scan visits every entry in key order until visit returns false.
@@ -179,29 +247,11 @@ func (t *Tree) Scan(visit func(Entry) bool) {
 // Range visits entries with lo <= key <= hi in key order until visit returns
 // false. A nil lo means "from the beginning"; a nil hi means "to the end".
 func (t *Tree) Range(lo, hi []byte, visit func(Entry) bool) {
-	n := t.root
-	for !n.leaf {
-		if lo == nil {
-			n = n.children[0]
-		} else {
-			n = n.children[childIndex(n.keys, lo)]
+	for c := t.Seek(lo); c.Valid(); c.Next() {
+		k := c.Key()
+		if hi != nil && bytes.Compare(k, hi) > 0 || !visit(Entry{Key: k, Value: c.Value()}) {
+			return
 		}
-	}
-	start := 0
-	if lo != nil {
-		start = sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], lo) >= 0 })
-	}
-	for n != nil {
-		for i := start; i < len(n.keys); i++ {
-			if hi != nil && bytes.Compare(n.keys[i], hi) > 0 {
-				return
-			}
-			if !visit(Entry{Key: n.keys[i], Value: n.values[i]}) {
-				return
-			}
-		}
-		n = n.next
-		start = 0
 	}
 }
 
@@ -211,6 +261,7 @@ func (t *Tree) Range(lo, hi []byte, visit func(Entry) bool) {
 // it. The LSM iterator detects mutation through the tree's sequence number
 // and re-seeks, so a stale cursor is never advanced.
 type Cursor struct {
+	t   *Tree
 	n   *node
 	idx int
 }
@@ -219,19 +270,8 @@ type Cursor struct {
 // first entry of the tree when k is nil). The cursor is invalid when no such
 // entry exists.
 func (t *Tree) Seek(k []byte) Cursor {
-	n := t.root
-	for !n.leaf {
-		if k == nil {
-			n = n.children[0]
-		} else {
-			n = n.children[childIndex(n.keys, k)]
-		}
-	}
-	idx := 0
-	if k != nil {
-		idx = sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], k) >= 0 })
-	}
-	c := Cursor{n: n, idx: idx}
+	n, idx := t.find(k)
+	c := Cursor{t: t, n: n, idx: idx}
 	c.skipEmpty()
 	return c
 }
@@ -239,7 +279,7 @@ func (t *Tree) Seek(k []byte) Cursor {
 // skipEmpty moves the cursor off exhausted leaves (a leaf can be empty after
 // unbalanced deletes).
 func (c *Cursor) skipEmpty() {
-	for c.n != nil && c.idx >= len(c.n.keys) {
+	for c.n != nil && c.idx >= len(c.n.refs) {
 		c.n = c.n.next
 		c.idx = 0
 	}
@@ -249,10 +289,10 @@ func (c *Cursor) skipEmpty() {
 func (c *Cursor) Valid() bool { return c.n != nil }
 
 // Key returns the entry key under the cursor.
-func (c *Cursor) Key() []byte { return c.n.keys[c.idx] }
+func (c *Cursor) Key() []byte { return c.t.key(c.n.refs[c.idx]) }
 
 // Value returns the entry value under the cursor.
-func (c *Cursor) Value() []byte { return c.n.values[c.idx] }
+func (c *Cursor) Value() []byte { return c.t.value(c.n.refs[c.idx]) }
 
 // Next advances the cursor to the next entry in key order.
 func (c *Cursor) Next() {
@@ -262,13 +302,11 @@ func (c *Cursor) Next() {
 
 // Min returns the smallest entry, or false when the tree is empty.
 func (t *Tree) Min() (Entry, bool) {
-	var out Entry
-	found := false
-	t.Scan(func(e Entry) bool {
-		out, found = e, true
-		return false
-	})
-	return out, found
+	c := t.Seek(nil)
+	if !c.Valid() {
+		return Entry{}, false
+	}
+	return Entry{Key: c.Key(), Value: c.Value()}, true
 }
 
 // Max returns the largest entry, or false when the tree is empty.
@@ -279,8 +317,9 @@ func (t *Tree) Max() (Entry, bool) {
 	}
 	// The rightmost leaf can be empty only when the whole tree is empty or
 	// after unbalanced deletes; walk the leaf chain from the root in that case.
-	if len(n.keys) > 0 {
-		return Entry{Key: n.keys[len(n.keys)-1], Value: n.values[len(n.keys)-1]}, true
+	if len(n.refs) > 0 {
+		r := n.refs[len(n.refs)-1]
+		return Entry{Key: t.key(r), Value: t.value(r)}, true
 	}
 	var out Entry
 	found := false

@@ -142,19 +142,33 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestBytesAccounting: Bytes counts what the arena holds, each entry's key,
+// value and length varints, and a replaced or deleted entry's bytes stay
+// counted because they stay in the arena.
 func TestBytesAccounting(t *testing.T) {
 	tr := New()
 	tr.Put([]byte("a"), []byte("12345"))
-	if tr.Bytes() != 6 {
-		t.Errorf("Bytes = %d", tr.Bytes())
+	if tr.Bytes() != 7 {
+		t.Errorf("Bytes = %d, want 1 key + 1 length + 5 value", tr.Bytes())
 	}
 	tr.Put([]byte("a"), []byte("1"))
-	if tr.Bytes() != 2 {
-		t.Errorf("Bytes after shrink-replace = %d", tr.Bytes())
+	if tr.Bytes() != 10 {
+		t.Errorf("Bytes after shrink-replace = %d, want 7 + 3", tr.Bytes())
 	}
 	tr.Delete([]byte("a"))
-	if tr.Bytes() != 0 {
-		t.Errorf("Bytes after delete = %d", tr.Bytes())
+	if tr.Bytes() != 10 || tr.Len() != 0 {
+		t.Errorf("Bytes after delete = %d (Len %d), want 10 (0)", tr.Bytes(), tr.Len())
+	}
+	// A value in parts is stored joined; a long key carries its own length.
+	tr.Put([]byte("b"), []byte{0}, make([]byte, 200))
+	if v, _ := tr.Get([]byte("b")); len(v) != 201 || tr.Bytes() != 10+1+2+201 {
+		t.Errorf("parted value: len %d, Bytes %d", len(v), tr.Bytes())
+	}
+	long := bytes.Repeat([]byte("k"), 1<<16)
+	before := tr.Bytes()
+	tr.Put(long, nil)
+	if k, _ := tr.Max(); !bytes.Equal(k.Key, long) || tr.Bytes()-before != 4+1<<16+1 {
+		t.Errorf("long key: %d bytes back, arena grew by %d", len(k.Key), tr.Bytes()-before)
 	}
 }
 

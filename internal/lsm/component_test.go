@@ -300,7 +300,11 @@ func FuzzComponentLoad(f *testing.F) {
 			key := data[p : p+klen]
 			p += klen
 			vlen := min(int(data[p]&15), len(data)-p-1)
-			mem.Put(key, encodeMemValue(data[p+1:p+1+vlen], anti))
+			flag := liveFlag
+			if anti {
+				flag = antimatterFlag
+			}
+			mem.Put(key, flag, data[p+1:p+1+vlen])
 			p += 1 + vlen
 		}
 		c, err := openImage(1, "fuzz", encodeImage(1, 9, &memCursor{mem.Seek(nil)}, false, 0))

@@ -45,8 +45,10 @@ import (
 
 // Options configure an LSM tree.
 type Options struct {
-	// MemBudget is the in-memory component size (bytes of keys+values) that
-	// triggers a flush. Zero means DefaultMemBudget.
+	// MemBudget is the in-memory component size that triggers a flush: the
+	// bytes of its arena, every key and value written into it with their
+	// length varints, including entries since replaced or deleted. Zero
+	// means DefaultMemBudget.
 	MemBudget int
 	// Policy decides when disk components are merged. Nil means a
 	// TieredPolicy with default parameters (size-tiered merging).
@@ -198,17 +200,17 @@ func (e *ComponentError) Unwrap() error { return e.Err }
 // Dir returns the directory holding this tree's disk components.
 func (t *Tree) Dir() string { return t.dir }
 
-// Insert upserts a key/value pair.
+// Insert upserts a key/value pair. The memtable copies both into its arena.
 func (t *Tree) Insert(key, value []byte) error {
 	t.seq++
-	t.mem.Put(append([]byte(nil), key...), encodeMemValue(value, false))
+	t.mem.Put(key, liveFlag, value)
 	return t.maybeFlush()
 }
 
 // Delete writes an antimatter entry for key.
 func (t *Tree) Delete(key []byte) error {
 	t.seq++
-	t.mem.Put(append([]byte(nil), key...), encodeMemValue(nil, true))
+	t.mem.Put(key, antimatterFlag)
 	return t.maybeFlush()
 }
 
@@ -314,10 +316,10 @@ func (t *Tree) FlushStamped(stamp uint64) error {
 	}
 	id := t.nextID
 	t.nextID++
-	// Entry bytes are the memtable's keys and flagged values plus two length
-	// varints each, two bytes apiece below 16 KiB.
+	// Entry bytes are at most the memtable's arena bytes plus a key length
+	// varint each, two bytes apiece below 16 KiB.
 	src := &memCursor{t.mem.Seek(nil)}
-	comp, err := t.writeComponent(id, id, stamp, src, false, t.mem.Bytes()+4*t.mem.Len())
+	comp, err := t.writeComponent(id, id, stamp, src, false, t.mem.Bytes()+2*t.mem.Len())
 	if err != nil {
 		return err
 	}
@@ -721,18 +723,10 @@ func (c *diskComponent) window(lo, hi []byte) diskCursor {
 	return d
 }
 
-// encodeMemValue packs the antimatter flag with the value inside the
-// in-memory B+-tree.
-func encodeMemValue(value []byte, antimatter bool) []byte {
-	flag := byte(0)
-	if antimatter {
-		flag = 1
-	}
-	out := make([]byte, 1+len(value))
-	out[0] = flag
-	copy(out[1:], value)
-	return out
-}
+// The in-memory B+-tree stores a flag byte in front of each value, the
+// antimatter flag of the component image: Insert and Delete pass it as the
+// value's first part, so no joined value is built.
+var liveFlag, antimatterFlag = []byte{0}, []byte{1}
 
 func decodeMemValue(raw []byte) (value []byte, antimatter bool) {
 	if len(raw) == 0 {

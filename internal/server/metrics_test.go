@@ -124,6 +124,33 @@ func TestMetricsFilterSkips(t *testing.T) {
 	}
 }
 
+// TestMetricsMemBytes: /metrics shows the in-memory components of the
+// primary index and of the secondary index apart; both hold the ten inserted
+// rows until a flush empties them.
+func TestMetricsMemBytes(t *testing.T) {
+	s, inst := newTestServer(t)
+	loadItems(t, s, 10)
+	const (
+		primary   = `asterix_lsm_mem_bytes{dataset="Items"}`
+		secondary = `asterix_lsm_secondary_mem_bytes{dataset="Items"}`
+	)
+	body := do(t, s, "GET", "/metrics", "").Body.String()
+	if p, sec := metricValue(t, body, primary), metricValue(t, body, secondary); p <= 0 || sec <= 0 {
+		t.Fatalf("after 10 inserts: %s = %v, %s = %v; want both > 0", primary, p, secondary, sec)
+	}
+	ds, ok := inst.Dataset("Items")
+	if !ok {
+		t.Fatal("no dataset Items")
+	}
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body = do(t, s, "GET", "/metrics", "").Body.String()
+	if p, sec := metricValue(t, body, primary), metricValue(t, body, secondary); p != 0 || sec != 0 {
+		t.Fatalf("after a flush: %s = %v, %s = %v; want both 0", primary, p, secondary, sec)
+	}
+}
+
 func TestMetricsCountsErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	if w := do(t, s, "POST", "/query", `for $x in dataset NoSuch return $x;`); w.Code != http.StatusNotFound {

@@ -440,8 +440,11 @@ func (d *Dataset) Spec() DatasetSpec { return d.spec }
 // DatasetStats is a point-in-time aggregate of one dataset's LSM state
 // across its partitions, for the /metrics endpoints.
 type DatasetStats struct {
-	// MemBytes is the primary in-memory component footprint.
-	MemBytes int
+	// MemBytes is the primary index's in-memory component footprint (the
+	// bytes of its arena) across partitions; SecondaryMemBytes is the same
+	// across every LSM-backed secondary index.
+	MemBytes          int
+	SecondaryMemBytes int
 	// Components counts the primary index's disk components; Flushes and
 	// Merges are its lifetime flush/merge totals.
 	Components int
@@ -469,6 +472,7 @@ func (d *Dataset) Stats() DatasetStats {
 		s.Merges += p.primary.Merges()
 		for i, t := range p.allTrees() {
 			if i > 0 {
+				s.SecondaryMemBytes += t.MemBytes()
 				s.SecondaryComponents += t.Components()
 			}
 			r := t.Reads()

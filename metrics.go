@@ -66,6 +66,13 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 				emit(float64(s.MemBytes), metrics.L("dataset", name))
 			})
 		})
+	r.Collect("asterix_lsm_secondary_mem_bytes", "gauge",
+		"Secondary-index in-memory LSM component bytes per dataset (B+-tree, R-tree and inverted).",
+		func(emit func(float64, ...metrics.Label)) {
+			eachDataset(func(name string, s storage.DatasetStats) {
+				emit(float64(s.SecondaryMemBytes), metrics.L("dataset", name))
+			})
+		})
 	r.Collect("asterix_lsm_components", "gauge",
 		"Primary-index disk components per dataset.",
 		func(emit func(float64, ...metrics.Label)) {
