@@ -201,11 +201,52 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		``, `{`, `[1,`, `"unterminated`, `{{1}`, `bogus`, `{"a" 1}`,
 		`datetime("not-a-date")`, `point("1")`, `1 2`,
+		// AQL's identifier rule and no unary '+'.
+		`{a-1: 2}`, `{1a: 2}`, `{a-: 2}`, `{-a: 2}`, `[+5]`, `{"a": +5}`,
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) should fail", in)
 		}
+	}
+}
+
+// A repeated field name is refused by name, also in a nested record.
+func TestParseRepeatedFieldName(t *testing.T) {
+	for src, name := range map[string]string{
+		`{"id": 3, "x": 1, "x": 2}`:        "x",
+		`{"a": {"b": 1, 'b': 2}}`:          "b",
+		`[{"k": 1}, {k: 1, "n": 2, k: 3}]`: "k",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), `repeated field name "`+name+`"`) {
+			t.Errorf("Parse(%s): %v, want the repeated name %q", src, err, name)
+		}
+	}
+}
+
+// ParsePrefix reads one value and leaves what follows it; Parse is that
+// plus the check that nothing follows.
+func TestParsePrefix(t *testing.T) {
+	cases := []struct {
+		src, want string
+		n         int
+	}{
+		{` [1, 'two', {user-since: 3}] + 1`, `[ 1, "two", { "user-since": 3 } ]`, 28},
+		{`{{ {"a": 1}}}}`, `{{ { "a": 1 } }}`, 13},
+		{`{'k': "v"}.k`, `{ "k": "v" }`, 10},
+	}
+	for _, c := range cases {
+		v, n, err := ParsePrefix(c.src)
+		if err != nil || v.String() != c.want || n != c.n {
+			t.Errorf("ParsePrefix(%s) = %v, %d, %v; want %s, %d", c.src, v, n, err, c.want, c.n)
+		}
+		if _, err := Parse(c.src); err == nil {
+			t.Errorf("Parse(%s) took trailing input", c.src)
+		}
+	}
+	// A refused text reports the offset adm stopped at.
+	if _, n, err := ParsePrefix(`[1, 2, $x]`); err == nil || n != 7 {
+		t.Errorf("ParsePrefix([1, 2, $x]) = %d, %v; want an error at offset 7", n, err)
 	}
 }
 
@@ -834,6 +875,11 @@ func TestNumericHelpers(t *testing.T) {
 func TestConstructErrors(t *testing.T) {
 	if _, err := Construct("nosuch", "x"); err == nil {
 		t.Error("unknown constructor should fail")
+	}
+	for _, s := range []string{"yes", "TRUE", "1", ""} {
+		if v, err := Construct("boolean", s); err == nil {
+			t.Errorf("Construct(boolean, %q) = %v, want an error", s, v)
+		}
 	}
 	if _, err := ParseDate("2014-13-45"); err == nil {
 		t.Error("bad date should fail")

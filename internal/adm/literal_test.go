@@ -40,7 +40,6 @@ func TestParseNumberTyping(t *testing.T) {
 	}{
 		{"5", Int32(5), 1},
 		{"-5", Int32(-5), 2},
-		{"+5", Int32(5), 2},
 		{"2147483647", Int32(2147483647), 10},
 		{"2147483648", Int64(2147483648), 10},
 		{"-2147483648", Int32(-2147483648), 11},
@@ -71,7 +70,7 @@ func TestParseNumberTyping(t *testing.T) {
 			t.Errorf("ParseNumber(%q) = %v (%v), %d, %v; want %v (%s), %d", c.lit, got, got, n, err, c.want, c.want.Tag(), c.n)
 		}
 	}
-	for _, bad := range []string{"", "-", "x1", ".5", "-.5", "128i8", "-129i8", "9223372036854775808", "1.5i32", "1e999d"} {
+	for _, bad := range []string{"", "-", "+5", "x1", ".5", "-.5", "128i8", "-129i8", "9223372036854775808", "1.5i32", "1e999d"} {
 		if got, _, err := ParseNumber(bad); err == nil {
 			t.Errorf("ParseNumber(%q) = %v, want an error", bad, got)
 		}

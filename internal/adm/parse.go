@@ -15,24 +15,37 @@ import (
 // Parse parses a single ADM value from its textual form, which is what
 // Value.String writes and what external and load files hold. The textual
 // form is a superset of JSON: in addition to JSON literals it accepts bags
-// ("{{ ... }}"), unquoted field names, typed constructors such as
-// datetime("2014-01-01T00:00:00"), date("2014-01-01"), point("1.0,2.0") and
-// interval(date(...), date(...)), and the numeric suffixes of ParseNumber.
-// Strings and numbers are read by ParseString and ParseNumber, the literal
-// codec the AQL lexer shares, so a value's text means the same in a data
-// file and in a statement.
+// ("{{ ... }}"), unquoted field names, single-quoted strings, typed
+// constructors such as datetime("2014-01-01T00:00:00"), date("2014-01-01"),
+// point("1.0,2.0") and interval(date(...), date(...)), and the numeric
+// suffixes of ParseNumber. A record may not repeat a field name. Strings,
+// numbers and unquoted names are read by ParseString, ParseNumber and
+// IdentLen, the literal codec the AQL lexer shares, so a value's text means
+// the same in a data file and in a statement.
 func Parse(input string) (Value, error) {
-	p := &valueParser{src: input}
-	p.skipSpace()
-	v, err := p.parseValue()
+	v, n, err := ParsePrefix(input)
 	if err != nil {
 		return nil, err
 	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("adm: parse: trailing input at offset %d", p.pos)
+	if rest := strings.TrimLeft(input[n:], " \t\n\r"); rest != "" {
+		return nil, fmt.Errorf("adm: parse: trailing input at offset %d", len(input)-len(rest))
 	}
 	return v, nil
+}
+
+// ParsePrefix reads the one value at the front of src, after any white
+// space, as Parse does, and returns it with the number of bytes it read;
+// whatever follows the value is left unread. On an error, n is the offset
+// at which the text was refused. The AQL parser hands it the text from each
+// '{', '[' or "{{" of a statement, so a literal is read as a value, not as
+// an expression.
+func ParsePrefix(src string) (v Value, n int, err error) {
+	p := &valueParser{src: src}
+	v, err = p.parseValue()
+	if err != nil {
+		return nil, p.pos, err
+	}
+	return v, p.pos, nil
 }
 
 type valueParser struct {
@@ -88,13 +101,16 @@ func (p *valueParser) parseValue() (Value, error) {
 		return rec, p.parseItems("}", func() error {
 			var name string
 			var err error
-			if p.peek() == '"' {
+			if c := p.peek(); c == '"' || c == '\'' {
 				name, err = p.parseString()
 			} else if name = p.parseIdent(); name == "" {
 				err = p.errf("expected field name")
 			}
 			if err != nil {
 				return err
+			}
+			if rec.Has(name) {
+				return p.errf("repeated field name %q", name)
 			}
 			p.skipSpace()
 			if !p.consume(":") {
@@ -104,13 +120,13 @@ func (p *valueParser) parseValue() (Value, error) {
 			rec.Fields = append(rec.Fields, Field{Name: name, Value: v})
 			return err
 		})
-	case c == '"':
+	case c == '"' || c == '\'':
 		s, err := p.parseString()
 		if err != nil {
 			return nil, err
 		}
 		return String(s), nil
-	case c == '-' || c == '+' || isDigit(c):
+	case c == '-' || isDigit(c):
 		v, n, err := ParseNumber(p.src[p.pos:])
 		if err != nil {
 			return nil, p.errf("%v", err)
@@ -243,7 +259,7 @@ func hex4(s string) (rune, bool) {
 
 // ParseNumber decodes the numeric literal at the front of src and returns
 // its value with the number of bytes the literal spans. The literal is an
-// optional sign, then JSON number syntax (leading zeros allowed; a '.' or an
+// optional '-', then JSON number syntax (leading zeros allowed; a '.' or an
 // exponent belongs to the number only with a digit after it), then an
 // optional suffix i8, i16, i32, i64, f or d, which counts only when no
 // identifier character follows it. A suffix names the type. Without one an
@@ -259,7 +275,7 @@ func ParseNumber(src string) (Value, int, error) {
 		return i
 	}
 	start := 0
-	if src != "" && (src[0] == '-' || src[0] == '+') {
+	if src != "" && src[0] == '-' {
 		start = 1
 	}
 	end := digits(start)
@@ -310,18 +326,39 @@ func isIdentByte(c byte) bool {
 	return isDigit(c) || c == '_' || c >= utf8.RuneSelf || ('a' <= c|0x20 && c|0x20 <= 'z')
 }
 
-// parseIdent consumes an identifier (letters, digits, '-', '_').
+// parseIdent consumes an identifier: a letter or '_', then what IdentLen
+// takes, as in an AQL statement.
 func (p *valueParser) parseIdent() string {
+	if p.pos == len(p.src) || !IsIdentStart(p.src[p.pos]) {
+		return ""
+	}
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '-' || c == '_' {
-			p.pos++
+	p.pos += IdentLen(p.src[p.pos:])
+	return p.src[start:p.pos]
+}
+
+// IsIdentStart reports whether c may begin an identifier: a letter or '_'.
+// A letter is a byte that unicode.IsLetter takes as a rune.
+func IsIdentStart(c byte) bool { return unicode.IsLetter(rune(c)) || c == '_' }
+
+// IdentLen returns the length of the run of identifier characters at the
+// front of s: letters, digits, '_', and a '-' that is not first and has a
+// letter after it. So "user-since" is one identifier, as ADM field names
+// need, while "a-1" and "a - b" are not. AQL's lexer and the value parser
+// read identifiers with it, so an unquoted field name means the same in a
+// statement and in a data file.
+func IdentLen(s string) int {
+	i := 0
+	for i < len(s) {
+		c := s[i]
+		if unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_' ||
+			c == '-' && i > 0 && i+1 < len(s) && unicode.IsLetter(rune(s[i+1])) {
+			i++
 			continue
 		}
 		break
 	}
-	return p.src[start:p.pos]
+	return i
 }
 
 // parseWord handles bare literals (true, false, null, missing) and typed
@@ -375,7 +412,13 @@ func Construct(typeName, literal string) (Value, error) {
 	case "string":
 		return String(literal), nil
 	case "boolean":
-		return Boolean(literal == "true"), nil
+		switch literal {
+		case "true":
+			return Boolean(true), nil
+		case "false":
+			return Boolean(false), nil
+		}
+		return nil, fmt.Errorf("adm: bad boolean %q", literal)
 	case "int8":
 		n, err := strconv.ParseInt(literal, 10, 8)
 		return Int8(n), err

@@ -3,7 +3,6 @@ package aql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 
 	"asterixdb/internal/adm"
 )
@@ -42,33 +41,16 @@ func (t token) String() string {
 	}
 }
 
-// lexer turns AQL source text into tokens. Ordinary comments are skipped;
-// optimizer hint comments (/*+ ... */) are preserved as hint tokens. String
-// and number literals are ADM's, read by adm.ParseString and
-// adm.ParseNumber, so a value's text (Value.String, or a line of NDJSON
-// output) means the same here as in a data file.
+// lexer turns AQL source text into tokens, one per call to next, as the
+// parser asks for them. Ordinary comments are skipped; optimizer hint
+// comments (/*+ ... */) are preserved as hint tokens. String and number
+// literals are ADM's, read by adm.ParseString and adm.ParseNumber, and
+// identifiers are read by adm.IdentLen, so a value's text (Value.String, or
+// a line of NDJSON output) means the same here as in a data file. The parser
+// moves pos past a '{', '[' or "{{" literal that adm.ParsePrefix read whole.
 type lexer struct {
 	src string
 	pos int
-}
-
-// lex tokenizes the whole input up front; AQL statements are short enough
-// that a streaming lexer buys nothing. The slice is sized for a token per
-// four bytes (record literals average five to eight), so that a long insert
-// statement's tokens are not copied as the slice grows.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	tokens := make([]token, 0, len(src)/4+1)
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		tokens = append(tokens, tok)
-		if tok.kind == tokEOF {
-			return tokens, nil
-		}
-	}
 }
 
 // multi-character symbols, longest first. A bag's closing "}}" is two '}'
@@ -124,7 +106,7 @@ func (l *lexer) next() (token, error) {
 	}
 
 	// Identifiers and keywords.
-	if unicode.IsLetter(rune(c)) || c == '_' {
+	if adm.IsIdentStart(c) {
 		id := l.readIdent()
 		return token{kind: tokIdent, text: id, pos: start}, nil
 	}
@@ -177,24 +159,9 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-// readIdent consumes an identifier; AQL identifiers may contain '-', matching
-// ADM field names like "user-since", but a '-' followed by a space or digit
-// boundary is left for the expression parser to treat as minus.
+// readIdent consumes the identifier characters at pos (adm.IdentLen).
 func (l *lexer) readIdent() string {
 	start := l.pos
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_' {
-			l.pos++
-			continue
-		}
-		// Allow '-' inside identifiers only when followed by a letter, so
-		// "user-since" lexes as one identifier but "a - 1" does not.
-		if c == '-' && l.pos+1 < len(l.src) && unicode.IsLetter(rune(l.src[l.pos+1])) && l.pos > start {
-			l.pos++
-			continue
-		}
-		break
-	}
+	l.pos += adm.IdentLen(l.src[l.pos:])
 	return l.src[start:l.pos]
 }

@@ -12,12 +12,16 @@ import (
 )
 
 // FuzzADMText checks that adm is the one owner of literal syntax: a value of
-// any kind, rendered by Value.String, reads back as itself through both
-// structural parsers, and a JSON-shaped value's NDJSON line reads back as an
-// AQL literal.
+// any kind, rendered by Value.String, reads back as itself through adm.Parse
+// and through AQL, where adm reads the literal whole and where the parser
+// builds it from constructors, and a JSON-shaped value's NDJSON line reads
+// back as an AQL literal.
 //
 //   - adm.Parse(v.String()) is adm.Equal to v, with the same tag and text;
 //   - aql.ParseQuery(v.String()) evaluated by expr.Eval gives the same;
+//   - so does the text with "/**/" after every opening bracket
+//     (commentedText), which AQL skips and adm refuses, so that the parser
+//     builds every record, list and bag from its items;
 //   - for records, lists, strings, finite doubles, integers, booleans and
 //     null, expr.Eval of aql.ParseQuery(adm.AppendJSON(v)) is adm.Equal to
 //     v. A float is left out of this one: its JSON digits are the shortest
@@ -54,6 +58,13 @@ func FuzzADMText(f *testing.F) {
 		if !sameValue(v, got) {
 			t.Fatalf("AQL %s = %s (%s), want %s", text, got, got.Tag(), v.Tag())
 		}
+		commented := commentedText(v)
+		if got, err = evalText(commented); err != nil {
+			t.Fatalf("AQL %s: %v", commented, err)
+		}
+		if !sameValue(v, got) {
+			t.Fatalf("AQL %s = %s (%s), want %s", commented, got, got.Tag(), v.Tag())
+		}
 		if !jsonShaped(v) {
 			return
 		}
@@ -74,6 +85,89 @@ func evalText(src string) (adm.Value, error) {
 		return nil, err
 	}
 	return expr.Eval(expr.NewContext(), nil, e)
+}
+
+// FuzzLiteralSpan checks the parser's literal fast path against the
+// constructor path on arbitrary text in a "[ … ]" or "{ … }" shell: the text
+// as written, whose brackets adm.ParsePrefix may read as one value, and the
+// text with "/**/" after the shell's opening bracket, a comment AQL skips
+// and adm refuses, so that the parser builds the shell from its items. Both
+// fail, or both evaluate to the same value or both to an error. Text that
+// loops (a FLWOR or a quantifier) is only parsed, not evaluated.
+//
+// Run with
+//
+//	go test -run='^$' -fuzz=FuzzLiteralSpan -fuzztime=15s ./internal/aql
+func FuzzLiteralSpan(f *testing.F) {
+	for _, body := range []string{
+		`1, 2`, `"a": 1`, `'a'`, `'k': 'v'`, `a-1: 2`, `1a: 2`, `a-: 2`, `-a: 2`, `+5`, `"a": +5`,
+		`"id": 1, "id": 2`, `x: 1, "x": 2`, `{{1, {"b": [2]}}}`, `[1, [2, {"b": null}]]`,
+		`x: datetime("2014-01-01T00:00:00"), y: interval(date("2014-01-01"), date("2014-02-01"))`,
+		`- 5`, `-5i8`, `128i8`, `-128i8`, `1,`, `1 2`, `"a": {"b": 1}}`, `{"a": 1}}`, `TRUE, Null`,
+		`boolean("yes")`, `boolean('true')`, `date("bad")`, `1 /* c */`, `"a": $x`, `[1, 2][0]`,
+		`{"a": 1}.a`, `user-since: 1`, `a--b: 1`, `"é": 1`, `é: 1`, `missing`,
+		`[[1, 2], $x], [3]`, strings.Repeat("[", 3000),
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, shell := range [][2]string{{"[", "]"}, {"{", "}"}} {
+			// The space keeps a shell's '{' from joining a body's into "{{".
+			fast := shell[0] + " " + body + shell[1]
+			slow := shell[0] + "/**/ " + body + shell[1]
+			fe, ferr := aql.ParseQuery(fast)
+			se, serr := aql.ParseQuery(slow)
+			if (ferr == nil) != (serr == nil) {
+				t.Fatalf("%s: %v, but %s: %v", fast, ferr, slow, serr)
+			}
+			if ferr != nil || loops(fe) || loops(se) {
+				continue
+			}
+			fv, ferr := expr.Eval(expr.NewContext(), nil, fe)
+			sv, serr := expr.Eval(expr.NewContext(), nil, se)
+			if (ferr == nil) != (serr == nil) || ferr == nil && !sameValue(sv, fv) {
+				t.Fatalf("%s = %v, %v; %s = %v, %v", fast, fv, ferr, slow, sv, serr)
+			}
+		}
+	})
+}
+
+// loops reports whether e holds a FLWOR or a quantifier, whose evaluation
+// arbitrary text can make as long as it likes.
+func loops(e aql.Expr) bool {
+	found := false
+	aql.Rewrite(e, func(x aql.Expr, _ *aql.Scope) aql.Expr {
+		switch x.(type) {
+		case *aql.FLWORExpr, *aql.QuantifiedExpr:
+			found = true
+		}
+		return x
+	})
+	return found
+}
+
+// commentedText is v.String() with "/**/" after every opening bracket.
+func commentedText(v adm.Value) string {
+	items := func(open string, vs []adm.Value, close string) string {
+		parts := make([]string, len(vs))
+		for i, it := range vs {
+			parts[i] = commentedText(it)
+		}
+		return open + "/**/ " + strings.Join(parts, ", ") + close
+	}
+	switch x := v.(type) {
+	case *adm.Record:
+		parts := make([]string, len(x.Fields))
+		for i, f := range x.Fields {
+			parts[i] = adm.String(f.Name).String() + ": " + commentedText(f.Value)
+		}
+		return "{/**/ " + strings.Join(parts, ", ") + " }"
+	case *adm.OrderedList:
+		return items("[", x.Items, " ]")
+	case *adm.UnorderedList:
+		return items("{{", x.Items, " }}")
+	}
+	return v.String()
 }
 
 // sameValue compares values with adm.Equal, where they are comparable

@@ -9,11 +9,23 @@ import (
 
 // Parse parses one or more semicolon-separated AQL statements.
 func Parse(src string) ([]Statement, error) {
-	tokens, err := lex(src)
+	p := &parser{src: src, lex: lexer{src: src}}
+	p.advance()
+	stmts, err := p.parseStatements()
 	if err != nil {
-		return nil, err
+		// A lexical error anywhere in the source is the one reported, also
+		// after a syntax error before it.
+		for p.lexErr == nil && !p.at(tokEOF) {
+			p.advance()
+		}
 	}
-	p := &parser{src: src, tokens: tokens}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return stmts, err
+}
+
+func (p *parser) parseStatements() ([]Statement, error) {
 	var stmts []Statement
 	for !p.at(tokEOF) {
 		if p.atSymbol(";") {
@@ -49,30 +61,43 @@ func ParseQuery(src string) (Expr, error) {
 	return q.Body, nil
 }
 
+// parser reads the lexer's tokens with one token of lookahead, tok.
 type parser struct {
-	src    string
-	tokens []token
-	pos    int
+	src       string
+	lex       lexer
+	tok       token
+	lexErr    error // the lexer's error, after which tok stays at EOF
+	refusedTo int   // the offset where adm.ParsePrefix refused the last literal
 }
 
-func (p *parser) cur() token { return p.tokens[p.pos] }
-func (p *parser) advance()   { p.pos++ }
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	tok, err := p.lex.next()
+	if err != nil {
+		p.lexErr, tok = err, token{kind: tokEOF, pos: p.lex.pos}
+	}
+	p.tok = tok
+}
+
 func (p *parser) at(k tokenKind) bool {
-	return p.cur().kind == k
+	return p.tok.kind == k
 }
 func (p *parser) atSymbol(s string) bool {
-	return p.cur().kind == tokSymbol && p.cur().text == s
+	return p.tok.kind == tokSymbol && p.tok.text == s
 }
 func (p *parser) atKeyword(kw string) bool {
-	return p.cur().kind == tokIdent && strings.EqualFold(p.cur().text, kw)
+	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw)
 }
 
-// atBagClose reports whether the next two tokens are the adjacent '}' '}'
-// that close a bag; the lexer leaves them apart so that they can also close
-// two records.
+// atBagClose reports whether the current token is the first of the adjacent
+// '}' '}' that close a bag; the lexer leaves them apart so that they can
+// also close two records.
 func (p *parser) atBagClose() bool {
-	next := p.tokens[min(p.pos+1, len(p.tokens)-1)]
-	return p.atSymbol("}") && next.kind == tokSymbol && next.text == "}" && next.pos == p.cur().pos+1
+	return p.atSymbol("}") && strings.HasPrefix(p.src[p.tok.pos+1:], "}")
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -314,7 +339,8 @@ func (p *parser) parseTypeExpr() (*TypeExpr, error) {
 		if !p.atBagClose() {
 			return nil, p.errf("expected %q", "}}")
 		}
-		p.pos += 2
+		p.advance()
+		p.advance()
 		return &TypeExpr{UnorderedItem: item}, nil
 	case p.atSymbol("["):
 		p.advance()
@@ -1226,6 +1252,24 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &Literal{Value: adm.String(tok.text)}, nil
 	case tokSymbol:
 		switch tok.text {
+		case "{", "[", "{{":
+			// A literal adm reads whole is one value; anything else it
+			// refuses (an expression inside, a comment, a trailing comma)
+			// is parsed below as a constructor. A bracket before the
+			// offset where adm refused the last text opens a value adm
+			// has read or one that it refuses at that same offset, so it
+			// is not handed to adm again: each byte is read by adm once.
+			if tok.pos >= p.refusedTo {
+				v, n, err := adm.ParsePrefix(p.src[tok.pos:])
+				if err == nil {
+					p.lex.pos = tok.pos + n
+					p.advance()
+					return &Literal{Value: v}, nil
+				}
+				p.refusedTo = tok.pos + n
+			}
+		}
+		switch tok.text {
 		case "(":
 			p.advance()
 			e, err := p.parseExpr()
@@ -1343,7 +1387,9 @@ func (p *parser) parseOperands(close string) ([]Expr, error) {
 			p.advance()
 		}
 	}
-	p.pos += len(close)
+	for range len(close) {
+		p.advance()
+	}
 	return items, nil
 }
 
@@ -1358,6 +1404,11 @@ func (p *parser) parseRecordConstructor() (Expr, error) {
 		name, err := p.expectFieldName()
 		if err != nil {
 			return nil, err
+		}
+		for _, f := range rc.Fields {
+			if f.Name == name {
+				return nil, p.errf("repeated field name %q", name)
+			}
 		}
 		if err := p.expectSymbol(":"); err != nil {
 			return nil, err

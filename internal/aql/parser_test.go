@@ -477,9 +477,10 @@ delete $user from dataset MugshotUsers where $user.id = 11;
 	if ins.Dataset != "MugshotUsers" {
 		t.Errorf("insert dataset = %q", ins.Dataset)
 	}
-	rc := ins.Body.(*RecordConstructor)
-	if len(rc.Fields) != 7 {
-		t.Errorf("insert record has %d fields", len(rc.Fields))
+	// A body adm reads whole is one value, not a constructor.
+	rec := ins.Body.(*Literal).Value.(*adm.Record)
+	if len(rec.Fields) != 7 {
+		t.Errorf("insert record has %d fields", len(rec.Fields))
 	}
 	del := stmts[1].(*DeleteStatement)
 	if del.Var != "user" || del.Dataset != "MugshotUsers" || del.Where == nil {

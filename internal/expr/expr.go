@@ -573,6 +573,7 @@ func init() {
 		"point":     constructorFunc("point"),
 		"rectangle": constructorFunc("rectangle"),
 		"circle":    constructorFunc("circle"),
+		"boolean":   constructorFunc("boolean"),
 		"interval-bin": func(c *Context, a []adm.Value) (adm.Value, error) {
 			if len(a) < 3 {
 				return adm.Null{}, nil

@@ -1,6 +1,7 @@
 package asterixdb
 
 import (
+	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
@@ -108,6 +109,49 @@ func TestNDJSONLineInsertsBack(t *testing.T) {
 	}
 	if k := back.Get("k"); k.Tag() != adm.TagInt32 {
 		t.Errorf("k read back as %s, want int32", k.Tag())
+	}
+}
+
+// A record may not repeat a field name: the insert is a syntax error that
+// names the field, whether adm reads the record as a value or the parser
+// builds it from expressions, and nothing is stored.
+func TestRepeatedFieldNameRefused(t *testing.T) {
+	inst := openLiterals(t, Config{})
+	for body, name := range map[string]string{
+		`{"id": 1, "id": 2}`:            "id",
+		`{"id": 3, "x": 1, "x": 2}`:     "x",
+		`[{"id": 4}, {"id": 5, id: 6}]`: "id",
+		`{"id": 7, "x": 1 + 1, "x": 2}`: "x",
+	} {
+		_, err := inst.Execute(`insert into dataset D (` + body + `);`)
+		if ErrorCode(err) != CodeSyntax || !strings.Contains(err.Error(), `repeated field name "`+name+`"`) {
+			t.Errorf("insert %s: %v (%s), want a syntax error naming %q", body, err, ErrorCode(err), name)
+		}
+	}
+	if res, err := inst.Query(`count(for $r in dataset D return $r)`); err != nil || len(res) != 1 || !adm.Equal(res[0], adm.Int64(0)) {
+		t.Errorf("D holds %v, %v; want no record", res, err)
+	}
+}
+
+// boolean(…) reads only "true" and "false"; any other string is null, as
+// int32("x") is, whether the call folds at parse time or runs.
+func TestBooleanConstructorIsStrict(t *testing.T) {
+	inst := openLiterals(t, Config{})
+	cases := map[string]adm.Value{
+		`boolean("true")`:                       adm.Boolean(true),
+		`boolean('false')`:                      adm.Boolean(false),
+		`boolean("yes")`:                        adm.Null{},
+		`boolean("TRUE")`:                       adm.Null{},
+		`let $s := "yes" return boolean($s)`:    adm.Null{},
+		`let $s := "false" return boolean($s)`:  adm.Boolean(false),
+		`[boolean("true"), int32("x")]`:         &adm.OrderedList{Items: []adm.Value{adm.Boolean(true), adm.Null{}}},
+		`{"b": boolean("no"), "i": int32("x")}`: &adm.Record{Fields: []adm.Field{{Name: "b", Value: adm.Null{}}, {Name: "i", Value: adm.Null{}}}},
+	}
+	for q, want := range cases {
+		res, err := inst.Query(q)
+		if err != nil || len(res) != 1 || res[0].String() != want.String() {
+			t.Errorf("%s = %v, %v; want %s", q, res, err, want)
+		}
 	}
 }
 
