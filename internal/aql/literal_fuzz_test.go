@@ -106,7 +106,7 @@ func FuzzLiteralSpan(f *testing.F) {
 		`- 5`, `-5i8`, `128i8`, `-128i8`, `1,`, `1 2`, `"a": {"b": 1}}`, `{"a": 1}}`, `TRUE, Null`,
 		`boolean("yes")`, `boolean('true')`, `date("bad")`, `1 /* c */`, `"a": $x`, `[1, 2][0]`,
 		`{"a": 1}.a`, `user-since: 1`, `a--b: 1`, `"é": 1`, `é: 1`, `missing`,
-		`[[1, 2], $x], [3]`, strings.Repeat("[", 3000),
+		`[[1, 2], $x], [3]`, strings.Repeat("[", 3000), `[1 2]`, `{{1,}}`, `f(1 2)`,
 	} {
 		f.Add(body)
 	}

@@ -12,7 +12,8 @@ import (
 // of it, or the fast path would change what a statement means. Each row is
 // pinned to its outcome before adm read literal spans: the identifier rule
 // (a '-' only before a letter, no digit first), no unary '+', single-quoted
-// strings. A repeated field name is refused on both paths.
+// strings. A repeated field name is refused on both paths, and so, since
+// items need their commas, is a list whose items lack one or end in one.
 func TestLiteralSyntax(t *testing.T) {
 	cases := []struct {
 		src, err string // src's error, empty when src parses
@@ -29,7 +30,8 @@ func TestLiteralSyntax(t *testing.T) {
 		{src: `{"x": $x, "x": 2}`, err: `aql: parse error near ":" (offset 13): repeated field name "x"`},
 		{src: `['a']`, want: `[ "a" ]`},
 		{src: `{'k': 'v', user-since: 1}`, want: `{ "k": "v", "user-since": 1 }`},
-		{src: `[1, 2,]`, want: `[ 1, 2 ]`},
+		{src: `[1, 2,]`, err: `aql: parse error near "]" (offset 6): unexpected token`},
+		{src: `[1 2]`, err: `aql: parse error near "2" (offset 3): expected ',' or "]"`},
 		{src: `[- 5]`, want: `[ -5 ]`},
 	}
 	for _, c := range cases {

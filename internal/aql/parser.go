@@ -1370,7 +1370,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 // parseOperands parses comma-separated operands up to close, which it
-// consumes: ")", "]" or a bag's "}}", which is two tokens.
+// consumes: ")", "]" or a bag's "}}", which is two tokens. A comma goes
+// between two operands and nowhere else.
 func (p *parser) parseOperands(close string) ([]Expr, error) {
 	atClose := func() bool { return p.atSymbol(close) }
 	if close == "}}" {
@@ -1378,14 +1379,17 @@ func (p *parser) parseOperands(close string) ([]Expr, error) {
 	}
 	var items []Expr
 	for !atClose() {
+		if len(items) > 0 {
+			if !p.atSymbol(",") {
+				return nil, p.errf("expected ',' or %q", close)
+			}
+			p.advance()
+		}
 		item, err := p.parseExprOperand()
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, item)
-		if p.atSymbol(",") {
-			p.advance()
-		}
 	}
 	for range len(close) {
 		p.advance()

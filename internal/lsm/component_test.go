@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"unsafe"
@@ -20,15 +23,52 @@ func within(b, image []byte) bool {
 	return p >= lo && p+uintptr(cap(b)) <= lo+uintptr(len(image))
 }
 
-// sealed returns body followed by a valid footer claiming count entries, so
-// only the entry walk can notice what is wrong with body.
-func sealed(body []byte, count uint64) []byte {
+// seal returns body followed by a valid footer claiming count entries, so
+// only the framing of body can be wrong.
+func seal(body []byte, count uint64) []byte {
 	image := append([]byte(nil), body...)
 	image = binary.LittleEndian.AppendUint64(image, 7) // stamp
 	image = binary.LittleEndian.AppendUint64(image, 0) // coveredLow
 	image = binary.LittleEndian.AppendUint64(image, count)
 	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
 	return append(image, formatMagic...)
+}
+
+// sealed returns entries followed by a block index of restarts and a valid
+// footer claiming count entries, so only the entry walk can notice what is
+// wrong with entries.
+func sealed(entries []byte, restarts []uint32, count uint64) []byte {
+	body := append([]byte(nil), entries...)
+	for _, r := range restarts {
+		body = binary.LittleEndian.AppendUint32(body, r)
+	}
+	return seal(binary.LittleEndian.AppendUint32(body, uint32(len(restarts))), count)
+}
+
+// blocks returns an image's entry bytes and block start offsets.
+func blocks(t testing.TB, image []byte) ([]byte, []uint32) {
+	t.Helper()
+	c, err := openImage(1, "blocks", image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restarts []uint32
+	for b := 0; b < len(c.restarts)/4; b++ {
+		restarts = append(restarts, uint32(c.restart(b)))
+	}
+	return image[:c.entries], restarts
+}
+
+// v04Image is a component in the LSMKFV04 layout, every key whole
+// (uvarint klen ‖ key ‖ flag ‖ uvarint vlen ‖ value) and no block index,
+// under a checksum that holds.
+func v04Image() []byte {
+	image := []byte{3, 'k', 'e', 'y', 0, 1, 'v'}
+	image = binary.LittleEndian.AppendUint64(image, 7)
+	image = binary.LittleEndian.AppendUint64(image, 0)
+	image = binary.LittleEndian.AppendUint64(image, 1)
+	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
+	return append(image, "LSMKFV04"...)
 }
 
 // oldLayoutImage is one entry in the layout before the checksummed footer:
@@ -86,30 +126,46 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 		t.Fatalf("reloaded value: ok=%v len=%d, want len=%d", ok, len(got), len(big))
 	}
 
-	body := good[:len(good)-footerLen]
+	entries, restarts := blocks(t, good)
+	foot := len(good) - footerLen
 	flip := func(at int) []byte {
 		b := bytes.Clone(good)
 		b[at] ^= 0x20
 		return b
 	}
+	moved := append([]uint32{}, restarts...)
+	moved[1]++
 	rows := []struct {
 		name  string
 		image []byte
 		want  string
 	}{
-		{"value length past the image", sealed(append([]byte{3, 'k', 'e', 'y', 0, 0xe8, 0x07}, bytes.Repeat([]byte("y"), 10)...), 1), "overruns"},
-		{"value cut under a rebuilt footer", sealed(body[:len(body)-64<<10], 21), "overruns"},
+		{"value length past the image", sealed(append([]byte{8, 0, 3, 'k', 'e', 'y', 0, 0xe8, 0x07}, bytes.Repeat([]byte("y"), 10)...), []uint32{0}, 1), "overruns"},
+		{"value cut under a rebuilt footer", sealed(entries[:len(entries)-64<<10], restarts, 21), "overruns"},
 		{"truncated by one byte", good[:len(good)-1], "footer"},
 		{"empty", nil, "footer"},
-		{"bit flip in a value", flip(len(body) / 2), "checksum"},
-		{"bit flip in the stamp", flip(len(body)), "checksum"},
+		{"bit flip in a value", flip(len(entries) / 2), "checksum"},
+		{"bit flip in the stamp", flip(foot), "checksum"},
 		{"bit flip in the magic", flip(len(good) - 1), "footer"},
 		{"older layout footer", oldLayoutImage(), "older component layout (LSMVALID); drop and recreate"},
 		{"keys written by width", append(bytes.Clone(good[:len(good)-8]), "LSMKFV02"...), "older component layout (LSMKFV02); drop and recreate"},
 		{"composites keyed by their encoding", append(bytes.Clone(good[:len(good)-8]), "LSMKFV03"...), "older component layout (LSMKFV03); drop and recreate"},
-		{"count past the bytes", sealed(body, uint64(len(body))), "entries in"},
-		{"flag neither data nor antimatter", sealed([]byte{1, 'k', 2, 0}, 1), "flag"},
-		{"bytes after the last entry", sealed(append(bytes.Clone(body), 0), 21), "after entry"},
+		{"every key written whole", v04Image(), "older component layout (LSMKFV04); drop and recreate"},
+		{"count past the bytes", sealed(entries, restarts, uint64(len(entries))), "entries in"},
+		{"no block index", seal(nil, 0), "no block index"},
+		{"block index past the image", seal(binary.LittleEndian.AppendUint32(nil, 1<<30), 0), "overruns the image"},
+		{"fewer blocks than the entries fill", sealed(entries, restarts[:1], 21), "1 blocks for 21 entries"},
+		{"block start moved", sealed(entries, moved, 21), "block 1 starts at byte"},
+		{"flag neither data nor antimatter", sealed([]byte{5, 0, 1, 'k', 2, 0}, []uint32{0}, 1), "flag"},
+		{"block start shares a prefix", sealed([]byte{5, 1, 1, 'k', 0, 0}, []uint32{0}, 1), "bad prefix length"},
+		{"shared past the key before", sealed([]byte{10, 0, 1, 'a', 0, 0, 2, 1, 'b', 0, 0}, []uint32{0}, 2), "bad prefix length"},
+		{"keys descending", sealed([]byte{10, 0, 1, 'b', 0, 0, 0, 1, 'a', 0, 0}, []uint32{0}, 2), "not above"},
+		{"key repeated", sealed([]byte{9, 0, 1, 'a', 0, 0, 1, 0, 0, 0}, []uint32{0}, 2), "not above"},
+		{"shared prefix shorter than the keys share", sealed([]byte{12, 0, 2, 'a', 'b', 0, 0, 1, 2, 'b', 'c', 0, 0}, []uint32{0}, 2), "not above"},
+		{"key past its block's keys", sealed([]byte{3, 0, 1, 'k', 0, 0}, []uint32{0}, 1), "overruns its block"},
+		{"keys short of their length", sealed([]byte{6, 0, 1, 'k', 0, 0, 0}, []uint32{0}, 1), "keys end at byte"},
+		{"keys past the image", sealed([]byte{40, 0, 1, 'k', 0, 0}, []uint32{0}, 1), "keys overrun"},
+		{"bytes after the last entry", sealed(append(bytes.Clone(entries), 0), restarts, 21), "after entry"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -178,8 +234,10 @@ func TestLoadComponentAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestReadsAliasImage: Get and the iterator hand out capped views into the
-// component image, after a flush and after a reopen, never copies.
+// TestReadsAliasImage: Get and the iterator hand out values as capped views
+// into the component image, after a flush and after a reopen, never copies.
+// Keys are rebuilt from their blocks, capped so an append cannot write into
+// the buffer the next key is rebuilt in.
 func TestReadsAliasImage(t *testing.T) {
 	tr, _ := flushOne(t, 50)
 	reopened, err := Open(tr.dir, Options{})
@@ -194,8 +252,11 @@ func TestReadsAliasImage(t *testing.T) {
 		}
 		n := 0
 		for it := tr.NewIterator(nil, nil); it.Next(); n++ {
-			if !within(it.Key(), image) || !within(it.Value(), image) || cap(it.Value()) != len(it.Value()) {
-				t.Fatalf("iterator entry %q is not a capped view into the image", it.Key())
+			if !bytes.Equal(it.Key(), key(n)) || cap(it.Key()) != len(it.Key()) {
+				t.Fatalf("iterator key %q (cap %d), want %q capped", it.Key(), cap(it.Key()), key(n))
+			}
+			if !within(it.Value(), image) || cap(it.Value()) != len(it.Value()) {
+				t.Fatalf("iterator value of %q is not a capped view into the image", it.Key())
 			}
 		}
 		if n != 50 {
@@ -229,8 +290,8 @@ func TestMergeKeepsAntimatterUnlessOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tr.disk[0]
-	if _, _, ok := c.get([]byte("a")); tr.Components() != 1 || ok || len(c.keys) != 2 {
-		t.Fatalf("full merge: components=%d, a present=%v, entries=%d", tr.Components(), ok, len(c.keys))
+	if _, _, ok := c.get([]byte("a")); tr.Components() != 1 || ok || c.count != 2 {
+		t.Fatalf("full merge: components=%d, a present=%v, entries=%d", tr.Components(), ok, c.count)
 	}
 }
 
@@ -245,11 +306,113 @@ func refuseFF(value []byte) error {
 
 var errRefused = errors.New("value refused")
 
+// entry is one decoded component entry.
+type entry struct {
+	key, value []byte
+	antimatter bool
+	off        int // where the entry's key starts in the image
+}
+
+// walkEntries decodes every entry of c in order, copying the keys.
+func walkEntries(c *diskComponent) []entry {
+	var out []entry
+	var d diskCursor
+	d.seek(c, nil, nil)
+	for {
+		off := d.at.key
+		key, value, anti, ok := d.next()
+		if !ok {
+			return out
+		}
+		out = append(out, entry{bytes.Clone(key), value, anti, off})
+	}
+}
+
+// checkAgainstScan fails unless search, get and a cursor seek of c agree,
+// for every key of want and for probes around each, with a search of want:
+// c's entries as a walk from the start decodes them.
+func checkAgainstScan(t *testing.T, c *diskComponent, want []entry) {
+	t.Helper()
+	if c.count != len(want) {
+		t.Fatalf("component counts %d entries, walk finds %d", c.count, len(want))
+	}
+	probes := [][]byte{nil, {}, {0}, {0xFF, 0xFF}}
+	for _, e := range want {
+		probes = append(probes, e.key, append(bytes.Clone(e.key), 0))
+		if n := len(e.key); n > 0 {
+			probes = append(probes, e.key[:n-1], append(bytes.Clone(e.key[:n-1]), e.key[n-1]+1))
+		}
+	}
+	for _, probe := range probes {
+		i := sort.Search(len(want), func(i int) bool { return bytes.Compare(want[i].key, probe) >= 0 })
+		found := i < len(want) && bytes.Equal(want[i].key, probe)
+		p, equal := c.search(probe)
+		wantOff := c.entries
+		if i < len(want) {
+			wantOff = want[i].off
+		}
+		if p.key != wantOff || equal != found {
+			t.Fatalf("search(%q) = key at byte %d, %v; want entry %d at byte %d, %v", probe, p.key, equal, i, wantOff, found)
+		}
+		value, anti, ok := c.get(probe)
+		if ok != found || found && (!bytes.Equal(value, want[i].value) || anti != want[i].antimatter) {
+			t.Fatalf("get(%q) = %q, %v, %v; want entry %d (found %v)", probe, value, anti, ok, i, found)
+		}
+		var d diskCursor
+		d.seek(c, probe, nil)
+		// Past the first block boundary is enough: from there on a seeked
+		// cursor decodes as one from the start does.
+		for j := i; j < min(len(want), i+2*restartInterval); j++ {
+			key, value, anti, ok := d.next()
+			if !ok || !bytes.Equal(key, want[j].key) || !bytes.Equal(value, want[j].value) || anti != want[j].antimatter {
+				t.Fatalf("cursor seeked to %q: entry %d = %q %q %v %v, want %q %q %v", probe, j, key, value, anti, ok, want[j].key, want[j].value, want[j].antimatter)
+			}
+		}
+	}
+}
+
+// fuzzMemtable builds a memtable from fuzz bytes. Each entry is a control
+// byte, some key bytes and a value length byte: the key is the previous key
+// less the last (control >> 3 & 7) bytes, then 24 bytes of padding if
+// control has bit 6 and the key is under 256 bytes, then (control >> 1 & 3) bytes of data, so keys come in
+// runs that share long prefixes, and a key may be a prefix of the next one.
+// Bit 0 makes the entry antimatter.
+func fuzzMemtable(data []byte) *btree.Tree {
+	mem := btree.New()
+	var prev []byte
+	for p := 0; p < len(data); {
+		ctl := data[p]
+		p++
+		add := min(int(ctl>>1&3), len(data)-p)
+		key := bytes.Clone(prev[:max(0, len(prev)-int(ctl>>3&7))])
+		if ctl&64 != 0 && len(key) < 256 {
+			key = append(key, bytes.Repeat([]byte("p"), 24)...)
+		}
+		key = append(key, data[p:p+add]...)
+		p += add
+		var value []byte
+		if p < len(data) {
+			vlen := min(int(data[p]&15), len(data)-p-1)
+			value = data[p+1 : p+1+vlen]
+			p += 1 + vlen
+		}
+		flag := liveFlag
+		if ctl&1 != 0 {
+			flag = antimatterFlag
+		}
+		mem.Put(key, flag, value)
+		prev = key
+	}
+	return mem
+}
+
 // FuzzComponentLoad: openImage never panics, an image it accepts decodes
-// entirely within itself, and any sorted entries written by encodeImage load
-// back unchanged. Both load with a value check: an image whose checksum
-// holds is still refused, with the check's error, exactly when one of its
-// live values fails the check — antimatter carries no value to check.
+// entirely within itself and answers search, get and seeks as a linear
+// scan of its entries does, and any sorted entries written by encodeImage —
+// runs of keys sharing long prefixes, keys that prefix the next — load back
+// unchanged. Both load with a value check: an image whose checksum holds is
+// still refused, with the check's error, exactly when one of its live
+// values fails the check — antimatter carries no value to check.
 func FuzzComponentLoad(f *testing.F) {
 	_, path := flushOne(f, 5)
 	good, err := os.ReadFile(path)
@@ -258,6 +421,7 @@ func FuzzComponentLoad(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(oldLayoutImage())
+	f.Add(v04Image())
 	for _, cut := range []int{1, footerLen, len(good) / 2} {
 		f.Add(good[:len(good)-cut])
 	}
@@ -266,62 +430,180 @@ func FuzzComponentLoad(f *testing.F) {
 		flipped[at] ^= 0x01
 		f.Add(flipped)
 	}
+	f.Add(bytes.Repeat([]byte{0x02, 'a', 3, 'x', 'y', 'z'}, 40))
+	f.Add(bytes.Repeat([]byte{0x44, 'q', 1, 'v', 0x1b, 'r', 'r', 0}, 30))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// checked runs the value check on an image openImage accepted and
 		// checks that it refuses exactly the images with a refused live value.
-		checked := func(c *diskComponent) {
+		checked := func(c *diskComponent, entries []entry) {
 			refused := false
-			for i := 0; i < len(c.keys); i++ {
-				_, value, anti := c.entry(i)
-				refused = refused || (!anti && refuseFF(value) != nil)
+			for _, e := range entries {
+				refused = refused || (!e.antimatter && refuseFF(e.value) != nil)
 			}
 			if err := c.checkValues(refuseFF); (err != nil) != refused || (refused && !errors.Is(err, errRefused)) {
 				t.Fatalf("value check = %v on an image with a refused live value: %v", err, refused)
 			}
 		}
 		if c, err := openImage(1, "fuzz", data); err == nil {
-			for i := 0; i < len(c.keys); i++ {
-				key, value, _ := c.entry(i)
-				if !within(key, data) || !within(value, data) {
-					t.Fatalf("entry %d decodes outside the image", i)
+			entries := walkEntries(c)
+			for i, e := range entries {
+				if !within(e.value, data) {
+					t.Fatalf("entry %d value decodes outside the image", i)
 				}
 			}
-			checked(c)
+			checkAgainstScan(t, c, entries)
+			checked(c, entries)
 		}
-		// Entries from data: a control byte (key length, antimatter bit), the
-		// key, a value length byte, the value.
-		mem := btree.New()
-		for p := 0; p+2 <= len(data); {
-			klen, anti := int(data[p]&7), data[p]&8 != 0
-			p++
-			if p+klen+1 > len(data) {
-				break
-			}
-			key := data[p : p+klen]
-			p += klen
-			vlen := min(int(data[p]&15), len(data)-p-1)
-			flag := liveFlag
-			if anti {
-				flag = antimatterFlag
-			}
-			mem.Put(key, flag, data[p+1:p+1+vlen])
-			p += 1 + vlen
-		}
+		mem := fuzzMemtable(data)
 		c, err := openImage(1, "fuzz", encodeImage(1, 9, &memCursor{mem.Seek(nil)}, false, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		entries := walkEntries(c)
 		want := &memCursor{mem.Seek(nil)}
-		for i := 0; i < len(c.keys); i++ {
-			k, val, anti := c.entry(i)
+		for i, e := range entries {
 			wk, wv, wanti, _ := want.next()
-			if !bytes.Equal(k, wk) || !bytes.Equal(val, wv) || anti != wanti {
-				t.Fatalf("entry %d = %q %q %v, want %q %q %v", i, k, val, anti, wk, wv, wanti)
+			if !bytes.Equal(e.key, wk) || !bytes.Equal(e.value, wv) || e.antimatter != wanti {
+				t.Fatalf("entry %d = %q %q %v, want %q %q %v", i, e.key, e.value, e.antimatter, wk, wv, wanti)
 			}
 		}
-		if len(c.keys) != mem.Len() || c.stamp != 9 || c.coveredLow != 1 {
-			t.Fatalf("loaded %d entries stamp %d covered %d, want %d, 9, 1", len(c.keys), c.stamp, c.coveredLow, mem.Len())
+		if len(entries) != mem.Len() || c.stamp != 9 || c.coveredLow != 1 {
+			t.Fatalf("loaded %d entries stamp %d covered %d, want %d, 9, 1", len(entries), c.stamp, c.coveredLow, mem.Len())
 		}
-		checked(c)
+		checkAgainstScan(t, c, entries)
+		checked(c, entries)
+	})
+}
+
+// encodeEntries encodes entries, given in key order, as one component.
+func encodeEntries(t testing.TB, entries []entry) *diskComponent {
+	t.Helper()
+	mem := btree.New()
+	for _, e := range entries {
+		flag := liveFlag
+		if e.antimatter {
+			flag = antimatterFlag
+		}
+		mem.Put(e.key, flag, e.value)
+	}
+	c, err := openImage(1, "encoded", encodeImage(1, 9, &memCursor{mem.Seek(nil)}, false, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestComponentBlocks pins the block layout at its edges: components of
+// 0, 1, 15, 16, 17 and 33 entries (the block count is the entries over 16,
+// rounded up), antimatter opening a block, an empty key, and 65 535-byte
+// keys that share all but their last byte. Each decodes back to its entries
+// and answers search, get and seeks as a scan does.
+func TestComponentBlocks(t *testing.T) {
+	numbered := func(n int, anti func(i int) bool) []entry {
+		var out []entry
+		for i := 0; i < n; i++ {
+			out = append(out, entry{key: key(i), value: v(i), antimatter: anti(i)})
+		}
+		return out
+	}
+	none := func(int) bool { return false }
+	long := bytes.Repeat([]byte("z"), 65534)
+	rows := []struct {
+		name    string
+		entries []entry
+	}{
+		{"empty", nil},
+		{"one entry", numbered(1, none)},
+		{"one short block", numbered(15, none)},
+		{"one full block", numbered(16, none)},
+		{"one entry past a block", numbered(17, none)},
+		{"33 entries", numbered(33, none)},
+		{"antimatter at block starts", numbered(33, func(i int) bool { return i%restartInterval == 0 })},
+		{"empty key", []entry{{key: []byte{}, value: []byte("e")}, {key: []byte("a"), value: []byte("a")}, {key: []byte("ab")}}},
+		{"65 535-byte keys", []entry{
+			{key: []byte("a"), value: []byte("short")},
+			{key: append(bytes.Clone(long), 'a'), value: []byte("long a")},
+			{key: append(bytes.Clone(long), 'b'), value: []byte("long b"), antimatter: true},
+			{key: append(bytes.Clone(long), 'b', 0), value: []byte("longer")},
+			{key: []byte("{")},
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := encodeEntries(t, row.entries)
+			got := walkEntries(c)
+			if blocks := len(c.restarts) / 4; c.count != len(row.entries) || blocks != (len(row.entries)+restartInterval-1)/restartInterval {
+				t.Fatalf("%d entries in %d blocks, want %d", c.count, blocks, len(row.entries))
+			}
+			for i, e := range got {
+				w := row.entries[i]
+				if !bytes.Equal(e.key, w.key) || !bytes.Equal(e.value, w.value) || e.antimatter != w.antimatter {
+					t.Fatalf("entry %d = %.20q %q %v, want %.20q %q %v", i, e.key, e.value, e.antimatter, w.key, w.value, w.antimatter)
+				}
+			}
+			checkAgainstScan(t, c, got)
+		})
+	}
+}
+
+// FuzzComponentSeek: a sorted key set, split alternately over two disk
+// components of one tree, answers Get for every key and probe, and an
+// Iterator over [lo, hi], [lo, ∞) and (-∞, hi], exactly as sort.Search over
+// the keys says. Keys are the fuzz bytes split at each 0, each piece of odd
+// length also followed by a 0, so some keys prefix others.
+func FuzzComponentSeek(f *testing.F) {
+	f.Add([]byte("apple\x00applesauce\x00apply\x00b\x00ba\x00"), []byte("app"), []byte("apply"))
+	f.Add(bytes.Repeat([]byte("prefix-shared-by-every-key-\x01\x00"), 40), []byte("prefix"), []byte("prefix-shared-by-every-key-\x01"))
+	f.Add([]byte("\x00a\x00aa\x00aaa\x00aaaa\x00aaaaa\x00aaaaaa\x00"), []byte{}, []byte("aaa\x00"))
+	f.Fuzz(func(t *testing.T, data, lo, hi []byte) {
+		set := map[string]bool{}
+		for _, k := range bytes.Split(data, []byte{0}) {
+			set[string(k)] = true
+			if len(k)%2 == 1 {
+				set[string(k)+"\x00"] = true
+			}
+		}
+		keys := slices.Sorted(maps.Keys(set))
+		var halves [2][]entry
+		for i, k := range keys {
+			halves[i%2] = append(halves[i%2], entry{key: []byte(k), value: []byte("v" + k)})
+		}
+		tr := &Tree{mem: btree.New()}
+		for _, half := range halves {
+			tr.disk = append(tr.disk, encodeEntries(t, half))
+		}
+		probes := [][]byte{lo, hi}
+		for _, k := range keys {
+			probes = append(probes, []byte(k), []byte(k+"\x00"), []byte(k+"\xff"))
+		}
+		for _, p := range probes {
+			i := sort.SearchStrings(keys, string(p))
+			found := i < len(keys) && keys[i] == string(p)
+			if value, ok := tr.Get(p); ok != found || found && string(value) != "v"+keys[i] {
+				t.Fatalf("Get(%q) = %q, %v; want found %v", p, value, ok, found)
+			}
+		}
+		check := func(lo, hi []byte) {
+			from, to := 0, len(keys)
+			if lo != nil {
+				from = sort.SearchStrings(keys, string(lo))
+			}
+			if hi != nil {
+				to = sort.Search(len(keys), func(i int) bool { return keys[i] > string(hi) })
+			}
+			var got []string
+			for it := tr.NewIterator(lo, hi); it.Next(); {
+				if string(it.Value()) != "v"+string(it.Key()) {
+					t.Fatalf("[%q, %q]: key %q has value %q", lo, hi, it.Key(), it.Value())
+				}
+				got = append(got, string(it.Key()))
+			}
+			if want := keys[from:max(from, to)]; !slices.Equal(got, want) {
+				t.Fatalf("[%q, %q] yields %q, want %q", lo, hi, got, want)
+			}
+		}
+		check(lo, hi)
+		check(lo, nil)
+		check(nil, hi)
 	})
 }

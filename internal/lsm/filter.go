@@ -2,8 +2,9 @@ package lsm
 
 import "hash/maphash"
 
-// filterSeed keys every key hash. Filters live only in memory — openImage
-// rebuilds each one from its image — so one seed per process suffices.
+// filterSeed keys every key hash. Filters live only in memory — the first
+// Get that reaches a component builds its filter from its image — so one
+// seed per process suffices.
 var filterSeed = maphash.MakeSeed()
 
 // keyHash is the one hash of a key that every filter probes with.

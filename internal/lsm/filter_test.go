@@ -23,8 +23,8 @@ func checkReads(t *testing.T, tr *Tree, live map[string]string, gone []string) {
 
 // TestFilterKeepsTombstone: a delete flushed into a newer component than its
 // key still hides the key, because the tombstone is in its component's
-// filter, and so after Open rebuilds the filters from the files. A live key
-// beside it is still found.
+// filter, and so after Open, when the first Get builds the filters again. A
+// live key beside it is still found.
 func TestFilterKeepsTombstone(t *testing.T) {
 	tr := openTemp(t, Options{Background: true})
 	tr.Insert([]byte("k"), []byte("old"))
@@ -117,5 +117,41 @@ func TestFilterAbsentKeySearches(t *testing.T) {
 	t.Logf("%.4f binary searches per absent Get over %d components", searches, components)
 	if searches > 0.1 {
 		t.Fatalf("%.4f binary searches per absent Get, want <= 0.1", searches)
+	}
+}
+
+// TestFilterBuiltByFirstGet: a flush, a merge and a reopen build no filter,
+// and neither do scans; the first Get that reaches a component builds one
+// sized for its entries, and FilterBytes counts it.
+func TestFilterBuiltByFirstGet(t *testing.T) {
+	tr := openTemp(t, Options{Background: true, MemBudget: 1 << 30})
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 1000; i++ {
+			tr.Insert(k(round*1000+i), v(i))
+		}
+		tr.Flush()
+	}
+	unbuilt := func(tr *Tree, when string) {
+		t.Helper()
+		tr.Scan(func(_, _ []byte) bool { return true })
+		if n := tr.FilterBytes(); n != 0 {
+			t.Fatalf("%s and a scan: %d filter bytes, want none", when, n)
+		}
+	}
+	unbuilt(tr, "two flushes")
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	unbuilt(tr, "a merge")
+	reopened, err := Open(tr.Dir(), Options{Background: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbuilt(reopened, "a reopen")
+	if _, ok := reopened.Get(k(5)); !ok {
+		t.Fatal("key 5 not found")
+	}
+	if n, want := reopened.FilterBytes(), 8*len(newFilter(2000)); n != want {
+		t.Fatalf("after a Get: %d filter bytes, want %d", n, want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file implements the tree's one k-way merge and the streaming read
 // path on top of it. A merger heap-merges sorted runs — the memtable's
-// leaf-chain cursor and disk component windows — yielding each key once from
+// leaf-chain cursor and disk component cursors — yielding each key once from
 // its newest run; Iterator.Next and MergePlan.Execute both pull from it. An
 // Iterator is positioned once and then streams: Next is O(log #sources) per
 // entry, and a tree-level mutation sequence number lets an iterator that was
@@ -36,19 +36,76 @@ func (m *memCursor) next() (key, value []byte, antimatter, ok bool) {
 	return key, value, antimatter, true
 }
 
-// diskCursor walks entries [i, end) of a disk component.
+// keyBufLen is the length an iterator's disk cursors start their key
+// buffers with, and the least a buffer grows to.
+const keyBufLen = 64
+
+// diskCursor walks a disk component's entries from a pos to the end,
+// rebuilding each key from the one before it. It rebuilds into its two
+// buffers in turn, so the key it returned stays whole through the next call:
+// the merger compares a run's returned key after advancing the run.
 type diskCursor struct {
-	c      *diskComponent
-	i, end int
+	c  *diskComponent
+	at pos
+	// keys are the buffers, each as long as its capacity; lens are the
+	// lengths of the keys in them, and keys[turn] holds the last key.
+	keys [2][]byte
+	lens [2]int
+	turn int
+	// same is how many leading bytes the two keys hold in common, so a
+	// rebuild copies only the shared bytes past them.
+	same int
+}
+
+// seek positions d at c's first entry whose key is >= from (its first entry
+// for a nil from), keeping d's buffers. If that key is above a non-nil hi, d
+// is left at the end, so a run with nothing in range stays out of the merge.
+func (d *diskCursor) seek(c *diskComponent, from, hi []byte) {
+	d.c, d.at, d.same, d.lens[d.turn] = c, c.first(), 0, 0
+	if from != nil {
+		d.at, _ = c.search(from)
+		// The entry search returns shares with its predecessor only a prefix
+		// of from.
+		buf := append(d.keys[d.turn][:0], from...)
+		d.keys[d.turn], d.lens[d.turn] = buf[:cap(buf)], len(from)
+	}
+	if hi != nil && d.at.key < c.entries {
+		if shared, suffix, _, _, _ := c.keyAt(d.at); above(from[:shared], suffix, hi) {
+			d.at = c.block(c.entries)
+		}
+	}
+}
+
+// above reports whether the key prefix ‖ suffix sorts after hi.
+func above(prefix, suffix, hi []byte) bool {
+	if len(prefix) > len(hi) {
+		return bytes.Compare(prefix, hi) > 0
+	}
+	if c := bytes.Compare(prefix, hi[:len(prefix)]); c != 0 {
+		return c > 0
+	}
+	return bytes.Compare(suffix, hi[len(prefix):]) > 0
 }
 
 func (d *diskCursor) next() (key, value []byte, antimatter, ok bool) {
-	if d.i >= d.end {
+	if d.at.key >= d.c.entries {
 		return nil, nil, false, false
 	}
-	key, value, antimatter = d.c.entry(d.i)
-	d.i++
-	return key, value, antimatter, true
+	shared, suffix, antimatter, value, after := d.c.step(d.at)
+	prev := d.keys[d.turn][:d.lens[d.turn]]
+	d.turn ^= 1
+	n := shared + len(suffix)
+	buf := d.keys[d.turn]
+	if len(buf) < n {
+		buf = make([]byte, max(n, 2*len(buf), keyBufLen))
+		copy(buf, prev[:shared])
+		d.keys[d.turn] = buf
+	} else if keep := min(d.same, shared); keep < shared {
+		copy(buf[keep:shared], prev[keep:shared])
+	}
+	copy(buf[shared:n], suffix)
+	d.lens[d.turn], d.same, d.at = n, shared, after
+	return buf[:n:n], value, antimatter, true
 }
 
 // mergeSource is one run of a merger: its cursor and current entry. rank is
@@ -169,7 +226,7 @@ type Iterator struct {
 func (t *Tree) NewIterator(lo, hi []byte) *Iterator {
 	it := &Iterator{t: t}
 	if hi != nil {
-		it.hi = append([]byte(nil), hi...)
+		it.hi = append([]byte{}, hi...) // an empty hi admits the empty key
 	}
 	if lo != nil {
 		it.lo = append([]byte(nil), lo...)
@@ -183,12 +240,24 @@ func (t *Tree) NewIterator(lo, hi []byte) *Iterator {
 // component list, so a re-seek after a flush or merge sees the new structure.
 func (it *Iterator) position(from []byte) {
 	t := it.t
-	// The memtable cursor has no hi bound of its own; the bound is applied
-	// when entries surface in Next.
+	// A disk cursor starting past hi is left empty; otherwise the bound is
+	// applied when entries surface in Next.
 	it.mem.c = t.mem.Seek(from)
-	it.disk = it.disk[:0]
-	for _, c := range t.disk {
-		it.disk = append(it.disk, c.window(from, it.hi))
+	if cap(it.disk) < len(t.disk) {
+		// One allocation starts every cursor's key buffers; a longer key
+		// grows its own.
+		it.disk = make([]diskCursor, len(t.disk))
+		slab := make([]byte, 2*keyBufLen*len(t.disk))
+		for i := range it.disk {
+			for j := range it.disk[i].keys {
+				at := (2*i + j) * keyBufLen
+				it.disk[i].keys[j] = slab[at : at+keyBufLen : at+keyBufLen]
+			}
+		}
+	}
+	it.disk = it.disk[:len(t.disk)]
+	for i, c := range t.disk {
+		it.disk[i].seek(c, from, it.hi)
 	}
 	it.sources = append(it.sources[:0], mergeSource{cur: &it.mem})
 	for i := range it.disk {
@@ -231,12 +300,14 @@ func (it *Iterator) Next() bool {
 	}
 }
 
-// Key returns the key of the current entry: a read-only view into the
-// memtable or a component image, readable after the latch is released.
+// Key returns the key of the current entry, read-only and valid until the
+// next call to Next: a disk component's keys are rebuilt into the
+// iterator's buffers. Copy a key to keep it.
 func (it *Iterator) Key() []byte { return it.key }
 
-// Value returns the value of the current entry, under the same ownership
-// rules as Key.
+// Value returns the value of the current entry: a read-only view into the
+// memtable or a component image, readable after the latch is released and
+// after later calls to Next.
 func (it *Iterator) Value() []byte { return it.value }
 
 // Seq returns the tree mutation sequence number the iterator is positioned

@@ -8,21 +8,31 @@
 // image, writes it through a temp file, fsync and rename
 // (fsutil.WriteFileAtomic) — so a crash mid-flush or mid-merge never surfaces
 // a torn component — and then searches, scans and merges that same image in
-// place; Open reads it back whole. Besides the image a component keeps where
-// each key sits in it and a bloom filter over its keys, both built in memory
-// by the one walk that validates the image, so a point read binary-searches
-// only the components that may hold its key. The image is
+// place; Open reads it back whole and walks it once to validate it. The
+// image is
 //
-//	image:  entry* footer
-//	entry:  uvarint klen ‖ key ‖ flag (1 = antimatter) ‖ uvarint vlen ‖ value
-//	footer: stamp u64 ‖ coveredLow u64 ‖ entry count u64 ‖ CRC-32 u32 ‖ magic [8]byte
+//	image:    block* restarts footer
+//	block:    uvarint keysLen ‖ key{1,16} ‖ value{1,16}
+//	key:      uvarint shared ‖ uvarint suffixLen ‖ suffix ‖ flag (1 = antimatter) ‖ uvarint vlen
+//	restarts: start offset u32 per block ‖ block count u32
+//	footer:   stamp u64 ‖ coveredLow u64 ‖ entry count u64 ‖ CRC-32 u32 ‖ magic [8]byte
 //
 // with little-endian integers, an IEEE CRC over every byte before it, and a
-// magic naming the layout. The stamp is the LSN watermark ("all operations
-// with LSN < stamp are contained in this or an older component") WAL replay
-// uses to skip already-durable operations; coveredLow lets a merged component
-// shadow exactly its inputs if a crash lands between the merge rename and the
-// input-file cleanup.
+// magic naming the layout. Every block but the last holds 16 entries: first
+// their keys, keysLen bytes in all, then their values in the same order. A
+// key is the first shared bytes of the key before it followed by its
+// suffix, and a block's first key has shared = 0, so it is stored whole: a
+// search binary-searches those and walks the keys of one block, which sit
+// together, not between values. Values are stored as they are and handed
+// out as views into the image. The stamp is the LSN watermark ("all
+// operations with LSN < stamp are contained in this or an older
+// component") WAL replay uses to skip already-durable operations;
+// coveredLow lets a merged component shadow exactly its inputs if a crash
+// lands between the merge rename and the input-file cleanup.
+//
+// Besides its image a component keeps a bloom filter over its keys, built in
+// memory by the first point read that reaches the component, so a point
+// read searches only the components that may hold its key.
 package lsm
 
 import (
@@ -112,10 +122,10 @@ type ReadStats struct {
 }
 
 // diskComponent is an immutable, sorted run of entries, one per key: the
-// validated image of its file, per entry where its key starts and ends in
-// that image, and a bloom filter over its keys that is never written to the
-// file. Keys and values handed out are capped views into the image, so the
-// GC keeps it alive exactly as long as some caller still views them.
+// validated image of its file and, once a Get has reached it, a bloom filter
+// over its keys that is never written to the file. Values handed out are
+// capped views into the image, so the GC keeps it alive exactly as long as
+// some caller still views them.
 type diskComponent struct {
 	id int
 	// coveredLow is the lowest component id this component supersedes: its
@@ -126,11 +136,15 @@ type diskComponent struct {
 	coveredLow int
 	// stamp is the LSN watermark: all operations with LSN < stamp are
 	// reflected in this component or an older one.
-	stamp  uint64
-	path   string
-	image  []byte
-	keys   []span // per entry, where its key sits in image
-	filter filter // every key of keys, antimatter included
+	stamp uint64
+	path  string
+	image []byte
+	// entries is the length of the blocks at the front of image, and
+	// restarts views their u32 start offsets after them.
+	entries  int
+	restarts []byte
+	count    int
+	filter   filter // every key, antimatter included; nil until the first Get
 }
 
 // Open creates or reopens an LSM tree rooted at dir. Temp files from
@@ -217,7 +231,9 @@ func (t *Tree) Delete(key []byte) error {
 // Get returns the newest value for key, reporting false when the key is
 // absent or deleted. It hashes the key once and searches only the disk
 // components whose filter says the key may be there; a tombstone is in its
-// component's filter, so it still shadows older values.
+// component's filter, so it still shadows older values. A component's
+// filter is built by the first Get that reaches it, so a tree that is only
+// ever scanned (every secondary index) builds none.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
 	t.reads.PointReads++
 	if raw, ok := t.mem.Get(key); ok {
@@ -229,6 +245,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	}
 	h := keyHash(key)
 	for _, c := range t.disk {
+		if c.filter == nil {
+			c.filter = c.buildFilter()
+		}
 		if !c.filter.mayContain(h) {
 			t.reads.FilterSkips++
 			continue
@@ -242,9 +261,11 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 }
 
 // Range visits live entries with lo <= key <= hi in key order. Either bound
-// may be nil to leave that side open. It is a thin wrapper over NewIterator;
-// callers that span lock releases (the storage layer's chunked scans) hold
-// the iterator directly and resume it instead of re-entering Range.
+// may be nil to leave that side open. The key visit gets is valid only for
+// that call (see Iterator.Key); the value stays readable. It is a thin
+// wrapper over NewIterator; callers that span lock releases (the storage
+// layer's chunked scans) hold the iterator directly and resume it instead
+// of re-entering Range.
 func (t *Tree) Range(lo, hi []byte, visit func(key, value []byte) bool) {
 	it := t.NewIterator(lo, hi)
 	for it.Next() {
@@ -278,6 +299,17 @@ func (t *Tree) Merges() int { return t.merges }
 // Reads reports the tree's point-read counters. Caller must hold the tree's
 // latch.
 func (t *Tree) Reads() ReadStats { return t.reads }
+
+// FilterBytes reports the bytes the disk components' bloom filters hold;
+// a component has one only once a Get has reached it. Caller must hold the
+// tree's latch.
+func (t *Tree) FilterBytes() int {
+	n := 0
+	for _, c := range t.disk {
+		n += 8 * len(c.filter)
+	}
+	return n
+}
 
 // MemBytes returns the current in-memory component footprint.
 func (t *Tree) MemBytes() int { return t.mem.Bytes() }
@@ -347,7 +379,7 @@ func (t *Tree) maybeMerge() error {
 func (t *Tree) componentSizes() []int {
 	sizes := make([]int, len(t.disk))
 	for i, c := range t.disk {
-		sizes[i] = len(c.keys)
+		sizes[i] = c.count
 	}
 	return sizes
 }
@@ -448,7 +480,9 @@ func (p *MergePlan) Execute() error {
 	for i, c := range p.inputs {
 		stamp = max(stamp, c.stamp)
 		size += len(c.image)
-		sources[i].cur = &diskCursor{c: c, end: len(c.keys)}
+		d := &diskCursor{}
+		d.seek(c, nil, nil)
+		sources[i].cur = d
 	}
 	var m merger
 	m.reset(sources)
@@ -511,19 +545,26 @@ func (t *Tree) AbortMerge(p *MergePlan) {
 // ----------------------------------------------------------------------------
 
 // formatMagic ends every component image and names its layout (see the
-// package comment). LSMKFV04 frames entries as LSMKFV02 did, but its keys are
-// the ones the storage layer writes since every value is keyed by its place in
-// Compare's order: an 02 image holds numbers keyed by width and an 03 image
-// durations, intervals, spatial values, records and lists keyed by their
-// self-describing bytes, keys no probe would find. Images ending in an older
-// magic are refused by name rather than converted.
+// package comment). LSMKFV05 writes blocks of restartInterval entries,
+// their keys, each against the one before it, ahead of their values;
+// LSMKFV04 wrote every key whole beside its value. An 02 image holds
+// numbers keyed by width and an 03 image durations, intervals, spatial
+// values, records and lists keyed by their self-describing bytes, keys no
+// probe would find. Images ending in an older magic are refused by name
+// rather than converted.
 var (
-	formatMagic     = []byte("LSMKFV04")
-	oldFormatMagics = [][]byte{[]byte("LSMKFV03"), []byte("LSMKFV02"), []byte("LSMVALID")}
+	formatMagic     = []byte("LSMKFV05")
+	oldFormatMagics = [][]byte{[]byte("LSMKFV04"), []byte("LSMKFV03"), []byte("LSMKFV02"), []byte("LSMVALID")}
 )
 
-// footerLen is the fixed footer size: stamp, coveredLow, count, CRC, magic.
-const footerLen = 8 + 8 + 8 + 4 + 8
+const (
+	// footerLen is the fixed footer size: stamp, coveredLow, count, CRC,
+	// magic.
+	footerLen = 8 + 8 + 8 + 4 + 8
+	// restartInterval is the entries per block. A search walks at most
+	// restartInterval-1 keys past the block start it binary-searched to.
+	restartInterval = 16
+)
 
 // writeComponent writes the entries src yields as component id via an atomic
 // temp-file + fsync + rename write, and returns the component searching the
@@ -534,14 +575,30 @@ func (t *Tree) writeComponent(id, coveredLow int, stamp uint64, src cursor, drop
 	if err := fsutil.WriteFileAtomic(path, image, 0o644); err != nil {
 		return nil, fmt.Errorf("lsm: write component: %w", err)
 	}
-	return openImage(id, path, image)
+	// encodeImage wrote every entry, so only the framing is read back.
+	return frameImage(id, path, image)
 }
 
 // encodeImage builds the image of the entries src yields in key order,
 // leaving antimatter out when dropAntimatter is set. sizeHint is the
-// expected entry bytes.
+// expected entry bytes. A cursor's values stay readable after it advances
+// (they view an arena or an image), so a block's values are gathered and
+// written after its keys.
 func encodeImage(coveredLow int, stamp uint64, src cursor, dropAntimatter bool, sizeHint int) []byte {
 	image := make([]byte, 0, sizeHint+footerLen)
+	var restarts, keys []byte
+	var values [][]byte
+	writeBlock := func() {
+		restarts = binary.LittleEndian.AppendUint32(restarts, uint32(len(image)))
+		image = binary.AppendUvarint(image, uint64(len(keys)))
+		image = append(image, keys...)
+		for _, v := range values {
+			image = append(image, v...)
+		}
+		keys, values = keys[:0], values[:0]
+	}
+	// prev is a copy: src may reuse the buffer of a key it returned.
+	var prev []byte
 	var count uint64
 	for {
 		key, value, antimatter, ok := src.next()
@@ -551,27 +608,53 @@ func encodeImage(coveredLow int, stamp uint64, src cursor, dropAntimatter bool, 
 		if antimatter && dropAntimatter {
 			continue
 		}
+		if len(values) == restartInterval {
+			writeBlock()
+		}
+		shared := 0
+		if len(values) > 0 {
+			shared = commonPrefix(prev, key)
+		}
 		flag := byte(0)
 		if antimatter {
 			flag = 1
 		}
-		image = binary.AppendUvarint(image, uint64(len(key)))
-		image = append(append(image, key...), flag)
-		image = binary.AppendUvarint(image, uint64(len(value)))
-		image = append(image, value...)
+		keys = binary.AppendUvarint(keys, uint64(shared))
+		keys = binary.AppendUvarint(keys, uint64(len(key)-shared))
+		keys = append(append(keys, key[shared:]...), flag)
+		keys = binary.AppendUvarint(keys, uint64(len(value)))
+		values = append(values, value)
+		prev = append(prev[:shared], key[shared:]...)
 		count++
 	}
+	if len(values) > 0 {
+		writeBlock()
+	}
+	image = append(image, restarts...)
+	image = binary.LittleEndian.AppendUint32(image, uint32(len(restarts)/4))
 	image = binary.LittleEndian.AppendUint64(image, stamp)
 	image = binary.LittleEndian.AppendUint64(image, uint64(coveredLow))
 	image = binary.LittleEndian.AppendUint64(image, count)
 	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
 	image = append(image, formatMagic...)
 	if cap(image)-len(image) > len(image)/8 {
-		// A merge that shadowed duplicates or dropped antimatter overshot
-		// its hint; the image lives as long as the component, so trim it.
+		// Shared prefixes, shadowed duplicates or dropped antimatter made
+		// the image smaller than its hint; the image lives as long as the
+		// component, so trim it.
 		return bytes.Clone(image)
 	}
 	return image
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 // loadComponent reads a component file whole, validates it and, when check
@@ -597,12 +680,14 @@ func loadComponent(path string, check func([]byte) error) (*diskComponent, error
 
 // checkValues runs check on every non-antimatter value.
 func (c *diskComponent) checkValues(check func([]byte) error) error {
-	for i := range c.keys {
-		if _, value, antimatter := c.entry(i); !antimatter {
+	for i, p := 0, c.first(); p.key < c.entries; i++ {
+		_, _, antimatter, value, next := c.step(p)
+		if !antimatter {
 			if err := check(value); err != nil {
 				return fmt.Errorf("lsm: entry %d value: %w", i, err)
 			}
 		}
+		p = next
 	}
 	return nil
 }
@@ -619,11 +704,24 @@ func Reseal(image []byte) error {
 	return nil
 }
 
-// openImage checks an image's footer and checksum, then walks its entries
-// once, checking every length against the bytes that remain, recording where
-// each key sits and adding each key to the component's filter. An image it
-// accepts decodes entirely within itself.
+// openImage frames an image and walks its entries once, checking every
+// length against the bytes that remain, every block start against the
+// block index, and every key against the one before it. An image it accepts
+// decodes entirely within itself, in strictly ascending key order.
 func openImage(id int, path string, image []byte) (*diskComponent, error) {
+	c, err := frameImage(id, path, image)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.walk(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// frameImage checks an image's magic, checksum, footer and block index, and
+// returns the component over it without reading its entries.
+func frameImage(id int, path string, image []byte) (*diskComponent, error) {
 	n := len(image)
 	for _, old := range oldFormatMagics {
 		if bytes.HasSuffix(image, old) {
@@ -640,87 +738,236 @@ func openImage(id int, path string, image []byte) (*diskComponent, error) {
 	stamp := binary.LittleEndian.Uint64(foot)
 	coveredLow := binary.LittleEndian.Uint64(foot[8:])
 	count := binary.LittleEndian.Uint64(foot[16:])
-	body := image[:n-footerLen]
 	if id < 0 || coveredLow > uint64(id) {
 		return nil, fmt.Errorf("lsm: covered id %d outside component id %d", coveredLow, id)
 	}
-	// Every entry takes at least three bytes (two lengths and a flag), and
-	// key offsets are 32-bit.
-	if count > uint64(len(body)/3) || uint64(len(body)) > math.MaxUint32 {
-		return nil, fmt.Errorf("lsm: %d entries in %d bytes", count, len(body))
+	rest := n - footerLen - 4
+	if rest < 0 {
+		return nil, fmt.Errorf("lsm: no block index")
 	}
-	keys := make([]span, 0, count)
-	f := newFilter(count)
+	blocks := uint64(binary.LittleEndian.Uint32(image[rest:]))
+	if 4*blocks > uint64(rest) {
+		return nil, fmt.Errorf("lsm: block index of %d blocks overruns the image", blocks)
+	}
+	entries := rest - int(4*blocks)
+	// Every entry takes at least four bytes (three lengths and a flag), and
+	// block offsets are 32-bit.
+	if count > uint64(entries/4) || uint64(entries) > math.MaxUint32 {
+		return nil, fmt.Errorf("lsm: %d entries in %d bytes", count, entries)
+	}
+	if want := (count + restartInterval - 1) / restartInterval; blocks != want {
+		return nil, fmt.Errorf("lsm: %d blocks for %d entries, want %d", blocks, count, want)
+	}
+	return &diskComponent{
+		id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image,
+		entries: entries, restarts: image[entries:rest:rest], count: int(count),
+	}, nil
+}
+
+// walk checks every block of a framed component: it starts where the block
+// index says, its keys fill exactly the bytes its header gives them, and
+// its values exactly the bytes their lengths add up to, before the next
+// block. Each flag is 0 or 1, and each key is above the one before it and
+// shares with it exactly the prefix its entry claims, so search may
+// conclude from shared lengths alone.
+func (c *diskComponent) walk() error {
+	body := c.image[:c.entries]
+	var prev []byte
 	pos := 0
-	for i := uint64(0); i < count; i++ {
-		klen, kn := binary.Uvarint(body[pos:])
-		// The key must leave room for its flag byte.
-		if kn <= 0 || klen >= uint64(len(body)-pos-kn) {
-			return nil, fmt.Errorf("lsm: entry %d key overruns the image at byte %d", i, pos)
+	for i := 0; i < c.count; {
+		b := i / restartInterval
+		if c.restart(b) != pos {
+			return fmt.Errorf("lsm: block %d starts at byte %d, not at its indexed %d", b, pos, c.restart(b))
 		}
-		start := pos + kn
-		end := start + int(klen)
-		if body[end] > 1 {
-			return nil, fmt.Errorf("lsm: entry %d has flag %d", i, body[end])
+		klen, n := binary.Uvarint(body[pos:])
+		if n <= 0 || klen > uint64(len(body)-pos-n) {
+			return fmt.Errorf("lsm: block %d keys overrun the image at byte %d", b, pos)
 		}
-		vlen, vn := binary.Uvarint(body[end+1:])
-		if vn <= 0 || vlen > uint64(len(body)-end-1-vn) {
-			return nil, fmt.Errorf("lsm: entry %d value overruns the image at byte %d", i, end+1)
+		p, keysEnd := pos+n, pos+n+int(klen)
+		keys := body[:keysEnd]
+		var values uint64
+		for end := min(i+restartInterval, c.count); i < end; i++ {
+			shared, sn := binary.Uvarint(keys[p:])
+			if sn <= 0 || shared > uint64(len(prev)) || i%restartInterval == 0 && shared != 0 {
+				return fmt.Errorf("lsm: entry %d shares a bad prefix length at byte %d", i, p)
+			}
+			slen, ln := binary.Uvarint(keys[p+sn:])
+			at := p + sn + ln
+			// The suffix must leave room for the flag.
+			if ln <= 0 || slen >= uint64(len(keys)-at) {
+				return fmt.Errorf("lsm: entry %d key overruns its block at byte %d", i, p)
+			}
+			suffix, flag := keys[at:at+int(slen)], at+int(slen)
+			if keys[flag] > 1 {
+				return fmt.Errorf("lsm: entry %d has flag %d", i, keys[flag])
+			}
+			vlen, vn := binary.Uvarint(keys[flag+1:])
+			if values += vlen; vn <= 0 || vlen > uint64(len(body)) || values > uint64(len(body)-keysEnd) {
+				return fmt.Errorf("lsm: entry %d value overruns the image at byte %d", i, flag+1)
+			}
+			if i > 0 {
+				var ascends bool
+				switch {
+				case i%restartInterval == 0:
+					ascends = bytes.Compare(suffix, prev) > 0
+				case int(shared) < len(prev):
+					ascends = len(suffix) > 0 && suffix[0] > prev[shared]
+				default:
+					ascends = len(suffix) > 0
+				}
+				if !ascends {
+					return fmt.Errorf("lsm: entry %d key is not above the key before it", i)
+				}
+			}
+			prev = append(prev[:shared], suffix...)
+			p = flag + 1 + vn
 		}
-		pos = end + 1 + vn + int(vlen)
-		keys = append(keys, span{uint32(start), uint32(end)})
-		f.add(keyHash(body[start:end]))
+		if p != keysEnd {
+			return fmt.Errorf("lsm: block %d keys end at byte %d, not at %d", b, p, keysEnd)
+		}
+		pos = keysEnd + int(values)
 	}
 	if pos != len(body) {
-		return nil, fmt.Errorf("lsm: %d bytes after entry %d", len(body)-pos, count)
+		return fmt.Errorf("lsm: %d bytes after entry %d", len(body)-pos, c.count)
 	}
-	return &diskComponent{id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image, keys: keys, filter: f}, nil
+	return nil
 }
 
-// span is one key's [start, end) offsets within its component image.
-type span struct{ start, end uint32 }
-
-// key returns entry i's key.
-func (c *diskComponent) key(i int) []byte {
-	k := c.keys[i]
-	return c.image[k.start:k.end:k.end]
+// restart returns the offset of block b.
+func (c *diskComponent) restart(b int) int {
+	return int(binary.LittleEndian.Uint32(c.restarts[4*b:]))
 }
 
-// entry decodes entry i; openImage has checked every length.
-func (c *diskComponent) entry(i int) (key, value []byte, antimatter bool) {
-	end := int(c.keys[i].end)
-	vlen, n := binary.Uvarint(c.image[end+1:])
-	start := end + 1 + n
-	return c.key(i), c.image[start : start+int(vlen) : start+int(vlen)], c.image[end] == 1
+// uvarint decodes the varint at b[off:], which openImage or encodeImage
+// has checked, and returns it with the offset after it.
+func uvarint(b []byte, off int) (uint64, int) {
+	if x := b[off]; x < 0x80 {
+		return uint64(x), off + 1
+	}
+	v, n := binary.Uvarint(b[off:])
+	return v, off + n
 }
 
-// search returns the first entry whose key is >= key.
-func (c *diskComponent) search(key []byte) int {
-	return sort.Search(len(c.keys), func(i int) bool { return bytes.Compare(c.key(i), key) >= 0 })
+// pos is an entry's place in an image: where its key and its value start,
+// and where the keys of its block end and the block's values begin. A pos
+// whose key is at the end of the entry blocks is past the last entry.
+type pos struct{ key, value, keysEnd int }
+
+// block returns the pos of the first entry of the block at off, or the end
+// pos at the end of the entry blocks.
+func (c *diskComponent) block(off int) pos {
+	if off >= c.entries {
+		return pos{key: c.entries}
+	}
+	klen, key := uint64(c.image[off]), off+1
+	if klen >= 0x80 {
+		klen, key = uvarint(c.image, off)
+	}
+	return pos{key: key, value: key + int(klen), keysEnd: key + int(klen)}
+}
+
+// first returns the pos of the component's first entry.
+func (c *diskComponent) first() pos { return c.block(0) }
+
+// keyAt decodes the key of the entry at p: how much of the previous key it
+// shares, the rest of it, its flag's offset, its value's length, and where
+// the next key of the block starts.
+func (c *diskComponent) keyAt(p pos) (shared int, suffix []byte, flag, vlen, next int) {
+	img, off := c.image, p.key
+	s := uint64(img[off])
+	if s < 0x80 {
+		off++
+	} else {
+		s, off = uvarint(img, off)
+	}
+	n := uint64(img[off])
+	if n < 0x80 {
+		off++
+	} else {
+		n, off = uvarint(img, off)
+	}
+	flag = off + int(n)
+	v := uint64(img[flag+1])
+	if next = flag + 2; v >= 0x80 {
+		v, next = uvarint(img, flag+1)
+	}
+	return int(s), img[off:flag:flag], flag, int(v), next
+}
+
+// step decodes the entry at p and returns it with the pos of the entry
+// after it.
+func (c *diskComponent) step(p pos) (shared int, suffix []byte, antimatter bool, value []byte, after pos) {
+	shared, suffix, flag, vlen, next := c.keyAt(p)
+	end := p.value + vlen
+	if after = (pos{next, end, p.keysEnd}); next == p.keysEnd {
+		// The block's last value ends where the next block starts.
+		after = c.block(end)
+	}
+	return shared, suffix, c.image[flag] == 1, c.image[p.value:end:end], after
+}
+
+// search returns the pos of the first entry whose key is >= key (the end
+// pos if there is none) and whether that key equals key. It binary-searches
+// the blocks' first keys and walks the keys of one block, comparing only
+// the bytes after the prefix the key so far matched: an entry that shares
+// less than that with its predecessor is greater than key, one that shares
+// more is still less. The entry it returns therefore shares with its
+// predecessor only a prefix of key.
+func (c *diskComponent) search(key []byte) (p pos, equal bool) {
+	blocks := len(c.restarts) / 4
+	b := sort.Search(blocks, func(b int) bool {
+		_, first, _, _, _ := c.keyAt(c.block(c.restart(b)))
+		return bytes.Compare(first, key) > 0
+	}) - 1
+	if b < 0 {
+		return c.first(), false
+	}
+	// matched is how much of key the key before p matches; that key is
+	// below key, and a block's first key shares nothing with a predecessor.
+	matched := 0
+	for p = c.block(c.restart(b)); p.key < p.keysEnd; {
+		shared, suffix, _, vlen, next := c.keyAt(p)
+		if shared < matched {
+			return p, false
+		}
+		if shared == matched {
+			rest := key[matched:]
+			l := commonPrefix(suffix, rest)
+			switch {
+			case l == len(suffix) && l == len(rest):
+				return p, true
+			case l == len(rest) || l < len(suffix) && suffix[l] > rest[l]:
+				return p, false
+			}
+			matched += l
+		}
+		p.key, p.value = next, p.value+vlen
+	}
+	// Every key of block b is below key: the next block's first one is not.
+	return c.block(p.value), false
 }
 
 func (c *diskComponent) get(key []byte) (value []byte, antimatter, ok bool) {
-	i := c.search(key)
-	if i == len(c.keys) || !bytes.Equal(c.key(i), key) {
+	p, equal := c.search(key)
+	if !equal {
 		return nil, false, false
 	}
-	_, value, antimatter = c.entry(i)
+	_, _, antimatter, value, _ = c.step(p)
 	return value, antimatter, true
 }
 
-// window returns a cursor over the entries with lo <= key <= hi; a nil bound
-// leaves that side open.
-func (c *diskComponent) window(lo, hi []byte) diskCursor {
-	d := diskCursor{c: c, end: len(c.keys)}
-	if lo != nil {
-		d.i = c.search(lo)
-	}
-	if hi != nil {
-		if d.end = c.search(hi); d.end < len(c.keys) && bytes.Equal(c.key(d.end), hi) {
-			d.end++
+// buildFilter returns a filter over every key of the component.
+func (c *diskComponent) buildFilter() filter {
+	f := newFilter(uint64(c.count))
+	var d diskCursor
+	d.seek(c, nil, nil)
+	for {
+		key, _, _, ok := d.next()
+		if !ok {
+			return f
 		}
+		f.add(keyHash(key))
 	}
-	return d
 }
 
 // The in-memory B+-tree stores a flag byte in front of each value, the

@@ -1,9 +1,12 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -519,5 +522,82 @@ func TestBackgroundOptionDisablesInlineFlush(t *testing.T) {
 	}
 	if tr.MemBytes() <= 64 {
 		t.Fatal("memtable did not grow past budget")
+	}
+}
+
+// BenchmarkComponentReads times point reads, 16-key ranges and full scans
+// over 8 flushed components of 4096 entries and over the one component a
+// full merge makes of them, for two key shapes: 16-byte keys whose first 8
+// bytes are a hash (little shared prefix, the shape of the benchmark
+// harness's lsm rung) and keyword-index keys, a token then a 4-byte
+// document key (long shared prefixes). Values are 100 bytes.
+//
+//	go test -run '^$' -bench ComponentReads -benchmem ./internal/lsm
+func BenchmarkComponentReads(b *testing.B) {
+	const components, perFlush = 8, 4096
+	shapes := []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"hashed", func(i int) []byte {
+			k := make([]byte, 16)
+			binary.BigEndian.PutUint64(k, uint64(i)*0x9E3779B97F4A7C15)
+			binary.BigEndian.PutUint64(k[8:], uint64(i))
+			return k
+		}},
+		{"keyword", func(i int) []byte {
+			return binary.BigEndian.AppendUint32([]byte(fmt.Sprintf("token-%04d\x00", i%500)), uint32(i))
+		}},
+	}
+	value := make([]byte, 100)
+	for _, shape := range shapes {
+		tr, err := Open(b.TempDir(), Options{Background: true, Policy: NoMergePolicy{}, MemBudget: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([][]byte, components*perFlush)
+		for i := range keys {
+			keys[i] = shape.key(i)
+		}
+		for c := 0; c < components; c++ {
+			for _, key := range keys[c*perFlush : (c+1)*perFlush] {
+				tr.Insert(key, value)
+			}
+			if err := tr.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sorted := slices.SortedFunc(slices.Values(keys), bytes.Compare)
+		reads := func(suffix string) {
+			b.Run(shape.name+"/get_"+suffix, func(b *testing.B) {
+				for i := 0; b.Loop(); i++ {
+					if _, ok := tr.Get(keys[i*7%len(keys)]); !ok {
+						b.Fatal("key not found")
+					}
+				}
+			})
+			b.Run(shape.name+"/range16_"+suffix, func(b *testing.B) {
+				for i := 0; b.Loop(); i++ {
+					j := i * 7 % (len(sorted) - 16)
+					n := 0
+					for it := tr.NewIterator(sorted[j], sorted[j+15]); it.Next(); n++ {
+					}
+					if n != 16 {
+						b.Fatalf("range of 16 keys yields %d", n)
+					}
+				}
+			})
+			b.Run(shape.name+"/scan_entry_"+suffix, func(b *testing.B) {
+				for b.Loop() {
+					tr.Scan(func(_, _ []byte) bool { return true })
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/entry")
+			})
+		}
+		reads("c8")
+		if err := tr.Merge(); err != nil {
+			b.Fatal(err)
+		}
+		reads("c1")
 	}
 }

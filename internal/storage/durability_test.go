@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -325,10 +324,11 @@ func TestUnreadableComponentRefusedOnReopen(t *testing.T) {
 }
 
 // damageStoredRecord checkpoints 60 messages into components, closes the
-// manager, rewrites the stored encoding of message 5 inside the component
-// that holds it with edit, reseals that image so its checksum holds, and
-// returns the component's path.
-func damageStoredRecord(t *testing.T, dir string, edit func(t *testing.T, image []byte, at, n int) []byte) string {
+// manager and hands damage the component that holds the stored encoding of
+// message 5: its path and image, where the encoding starts in it, the
+// encoding and the message's primary key. damage returns the path of the
+// component it damaged.
+func damageStoredRecord(t *testing.T, dir string, damage func(t *testing.T, path string, image []byte, at int, enc, pk []byte) string) string {
 	t.Helper()
 	m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
 	if err != nil {
@@ -350,6 +350,10 @@ func damageStoredRecord(t *testing.T, dir string, edit func(t *testing.T, image 
 	if err != nil {
 		t.Fatal(err)
 	}
+	pk, err := ds.PrimaryKeyOf(message(5, 5, 5, "checkpointed", 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	comps, err := filepath.Glob(filepath.Join(dir, "MugshotMessages", "partition-*", "component-*.lsm"))
 	if err != nil {
 		t.Fatal(err)
@@ -363,14 +367,7 @@ func damageStoredRecord(t *testing.T, dir string, edit func(t *testing.T, image 
 		if at < 0 {
 			continue
 		}
-		image = edit(t, image, at, len(enc))
-		if err := lsm.Reseal(image); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, image, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+		return damage(t, path, image, at, enc, pk)
 	}
 	t.Fatal("message 5 is in no component")
 	return ""
@@ -384,24 +381,42 @@ func damageStoredRecord(t *testing.T, dir string, edit func(t *testing.T, image 
 // way: a view of a record covers the whole stored value.
 func TestUndecodableRecordRefusedOnOpen(t *testing.T) {
 	for _, row := range []struct {
-		name string
-		edit func(t *testing.T, image []byte, at, n int) []byte
+		name   string
+		damage func(t *testing.T, path string, image []byte, at int, enc, pk []byte) string
 	}{
-		{"bad presence byte", func(_ *testing.T, image []byte, at, _ int) []byte {
+		{"bad presence byte", func(t *testing.T, path string, image []byte, at int, _, _ []byte) string {
 			image[at+1] = 7 // the first declared field's presence byte
-			return image
-		}},
-		{"trailing bytes", func(t *testing.T, image []byte, at, n int) []byte {
-			if image[at-1] != byte(n) {
-				t.Fatalf("value length byte %d, want %d", image[at-1], n)
+			if err := lsm.Reseal(image); err != nil {
+				t.Fatal(err)
 			}
-			image[at-1]++
-			return slices.Insert(image, at+n, 0)
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+		// The tree writes the longer value into a component of its own: a
+		// value's length sits with its block's keys, away from the value.
+		{"trailing bytes", func(t *testing.T, path string, _ []byte, _ int, enc, pk []byte) string {
+			tree, err := lsm.Open(filepath.Dir(path), lsm.Options{Background: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Insert(pk, append(bytes.Clone(enc), 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			comps, err := filepath.Glob(filepath.Join(filepath.Dir(path), "component-*.lsm"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return comps[len(comps)-1]
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
-			damaged := damageStoredRecord(t, dir, row.edit)
+			damaged := damageStoredRecord(t, dir, row.damage)
 			m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
 			if err != nil {
 				t.Fatal(err)

@@ -443,3 +443,73 @@ func TestOldRTreeLayoutRefused(t *testing.T) {
 		t.Fatalf("the refused index was published: %v", ds.indexes)
 	}
 }
+
+// TestSecondaryTreesBuildNoFilter: only the primary index is read by key, so
+// only its components get a bloom filter. After a flush, searches of every
+// secondary kind and inserts that read their new keys, the secondary trees
+// hold no filter bytes and every partition's primary holds some; so again
+// after a reopen loads every component from its file.
+func TestSecondaryTreesBuildNoFilter(t *testing.T) {
+	dir := t.TempDir()
+	var specs []IndexSpec
+	for i, tc := range indexKindCases {
+		spec := tc.spec
+		spec.Name = fmt.Sprintf("ix%d", i)
+		specs = append(specs, spec)
+	}
+	texts := []string{"crash safe durability", "torn component", "antimatter entry", "bounded replay"}
+	insertAndSearch := func(ds *Dataset, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := ds.Insert(message(i, i%7, int64(i), texts[i%len(texts)], float64(i%20), float64(i%11))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, tc := range indexKindCases {
+			if len(searchPKs(t, ds, specs[i].Name, tc.probe)) == 0 {
+				t.Fatalf("%s probe found nothing", tc.spec.Kind)
+			}
+		}
+	}
+	check := func(ds *Dataset, when string) {
+		t.Helper()
+		for part, p := range ds.partitions {
+			p.mu.Lock()
+			primary := p.primary.FilterBytes()
+			for name, tree := range p.indexes {
+				if n := tree.FilterBytes(); n != 0 || tree.Components() == 0 {
+					t.Errorf("%s: partition %d index %s: %d components, %d filter bytes; want some and none", when, part, name, tree.Components(), n)
+				}
+			}
+			p.mu.Unlock()
+			if primary == 0 {
+				t.Errorf("%s: partition %d: the primary index built no filter", when, part)
+			}
+		}
+	}
+	m, err := NewManager(dir, Options{Partitions: 3, MemBudget: 4 << 10, Journaled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := createMessages(t, m)
+	for _, spec := range specs {
+		if _, err := ds.CreateIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertAndSearch(ds, 0, 40)
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	insertAndSearch(ds, 40, 60)
+	check(ds, "after a flush")
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, ds = reopenWithDDL(t, dir, specs)
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	insertAndSearch(ds, 60, 80)
+	check(ds, "after a reopen")
+}

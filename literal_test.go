@@ -206,3 +206,33 @@ func TestDeleteStatementSyncsLogOnce(t *testing.T) {
 		t.Errorf("after delete: %v, %v; want only id 4", got, err)
 	}
 }
+
+// Items of a list, a bag and a call's arguments are separated by commas,
+// with none after the last: each form below is a syntax error, through the
+// literal reader and through the parser's constructors alike, while the
+// empty forms still parse.
+func TestOperandsNeedCommas(t *testing.T) {
+	inst := openLiterals(t, Config{})
+	for _, q := range []string{
+		`[1 2]`, `[1, 2 3]`, `[1,]`, `[1,,2]`, `[,]`, `[$x 2]`,
+		`{{1,}}`, `{{1 2}}`, `{{,}}`,
+		`contains("ab" "a")`, `contains("ab", "a",)`, `lowercase(,)`,
+	} {
+		if _, err := inst.Query(`let $x := 1 return ` + q); ErrorCode(err) != CodeSyntax {
+			t.Errorf("%s: %v (%s), want a syntax error", q, err, ErrorCode(err))
+		}
+	}
+	for q, want := range map[string]string{
+		`[]`:                      `[  ]`,
+		`{{}}`:                    `{{  }}`,
+		`[1, 2]`:                  `[ 1, 2 ]`,
+		`{{1, [$x]}}`:             `{{ 1, [ 1 ] }}`,
+		`is-null(current-date())`: `false`,
+		`contains("ab", "a")`:     `true`,
+	} {
+		res, err := inst.Query(`let $x := 1 return ` + q)
+		if err != nil || len(res) != 1 || res[0].String() != want {
+			t.Errorf("%s = %v, %v; want %s", q, res, err, want)
+		}
+	}
+}
