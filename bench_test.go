@@ -185,8 +185,10 @@ return { "author": $aid, "cnt": $cnt };`, lo, hi)
 
 // BenchmarkTable2DatasetSizes reports the stored size of the message dataset
 // under each system's format as bytes/op metrics (one iteration measures the
-// already-loaded stores). The expected shape: scanstore (Hive/ORC) smallest,
-// rowstore (System-X) < Asterix Schema < docstore (Mongo) ≈ Asterix KeyOnly.
+// already-loaded stores). The Asterix numbers are the dataset's component
+// files once flushed (Dataset.SizeBytes), its five secondary indexes
+// included, which the comparators do not build; Schema stays below
+// KeyOnly, and scanstore (Hive/ORC) is the smallest.
 func BenchmarkTable2DatasetSizes(b *testing.B) {
 	env := getEnv(b)
 	schemaDS, _ := env.asterixSchema.Dataset("MugshotMessages")

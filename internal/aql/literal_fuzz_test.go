@@ -107,6 +107,7 @@ func FuzzLiteralSpan(f *testing.F) {
 		`boolean("yes")`, `boolean('true')`, `date("bad")`, `1 /* c */`, `"a": $x`, `[1, 2][0]`,
 		`{"a": 1}.a`, `user-since: 1`, `a--b: 1`, `"é": 1`, `é: 1`, `missing`,
 		`[[1, 2], $x], [3]`, strings.Repeat("[", 3000), `[1 2]`, `{{1,}}`, `f(1 2)`,
+		`{"a": 1,}`,
 	} {
 		f.Add(body)
 	}

@@ -1400,11 +1400,11 @@ func (p *parser) parseOperands(close string) ([]Expr, error) {
 func (p *parser) parseRecordConstructor() (Expr, error) {
 	p.advance() // '{'
 	rc := &RecordConstructor{}
+	if p.atSymbol("}") {
+		p.advance()
+		return rc, nil
+	}
 	for {
-		if p.atSymbol("}") {
-			p.advance()
-			return rc, nil
-		}
 		name, err := p.expectFieldName()
 		if err != nil {
 			return nil, err

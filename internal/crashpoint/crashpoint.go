@@ -30,6 +30,7 @@ const EnvVar = "ASTERIX_CRASHPOINT"
 var (
 	count  atomic.Int64
 	target int64
+	hook   atomic.Pointer[func(name string)]
 )
 
 func init() {
@@ -40,11 +41,13 @@ func init() {
 	}
 }
 
-// Hit records one crash opportunity. The name labels the call site; it is
-// not interpreted, but keeping distinct names makes kill sites identifiable
-// when a torture cycle is replayed under a debugger.
+// Hit records one crash opportunity. The name labels the call site: it
+// makes kill sites identifiable when a torture cycle is replayed under a
+// debugger, and it is what a hook sees.
 func Hit(name string) {
-	_ = name
+	if h := hook.Load(); h != nil {
+		(*h)(name)
+	}
 	n := count.Add(1)
 	if target > 0 && n == target {
 		p, err := os.FindProcess(os.Getpid())
@@ -55,6 +58,15 @@ func Hit(name string) {
 		// proceed past the crash point.
 		select {}
 	}
+}
+
+// SetHook makes every Hit call fn with its name first, until the returned
+// restore is called. A test uses it to hold one goroutine at a named point
+// while it drives another, or to look at the files at that moment; fn runs
+// on the goroutine that hit the point, holding whatever that holds.
+func SetHook(fn func(name string)) (restore func()) {
+	hook.Store(&fn)
+	return func() { hook.Store(nil) }
 }
 
 // Count reports how many crash opportunities the process has hit so far.

@@ -7,6 +7,7 @@ package fuzzy
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"asterixdb/internal/adm"
 )
@@ -90,26 +91,60 @@ func EditDistanceContains(text, probe string, threshold int) bool {
 }
 
 // WordTokens splits a string into lower-cased word tokens, the tokenization
-// used by AQL's word-tokens() and the inverted keyword index.
+// used by AQL's word-tokens() and the inverted keyword index: the maximal runs
+// of letters and digits. A token is a substring of s unless it needs
+// lower-casing, so ASCII text already in lower case allocates only the slice,
+// sized by a first pass.
 func WordTokens(s string) []string {
-	var tokens []string
-	var sb strings.Builder
-	flush := func() {
-		if sb.Len() > 0 {
-			tokens = append(tokens, sb.String())
-			sb.Reset()
-		}
+	n := 0
+	for _, end := nextWord(s, 0); end >= 0; _, end = nextWord(s, end) {
+		n++
 	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			sb.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
+	if n == 0 {
+		return nil
 	}
-	flush()
+	tokens := make([]string, 0, n)
+	for start, end := nextWord(s, 0); end >= 0; start, end = nextWord(s, end) {
+		tokens = append(tokens, strings.ToLower(s[start:end]))
+	}
 	return tokens
 }
+
+// nextWord returns the bounds of the first word of s at or after i, or
+// end < 0 when there is none. ASCII bytes are classified by table; a
+// non-ASCII rune (or an invalid byte, which decodes to utf8.RuneError) by
+// unicode.IsLetter and unicode.IsDigit.
+func nextWord(s string, i int) (start, end int) {
+	start = -1
+	for i < len(s) {
+		word, w := asciiWord[s[i]], 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
+		}
+		switch {
+		case word && start < 0:
+			start = i
+		case !word && start >= 0:
+			return start, i
+		}
+		i += w
+	}
+	if start < 0 {
+		return -1, -1
+	}
+	return start, len(s)
+}
+
+// asciiWord marks the ASCII letters and digits, the bytes below
+// utf8.RuneSelf that unicode.IsLetter or unicode.IsDigit accept.
+var asciiWord = func() (t [256]bool) {
+	for c := range utf8.RuneSelf {
+		t[c] = unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+	}
+	return t
+}()
 
 // NGramTokens returns the k-grams of the lower-cased string, padding the ends
 // with '#' markers as the AsterixDB ngram(k) tokenizer does.

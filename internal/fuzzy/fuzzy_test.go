@@ -1,8 +1,11 @@
 package fuzzy
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"asterixdb/internal/adm"
 )
@@ -192,4 +195,45 @@ func TestStringPredicates(t *testing.T) {
 	if Replace("abc", "", "x") != "abc" {
 		t.Error("Replace with empty old should be a no-op")
 	}
+}
+
+// runeWordTokens is the rune-at-a-time tokenizer WordTokens replaced: each
+// token built through a strings.Builder from unicode.ToLower of its runes.
+func runeWordTokens(s string) []string {
+	var tokens []string
+	var sb strings.Builder
+	flush := func() {
+		if sb.Len() > 0 {
+			tokens = append(tokens, sb.String())
+			sb.Reset()
+		}
+	}
+	for _, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			sb.WriteRune(unicode.ToLower(r))
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// FuzzWordTokens holds WordTokens to the rune-at-a-time tokenizer: the same
+// tokens in the same order, nil for none, on ASCII, non-ASCII and invalid
+// UTF-8 text alike.
+func FuzzWordTokens(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "Hello, World!", "the quick brown fox", "a1b2 C3D4", "x", "--",
+		"ÉCOLE élève", "straße İstanbul", "日本語 テキスト", "mixed Ünïcode and ASCII",
+		"\xff\xfeabc\x80DEF", "tab\tnew\nline", "ǅungla ΣΊΣΥΦΟΣ", "a b", "٣٤ digits",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := WordTokens(s), runeWordTokens(s)
+		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Fatalf("WordTokens(%q) = %q, want %q", s, got, want)
+		}
+	})
 }

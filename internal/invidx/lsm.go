@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"asterixdb/internal/lsm"
 )
@@ -38,21 +39,35 @@ func DecodeTokenKey(key []byte) (string, []byte, error) {
 }
 
 // PostingKeys returns the posting keys a document contributes: one per
-// distinct token of text. The storage layer logs exactly these keys to the
-// WAL, so recovery applies postings without re-tokenizing. Tokenizers are
-// pure functions, so this is safe concurrently.
+// distinct token of text, in token order. The storage layer logs exactly
+// these keys to the WAL, so recovery applies postings without re-tokenizing.
+// The keys are cut from one buffer. Tokenizers are pure functions, so this is
+// safe concurrently.
 func PostingKeys(tokenize Tokenizer, docKey []byte, text string) [][]byte {
 	toks := tokenize(text)
-	seen := make(map[string]struct{}, len(toks))
-	keys := make([][]byte, 0, len(toks))
+	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	size := 0
 	for _, tok := range toks {
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
-		keys = append(keys, EncodeTokenKey(tok, docKey))
+		size += uvarintLen(len(tok)) + len(tok) + len(docKey)
+	}
+	buf := make([]byte, 0, size)
+	keys := make([][]byte, len(toks))
+	for i, tok := range toks {
+		start := len(buf)
+		buf = binary.AppendUvarint(buf, uint64(len(tok)))
+		buf = append(append(buf, tok...), docKey...)
+		keys[i] = buf[start:len(buf):len(buf)]
 	}
 	return keys
+}
+
+func uvarintLen(n int) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
+	}
+	return l
 }
 
 // scanToken visits the document keys in token's posting range, in key order.

@@ -65,3 +65,35 @@ func TestLSMLookupMatchesInMemoryIndex(t *testing.T) {
 		t.Errorf("LookupAny: lsm %q, mem %q", g, w)
 	}
 }
+
+// PostingKeys gives one key per distinct token, each the token's key for the
+// document, whatever repeats the text holds.
+func TestPostingKeysOnePerDistinctToken(t *testing.T) {
+	pk := []byte{7, 8}
+	for _, tokenize := range []Tokenizer{KeywordTokenizer, NGramTokenizer(3)} {
+		for _, text := range []string{"", "a", "the cat the CAT the", "aaaaaa", "Zebra apple zebra Apple mango", "ÉCOLE école"} {
+			want := map[string]bool{}
+			for _, tok := range tokenize(text) {
+				want[string(EncodeTokenKey(tok, pk))] = true
+			}
+			keys := PostingKeys(tokenize, pk, text)
+			got := map[string]bool{}
+			for _, k := range keys {
+				got[string(k)] = true
+			}
+			if len(keys) != len(want) || len(got) != len(want) {
+				t.Errorf("%q: %d keys (%d distinct), want %d", text, len(keys), len(got), len(want))
+			}
+			for k := range want {
+				if !got[k] {
+					t.Errorf("%q: missing key %q", text, k)
+				}
+			}
+			for i := range keys {
+				if cap(keys[i]) != len(keys[i]) {
+					t.Errorf("%q: key %d has spare capacity %d, an append would write into the next key", text, i, cap(keys[i])-len(keys[i]))
+				}
+			}
+		}
+	}
+}

@@ -311,6 +311,16 @@ func (t *Tree) FilterBytes() int {
 	return n
 }
 
+// DiskBytes returns the bytes of the tree's component files: each
+// component is its file's image. Caller must hold the tree's latch.
+func (t *Tree) DiskBytes() int64 {
+	var n int64
+	for _, c := range t.disk {
+		n += int64(len(c.image))
+	}
+	return n
+}
+
 // MemBytes returns the current in-memory component footprint.
 func (t *Tree) MemBytes() int { return t.mem.Bytes() }
 

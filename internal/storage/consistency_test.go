@@ -73,12 +73,7 @@ func assertSameIDs(t *testing.T, label string, got, want map[int32]bool) {
 func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 	m := newTestManager(t)
 	ds := createMessages(t, m)
-	for _, spec := range []IndexSpec{
-		{Name: "tsIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex},
-		{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},
-		{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex},
-		{Name: "ngIdx", Fields: []string{"message"}, Kind: NGramIndex, GramLength: 3},
-	} {
+	for _, spec := range consistencyIndexes {
 		if _, err := ds.CreateIndex(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -128,41 +123,61 @@ func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 		if len(all) != len(live) {
 			t.Fatalf("round %d: scan found %d records, want %d", round, len(all), len(live))
 		}
+		checkIndexesAgree(t, ds, fmt.Sprintf("round %d", round), consistencyWords[rng.Intn(len(consistencyWords))])
+	}
+}
 
-		// B+-tree range.
-		lo, hi := adm.Datetime(20000), adm.Datetime(70000)
-		recs, err := ds.SearchSecondaryRange("tsIdx", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[int32]bool{}
-		for id, r := range all {
-			ts := r.Get("timestamp")
-			if c1, _ := adm.Compare(ts, lo); c1 >= 0 {
-				if c2, _ := adm.Compare(ts, hi); c2 <= 0 {
-					want[id] = true
-				}
-			}
-		}
-		assertSameIDs(t, fmt.Sprintf("round %d btree", round), idsOf(recs), want)
+// consistencyIndexes are the four secondary indexes checkIndexesAgree reads.
+var consistencyIndexes = []IndexSpec{
+	{Name: "tsIdx", Fields: []string{"timestamp"}, Kind: BTreeIndex},
+	{Name: "locIdx", Fields: []string{"sender-location"}, Kind: RTreeIndex},
+	{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex},
+	{Name: "ngIdx", Fields: []string{"message"}, Kind: NGramIndex, GramLength: 3},
+}
 
-		// R-tree intersection.
-		probe := adm.Rectangle{LowerLeft: adm.Point{X: 20, Y: 20}, UpperRight: adm.Point{X: 60, Y: 70}}
-		recs, err = ds.SearchSecondaryRTree("locIdx", probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = map[int32]bool{}
-		for id, r := range all {
-			if ok, err := spatial.Intersect(r.Get("sender-location"), probe); err == nil && ok {
+// checkIndexesAgree checks that every index of consistencyIndexes returns
+// exactly the records a full scan plus the equivalent predicate returns:
+// B+-tree range search, R-tree intersection search, keyword token search for
+// each of words, and the ngram conjunctive candidate search (whose predicate
+// is "contains every gram of the probe") for a probe built from each word.
+func checkIndexesAgree(t *testing.T, ds *Dataset, label string, words ...string) {
+	t.Helper()
+	all := scanAll(t, ds)
+
+	// B+-tree range.
+	lo, hi := adm.Datetime(20000), adm.Datetime(70000)
+	recs, err := ds.SearchSecondaryRange("tsIdx", lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int32]bool{}
+	for id, r := range all {
+		ts := r.Get("timestamp")
+		if c1, _ := adm.Compare(ts, lo); c1 >= 0 {
+			if c2, _ := adm.Compare(ts, hi); c2 <= 0 {
 				want[id] = true
 			}
 		}
-		assertSameIDs(t, fmt.Sprintf("round %d rtree", round), idsOf(recs), want)
+	}
+	assertSameIDs(t, label+" btree", idsOf(recs), want)
 
+	// R-tree intersection.
+	probe := adm.Rectangle{LowerLeft: adm.Point{X: 20, Y: 20}, UpperRight: adm.Point{X: 60, Y: 70}}
+	recs, err = ds.SearchSecondaryRTree("locIdx", probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = map[int32]bool{}
+	for id, r := range all {
+		if ok, err := spatial.Intersect(r.Get("sender-location"), probe); err == nil && ok {
+			want[id] = true
+		}
+	}
+	assertSameIDs(t, label+" rtree", idsOf(recs), want)
+
+	for _, word := range words {
 		// Keyword token search: candidates are exactly the records whose
 		// token set contains the probe word.
-		word := consistencyWords[rng.Intn(len(consistencyWords))]
 		recs, err = ds.SearchSecondaryConjunctive("kwIdx", word)
 		if err != nil {
 			t.Fatal(err)
@@ -176,11 +191,11 @@ func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 				}
 			}
 		}
-		assertSameIDs(t, fmt.Sprintf("round %d keyword", round), idsOf(recs), want)
+		assertSameIDs(t, label+" keyword "+word, idsOf(recs), want)
 
 		// NGram conjunctive search: candidates are exactly the records whose
-		// text contains every (unpadded) gram of the probe — a superset of the
-		// contains() matches that the query layer post-validates.
+		// text contains every (unpadded) gram of the probe — a superset of
+		// the contains() matches that the query layer post-validates.
 		probeStr := word[:3] + word[1:4]
 		recs, err = ds.SearchSecondaryConjunctive("ngIdx", probeStr)
 		if err != nil {
@@ -202,10 +217,10 @@ func TestSecondaryIndexConsistencyUnderMutation(t *testing.T) {
 			}
 			// Every true contains() match must be among the candidates.
 			if strings.Contains(text, probeStr) && !want[id] {
-				t.Errorf("round %d: ngram candidates exclude a true contains match (record %d)", round, id)
+				t.Errorf("%s: ngram candidates exclude a true contains match (record %d)", label, id)
 			}
 		}
-		assertSameIDs(t, fmt.Sprintf("round %d ngram", round), idsOf(recs), want)
+		assertSameIDs(t, label+" ngram "+word, idsOf(recs), want)
 	}
 }
 

@@ -159,7 +159,7 @@ func (s *scheduler) runFlush(task schedTask) error {
 	_, err := s.m.flushStamped(func(stamp uint64) error {
 		task.p.mu.Lock()
 		defer task.p.mu.Unlock()
-		return task.tree.FlushStamped(stamp)
+		return task.p.flushLocked(s.m.wal, stamp, task.tree)
 	})
 	if err != nil {
 		return fmt.Errorf("storage: background flush: %w", err)

@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/crashpoint"
 	"asterixdb/internal/fsutil"
 	"asterixdb/internal/invidx"
 	"asterixdb/internal/lsm"
@@ -216,11 +218,13 @@ func (m *Manager) CreateDataset(spec DatasetSpec) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds.partitions = append(ds.partitions, &partition{
+		pt := &partition{
 			idNum:   p,
 			primary: primary,
 			indexes: map[string]*lsm.Tree{},
-		})
+		}
+		pt.idle.L = &pt.mu
+		ds.partitions = append(ds.partitions, pt)
 	}
 	m.datasets[spec.Name] = ds
 	return ds, nil
@@ -399,6 +403,11 @@ type Dataset struct {
 type partition struct {
 	idNum int
 	mu    sync.Mutex
+	// applying counts the groups that have begun applying to the partition's
+	// trees and not yet appended their commit records; idle (on mu) is
+	// broadcast when it drops to zero. A flush waits for zero.
+	applying int
+	idle     sync.Cond
 
 	primary *lsm.Tree
 	indexes map[string]*lsm.Tree
@@ -596,12 +605,8 @@ func (d *Dataset) backfillIndexPartition(p *partition, spec IndexSpec, tree *lsm
 	// top, in log order. The flush deliberately keeps the primary's existing
 	// durable stamp: CreateIndex also runs on reopen BEFORE Recover, when the
 	// WAL suffix is not yet applied, and advancing the stamp here would make
-	// recovery skip it. The WAL is forced first so the flush can never make
-	// an operation durable whose log records live only in the page cache.
-	if err := d.manager.wal.Sync(); err != nil {
-		return err
-	}
-	if err := p.primary.Flush(); err != nil {
+	// recovery skip it (FlushStamped clamps stamp 0 up to it).
+	if err := p.flushLocked(d.manager.wal, 0, p.primary); err != nil {
 		return err
 	}
 	var buildErr error
@@ -676,86 +681,338 @@ func (d *Dataset) Insert(rec *adm.Record) error {
 // transaction (the paper's model: an AQL statement that involves multiple
 // records involves multiple independent record-level transactions), but the
 // WAL is synced once at the end, which is what makes batched inserts cheaper
-// in Table 4. Records hashing to a partition this manager does not own
-// (Options.Owns) are validated but not stored — another cluster node owns
-// them — and do not count toward the returned total. The log is synced on
-// an error too: the records committed before it are visible, so they are as
-// durable as an acknowledged statement's.
+// in Table 4. The records are validated and keyed first, in order: the first
+// invalid one ends the statement, so the records before it are stored and
+// none after it. Each partition then applies its share (see write). Records
+// hashing to a partition this manager does not own (Options.Owns) are
+// validated but not stored — another cluster node owns them — and do not
+// count toward the returned total. The log is synced on an error too: the
+// records committed before it are visible, so they are as durable as an
+// acknowledged statement's.
 func (d *Dataset) InsertBatch(recs []*adm.Record) (stored int, err error) {
-	defer func() {
-		if serr := d.manager.wal.Sync(); err == nil {
-			err = serr
+	defer d.syncAfter(&err)
+	shares, invalid := d.keyInserts(recs)
+	stored, err = d.write(shares)
+	if err == nil {
+		err = invalid
+	}
+	return stored, err
+}
+
+// DeleteBatch removes the records with the given primary key values under a
+// single statement and returns how many there were. As in InsertBatch, each
+// key is its own record-level transaction, each partition applies its share,
+// and the WAL is synced once at the end, on an error too.
+func (d *Dataset) DeleteBatch(keys [][]adm.Value) (deleted int, err error) {
+	defer d.syncAfter(&err)
+	shares := make([][]keyed, len(d.partitions))
+	for _, key := range keys {
+		var pk []byte
+		for _, v := range key {
+			pk = adm.EncodeKey(pk, v)
 		}
-	}()
+		part := d.partitionFor(pk)
+		shares[part] = append(shares[part], keyed{pk: pk})
+	}
+	return d.write(shares)
+}
+
+// syncAfter syncs the log at the end of a statement, keeping the statement's
+// own error if it has one.
+func (d *Dataset) syncAfter(err *error) {
+	if serr := d.manager.wal.Sync(); *err == nil {
+		*err = serr
+	}
+}
+
+// keyed is one record of a statement, validated and keyed: the new record
+// under pk, or a delete of pk when rec is nil.
+type keyed struct {
+	pk  []byte
+	rec *adm.Record
+}
+
+// keyInserts validates and keys a statement's records in order and deals the
+// ones this manager owns to their partitions, each share in statement order.
+// The first record that fails validation — against the type, the primary
+// key, or an R-tree index that cannot take its value — ends the deal: the
+// shares hold the records before it and its error is returned beside them.
+func (d *Dataset) keyInserts(recs []*adm.Record) ([][]keyed, error) {
+	d.mu.RLock()
+	indexes := slices.Clone(d.indexes)
+	d.mu.RUnlock()
+	owns := d.manager.opts.Owns
+	shares := make([][]keyed, len(d.partitions))
 	for _, rec := range recs {
 		if err := adm.Validate(rec, d.spec.Type); err != nil {
-			return stored, fmt.Errorf("storage: %q: %w", d.spec.Name, err)
+			return shares, fmt.Errorf("storage: %q: %w", d.spec.Name, err)
 		}
 		pk, err := d.PrimaryKeyOf(rec)
 		if err != nil {
-			return stored, err
+			return shares, err
 		}
 		part := d.partitionFor(pk)
-		if owns := d.manager.opts.Owns; owns != nil && !owns(part) {
+		if owns != nil && !owns(part) {
 			continue
 		}
-		raw, err := d.ser.Encode(nil, rec)
-		if err != nil {
-			return stored, err
+		for _, x := range indexes {
+			if x.spec.Kind != RTreeIndex {
+				continue
+			}
+			if v := rec.Get(x.spec.Fields[0]); !adm.IsUnknown(v) {
+				if _, err := indexedMBR(x.spec, v); err != nil {
+					return shares, err
+				}
+			}
 		}
-		if _, err := d.mutate(part, pk, rec, raw); err != nil {
-			return stored, err
-		}
-		stored++
-		d.manager.maintain(d, part)
+		shares[part] = append(shares[part], keyed{pk: pk, rec: rec})
 	}
-	return stored, nil
+	return shares, nil
 }
 
-// mutate is the one record-level transaction: under the primary-key lock it
-// replaces the record stored under pk with newRec (raw is its encoding), or
-// deletes it when newRec is nil, and reports whether a record was there
-// before. Deleting an absent key logs nothing. The commit record is appended
-// but not forced: the caller syncs the log, once per statement.
-func (d *Dataset) mutate(part int, pk []byte, newRec *adm.Record, raw []byte) (existed bool, err error) {
-	tid := d.manager.wal.Begin()
-	d.manager.locks.Lock(tid, pk)
-	defer d.manager.locks.Unlock(tid, pk)
-	// The read lock spans deriving the log records through applying them:
+// groupSize is the most records a partition applies as one group: one
+// key-ordered locking pass, one WAL append of their log records and one of
+// their commit records, one release and one maintain.
+const groupSize = 64
+
+// write applies a statement's shares, one per partition, and returns how many
+// records it stored or deleted. A statement that fills at least two groups
+// gives each partition with work its own goroutine, so the partitions encode,
+// derive, log and apply side by side; a smaller one runs its shares inline.
+// Shares touch disjoint keys and trees, so their order does not matter; the
+// error of the lowest failing partition is returned.
+func (d *Dataset) write(shares [][]keyed) (int, error) {
+	counts := make([]int, len(shares))
+	errs := make([]error, len(shares))
+	total := 0
+	for _, share := range shares {
+		total += len(share)
+	}
+	if total < 2*groupSize {
+		for part, share := range shares {
+			if counts[part], errs[part] = d.writeShare(part, share); errs[part] != nil {
+				break
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		for part, share := range shares {
+			if len(share) > 0 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					counts[part], errs[part] = d.writeShare(part, share)
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	for _, err := range errs {
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// writeShare applies one partition's share of a statement in order, a group
+// at a time. A group ends after groupSize records or before a key it already
+// holds, so a key repeated in a statement is written once per group and the
+// last version wins. After each group the partition is maintained once.
+func (d *Dataset) writeShare(part int, share []keyed) (int, error) {
+	g := groups.Get().(*group)
+	g.d, g.part = d, d.partitions[part]
+	defer func() {
+		g.d, g.part = nil, nil
+		groups.Put(g)
+	}()
+	n := 0
+	for len(share) > 0 {
+		cut := g.cut(share)
+		k, err := g.run(share[:cut])
+		n += k
+		if err != nil {
+			return n, err
+		}
+		share = share[cut:]
+		d.manager.maintain(d, part)
+	}
+	return n, nil
+}
+
+// groups recycles group buffers across statements.
+var groups = sync.Pool{New: func() any { return new(group) }}
+
+// group holds the buffers one partition's groups reuse. Every record stays
+// its own transaction, with its own commit record; a group only shares the
+// locking pass, the log appends and the bookkeeping between them.
+type group struct {
+	d    *Dataset
+	part *partition
+
+	order []int // indexes into the group's records, in key order
+	txns  []txn.ID
+	raws  []byte // the new records' encodings, back to back
+	// rawEnds[i] is where record i's encoding ends in raws; recs holds the
+	// log records of the records that log anything, and recEnds[i] is where
+	// record i's log records end in recs.
+	rawEnds, recEnds []int
+	recs             []txn.LogRecord
+	commits          []txn.ID
+}
+
+// cut returns how many records of share the next group takes: at most
+// groupSize, and none from the first repeat of a key on. It leaves the keys
+// it takes sorted in g.order.
+func (g *group) cut(share []keyed) int {
+	n := min(len(share), groupSize)
+	g.order = g.order[:0]
+	for i := range n {
+		g.order = append(g.order, i)
+	}
+	slices.SortFunc(g.order, func(a, b int) int {
+		if c := bytes.Compare(share[a].pk, share[b].pk); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	cut := n
+	for i := 1; i < n; i++ {
+		if bytes.Equal(share[g.order[i-1]].pk, share[g.order[i]].pk) {
+			cut = min(cut, g.order[i])
+		}
+	}
+	if cut < n {
+		g.order = slices.DeleteFunc(g.order, func(i int) bool { return i >= cut })
+	}
+	return cut
+}
+
+// run applies one group: it encodes the new records, locks the keys in key
+// order (two statements then never wait on each other in a cycle), derives
+// every record's log records from the version it replaces, appends them in
+// one run, applies each record under its own short hold of the partition
+// latch, and appends the group's commit records in one more run before
+// releasing the group. It returns how many records it stored or deleted. A
+// record whose encoding or log records fail to derive ends the group before
+// it, with its error; the records before it are applied.
+func (g *group) run(items []keyed) (int, error) {
+	d, m := g.d, g.d.manager
+	var failed error
+	g.raws, g.rawEnds = g.raws[:0], g.rawEnds[:0]
+	for i, it := range items {
+		if it.rec != nil {
+			raws, err := d.ser.Encode(g.raws, it.rec)
+			if err != nil {
+				items, failed = items[:i], err
+				break
+			}
+			g.raws = raws
+		}
+		g.rawEnds = append(g.rawEnds, len(g.raws))
+	}
+	g.txns = g.txns[:0]
+	for range items {
+		g.txns = append(g.txns, m.wal.Begin())
+	}
+	locked := items
+	for _, i := range g.order {
+		if i < len(locked) {
+			m.locks.Lock(g.txns[i], locked[i].pk)
+		}
+	}
+	defer func() {
+		for i, it := range locked {
+			m.locks.Unlock(g.txns[i], it.pk)
+		}
+	}()
+	// The read lock spans deriving the log records through committing them:
 	// CreateIndex publishes a new index spec under d.mu.Lock, so it cannot
-	// land between our d.indexes snapshot and applyGroup — a window in which
-	// the backfill scan could miss this record while its group carries no
-	// records for the new index.
+	// land between this snapshot of d.indexes and the apply — a window in
+	// which the backfill scan could miss a record whose log records carry no
+	// entries for the new index.
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	oldRec, err := d.fetch(part, pk)
+	g.recs, g.recEnds, g.commits = g.recs[:0], g.recEnds[:0], g.commits[:0]
+	rawStart := 0
+	for i, it := range items {
+		raw := g.raws[rawStart:g.rawEnds[i]]
+		rawStart = g.rawEnds[i]
+		old, err := d.fetch(g.part.idNum, it.pk)
+		if err == nil && (old != nil || it.rec != nil) {
+			var recs []txn.LogRecord
+			if recs, err = d.appendLogRecords(g.recs, g.txns[i], g.part.idNum, it.pk, old, it.rec, raw); err == nil {
+				g.recs, g.commits = recs, append(g.commits, g.txns[i])
+			}
+		}
+		if err != nil {
+			failed = err
+			break
+		}
+		g.recEnds = append(g.recEnds, len(g.recs))
+	}
+	if len(g.recs) == 0 {
+		return 0, failed
+	}
+	_, release, err := m.wal.AppendGroup(g.recs)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	existed = oldRec != nil
-	if !existed && newRec == nil {
-		return false, nil
-	}
-	logRecs, err := d.buildLogRecords(tid, part, pk, oldRec, newRec, raw)
-	if err != nil {
-		return existed, err
-	}
-	_, release, err := d.manager.wal.AppendGroup(logRecs)
-	if err != nil {
-		return existed, err
-	}
-	err = d.applyGroup(part, logRecs)
-	// The commit must be appended BEFORE release(): once the group's LSNs
-	// leave the in-flight set, a background flush may stamp a component past
-	// the applied operations, and if their commit record were not in the log
+	crashpoint.Hit("storage-group-logged")
+	err = g.apply()
+	crashpoint.Hit("storage-group-applied")
+	// The commits are appended BEFORE release(): once the group leaves the
+	// in-flight set, a background flush may stamp a component past the
+	// applied operations, and if their commit records were not in the log
 	// yet, a crash would make recovery treat them as uncommitted while the
 	// flushed tree durably kept their effects (a no-steal violation diverging
-	// primary from secondaries).
+	// primary from secondaries). For the same reason the partition stays
+	// marked as applying until they are: a flush waits for the mark to clear
+	// (see flushLocked).
 	if err == nil {
-		err = d.manager.wal.CommitNoSync(tid)
+		err = m.wal.CommitNoSync(g.commits...)
 	}
 	release()
-	return existed, err
+	g.part.mu.Lock()
+	if g.part.applying--; g.part.applying == 0 {
+		g.part.idle.Broadcast()
+	}
+	g.part.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return len(g.commits), failed
+}
+
+// apply applies the group's log records record by record, each under its
+// own hold of the partition latch, so a reader waits for one record's
+// updates at a time. It first marks the partition as applying, on every
+// path; run clears the mark once the group's commits are appended.
+func (g *group) apply() error {
+	p := g.part
+	p.mu.Lock()
+	p.applying++
+	p.mu.Unlock()
+	start := 0
+	for _, end := range g.recEnds {
+		if end == start {
+			continue
+		}
+		p.mu.Lock()
+		for _, rec := range g.recs[start:end] {
+			if err := p.applyRecordLocked(rec); err != nil {
+				p.mu.Unlock()
+				return err
+			}
+		}
+		p.mu.Unlock()
+		start = end
+	}
+	return nil
 }
 
 // fetch reads and decodes the record stored under the encoded primary key in
@@ -808,7 +1065,7 @@ func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
 	return d.ser.View(raw, arena), nil
 }
 
-// buildLogRecords produces the WAL records for replacing oldRec (nil if pk
+// appendLogRecords appends the WAL records for replacing oldRec (nil if pk
 // was absent) with newRec (nil for a delete) under primary key pk: antimatter
 // records for the old record's secondary entries, inserts for the new
 // record's, and the primary operation last. Each secondary record names its
@@ -819,8 +1076,7 @@ func (d *Dataset) view(raw []byte, arena *adm.Arena) (adm.Value, error) {
 // Caller holds d.mu (read): taking it again here would deadlock once a
 // CreateIndex/DropIndex writer is queued (Go RWMutexes do not admit
 // recursive read locks past a pending writer).
-func (d *Dataset) buildLogRecords(tid txn.ID, part int, pk []byte, oldRec, newRec *adm.Record, raw []byte) ([]txn.LogRecord, error) {
-	var recs []txn.LogRecord
+func (d *Dataset) appendLogRecords(recs []txn.LogRecord, tid txn.ID, part int, pk []byte, oldRec, newRec *adm.Record, raw []byte) ([]txn.LogRecord, error) {
 	for _, x := range d.indexes {
 		ix := x.spec
 		if oldRec != nil {
@@ -869,9 +1125,9 @@ func secondaryEntries(ix IndexSpec, rec *adm.Record, pk []byte) (keys, vals [][]
 	case BTreeIndex:
 		return [][]byte{secondaryKey(ix, rec, pk)}, [][]byte{pk}, nil
 	case RTreeIndex:
-		mbr, err := spatial.MBR(v)
+		mbr, err := indexedMBR(ix, v)
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: rtree index %q: %w", ix.Name, err)
+			return nil, nil, err
 		}
 		return [][]byte{rtree.EncodeEntryKey(mbr, pk)}, [][]byte{nil}, nil
 	case KeywordIndex, NGramIndex:
@@ -885,18 +1141,14 @@ func secondaryEntries(ix IndexSpec, rec *adm.Record, pk []byte) (keys, vals [][]
 	return nil, nil, fmt.Errorf("storage: unknown index kind %q", ix.Kind)
 }
 
-// applyGroup applies one operation's log records to the partition, in log
-// order, under a single latch hold.
-func (d *Dataset) applyGroup(part int, recs []txn.LogRecord) error {
-	p := d.partitions[part]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, rec := range recs {
-		if err := p.applyRecordLocked(rec); err != nil {
-			return err
-		}
+// indexedMBR is the rectangle an R-tree index stores for a known value v,
+// or the error that refuses a record carrying v.
+func indexedMBR(ix IndexSpec, v adm.Value) (adm.Rectangle, error) {
+	mbr, err := spatial.MBR(v)
+	if err != nil {
+		return mbr, fmt.Errorf("storage: rtree index %q: %w", ix.Name, err)
 	}
-	return nil
+	return mbr, nil
 }
 
 // applyRecordLocked applies one log record — an upsert, or an antimatter
@@ -943,34 +1195,6 @@ func (d *Dataset) applyLogged(lsn uint64, rec txn.LogRecord) (bool, error) {
 func (d *Dataset) Delete(pkValues ...adm.Value) (bool, error) {
 	deleted, err := d.DeleteBatch([][]adm.Value{pkValues})
 	return deleted == 1, err
-}
-
-// DeleteBatch removes the records with the given primary key values under a
-// single statement and returns how many there were. As in InsertBatch, each
-// key is its own record-level transaction and the WAL is synced once at the
-// end, on an error too.
-func (d *Dataset) DeleteBatch(keys [][]adm.Value) (deleted int, err error) {
-	defer func() {
-		if serr := d.manager.wal.Sync(); err == nil {
-			err = serr
-		}
-	}()
-	for _, key := range keys {
-		var pk []byte
-		for _, v := range key {
-			pk = adm.EncodeKey(pk, v)
-		}
-		part := d.partitionFor(pk)
-		existed, err := d.mutate(part, pk, nil, nil)
-		if err != nil {
-			return deleted, err
-		}
-		if existed {
-			deleted++
-			d.manager.maintain(d, part)
-		}
-	}
-	return deleted, nil
 }
 
 // secondaryKey builds the composite key (secondary key bytes ++ primary key)
@@ -1335,16 +1559,20 @@ func (d *Dataset) Count() (int, error) {
 	return n, err
 }
 
-// SizeBytes returns the total encoded size of all records, the quantity
-// compared across systems in Table 2.
+// SizeBytes flushes the dataset and returns the bytes of its component
+// files, its secondary indexes' included: the quantity compared across
+// systems in Table 2, measured as it lies on disk — record encoding, keys,
+// the component format and every index the dataset keeps.
 func (d *Dataset) SizeBytes() (int64, error) {
+	if err := d.Flush(); err != nil {
+		return 0, err
+	}
 	var total int64
 	for _, p := range d.partitions {
 		p.mu.Lock()
-		p.primary.Scan(func(_, raw []byte) bool {
-			total += int64(len(raw))
-			return true
-		})
+		for _, t := range p.allTrees() {
+			total += t.DiskBytes()
+		}
 		p.mu.Unlock()
 	}
 	return total, nil
@@ -1359,16 +1587,12 @@ func (d *Dataset) Flush() error {
 
 // flushStamped is the flush-stamp protocol, written once: capture the WAL
 // low-water mark, force the WAL, then run flush, which flushes trees stamped
-// with the mark; the mark is returned. Every operation fully applied before
-// the capture is inside the flushed components, so recovery replays only
-// LSNs at or past the stamp; an operation not yet fully applied keeps its LSN
-// in the replayed suffix. The WAL is forced first because a stamped
-// component is fsync'd and renamed into place and may become durable that
-// moment: every log record below the stamp (including its transaction's
-// commit record) must already be on stable storage, or a power failure could
-// keep the component's effects while losing the page-cache-only records that
-// mark them committed — recovery would then skip records the component
-// durably contains, diverging the trees of one transaction.
+// with the mark through flushLocked; the mark is returned. Every operation
+// fully applied before the capture is inside the flushed components, so
+// recovery replays only LSNs at or past the stamp; an operation not yet fully
+// applied keeps its LSN in the replayed suffix. The WAL is forced here so
+// that flushLocked, which forces it again under the partition latch, usually
+// finds little left to write.
 func (m *Manager) flushStamped(flush func(stamp uint64) error) (uint64, error) {
 	stamp := m.wal.LowWater()
 	if err := m.wal.Sync(); err != nil {
@@ -1380,14 +1604,33 @@ func (m *Manager) flushStamped(flush func(stamp uint64) error) (uint64, error) {
 func (d *Dataset) flushAll(stamp uint64) error {
 	for _, p := range d.partitions {
 		p.mu.Lock()
-		var err error
-		for _, t := range p.allTrees() {
-			if err = t.FlushStamped(stamp); err != nil {
-				break
-			}
-		}
+		err := p.flushLocked(d.manager.wal, stamp, p.allTrees()...)
 		p.mu.Unlock()
 		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushLocked flushes some of the partition's trees stamped with stamp.
+// Caller holds p.mu. A stamped component is fsync'd and renamed into place
+// and may become durable that moment, so it must hold only the effects of
+// committed records whose commit records are on stable storage: otherwise a
+// crash could keep the component's effects while recovery, finding no
+// commit, skipped them in the other trees of the same transaction. So the
+// flush first waits out every group between its apply and its commit append
+// (the latch is free meanwhile, and no group starts applying once it is
+// retaken), then forces the WAL, all under the latch.
+func (p *partition) flushLocked(wal *txn.WAL, stamp uint64, trees ...*lsm.Tree) error {
+	for p.applying > 0 {
+		p.idle.Wait()
+	}
+	if err := wal.Sync(); err != nil {
+		return fmt.Errorf("wal sync: %w", err)
+	}
+	for _, t := range trees {
+		if err := t.FlushStamped(stamp); err != nil {
 			return err
 		}
 	}

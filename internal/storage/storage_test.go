@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"asterixdb/internal/adm"
@@ -401,5 +404,56 @@ func TestScanPartitionVisitorOutsideLock(t *testing.T) {
 	}
 	if outer == 0 {
 		t.Fatal("outer scan saw no records")
+	}
+}
+
+// SizeBytes is what the dataset's component files hold once flushed:
+// primary and secondary alike, so adding an index grows it. The budget keeps
+// background flushes and merges from changing the files under the count.
+func TestSizeBytesCountsComponentFiles(t *testing.T) {
+	m, err := NewManager(t.TempDir(), Options{Partitions: 3, MemBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	ds := createMessages(t, m)
+	for i := 0; i < 200; i++ {
+		if err := ds.Insert(message(i, i%7, int64(i)*500, "some moderately long message text here", 1, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() int64 {
+		var n int64
+		err := filepath.WalkDir(filepath.Join(m.dir, "MugshotMessages"), func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".lsm") {
+				info, err := d.Info()
+				if err != nil {
+					return err
+				}
+				n += info.Size()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before, err := ds.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); before != got || before == 0 {
+		t.Errorf("SizeBytes = %d, component files hold %d", before, got)
+	}
+	if _, err := ds.CreateIndex(IndexSpec{Name: "kwIdx", Fields: []string{"message"}, Kind: KeywordIndex}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ds.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); after != got || after <= before {
+		t.Errorf("with a keyword index SizeBytes = %d (files %d), want more than %d", after, got, before)
 	}
 }

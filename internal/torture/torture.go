@@ -4,7 +4,8 @@
 // (WAL append/sync, flush, merge install, checkpoint, atomic rename — see
 // internal/crashpoint). The driver then reopens the directory in-process,
 // runs recovery, and asserts the surviving state is exactly the acknowledged
-// writes: no lost acks, no resurrected deletes, no index/primary divergence,
+// writes — statements of one record and inserts of many that span both
+// partitions: no lost acks, no resurrected deletes, no index/primary divergence,
 // no torn components, no leftover temp files, and a replay bounded by the
 // checkpoint interval.
 package torture
@@ -16,10 +17,12 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,7 +73,8 @@ func (c Config) env() []string {
 	}
 }
 
-// Op is one deterministic workload operation.
+// Op is one record operation of the workload: an insert (upsert) of a
+// record, or a delete of a key.
 type Op struct {
 	Delete bool
 	ID     int64
@@ -80,46 +84,78 @@ type Op struct {
 	Name   string
 }
 
+// Statement is one statement of the workload: a single Op, or an insert of
+// several records at once (every Op an insert), which is one InsertBatch.
+type Statement []Op
+
 // idSpace keeps keys colliding often, so upserts and deletes of live records
 // (the interesting antimatter cases) happen constantly.
 const idSpace = 48
+
+// bigBatch is the record count of the workload's largest inserts: past two
+// storage groups of 64 records, so the partitions apply their shares of it
+// on goroutines of their own.
+const bigBatch = 130
 
 var words = []string{
 	"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
 }
 
-// Ops deterministically expands a seed into the workload's operations. The
-// driver calls it to reconstruct exactly what the child was doing.
-func Ops(seed int64, n int) []Op {
+// Statements deterministically expands a seed into the workload's
+// statements: mostly single-record inserts and deletes, one in ten an insert
+// of 2-12 records and one in fifty of bigBatch records, keys repeating
+// within a batch as they do across statements. The driver calls it to
+// reconstruct exactly what the child was doing.
+func Statements(seed int64, n int) []Statement {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]Op, n)
-	for i := range ops {
-		op := Op{ID: int64(rng.Intn(idSpace))}
-		if rng.Intn(100) < 25 {
-			op.Delete = true
-		} else {
-			op.Val = int64(rng.Intn(1000))
-			op.X = float64(rng.Intn(100))
-			op.Y = float64(rng.Intn(100))
-			op.Text = words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
-			op.Name = words[rng.Intn(len(words))] + words[rng.Intn(len(words))]
+	insert := func() Op {
+		return Op{
+			ID:   int64(rng.Intn(idSpace)),
+			Val:  int64(rng.Intn(1000)),
+			X:    float64(rng.Intn(100)),
+			Y:    float64(rng.Intn(100)),
+			Text: words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))],
+			Name: words[rng.Intn(len(words))] + words[rng.Intn(len(words))],
 		}
-		ops[i] = op
 	}
-	return ops
+	stmts := make([]Statement, n)
+	for i := range stmts {
+		records := 1
+		switch r := rng.Intn(100); {
+		case r < 25:
+			stmts[i] = Statement{{Delete: true, ID: int64(rng.Intn(idSpace))}}
+			continue
+		case r < 35:
+			records = 2 + rng.Intn(11)
+		case r < 37:
+			records = bigBatch
+		}
+		for range records {
+			stmts[i] = append(stmts[i], insert())
+		}
+	}
+	return stmts
 }
 
-// Model computes the exact live-record state after applying ops[0..upto].
+// apply applies one op to a live-record state.
+func (op Op) apply(state map[int64]Op) {
+	if op.Delete {
+		delete(state, op.ID)
+	} else {
+		state[op.ID] = op
+	}
+}
+
+// Model computes the exact live-record state after applying
+// statements[0..upto].
 func Model(seed int64, n, upto int) map[int64]Op {
 	state := map[int64]Op{}
-	for i, op := range Ops(seed, n) {
+	for i, stmt := range Statements(seed, n) {
 		if i > upto {
 			break
 		}
-		if op.Delete {
-			delete(state, op.ID)
-		} else {
-			state[op.ID] = op
+		for _, op := range stmt {
+			op.apply(state)
 		}
 	}
 	return state
@@ -189,7 +225,7 @@ func open(cfg Config) (*storage.Manager, *storage.Dataset, error) {
 }
 
 // RunChild executes the workload, printing "ACK <i>" after each committed
-// operation. If a crashpoint is armed the process dies mid-workload; if not,
+// statement. If a crashpoint is armed the process dies mid-workload; if not,
 // it finishes and prints "EVENTS <n>" (the total crashpoint event count, used
 // by the driver to calibrate its random kill targets).
 func RunChild(cfg Config, out io.Writer) error {
@@ -200,18 +236,25 @@ func RunChild(cfg Config, out io.Writer) error {
 	if err := m.Recover(); err != nil {
 		return err
 	}
-	for i, op := range Ops(cfg.Seed, cfg.Ops) {
-		if op.Delete {
-			_, err = ds.Delete(adm.Int64(op.ID))
-		} else {
-			err = ds.Insert(record(op))
+	for i, stmt := range Statements(cfg.Seed, cfg.Ops) {
+		switch {
+		case stmt[0].Delete:
+			_, err = ds.Delete(adm.Int64(stmt[0].ID))
+		case len(stmt) == 1:
+			err = ds.Insert(record(stmt[0]))
+		default:
+			recs := make([]*adm.Record, len(stmt))
+			for j, op := range stmt {
+				recs[j] = record(op)
+			}
+			_, err = ds.InsertBatch(recs)
 		}
 		if err != nil {
-			return fmt.Errorf("op %d: %w", i, err)
+			return fmt.Errorf("statement %d: %w", i, err)
 		}
 		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
 			if err := m.Checkpoint(); err != nil {
-				return fmt.Errorf("checkpoint after op %d: %w", i, err)
+				return fmt.Errorf("checkpoint after statement %d: %w", i, err)
 			}
 		}
 		fmt.Fprintf(out, "ACK %d\n", i)
@@ -223,17 +266,36 @@ func RunChild(cfg Config, out io.Writer) error {
 	return nil
 }
 
-// maxLogRecordsPerOp is a generous ceiling on WAL records one operation can
-// produce (primary op + commit + old/new entries for four indexes, the ngram
-// index contributing a couple of dozen posting keys). The replay-bound
-// assertion uses it to turn "bounded log suffix" into a concrete number.
+// maxLogRecordsPerOp is a generous ceiling on WAL records one record
+// operation can produce (primary op + commit + old/new entries for four
+// indexes, the ngram index contributing a couple of dozen posting keys). The
+// replay-bound assertion uses it to turn "bounded log suffix" into a concrete
+// number.
 const maxLogRecordsPerOp = 128
 
+// replayBound is the most log records recovery may replay when the child
+// checkpoints every `every` statements: the current interval plus, if the
+// kill landed mid-checkpoint, the previous one, and two statements of slack —
+// counted as the record operations of the heaviest such run of statements.
+func replayBound(stmts []Statement, every int) int {
+	window := 2*every + 2
+	most, ops := 0, 0
+	for i, stmt := range stmts {
+		ops += len(stmt)
+		if i >= window {
+			ops -= len(stmts[i-window])
+		}
+		most = max(most, ops)
+	}
+	return most * maxLogRecordsPerOp
+}
+
 // Verify reopens the torture directory, recovers, and checks every
-// durability property. lastAck is the highest ACKed op index (-1 if none);
-// completed means the child exited cleanly. The one-op ambiguity window
-// (op lastAck+1 may have committed before the kill landed) is resolved by
-// accepting either model.
+// durability property. lastAck is the highest ACKed statement index (-1 if
+// none); completed means the child exited cleanly. Statement lastAck+1 may
+// have committed some of its records before the kill landed — each record is
+// its own transaction — so each key it writes may hold its acknowledged
+// state or any version that statement wrote.
 func Verify(cfg Config, lastAck int, completed bool) error {
 	m, ds, err := open(cfg)
 	if err != nil {
@@ -248,8 +310,9 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	// WAL, so recovery must never replay more than about two intervals (the
 	// current one plus, if the kill landed mid-checkpoint, the previous one).
 	stats := m.Stats()
+	stmts := Statements(cfg.Seed, cfg.Ops)
 	if cfg.CheckpointEvery > 0 {
-		bound := (2*cfg.CheckpointEvery + 2) * maxLogRecordsPerOp
+		bound := replayBound(stmts, cfg.CheckpointEvery)
 		if stats.Recovery.Replayed > bound {
 			return fmt.Errorf("recovery replayed %d records, want <= %d (checkpoint every %d ops did not bound the log suffix)",
 				stats.Recovery.Replayed, bound, cfg.CheckpointEvery)
@@ -257,7 +320,7 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	}
 
 	// Recovered primary state must be exactly the acknowledged writes
-	// (modulo the one op that may have committed without its ack).
+	// (modulo the one statement that may have committed without its ack).
 	got := map[int64]Op{}
 	err = ds.Scan(func(rec *adm.Record) bool {
 		op := Op{
@@ -274,24 +337,12 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	if err != nil {
 		return fmt.Errorf("scan: %w", err)
 	}
-	candidates := []int{lastAck}
+	var pending Statement
 	if !completed && lastAck+1 < cfg.Ops {
-		candidates = append(candidates, lastAck+1)
+		pending = stmts[lastAck+1]
 	}
-	matched := false
-	var diffs []string
-	for _, upto := range candidates {
-		want := Model(cfg.Seed, cfg.Ops, upto)
-		if diff := diffStates(got, want); diff == "" {
-			matched = true
-			break
-		} else {
-			diffs = append(diffs, fmt.Sprintf("vs model(op<=%d): %s", upto, diff))
-		}
-	}
-	if !matched {
-		return fmt.Errorf("recovered state matches no acknowledged prefix (lastAck=%d):\n%s",
-			lastAck, strings.Join(diffs, "\n"))
+	if diff := diffStates(got, Model(cfg.Seed, cfg.Ops, lastAck), pending); diff != "" {
+		return fmt.Errorf("recovered state matches no acknowledged prefix (lastAck=%d): %s", lastAck, diff)
 	}
 
 	if err := verifyIndexes(ds, got); err != nil {
@@ -306,20 +357,42 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	return verifyNoTempFiles(cfg.Dir)
 }
 
-func diffStates(got, want map[int64]Op) string {
-	for id, w := range want {
-		g, ok := got[id]
-		if !ok {
-			return fmt.Sprintf("id %d lost (acknowledged write missing)", id)
-		}
-		if g != w {
-			return fmt.Sprintf("id %d = %+v, want %+v", id, g, w)
-		}
+// diffStates describes the first difference between the recovered state
+// and want, the state the acknowledged statements leave, where each key the
+// pending statement writes may instead hold any state that statement gave it
+// on the way; it returns "" when there is none.
+func diffStates(got, want map[int64]Op, pending Statement) string {
+	allowed := map[int64][]map[int64]Op{}
+	state := maps.Clone(want)
+	for _, op := range pending {
+		op.apply(state)
+		allowed[op.ID] = append(allowed[op.ID], maps.Clone(state))
+	}
+	same := func(a, b map[int64]Op, id int64) bool {
+		x, inA := a[id]
+		y, inB := b[id]
+		return inA == inB && x == y
+	}
+	ids := map[int64]bool{}
+	for id := range want {
+		ids[id] = true
 	}
 	for id := range got {
-		if _, ok := want[id]; !ok {
+		ids[id] = true
+	}
+	for id := range ids {
+		if same(got, want, id) || slices.ContainsFunc(allowed[id], func(s map[int64]Op) bool { return same(got, s, id) }) {
+			continue
+		}
+		g, inGot := got[id]
+		w, inWant := want[id]
+		switch {
+		case !inGot:
+			return fmt.Sprintf("id %d lost (acknowledged write missing)", id)
+		case !inWant:
 			return fmt.Sprintf("id %d present but was deleted/never acknowledged", id)
 		}
+		return fmt.Sprintf("id %d = %+v, want %+v", id, g, w)
 	}
 	return ""
 }
@@ -477,13 +550,15 @@ func findStoredRecord(cfg Config) (path string, image []byte, at int, err error)
 	}
 	ser := adm.NewSerializer(tortureType(), adm.SchemaEncoding)
 	var stored [][]byte
-	for _, op := range Ops(cfg.Seed, cfg.Ops) {
-		if !op.Delete {
-			enc, err := ser.Encode(nil, record(op))
-			if err != nil {
-				return "", nil, 0, err
+	for _, stmt := range Statements(cfg.Seed, cfg.Ops) {
+		for _, op := range stmt {
+			if !op.Delete {
+				enc, err := ser.Encode(nil, record(op))
+				if err != nil {
+					return "", nil, 0, err
+				}
+				stored = append(stored, enc)
 			}
-			stored = append(stored, enc)
 		}
 	}
 	for _, path := range paths {

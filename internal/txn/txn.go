@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asterixdb/internal/crashpoint"
@@ -151,7 +152,10 @@ const walTailMax = 64 << 10
 // Appends encode records into an in-memory tail; Sync is where bytes reach
 // the file: it writes the whole tail with one WriteAt, so a statement costs one
 // write however many records it logs (a tail past walTailMax is written
-// early). A journaled Sync then fsyncs as a leader without holding the latch:
+// early). A record's bytes do not depend on its LSN, so appenders frame their
+// records (length, payload, CRC) before taking the latch, which then covers
+// only the copy into the tail: the partitions of one statement append side by
+// side. A journaled Sync then fsyncs as a leader without holding the latch:
 // appends go on meanwhile, and a committer whose records the running fsync
 // does not cover waits for it and leads the next one. A failed write or fsync
 // poisons the log — its size already counts bytes the file may not hold — and
@@ -170,10 +174,11 @@ type WAL struct {
 	file *os.File
 	base uint64 // LSN of the first byte after the header
 	// size is the log's logical size including the header and the unwritten
-	// tail, which holds the records from size-len(tail) on.
-	size    int64
+	// tail, which holds the records from size-len(tail) on. It changes only
+	// under the latch; SizeBytes reads it without.
+	size    atomic.Int64
 	tail    []byte
-	nextTxn ID
+	nextTxn atomic.Uint64
 	// journaled controls whether every commit is fsync'd. It mirrors the
 	// "write concern: journaled" durability setting used for the insert
 	// comparison in Table 4.
@@ -186,10 +191,11 @@ type WAL struct {
 	// more records.
 	err   error
 	stats WALStats
-	// inflight holds LSNs of records appended but not yet applied to their
-	// in-memory components. LowWater uses it to bound flush stamps: a flush
-	// that starts between a record's append and its apply must not claim to
-	// contain it.
+	// inflight holds, for each group appended but not yet applied to its
+	// in-memory components, the LSN of the group's first record. LowWater
+	// uses it to bound flush stamps: a flush that starts between a group's
+	// append and its apply must not claim to contain it, and the first LSN
+	// bounds every record of the group.
 	inflight map[uint64]int
 	// Warnf receives corruption warnings during Replay. Nil means log.Printf.
 	// Set it before the WAL is shared across goroutines.
@@ -215,7 +221,8 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("txn: open wal: %w", err)
 	}
-	w := &WAL{path: path, file: f, nextTxn: 1, journaled: journaled, inflight: map[uint64]int{}}
+	w := &WAL{path: path, file: f, journaled: journaled, inflight: map[uint64]int{}}
+	w.nextTxn.Store(1)
 	w.cond = sync.NewCond(&w.mu)
 	st, err := f.Stat()
 	if err != nil {
@@ -252,7 +259,7 @@ func OpenWAL(dir string, journaled bool) (*WAL, error) {
 			return nil, fmt.Errorf("txn: %s is not a WAL file (bad magic)", path)
 		}
 		w.base = binary.LittleEndian.Uint64(hdr[len(walMagic):])
-		w.size = st.Size()
+		w.size.Store(st.Size())
 	}
 	w.synced = w.endLocked()
 	return w, nil
@@ -271,17 +278,13 @@ func (w *WAL) writeHeader(base uint64) error {
 		return fmt.Errorf("txn: wal header: %w", err)
 	}
 	w.base = base
-	w.size = walHeaderLen
+	w.size.Store(walHeaderLen)
 	return nil
 }
 
 // Begin allocates a transaction id.
 func (w *WAL) Begin() ID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	id := w.nextTxn
-	w.nextTxn++
-	return id
+	return ID(w.nextTxn.Add(1) - 1)
 }
 
 // End returns the LSN one past the last appended record — the LSN the next
@@ -293,13 +296,13 @@ func (w *WAL) End() uint64 {
 }
 
 func (w *WAL) endLocked() uint64 {
-	return w.base + uint64(w.size-walHeaderLen)
+	return w.base + uint64(w.size.Load()-walHeaderLen)
 }
 
 // LowWater returns a lower bound on the LSNs of operations not yet applied
-// to in-memory components: the smallest in-flight append LSN, or End() when
-// nothing is in flight. Every operation with LSN < LowWater() has been
-// applied, so LowWater is the correct stamp for a flush or checkpoint
+// to in-memory components: the smallest first LSN of an in-flight group, or
+// End() when nothing is in flight. Every operation with LSN < LowWater() has
+// been applied, so LowWater is the correct stamp for a flush or checkpoint
 // watermark taken at this instant.
 func (w *WAL) LowWater() uint64 {
 	w.mu.Lock()
@@ -317,29 +320,69 @@ func (w *WAL) LowWater() uint64 {
 // (excluding the header), the unwritten tail included — the quantity a
 // WAL-size checkpoint trigger watches.
 func (w *WAL) SizeBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size - walHeaderLen
+	return w.size.Load() - walHeaderLen
 }
 
 // Append writes a log record and returns its LSN.
 func (w *WAL) Append(rec LogRecord) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(rec)
+	bufp := frameBufs.Get().(*[]byte)
+	*bufp = appendLogRecord(*bufp, rec)
+	commits := uint64(0)
+	if rec.Kind == OpCommit {
+		commits = 1
+	}
+	lsn, _, err := w.appendFrames(bufp, commits, false)
+	return lsn, err
 }
 
-func (w *WAL) appendLocked(rec LogRecord) (uint64, error) {
+// frameBufs recycles the buffers appenders frame their records in.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendFrames copies records framed by appendLogRecord outside the latch
+// into the tail under it, and returns the LSN of the first; commits is how
+// many of them are commit records. With inflight set, that LSN stays in
+// flight until release; otherwise release does nothing. bufp goes back to
+// frameBufs.
+func (w *WAL) appendFrames(bufp *[]byte, commits uint64, inflight bool) (first uint64, release func(), err error) {
+	w.mu.Lock()
+	first, err = w.copyLocked(*bufp, commits)
+	if err == nil && inflight {
+		w.inflight[first]++
+	}
+	w.mu.Unlock()
+	if cap(*bufp) <= walTailMax {
+		*bufp = (*bufp)[:0]
+		frameBufs.Put(bufp)
+	}
+	if err != nil || !inflight {
+		return first, func() {}, err
+	}
+	released := false
+	return first, func() {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if released {
+			return
+		}
+		released = true
+		if w.inflight[first] > 1 {
+			w.inflight[first]--
+		} else {
+			delete(w.inflight, first)
+		}
+	}, nil
+}
+
+// copyLocked appends framed records to the tail and returns the LSN of the
+// first; commits is how many of them are commit records.
+func (w *WAL) copyLocked(frames []byte, commits uint64) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	lsn := w.endLocked()
-	n := len(w.tail)
-	w.tail = appendLogRecord(w.tail, rec)
-	w.size += int64(len(w.tail) - n)
-	if rec.Kind == OpCommit {
-		w.stats.Commits++
-	}
+	w.tail = append(w.tail, frames...)
+	w.size.Add(int64(len(frames)))
+	w.stats.Commits += commits
 	crashpoint.Hit("wal-append")
 	if len(w.tail) >= walTailMax {
 		if err := w.writeTailLocked(); err != nil {
@@ -358,7 +401,7 @@ func (w *WAL) writeTailLocked() error {
 	if len(w.tail) == 0 {
 		return nil
 	}
-	if _, err := w.file.WriteAt(w.tail, w.size-int64(len(w.tail))); err != nil {
+	if _, err := w.file.WriteAt(w.tail, w.size.Load()-int64(len(w.tail))); err != nil {
 		return w.poisonLocked(fmt.Errorf("txn: wal write: %w", err))
 	}
 	w.stats.Writes++
@@ -388,46 +431,32 @@ func (w *WAL) quiesceLocked() error {
 	return w.writeTailLocked()
 }
 
-// AppendGroup appends the records of one record-level transaction and marks
-// their LSNs in flight until release is called. The caller appends, applies
-// the records to the in-memory components, then releases: a concurrent flush
-// stamping itself with LowWater() can then never claim an applied-later
-// record. release is idempotent and must be called exactly once per group on
-// every path (including errors after a successful append).
+// AppendGroup appends a group of records — one record-level transaction's,
+// or those of many transactions applied together — as one contiguous run,
+// and keeps the group in flight until release is called. The caller
+// appends, applies the records to the in-memory components, then releases:
+// a concurrent flush stamping itself with LowWater() can then never claim an
+// applied-later record. release is idempotent and must be called exactly once
+// per group on every path (including errors after a successful append).
 func (w *WAL) AppendGroup(recs []LogRecord) (lsns []uint64, release func(), err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	lsns = make([]uint64, 0, len(recs))
-	for _, rec := range recs {
-		lsn, err := w.appendLocked(rec)
-		if err != nil {
-			w.releaseLocked(lsns)
-			return nil, nil, err
+	bufp := frameBufs.Get().(*[]byte)
+	lsns = make([]uint64, len(recs))
+	commits := uint64(0)
+	for i, rec := range recs {
+		lsns[i] = uint64(len(*bufp))
+		*bufp = appendLogRecord(*bufp, rec)
+		if rec.Kind == OpCommit {
+			commits++
 		}
-		lsns = append(lsns, lsn)
-		w.inflight[lsn]++
 	}
-	released := false
-	release = func() {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if released {
-			return
-		}
-		released = true
-		w.releaseLocked(lsns)
+	first, release, err := w.appendFrames(bufp, commits, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range lsns {
+		lsns[i] += first
 	}
 	return lsns, release, nil
-}
-
-func (w *WAL) releaseLocked(lsns []uint64) {
-	for _, lsn := range lsns {
-		if w.inflight[lsn] > 1 {
-			w.inflight[lsn]--
-		} else {
-			delete(w.inflight, lsn)
-		}
-	}
 }
 
 // Commit writes the commit record for txn and, when journaled, syncs the log
@@ -439,12 +468,16 @@ func (w *WAL) Commit(txn ID) error {
 	return w.Sync()
 }
 
-// CommitNoSync writes the commit record without forcing it to stable storage.
-// Batched statements commit each record-level transaction this way and call
-// Sync once at the end, which is the mechanism behind the Table 4 batching
-// speed-up.
-func (w *WAL) CommitNoSync(txn ID) error {
-	_, err := w.Append(LogRecord{Txn: txn, Kind: OpCommit})
+// CommitNoSync writes the commit records of the given transactions, in one
+// append, without forcing them to stable storage. Batched statements commit
+// each record-level transaction this way and call Sync once at the end, which
+// is the mechanism behind the Table 4 batching speed-up.
+func (w *WAL) CommitNoSync(txns ...ID) error {
+	bufp := frameBufs.Get().(*[]byte)
+	for _, txn := range txns {
+		*bufp = appendLogRecord(*bufp, LogRecord{Txn: txn, Kind: OpCommit})
+	}
+	_, _, err := w.appendFrames(bufp, uint64(len(txns)), false)
 	return err
 }
 
@@ -547,7 +580,7 @@ func (w *WAL) Compact(keep uint64) error {
 	if keep <= w.base {
 		return nil // nothing to discard
 	}
-	suffixLen := w.size - walHeaderLen - int64(keep-w.base)
+	suffixLen := w.size.Load() - walHeaderLen - int64(keep-w.base)
 	buf := make([]byte, walHeaderLen+suffixLen)
 	copy(buf, walMagic)
 	binary.LittleEndian.PutUint64(buf[len(walMagic):], keep)
@@ -569,7 +602,7 @@ func (w *WAL) Compact(keep uint64) error {
 	w.file.Close()
 	w.file = f
 	w.base = keep
-	w.size = int64(len(buf))
+	w.size.Store(int64(len(buf)))
 	w.synced = w.endLocked() // WriteFileAtomic fsynced the new file
 	return nil
 }
@@ -630,16 +663,16 @@ func (w *WAL) Replay(apply func(lsn uint64, rec LogRecord) error) (ReplayStats, 
 			w.mu.Unlock()
 			return stats, fmt.Errorf("txn: wal sync after corruption truncate: %w", err)
 		}
-		w.size = walHeaderLen + goodLen
+		w.size.Store(walHeaderLen + goodLen)
 		w.synced = w.endLocked()
 	}
-	maxTxn := w.nextTxn
+	maxTxn := ID(w.nextTxn.Load())
 	for _, rec := range records {
 		if rec.Txn >= maxTxn {
 			maxTxn = rec.Txn + 1
 		}
 	}
-	w.nextTxn = maxTxn
+	w.nextTxn.Store(uint64(maxTxn))
 	w.mu.Unlock()
 	for i, rec := range records {
 		if rec.Kind == OpCommit {

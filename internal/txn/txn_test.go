@@ -164,7 +164,7 @@ func TestWALTornTail(t *testing.T) {
 	w.Append(LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte("k"), Value: []byte("v")})
 	w.Commit(tid)
 	// Simulate a torn write at the tail of the log.
-	w.file.WriteAt([]byte{0x55, 0x01}, w.size)
+	w.file.WriteAt([]byte{0x55, 0x01}, w.size.Load())
 	w.Close()
 
 	w2, err := OpenWAL(dir, false)
@@ -212,7 +212,7 @@ func TestWALCRCFlippedByte(t *testing.T) {
 	}
 	var offsets []int64
 	for i := 0; i < 3; i++ {
-		offsets = append(offsets, w.size)
+		offsets = append(offsets, w.size.Load())
 		tid := w.Begin()
 		w.Append(LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Key: []byte{byte(i)}, Value: []byte("v")})
 		w.Commit(tid)
@@ -636,5 +636,86 @@ func TestWALCompactDuringSync(t *testing.T) {
 	}
 	if w2.End() != end {
 		t.Errorf("End after reopen = %d, want %d", w2.End(), end)
+	}
+}
+
+// Groups appended side by side — each framed before the latch, copied under
+// it — keep their records contiguous, at the LSNs AppendGroup returned, and
+// every commit appended in one run counts; transaction ids never repeat.
+func TestWALGroupsAppendSideBySide(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const writers, groups, perGroup = 4, 50, 3
+	var mu sync.Mutex
+	want := map[uint64]LogRecord{} // by LSN
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < groups; i++ {
+				var recs []LogRecord
+				var txns []ID
+				for j := 0; j < perGroup; j++ {
+					tid := w.Begin()
+					txns = append(txns, tid)
+					recs = append(recs, LogRecord{Txn: tid, Kind: OpInsert, Dataset: "D", Partition: g, Key: []byte(fmt.Sprint(g, i, j)), Value: bytes.Repeat([]byte{byte(j)}, i)})
+				}
+				lsns, release, err := w.AppendGroup(recs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 1; j < perGroup; j++ {
+					if lsns[j] <= lsns[j-1] {
+						t.Errorf("group lsns %v not increasing", lsns)
+					}
+				}
+				if err := w.CommitNoSync(txns...); err != nil {
+					t.Error(err)
+				}
+				release()
+				mu.Lock()
+				for j, lsn := range lsns {
+					want[lsn] = recs[j]
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, end := w.LowWater(), w.End(); got != end {
+		t.Errorf("LowWater = %d after every release, want End = %d", got, end)
+	}
+	if c := w.Stats().Commits; c != writers*groups*perGroup {
+		t.Errorf("%d commits counted, want %d", c, writers*groups*perGroup)
+	}
+	seen := map[ID]bool{}
+	var last LogRecord
+	_, err = w.Replay(func(lsn uint64, rec LogRecord) error {
+		wantRec, ok := want[lsn]
+		if !ok || wantRec.Txn != rec.Txn || !bytes.Equal(wantRec.Key, rec.Key) || !bytes.Equal(wantRec.Value, rec.Value) {
+			t.Errorf("lsn %d replayed %+v, appended %+v", lsn, rec, wantRec)
+		}
+		if seen[rec.Txn] {
+			t.Errorf("transaction id %d used twice", rec.Txn)
+		}
+		seen[rec.Txn] = true
+		// Replay skips commit records, so a group's records follow each
+		// other here exactly when they were contiguous in the log.
+		if j := rec.Key[len(rec.Key)-1]; j != '0' && !bytes.Equal(last.Key[:len(last.Key)-1], rec.Key[:len(rec.Key)-1]) {
+			t.Errorf("record %q does not follow its group's previous record (after %q)", rec.Key, last.Key)
+		}
+		last = rec
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(want) {
+		t.Errorf("replayed %d committed records, want %d", len(seen), len(want))
 	}
 }

@@ -207,16 +207,17 @@ func TestDeleteStatementSyncsLogOnce(t *testing.T) {
 	}
 }
 
-// Items of a list, a bag and a call's arguments are separated by commas,
-// with none after the last: each form below is a syntax error, through the
-// literal reader and through the parser's constructors alike, while the
-// empty forms still parse.
+// Items of a list, a bag and a call's arguments, and the fields of a record,
+// are separated by commas, with none after the last: each form below is a
+// syntax error, through the literal reader and through the parser's
+// constructors alike, while the empty forms still parse.
 func TestOperandsNeedCommas(t *testing.T) {
 	inst := openLiterals(t, Config{})
 	for _, q := range []string{
 		`[1 2]`, `[1, 2 3]`, `[1,]`, `[1,,2]`, `[,]`, `[$x 2]`,
 		`{{1,}}`, `{{1 2}}`, `{{,}}`,
 		`contains("ab" "a")`, `contains("ab", "a",)`, `lowercase(,)`,
+		`{"a": 1,}`, `{"a": $x,}`, `{,}`, `{"a": 1 "b": 2}`,
 	} {
 		if _, err := inst.Query(`let $x := 1 return ` + q); ErrorCode(err) != CodeSyntax {
 			t.Errorf("%s: %v (%s), want a syntax error", q, err, ErrorCode(err))
@@ -225,6 +226,8 @@ func TestOperandsNeedCommas(t *testing.T) {
 	for q, want := range map[string]string{
 		`[]`:                      `[  ]`,
 		`{{}}`:                    `{{  }}`,
+		`{}`:                      `{  }`,
+		`{"a": 1, "b": $x}`:       `{ "a": 1, "b": 1 }`,
 		`[1, 2]`:                  `[ 1, 2 ]`,
 		`{{1, [$x]}}`:             `{{ 1, [ 1 ] }}`,
 		`is-null(current-date())`: `false`,
