@@ -528,7 +528,7 @@ func tokenizerFor(ix IndexSpec) invidx.Tokenizer {
 // its derived records while the backfill scan may already be past its key.
 // The publish happens under d.mu.Lock, which waits out every in-flight
 // writer (writers hold d.mu.RLock from deriving their log records through
-// applying them), so by the time the backfill scans a partition, any record
+// committing them), so by the time the backfill scans a partition, any record
 // whose group carries no entries for this index is already in the primary.
 //
 // A half-built index is in the maintained set only: the caller publishes the

@@ -314,7 +314,7 @@ func Verify(cfg Config, lastAck int, completed bool) error {
 	if cfg.CheckpointEvery > 0 {
 		bound := replayBound(stmts, cfg.CheckpointEvery)
 		if stats.Recovery.Replayed > bound {
-			return fmt.Errorf("recovery replayed %d records, want <= %d (checkpoint every %d ops did not bound the log suffix)",
+			return fmt.Errorf("recovery replayed %d records, want <= %d (checkpoint every %d statements did not bound the log suffix)",
 				stats.Recovery.Replayed, bound, cfg.CheckpointEvery)
 		}
 	}
