@@ -530,74 +530,88 @@ func TestBackgroundOptionDisablesInlineFlush(t *testing.T) {
 // full merge makes of them, for two key shapes: 16-byte keys whose first 8
 // bytes are a hash (little shared prefix, the shape of the benchmark
 // harness's lsm rung) and keyword-index keys, a token then a 4-byte
-// document key (long shared prefixes). Values are 100 bytes.
+// document key (long shared prefixes). Values are 100 bytes. The large
+// case times point reads and scans over 4 hashed components of 16 384
+// entries, 7.6 MB of files, several times what its reads are cached in.
 //
 //	go test -run '^$' -bench ComponentReads -benchmem ./internal/lsm
 func BenchmarkComponentReads(b *testing.B) {
-	const components, perFlush = 8, 4096
-	shapes := []struct {
+	hashed := func(i int) []byte {
+		k := make([]byte, 16)
+		binary.BigEndian.PutUint64(k, uint64(i)*0x9E3779B97F4A7C15)
+		binary.BigEndian.PutUint64(k[8:], uint64(i))
+		return k
+	}
+	keyword := func(i int) []byte {
+		return binary.BigEndian.AppendUint32([]byte(fmt.Sprintf("token-%04d\x00", i%500)), uint32(i))
+	}
+	for _, shape := range []struct {
 		name string
 		key  func(i int) []byte
-	}{
-		{"hashed", func(i int) []byte {
-			k := make([]byte, 16)
-			binary.BigEndian.PutUint64(k, uint64(i)*0x9E3779B97F4A7C15)
-			binary.BigEndian.PutUint64(k[8:], uint64(i))
-			return k
-		}},
-		{"keyword", func(i int) []byte {
-			return binary.BigEndian.AppendUint32([]byte(fmt.Sprintf("token-%04d\x00", i%500)), uint32(i))
-		}},
-	}
-	value := make([]byte, 100)
-	for _, shape := range shapes {
-		tr, err := Open(b.TempDir(), Options{Background: true, Policy: NoMergePolicy{}, MemBudget: 1 << 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		keys := make([][]byte, components*perFlush)
-		for i := range keys {
-			keys[i] = shape.key(i)
-		}
-		for c := 0; c < components; c++ {
-			for _, key := range keys[c*perFlush : (c+1)*perFlush] {
-				tr.Insert(key, value)
-			}
-			if err := tr.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sorted := slices.SortedFunc(slices.Values(keys), bytes.Compare)
-		reads := func(suffix string) {
-			b.Run(shape.name+"/get_"+suffix, func(b *testing.B) {
-				for i := 0; b.Loop(); i++ {
-					if _, ok := tr.Get(keys[i*7%len(keys)]); !ok {
-						b.Fatal("key not found")
-					}
-				}
-			})
-			b.Run(shape.name+"/range16_"+suffix, func(b *testing.B) {
-				for i := 0; b.Loop(); i++ {
-					j := i * 7 % (len(sorted) - 16)
-					n := 0
-					for it := tr.NewIterator(sorted[j], sorted[j+15]); it.Next(); n++ {
-					}
-					if n != 16 {
-						b.Fatalf("range of 16 keys yields %d", n)
-					}
-				}
-			})
-			b.Run(shape.name+"/scan_entry_"+suffix, func(b *testing.B) {
-				for b.Loop() {
-					tr.Scan(func(_, _ []byte) bool { return true })
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/entry")
-			})
-		}
-		reads("c8")
+	}{{"hashed", hashed}, {"keyword", keyword}} {
+		tr, keys := flushComponents(b, Options{}, 8, 4096, shape.key)
+		componentReads(b, shape.name, "c8", tr, keys, true)
 		if err := tr.Merge(); err != nil {
 			b.Fatal(err)
 		}
-		reads("c1")
+		componentReads(b, shape.name, "c1", tr, keys, true)
 	}
+	tr, keys := flushComponents(b, Options{}, 4, 16384, hashed)
+	componentReads(b, "large", "c4", tr, keys, false)
+}
+
+// flushComponents opens a tree with opts and flushes components components
+// of perFlush entries each, keys key(0), key(1), ... and 100-byte values.
+func flushComponents(b *testing.B, opts Options, components, perFlush int, key func(i int) []byte) (*Tree, [][]byte) {
+	opts.Background, opts.Policy, opts.MemBudget = true, NoMergePolicy{}, 1<<30
+	tr, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := make([]byte, 100)
+	keys := make([][]byte, components*perFlush)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	for c := 0; c < components; c++ {
+		for _, key := range keys[c*perFlush : (c+1)*perFlush] {
+			tr.Insert(key, value)
+		}
+		if err := tr.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tr, keys
+}
+
+// componentReads runs the point-read, scan and (when ranges is set)
+// 16-key range cases over tr, which holds keys.
+func componentReads(b *testing.B, shape, suffix string, tr *Tree, keys [][]byte, ranges bool) {
+	b.Run(shape+"/get_"+suffix, func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			if _, ok := tr.Get(keys[i*7919%len(keys)]); !ok {
+				b.Fatal("key not found")
+			}
+		}
+	})
+	if ranges {
+		sorted := slices.SortedFunc(slices.Values(keys), bytes.Compare)
+		b.Run(shape+"/range16_"+suffix, func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				j := i * 7 % (len(sorted) - 16)
+				n := 0
+				for it := tr.NewIterator(sorted[j], sorted[j+15]); it.Next(); n++ {
+				}
+				if n != 16 {
+					b.Fatalf("range of 16 keys yields %d", n)
+				}
+			}
+		})
+	}
+	b.Run(shape+"/scan_entry_"+suffix, func(b *testing.B) {
+		for b.Loop() {
+			tr.Scan(func(_, _ []byte) bool { return true })
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/entry")
+	})
 }
