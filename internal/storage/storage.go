@@ -1601,13 +1601,26 @@ func (m *Manager) flushStamped(flush func(stamp uint64) error) (uint64, error) {
 	return stamp, flush(stamp)
 }
 
+// flushAll flushes every tree of every partition, one tree per hold of the
+// partition latch, as the background scheduler does: readers and writers of
+// a partition wait out one tree's flush, not all of them. A tree dropped
+// since the partition's trees were listed is skipped.
 func (d *Dataset) flushAll(stamp uint64) error {
 	for _, p := range d.partitions {
 		p.mu.Lock()
-		err := p.flushLocked(d.manager.wal, stamp, p.allTrees()...)
+		trees := p.allTrees()
 		p.mu.Unlock()
-		if err != nil {
-			return err
+		for _, t := range trees {
+			crashpoint.Hit("storage-tree-flush")
+			p.mu.Lock()
+			var err error
+			if slices.Contains(p.allTrees(), t) {
+				err = p.flushLocked(d.manager.wal, stamp, t)
+			}
+			p.mu.Unlock()
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,4 +326,57 @@ func TestCrossedStatementsBesideDeletes(t *testing.T) {
 		}
 	}
 	checkIndexesAgree(t, ds, "crossed statements", consistencyWords...)
+}
+
+// A checkpoint takes a partition's latch for one tree's flush at a time, so
+// a range read issued while the checkpoint is held before a partition's
+// second tree returns before the checkpoint ends.
+func TestCheckpointFlushesOneTreePerLatchHold(t *testing.T) {
+	m, ds := newIndexedMessages(t, t.TempDir())
+	rng := rand.New(rand.NewSource(5))
+	var base []*adm.Record
+	for i := 0; i < 50; i++ {
+		base = append(base, randomMessage(rng, i))
+	}
+	if _, err := ds.InsertBatch(base); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var flushes atomic.Int32
+	defer crashpoint.SetHook(func(name string) {
+		if name == "storage-tree-flush" && flushes.Add(1) == 2 {
+			close(held)
+			<-release
+		}
+	})()
+	var once sync.Once
+	resume := func() { once.Do(func() { close(release) }) }
+	defer resume()
+	done := make(chan error, 1)
+	go func() { done <- m.Checkpoint() }()
+	select {
+	case <-held:
+	case err := <-done:
+		t.Fatalf("the checkpoint ended (%v) without being held before a partition's second tree", err)
+	}
+	read := make(chan int, 1)
+	go func() {
+		n := 0
+		if err := searchIndexPartition(ds, 0, "tsIdx", Probe{Lo: adm.Datetime(0), Hi: adm.Datetime(1 << 40)}, func([]byte) bool { n++; return true }); err != nil {
+			t.Error(err)
+		}
+		read <- n
+	}()
+	select {
+	case n := <-read:
+		if n == 0 {
+			t.Error("the range read over partition 0 found nothing")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a range read waited for the checkpoint")
+	}
+	resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
