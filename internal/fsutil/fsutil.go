@@ -23,32 +23,68 @@ const TmpSuffix = ".tmp"
 // temp name is deterministic (path + ".tmp"), so a crash leaves at most one
 // leftover per target, removable by a "*.tmp" cleanup sweep.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	f, err := CreateAtomic(path, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Abort()
+		return err
+	}
+	return f.Commit()
+}
+
+// AtomicFile is a file written piece by piece as WriteFileAtomic writes it
+// whole: into path + ".tmp", then fsync'd and renamed over path by Commit.
+// Until Commit, path is untouched.
+type AtomicFile struct {
+	f         *os.File
+	path, tmp string
+}
+
+// CreateAtomic starts an atomic write of path.
+func CreateAtomic(path string, perm os.FileMode) (*AtomicFile, error) {
 	tmp := path + TmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
 	if err != nil {
-		return fmt.Errorf("fsutil: write %s: %w", path, err)
+		return nil, fmt.Errorf("fsutil: write %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fsutil: write %s: %w", path, err)
+	return &AtomicFile{f: f, path: path, tmp: tmp}, nil
+}
+
+// Write appends p to the temp file.
+func (a *AtomicFile) Write(p []byte) (int, error) {
+	n, err := a.f.Write(p)
+	if err != nil {
+		err = fmt.Errorf("fsutil: write %s: %w", a.path, err)
 	}
+	return n, err
+}
+
+// Abort gives the write up and removes the temp file.
+func (a *AtomicFile) Abort() {
+	a.f.Close()
+	os.Remove(a.tmp)
+}
+
+// Commit fsyncs the temp file, renames it over path and fsyncs the
+// directory. On an error the temp file is removed and path is untouched.
+func (a *AtomicFile) Commit() error {
 	crashpoint.Hit("fsutil-temp-written")
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fsutil: sync %s: %w", path, err)
+	if err := a.f.Sync(); err != nil {
+		a.Abort()
+		return fmt.Errorf("fsutil: sync %s: %w", a.path, err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fsutil: close %s: %w", path, err)
+	if err := a.f.Close(); err != nil {
+		os.Remove(a.tmp)
+		return fmt.Errorf("fsutil: close %s: %w", a.path, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fsutil: rename %s: %w", path, err)
+	if err := os.Rename(a.tmp, a.path); err != nil {
+		os.Remove(a.tmp)
+		return fmt.Errorf("fsutil: rename %s: %w", a.path, err)
 	}
 	crashpoint.Hit("fsutil-renamed")
-	return SyncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(a.path))
 }
 
 // SyncDir fsyncs a directory so a preceding rename/creation in it is durable.

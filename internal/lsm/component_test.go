@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -23,40 +25,94 @@ func within(b, image []byte) bool {
 	return p >= lo && p+uintptr(cap(b)) <= lo+uintptr(len(image))
 }
 
-// seal returns body followed by a valid footer claiming count entries, so
-// only the framing of body can be wrong.
-func seal(body []byte, count uint64) []byte {
-	image := append([]byte(nil), body...)
-	image = binary.LittleEndian.AppendUint64(image, 7) // stamp
-	image = binary.LittleEndian.AppendUint64(image, 0) // coveredLow
-	image = binary.LittleEndian.AppendUint64(image, count)
-	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
-	return append(image, formatMagic...)
-}
-
-// sealed returns entries followed by a block index of restarts and a valid
-// footer claiming count entries, so only the entry walk can notice what is
-// wrong with entries.
-func sealed(entries []byte, restarts []uint32, count uint64) []byte {
-	body := append([]byte(nil), entries...)
+// page returns blocks followed by a block index of restarts and a valid
+// checksum, so only the walk of the blocks can notice what is wrong.
+func page(blocks []byte, restarts []uint32) []byte {
+	p := bytes.Clone(blocks)
 	for _, r := range restarts {
-		body = binary.LittleEndian.AppendUint32(body, r)
+		p = binary.LittleEndian.AppendUint32(p, r)
 	}
-	return seal(binary.LittleEndian.AppendUint32(body, uint32(len(restarts))), count)
+	return withCRC(binary.LittleEndian.AppendUint32(p, uint32(len(restarts))))
 }
 
-// blocks returns an image's entry bytes and block start offsets.
+// withCRC returns b followed by its checksum.
+func withCRC(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(b), crc32.ChecksumIEEE(b))
+}
+
+// fenceOf decodes, as far as it can, the first key of a page's first
+// block: the fence a writer would give the page.
+func fenceOf(p []byte) []byte {
+	at := 0
+	for range 2 { // the block's keys length, then the key's shared length
+		if _, n := binary.Uvarint(p[at:]); n > 0 {
+			at += n
+		}
+	}
+	n, ln := binary.Uvarint(p[at:])
+	if ln <= 0 || n > uint64(len(p)-at-ln) {
+		return nil
+	}
+	return p[at+ln : at+ln+int(n)]
+}
+
+// seal returns pages followed by a page index giving each its length and
+// the fence fenceOf finds, and a valid footer claiming count entries, so
+// only the pages can be wrong.
+func seal(count uint64, pages ...[]byte) []byte {
+	var file, index []byte
+	for _, p := range pages {
+		file = append(file, p...)
+		fence := fenceOf(p)
+		index = binary.AppendUvarint(index, uint64(len(fence)))
+		index = append(index, fence...)
+		index = binary.AppendUvarint(index, uint64(len(p)))
+	}
+	foot := binary.LittleEndian.AppendUint64(nil, 7) // stamp
+	foot = binary.LittleEndian.AppendUint64(foot, 0) // coveredLow
+	foot = binary.LittleEndian.AppendUint64(foot, count)
+	foot = binary.LittleEndian.AppendUint64(foot, uint64(len(file)))
+	foot = binary.LittleEndian.AppendUint32(foot, uint32(len(pages)))
+	foot = binary.LittleEndian.AppendUint32(foot, crc32.Update(crc32.ChecksumIEEE(index), crc32.IEEETable, foot))
+	return append(append(append(file, index...), foot...), formatMagic...)
+}
+
+// sealed returns one page of entries and their block index, in a file
+// claiming count entries, so only the entry walk can notice what is wrong
+// with entries.
+func sealed(entries []byte, restarts []uint32, count uint64) []byte {
+	return seal(count, page(entries, restarts))
+}
+
+// openBytes writes image as a component file in dir and opens it through
+// cache, checking values with check.
+func openBytes(t testing.TB, dir string, image []byte, check func([]byte) error, cache *Cache) (*diskComponent, error) {
+	t.Helper()
+	path := filepath.Join(dir, "component-00000001.lsm")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return openComponent(path, check, cache)
+}
+
+// blocks returns a component file's blocks, its pages' run end to end, and
+// their start offsets in that run.
 func blocks(t testing.TB, image []byte) ([]byte, []uint32) {
 	t.Helper()
-	c, err := openImage(1, "blocks", image)
+	c, err := openBytes(t, t.TempDir(), image, nil, NewCache(CacheBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var all []byte
 	var restarts []uint32
-	for b := 0; b < len(c.restarts)/4; b++ {
-		restarts = append(restarts, uint32(c.restart(b)))
+	for pg := range c.pages {
+		v := c.page(pg)
+		for b := 0; b < len(v.restarts)/4; b++ {
+			restarts = append(restarts, uint32(len(all)+v.restart(b)))
+		}
+		all = append(all, v.blocks...)
 	}
-	return image[:c.entries], restarts
+	return all, restarts
 }
 
 // v04Image is a component in the LSMKFV04 layout, every key whole
@@ -94,11 +150,12 @@ func flushOne(t testing.TB, n int) (*Tree, string) {
 	return tr, tr.disk[0].path
 }
 
-// TestLoadComponentRefusesDamage: an image is accepted only if its footer,
-// checksum and every entry length agree with its bytes, and one ending in an
-// older layout's magic is refused naming that layout. Each row damages a
-// component written by a flush (one 128 KiB value beside small ones) and
-// Open must fail naming the file; the untouched image round-trips whole.
+// TestLoadComponentRefusesDamage: a file is accepted only if its footer,
+// page index, page checksums and every entry length agree with its bytes,
+// and one ending in an older layout's magic is refused naming that layout.
+// Each row damages a component written by a flush (one 128 KiB value beside
+// small ones, so two pages) and Open must fail naming the file; the
+// untouched file round-trips whole.
 func TestLoadComponentRefusesDamage(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(dir, Options{Background: true})
@@ -135,6 +192,16 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 	}
 	moved := append([]uint32{}, restarts...)
 	moved[1]++
+	// The second page's fence, the last copy of its first key in the file,
+	// names a key it does not start with.
+	fenced := bytes.Clone(good)
+	fenced[bytes.LastIndex(fenced, key(16))+len(key(16))-1]++
+	if err := Reseal(fenced); err != nil {
+		t.Fatal(err)
+	}
+	if tr.disk[0].pages[1].off == 0 {
+		t.Fatal("the flush wrote one page; the rows below want the big value on a page of its own")
+	}
 	rows := []struct {
 		name  string
 		image []byte
@@ -151,9 +218,13 @@ func TestLoadComponentRefusesDamage(t *testing.T) {
 		{"keys written by width", append(bytes.Clone(good[:len(good)-8]), "LSMKFV02"...), "older component layout (LSMKFV02); drop and recreate"},
 		{"composites keyed by their encoding", append(bytes.Clone(good[:len(good)-8]), "LSMKFV03"...), "older component layout (LSMKFV03); drop and recreate"},
 		{"every key written whole", v04Image(), "older component layout (LSMKFV04); drop and recreate"},
+		{"blocks ahead of their values, unpaged", append(bytes.Clone(good[:len(good)-8]), "LSMKFV05"...), "older component layout (LSMKFV05); drop and recreate"},
+		{"bad page CRC", flip(int(tr.disk[0].pages[1].off) - 1), "page 0 checksum mismatch"},
+		{"bad page index", fenced, "page 1 starts at a key other than its page index entry's"},
+		{"page index past its pages", seal(0, withCRC(nil))[4:], "overruns"},
 		{"count past the bytes", sealed(entries, restarts, uint64(len(entries))), "entries in"},
-		{"no block index", seal(nil, 0), "no block index"},
-		{"block index past the image", seal(binary.LittleEndian.AppendUint32(nil, 1<<30), 0), "overruns the image"},
+		{"no block index", seal(0, withCRC(nil)), "no block index"},
+		{"block index past the image", seal(0, withCRC(binary.LittleEndian.AppendUint32(nil, 1<<30))), "overruns the page"},
 		{"fewer blocks than the entries fill", sealed(entries, restarts[:1], 21), "1 blocks for 21 entries"},
 		{"block start moved", sealed(entries, moved, 21), "block 1 starts at byte"},
 		{"flag neither data nor antimatter", sealed([]byte{5, 0, 1, 'k', 2, 0}, []uint32{0}, 1), "flag"},
@@ -217,27 +288,28 @@ func TestOpenChecksLoadedValues(t *testing.T) {
 	}
 }
 
-// TestLoadComponentAllocsConstant: loading reads the file, indexes it in
-// place and checks its values, so its allocations do not grow with the
-// entry count.
+// TestLoadComponentAllocsConstant: opening reads the footer and page index,
+// then checks the pages one at a time in one buffer, so its allocations do
+// not grow with the entry count.
 func TestLoadComponentAllocsConstant(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, path := flushOne(t, n)
+		cache := NewCache(CacheBytes)
 		return testing.AllocsPerRun(5, func() {
-			if _, err := loadComponent(path, func([]byte) error { return nil }); err != nil {
+			if _, err := openComponent(path, func([]byte) error { return nil }, cache); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, large := allocs(100), allocs(10000); small != large {
-		t.Fatalf("loading allocates %v objects at 100 entries and %v at 10000", small, large)
+		t.Fatalf("opening allocates %v objects at 100 entries and %v at 10000", small, large)
 	}
 }
 
 // TestReadsAliasImage: Get and the iterator hand out values as capped views
-// into the component image, after a flush and after a reopen, never copies.
-// Keys are rebuilt from their blocks, capped so an append cannot write into
-// the buffer the next key is rebuilt in.
+// into the page the cache holds, after a flush and after a reopen, never
+// copies. Keys are rebuilt from their blocks, capped so an append cannot
+// write into the buffer the next key is rebuilt in.
 func TestReadsAliasImage(t *testing.T) {
 	tr, _ := flushOne(t, 50)
 	reopened, err := Open(tr.dir, Options{})
@@ -245,24 +317,99 @@ func TestReadsAliasImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range []*Tree{tr, reopened} {
-		image := tr.disk[0].image
+		c := tr.disk[0]
 		value, ok := tr.Get(key(7))
-		if !ok || !within(value, image) || cap(value) != len(value) {
-			t.Fatalf("Get value %q (cap %d) is not a capped view into the image", value, cap(value))
+		page, cached := c.cache.get(pageKey{c.fileID, 0})
+		if len(c.pages) != 1 || !cached {
+			t.Fatalf("%d pages, page 0 cached %v; want one, cached by the Get", len(c.pages), cached)
+		}
+		if !ok || !within(value, page) || cap(value) != len(value) {
+			t.Fatalf("Get value %q (cap %d) is not a capped view into the cached page", value, cap(value))
 		}
 		n := 0
 		for it := tr.NewIterator(nil, nil); it.Next(); n++ {
 			if !bytes.Equal(it.Key(), key(n)) || cap(it.Key()) != len(it.Key()) {
 				t.Fatalf("iterator key %q (cap %d), want %q capped", it.Key(), cap(it.Key()), key(n))
 			}
-			if !within(it.Value(), image) || cap(it.Value()) != len(it.Value()) {
-				t.Fatalf("iterator value of %q is not a capped view into the image", it.Key())
+			if !within(it.Value(), page) || cap(it.Value()) != len(it.Value()) {
+				t.Fatalf("iterator value of %q is not a capped view into the cached page", it.Key())
 			}
 		}
 		if n != 50 {
 			t.Fatalf("iterated %d entries, want 50", n)
 		}
 	}
+}
+
+// TestRemovedComponentsStayReadable: a component a merge removed, and a
+// tree whose directory was removed as an index drop removes it, keep
+// reading through a cache of a few pages, so pages are read from the
+// unlinked files after the removal.
+func TestRemovedComponentsStayReadable(t *testing.T) {
+	tr := openTemp(t, Options{Background: true, Policy: NoMergePolicy{}, MemBudget: 1 << 30, Cache: NewCache(1 << 10)})
+	tr.pageBytes = 256
+	for round := 0; round < 3; round++ {
+		for i := round; i < 300; i += 3 {
+			tr.Insert(key(i), v(i))
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inputs := slices.Clone(tr.disk)
+	if err := tr.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range inputs[1:] {
+		if _, err := os.Stat(c.path); !os.IsNotExist(err) {
+			t.Fatalf("merged-away component %s still on disk: %v", c.path, err)
+		}
+	}
+	for i, c := range inputs {
+		var got []string
+		var d diskCursor
+		for d.seek(c, nil, nil); ; {
+			key, value, _, ok := d.next()
+			if !ok {
+				break
+			}
+			if !bytes.Equal(value, v(parseKey(t, key))) {
+				t.Fatalf("input %d: key %q has value %q", i, key, value)
+			}
+			got = append(got, string(key))
+		}
+		if len(got) != 100 || got[0] != string(key(2-i)) {
+			t.Fatalf("input %d read %d keys from %q after its merge, want 100 from %q", i, len(got), got[:min(1, len(got))], key(2-i))
+		}
+	}
+	it := tr.NewIterator(nil, nil)
+	for i := 0; i < 10 && it.Next(); i++ {
+	}
+	if err := os.RemoveAll(tr.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	n := 10
+	for ; it.Next(); n++ {
+		if !bytes.Equal(it.Key(), key(n)) || !bytes.Equal(it.Value(), v(n)) {
+			t.Fatalf("after the directory went: entry %d is %q = %q", n, it.Key(), it.Value())
+		}
+	}
+	if n != 300 {
+		t.Fatalf("read %d entries of 300 across the directory's removal", n)
+	}
+	if hits := tr.opts.Cache.Stats(); hits.Evictions == 0 || hits.ResidentBytes > 1<<10 {
+		t.Fatalf("cache %+v: want evictions and at most 1 KiB resident", hits)
+	}
+}
+
+// parseKey returns i for the key key(i).
+func parseKey(t testing.TB, k []byte) int {
+	t.Helper()
+	var i int
+	if _, err := fmt.Sscanf(string(k), "key-%d", &i); err != nil {
+		t.Fatal(err)
+	}
+	return i
 }
 
 // TestMergeKeepsAntimatterUnlessOldest: a merge that leaves the oldest
@@ -310,22 +457,44 @@ var errRefused = errors.New("value refused")
 type entry struct {
 	key, value []byte
 	antimatter bool
-	off        int // where the entry's key starts in the image
+	pg, off    int // the page the entry is on, and where its key starts in the page's blocks
 }
 
-// walkEntries decodes every entry of c in order, copying the keys.
+// walkEntries decodes every entry of c in order through its cache, copying
+// the keys.
 func walkEntries(c *diskComponent) []entry {
 	var out []entry
 	var d diskCursor
 	d.seek(c, nil, nil)
 	for {
-		off := d.at.key
+		if d.at.key >= len(d.v.blocks) {
+			d.load(d.pg + 1)
+		}
+		pg, off := d.pg, d.at.key
 		key, value, anti, ok := d.next()
 		if !ok {
 			return out
 		}
-		out = append(out, entry{bytes.Clone(key), value, anti, off})
+		out = append(out, entry{bytes.Clone(key), value, anti, pg, off})
 	}
+}
+
+// searchAt is where a search of c for key lands: the page its fence picks
+// and the entry the page's search returns there, moved to the next page's
+// first entry when it is past the page's last; (len(c.pages), 0) is past
+// the component's last entry.
+func searchAt(c *diskComponent, key []byte) (pg, off int, equal bool) {
+	if pg = max(c.locate(key), 0); pg < len(c.pages) {
+		v := c.page(pg)
+		p, eq := v.search(key)
+		if p.key < len(v.blocks) {
+			return pg, p.key, eq
+		}
+		if pg++; pg < len(c.pages) {
+			return pg, c.page(pg).block(0).key, false
+		}
+	}
+	return len(c.pages), 0, false
 }
 
 // checkAgainstScan fails unless search, get and a cursor seek of c agree,
@@ -346,13 +515,12 @@ func checkAgainstScan(t *testing.T, c *diskComponent, want []entry) {
 	for _, probe := range probes {
 		i := sort.Search(len(want), func(i int) bool { return bytes.Compare(want[i].key, probe) >= 0 })
 		found := i < len(want) && bytes.Equal(want[i].key, probe)
-		p, equal := c.search(probe)
-		wantOff := c.entries
+		wantPg, wantOff := len(c.pages), 0
 		if i < len(want) {
-			wantOff = want[i].off
+			wantPg, wantOff = want[i].pg, want[i].off
 		}
-		if p.key != wantOff || equal != found {
-			t.Fatalf("search(%q) = key at byte %d, %v; want entry %d at byte %d, %v", probe, p.key, equal, i, wantOff, found)
+		if pg, off, equal := searchAt(c, probe); pg != wantPg || off != wantOff || equal != found {
+			t.Fatalf("search(%q) = page %d byte %d, %v; want entry %d on page %d byte %d, %v", probe, pg, off, equal, i, wantPg, wantOff, found)
 		}
 		value, anti, ok := c.get(probe)
 		if ok != found || found && (!bytes.Equal(value, want[i].value) || anti != want[i].antimatter) {
@@ -406,12 +574,17 @@ func fuzzMemtable(data []byte) *btree.Tree {
 	return mem
 }
 
-// FuzzComponentLoad: openImage never panics, an image it accepts decodes
-// entirely within itself and answers search, get and seeks as a linear
-// scan of its entries does, and any sorted entries written by encodeImage —
+// fuzzPageBytes and fuzzCacheBytes size the pages the fuzz tests write and
+// the cache they read through: pages of a block or two, a cache of a few
+// pages, so scans evict pages they read earlier.
+const fuzzPageBytes, fuzzCacheBytes = 64, 256
+
+// FuzzComponentLoad: openComponent never panics, a file it accepts decodes
+// entirely within its pages and answers search, get and seeks as a linear
+// scan of its entries does, and any sorted entries a writer pages out —
 // runs of keys sharing long prefixes, keys that prefix the next — load back
-// unchanged. Both load with a value check: an image whose checksum holds is
-// still refused, with the check's error, exactly when one of its live
+// unchanged. Both load with a value check too: a file whose checksums hold
+// is still refused, with the check's error, exactly when one of its live
 // values fails the check — antimatter carries no value to check.
 func FuzzComponentLoad(f *testing.F) {
 	_, path := flushOne(f, 5)
@@ -433,29 +606,30 @@ func FuzzComponentLoad(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x02, 'a', 3, 'x', 'y', 'z'}, 40))
 	f.Add(bytes.Repeat([]byte{0x44, 'q', 1, 'v', 0x1b, 'r', 'r', 0}, 30))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// checked runs the value check on an image openImage accepted and
-		// checks that it refuses exactly the images with a refused live value.
-		checked := func(c *diskComponent, entries []entry) {
+		dir := t.TempDir()
+		cache := NewCache(fuzzCacheBytes)
+		// checked reopens an accepted file with the value check and checks
+		// that it refuses exactly the files with a refused live value.
+		checked := func(path string, entries []entry) {
 			refused := false
 			for _, e := range entries {
 				refused = refused || (!e.antimatter && refuseFF(e.value) != nil)
 			}
-			if err := c.checkValues(refuseFF); (err != nil) != refused || (refused && !errors.Is(err, errRefused)) {
-				t.Fatalf("value check = %v on an image with a refused live value: %v", err, refused)
+			if _, err := openComponent(path, refuseFF, cache); (err != nil) != refused || (refused && !errors.Is(err, errRefused)) {
+				t.Fatalf("value check = %v on a file with a refused live value: %v", err, refused)
 			}
 		}
-		if c, err := openImage(1, "fuzz", data); err == nil {
+		if c, err := openBytes(t, dir, data, nil, cache); err == nil {
 			entries := walkEntries(c)
-			for i, e := range entries {
-				if !within(e.value, data) {
-					t.Fatalf("entry %d value decodes outside the image", i)
-				}
-			}
 			checkAgainstScan(t, c, entries)
-			checked(c, entries)
+			checked(c.path, entries)
 		}
 		mem := fuzzMemtable(data)
-		c, err := openImage(1, "fuzz", encodeImage(1, 9, &memCursor{mem.Seek(nil)}, false, 0))
+		path := filepath.Join(dir, "component-00000002.lsm")
+		if _, err := writeComponentFile(path, 2, 1, 9, &memCursor{mem.Seek(nil)}, false, fuzzPageBytes, nil, cache); err != nil {
+			t.Fatal(err)
+		}
+		c, err := openComponent(path, nil, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,11 +645,12 @@ func FuzzComponentLoad(f *testing.F) {
 			t.Fatalf("loaded %d entries stamp %d covered %d, want %d, 9, 1", len(entries), c.stamp, c.coveredLow, mem.Len())
 		}
 		checkAgainstScan(t, c, entries)
-		checked(c, entries)
+		checked(path, entries)
 	})
 }
 
-// encodeEntries encodes entries, given in key order, as one component.
+// encodeEntries writes entries, given in key order, as one component of
+// small pages in a fresh directory, read through a cache of a few pages.
 func encodeEntries(t testing.TB, entries []entry) *diskComponent {
 	t.Helper()
 	mem := btree.New()
@@ -486,15 +661,25 @@ func encodeEntries(t testing.TB, entries []entry) *diskComponent {
 		}
 		mem.Put(e.key, flag, e.value)
 	}
-	c, err := openImage(1, "encoded", encodeImage(1, 9, &memCursor{mem.Seek(nil)}, false, 0))
+	path := filepath.Join(t.TempDir(), "component-00000001.lsm")
+	c, err := writeComponentFile(path, 1, 1, 9, &memCursor{mem.Seek(nil)}, false, fuzzPageBytes, nil, NewCache(fuzzCacheBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// TestComponentBlocks pins the block layout at its edges: components of
-// 0, 1, 15, 16, 17 and 33 entries (the block count is the entries over 16,
+// blockCount returns the blocks of every page of c.
+func blockCount(c *diskComponent) int {
+	n := 0
+	for pg := range c.pages {
+		n += len(c.page(pg).restarts) / 4
+	}
+	return n
+}
+
+// TestComponentBlocks pins the block layout at its edges, on pages of a
+// block or two: components of 0, 1, 15, 16, 17 and 33 entries (the block count is the entries over 16,
 // rounded up), antimatter opening a block, an empty key, and 65 535-byte
 // keys that share all but their last byte. Each decodes back to its entries
 // and answers search, get and seeks as a scan does.
@@ -532,7 +717,7 @@ func TestComponentBlocks(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			c := encodeEntries(t, row.entries)
 			got := walkEntries(c)
-			if blocks := len(c.restarts) / 4; c.count != len(row.entries) || blocks != (len(row.entries)+restartInterval-1)/restartInterval {
+			if blocks := blockCount(c); c.count != len(row.entries) || blocks != (len(row.entries)+restartInterval-1)/restartInterval {
 				t.Fatalf("%d entries in %d blocks, want %d", c.count, blocks, len(row.entries))
 			}
 			for i, e := range got {
@@ -547,7 +732,8 @@ func TestComponentBlocks(t *testing.T) {
 }
 
 // FuzzComponentSeek: a sorted key set, split alternately over two disk
-// components of one tree, answers Get for every key and probe, and an
+// components of one tree, each of small pages read through a cache of a
+// few, answers Get for every key and probe, and an
 // Iterator over [lo, hi], [lo, ∞) and (-∞, hi], exactly as sort.Search over
 // the keys says. Keys are the fuzz bytes split at each 0, each piece of odd
 // length also followed by a 0, so some keys prefix others.

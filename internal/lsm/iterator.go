@@ -43,9 +43,16 @@ const keyBufLen = 64
 // diskCursor walks a disk component's entries from a pos to the end,
 // rebuilding each key from the one before it. It rebuilds into its two
 // buffers in turn, so the key it returned stays whole through the next call:
-// the merger compares a run's returned key after advancing the run.
+// the merger compares a run's returned key after advancing the run. Pages
+// come through the cache, or, for a merge's inputs and a filter build, from
+// a stream past it.
 type diskCursor struct {
-	c  *diskComponent
+	c      *diskComponent
+	stream *pageStream // nil reads through the cache
+	// pg is the page v views, len(c.pages) once the cursor is past the
+	// last; at is the next entry's pos in it.
+	pg int
+	v  pageView
 	at pos
 	// keys are the buffers, each as long as its capacity; lens are the
 	// lengths of the keys in them, and keys[turn] holds the last key.
@@ -57,22 +64,46 @@ type diskCursor struct {
 	same int
 }
 
+// load moves d to the first entry of page pg, reporting false, with d past
+// the end, when there is no such page or it cannot be read.
+func (d *diskCursor) load(pg int) bool {
+	if pg < len(d.c.pages) {
+		if d.stream == nil {
+			d.v = d.c.page(pg)
+		} else if b, ok := d.stream.read(d.c, pg); ok {
+			d.v = viewPage(b)
+		} else {
+			pg = len(d.c.pages)
+		}
+	}
+	if pg >= len(d.c.pages) {
+		d.pg, d.v, d.at = len(d.c.pages), pageView{}, pos{}
+		return false
+	}
+	d.pg, d.at = pg, d.v.block(0)
+	return true
+}
+
 // seek positions d at c's first entry whose key is >= from (its first entry
 // for a nil from), keeping d's buffers. If that key is above a non-nil hi, d
 // is left at the end, so a run with nothing in range stays out of the merge.
 func (d *diskCursor) seek(c *diskComponent, from, hi []byte) {
-	d.c, d.at, d.same, d.lens[d.turn] = c, c.first(), 0, 0
+	d.c, d.same, d.lens[d.turn] = c, 0, 0
+	if !d.load(max(c.locate(from), 0)) {
+		return
+	}
 	if from != nil {
-		d.at, _ = c.search(from)
+		d.at, _ = d.v.search(from)
 		// The entry search returns shares with its predecessor only a prefix
 		// of from.
 		buf := append(d.keys[d.turn][:0], from...)
 		d.keys[d.turn], d.lens[d.turn] = buf[:cap(buf)], len(from)
 	}
-	if hi != nil && d.at.key < c.entries {
-		if shared, suffix, _, _, _ := c.keyAt(d.at); above(from[:shared], suffix, hi) {
-			d.at = c.block(c.entries)
-		}
+	if hi == nil || d.at.key >= len(d.v.blocks) && !d.load(d.pg+1) {
+		return
+	}
+	if shared, suffix, _, _, _ := d.v.keyAt(d.at); above(from[:shared], suffix, hi) {
+		d.load(len(c.pages))
 	}
 }
 
@@ -88,10 +119,10 @@ func above(prefix, suffix, hi []byte) bool {
 }
 
 func (d *diskCursor) next() (key, value []byte, antimatter, ok bool) {
-	if d.at.key >= d.c.entries {
+	if d.at.key >= len(d.v.blocks) && !d.load(d.pg+1) {
 		return nil, nil, false, false
 	}
-	shared, suffix, antimatter, value, after := d.c.step(d.at)
+	shared, suffix, antimatter, value, after := d.v.step(d.at)
 	prev := d.keys[d.turn][:d.lens[d.turn]]
 	d.turn ^= 1
 	n := shared + len(suffix)
@@ -216,8 +247,11 @@ type Iterator struct {
 	m       merger
 
 	key, value []byte
-	lastKey    []byte // copy of the last returned key, for staleness re-seek
-	returned   bool
+	// from holds the re-seek floor after an entry was returned: the
+	// successor of the last returned key, copied only when a re-seek needs
+	// it.
+	from           []byte
+	returned, done bool
 }
 
 // NewIterator returns an iterator over live entries with lo <= key <= hi
@@ -268,20 +302,26 @@ func (it *Iterator) position(from []byte) {
 }
 
 // Next advances to the next live entry, reporting false at the end of the
-// range. If the tree was mutated since the previous call (the sequence number
-// moved), the iterator re-seeks to just after the last key it returned: an
-// entry inserted behind the cursor is not revisited, an entry inserted ahead
-// is picked up, and a deleted entry ahead is skipped — the same contract a
-// chunked Range-restart scan had, without its per-restart cost.
+// range; once it has, it keeps reporting false. If the tree was mutated
+// since the previous call (the sequence number moved), the iterator
+// re-seeks to just after the last key it returned: an entry inserted behind
+// the cursor is not revisited, an entry inserted ahead is picked up, and a
+// deleted entry ahead is skipped — the same contract a chunked
+// Range-restart scan had, without its per-restart cost.
 func (it *Iterator) Next() bool {
+	if it.done {
+		return false
+	}
 	if it.seq != it.t.seq {
 		// Re-seek floor: the original lo bound until the first entry has been
 		// returned, then the successor of the last returned key (the shortest
-		// key strictly greater than it).
+		// key strictly greater than it). That key is still whole: its run
+		// has advanced once since, and a run's returned key survives one
+		// advance.
 		from := it.lo
 		if it.returned {
-			from = append(it.lastKey, 0)
-			it.lastKey = from[:len(from)-1]
+			it.from = append(append(it.from[:0], it.key...), 0)
+			from = it.from
 		}
 		it.position(from)
 	}
@@ -289,12 +329,11 @@ func (it *Iterator) Next() bool {
 		key, value, antimatter, ok := it.m.next()
 		if !ok || (it.hi != nil && bytes.Compare(key, it.hi) > 0) {
 			it.m.heap = it.m.heap[:0]
+			it.key, it.value, it.done = nil, nil, true
 			return false
 		}
-		it.lastKey = append(it.lastKey[:0], key...)
-		it.returned = true
 		if !antimatter {
-			it.key, it.value = key, value
+			it.key, it.value, it.returned = key, value, true
 			return true
 		}
 	}
@@ -306,8 +345,8 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the value of the current entry: a read-only view into the
-// memtable or a component image, readable after the latch is released and
-// after later calls to Next.
+// memtable or a cached page, readable after the latch is released, after
+// later calls to Next and after the page leaves the cache.
 func (it *Iterator) Value() []byte { return it.value }
 
 // Seq returns the tree mutation sequence number the iterator is positioned

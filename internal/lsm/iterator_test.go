@@ -287,3 +287,51 @@ func TestIteratorStaleBeforeFirstNext(t *testing.T) {
 		t.Fatalf("bounded iterator after pre-first-Next mutation visited %v", keys)
 	}
 }
+
+// TestIteratorReseekAtPageBoundary: an iterator paused on the last key of a
+// page — its cursor has already read the next page — and resumed after a
+// flush re-seeks from that key, neither skipping nor repeating an entry.
+// Every pause point across three pages of one block each is tried, over a
+// cache of two pages, so the pages a resumed iterator reads were evicted.
+func TestIteratorReseekAtPageBoundary(t *testing.T) {
+	const n = 3 * restartInterval
+	for pause := restartInterval - 2; pause <= 2*restartInterval+1; pause++ {
+		tr := openTemp(t, Options{Background: true, Policy: NoMergePolicy{}, MemBudget: 1 << 30, Cache: NewCache(600)})
+		tr.pageBytes = 256
+		for i := 0; i < n; i++ {
+			tr.Insert(key(i), v(i))
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.disk[0].pages) != 3 {
+			t.Fatalf("%d pages, want one per block", len(tr.disk[0].pages))
+		}
+		it := tr.NewIterator(nil, nil)
+		var got []string
+		for len(got) <= pause && it.Next() {
+			got = append(got, string(it.Key()))
+		}
+		tr.Insert(key(n), v(n))
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for it.Next() {
+			got = append(got, string(it.Key()))
+			if string(it.Value()) != string(v(len(got)-1)) {
+				t.Fatalf("pause %d: %q has value %q", pause, it.Key(), it.Value())
+			}
+		}
+		if it.Next() {
+			t.Fatalf("pause %d: Next reported true after reporting false", pause)
+		}
+		if len(got) != n+1 {
+			t.Fatalf("pause %d: resumed iterator visited %d keys, want %d: %q", pause, len(got), n+1, got)
+		}
+		for i, k := range got {
+			if k != string(key(i)) {
+				t.Fatalf("pause %d: entry %d is %q, want %q", pause, i, k, key(i))
+			}
+		}
+	}
+}

@@ -4,49 +4,51 @@
 // by flushes and merges, antimatter (tombstone) entries for deletes, and
 // merge policies.
 //
-// A disk component is the bytes of its file. A flush or merge builds the
-// image, writes it through a temp file, fsync and rename
-// (fsutil.WriteFileAtomic) — so a crash mid-flush or mid-merge never surfaces
-// a torn component — and then searches, scans and merges that same image in
-// place; Open reads it back whole and walks it once to validate it. The
-// image is
+// A disk component lives in its file and is read a page at a time. A flush
+// or merge streams its entries into pages through a temp file, fsync and
+// rename (fsutil.CreateAtomic) — so a crash mid-flush or mid-merge never
+// surfaces a torn component — and a merge reads its inputs page by page
+// past the cache, so no component is ever held whole. Open streams each file
+// once, one page in memory at a time, to check it. The file is
 //
-//	image:    block* restarts footer
-//	block:    uvarint keysLen ‖ key{1,16} ‖ value{1,16}
-//	key:      uvarint shared ‖ uvarint suffixLen ‖ suffix ‖ flag (1 = antimatter) ‖ uvarint vlen
-//	restarts: start offset u32 per block ‖ block count u32
-//	footer:   stamp u64 ‖ coveredLow u64 ‖ entry count u64 ‖ CRC-32 u32 ‖ magic [8]byte
+//	file:   page* index footer
+//	page:   block+ ‖ start offset u32 per block ‖ block count u32 ‖ CRC-32 u32
+//	block:  uvarint keysLen ‖ key{1,16} ‖ value{1,16}
+//	key:    uvarint shared ‖ uvarint suffixLen ‖ suffix ‖ flag (1 = antimatter) ‖ uvarint vlen
+//	index:  (uvarint fenceLen ‖ fence ‖ uvarint pageLen) per page
+//	footer: stamp u64 ‖ coveredLow u64 ‖ entry count u64 ‖ index offset u64 ‖
+//	        page count u32 ‖ CRC-32 u32 ‖ magic [8]byte
 //
-// with little-endian integers, an IEEE CRC over every byte before it, and a
-// magic naming the layout. Every block but the last holds 16 entries: first
-// their keys, keysLen bytes in all, then their values in the same order. A
-// key is the first shared bytes of the key before it followed by its
-// suffix, and a block's first key has shared = 0, so it is stored whole: a
-// search binary-searches those and walks the keys of one block, which sit
-// together, not between values. Values are stored as they are and handed
-// out as views into the image. The stamp is the LSN watermark ("all
-// operations with LSN < stamp are contained in this or an older
-// component") WAL replay uses to skip already-durable operations;
-// coveredLow lets a merged component shadow exactly its inputs if a crash
-// lands between the merge rename and the input-file cleanup.
+// with little-endian integers, IEEE CRCs — a page's over its bytes before
+// it, the footer's over the index and the footer before it — and a magic
+// naming the layout. Every block but the last holds 16 entries: first their
+// keys, keysLen bytes in all, then their values in the same order. A key is
+// the first shared bytes of the key before it followed by its suffix, and a
+// block's first key has shared = 0, so it is stored whole: a search
+// binary-searches those and walks the keys of one block, which sit
+// together, not between values. A page holds whole blocks up to 16 KiB (one
+// larger block is a page by itself), and its fence is its first key. Values
+// are stored as they are and handed out as views into cached pages. The
+// stamp is the LSN watermark ("all operations with LSN < stamp are
+// contained in this or an older component") WAL replay uses to skip
+// already-durable operations; coveredLow lets a merged component shadow
+// exactly its inputs if a crash lands between the merge rename and the
+// input-file cleanup.
 //
-// Besides its image a component keeps a bloom filter over its keys, built in
-// memory by the first point read that reaches the component, so a point
-// read searches only the components that may hold its key.
+// An open component keeps resident its footer's fields, its page index and
+// its open file; Get, cursors and iterators fetch pages through one Cache,
+// bounded in bytes, per storage manager. A component also keeps a bloom
+// filter over its keys, built by the first point read that reaches it from
+// a stream of its pages past the cache, so a point read searches only the
+// components that may hold its key.
 package lsm
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"asterixdb/internal/btree"
 	"asterixdb/internal/crashpoint"
@@ -74,6 +76,10 @@ type Options struct {
 	// component unreadable. Components a flush or merge writes are not
 	// checked: their values came from the tree itself.
 	CheckValue func(value []byte) error
+	// Cache is the page cache the tree reads its components through; the
+	// trees of one storage manager share one. Nil gives the tree its own,
+	// of CacheBytes.
+	Cache *Cache
 }
 
 // DefaultMemBudget is the default in-memory component budget (256 KiB — small
@@ -87,13 +93,16 @@ const DefaultMemBudget = 256 << 10
 // latches); MergePlan.Execute is the one operation designed to run outside
 // the latch.
 type Tree struct {
-	dir     string
-	opts    Options
-	mem     *btree.Tree
-	disk    []*diskComponent // newest first
-	nextID  int
-	flushes int
-	merges  int
+	dir  string
+	opts Options
+	// pageBytes is the size flushes and merges fill pages up to: pageBytes,
+	// or less in tests.
+	pageBytes int
+	mem       *btree.Tree
+	disk      []*diskComponent // newest first
+	nextID    int
+	flushes   int
+	merges    int
 	// durable is the highest component LSN stamp: every operation with
 	// LSN < durable is contained in some disk component.
 	durable uint64
@@ -121,32 +130,6 @@ type ReadStats struct {
 	FilterFalsePositives uint64
 }
 
-// diskComponent is an immutable, sorted run of entries, one per key: the
-// validated image of its file and, once a Get has reached it, a bloom filter
-// over its keys that is never written to the file. Values handed out are
-// capped views into the image, so the GC keeps it alive exactly as long as
-// some caller still views them.
-type diskComponent struct {
-	id int
-	// coveredLow is the lowest component id this component supersedes: its
-	// own id for a flushed component, the oldest input's id for a merged
-	// one. Recovery deletes any component whose id falls inside another's
-	// [coveredLow, id] range — the residue of a crash after a merge rename
-	// but before input cleanup.
-	coveredLow int
-	// stamp is the LSN watermark: all operations with LSN < stamp are
-	// reflected in this component or an older one.
-	stamp uint64
-	path  string
-	image []byte
-	// entries is the length of the blocks at the front of image, and
-	// restarts views their u32 start offsets after them.
-	entries  int
-	restarts []byte
-	count    int
-	filter   filter // every key, antimatter included; nil until the first Get
-}
-
 // Open creates or reopens an LSM tree rooted at dir. Temp files from
 // interrupted atomic writes are removed — a crashed flush or merge leaves
 // nothing else behind — and so are components shadowed by a merged component
@@ -161,13 +144,16 @@ func Open(dir string, opts Options) (*Tree, error) {
 	if opts.Policy == nil {
 		opts.Policy = TieredPolicy{}
 	}
+	if opts.Cache == nil {
+		opts.Cache = NewCache(CacheBytes)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: open %s: %w", dir, err)
 	}
 	if err := fsutil.RemoveTempFiles(dir); err != nil {
 		return nil, fmt.Errorf("lsm: open %s: %w", dir, err)
 	}
-	t := &Tree{dir: dir, opts: opts, mem: btree.New()}
+	t := &Tree{dir: dir, opts: opts, pageBytes: pageBytes, mem: btree.New()}
 	names, err := filepath.Glob(filepath.Join(dir, "component-*.lsm"))
 	if err != nil {
 		return nil, err
@@ -175,7 +161,7 @@ func Open(dir string, opts Options) (*Tree, error) {
 	sort.Strings(names)
 	var comps []*diskComponent
 	for _, name := range names {
-		comp, err := loadComponent(name, opts.CheckValue)
+		comp, err := openComponent(name, opts.CheckValue, opts.Cache)
 		if err != nil {
 			return nil, &ComponentError{Dir: dir, Path: name, Err: err}
 		}
@@ -311,12 +297,12 @@ func (t *Tree) FilterBytes() int {
 	return n
 }
 
-// DiskBytes returns the bytes of the tree's component files: each
-// component is its file's image. Caller must hold the tree's latch.
+// DiskBytes returns the bytes of the tree's component files. Caller must
+// hold the tree's latch.
 func (t *Tree) DiskBytes() int64 {
 	var n int64
 	for _, c := range t.disk {
-		n += int64(len(c.image))
+		n += c.size
 	}
 	return n
 }
@@ -358,10 +344,7 @@ func (t *Tree) FlushStamped(stamp uint64) error {
 	}
 	id := t.nextID
 	t.nextID++
-	// Entry bytes are at most the memtable's arena bytes plus a key length
-	// varint each, two bytes apiece below 16 KiB.
-	src := &memCursor{t.mem.Seek(nil)}
-	comp, err := t.writeComponent(id, id, stamp, src, false, t.mem.Bytes()+2*t.mem.Len())
+	comp, err := t.writeComponent(id, id, stamp, &memCursor{t.mem.Seek(nil)}, false, nil)
 	if err != nil {
 		return err
 	}
@@ -485,18 +468,25 @@ func (t *Tree) planMergeIndexes(indexes []int) (*MergePlan, error) {
 // untouched.
 func (p *MergePlan) Execute() error {
 	newest, oldest := p.inputs[0], p.inputs[len(p.inputs)-1]
-	stamp, size := newest.stamp, 0
+	stamp := newest.stamp
+	cursors := make([]diskCursor, len(p.inputs))
 	sources := make([]mergeSource, len(p.inputs))
 	for i, c := range p.inputs {
 		stamp = max(stamp, c.stamp)
-		size += len(c.image)
-		d := &diskCursor{}
-		d.seek(c, nil, nil)
-		sources[i].cur = d
+		cursors[i].stream = &pageStream{}
+		cursors[i].seek(c, nil, nil)
+		sources[i].cur = &cursors[i]
 	}
 	var m merger
 	m.reset(sources)
-	comp, err := p.tree.writeComponent(newest.id, oldest.coveredLow, stamp, &m, p.dropAntimatter, size)
+	comp, err := p.tree.writeComponent(newest.id, oldest.coveredLow, stamp, &m, p.dropAntimatter, func() error {
+		for i := range cursors {
+			if err := cursors[i].stream.err; err != nil {
+				return fmt.Errorf("lsm: merge input: %w", err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -550,434 +540,11 @@ func (t *Tree) AbortMerge(p *MergePlan) {
 	}
 }
 
-// ----------------------------------------------------------------------------
-// Disk component format
-// ----------------------------------------------------------------------------
-
-// formatMagic ends every component image and names its layout (see the
-// package comment). LSMKFV05 writes blocks of restartInterval entries,
-// their keys, each against the one before it, ahead of their values;
-// LSMKFV04 wrote every key whole beside its value. An 02 image holds
-// numbers keyed by width and an 03 image durations, intervals, spatial
-// values, records and lists keyed by their self-describing bytes, keys no
-// probe would find. Images ending in an older magic are refused by name
-// rather than converted.
-var (
-	formatMagic     = []byte("LSMKFV05")
-	oldFormatMagics = [][]byte{[]byte("LSMKFV04"), []byte("LSMKFV03"), []byte("LSMKFV02"), []byte("LSMVALID")}
-)
-
-const (
-	// footerLen is the fixed footer size: stamp, coveredLow, count, CRC,
-	// magic.
-	footerLen = 8 + 8 + 8 + 4 + 8
-	// restartInterval is the entries per block. A search walks at most
-	// restartInterval-1 keys past the block start it binary-searched to.
-	restartInterval = 16
-)
-
-// writeComponent writes the entries src yields as component id via an atomic
-// temp-file + fsync + rename write, and returns the component searching the
-// image it wrote.
-func (t *Tree) writeComponent(id, coveredLow int, stamp uint64, src cursor, dropAntimatter bool, sizeHint int) (*diskComponent, error) {
-	image := encodeImage(coveredLow, stamp, src, dropAntimatter, sizeHint)
+// writeComponent writes the entries src yields as component id (see
+// writeComponentFile) and returns the component reading it.
+func (t *Tree) writeComponent(id, coveredLow int, stamp uint64, src cursor, dropAntimatter bool, srcErr func() error) (*diskComponent, error) {
 	path := filepath.Join(t.dir, fmt.Sprintf("component-%08d.lsm", id))
-	if err := fsutil.WriteFileAtomic(path, image, 0o644); err != nil {
-		return nil, fmt.Errorf("lsm: write component: %w", err)
-	}
-	// encodeImage wrote every entry, so only the framing is read back.
-	return frameImage(id, path, image)
-}
-
-// encodeImage builds the image of the entries src yields in key order,
-// leaving antimatter out when dropAntimatter is set. sizeHint is the
-// expected entry bytes. A cursor's values stay readable after it advances
-// (they view an arena or an image), so a block's values are gathered and
-// written after its keys.
-func encodeImage(coveredLow int, stamp uint64, src cursor, dropAntimatter bool, sizeHint int) []byte {
-	image := make([]byte, 0, sizeHint+footerLen)
-	var restarts, keys []byte
-	var values [][]byte
-	writeBlock := func() {
-		restarts = binary.LittleEndian.AppendUint32(restarts, uint32(len(image)))
-		image = binary.AppendUvarint(image, uint64(len(keys)))
-		image = append(image, keys...)
-		for _, v := range values {
-			image = append(image, v...)
-		}
-		keys, values = keys[:0], values[:0]
-	}
-	// prev is a copy: src may reuse the buffer of a key it returned.
-	var prev []byte
-	var count uint64
-	for {
-		key, value, antimatter, ok := src.next()
-		if !ok {
-			break
-		}
-		if antimatter && dropAntimatter {
-			continue
-		}
-		if len(values) == restartInterval {
-			writeBlock()
-		}
-		shared := 0
-		if len(values) > 0 {
-			shared = commonPrefix(prev, key)
-		}
-		flag := byte(0)
-		if antimatter {
-			flag = 1
-		}
-		keys = binary.AppendUvarint(keys, uint64(shared))
-		keys = binary.AppendUvarint(keys, uint64(len(key)-shared))
-		keys = append(append(keys, key[shared:]...), flag)
-		keys = binary.AppendUvarint(keys, uint64(len(value)))
-		values = append(values, value)
-		prev = append(prev[:shared], key[shared:]...)
-		count++
-	}
-	if len(values) > 0 {
-		writeBlock()
-	}
-	image = append(image, restarts...)
-	image = binary.LittleEndian.AppendUint32(image, uint32(len(restarts)/4))
-	image = binary.LittleEndian.AppendUint64(image, stamp)
-	image = binary.LittleEndian.AppendUint64(image, uint64(coveredLow))
-	image = binary.LittleEndian.AppendUint64(image, count)
-	image = binary.LittleEndian.AppendUint32(image, crc32.ChecksumIEEE(image))
-	image = append(image, formatMagic...)
-	if cap(image)-len(image) > len(image)/8 {
-		// Shared prefixes, shadowed duplicates or dropped antimatter made
-		// the image smaller than its hint; the image lives as long as the
-		// component, so trim it.
-		return bytes.Clone(image)
-	}
-	return image
-}
-
-// commonPrefix returns the length of the longest common prefix of a and b.
-func commonPrefix(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// loadComponent reads a component file whole, validates it and, when check
-// is set, runs check on each of its non-antimatter values.
-func loadComponent(path string, check func([]byte) error) (*diskComponent, error) {
-	id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "component-"), ".lsm"))
-	if err != nil {
-		return nil, fmt.Errorf("lsm: component file name without an id: %w", err)
-	}
-	image, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	c, err := openImage(id, path, image)
-	if err == nil && check != nil {
-		err = c.checkValues(check)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// checkValues runs check on every non-antimatter value.
-func (c *diskComponent) checkValues(check func([]byte) error) error {
-	for i, p := 0, c.first(); p.key < c.entries; i++ {
-		_, _, antimatter, value, next := c.step(p)
-		if !antimatter {
-			if err := check(value); err != nil {
-				return fmt.Errorf("lsm: entry %d value: %w", i, err)
-			}
-		}
-		p = next
-	}
-	return nil
-}
-
-// Reseal recomputes the checksum of a component image in place, over its
-// bytes as they are now. Fault-injection harnesses use it to plant damage
-// the checksum cannot see.
-func Reseal(image []byte) error {
-	n := len(image)
-	if n < footerLen || !bytes.Equal(image[n-len(formatMagic):], formatMagic) {
-		return fmt.Errorf("lsm: no component footer")
-	}
-	binary.LittleEndian.PutUint32(image[n-12:], crc32.ChecksumIEEE(image[:n-12]))
-	return nil
-}
-
-// openImage frames an image and walks its entries once, checking every
-// length against the bytes that remain, every block start against the
-// block index, and every key against the one before it. An image it accepts
-// decodes entirely within itself, in strictly ascending key order.
-func openImage(id int, path string, image []byte) (*diskComponent, error) {
-	c, err := frameImage(id, path, image)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.walk(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// frameImage checks an image's magic, checksum, footer and block index, and
-// returns the component over it without reading its entries.
-func frameImage(id int, path string, image []byte) (*diskComponent, error) {
-	n := len(image)
-	for _, old := range oldFormatMagics {
-		if bytes.HasSuffix(image, old) {
-			return nil, fmt.Errorf("lsm: written by an older component layout (%s); drop and recreate the dataset or index", old)
-		}
-	}
-	if n < footerLen || !bytes.Equal(image[n-len(formatMagic):], formatMagic) {
-		return nil, fmt.Errorf("lsm: no component footer")
-	}
-	foot := image[n-footerLen:]
-	if sum, want := crc32.ChecksumIEEE(image[:n-12]), binary.LittleEndian.Uint32(foot[24:]); sum != want {
-		return nil, fmt.Errorf("lsm: checksum mismatch (stored %08x, computed %08x)", want, sum)
-	}
-	stamp := binary.LittleEndian.Uint64(foot)
-	coveredLow := binary.LittleEndian.Uint64(foot[8:])
-	count := binary.LittleEndian.Uint64(foot[16:])
-	if id < 0 || coveredLow > uint64(id) {
-		return nil, fmt.Errorf("lsm: covered id %d outside component id %d", coveredLow, id)
-	}
-	rest := n - footerLen - 4
-	if rest < 0 {
-		return nil, fmt.Errorf("lsm: no block index")
-	}
-	blocks := uint64(binary.LittleEndian.Uint32(image[rest:]))
-	if 4*blocks > uint64(rest) {
-		return nil, fmt.Errorf("lsm: block index of %d blocks overruns the image", blocks)
-	}
-	entries := rest - int(4*blocks)
-	// Every entry takes at least four bytes (three lengths and a flag), and
-	// block offsets are 32-bit.
-	if count > uint64(entries/4) || uint64(entries) > math.MaxUint32 {
-		return nil, fmt.Errorf("lsm: %d entries in %d bytes", count, entries)
-	}
-	if want := (count + restartInterval - 1) / restartInterval; blocks != want {
-		return nil, fmt.Errorf("lsm: %d blocks for %d entries, want %d", blocks, count, want)
-	}
-	return &diskComponent{
-		id: id, coveredLow: int(coveredLow), stamp: stamp, path: path, image: image,
-		entries: entries, restarts: image[entries:rest:rest], count: int(count),
-	}, nil
-}
-
-// walk checks every block of a framed component: it starts where the block
-// index says, its keys fill exactly the bytes its header gives them, and
-// its values exactly the bytes their lengths add up to, before the next
-// block. Each flag is 0 or 1, and each key is above the one before it and
-// shares with it exactly the prefix its entry claims, so search may
-// conclude from shared lengths alone.
-func (c *diskComponent) walk() error {
-	body := c.image[:c.entries]
-	var prev []byte
-	pos := 0
-	for i := 0; i < c.count; {
-		b := i / restartInterval
-		if c.restart(b) != pos {
-			return fmt.Errorf("lsm: block %d starts at byte %d, not at its indexed %d", b, pos, c.restart(b))
-		}
-		klen, n := binary.Uvarint(body[pos:])
-		if n <= 0 || klen > uint64(len(body)-pos-n) {
-			return fmt.Errorf("lsm: block %d keys overrun the image at byte %d", b, pos)
-		}
-		p, keysEnd := pos+n, pos+n+int(klen)
-		keys := body[:keysEnd]
-		var values uint64
-		for end := min(i+restartInterval, c.count); i < end; i++ {
-			shared, sn := binary.Uvarint(keys[p:])
-			if sn <= 0 || shared > uint64(len(prev)) || i%restartInterval == 0 && shared != 0 {
-				return fmt.Errorf("lsm: entry %d shares a bad prefix length at byte %d", i, p)
-			}
-			slen, ln := binary.Uvarint(keys[p+sn:])
-			at := p + sn + ln
-			// The suffix must leave room for the flag.
-			if ln <= 0 || slen >= uint64(len(keys)-at) {
-				return fmt.Errorf("lsm: entry %d key overruns its block at byte %d", i, p)
-			}
-			suffix, flag := keys[at:at+int(slen)], at+int(slen)
-			if keys[flag] > 1 {
-				return fmt.Errorf("lsm: entry %d has flag %d", i, keys[flag])
-			}
-			vlen, vn := binary.Uvarint(keys[flag+1:])
-			if values += vlen; vn <= 0 || vlen > uint64(len(body)) || values > uint64(len(body)-keysEnd) {
-				return fmt.Errorf("lsm: entry %d value overruns the image at byte %d", i, flag+1)
-			}
-			if i > 0 {
-				var ascends bool
-				switch {
-				case i%restartInterval == 0:
-					ascends = bytes.Compare(suffix, prev) > 0
-				case int(shared) < len(prev):
-					ascends = len(suffix) > 0 && suffix[0] > prev[shared]
-				default:
-					ascends = len(suffix) > 0
-				}
-				if !ascends {
-					return fmt.Errorf("lsm: entry %d key is not above the key before it", i)
-				}
-			}
-			prev = append(prev[:shared], suffix...)
-			p = flag + 1 + vn
-		}
-		if p != keysEnd {
-			return fmt.Errorf("lsm: block %d keys end at byte %d, not at %d", b, p, keysEnd)
-		}
-		pos = keysEnd + int(values)
-	}
-	if pos != len(body) {
-		return fmt.Errorf("lsm: %d bytes after entry %d", len(body)-pos, c.count)
-	}
-	return nil
-}
-
-// restart returns the offset of block b.
-func (c *diskComponent) restart(b int) int {
-	return int(binary.LittleEndian.Uint32(c.restarts[4*b:]))
-}
-
-// uvarint decodes the varint at b[off:], which openImage or encodeImage
-// has checked, and returns it with the offset after it.
-func uvarint(b []byte, off int) (uint64, int) {
-	if x := b[off]; x < 0x80 {
-		return uint64(x), off + 1
-	}
-	v, n := binary.Uvarint(b[off:])
-	return v, off + n
-}
-
-// pos is an entry's place in an image: where its key and its value start,
-// and where the keys of its block end and the block's values begin. A pos
-// whose key is at the end of the entry blocks is past the last entry.
-type pos struct{ key, value, keysEnd int }
-
-// block returns the pos of the first entry of the block at off, or the end
-// pos at the end of the entry blocks.
-func (c *diskComponent) block(off int) pos {
-	if off >= c.entries {
-		return pos{key: c.entries}
-	}
-	klen, key := uint64(c.image[off]), off+1
-	if klen >= 0x80 {
-		klen, key = uvarint(c.image, off)
-	}
-	return pos{key: key, value: key + int(klen), keysEnd: key + int(klen)}
-}
-
-// first returns the pos of the component's first entry.
-func (c *diskComponent) first() pos { return c.block(0) }
-
-// keyAt decodes the key of the entry at p: how much of the previous key it
-// shares, the rest of it, its flag's offset, its value's length, and where
-// the next key of the block starts.
-func (c *diskComponent) keyAt(p pos) (shared int, suffix []byte, flag, vlen, next int) {
-	img, off := c.image, p.key
-	s := uint64(img[off])
-	if s < 0x80 {
-		off++
-	} else {
-		s, off = uvarint(img, off)
-	}
-	n := uint64(img[off])
-	if n < 0x80 {
-		off++
-	} else {
-		n, off = uvarint(img, off)
-	}
-	flag = off + int(n)
-	v := uint64(img[flag+1])
-	if next = flag + 2; v >= 0x80 {
-		v, next = uvarint(img, flag+1)
-	}
-	return int(s), img[off:flag:flag], flag, int(v), next
-}
-
-// step decodes the entry at p and returns it with the pos of the entry
-// after it.
-func (c *diskComponent) step(p pos) (shared int, suffix []byte, antimatter bool, value []byte, after pos) {
-	shared, suffix, flag, vlen, next := c.keyAt(p)
-	end := p.value + vlen
-	if after = (pos{next, end, p.keysEnd}); next == p.keysEnd {
-		// The block's last value ends where the next block starts.
-		after = c.block(end)
-	}
-	return shared, suffix, c.image[flag] == 1, c.image[p.value:end:end], after
-}
-
-// search returns the pos of the first entry whose key is >= key (the end
-// pos if there is none) and whether that key equals key. It binary-searches
-// the blocks' first keys and walks the keys of one block, comparing only
-// the bytes after the prefix the key so far matched: an entry that shares
-// less than that with its predecessor is greater than key, one that shares
-// more is still less. The entry it returns therefore shares with its
-// predecessor only a prefix of key.
-func (c *diskComponent) search(key []byte) (p pos, equal bool) {
-	blocks := len(c.restarts) / 4
-	b := sort.Search(blocks, func(b int) bool {
-		_, first, _, _, _ := c.keyAt(c.block(c.restart(b)))
-		return bytes.Compare(first, key) > 0
-	}) - 1
-	if b < 0 {
-		return c.first(), false
-	}
-	// matched is how much of key the key before p matches; that key is
-	// below key, and a block's first key shares nothing with a predecessor.
-	matched := 0
-	for p = c.block(c.restart(b)); p.key < p.keysEnd; {
-		shared, suffix, _, vlen, next := c.keyAt(p)
-		if shared < matched {
-			return p, false
-		}
-		if shared == matched {
-			rest := key[matched:]
-			l := commonPrefix(suffix, rest)
-			switch {
-			case l == len(suffix) && l == len(rest):
-				return p, true
-			case l == len(rest) || l < len(suffix) && suffix[l] > rest[l]:
-				return p, false
-			}
-			matched += l
-		}
-		p.key, p.value = next, p.value+vlen
-	}
-	// Every key of block b is below key: the next block's first one is not.
-	return c.block(p.value), false
-}
-
-func (c *diskComponent) get(key []byte) (value []byte, antimatter, ok bool) {
-	p, equal := c.search(key)
-	if !equal {
-		return nil, false, false
-	}
-	_, _, antimatter, value, _ = c.step(p)
-	return value, antimatter, true
-}
-
-// buildFilter returns a filter over every key of the component.
-func (c *diskComponent) buildFilter() filter {
-	f := newFilter(uint64(c.count))
-	var d diskCursor
-	d.seek(c, nil, nil)
-	for {
-		key, _, _, ok := d.next()
-		if !ok {
-			return f
-		}
-		f.add(keyHash(key))
-	}
+	return writeComponentFile(path, id, coveredLow, stamp, src, dropAntimatter, t.pageBytes, srcErr, t.opts.Cache)
 }
 
 // The in-memory B+-tree stores a flag byte in front of each value, the

@@ -355,3 +355,58 @@ func TestStatementPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsPageCache: a count over flushed components reads their pages
+// from the files once — misses, bytes read and resident bytes rise — and a
+// second count finds them cached.
+func TestMetricsPageCache(t *testing.T) {
+	s, inst := newTestServer(t)
+	if w := do(t, s, "POST", "/ddl", testDDL); w.Code != http.StatusOK {
+		t.Fatalf("ddl: %d %s", w.Code, w.Body)
+	}
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		if sb.Len() > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString(`{ "id": ` + itoa(i) + `, "k": ` + itoa(i%10) + `, "label": "item" }`)
+	}
+	if w := do(t, s, "POST", "/update", "insert into dataset Items (["+sb.String()+"]);"); w.Code != http.StatusOK {
+		t.Fatalf("update: %d %s", w.Code, w.Body)
+	}
+	ds, ok := inst.Dataset("Items")
+	if !ok {
+		t.Fatal("no dataset Items")
+	}
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Each series starts a line: its name also follows "# HELP ".
+	const (
+		hits     = "\nasterix_lsm_page_cache_hits_total"
+		misses   = "\nasterix_lsm_page_cache_misses_total"
+		read     = "\nasterix_lsm_page_cache_read_bytes_total"
+		resident = "\nasterix_lsm_page_cache_resident_bytes"
+		evicted  = "\nasterix_lsm_page_cache_evictions_total"
+	)
+	count := func() {
+		t.Helper()
+		if w := do(t, s, "POST", "/query", "count(for $i in dataset Items return $i);"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "200") {
+			t.Fatalf("count: %d %s", w.Code, w.Body)
+		}
+	}
+	before := do(t, s, "GET", "/metrics", "").Body.String()
+	count()
+	first := do(t, s, "GET", "/metrics", "").Body.String()
+	count()
+	second := do(t, s, "GET", "/metrics", "").Body.String()
+	delta := func(from, to, series string) float64 {
+		return metricValue(t, to, series) - metricValue(t, from, series)
+	}
+	if delta(before, first, misses) == 0 || delta(before, first, read) == 0 || metricValue(t, first, resident) == 0 {
+		t.Fatalf("the first count read no page: %v misses, %v bytes read, %v resident", delta(before, first, misses), delta(before, first, read), metricValue(t, first, resident))
+	}
+	if delta(first, second, misses) != 0 || delta(first, second, hits) == 0 || delta(first, second, evicted) != 0 {
+		t.Fatalf("the second count: %v misses, %v hits, %v evictions; want every page a hit", delta(first, second, misses), delta(first, second, hits), delta(first, second, evicted))
+	}
+}

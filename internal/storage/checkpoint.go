@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asterixdb/internal/crashpoint"
+	"asterixdb/internal/lsm"
 	"asterixdb/internal/txn"
 )
 
@@ -75,6 +76,9 @@ type ManagerStats struct {
 	BgInFlight   int
 	BgFlushes    uint64
 	BgMerges     uint64
+	// PageCache counts what the page cache every tree reads its disk
+	// components through did.
+	PageCache lsm.CacheStats
 }
 
 // Stats reports the manager-level durability counters.
@@ -90,5 +94,6 @@ func (m *Manager) Stats() ManagerStats {
 	s.BgQueueDepth, s.BgInFlight = m.sched.queueStats()
 	s.BgFlushes = m.sched.flushes.Load()
 	s.BgMerges = m.sched.merges.Load()
+	s.PageCache = m.cache.Stats()
 	return s
 }

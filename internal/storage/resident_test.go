@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/lsm"
 )
 
 // residentCacheBytes is the page cache TestResidentBytesBounded reads
@@ -38,6 +39,7 @@ func TestResidentBytesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
+	m.cache = lsm.NewCache(residentCacheBytes)
 	ds := createMessages(t, m)
 	specs := []IndexSpec{
 		{Name: "byTime", Fields: []string{"timestamp"}, Kind: BTreeIndex},
@@ -82,7 +84,9 @@ func TestResidentBytesBounded(t *testing.T) {
 	trees := partitions * (1 + len(specs))
 	bound := uint64(residentCacheBytes + int64(trees*memBudget) + disk/20)
 	after := liveHeap()
-	if resident := after - min(before, after); resident > bound {
+	resident := after - min(before, after)
+	t.Logf("%d bytes resident over %d component bytes; bound %d", resident, disk, bound)
+	if resident > bound {
 		t.Fatalf("%d bytes resident over %d component bytes, want at most %d (cache %d, memtables %d, 5%% of components %d)",
 			resident, disk, bound, residentCacheBytes, trees*memBudget, disk/20)
 	}

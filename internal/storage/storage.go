@@ -115,6 +115,9 @@ type Manager struct {
 	locks *txn.LockManager
 	wal   *txn.WAL
 	sched *scheduler
+	// cache is the page cache every tree's disk components are read
+	// through.
+	cache *lsm.Cache
 
 	// ckptMu serializes checkpoints (only one runs at a time).
 	ckptMu sync.Mutex
@@ -151,6 +154,7 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 		opts:     opts,
 		locks:    txn.NewLockManager(),
 		wal:      wal,
+		cache:    lsm.NewCache(lsm.CacheBytes),
 		datasets: map[string]*Dataset{},
 	}
 	m.sched = newScheduler(m)
@@ -158,11 +162,12 @@ func NewManager(dir string, opts Options) (*Manager, error) {
 }
 
 // lsmOptions builds the per-tree LSM options: trees never flush inline — the
-// background scheduler owns that.
+// background scheduler owns that — and read through the manager's cache.
 func (m *Manager) lsmOptions() lsm.Options {
 	return lsm.Options{
 		MemBudget:  m.opts.MemBudget,
 		Background: true,
+		Cache:      m.cache,
 	}
 }
 
@@ -636,12 +641,10 @@ func (d *Dataset) DropIndex(name string) error {
 			d.indexes = append(d.indexes[:i], d.indexes[i+1:]...)
 			d.detachIndex(name)
 			// A job compiled before the drop may still be searching this
-			// index through its handle. That is safe without counting
-			// readers only because a tree holds every component as an
-			// in-memory image read whole at open, flush and merge: deleting
-			// the files leaves the detached trees readable. A tree that
-			// reads its component files lazily must keep them until the
-			// last such job ends.
+			// index through its handle. Deleting the files leaves the
+			// detached trees readable: a component keeps its file open
+			// until the component is unreachable, so the last such job
+			// to end releases them.
 			for _, p := range d.partitions {
 				if err := os.RemoveAll(d.indexDir(p, name)); err != nil {
 					return err

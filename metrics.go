@@ -123,13 +123,30 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 			})
 		})
 
-	// Durability & recovery gauges from the storage manager.
 	managerStats := func() storage.ManagerStats {
 		if in := get(); in != nil {
 			return in.Store().Stats()
 		}
 		return storage.ManagerStats{}
 	}
+	// The page cache every LSM tree reads its disk components through.
+	r.CounterFunc("asterix_lsm_page_cache_hits_total",
+		"Component page fetches the page cache answered.",
+		func() float64 { return float64(managerStats().PageCache.Hits) })
+	r.CounterFunc("asterix_lsm_page_cache_misses_total",
+		"Component page fetches that read the page from its file.",
+		func() float64 { return float64(managerStats().PageCache.Misses) })
+	r.CounterFunc("asterix_lsm_page_cache_evictions_total",
+		"Pages the page cache dropped for room or because their component was gone.",
+		func() float64 { return float64(managerStats().PageCache.Evictions) })
+	r.GaugeFunc("asterix_lsm_page_cache_resident_bytes",
+		"Bytes of the pages the page cache holds now.",
+		func() float64 { return float64(managerStats().PageCache.ResidentBytes) })
+	r.CounterFunc("asterix_lsm_page_cache_read_bytes_total",
+		"Bytes of the pages read from component files on cache misses.",
+		func() float64 { return float64(managerStats().PageCache.BytesRead) })
+
+	// Durability & recovery gauges from the storage manager.
 	r.GaugeFunc("asterix_wal_bytes",
 		"Write-ahead log bytes appended, including the unwritten tail.",
 		func() float64 { return float64(managerStats().WALBytes) })
