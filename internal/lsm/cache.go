@@ -10,20 +10,26 @@ import (
 // analytics data, 5 MB — and bounds what a larger one keeps resident.
 const CacheBytes = 16 << 20
 
-// Cache holds component pages read from disk, least recently used first to
-// go once their bytes pass the capacity. One cache serves every tree of a
-// storage manager; a tree opened without one gets its own. It is safe for
-// concurrent use: readers under different partition latches share it. A
-// page is immutable once cached, and values handed out view it, so an
+// Cache holds component pages read from disk, bounded in bytes. One cache
+// serves every tree of a storage manager; a tree opened without one gets its
+// own. It is safe for concurrent use: readers under different partition
+// latches share it. A component finds its cached pages in its own slots, so
+// a hit takes no lock: it marks the page referenced, and eviction (CLOCK)
+// passes over a referenced page once, clearing the mark, before it drops
+// it. A cached page is never rewritten, and values handed out view it, so an
 // evicted page stays alive as long as a caller still views it.
 type Cache struct {
 	capacity int64
+	hits     atomic.Uint64
 
-	mu       sync.Mutex
-	pages    map[pageKey]*cachedPage
-	lru      cachedPage // sentinel: lru.next is the most recently used page
+	mu sync.Mutex
+	// hand is the next page eviction looks at, in a ring of every cached
+	// page; nil when the cache is empty.
+	hand     *cachedPage
 	resident int64
-	stats    CacheStats
+	misses   uint64
+	read     uint64
+	evicted  uint64
 }
 
 // CacheStats counts what a cache did since it was made.
@@ -32,107 +38,102 @@ type CacheStats struct {
 	// a miss reads the page from its file, BytesRead in all.
 	Hits, Misses, BytesRead uint64
 	// Evictions counts pages dropped to make room or because their
-	// component was merged away.
+	// component was gone.
 	Evictions uint64
 	// ResidentBytes is the bytes of the pages cached now.
 	ResidentBytes int64
 }
 
-// pageKey names one page of one open component file.
-type pageKey struct {
-	file uint64
-	page int
-}
-
+// cachedPage is one cached page, in the cache's ring and in the slot of its
+// component that finds it.
 type cachedPage struct {
-	key        pageKey
 	data       []byte
+	slot       *atomic.Pointer[cachedPage]
+	referenced atomic.Bool
 	prev, next *cachedPage
 }
-
-// fileIDs numbers every component file a process opens, so a merged
-// component that takes over its newest input's file name never finds that
-// input's pages.
-var fileIDs atomic.Uint64
 
 // NewCache returns an empty cache that holds at most capacity bytes of
 // pages. A page larger than the capacity is read but not kept.
 func NewCache(capacity int64) *Cache {
-	c := &Cache{capacity: capacity, pages: map[pageKey]*cachedPage{}}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	return c
+	return &Cache{capacity: capacity}
 }
 
 // Stats reports the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.ResidentBytes = c.resident
-	return s
-}
-
-// get returns the cached page, counting a hit or a miss.
-func (c *Cache) get(k pageKey) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pages[k]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
+	return CacheStats{
+		Hits: c.hits.Load(), Misses: c.misses, BytesRead: c.read,
+		Evictions: c.evicted, ResidentBytes: c.resident,
 	}
-	c.stats.Hits++
-	p.unlink()
-	c.pushFront(p)
-	return p.data, true
 }
 
-// put caches data, just read from its file, as page k and returns the page
-// to read: data, or the copy another reader cached first.
-func (c *Cache) put(k pageKey, data []byte) []byte {
+// hit counts a fetch that found p and marks p referenced.
+func (c *Cache) hit(p *cachedPage) []byte {
+	c.hits.Add(1)
+	if !p.referenced.Load() {
+		p.referenced.Store(true)
+	}
+	return p.data
+}
+
+// put caches data, just read from its file, as the page slot finds, and
+// returns the page to read: data, or the copy another reader cached first.
+func (c *Cache) put(slot *atomic.Pointer[cachedPage], data []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.BytesRead += uint64(len(data))
-	if p, ok := c.pages[k]; ok {
+	c.misses++
+	c.read += uint64(len(data))
+	if p := slot.Load(); p != nil {
 		return p.data
 	}
 	if int64(len(data)) > c.capacity {
 		return data
 	}
-	p := &cachedPage{key: k, data: data}
-	c.pages[k] = p
-	c.pushFront(p)
+	p := &cachedPage{data: data, slot: slot}
+	if c.hand == nil {
+		p.prev, p.next, c.hand = p, p, p
+	} else {
+		// Behind the hand: the last page the next sweep looks at.
+		p.prev, p.next = c.hand.prev, c.hand
+		p.prev.next, c.hand.prev = p, p
+	}
+	slot.Store(p)
 	c.resident += int64(len(data))
 	for c.resident > c.capacity {
-		c.remove(c.lru.prev)
+		if h := c.hand; h.referenced.Load() {
+			h.referenced.Store(false)
+			c.hand = h.next
+		} else {
+			c.remove(h)
+		}
 	}
 	return data
 }
 
-// drop evicts the cached pages of a component file no tree reads any more.
-func (c *Cache) drop(file uint64, pages int) {
+// drop evicts the cached pages of a component no tree reads any more.
+func (c *Cache) drop(slots []atomic.Pointer[cachedPage]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range pages {
-		if p, ok := c.pages[pageKey{file, i}]; ok {
+	for i := range slots {
+		if p := slots[i].Load(); p != nil {
 			c.remove(p)
 		}
 	}
 }
 
+// remove takes p out of the ring and its slot.
 func (c *Cache) remove(p *cachedPage) {
-	p.unlink()
-	delete(c.pages, p.key)
+	p.slot.Store(nil)
+	if p.next == p {
+		c.hand = nil
+	} else {
+		p.prev.next, p.next.prev = p.next, p.prev
+		if c.hand == p {
+			c.hand = p.next
+		}
+	}
 	c.resident -= int64(len(p.data))
-	c.stats.Evictions++
-}
-
-func (c *Cache) pushFront(p *cachedPage) {
-	p.prev, p.next = &c.lru, c.lru.next
-	c.lru.next.prev = p
-	c.lru.next = p
-}
-
-func (p *cachedPage) unlink() {
-	p.prev.next, p.next.prev = p.next, p.prev
+	c.evicted++
 }

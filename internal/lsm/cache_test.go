@@ -5,41 +5,42 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestCacheEvictsLeastRecentlyUsed: a cache keeps its bytes within its
-// capacity by dropping the page used longest ago, never keeps a page larger
-// than itself, and hands out the first copy of a page two readers cached.
-func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+// TestCacheEvictsUnreferencedPages: a cache keeps its bytes within its
+// capacity by dropping the first page its sweep finds unreferenced since
+// the sweep last passed, never keeps a page larger than itself, hands out
+// the first copy of a page two readers cached, and drops a component's
+// pages when asked.
+func TestCacheEvictsUnreferencedPages(t *testing.T) {
 	c := NewCache(300)
+	var a, b [3]atomic.Pointer[cachedPage]
 	page := func(n int) []byte { return make([]byte, n) }
-	c.put(pageKey{1, 0}, page(100))
-	c.put(pageKey{1, 1}, page(100))
-	c.put(pageKey{1, 2}, page(100))
-	if _, ok := c.get(pageKey{1, 0}); !ok {
+	for i := range a {
+		c.put(&a[i], page(100))
+	}
+	if p := a[0].Load(); p == nil {
 		t.Fatal("page 0 evicted under capacity")
+	} else {
+		c.hit(p)
 	}
-	c.put(pageKey{2, 0}, page(100)) // evicts page 1, used longest ago
-	if _, ok := c.get(pageKey{1, 1}); ok {
-		t.Fatal("page 1 kept past capacity")
+	c.put(&b[0], page(100)) // passes over referenced page 0, evicts page 1
+	if a[1].Load() != nil || a[0].Load() == nil || a[2].Load() == nil || b[0].Load() == nil {
+		t.Fatalf("cached after a fourth page: %v %v %v %v; want page 1 evicted", a[0].Load() != nil, a[1].Load() != nil, a[2].Load() != nil, b[0].Load() != nil)
 	}
-	for _, k := range []pageKey{{1, 0}, {1, 2}, {2, 0}} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("page %v evicted, want page 1 evicted", k)
-		}
-	}
-	if big := page(301); &c.put(pageKey{3, 0}, big)[0] != &big[0] {
-		t.Fatal("a page past the capacity was not handed back")
+	if big := page(301); &c.put(&b[1], big)[0] != &big[0] || b[1].Load() != nil {
+		t.Fatal("a page past the capacity was not handed back uncached")
 	}
 	first := page(10)
-	c.put(pageKey{4, 0}, first)
-	if got := c.put(pageKey{4, 0}, page(10)); &got[0] != &first[0] {
+	c.put(&b[2], first)
+	if got := c.put(&b[2], page(10)); &got[0] != &first[0] {
 		t.Fatal("a second copy of a cached page replaced the first")
 	}
-	c.drop(1, 3)
+	c.drop(a[:])
 	s := c.Stats()
-	if s.ResidentBytes != 110 || s.Evictions != 3 || s.Hits != 4 || s.Misses != 1 || s.BytesRead != 4*100+301+20 {
+	if s.ResidentBytes != 110 || s.Evictions != 3 || s.Hits != 1 || s.Misses != 7 || s.BytesRead != 4*100+301+20 {
 		t.Fatalf("stats %+v", s)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"asterixdb/internal/fsutil"
 )
@@ -65,9 +66,9 @@ type diskComponent struct {
 	count int
 	pages []pageRef
 	file  *os.File
-	// fileID names the open file's pages in cache.
-	fileID uint64
-	cache  *Cache
+	cache *Cache
+	// slots hold the component's pages the cache holds, one per page.
+	slots  []atomic.Pointer[cachedPage]
 	filter filter // every key, antimatter included; nil until the first Get
 }
 
@@ -272,17 +273,16 @@ func commonPrefix(a, b []byte) int {
 // attach gives a component its open file and cache. The file is closed,
 // and its cached pages dropped, once the component is unreachable.
 func (c *diskComponent) attach(f *os.File, cache *Cache) {
-	c.file, c.fileID, c.cache = f, fileIDs.Add(1), cache
+	c.file, c.cache, c.slots = f, cache, make([]atomic.Pointer[cachedPage], len(c.pages))
 	type release struct {
 		f     *os.File
 		cache *Cache
-		id    uint64
-		pages int
+		slots []atomic.Pointer[cachedPage]
 	}
 	runtime.AddCleanup(c, func(r release) {
 		r.f.Close()
-		r.cache.drop(r.id, r.pages)
-	}, release{f, cache, c.fileID, len(c.pages)})
+		r.cache.drop(r.slots)
+	}, release{f, cache, c.slots})
 }
 
 // ----------------------------------------------------------------------------
@@ -554,16 +554,14 @@ func (c *diskComponent) readPage(pg int, buf []byte) ([]byte, error) {
 // page returns page pg through the cache. A page that no longer reads back
 // whole panics with a *ReadError.
 func (c *diskComponent) page(pg int) pageView {
-	k := pageKey{c.fileID, pg}
-	b, ok := c.cache.get(k)
-	if !ok {
-		var err error
-		if b, err = c.readPage(pg, nil); err != nil {
-			panic(&ReadError{Path: c.path, Err: err})
-		}
-		b = c.cache.put(k, b)
+	if p := c.slots[pg].Load(); p != nil {
+		return viewPage(c.cache.hit(p))
 	}
-	return viewPage(b)
+	b, err := c.readPage(pg, nil)
+	if err != nil {
+		panic(&ReadError{Path: c.path, Err: err})
+	}
+	return viewPage(c.cache.put(&c.slots[pg], b))
 }
 
 // pageStream reads a component's pages past the cache into two buffers in

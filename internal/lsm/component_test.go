@@ -319,10 +319,11 @@ func TestReadsAliasImage(t *testing.T) {
 	for _, tr := range []*Tree{tr, reopened} {
 		c := tr.disk[0]
 		value, ok := tr.Get(key(7))
-		page, cached := c.cache.get(pageKey{c.fileID, 0})
-		if len(c.pages) != 1 || !cached {
-			t.Fatalf("%d pages, page 0 cached %v; want one, cached by the Get", len(c.pages), cached)
+		cached := c.slots[0].Load()
+		if len(c.pages) != 1 || cached == nil {
+			t.Fatalf("%d pages, page 0 cached %v; want one, cached by the Get", len(c.pages), cached != nil)
 		}
+		page := cached.data
 		if !ok || !within(value, page) || cap(value) != len(value) {
 			t.Fatalf("Get value %q (cap %d) is not a capped view into the cached page", value, cap(value))
 		}

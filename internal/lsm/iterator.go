@@ -293,6 +293,10 @@ func (it *Iterator) position(from []byte) {
 	for i, c := range t.disk {
 		it.disk[i].seek(c, from, it.hi)
 	}
+	if cap(it.sources) <= len(t.disk) {
+		it.sources = make([]mergeSource, 0, len(t.disk)+1)
+		it.m.heap = make([]*mergeSource, 0, len(t.disk)+1)
+	}
 	it.sources = append(it.sources[:0], mergeSource{cur: &it.mem})
 	for i := range it.disk {
 		it.sources = append(it.sources, mergeSource{cur: &it.disk[i]})

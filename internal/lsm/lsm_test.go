@@ -532,7 +532,7 @@ func TestBackgroundOptionDisablesInlineFlush(t *testing.T) {
 // harness's lsm rung) and keyword-index keys, a token then a 4-byte
 // document key (long shared prefixes). Values are 100 bytes. The large
 // case times point reads and scans over 4 hashed components of 16 384
-// entries, 7.6 MB of files, several times what its reads are cached in.
+// entries, 7.6 MB of files, through a 2 MiB cache.
 //
 //	go test -run '^$' -bench ComponentReads -benchmem ./internal/lsm
 func BenchmarkComponentReads(b *testing.B) {
@@ -556,7 +556,7 @@ func BenchmarkComponentReads(b *testing.B) {
 		}
 		componentReads(b, shape.name, "c1", tr, keys, true)
 	}
-	tr, keys := flushComponents(b, Options{}, 4, 16384, hashed)
+	tr, keys := flushComponents(b, Options{Cache: NewCache(2 << 20)}, 4, 16384, hashed)
 	componentReads(b, "large", "c4", tr, keys, false)
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -91,4 +92,51 @@ func TestResidentBytesBounded(t *testing.T) {
 			resident, disk, bound, residentCacheBytes, trees*memBudget, disk/20)
 	}
 	runtime.KeepAlive(ds)
+}
+
+// TestDroppedIndexReadsItsRemovedFiles: a search through the handle of an
+// index dropped after its components were flushed, and never read before,
+// reads every page from the deleted files through a cache of a few pages
+// and finds every entry.
+func TestDroppedIndexReadsItsRemovedFiles(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewManager(dir, Options{Partitions: 2, MemBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	m.cache = lsm.NewCache(32 << 10)
+	ds := createMessages(t, m)
+	x, err := ds.CreateIndex(IndexSpec{Name: "byTime", Fields: []string{"timestamp"}, Kind: BTreeIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 5000
+	batch := make([]*adm.Record, 0, records)
+	for i := 0; i < records; i++ {
+		batch = append(batch, message(i, i%7, int64(i), "dropped but held", 0, 0))
+	}
+	if _, err := ds.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.DropIndex("byTime"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ds.indexDir(ds.partitions[0], "byTime")); !os.IsNotExist(err) {
+		t.Fatalf("index directory still present after the drop: %v", err)
+	}
+	before := m.Stats().PageCache
+	found := 0
+	for part := range ds.partitions {
+		if err := x.SearchPartition(part, Probe{Lo: adm.Datetime(0), Hi: adm.Datetime(records)}, func([]byte) bool { found++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := m.Stats().PageCache
+	if found != records || after.Misses == before.Misses || after.Evictions == before.Evictions {
+		t.Fatalf("found %d of %d entries; %d misses, %d evictions", found, records, after.Misses-before.Misses, after.Evictions-before.Evictions)
+	}
 }
