@@ -83,7 +83,9 @@ type pageRef struct {
 // ReadError is the panic of a read that finds a page it cannot use: a page
 // that Open checked, or that this process wrote, no longer reads back
 // whole. Reads through Get and iterators return no error, so a failing disk
-// stops the process rather than answer from what it returned.
+// stops the process rather than answer from what it returned. A caller that
+// recovers panics, as net/http does for its handlers, must stop the process
+// on this one.
 type ReadError struct {
 	Path string
 	Err  error

@@ -480,6 +480,24 @@ func walkEntries(c *diskComponent) []entry {
 	}
 }
 
+// checkWithinPages fails t unless every value a cursor over c returns is a
+// view into the blocks of the page it read the value from, capacity
+// included.
+func checkWithinPages(t *testing.T, c *diskComponent) {
+	t.Helper()
+	var d diskCursor
+	d.seek(c, nil, nil)
+	for {
+		_, value, _, ok := d.next()
+		if !ok {
+			return
+		}
+		if !within(value, d.v.blocks) {
+			t.Fatalf("value %q lies outside page %d's blocks", value, d.pg)
+		}
+	}
+}
+
 // searchAt is where a search of c for key lands: the page its fence picks
 // and the entry the page's search returns there, moved to the next page's
 // first entry when it is past the page's last; (len(c.pages), 0) is past
@@ -622,6 +640,7 @@ func FuzzComponentLoad(f *testing.F) {
 		}
 		if c, err := openBytes(t, dir, data, nil, cache); err == nil {
 			entries := walkEntries(c)
+			checkWithinPages(t, c)
 			checkAgainstScan(t, c, entries)
 			checked(c.path, entries)
 		}
@@ -635,6 +654,7 @@ func FuzzComponentLoad(f *testing.F) {
 			t.Fatal(err)
 		}
 		entries := walkEntries(c)
+		checkWithinPages(t, c)
 		want := &memCursor{mem.Seek(nil)}
 		for i, e := range entries {
 			wk, wv, wanti, _ := want.next()

@@ -78,7 +78,8 @@ type Options struct {
 	CheckValue func(value []byte) error
 	// Cache is the page cache the tree reads its components through; the
 	// trees of one storage manager share one. Nil gives the tree its own,
-	// of CacheBytes.
+	// of CacheBytes. It is a handle for sharing, not a size setting: every
+	// cache outside tests holds CacheBytes.
 	Cache *Cache
 }
 

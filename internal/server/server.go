@@ -43,6 +43,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -51,6 +52,7 @@ import (
 	"asterixdb"
 	"asterixdb/internal/adm"
 	"asterixdb/internal/hyracks"
+	"asterixdb/internal/lsm"
 	"asterixdb/internal/metrics"
 	"asterixdb/internal/runfile"
 )
@@ -154,8 +156,26 @@ func newServer(inst Engine, opts Options, now func() time.Time) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A statement run on the handler's
+// goroutine (an insert's reads of the records it replaces, an index build)
+// that finds a component page no longer reading back whole stops the
+// process, as it does on a job's goroutine: net/http would recover the
+// *lsm.ReadError panic and go on serving from the failing disk.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		if v := recover(); v != nil {
+			if err, ok := v.(*lsm.ReadError); ok {
+				s.logger.Printf("asterixdb: stopping: %v", err)
+				stopProcess(err)
+			}
+			panic(v)
+		}
+	}()
+	s.mux.ServeHTTP(w, r)
+}
+
+// stopProcess ends the process after a read error; tests replace it.
+var stopProcess = func(*lsm.ReadError) { os.Exit(2) }
 
 // Close waits for detached asynchronous queries to finish, stops the handle
 // table's eviction janitor, and removes any handle-result spill files still

@@ -2,15 +2,23 @@ package server
 
 import (
 	"encoding/json"
+	"io"
+	"io/fs"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"asterixdb"
+	"asterixdb/internal/lsm"
 )
 
 const testDDL = `
@@ -449,5 +457,64 @@ func TestSynchronousStreamErrorLine(t *testing.T) {
 	errObj, _ := decodeJSON(t, lines[200])["error"].(map[string]any)
 	if errObj["code"] == nil || errObj["message"] == nil {
 		t.Errorf("last line %q is not an {\"error\":{code,message}} line", lines[200])
+	}
+}
+
+// TestReadErrorStopsProcess: an insert over a stored key reads the record it
+// replaces on the handler's goroutine. A component page that no longer reads
+// back whole there stops the process; net/http, left alone, would recover
+// the panic and keep serving from the failing disk.
+func TestReadErrorStopsProcess(t *testing.T) {
+	dir := t.TempDir()
+	inst, err := asterixdb.Open(asterixdb.Config{DataDir: dir, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { inst.Close() })
+	s := New(inst, Options{HandleTTL: time.Minute})
+	t.Cleanup(func() { s.Close() })
+	loadItems(t, s, 25)
+	if err := inst.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Each file's first page starts at offset 0; nothing has read a page
+	// since the flush wrote it.
+	var comps []string
+	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || !strings.HasPrefix(e.Name(), "component-") {
+			return err
+		}
+		comps = append(comps, path)
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		b := make([]byte, 1)
+		if _, err := f.ReadAt(b, 0); err != nil {
+			return err
+		}
+		_, err = f.WriteAt([]byte{^b[0]}, 0)
+		return err
+	})
+	if err != nil || len(comps) == 0 {
+		t.Fatalf("damaging components: %v (%d files)", err, len(comps))
+	}
+
+	var stopped atomic.Pointer[lsm.ReadError]
+	stop := stopProcess
+	stopProcess = func(err *lsm.ReadError) { stopped.Store(err) }
+	t.Cleanup(func() { stopProcess = stop })
+	s.logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
+	ts.Start()
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/update", "text/plain", strings.NewReader(`insert into dataset Items ({ "id": 1, "k": 1, "label": "again" });`))
+	if err == nil {
+		resp.Body.Close()
+	}
+	if got := stopped.Load(); got == nil || !slices.Contains(comps, got.Path) {
+		t.Fatalf("insert over a damaged page did not stop the process (read error %v)", got)
 	}
 }

@@ -374,7 +374,7 @@ func (m *Manager) maintain(d *Dataset, part int) {
 
 // Close drains the background scheduler (queued flushes, merges and
 // checkpoints still run) and then closes the WAL. Dataset components need no
-// closing (they are plain files rewritten atomically).
+// closing: a component's file closes once the component is unreachable.
 func (m *Manager) Close() error {
 	schedErr := m.sched.close()
 	err := m.wal.Close()
