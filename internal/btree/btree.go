@@ -12,7 +12,9 @@
 //
 // and a node holds 8-byte, pointer-free references to entries (chunk index,
 // offset in the chunk, key length), so an entry costs the GC no object of its
-// own and a key is compared where it lies. Bytes written to the arena are
+// own and a key is compared where it lies. An interior node also keeps each
+// separator's first 8 key bytes as a number, so a descent compares numbers
+// and reads the arena only where two of them tie. Bytes written to the arena are
 // never moved or overwritten: a replaced or deleted entry leaves its bytes
 // behind (Bytes counts them), and the keys and values the tree hands out are
 // capped views into a chunk that stay readable after later mutations, pinning
@@ -61,9 +63,10 @@ type Tree struct {
 
 type node struct {
 	leaf     bool
-	refs     []ref   // a leaf's entries, or an interior node's separator keys
-	children []*node // interior only, len(children) == len(refs)+1
-	next     *node   // leaf chain for range scans
+	refs     []ref    // a leaf's entries, or an interior node's separator keys
+	heads    []uint64 // interior only: head of each separator's key
+	children []*node  // interior only, len(children) == len(refs)+1
+	next     *node    // leaf chain for range scans
 }
 
 // New returns an empty tree.
@@ -92,9 +95,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 // already present. The stored value is the concatenation of value's parts, so
 // a caller can prefix a tag without building the joined slice.
 func (t *Tree) Put(key []byte, value ...[]byte) bool {
-	replaced, sep, right := t.insert(t.root, key, t.write(key, value))
+	replaced, sep, right := t.insert(t.root, key, head(key), t.write(key, value))
 	if right != nil {
-		t.root = &node{refs: []ref{sep}, children: []*node{t.root, right}}
+		t.root = &node{refs: []ref{sep}, heads: []uint64{head(t.key(sep))}, children: []*node{t.root, right}}
 	}
 	return replaced
 }
@@ -166,13 +169,40 @@ func (t *Tree) value(r ref) []byte {
 	return c[end+w : end+w+int(l) : end+w+int(l)]
 }
 
-// search returns the index of the first of refs whose key is >= key, or
-// > key when after is set (the child to descend into).
-func (t *Tree) search(refs []ref, key []byte, after bool) int {
+// head returns a key's first 8 bytes, zero-padded, as a big-endian number.
+// A key whose head is less than another's sorts before it; keys whose heads
+// tie must compare their bytes.
+func head(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// search returns the index of the first of a leaf's refs whose key is >= key.
+func (t *Tree) search(refs []ref, key []byte) int {
 	lo, hi := 0, len(refs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c := bytes.Compare(t.key(refs[m]), key); c < 0 || after && c == 0 {
+		if bytes.Compare(t.key(refs[m]), key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// child returns the index of the child of interior node n to descend into
+// for key, whose head is h: that of its first separator > key. The heads
+// decide every probe but a tie, which reads the separator's key.
+func (t *Tree) child(n *node, key []byte, h uint64) int {
+	lo, hi := 0, len(n.heads)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if sh := n.heads[m]; sh < h || sh == h && bytes.Compare(t.key(n.refs[m]), key) <= 0 {
 			lo = m + 1
 		} else {
 			hi = m
@@ -185,19 +215,19 @@ func (t *Tree) search(refs []ref, key []byte, after bool) int {
 // first entry >= key. A nil key finds the leftmost leaf: no separator is
 // empty, since a separator is the first key of a right sibling.
 func (t *Tree) find(key []byte) (*node, int) {
-	n := t.root
+	n, h := t.root, head(key)
 	for !n.leaf {
-		n = n.children[t.search(n.refs, key, true)]
+		n = n.children[t.child(n, key, h)]
 	}
-	return n, t.search(n.refs, key, false)
+	return n, t.search(n.refs, key)
 }
 
-// insert descends into n to place the entry r holds under key; it returns
-// whether an existing key was replaced and, when n split, the separator key
-// and new right sibling.
-func (t *Tree) insert(n *node, key []byte, r ref) (replaced bool, sep ref, right *node) {
+// insert descends into n to place the entry r holds under key, whose head is
+// h; it returns whether an existing key was replaced and, when n split, the
+// separator key and new right sibling.
+func (t *Tree) insert(n *node, key []byte, h uint64, r ref) (replaced bool, sep ref, right *node) {
 	if n.leaf {
-		i := t.search(n.refs, key, false)
+		i := t.search(n.refs, key)
 		if i < len(n.refs) && bytes.Equal(t.key(n.refs[i]), key) {
 			n.refs[i] = r
 			return true, 0, nil
@@ -205,12 +235,13 @@ func (t *Tree) insert(n *node, key []byte, r ref) (replaced bool, sep ref, right
 		n.refs = slices.Insert(n.refs, i, r)
 		t.size++
 	} else {
-		ci := t.search(n.refs, key, true)
-		replaced, sep, right = t.insert(n.children[ci], key, r)
+		ci := t.child(n, key, h)
+		replaced, sep, right = t.insert(n.children[ci], key, h, r)
 		if right == nil {
 			return replaced, 0, nil
 		}
 		n.refs = slices.Insert(n.refs, ci, sep)
+		n.heads = slices.Insert(n.heads, ci, head(t.key(sep)))
 		n.children = slices.Insert(n.children, ci+1, right)
 	}
 	if len(n.refs) <= degree {
@@ -232,8 +263,9 @@ func (n *node) split() (sep ref, right *node) {
 		n.next = right
 	} else {
 		right.refs = append(make([]ref, 0, degree+1), n.refs[mid+1:]...)
+		right.heads = append(make([]uint64, 0, degree+1), n.heads[mid+1:]...)
 		right.children = append(make([]*node, 0, degree+2), n.children[mid+1:]...)
-		n.children = n.children[:mid+1]
+		n.heads, n.children = n.heads[:mid], n.children[:mid+1]
 	}
 	n.refs = n.refs[:mid]
 	return sep, right

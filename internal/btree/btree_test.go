@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -214,12 +215,50 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 	}
 }
 
-func BenchmarkPut(b *testing.B) {
-	tr := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Put(key(i), val(i))
+// postingKeys returns n keys shaped like a keyword index's entries — a
+// uvarint token length, the token, then a 5-byte primary key — in random
+// order, over a vocabulary of 2 000 tokens of 3 to 12 letters.
+func postingKeys(n int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	words := make([][]byte, 2000)
+	for i := range words {
+		for range 3 + rng.Intn(10) {
+			words[i] = append(words[i], byte('a'+rng.Intn(26)))
+		}
 	}
+	keys := make([][]byte, n)
+	for i := range keys {
+		w := words[rng.Intn(len(words))]
+		k := binary.AppendUvarint(nil, uint64(len(w)))
+		keys[i] = binary.BigEndian.AppendUint32(append(append(k, w...), 0x03), uint32(rng.Int31()))
+	}
+	return keys
+}
+
+// BenchmarkPut: sequential short keys, and keyword-index keys in random
+// order into a tree refilled from empty every 1<<16 puts (a memtable's
+// life between flushes).
+func BenchmarkPut(b *testing.B) {
+	b.Run("sequential", func(b *testing.B) {
+		tr := New()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.Put(key(i), val(i))
+		}
+	})
+	b.Run("random-postings", func(b *testing.B) {
+		keys := postingKeys(1 << 16)
+		value := []byte("v")
+		tr := New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(keys) == 0 && i > 0 {
+				tr = New()
+			}
+			tr.Put(keys[i%len(keys)], value)
+		}
+	})
 }
 
 func BenchmarkGet(b *testing.B) {

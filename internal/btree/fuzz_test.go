@@ -21,7 +21,7 @@ const (
 	opDelete        // key byte
 	opGet           // key byte
 	opSeek          // key byte: seek and walk a few entries
-	opBulk          // count byte, seed byte: put 64*(count+1) four-byte keys
+	opBulk          // count byte, seed byte: put 64*(count+1) keys, four bytes behind 0, 4, 8 or 12 seed bytes
 	opCheck         // walk the whole tree, Min and Max
 	numOps
 )
@@ -111,9 +111,12 @@ func FuzzMemtable(f *testing.F) {
 				}
 				p++
 			case opBulk:
+				// A shared prefix of 8 bytes or more ties every separator's
+				// head in the interior nodes.
 				n, seed := 64*(int(arg(1))+1), uint32(arg(2))
+				prefix := bytes.Repeat([]byte{arg(2)}, int(seed%4)*4)
 				for i := 0; i < n; i++ {
-					k := binary.BigEndian.AppendUint32(nil, uint32(i)*2654435761+seed)
+					k := binary.BigEndian.AppendUint32(bytes.Clone(prefix), uint32(i)*2654435761+seed)
 					v := k[:i%5]
 					_, had := model[string(k)]
 					if replaced := tr.Put(k, v); replaced != had {

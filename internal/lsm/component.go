@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -103,7 +104,7 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // page at a time: it holds the block and the page it is building and the
 // page index, never the file.
 type pageWriter struct {
-	out   *fsutil.AtomicFile
+	out   io.Writer
 	limit int // pageBytes, or less in tests
 	off   int64
 	// page is the blocks of the page being built and restarts their start
@@ -202,6 +203,21 @@ func (w *pageWriter) finish(coveredLow int, stamp uint64) {
 	}
 }
 
+// writeAll writes the entries src yields, leaving antimatter out when
+// dropAntimatter is set, then the page index and the footer.
+func (w *pageWriter) writeAll(src cursor, dropAntimatter bool, coveredLow int, stamp uint64) {
+	for {
+		key, value, antimatter, ok := src.next()
+		if !ok {
+			break
+		}
+		if !(antimatter && dropAntimatter) {
+			w.add(key, value, antimatter)
+		}
+	}
+	w.finish(coveredLow, stamp)
+}
+
 // writeComponentFile writes the entries src yields, leaving antimatter out
 // when dropAntimatter is set, as component id at path via a temp file,
 // fsync and rename, filling pages up to limit bytes. Once src is drained,
@@ -213,22 +229,13 @@ func writeComponentFile(path string, id, coveredLow int, stamp uint64, src curso
 		return nil, fmt.Errorf("lsm: write component: %w", err)
 	}
 	w := &pageWriter{out: out, limit: limit}
-	for {
-		key, value, antimatter, ok := src.next()
-		if !ok {
-			break
-		}
-		if !(antimatter && dropAntimatter) {
-			w.add(key, value, antimatter)
-		}
-	}
+	w.writeAll(src, dropAntimatter, coveredLow, stamp)
 	if srcErr != nil {
 		if err := srcErr(); err != nil {
 			out.Abort()
 			return nil, err
 		}
 	}
-	w.finish(coveredLow, stamp)
 	if w.err != nil {
 		out.Abort()
 		return nil, fmt.Errorf("lsm: write component: %w", w.err)

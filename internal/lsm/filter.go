@@ -11,11 +11,16 @@ var filterSeed = maphash.MakeSeed()
 func keyHash(key []byte) uint64 { return maphash.Bytes(filterSeed, key) }
 
 const (
-	// filterBitsPerKey sizes a filter: 10 bits, 1.25 bytes, per entry.
-	filterBitsPerKey = 10
+	// filterBitsPerKey sizes a filter: 20 bits, 2.5 bytes, per entry, and
 	// filterProbes is the bits a key sets and tests, ln 2 × bits per key
-	// rounded: about 0.8 % of absent keys pass a filter.
-	filterProbes = 7
+	// rounded, so (1 - e^(-14/20))^14, about 0.007 %, of absent keys pass
+	// a filter. The sizing serves the Gets that miss: every insert reads
+	// the key it may replace, usually a new one, and such a Get reads about
+	// components × rate × 16 KiB of pages into the cache, pages no later
+	// read wants. Over 10 components that is about 11 bytes a Get; 10 bits
+	// and 7 probes (0.8 %) read about 1.3 KiB for half the filter bytes.
+	filterBitsPerKey = 20
+	filterProbes     = 14
 	// filterMaxWords caps a filter at 2^32 bits, so a probe maps a 32-bit
 	// hash onto the filter with one multiply.
 	filterMaxWords = 1 << 26
@@ -23,7 +28,7 @@ const (
 
 // filter is a bloom filter over a component's keys, antimatter included, so
 // a tombstone is found like any other entry. mayContain is true for every
-// key of the component and for about 0.8 % of other keys.
+// key of the component and for about 0.007 % of other keys.
 type filter []uint64
 
 // newFilter returns an empty filter sized for n keys.

@@ -45,7 +45,7 @@ func TestFilterKeepsTombstone(t *testing.T) {
 }
 
 // TestFilterFalsePositiveRate: over 100 000 absent keys, a component's filter
-// lets at most 2 % through to a search. The newer of the two components holds
+// lets at most 0.1 % through to a search. The newer of the two components holds
 // tombstones for half the older one's keys.
 func TestFilterFalsePositiveRate(t *testing.T) {
 	const n, absent = 10000, 100000
@@ -75,14 +75,14 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 	falses, skips := r.FilterFalsePositives-before.FilterFalsePositives, r.FilterSkips-before.FilterSkips
 	fp := float64(falses) / float64(probes)
 	t.Logf("false-positive rate %.4f over %d component probes", fp, probes)
-	if r.PointReads-before.PointReads != absent || fp > 0.02 || falses+skips != probes {
-		t.Fatalf("%d reads: %d false positives and %d skips of %d component probes; want %d reads, a rate <= 0.02, every probe one or the other",
+	if r.PointReads-before.PointReads != absent || fp > 0.001 || falses+skips != probes {
+		t.Fatalf("%d reads: %d false positives and %d skips of %d component probes; want %d reads, a rate <= 0.001, every probe one or the other",
 			r.PointReads-before.PointReads, falses, skips, probes, absent)
 	}
 }
 
 // TestFilterAbsentKeySearches: over eight components an absent key costs at
-// most 0.1 binary searches per Get. Each component also deletes half of the
+// most 0.01 binary searches per Get. Each component also deletes half of the
 // previous one's keys.
 func TestFilterAbsentKeySearches(t *testing.T) {
 	const components, per, absent = 8, 2000, 20000
@@ -115,8 +115,8 @@ func TestFilterAbsentKeySearches(t *testing.T) {
 	r := tr.Reads()
 	searches := float64(r.FilterFalsePositives-before.FilterFalsePositives) / absent
 	t.Logf("%.4f binary searches per absent Get over %d components", searches, components)
-	if searches > 0.1 {
-		t.Fatalf("%.4f binary searches per absent Get, want <= 0.1", searches)
+	if searches > 0.01 {
+		t.Fatalf("%.4f binary searches per absent Get, want <= 0.01", searches)
 	}
 }
 

@@ -67,16 +67,18 @@ func metricValue(t *testing.T, body, series string) float64 {
 	return v
 }
 
-// TestMetricsFilterSkips: an insert reads its new primary key first, and
-// with four disk components in each partition's primary index the component
-// filters spare nearly every binary search of those reads: /metrics shows
-// skips of at least 0.95 per read per component.
-func TestMetricsFilterSkips(t *testing.T) {
-	s, inst := newTestServer(t)
+// itemWriter creates the Items dataset and returns an insert of items
+// from..from+n-1 in one statement over HTTP and a flush of every tree.
+func itemWriter(t *testing.T, s *Server, inst *asterixdb.Instance) (insert func(from, n int), flush func()) {
+	t.Helper()
 	if w := do(t, s, "POST", "/ddl", testDDL); w.Code != http.StatusOK {
 		t.Fatalf("ddl: %d %s", w.Code, w.Body)
 	}
-	insert := func(from, n int) {
+	ds, ok := inst.Dataset("Items")
+	if !ok {
+		t.Fatal("no dataset Items")
+	}
+	insert = func(from, n int) {
 		t.Helper()
 		var sb strings.Builder
 		for i := from; i < from+n; i++ {
@@ -89,16 +91,26 @@ func TestMetricsFilterSkips(t *testing.T) {
 			t.Fatalf("update: %d %s", w.Code, w.Body)
 		}
 	}
-	ds, ok := inst.Dataset("Items")
-	if !ok {
-		t.Fatal("no dataset Items")
-	}
-	const components, partitions = 4, 2
-	for c := 0; c < components; c++ {
-		insert(c*100, 100)
+	flush = func() {
+		t.Helper()
 		if err := ds.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return insert, flush
+}
+
+// TestMetricsFilterSkips: an insert reads its new primary key first, and
+// with four disk components in each partition's primary index the component
+// filters spare nearly every binary search of those reads: /metrics shows
+// skips of at least 0.95 per read per component.
+func TestMetricsFilterSkips(t *testing.T) {
+	s, inst := newTestServer(t)
+	insert, flush := itemWriter(t, s, inst)
+	const components, partitions = 4, 2
+	for c := 0; c < components; c++ {
+		insert(c*100, 100)
+		flush()
 	}
 	const (
 		reads  = `asterix_lsm_point_reads_total{dataset="Items"}`
@@ -122,6 +134,31 @@ func TestMetricsFilterSkips(t *testing.T) {
 		t.Fatalf("400 inserts of new keys over %d components: %v reads, %v skips, %v false positives; want skips >= 0.95 x reads x components and skips + false positives = reads x components",
 			components, dReads, dSkips, dFalse)
 	}
+}
+
+// TestMetricsFilterBytes: /metrics shows no filter memory until a point
+// read reaches a disk component, and then 2.5 bytes per key of the
+// components reached, each filter rounded up to whole 8-byte words.
+func TestMetricsFilterBytes(t *testing.T) {
+	s, inst := newTestServer(t)
+	insert, flush := itemWriter(t, s, inst)
+	const series = `asterix_lsm_filter_bytes{dataset="Items"}`
+	check := func(when string, keys, filters int) {
+		t.Helper()
+		got := metricValue(t, do(t, s, "GET", "/metrics", "").Body.String(), series)
+		lo := 2.5 * float64(keys)
+		if got < lo || got > lo+float64(8*filters) {
+			t.Fatalf("%s: %s = %v, want %v plus at most 8 for each of %d filters", when, series, got, lo, filters)
+		}
+	}
+	insert(0, 100)
+	flush()
+	check("after a flush", 0, 0)
+	insert(100, 100) // reads its keys through the first components
+	flush()
+	check("after inserts beside one component per partition", 100, 2)
+	insert(200, 400)
+	check("after inserts beside two components per partition", 200, 4)
 }
 
 // TestMetricsMemBytes: /metrics shows the in-memory components of the

@@ -1,13 +1,17 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"asterixdb/internal/adm"
+	"asterixdb/internal/external"
 	"asterixdb/internal/lsm"
 )
 
@@ -138,5 +142,117 @@ func TestDroppedIndexReadsItsRemovedFiles(t *testing.T) {
 	after := m.Stats().PageCache
 	if found != records || after.Misses == before.Misses || after.Evictions == before.Evictions {
 		t.Fatalf("found %d of %d entries; %d misses, %d evictions", found, records, after.Misses-before.Misses, after.Evictions-before.Evictions)
+	}
+}
+
+// TestFreshInsertsReadFewPages: an insert reads the key it may replace, and
+// with eight disk components in each partition's primary index the
+// component filters keep inserts of new keys to at most 0.005 page fetches
+// each, hits and misses of the page cache together. A filter that let 0.8 %
+// of absent keys through would fetch about 0.06.
+func TestFreshInsertsReadFewPages(t *testing.T) {
+	const components, per, fresh = 8, 1000, 8000
+	m, err := NewManager(t.TempDir(), Options{Partitions: 2, MemBudget: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	ds := createMessages(t, m)
+	insert := func(from, n int) {
+		t.Helper()
+		batch := make([]*adm.Record, 0, n)
+		for id := from; id < from+n; id++ {
+			batch = append(batch, message(id, id%50, int64(id), "fresh", 0, 0))
+		}
+		if _, err := ds.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < components; c++ {
+		insert(c*per, per)
+		if err := ds.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := ds.Stats(); s.Components != components*len(ds.partitions) {
+		t.Fatalf("%d primary components, want %d", s.Components, components*len(ds.partitions))
+	}
+	before := m.Stats().PageCache
+	insert(components*per, fresh)
+	after := m.Stats().PageCache
+	pages := float64(after.Hits+after.Misses-before.Hits-before.Misses) / fresh
+	t.Logf("%.5f page fetches per insert of a new key over %d components", pages, components)
+	if pages > 0.005 {
+		t.Fatalf("%.5f page fetches per insert of a new key over %d components, want <= 0.005", pages, components)
+	}
+}
+
+// TestLoadLeavesTreesWithinBudget: a load reads a file and stores its
+// records as one batch, many times every tree's in-memory budget. Once the
+// background queue drains, every tree of every partition, the primary and
+// both secondary indexes, holds less than its budget in memory: the writer
+// queues a flush for a tree over budget after each group it applies.
+func TestLoadLeavesTreesWithinBudget(t *testing.T) {
+	const budget, records = 4 << 10, 3000
+	m, err := NewManager(t.TempDir(), Options{Partitions: 2, MemBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	rt := &adm.RecordType{Name: "Line", Fields: []adm.FieldType{
+		{Name: "id", Type: adm.Prim(adm.TagInt32)},
+		{Name: "n", Type: adm.Prim(adm.TagInt32)},
+		{Name: "text", Type: adm.Prim(adm.TagString)},
+	}}
+	ds, err := m.CreateDataset(DatasetSpec{Name: "Lines", Type: rt, PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []IndexSpec{
+		{Name: "byN", Fields: []string{"n"}, Kind: BTreeIndex},
+		{Name: "byWord", Fields: []string{"text"}, Kind: KeywordIndex},
+	} {
+		if _, err := ds.CreateIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var file strings.Builder
+	for id := 0; id < records; id++ {
+		fmt.Fprintf(&file, "%d|%d|%s %s\n", id, id%97, consistencyWords[id%len(consistencyWords)], consistencyWords[id/7%len(consistencyWords)])
+	}
+	path := filepath.Join(t.TempDir(), "lines.csv")
+	if err := os.WriteFile(path, []byte(file.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ext, err := external.NewDataset(rt, "localfs", map[string]string{"path": "localhost://" + path, "format": "delimited-text", "delimiter": "|"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ext.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ds.InsertBatch(recs); err != nil || n != records {
+		t.Fatalf("loaded %d records, %v; want %d", n, err, records)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if depth, inflight := m.sched.queueStats(); depth == 0 && inflight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("background queue still busy after 10 s")
+		}
+	}
+	if s := ds.Stats(); s.Components == 0 || s.SecondaryComponents == 0 {
+		t.Fatalf("%d primary and %d secondary components after the load, want flushes of both", s.Components, s.SecondaryComponents)
+	}
+	for part, p := range ds.partitions {
+		p.mu.Lock()
+		for i, tree := range p.allTrees() {
+			if n := tree.MemBytes(); n >= budget {
+				t.Errorf("partition %d tree %d holds %d bytes in memory, budget %d", part, i, n, budget)
+			}
+		}
+		p.mu.Unlock()
 	}
 }

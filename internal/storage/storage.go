@@ -319,8 +319,9 @@ func (m *Manager) Recover() error {
 	return nil
 }
 
-// scheduleOverBudget hands any tree that recovery (or a bulk load) left over
-// its in-memory budget to the background scheduler.
+// scheduleOverBudget hands any tree that recovery left over its in-memory
+// budget to the background scheduler. Recover is its one caller: a load
+// stores its records through InsertBatch, whose groups each call maintain.
 func (m *Manager) scheduleOverBudget() {
 	budget := m.memBudget()
 	m.mu.RLock()
@@ -471,6 +472,9 @@ type DatasetStats struct {
 	// the disk components their filters skipped, and the filter false
 	// positives (a search that missed).
 	Reads lsm.ReadStats
+	// FilterBytes is the memory the primary index's component filters
+	// hold; a component has one once a point read has reached it.
+	FilterBytes int
 }
 
 // Stats aggregates the dataset's LSM counters under each partition latch.
@@ -484,6 +488,7 @@ func (d *Dataset) Stats() DatasetStats {
 		s.Components += p.primary.Components()
 		s.Flushes += p.primary.Flushes()
 		s.Merges += p.primary.Merges()
+		s.FilterBytes += p.primary.FilterBytes()
 		for i, t := range p.allTrees() {
 			if i > 0 {
 				s.SecondaryMemBytes += t.MemBytes()

@@ -122,6 +122,13 @@ func RegisterInstanceMetrics(r *metrics.Registry, get func() *Instance) {
 				emit(float64(s.Reads.FilterFalsePositives), metrics.L("dataset", name))
 			})
 		})
+	r.Collect("asterix_lsm_filter_bytes", "gauge",
+		"Memory the bloom filters of the primary index's disk components hold per dataset.",
+		func(emit func(float64, ...metrics.Label)) {
+			eachDataset(func(name string, s storage.DatasetStats) {
+				emit(float64(s.FilterBytes), metrics.L("dataset", name))
+			})
+		})
 
 	managerStats := func() storage.ManagerStats {
 		if in := get(); in != nil {
