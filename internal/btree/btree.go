@@ -14,8 +14,8 @@
 // offset in the chunk, key length), so an entry costs the GC no object of its
 // own and a key is compared where it lies. An interior node also keeps each
 // separator's first 8 key bytes as a number, so a descent compares numbers
-// and reads the arena only where two of them tie. Bytes written to the arena are
-// never moved or overwritten: a replaced or deleted entry leaves its bytes
+// and reads the arena only where two of them tie. Bytes written to the arena
+// are never moved or overwritten: a replaced or deleted entry leaves its bytes
 // behind (Bytes counts them), and the keys and values the tree hands out are
 // capped views into a chunk that stay readable after later mutations, pinning
 // that chunk while a caller holds them.
